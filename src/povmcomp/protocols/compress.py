@@ -62,6 +62,11 @@ class Codebook:
         return out
 
 
+# Fixed per-axis spawn keys, so a seed draws the same codebook in every
+# process (``hash`` of a str is salted per process).
+_AXIS_SPAWN_KEY = {"X": 29892, "Y": 45071}
+
+
 def draw_codebook(
     axis: str, coins: int, messages: int, source: qo.Distribution, seed: int
 ) -> Codebook:
@@ -69,7 +74,7 @@ def draw_codebook(
     counts = np.zeros((coins, len(source.alphabet)), dtype=np.int64)
     for k in range(coins):
         rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=seed, spawn_key=(hash(axis) & 0xFFFF, k))
+            np.random.SeedSequence(entropy=seed, spawn_key=(_AXIS_SPAWN_KEY[axis], k))
         )
         counts[k] = rng.multinomial(messages, probs)
     return Codebook(axis, coins, messages, source.alphabet, counts, source, seed)
@@ -216,13 +221,15 @@ class CompressedFamily:
 def _block_class_table(prep: PreparedInstance, cx: np.ndarray, cy: np.ndarray, l1: int, l2: int):
     """Per (x, y) class: multiplicity, t-weight, and mirror block."""
     xs, ys = prep.px.alphabet, prep.py.alphabet
+    joint = prep.joint.as_dict()
     table = {}
     for i, x in enumerate(xs):
         for j, y in enumerate(ys):
             m = int(cx[i]) * int(cy[j])
-            if m == 0:
-                continue
-            p_xy = prep.joint.prob(qo.join_symbol(x, y))
+            xy = qo.join_symbol(x, y)
+            if m == 0 or xy not in joint:
+                continue  # a pair outside the joint support carries mass 0
+            p_xy = joint[xy]
             px, py = prep.px.prob(x), prep.py.prob(y)
             if px * py <= 0:
                 continue

@@ -7,6 +7,13 @@ exact least-squares projection with a cached factorization, and the PSD
 cone, via eigenvalue clipping.  Everything is plain numpy, deterministic,
 and warm-startable across the outer bisections that drive it.
 
+The iterate stores each Hermitian block by its isometric real vector
+(``herm_to_rvec``/``rvec_to_herm``, which broadcast over leading axes).
+The cone projection is batched over the blocks: the session precomputes,
+per block dimension d, one (n_blocks, d*d) index array into the iterate,
+so each dimension costs one gather, one stacked eigendecomposition and
+one scatter, whatever the number of blocks.
+
 Infeasibility is reported as "numerically infeasible at tolerance": the
 iteration's movement stagnating at a positive residual, never an exact
 Farkas certificate.  Bisection callers only need this monotone behavior.
@@ -35,23 +42,26 @@ def _herm_indices(d: int):
 
 
 def herm_to_rvec(mat: np.ndarray) -> np.ndarray:
-    """Isometric real parametrization of a Hermitian matrix (length d^2)."""
-    d = mat.shape[0]
+    """Isometric real parametrization of Hermitian matrices: (..., d, d) -> (..., d^2)."""
+    d = mat.shape[-1]
     iu, di = _herm_indices(d)
     s = math.sqrt(2.0)
-    upper = mat[iu]
-    return np.concatenate([np.real(mat[di]), s * np.real(upper), s * np.imag(upper)])
+    upper = mat[..., iu[0], iu[1]]
+    return np.concatenate(
+        [np.real(mat[..., di[0], di[1]]), s * np.real(upper), s * np.imag(upper)], axis=-1
+    )
 
 
 def rvec_to_herm(vec: np.ndarray, d: int) -> np.ndarray:
+    """Inverse of ``herm_to_rvec``: (..., d^2) -> (..., d, d)."""
     iu, di = _herm_indices(d)
     s = math.sqrt(2.0)
-    out = np.zeros((d, d), dtype=complex)
-    out[di] = vec[:d]
+    out = np.zeros(vec.shape[:-1] + (d, d), dtype=complex)
+    out[..., di[0], di[1]] = vec[..., :d]
     n_off = iu[0].size
-    upper = vec[d : d + n_off] / s + 1j * vec[d + n_off :] / s
-    out[iu] = upper
-    out[(iu[1], iu[0])] = upper.conj()
+    upper = vec[..., d : d + n_off] / s + 1j * vec[..., d + n_off :] / s
+    out[..., iu[0], iu[1]] = upper
+    out[..., iu[1], iu[0]] = upper.conj()
     return out
 
 
@@ -225,6 +235,7 @@ class Session:
             raise ValueError(f"problem too large for the dense engine ({off} var reals)")
         self.block_dims = [e.dim for e in prob.psd_constraints]
         self.n_graph = sum(d * d for d in self.block_dims) + len(prob.inequalities)
+        self._index_blocks()
         self.n_eq = len(prob.equalities)
         self._build_matrices()
         self.update_constants(prob)
@@ -290,34 +301,34 @@ class Session:
         s = self.g_graph @ x + self.c_graph
         return np.concatenate([x, s])
 
-    def _block_groups(self):
-        if not hasattr(self, "_groups"):
-            groups: dict[int, list[int]] = {}
-            pos = self.n_vars
-            for d in self.block_dims:
-                groups.setdefault(d, []).append(pos)
-                pos += d * d
-            self._scalar_pos = pos
-            self._groups = groups
-        return self._groups
+    def _index_blocks(self) -> None:
+        """Group the PSD blocks by dimension: one (n_blocks, d*d) array of
+        iterate positions per dimension, so the cone projection gathers,
+        projects and scatters every block of one size at once."""
+        offsets: dict[int, list[int]] = {}
+        pos = self.n_vars
+        for d in self.block_dims:
+            offsets.setdefault(d, []).append(pos)
+            pos += d * d
+        self._cone_index = {
+            d: np.array(offs)[:, None] + np.arange(d * d) for d, offs in offsets.items()
+        }
+        self._scalar_pos = pos
 
     def project_cone(self, y: np.ndarray) -> np.ndarray:
         out = y.copy()
-        for d, offsets in self._block_groups().items():
-            stack = np.stack([rvec_to_herm(y[o : o + d * d], d) for o in offsets])
-            w, v = np.linalg.eigh(stack)
+        for d, idx in self._cone_index.items():
+            w, v = np.linalg.eigh(rvec_to_herm(y[idx], d))
             np.clip(w, 0.0, None, out=w)
             clipped = (v * w[:, None, :]) @ np.conj(np.swapaxes(v, -1, -2))
-            for o, mat in zip(offsets, clipped):
-                out[o : o + d * d] = herm_to_rvec(mat)
+            out[idx] = herm_to_rvec(clipped)
         out[self._scalar_pos :] = np.clip(y[self._scalar_pos :], 0.0, None)
         return out
 
     def cone_violation(self, y: np.ndarray) -> float:
         viol = 0.0
-        for d, offsets in self._block_groups().items():
-            stack = np.stack([rvec_to_herm(y[o : o + d * d], d) for o in offsets])
-            w = np.linalg.eigvalsh(stack)
+        for d, idx in self._cone_index.items():
+            w = np.linalg.eigvalsh(rvec_to_herm(y[idx], d))
             viol = max(viol, -float(w.min()))
         if y.size > self._scalar_pos:
             viol = max(viol, -float(np.min(y[self._scalar_pos :], initial=0.0)))

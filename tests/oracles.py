@@ -234,3 +234,62 @@ def random_povm(rng: np.random.Generator, d: int, n: int) -> list[np.ndarray]:
     total = sum(parts)
     s_inv = np.linalg.inv(scipy.linalg.sqrtm(total))
     return [s_inv @ p @ s_inv.conj().T for p in parts]
+
+
+def _herm_to_rvec_single(mat: np.ndarray) -> np.ndarray:
+    d = mat.shape[0]
+    iu, di = np.triu_indices(d, k=1), np.diag_indices(d)
+    s = math.sqrt(2.0)
+    upper = mat[iu]
+    return np.concatenate([np.real(mat[di]), s * np.real(upper), s * np.imag(upper)])
+
+
+def _rvec_to_herm_single(vec: np.ndarray, d: int) -> np.ndarray:
+    iu, di = np.triu_indices(d, k=1), np.diag_indices(d)
+    s = math.sqrt(2.0)
+    out = np.zeros((d, d), dtype=complex)
+    out[di] = vec[:d]
+    n_off = iu[0].size
+    upper = vec[d : d + n_off] / s + 1j * vec[d + n_off :] / s
+    out[iu] = upper
+    out[(iu[1], iu[0])] = upper.conj()
+    return out
+
+
+def _cone_block_groups(session) -> tuple[dict[int, list[int]], int]:
+    """Iterate offsets of the PSD blocks grouped by dimension, and the
+    position where the scalar inequalities start."""
+    groups: dict[int, list[int]] = {}
+    pos = session.n_vars
+    for d in session.block_dims:
+        groups.setdefault(d, []).append(pos)
+        pos += d * d
+    return groups, pos
+
+
+def project_cone_per_block(session, y: np.ndarray) -> np.ndarray:
+    """Cone projection of an SDP iterate, one matrix conversion per block."""
+    groups, scalar_pos = _cone_block_groups(session)
+    out = y.copy()
+    for d, offsets in groups.items():
+        stack = np.stack([_rvec_to_herm_single(y[o : o + d * d], d) for o in offsets])
+        w, v = np.linalg.eigh(stack)
+        np.clip(w, 0.0, None, out=w)
+        clipped = (v * w[:, None, :]) @ np.conj(np.swapaxes(v, -1, -2))
+        for o, mat in zip(offsets, clipped):
+            out[o : o + d * d] = _herm_to_rvec_single(mat)
+    out[scalar_pos:] = np.clip(y[scalar_pos:], 0.0, None)
+    return out
+
+
+def cone_violation_per_block(session, y: np.ndarray) -> float:
+    """Largest cone violation of an SDP iterate, one conversion per block."""
+    groups, scalar_pos = _cone_block_groups(session)
+    viol = 0.0
+    for d, offsets in groups.items():
+        stack = np.stack([_rvec_to_herm_single(y[o : o + d * d], d) for o in offsets])
+        w = np.linalg.eigvalsh(stack)
+        viol = max(viol, -float(w.min()))
+    if y.size > scalar_pos:
+        viol = max(viol, -float(np.min(y[scalar_pos:], initial=0.0)))
+    return viol

@@ -16,18 +16,42 @@ def feasibility_x_in_box(dim, target_trace):
     return prob
 
 
+def marginal_kron_problem(p):
+    """X on C^2 (x) C^3 with 1.7 X - 0.4 p (x) Tr_1 X and 0.9 p (x) X PSD, Tr X = 1."""
+    prob = sdp.SDProblem()
+    prob.add_var("X", 6)
+    expr = sdp.AffineExpr.zero(6).plus_var("X", 1.7)
+    expr.plus_marginal_product(p, "X", (2, 3), coeff=-0.4)
+    prob.require_psd(expr)
+    expr2 = sdp.AffineExpr.zero(12).plus_kron(p, "X", coeff=0.9)
+    prob.require_psd(expr2)
+    prob.require_eq(sdp.trace_functional("X", 6, const=-1.0))
+    return prob, expr, expr2
+
+
+def interleaved_blocks_problem():
+    """PSD blocks of dimensions 2, 3, 2, 4, 3 in that order, plus two
+    scalar inequalities."""
+    prob = sdp.SDProblem()
+    prob.add_var("X", 2)
+    prob.add_var("Y", 3)
+    prob.add_var("W", 4)
+    prob.require_psd(sdp.AffineExpr.zero(2).plus_var("X"))
+    prob.require_psd(sdp.AffineExpr.zero(3).plus_var("Y"))
+    prob.require_psd(sdp.AffineExpr.const_expr(np.eye(2)).plus_var("X", -1.0))
+    prob.require_psd(sdp.AffineExpr.zero(4).plus_var("W"))
+    prob.require_psd(sdp.AffineExpr.const_expr(np.eye(3)).plus_var("Y", -1.0))
+    prob.require_geq(sdp.trace_functional("X", 2, const=-0.5))
+    prob.require_geq(sdp.trace_functional("W", 4, coeff=-1.0, const=2.0))
+    prob.require_eq(sdp.trace_functional("Y", 3, const=-1.0))
+    return prob
+
+
 class TestAdjoints:
     def test_probed_linear_map_matches_terms(self):
         rng = np.random.default_rng(0)
         p = oracles.random_hermitian(rng, 2)
-        prob = sdp.SDProblem()
-        prob.add_var("X", 6)
-        expr = sdp.AffineExpr.zero(6).plus_var("X", 1.7)
-        expr.plus_marginal_product(p, "X", (2, 3), coeff=-0.4)
-        prob.require_psd(expr)
-        expr2 = sdp.AffineExpr.zero(12).plus_kron(p, "X", coeff=0.9)
-        prob.require_psd(expr2)
-        prob.require_eq(sdp.trace_functional("X", 6, const=-1.0))
+        prob, expr, expr2 = marginal_kron_problem(p)
         sess = sdp.Session(prob)
         for _ in range(5):
             x = oracles.random_hermitian(rng, 6)
@@ -47,6 +71,54 @@ class TestAdjoints:
         va, vb = sdp.herm_to_rvec(a), sdp.herm_to_rvec(b)
         assert np.isclose(va @ vb, np.real(np.sum(a.conj() * b)), atol=1e-12)
         assert np.allclose(sdp.rvec_to_herm(va, 4), a)
+
+
+class TestBatchedCone:
+    """The batched cone projection is bit-identical to the per-block loop."""
+
+    def test_batched_maps_equal_single_calls(self):
+        rng = np.random.default_rng(6)
+        for d in (1, 2, 3, 5):
+            mats = np.stack([oracles.random_hermitian(rng, d) for _ in range(4)])
+            vecs = sdp.herm_to_rvec(mats)
+            assert vecs.shape == (4, d * d)
+            assert np.array_equal(vecs, np.stack([sdp.herm_to_rvec(m) for m in mats]))
+            back = sdp.rvec_to_herm(vecs, d)
+            assert back.shape == (4, d, d)
+            assert np.array_equal(back, np.stack([sdp.rvec_to_herm(v, d) for v in vecs]))
+            assert np.allclose(back, mats, atol=1e-14)
+
+    def test_projection_matches_per_block_oracle(self):
+        sess = sdp.Session(interleaved_blocks_problem())
+        assert sess.block_dims == [2, 3, 2, 4, 3]
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            y = rng.normal(size=sess.total)
+            assert np.array_equal(sess.project_cone(y), oracles.project_cone_per_block(sess, y))
+            assert sess.cone_violation(y) == oracles.cone_violation_per_block(sess, y)
+
+    @pytest.mark.parametrize("which", ["box", "marginal_kron", "interleaved"])
+    def test_solve_identical_to_per_block_oracle(self, which, monkeypatch):
+        def build():
+            if which == "box":
+                return feasibility_x_in_box(3, 3)
+            if which == "interleaved":
+                return interleaved_blocks_problem()
+            p = oracles.random_hermitian(np.random.default_rng(0), 2)
+            return marginal_kron_problem(p)[0]
+
+        batched = sdp.solve(build())
+        monkeypatch.setattr(sdp.Session, "project_cone", oracles.project_cone_per_block)
+        monkeypatch.setattr(sdp.Session, "cone_violation", oracles.cone_violation_per_block)
+        looped = sdp.solve(build())
+        assert batched.status == looped.status
+        assert batched.iterations == looped.iterations
+        if looped.warm is None:
+            assert batched.warm is None
+        else:
+            assert batched.warm.tobytes() == looped.warm.tobytes()
+        for lab, mat in looped.assignment.items():
+            assert batched.assignment[lab].tobytes() == mat.tobytes()
 
 
 class TestFeasibility:
