@@ -2,10 +2,14 @@
 
 Alice runs the compressed measurement once per seed; each link carries a
 2-universal hash of its message index.  Bob, who shares the public coins,
-enumerates the hash fiber inside the coin block and decodes sequentially on
-his B register with per-class hypothesis tests; decoding the X channel
-first perturbs B only gently, then the Y channel is decoded on the damaged
-state.  Output states and deviations are computed exactly by branch
+decodes sequentially on his B register through the message's hash fiber
+with per-(coin, class) hypothesis tests, so a decode depends only on the
+fiber's class sequence (its signature).  Each link's fibers are tabulated
+once and its messages grouped by signature, with one decoder per (coin,
+signature): the number of decoders and matrix products does not grow with
+2^logL, only a few array passes over the indices do.  Decoding the X
+channel first perturbs B only gently, then the Y channel is decoded on the
+damaged state.  Output states and deviations are computed exactly by branch
 enumeration; only codebooks, hashes and transcripts are sampled.
 
 Rate bookkeeping follows the composition claim: the coin register copy K'
@@ -18,7 +22,6 @@ at eps0 would be uselessly weak at desk-scale eps.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 
@@ -45,7 +48,9 @@ from .cdcqsi import SequentialDecoder
 from .hashing import HashScheme, draw_hash, identity_hash
 from .prep import PreparedInstance, prepare, side_correction, thresholds
 
-MAX_HASHED_LOG_L = 16  # exact fiber decoding is enumerated per index
+# a hashed link tabulates its fibers and every index's class per coin, which
+# takes memory linear in 2^logL
+MAX_HASHED_LOG_L = 16
 
 
 @dataclass
@@ -195,7 +200,7 @@ def _axis_stage(
     if prep.has_side_information() and log_l > 0:
         if log_l > MAX_HASHED_LOG_L:
             raise ProtocolError(
-                f"hashed decoding enumerates indices; logL={log_l} exceeds "
+                f"hashed decoding tabulates every index; logL={log_l} exceeds "
                 f"{MAX_HASHED_LOG_L} (pass a log_const override to shrink codebooks)"
             )
         wire_bits = max(0, min(int(round(budget_rate)), log_l))
@@ -216,63 +221,78 @@ def _axis_stage(
 
 
 class _StageDecoder:
-    """Lazy per-(coin, message) decode branch operators on the E space."""
+    """Decode branch operators of one link, built once per (coin, fiber signature).
 
-    def __init__(self, stage: AxisStage, codebook, alphabet, d_tail: int):
-        self.stage = stage
-        self.codebook = codebook
-        self.alphabet = alphabet
-        self.d_tail = d_tail
-        self._cache: dict[tuple[int, int], list[tuple[str, np.ndarray]]] = {}
+    Bob's decoder for a wire message sees only the classes of the indices in
+    its fiber, in the order ``SequentialDecoder.build`` tests them (index
+    names sorted as strings), because his tests are per (coin, class).  That
+    class sequence is the fiber's signature.  The link's fibers come from
+    one ``HashScheme.fibers`` table; per coin, every fiber gets a signature
+    id and one decoder is built per signature.  ``counts[k][c, s]`` is how
+    many indices of class c in coin k hash into a fiber of signature s, so a
+    class decodes as a count-weighted sum over signatures, with no work per
+    wire message.
+    """
 
-    def branches(self, k: int, message: int) -> list[tuple[str, np.ndarray]]:
-        key = (k, message)
-        if key in self._cache:
-            return self._cache[key]
-        stage = self.stage
-        fiber = [i for i in stage.hash_scheme.preimages(message) if i < stage.ensemble.messages]
-        offsets = self.codebook.offsets(k)
-        classes = [
-            self.alphabet[int(np.searchsorted(offsets, i, side="right") - 1)] for i in fiber
-        ]
-        if stage.tests is None:
-            # no side information: fibers are singletons (raw index sent)
-            out = [(classes[0] if len(fiber) == 1 else ABORT, None)]
-        elif len(fiber) == 1:
-            # a lone candidate decodes without a measurement, the same rule
-            # that SequentialDecoder.build applies to a one-candidate bucket
-            out = [(classes[0], None)]
-        else:
-            d_b = next(iter(stage.tests.values())).shape[0]
-            tests = {
-                str(idx): stage.tests.get((k, sym), np.zeros((d_b, d_b), dtype=complex))
-                for idx, sym in zip(fiber, classes)
-            }
-            decoder = SequentialDecoder.build([str(i) for i in fiber], tests)
-            eye_tail = np.eye(self.d_tail, dtype=complex)
-            out = []
-            for sym_idx, s, u in zip(
-                decoder.bucket_order, decoder.sequential_ops, decoder.correction_unitaries
-            ):
-                cls = classes[fiber.index(int(sym_idx))]
-                out.append((cls, np.kron(u.conj().T @ s, eye_tail)))
-            out.append((ABORT, np.kron(decoder.failure_op, eye_tail)))
-        self._cache[key] = out
-        return out
+    def __init__(self, stage: AxisStage, codebook, d_tail: int):
+        messages = stage.ensemble.messages
+        fibers = stage.hash_scheme.fibers(messages)
+        if fibers.shape[1] > 1:
+            # candidates in the order SequentialDecoder.build tests their names
+            fibers = np.take_along_axis(fibers, np.argsort(fibers.astype(str), axis=1), axis=1)
+        self.counts: list[np.ndarray] = []
+        self.branches: list[list[list[tuple[str, np.ndarray | None]]]] = []
+        for k in range(codebook.coins):
+            cls = np.searchsorted(codebook.offsets(k), np.arange(messages), side="right") - 1
+            sigs, first, sig_of_fiber = np.unique(
+                cls[fibers], axis=0, return_index=True, return_inverse=True
+            )
+            sig_of_index = np.empty(messages, dtype=np.int64)
+            sig_of_index[fibers] = sig_of_fiber.reshape(-1, 1)
+            n_cls, n_sig = len(codebook.alphabet), len(sigs)
+            counts = np.bincount(cls * n_sig + sig_of_index, minlength=n_cls * n_sig)
+            self.counts.append(counts.reshape(n_cls, n_sig))
+            self.branches.append(
+                [
+                    _fiber_branches(stage, k, fibers[f], cls, codebook.alphabet, d_tail)
+                    for f in first
+                ]
+            )
 
-    def apply(self, k: int, message: int, op: np.ndarray) -> dict[str, np.ndarray]:
+    def apply(self, k: int, class_idx: int, op: np.ndarray) -> dict[str, np.ndarray]:
+        """Decoded post-states of ``op`` summed over the indices of one class in coin k."""
         out: dict[str, np.ndarray] = {}
-        for sym, branch_op in self.branches(k, message):
-            post = op if branch_op is None else branch_op @ op @ branch_op.conj().T
-            out[sym] = out.get(sym, 0.0) + post
+        for cnt, branches in zip(self.counts[k][class_idx], self.branches[k]):
+            if cnt == 0:
+                continue
+            for sym, branch_op in branches:
+                post = op if branch_op is None else branch_op @ op @ branch_op.conj().T
+                out[sym] = out.get(sym, 0.0) + cnt * post
         return out
 
 
-def _message_counts(stage: AxisStage, lo: int, hi: int) -> dict[int, int]:
-    idx = np.arange(lo, hi, dtype=np.int64)
-    vals = stage.hash_scheme.apply_many(idx)
-    uniq, counts = np.unique(vals, return_counts=True)
-    return {int(m): int(c) for m, c in zip(uniq, counts)}
+def _fiber_branches(
+    stage: AxisStage, k: int, fiber: np.ndarray, cls: np.ndarray, alphabet, d_tail: int
+) -> list[tuple[str, np.ndarray | None]]:
+    """(decoded class, branch operator on E) of one fiber in coin k; None is the identity."""
+    if len(fiber) == 1:
+        # a lone candidate (every fiber of an identity link) decodes without
+        # a measurement, the rule SequentialDecoder.build applies to a
+        # one-candidate bucket
+        return [(alphabet[cls[fiber[0]]], None)]
+    d_b = next(iter(stage.tests.values())).shape[0]
+    zero = np.zeros((d_b, d_b), dtype=complex)
+    tests = {str(i): stage.tests.get((k, alphabet[cls[i]]), zero) for i in fiber}
+    decoder = SequentialDecoder.build(list(tests), tests)
+    eye_tail = np.eye(d_tail, dtype=complex)
+    out = [
+        (alphabet[cls[int(name)]], np.kron(u.conj().T @ s, eye_tail))
+        for name, s, u in zip(
+            decoder.bucket_order, decoder.sequential_ops, decoder.correction_unitaries
+        )
+    ]
+    out.append((ABORT, np.kron(decoder.failure_op, eye_tail)))
+    return out
 
 
 def centralised_protocol(
@@ -288,9 +308,9 @@ def centralised_protocol(
     """One full protocol run: encode once, decode under every scenario.
 
     Output states and deviations are exact given the drawn codebooks and
-    hashes; the transcript is a sampled trajectory shared verbatim by all
-    scenarios (asserted bit-identical).  Encoder aborts transmit a reserved
-    all-zeros message and decode to the abort symbol.
+    hashes; the transcript is one sampled trajectory, which every scenario
+    shares.  Encoder aborts transmit a reserved all-zeros message and
+    decode to the abort symbol.
     """
     prep = source if isinstance(source, PreparedInstance) else prepare(source)
     if family is None:
@@ -300,8 +320,8 @@ def centralised_protocol(
     stage_y = _axis_stage(family, prep, "Y", budget, seed, test_eps, wire_override.get("Y"))
     d_tail = prep.env_dims["R"] * prep.env_dims["M"]
     rho_e = steered_env_block(prep, np.eye(prep.dim_a))
-    dec_x = _StageDecoder(stage_x, family.codebook_x, prep.px.alphabet, d_tail)
-    dec_y = _StageDecoder(stage_y, family.codebook_y, prep.py.alphabet, d_tail)
+    dec_x = _StageDecoder(stage_x, family.codebook_x, d_tail)
+    dec_y = _StageDecoder(stage_y, family.codebook_y, d_tail)
 
     plan = family.plan
     w_blk = 1.0 / (plan.k1 * plan.k2)
@@ -329,27 +349,19 @@ def centralised_protocol(
                 sigma = steered_env_block(prep, gamma)
                 xi = prep.px.alphabet.index(x)
                 yi = prep.py.alphabet.index(y)
-                lo1, hi1 = family.codebook_x.index_range(k1, xi)
-                lo2, hi2 = family.codebook_y.index_range(k2, yi)
-                tot_x, tot_y = hi1 - lo1, hi2 - lo2
-                msgs_x = _message_counts(stage_x, lo1, hi1)
-                msgs_y = _message_counts(stage_y, lo2, hi2)
-                stage1: dict[str, np.ndarray] = {}
-                for m, cnt in msgs_x.items():
-                    for sym, post in dec_x.apply(k1, m, sigma).items():
-                        stage1[sym] = stage1.get(sym, 0.0) + cnt * post
+                tot_x = int(family.codebook_x.counts[k1][xi])
+                tot_y = int(family.codebook_y.counts[k2][yi])
+                stage1 = dec_x.apply(k1, xi, sigma)
                 if "x_only" in wanted:
                     for sym, op in stage1.items():
                         add("x_only", sym, w_blk * tot_y * op)
                 if "y_only" in wanted:
-                    for m, cnt in msgs_y.items():
-                        for sym, post in dec_y.apply(k2, m, sigma).items():
-                            add("y_only", sym, w_blk * tot_x * cnt * post)
+                    for sym, post in dec_y.apply(k2, yi, sigma).items():
+                        add("y_only", sym, w_blk * tot_x * post)
                 if "both" in wanted:
-                    for m, cnt in msgs_y.items():
-                        for sym_x, op1 in stage1.items():
-                            for sym_y, post in dec_y.apply(k2, m, op1).items():
-                                add("both", qo.join_symbol(sym_x, sym_y), w_blk * cnt * post)
+                    for sym_x, op1 in stage1.items():
+                        for sym_y, post in dec_y.apply(k2, yi, op1).items():
+                            add("both", qo.join_symbol(sym_x, sym_y), w_blk * post)
 
     results = {}
     for sc in scenarios:
@@ -364,14 +376,11 @@ def centralised_protocol(
     mx = 0 if transcript["abort"] else stage_x.hash_scheme.apply(transcript["l1"])
     my = 0 if transcript["abort"] else stage_y.hash_scheme.apply(transcript["l2"])
     transcript = dict(transcript, mx=mx, my=my, wire_x=stage_x.wire_bits, wire_y=stage_y.wire_bits)
-    consumed = {sc.name: copy.deepcopy(transcript) for sc in scenarios}
-    assert all(t == transcript for t in consumed.values())
 
     return {
         "family": family,
         "scenarios": results,
         "transcript": transcript,
-        "transcripts_by_scenario": consumed,
         "stage_x": stage_x,
         "stage_y": stage_y,
         "eps0": budget.eps0,

@@ -46,20 +46,9 @@ class Codebook:
     def offsets(self, k: int) -> np.ndarray:
         return np.concatenate([[0], np.cumsum(self.counts[k])])
 
-    def class_of_index(self, k: int, idx: int) -> int:
-        return int(np.searchsorted(self.offsets(k), idx, side="right") - 1)
-
     def index_range(self, k: int, class_idx: int) -> tuple[int, int]:
         off = self.offsets(k)
         return int(off[class_idx]), int(off[class_idx + 1])
-
-    def symbols_explicit(self, k: int, cap: int = 1 << 20) -> list[str]:
-        if self.messages > cap:
-            raise ValueError("codebook too large to materialize explicitly")
-        out = []
-        for i, sym in enumerate(self.alphabet):
-            out.extend([sym] * int(self.counts[k][i]))
-        return out
 
 
 # Fixed per-axis spawn keys, so a seed draws the same codebook in every
@@ -191,9 +180,6 @@ class CompressedBlock:
     normalization: float
     deviation: float  # mirror-form sample-average distance of the block
     certificate: cov.GoodSetCertificate | None
-
-    def gamma0_trace_against(self, rho_a: np.ndarray) -> float:
-        return float(np.trace(self.gamma0 @ rho_a).real)
 
 
 @dataclass

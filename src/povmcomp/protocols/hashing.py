@@ -1,9 +1,9 @@
 """2-universal hashing over GF(2): random matrix plus offset.
 
 For fixed distinct inputs the collision probability over the draw is
-exactly 2^-R.  Buckets (preimage fibers) are enumerated by solving the
-affine system M b = v xor offset with Gaussian elimination, so decoding
-never scans the full index space.
+exactly 2^-R.  Buckets (preimage fibers) come as one table over the whole
+input space: every input is hashed once and the inputs are sorted by hash
+value, so a decoder reads any message's fiber as a row of that table.
 """
 
 from __future__ import annotations
@@ -41,60 +41,23 @@ class HashScheme:
         vals = (bits @ self.matrix.T + self.offset[None, :]) % 2
         return (vals.astype(np.int64) << np.arange(self.output_bits)[None, :]).sum(axis=1)
 
-    def preimages(self, value: int, limit: int | None = None, cap: int = 1 << 16) -> list[int]:
-        """All inputs hashing to ``value`` (within [0, 2^input_bits))."""
-        n, r = self.input_bits, self.output_bits
-        if r == 0:
-            if 2**n > cap:
-                raise ValueError("preimage fiber too large to enumerate")
-            out = list(range(min(2**n, limit or 2**n)))
-            return out
-        rhs = (_bits(value, r) + self.offset) % 2
-        aug = np.concatenate([self.matrix.copy(), rhs[:, None]], axis=1).astype(np.uint8)
-        pivots = []
-        row = 0
-        for col in range(n):
-            sel = None
-            for rr in range(row, r):
-                if aug[rr, col]:
-                    sel = rr
-                    break
-            if sel is None:
-                continue
-            aug[[row, sel]] = aug[[sel, row]]
-            for rr in range(r):
-                if rr != row and aug[rr, col]:
-                    aug[rr] = (aug[rr] + aug[row]) % 2
-            pivots.append(col)
-            row += 1
-            if row == r:
-                break
-        for rr in range(row, r):
-            if aug[rr, -1]:
-                return []  # inconsistent: empty fiber
-        free_cols = [c for c in range(n) if c not in pivots]
-        if 2 ** len(free_cols) > cap:
-            raise ValueError("preimage fiber too large to enumerate")
-        base = np.zeros(n, dtype=np.uint8)
-        for i, col in enumerate(pivots):
-            base[col] = aug[i, -1]
-        null_basis = []
-        for fc in free_cols:
-            vec = np.zeros(n, dtype=np.uint8)
-            vec[fc] = 1
-            for i, col in enumerate(pivots):
-                vec[col] = aug[i, fc]
-            null_basis.append(vec)
-        out = []
-        for mask in range(2 ** len(free_cols)):
-            vec = base.copy()
-            for i, nb in enumerate(null_basis):
-                if mask >> i & 1:
-                    vec = (vec + nb) % 2
-            out.append(_from_bits(vec))
-            if limit is not None and len(out) >= limit:
-                break
-        return sorted(out)
+    def fibers(self, count: int) -> np.ndarray:
+        """Preimage fibers of the inputs [0, count), one row per hash value.
+
+        One ``apply_many`` and one stable sort: rows follow ascending hash
+        value and each row lists its inputs in ascending order.  Over the
+        full input space the fibers of an affine map are cosets of its
+        kernel, so they share one size and form a (values, size) array;
+        a ``count`` whose fibers differ in size raises ValueError.
+        """
+        vals = self.apply_many(np.arange(count, dtype=np.int64))
+        order = np.argsort(vals, kind="stable")
+        n_values = len(np.unique(vals))
+        if count % n_values == 0:
+            table = order.reshape(n_values, -1)
+            if np.all(vals[table] == vals[table[:, :1]]):
+                return table
+        raise ValueError(f"hash fibers of [0, {count}) differ in size")
 
 
 def draw_hash(input_bits: int, output_bits: int, rng: np.random.Generator) -> HashScheme:

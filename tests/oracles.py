@@ -293,3 +293,61 @@ def cone_violation_per_block(session, y: np.ndarray) -> float:
     if y.size > scalar_pos:
         viol = max(viol, -float(np.min(y[scalar_pos:], initial=0.0)))
     return viol
+
+
+class PerMessageStageDecoder:
+    """Decode branches of one centralised link, built per (coin, wire message).
+
+    The reference for ``compose._StageDecoder``, which builds one decoder per
+    (coin, fiber signature): here every wire message's fiber is found by
+    brute force over the index space and decoded on its own, and a class's
+    indices are summed message by message.  ``build`` is the library's
+    ``SequentialDecoder.build`` and ``abort`` its abort symbol, passed in so
+    that this module imports nothing from the library.
+    """
+
+    def __init__(self, stage, codebook, d_tail: int, build, abort: str):
+        self.stage = stage
+        self.codebook = codebook
+        self.d_tail = d_tail
+        self.build = build
+        self.abort = abort
+        self.hashes = stage.hash_scheme.apply_many(np.arange(stage.ensemble.messages))
+        self._cache: dict[tuple[int, int], list] = {}
+
+    def branches(self, k: int, message: int) -> list:
+        key = (k, message)
+        if key not in self._cache:
+            self._cache[key] = self._message_branches(k, message)
+        return self._cache[key]
+
+    def _message_branches(self, k: int, message: int) -> list:
+        fiber = [int(i) for i in np.flatnonzero(self.hashes == message)]
+        offsets = self.codebook.offsets(k)
+        alphabet = self.codebook.alphabet
+        classes = [alphabet[int(np.searchsorted(offsets, i, side="right") - 1)] for i in fiber]
+        if len(fiber) == 1:
+            return [(classes[0], None)]
+        tests = self.stage.tests
+        d_b = next(iter(tests.values())).shape[0]
+        zero = np.zeros((d_b, d_b), dtype=complex)
+        per_index = {str(i): tests.get((k, sym), zero) for i, sym in zip(fiber, classes)}
+        decoder = self.build([str(i) for i in fiber], per_index)
+        eye_tail = np.eye(self.d_tail, dtype=complex)
+        out = []
+        for name, s, u in zip(
+            decoder.bucket_order, decoder.sequential_ops, decoder.correction_unitaries
+        ):
+            out.append((classes[fiber.index(int(name))], np.kron(u.conj().T @ s, eye_tail)))
+        out.append((self.abort, np.kron(decoder.failure_op, eye_tail)))
+        return out
+
+    def apply(self, k: int, class_idx: int, op: np.ndarray) -> dict:
+        lo, hi = self.codebook.index_range(k, class_idx)
+        messages, counts = np.unique(self.hashes[lo:hi], return_counts=True)
+        out: dict = {}
+        for m, cnt in zip(messages, counts):
+            for sym, branch_op in self.branches(k, int(m)):
+                post = op if branch_op is None else branch_op @ op @ branch_op.conj().T
+                out[sym] = out.get(sym, 0.0) + cnt * post
+        return out

@@ -47,9 +47,16 @@ class TestHashScheme:
             n = int(rng.integers(2, 7))
             r = int(rng.integers(0, n + 1))
             scheme = draw_hash(n, r, rng)
-            for val in range(2**r):
+            table = scheme.fibers(2**n)
+            # every fiber is the full preimage of its value, inputs ascending
+            for fiber in table:
+                val = scheme.apply(int(fiber[0]))
                 brute = [i for i in range(2**n) if scheme.apply(i) == val]
-                assert scheme.preimages(val) == brute
+                assert fiber.tolist() == brute
+            # the fibers partition the input space, one per realised value
+            assert sorted(table.ravel().tolist()) == list(range(2**n))
+            realised = {scheme.apply(i) for i in range(2**n)}
+            assert len(table) == len(realised)
 
     def test_apply_many_matches_apply(self):
         rng = np.random.default_rng(1)
@@ -58,11 +65,18 @@ class TestHashScheme:
         vec = scheme.apply_many(idx)
         assert all(vec[i] == scheme.apply(i) for i in idx)
 
+    def test_fibers_of_unequal_size_raise(self):
+        # over [0, 3) the map b -> b_0 has fibers {0, 2} and {1}
+        scheme = HashScheme(2, 1, np.array([[1, 0]], dtype=np.uint8), np.zeros(1, dtype=np.uint8))
+        assert scheme.fibers(4).tolist() == [[0, 2], [1, 3]]
+        with pytest.raises(ValueError):
+            scheme.fibers(3)
+
     def test_identity_hash(self):
         scheme = identity_hash(4)
         for i in (0, 5, 11):
             assert scheme.apply(i) == i
-            assert scheme.preimages(i) == [i]
+        assert scheme.fibers(16).tolist() == [[i] for i in range(16)]
 
 
 class TestSequentialDecoder:

@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import subprocess
@@ -9,6 +10,12 @@ import pytest
 
 from povmcomp import io
 from povmcomp import protocols as P
+from povmcomp.budget import OneShotBudget
+from povmcomp.protocols import compose
+from povmcomp.protocols.cdcqsi import SequentialDecoder
+from povmcomp.protocols.compress import ABORT
+
+import oracles
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -67,3 +74,58 @@ def test_centralised_runs_on_sparse_joint_povm(instrument_derived):
     for name, sc in run["scenarios"].items():
         trace = sum(float(np.trace(op).real) for op in sc["output"].values())
         assert abs(trace - 1.0) <= 1e-9, name
+
+
+def _signature_pairs(stage, codebook) -> set:
+    """Distinct (coin, class sequence in decoder order) of the link's
+    multi-candidate fibers, found by brute force."""
+    hashes = stage.hash_scheme.apply_many(np.arange(stage.ensemble.messages))
+    pairs = set()
+    for k in range(codebook.coins):
+        offsets = codebook.offsets(k)
+        for m in np.unique(hashes):
+            fiber = sorted((int(i) for i in np.flatnonzero(hashes == m)), key=str)
+            if len(fiber) > 1:
+                sig = tuple(int(np.searchsorted(offsets, i, side="right")) - 1 for i in fiber)
+                pairs.add((k, sig))
+    return pairs
+
+
+def test_signature_decode_matches_per_message_decode(monkeypatch):
+    # both links hashed: X 8 -> 6 bits (fibers of 4), Y 7 -> 6 bits (fibers of 2)
+    prep = P.prepare(io.load_bundled("qubit_entangled_side_info"))
+    budget = OneShotBudget(0.1, r_x=8, r_y=7, c_x=1, c_y=1)
+    wire = {"X": 6, "Y": 6}
+    builds = []
+    build = SequentialDecoder.build
+
+    def counting_build(bucket, tests):
+        builds.append(tuple(bucket))
+        return build(bucket, tests)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(SequentialDecoder, "build", staticmethod(counting_build))
+        run = P.centralised_protocol(prep, budget, 1, log_const=0.0, wire_override=wire)
+    family = run["family"]
+    stage_x, stage_y = run["stage_x"], run["stage_y"]
+    assert stage_x.wire_bits < stage_x.log_l and stage_y.wire_bits < stage_y.log_l
+    n_pairs = len(_signature_pairs(stage_x, family.codebook_x)) + len(
+        _signature_pairs(stage_y, family.codebook_y)
+    )
+    assert len(builds) == n_pairs
+
+    per_message = functools.partial(
+        oracles.PerMessageStageDecoder, build=SequentialDecoder.build, abort=ABORT
+    )
+    monkeypatch.setattr(compose, "_StageDecoder", per_message)
+    ref = P.centralised_protocol(
+        prep, budget, 1, log_const=0.0, family=family, wire_override=wire
+    )
+    assert run["transcript"] == ref["transcript"]
+    assert set(run["scenarios"]) == set(ref["scenarios"])
+    for name, sc in run["scenarios"].items():
+        want = ref["scenarios"][name]
+        assert set(sc["output"]) == set(want["output"]), name
+        for key, op in sc["output"].items():
+            assert np.max(np.abs(op - want["output"][key])) <= 1e-12, (name, key)
+        assert abs(sc["deviation"] - want["deviation"]) <= 1e-12, name
