@@ -12,7 +12,6 @@ fractional weight on the boundary eigenspace so alpha hits 1 - eps exactly.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,15 +29,6 @@ class SolverError(RuntimeError):
     def __init__(self, message: str, residuals: dict | None = None):
         super().__init__(message)
         self.residuals = residuals or {}
-
-
-class Cancelled(RuntimeError):
-    pass
-
-
-def _check_cancel(cancel: threading.Event | None):
-    if cancel is not None and cancel.is_set():
-        raise Cancelled("evaluation cancelled")
 
 
 def _validate_eps(eps: float) -> float:
@@ -150,6 +140,29 @@ class _Blocks:
         )
 
 
+def _np_bisect(blocks: _Blocks, target: float) -> tuple[float, float]:
+    """Bracket [t_lo, t_hi] of the least t with alpha_strict(t) >= target.
+
+    Halves until the float64 midpoint stops falling strictly inside the
+    bracket, at most 120 times; further halvings would only probe t_lo or
+    t_hi again and leave the bracket as it is.
+    """
+    t_lo, t_hi = 0.0, 1.0
+    for _ in range(200):
+        if blocks.alpha_strict(t_hi, 0.0) >= target:
+            break
+        t_lo, t_hi = t_hi, t_hi * 4.0
+    for _ in range(120):
+        mid = (t_lo + t_hi) / 2
+        if not t_lo < mid < t_hi:
+            break
+        if blocks.alpha_strict(mid, 0.0) >= target:
+            t_hi = mid
+        else:
+            t_lo = mid
+    return t_lo, t_hi
+
+
 def _np_threshold(blocks: _Blocks, eps: float):
     """Optimal NP test; returns (beta, per-block test operators, alpha)."""
     target = 1.0 - eps
@@ -176,17 +189,7 @@ def _np_threshold(blocks: _Blocks, eps: float):
         return beta, tests, alpha
 
     scale = sum(float(np.trace(s).real) for s in blocks.sigma) + 1.0
-    t_lo, t_hi = 0.0, 1.0
-    for _ in range(200):
-        if blocks.alpha_strict(t_hi, 0.0) >= target:
-            break
-        t_lo, t_hi = t_hi, t_hi * 4.0
-    for _ in range(120):
-        mid = (t_lo + t_hi) / 2
-        if blocks.alpha_strict(mid, 0.0) >= target:
-            t_hi = mid
-        else:
-            t_lo = mid
+    t_lo, t_hi = _np_bisect(blocks, target)
     t_star = t_hi
     gap = max(t_hi - t_lo, 1e-15) * (1.0 + scale)
     spectra = blocks.spectra(t_star)
@@ -408,26 +411,22 @@ def _fidelity_ball_problem(
     return prob, infos
 
 
-def _bisect_lambda(feasible, lo: float, hi: float, cancel=None) -> float:
+def _bisect_lambda(feasible, lo: float, hi: float) -> float:
     """Smallest feasible lambda to BISECT_TOL_BITS, assuming monotonicity."""
-    _check_cancel(cancel)
     grow = 1.0
     while not feasible(hi):
-        _check_cancel(cancel)
         lo = hi
         hi += grow
         grow *= 2.0
         if hi > 80.0:
             raise SolverError("no feasible lambda found up to 2^80")
     while feasible(lo):
-        _check_cancel(cancel)
         hi = lo
         lo -= grow
         grow *= 2.0
         if lo < -80.0:
             return hi
     while hi - lo > BISECT_TOL_BITS:
-        _check_cancel(cancel)
         mid = (lo + hi) / 2
         if feasible(mid):
             hi = mid
@@ -458,7 +457,7 @@ def _session_runner(make_prob, constants_only: bool):
     return feasible
 
 
-def d_max_smooth(rho, sigma, eps: float, cancel: threading.Event | None = None) -> float:
+def d_max_smooth(rho, sigma, eps: float) -> float:
     """Smoothed max relative entropy over the purified-distance ball."""
     eps = _validate_eps(eps)
     rho = la.assert_density(rho)
@@ -481,12 +480,10 @@ def d_max_smooth(rho, sigma, eps: float, cancel: threading.Event | None = None) 
     feasible = _session_runner(make_prob, constants_only=True)
     hint = d_max(rho, sigma)
     hi = 1.0 if math.isinf(hint) else hint + 1e-6
-    return _bisect_lambda(feasible, hi - 1.0, hi, cancel)
+    return _bisect_lambda(feasible, hi - 1.0, hi)
 
 
-def i_max_smooth(
-    rho_ab, dims: tuple[int, int], eps: float, cancel: threading.Event | None = None
-) -> float:
+def i_max_smooth(rho_ab, dims: tuple[int, int], eps: float) -> float:
     """Smooth max information against the fixed product of the marginals."""
     rho_ab = la.assert_density(rho_ab)
     da, db = dims
@@ -494,7 +491,7 @@ def i_max_smooth(
     sigma = la.tensor(
         la.partial_trace(rho_ab, lay, ["A"]), la.partial_trace(rho_ab, lay, ["B"])
     )
-    return d_max_smooth(rho_ab, sigma, eps, cancel)
+    return d_max_smooth(rho_ab, sigma, eps)
 
 
 def _is_cq_in_first_register(rho: np.ndarray, dims: tuple[int, int], tol=1e-11) -> bool:
@@ -507,9 +504,7 @@ def _is_cq_in_first_register(rho: np.ndarray, dims: tuple[int, int], tol=1e-11) 
     return True
 
 
-def i_max_tilde(
-    rho_ab, dims: tuple[int, int], eps: float, cancel: threading.Event | None = None
-) -> float:
+def i_max_tilde(rho_ab, dims: tuple[int, int], eps: float) -> float:
     """Tilde smooth max information: the second marginal varies with rho'."""
     eps = _validate_eps(eps)
     rho_ab = la.assert_density(rho_ab)
@@ -560,7 +555,7 @@ def i_max_tilde(
     sigma = la.tensor(rho_a, la.partial_trace(rho_ab, lay, ["B"]))
     hint = d_max(rho_ab, sigma)
     hi = 1.0 if math.isinf(hint) else hint + 1e-6
-    return _bisect_lambda(feasible, hi - 1.0, hi, cancel)
+    return _bisect_lambda(feasible, hi - 1.0, hi)
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import entropies as ent
-from .. import linalg as la
 from .. import qobjects as qo
+from .compress import block_dict_distance
 from .hashing import HashScheme, draw_hash
 
 
@@ -124,7 +124,6 @@ def cdc_qsi(
     if not math.isinf(ihyp_val):
         bucket_cap = 2.0 ** (ihyp_val + bucket_slack_bits)
 
-    dim_b = cq.quantum_dim
     ideal: dict[tuple[str, str], np.ndarray] = {
         (x, x): dist.prob(x) * cq.blocks[x] for x in cq.symbols if dist.prob(x) > 0
     }
@@ -166,11 +165,7 @@ def cdc_qsi(
         per_draw_error.append(err)
         for key, op in output.items():
             mean_output[key] = mean_output.get(key, 0.0) + op / hash_draws
-    zero = np.zeros((dim_b, dim_b), dtype=complex)
-    distance = sum(
-        la.trace_norm(mean_output.get(k, zero) - ideal.get(k, zero))
-        for k in set(mean_output) | set(ideal)
-    )
+    distance = block_dict_distance(mean_output, ideal)
     avg_error = float(np.mean(per_draw_error))
     bound = math.sqrt(2 * eps) + eps
     eps_prime = 2.0 * math.sqrt(max(bound, 0.0)) + 2.0 * eps

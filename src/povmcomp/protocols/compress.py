@@ -412,11 +412,13 @@ def marginalize_blocks(
     return out
 
 
-def block_dict_distance(a: dict[str, np.ndarray], b: dict[str, np.ndarray]) -> float:
-    keys = set(a) | set(b)
+def block_dict_distance(a: dict, b: dict) -> float:
+    """Sum over the keys of either dict of the trace norm of a[k] - b[k]
+    (a missing block counts as zero)."""
     dim = next(iter(a.values())).shape[0]
     zero = np.zeros((dim, dim), dtype=complex)
-    return sum(la.trace_norm(a.get(k, zero) - b.get(k, zero)) for k in keys)
+    # sorted, not set order: a set of strings iterates in a per-process order
+    return sum(la.trace_norm(a.get(k, zero) - b.get(k, zero)) for k in sorted(set(a) | set(b)))
 
 
 def sample_transcript(

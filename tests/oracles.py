@@ -163,6 +163,24 @@ def dmax_smooth_classical_oracle(p: np.ndarray, s: np.ndarray, eps: float) -> fl
     return hi
 
 
+def np_bisect_fixed(alpha_strict, target: float) -> tuple[float, float]:
+    """Bracket of the least t with ``alpha_strict(t, 0) >= target``: the
+    Neyman-Pearson threshold bisection with a fixed 120 halvings, even after
+    the float64 midpoint has stopped moving."""
+    t_lo, t_hi = 0.0, 1.0
+    for _ in range(200):
+        if alpha_strict(t_hi, 0.0) >= target:
+            break
+        t_lo, t_hi = t_hi, t_hi * 4.0
+    for _ in range(120):
+        mid = (t_lo + t_hi) / 2
+        if alpha_strict(mid, 0.0) >= target:
+            t_hi = mid
+        else:
+            t_lo = mid
+    return t_lo, t_hi
+
+
 def shannon_entropy(p) -> float:
     p = np.asarray(p, dtype=float).reshape(-1)
     p = p[p > 0]

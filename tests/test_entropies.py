@@ -205,6 +205,43 @@ class TestIHyp:
         assert np.isclose(v_cq, v_dense, atol=1e-9)
 
 
+class TestNPBisection:
+    """The threshold bisection stops once the midpoint stops moving, with
+    the same result as the fixed 120 halvings."""
+
+    @staticmethod
+    def block_lists():
+        rng = np.random.default_rng(11)
+        for n_blocks, d in ((1, 2), (2, 2), (3, 3), (4, 2)):
+            p = rng.dirichlet(np.ones(n_blocks))
+            rho = [pi * oracles.random_density(rng, d) for pi in p]
+            avg = sum(rho)
+            yield ent._Blocks(rho, [pi * avg for pi in p])  # i_hyp_cq's pair
+
+    @pytest.mark.parametrize("eps", [0.01, 0.1, 0.3])
+    def test_matches_fixed_bisection(self, eps, monkeypatch):
+        target = 1.0 - eps
+        for blocks in self.block_lists():
+            assert ent._np_bisect(blocks, target) == oracles.np_bisect_fixed(
+                blocks.alpha_strict, target
+            )
+            calls = []
+            alpha_strict = blocks.alpha_strict
+            blocks.alpha_strict = lambda t, tol: calls.append(t) or alpha_strict(t, tol)
+            beta, tests, alpha = ent._np_threshold(blocks, eps)
+            n_calls = len(calls)
+            assert 0 < n_calls <= 60
+            with monkeypatch.context() as patch:
+                patch.setattr(
+                    ent, "_np_bisect", lambda b, tg: oracles.np_bisect_fixed(b.alpha_strict, tg)
+                )
+                ref_beta, ref_tests, ref_alpha = ent._np_threshold(blocks, eps)
+            assert len(calls) - n_calls > 120
+            assert beta == ref_beta and alpha == ref_alpha
+            for t, ref in zip(tests, ref_tests):
+                assert np.array_equal(t, ref)
+
+
 class TestDMax:
     def test_equal(self):
         rng = np.random.default_rng(10)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from povmcomp import io
+from povmcomp import io, sdp
 from povmcomp import protocols as P
 from povmcomp.budget import OneShotBudget
 from povmcomp.protocols import compose
@@ -40,22 +40,86 @@ print(json.dumps({
 """
 
 
-def test_seeded_run_is_the_same_in_every_process():
+# Prints block_dict_distance over eight keys, one of trace norm 1 and seven
+# of 2^-53, whose float sum depends on where the large one is added.
+DISTANCE_SUM = """
+import numpy as np
+from povmcomp.protocols.compress import block_dict_distance
+
+a = {f"k{i}": np.array([[1.0 if i == 0 else 2.0**-53]]) for i in range(8)}
+b = {f"k{i}": np.zeros((1, 1)) for i in range(8)}
+print(block_dict_distance(a, b).hex())
+"""
+
+
+def _run_under_hash_seeds(script: str, hash_seeds) -> list[str]:
+    """The last stdout line of ``script`` under each PYTHONHASHSEED."""
     procs = []
-    for hash_seed in ("1", "2"):
+    for hash_seed in hash_seeds:
         env = dict(os.environ, PYTHONHASHSEED=hash_seed, OMP_NUM_THREADS="1")
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
         procs.append(
             subprocess.Popen(
-                [sys.executable, "-c", SEEDED_RUN], env=env, stdout=subprocess.PIPE, text=True
+                [sys.executable, "-c", script], env=env, stdout=subprocess.PIPE, text=True
             )
         )
     outs = []
     for proc in procs:
         stdout, _ = proc.communicate(timeout=300)
         assert proc.returncode == 0
-        outs.append(json.loads(stdout.strip().splitlines()[-1]))
+        outs.append(stdout.strip().splitlines()[-1])
+    return outs
+
+
+def test_seeded_run_is_the_same_in_every_process():
+    outs = [json.loads(line) for line in _run_under_hash_seeds(SEEDED_RUN, ("1", "2"))]
     assert outs[0] == outs[1]
+
+
+def test_block_distance_is_the_same_in_every_process():
+    outs = _run_under_hash_seeds(DISTANCE_SUM, ("1", "2", "3", "4"))
+    assert len(set(outs)) == 1, outs
+
+
+# thresholds(prep, 0.1, 0) of qubit_entangled_side_info, as float.hex
+GOLDEN_THRESHOLDS = {
+    "log_const": "0x0.0p+0",
+    "logL1": "0x1.4e3c12a130358p+0",
+    "logL2": "0x1.78a7c7d8b03acp-2",
+    "logKL1": "0x1.55ba5e95d860cp-1",
+    "logKL2": "0x1.9d5d9fd5010b3p-1",
+    "imax_x": "0x1.4e3c12a130358p+0",
+    "imax_y": "0x1.78a7c7d8b03acp-2",
+    "hmax_x": "0x1.55ba5e95d860cp-1",
+    "hmax_y": "0x1.9d5d9fd5010b3p-1",
+    "ih_x_b": "0x1.6f2a1bc9a9885p+0",
+    "ih_y_b": "0x1.75d7e614b4b48p-1",
+    "rate_x": "-0x1.07704943ca968p-3",
+    "rate_y": "-0x1.73080450b92e4p-2",
+    "coin_rate_x": "0x0.0p+0",
+    "coin_rate_y": "0x1.c21377d151dbap-2",
+}
+
+
+def test_golden_thresholds_with_certified_verdicts(monkeypatch):
+    results = []
+    solve = sdp.Session.solve
+
+    def recording_solve(self, warm=None):
+        results.append(solve(self, warm))
+        return results[-1]
+
+    monkeypatch.setattr(sdp.Session, "solve", recording_solve)
+    prep = P.prepare(io.load_bundled("qubit_entangled_side_info"))
+    th = P.thresholds(prep, 0.1, 0.0)
+    assert {k: float(v).hex() for k, v in th.items()} == GOLDEN_THRESHOLDS
+    statuses = [res.status for res in results]
+    assert statuses.count("maxIterations") == 0
+    assert "infeasible" in statuses
+    for res in results:
+        if res.status == "infeasible":
+            gap, resid = res.residuals["witness_gap"], res.residuals["witness_resid"]
+            assert gap > 0 and resid <= sdp.WITNESS_RATIO * gap
 
 
 @pytest.fixture(scope="module")

@@ -47,6 +47,22 @@ def interleaved_blocks_problem():
     return prob
 
 
+def named_problem(which):
+    if which == "box":
+        return feasibility_x_in_box(3, 3)
+    if which == "interleaved":
+        return interleaved_blocks_problem()
+    if which == "marginal_kron_psd":
+        # a density matrix p, so that X = I/6 is feasible
+        return marginal_kron_problem(oracles.random_density(np.random.default_rng(0), 2))[0]
+    # an indefinite p: p (x) X PSD forces X = 0 against Tr X = 1, so infeasible
+    return marginal_kron_problem(oracles.random_hermitian(np.random.default_rng(0), 2))[0]
+
+
+def fires(gap, resid):
+    return gap > 0 and resid <= sdp.WITNESS_RATIO * gap
+
+
 class TestAdjoints:
     def test_probed_linear_map_matches_terms(self):
         rng = np.random.default_rng(0)
@@ -99,18 +115,10 @@ class TestBatchedCone:
 
     @pytest.mark.parametrize("which", ["box", "marginal_kron", "interleaved"])
     def test_solve_identical_to_per_block_oracle(self, which, monkeypatch):
-        def build():
-            if which == "box":
-                return feasibility_x_in_box(3, 3)
-            if which == "interleaved":
-                return interleaved_blocks_problem()
-            p = oracles.random_hermitian(np.random.default_rng(0), 2)
-            return marginal_kron_problem(p)[0]
-
-        batched = sdp.solve(build())
+        batched = sdp.solve(named_problem(which))
         monkeypatch.setattr(sdp.Session, "project_cone", oracles.project_cone_per_block)
         monkeypatch.setattr(sdp.Session, "cone_violation", oracles.cone_violation_per_block)
-        looped = sdp.solve(build())
+        looped = sdp.solve(named_problem(which))
         assert batched.status == looped.status
         assert batched.iterations == looped.iterations
         if looped.warm is None:
@@ -143,6 +151,90 @@ class TestFeasibility:
         res = sdp.solve(feasibility_x_in_box(2, 1.0))
         assert res.residuals["primal"] <= 1e-7
         assert res.residuals["gap"] <= 1e-7
+
+
+def witness_functional(prob, w, nu, assign) -> float:
+    """<G x + c, w> + <G_eq x + c_eq, nu> at x = assign, evaluated from the
+    problem's own expressions: w holds one rvec block per PSD constraint,
+    then one weight per inequality; nu one weight per equality."""
+    val, pos = 0.0, 0
+    for expr in prob.psd_constraints:
+        block = sdp.rvec_to_herm(w[pos : pos + expr.dim**2], expr.dim)
+        assert np.linalg.eigvalsh(block)[0] >= -1e-12
+        val += float(np.real(np.sum(block.conj() * expr.evaluate(assign))))
+        pos += expr.dim**2
+    assert np.all(w[pos:] >= 0.0)
+    val += sum(wi * iq.evaluate(assign) for wi, iq in zip(w[pos:], prob.inequalities))
+    return val + sum(ni * eq.evaluate(assign) for ni, eq in zip(nu, prob.equalities))
+
+
+def herm_basis(d):
+    """Orthonormal basis of the d x d Hermitian matrices under Re Tr[A^dag B]."""
+    out = []
+    for i in range(d):
+        e = np.zeros((d, d), dtype=complex)
+        e[i, i] = 1.0
+        out.append(e)
+        for j in range(i + 1, d):
+            for val in (1.0, 1j):
+                e = np.zeros((d, d), dtype=complex)
+                e[i, j], e[j, i] = val / np.sqrt(2), np.conj(val) / np.sqrt(2)
+                out.append(e)
+    return out
+
+
+class TestWitness:
+    def test_box_witness_checked_from_expressions(self):
+        prob = feasibility_x_in_box(3, 4)
+        res = sdp.solve(prob)
+        assert res.status == "infeasible"
+        w, nu = res.witness
+        gap, resid = res.residuals["witness_gap"], res.residuals["witness_resid"]
+        const = witness_functional(prob, w, nu, {"X": np.zeros((3, 3), dtype=complex)})
+        r = [witness_functional(prob, w, nu, {"X": b}) - const for b in herm_basis(3)]
+        assert const == pytest.approx(-gap, abs=1e-12)
+        assert np.linalg.norm(r) == pytest.approx(resid, abs=1e-12)
+        assert fires(gap, resid)
+        # at a feasible X every term is >= 0, yet 0 <= X <= I gives |X| <= sqrt 3
+        # and a value <= -gap + |r| sqrt 3 < 0: no feasible X exists
+        assert gap - np.linalg.norm(r) * np.sqrt(3) > 0
+
+    @pytest.mark.parametrize("which", ["box", "interleaved", "marginal_kron_psd"])
+    def test_no_witness_fires_on_feasible_problems(self, which):
+        sess = sdp.Session(named_problem(which))
+        assert sess.solve().status == "feasible"
+        # every displacement of a longer run than the solve needs
+        y = np.zeros(sess.total)
+        for _ in range(400):
+            pa = sess.project_affine(y)
+            pk = sess.project_cone(2 * pa - y)
+            y = y + pk - pa
+            assert not fires(*sess.witness(pa - pk)[2:])
+
+    def test_indefinite_marginal_kron_is_certified(self):
+        res = sdp.solve(named_problem("marginal_kron"))
+        assert res.status == "infeasible"
+        assert fires(res.residuals["witness_gap"], res.residuals["witness_resid"])
+
+    @pytest.mark.parametrize("offset", [0.0005, 0.05, 0.5])
+    def test_feasible_solves_unchanged(self, offset, monkeypatch):
+        rng = np.random.default_rng(5)
+        p, s = rng.dirichlet(np.ones(3)), rng.dirichlet(np.ones(3))
+        lam = oracles.dmax_smooth_classical_oracle(p, s, 0.1) + offset
+        target = np.sqrt(1 - 0.1**2)
+
+        def run():
+            prob = TestFidelityBlock.fidelity_ball_problem(np.diag(p), np.diag(s), lam, target)
+            return sdp.solve(prob, sdp.SDPConfig(max_iter=60000))
+
+        checked = run()
+        monkeypatch.setattr(sdp.Session, "witness", lambda self, d: (None, None, 0.0, 0.0))
+        unchecked = run()
+        assert checked.status == unchecked.status == "feasible"
+        assert checked.iterations == unchecked.iterations
+        assert checked.warm.tobytes() == unchecked.warm.tobytes()
+        for lab, mat in unchecked.assignment.items():
+            assert checked.assignment[lab].tobytes() == mat.tobytes()
 
 
 class TestGeneratedSuite:
@@ -237,3 +329,5 @@ class TestFidelityBlock:
             assert (res.status == "feasible") == should_be_feasible, (
                 f"lam={lam}, lam*={lam_star}, status={res.status}"
             )
+            if res.status == "infeasible":
+                assert fires(res.residuals["witness_gap"], res.residuals["witness_resid"])
