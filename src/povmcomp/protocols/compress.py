@@ -75,7 +75,6 @@ class CodebookPlan:
     log_l1: int
     log_k2: int
     log_l2: int
-    margin: int  # retained for provenance records
     log_const: float
 
     @property
@@ -133,7 +132,7 @@ def plan_codebooks(
                 f"Y link budget (R={budget.r_y}, C={budget.c_y}) below the thresholds "
                 f"(logL2 > {th['logL2']:.3f}, logK2+logL2 > {th['logKL2']:.3f})"
             )
-    return CodebookPlan(log_k1, log_l1, log_k2, log_l2, 0, th["log_const"])
+    return CodebookPlan(log_k1, log_l1, log_k2, log_l2, th["log_const"])
 
 
 def budget_from_thresholds(

@@ -3,22 +3,33 @@
 Problems are posed over named Hermitian variables with affine Hermitian
 expressions required PSD plus scalar equalities/inequalities.  The solver
 alternates (Douglas-Rachford splitting) between the affine subspace, via an
-exact least-squares projection with a cached factorization, and the PSD
-cone, via eigenvalue clipping.  Everything is plain numpy, deterministic,
-and warm-startable across the outer bisections that drive it.
+exact least-squares projection, and the PSD cone, via eigenvalue clipping.
+Everything is plain numpy, deterministic, and warm-startable across the
+outer bisections that drive it.
 
 The iterate stores each Hermitian block by its isometric real vector
-(``herm_to_rvec``/``rvec_to_herm``, which broadcast over leading axes).
-The cone projection is batched over the blocks: the session precomputes,
-per block dimension d, one (n_blocks, d*d) index array into the iterate,
-so each dimension costs one gather, one stacked eigendecomposition and
-one scatter, whatever the number of blocks.
+(``herm_to_rvec``/``rvec_to_herm``).  A ``Session`` compiles its problem
+into flat kernels once, so that an iteration is a few fixed matrix-vector
+products and one stacked eigendecomposition per block dimension:
+
+- set-up probes the linear map G once per (constraint, variable), over the
+  stacked basis ``rvec_to_herm(np.eye(d*d), d)`` (``Term.apply`` broadcasts
+  over a leading axis);
+- the affine projection is one ``n_vars x total`` map A and an offset b:
+  ``x = A y + b; s = G x + c``, with H^-1, W and S^-1 folded into A at
+  set-up and b recomputed by ``update_constants``;
+- the cone projection gathers each block dimension's rvec entries straight
+  into the float view of a complex (n_blocks, d, d) stack and scatters the
+  clipped stack back, with precomputed indices and the same bits as
+  ``rvec_to_herm``/``herm_to_rvec``, which are left to set-up and
+  ``get_vars``.
 
 Both verdicts are certified.  "feasible" needs a shadow point whose
-constraints ``_recheck`` evaluates again from the problem's expressions.
-"infeasible" needs a Farkas witness built from the Douglas-Rachford
-displacement pa - pk, which converges to the least-norm element of
-cl(A - K) (Banjac, Goulart, Stellato, Boyd, JOTA 2019; Liu, Ryu, Yin,
+constraints ``_recheck`` evaluates again from the problem's own
+expressions, independently of the kernels above.  "infeasible" needs a
+Farkas witness built from the Douglas-Rachford displacement pa - pk, which
+converges to the least-norm element of cl(Aff - K), Aff the affine set and
+K the cone (Banjac, Goulart, Stellato, Boyd, JOTA 2019; Liu, Ryu, Yin,
 Math. Program. 2019): a cone element w with gap > 0 and
 |G^T w + G_eq^T nu| <= WITNESS_RATIO * gap, which proves that no feasible
 point has norm below 1 / WITNESS_RATIO (see ``Session.solve``).  A solve
@@ -85,21 +96,30 @@ class Term:
     split: tuple[int, ...] | None = None
 
     def apply(self, x: np.ndarray) -> np.ndarray:
+        """coeff * map(x) for x of shape (..., d, d), broadcast over leading axes."""
         if self.kind == "id":
             return self.coeff * x
         if self.kind == "kron":
-            return self.coeff * np.kron(self.left, x)
+            return self.coeff * _kron(self.left, x)
         if self.kind == "marginal_product":
             d1, d2 = self.split
-            x4 = x.reshape(d1, d2, d1, d2)
-            y = np.einsum("aiaj->ij", x4)
-            return self.coeff * np.kron(self.left, y)
+            x4 = x.reshape(x.shape[:-2] + (d1, d2, d1, d2))
+            y = np.einsum("...aiaj->...ij", x4)
+            return self.coeff * _kron(self.left, y)
         if self.kind == "subblock_conj":
             # trailing principal subblock, rotated back by the fixed unitary
             (i0,) = self.split
-            sub = x[i0:, i0:]
+            sub = x[..., i0:, i0:]
             return self.coeff * (self.left @ sub @ self.left.conj().T)
         raise ValueError(f"unknown term kind {self.kind}")
+
+
+def _kron(left: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """np.kron(left, x) for x of shape (..., d, d), with the same products
+    (einsum's complex products can differ from np.kron's by an ulp)."""
+    n, d = left.shape[0], x.shape[-1]
+    prod = left[:, None, :, None] * x[..., None, :, None, :]
+    return prod.reshape(x.shape[:-2] + (n * d, n * d))
 
 
 @dataclass
@@ -222,12 +242,60 @@ class SDPResult:
     witness: tuple[np.ndarray, np.ndarray] | None = None  # (w, nu) of an "infeasible" verdict
 
 
+_SQRT2 = math.sqrt(2.0)
+
+
+@dataclass(frozen=True)
+class _ConeKernel:
+    """The PSD blocks of one dimension d: rvec <-> complex (n, d, d) stack.
+
+    ``gather`` and ``scatter`` give the same bits as ``rvec_to_herm`` and
+    ``herm_to_rvec`` on every block (see ``Session._index_blocks``).
+    """
+
+    d: int
+    m: int  # off-diagonal pairs, d (d - 1) / 2
+    idx: np.ndarray  # (n, d*d) iterate positions of each block's rvec
+    src: np.ndarray  # (n, d + 4m) iterate positions, in float-view order
+    dst: np.ndarray  # (d + 4m,) float-view positions of src
+    back: np.ndarray  # (d*d,) float-view positions of the rvec slots
+    # imaginary parts: the upper triangle times 1/sqrt 2, the lower one times
+    # -1/sqrt 2, the products numpy's complex-by-real division in
+    # ``rvec_to_herm`` makes (a plain division differs by an ulp)
+    im_scale: np.ndarray
+
+    def gather(self, y: np.ndarray) -> np.ndarray:
+        d, m = self.d, self.m
+        vals = y[self.src]
+        vals[:, d : d + 2 * m] /= _SQRT2
+        vals[:, d + 2 * m :] *= self.im_scale
+        stack = np.zeros((len(vals), d, d), dtype=complex)
+        stack.view(float).reshape(len(vals), 2 * d * d)[:, self.dst] = vals
+        return stack
+
+    def scatter(self, stack: np.ndarray) -> np.ndarray:
+        flat = stack.view(float).reshape(len(stack), 2 * self.d * self.d)[:, self.back]
+        flat[:, self.d :] *= _SQRT2
+        return flat
+
+
+def _structure(prob: SDProblem) -> tuple:
+    """What a session's cached maps depend on besides the constant parts
+    (the terms themselves are the caller's promise)."""
+    dims = [e.dim for e in prob.psd_constraints]
+    return list(prob.variables), dims, len(prob.equalities), len(prob.inequalities)
+
+
 class Session:
     """Prepared solver state for one problem structure.
 
-    The linear map is probed into a dense matrix once; re-solving after
-    ``update_constants`` (same structure, new constant parts, as in a
-    bisection over one scalar) reuses the cached factorization.
+    Set-up compiles the problem into the flat kernels of the module
+    docstring: the probed map G, the affine map x = A y + b and the cone
+    kernels' gather/scatter indices.  ``update_constants`` (same structure,
+    new constant parts, as in a bisection over one scalar) recomputes b
+    alone.  The verdicts do not rest on the kernels: ``_recheck`` evaluates
+    a feasible point from the problem's own expressions, and the witness's
+    gap and residual use G, which equals a per-basis probe bit for bit.
     """
 
     def __init__(self, prob: SDProblem, config: SDPConfig | None = None):
@@ -241,6 +309,7 @@ class Session:
         self.n_vars = off
         if off > self.cfg.max_var_rvec:
             raise ValueError(f"problem too large for the dense engine ({off} var reals)")
+        self.structure = _structure(prob)
         self.block_dims = [e.dim for e in prob.psd_constraints]
         self.n_graph = sum(d * d for d in self.block_dims) + len(prob.inequalities)
         self._index_blocks()
@@ -250,99 +319,129 @@ class Session:
 
     # -- structure ---------------------------------------------------------
     def _columns(self) -> np.ndarray:
+        """The linear map over the rvec coordinates of the variables.
+
+        Each variable's d*d basis matrices are probed as one stack, once per
+        constraint that holds the variable; a constraint's terms of one
+        variable are summed before the conversion, as ``evaluate_linear``
+        sums them.
+        """
         cols = np.zeros((self.n_graph + self.n_eq, self.n_vars))
-        assign = {lab: np.zeros((d, d), dtype=complex) for lab, (_, d) in self.var_offsets.items()}
-        for lab, (o, d) in self.var_offsets.items():
-            for k in range(d * d):
-                basis = np.zeros(d * d)
-                basis[k] = 1.0
-                assign[lab] = rvec_to_herm(basis, d)
-                cols[:, o + k] = self._apply_linear(assign)
-                assign[lab] = np.zeros((d, d), dtype=complex)
+        basis = {lab: rvec_to_herm(np.eye(d * d), d) for lab, (_, d) in self.var_offsets.items()}
+        row = 0
+        for expr in self.prob.psd_constraints:
+            for lab in dict.fromkeys(t.var for t in expr.terms):
+                o, d = self.var_offsets[lab]
+                acc = np.zeros((d * d, expr.dim, expr.dim), dtype=complex)
+                for t in expr.terms:
+                    if t.var == lab:
+                        acc = acc + t.apply(basis[lab])
+                cols[row : row + expr.dim**2, o : o + d * d] = herm_to_rvec(acc).T
+            row += expr.dim**2
+        for scalar in self.prob.inequalities + self.prob.equalities:
+            for var, f in scalar.terms:
+                o, d = self.var_offsets[var]
+                cols[row, o : o + d * d] += np.real(np.sum(f.conj() * basis[var], axis=(-2, -1)))
+            row += 1
         return cols
 
-    def _apply_linear(self, assign: dict[str, np.ndarray]) -> np.ndarray:
-        rows = []
-        for expr in self.prob.psd_constraints:
-            rows.append(herm_to_rvec(expr.evaluate_linear(assign)))
-        ineq_vals = [
-            sum(float(np.real(np.sum(f.conj() * assign[var]))) for var, f in ineq.terms)
-            for ineq in self.prob.inequalities
-        ]
-        eq_vals = [
-            sum(float(np.real(np.sum(f.conj() * assign[var]))) for var, f in eq.terms)
-            for eq in self.prob.equalities
-        ]
-        return np.concatenate(rows + [np.array(ineq_vals), np.array(eq_vals)])
-
     def _build_matrices(self) -> None:
+        """Fold the factored affine projection into one map.
+
+        With H = I + G^T G, W = H^-1 G_eq^T and S = G_eq W, the projection
+        x = P_x (x0 + G^T (s0 - c)) - W S^-1 c_eq has P_x = (I - W S^-1 G_eq) H^-1,
+        so x = A y + b with A = P_x [I | G^T]; b is set by ``update_constants``.
+        """
         full = self._columns()
         self.g_graph = full[: self.n_graph]
         self.g_eq = full[self.n_graph :]
-        h = np.eye(self.n_vars) + self.g_graph.T @ self.g_graph
-        self.h_inv = np.linalg.inv(h)
+        h_inv = np.linalg.inv(np.eye(self.n_vars) + self.g_graph.T @ self.g_graph)
         if self.n_eq:
-            w = self.h_inv @ self.g_eq.T
-            self.w = w
-            self.s_inv = np.linalg.inv(self.g_eq @ w)
+            w = h_inv @ self.g_eq.T
+            self.eq_map = w @ np.linalg.inv(self.g_eq @ w)
+            p_x = h_inv - self.eq_map @ (self.g_eq @ h_inv)
         else:
-            self.w = None
-            self.s_inv = None
+            self.eq_map = np.zeros((self.n_vars, 0))
+            p_x = h_inv
+        self.affine_map = np.concatenate([p_x, p_x @ self.g_graph.T], axis=1)
         # least-squares multiplier of the infeasibility witness: nu = nu_map @ w
-        # minimizes |G^T w + G_eq^T nu| (G_eq has full row rank, as s_inv needs)
+        # minimizes |G^T w + G_eq^T nu| (G_eq has full row rank, as S^-1 needs)
         if self.n_eq:
             self.nu_map = -np.linalg.solve(self.g_eq @ self.g_eq.T, self.g_eq @ self.g_graph.T)
         else:
             self.nu_map = np.zeros((0, self.n_graph))
 
     def update_constants(self, prob: SDProblem) -> None:
-        """Swap constant parts; the linear structure must be unchanged."""
+        """Swap constant parts; the linear structure must be unchanged.
+
+        Raises ValueError when the variables, the PSD block dimensions or
+        the numbers of equalities and inequalities differ from the
+        session's, since the cached maps would then project wrongly.
+        """
+        if _structure(prob) != self.structure:
+            raise ValueError(
+                "update_constants needs the session's structure (variables, PSD block "
+                f"dimensions, #equalities, #inequalities) {self.structure}, "
+                f"got {_structure(prob)}"
+            )
         self.prob = prob
         rows = [herm_to_rvec(e.const) for e in prob.psd_constraints]
         rows.append(np.array([iq.const for iq in prob.inequalities]))
         self.c_graph = np.concatenate(rows) if self.n_graph else np.zeros(0)
         self.c_eq = np.array([eq.const for eq in prob.equalities])
+        self.affine_offset = -(self.affine_map[:, self.n_vars :] @ self.c_graph)
+        self.affine_offset -= self.eq_map @ self.c_eq
 
     # -- projections -------------------------------------------------------
     def project_affine(self, y: np.ndarray) -> np.ndarray:
         """Exact projection onto {(x, s): G x + c = s, G_eq x + c_eq = 0}."""
-        x0, s0 = y[: self.n_vars], y[self.n_vars :]
-        rhs = x0 + self.g_graph.T @ (s0 - self.c_graph)
-        x = self.h_inv @ rhs
-        if self.n_eq:
-            corr = self.s_inv @ (self.g_eq @ x + self.c_eq)
-            x = x - self.w @ corr
-        s = self.g_graph @ x + self.c_graph
-        return np.concatenate([x, s])
+        x = self.affine_map @ y + self.affine_offset
+        return np.concatenate([x, self.g_graph @ x + self.c_graph])
 
     def _index_blocks(self) -> None:
-        """Group the PSD blocks by dimension: one (n_blocks, d*d) array of
-        iterate positions per dimension, so the cone projection gathers,
-        projects and scatters every block of one size at once."""
+        """Gather/scatter indices of the cone kernel, one set per block dimension.
+
+        The n blocks of dimension d go into a complex (n, d, d) stack through
+        its float view (n, 2 d^2), where entry (i, j) has its real part at
+        2 (i d + j) and its imaginary part next to it.  ``src`` picks, per
+        block, the rvec slots of the diagonal, of the upper real parts (twice:
+        upper and lower triangle) and of the imaginary parts (twice) of the
+        matrix, and ``dst`` their float-view positions.  ``back`` is the
+        float-view positions of the rvec slots, in rvec order.
+        """
         offsets: dict[int, list[int]] = {}
         pos = self.n_vars
         for d in self.block_dims:
             offsets.setdefault(d, []).append(pos)
             pos += d * d
-        self._cone_index = {
-            d: np.array(offs)[:, None] + np.arange(d * d) for d, offs in offsets.items()
-        }
+        self._cone_kernels = {}
+        for d, offs in offsets.items():
+            iu, di = _herm_indices(d)
+            m = iu[0].size
+            idx = np.array(offs)[:, None] + np.arange(d * d)
+            re_slots, im_slots = d + np.arange(m), d + m + np.arange(m)
+            src = np.concatenate([np.arange(d), re_slots, re_slots, im_slots, im_slots])
+            diag, upper, lower = (2 * (i * d + j) for i, j in (di, iu, iu[::-1]))
+            dst = np.concatenate([diag, upper, lower, upper + 1, lower + 1])
+            back = np.concatenate([diag, upper, upper + 1])
+            im_scale = np.repeat([1.0 / _SQRT2, -1.0 / _SQRT2], m)
+            self._cone_kernels[d] = _ConeKernel(d, m, idx, idx[:, src], dst, back, im_scale)
         self._scalar_pos = pos
 
     def project_cone(self, y: np.ndarray) -> np.ndarray:
         out = y.copy()
-        for d, idx in self._cone_index.items():
-            w, v = np.linalg.eigh(rvec_to_herm(y[idx], d))
+        for kern in self._cone_kernels.values():
+            w, v = np.linalg.eigh(kern.gather(y))
             np.clip(w, 0.0, None, out=w)
             clipped = (v * w[:, None, :]) @ np.conj(np.swapaxes(v, -1, -2))
-            out[idx] = herm_to_rvec(clipped)
+            out[kern.idx] = kern.scatter(clipped)
         out[self._scalar_pos :] = np.clip(y[self._scalar_pos :], 0.0, None)
         return out
 
     def cone_violation(self, y: np.ndarray) -> float:
         viol = 0.0
-        for d, idx in self._cone_index.items():
-            w = np.linalg.eigvalsh(rvec_to_herm(y[idx], d))
+        for kern in self._cone_kernels.values():
+            w = np.linalg.eigvalsh(kern.gather(y))
             viol = max(viol, -float(w.min()))
         if y.size > self._scalar_pos:
             viol = max(viol, -float(np.min(y[self._scalar_pos :], initial=0.0)))
@@ -384,8 +483,8 @@ class Session:
         is tested: "feasible" when its cone violation is at most ``tol`` and
         ``_recheck`` confirms it from the problem's own expressions.
         Otherwise the displacement pa - pk of the iteration, which converges
-        to the least-norm element of cl(A - K) (nonzero exactly when the
-        affine set A and the cone K are strictly separated), gives a
+        to the least-norm element of cl(Aff - K) (nonzero exactly when the
+        affine set and the cone are strictly separated), gives a
         ``witness``; "infeasible" is returned only when gap > 0 and
         |r| <= WITNESS_RATIO * gap, which proves that no feasible point
         has norm below 1 / WITNESS_RATIO = 10.  Every program built in

@@ -313,6 +313,42 @@ def cone_violation_per_block(session, y: np.ndarray) -> float:
     return viol
 
 
+def project_affine_factored(session, y: np.ndarray) -> np.ndarray:
+    """Affine projection of an SDP iterate in three steps, from the session's
+    G and constants: x = H^-1 (x0 + G^T (s0 - c)) with H = I + G^T G, the
+    equality correction x -= W S^-1 (G_eq x + c_eq) with W = H^-1 G_eq^T and
+    S = G_eq W, and s = G x + c."""
+    g, g_eq, n = session.g_graph, session.g_eq, session.n_vars
+    h_inv = np.linalg.inv(np.eye(n) + g.T @ g)
+    x = h_inv @ (y[:n] + g.T @ (y[n:] - session.c_graph))
+    if session.n_eq:
+        w = h_inv @ g_eq.T
+        x = x - w @ (np.linalg.inv(g_eq @ w) @ (g_eq @ x + session.c_eq))
+    return np.concatenate([x, g @ x + session.c_graph])
+
+
+def probe_columns_per_basis(session) -> np.ndarray:
+    """The SDP's linear map probed one rvec basis vector at a time: each
+    column is the problem's linear part at one basis matrix, all other
+    variables zero."""
+    prob = session.prob
+    cols = np.zeros((session.n_graph + session.n_eq, session.n_vars))
+    assign = {lab: np.zeros((d, d), dtype=complex) for lab, (_, d) in session.var_offsets.items()}
+    for lab, (o, d) in session.var_offsets.items():
+        for k in range(d * d):
+            basis = np.zeros(d * d)
+            basis[k] = 1.0
+            assign[lab] = _rvec_to_herm_single(basis, d)
+            rows = [_herm_to_rvec_single(e.evaluate_linear(assign)) for e in prob.psd_constraints]
+            scalars = [
+                sum(float(np.real(np.sum(f.conj() * assign[var]))) for var, f in expr.terms)
+                for expr in prob.inequalities + prob.equalities
+            ]
+            cols[:, o + k] = np.concatenate(rows + [np.array(scalars)])
+            assign[lab] = np.zeros((d, d), dtype=complex)
+    return cols
+
+
 class PerMessageStageDecoder:
     """Decode branches of one centralised link, built per (coin, wire message).
 

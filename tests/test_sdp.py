@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from povmcomp import sdp
+from povmcomp import entropies as ent
+from povmcomp import io, sdp
+from povmcomp.protocols import prep as prep_mod
 
 import oracles
 
@@ -57,6 +59,40 @@ def named_problem(which):
         return marginal_kron_problem(oracles.random_density(np.random.default_rng(0), 2))[0]
     # an indefinite p: p (x) X PSD forces X = 0 against Tr X = 1, so infeasible
     return marginal_kron_problem(oracles.random_hermitian(np.random.default_rng(0), 2))[0]
+
+
+def captured_problem(fn, *args):
+    """The first SDProblem that fn(*args) builds a Session for; fn is cut
+    short there."""
+
+    class Captured(Exception):
+        pass
+
+    def capture(self, prob, config=None):
+        raise Captured(prob)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sdp.Session, "__init__", capture)
+        with pytest.raises(Captured) as info:
+            fn(*args)
+    return info.value.args[0]
+
+
+def kernel_problem(which):
+    """Problems covering every Term kind: "ball_cap" is d_max_smooth's
+    fidelity-ball program with its cap (id, kron, subblock_conj),
+    "dense_tilde" i_max_tilde's program for a state that is not cq
+    (kron, marginal_product)."""
+    rng = np.random.default_rng(11)
+    if which == "ball_cap":
+        rho = oracles.random_density(rng, 3, rank=2)
+        return captured_problem(ent.d_max_smooth, rho, oracles.random_density(rng, 3), 0.1)
+    if which == "dense_tilde":
+        return captured_problem(ent.i_max_tilde, oracles.random_density(rng, 4), (2, 2), 0.1)
+    return named_problem(which)
+
+
+KERNEL_PROBLEMS = ["box", "interleaved", "marginal_kron", "ball_cap", "dense_tilde"]
 
 
 def fires(gap, resid):
@@ -127,6 +163,121 @@ class TestBatchedCone:
             assert batched.warm.tobytes() == looped.warm.tobytes()
         for lab, mat in looped.assignment.items():
             assert batched.assignment[lab].tobytes() == mat.tobytes()
+
+
+class TestFusedAffine:
+    """The one-map affine projection against the factored three-step one."""
+
+    @pytest.mark.parametrize("which", KERNEL_PROBLEMS)
+    def test_matches_factored_and_lands_on_the_affine_set(self, which):
+        sess = sdp.Session(kernel_problem(which))
+        rng = np.random.default_rng(8)
+        n = sess.n_vars
+        for _ in range(10):
+            y = rng.normal(size=sess.total)
+            fused = sess.project_affine(y)
+            assert np.max(np.abs(fused - oracles.project_affine_factored(sess, y))) <= 1e-12
+            x, s = fused[:n], fused[n:]
+            assert np.max(np.abs(sess.g_graph @ x + sess.c_graph - s), initial=0.0) <= 1e-12
+            assert np.max(np.abs(sess.g_eq @ x + sess.c_eq), initial=0.0) <= 1e-12
+            assert np.max(np.abs(sess.project_affine(fused) - fused)) <= 1e-12
+
+    def test_offset_follows_update_constants(self):
+        sess = sdp.Session(feasibility_x_in_box(3, 3))
+        sess.update_constants(feasibility_x_in_box(3, 1.5))
+        y = np.random.default_rng(9).normal(size=sess.total)
+        fused = sess.project_affine(y)
+        assert np.max(np.abs(fused - oracles.project_affine_factored(sess, y))) <= 1e-12
+        assert abs(np.trace(sdp.rvec_to_herm(fused[:9], 3)).real - 1.5) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "other",
+        [
+            feasibility_x_in_box(4, 3),
+            interleaved_blocks_problem(),
+            marginal_kron_problem(np.eye(2))[0],
+        ],
+    )
+    def test_update_constants_rejects_another_structure(self, other):
+        sess = sdp.Session(feasibility_x_in_box(3, 3))
+        with pytest.raises(ValueError, match="structure"):
+            sess.update_constants(other)
+
+    def test_update_constants_rejects_other_counts(self):
+        sess = sdp.Session(feasibility_x_in_box(3, 3))
+        extra_geq = feasibility_x_in_box(3, 3)
+        extra_geq.require_geq(sdp.trace_functional("X", 3))
+        extra_eq = feasibility_x_in_box(3, 3)
+        extra_eq.require_eq(sdp.trace_functional("X", 3, const=-3.0))
+        for prob in (extra_geq, extra_eq):
+            with pytest.raises(ValueError, match="structure"):
+                sess.update_constants(prob)
+
+
+class TestBatchedProbe:
+    """Set-up probing over stacked bases equals the per-basis prober."""
+
+    @pytest.mark.parametrize("which", KERNEL_PROBLEMS)
+    def test_columns_equal_per_basis_prober(self, which):
+        sess = sdp.Session(kernel_problem(which))
+        assert np.array_equal(sess._columns(), oracles.probe_columns_per_basis(sess))
+
+    def test_every_term_kind_is_probed(self):
+        kinds = {
+            t.kind
+            for which in KERNEL_PROBLEMS
+            for expr in kernel_problem(which).psd_constraints
+            for t in expr.terms
+        }
+        assert kinds == {"id", "kron", "marginal_product", "subblock_conj"}
+
+    def test_batched_apply_equals_per_matrix_calls(self):
+        rng = np.random.default_rng(10)
+        left = oracles.random_hermitian(rng, 2)
+        rot = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
+        terms = [
+            sdp.Term("X", "id", -0.7),
+            sdp.Term("X", "kron", 1.3, left=left),
+            sdp.Term("X", "marginal_product", 0.9, left=left, split=(2, 3)),
+            sdp.Term("X", "subblock_conj", -1.1, left=rot, split=(2,)),
+        ]
+        stack = np.stack([oracles.random_hermitian(rng, 6) for _ in range(5)])
+        for t in terms:
+            batched = t.apply(stack)
+            assert np.array_equal(batched, np.stack([t.apply(m) for m in stack]))
+        # the kron term keeps np.kron's products
+        assert np.array_equal(terms[1].apply(stack[0]), 1.3 * np.kron(left, stack[0]))
+
+
+class TestKernelVerdicts:
+    def test_smoothing_identical_with_oracle_kernels(self, monkeypatch):
+        """i_max_smooth of qubit_entangled_side_info's X env state keeps its
+        bytes, and every solve its status and iteration count, when the
+        session runs on the factored projection and the per-basis prober."""
+        prep = prep_mod.prepare(io.load_bundled("qubit_entangled_side_info"))
+        cq = prep_mod._x_env_cq(prep)
+        args = (cq.dense(), (len(cq.symbols), prep.dim_e), 0.1)
+        solve = sdp.Session.solve
+
+        def run():
+            verdicts = []
+
+            def recording_solve(self, warm=None):
+                res = solve(self, warm)
+                verdicts.append((res.status, res.iterations))
+                return res
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(sdp.Session, "solve", recording_solve)
+                value = ent.i_max_smooth(*args)
+            return float(value).hex(), verdicts
+
+        kernels = run()
+        monkeypatch.setattr(sdp.Session, "project_affine", oracles.project_affine_factored)
+        monkeypatch.setattr(sdp.Session, "_columns", oracles.probe_columns_per_basis)
+        factored = run()
+        assert kernels == factored
+        assert {status for status, _ in kernels[1]} == {"feasible", "infeasible"}
 
 
 class TestFeasibility:
