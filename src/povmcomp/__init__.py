@@ -5,7 +5,7 @@ Library layers, bottom up: ``linalg`` (dense Hermitian operations),
 (dense feasibility engine), ``entropies`` (one-shot entropic quantities),
 ``splitting`` (rate splitting), ``covering`` (covering experiments and
 GOOD-set extraction), ``protocols`` (end-to-end simulators and rate
-regions), ``cli`` (batch front door).
+regions).
 """
 
 __version__ = "0.1.0"

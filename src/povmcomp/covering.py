@@ -289,11 +289,11 @@ def verify_certificate(
     parts: list[np.ndarray],
     weights: list[float],
     target: np.ndarray,
-    envelope_const: float = 10.0,
 ) -> dict[str, bool]:
-    """Independent re-check of the three certificate invariants."""
+    """Independent re-check of the three certificate invariants; the GOOD
+    mass must reach 1 - 10 eps^(1/4)."""
     quarter = cert.eps_used**0.25
-    ok_prob = cert.prob_good >= 1.0 - envelope_const * quarter
+    ok_prob = cert.prob_good >= 1.0 - 10.0 * quarter
     ok_close = all(
         la.trace_norm_distance(cert.primed[i], la.as_matrix(parts[i]) / max(np.trace(parts[i]).real, 1e-300))
         <= 2 * quarter + 1e-7

@@ -211,16 +211,30 @@ def _np_threshold(blocks: _Blocks, eps: float):
     return beta, tests, alpha
 
 
+def _np_test(
+    rho_blocks: list, sigma_blocks: list, eps: float, symbols=None
+) -> tuple[float, NPTest]:
+    """The Neyman-Pearson value and test of a block-diagonal pair.
+
+    With ``symbols`` the per-block tests are keyed by symbol in
+    ``per_symbol``; without, the pair is one block and its test is
+    ``operator``.
+    """
+    beta, tests, alpha = _np_threshold(_Blocks(rho_blocks, sigma_blocks), _validate_eps(eps))
+    value = math.inf if beta <= 0 or math.isinf(beta) else -math.log2(beta)
+    beta = 0.0 if math.isinf(beta) else beta
+    if symbols is None:
+        return value, NPTest(tests[0], alpha, beta)
+    return value, NPTest(None, alpha, beta, dict(zip(symbols, tests)))
+
+
 def d_hyp(rho, sigma, eps: float) -> tuple[float, NPTest]:
     """Smooth hypothesis testing relative entropy with its optimal test."""
-    eps = _validate_eps(eps)
     rho = la.assert_density(rho)
     sigma = la.assert_psd(sigma)
     if rho.shape != sigma.shape:
         raise ValueError("dimension mismatch")
-    beta, tests, alpha = _np_threshold(_Blocks([rho], [sigma]), eps)
-    value = math.inf if beta <= 0 or math.isinf(beta) else -math.log2(beta)
-    return value, NPTest(tests[0], alpha, 0.0 if math.isinf(beta) else beta)
+    return _np_test([rho], [sigma], eps)
 
 
 def i_hyp_cq(cq: qo.CQState, eps: float) -> tuple[float, NPTest]:
@@ -229,38 +243,20 @@ def i_hyp_cq(cq: qo.CQState, eps: float) -> tuple[float, NPTest]:
     The optimal test is block diagonal over the classical register; the
     per-symbol components 0 <= Pi_x <= I are exposed for sequential decoders.
     """
-    eps = _validate_eps(eps)
     avg = cq.average_block()
     dist = cq.classical_distribution()
-    rho_blocks, sigma_blocks = [], []
-    for s in cq.symbols:
-        p = dist.prob(s)
-        rho_blocks.append(p * cq.blocks[s])
-        sigma_blocks.append(p * avg)
-    beta, tests, alpha = _np_threshold(_Blocks(rho_blocks, sigma_blocks), eps)
-    per_symbol = {s: t for s, t in zip(cq.symbols, tests)}
-    value = math.inf if beta <= 0 or math.isinf(beta) else -math.log2(beta)
-    return value, NPTest(None, alpha, beta if not math.isinf(beta) else 0.0, per_symbol)
+    weights = [dist.prob(s) for s in cq.symbols]
+    rho_blocks = [p * cq.blocks[s] for p, s in zip(weights, cq.symbols)]
+    return _np_test(rho_blocks, [p * avg for p in weights], eps, cq.symbols)
 
 
 def i_hyp_weighted_cq(
-    symbols: list[str],
-    weights: list[float],
-    blocks: list[np.ndarray],
-    eps: float,
-    side_avg: np.ndarray | None = None,
+    symbols: list[str], weights: list[float], blocks: list[np.ndarray], eps: float
 ) -> tuple[float, NPTest]:
-    """i_hyp for an explicit weighted block list (weights may fold counts)."""
-    eps = _validate_eps(eps)
-    avg = side_avg
-    if avg is None:
-        avg = sum(w * b for w, b in zip(weights, blocks))
+    """i_hyp_cq for an explicit weighted block list (weights may fold counts)."""
+    avg = sum(w * b for w, b in zip(weights, blocks))
     rho_blocks = [w * b for w, b in zip(weights, blocks)]
-    sigma_blocks = [w * avg for w in weights]
-    beta, tests, alpha = _np_threshold(_Blocks(rho_blocks, sigma_blocks), eps)
-    per_symbol = {s: t for s, t in zip(symbols, tests)}
-    value = math.inf if beta <= 0 or math.isinf(beta) else -math.log2(beta)
-    return value, NPTest(None, alpha, beta if not math.isinf(beta) else 0.0, per_symbol)
+    return _np_test(rho_blocks, [w * avg for w in weights], eps, symbols)
 
 
 def i_hyp_dense(rho_ab, dims: tuple[int, int], eps: float) -> tuple[float, NPTest]:

@@ -58,9 +58,6 @@ class Instance:
     def layout(self) -> la.SystemLayout:
         return la.layout(("A", self.dim_a), ("B", self.dim_b), ("R", self.dim_r))
 
-    def state_a(self) -> np.ndarray:
-        return la.partial_trace(self.state, self.layout(), keep=["A"])
-
     def to_payload(self) -> dict:
         elements = {
             qo.join_symbol(x, y): matrix_to_json(m) for (x, y), m in self.povm.elements.items()

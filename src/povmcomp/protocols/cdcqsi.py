@@ -18,9 +18,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import entropies as ent
+from .. import linalg as la
 from .. import qobjects as qo
 from .compress import block_dict_distance
 from .hashing import HashScheme, draw_hash
+
+# a hash draw is redrawn, at most MAX_REDRAWS times, while a bucket holds more
+# than 2^(I_H + BUCKET_SLACK_BITS) candidates
+BUCKET_SLACK_BITS = 5
+MAX_REDRAWS = 50
 
 
 @dataclass
@@ -61,7 +67,7 @@ class SequentialDecoder:
         residual = eye
         for s in seq_ops:
             residual = residual - s.conj().T @ s
-        failure = _sqrt_psd(residual)
+        failure = la.matrix_sqrt(residual)
         return SequentialDecoder(order, {s: tests[s] for s in order}, seq_ops, corrections, failure)
 
     def decode_branches(self, rho: np.ndarray) -> list[tuple[str | None, float, np.ndarray]]:
@@ -76,12 +82,6 @@ class SequentialDecoder:
         return out
 
 
-def _sqrt_psd(op: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh((op + op.conj().T) / 2)
-    w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ v.conj().T
-
-
 def _polar_unitary(s: np.ndarray) -> np.ndarray:
     u, _, vh = np.linalg.svd(s)
     return u @ vh
@@ -92,24 +92,18 @@ def cdc_qsi(
     eps: float,
     seed: int,
     hash_draws: int = 100,
-    test_eps: float | None = None,
     rate_override: int | None = None,
-    bucket_slack_bits: int = 5,
-    max_redraws: int = 50,
 ) -> dict:
     """Hash-based compression of the classical register against side info B.
 
     The rate is R = ceil(Hmax^eps - I_H^eps + log2(1/eps)) clamped to >= 0
-    (zero when the surviving support is a single symbol).  ``test_eps`` lets
-    composed protocols keep the rate bookkeeping at ``eps`` while decoding
-    with tests from a different smoothing level.
+    (zero when the surviving support is a single symbol).  Bob decodes with
+    the per-symbol tests of I_H^eps.
     """
     dist = cq.classical_distribution()
     hmax = ent.h_max_smooth(dist, eps)
     supp = sorted(hmax.subdistribution)
-    ihyp_val, _ = ent.i_hyp_cq(cq, eps)
-    decoder_eps = eps if test_eps is None else test_eps
-    _, test = ent.i_hyp_cq(cq, decoder_eps)
+    ihyp_val, test = ent.i_hyp_cq(cq, eps)
     tests = test.per_symbol
     if rate_override is not None:
         rate = max(0, int(rate_override))
@@ -122,7 +116,7 @@ def cdc_qsi(
     input_bits = max(1, math.ceil(math.log2(max(len(supp), 2))))
     bucket_cap = None
     if not math.isinf(ihyp_val):
-        bucket_cap = 2.0 ** (ihyp_val + bucket_slack_bits)
+        bucket_cap = 2.0 ** (ihyp_val + BUCKET_SLACK_BITS)
 
     ideal: dict[tuple[str, str], np.ndarray] = {
         (x, x): dist.prob(x) * cq.blocks[x] for x in cq.symbols if dist.prob(x) > 0
@@ -133,7 +127,7 @@ def cdc_qsi(
     redraws = 0
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(11,)))
     for _ in range(hash_draws):
-        for _attempt in range(max_redraws):
+        for _attempt in range(MAX_REDRAWS):
             scheme = draw_hash(input_bits, rate, rng)
             buckets: dict[int, list[str]] = {}
             for i, sym in enumerate(supp):

@@ -15,9 +15,9 @@ enumeration; only codebooks, hashes and transcripts are sampled.
 Rate bookkeeping follows the composition claim: the coin register copy K'
 counts toward the decodable information, so the sendable rate drops by the
 side-information term at the derived budget eps0 = eps^(1/10).  Decoder
-tests are evaluated at the protocol's own eps (overridable): the claim
-constrains rates, not which valid test family the decoder uses, and tests
-at eps0 would be uselessly weak at desk-scale eps.
+tests are evaluated at the protocol's own eps: the claim constrains rates,
+not which valid test family the decoder uses, and tests at eps0 would be
+uselessly weak at desk-scale eps.
 """
 
 from __future__ import annotations
@@ -153,7 +153,6 @@ def _axis_stage(
     axis: str,
     budget: OneShotBudget,
     seed: int,
-    test_eps: float | None,
     wire_override: int | None = None,
 ) -> AxisStage:
     ensemble = _axis_ensemble(family, prep, axis)
@@ -174,9 +173,8 @@ def _axis_stage(
     ihyp_kl = math.inf
     if prep.has_side_information():
         symbols, weights, blocks = _axis_weighted_blocks(ensemble, prep)
-        decoder_eps = budget.eps if test_eps is None else test_eps
         d_b = prep.dim_b
-        _, test_obj = ent.i_hyp_weighted_cq(symbols, weights, blocks, decoder_eps)
+        _, test_obj = ent.i_hyp_weighted_cq(symbols, weights, blocks, budget.eps)
         tests = {}
         for s, op in test_obj.per_symbol.items():
             k_str, sym = qo.split_symbol(s)
@@ -300,7 +298,6 @@ def centralised_protocol(
     budget: OneShotBudget,
     seed: int,
     log_const: float | None = None,
-    test_eps: float | None = None,
     scenarios: tuple[AdversaryScenario, ...] = SCENARIOS,
     family: CompressedFamily | None = None,
     wire_override: dict[str, int] | None = None,
@@ -316,8 +313,8 @@ def centralised_protocol(
     if family is None:
         family = build_compressed_povm(prep, budget, seed, log_const)
     wire_override = wire_override or {}
-    stage_x = _axis_stage(family, prep, "X", budget, seed, test_eps, wire_override.get("X"))
-    stage_y = _axis_stage(family, prep, "Y", budget, seed, test_eps, wire_override.get("Y"))
+    stage_x = _axis_stage(family, prep, "X", budget, seed, wire_override.get("X"))
+    stage_y = _axis_stage(family, prep, "Y", budget, seed, wire_override.get("Y"))
     d_tail = prep.env_dims["R"] * prep.env_dims["M"]
     rho_e = steered_env_block(prep, np.eye(prep.dim_a))
     dec_x = _StageDecoder(stage_x, family.codebook_x, d_tail)
@@ -402,7 +399,6 @@ def compose_with_side_information(
     budget: OneShotBudget,
     seed: int,
     log_const: float | None = None,
-    test_eps: float | None = None,
 ) -> dict:
     """Point-to-point measurement compression composed with CDC-QSI.
 
@@ -418,7 +414,6 @@ def compose_with_side_information(
         budget,
         seed,
         log_const=log_const,
-        test_eps=test_eps,
         scenarios=(AdversaryScenario(True, False),),
     )
     stage = run["stage_x"]

@@ -23,6 +23,14 @@ from ..budget import OneShotBudget, default_log_const
 from .prep import PreparedInstance, thresholds
 
 
+# budget_from_thresholds sits BUDGET_MARGIN_BITS above the link-rate
+# thresholds and adds COIN_MARGIN_BITS of coins, so the coin machinery runs
+BUDGET_MARGIN_BITS = 2.0
+COIN_MARGIN_BITS = 1.0
+# codebook draws tried before build_compressed_povm gives up on event E
+MAX_CODEBOOK_DRAWS = 20
+
+
 class ProtocolError(RuntimeError):
     pass
 
@@ -95,64 +103,58 @@ class CodebookPlan:
 
 
 def plan_codebooks(
-    prep: PreparedInstance,
-    budget: OneShotBudget,
-    log_const: float | None = None,
-    validate_budget: bool = True,
+    prep: PreparedInstance, budget: OneShotBudget, log_const: float | None = None
 ) -> CodebookPlan:
     """Codebook sizes carried by the budget's link rates.
 
-    The message space fills the wire rate plus the side-information saving;
-    coins fill the coin rate.  Raises BudgetError when the implied sizes
-    fall below the instantiated thresholds.
+    One rule: logL = floor(R + max(I_H - 1, 0)), the wire rate plus the
+    real-valued side-information saving, floored once; logK = floor(C).
+    Raises BudgetError when the implied sizes fall below the instantiated
+    thresholds.
     """
     th = thresholds(prep, budget.eps, log_const)
-    save_x = math.floor(max(th["ih_x_b"] - 1.0, 0.0))
-    save_y = math.floor(max(th["ih_y_b"] - 1.0, 0.0))
-    log_l1 = max(0, math.floor(budget.r_x + save_x + 1e-9))
-    log_l2 = max(0, math.floor(budget.r_y + save_y + 1e-9))
+    log_l1 = max(0, math.floor(budget.r_x + max(th["ih_x_b"] - 1.0, 0.0) + 1e-9))
+    log_l2 = max(0, math.floor(budget.r_y + max(th["ih_y_b"] - 1.0, 0.0) + 1e-9))
     log_k1 = max(0, math.floor(budget.c_x + 1e-9))
     log_k2 = max(0, math.floor(budget.c_y + 1e-9))
     if len(prep.px.alphabet) <= 1:
         log_l1 = log_k1 = 0  # a constant register needs no codebook
     if len(prep.py.alphabet) <= 1:
         log_l2 = log_k2 = 0
-    if validate_budget:
-        if len(prep.px.alphabet) > 1 and (
-            log_l1 + 1e-9 < th["logL1"] or log_k1 + log_l1 + 1e-9 < th["logKL1"]
-        ):
-            raise BudgetError(
-                f"X link budget (R={budget.r_x}, C={budget.c_x}) below the thresholds "
-                f"(logL1 > {th['logL1']:.3f}, logK1+logL1 > {th['logKL1']:.3f})"
-            )
-        if len(prep.py.alphabet) > 1 and (
-            log_l2 + 1e-9 < th["logL2"] or log_k2 + log_l2 + 1e-9 < th["logKL2"]
-        ):
-            raise BudgetError(
-                f"Y link budget (R={budget.r_y}, C={budget.c_y}) below the thresholds "
-                f"(logL2 > {th['logL2']:.3f}, logK2+logL2 > {th['logKL2']:.3f})"
-            )
+    if len(prep.px.alphabet) > 1 and (
+        log_l1 + 1e-9 < th["logL1"] or log_k1 + log_l1 + 1e-9 < th["logKL1"]
+    ):
+        raise BudgetError(
+            f"X link budget (R={budget.r_x}, C={budget.c_x}) below the thresholds "
+            f"(logL1 > {th['logL1']:.3f}, logK1+logL1 > {th['logKL1']:.3f})"
+        )
+    if len(prep.py.alphabet) > 1 and (
+        log_l2 + 1e-9 < th["logL2"] or log_k2 + log_l2 + 1e-9 < th["logKL2"]
+    ):
+        raise BudgetError(
+            f"Y link budget (R={budget.r_y}, C={budget.c_y}) below the thresholds "
+            f"(logL2 > {th['logL2']:.3f}, logK2+logL2 > {th['logKL2']:.3f})"
+        )
     return CodebookPlan(log_k1, log_l1, log_k2, log_l2, th["log_const"])
 
 
 def budget_from_thresholds(
-    prep: PreparedInstance,
-    eps: float,
-    margin: float = 2.0,
-    log_const: float | None = None,
-    coin_margin: float = 1.0,
+    prep: PreparedInstance, eps: float, log_const: float | None = None
 ) -> OneShotBudget:
-    """Budget sitting ``margin`` bits above the link-rate thresholds.
+    """Budget sitting ``BUDGET_MARGIN_BITS`` above the link-rate thresholds.
 
-    Link rates track the assisted displays (I_max - I_H + const); coin
-    rates cover whatever the coin+message sum threshold still needs, plus
-    ``coin_margin`` so the coin machinery is exercised.
+    Link rates track the assisted displays R = I_max - I_H + const + margin;
+    coin rates cover whatever the coin+message sum threshold still needs,
+    plus ``COIN_MARGIN_BITS`` so the coin machinery is exercised.
+    ``plan_codebooks`` floors R + max(I_H - 1, 0) once, with the same
+    real-valued I_H, so the planned sizes clear both thresholds.
     """
     th = thresholds(prep, eps, log_const)
+    margin = BUDGET_MARGIN_BITS
     r_x = max(0.0, th["rate_x"] + margin)
     r_y = max(0.0, th["rate_y"] + margin)
-    c_x = max(0.0, th["logKL1"] - th["ih_x_b"] + margin - r_x) + coin_margin
-    c_y = max(0.0, th["logKL2"] - th["ih_y_b"] + margin - r_y) + coin_margin
+    c_x = max(0.0, th["logKL1"] - th["ih_x_b"] + margin - r_x) + COIN_MARGIN_BITS
+    c_y = max(0.0, th["logKL2"] - th["ih_y_b"] + margin - r_y) + COIN_MARGIN_BITS
     if len(prep.px.alphabet) <= 1:
         r_x = c_x = 0.0
     if len(prep.py.alphabet) <= 1:
@@ -228,20 +230,18 @@ def build_compressed_povm(
     budget: OneShotBudget,
     seed: int,
     log_const: float | None = None,
-    retry_budget: int = 20,
-    validate_budget: bool = True,
 ) -> CompressedFamily:
     """Draw codebooks, flag nice blocks, extract GOOD sets, assemble POVMs.
 
     A block is nice when its measure-transformed mirror-form sample average
     sits within sqrt(eps) of rho_A in trace norm; non-nice blocks abort.
     If fewer than a 1 - eps^(1/4) fraction of blocks is nice, the draw is
-    retried with the next derived seed up to ``retry_budget`` times.
+    retried with the next derived seed, ``MAX_CODEBOOK_DRAWS`` draws in all.
     """
     eps = budget.eps
-    plan = plan_codebooks(prep, budget, log_const, validate_budget)
+    plan = plan_codebooks(prep, budget, log_const)
     quarter = eps**0.25
-    for attempt in range(retry_budget):
+    for attempt in range(MAX_CODEBOOK_DRAWS):
         draw_seed = seed + 1_000_003 * attempt
         cb_x = draw_codebook("X", plan.k1, plan.l1, prep.px, draw_seed)
         cb_y = draw_codebook("Y", plan.k2, plan.l2, prep.py, draw_seed + 1)
@@ -270,7 +270,8 @@ def build_compressed_povm(
                 plan, seed, attempt, cb_x, cb_y, nice, fraction, blocks, eps
             )
     raise ProtocolError(
-        f"event E failed on {retry_budget} codebook draws (nice fraction below 1 - eps^0.25)"
+        f"event E failed on {MAX_CODEBOOK_DRAWS} codebook draws "
+        "(nice fraction below 1 - eps^0.25)"
     )
 
 

@@ -57,10 +57,6 @@ class PreparedInstance:
         d = self.env_dims
         return la.layout(("B", d["B"]), ("R", d["R"]), ("M", d["M"]))
 
-    def b_block(self, key: tuple[str, str]) -> np.ndarray:
-        blk = self.env_blocks[key]
-        return la.partial_trace(blk, self.env_layout(), ["B"])
-
     def env_cq(self) -> qo.CQState:
         """cq state over (x, y) with normalized steered E-blocks."""
         symbols, weights, blocks = [], {}, {}
@@ -78,12 +74,12 @@ class PreparedInstance:
         return cq.map_blocks(lambda b: la.partial_trace(b, lay, ["B"]))
 
 
-def prepare(inst: Instance, mirror_tol: float = 1e-12) -> PreparedInstance:
+def prepare(inst: Instance) -> PreparedInstance:
     lay = inst.layout()
     rho = la.assert_density(inst.state)
     rho_a = la.partial_trace(rho, lay, ["A"])
     # rank-truncated purification: global pure state on (A B R) (x) M
-    psi = la.purify(rho, truncate=True, tol=mirror_tol)
+    psi = la.purify(rho, truncate=True, tol=1e-12)
     dm = psi.size // (inst.dim_a * inst.dim_b * inst.dim_r)
     full_lay = la.layout(("A", inst.dim_a), ("B", inst.dim_b), ("R", inst.dim_r), ("M", dm))
     global_rho = np.outer(psi, psi.conj())
@@ -145,10 +141,8 @@ def side_correction(prep: PreparedInstance, eps: float, axis: str) -> float:
     """
     if not prep.has_side_information():
         return 0.0
-    lay = prep.env_layout()
-    cq = prep.env_cq().map_blocks(lambda b: la.partial_trace(b, lay, ["B"]))
     part = 0 if axis == "X" else 1
-    cq_axis = cq.group_symbols(lambda s: qo.split_symbol(s)[part])
+    cq_axis = prep.b_cq().group_symbols(lambda s: qo.split_symbol(s)[part])
     val, _ = ent.i_hyp_cq(cq_axis, eps)
     return 0.0 if math.isinf(val) else val
 
@@ -159,33 +153,34 @@ def thresholds(
     """Codebook-size and rate thresholds for the multi-link protocol.
 
     Returns logL / coin+message thresholds (unassisted construction) plus
-    the side-information corrections of the assisted rate region.
+    the side-information corrections of the assisted rate region.  The
+    entropies do not depend on ``log_const`` and are computed once per eps.
     """
     c = default_log_const(eps) if log_const is None else float(log_const)
     key = ("thresholds", eps, c)
     if key in prep._cache:
         return prep._cache[key]
-    x_cq = _x_env_cq(prep)
-    y_cq = _y_xenv_cq(prep)
-    imax_x = ent.i_max_smooth(x_cq.dense(), (len(x_cq.symbols), prep.dim_e), eps)
-    imax_y = ent.i_max_smooth(
-        y_cq.dense(), (len(y_cq.symbols), len(prep.px.alphabet) * prep.dim_e), eps
-    )
-    hmax_x = ent.h_max_smooth(prep.px, eps).value
-    hmax_y = ent.h_max_smooth(prep.py, eps).value
-    eps0 = eps ** (1.0 / 10.0)
+    ents = prep._cache.get(("entropies", eps))
+    if ents is None:
+        x_cq = _x_env_cq(prep)
+        y_cq = _y_xenv_cq(prep)
+        dims_y = (len(y_cq.symbols), len(prep.px.alphabet) * prep.dim_e)
+        eps0 = eps ** (1.0 / 10.0)
+        ents = prep._cache[("entropies", eps)] = {
+            "imax_x": ent.i_max_smooth(x_cq.dense(), (len(x_cq.symbols), prep.dim_e), eps),
+            "imax_y": ent.i_max_smooth(y_cq.dense(), dims_y, eps),
+            "hmax_x": ent.h_max_smooth(prep.px, eps).value,
+            "hmax_y": ent.h_max_smooth(prep.py, eps).value,
+            "ih_x_b": side_correction(prep, eps0 / 2, "X"),
+            "ih_y_b": side_correction(prep, eps0 / 2, "Y"),
+        }
     out = {
         "log_const": c,
-        "logL1": imax_x + c,
-        "logL2": imax_y + c,
-        "logKL1": hmax_x + c,
-        "logKL2": hmax_y + c,
-        "imax_x": imax_x,
-        "imax_y": imax_y,
-        "hmax_x": hmax_x,
-        "hmax_y": hmax_y,
-        "ih_x_b": side_correction(prep, eps0 / 2, "X"),
-        "ih_y_b": side_correction(prep, eps0 / 2, "Y"),
+        "logL1": ents["imax_x"] + c,
+        "logL2": ents["imax_y"] + c,
+        "logKL1": ents["hmax_x"] + c,
+        "logKL2": ents["hmax_y"] + c,
+        **ents,
     }
     out["rate_x"] = out["logL1"] - out["ih_x_b"]
     out["rate_y"] = out["logL2"] - out["ih_y_b"]
@@ -193,3 +188,4 @@ def thresholds(
     out["coin_rate_y"] = max(out["logKL2"] - out["logL2"], 0.0)
     prep._cache[key] = out
     return out
+

@@ -127,48 +127,43 @@ def one_shot_region(
     prep = source if isinstance(source, PreparedInstance) else prepare(source)
     c = default_log_const(eps) if log_const is None else float(log_const)
     lay = prep.env_layout()
+    has_b = prep.has_side_information()
+    global_rho = np.outer(prep.global_pure, prep.global_pure.conj())
+    d = prep.instance.dims
+    full_lay = la.layout(("A", d["A"]), ("B", d["B"]), ("R", d["R"]), ("M", prep.env_dims["M"]))
+
+    def bounds(imax_cq: qo.CQState, plain_cq: qo.CQState) -> tuple[float, float]:
+        """(I_max - I_H + c, H_max - I_H) of one split register, I_H on B.
+
+        ``imax_cq`` carries the register with its side registers, for I_max;
+        ``plain_cq`` is the register alone.  A degenerate register needs no
+        sub-channel, so both are 0.
+        """
+        if _degenerate(imax_cq):
+            return 0.0, 0.0
+        plain_b = plain_cq.map_blocks(lambda b: la.partial_trace(b, lay, ["B"]))
+        ih = _ih_b(plain_b, eps, has_b)
+        a = _imax_of_cq(imax_cq, eps) - ih + c
+        return a, ent.h_max_smooth(plain_cq.classical_distribution(), eps).value - ih
+
     region = RateRegion(kind="one-shot")
     for axis in axes:
         povm = prep.instance.povm if axis == "X" else _swap_povm(prep.instance.povm)
-        global_rho = np.outer(prep.global_pure, prep.global_pure.conj())
-        d = prep.instance.dims
-        full_lay = la.layout(("A", d["A"]), ("B", d["B"]), ("R", d["R"]), ("M", prep.env_dims["M"]))
         for theta in theta_grid:
             ctrl = sp.split_control_state(
                 povm, global_rho, theta, full_lay, keep=("B", "R", "M")
             ).cq
-            b_of = lambda state: state.map_blocks(lambda b: la.partial_trace(b, lay, ["B"]))
             u_cq = _group_cq(ctrl, (0,))
             v_cq = _embed_classical(ctrl, 1, (0, 2))
             y_cq = _embed_classical(ctrl, 2, (0,))
-            has_b = prep.has_side_information()
             vals = {}
-            if _degenerate(u_cq):
-                vals["aU"], vals["bU"] = 0.0, 0.0
-            else:
-                ih_u = _ih_b(b_of(u_cq), eps, has_b)
-                vals["aU"] = _imax_of_cq(u_cq, eps) - ih_u + c
-                vals["bU"] = ent.h_max_smooth(u_cq.classical_distribution(), eps).value - ih_u
-            if _degenerate(v_cq):
-                vals["aV"], vals["bV"] = 0.0, 0.0
-            else:
-                v_b = b_of(_group_cq(ctrl, (1,)))
-                ih_v = _ih_b(v_b, eps, has_b)
-                vals["aV"] = _imax_of_cq(v_cq, eps) - ih_v + c
-                vals["bV"] = ent.h_max_smooth(_group_cq(ctrl, (1,)).classical_distribution(), eps).value - ih_v
-            if _degenerate(y_cq):
-                vals["aY"], vals["bY"] = 0.0, 0.0
-            else:
-                y_b = b_of(_group_cq(ctrl, (2,)))
-                ih_y = _ih_b(y_b, eps, has_b)
-                vals["aY"] = _imax_of_cq(y_cq, eps) - ih_y + c
-                vals["bY"] = ent.h_max_smooth(_group_cq(ctrl, (2,)).classical_distribution(), eps).value - ih_y
+            vals["aU"], vals["bU"] = bounds(u_cq, u_cq)
+            vals["aV"], vals["bV"] = bounds(v_cq, _group_cq(ctrl, (1,)))
+            vals["aY"], vals["bY"] = bounds(y_cq, _group_cq(ctrl, (2,)))
             own_r, own_c = ("R_X", "C_X") if axis == "X" else ("R_Y", "C_Y")
             oth_r, oth_c = ("R_Y", "C_Y") if axis == "X" else ("R_X", "C_X")
             prov = {"axis": axis, "theta": theta, "eps": eps, "log_const": c, "values": vals}
-            u_live = not _degenerate(u_cq)
-            v_live = not _degenerate(v_cq)
-            if u_live and v_live:
+            if not _degenerate(u_cq) and not _degenerate(v_cq):
                 # cross facets from eliminating the internal split rates
                 coin_sum = max(
                     vals["bU"] + vals["bV"],
@@ -198,38 +193,6 @@ def _swap_povm(povm: qo.JointPOVM) -> qo.JointPOVM:
         povm.alphabet_x,
         {(y, x): el for (x, y), el in povm.elements.items()},
     )
-
-
-def unsplit_constraints(
-    source: Instance | PreparedInstance, eps: float, log_const: float | None = None
-) -> dict[str, float]:
-    """Two-channel constraints without splitting (theta endpoint reference)."""
-    prep = source if isinstance(source, PreparedInstance) else prepare(source)
-    c = default_log_const(eps) if log_const is None else float(log_const)
-    lay = prep.env_layout()
-    cq = prep.env_cq()
-    has_b = prep.has_side_information()
-    x_cq = _group_cq(cq, (0,))
-    y_cq = _embed_classical(cq, 1, (0,))
-    ih_x = _ih_b(x_cq.map_blocks(lambda b: la.partial_trace(b, lay, ["B"])), eps, has_b)
-    ih_y = _ih_b(
-        _group_cq(cq, (1,)).map_blocks(lambda b: la.partial_trace(b, lay, ["B"])), eps, has_b
-    )
-    out = {
-        "R_X": (0.0 if _degenerate(x_cq) else _imax_of_cq(x_cq, eps) - ih_x + c),
-        "R_Y": (0.0 if _degenerate(y_cq) else _imax_of_cq(y_cq, eps) - ih_y + c),
-        "R_X+C_X": (
-            0.0
-            if _degenerate(x_cq)
-            else ent.h_max_smooth(x_cq.classical_distribution(), eps).value - ih_x
-        ),
-        "R_Y+C_Y": (
-            0.0
-            if _degenerate(y_cq)
-            else ent.h_max_smooth(_group_cq(cq, (1,)).classical_distribution(), eps).value - ih_y
-        ),
-    }
-    return out
 
 
 def iid_region(source: Instance | PreparedInstance) -> RateRegion:

@@ -102,12 +102,6 @@ class JointPOVM:
             out += self.element(x, y)
         return out
 
-    def marginal_y_element(self, y: str) -> np.ndarray:
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for x in self.alphabet_x:
-            out += self.element(x, y)
-        return out
-
 
 def povm_from_elements(elements: dict[tuple[str, str], np.ndarray]) -> JointPOVM:
     xs, ys = [], []

@@ -33,7 +33,13 @@ K the cone (Banjac, Goulart, Stellato, Boyd, JOTA 2019; Liu, Ryu, Yin,
 Math. Program. 2019): a cone element w with gap > 0 and
 |G^T w + G_eq^T nu| <= WITNESS_RATIO * gap, which proves that no feasible
 point has norm below 1 / WITNESS_RATIO (see ``Session.solve``).  A solve
-that earns neither verdict within ``max_iter`` reports "maxIterations".
+that earns neither verdict within ``max_iter`` iterations (``MAX_ITER``
+unless the caller passes another) reports "maxIterations".
+
+Fixed settings: a shadow point is checked every ``CHECK_EVERY`` iterations
+and counts as feasible when its cone violation is at most ``FEASIBLE_TOL``;
+``MAX_VAR_REALS`` caps the variables' real dimension, since set-up inverts
+a dense matrix of that size.
 """
 
 from __future__ import annotations
@@ -48,6 +54,10 @@ from . import linalg as la
 
 # an "infeasible" verdict needs |G^T w + G_eq^T nu| <= WITNESS_RATIO * gap
 WITNESS_RATIO = 0.1
+MAX_ITER = 20000
+CHECK_EVERY = 20
+FEASIBLE_TOL = 1e-8
+MAX_VAR_REALS = 6000
 
 _INDEX_CACHE: dict[int, tuple] = {}
 
@@ -217,20 +227,6 @@ class SDProblem:
     def require_geq(self, expr: ScalarExpr) -> None:
         self.inequalities.append(expr)
 
-    def var_dim(self, label: str) -> int:
-        for lab, d in self.variables:
-            if lab == label:
-                return d
-        raise KeyError(label)
-
-
-@dataclass
-class SDPConfig:
-    max_iter: int = 20000
-    tol: float = 1e-8
-    check_every: int = 20
-    max_var_rvec: int = 6000
-
 
 @dataclass
 class SDPResult:
@@ -298,16 +294,16 @@ class Session:
     gap and residual use G, which equals a per-basis probe bit for bit.
     """
 
-    def __init__(self, prob: SDProblem, config: SDPConfig | None = None):
+    def __init__(self, prob: SDProblem, max_iter: int = MAX_ITER):
         self.prob = prob
-        self.cfg = config or SDPConfig()
+        self.max_iter = max_iter
         self.var_offsets: dict[str, tuple[int, int]] = {}
         off = 0
         for lab, d in prob.variables:
             self.var_offsets[lab] = (off, d)
             off += d * d
         self.n_vars = off
-        if off > self.cfg.max_var_rvec:
+        if off > MAX_VAR_REALS:
             raise ValueError(f"problem too large for the dense engine ({off} var reals)")
         self.structure = _structure(prob)
         self.block_dims = [e.dim for e in prob.psd_constraints]
@@ -479,9 +475,10 @@ class Session:
     def solve(self, warm: np.ndarray | None = None) -> SDPResult:
         """Douglas-Rachford feasibility solve with two certified verdicts.
 
-        Every ``check_every`` iterations the shadow point ``project_affine(y)``
-        is tested: "feasible" when its cone violation is at most ``tol`` and
-        ``_recheck`` confirms it from the problem's own expressions.
+        Every ``CHECK_EVERY`` iterations the shadow point ``project_affine(y)``
+        is tested: "feasible" when its cone violation is at most
+        ``FEASIBLE_TOL`` and ``_recheck`` confirms it from the problem's own
+        expressions.
         Otherwise the displacement pa - pk of the iteration, which converges
         to the least-norm element of cl(Aff - K) (nonzero exactly when the
         affine set and the cone are strictly separated), gives a
@@ -494,21 +491,20 @@ class Session:
         rho' and Z = Re Z + i Im Z have norm at most 1 each.  A solve with
         neither verdict runs to ``max_iter`` and returns "maxIterations".
         """
-        cfg = self.cfg
         y = warm.copy() if warm is not None and warm.size == self.total else np.zeros(self.total)
         it = 0
-        while it < cfg.max_iter:
+        while it < self.max_iter:
             pa = self.project_affine(y)
             pk = self.project_cone(2 * pa - y)
             y = y + pk - pa
             it += 1
-            if it % cfg.check_every == 0 or it == cfg.max_iter:
+            if it % CHECK_EVERY == 0 or it == self.max_iter:
                 shadow = self.project_affine(y)
                 viol = self.cone_violation(shadow)
-                if viol <= cfg.tol:
+                if viol <= FEASIBLE_TOL:
                     assign = self.get_vars(shadow)
                     res = _recheck(self.prob, assign)
-                    if res["primal"] <= 10 * cfg.tol and res["gap"] <= 10 * cfg.tol:
+                    if res["primal"] <= 10 * FEASIBLE_TOL and res["gap"] <= 10 * FEASIBLE_TOL:
                         return SDPResult("feasible", assign, res, it, warm=y)
                 w, nu, gap, resid = self.witness(pa - pk)
                 if gap > 0.0 and resid <= WITNESS_RATIO * gap:
@@ -535,19 +531,19 @@ def _recheck(prob: SDProblem, assign: dict[str, np.ndarray]) -> dict[str, float]
     return {"primal": max(-min_eig, 0.0), "gap": eq_resid}
 
 
-def solve(prob: SDProblem, config: SDPConfig | None = None, warm: np.ndarray | None = None) -> SDPResult:
+def solve(prob: SDProblem, max_iter: int = MAX_ITER, warm: np.ndarray | None = None) -> SDPResult:
     """Feasibility solve; see module docstring for the method.
 
     When ``prob.objective`` is set, an outer bisection on the objective level
-    set is performed and the best feasible assignment returned.
+    set, to a width of 1e-4, is performed and the best feasible assignment
+    returned.
     """
-    cfg = config or SDPConfig()
     if prob.objective is not None:
-        return _minimize(prob, cfg)
-    return Session(prob, cfg).solve(warm=warm)
+        return _minimize(prob, max_iter)
+    return Session(prob, max_iter).solve(warm=warm)
 
 
-def _minimize(prob: SDProblem, cfg: SDPConfig, value_tol: float = 1e-4) -> SDPResult:
+def _minimize(prob: SDProblem, max_iter: int) -> SDPResult:
     obj = prob.objective
     base = SDProblem(
         list(prob.variables),
@@ -556,7 +552,7 @@ def _minimize(prob: SDProblem, cfg: SDPConfig, value_tol: float = 1e-4) -> SDPRe
         list(prob.inequalities),
         None,
     )
-    free = solve(base, cfg)
+    free = solve(base, max_iter)
     if free.status != "feasible":
         return free
     hi = obj.evaluate(free.assignment)
@@ -572,7 +568,7 @@ def _minimize(prob: SDProblem, cfg: SDPConfig, value_tol: float = 1e-4) -> SDPRe
             + [ScalarExpr(level - obj.const, tuple((v, -f) for v, f in obj.terms))],
             None,
         )
-        return solve(capped, cfg)
+        return solve(capped, max_iter)
 
     lo, width = hi, 1.0
     for _ in range(40):
@@ -583,7 +579,7 @@ def _minimize(prob: SDProblem, cfg: SDPConfig, value_tol: float = 1e-4) -> SDPRe
         best = res
         lo -= width
         width *= 2
-    while hi - lo > value_tol:
+    while hi - lo > 1e-4:
         mid = (lo + hi) / 2
         res = feasible_at(mid)
         if res.status == "feasible":

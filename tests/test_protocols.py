@@ -13,7 +13,7 @@ from povmcomp import protocols as P
 from povmcomp.budget import OneShotBudget
 from povmcomp.protocols import compose
 from povmcomp.protocols.cdcqsi import SequentialDecoder
-from povmcomp.protocols.compress import ABORT
+from povmcomp.protocols.compress import ABORT, SCENARIOS
 
 import oracles
 
@@ -81,27 +81,35 @@ def test_block_distance_is_the_same_in_every_process():
     assert len(set(outs)) == 1, outs
 
 
-# thresholds(prep, 0.1, 0) of qubit_entangled_side_info, as float.hex
-GOLDEN_THRESHOLDS = {
-    "log_const": "0x0.0p+0",
-    "logL1": "0x1.4e3c12a130358p+0",
-    "logL2": "0x1.78a7c7d8b03acp-2",
-    "logKL1": "0x1.55ba5e95d860cp-1",
-    "logKL2": "0x1.9d5d9fd5010b3p-1",
-    "imax_x": "0x1.4e3c12a130358p+0",
-    "imax_y": "0x1.78a7c7d8b03acp-2",
-    "hmax_x": "0x1.55ba5e95d860cp-1",
-    "hmax_y": "0x1.9d5d9fd5010b3p-1",
-    "ih_x_b": "0x1.6f2a1bc9a9885p+0",
-    "ih_y_b": "0x1.75d7e614b4b48p-1",
-    "rate_x": "-0x1.07704943ca968p-3",
-    "rate_y": "-0x1.73080450b92e4p-2",
-    "coin_rate_x": "0x0.0p+0",
-    "coin_rate_y": "0x1.c21377d151dbap-2",
+# Golden pins: every value below was recorded as float.hex at eps 0.1,
+# seed 1 and log_const 0 (``python tests/test_protocols.py`` rewrites the
+# file).  Codebook plans come from explicit integer budgets, not from
+# budget_from_thresholds; the X links of the two instances with a B
+# register hash 3 message bits to 2.
+GOLDEN_PATH = Path(__file__).resolve().parent / "golden_protocols.json"
+GOLDEN_EPS, GOLDEN_SEED, GOLDEN_C = 0.1, 1, 0.0
+GOLDEN_BUDGETS = {
+    "trivial": OneShotBudget(GOLDEN_EPS, r_x=0),
+    "classical_commuting": OneShotBudget(GOLDEN_EPS, r_x=3, r_y=2, c_x=1, c_y=1),
+    "qubit_cq": OneShotBudget(GOLDEN_EPS, r_x=3, r_y=2, c_x=1, c_y=1),
+    "qubit_entangled_side_info": OneShotBudget(GOLDEN_EPS, r_x=3, r_y=2, c_x=1, c_y=1),
+    "instrument_derived": OneShotBudget(GOLDEN_EPS, r_x=2, r_y=3, c_x=1, c_y=1),
+    "rate_split_showcase": OneShotBudget(GOLDEN_EPS, r_x=4, c_x=1),
 }
+GOLDEN_WIRE = {"classical_commuting": {"X": 2}, "qubit_entangled_side_info": {"X": 2}}
+ONE_SHOT_INSTANCES = ("trivial", "instrument_derived")
+COMPOSE_INSTANCES = ("trivial", "qubit_entangled_side_info")
+VERDICTS = ("feasible", "infeasible", "maxIterations")
 
 
-def test_golden_thresholds_with_certified_verdicts(monkeypatch):
+def _hex(values) -> dict | list:
+    if isinstance(values, dict):
+        return {k: float(v).hex() for k, v in values.items()}
+    return [float(v).hex() for v in values]
+
+
+def _solve_instance(name: str):
+    """(prep, thresholds at log_const 0, every SDP result the thresholds made)."""
     results = []
     solve = sdp.Session.solve
 
@@ -109,17 +117,133 @@ def test_golden_thresholds_with_certified_verdicts(monkeypatch):
         results.append(solve(self, warm))
         return results[-1]
 
-    monkeypatch.setattr(sdp.Session, "solve", recording_solve)
-    prep = P.prepare(io.load_bundled("qubit_entangled_side_info"))
-    th = P.thresholds(prep, 0.1, 0.0)
-    assert {k: float(v).hex() for k, v in th.items()} == GOLDEN_THRESHOLDS
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sdp.Session, "solve", recording_solve)
+        prep = P.prepare(io.load_bundled(name))
+        th = P.thresholds(prep, GOLDEN_EPS, GOLDEN_C)
+    return name, prep, th, results
+
+
+def _threshold_pins(th: dict, results) -> dict:
     statuses = [res.status for res in results]
-    assert statuses.count("maxIterations") == 0
-    assert "infeasible" in statuses
+    return {"thresholds": _hex(th), "verdicts": {v: statuses.count(v) for v in VERDICTS}}
+
+
+def _protocol_runs(name: str, prep):
+    budget = GOLDEN_BUDGETS[name]
+    run = P.centralised_protocol(
+        prep, budget, GOLDEN_SEED, log_const=GOLDEN_C, wire_override=GOLDEN_WIRE.get(name)
+    )
+    unassisted = P.simulate_unassisted(prep, budget, GOLDEN_SEED, log_const=GOLDEN_C)
+    return run, unassisted
+
+
+def _run_pins(run: dict, unassisted: dict) -> dict:
+    return {
+        label: _hex({sc: out["deviation"] for sc, out in res["scenarios"].items()})
+        for label, res in (("centralised", run), ("unassisted", unassisted))
+    }
+
+
+def _one_shot_rhs(prep) -> list:
+    region = P.one_shot_region(prep, GOLDEN_EPS, theta_grid=(0.5,), log_const=GOLDEN_C)
+    return _hex(h.rhs for h in region.constraints)
+
+
+COMPOSE_KEYS = (
+    "net_rate_x", "realized_rate", "wire_bits", "deviation", "composition_check",
+    "hmax_kl", "i_hyp_kl_kb",
+)
+
+
+def _composition(name: str, prep) -> dict:
+    out = P.compose_with_side_information(
+        prep.instance, GOLDEN_BUDGETS[name], GOLDEN_SEED, log_const=GOLDEN_C
+    )
+    return {k: out[k] for k in COMPOSE_KEYS}
+
+
+@pytest.fixture(scope="module", params=io.BUNDLED)
+def solved(request):
+    return _solve_instance(request.param)
+
+
+@functools.cache
+def _golden() -> dict:
+    return json.loads(GOLDEN_PATH.read_text())
+
+
+def test_golden_thresholds_with_certified_verdicts(solved):
+    name, _, th, results = solved
+    want = _golden()[name]
+    assert _threshold_pins(th, results) == {k: want[k] for k in ("thresholds", "verdicts")}
     for res in results:
         if res.status == "infeasible":
             gap, resid = res.residuals["witness_gap"], res.residuals["witness_resid"]
             assert gap > 0 and resid <= sdp.WITNESS_RATIO * gap
+
+
+def _hashed_axes(run: dict) -> set:
+    return {
+        axis for axis, stage in (("X", run["stage_x"]), ("Y", run["stage_y"]))
+        if stage.wire_bits < stage.log_l
+    }
+
+
+def test_golden_protocol_runs(solved):
+    name, prep, _, _ = solved
+    run, unassisted = _protocol_runs(name, prep)
+    assert _run_pins(run, unassisted) == {
+        k: _golden()[name][k] for k in ("centralised", "unassisted")
+    }
+    hashed = _hashed_axes(run)
+    assert hashed == set(GOLDEN_WIRE.get(name, ()))
+    for res in (run, unassisted):
+        assert res["family"].completeness_residual(prep) <= 1e-9
+        for sc_name, sc in res["scenarios"].items():
+            trace = sum(float(np.trace(op).real) for op in sc["output"].values())
+            assert abs(trace - 1.0) <= 1e-9, sc_name
+    for sc in SCENARIOS:
+        on = {axis for axis, live in (("X", sc.x_link_on), ("Y", sc.y_link_on)) if live}
+        if not on & hashed:
+            got = run["scenarios"][sc.name]["deviation"]
+            want = unassisted["scenarios"][sc.name]["deviation"]
+            assert abs(got - want) <= 1e-12, sc.name
+    if name in COMPOSE_INSTANCES:
+        out = _composition(name, prep)
+        assert _hex(out) == _golden()[name]["compose"]
+        assert out["composition_check"] >= -1.0
+
+
+def test_golden_regions(solved):
+    name, prep, _, _ = solved
+    rhs = _hex(h.rhs for h in P.iid_region(prep).constraints)
+    assert rhs == _golden()[name]["iid_region"]
+    if name in ONE_SHOT_INSTANCES:
+        assert _one_shot_rhs(prep) == _golden()[name]["one_shot_region"]
+
+
+@pytest.mark.parametrize("log_const", [0.0, None], ids=["c0", "cdefault"])
+def test_default_budget_is_planned(solved, log_const):
+    # budget_from_thresholds and plan_codebooks follow one rounding rule
+    _, prep, _, _ = solved
+    budget = P.budget_from_thresholds(prep, GOLDEN_EPS, log_const=log_const)
+    P.plan_codebooks(prep, budget, log_const)
+
+
+def _write_golden() -> None:
+    payload = {}
+    for name in io.BUNDLED:
+        _, prep, th, results = _solve_instance(name)
+        pins = _threshold_pins(th, results)
+        pins.update(_run_pins(*_protocol_runs(name, prep)))
+        pins["iid_region"] = _hex(h.rhs for h in P.iid_region(prep).constraints)
+        if name in ONE_SHOT_INSTANCES:
+            pins["one_shot_region"] = _one_shot_rhs(prep)
+        if name in COMPOSE_INSTANCES:
+            pins["compose"] = _hex(_composition(name, prep))
+        payload[name] = pins
+    GOLDEN_PATH.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
 
 
 @pytest.fixture(scope="module")
@@ -193,3 +317,7 @@ def test_signature_decode_matches_per_message_decode(monkeypatch):
         for key, op in sc["output"].items():
             assert np.max(np.abs(op - want["output"][key])) <= 1e-12, (name, key)
         assert abs(sc["deviation"] - want["deviation"]) <= 1e-12, name
+
+
+if __name__ == "__main__":
+    _write_golden()

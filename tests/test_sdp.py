@@ -68,7 +68,7 @@ def captured_problem(fn, *args):
     class Captured(Exception):
         pass
 
-    def capture(self, prob, config=None):
+    def capture(self, prob, max_iter=sdp.MAX_ITER):
         raise Captured(prob)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -376,7 +376,7 @@ class TestWitness:
 
         def run():
             prob = TestFidelityBlock.fidelity_ball_problem(np.diag(p), np.diag(s), lam, target)
-            return sdp.solve(prob, sdp.SDPConfig(max_iter=60000))
+            return sdp.solve(prob, max_iter=60000)
 
         checked = run()
         monkeypatch.setattr(sdp.Session, "witness", lambda self, d: (None, None, 0.0, 0.0))
@@ -403,7 +403,7 @@ class TestGeneratedSuite:
                 sdp.AffineExpr.const_expr(rho + 5e-3 * np.eye(d)).plus_var("X", -1.0)
             )
             prob.require_eq(sdp.trace_functional("X", d, const=-1.0))
-            res = sdp.solve(prob, sdp.SDPConfig(max_iter=50000))
+            res = sdp.solve(prob, max_iter=50000)
             assert res.status == "feasible", f"trial {trial}"
             assert res.iterations <= 50000
 
@@ -473,7 +473,7 @@ class TestFidelityBlock:
         lam_star = oracles.dmax_smooth_classical_oracle(p, s, eps)
         for lam in np.linspace(lam_star - 1.0, lam_star + 1.0, 20):
             prob = self.fidelity_ball_problem(np.diag(p), np.diag(s), lam, target)
-            res = sdp.solve(prob, sdp.SDPConfig(max_iter=60000))
+            res = sdp.solve(prob, max_iter=60000)
             should_be_feasible = lam >= lam_star
             if abs(lam - lam_star) < 2e-3:
                 continue  # too close to the boundary to classify numerically
