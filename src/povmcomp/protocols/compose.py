@@ -46,7 +46,7 @@ from .compress import (
 )
 from .cdcqsi import SequentialDecoder
 from .hashing import HashScheme, draw_hash, identity_hash
-from .prep import PreparedInstance, prepare, side_correction, thresholds
+from .prep import PreparedInstance, prepare, thresholds
 
 # a hashed link tabulates its fibers and every index's class per coin, which
 # takes memory linear in 2^logL
@@ -181,7 +181,8 @@ def _axis_stage(
             k = int(k_str)
             tests[(k, sym)] = op[k * d_b : (k + 1) * d_b, k * d_b : (k + 1) * d_b]
         ihyp_kl, _ = ent.i_hyp_weighted_cq(symbols, weights, blocks, eps0)
-    ih_axis = side_correction(prep, eps0 / 2.0, axis)
+    # I_H^(eps0/2)(axis : B), which thresholds computed at the same eps0
+    ih_axis = th["ih_x_b"] if axis == "X" else th["ih_y_b"]
     if math.isinf(ihyp_kl):
         realized = 0
         check = math.inf

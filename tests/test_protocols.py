@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from povmcomp import entropies as ent
 from povmcomp import io, sdp
 from povmcomp import protocols as P
 from povmcomp.budget import OneShotBudget
@@ -82,7 +83,8 @@ def test_block_distance_is_the_same_in_every_process():
 
 
 # Golden pins: every value below was recorded as float.hex at eps 0.1,
-# seed 1 and log_const 0 (``python tests/test_protocols.py`` rewrites the
+# seed 1 and log_const 0, with the status of every SDP solve of
+# ``thresholds`` in call order (``python tests/test_protocols.py`` rewrites the
 # file).  Codebook plans come from explicit integer budgets, not from
 # budget_from_thresholds; the X links of the two instances with a B
 # register hash 3 message bits to 2.
@@ -126,7 +128,11 @@ def _solve_instance(name: str):
 
 def _threshold_pins(th: dict, results) -> dict:
     statuses = [res.status for res in results]
-    return {"thresholds": _hex(th), "verdicts": {v: statuses.count(v) for v in VERDICTS}}
+    return {
+        "thresholds": _hex(th),
+        "verdicts": {v: statuses.count(v) for v in VERDICTS},
+        "statuses": statuses,
+    }
 
 
 def _protocol_runs(name: str, prep):
@@ -176,7 +182,10 @@ def _golden() -> dict:
 def test_golden_thresholds_with_certified_verdicts(solved):
     name, _, th, results = solved
     want = _golden()[name]
-    assert _threshold_pins(th, results) == {k: want[k] for k in ("thresholds", "verdicts")}
+    # the per-solve verdict sequence, not only its counts
+    assert _threshold_pins(th, results) == {
+        k: want[k] for k in ("thresholds", "verdicts", "statuses")
+    }
     for res in results:
         if res.status == "infeasible":
             gap, resid = res.residuals["witness_gap"], res.residuals["witness_resid"]
@@ -213,6 +222,26 @@ def test_golden_protocol_runs(solved):
         out = _composition(name, prep)
         assert _hex(out) == _golden()[name]["compose"]
         assert out["composition_check"] >= -1.0
+
+
+def test_centralised_reads_cached_side_corrections(solved, monkeypatch):
+    # thresholds hold I_H^(eps0/2)(X:B) and (Y:B); the run makes no i_hyp_cq call of its own
+    name, prep, _, _ = solved
+    calls = []
+    i_hyp_cq = ent.i_hyp_cq
+
+    def counting_i_hyp_cq(*args, **kwargs):
+        calls.append(args)
+        return i_hyp_cq(*args, **kwargs)
+
+    monkeypatch.setattr(ent, "i_hyp_cq", counting_i_hyp_cq)
+    run = P.centralised_protocol(
+        prep, GOLDEN_BUDGETS[name], GOLDEN_SEED, log_const=GOLDEN_C,
+        wire_override=GOLDEN_WIRE.get(name),
+    )
+    assert calls == []
+    want = _golden()[name]["centralised"]
+    assert _hex({sc: out["deviation"] for sc, out in run["scenarios"].items()}) == want
 
 
 def test_golden_regions(solved):

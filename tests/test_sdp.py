@@ -141,13 +141,21 @@ class TestBatchedCone:
             assert np.allclose(back, mats, atol=1e-14)
 
     def test_projection_matches_per_block_oracle(self):
+        # the d >= 3 blocks keep the oracle's eigh bits; the 2x2 blocks are
+        # projected in closed form, so they match it to rounding
         sess = sdp.Session(interleaved_blocks_problem())
         assert sess.block_dims == [2, 3, 2, 4, 3]
+        small = small_block_slots(sess)
         rng = np.random.default_rng(7)
         for _ in range(20):
             y = rng.normal(size=sess.total)
-            assert np.array_equal(sess.project_cone(y), oracles.project_cone_per_block(sess, y))
-            assert sess.cone_violation(y) == oracles.cone_violation_per_block(sess, y)
+            got, want = sess.project_cone(y), oracles.project_cone_per_block(sess, y)
+            assert np.array_equal(got[~small], want[~small])
+            tol = 1e-14 * (1.0 + np.linalg.norm(y[small]))
+            assert np.max(np.abs(got[small] - want[small])) <= tol
+            assert sess.cone_violation(y) == pytest.approx(
+                oracles.cone_violation_per_block(sess, y), abs=tol
+            )
 
     @pytest.mark.parametrize("which", ["box", "marginal_kron", "interleaved"])
     def test_solve_identical_to_per_block_oracle(self, which, monkeypatch):
@@ -163,6 +171,130 @@ class TestBatchedCone:
             assert batched.warm.tobytes() == looped.warm.tobytes()
         for lab, mat in looped.assignment.items():
             assert batched.assignment[lab].tobytes() == mat.tobytes()
+
+
+def small_block_slots(sess) -> np.ndarray:
+    """Mask of the iterate slots that belong to PSD blocks of dimension <= 2."""
+    mask = np.zeros(sess.total, dtype=bool)
+    pos = sess.n_vars
+    for d in sess.block_dims:
+        mask[pos : pos + d * d] = d <= 2
+        pos += d * d
+    return mask
+
+
+def small_blocks_problem(n_pairs):
+    """X on C^2 required PSD n_pairs times as a 2x2 block and as its 1x1
+    trailing entry, Tr X = 1."""
+    prob = sdp.SDProblem()
+    prob.add_var("X", 2)
+    for _ in range(n_pairs):
+        prob.require_psd(sdp.AffineExpr.zero(2).plus_var("X"))
+        prob.require_psd(sdp.AffineExpr.zero(1).plus_subblock("X", 1, np.eye(1)))
+    prob.require_eq(sdp.trace_functional("X", 2, const=-1.0))
+    return prob
+
+
+def special_2x2_blocks(rng):
+    """2x2 Hermitian blocks on and around the cases of the closed form."""
+    u = rng.normal(size=2) + 1j * rng.normal(size=2)
+    u /= np.linalg.norm(u)
+    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    tiny = np.array([[0.0, 1e-300 + 1e-300j], [1e-300 - 1e-300j, 0.0]])
+    small = np.array([[0.0, 1e-9 - 2e-9j], [1e-9 + 2e-9j, 0.0]])
+    return [
+        a @ a.conj().T,  # PSD
+        -(a @ a.conj().T),  # NSD
+        2.5 * np.outer(u, u.conj()),  # rank one: the smaller eigenvalue is 0
+        -2.5 * np.outer(u, u.conj()),
+        np.diag([1.7, 0.0]),  # rank one, exactly
+        np.diag([0.0, -0.3]),
+        3.0 * np.eye(2),  # multiples of I: r = 0
+        -0.4 * np.eye(2),
+        np.zeros((2, 2)),
+        np.diag([1.0, -1.0]) + tiny,  # tiny off-diagonal parts
+        np.diag([0.5, 0.5]) + small,
+        np.diag([-0.5, -0.5]) + small,
+        np.diag([1e-12, -1e-12]) + small,
+        np.diag([2.0, -3.0]) + small,
+    ]
+
+
+class TestSmallBlockKernel:
+    """The closed-form projection of the 1x1 and 2x2 PSD blocks."""
+
+    @staticmethod
+    def blocks_in_iterate(sess, blocks):
+        """An iterate whose 2x2 slots hold ``blocks`` and whose 1x1 slots
+        hold the blocks' (1, 0) real parts."""
+        y = np.zeros(sess.total)
+        pos = sess.n_vars
+        for d, block in zip(sess.block_dims, np.repeat(blocks, 2, axis=0)):
+            y[pos : pos + d * d] = sdp.herm_to_rvec(block) if d == 2 else block[1, 0].real
+            pos += d * d
+        return y
+
+    def random_blocks(self, rng):
+        blocks = [oracles.random_hermitian(rng, 2) * scale for scale in (1e-8, 1.0, 1e4)]
+        return blocks + special_2x2_blocks(rng)
+
+    def test_matches_eigh_projection(self):
+        rng = np.random.default_rng(12)
+        for _ in range(30):
+            blocks = self.random_blocks(rng)
+            sess = sdp.Session(small_blocks_problem(len(blocks)))
+            y = self.blocks_in_iterate(sess, blocks)
+            got, want = sess.project_cone(y), oracles.project_cone_per_block(sess, y)
+            pos = sess.n_vars
+            for d, block in zip(sess.block_dims, np.repeat(blocks, 2, axis=0)):
+                part = slice(pos, pos + d * d)
+                tol = 1e-14 * (1.0 + np.linalg.norm(y[part]))
+                assert np.max(np.abs(got[part] - want[part])) <= tol, block
+                pos += d * d
+
+    def test_psd_blocks_are_kept_and_nsd_blocks_cleared(self):
+        rng = np.random.default_rng(13)
+        a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        blocks = [a @ a.conj().T, np.diag([1.7, 0.0]), -(a @ a.conj().T), -0.4 * np.eye(2)]
+        sess = sdp.Session(small_blocks_problem(len(blocks)))
+        y = self.blocks_in_iterate(sess, blocks)
+        out = sess.project_cone(y)
+        n = sess.n_vars
+        assert np.array_equal(out[n : n + 4], y[n : n + 4])
+        assert np.array_equal(out[n + 5 : n + 9], y[n + 5 : n + 9])
+        assert not np.any(out[n + 10 : n + 14]) and not np.any(out[n + 15 : n + 19])
+
+    @pytest.mark.parametrize("which", ["small", "interleaved"])
+    def test_moreau_identities(self, which):
+        # y = P(y) - P(-y) and <P(y), P(-y)> = 0 on the cone slots
+        rng = np.random.default_rng(14)
+        blocks = self.random_blocks(rng)
+        if which == "small":
+            sess = sdp.Session(small_blocks_problem(len(blocks)))
+            ys = [self.blocks_in_iterate(sess, blocks)]
+        else:
+            sess = sdp.Session(interleaved_blocks_problem())
+            ys = []
+        ys += [rng.normal(size=sess.total) for _ in range(10)]
+        n = sess.n_vars
+        for y in ys:
+            plus, minus = sess.project_cone(y)[n:], sess.project_cone(-y)[n:]
+            tol = 1e-14 * (1.0 + np.linalg.norm(y[n:]))
+            assert np.max(np.abs(plus - minus - y[n:])) <= tol
+            assert abs(plus @ minus) <= tol * (1.0 + np.linalg.norm(y[n:]))
+
+    def test_cone_violation_is_minus_least_eigenvalue(self):
+        rng = np.random.default_rng(15)
+        for _ in range(30):
+            blocks = self.random_blocks(rng)
+            sess = sdp.Session(small_blocks_problem(len(blocks)))
+            y = self.blocks_in_iterate(sess, blocks)
+            least = min(
+                min(np.linalg.eigvalsh(b)[0] for b in blocks),
+                min(b[1, 0].real for b in blocks),
+            )
+            tol = 1e-14 * (1.0 + np.abs(y).max())
+            assert sess.cone_violation(y) == pytest.approx(max(-least, 0.0), abs=tol)
 
 
 class TestFusedAffine:
@@ -350,8 +482,8 @@ class TestWitness:
         # and a value <= -gap + |r| sqrt 3 < 0: no feasible X exists
         assert gap - np.linalg.norm(r) * np.sqrt(3) > 0
 
-    @pytest.mark.parametrize("which", ["box", "interleaved", "marginal_kron_psd"])
-    def test_no_witness_fires_on_feasible_problems(self, which):
+    @staticmethod
+    def assert_no_witness_fires(which, relax):
         sess = sdp.Session(named_problem(which))
         assert sess.solve().status == "feasible"
         # every displacement of a longer run than the solve needs
@@ -359,8 +491,17 @@ class TestWitness:
         for _ in range(400):
             pa = sess.project_affine(y)
             pk = sess.project_cone(2 * pa - y)
-            y = y + pk - pa
+            y = y + relax * (pk - pa)
             assert not fires(*sess.witness(pa - pk)[2:])
+
+    @pytest.mark.parametrize("which", ["box", "interleaved", "marginal_kron_psd"])
+    def test_no_witness_fires_on_feasible_problems(self, which):
+        self.assert_no_witness_fires(which, 1.0)
+
+    @pytest.mark.parametrize("which", ["box", "interleaved", "marginal_kron_psd"])
+    def test_no_witness_fires_under_the_relaxed_step(self, which):
+        # the solver's step y + RELAX (pk - pa)
+        self.assert_no_witness_fires(which, sdp.RELAX)
 
     def test_indefinite_marginal_kron_is_certified(self):
         res = sdp.solve(named_problem("marginal_kron"))
