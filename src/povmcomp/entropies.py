@@ -431,21 +431,13 @@ def _bisect_lambda(feasible, lo: float, hi: float) -> float:
     return hi
 
 
-def _session_runner(make_prob, constants_only: bool):
-    """Feasibility closure over lambda with solver-session reuse.
-
-    ``constants_only`` marks programs where lambda enters the constant parts
-    alone, so the factorized session can be kept across bisection steps.
-    """
-    state: dict = {"session": None, "warm": None}
+def _session_runner(make_prob):
+    """Feasibility closure over lambda: one solver session per probe, warm
+    started from the last feasible probe."""
+    state: dict = {"warm": None}
 
     def feasible(lam: float) -> bool:
-        prob = make_prob(lam)
-        if state["session"] is None or not constants_only:
-            state["session"] = sdp.Session(prob)
-        else:
-            state["session"].update_constants(prob)
-        res = state["session"].solve(warm=state["warm"])
+        res = sdp.Session(make_prob(lam)).solve(warm=state["warm"])
         if res.status == "feasible":
             state["warm"] = res.warm
         return res.status == "feasible"
@@ -453,30 +445,66 @@ def _session_runner(make_prob, constants_only: bool):
     return feasible
 
 
+def _capped_ball(rho, sigma, eps: float, lam: float | None) -> sdp.SDProblem:
+    """The program of D_max^eps(rho || sigma): rho' in the fidelity ball of
+    rho, split into the components of the joint support pattern, with each
+    component's cap 2^lam sigma_c - rho'_c PSD.
+
+    With ``lam`` None the cap is t sigma_c - rho'_c with t a 1x1 variable,
+    and the objective is min t, whose optimum is 2^(D_max^eps).
+    """
+    comps = _support_components([rho, sigma])
+    rho_blocks = [rho[np.ix_(c, c)] for c in comps]
+    prob, infos = _fidelity_ball_problem(rho_blocks, math.sqrt(max(0.0, 1.0 - eps * eps)))
+    if lam is None:
+        prob.add_var("t", 1)
+        prob.objective = sdp.trace_functional("t", 1)
+    for c, info in zip(comps, infos):
+        sb = sigma[np.ix_(c, c)]
+        if lam is None:
+            cap = sdp.AffineExpr.zero(len(c)).plus_kron(sb, "t")
+        else:
+            cap = sdp.AffineExpr.const_expr(2.0**lam * sb)
+        _ball_block_term(cap, info, -1.0)
+        prob.require_psd(cap)
+    return prob
+
+
 def d_max_smooth(rho, sigma, eps: float) -> float:
-    """Smoothed max relative entropy over the purified-distance ball."""
+    """Smoothed max relative entropy over the purified-distance ball.
+
+    One ``sdp.minimize`` solve of min t over ``_capped_ball(..., None)``
+    gives v = log2 t, and v is returned only with two certificates:
+
+    - v is feasible: ``sdp.recheck`` accepts the solve's rho' in the
+      fixed-lambda program ``_capped_ball(..., v)``;
+    - v - BISECT_TOL_BITS is infeasible: the solve's dual z, projected onto
+      the cone and normalised, is a Farkas witness (``sdp.witness_fires``)
+      of the fixed-lambda program at v - BISECT_TOL_BITS.
+
+    So the value lies in (v - BISECT_TOL_BITS, v].  Raises SolverError when
+    the solve ends without an optimum or either certificate fails.
+    """
     eps = _validate_eps(eps)
     rho = la.assert_density(rho)
     sigma = la.assert_psd(sigma)
     if eps == 0.0:
         return d_max(rho, sigma)
-    comps = _support_components([rho, sigma])
-    rho_blocks = [rho[np.ix_(c, c)] for c in comps]
-    sigma_blocks = [sigma[np.ix_(c, c)] for c in comps]
-    target_f = math.sqrt(max(0.0, 1.0 - eps * eps))
-
-    def make_prob(lam: float) -> sdp.SDProblem:
-        prob, infos = _fidelity_ball_problem(rho_blocks, target_f)
-        for sb, info in zip(sigma_blocks, infos):
-            cap = sdp.AffineExpr.const_expr(2.0**lam * sb)
-            _ball_block_term(cap, info, -1.0)
-            prob.require_psd(cap)
-        return prob
-
-    feasible = _session_runner(make_prob, constants_only=True)
-    hint = d_max(rho, sigma)
-    hi = 1.0 if math.isinf(hint) else hint + 1e-6
-    return _bisect_lambda(feasible, hi - 1.0, hi)
+    res = sdp.minimize(_capped_ball(rho, sigma, eps, None))
+    if res.status != "optimal":
+        raise SolverError(f"D_max^eps solve ended {res.status}", res.residuals)
+    value = math.log2(float(res.assignment["t"][0, 0].real))
+    ok, checked = sdp.recheck(_capped_ball(rho, sigma, eps, value), res.assignment)
+    if not ok:
+        raise SolverError(f"D_max^eps = {value} not certified feasible", checked)
+    lo = sdp.Program(_capped_ball(rho, sigma, eps, value - BISECT_TOL_BITS))
+    _, _, gap, resid = lo.farkas(res.dual[0])
+    if not sdp.witness_fires(gap, resid):
+        raise SolverError(
+            f"D_max^eps = {value} - {BISECT_TOL_BITS} not certified infeasible",
+            {"witness_gap": gap, "witness_resid": resid},
+        )
+    return value
 
 
 def i_max_smooth(rho_ab, dims: tuple[int, int], eps: float) -> float:
@@ -547,7 +575,7 @@ def i_max_tilde(rho_ab, dims: tuple[int, int], eps: float) -> float:
             prob.require_psd(cap)
             return prob
 
-    feasible = _session_runner(make_prob, constants_only=False)
+    feasible = _session_runner(make_prob)
     sigma = la.tensor(rho_a, la.partial_trace(rho_ab, lay, ["B"]))
     hint = d_max(rho_ab, sigma)
     hi = 1.0 if math.isinf(hint) else hint + 1e-6

@@ -349,6 +349,52 @@ def probe_columns_per_basis(session) -> np.ndarray:
     return cols
 
 
+def farkas_from_expressions(prob, slack: np.ndarray) -> tuple[float, float]:
+    """(gap, |r|) of the Farkas witness an SDP's slack-side vector gives,
+    evaluated from the problem's own expressions.
+
+    ``slack`` holds one rvec per PSD constraint, then one weight per
+    inequality.  Each block is projected onto the PSD cone by its
+    eigenvalues, the weights are clipped at 0, and the whole is normalised
+    to w.  With F(x) = sum_b <W_b, E_b(x)> + sum_i w_i g_i(x) + sum_j nu_j h_j(x)
+    over the PSD expressions E_b, inequalities g_i and equalities h_j,
+    gap = -F(0) and r is F's gradient over the rvec coordinates, probed one
+    basis matrix at a time, with nu the least-squares multiplier.
+    """
+    blocks, pos = [], 0
+    for expr in prob.psd_constraints:
+        w, v = np.linalg.eigh(_rvec_to_herm_single(slack[pos : pos + expr.dim**2], expr.dim))
+        blocks.append((v * np.clip(w, 0.0, None)) @ v.conj().T)
+        pos += expr.dim**2
+    weights = np.clip(slack[pos:], 0.0, None)
+    norm = math.sqrt(sum(float(np.sum(np.abs(b) ** 2)) for b in blocks) + weights @ weights)
+    blocks, weights = [b / norm for b in blocks], weights / norm
+
+    def cone_part(assign, linear):
+        val = sum(
+            float(np.real(np.sum(b.conj() * (e.evaluate_linear(assign) if linear else e.const))))
+            for b, e in zip(blocks, prob.psd_constraints)
+        )
+        for wi, iq in zip(weights, prob.inequalities):
+            val += wi * (iq.evaluate(assign) - iq.const if linear else iq.const)
+        return val
+
+    assign = {lab: np.zeros((d, d), dtype=complex) for lab, d in prob.variables}
+    grad, eq_rows = [], []
+    for lab, d in prob.variables:
+        for k in range(d * d):
+            basis = np.zeros(d * d)
+            basis[k] = 1.0
+            assign[lab] = _rvec_to_herm_single(basis, d)
+            grad.append(cone_part(assign, True))
+            eq_rows.append([eq.evaluate(assign) - eq.const for eq in prob.equalities])
+            assign[lab] = np.zeros((d, d), dtype=complex)
+    grad, eq_rows = np.array(grad), np.array(eq_rows).reshape(len(grad), len(prob.equalities))
+    nu = -np.linalg.lstsq(eq_rows, grad, rcond=None)[0]
+    gap = -(cone_part(assign, False) + sum(n * eq.const for n, eq in zip(nu, prob.equalities)))
+    return gap, float(np.linalg.norm(grad + eq_rows @ nu))
+
+
 class PerMessageStageDecoder:
     """Decode branches of one centralised link, built per (coin, wire message).
 

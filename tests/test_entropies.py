@@ -294,7 +294,7 @@ class TestDMaxSmooth:
             eps = float(rng.uniform(0.05, 0.3))
             mine = ent.d_max_smooth(np.diag(p), np.diag(s), eps)
             oracle = oracles.dmax_smooth_classical_oracle(p, s, eps)
-            assert abs(mine - oracle) < 2e-3, (p, s, eps)
+            assert abs(mine - oracle) < ent.BISECT_TOL_BITS, (p, s, eps)
 
     def test_monotone_and_bounded(self):
         v = np.zeros(3, dtype=complex)
@@ -313,6 +313,18 @@ class TestIMax:
         for eps in (0.05, 0.2):
             assert abs(ent.i_max_smooth(rho, (2, 2), eps)) < 2e-3
             assert abs(ent.i_max_tilde(rho, (2, 2), eps)) < 2e-3
+
+    def test_same_value_on_a_padded_register(self):
+        # sqrt(0.978)|00> + sqrt(0.022)|11> with B of dimension 3 is the same
+        # state as with B of dimension 2, padded by an unused level
+        def state(db):
+            v = np.zeros(2 * db, dtype=complex)
+            v[0], v[db + 1] = math.sqrt(0.978), math.sqrt(0.022)
+            return np.outer(v, v.conj())
+
+        padded = ent.i_max_smooth(state(3), (2, 3), 0.05)
+        plain = ent.i_max_smooth(state(2), (2, 2), 0.05)
+        assert abs(padded - plain) <= ent.BISECT_TOL_BITS
 
     def test_classical_correlated_eps0(self):
         rho = np.diag([0.5, 0.0, 0.0, 0.5]).astype(complex)

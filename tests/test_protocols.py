@@ -83,9 +83,9 @@ def test_block_distance_is_the_same_in_every_process():
 
 
 # Golden pins: every value below was recorded as float.hex at eps 0.1,
-# seed 1 and log_const 0, with the status of every SDP solve of
-# ``thresholds`` in call order (``python tests/test_protocols.py`` rewrites the
-# file).  Codebook plans come from explicit integer budgets, not from
+# seed 1 and log_const 0, with the status of every ``sdp.minimize`` solve
+# of ``thresholds`` in call order (``python tests/test_protocols.py`` rewrites
+# the file).  Codebook plans come from explicit integer budgets, not from
 # budget_from_thresholds; the X links of the two instances with a B
 # register hash 3 message bits to 2.
 GOLDEN_PATH = Path(__file__).resolve().parent / "golden_protocols.json"
@@ -101,7 +101,6 @@ GOLDEN_BUDGETS = {
 GOLDEN_WIRE = {"classical_commuting": {"X": 2}, "qubit_entangled_side_info": {"X": 2}}
 ONE_SHOT_INSTANCES = ("trivial", "instrument_derived")
 COMPOSE_INSTANCES = ("trivial", "qubit_entangled_side_info")
-VERDICTS = ("feasible", "infeasible", "maxIterations")
 
 
 def _hex(values) -> dict | list:
@@ -111,28 +110,31 @@ def _hex(values) -> dict | list:
 
 
 def _solve_instance(name: str):
-    """(prep, thresholds at log_const 0, every SDP result the thresholds made)."""
-    results = []
-    solve = sdp.Session.solve
+    """(prep, thresholds at log_const 0, and per smooth D_max the thresholds
+    took: its arguments (rho, sigma, eps), its value and its ``sdp.minimize``
+    result)."""
+    calls, results = [], []
+    d_max_smooth, minimize = ent.d_max_smooth, sdp.minimize
 
-    def recording_solve(self, warm=None):
-        results.append(solve(self, warm))
+    def recording_d_max_smooth(rho, sigma, eps):
+        calls.append((rho, sigma, eps, d_max_smooth(rho, sigma, eps)))
+        return calls[-1][-1]
+
+    def recording_minimize(prob):
+        results.append(minimize(prob))
         return results[-1]
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sdp.Session, "solve", recording_solve)
+        mp.setattr(ent, "d_max_smooth", recording_d_max_smooth)
+        mp.setattr(sdp, "minimize", recording_minimize)
         prep = P.prepare(io.load_bundled(name))
         th = P.thresholds(prep, GOLDEN_EPS, GOLDEN_C)
-    return name, prep, th, results
+    assert len(calls) == len(results)
+    return name, prep, th, list(zip(calls, results))
 
 
-def _threshold_pins(th: dict, results) -> dict:
-    statuses = [res.status for res in results]
-    return {
-        "thresholds": _hex(th),
-        "verdicts": {v: statuses.count(v) for v in VERDICTS},
-        "statuses": statuses,
-    }
+def _threshold_pins(th: dict, solves) -> dict:
+    return {"thresholds": _hex(th), "statuses": [res.status for _, res in solves]}
 
 
 def _protocol_runs(name: str, prep):
@@ -180,16 +182,18 @@ def _golden() -> dict:
 
 
 def test_golden_thresholds_with_certified_verdicts(solved):
-    name, _, th, results = solved
+    name, _, th, solves = solved
     want = _golden()[name]
-    # the per-solve verdict sequence, not only its counts
-    assert _threshold_pins(th, results) == {
-        k: want[k] for k in ("thresholds", "verdicts", "statuses")
-    }
-    for res in results:
-        if res.status == "infeasible":
-            gap, resid = res.residuals["witness_gap"], res.residuals["witness_resid"]
-            assert gap > 0 and resid <= sdp.WITNESS_RATIO * gap
+    assert _threshold_pins(th, solves) == {k: want[k] for k in ("thresholds", "statuses")}
+    # both certificates of every value v, checked again from the programs'
+    # expressions: the solve's rho' is feasible at v, and its dual is a
+    # Farkas witness at v - BISECT_TOL_BITS
+    for (rho, sigma, eps, value), res in solves:
+        primal = sdp._recheck(ent._capped_ball(rho, sigma, eps, value), res.assignment)
+        assert primal["primal"] <= 10 * sdp.FEASIBLE_TOL and primal["gap"] <= 10 * sdp.FEASIBLE_TOL
+        lo = ent._capped_ball(rho, sigma, eps, value - ent.BISECT_TOL_BITS)
+        gap, resid = oracles.farkas_from_expressions(lo, res.dual[0])
+        assert gap > 0 and resid <= sdp.WITNESS_RATIO * gap
 
 
 def _hashed_axes(run: dict) -> set:
@@ -263,8 +267,8 @@ def test_default_budget_is_planned(solved, log_const):
 def _write_golden() -> None:
     payload = {}
     for name in io.BUNDLED:
-        _, prep, th, results = _solve_instance(name)
-        pins = _threshold_pins(th, results)
+        _, prep, th, solves = _solve_instance(name)
+        pins = _threshold_pins(th, solves)
         pins.update(_run_pins(*_protocol_runs(name, prep)))
         pins["iid_region"] = _hex(h.rhs for h in P.iid_region(prep).constraints)
         if name in ONE_SHOT_INSTANCES:

@@ -3,6 +3,7 @@ import pytest
 
 from povmcomp import entropies as ent
 from povmcomp import io, sdp
+from povmcomp import linalg as la
 from povmcomp.protocols import prep as prep_mod
 
 import oracles
@@ -78,15 +79,22 @@ def captured_problem(fn, *args):
     return info.value.args[0]
 
 
+def marginals_product(rho, dims):
+    """rho_A (x) rho_B of a state on A (x) B, the sigma of I_max."""
+    lay = la.layout(("A", dims[0]), ("B", dims[1]))
+    return la.tensor(la.partial_trace(rho, lay, ["A"]), la.partial_trace(rho, lay, ["B"]))
+
+
 def kernel_problem(which):
     """Problems covering every Term kind: "ball_cap" is d_max_smooth's
-    fidelity-ball program with its cap (id, kron, subblock_conj),
+    fixed-lambda fidelity-ball program with its cap (id, subblock_conj),
     "dense_tilde" i_max_tilde's program for a state that is not cq
     (kron, marginal_product)."""
     rng = np.random.default_rng(11)
     if which == "ball_cap":
         rho = oracles.random_density(rng, 3, rank=2)
-        return captured_problem(ent.d_max_smooth, rho, oracles.random_density(rng, 3), 0.1)
+        sigma = oracles.random_density(rng, 3)
+        return ent._capped_ball(rho, sigma, 0.1, ent.d_max(rho, sigma))
     if which == "dense_tilde":
         return captured_problem(ent.i_max_tilde, oracles.random_density(rng, 4), (2, 2), 0.1)
     return named_problem(which)
@@ -383,33 +391,30 @@ class TestBatchedProbe:
 
 class TestKernelVerdicts:
     def test_smoothing_identical_with_oracle_kernels(self, monkeypatch):
-        """i_max_smooth of qubit_entangled_side_info's X env state keeps its
-        bytes, and every solve its status and iteration count, when the
-        session runs on the factored projection and the per-basis prober."""
+        """d_max_smooth's fixed-lambda program for the smooth I_max of
+        qubit_entangled_side_info's X env state, solved at lambda on both
+        sides of the certified value, keeps every solve's status and
+        iteration count when the session runs on the factored projection and
+        the per-basis prober."""
         prep = prep_mod.prepare(io.load_bundled("qubit_entangled_side_info"))
         cq = prep_mod._x_env_cq(prep)
-        args = (cq.dense(), (len(cq.symbols), prep.dim_e), 0.1)
-        solve = sdp.Session.solve
+        rho = cq.dense()
+        sigma = marginals_product(rho, (len(cq.symbols), prep.dim_e))
+        value = ent.d_max_smooth(rho, sigma, 0.1)
 
         def run():
-            verdicts = []
-
-            def recording_solve(self, warm=None):
-                res = solve(self, warm)
-                verdicts.append((res.status, res.iterations))
-                return res
-
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(sdp.Session, "solve", recording_solve)
-                value = ent.i_max_smooth(*args)
-            return float(value).hex(), verdicts
+            out = []
+            for lam in (value - 0.1, value - 0.01, value + 0.01, value + 0.1):
+                res = sdp.Session(ent._capped_ball(rho, sigma, 0.1, lam)).solve()
+                out.append((res.status, res.iterations))
+            return out
 
         kernels = run()
         monkeypatch.setattr(sdp.Session, "project_affine", oracles.project_affine_factored)
         monkeypatch.setattr(sdp.Session, "_columns", oracles.probe_columns_per_basis)
         factored = run()
         assert kernels == factored
-        assert {status for status, _ in kernels[1]} == {"feasible", "infeasible"}
+        assert [status for status, _ in kernels] == ["infeasible"] * 2 + ["feasible"] * 2
 
 
 class TestFeasibility:
@@ -576,8 +581,37 @@ class TestGeneratedSuite:
         prob.require_psd(sdp.AffineExpr.zero(2).plus_var("X"))
         prob.objective = sdp.trace_functional("X", 2)
         res = sdp.solve(prob)
-        assert res.status == "feasible"
-        assert abs(np.trace(res.assignment["X"]).real - 1.0) < 5e-3
+        assert res.status == "optimal"
+        assert abs(np.trace(res.assignment["X"]).real - 1.0) <= 1e-6
+
+
+class TestMinimize:
+    """The interior-point solve behind d_max_smooth."""
+
+    def test_d_max_smooth_certifies_on_random_states(self):
+        # every (dims, rank) state at two of the four eps, every eps on four states
+        rng = np.random.default_rng(21)
+        cases = [(dims, rank) for dims in ((2, 2), (2, 3), (3, 2), (3, 3)) for rank in (1, None)]
+        for i, (dims, rank) in enumerate(cases):
+            rho = oracles.random_density(rng, dims[0] * dims[1], rank=rank)
+            sigma = marginals_product(rho, dims)
+            top = ent.d_max(rho, sigma)
+            for eps in (0.05, 0.1, 0.2, 0.3)[i % 2 :: 2]:
+                # d_max_smooth raises SolverError unless both certificates pass
+                assert ent.d_max_smooth(rho, sigma, eps) <= top + 1e-9, (dims, rank, eps)
+
+    def test_d_max_smooth_certifies_at_small_eps(self):
+        # a thin fidelity ball, on which the dual z grows large: the solve
+        # must still stop with a dual residual the witness accepts
+        rng = np.random.default_rng(1)
+        for dims in ((2, 2), (2, 3)):
+            d = dims[0] * dims[1]
+            w = rng.dirichlet(np.ones(d) * 0.2)
+            u = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+            rho = (u * w) @ u.conj().T
+            sigma = marginals_product(rho, dims)
+            for eps in (0.001, 0.01):
+                assert ent.d_max_smooth(rho, sigma, eps) <= ent.d_max(rho, sigma) + 1e-9, (dims, eps)
 
 
 class TestFidelityBlock:
