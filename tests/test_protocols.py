@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import conftest  # noqa: F401  one BLAS thread, also when run as the pin writer
 import numpy as np
 import pytest
 
