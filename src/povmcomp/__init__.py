@@ -2,7 +2,7 @@
 
 Library layers, bottom up: ``linalg`` (dense Hermitian operations),
 ``qobjects`` (POVMs, instruments, classical-quantum states), ``sdp``
-(dense feasibility engine), ``entropies`` (one-shot entropic quantities),
+(dense interior-point engine), ``entropies`` (one-shot entropic quantities),
 ``splitting`` (rate splitting), ``covering`` (covering experiments and
 GOOD-set extraction), ``protocols`` (end-to-end simulators and rate
 regions).

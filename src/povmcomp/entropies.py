@@ -407,42 +407,33 @@ def _fidelity_ball_problem(
     return prob, infos
 
 
-def _bisect_lambda(feasible, lo: float, hi: float) -> float:
-    """Smallest feasible lambda to BISECT_TOL_BITS, assuming monotonicity."""
-    grow = 1.0
-    while not feasible(hi):
-        lo = hi
-        hi += grow
-        grow *= 2.0
-        if hi > 80.0:
-            raise SolverError("no feasible lambda found up to 2^80")
-    while feasible(lo):
-        hi = lo
-        lo -= grow
-        grow *= 2.0
-        if lo < -80.0:
-            return hi
+def _bisect_lambda(verdict, hi: float) -> float:
+    """Least feasible lambda in [0, hi] to BISECT_TOL_BITS, for a program
+    that is feasible at hi, infeasible below 0 and monotone in lambda.
+
+    ``verdict(lam)`` is the ``sdp.solve`` status of the program at lam.
+    The returned lambda is hi or was certified "feasible", and lambda -
+    BISECT_TOL_BITS is at most 0 or was certified "infeasible".  An
+    "unknown" probe at mid puts the boundary within the solver's resolution
+    of mid, so the bisection probes mid -+ BISECT_TOL_BITS / 2 instead and
+    raises SolverError unless both certify.
+    """
+    lo, step = 0.0, BISECT_TOL_BITS / 2
     while hi - lo > BISECT_TOL_BITS:
         mid = (lo + hi) / 2
-        if feasible(mid):
+        status = verdict(mid)
+        if status == "unknown":
+            below, above = verdict(mid - step), verdict(mid + step)
+            if (below, above) == ("infeasible", "feasible"):
+                return mid + step
+            if below != above or below == "unknown":
+                raise SolverError(f"lambda = {mid} -+ {step} not certified: {below}, {above}")
+            mid, status = (mid + step if below == "infeasible" else mid - step), below
+        if status == "feasible":
             hi = mid
         else:
             lo = mid
     return hi
-
-
-def _session_runner(make_prob):
-    """Feasibility closure over lambda: one solver session per probe, warm
-    started from the last feasible probe."""
-    state: dict = {"warm": None}
-
-    def feasible(lam: float) -> bool:
-        res = sdp.Session(make_prob(lam)).solve(warm=state["warm"])
-        if res.status == "feasible":
-            state["warm"] = res.warm
-        return res.status == "feasible"
-
-    return feasible
 
 
 def _capped_ball(rho, sigma, eps: float, lam: float | None) -> sdp.SDProblem:
@@ -529,7 +520,14 @@ def _is_cq_in_first_register(rho: np.ndarray, dims: tuple[int, int], tol=1e-11) 
 
 
 def i_max_tilde(rho_ab, dims: tuple[int, int], eps: float) -> float:
-    """Tilde smooth max information: the second marginal varies with rho'."""
+    """Tilde smooth max information: the second marginal varies with rho'.
+
+    The cap 2^lambda rho_A (x) rho'_B - rho' is not jointly linear in
+    lambda and rho', so lambda is bisected on phase-I ``sdp.solve`` probes
+    over [0, D_max(rho || rho_A (x) rho_B) + 1e-6], with no probe at either
+    end: the cap has trace 2^lambda - 1, negative below 0, and rho' = rho
+    lies in the ball and meets the cap at the top.
+    """
     eps = _validate_eps(eps)
     rho_ab = la.assert_density(rho_ab)
     da, db = dims
@@ -575,11 +573,8 @@ def i_max_tilde(rho_ab, dims: tuple[int, int], eps: float) -> float:
             prob.require_psd(cap)
             return prob
 
-    feasible = _session_runner(make_prob)
     sigma = la.tensor(rho_a, la.partial_trace(rho_ab, lay, ["B"]))
-    hint = d_max(rho_ab, sigma)
-    hi = 1.0 if math.isinf(hint) else hint + 1e-6
-    return _bisect_lambda(feasible, hi - 1.0, hi)
+    return _bisect_lambda(lambda lam: sdp.solve(make_prob(lam)).status, d_max(rho_ab, sigma) + 1e-6)
 
 
 # ---------------------------------------------------------------------------

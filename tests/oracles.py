@@ -274,72 +274,28 @@ def _rvec_to_herm_single(vec: np.ndarray, d: int) -> np.ndarray:
     return out
 
 
-def _cone_block_groups(session) -> tuple[dict[int, list[int]], int]:
-    """Iterate offsets of the PSD blocks grouped by dimension, and the
-    position where the scalar inequalities start."""
-    groups: dict[int, list[int]] = {}
-    pos = session.n_vars
-    for d in session.block_dims:
-        groups.setdefault(d, []).append(pos)
-        pos += d * d
-    return groups, pos
-
-
-def project_cone_per_block(session, y: np.ndarray) -> np.ndarray:
-    """Cone projection of an SDP iterate, one matrix conversion per block."""
-    groups, scalar_pos = _cone_block_groups(session)
-    out = y.copy()
-    for d, offsets in groups.items():
-        stack = np.stack([_rvec_to_herm_single(y[o : o + d * d], d) for o in offsets])
-        w, v = np.linalg.eigh(stack)
-        np.clip(w, 0.0, None, out=w)
-        clipped = (v * w[:, None, :]) @ np.conj(np.swapaxes(v, -1, -2))
-        for o, mat in zip(offsets, clipped):
-            out[o : o + d * d] = _herm_to_rvec_single(mat)
-    out[scalar_pos:] = np.clip(y[scalar_pos:], 0.0, None)
+def linear_part(expr, assign: dict) -> np.ndarray:
+    """The linear part of an SDP's affine Hermitian expression at ``assign``:
+    its terms summed from zero, in order, without the constant."""
+    out = np.zeros_like(expr.const)
+    for t in expr.terms:
+        out = out + t.apply(assign[t.var])
     return out
 
 
-def cone_violation_per_block(session, y: np.ndarray) -> float:
-    """Largest cone violation of an SDP iterate, one conversion per block."""
-    groups, scalar_pos = _cone_block_groups(session)
-    viol = 0.0
-    for d, offsets in groups.items():
-        stack = np.stack([_rvec_to_herm_single(y[o : o + d * d], d) for o in offsets])
-        w = np.linalg.eigvalsh(stack)
-        viol = max(viol, -float(w.min()))
-    if y.size > scalar_pos:
-        viol = max(viol, -float(np.min(y[scalar_pos:], initial=0.0)))
-    return viol
-
-
-def project_affine_factored(session, y: np.ndarray) -> np.ndarray:
-    """Affine projection of an SDP iterate in three steps, from the session's
-    G and constants: x = H^-1 (x0 + G^T (s0 - c)) with H = I + G^T G, the
-    equality correction x -= W S^-1 (G_eq x + c_eq) with W = H^-1 G_eq^T and
-    S = G_eq W, and s = G x + c."""
-    g, g_eq, n = session.g_graph, session.g_eq, session.n_vars
-    h_inv = np.linalg.inv(np.eye(n) + g.T @ g)
-    x = h_inv @ (y[:n] + g.T @ (y[n:] - session.c_graph))
-    if session.n_eq:
-        w = h_inv @ g_eq.T
-        x = x - w @ (np.linalg.inv(g_eq @ w) @ (g_eq @ x + session.c_eq))
-    return np.concatenate([x, g @ x + session.c_graph])
-
-
-def probe_columns_per_basis(session) -> np.ndarray:
+def probe_columns_per_basis(program) -> np.ndarray:
     """The SDP's linear map probed one rvec basis vector at a time: each
     column is the problem's linear part at one basis matrix, all other
     variables zero."""
-    prob = session.prob
-    cols = np.zeros((session.n_graph + session.n_eq, session.n_vars))
-    assign = {lab: np.zeros((d, d), dtype=complex) for lab, (_, d) in session.var_offsets.items()}
-    for lab, (o, d) in session.var_offsets.items():
+    prob = program.prob
+    cols = np.zeros((program.n_graph + program.n_eq, program.n_vars))
+    assign = {lab: np.zeros((d, d), dtype=complex) for lab, (_, d) in program.var_offsets.items()}
+    for lab, (o, d) in program.var_offsets.items():
         for k in range(d * d):
             basis = np.zeros(d * d)
             basis[k] = 1.0
             assign[lab] = _rvec_to_herm_single(basis, d)
-            rows = [_herm_to_rvec_single(e.evaluate_linear(assign)) for e in prob.psd_constraints]
+            rows = [_herm_to_rvec_single(linear_part(e, assign)) for e in prob.psd_constraints]
             scalars = [
                 sum(float(np.real(np.sum(f.conj() * assign[var]))) for var, f in expr.terms)
                 for expr in prob.inequalities + prob.equalities
@@ -349,18 +305,11 @@ def probe_columns_per_basis(session) -> np.ndarray:
     return cols
 
 
-def farkas_from_expressions(prob, slack: np.ndarray) -> tuple[float, float]:
-    """(gap, |r|) of the Farkas witness an SDP's slack-side vector gives,
-    evaluated from the problem's own expressions.
-
-    ``slack`` holds one rvec per PSD constraint, then one weight per
-    inequality.  Each block is projected onto the PSD cone by its
-    eigenvalues, the weights are clipped at 0, and the whole is normalised
-    to w.  With F(x) = sum_b <W_b, E_b(x)> + sum_i w_i g_i(x) + sum_j nu_j h_j(x)
-    over the PSD expressions E_b, inequalities g_i and equalities h_j,
-    gap = -F(0) and r is F's gradient over the rvec coordinates, probed one
-    basis matrix at a time, with nu the least-squares multiplier.
-    """
+def clip_slack_per_block(prob, slack: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """An SDP's slack-side vector (one rvec per PSD constraint, then one
+    weight per inequality) projected onto the cone and normalised: each
+    block by its own eigenvalues, the weights clipped at 0.  Returns the
+    blocks as matrices and the weights."""
     blocks, pos = [], 0
     for expr in prob.psd_constraints:
         w, v = np.linalg.eigh(_rvec_to_herm_single(slack[pos : pos + expr.dim**2], expr.dim))
@@ -368,11 +317,24 @@ def farkas_from_expressions(prob, slack: np.ndarray) -> tuple[float, float]:
         pos += expr.dim**2
     weights = np.clip(slack[pos:], 0.0, None)
     norm = math.sqrt(sum(float(np.sum(np.abs(b) ** 2)) for b in blocks) + weights @ weights)
-    blocks, weights = [b / norm for b in blocks], weights / norm
+    return [b / norm for b in blocks], weights / norm
+
+
+def farkas_from_expressions(prob, slack: np.ndarray) -> tuple[float, float]:
+    """(gap, |r|) of the Farkas witness an SDP's slack-side vector gives,
+    evaluated from the problem's own expressions.
+
+    ``slack`` holds one rvec per PSD constraint, then one weight per
+    inequality; ``clip_slack_per_block`` makes it the cone element w.  With F(x) = sum_b <W_b, E_b(x)> + sum_i w_i g_i(x) + sum_j nu_j h_j(x)
+    over the PSD expressions E_b, inequalities g_i and equalities h_j,
+    gap = -F(0) and r is F's gradient over the rvec coordinates, probed one
+    basis matrix at a time, with nu the least-squares multiplier.
+    """
+    blocks, weights = clip_slack_per_block(prob, slack)
 
     def cone_part(assign, linear):
         val = sum(
-            float(np.real(np.sum(b.conj() * (e.evaluate_linear(assign) if linear else e.const))))
+            float(np.real(np.sum(b.conj() * (linear_part(e, assign) if linear else e.const))))
             for b, e in zip(blocks, prob.psd_constraints)
         )
         for wi, iq in zip(weights, prob.inequalities):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from povmcomp import entropies as ent, linalg as la, qobjects as qo
+from povmcomp import entropies as ent, linalg as la, qobjects as qo, sdp
 
 import oracles
 
@@ -105,12 +105,10 @@ class TestDHyp:
             eps = 0.15
             _, test = ent.d_hyp(rho, sig, eps)
 
-            def dual(t):
-                w = np.linalg.eigvalsh(t * rho - sig)
-                return t * (1 - eps) - w[w > 0].sum()
-
+            # the dual on a grid of t, one stacked eigvalsh over the whole grid
             ts = np.linspace(0, 50, 20000)
-            best = max(dual(t) for t in ts)
+            w = np.linalg.eigvalsh(ts[:, None, None] * rho - sig)
+            best = float(np.max(ts * (1 - eps) - np.where(w > 0, w, 0.0).sum(axis=1)))
             assert test.achieved_beta >= best - 1e-4
             assert test.achieved_beta <= best + 1e-3
 
@@ -345,6 +343,67 @@ class TestIMax:
             tilde = ent.i_max_tilde(rho, (2, 2), eps)
             ref = ent.i_max_smooth(rho, (2, 2), eps - gamma) + math.log2(3 / gamma**2)
             assert tilde <= ref + 5e-3
+
+    def test_unknown_probe_steps_off(self, monkeypatch):
+        # the first probe reads "unknown": the bisection steps off it, and the
+        # value it returns still rests on certified probes on both sides
+        rng = np.random.default_rng(15)
+        cq = qo.CQState(
+            ("0", "1"),
+            {"0": 0.4, "1": 0.6},
+            {"0": oracles.random_density(rng, 2), "1": oracles.random_density(rng, 2)},
+        )
+        rho = cq.dense()
+        plain = ent.i_max_tilde(rho, (2, 2), 0.2)
+        solve, bisect = sdp.solve, ent._bisect_lambda
+        probes, his = [], []
+
+        def first_unknown(prob):
+            res = solve(prob)
+            if not probes:
+                res.status = "unknown"
+            return res
+
+        def recorded(verdict, hi):
+            def probe(lam):
+                probes.append((lam, verdict(lam)))
+                return probes[-1][1]
+
+            his.append(hi)
+            return bisect(probe, hi)
+
+        monkeypatch.setattr(sdp, "solve", first_unknown)
+        monkeypatch.setattr(ent, "_bisect_lambda", recorded)
+        value = ent.i_max_tilde(rho, (2, 2), 0.2)
+        tol = ent.BISECT_TOL_BITS
+        (mid, first), (below, s_below), (above, s_above) = probes[:3]
+        assert first == "unknown"
+        assert (below, above) == (mid - tol / 2, mid + tol / 2)
+        assert {s_below, s_above} <= {"feasible", "infeasible"}
+        assert all(status != "unknown" for _, status in probes[1:])
+        feasible = [lam for lam, status in probes if status == "feasible"] + his
+        infeasible = [lam for lam, status in probes if status == "infeasible"] + [0.0]
+        assert value in feasible
+        assert 0.0 <= value - max(infeasible) <= tol
+        assert abs(value - plain) <= tol
+
+    def test_bisection_returns_the_feasible_step_off_probe(self):
+        # a boundary just above the first midpoint, inside the unknown band
+        tol = ent.BISECT_TOL_BITS
+        boundary = 0.5 + tol / 20
+        probes = []
+
+        def verdict(lam, band=tol / 10):
+            probes.append(lam)
+            if abs(lam - boundary) < band:
+                return "unknown"
+            return "feasible" if lam >= boundary else "infeasible"
+
+        assert ent._bisect_lambda(verdict, 1.0) == 0.5 + tol / 2
+        assert probes == [0.5, 0.5 - tol / 2, 0.5 + tol / 2]
+        # a step-off probe that is unknown as well raises
+        with pytest.raises(ent.SolverError):
+            ent._bisect_lambda(lambda lam: verdict(lam, band=tol), 1.0)
 
 
 class TestVonNeumann:

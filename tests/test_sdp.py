@@ -63,17 +63,17 @@ def named_problem(which):
 
 
 def captured_problem(fn, *args):
-    """The first SDProblem that fn(*args) builds a Session for; fn is cut
+    """The first SDProblem that fn(*args) hands to ``sdp.solve``; fn is cut
     short there."""
 
     class Captured(Exception):
         pass
 
-    def capture(self, prob, max_iter=sdp.MAX_ITER):
+    def capture(prob):
         raise Captured(prob)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sdp.Session, "__init__", capture)
+        mp.setattr(sdp, "solve", capture)
         with pytest.raises(Captured) as info:
             fn(*args)
     return info.value.args[0]
@@ -112,14 +112,14 @@ class TestAdjoints:
         rng = np.random.default_rng(0)
         p = oracles.random_hermitian(rng, 2)
         prob, expr, expr2 = marginal_kron_problem(p)
-        sess = sdp.Session(prob)
+        prog = sdp.Program(prob)
         for _ in range(5):
             x = oracles.random_hermitian(rng, 6)
-            probed = sess.g_graph @ sdp.herm_to_rvec(x)
+            probed = prog.g_graph @ sdp.herm_to_rvec(x)
             direct = np.concatenate(
                 [
-                    sdp.herm_to_rvec(expr.evaluate_linear({"X": x})),
-                    sdp.herm_to_rvec(expr2.evaluate_linear({"X": x})),
+                    sdp.herm_to_rvec(oracles.linear_part(expr, {"X": x})),
+                    sdp.herm_to_rvec(oracles.linear_part(expr2, {"X": x})),
                 ]
             )
             assert np.max(np.abs(probed - direct)) < 1e-10
@@ -134,7 +134,8 @@ class TestAdjoints:
 
 
 class TestBatchedCone:
-    """The batched cone projection is bit-identical to the per-block loop."""
+    """The batched rvec maps, and the cone projection that ``Program.farkas``
+    makes with one stacked ``eigh`` per block dimension."""
 
     def test_batched_maps_equal_single_calls(self):
         rng = np.random.default_rng(6)
@@ -149,209 +150,16 @@ class TestBatchedCone:
             assert np.allclose(back, mats, atol=1e-14)
 
     def test_projection_matches_per_block_oracle(self):
-        # the d >= 3 blocks keep the oracle's eigh bits; the 2x2 blocks are
-        # projected in closed form, so they match it to rounding
-        sess = sdp.Session(interleaved_blocks_problem())
-        assert sess.block_dims == [2, 3, 2, 4, 3]
-        small = small_block_slots(sess)
+        # blocks of dimensions 2, 3, 2, 4, 3 and two inequality weights
+        prob = interleaved_blocks_problem()
+        prog = sdp.Program(prob)
+        assert prog.block_dims == [2, 3, 2, 4, 3]
         rng = np.random.default_rng(7)
         for _ in range(20):
-            y = rng.normal(size=sess.total)
-            got, want = sess.project_cone(y), oracles.project_cone_per_block(sess, y)
-            assert np.array_equal(got[~small], want[~small])
-            tol = 1e-14 * (1.0 + np.linalg.norm(y[small]))
-            assert np.max(np.abs(got[small] - want[small])) <= tol
-            assert sess.cone_violation(y) == pytest.approx(
-                oracles.cone_violation_per_block(sess, y), abs=tol
-            )
-
-    @pytest.mark.parametrize("which", ["box", "marginal_kron", "interleaved"])
-    def test_solve_identical_to_per_block_oracle(self, which, monkeypatch):
-        batched = sdp.solve(named_problem(which))
-        monkeypatch.setattr(sdp.Session, "project_cone", oracles.project_cone_per_block)
-        monkeypatch.setattr(sdp.Session, "cone_violation", oracles.cone_violation_per_block)
-        looped = sdp.solve(named_problem(which))
-        assert batched.status == looped.status
-        assert batched.iterations == looped.iterations
-        if looped.warm is None:
-            assert batched.warm is None
-        else:
-            assert batched.warm.tobytes() == looped.warm.tobytes()
-        for lab, mat in looped.assignment.items():
-            assert batched.assignment[lab].tobytes() == mat.tobytes()
-
-
-def small_block_slots(sess) -> np.ndarray:
-    """Mask of the iterate slots that belong to PSD blocks of dimension <= 2."""
-    mask = np.zeros(sess.total, dtype=bool)
-    pos = sess.n_vars
-    for d in sess.block_dims:
-        mask[pos : pos + d * d] = d <= 2
-        pos += d * d
-    return mask
-
-
-def small_blocks_problem(n_pairs):
-    """X on C^2 required PSD n_pairs times as a 2x2 block and as its 1x1
-    trailing entry, Tr X = 1."""
-    prob = sdp.SDProblem()
-    prob.add_var("X", 2)
-    for _ in range(n_pairs):
-        prob.require_psd(sdp.AffineExpr.zero(2).plus_var("X"))
-        prob.require_psd(sdp.AffineExpr.zero(1).plus_subblock("X", 1, np.eye(1)))
-    prob.require_eq(sdp.trace_functional("X", 2, const=-1.0))
-    return prob
-
-
-def special_2x2_blocks(rng):
-    """2x2 Hermitian blocks on and around the cases of the closed form."""
-    u = rng.normal(size=2) + 1j * rng.normal(size=2)
-    u /= np.linalg.norm(u)
-    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    tiny = np.array([[0.0, 1e-300 + 1e-300j], [1e-300 - 1e-300j, 0.0]])
-    small = np.array([[0.0, 1e-9 - 2e-9j], [1e-9 + 2e-9j, 0.0]])
-    return [
-        a @ a.conj().T,  # PSD
-        -(a @ a.conj().T),  # NSD
-        2.5 * np.outer(u, u.conj()),  # rank one: the smaller eigenvalue is 0
-        -2.5 * np.outer(u, u.conj()),
-        np.diag([1.7, 0.0]),  # rank one, exactly
-        np.diag([0.0, -0.3]),
-        3.0 * np.eye(2),  # multiples of I: r = 0
-        -0.4 * np.eye(2),
-        np.zeros((2, 2)),
-        np.diag([1.0, -1.0]) + tiny,  # tiny off-diagonal parts
-        np.diag([0.5, 0.5]) + small,
-        np.diag([-0.5, -0.5]) + small,
-        np.diag([1e-12, -1e-12]) + small,
-        np.diag([2.0, -3.0]) + small,
-    ]
-
-
-class TestSmallBlockKernel:
-    """The closed-form projection of the 1x1 and 2x2 PSD blocks."""
-
-    @staticmethod
-    def blocks_in_iterate(sess, blocks):
-        """An iterate whose 2x2 slots hold ``blocks`` and whose 1x1 slots
-        hold the blocks' (1, 0) real parts."""
-        y = np.zeros(sess.total)
-        pos = sess.n_vars
-        for d, block in zip(sess.block_dims, np.repeat(blocks, 2, axis=0)):
-            y[pos : pos + d * d] = sdp.herm_to_rvec(block) if d == 2 else block[1, 0].real
-            pos += d * d
-        return y
-
-    def random_blocks(self, rng):
-        blocks = [oracles.random_hermitian(rng, 2) * scale for scale in (1e-8, 1.0, 1e4)]
-        return blocks + special_2x2_blocks(rng)
-
-    def test_matches_eigh_projection(self):
-        rng = np.random.default_rng(12)
-        for _ in range(30):
-            blocks = self.random_blocks(rng)
-            sess = sdp.Session(small_blocks_problem(len(blocks)))
-            y = self.blocks_in_iterate(sess, blocks)
-            got, want = sess.project_cone(y), oracles.project_cone_per_block(sess, y)
-            pos = sess.n_vars
-            for d, block in zip(sess.block_dims, np.repeat(blocks, 2, axis=0)):
-                part = slice(pos, pos + d * d)
-                tol = 1e-14 * (1.0 + np.linalg.norm(y[part]))
-                assert np.max(np.abs(got[part] - want[part])) <= tol, block
-                pos += d * d
-
-    def test_psd_blocks_are_kept_and_nsd_blocks_cleared(self):
-        rng = np.random.default_rng(13)
-        a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        blocks = [a @ a.conj().T, np.diag([1.7, 0.0]), -(a @ a.conj().T), -0.4 * np.eye(2)]
-        sess = sdp.Session(small_blocks_problem(len(blocks)))
-        y = self.blocks_in_iterate(sess, blocks)
-        out = sess.project_cone(y)
-        n = sess.n_vars
-        assert np.array_equal(out[n : n + 4], y[n : n + 4])
-        assert np.array_equal(out[n + 5 : n + 9], y[n + 5 : n + 9])
-        assert not np.any(out[n + 10 : n + 14]) and not np.any(out[n + 15 : n + 19])
-
-    @pytest.mark.parametrize("which", ["small", "interleaved"])
-    def test_moreau_identities(self, which):
-        # y = P(y) - P(-y) and <P(y), P(-y)> = 0 on the cone slots
-        rng = np.random.default_rng(14)
-        blocks = self.random_blocks(rng)
-        if which == "small":
-            sess = sdp.Session(small_blocks_problem(len(blocks)))
-            ys = [self.blocks_in_iterate(sess, blocks)]
-        else:
-            sess = sdp.Session(interleaved_blocks_problem())
-            ys = []
-        ys += [rng.normal(size=sess.total) for _ in range(10)]
-        n = sess.n_vars
-        for y in ys:
-            plus, minus = sess.project_cone(y)[n:], sess.project_cone(-y)[n:]
-            tol = 1e-14 * (1.0 + np.linalg.norm(y[n:]))
-            assert np.max(np.abs(plus - minus - y[n:])) <= tol
-            assert abs(plus @ minus) <= tol * (1.0 + np.linalg.norm(y[n:]))
-
-    def test_cone_violation_is_minus_least_eigenvalue(self):
-        rng = np.random.default_rng(15)
-        for _ in range(30):
-            blocks = self.random_blocks(rng)
-            sess = sdp.Session(small_blocks_problem(len(blocks)))
-            y = self.blocks_in_iterate(sess, blocks)
-            least = min(
-                min(np.linalg.eigvalsh(b)[0] for b in blocks),
-                min(b[1, 0].real for b in blocks),
-            )
-            tol = 1e-14 * (1.0 + np.abs(y).max())
-            assert sess.cone_violation(y) == pytest.approx(max(-least, 0.0), abs=tol)
-
-
-class TestFusedAffine:
-    """The one-map affine projection against the factored three-step one."""
-
-    @pytest.mark.parametrize("which", KERNEL_PROBLEMS)
-    def test_matches_factored_and_lands_on_the_affine_set(self, which):
-        sess = sdp.Session(kernel_problem(which))
-        rng = np.random.default_rng(8)
-        n = sess.n_vars
-        for _ in range(10):
-            y = rng.normal(size=sess.total)
-            fused = sess.project_affine(y)
-            assert np.max(np.abs(fused - oracles.project_affine_factored(sess, y))) <= 1e-12
-            x, s = fused[:n], fused[n:]
-            assert np.max(np.abs(sess.g_graph @ x + sess.c_graph - s), initial=0.0) <= 1e-12
-            assert np.max(np.abs(sess.g_eq @ x + sess.c_eq), initial=0.0) <= 1e-12
-            assert np.max(np.abs(sess.project_affine(fused) - fused)) <= 1e-12
-
-    def test_offset_follows_update_constants(self):
-        sess = sdp.Session(feasibility_x_in_box(3, 3))
-        sess.update_constants(feasibility_x_in_box(3, 1.5))
-        y = np.random.default_rng(9).normal(size=sess.total)
-        fused = sess.project_affine(y)
-        assert np.max(np.abs(fused - oracles.project_affine_factored(sess, y))) <= 1e-12
-        assert abs(np.trace(sdp.rvec_to_herm(fused[:9], 3)).real - 1.5) <= 1e-12
-
-    @pytest.mark.parametrize(
-        "other",
-        [
-            feasibility_x_in_box(4, 3),
-            interleaved_blocks_problem(),
-            marginal_kron_problem(np.eye(2))[0],
-        ],
-    )
-    def test_update_constants_rejects_another_structure(self, other):
-        sess = sdp.Session(feasibility_x_in_box(3, 3))
-        with pytest.raises(ValueError, match="structure"):
-            sess.update_constants(other)
-
-    def test_update_constants_rejects_other_counts(self):
-        sess = sdp.Session(feasibility_x_in_box(3, 3))
-        extra_geq = feasibility_x_in_box(3, 3)
-        extra_geq.require_geq(sdp.trace_functional("X", 3))
-        extra_eq = feasibility_x_in_box(3, 3)
-        extra_eq.require_eq(sdp.trace_functional("X", 3, const=-3.0))
-        for prob in (extra_geq, extra_eq):
-            with pytest.raises(ValueError, match="structure"):
-                sess.update_constants(prob)
+            slack = rng.normal(size=prog.n_graph)
+            blocks, weights = oracles.clip_slack_per_block(prob, slack)
+            want = np.concatenate([sdp.herm_to_rvec(b) for b in blocks] + [weights])
+            assert np.max(np.abs(prog.farkas(slack)[0] - want)) <= 1e-14
 
 
 class TestBatchedProbe:
@@ -359,8 +167,8 @@ class TestBatchedProbe:
 
     @pytest.mark.parametrize("which", KERNEL_PROBLEMS)
     def test_columns_equal_per_basis_prober(self, which):
-        sess = sdp.Session(kernel_problem(which))
-        assert np.array_equal(sess._columns(), oracles.probe_columns_per_basis(sess))
+        prog = sdp.Program(kernel_problem(which))
+        assert np.array_equal(prog._columns(), oracles.probe_columns_per_basis(prog))
 
     def test_every_term_kind_is_probed(self):
         kinds = {
@@ -392,10 +200,10 @@ class TestBatchedProbe:
 class TestKernelVerdicts:
     def test_smoothing_identical_with_oracle_kernels(self, monkeypatch):
         """d_max_smooth's fixed-lambda program for the smooth I_max of
-        qubit_entangled_side_info's X env state, solved at lambda on both
-        sides of the certified value, keeps every solve's status and
-        iteration count when the session runs on the factored projection and
-        the per-basis prober."""
+        qubit_entangled_side_info's X env state, solved by the phase-I
+        ``sdp.solve`` at lambda on both sides of the certified value, gets
+        certified verdicts on both sides, with the same status and
+        iteration count when ``Program`` probes its map per basis matrix."""
         prep = prep_mod.prepare(io.load_bundled("qubit_entangled_side_info"))
         cq = prep_mod._x_env_cq(prep)
         rho = cq.dense()
@@ -405,15 +213,14 @@ class TestKernelVerdicts:
         def run():
             out = []
             for lam in (value - 0.1, value - 0.01, value + 0.01, value + 0.1):
-                res = sdp.Session(ent._capped_ball(rho, sigma, 0.1, lam)).solve()
+                res = sdp.solve(ent._capped_ball(rho, sigma, 0.1, lam))
                 out.append((res.status, res.iterations))
             return out
 
         kernels = run()
-        monkeypatch.setattr(sdp.Session, "project_affine", oracles.project_affine_factored)
-        monkeypatch.setattr(sdp.Session, "_columns", oracles.probe_columns_per_basis)
-        factored = run()
-        assert kernels == factored
+        monkeypatch.setattr(sdp.Program, "_columns", oracles.probe_columns_per_basis)
+        per_basis = run()
+        assert kernels == per_basis
         assert [status for status, _ in kernels] == ["infeasible"] * 2 + ["feasible"] * 2
 
 
@@ -425,7 +232,6 @@ class TestFeasibility:
 
     def test_infeasible_trace(self):
         res = sdp.solve(feasibility_x_in_box(3, 4))
-        assert res.status in ("infeasible", "maxIterations")
         assert res.status == "infeasible"
 
     def test_feasible_interior(self):
@@ -476,8 +282,8 @@ class TestWitness:
         prob = feasibility_x_in_box(3, 4)
         res = sdp.solve(prob)
         assert res.status == "infeasible"
-        w, nu = res.witness
-        gap, resid = res.residuals["witness_gap"], res.residuals["witness_resid"]
+        w, nu, gap, resid = sdp.Program(prob).farkas(res.dual[0])
+        assert (gap, resid) == (res.residuals["witness_gap"], res.residuals["witness_resid"])
         const = witness_functional(prob, w, nu, {"X": np.zeros((3, 3), dtype=complex)})
         r = [witness_functional(prob, w, nu, {"X": b}) - const for b in herm_basis(3)]
         assert const == pytest.approx(-gap, abs=1e-12)
@@ -487,51 +293,31 @@ class TestWitness:
         # and a value <= -gap + |r| sqrt 3 < 0: no feasible X exists
         assert gap - np.linalg.norm(r) * np.sqrt(3) > 0
 
-    @staticmethod
-    def assert_no_witness_fires(which, relax):
-        sess = sdp.Session(named_problem(which))
-        assert sess.solve().status == "feasible"
-        # every displacement of a longer run than the solve needs
-        y = np.zeros(sess.total)
-        for _ in range(400):
-            pa = sess.project_affine(y)
-            pk = sess.project_cone(2 * pa - y)
-            y = y + relax * (pk - pa)
-            assert not fires(*sess.witness(pa - pk)[2:])
-
     @pytest.mark.parametrize("which", ["box", "interleaved", "marginal_kron_psd"])
     def test_no_witness_fires_on_feasible_problems(self, which):
-        self.assert_no_witness_fires(which, 1.0)
-
-    @pytest.mark.parametrize("which", ["box", "interleaved", "marginal_kron_psd"])
-    def test_no_witness_fires_under_the_relaxed_step(self, which):
-        # the solver's step y + RELAX (pk - pa)
-        self.assert_no_witness_fires(which, sdp.RELAX)
+        # the phase-I dual of a feasible problem has gap mu* <= 0, up to rounding
+        prob = named_problem(which)
+        res = sdp.solve(prob)
+        assert res.status == "feasible"
+        assert not fires(*sdp.Program(prob).farkas(res.dual[0])[2:])
 
     def test_indefinite_marginal_kron_is_certified(self):
         res = sdp.solve(named_problem("marginal_kron"))
         assert res.status == "infeasible"
         assert fires(res.residuals["witness_gap"], res.residuals["witness_resid"])
 
-    @pytest.mark.parametrize("offset", [0.0005, 0.05, 0.5])
-    def test_feasible_solves_unchanged(self, offset, monkeypatch):
-        rng = np.random.default_rng(5)
-        p, s = rng.dirichlet(np.ones(3)), rng.dirichlet(np.ones(3))
-        lam = oracles.dmax_smooth_classical_oracle(p, s, 0.1) + offset
-        target = np.sqrt(1 - 0.1**2)
-
-        def run():
-            prob = TestFidelityBlock.fidelity_ball_problem(np.diag(p), np.diag(s), lam, target)
-            return sdp.solve(prob, max_iter=60000)
-
-        checked = run()
-        monkeypatch.setattr(sdp.Session, "witness", lambda self, d: (None, None, 0.0, 0.0))
-        unchecked = run()
-        assert checked.status == unchecked.status == "feasible"
-        assert checked.iterations == unchecked.iterations
-        assert checked.warm.tobytes() == unchecked.warm.tobytes()
-        for lab, mat in unchecked.assignment.items():
-            assert checked.assignment[lab].tobytes() == mat.tobytes()
+    @pytest.mark.parametrize("which", ["box_trace_4", "marginal_kron"])
+    def test_farkas_matches_expression_oracle_on_phase_one_duals(self, which):
+        # Program.farkas clips each block dimension's stack with one eigh;
+        # the oracle clips block by block and evaluates the expressions
+        prob = feasibility_x_in_box(3, 4) if which == "box_trace_4" else named_problem(which)
+        z = sdp.solve(prob).dual[0]
+        gap, resid = sdp.Program(prob).farkas(z)[2:]
+        want_gap, want_resid = oracles.farkas_from_expressions(prob, z)
+        assert gap > 0 and want_gap > 0
+        assert fires(gap, resid) and fires(want_gap, want_resid)
+        assert gap == pytest.approx(want_gap, rel=1e-12)
+        assert abs(resid - want_resid) <= 1e-12 * gap
 
 
 class TestGeneratedSuite:
@@ -549,9 +335,8 @@ class TestGeneratedSuite:
                 sdp.AffineExpr.const_expr(rho + 5e-3 * np.eye(d)).plus_var("X", -1.0)
             )
             prob.require_eq(sdp.trace_functional("X", d, const=-1.0))
-            res = sdp.solve(prob, max_iter=50000)
+            res = sdp.solve(prob)
             assert res.status == "feasible", f"trial {trial}"
-            assert res.iterations <= 50000
 
     def test_marginal_product_constraint(self):
         # q <= 2 * (marg_a tensor q_b) is feasible for a product state
@@ -567,7 +352,6 @@ class TestGeneratedSuite:
         expr.plus_var("Q", -1.0)
         prob.require_psd(expr)
         prob.require_eq(sdp.trace_functional("Q", 4, const=-1.0))
-        # pin Q to the product state via fidelity-free equality rows:
         res = sdp.solve(prob)
         assert res.status == "feasible"
 
@@ -648,12 +432,32 @@ class TestFidelityBlock:
         lam_star = oracles.dmax_smooth_classical_oracle(p, s, eps)
         for lam in np.linspace(lam_star - 1.0, lam_star + 1.0, 20):
             prob = self.fidelity_ball_problem(np.diag(p), np.diag(s), lam, target)
-            res = sdp.solve(prob, max_iter=60000)
-            should_be_feasible = lam >= lam_star
+            res = sdp.solve(prob)
             if abs(lam - lam_star) < 2e-3:
                 continue  # too close to the boundary to classify numerically
-            assert (res.status == "feasible") == should_be_feasible, (
-                f"lam={lam}, lam*={lam_star}, status={res.status}"
-            )
+            want = "feasible" if lam >= lam_star else "infeasible"
+            assert res.status == want, f"lam={lam}, lam*={lam_star}, status={res.status}"
             if res.status == "infeasible":
                 assert fires(res.residuals["witness_gap"], res.residuals["witness_resid"])
+
+    def test_unknown_within_resolution_of_the_boundary(self):
+        # at lambda* -+ 1e-6 neither certificate holds; at lambda* -+ 1e-2 one does
+        rng = np.random.default_rng(5)
+        p, s = rng.dirichlet(np.ones(3)), rng.dirichlet(np.ones(3))
+        target = np.sqrt(1 - 0.1**2)
+        lam_star = oracles.dmax_smooth_classical_oracle(p, s, 0.1)
+
+        def solve_at(offset):
+            prob = self.fidelity_ball_problem(np.diag(p), np.diag(s), lam_star + offset, target)
+            return prob, sdp.solve(prob)
+
+        for offset in (-1e-6, 1e-6):
+            prob, res = solve_at(offset)
+            assert res.status == "unknown", offset
+            assert not sdp.recheck(prob, res.assignment)[0]
+            assert not fires(res.residuals["witness_gap"], res.residuals["witness_resid"])
+        prob, res = solve_at(1e-2)
+        assert res.status == "feasible" and sdp.recheck(prob, res.assignment)[0]
+        prob, res = solve_at(-1e-2)
+        assert res.status == "infeasible"
+        assert fires(*sdp.Program(prob).farkas(res.dual[0])[2:])
