@@ -1,6 +1,6 @@
-"""Covering experiments: convex split states, measure-transformed sample
-averages over independent codebooks, and GOOD-set extraction via the
-constructive operator inequality (purify, Uhlmann partner, reweight).
+"""Covering experiments: measure-transformed sample averages over
+independent codebooks, and GOOD-set extraction via the constructive
+operator inequality (purify, Uhlmann partner, reweight).
 
 Codebook randomness is summarized by symbol counts: grouping the sample
 average by symbol turns a K x L double sum into an |X| x |Y| one, so the
@@ -16,44 +16,6 @@ import numpy as np
 
 from . import linalg as la
 from . import qobjects as qo
-
-
-def convex_split_state(rho_abr, lay: la.SystemLayout, k: int, l: int) -> np.ndarray:
-    """Mixture over which copy of A and B carries the correlations with R.
-
-    Returns the dense operator on A^k (x) B^l (x) R in that factor order.
-    """
-    rho_abr = la.assert_density(rho_abr)
-    da, db, dr = lay.dim_of("A"), lay.dim_of("B"), lay.dim_of("R")
-    total = da**k * db**l * dr
-    if total > 4096:
-        raise ValueError(f"convex split dimension {total} exceeds the 4096 cap")
-    rho_a = la.partial_trace(rho_abr, lay, ["A"])
-    rho_b = la.partial_trace(rho_abr, lay, ["B"])
-    factors = [(f"A{i}", da) for i in range(k)] + [(f"B{j}", db) for j in range(l)] + [("R", dr)]
-    big_lay = la.SystemLayout(tuple(factors))
-    out = np.zeros((total, total), dtype=complex)
-    for ki in range(k):
-        for li in range(l):
-            # rho^{A_ki B_li R} tensor singles, built in a permuted order
-            order = [f"A{ki}", f"B{li}", "R"]
-            order += [f"A{i}" for i in range(k) if i != ki]
-            order += [f"B{j}" for j in range(l) if j != li]
-            mats = [rho_abr] + [rho_a] * (k - 1) + [rho_b] * (l - 1)
-            piece = la.tensor(*mats) if len(mats) > 1 else rho_abr
-            perm_lay = la.SystemLayout(tuple((lab, big_lay.dim_of(lab)) for lab in order))
-            piece, _ = la.permute_factors(piece, perm_lay, big_lay.labels)
-            out += piece
-    return out / (k * l)
-
-
-def split_target_state(rho_abr, lay: la.SystemLayout, k: int, l: int) -> np.ndarray:
-    """The decoupled target rho_A^(x)k (x) rho_B^(x)l (x) rho_R."""
-    rho_a = la.partial_trace(rho_abr, lay, ["A"])
-    rho_b = la.partial_trace(rho_abr, lay, ["B"])
-    rho_r = la.partial_trace(rho_abr, lay, ["R"])
-    mats = [rho_a] * k + [rho_b] * l + [rho_r]
-    return la.tensor(*mats)
 
 
 # ---------------------------------------------------------------------------

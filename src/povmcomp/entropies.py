@@ -1,6 +1,6 @@
 """One-shot entropic quantities: smooth max entropy, hypothesis testing
-relative entropy, max relative entropy (plain and smoothed), smooth and
-tilde max information, and the von Neumann suite.
+relative entropy, max relative entropy (plain and smoothed), smooth max
+information, and the von Neumann suite.
 
 Conventions: all logarithms are base 2, rates are bits.  The smoothing ball
 is the purified-distance ball over normalized states.  The hypothesis
@@ -318,12 +318,6 @@ def _support_components(mats: list[np.ndarray], tol: float = 1e-12) -> list[np.n
     return [np.array(sorted(g)) for g in sorted(groups.values(), key=lambda g: g[0])]
 
 
-_E00 = np.diag([1.0, 0.0]).astype(complex)
-_E11 = np.diag([0.0, 1.0]).astype(complex)
-_SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-_SY = np.array([[0.0, -1j], [1j, 0.0]], dtype=complex)
-
-
 @dataclass
 class _BallBlock:
     """How one component's rho' is encoded inside the smoothing program.
@@ -341,14 +335,6 @@ class _BallBlock:
     rotation: np.ndarray
 
 
-def _ball_block_term(expr: sdp.AffineExpr, info: _BallBlock, coeff: float = 1.0):
-    if info.rank == 0:
-        expr.plus_var(info.var, coeff)
-    else:
-        expr.plus_subblock(info.var, info.rank, info.rotation, coeff)
-    return expr
-
-
 def _entry_pin(var: str, dim: int, i: int, j: int, value: float, imag: bool) -> sdp.ScalarExpr:
     f = np.zeros((dim, dim), dtype=complex)
     if imag:
@@ -363,7 +349,7 @@ def _entry_pin(var: str, dim: int, i: int, j: int, value: float, imag: bool) -> 
 def _fidelity_ball_problem(
     rho_blocks: list[np.ndarray], target_f: float
 ) -> tuple[sdp.SDProblem, list[_BallBlock]]:
-    """Shared part of the smoothing programs: rho' PSD in the fidelity ball.
+    """The smoothing program's fidelity ball: rho' PSD and close to rho.
 
     Per component c the program holds one PSD variable G_c on
     supp(rho_c) (+) C^d with the top-left corner pinned to rho_c's spectrum
@@ -407,35 +393,6 @@ def _fidelity_ball_problem(
     return prob, infos
 
 
-def _bisect_lambda(verdict, hi: float) -> float:
-    """Least feasible lambda in [0, hi] to BISECT_TOL_BITS, for a program
-    that is feasible at hi, infeasible below 0 and monotone in lambda.
-
-    ``verdict(lam)`` is the ``sdp.solve`` status of the program at lam.
-    The returned lambda is hi or was certified "feasible", and lambda -
-    BISECT_TOL_BITS is at most 0 or was certified "infeasible".  An
-    "unknown" probe at mid puts the boundary within the solver's resolution
-    of mid, so the bisection probes mid -+ BISECT_TOL_BITS / 2 instead and
-    raises SolverError unless both certify.
-    """
-    lo, step = 0.0, BISECT_TOL_BITS / 2
-    while hi - lo > BISECT_TOL_BITS:
-        mid = (lo + hi) / 2
-        status = verdict(mid)
-        if status == "unknown":
-            below, above = verdict(mid - step), verdict(mid + step)
-            if (below, above) == ("infeasible", "feasible"):
-                return mid + step
-            if below != above or below == "unknown":
-                raise SolverError(f"lambda = {mid} -+ {step} not certified: {below}, {above}")
-            mid, status = (mid + step if below == "infeasible" else mid - step), below
-        if status == "feasible":
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
 def _capped_ball(rho, sigma, eps: float, lam: float | None) -> sdp.SDProblem:
     """The program of D_max^eps(rho || sigma): rho' in the fidelity ball of
     rho, split into the components of the joint support pattern, with each
@@ -456,7 +413,10 @@ def _capped_ball(rho, sigma, eps: float, lam: float | None) -> sdp.SDProblem:
             cap = sdp.AffineExpr.zero(len(c)).plus_kron(sb, "t")
         else:
             cap = sdp.AffineExpr.const_expr(2.0**lam * sb)
-        _ball_block_term(cap, info, -1.0)
+        if info.rank == 0:
+            cap.plus_var(info.var, -1.0)
+        else:
+            cap.plus_subblock(info.var, info.rank, info.rotation, -1.0)
         prob.require_psd(cap)
     return prob
 
@@ -507,74 +467,6 @@ def i_max_smooth(rho_ab, dims: tuple[int, int], eps: float) -> float:
         la.partial_trace(rho_ab, lay, ["A"]), la.partial_trace(rho_ab, lay, ["B"])
     )
     return d_max_smooth(rho_ab, sigma, eps)
-
-
-def _is_cq_in_first_register(rho: np.ndarray, dims: tuple[int, int], tol=1e-11) -> bool:
-    da, db = dims
-    blocks = rho.reshape(da, db, da, db)
-    for a in range(da):
-        for ap in range(da):
-            if a != ap and np.max(np.abs(blocks[a, :, ap, :])) > tol:
-                return False
-    return True
-
-
-def i_max_tilde(rho_ab, dims: tuple[int, int], eps: float) -> float:
-    """Tilde smooth max information: the second marginal varies with rho'.
-
-    The cap 2^lambda rho_A (x) rho'_B - rho' is not jointly linear in
-    lambda and rho', so lambda is bisected on phase-I ``sdp.solve`` probes
-    over [0, D_max(rho || rho_A (x) rho_B) + 1e-6], with no probe at either
-    end: the cap has trace 2^lambda - 1, negative below 0, and rho' = rho
-    lies in the ball and meets the cap at the top.
-    """
-    eps = _validate_eps(eps)
-    rho_ab = la.assert_density(rho_ab)
-    da, db = dims
-    lay = la.layout(("A", da), ("B", db))
-    rho_a = la.partial_trace(rho_ab, lay, ["A"])
-    target_f = math.sqrt(max(0.0, 1.0 - eps * eps))
-
-    if _is_cq_in_first_register(rho_ab, dims):
-        blocks4 = rho_ab.reshape(da, db, da, db)
-        rho_blocks = [blocks4[a, :, a, :] for a in range(da)]
-        pa = [float(np.trace(b).real) for b in rho_blocks]
-
-        def make_prob(lam: float) -> sdp.SDProblem:
-            prob, infos = _fidelity_ball_problem(rho_blocks, target_f)
-            for a in range(da):
-                cap = sdp.AffineExpr.zero(db)
-                for ap in range(da):
-                    _ball_block_term(cap, infos[ap], 2.0**lam * pa[a])
-                _ball_block_term(cap, infos[a], -1.0)
-                prob.require_psd(cap)
-            return prob
-
-    else:
-        # dense fallback: rho' as a plain square variable with the
-        # marginal-product cap (no support reduction; full-rank inputs only)
-        def make_prob(lam: float) -> sdp.SDProblem:
-            prob = sdp.SDProblem()
-            d = da * db
-            prob.add_var("rhop", d)
-            prob.add_var("zre", d)
-            prob.add_var("zim", d)
-            blk = sdp.AffineExpr.const_expr(np.kron(_E00, rho_ab))
-            blk.plus_kron(_E11, "rhop")
-            blk.plus_kron(_SX, "zre")
-            blk.plus_kron(-_SY, "zim")
-            prob.require_psd(blk)
-            prob.require_psd(sdp.AffineExpr.zero(d).plus_var("rhop"))
-            prob.require_eq(sdp.trace_functional("rhop", d, const=-1.0))
-            prob.require_geq(sdp.trace_functional("zre", d, const=-float(target_f)))
-            cap = sdp.AffineExpr.zero(d)
-            cap.plus_marginal_product(rho_a, "rhop", (da, db), coeff=2.0**lam)
-            cap.plus_var("rhop", -1.0)
-            prob.require_psd(cap)
-            return prob
-
-    sigma = la.tensor(rho_a, la.partial_trace(rho_ab, lay, ["B"]))
-    return _bisect_lambda(lambda lam: sdp.solve(make_prob(lam)).status, d_max(rho_ab, sigma) + 1e-6)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Instance file schema shared by the library and the CLI.
+"""Instance file schema, its canonical serialization and the bundled instances.
 
 An instance holds register dimensions A, B, R, the state on A (x) B (x) R,
 and a joint POVM acting on A:

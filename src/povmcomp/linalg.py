@@ -276,19 +276,3 @@ def uhlmann_partner(psi, target, sys_dim: int | None = None) -> np.ndarray:
         part_iso = u1 @ v1.conj().T
     phi_mat = matrix_sqrt(tgt) @ part_iso
     return phi_mat.reshape(-1)
-
-
-def permute_factors(op, lay: SystemLayout, new_order) -> tuple[np.ndarray, SystemLayout]:
-    """Reorder the tensor factors of an operator to ``new_order`` of labels."""
-    mat = as_matrix(op)
-    if mat.shape[0] != lay.dim:
-        raise ValueError("operator does not match layout")
-    new_order = list(new_order)
-    if sorted(new_order) != sorted(lay.labels):
-        raise ValueError("new_order must be a permutation of the layout labels")
-    perm = [lay.index_of(lab) for lab in new_order]
-    n = len(lay.factors)
-    tens = _to_tensor_form(mat, lay.dims)
-    tens = np.transpose(tens, axes=perm + [n + p for p in perm])
-    new_lay = SystemLayout(tuple(lay.factors[p] for p in perm))
-    return tens.reshape(new_lay.dim, new_lay.dim), new_lay

@@ -150,9 +150,7 @@ def one_shot_region(
     for axis in axes:
         povm = prep.instance.povm if axis == "X" else _swap_povm(prep.instance.povm)
         for theta in theta_grid:
-            ctrl = sp.split_control_state(
-                povm, global_rho, theta, full_lay, keep=("B", "R", "M")
-            ).cq
+            ctrl = sp.split_control_state(povm, global_rho, theta, full_lay, keep=("B", "R", "M"))
             u_cq = _group_cq(ctrl, (0,))
             v_cq = _embed_classical(ctrl, 1, (0, 2))
             y_cq = _embed_classical(ctrl, 2, (0,))

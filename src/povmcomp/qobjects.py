@@ -13,7 +13,10 @@ import numpy as np
 
 from . import linalg as la
 
-ABORT = "⊥"  # completion / abort symbol
+ABORT = "⊥"  # the protocol's abort outcome; no POVM alphabet may hold it
+# the outcome of an instrument's deficit element; it sorts after the digits,
+# so that an instrument with digit outcomes keeps it last in sorted keys
+DEFICIT = "deficit"
 
 
 def join_symbol(*parts: str) -> str:
@@ -77,6 +80,9 @@ class JointPOVM:
     elements: dict[tuple[str, str], np.ndarray]
 
     def __post_init__(self):
+        for sym in self.alphabet_x + self.alphabet_y:
+            if sym == ABORT or "|" in sym:
+                raise ValueError(f"outcome {sym!r} is the abort symbol or holds the '|' separator")
         dims = {m.shape[0] for m in self.elements.values()}
         if len(dims) != 1:
             raise ValueError("POVM elements have inconsistent dimensions")
@@ -140,7 +146,7 @@ class Instrument:
 
 
 def instrument_to_povm(inst: Instrument) -> JointPOVM:
-    """POVM {N^dag N}; any deficit from I becomes an explicit abort element."""
+    """POVM {N^dag N}; any deficit from I becomes the element (DEFICIT, DEFICIT)."""
     elements = {key: m.conj().T @ m for key, m in inst.kraus.items()}
     total = sum(elements.values())
     deficit = np.eye(inst.dim) - total
@@ -148,7 +154,9 @@ def instrument_to_povm(inst: Instrument) -> JointPOVM:
     if w[0] < -1e-8:
         raise ValueError("instrument effects exceed the identity")
     if w[-1] > 1e-8:
-        elements[(ABORT, ABORT)] = (deficit + deficit.conj().T) / 2
+        if any(DEFICIT in key for key in elements):
+            raise ValueError(f"outcome {DEFICIT!r} is reserved for the deficit element")
+        elements[(DEFICIT, DEFICIT)] = (deficit + deficit.conj().T) / 2
     return povm_from_elements(elements)
 
 

@@ -11,39 +11,23 @@ per (constraint, variable), over the stacked basis
 axis).
 
 ``minimize`` is the one solver: a primal-dual interior-point method with
-Nesterov-Todd scaling and Mehrotra's predictor-corrector.  ``solve`` hands
-it a problem in one of two forms:
-
-- with an objective, as it is.  This serves ``entropies.d_max_smooth``
-  (and with it ``i_max_smooth``, the protocol thresholds and the one-shot
-  region), whose min t program it solves in one call;
-- without one, as the phase-I problem of its feasibility (Boyd,
-  Vandenberghe, Convex Optimization, 11.4.1; ``_phase_one``): min mu with
-  every PSD expression relaxed to expr + mu I, every inequality to
-  ineq + mu >= 0, the bound mu + 1 >= 0 and the equalities unchanged.
-  This serves the lambda bisection of ``entropies.i_max_tilde``, whose cap
-  is not jointly linear in lambda and the state.
-
-Every verdict is certified by one of two rules:
+Nesterov-Todd scaling and Mehrotra's predictor-corrector for a problem with
+an objective.  It serves ``entropies.d_max_smooth`` (and with it
+``i_max_smooth``, the protocol thresholds and the one-shot region), whose
+min t program it solves in one call.  A solve's result carries two
+certificates, which the caller checks on the program at a fixed value:
 
 - A point is feasible when ``recheck`` accepts it: ``_recheck`` evaluates
   its constraints again from the problem's own expressions.  ``minimize``
-  returns "optimal" only for a primal point that passes it, and a phase-I
-  solve returns "feasible" only for a point that passes it on the
-  unrelaxed problem.
+  returns "optimal" only for a primal point that passes it.
 - A problem is infeasible when a Farkas witness passes ``witness_fires``:
   a cone element w with gap > 0 and |G^T w + G_eq^T nu| <= WITNESS_RATIO * gap
   (``Program.farkas``), which proves that no feasible point has norm below
-  1 / WITNESS_RATIO.  A phase-I solve builds w from ``minimize``'s dual z
-  with the bound's row dropped: at a phase-I optimum mu* > 0 the bound is
-  inactive, G^T z + G_eq^T y = 0 and -(<c, z> + <c_eq, y>) = mu*, so z is
-  a witness whose gap is mu* / |z| and whose |r| is the dual residual.  ``d_max_smooth`` builds w from the dual z of its
+  1 / WITNESS_RATIO.  ``d_max_smooth`` builds w from the dual z of its
   min t solve and tests it on the program just below the optimum.
 
-A phase-I solve that earns neither verdict returns "unknown": its optimum
-lies within the solver's resolution of mu* = 0, and no caller may read it
-as either side.  A ``minimize`` solve that reaches no certified optimum
-within ``IPM_MAX_ITER`` steps returns "maxIterations".
+A solve that reaches no certified optimum within ``IPM_MAX_ITER`` steps
+returns "maxIterations".
 
 Fixed settings: a point counts as feasible when its constraints are met to
 ``10 * FEASIBLE_TOL``; ``minimize`` stops at a relative gap and dual
@@ -115,7 +99,7 @@ class Term:
     """One affine contribution coeff * map(X_var)."""
 
     var: str
-    kind: str  # "id" | "kron" | "marginal_product" | "subblock_conj"
+    kind: str  # "id" | "kron" | "subblock_conj"
     coeff: float = 1.0
     left: np.ndarray | None = None
     split: tuple[int, ...] | None = None
@@ -126,11 +110,6 @@ class Term:
             return self.coeff * x
         if self.kind == "kron":
             return self.coeff * _kron(self.left, x)
-        if self.kind == "marginal_product":
-            d1, d2 = self.split
-            x4 = x.reshape(x.shape[:-2] + (d1, d2, d1, d2))
-            y = np.einsum("...aiaj->...ij", x4)
-            return self.coeff * _kron(self.left, y)
         if self.kind == "subblock_conj":
             # trailing principal subblock, rotated back by the fixed unitary
             (i0,) = self.split
@@ -172,14 +151,6 @@ class AffineExpr:
         self.terms.append(Term(var, "kron", coeff, left=np.asarray(left, dtype=complex)))
         return self
 
-    def plus_marginal_product(
-        self, left: np.ndarray, var: str, split: tuple[int, int], coeff: float = 1.0
-    ) -> "AffineExpr":
-        self.terms.append(
-            Term(var, "marginal_product", coeff, left=np.asarray(left, dtype=complex), split=split)
-        )
-        return self
-
     def plus_subblock(
         self, var: str, start: int, rotation: np.ndarray, coeff: float = 1.0
     ) -> "AffineExpr":
@@ -219,7 +190,7 @@ class SDProblem:
     psd_constraints: list[AffineExpr] = field(default_factory=list)
     equalities: list[ScalarExpr] = field(default_factory=list)
     inequalities: list[ScalarExpr] = field(default_factory=list)  # each >= 0
-    objective: ScalarExpr | None = None  # minimized when present
+    objective: ScalarExpr | None = None  # what ``minimize`` minimizes
 
     def add_var(self, label: str, dim: int) -> str:
         if any(lab == label for lab, _ in self.variables):
@@ -239,15 +210,13 @@ class SDProblem:
 
 @dataclass
 class SDPResult:
-    # "optimal" | "maxIterations" of ``minimize``; "feasible" | "infeasible" |
-    # "unknown" of a phase-I solve
-    status: str
+    status: str  # "optimal" | "maxIterations"
     assignment: dict[str, np.ndarray]
     residuals: dict[str, float]
     iterations: int
-    # (z, y) of the solve; a phase-I solve's z is over the problem's own slack
-    # (its bound's row dropped), so ``Program(prob).farkas(z)`` reads its witness
-    dual: tuple[np.ndarray, np.ndarray] | None = None
+    # (z, y) of the solve: z over the problem's slack, so that
+    # ``Program(prob).farkas(z)`` reads it as a witness
+    dual: tuple[np.ndarray, np.ndarray]
 
 
 _SQRT2 = math.sqrt(2.0)
@@ -396,54 +365,6 @@ def _recheck(prob: SDProblem, assign: dict[str, np.ndarray]) -> dict[str, float]
     for ineq in prob.inequalities:
         min_eig = min(min_eig, ineq.evaluate(assign))
     return {"primal": max(-min_eig, 0.0), "gap": eq_resid}
-
-
-# the phase-I variable, added beside the problem's own variables
-_MU = "phase_one_mu"
-
-
-def _phase_one(prob: SDProblem) -> SDProblem:
-    """min mu s.t. expr + mu I PSD for every PSD expression, ineq + mu >= 0
-    for every inequality, then mu + 1 >= 0 as the last inequality, and the
-    equalities unchanged.  Its slack is ``prob``'s with one more slot."""
-    one = np.ones((1, 1), dtype=complex)
-    relaxed = SDProblem(list(prob.variables), equalities=list(prob.equalities))
-    relaxed.add_var(_MU, 1)
-    for expr in prob.psd_constraints:
-        relaxed.require_psd(
-            AffineExpr(expr.dim, expr.const, list(expr.terms)).plus_kron(np.eye(expr.dim), _MU)
-        )
-    for ineq in prob.inequalities:
-        relaxed.require_geq(ScalarExpr(ineq.const, ineq.terms + ((_MU, one),)))
-    relaxed.require_geq(ScalarExpr(1.0, ((_MU, one),)))
-    relaxed.objective = trace_functional(_MU, 1)
-    return relaxed
-
-
-def solve(prob: SDProblem) -> SDPResult:
-    """``minimize(prob)`` when ``prob`` has an objective; otherwise its
-    feasibility verdict from one ``minimize`` solve of ``_phase_one(prob)``.
-
-    "feasible" when ``recheck`` accepts the phase-I point on ``prob`` itself;
-    "infeasible" when the phase-I dual z, its bound's row dropped, passes
-    ``witness_fires`` through ``Program(prob).farkas``; "unknown" otherwise.
-    The residuals hold the recheck's ``primal`` and ``gap``, the phase-I
-    optimum ``mu`` and, when the point is not feasible, ``witness_gap`` and
-    ``witness_resid``; ``dual`` holds (z, y) over ``prob``'s own slack.
-    """
-    if prob.objective is not None:
-        return minimize(prob)
-    res = minimize(_phase_one(prob))
-    assign = {lab: res.assignment[lab] for lab, _ in prob.variables}
-    ok, residuals = recheck(prob, assign)
-    residuals["mu"] = res.residuals["objective"]
-    z, y = res.dual[0][:-1], res.dual[1]
-    status = "feasible"
-    if not ok:
-        _, _, gap, resid = Program(prob).farkas(z)
-        residuals["witness_gap"], residuals["witness_resid"] = gap, resid
-        status = "infeasible" if witness_fires(gap, resid) else "unknown"
-    return SDPResult(status, assign, residuals, res.iterations, dual=(z, y))
 
 
 def _ct(mats: np.ndarray) -> np.ndarray:

@@ -60,23 +60,14 @@ def max_law(pair: SplitPair) -> qo.Distribution:
     return qo.Distribution(order, out / out.sum())
 
 
-@dataclass(frozen=True)
-class SplitControlState:
-    """cq state over (U, V, Y) with post-measurement quantum blocks."""
-
-    theta: float
-    axis: str  # which classical register was split
-    cq: qo.CQState
-
-
 def split_control_state(
     povm: qo.JointPOVM,
     rho: np.ndarray,
     theta: float,
     lay: la.SystemLayout | None = None,
     keep: tuple[str, ...] | None = None,
-) -> SplitControlState:
-    """Control state with weights pU(u) pV(v) p(y | max(u, v)).
+) -> qo.CQState:
+    """Control cq state over (U, V, Y) with weights pU(u) pV(v) p(y | max(u, v)).
 
     Quantum blocks are the normalized post-measurement operators of
     Lambda_{max(u,v), y} (mirror form without a layout, steered-and-reduced
@@ -115,4 +106,4 @@ def split_control_state(
                 symbols.append(sym)
                 weights[sym] = w
                 blocks[sym] = base.blocks[key_xy]
-    return SplitControlState(float(theta), "X", qo.CQState(tuple(symbols), weights, blocks))
+    return qo.CQState(tuple(symbols), weights, blocks)

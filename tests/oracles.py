@@ -187,13 +187,6 @@ def shannon_entropy(p) -> float:
     return float(-(p * np.log2(p)).sum())
 
 
-def mutual_information(joint: np.ndarray) -> float:
-    """I(A:B) of a classical joint probability table."""
-    pa = joint.sum(axis=1)
-    pb = joint.sum(axis=0)
-    return shannon_entropy(pa) + shannon_entropy(pb) - shannon_entropy(joint)
-
-
 def covering_enumeration_oracle(pxy: np.ndarray, blocks: dict, k: int, l: int) -> float:
     """Exact expectation of the measure-transformed covering deviation.
 

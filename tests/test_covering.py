@@ -22,58 +22,6 @@ def make_joint(seed=0, nx=2, ny=2, dim=2, product=False):
     return qo.CQState(tuple(symbols), weights, blocks)
 
 
-class TestConvexSplit:
-    def test_k1_l1_identity(self):
-        rng = np.random.default_rng(1)
-        lay = la.layout(("A", 2), ("B", 2), ("R", 2))
-        rho = oracles.random_density(rng, 8)
-        tau = cov.convex_split_state(rho, lay, 1, 1)
-        assert np.max(np.abs(tau - rho)) < 1e-12
-
-    def test_product_input_distance_zero(self):
-        rng = np.random.default_rng(2)
-        lay = la.layout(("A", 2), ("B", 2), ("R", 2))
-        rho = la.tensor(
-            oracles.random_density(rng, 2),
-            oracles.random_density(rng, 2),
-            oracles.random_density(rng, 2),
-        )
-        for k, l in ((1, 1), (2, 1), (2, 2)):
-            tau = cov.convex_split_state(rho, lay, k, l)
-            tgt = cov.split_target_state(rho, lay, k, l)
-            assert la.trace_norm_distance(tau, tgt) < 1e-10
-
-    def test_distance_decreases_with_size(self):
-        rng = np.random.default_rng(3)
-        lay = la.layout(("A", 2), ("B", 2), ("R", 2))
-        for trial in range(20):
-            rho = oracles.random_density(rng, 8)
-            d11 = la.trace_norm_distance(
-                cov.convex_split_state(rho, lay, 1, 1), cov.split_target_state(rho, lay, 1, 1)
-            )
-            d21 = la.trace_norm_distance(
-                cov.convex_split_state(rho, lay, 2, 1), cov.split_target_state(rho, lay, 2, 1)
-            )
-            d22 = la.trace_norm_distance(
-                cov.convex_split_state(rho, lay, 2, 2), cov.split_target_state(rho, lay, 2, 2)
-            )
-            assert d21 <= d11 + 1e-6
-            assert d22 <= d21 + 1e-6
-            assert d22 < d11 + 1e-9
-
-    def test_dimension_cap(self):
-        lay = la.layout(("A", 4), ("B", 4), ("R", 4))
-        with pytest.raises(ValueError):
-            cov.convex_split_state(np.eye(64) / 64, lay, 3, 3)
-
-    def test_trace_one(self):
-        rng = np.random.default_rng(4)
-        lay = la.layout(("A", 2), ("B", 2), ("R", 1))
-        rho = oracles.random_density(rng, 4)
-        tau = cov.convex_split_state(rho, lay, 2, 2)
-        assert abs(np.trace(tau).real - 1.0) < 1e-10
-
-
 class TestCoveringError:
     def test_product_ratio_one_gives_zero(self):
         # product P_XY with identical blocks: transformed average == sigma always

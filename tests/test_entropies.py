@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from povmcomp import entropies as ent, linalg as la, qobjects as qo, sdp
+from povmcomp import entropies as ent, linalg as la, qobjects as qo
 
 import oracles
 
@@ -310,7 +310,6 @@ class TestIMax:
         rho = la.tensor(oracles.random_density(rng, 2), oracles.random_density(rng, 2))
         for eps in (0.05, 0.2):
             assert abs(ent.i_max_smooth(rho, (2, 2), eps)) < 2e-3
-            assert abs(ent.i_max_tilde(rho, (2, 2), eps)) < 2e-3
 
     def test_same_value_on_a_padded_register(self):
         # sqrt(0.978)|00> + sqrt(0.022)|11> with B of dimension 3 is the same
@@ -327,83 +326,6 @@ class TestIMax:
     def test_classical_correlated_eps0(self):
         rho = np.diag([0.5, 0.0, 0.0, 0.5]).astype(complex)
         assert np.isclose(ent.i_max_smooth(rho, (2, 2), 0.0), 1.0, atol=1e-9)
-
-    def test_fact_tilde_vs_imax(self):
-        rng = np.random.default_rng(15)
-        for _ in range(5):
-            p = float(rng.uniform(0.2, 0.8))
-            cq = qo.CQState(
-                ("0", "1"),
-                {"0": p, "1": 1 - p},
-                {"0": oracles.random_density(rng, 2), "1": oracles.random_density(rng, 2)},
-            )
-            rho = cq.dense()
-            eps = 0.2
-            gamma = eps / 2
-            tilde = ent.i_max_tilde(rho, (2, 2), eps)
-            ref = ent.i_max_smooth(rho, (2, 2), eps - gamma) + math.log2(3 / gamma**2)
-            assert tilde <= ref + 5e-3
-
-    def test_unknown_probe_steps_off(self, monkeypatch):
-        # the first probe reads "unknown": the bisection steps off it, and the
-        # value it returns still rests on certified probes on both sides
-        rng = np.random.default_rng(15)
-        cq = qo.CQState(
-            ("0", "1"),
-            {"0": 0.4, "1": 0.6},
-            {"0": oracles.random_density(rng, 2), "1": oracles.random_density(rng, 2)},
-        )
-        rho = cq.dense()
-        plain = ent.i_max_tilde(rho, (2, 2), 0.2)
-        solve, bisect = sdp.solve, ent._bisect_lambda
-        probes, his = [], []
-
-        def first_unknown(prob):
-            res = solve(prob)
-            if not probes:
-                res.status = "unknown"
-            return res
-
-        def recorded(verdict, hi):
-            def probe(lam):
-                probes.append((lam, verdict(lam)))
-                return probes[-1][1]
-
-            his.append(hi)
-            return bisect(probe, hi)
-
-        monkeypatch.setattr(sdp, "solve", first_unknown)
-        monkeypatch.setattr(ent, "_bisect_lambda", recorded)
-        value = ent.i_max_tilde(rho, (2, 2), 0.2)
-        tol = ent.BISECT_TOL_BITS
-        (mid, first), (below, s_below), (above, s_above) = probes[:3]
-        assert first == "unknown"
-        assert (below, above) == (mid - tol / 2, mid + tol / 2)
-        assert {s_below, s_above} <= {"feasible", "infeasible"}
-        assert all(status != "unknown" for _, status in probes[1:])
-        feasible = [lam for lam, status in probes if status == "feasible"] + his
-        infeasible = [lam for lam, status in probes if status == "infeasible"] + [0.0]
-        assert value in feasible
-        assert 0.0 <= value - max(infeasible) <= tol
-        assert abs(value - plain) <= tol
-
-    def test_bisection_returns_the_feasible_step_off_probe(self):
-        # a boundary just above the first midpoint, inside the unknown band
-        tol = ent.BISECT_TOL_BITS
-        boundary = 0.5 + tol / 20
-        probes = []
-
-        def verdict(lam, band=tol / 10):
-            probes.append(lam)
-            if abs(lam - boundary) < band:
-                return "unknown"
-            return "feasible" if lam >= boundary else "infeasible"
-
-        assert ent._bisect_lambda(verdict, 1.0) == 0.5 + tol / 2
-        assert probes == [0.5, 0.5 - tol / 2, 0.5 + tol / 2]
-        # a step-off probe that is unknown as well raises
-        with pytest.raises(ent.SolverError):
-            ent._bisect_lambda(lambda lam: verdict(lam, band=tol), 1.0)
 
 
 class TestVonNeumann:

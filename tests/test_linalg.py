@@ -224,21 +224,3 @@ class TestUhlmann:
         psi = np.array([1.0, 0.0], dtype=complex)  # system 2, mirror 1
         with pytest.raises(ValueError):
             la.uhlmann_partner(psi, np.eye(2, dtype=complex) / 2)
-
-
-class TestPermute:
-    def test_roundtrip(self):
-        rng = np.random.default_rng(14)
-        lay = la.layout(("A", 2), ("B", 3), ("C", 2))
-        rho = oracles.random_density(rng, 12)
-        out, new_lay = la.permute_factors(rho, lay, ["C", "A", "B"])
-        back, _ = la.permute_factors(out, new_lay, ["A", "B", "C"])
-        assert np.allclose(back, rho)
-
-    def test_swap_matches_kron(self):
-        rng = np.random.default_rng(15)
-        a = oracles.random_density(rng, 2)
-        b = oracles.random_density(rng, 3)
-        lay = la.layout(("A", 2), ("B", 3))
-        out, _ = la.permute_factors(la.tensor(a, b), lay, ["B", "A"])
-        assert np.allclose(out, la.tensor(b, a))

@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 
 from povmcomp import entropies as ent
-from povmcomp import io, sdp
+from povmcomp import io, qobjects as qo, sdp
 from povmcomp import protocols as P
 from povmcomp.budget import OneShotBudget
-from povmcomp.protocols import compose
+from povmcomp.protocols import compose, compress
 from povmcomp.protocols.cdcqsi import SequentialDecoder
 from povmcomp.protocols.compress import ABORT, SCENARIOS
 
@@ -247,6 +247,15 @@ def test_centralised_reads_cached_side_corrections(solved, monkeypatch):
     assert calls == []
     want = _golden()[name]["centralised"]
     assert _hex({sc: out["deviation"] for sc, out in run["scenarios"].items()}) == want
+
+
+def test_abort_key_is_no_real_outcome(solved):
+    # protocol-abort mass must count against the ideal output in full, never
+    # against the block of a real outcome that carries the same key
+    _, prep, _, _ = solved
+    for sc in SCENARIOS:
+        key = qo.join_symbol(ABORT, ABORT) if sc.x_link_on and sc.y_link_on else ABORT
+        assert key not in compress.ideal_blocks(prep, sc), sc.name
 
 
 def test_golden_regions(solved):

@@ -24,6 +24,13 @@ class TestPOVMValidation:
                 {("0", "0"): np.diag([1.2, 1.0]), ("1", "0"): np.diag([-0.2, 0.0])}
             )
 
+    def test_rejects_reserved_symbols(self):
+        # the abort symbol and the '|' separator would merge an outcome's key
+        # with the protocol's abort key or with another joint symbol
+        for key in ((qo.ABORT, "0"), ("0", qo.ABORT), ("0|1", "0"), ("0", "a|b")):
+            with pytest.raises(ValueError, match="abort symbol"):
+                qo.povm_from_elements({key: np.eye(2, dtype=complex)})
+
     def test_random_generated_povms_validate(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
@@ -49,7 +56,7 @@ class TestInstrument:
         povm = qo.instrument_to_povm(inst)
         assert np.allclose(povm.elements["0", "y"], np.diag([1.0, 0.0]))
         assert np.allclose(povm.elements["1", "y"], np.diag([0.0, 1.0]))
-        assert (qo.ABORT, qo.ABORT) not in povm.elements
+        assert (qo.DEFICIT, qo.DEFICIT) not in povm.elements
 
     def test_deficit_completion(self):
         rng = np.random.default_rng(1)
@@ -59,9 +66,12 @@ class TestInstrument:
         k1 /= np.linalg.norm(k1, 2) * 1.5
         inst = qo.Instrument({("0", "a"): k0, ("1", "b"): k1})
         povm = qo.instrument_to_povm(inst)
-        assert (qo.ABORT, qo.ABORT) in povm.elements
+        assert (qo.DEFICIT, qo.DEFICIT) in povm.elements
+        assert qo.ABORT not in povm.alphabet_x + povm.alphabet_y
         total = sum(povm.elements.values())
         assert np.max(np.abs(total - np.eye(2))) < 1e-8
+        with pytest.raises(ValueError, match="reserved"):
+            qo.instrument_to_povm(qo.Instrument({(qo.DEFICIT, "a"): k0}))
 
     def test_exceeding_identity_rejected(self):
         with pytest.raises(ValueError):

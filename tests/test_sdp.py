@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -9,27 +11,14 @@ from povmcomp.protocols import prep as prep_mod
 import oracles
 
 
-def feasibility_x_in_box(dim, target_trace):
-    """find X PSD, X <= I, Tr X = target_trace"""
+def box_problem(dim, target_trace):
+    """X PSD, X <= I, Tr X = target_trace"""
     prob = sdp.SDProblem()
     prob.add_var("X", dim)
     prob.require_psd(sdp.AffineExpr.zero(dim).plus_var("X"))
     prob.require_psd(sdp.AffineExpr.const_expr(np.eye(dim)).plus_var("X", -1.0))
     prob.require_eq(sdp.trace_functional("X", dim, const=-float(target_trace)))
     return prob
-
-
-def marginal_kron_problem(p):
-    """X on C^2 (x) C^3 with 1.7 X - 0.4 p (x) Tr_1 X and 0.9 p (x) X PSD, Tr X = 1."""
-    prob = sdp.SDProblem()
-    prob.add_var("X", 6)
-    expr = sdp.AffineExpr.zero(6).plus_var("X", 1.7)
-    expr.plus_marginal_product(p, "X", (2, 3), coeff=-0.4)
-    prob.require_psd(expr)
-    expr2 = sdp.AffineExpr.zero(12).plus_kron(p, "X", coeff=0.9)
-    prob.require_psd(expr2)
-    prob.require_eq(sdp.trace_functional("X", 6, const=-1.0))
-    return prob, expr, expr2
 
 
 def interleaved_blocks_problem():
@@ -50,57 +39,39 @@ def interleaved_blocks_problem():
     return prob
 
 
-def named_problem(which):
-    if which == "box":
-        return feasibility_x_in_box(3, 3)
-    if which == "interleaved":
-        return interleaved_blocks_problem()
-    if which == "marginal_kron_psd":
-        # a density matrix p, so that X = I/6 is feasible
-        return marginal_kron_problem(oracles.random_density(np.random.default_rng(0), 2))[0]
-    # an indefinite p: p (x) X PSD forces X = 0 against Tr X = 1, so infeasible
-    return marginal_kron_problem(oracles.random_hermitian(np.random.default_rng(0), 2))[0]
-
-
-def captured_problem(fn, *args):
-    """The first SDProblem that fn(*args) hands to ``sdp.solve``; fn is cut
-    short there."""
-
-    class Captured(Exception):
-        pass
-
-    def capture(prob):
-        raise Captured(prob)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sdp, "solve", capture)
-        with pytest.raises(Captured) as info:
-            fn(*args)
-    return info.value.args[0]
-
-
 def marginals_product(rho, dims):
     """rho_A (x) rho_B of a state on A (x) B, the sigma of I_max."""
     lay = la.layout(("A", dims[0]), ("B", dims[1]))
     return la.tensor(la.partial_trace(rho, lay, ["A"]), la.partial_trace(rho, lay, ["B"]))
 
 
+def env_state_pair():
+    """(rho, sigma) of the smooth I_max of qubit_entangled_side_info's X env state."""
+    prep = prep_mod.prepare(io.load_bundled("qubit_entangled_side_info"))
+    cq = prep_mod._x_env_cq(prep)
+    rho = cq.dense()
+    return rho, marginals_product(rho, (len(cq.symbols), prep.dim_e))
+
+
+def random_pair():
+    """A rank-2 state against a full-rank one, both on C^3."""
+    rng = np.random.default_rng(11)
+    return oracles.random_density(rng, 3, rank=2), oracles.random_density(rng, 3)
+
+
 def kernel_problem(which):
     """Problems covering every Term kind: "ball_cap" is d_max_smooth's
     fixed-lambda fidelity-ball program with its cap (id, subblock_conj),
-    "dense_tilde" i_max_tilde's program for a state that is not cq
-    (kron, marginal_product)."""
-    rng = np.random.default_rng(11)
-    if which == "ball_cap":
-        rho = oracles.random_density(rng, 3, rank=2)
-        sigma = oracles.random_density(rng, 3)
-        return ent._capped_ball(rho, sigma, 0.1, ent.d_max(rho, sigma))
-    if which == "dense_tilde":
-        return captured_problem(ent.i_max_tilde, oracles.random_density(rng, 4), (2, 2), 0.1)
-    return named_problem(which)
+    "min_t" its min t program (id, subblock_conj, kron)."""
+    if which == "box":
+        return box_problem(3, 3)
+    if which == "interleaved":
+        return interleaved_blocks_problem()
+    rho, sigma = random_pair()
+    return ent._capped_ball(rho, sigma, 0.1, ent.d_max(rho, sigma) if which == "ball_cap" else None)
 
 
-KERNEL_PROBLEMS = ["box", "interleaved", "marginal_kron", "ball_cap", "dense_tilde"]
+KERNEL_PROBLEMS = ["box", "interleaved", "ball_cap", "min_t"]
 
 
 def fires(gap, resid):
@@ -110,17 +81,14 @@ def fires(gap, resid):
 class TestAdjoints:
     def test_probed_linear_map_matches_terms(self):
         rng = np.random.default_rng(0)
-        p = oracles.random_hermitian(rng, 2)
-        prob, expr, expr2 = marginal_kron_problem(p)
+        prob = kernel_problem("min_t")
         prog = sdp.Program(prob)
         for _ in range(5):
-            x = oracles.random_hermitian(rng, 6)
-            probed = prog.g_graph @ sdp.herm_to_rvec(x)
+            assign = {lab: oracles.random_hermitian(rng, d) for lab, d in prob.variables}
+            x = np.concatenate([sdp.herm_to_rvec(assign[lab]) for lab, _ in prob.variables])
+            probed = prog.g_graph[: prog.n_psd] @ x
             direct = np.concatenate(
-                [
-                    sdp.herm_to_rvec(oracles.linear_part(expr, {"X": x})),
-                    sdp.herm_to_rvec(oracles.linear_part(expr2, {"X": x})),
-                ]
+                [sdp.herm_to_rvec(oracles.linear_part(e, assign)) for e in prob.psd_constraints]
             )
             assert np.max(np.abs(probed - direct)) < 1e-10
 
@@ -177,7 +145,7 @@ class TestBatchedProbe:
             for expr in kernel_problem(which).psd_constraints
             for t in expr.terms
         }
-        assert kinds == {"id", "kron", "marginal_product", "subblock_conj"}
+        assert kinds == {"id", "kron", "subblock_conj"}
 
     def test_batched_apply_equals_per_matrix_calls(self):
         rng = np.random.default_rng(10)
@@ -186,7 +154,6 @@ class TestBatchedProbe:
         terms = [
             sdp.Term("X", "id", -0.7),
             sdp.Term("X", "kron", 1.3, left=left),
-            sdp.Term("X", "marginal_product", 0.9, left=left, split=(2, 3)),
             sdp.Term("X", "subblock_conj", -1.1, left=rot, split=(2,)),
         ]
         stack = np.stack([oracles.random_hermitian(rng, 6) for _ in range(5)])
@@ -199,162 +166,63 @@ class TestBatchedProbe:
 
 class TestKernelVerdicts:
     def test_smoothing_identical_with_oracle_kernels(self, monkeypatch):
-        """d_max_smooth's fixed-lambda program for the smooth I_max of
-        qubit_entangled_side_info's X env state, solved by the phase-I
-        ``sdp.solve`` at lambda on both sides of the certified value, gets
-        certified verdicts on both sides, with the same status and
-        iteration count when ``Program`` probes its map per basis matrix."""
-        prep = prep_mod.prepare(io.load_bundled("qubit_entangled_side_info"))
-        cq = prep_mod._x_env_cq(prep)
-        rho = cq.dense()
-        sigma = marginals_product(rho, (len(cq.symbols), prep.dim_e))
-        value = ent.d_max_smooth(rho, sigma, 0.1)
+        """d_max_smooth's min t program for the smooth I_max of
+        qubit_entangled_side_info's X env state gets the same status,
+        iteration count and value bits from ``sdp.minimize`` when ``Program``
+        probes its map per basis matrix."""
+        prob = ent._capped_ball(*env_state_pair(), 0.1, None)
 
         def run():
-            out = []
-            for lam in (value - 0.1, value - 0.01, value + 0.01, value + 0.1):
-                res = sdp.solve(ent._capped_ball(rho, sigma, 0.1, lam))
-                out.append((res.status, res.iterations))
-            return out
+            res = sdp.minimize(prob)
+            return res.status, res.iterations, float(res.assignment["t"][0, 0].real).hex()
 
         kernels = run()
         monkeypatch.setattr(sdp.Program, "_columns", oracles.probe_columns_per_basis)
-        per_basis = run()
-        assert kernels == per_basis
-        assert [status for status, _ in kernels] == ["infeasible"] * 2 + ["feasible"] * 2
-
-
-class TestFeasibility:
-    def test_unique_point_identity(self):
-        res = sdp.solve(feasibility_x_in_box(3, 3))
-        assert res.status == "feasible"
-        assert np.max(np.abs(res.assignment["X"] - np.eye(3))) < 1e-5
-
-    def test_infeasible_trace(self):
-        res = sdp.solve(feasibility_x_in_box(3, 4))
-        assert res.status == "infeasible"
-
-    def test_feasible_interior(self):
-        res = sdp.solve(feasibility_x_in_box(4, 2.0))
-        assert res.status == "feasible"
-        w = np.linalg.eigvalsh(res.assignment["X"])
-        assert w[0] > -1e-7 and w[-1] < 1 + 1e-6
-        assert abs(np.trace(res.assignment["X"]).real - 2.0) < 1e-6
-
-    def test_recheck_residuals_reported(self):
-        res = sdp.solve(feasibility_x_in_box(2, 1.0))
-        assert res.residuals["primal"] <= 1e-7
-        assert res.residuals["gap"] <= 1e-7
-
-
-def witness_functional(prob, w, nu, assign) -> float:
-    """<G x + c, w> + <G_eq x + c_eq, nu> at x = assign, evaluated from the
-    problem's own expressions: w holds one rvec block per PSD constraint,
-    then one weight per inequality; nu one weight per equality."""
-    val, pos = 0.0, 0
-    for expr in prob.psd_constraints:
-        block = sdp.rvec_to_herm(w[pos : pos + expr.dim**2], expr.dim)
-        assert np.linalg.eigvalsh(block)[0] >= -1e-12
-        val += float(np.real(np.sum(block.conj() * expr.evaluate(assign))))
-        pos += expr.dim**2
-    assert np.all(w[pos:] >= 0.0)
-    val += sum(wi * iq.evaluate(assign) for wi, iq in zip(w[pos:], prob.inequalities))
-    return val + sum(ni * eq.evaluate(assign) for ni, eq in zip(nu, prob.equalities))
-
-
-def herm_basis(d):
-    """Orthonormal basis of the d x d Hermitian matrices under Re Tr[A^dag B]."""
-    out = []
-    for i in range(d):
-        e = np.zeros((d, d), dtype=complex)
-        e[i, i] = 1.0
-        out.append(e)
-        for j in range(i + 1, d):
-            for val in (1.0, 1j):
-                e = np.zeros((d, d), dtype=complex)
-                e[i, j], e[j, i] = val / np.sqrt(2), np.conj(val) / np.sqrt(2)
-                out.append(e)
-    return out
+        assert kernels == run()
+        assert kernels[0] == "optimal"
 
 
 class TestWitness:
-    def test_box_witness_checked_from_expressions(self):
-        prob = feasibility_x_in_box(3, 4)
-        res = sdp.solve(prob)
-        assert res.status == "infeasible"
-        w, nu, gap, resid = sdp.Program(prob).farkas(res.dual[0])
-        assert (gap, resid) == (res.residuals["witness_gap"], res.residuals["witness_resid"])
-        const = witness_functional(prob, w, nu, {"X": np.zeros((3, 3), dtype=complex)})
-        r = [witness_functional(prob, w, nu, {"X": b}) - const for b in herm_basis(3)]
-        assert const == pytest.approx(-gap, abs=1e-12)
-        assert np.linalg.norm(r) == pytest.approx(resid, abs=1e-12)
-        assert fires(gap, resid)
-        # at a feasible X every term is >= 0, yet 0 <= X <= I gives |X| <= sqrt 3
-        # and a value <= -gap + |r| sqrt 3 < 0: no feasible X exists
-        assert gap - np.linalg.norm(r) * np.sqrt(3) > 0
+    """The infeasibility certificate of ``d_max_smooth``: the dual z of the
+    min t solve, read as a Farkas witness on the fixed-lambda program."""
 
-    @pytest.mark.parametrize("which", ["box", "interleaved", "marginal_kron_psd"])
-    def test_no_witness_fires_on_feasible_problems(self, which):
-        # the phase-I dual of a feasible problem has gap mu* <= 0, up to rounding
-        prob = named_problem(which)
-        res = sdp.solve(prob)
-        assert res.status == "feasible"
-        assert not fires(*sdp.Program(prob).farkas(res.dual[0])[2:])
+    @staticmethod
+    def solved(which):
+        """(rho, sigma, v = log2 of the optimal t, the solve's result) at eps 0.1."""
+        rho, sigma = env_state_pair() if which == "env" else random_pair()
+        res = sdp.minimize(ent._capped_ball(rho, sigma, 0.1, None))
+        assert res.status == "optimal"
+        return rho, sigma, math.log2(float(res.assignment["t"][0, 0].real)), res
 
-    def test_indefinite_marginal_kron_is_certified(self):
-        res = sdp.solve(named_problem("marginal_kron"))
-        assert res.status == "infeasible"
-        assert fires(res.residuals["witness_gap"], res.residuals["witness_resid"])
+    @pytest.mark.parametrize("which", ["env", "random"])
+    def test_min_t_dual_fires_only_below_the_value(self, which):
+        rho, sigma, value, res = self.solved(which)
+        tol = ent.BISECT_TOL_BITS
+        below = ent._capped_ball(rho, sigma, 0.1, value - tol)
+        assert fires(*sdp.Program(below).farkas(res.dual[0])[2:])
+        # the soundness half: above the value the program is feasible (the
+        # solve's own point passes), so no witness may fire there
+        above = ent._capped_ball(rho, sigma, 0.1, value + tol)
+        assert sdp.recheck(above, res.assignment)[0]
+        assert not fires(*sdp.Program(above).farkas(res.dual[0])[2:])
 
-    @pytest.mark.parametrize("which", ["box_trace_4", "marginal_kron"])
-    def test_farkas_matches_expression_oracle_on_phase_one_duals(self, which):
+    @pytest.mark.parametrize("which", ["env", "random"])
+    def test_farkas_matches_expression_oracle_on_min_t_duals(self, which):
         # Program.farkas clips each block dimension's stack with one eigh;
         # the oracle clips block by block and evaluates the expressions
-        prob = feasibility_x_in_box(3, 4) if which == "box_trace_4" else named_problem(which)
-        z = sdp.solve(prob).dual[0]
-        gap, resid = sdp.Program(prob).farkas(z)[2:]
-        want_gap, want_resid = oracles.farkas_from_expressions(prob, z)
-        assert gap > 0 and want_gap > 0
+        rho, sigma, value, res = self.solved(which)
+        z = res.dual[0]
+        below = ent._capped_ball(rho, sigma, 0.1, value - ent.BISECT_TOL_BITS)
+        gap, resid = sdp.Program(below).farkas(z)[2:]
+        want_gap, want_resid = oracles.farkas_from_expressions(below, z)
         assert fires(gap, resid) and fires(want_gap, want_resid)
         assert gap == pytest.approx(want_gap, rel=1e-12)
-        assert abs(resid - want_resid) <= 1e-12 * gap
+        assert resid == pytest.approx(want_resid, abs=1e-13)  # w is a unit vector
+        above = ent._capped_ball(rho, sigma, 0.1, value + ent.BISECT_TOL_BITS)
+        assert not fires(*oracles.farkas_from_expressions(above, z))
 
 
 class TestGeneratedSuite:
-    def test_strictly_feasible_within_budget(self):
-        # X PSD with margin: find X with A X A^dag <= B where B has slack
-        rng = np.random.default_rng(2)
-        for trial in range(10):
-            d = int(rng.integers(2, 5))
-            rho = oracles.random_density(rng, d)
-            prob = sdp.SDProblem()
-            prob.add_var("X", d)
-            prob.require_psd(sdp.AffineExpr.zero(d).plus_var("X"))
-            # X <= rho + margin I has interior point X = rho
-            prob.require_psd(
-                sdp.AffineExpr.const_expr(rho + 5e-3 * np.eye(d)).plus_var("X", -1.0)
-            )
-            prob.require_eq(sdp.trace_functional("X", d, const=-1.0))
-            res = sdp.solve(prob)
-            assert res.status == "feasible", f"trial {trial}"
-
-    def test_marginal_product_constraint(self):
-        # q <= 2 * (marg_a tensor q_b) is feasible for a product state
-        rng = np.random.default_rng(3)
-        a = oracles.random_density(rng, 2)
-        b = oracles.random_density(rng, 2)
-        q = oracles.kron_oracle(a, b)
-        prob = sdp.SDProblem()
-        prob.add_var("Q", 4)
-        prob.require_psd(sdp.AffineExpr.zero(4).plus_var("Q"))
-        expr = sdp.AffineExpr.zero(4)
-        expr.plus_marginal_product(a, "Q", (2, 2), coeff=2.0)
-        expr.plus_var("Q", -1.0)
-        prob.require_psd(expr)
-        prob.require_eq(sdp.trace_functional("Q", 4, const=-1.0))
-        res = sdp.solve(prob)
-        assert res.status == "feasible"
-
     def test_objective_minimize_trace(self):
         # minimize Tr X subject to X >= rho (X PSD): optimum X = rho
         rng = np.random.default_rng(4)
@@ -364,7 +232,7 @@ class TestGeneratedSuite:
         prob.require_psd(sdp.AffineExpr.const_expr(-rho).plus_var("X"))
         prob.require_psd(sdp.AffineExpr.zero(2).plus_var("X"))
         prob.objective = sdp.trace_functional("X", 2)
-        res = sdp.solve(prob)
+        res = sdp.minimize(prob)
         assert res.status == "optimal"
         assert abs(np.trace(res.assignment["X"]).real - 1.0) <= 1e-6
 
@@ -396,68 +264,3 @@ class TestMinimize:
             sigma = marginals_product(rho, dims)
             for eps in (0.001, 0.01):
                 assert ent.d_max_smooth(rho, sigma, eps) <= ent.d_max(rho, sigma) + 1e-9, (dims, eps)
-
-
-class TestFidelityBlock:
-    @staticmethod
-    def fidelity_ball_problem(rho, sigma, lam, c):
-        """Exists rho' with [[rho, Z], [Z^dag, rho']] PSD, Re Tr Z >= c,
-        rho' <= 2^lam sigma, Tr rho' = 1."""
-        d = rho.shape[0]
-        e00 = np.diag([1.0, 0.0])
-        e11 = np.diag([0.0, 1.0])
-        sx = np.array([[0.0, 1.0], [1.0, 0.0]])
-        sy = np.array([[0.0, -1j], [1j, 0.0]])
-        prob = sdp.SDProblem()
-        prob.add_var("rhop", d)
-        prob.add_var("Zre", d)
-        prob.add_var("Zim", d)
-        block = sdp.AffineExpr.const_expr(np.kron(e00, rho))
-        block.plus_kron(e11, "rhop")
-        block.plus_kron(sx, "Zre")
-        block.plus_kron(-sy, "Zim")
-        prob.require_psd(block)
-        cap = sdp.AffineExpr.const_expr(2.0**lam * sigma).plus_var("rhop", -1.0)
-        prob.require_psd(cap)
-        prob.require_eq(sdp.trace_functional("rhop", d, const=-1.0))
-        prob.require_geq(sdp.trace_functional("Zre", d, const=-float(c)))
-        return prob
-
-    def test_commuting_matches_classical_oracle(self):
-        rng = np.random.default_rng(5)
-        p = rng.dirichlet(np.ones(3))
-        s = rng.dirichlet(np.ones(3))
-        eps = 0.1
-        target = np.sqrt(1 - eps**2)
-        lam_star = oracles.dmax_smooth_classical_oracle(p, s, eps)
-        for lam in np.linspace(lam_star - 1.0, lam_star + 1.0, 20):
-            prob = self.fidelity_ball_problem(np.diag(p), np.diag(s), lam, target)
-            res = sdp.solve(prob)
-            if abs(lam - lam_star) < 2e-3:
-                continue  # too close to the boundary to classify numerically
-            want = "feasible" if lam >= lam_star else "infeasible"
-            assert res.status == want, f"lam={lam}, lam*={lam_star}, status={res.status}"
-            if res.status == "infeasible":
-                assert fires(res.residuals["witness_gap"], res.residuals["witness_resid"])
-
-    def test_unknown_within_resolution_of_the_boundary(self):
-        # at lambda* -+ 1e-6 neither certificate holds; at lambda* -+ 1e-2 one does
-        rng = np.random.default_rng(5)
-        p, s = rng.dirichlet(np.ones(3)), rng.dirichlet(np.ones(3))
-        target = np.sqrt(1 - 0.1**2)
-        lam_star = oracles.dmax_smooth_classical_oracle(p, s, 0.1)
-
-        def solve_at(offset):
-            prob = self.fidelity_ball_problem(np.diag(p), np.diag(s), lam_star + offset, target)
-            return prob, sdp.solve(prob)
-
-        for offset in (-1e-6, 1e-6):
-            prob, res = solve_at(offset)
-            assert res.status == "unknown", offset
-            assert not sdp.recheck(prob, res.assignment)[0]
-            assert not fires(res.residuals["witness_gap"], res.residuals["witness_resid"])
-        prob, res = solve_at(1e-2)
-        assert res.status == "feasible" and sdp.recheck(prob, res.assignment)[0]
-        prob, res = solve_at(-1e-2)
-        assert res.status == "infeasible"
-        assert fires(*sdp.Program(prob).farkas(res.dual[0])[2:])

@@ -70,7 +70,7 @@ class TestSplit:
             sp.split(dist(1.0), 1.5)
 
 
-class TestSplitControlState:
+class TestSplitControl:
     @staticmethod
     def make_instance(seed=0):
         rng = np.random.default_rng(seed)
@@ -86,19 +86,19 @@ class TestSplitControlState:
         ctrl = sp.split_control_state(povm, rho, 0.0)
         base = qo.post_measurement_cq(povm, rho)
         # at theta = 0: v is pinned to the first symbol and u tracks x
-        for sym in ctrl.cq.symbols:
+        for sym in ctrl.symbols:
             u, v, y = qo.split_symbol(sym)
             assert v == povm.alphabet_x[0]
             key = qo.join_symbol(u, y)
-            assert abs(ctrl.cq.weights[sym] - base.weights[key]) < 1e-12
-            assert np.allclose(ctrl.cq.blocks[sym], base.blocks[key])
+            assert abs(ctrl.weights[sym] - base.weights[key]) < 1e-12
+            assert np.allclose(ctrl.blocks[sym], base.blocks[key])
 
     def test_single_outcome_povm(self):
         rho = oracles.random_density(np.random.default_rng(2), 3)
         povm = qo.povm_from_elements({("x", "y"): np.eye(3, dtype=complex)})
         ctrl = sp.split_control_state(povm, rho, 0.7)
-        assert len(ctrl.cq.symbols) == 1
-        assert np.allclose(next(iter(ctrl.cq.blocks.values())), rho)
+        assert len(ctrl.symbols) == 1
+        assert np.allclose(next(iter(ctrl.blocks.values())), rho)
 
     def test_max_y_marginal_reproduces_induced(self):
         povm, rho = self.make_instance(seed=3)
@@ -106,10 +106,10 @@ class TestSplitControlState:
         for theta in (0.3, 0.8):
             ctrl = sp.split_control_state(povm, rho, theta)
             marg = {}
-            for sym in ctrl.cq.symbols:
+            for sym in ctrl.symbols:
                 u, v, y = qo.split_symbol(sym)
                 x = max(u, v)  # string order matches alphabet order here
-                marg[qo.join_symbol(x, y)] = marg.get(qo.join_symbol(x, y), 0.0) + ctrl.cq.weights[sym]
+                marg[qo.join_symbol(x, y)] = marg.get(qo.join_symbol(x, y), 0.0) + ctrl.weights[sym]
             for key, val in marg.items():
                 assert abs(val - joint.prob(key)) < 1e-10
 
@@ -117,6 +117,6 @@ class TestSplitControlState:
         povm, rho = self.make_instance(seed=4)
         ctrl = sp.split_control_state(povm, rho, 0.5)
         mass = sum(
-            ctrl.cq.weights[s] * np.trace(ctrl.cq.blocks[s]).real for s in ctrl.cq.symbols
+            ctrl.weights[s] * np.trace(ctrl.blocks[s]).real for s in ctrl.symbols
         )
         assert abs(mass - 1.0) < 1e-9
