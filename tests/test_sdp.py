@@ -21,6 +21,28 @@ def box_problem(dim, target_trace):
     return prob
 
 
+def box_min_t(dim, target_trace):
+    """box_problem with its cap I relaxed to t I, and min t: the optimum is
+    target_trace / dim, so box_problem(dim, target_trace) is feasible iff
+    that is at most 1."""
+    prob = sdp.SDProblem()
+    prob.add_var("X", dim)
+    prob.add_var("t", 1)
+    prob.require_psd(sdp.AffineExpr.zero(dim).plus_var("X"))
+    prob.require_psd(sdp.AffineExpr.zero(dim).plus_kron(np.eye(dim), "t").plus_var("X", -1.0))
+    prob.require_eq(sdp.trace_functional("X", dim, const=-float(target_trace)))
+    prob.objective = sdp.trace_functional("t", 1)
+    return prob
+
+
+def feasibility_problem(which):
+    """A problem with the objective Tr X, which its constraints fix ("box")
+    or bound below ("interleaved"), so that ``minimize`` finds a feasible point."""
+    prob = box_problem(3, 3) if which == "box" else interleaved_blocks_problem()
+    prob.objective = sdp.trace_functional("X", prob.variables[0][1])
+    return prob
+
+
 def interleaved_blocks_problem():
     """PSD blocks of dimensions 2, 3, 2, 4, 3 in that order, plus two
     scalar inequalities."""
@@ -182,9 +204,95 @@ class TestKernelVerdicts:
         assert kernels[0] == "optimal"
 
 
+class TestFeasibility:
+    """Feasibility problems posed to ``minimize`` with an objective that
+    their trace equality holds constant."""
+
+    @staticmethod
+    def solve_box(dim, target_trace):
+        prob = box_problem(dim, target_trace)
+        prob.objective = sdp.trace_functional("X", dim)
+        return sdp.minimize(prob)
+
+    def test_unique_point_identity(self):
+        res = self.solve_box(3, 3)
+        assert res.status == "optimal"
+        assert np.max(np.abs(res.assignment["X"] - np.eye(3))) < 1e-5
+
+    def test_infeasible_trace(self):
+        # 0 <= X <= I caps Tr X at 3: the relaxation X <= t I has min t = 4/3,
+        # and its dual is a witness against t = 1
+        res = sdp.minimize(box_min_t(3, 4))
+        assert res.status == "optimal"
+        assert res.assignment["t"][0, 0].real == pytest.approx(4 / 3, abs=1e-5)
+        assert fires(*sdp.Program(box_problem(3, 4)).farkas(res.dual[0])[2:])
+
+    def test_feasible_interior(self):
+        res = self.solve_box(4, 2.0)
+        assert res.status == "optimal"
+        w = np.linalg.eigvalsh(res.assignment["X"])
+        assert w[0] > -1e-7 and w[-1] < 1 + 1e-6
+        assert abs(np.trace(res.assignment["X"]).real - 2.0) < 1e-6
+
+    def test_recheck_residuals_reported(self):
+        res = self.solve_box(2, 1.0)
+        assert res.residuals["primal"] <= 1e-7
+        assert res.residuals["gap"] <= 1e-7
+
+
+def witness_functional(prob, w, nu, assign) -> float:
+    """<G x + c, w> + <G_eq x + c_eq, nu> at x = assign, evaluated from the
+    problem's own expressions: w holds one rvec block per PSD constraint,
+    then one weight per inequality; nu one weight per equality."""
+    val, pos = 0.0, 0
+    for expr in prob.psd_constraints:
+        block = sdp.rvec_to_herm(w[pos : pos + expr.dim**2], expr.dim)
+        assert np.linalg.eigvalsh(block)[0] >= -1e-12
+        val += float(np.real(np.sum(block.conj() * expr.evaluate(assign))))
+        pos += expr.dim**2
+    assert np.all(w[pos:] >= 0.0)
+    val += sum(wi * iq.evaluate(assign) for wi, iq in zip(w[pos:], prob.inequalities))
+    return val + sum(ni * eq.evaluate(assign) for ni, eq in zip(nu, prob.equalities))
+
+
+def herm_basis(d):
+    """Orthonormal basis of the d x d Hermitian matrices under Re Tr[A^dag B]."""
+    out = []
+    for i in range(d):
+        e = np.zeros((d, d), dtype=complex)
+        e[i, i] = 1.0
+        out.append(e)
+        for j in range(i + 1, d):
+            for val in (1.0, 1j):
+                e = np.zeros((d, d), dtype=complex)
+                e[i, j], e[j, i] = val / np.sqrt(2), np.conj(val) / np.sqrt(2)
+                out.append(e)
+    return out
+
+
 class TestWitness:
     """The infeasibility certificate of ``d_max_smooth``: the dual z of the
     min t solve, read as a Farkas witness on the fixed-lambda program."""
+
+    def test_box_witness_checked_from_expressions(self):
+        prob = box_problem(3, 4)
+        w, nu, gap, resid = sdp.Program(prob).farkas(sdp.minimize(box_min_t(3, 4)).dual[0])
+        const = witness_functional(prob, w, nu, {"X": np.zeros((3, 3), dtype=complex)})
+        r = [witness_functional(prob, w, nu, {"X": b}) - const for b in herm_basis(3)]
+        assert const == pytest.approx(-gap, abs=1e-12)
+        assert np.linalg.norm(r) == pytest.approx(resid, abs=1e-12)
+        assert fires(gap, resid)
+        # at a feasible X every term is >= 0, yet 0 <= X <= I gives |X| <= sqrt 3
+        # and a value <= -gap + |r| sqrt 3 < 0: no feasible X exists
+        assert gap - np.linalg.norm(r) * np.sqrt(3) > 0
+
+    @pytest.mark.parametrize("which", ["box", "interleaved"])
+    def test_no_witness_fires_on_feasible_problems(self, which):
+        # a feasible point x has |x| < 1 / WITNESS_RATIO, so no witness may fire
+        prob = feasibility_problem(which)
+        res = sdp.minimize(prob)
+        assert res.status == "optimal"
+        assert not fires(*sdp.Program(prob).farkas(res.dual[0])[2:])
 
     @staticmethod
     def solved(which):
@@ -223,6 +331,24 @@ class TestWitness:
 
 
 class TestGeneratedSuite:
+    def test_strictly_feasible_within_budget(self):
+        # X PSD with margin: find X with A X A^dag <= B where B has slack
+        rng = np.random.default_rng(2)
+        for trial in range(10):
+            d = int(rng.integers(2, 5))
+            rho = oracles.random_density(rng, d)
+            prob = sdp.SDProblem()
+            prob.add_var("X", d)
+            prob.require_psd(sdp.AffineExpr.zero(d).plus_var("X"))
+            # X <= rho + margin I has interior point X = rho
+            prob.require_psd(
+                sdp.AffineExpr.const_expr(rho + 5e-3 * np.eye(d)).plus_var("X", -1.0)
+            )
+            prob.require_eq(sdp.trace_functional("X", d, const=-1.0))
+            prob.objective = sdp.trace_functional("X", d)  # constant: a feasibility solve
+            res = sdp.minimize(prob)
+            assert res.status == "optimal", f"trial {trial}"
+
     def test_objective_minimize_trace(self):
         # minimize Tr X subject to X >= rho (X PSD): optimum X = rho
         rng = np.random.default_rng(4)
@@ -264,3 +390,55 @@ class TestMinimize:
             sigma = marginals_product(rho, dims)
             for eps in (0.001, 0.01):
                 assert ent.d_max_smooth(rho, sigma, eps) <= ent.d_max(rho, sigma) + 1e-9, (dims, eps)
+
+
+class TestFidelityBlock:
+    @staticmethod
+    def fidelity_ball_problem(rho, sigma, lam, c):
+        """Exists rho' with [[rho, Z], [Z^dag, rho']] PSD, Re Tr Z >= c,
+        rho' <= 2^lam sigma, Tr rho' = 1.  With ``lam`` None the cap is
+        rho' <= t sigma with t a 1x1 variable, and the objective min t."""
+        d = rho.shape[0]
+        e00 = np.diag([1.0, 0.0])
+        e11 = np.diag([0.0, 1.0])
+        sx = np.array([[0.0, 1.0], [1.0, 0.0]])
+        sy = np.array([[0.0, -1j], [1j, 0.0]])
+        prob = sdp.SDProblem()
+        prob.add_var("rhop", d)
+        prob.add_var("Zre", d)
+        prob.add_var("Zim", d)
+        block = sdp.AffineExpr.const_expr(np.kron(e00, rho))
+        block.plus_kron(e11, "rhop")
+        block.plus_kron(sx, "Zre")
+        block.plus_kron(-sy, "Zim")
+        prob.require_psd(block)
+        if lam is None:
+            prob.add_var("t", 1)
+            prob.objective = sdp.trace_functional("t", 1)
+            cap = sdp.AffineExpr.zero(d).plus_kron(sigma, "t")
+        else:
+            cap = sdp.AffineExpr.const_expr(2.0**lam * sigma)
+        prob.require_psd(cap.plus_var("rhop", -1.0))
+        prob.require_eq(sdp.trace_functional("rhop", d, const=-1.0))
+        prob.require_geq(sdp.trace_functional("Zre", d, const=-float(c)))
+        return prob
+
+    def test_commuting_matches_classical_oracle(self):
+        # the min t solve classifies every fixed lambda: its point is feasible
+        # above lambda*, and its dual a witness below
+        rng = np.random.default_rng(5)
+        p = rng.dirichlet(np.ones(3))
+        s = rng.dirichlet(np.ones(3))
+        eps = 0.1
+        target = np.sqrt(1 - eps**2)
+        lam_star = oracles.dmax_smooth_classical_oracle(p, s, eps)
+        res = sdp.minimize(self.fidelity_ball_problem(np.diag(p), np.diag(s), None, target))
+        assert res.status == "optimal"
+        assert math.log2(res.assignment["t"][0, 0].real) == pytest.approx(lam_star, abs=1e-5)
+        for lam in np.linspace(lam_star - 1.0, lam_star + 1.0, 20):
+            if abs(lam - lam_star) < 2e-3:
+                continue  # too close to the boundary to classify numerically
+            prob = self.fidelity_ball_problem(np.diag(p), np.diag(s), lam, target)
+            feasible = sdp.recheck(prob, res.assignment)[0]
+            infeasible = fires(*sdp.Program(prob).farkas(res.dual[0])[2:])
+            assert (feasible, infeasible) == (lam >= lam_star, lam < lam_star), lam
