@@ -52,31 +52,6 @@ def _transformed_average(counts_x, counts_y, k, l, ratio, blocks) -> np.ndarray:
     return np.einsum("xy,xyij->ij", weights, blocks)
 
 
-def covering_error(
-    joint: qo.CQState, k: int, l: int, trials: int, seed: int
-) -> dict[str, float]:
-    """Monte Carlo mean/stderr of the measure-transformed covering deviation.
-
-    Each trial draws independent codebooks of sizes ``k`` and ``l`` from the
-    marginals (as multinomial symbol counts) and computes exactly the trace
-    norm between the transformed sample average and the true average state.
-    Per-trial RNG streams derive from (seed, trial), so the result does not
-    depend on evaluation order.
-    """
-    _, _, pxy, px, py, ratio, blocks = _joint_tables(joint)
-    sigma = np.einsum("xy,xyij->ij", pxy, blocks)
-    devs = np.zeros(trials)
-    for t in range(trials):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(t,)))
-        cx = rng.multinomial(k, px / px.sum())
-        cy = rng.multinomial(l, py / py.sum())
-        avg = _transformed_average(cx, cy, k, l, ratio, blocks)
-        devs[t] = la.trace_norm(avg - sigma)
-    mean = float(devs.mean())
-    stderr = float(devs.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-    return {"mean": mean, "stderr": stderr, "trials": trials, "seed": seed}
-
-
 def _prefix_counts(counts: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
     """Counts of the first m draws given total counts (hypergeometric chain)."""
     total = int(counts.sum())
@@ -152,9 +127,6 @@ class GoodSetCertificate:
     prob_good: float
     op_slack: float  # min eig of (1 + eps^(1/4)) target - sum_{good} w rho'
     eps_used: float
-    measured_const: float  # (1 - prob_good) / eps^(1/4)
-    max_primed_distance: float
-    scale: float = 1.0  # extra factor in the transformed variant's bound
 
 
 def extract_good_set(
@@ -189,7 +161,6 @@ def extract_good_set(
     phi = phi.reshape(d, d, n)
     good, primed = [], {}
     prob_good = 0.0
-    max_dist = 0.0
     for i in range(n):
         w = weights[i]
         if w <= 0:
@@ -206,20 +177,11 @@ def extract_good_set(
             good.append(i)
             primed[i] = rho_p
             prob_good += w
-            max_dist = max(max_dist, la.trace_norm_distance(rho_p, la.as_matrix(parts[i])))
     bound = (1.0 + quarter) * target
     for i in good:
         bound = bound - weights[i] * primed[i]
     op_slack = float(np.linalg.eigvalsh((bound + bound.conj().T) / 2)[0])
-    return GoodSetCertificate(
-        good=good,
-        primed=primed,
-        prob_good=prob_good,
-        op_slack=op_slack,
-        eps_used=eps,
-        measured_const=(1.0 - prob_good) / quarter,
-        max_primed_distance=max_dist,
-    )
+    return GoodSetCertificate(good, primed, prob_good, op_slack, eps)
 
 
 def extract_good_set_transformed(
@@ -241,9 +203,7 @@ def extract_good_set_transformed(
         else:
             parts.append(la.as_matrix(s) / t)
             new_weights.append(w * t / z)
-    cert = extract_good_set(parts, new_weights, target, min(2 * eps, 0.999))
-    cert.scale = z
-    return cert
+    return extract_good_set(parts, new_weights, target, min(2 * eps, 0.999))
 
 
 def verify_certificate(

@@ -46,7 +46,6 @@ class HmaxSolution:
     value: float
     lam: dict[str, float]
     subdistribution: dict[str, float]  # P restricted to the kept support, subnormalized
-    min_kept_scaled: float  # min over kept x of P(x) 2^{Hmax} / (1 - eps); reported only
 
 
 def smooth_max_entropy_atoms(
@@ -95,15 +94,13 @@ def h_max_smooth(p: qo.Distribution, eps: float) -> HmaxSolution:
     value, kept = smooth_max_entropy_atoms(atoms, eps)
     lam = {}
     sub: dict[str, float] = {}
-    min_kept_scaled = math.inf
     for (prob, kept_frac), i in zip(kept, idx):
         sym = p.alphabet[i]
         lam[sym] = kept_frac
         if kept_frac > 1e-12 and prob > 0:
             sub[sym] = prob
-            min_kept_scaled = min(min_kept_scaled, prob * 2.0**value / max(1e-300, 1 - eps))
     sub = {s: sub[s] for s in p.alphabet if s in sub}  # restore alphabet order
-    return HmaxSolution(value, lam, sub, min_kept_scaled)
+    return HmaxSolution(value, lam, sub)
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +328,6 @@ class _BallBlock:
 
     var: str
     rank: int
-    dim: int
     rotation: np.ndarray
 
 
@@ -367,7 +363,7 @@ def _fidelity_ball_problem(
         if r == 0:
             var = prob.add_var(f"ball{i}", d)
             prob.require_psd(sdp.AffineExpr.zero(d).plus_var(var))
-            infos.append(_BallBlock(var, 0, d, np.eye(d, dtype=complex)))
+            infos.append(_BallBlock(var, 0, np.eye(d, dtype=complex)))
             tr_terms.append((var, np.eye(d, dtype=complex)))
             continue
         rotation = np.concatenate([u[:, keep][:, ::-1], u[:, ~keep]], axis=1)
@@ -387,7 +383,7 @@ def _fidelity_ball_problem(
         tr_f = np.zeros((r + d, r + d), dtype=complex)
         tr_f[r:, r:] = np.eye(d)
         tr_terms.append((var, tr_f))
-        infos.append(_BallBlock(var, r, d, rotation))
+        infos.append(_BallBlock(var, r, rotation))
     prob.require_eq(sdp.ScalarExpr(-1.0, tuple(tr_terms)))
     prob.require_geq(sdp.ScalarExpr(-float(target_f), tuple(z_terms)))
     return prob, infos

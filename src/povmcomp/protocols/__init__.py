@@ -21,6 +21,6 @@ from .compress import (  # noqa: F401
     simulate_unassisted,
 )
 from .hashing import HashScheme, draw_hash  # noqa: F401
-from .cdcqsi import SequentialDecoder, cdc_qsi  # noqa: F401
+from .cdcqsi import cdc_qsi, sequential_kraus  # noqa: F401
 from .compose import centralised_protocol, compose_with_side_information  # noqa: F401
 from .regions import RateRegion, iid_region, one_shot_region  # noqa: F401

@@ -4,8 +4,10 @@ Alice holds the classical register of a cq state, Bob the quantum part.
 Alice sends a 2-universal hash of her symbol; Bob measures his register
 sequentially through the bucket with the hypothesis-testing optimizer's
 per-symbol tests, then applies the polar correction unitary of the decoded
-branch.  A bucket with one candidate is decoded without a measurement: the
-hash has already named the symbol, so Bob's register is left untouched.
+branch; ``sequential_kraus`` gives each branch's operator, and ``compose``
+decodes its hash fibers with it too.  A bucket with one candidate is
+decoded without a measurement: the hash has already named the symbol, so
+Bob's register is left untouched.
 The average decoding error and the output state are computed exactly (no
 sampling) and averaged over hash draws.
 """
@@ -13,7 +15,6 @@ sampling) and averaged over hash draws.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,57 +30,27 @@ BUCKET_SLACK_BITS = 5
 MAX_REDRAWS = 50
 
 
-@dataclass
-class SequentialDecoder:
-    """Successive-cancellation decoder for one bucket of candidates.
+def sequential_kraus(tests: list[np.ndarray]) -> list[np.ndarray]:
+    """Kraus operators of successive-cancellation decoding through ``tests``.
 
-    A one-candidate bucket needs no measurement: its candidate gets
-    ``S_1 = I`` with an identity correction and ``failure_op = 0``, so it
+    Candidate j, tested in the caller's order, decodes through
+    K_j = U_j^dag S_j with S_j = Pi_j (I - Pi_{j-1}) ... (I - Pi_1) and U_j
+    the left polar unitary of S_j = U_j sqrt(S_j^dag S_j): the decoded branch
+    undoes the measurement's rotation.  The last operator is the failure
+    branch sqrt(I - sum_j S_j^dag S_j).  A lone candidate needs no
+    measurement, since the hash alone names it: it gets [I, 0], so it
     decodes with probability 1 and leaves the state as it was.
     """
-
-    bucket_order: tuple[str, ...]
-    tests: dict[str, np.ndarray]
-    # S_j = Pi_j (I - Pi_{j-1}) ... (I - Pi_1); S_1 = I for a lone candidate
-    sequential_ops: list[np.ndarray]
-    correction_unitaries: list[np.ndarray]
-    failure_op: np.ndarray  # sqrt(I - sum S^dag S)
-
-    @staticmethod
-    def build(bucket: list[str], tests: dict[str, np.ndarray]) -> "SequentialDecoder":
-        dim = next(iter(tests.values())).shape[0]
-        order = tuple(sorted(bucket))
-        eye = np.eye(dim, dtype=complex)
-        if len(order) == 1:
-            # the hash alone identifies a lone candidate: no test is applied
-            return SequentialDecoder(
-                order, {s: tests[s] for s in order}, [eye], [eye], np.zeros_like(eye)
-            )
-        seq_ops = []
-        tail = eye
-        for sym in order:
-            pi = tests[sym]
-            seq_ops.append(pi @ tail)
-            tail = (eye - pi) @ tail
-        # corrections: left polar S = U sqrt(S^dag S); the decoded branch
-        # applies U^dag to undo the measurement rotation
-        corrections = [_polar_unitary(s) for s in seq_ops]
-        residual = eye
-        for s in seq_ops:
-            residual = residual - s.conj().T @ s
-        failure = la.matrix_sqrt(residual)
-        return SequentialDecoder(order, {s: tests[s] for s in order}, seq_ops, corrections, failure)
-
-    def decode_branches(self, rho: np.ndarray) -> list[tuple[str | None, float, np.ndarray]]:
-        """(decoded symbol or None, probability, corrected post-state)."""
-        out = []
-        for sym, s, u in zip(self.bucket_order, self.sequential_ops, self.correction_unitaries):
-            post = s @ rho @ s.conj().T
-            p = float(np.trace(post).real)
-            out.append((sym, p, u.conj().T @ post @ u))
-        fail_post = self.failure_op @ rho @ self.failure_op.conj().T
-        out.append((None, float(np.trace(fail_post).real), fail_post))
-        return out
+    eye = np.eye(tests[0].shape[0], dtype=complex)
+    if len(tests) == 1:
+        return [eye, np.zeros_like(eye)]
+    kraus, tail, residual = [], eye, eye
+    for pi in tests:
+        s = pi @ tail
+        tail = (eye - pi) @ tail
+        residual = residual - s.conj().T @ s
+        kraus.append(_polar_unitary(s).conj().T @ s)
+    return kraus + [la.matrix_sqrt(residual)]
 
 
 def _polar_unitary(s: np.ndarray) -> np.ndarray:
@@ -123,7 +94,6 @@ def cdc_qsi(
     }
     per_draw_error = []
     mean_output: dict[tuple[str, str], np.ndarray] = {}
-    decoders_last: dict[int, SequentialDecoder] = {}
     redraws = 0
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(11,)))
     for _ in range(hash_draws):
@@ -135,8 +105,8 @@ def cdc_qsi(
             if bucket_cap is None or all(len(b) <= bucket_cap for b in buckets.values()):
                 break
             redraws += 1
-        decoders = {m: SequentialDecoder.build(b, tests) for m, b in buckets.items()}
-        decoders_last = decoders
+        # supp is sorted, so each bucket tests its symbols in name order
+        kraus = {m: sequential_kraus([tests[s] for s in b]) for m, b in buckets.items()}
         output: dict[tuple[str, str], np.ndarray] = {}
         err = 0.0
         for x in cq.symbols:
@@ -148,14 +118,12 @@ def cdc_qsi(
                 key = (x, qo.ABORT)
                 output[key] = output.get(key, 0.0) + px * cq.blocks[x]
                 continue
-            dec = decoders[scheme.apply(supp.index(x))]
-            correct = 0.0
-            for sym, p, post in dec.decode_branches(cq.blocks[x]):
-                key = (x, sym if sym is not None else qo.ABORT)
-                output[key] = output.get(key, 0.0) + px * post
+            m = scheme.apply(supp.index(x))
+            for sym, op in zip(buckets[m] + [qo.ABORT], kraus[m]):
+                post = op @ cq.blocks[x] @ op.conj().T
+                output[(x, sym)] = output.get((x, sym), 0.0) + px * post
                 if sym == x:
-                    correct += p
-            err += px * (1.0 - correct)
+                    err += px * (1.0 - float(np.trace(post).real))
         per_draw_error.append(err)
         for key, op in output.items():
             mean_output[key] = mean_output.get(key, 0.0) + op / hash_draws
@@ -174,7 +142,6 @@ def cdc_qsi(
         "support_size": len(supp),
         "hmax": hmax.value,
         "i_hyp": ihyp_val,
-        "decoders": decoders_last,
         "hash_redraws": redraws,
         "draws": hash_draws,
     }

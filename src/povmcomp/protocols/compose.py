@@ -12,11 +12,13 @@ channel first perturbs B only gently, then the Y channel is decoded on the
 damaged state.  Output states and deviations are computed exactly by branch
 enumeration; only codebooks, hashes and transcripts are sampled.
 
-Rate bookkeeping follows the composition claim: the coin register copy K'
-counts toward the decodable information, so the sendable rate drops by the
-side-information term at the derived budget eps0 = eps^(1/10).  Decoder
-tests are evaluated at the protocol's own eps: the claim constrains rates,
-not which valid test family the decoder uses, and tests at eps0 would be
+Decoder tests are evaluated at the protocol's own eps, and only on a link
+that hashes: an identity link decodes every fiber as a lone candidate.
+The point-to-point composition adds the rate bookkeeping of the
+composition claim: the coin register copy K' counts toward the decodable
+information, so the sendable rate drops by the side-information term at
+the derived budget eps0 = eps^(1/10).  The claim constrains rates, not
+which valid test family the decoder uses, and tests at eps0 would be
 uselessly weak at desk-scale eps.
 """
 
@@ -44,7 +46,7 @@ from .compress import (
     sample_transcript,
     steered_env_block,
 )
-from .cdcqsi import SequentialDecoder
+from .cdcqsi import sequential_kraus
 from .hashing import HashScheme, draw_hash, identity_hash
 from .prep import PreparedInstance, prepare, thresholds
 
@@ -67,7 +69,6 @@ class AxisEnsemble:
     messages: int
     atom_env: dict[tuple[int, str], np.ndarray]
     mult: dict[tuple[int, str], int]
-    abort_env: dict[int, np.ndarray]
 
 
 def _axis_ensemble(family: CompressedFamily, prep: PreparedInstance, axis: str) -> AxisEnsemble:
@@ -76,22 +77,17 @@ def _axis_ensemble(family: CompressedFamily, prep: PreparedInstance, axis: str) 
     other_coins = plan.k2 if axis == "X" else plan.k1
     own_cb = family.codebook_x if axis == "X" else family.codebook_y
     alphabet = prep.px.alphabet if axis == "X" else prep.py.alphabet
-    rho_e = steered_env_block(prep, np.eye(prep.dim_a))
-    d_e = rho_e.shape[0]
+    d_e = prep.dim_e
     atom_env: dict[tuple[int, str], np.ndarray] = {}
     mult: dict[tuple[int, str], int] = {}
-    abort_env: dict[int, np.ndarray] = {}
     for k in range(coins):
-        abort = np.zeros((d_e, d_e), dtype=complex)
         acc: dict[str, np.ndarray] = {}
         for ko in range(other_coins):
             key = (k, ko) if axis == "X" else (ko, k)
             w = 1.0 / other_coins
             if not family.nice[key]:
-                abort += w * rho_e
                 continue
             blk = family.blocks[key]
-            abort += w * steered_env_block(prep, blk.gamma0)
             for (x, y), gamma in blk.gammas.items():
                 own = x if axis == "X" else y
                 own_count = int(own_cb.counts[k][alphabet.index(own)])
@@ -105,25 +101,21 @@ def _axis_ensemble(family: CompressedFamily, prep: PreparedInstance, axis: str) 
             if m > 0:
                 atom_env[(k, sym)] = op
                 mult[(k, sym)] = m
-        abort_env[k] = abort
-    return AxisEnsemble(axis, coins, messages, atom_env, mult, abort_env)
+    return AxisEnsemble(axis, coins, messages, atom_env, mult)
 
 
 @dataclass
 class AxisStage:
-    """Everything one link needs: hash, tests, and rate bookkeeping."""
+    """What Bob needs to decode one link: its hash and, when it hashes, its tests."""
 
     axis: str
     ensemble: AxisEnsemble
     wire_bits: int
     log_l: int
     hash_scheme: HashScheme
-    tests: dict[tuple[int, str], np.ndarray] | None  # on B, per (coin, class)
-    hmax_kl: float
-    ihyp_kl_kb: float
-    realized_rate: int
-    composition_check: float
-    net_rate: float
+    # on B, per (coin, class); None on an identity link, whose fibers are
+    # lone candidates that decode without a test
+    tests: dict[tuple[int, str], np.ndarray] | None
 
 
 def _axis_weighted_blocks(ensemble: AxisEnsemble, prep: PreparedInstance):
@@ -147,6 +139,19 @@ def _axis_weighted_blocks(ensemble: AxisEnsemble, prep: PreparedInstance):
     return symbols, [w / total for w in weights], blocks
 
 
+def _link_tests(ensemble: AxisEnsemble, prep: PreparedInstance, eps: float):
+    """Per-(coin, class) hypothesis tests on B of I_H^eps(KL : K'B)."""
+    symbols, weights, blocks = _axis_weighted_blocks(ensemble, prep)
+    d_b = prep.dim_b
+    _, test_obj = ent.i_hyp_weighted_cq(symbols, weights, blocks, eps)
+    tests = {}
+    for s, op in test_obj.per_symbol.items():
+        k_str, sym = qo.split_symbol(s)
+        k = int(k_str)
+        tests[(k, sym)] = op[k * d_b : (k + 1) * d_b, k * d_b : (k + 1) * d_b]
+    return tests
+
+
 def _axis_stage(
     family: CompressedFamily,
     prep: PreparedInstance,
@@ -156,75 +161,33 @@ def _axis_stage(
     wire_override: int | None = None,
 ) -> AxisStage:
     ensemble = _axis_ensemble(family, prep, axis)
-    plan = family.plan
-    log_l = plan.log_l1 if axis == "X" else plan.log_l2
-    log_k = plan.log_k1 if axis == "X" else plan.log_k2
-    eps0 = budget.eps0
-    th = thresholds(prep, budget.eps, plan.log_const)
-    atoms, total = [], 0.0
-    for (k, sym), op in ensemble.atom_env.items():
-        p = float(np.trace(op).real) / ensemble.coins
-        atoms.append([p, float(ensemble.mult[(k, sym)])])
-        total += p * ensemble.mult[(k, sym)]
-    hmax_kl, _ = ent.smooth_max_entropy_atoms(
-        [(p / total, m) for p, m in atoms], eps0
-    )
-    tests = None
-    ihyp_kl = math.inf
-    if prep.has_side_information():
-        symbols, weights, blocks = _axis_weighted_blocks(ensemble, prep)
-        d_b = prep.dim_b
-        _, test_obj = ent.i_hyp_weighted_cq(symbols, weights, blocks, budget.eps)
-        tests = {}
-        for s, op in test_obj.per_symbol.items():
-            k_str, sym = qo.split_symbol(s)
-            k = int(k_str)
-            tests[(k, sym)] = op[k * d_b : (k + 1) * d_b, k * d_b : (k + 1) * d_b]
-        ihyp_kl, _ = ent.i_hyp_weighted_cq(symbols, weights, blocks, eps0)
-    # I_H^(eps0/2)(axis : B), which thresholds computed at the same eps0
-    ih_axis = th["ih_x_b"] if axis == "X" else th["ih_y_b"]
-    if math.isinf(ihyp_kl):
-        realized = 0
-        check = math.inf
-    else:
-        realized = max(
-            0, min(log_l, math.ceil(hmax_kl - ihyp_kl + math.log2(1.0 / eps0) - 1e-9))
-        )
-        check = ihyp_kl - log_k - ih_axis
-    imax_axis = th["imax_x"] if axis == "X" else th["imax_y"]
-    net_rate = imax_axis - ih_axis + th["log_const"] + 1.0
-    budget_rate = budget.r_x if axis == "X" else budget.r_y
-    if wire_override is not None:
-        budget_rate = wire_override
+    log_l = family.plan.log_l1 if axis == "X" else family.plan.log_l2
+    wire_bits, scheme, tests = log_l, identity_hash(max(log_l, 1)), None
     if prep.has_side_information() and log_l > 0:
         if log_l > MAX_HASHED_LOG_L:
             raise ProtocolError(
                 f"hashed decoding tabulates every index; logL={log_l} exceeds "
                 f"{MAX_HASHED_LOG_L} (pass a log_const override to shrink codebooks)"
             )
+        budget_rate = budget.r_x if axis == "X" else budget.r_y
+        if wire_override is not None:
+            budget_rate = wire_override
         wire_bits = max(0, min(int(round(budget_rate)), log_l))
         if wire_bits < log_l:
             rng = np.random.default_rng(
                 np.random.SeedSequence(entropy=seed, spawn_key=(101 if axis == "X" else 102,))
             )
             scheme = draw_hash(log_l, wire_bits, rng)
-        else:
-            scheme = identity_hash(log_l)
-    else:
-        wire_bits = log_l
-        scheme = identity_hash(max(log_l, 1))
-    return AxisStage(
-        axis, ensemble, wire_bits, log_l, scheme, tests,
-        hmax_kl, ihyp_kl, realized, check, net_rate,
-    )
+            tests = _link_tests(ensemble, prep, budget.eps)
+    return AxisStage(axis, ensemble, wire_bits, log_l, scheme, tests)
 
 
 class _StageDecoder:
     """Decode branch operators of one link, built once per (coin, fiber signature).
 
     Bob's decoder for a wire message sees only the classes of the indices in
-    its fiber, in the order ``SequentialDecoder.build`` tests them (index
-    names sorted as strings), because his tests are per (coin, class).  That
+    its fiber, in the order ``sequential_kraus`` tests them (indices sorted
+    by their decimal names), because his tests are per (coin, class).  That
     class sequence is the fiber's signature.  The link's fibers come from
     one ``HashScheme.fibers`` table; per coin, every fiber gets a signature
     id and one decoder is built per signature.  ``counts[k][c, s]`` is how
@@ -237,7 +200,7 @@ class _StageDecoder:
         messages = stage.ensemble.messages
         fibers = stage.hash_scheme.fibers(messages)
         if fibers.shape[1] > 1:
-            # candidates in the order SequentialDecoder.build tests their names
+            # the decimal-name order in which the golden pins were recorded
             fibers = np.take_along_axis(fibers, np.argsort(fibers.astype(str), axis=1), axis=1)
         self.counts: list[np.ndarray] = []
         self.branches: list[list[list[tuple[str, np.ndarray | None]]]] = []
@@ -274,24 +237,16 @@ def _fiber_branches(
     stage: AxisStage, k: int, fiber: np.ndarray, cls: np.ndarray, alphabet, d_tail: int
 ) -> list[tuple[str, np.ndarray | None]]:
     """(decoded class, branch operator on E) of one fiber in coin k; None is the identity."""
+    classes = [alphabet[c] for c in cls[fiber]]
     if len(fiber) == 1:
         # a lone candidate (every fiber of an identity link) decodes without
-        # a measurement, the rule SequentialDecoder.build applies to a
-        # one-candidate bucket
-        return [(alphabet[cls[fiber[0]]], None)]
+        # a measurement: sequential_kraus would give it the identity
+        return [(classes[0], None)]
     d_b = next(iter(stage.tests.values())).shape[0]
     zero = np.zeros((d_b, d_b), dtype=complex)
-    tests = {str(i): stage.tests.get((k, alphabet[cls[i]]), zero) for i in fiber}
-    decoder = SequentialDecoder.build(list(tests), tests)
+    kraus = sequential_kraus([stage.tests.get((k, sym), zero) for sym in classes])
     eye_tail = np.eye(d_tail, dtype=complex)
-    out = [
-        (alphabet[cls[int(name)]], np.kron(u.conj().T @ s, eye_tail))
-        for name, s, u in zip(
-            decoder.bucket_order, decoder.sequential_ops, decoder.correction_unitaries
-        )
-    ]
-    out.append((ABORT, np.kron(decoder.failure_op, eye_tail)))
-    return out
+    return [(sym, np.kron(op, eye_tail)) for sym, op in zip(classes + [ABORT], kraus)]
 
 
 def centralised_protocol(
@@ -417,16 +372,34 @@ def compose_with_side_information(
         log_const=log_const,
         scenarios=(AdversaryScenario(True, False),),
     )
-    stage = run["stage_x"]
+    stage, plan = run["stage_x"], run["family"].plan
+    ensemble, eps0 = stage.ensemble, budget.eps0
+    th = thresholds(prep, budget.eps, plan.log_const)
+    atoms = [
+        (float(np.trace(op).real) / ensemble.coins, float(ensemble.mult[key]))
+        for key, op in ensemble.atom_env.items()
+    ]
+    total = sum(p * m for p, m in atoms)
+    hmax_kl, _ = ent.smooth_max_entropy_atoms([(p / total, m) for p, m in atoms], eps0)
+    ihyp_kl = math.inf
+    if prep.has_side_information():
+        ihyp_kl, _ = ent.i_hyp_weighted_cq(*_axis_weighted_blocks(ensemble, prep), eps0)
+    realized, check = 0, math.inf
+    if not math.isinf(ihyp_kl):
+        realized = max(
+            0, min(stage.log_l, math.ceil(hmax_kl - ihyp_kl + math.log2(1.0 / eps0) - 1e-9))
+        )
+        # I_H^(eps0/2)(X : B), which thresholds computed at the same eps0
+        check = ihyp_kl - plan.log_k1 - th["ih_x_b"]
     return {
-        "net_rate_x": stage.net_rate,
-        "realized_rate": stage.realized_rate,
+        "net_rate_x": th["imax_x"] - th["ih_x_b"] + th["log_const"] + 1.0,
+        "realized_rate": realized,
         "wire_bits": stage.wire_bits,
         "deviation": run["scenarios"]["x_only"]["deviation"],
-        "composition_check": stage.composition_check,
-        "eps0": budget.eps0,
-        "hmax_kl": stage.hmax_kl,
-        "i_hyp_kl_kb": stage.ihyp_kl_kb,
+        "composition_check": check,
+        "eps0": eps0,
+        "hmax_kl": hmax_kl,
+        "i_hyp_kl_kb": ihyp_kl,
         "family": run["family"],
         "transcript": run["transcript"],
     }

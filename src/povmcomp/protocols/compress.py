@@ -173,10 +173,8 @@ class CompressedBlock:
 
     k1: int
     k2: int
-    good_classes: list[tuple[str, str]]
     gammas: dict[tuple[str, str], np.ndarray]
     counts: dict[tuple[str, str], int]
-    t_weights: dict[tuple[str, str], float]
     gamma0: np.ndarray
     normalization: float
     deviation: float  # mirror-form sample-average distance of the block
@@ -307,10 +305,8 @@ def _assemble_block(prep, table, plan, k1, k2, deviation, eps) -> CompressedBloc
     return CompressedBlock(
         k1=k1,
         k2=k2,
-        good_classes=[classes[pos] for pos in cert.good],
         gammas=gammas,
         counts={c: table[c][0] for c in gammas},
-        t_weights={c: table[c][1] for c in gammas},
         gamma0=gamma0,
         normalization=norm,
         deviation=deviation,

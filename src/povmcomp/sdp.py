@@ -102,7 +102,7 @@ class Term:
     kind: str  # "id" | "kron" | "subblock_conj"
     coeff: float = 1.0
     left: np.ndarray | None = None
-    split: tuple[int, ...] | None = None
+    start: int = 0  # first row and column of the subblock
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """coeff * map(x) for x of shape (..., d, d), broadcast over leading axes."""
@@ -112,8 +112,7 @@ class Term:
             return self.coeff * _kron(self.left, x)
         if self.kind == "subblock_conj":
             # trailing principal subblock, rotated back by the fixed unitary
-            (i0,) = self.split
-            sub = x[..., i0:, i0:]
+            sub = x[..., self.start :, self.start :]
             return self.coeff * (self.left @ sub @ self.left.conj().T)
         raise ValueError(f"unknown term kind {self.kind}")
 
@@ -155,7 +154,7 @@ class AffineExpr:
         self, var: str, start: int, rotation: np.ndarray, coeff: float = 1.0
     ) -> "AffineExpr":
         self.terms.append(
-            Term(var, "subblock_conj", coeff, left=np.asarray(rotation, dtype=complex), split=(start,))
+            Term(var, "subblock_conj", coeff, left=np.asarray(rotation, dtype=complex), start=start)
         )
         return self
 
@@ -502,8 +501,10 @@ def minimize(prob: SDProblem) -> SDPResult:
     z the slack-side multiplier (one rvec per PSD block, then one weight
     per inequality), y the least-squares equality multiplier with
     G^T z + G_eq^T y = q.  Otherwise, after
-    ``IPM_MAX_ITER`` iterations or when a block stops being numerically
-    positive definite, it returns "maxIterations" with the last point.
+    ``IPM_MAX_ITER`` iterations or when a step's linear algebra fails (a
+    block no longer numerically positive definite, or iterates so large on
+    an infeasible problem that an eigensolve does not converge), it returns
+    "maxIterations" with the last point.
     """
     if prob.objective is None:
         raise ValueError("minimize needs an objective")
@@ -542,24 +543,24 @@ def minimize(prob: SDProblem) -> SDPResult:
             break
         try:
             cone = _ScaledCone(prog, s, z)
+            lam = cone.lam
+            m = cone.scale(a)
+            schur = m.T @ m
+            t_rp = cone.scale(r_p)
+
+            def newton(rhs):
+                v = rhs / cone.mid
+                du = np.linalg.solve(schur, m.T @ (v - t_rp) + r_d)
+                dz = v - t_rp - m @ du
+                return du, v - dz, dz
+
+            _, ds_a, dz_a = newton(-lam * lam)
+            alpha = min(1.0, cone.max_step(ds_a), cone.max_step(dz_a))
+            sigma = (float((lam + alpha * ds_a) @ (lam + alpha * dz_a)) / gap) ** 3
+            du, ds, dz = newton(sigma * gap / degree * e - lam * lam - cone.jordan(ds_a, dz_a))
+            alpha = min(1.0, STEP_TO_BOUNDARY * min(cone.max_step(ds), cone.max_step(dz)))
         except np.linalg.LinAlgError:
             break
-        lam = cone.lam
-        m = cone.scale(a)
-        schur = m.T @ m
-        t_rp = cone.scale(r_p)
-
-        def newton(rhs):
-            v = rhs / cone.mid
-            du = np.linalg.solve(schur, m.T @ (v - t_rp) + r_d)
-            dz = v - t_rp - m @ du
-            return du, v - dz, dz
-
-        _, ds_a, dz_a = newton(-lam * lam)
-        alpha = min(1.0, cone.max_step(ds_a), cone.max_step(dz_a))
-        sigma = (float((lam + alpha * ds_a) @ (lam + alpha * dz_a)) / gap) ** 3
-        du, ds, dz = newton(sigma * gap / degree * e - lam * lam - cone.jordan(ds_a, dz_a))
-        alpha = min(1.0, STEP_TO_BOUNDARY * min(cone.max_step(ds), cone.max_step(dz)))
         u = u + alpha * du
         s = s + alpha * cone.unscale(ds)
         z = z + alpha * cone.scale_adjoint(dz)

@@ -356,9 +356,10 @@ class PerMessageStageDecoder:
     The reference for ``compose._StageDecoder``, which builds one decoder per
     (coin, fiber signature): here every wire message's fiber is found by
     brute force over the index space and decoded on its own, and a class's
-    indices are summed message by message.  ``build`` is the library's
-    ``SequentialDecoder.build`` and ``abort`` its abort symbol, passed in so
-    that this module imports nothing from the library.
+    indices are summed message by message, each fiber tested in the order of
+    its indices' decimal names.  ``build`` is the library's
+    ``sequential_kraus`` and ``abort`` its abort symbol, passed in so that
+    this module imports nothing from the library.
     """
 
     def __init__(self, stage, codebook, d_tail: int, build, abort: str):
@@ -377,7 +378,7 @@ class PerMessageStageDecoder:
         return self._cache[key]
 
     def _message_branches(self, k: int, message: int) -> list:
-        fiber = [int(i) for i in np.flatnonzero(self.hashes == message)]
+        fiber = sorted((int(i) for i in np.flatnonzero(self.hashes == message)), key=str)
         offsets = self.codebook.offsets(k)
         alphabet = self.codebook.alphabet
         classes = [alphabet[int(np.searchsorted(offsets, i, side="right") - 1)] for i in fiber]
@@ -386,16 +387,9 @@ class PerMessageStageDecoder:
         tests = self.stage.tests
         d_b = next(iter(tests.values())).shape[0]
         zero = np.zeros((d_b, d_b), dtype=complex)
-        per_index = {str(i): tests.get((k, sym), zero) for i, sym in zip(fiber, classes)}
-        decoder = self.build([str(i) for i in fiber], per_index)
+        kraus = self.build([tests.get((k, sym), zero) for sym in classes])
         eye_tail = np.eye(self.d_tail, dtype=complex)
-        out = []
-        for name, s, u in zip(
-            decoder.bucket_order, decoder.sequential_ops, decoder.correction_unitaries
-        ):
-            out.append((classes[fiber.index(int(name))], np.kron(u.conj().T @ s, eye_tail)))
-        out.append((self.abort, np.kron(decoder.failure_op, eye_tail)))
-        return out
+        return [(sym, np.kron(op, eye_tail)) for sym, op in zip(classes + [self.abort], kraus)]
 
     def apply(self, k: int, class_idx: int, op: np.ndarray) -> dict:
         lo, hi = self.codebook.index_range(k, class_idx)

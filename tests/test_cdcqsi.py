@@ -7,7 +7,7 @@ import pytest
 from povmcomp import entropies as ent
 from povmcomp import qobjects as qo
 from povmcomp.protocols import cdc_qsi
-from povmcomp.protocols.cdcqsi import SequentialDecoder
+from povmcomp.protocols.cdcqsi import sequential_kraus
 from povmcomp.protocols.hashing import HashScheme, draw_hash, identity_hash
 
 import oracles
@@ -79,48 +79,45 @@ class TestHashScheme:
         assert scheme.fibers(16).tolist() == [[i] for i in range(16)]
 
 
-class TestSequentialDecoder:
+def completeness_residual(kraus):
+    total = sum(k.conj().T @ k for k in kraus)
+    return np.max(np.abs(total - np.eye(len(total))))
+
+
+class TestSequentialKraus:
     def test_povm_validity(self):
         rng = np.random.default_rng(2)
-        tests = {str(i): oracles.random_povm(rng, 3, 2)[0] for i in range(3)}
-        dec = SequentialDecoder.build(list(tests), tests)
-        total = sum(s.conj().T @ s for s in dec.sequential_ops)
-        total = total + dec.failure_op.conj().T @ dec.failure_op
-        assert np.max(np.abs(total - np.eye(3))) < 1e-10
+        kraus = sequential_kraus([oracles.random_povm(rng, 3, 2)[0] for _ in range(3)])
+        assert len(kraus) == 4
+        assert completeness_residual(kraus) < 1e-10
 
     def test_branch_probabilities_sum_to_one(self):
         rng = np.random.default_rng(3)
-        tests = {str(i): oracles.random_povm(rng, 2, 2)[0] for i in range(2)}
-        dec = SequentialDecoder.build(list(tests), tests)
+        kraus = sequential_kraus([oracles.random_povm(rng, 2, 2)[0] for _ in range(2)])
         rho = oracles.random_density(rng, 2)
-        probs = [p for _, p, _ in dec.decode_branches(rho)]
+        probs = [np.trace(k @ rho @ k.conj().T).real for k in kraus]
         assert np.isclose(sum(probs), 1.0, atol=1e-10)
 
     def test_projective_single_candidate(self):
-        tests = {"a": np.diag([1.0, 0.0]).astype(complex)}
-        dec = SequentialDecoder.build(["a"], tests)
-        sym, p, post = dec.decode_branches(np.diag([1.0, 0.0]).astype(complex))[0]
-        assert sym == "a" and np.isclose(p, 1.0)
-        assert np.allclose(post, np.diag([1.0, 0.0]))
+        rho = np.diag([1.0, 0.0]).astype(complex)
+        decoded, failure = sequential_kraus([np.diag([1.0, 0.0]).astype(complex)])
+        post = decoded @ rho @ decoded.conj().T
+        assert np.isclose(np.trace(post).real, 1.0)
+        assert np.allclose(post, rho)
+        assert np.allclose(failure, 0.0)
 
     def test_single_candidate_needs_no_measurement(self):
         # a fractional test must not be applied to a lone candidate: the
         # hash already names it, so it decodes with certainty and leaves rho
-        tests = {"a": 0.9 * np.eye(2, dtype=complex)}
-        dec = SequentialDecoder.build(["a"], tests)
+        kraus = sequential_kraus([0.9 * np.eye(2, dtype=complex)])
         rho = np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]], dtype=complex)
-        branches = dec.decode_branches(rho)
-        decoded = [b for b in branches if b[0] is not None]
-        assert len(decoded) == 1
-        sym, p, post = decoded[0]
-        assert sym == "a" and np.isclose(p, 1.0, atol=1e-12)
+        assert len(kraus) == 2
+        decoded, failure = kraus
+        post = decoded @ rho @ decoded.conj().T
+        assert np.isclose(np.trace(post).real, 1.0, atol=1e-12)
         assert np.allclose(post, rho, atol=1e-12)
-        assert np.allclose(dec.failure_op, 0.0)
-        fail_sym, fail_p, fail_post = branches[-1]
-        assert fail_sym is None and fail_p == 0.0 and np.allclose(fail_post, 0.0)
-        total = sum(s.conj().T @ s for s in dec.sequential_ops)
-        total = total + dec.failure_op.conj().T @ dec.failure_op
-        assert np.max(np.abs(total - np.eye(2))) < 1e-12
+        assert np.allclose(failure, 0.0)
+        assert completeness_residual(kraus) < 1e-12
 
 
 class TestCdcQsi:
@@ -170,11 +167,9 @@ class TestCdcQsi:
             # runs the scalar 0.9 tests in turn and can still decode right
             err = 0.0
             for b in buckets.values():
-                dec = SequentialDecoder.build(b, test.per_symbol)
-                for s in b:
-                    correct = sum(
-                        p for sym, p, _ in dec.decode_branches(cq.blocks[s]) if sym == s
-                    )
+                kraus = sequential_kraus([test.per_symbol[s] for s in sorted(b)])
+                for s, k in zip(sorted(b), kraus):
+                    correct = np.trace(k @ cq.blocks[s] @ k.conj().T).real
                     err += 0.5 * (1.0 - correct)
             errs.append(err)
         exact = float(np.mean(errs))

@@ -22,6 +22,12 @@ def make_joint(seed=0, nx=2, ny=2, dim=2, product=False):
     return qo.CQState(tuple(symbols), weights, blocks)
 
 
+def single_level(joint, log_k, log_l, trials, seed):
+    """The one (logK, logL) row of ``covering_sweep``."""
+    (row,) = cov.covering_sweep(joint, [log_k], [log_l], trials, seed)
+    return row
+
+
 class TestCoveringError:
     def test_product_ratio_one_gives_zero(self):
         # product P_XY with identical blocks: transformed average == sigma always
@@ -31,14 +37,14 @@ class TestCoveringError:
         joint = qo.CQState(
             joint.symbols, dict(joint.weights), {s: block for s in joint.symbols}
         )
-        out = cov.covering_error(joint, 4, 4, 50, seed=1)
-        assert out["mean"] < 1e-12
+        out = single_level(joint, 2, 2, 50, seed=1)
+        assert out["meanError"] < 1e-12
 
     def test_single_symbols(self):
         rng = np.random.default_rng(6)
         joint = qo.CQState(("x|y",), {"x|y": 1.0}, {"x|y": oracles.random_density(rng, 2)})
-        out = cov.covering_error(joint, 3, 3, 20, seed=2)
-        assert out["mean"] == 0.0
+        out = single_level(joint, 2, 2, 20, seed=2)
+        assert out["meanError"] == 0.0
 
     def test_matches_exhaustive_enumeration(self):
         joint = make_joint(seed=7)
@@ -48,13 +54,13 @@ class TestCoveringError:
             x, y = qo.split_symbol(sym)
             blocks[(int(x), int(y))] = joint.blocks[sym]
         exact = oracles.covering_enumeration_oracle(pxy, blocks, k=2, l=2)
-        out = cov.covering_error(joint, 2, 2, 4000, seed=3)
-        assert abs(out["mean"] - exact) <= 3 * out["stderr"] + 1e-3
+        out = single_level(joint, 1, 1, 4000, seed=3)
+        assert abs(out["meanError"] - exact) <= 3 * out["stderr"] + 1e-3
 
     def test_deterministic_under_seed(self):
         joint = make_joint(seed=8)
-        a = cov.covering_error(joint, 8, 8, 30, seed=9)
-        b = cov.covering_error(joint, 8, 8, 30, seed=9)
+        a = single_level(joint, 3, 3, 30, seed=9)
+        b = single_level(joint, 3, 3, 30, seed=9)
         assert a == b
 
     def test_sweep_monotone(self):

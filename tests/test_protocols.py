@@ -14,7 +14,6 @@ from povmcomp import io, qobjects as qo, sdp
 from povmcomp import protocols as P
 from povmcomp.budget import OneShotBudget
 from povmcomp.protocols import compose, compress
-from povmcomp.protocols.cdcqsi import SequentialDecoder
 from povmcomp.protocols.compress import ABORT, SCENARIOS
 
 import oracles
@@ -249,6 +248,28 @@ def test_centralised_reads_cached_side_corrections(solved, monkeypatch):
     assert _hex({sc: out["deviation"] for sc, out in run["scenarios"].items()}) == want
 
 
+def test_only_hashed_links_build_decoder_tests(solved, monkeypatch):
+    # a link builds its tests, one i_hyp_weighted_cq solve at the protocol's
+    # eps, only when it hashes; identity links and rate bookkeeping make none
+    name, prep, _, _ = solved
+    calls = []
+    i_hyp_weighted_cq = ent.i_hyp_weighted_cq
+
+    def counting_i_hyp_weighted_cq(symbols, weights, blocks, eps):
+        calls.append(eps)
+        return i_hyp_weighted_cq(symbols, weights, blocks, eps)
+
+    monkeypatch.setattr(ent, "i_hyp_weighted_cq", counting_i_hyp_weighted_cq)
+    run = P.centralised_protocol(
+        prep, GOLDEN_BUDGETS[name], GOLDEN_SEED, log_const=GOLDEN_C,
+        wire_override=GOLDEN_WIRE.get(name),
+    )
+    hashed = set(GOLDEN_WIRE.get(name, ()))
+    assert calls == [GOLDEN_EPS] * len(hashed)
+    tested = {axis for axis, stage in (("X", run["stage_x"]), ("Y", run["stage_y"])) if stage.tests}
+    assert tested == hashed
+
+
 def test_abort_key_is_no_real_outcome(solved):
     # protocol-abort mass must count against the ideal output in full, never
     # against the block of a real outcome that carries the same key
@@ -328,14 +349,14 @@ def test_signature_decode_matches_per_message_decode(monkeypatch):
     budget = OneShotBudget(0.1, r_x=8, r_y=7, c_x=1, c_y=1)
     wire = {"X": 6, "Y": 6}
     builds = []
-    build = SequentialDecoder.build
+    build = compose.sequential_kraus
 
-    def counting_build(bucket, tests):
-        builds.append(tuple(bucket))
-        return build(bucket, tests)
+    def counting_build(tests):
+        builds.append(len(tests))
+        return build(tests)
 
     with monkeypatch.context() as patch:
-        patch.setattr(SequentialDecoder, "build", staticmethod(counting_build))
+        patch.setattr(compose, "sequential_kraus", counting_build)
         run = P.centralised_protocol(prep, budget, 1, log_const=0.0, wire_override=wire)
     family = run["family"]
     stage_x, stage_y = run["stage_x"], run["stage_y"]
@@ -346,7 +367,7 @@ def test_signature_decode_matches_per_message_decode(monkeypatch):
     assert len(builds) == n_pairs
 
     per_message = functools.partial(
-        oracles.PerMessageStageDecoder, build=SequentialDecoder.build, abort=ABORT
+        oracles.PerMessageStageDecoder, build=compose.sequential_kraus, abort=ABORT
     )
     monkeypatch.setattr(compose, "_StageDecoder", per_message)
     ref = P.centralised_protocol(

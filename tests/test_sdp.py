@@ -176,7 +176,7 @@ class TestBatchedProbe:
         terms = [
             sdp.Term("X", "id", -0.7),
             sdp.Term("X", "kron", 1.3, left=left),
-            sdp.Term("X", "subblock_conj", -1.1, left=rot, split=(2,)),
+            sdp.Term("X", "subblock_conj", -1.1, left=rot, start=2),
         ]
         stack = np.stack([oracles.random_hermitian(rng, 6) for _ in range(5)])
         for t in terms:
@@ -226,6 +226,13 @@ class TestFeasibility:
         assert res.status == "optimal"
         assert res.assignment["t"][0, 0].real == pytest.approx(4 / 3, abs=1e-5)
         assert fires(*sdp.Program(box_problem(3, 4)).farkas(res.dual[0])[2:])
+
+    def test_infeasible_box_stops_without_a_verdict(self):
+        # the iterates of 0 <= X <= I, Tr X = 4 diverge until a block's
+        # eigenvalues no longer converge; minimize keeps its last point
+        res = self.solve_box(3, 4)
+        assert res.status == "maxIterations"
+        assert res.residuals["primal"] > 0.1
 
     def test_feasible_interior(self):
         res = self.solve_box(4, 2.0)

@@ -17,7 +17,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 TEST_ONLY = {
-    "covering_error",
     "covering_sweep",
     "verify_certificate",
     "i_hyp_dense",
