@@ -256,16 +256,6 @@ def i_hyp_weighted_cq(
     return _np_test(rho_blocks, [w * avg for w in weights], eps, symbols)
 
 
-def i_hyp_dense(rho_ab, dims: tuple[int, int], eps: float) -> tuple[float, NPTest]:
-    rho_ab = la.assert_density(rho_ab)
-    da, db = dims
-    lay = la.layout(("A", da), ("B", db))
-    sigma = la.tensor(
-        la.partial_trace(rho_ab, lay, ["A"]), la.partial_trace(rho_ab, lay, ["B"])
-    )
-    return d_hyp(rho_ab, sigma, eps)
-
-
 # ---------------------------------------------------------------------------
 # max relative entropy and smoothed variants
 
@@ -452,6 +442,11 @@ def d_max_smooth(rho, sigma, eps: float) -> float:
             {"witness_gap": gap, "witness_resid": resid},
         )
     return value
+
+
+def i_max_cq(cq: qo.CQState, eps: float) -> float:
+    """i_max_smooth of a ``CQState``, its classical register first."""
+    return i_max_smooth(cq.dense(), (len(cq.symbols), cq.quantum_dim), eps)
 
 
 def i_max_smooth(rho_ab, dims: tuple[int, int], eps: float) -> float:

@@ -84,13 +84,6 @@ class SystemLayout:
                 return i
         raise ValueError(f"unknown factor label {label!r}")
 
-    def restricted(self, keep) -> "SystemLayout":
-        keep = set(keep)
-        unknown = keep - set(self.labels)
-        if unknown:
-            raise ValueError(f"unknown factor labels {sorted(unknown)}")
-        return SystemLayout(tuple(f for f in self.factors if f[0] in keep))
-
 
 def layout(*factors: tuple[str, int]) -> SystemLayout:
     return SystemLayout(tuple(factors))
@@ -129,16 +122,6 @@ def partial_trace(op, lay: SystemLayout, keep) -> np.ndarray:
     tens = np.einsum(tens, row + col, out)
     kdim = int(np.prod([lay.dims[i] for i in keep_idx])) if keep_idx else 1
     return tens.reshape(kdim, kdim)
-
-
-def eigh(op) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian operator, eigenvalues descending.
-
-    Returns ``(w, V)`` with ``op == V @ diag(w) @ V.conj().T``.
-    """
-    mat = assert_hermitian(op)
-    w, v = np.linalg.eigh(mat)
-    return w[::-1].copy(), v[:, ::-1].copy()
 
 
 def trace_norm(op) -> float:

@@ -4,7 +4,11 @@ The measured register A is purified against everything else: the reference
 for rate purposes is E = B (x) R (x) M, where M is a rank-truncated mirror
 completing the given state to a pure one.  Mirror-form operators
 sqrt(rho_A) Lambda sqrt(rho_A) live on A and drive the POVM construction;
-steered blocks on E drive deviations and side-information decoding.
+steered blocks on E, formed once here, drive deviations, side-information
+decoding, the thresholds and the rate regions.  Every smooth entropy of
+those is taken on a cq state that ``CQState.group_parts`` and
+``CQState.embed_parts`` cut from ``env_cq``; ``side_information`` is the
+one I_H on B.
 """
 
 from __future__ import annotations
@@ -68,11 +72,6 @@ class PreparedInstance:
             blocks[s] = blk / p if p > 1e-14 else np.eye(self.dim_e, dtype=complex) / self.dim_e
         return qo.CQState(tuple(symbols), weights, blocks)
 
-    def b_cq(self) -> qo.CQState:
-        lay = self.env_layout()
-        cq = self.env_cq()
-        return cq.map_blocks(lambda b: la.partial_trace(b, lay, ["B"]))
-
 
 def prepare(inst: Instance) -> PreparedInstance:
     lay = inst.layout()
@@ -107,43 +106,25 @@ def prepare(inst: Instance) -> PreparedInstance:
 
 def _x_env_cq(prep: PreparedInstance) -> qo.CQState:
     """cq over x with E-blocks averaged over y."""
-    return prep.env_cq().group_symbols(lambda s: qo.split_symbol(s)[0])
+    return prep.env_cq().group_parts((0,))
 
 
 def _y_xenv_cq(prep: PreparedInstance) -> qo.CQState:
     """cq over y whose side blocks carry the classical X register and E."""
-    cq = prep.env_cq()
-    nx = len(prep.px.alphabet)
-    de = prep.dim_e
-    symbols, weights, blocks = [], {}, {}
-    for y in prep.py.alphabet:
-        w = prep.py.prob(y)
-        if w <= 1e-15:
-            continue
-        blk = np.zeros((nx * de, nx * de), dtype=complex)
-        for i, x in enumerate(prep.px.alphabet):
-            key = qo.join_symbol(x, y)
-            if key in cq.blocks and cq.weights.get(key, 0.0) > 1e-15:
-                blk[i * de : (i + 1) * de, i * de : (i + 1) * de] = (
-                    cq.weights[key] / w * cq.blocks[key]
-                )
-        symbols.append(y)
-        weights[y] = w
-        blocks[y] = blk
-    return qo.CQState(tuple(symbols), weights, blocks)
+    return prep.env_cq().embed_parts(1, (0,))
 
 
-def side_correction(prep: PreparedInstance, eps: float, axis: str) -> float:
-    """I_H^eps(axis : B): the side-information rate saving; 0 without B.
+def side_information(prep: PreparedInstance, cq: qo.CQState, eps: float) -> float:
+    """I_H^eps(S : B) of a cq state ``cq`` over S with E-blocks: the
+    side-information rate saving; 0 without B, and 0 where it is +inf.
 
     Without a B register there is no decoding stage, so no correction term
     (the literal I_H against a trivial register would be -log2(1-eps)).
     """
     if not prep.has_side_information():
         return 0.0
-    part = 0 if axis == "X" else 1
-    cq_axis = prep.b_cq().group_symbols(lambda s: qo.split_symbol(s)[part])
-    val, _ = ent.i_hyp_cq(cq_axis, eps)
+    lay = prep.env_layout()
+    val, _ = ent.i_hyp_cq(cq.map_blocks(lambda b: la.partial_trace(b, lay, ["B"])), eps)
     return 0.0 if math.isinf(val) else val
 
 
@@ -163,16 +144,14 @@ def thresholds(
     ents = prep._cache.get(("entropies", eps))
     if ents is None:
         x_cq = _x_env_cq(prep)
-        y_cq = _y_xenv_cq(prep)
-        dims_y = (len(y_cq.symbols), len(prep.px.alphabet) * prep.dim_e)
         eps0 = eps ** (1.0 / 10.0)
         ents = prep._cache[("entropies", eps)] = {
-            "imax_x": ent.i_max_smooth(x_cq.dense(), (len(x_cq.symbols), prep.dim_e), eps),
-            "imax_y": ent.i_max_smooth(y_cq.dense(), dims_y, eps),
+            "imax_x": ent.i_max_cq(x_cq, eps),
+            "imax_y": ent.i_max_cq(_y_xenv_cq(prep), eps),
             "hmax_x": ent.h_max_smooth(prep.px, eps).value,
             "hmax_y": ent.h_max_smooth(prep.py, eps).value,
-            "ih_x_b": side_correction(prep, eps0 / 2, "X"),
-            "ih_y_b": side_correction(prep, eps0 / 2, "Y"),
+            "ih_x_b": side_information(prep, x_cq, eps0 / 2),
+            "ih_y_b": side_information(prep, prep.env_cq().group_parts((1,)), eps0 / 2),
         }
     out = {
         "log_const": c,

@@ -11,11 +11,14 @@ A degenerate split register (point mass) needs no sub-channel at all, so
 its contribution is zero rather than the literal smoothed quantities of a
 constant variable; this makes the theta endpoints reproduce the unsplit
 two-channel region exactly.
+
+Both regions read the prepared instance's steered E-blocks (``env_cq``):
+the one-shot region splits that joint state, or for axis Y the state with
+its components swapped, and steers nothing again.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,7 +29,7 @@ from .. import qobjects as qo
 from .. import splitting as sp
 from ..budget import default_log_const
 from ..io import Instance
-from .prep import PreparedInstance, prepare
+from .prep import PreparedInstance, prepare, side_information
 
 
 @dataclass
@@ -64,53 +67,6 @@ class RateRegion:
         return False
 
 
-def _group_cq(cq: qo.CQState, idx: tuple[int, ...]) -> qo.CQState:
-    return cq.group_symbols(lambda s: qo.join_symbol(*[qo.split_symbol(s)[i] for i in idx]))
-
-
-def _embed_classical(cq: qo.CQState, keep_idx: int, side_idx: tuple[int, ...]) -> qo.CQState:
-    """cq over register keep_idx whose blocks carry the side classical
-    registers (diagonally embedded) tensored with the quantum part."""
-    first = _group_cq(cq, (keep_idx,))
-    side_syms: list[str] = []
-    for s in cq.symbols:
-        parts = qo.split_symbol(s)
-        key = qo.join_symbol(*[parts[i] for i in side_idx])
-        if key not in side_syms:
-            side_syms.append(key)
-    d = cq.quantum_dim
-    n_side = len(side_syms)
-    symbols, weights, blocks = [], {}, {}
-    for tsym in first.symbols:
-        w = first.weights[tsym]
-        if w <= 1e-15:
-            continue
-        blk = np.zeros((n_side * d, n_side * d), dtype=complex)
-        for s in cq.symbols:
-            parts = qo.split_symbol(s)
-            if parts[keep_idx] != tsym:
-                continue
-            j = side_syms.index(qo.join_symbol(*[parts[i] for i in side_idx]))
-            blk[j * d : (j + 1) * d, j * d : (j + 1) * d] += (
-                cq.weights[s] / w * cq.blocks[s]
-            )
-        symbols.append(tsym)
-        weights[tsym] = w
-        blocks[tsym] = blk
-    return qo.CQState(tuple(symbols), weights, blocks)
-
-
-def _imax_of_cq(cq: qo.CQState, eps: float) -> float:
-    return ent.i_max_smooth(cq.dense(), (len(cq.symbols), cq.quantum_dim), eps)
-
-
-def _ih_b(cq_b: qo.CQState, eps: float, has_b: bool) -> float:
-    if not has_b:
-        return 0.0
-    val, _ = ent.i_hyp_cq(cq_b, eps)
-    return 0.0 if math.isinf(val) else val
-
-
 def _degenerate(cq: qo.CQState) -> bool:
     live = [s for s in cq.symbols if cq.weights[s] > 1e-12]
     return len(live) <= 1
@@ -126,11 +82,7 @@ def one_shot_region(
     """Union over theta and split axis of the one-shot half-space lists."""
     prep = source if isinstance(source, PreparedInstance) else prepare(source)
     c = default_log_const(eps) if log_const is None else float(log_const)
-    lay = prep.env_layout()
-    has_b = prep.has_side_information()
-    global_rho = np.outer(prep.global_pure, prep.global_pure.conj())
-    d = prep.instance.dims
-    full_lay = la.layout(("A", d["A"]), ("B", d["B"]), ("R", d["R"]), ("M", prep.env_dims["M"]))
+    env_cq = prep.env_cq()
 
     def bounds(imax_cq: qo.CQState, plain_cq: qo.CQState) -> tuple[float, float]:
         """(I_max - I_H + c, H_max - I_H) of one split register, I_H on B.
@@ -141,23 +93,21 @@ def one_shot_region(
         """
         if _degenerate(imax_cq):
             return 0.0, 0.0
-        plain_b = plain_cq.map_blocks(lambda b: la.partial_trace(b, lay, ["B"]))
-        ih = _ih_b(plain_b, eps, has_b)
-        a = _imax_of_cq(imax_cq, eps) - ih + c
+        ih = side_information(prep, plain_cq, eps)
+        a = ent.i_max_cq(imax_cq, eps) - ih + c
         return a, ent.h_max_smooth(plain_cq.classical_distribution(), eps).value - ih
 
     region = RateRegion(kind="one-shot")
     for axis in axes:
-        povm = prep.instance.povm if axis == "X" else _swap_povm(prep.instance.povm)
+        joint = env_cq if axis == "X" else env_cq.group_parts((1, 0))
         for theta in theta_grid:
-            ctrl = sp.split_control_state(povm, global_rho, theta, full_lay, keep=("B", "R", "M"))
-            u_cq = _group_cq(ctrl, (0,))
-            v_cq = _embed_classical(ctrl, 1, (0, 2))
-            y_cq = _embed_classical(ctrl, 2, (0,))
+            ctrl = sp.split_control_state(joint, theta)
+            u_cq = ctrl.group_parts((0,))
+            v_cq = ctrl.embed_parts(1, (0, 2))
             vals = {}
             vals["aU"], vals["bU"] = bounds(u_cq, u_cq)
-            vals["aV"], vals["bV"] = bounds(v_cq, _group_cq(ctrl, (1,)))
-            vals["aY"], vals["bY"] = bounds(y_cq, _group_cq(ctrl, (2,)))
+            vals["aV"], vals["bV"] = bounds(v_cq, ctrl.group_parts((1,)))
+            vals["aY"], vals["bY"] = bounds(ctrl.embed_parts(2, (0,)), ctrl.group_parts((2,)))
             own_r, own_c = ("R_X", "C_X") if axis == "X" else ("R_Y", "C_Y")
             oth_r, oth_c = ("R_Y", "C_Y") if axis == "X" else ("R_X", "C_X")
             prov = {"axis": axis, "theta": theta, "eps": eps, "log_const": c, "values": vals}
@@ -185,27 +135,14 @@ def one_shot_region(
     return region
 
 
-def _swap_povm(povm: qo.JointPOVM) -> qo.JointPOVM:
-    return qo.JointPOVM(
-        povm.alphabet_y,
-        povm.alphabet_x,
-        {(y, x): el for (x, y), el in povm.elements.items()},
-    )
-
-
 def iid_region(source: Instance | PreparedInstance) -> RateRegion:
     """Asymptotic region: five half-spaces from von Neumann quantities."""
     prep = source if isinstance(source, PreparedInstance) else prepare(source)
     cq = prep.env_cq()
     lay = prep.env_layout()
-    d_e = prep.dim_e
-    # classical joint (x, y) with E and B blocks
-    dist = cq.classical_distribution()
-    nx = len(prep.px.alphabet)
-    ny = len(prep.py.alphabet)
 
     def cq_dense(group_idx: tuple[int, ...], reduce_to: tuple[str, ...] | None):
-        state = _group_cq(cq, group_idx)
+        state = cq.group_parts(group_idx)
         if reduce_to is not None:
             state = state.map_blocks(lambda b: la.partial_trace(b, lay, reduce_to))
         return state

@@ -3,6 +3,11 @@
 Classical symbols are opaque strings.  Joint symbols are tuples of strings;
 their canonical serialized form joins components with ``|`` so map keys stay
 stable across runs and file formats.
+
+A cq state over a joint register is reshaped in one place: ``CQState``
+keeps some components of its symbols (``group_parts``) or keeps one and
+moves others into a classical side register beside the quantum part
+(``embed_parts``).  Post-measurement blocks come from ``steered_blocks``.
 """
 
 from __future__ import annotations
@@ -250,6 +255,30 @@ class CQState:
                 blocks[k] = blocks[k] / weights[k]
         return CQState(tuple(order), weights, blocks)
 
+    def group_parts(self, idx: tuple[int, ...]) -> "CQState":
+        """Coarse-grain joint symbols to their components ``idx``, in that order."""
+        return self.group_symbols(lambda s: join_symbol(*[split_symbol(s)[i] for i in idx]))
+
+    def embed_parts(self, keep: int, side: tuple[int, ...]) -> "CQState":
+        """cq state over component ``keep`` whose blocks carry the components
+        ``side`` as a classical side register next to the quantum part.
+
+        The block of t is sum_s w_s / w_t |side(s)><side(s)| (x) block_s over
+        the symbols s with component t; side values take slots in order of
+        first appearance.  Values of weight at most 1e-15 are dropped.
+        """
+        parts = [split_symbol(s) for s in self.symbols]
+        side_of = [join_symbol(*[p[i] for i in side]) for p in parts]
+        slots = list(dict.fromkeys(side_of))
+        weights = {t: w for t, w in self.group_parts((keep,)).weights.items() if w > 1e-15}
+        d = self.quantum_dim
+        blocks = {t: np.zeros((len(slots) * d,) * 2, dtype=complex) for t in weights}
+        for s, p, key in zip(self.symbols, parts, side_of):
+            t, j = p[keep], slots.index(key) * d
+            if t in blocks:
+                blocks[t][j : j + d, j : j + d] += self.weights[s] / weights[t] * self.blocks[s]
+        return CQState(tuple(weights), weights, blocks)
+
 
 def distribution_power(p: Distribution, n: int) -> Distribution:
     """n-fold iid product distribution over symbol tuples joined by '|'."""
@@ -306,37 +335,3 @@ def steered_blocks(
         blk = op @ rho @ op.conj().T
         out[key] = la.partial_trace(blk, lay, keep)
     return out
-
-
-def post_measurement_cq(
-    povm: JointPOVM,
-    rho: np.ndarray,
-    lay: la.SystemLayout | None = None,
-    keep: tuple[str, ...] | None = None,
-) -> CQState:
-    """Classical-quantum state over XY tensor the kept quantum factors.
-
-    With no layout the state is on A alone and the blocks are the mirror
-    form sqrt(rho) Lambda_{x,y} sqrt(rho); with a layout the blocks are the
-    post-measurement operators reduced to ``keep``.  Total trace is 1.
-    """
-    if lay is None:
-        rho = la.assert_density(rho)
-        sq = la.matrix_sqrt(rho)
-        raw = {key: sq @ el @ sq for key, el in povm.elements.items()}
-    else:
-        if keep is None:
-            keep = lay.labels
-        raw = steered_blocks(povm, rho, lay, keep)
-    symbols, weights, blocks = [], {}, {}
-    for (x, y), blk in raw.items():
-        p = float(np.trace(blk).real)
-        s = join_symbol(x, y)
-        symbols.append(s)
-        if p > 1e-14:
-            weights[s] = p
-            blocks[s] = blk / p
-        else:
-            weights[s] = 0.0
-            blocks[s] = np.eye(blk.shape[0], dtype=complex) / blk.shape[0]
-    return CQState(tuple(symbols), weights, blocks)

@@ -26,8 +26,9 @@ certificates, which the caller checks on the program at a fixed value:
   1 / WITNESS_RATIO.  ``d_max_smooth`` builds w from the dual z of its
   min t solve and tests it on the program just below the optimum.
 
-A solve that reaches no certified optimum within ``IPM_MAX_ITER`` steps
-returns "maxIterations".
+A solve that reaches no certified optimum within ``IPM_MAX_ITER`` steps,
+or whose duality gap grows past degree / ``GAP_TOL``, returns
+"maxIterations".
 
 Fixed settings: a point counts as feasible when its constraints are met to
 ``10 * FEASIBLE_TOL``; ``minimize`` stops at a relative gap and dual
@@ -501,9 +502,10 @@ def minimize(prob: SDProblem) -> SDPResult:
     z the slack-side multiplier (one rvec per PSD block, then one weight
     per inequality), y the least-squares equality multiplier with
     G^T z + G_eq^T y = q.  Otherwise, after
-    ``IPM_MAX_ITER`` iterations or when a step's linear algebra fails (a
-    block no longer numerically positive definite, or iterates so large on
-    an infeasible problem that an eigensolve does not converge), it returns
+    ``IPM_MAX_ITER`` iterations, once the gap <s, z> exceeds
+    degree / ``GAP_TOL`` (the iterates diverge, as on an infeasible problem;
+    the start has gap = degree), or when a step's linear algebra fails (a
+    block no longer numerically positive definite), it returns
     "maxIterations" with the last point.
     """
     if prob.objective is None:
@@ -539,7 +541,7 @@ def minimize(prob: SDProblem) -> SDPResult:
             if ok:
                 status = "optimal"
                 break
-        if it == IPM_MAX_ITER:
+        if it == IPM_MAX_ITER or gap > degree / GAP_TOL:
             break
         try:
             cone = _ScaledCone(prog, s, z)

@@ -4,6 +4,8 @@ The split is by CDF exponentiation on a fixed total order of the alphabet:
 CDF_U = CDF_X^(1-theta) and CDF_V = CDF_X^theta, so CDF_max = CDF_U CDF_V
 recovers CDF_X exactly for every theta.  theta = 0 makes U a copy of X and
 V constant at the smallest element; theta = 1 swaps the roles.
+``split_control_state`` applies the split to a joint cq state over 'x|y',
+such as a prepared instance's steered E-blocks, and keeps its blocks.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg as la
 from . import qobjects as qo
 
 
@@ -60,50 +61,29 @@ def max_law(pair: SplitPair) -> qo.Distribution:
     return qo.Distribution(order, out / out.sum())
 
 
-def split_control_state(
-    povm: qo.JointPOVM,
-    rho: np.ndarray,
-    theta: float,
-    lay: la.SystemLayout | None = None,
-    keep: tuple[str, ...] | None = None,
-) -> qo.CQState:
+def split_control_state(cq: qo.CQState, theta: float) -> qo.CQState:
     """Control cq state over (U, V, Y) with weights pU(u) pV(v) p(y | max(u, v)).
 
-    Quantum blocks are the normalized post-measurement operators of
-    Lambda_{max(u,v), y} (mirror form without a layout, steered-and-reduced
-    otherwise).  Zero-probability (u, v, y) cells are omitted.
+    ``cq`` is a joint state over 'x|y'; p_X is the x-marginal of its
+    weights, split along the order in which x first appears.  The block of
+    (u, v, y) is that of max(u, v)|y.  Zero-probability cells are omitted.
     """
-    base = qo.post_measurement_cq(povm, rho, lay, keep)
-    if lay is None:
-        rho_a = rho
-    else:
-        rho_a = la.partial_trace(rho, lay, ["A"])
-    joint = qo.induced_distribution(povm, la.assert_density(rho_a))
-    px = qo.marginal_x(joint)
+    px = qo.marginal_x(qo.Distribution(cq.symbols, np.array([cq.weights[s] for s in cq.symbols])))
     pair = split(px, theta)
+    rank = list(px.alphabet).index
     symbols, weights, blocks = [], {}, {}
-    for u in pair.p_u.alphabet:
-        wu = pair.p_u.prob(u)
-        if wu <= 1e-15:
-            continue
-        for v in pair.p_v.alphabet:
-            wv = pair.p_v.prob(v)
-            if wv <= 1e-15:
+    for u, wu in zip(pair.p_u.alphabet, pair.p_u.probs):
+        for v, wv in zip(pair.p_v.alphabet, pair.p_v.probs):
+            x = max(u, v, key=rank)
+            if wu <= 1e-15 or wv <= 1e-15 or px.prob(x) <= 1e-15:
                 continue
-            x = max(u, v, key=list(px.alphabet).index)
-            px_val = px.prob(x)
-            if px_val <= 1e-15:
-                continue
-            for y in povm.alphabet_y:
-                key_xy = qo.join_symbol(x, y)
-                if key_xy not in base.blocks:
-                    continue
-                p_y_given_x = base.weights[key_xy] / px_val
-                w = wu * wv * p_y_given_x
+            for s in cq.symbols:
+                x_s, y = qo.split_symbol(s)
+                w = wu * wv * (cq.weights[s] / px.prob(x)) if x_s == x else 0.0
                 if w <= 1e-15:
                     continue
                 sym = qo.join_symbol(u, v, y)
                 symbols.append(sym)
-                weights[sym] = w
-                blocks[sym] = base.blocks[key_xy]
+                weights[sym] = float(w)
+                blocks[sym] = cq.blocks[s]
     return qo.CQState(tuple(symbols), weights, blocks)

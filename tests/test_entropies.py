@@ -215,7 +215,9 @@ class TestIHyp:
             {"0": oracles.random_density(rng, 2), "1": oracles.random_density(rng, 2)},
         )
         v_cq, _ = ent.i_hyp_cq(cq, 0.15)
-        v_dense, _ = ent.i_hyp_dense(cq.dense(), (2, 2), 0.15)
+        rho = cq.dense()
+        marginals = [oracles.partial_trace_oracle(rho, [2, 2], [i]) for i in (0, 1)]
+        v_dense, _ = ent.d_hyp(rho, np.kron(*marginals), 0.15)
         assert np.isclose(v_cq, v_dense, atol=1e-9)
 
 

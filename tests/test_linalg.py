@@ -68,27 +68,6 @@ class TestPartialTrace:
             assert oracles.min_eig(out) > -1e-9
 
 
-class TestEigh:
-    def test_descending(self):
-        w, _ = la.eigh(np.diag([3.0, 1.0, 2.0]))
-        assert np.allclose(w, [3.0, 2.0, 1.0])
-
-    def test_pauli_x(self):
-        w, _ = la.eigh(np.array([[0, 1], [1, 0]], dtype=complex))
-        assert np.allclose(w, [1.0, -1.0])
-
-    def test_reconstruction(self):
-        rng = np.random.default_rng(3)
-        h = oracles.random_hermitian(rng, 6)
-        w, v = la.eigh(h)
-        assert np.max(np.abs((v * w) @ v.conj().T - h)) < 1e-9
-        assert np.max(np.abs(v.conj().T @ v - np.eye(6))) < 1e-9
-
-    def test_non_hermitian_rejected(self):
-        with pytest.raises(ValueError):
-            la.eigh(np.array([[0, 1], [0, 0]], dtype=complex))
-
-
 class TestTraceNorm:
     def test_same_state(self):
         rng = np.random.default_rng(4)

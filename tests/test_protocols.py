@@ -287,6 +287,23 @@ def test_golden_regions(solved):
         assert _one_shot_rhs(prep) == _golden()[name]["one_shot_region"]
 
 
+def test_one_shot_region_steers_nothing_after_prepare(monkeypatch):
+    # prepare steers the POVM through the purified state once; every
+    # (axis, theta) cell of the region reads those E-blocks
+    prep = P.prepare(io.load_bundled("trivial"))
+    calls = []
+    steered_blocks = qo.steered_blocks
+
+    def counting_steered_blocks(*args, **kwargs):
+        calls.append(args)
+        return steered_blocks(*args, **kwargs)
+
+    monkeypatch.setattr(qo, "steered_blocks", counting_steered_blocks)
+    region = P.one_shot_region(prep, GOLDEN_EPS, theta_grid=(0.0, 0.5, 1.0))
+    assert len(region.constraints) == 4 * 3 * 2
+    assert calls == []
+
+
 @pytest.mark.parametrize("log_const", [0.0, None], ids=["c0", "cdefault"])
 def test_default_budget_is_planned(solved, log_const):
     # budget_from_thresholds and plan_codebooks follow one rounding rule

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from povmcomp import io, linalg as la, qobjects as qo
+from povmcomp import protocols as P
 
 import oracles
 
@@ -120,39 +121,16 @@ class TestInducedDistribution:
 
 
 class TestPostMeasurementCQ:
-    def test_single_outcome_block_is_rho(self):
-        rng = np.random.default_rng(4)
-        rho = oracles.random_density(rng, 3)
-        povm = qo.povm_from_elements({("x", "y"): np.eye(3, dtype=complex)})
-        cq = qo.post_measurement_cq(povm, rho)
-        assert np.allclose(cq.blocks["x|y"], rho)
-
-    def test_basis_povm_on_diagonal_state(self):
-        rho = np.diag([0.2, 0.8]).astype(complex)
-        cq = qo.post_measurement_cq(two_outcome_povm(), rho)
-        assert np.isclose(cq.weights["0|y"], 0.2)
-        assert np.allclose(cq.blocks["0|y"], np.diag([1.0, 0.0]))
-        assert np.allclose(cq.blocks["1|y"], np.diag([0.0, 1.0]))
-
-    def test_total_trace_one(self):
-        rng = np.random.default_rng(5)
-        parts = oracles.random_povm(rng, 2, 4)
-        povm = qo.povm_from_elements({(str(i), "0"): p for i, p in enumerate(parts)})
-        rho = oracles.random_density(rng, 2)
-        cq = qo.post_measurement_cq(povm, rho)
-        mass = sum(cq.weights[s] * np.trace(cq.blocks[s]).real for s in cq.symbols)
-        assert abs(mass - 1.0) < 1e-9
-
     def test_classical_marginal_matches_induced(self):
         rng = np.random.default_rng(6)
         parts = oracles.random_povm(rng, 2, 3)
         povm = qo.povm_from_elements({(str(i), "0"): p for i, p in enumerate(parts)})
-        lay = la.layout(("A", 2), ("B", 2), ("R", 1))
         rho = oracles.random_density(rng, 4)
-        cq = qo.post_measurement_cq(povm, rho, lay, keep=("B",))
-        dist = qo.induced_distribution(povm, la.partial_trace(rho, lay, ["A"]))
+        prep = P.prepare(io.Instance({"A": 2, "B": 2, "R": 1}, rho, povm))
+        cq = prep.env_cq()
+        assert cq.symbols == prep.joint.alphabet
         for s in cq.symbols:
-            assert abs(cq.weights[s] - dist.prob(s)) < 1e-10
+            assert abs(cq.weights[s] - prep.joint.prob(s)) < 1e-10
 
     def test_steered_b_block_via_cyclicity(self):
         # tracing out A makes sqrt(el) rho sqrt(el) equal to el rho under Tr_A
@@ -182,6 +160,29 @@ class TestCQState:
         assert grouped.symbols == ("a", "b")
         assert np.isclose(grouped.weights["a"], 0.5)
         assert np.allclose(grouped.blocks["a"], (b0 + b1) / 2)
+
+    def test_embed_parts_matches_kron_oracle(self):
+        # symbols u|v|y; "z" has weight 0 and is dropped from the kept register
+        rng = np.random.default_rng(10)
+        symbols = ("0|a|0", "1|a|1", "0|b|1", "1|b|0", "1|a|0", "0|z|1")
+        p = np.append(rng.dirichlet(np.ones(5)), 0.0)
+        weights = dict(zip(symbols, p))
+        blocks = {s: oracles.random_density(rng, 2) for s in symbols}
+        cq = qo.CQState(symbols, weights, blocks)
+        out = cq.embed_parts(1, (0, 2))
+        slots = ["0|0", "1|1", "0|1", "1|0"]  # (u, y) in order of first appearance
+        assert out.symbols == ("a", "b")
+        for t in out.symbols:
+            w_t = sum(weights[s] for s in symbols if s.split("|")[1] == t)
+            assert abs(out.weights[t] - w_t) < 1e-15
+            want = np.zeros((8, 8), dtype=complex)
+            for s in symbols:
+                u, v, y = s.split("|")
+                if v == t:
+                    proj = np.zeros((4, 4))
+                    proj[slots.index(f"{u}|{y}"), slots.index(f"{u}|{y}")] = 1.0
+                    want += weights[s] / w_t * oracles.kron_oracle(proj, blocks[s])
+            assert np.max(np.abs(out.blocks[t] - want)) < 1e-15
 
     def test_dense_layout(self):
         cq = qo.CQState(

@@ -228,8 +228,8 @@ class TestFeasibility:
         assert fires(*sdp.Program(box_problem(3, 4)).farkas(res.dual[0])[2:])
 
     def test_infeasible_box_stops_without_a_verdict(self):
-        # the iterates of 0 <= X <= I, Tr X = 4 diverge until a block's
-        # eigenvalues no longer converge; minimize keeps its last point
+        # the iterates of 0 <= X <= I, Tr X = 4 diverge: minimize stops once
+        # the duality gap passes degree / GAP_TOL and keeps its last point
         res = self.solve_box(3, 4)
         assert res.status == "maxIterations"
         assert res.residuals["primal"] > 0.1

@@ -2,7 +2,8 @@ import itertools
 
 import numpy as np
 
-from povmcomp import qobjects as qo, splitting as sp
+from povmcomp import io, qobjects as qo, splitting as sp
+from povmcomp import protocols as P
 
 import oracles
 
@@ -71,6 +72,9 @@ class TestSplit:
 
 
 class TestSplitControl:
+    """``split_control_state`` on the joint env cq state of a prepared
+    instance: A, B qubits in a random state, a random 2 x 2 outcome POVM."""
+
     @staticmethod
     def make_instance(seed=0):
         rng = np.random.default_rng(seed)
@@ -79,43 +83,47 @@ class TestSplitControl:
             ("0", "0"): parts[0], ("0", "1"): parts[1],
             ("1", "0"): parts[2], ("1", "1"): parts[3],
         }
-        return qo.povm_from_elements(elements), oracles.random_density(rng, 2)
+        povm = qo.povm_from_elements(elements)
+        rho = oracles.random_density(rng, 4)
+        return P.prepare(io.Instance({"A": 2, "B": 2, "R": 1}, rho, povm))
 
     def test_theta_zero_isomorphic_to_unsplit(self):
-        povm, rho = self.make_instance()
-        ctrl = sp.split_control_state(povm, rho, 0.0)
-        base = qo.post_measurement_cq(povm, rho)
+        base = self.make_instance().env_cq()
+        ctrl = sp.split_control_state(base, 0.0)
         # at theta = 0: v is pinned to the first symbol and u tracks x
         for sym in ctrl.symbols:
             u, v, y = qo.split_symbol(sym)
-            assert v == povm.alphabet_x[0]
+            assert v == "0"
             key = qo.join_symbol(u, y)
             assert abs(ctrl.weights[sym] - base.weights[key]) < 1e-12
             assert np.allclose(ctrl.blocks[sym], base.blocks[key])
+        assert len(ctrl.symbols) == len(base.symbols)
 
     def test_single_outcome_povm(self):
-        rho = oracles.random_density(np.random.default_rng(2), 3)
+        rng = np.random.default_rng(2)
         povm = qo.povm_from_elements({("x", "y"): np.eye(3, dtype=complex)})
-        ctrl = sp.split_control_state(povm, rho, 0.7)
-        assert len(ctrl.symbols) == 1
-        assert np.allclose(next(iter(ctrl.blocks.values())), rho)
+        rho = oracles.random_density(rng, 3)
+        prep = P.prepare(io.Instance({"A": 3, "B": 1, "R": 1}, rho, povm))
+        ctrl = sp.split_control_state(prep.env_cq(), 0.7)
+        assert ctrl.symbols == ("x|x|y",)
+        # the identity steers the purification to rho_E itself
+        psi = prep.global_pure.reshape(3, prep.dim_e)
+        assert np.allclose(ctrl.blocks["x|x|y"], psi.T @ psi.conj())
 
     def test_max_y_marginal_reproduces_induced(self):
-        povm, rho = self.make_instance(seed=3)
-        joint = qo.induced_distribution(povm, rho)
+        prep = self.make_instance(seed=3)
         for theta in (0.3, 0.8):
-            ctrl = sp.split_control_state(povm, rho, theta)
+            ctrl = sp.split_control_state(prep.env_cq(), theta)
             marg = {}
             for sym in ctrl.symbols:
                 u, v, y = qo.split_symbol(sym)
                 x = max(u, v)  # string order matches alphabet order here
                 marg[qo.join_symbol(x, y)] = marg.get(qo.join_symbol(x, y), 0.0) + ctrl.weights[sym]
             for key, val in marg.items():
-                assert abs(val - joint.prob(key)) < 1e-10
+                assert abs(val - prep.joint.prob(key)) < 1e-10
 
     def test_total_mass_one(self):
-        povm, rho = self.make_instance(seed=4)
-        ctrl = sp.split_control_state(povm, rho, 0.5)
+        ctrl = sp.split_control_state(self.make_instance(seed=4).env_cq(), 0.5)
         mass = sum(
             ctrl.weights[s] * np.trace(ctrl.blocks[s]).real for s in ctrl.symbols
         )

@@ -19,7 +19,6 @@ ROOT = Path(__file__).resolve().parent.parent
 TEST_ONLY = {
     "covering_sweep",
     "verify_certificate",
-    "i_hyp_dense",
     "save_instance",
     "purified_distance",
     "cdc_qsi",
