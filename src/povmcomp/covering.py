@@ -205,24 +205,3 @@ def extract_good_set_transformed(
             new_weights.append(w * t / z)
     return extract_good_set(parts, new_weights, target, min(2 * eps, 0.999))
 
-
-def verify_certificate(
-    cert: GoodSetCertificate,
-    parts: list[np.ndarray],
-    weights: list[float],
-    target: np.ndarray,
-) -> dict[str, bool]:
-    """Independent re-check of the three certificate invariants; the GOOD
-    mass must reach 1 - 10 eps^(1/4)."""
-    quarter = cert.eps_used**0.25
-    ok_prob = cert.prob_good >= 1.0 - 10.0 * quarter
-    ok_close = all(
-        la.trace_norm_distance(cert.primed[i], la.as_matrix(parts[i]) / max(np.trace(parts[i]).real, 1e-300))
-        <= 2 * quarter + 1e-7
-        for i in cert.good
-    )
-    acc = (1.0 + quarter) * la.as_matrix(target)
-    for i in cert.good:
-        acc = acc - weights[i] * cert.primed[i]
-    ok_op = float(np.linalg.eigvalsh((acc + acc.conj().T) / 2)[0]) >= -1e-8
-    return {"prob_good": ok_prob, "primed_close": ok_close, "operator": ok_op}

@@ -177,12 +177,6 @@ def fidelity(a, b) -> float:
     return float(min(np.sum(sv), 1.0))
 
 
-def purified_distance(a, b) -> float:
-    """``sqrt(1 - F(a, b)^2)``, the smoothing metric."""
-    f = fidelity(a, b)
-    return float(np.sqrt(max(0.0, 1.0 - f * f)))
-
-
 def purify(rho, truncate: bool = False, tol: float = 1e-12) -> np.ndarray:
     """Purification of ``rho`` on system (x) mirror.
 

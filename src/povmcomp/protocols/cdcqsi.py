@@ -22,7 +22,7 @@ from .. import entropies as ent
 from .. import linalg as la
 from .. import qobjects as qo
 from .compress import block_dict_distance
-from .hashing import HashScheme, draw_hash
+from .hashing import draw_hash
 
 # a hash draw is redrawn, at most MAX_REDRAWS times, while a bucket holds more
 # than 2^(I_H + BUCKET_SLACK_BITS) candidates

@@ -12,14 +12,14 @@ the raw iid draw, and the protocol only ever touches counts and offsets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .. import covering as cov
 from .. import linalg as la
 from .. import qobjects as qo
-from ..budget import OneShotBudget, default_log_const
+from ..budget import OneShotBudget
 from .prep import PreparedInstance, thresholds
 
 

@@ -47,20 +47,6 @@ def split(p: qo.Distribution, theta: float, order: tuple[str, ...] | None = None
     )
 
 
-def max_law(pair: SplitPair) -> qo.Distribution:
-    """Distribution of max{U, V} under the split (independent U, V)."""
-    order = pair.p_u.alphabet
-    n = len(order)
-    pu, pv = pair.p_u.probs, pair.p_v.probs
-    cu, cv = np.cumsum(pu), np.cumsum(pv)
-    out = np.zeros(n)
-    for i in range(n):
-        below_u = cu[i - 1] if i else 0.0
-        below_v = cv[i - 1] if i else 0.0
-        out[i] = pu[i] * below_v + pv[i] * below_u + pu[i] * pv[i]
-    return qo.Distribution(order, out / out.sum())
-
-
 def split_control_state(cq: qo.CQState, theta: float) -> qo.CQState:
     """Control cq state over (U, V, Y) with weights pU(u) pV(v) p(y | max(u, v)).
 

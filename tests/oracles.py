@@ -63,6 +63,44 @@ def fidelity_oracle(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.real(np.trace(inner)))
 
 
+def purified_distance(fidelity: float) -> float:
+    """sqrt(1 - F^2), the smoothing metric, from a fidelity F."""
+    return math.sqrt(max(0.0, 1.0 - fidelity * fidelity))
+
+
+def _trace_norm(op: np.ndarray) -> float:
+    return float(np.sum(np.abs(np.linalg.eigvalsh((op + op.conj().T) / 2))))
+
+
+def verify_certificate(cert, parts: list, weights: list, target: np.ndarray) -> dict[str, bool]:
+    """Independent re-check of the three invariants of a GOOD-set
+    certificate (``good``, ``primed``, ``prob_good``, ``eps_used``): the GOOD
+    mass reaches 1 - 10 eps^(1/4), each primed state is within 2 eps^(1/4)
+    of its normalised part in trace norm, and the GOOD parts' weighted sum
+    stays below (1 + eps^(1/4)) target."""
+    quarter = cert.eps_used**0.25
+    ok_prob = cert.prob_good >= 1.0 - 10.0 * quarter
+    ok_close = all(
+        _trace_norm(cert.primed[i] - parts[i] / max(np.trace(parts[i]).real, 1e-300))
+        <= 2 * quarter + 1e-7
+        for i in cert.good
+    )
+    acc = (1.0 + quarter) * np.asarray(target, dtype=complex)
+    for i in cert.good:
+        acc = acc - weights[i] * cert.primed[i]
+    ok_op = float(np.linalg.eigvalsh((acc + acc.conj().T) / 2)[0]) >= -1e-8
+    return {"prob_good": ok_prob, "primed_close": ok_close, "operator": ok_op}
+
+
+def max_law(pu: np.ndarray, pv: np.ndarray) -> np.ndarray:
+    """The law of max{U, V} for independent U ~ pu and V ~ pv over one
+    ordered alphabet, normalised."""
+    out = np.zeros(len(pu))
+    for i, j in itertools.product(range(len(pu)), repeat=2):
+        out[max(i, j)] += pu[i] * pv[j]
+    return out / out.sum()
+
+
 def trace_norm_subset_oracle(diff_diag: np.ndarray) -> float:
     """``2 max_P Tr[P d]`` over diagonal projectors, for a traceless diagonal d."""
     best = 0.0

@@ -119,7 +119,7 @@ class TestGoodSet:
             eps = 0.05
             assert la.trace_norm_distance(avg, target) <= eps
             cert = cov.extract_good_set(parts, weights, target, eps=eps)
-            checks = cov.verify_certificate(cert, parts, weights, target)
+            checks = oracles.verify_certificate(cert, parts, weights, target)
             assert all(checks.values()), (trial, checks)
 
     def test_hypothesis_violation_raises(self):

@@ -152,6 +152,99 @@ class TestBatchedCone:
             assert np.max(np.abs(prog.farkas(slack)[0] - want)) <= 1e-14
 
 
+def random_interior(prog, rng):
+    """A slack-side point strictly inside the cone of ``prog``: each PSD
+    block G G^H + I for a random complex G, each inequality slot in [0.5, 1.5)."""
+    point = rng.uniform(0.5, 1.5, size=prog.n_graph)
+    for d, slots in prog.block_slots.items():
+        g = rng.normal(size=(len(slots), d, d)) + 1j * rng.normal(size=(len(slots), d, d))
+        point[slots] = sdp.herm_to_rvec(g @ np.conj(np.swapaxes(g, -1, -2)) + np.eye(d))
+    return point
+
+
+class TestIterationKernels:
+    """The cached-basis conversions and the interior-point iteration's
+    congruences, paired step test and primal step."""
+
+    def test_cached_basis_conversions(self):
+        rng = np.random.default_rng(20)
+        for d in range(1, 6):
+            mats = np.stack([oracles.random_hermitian(rng, d) for _ in range(6)])
+            vecs = sdp.herm_to_rvec(mats)
+            assert np.max(np.abs(sdp.rvec_to_herm(vecs, d) - mats)) <= 1e-14
+            raw = rng.normal(size=(6, d * d))
+            assert np.max(np.abs(sdp.herm_to_rvec(sdp.rvec_to_herm(raw, d)) - raw)) <= 1e-14
+            # isometric: <rvec A, rvec B> = Re Tr[A^H B] for every pair
+            gram = np.real(np.einsum("aij,bij->ab", mats.conj(), mats))
+            assert np.max(np.abs(vecs @ vecs.T - gram)) <= 1e-12
+            for m, v, r in zip(mats, vecs, raw):
+                assert np.max(np.abs(v - oracles._herm_to_rvec_single(m))) <= 1e-14
+                back = sdp.rvec_to_herm(r, d)
+                assert np.max(np.abs(back - oracles._rvec_to_herm_single(r, d))) <= 1e-14
+
+    def test_congruence_acts_on_rvecs(self):
+        rng = np.random.default_rng(21)
+        for d in range(1, 6):
+            c = rng.normal(size=(3, d, d)) + 1j * rng.normal(size=(3, d, d))
+            mats = np.stack([oracles.random_hermitian(rng, d) for _ in range(3)])
+            got = (sdp._congruence(c) @ sdp.herm_to_rvec(mats)[..., None])[..., 0]
+            want = sdp.herm_to_rvec(c @ mats @ np.conj(np.swapaxes(c, -1, -2)))
+            assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+    def test_paired_step_is_the_shorter_single_step(self):
+        prog = sdp.Program(interleaved_blocks_problem())
+        rng = np.random.default_rng(22)
+        for _ in range(20):
+            cone = sdp._ScaledCone(prog, random_interior(prog, rng), random_interior(prog, rng))
+            a, b = rng.normal(size=(2, prog.n_graph))
+            assert cone.max_step(a, b) == min(cone.max_step(a), cone.max_step(b))
+            # a direction into the cone never limits the step
+            assert cone.max_step(cone.lam) == math.inf
+            assert cone.max_step(cone.lam, b) == cone.max_step(b)
+
+    def test_primal_step_is_the_unscaled_newton_step(self, monkeypatch):
+        """On the min t program of qubit_entangled_side_info's smooth I_max,
+        each step s takes, r_p + A du, is T^-1 ds~ of the corrector's
+        direction at that iterate's scaling."""
+        scaled_cone = sdp._ScaledCone
+        cones = []
+
+        class Recording(scaled_cone):
+            def __init__(self, prog, s, z):
+                super().__init__(prog, s, z)
+                self.s, self.directions = s, []
+                cones.append(self)
+
+            def max_step(self, *directions):
+                self.directions.append(directions)
+                return super().max_step(*directions)
+
+        monkeypatch.setattr(sdp, "_ScaledCone", Recording)
+        res = sdp.minimize(ent._capped_ball(*env_state_pair(), 0.1, None))
+        assert res.status == "optimal" and len(cones) == res.iterations > 10
+        for cone, following in zip(cones, cones[1:]):
+            ds, dz = cone.directions[-1]
+            alpha = min(1.0, sdp.STEP_TO_BOUNDARY * scaled_cone.max_step(cone, ds, dz))
+            unscaled = ds / np.concatenate([np.ones(cone.n_psd), cone.t_scalar])
+            for g in cone.groups:
+                unscaled[g.slots] = np.linalg.solve(g.scale, ds[g.slots][..., None])[..., 0]
+            assert np.max(np.abs((following.s - cone.s) / alpha - unscaled)) <= 1e-10
+
+    def test_one_congruence_per_block_group_per_iteration(self, monkeypatch):
+        prob = ent._capped_ball(*env_state_pair(), 0.1, None)
+        calls = []
+        congruence = sdp._congruence
+
+        def counting(c):
+            calls.append(c.shape)
+            return congruence(c)
+
+        monkeypatch.setattr(sdp, "_congruence", counting)
+        res = sdp.minimize(prob)
+        groups = len(sdp.Program(prob).block_slots)
+        assert groups == 2 and len(calls) == groups * res.iterations
+
+
 class TestBatchedProbe:
     """Set-up probing over stacked bases equals the per-basis prober."""
 

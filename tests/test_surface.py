@@ -18,15 +18,12 @@ ROOT = Path(__file__).resolve().parent.parent
 
 TEST_ONLY = {
     "covering_sweep",
-    "verify_certificate",
     "save_instance",
-    "purified_distance",
     "cdc_qsi",
     "compose_with_side_information",
     "instrument_to_povm",
     "distribution_power",
     "cq_tensor_power",
-    "max_law",
 }
 
 
@@ -49,3 +46,23 @@ def test_only_tests_call_the_pinned_names():
     # a name met once is met only at its definition
     test_only = {name for name in public if words[name] == 1}
     assert test_only == TEST_ONLY
+
+
+def test_modules_use_their_imports():
+    """Every name a library module imports is read somewhere in that module
+    (a package ``__init__`` re-exports, so it does not count)."""
+    unused = []
+    for path in sorted((ROOT / "src/povmcomp").rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = [
+            (alias.asname or alias.name.split(".")[0], node.lineno)
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        ]
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported if name not in read]
+    assert unused == []
