@@ -19,20 +19,17 @@ def default_log_const(eps: float) -> float:
 
 @dataclass(frozen=True)
 class OneShotBudget:
-    """Error budget and link rates (bits): (eps, R_X, R_Y, C_X, C_Y, theta)."""
+    """Error budget and link rates (bits): (eps, R_X, R_Y, C_X, C_Y)."""
 
     eps: float
     r_x: float
     r_y: float = 0.0
     c_x: float = 0.0
     c_y: float = 0.0
-    theta: float = 0.0
 
     def __post_init__(self):
         if not 0.0 < self.eps < 1.0:
             raise ValueError("eps must lie in (0, 1)")
-        if not 0.0 <= self.theta <= 1.0:
-            raise ValueError("theta must lie in [0, 1]")
         for name in ("r_x", "r_y", "c_x", "c_y"):
             if getattr(self, name) < 0:
                 raise ValueError(f"rate {name} must be nonnegative")

@@ -247,15 +247,6 @@ def i_hyp_cq(cq: qo.CQState, eps: float) -> tuple[float, NPTest]:
     return _np_test(rho_blocks, [p * avg for p in weights], eps, cq.symbols)
 
 
-def i_hyp_weighted_cq(
-    symbols: list[str], weights: list[float], blocks: list[np.ndarray], eps: float
-) -> tuple[float, NPTest]:
-    """i_hyp_cq for an explicit weighted block list (weights may fold counts)."""
-    avg = sum(w * b for w, b in zip(weights, blocks))
-    rho_blocks = [w * b for w, b in zip(weights, blocks)]
-    return _np_test(rho_blocks, [w * avg for w in weights], eps, symbols)
-
-
 # ---------------------------------------------------------------------------
 # max relative entropy and smoothed variants
 
@@ -278,12 +269,12 @@ def d_max(rho, sigma) -> float:
     return math.log2(top)
 
 
-def _support_components(mats: list[np.ndarray], tol: float = 1e-12) -> list[np.ndarray]:
+def _support_components(mats: list[np.ndarray]) -> list[np.ndarray]:
     """Connected components of the union support pattern (index arrays)."""
     d = mats[0].shape[0]
     mask = np.zeros((d, d), dtype=bool)
     for m in mats:
-        mask |= np.abs(m) > tol
+        mask |= np.abs(m) > 1e-12
     mask |= mask.T
     parent = list(range(d))
 

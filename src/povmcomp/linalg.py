@@ -15,6 +15,8 @@ import numpy as np
 HERM_TOL = 1e-10
 PSD_TOL = 1e-10
 SQRT_NEG_TOL = 1e-8
+# relative eigenvalue cutoff of the support (pseudo-inverse, projector)
+SUPPORT_TOL = 1e-10
 
 
 def as_matrix(op) -> np.ndarray:
@@ -24,11 +26,11 @@ def as_matrix(op) -> np.ndarray:
     return mat
 
 
-def assert_hermitian(op, tol: float = HERM_TOL * 100) -> np.ndarray:
+def assert_hermitian(op) -> np.ndarray:
     mat = as_matrix(op)
     if not np.all(np.isfinite(mat)):
         raise ValueError("matrix has non-finite entries")
-    if np.max(np.abs(mat - mat.conj().T)) > tol:
+    if np.max(np.abs(mat - mat.conj().T)) > HERM_TOL * 100:
         raise ValueError("matrix is not Hermitian within tolerance")
     return (mat + mat.conj().T) / 2
 
@@ -41,10 +43,10 @@ def assert_psd(op, tol: float = PSD_TOL * 100) -> np.ndarray:
     return mat
 
 
-def assert_density(op, tol: float = 1e-8) -> np.ndarray:
+def assert_density(op) -> np.ndarray:
     mat = assert_psd(op)
     tr = float(np.trace(mat).real)
-    if abs(tr - 1.0) > tol:
+    if abs(tr - 1.0) > 1e-8:
         raise ValueError(f"trace {tr} is not 1 within tolerance")
     return mat
 
@@ -62,10 +64,6 @@ class SystemLayout:
         for _, d in self.factors:
             if d < 1:
                 raise ValueError("factor dimensions must be >= 1")
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(lab for lab, _ in self.factors)
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -147,21 +145,21 @@ def matrix_sqrt(op) -> np.ndarray:
     return (v * np.sqrt(w)) @ v.conj().T
 
 
-def pseudo_inverse_sqrt(op, tol: float = 1e-10) -> np.ndarray:
+def pseudo_inverse_sqrt(op) -> np.ndarray:
     """Inverse square root on the support, zero on the kernel."""
     mat = assert_hermitian(op)
     w, v = np.linalg.eigh(mat)
     if w[0] < -SQRT_NEG_TOL:
         raise ValueError(f"pseudo_inverse_sqrt of non-PSD input (min eig {w[0]:.3e})")
-    cutoff = max(tol, tol * max(w[-1], 0.0))
+    cutoff = max(SUPPORT_TOL, SUPPORT_TOL * max(w[-1], 0.0))
     inv = np.where(w > cutoff, 1.0 / np.sqrt(np.clip(w, cutoff, None)), 0.0)
     return (v * inv) @ v.conj().T
 
 
-def support_projector(op, tol: float = 1e-10) -> np.ndarray:
+def support_projector(op) -> np.ndarray:
     mat = assert_hermitian(op)
     w, v = np.linalg.eigh(mat)
-    cutoff = max(tol, tol * max(abs(w[0]), abs(w[-1])))
+    cutoff = max(SUPPORT_TOL, SUPPORT_TOL * max(abs(w[0]), abs(w[-1])))
     cols = v[:, np.abs(w) > cutoff]
     return cols @ cols.conj().T
 
@@ -207,7 +205,7 @@ def _basis_vec(dim: int, k: int) -> np.ndarray:
     return e
 
 
-def uhlmann_partner(psi, target, sys_dim: int | None = None) -> np.ndarray:
+def uhlmann_partner(psi, target) -> np.ndarray:
     """Purification of ``target`` maximizing overlap with ``psi``.
 
     ``psi`` purifies some state on the primary system (first factor); the
@@ -218,8 +216,6 @@ def uhlmann_partner(psi, target, sys_dim: int | None = None) -> np.ndarray:
     vec = np.asarray(psi, dtype=complex).reshape(-1)
     tgt = assert_psd(target)
     d = tgt.shape[0]
-    if sys_dim is not None and sys_dim != d:
-        raise ValueError("target dimension does not match declared system dimension")
     if vec.size % d != 0:
         raise ValueError("psi length is not divisible by the target dimension")
     dm = vec.size // d

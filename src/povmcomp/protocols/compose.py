@@ -2,15 +2,18 @@
 
 Alice runs the compressed measurement once per seed; each link carries a
 2-universal hash of its message index.  Bob, who shares the public coins,
-decodes sequentially on his B register through the message's hash fiber
-with per-(coin, class) hypothesis tests, so a decode depends only on the
-fiber's class sequence (its signature).  Each link's fibers are tabulated
-once and its messages grouped by signature, with one decoder per (coin,
-signature): the number of decoders and matrix products does not grow with
-2^logL, only a few array passes over the indices do.  Decoding the X
-channel first perturbs B only gently, then the Y channel is decoded on the
-damaged state.  Output states and deviations are computed exactly by branch
-enumeration; only codebooks, hashes and transcripts are sampled.
+decodes sequentially on his B register through the message's hash fiber,
+in ascending index order, with the per-(coin, class) hypothesis tests of
+I_H(KL : K'B).  That I_H is taken on the link's composition state, one
+``CQState`` over (coin, class) with (K', B) blocks built by
+``_link_state``, so a decode depends only on the fiber's class sequence
+(its signature).  Each link's fibers are tabulated once and its messages
+grouped by signature, with one decoder per (coin, signature): the number
+of decoders and matrix products does not grow with 2^logL, only a few
+array passes over the indices do.  Decoding the X channel first perturbs B
+only gently, then the Y channel is decoded on the damaged state.  Output
+states and deviations are computed exactly by branch enumeration; only
+codebooks, hashes and transcripts are sampled.
 
 Decoder tests are evaluated at the protocol's own eps, and only on a link
 that hashes: an identity link decodes every fiber as a lone candidate.
@@ -37,7 +40,6 @@ from ..io import Instance
 from .compress import (
     ABORT,
     SCENARIOS,
-    AdversaryScenario,
     CompressedFamily,
     ProtocolError,
     build_compressed_povm,
@@ -55,61 +57,55 @@ from .prep import PreparedInstance, prepare, thresholds
 MAX_HASHED_LOG_L = 16
 
 
-@dataclass
-class AxisEnsemble:
-    """Per-coin outcome statistics of one axis, class-collapsed.
+def _link_state(family: CompressedFamily, prep: PreparedInstance, axis: str) -> qo.CQState:
+    """The link's composition state over (K, class) with (K', B) blocks.
 
-    ``atom_env[(k, sym)]`` is the E-operator of a single index of class sym
-    (trace = that atom's outcome probability given coin k); ``mult`` its
-    index multiplicity within the coin block.
+    The weight of ``"k|class"`` is the class's index mass in coin k (its
+    outcome probability averaged over the other link's coins, times its
+    count), normalised over the non-abort mass; its block is the class's
+    E-operator reduced to B, placed in coin slot k of a (K' B) register.
     """
-
-    axis: str
-    coins: int
-    messages: int
-    atom_env: dict[tuple[int, str], np.ndarray]
-    mult: dict[tuple[int, str], int]
-
-
-def _axis_ensemble(family: CompressedFamily, prep: PreparedInstance, axis: str) -> AxisEnsemble:
     plan = family.plan
-    coins, messages = (plan.k1, plan.l1) if axis == "X" else (plan.k2, plan.l2)
-    other_coins = plan.k2 if axis == "X" else plan.k1
-    own_cb = family.codebook_x if axis == "X" else family.codebook_y
-    alphabet = prep.px.alphabet if axis == "X" else prep.py.alphabet
-    d_e = prep.dim_e
-    atom_env: dict[tuple[int, str], np.ndarray] = {}
-    mult: dict[tuple[int, str], int] = {}
+    coins, other_coins = (plan.k1, plan.k2) if axis == "X" else (plan.k2, plan.k1)
+    codebook = family.codebook_x if axis == "X" else family.codebook_y
+    env_lay, d_b = prep.env_layout(), prep.dim_b
+    symbols, weights, blocks = [], {}, {}
     for k in range(coins):
+        counts = dict(zip(codebook.alphabet, codebook.counts[k].tolist()))
         acc: dict[str, np.ndarray] = {}
         for ko in range(other_coins):
             key = (k, ko) if axis == "X" else (ko, k)
-            w = 1.0 / other_coins
             if not family.nice[key]:
                 continue
             blk = family.blocks[key]
             for (x, y), gamma in blk.gammas.items():
                 own = x if axis == "X" else y
-                own_count = int(own_cb.counts[k][alphabet.index(own)])
-                if own_count == 0:
+                if counts[own] == 0:
                     continue
-                other_mult = blk.counts[(x, y)] // own_count
-                acc.setdefault(own, np.zeros((d_e, d_e), dtype=complex))
-                acc[own] += w * other_mult * steered_env_block(prep, gamma)
+                other_mult = blk.counts[(x, y)] // counts[own]
+                acc.setdefault(own, np.zeros((prep.dim_e, prep.dim_e), dtype=complex))
+                acc[own] += (1.0 / other_coins) * other_mult * steered_env_block(prep, gamma)
         for sym, op in acc.items():
-            m = int(own_cb.counts[k][alphabet.index(sym)])
-            if m > 0:
-                atom_env[(k, sym)] = op
-                mult[(k, sym)] = m
-    return AxisEnsemble(axis, coins, messages, atom_env, mult)
+            tr = float(np.trace(op).real)
+            p = tr * counts[sym] / coins
+            if p <= 1e-14:
+                continue
+            side = np.zeros((coins * d_b, coins * d_b), dtype=complex)
+            side[k * d_b : (k + 1) * d_b, k * d_b : (k + 1) * d_b] = la.partial_trace(
+                op / tr, env_lay, ["B"]
+            )
+            s = qo.join_symbol(str(k), sym)
+            symbols.append(s)
+            weights[s] = p
+            blocks[s] = side
+    total = sum(weights.values())
+    return qo.CQState(tuple(symbols), {s: w / total for s, w in weights.items()}, blocks)
 
 
 @dataclass
 class AxisStage:
     """What Bob needs to decode one link: its hash and, when it hashes, its tests."""
 
-    axis: str
-    ensemble: AxisEnsemble
     wire_bits: int
     log_l: int
     hash_scheme: HashScheme
@@ -118,32 +114,9 @@ class AxisStage:
     tests: dict[tuple[int, str], np.ndarray] | None
 
 
-def _axis_weighted_blocks(ensemble: AxisEnsemble, prep: PreparedInstance):
-    """Fine-atom composition state over (K, class) with (K', B) side blocks."""
-    env_lay = prep.env_layout()
-    d_b = prep.dim_b
-    coins = ensemble.coins
-    symbols, weights, blocks = [], [], []
-    total = 0.0
-    for (k, sym), op in ensemble.atom_env.items():
-        p = float(np.trace(op).real) * ensemble.mult[(k, sym)] / coins
-        if p <= 1e-14:
-            continue
-        b_block = la.partial_trace(op / np.trace(op).real, env_lay, ["B"])
-        side = np.zeros((coins * d_b, coins * d_b), dtype=complex)
-        side[k * d_b : (k + 1) * d_b, k * d_b : (k + 1) * d_b] = b_block
-        symbols.append(qo.join_symbol(str(k), sym))
-        weights.append(p)
-        blocks.append(side)
-        total += p
-    return symbols, [w / total for w in weights], blocks
-
-
-def _link_tests(ensemble: AxisEnsemble, prep: PreparedInstance, eps: float):
+def _link_tests(state: qo.CQState, d_b: int, eps: float):
     """Per-(coin, class) hypothesis tests on B of I_H^eps(KL : K'B)."""
-    symbols, weights, blocks = _axis_weighted_blocks(ensemble, prep)
-    d_b = prep.dim_b
-    _, test_obj = ent.i_hyp_weighted_cq(symbols, weights, blocks, eps)
+    _, test_obj = ent.i_hyp_cq(state, eps)
     tests = {}
     for s, op in test_obj.per_symbol.items():
         k_str, sym = qo.split_symbol(s)
@@ -160,7 +133,6 @@ def _axis_stage(
     seed: int,
     wire_override: int | None = None,
 ) -> AxisStage:
-    ensemble = _axis_ensemble(family, prep, axis)
     log_l = family.plan.log_l1 if axis == "X" else family.plan.log_l2
     wire_bits, scheme, tests = log_l, identity_hash(max(log_l, 1)), None
     if prep.has_side_information() and log_l > 0:
@@ -178,30 +150,30 @@ def _axis_stage(
                 np.random.SeedSequence(entropy=seed, spawn_key=(101 if axis == "X" else 102,))
             )
             scheme = draw_hash(log_l, wire_bits, rng)
-            tests = _link_tests(ensemble, prep, budget.eps)
-    return AxisStage(axis, ensemble, wire_bits, log_l, scheme, tests)
+            tests = _link_tests(_link_state(family, prep, axis), prep.dim_b, budget.eps)
+    return AxisStage(wire_bits, log_l, scheme, tests)
 
 
 class _StageDecoder:
     """Decode branch operators of one link, built once per (coin, fiber signature).
 
     Bob's decoder for a wire message sees only the classes of the indices in
-    its fiber, in the order ``sequential_kraus`` tests them (indices sorted
-    by their decimal names), because his tests are per (coin, class).  That
-    class sequence is the fiber's signature.  The link's fibers come from
-    one ``HashScheme.fibers`` table; per coin, every fiber gets a signature
-    id and one decoder is built per signature.  ``counts[k][c, s]`` is how
-    many indices of class c in coin k hash into a fiber of signature s, so a
-    class decodes as a count-weighted sum over signatures, with no work per
-    wire message.
+    its fiber, in the order ``sequential_kraus`` tests them (ascending
+    index, as ``HashScheme.fibers`` lists them), because his tests are per
+    (coin, class) of the link's state.  That class sequence is the fiber's
+    signature; classes take contiguous index ranges, so it is monotone.
+    The link's fibers come from one ``HashScheme.fibers`` table; per coin,
+    every fiber gets a signature id and one decoder is built per signature.
+    Sequential decoding's error analysis holds for any fixed candidate
+    order (Sen, arXiv:1109.0802).  ``counts[k][c, s]`` is how many indices
+    of class c in coin k hash into a fiber of signature s, so a class
+    decodes as a count-weighted sum over signatures, with no work per wire
+    message.
     """
 
     def __init__(self, stage: AxisStage, codebook, d_tail: int):
-        messages = stage.ensemble.messages
+        messages = codebook.messages
         fibers = stage.hash_scheme.fibers(messages)
-        if fibers.shape[1] > 1:
-            # the decimal-name order in which the golden pins were recorded
-            fibers = np.take_along_axis(fibers, np.argsort(fibers.astype(str), axis=1), axis=1)
         self.counts: list[np.ndarray] = []
         self.branches: list[list[list[tuple[str, np.ndarray | None]]]] = []
         for k in range(codebook.coins):
@@ -254,7 +226,6 @@ def centralised_protocol(
     budget: OneShotBudget,
     seed: int,
     log_const: float | None = None,
-    scenarios: tuple[AdversaryScenario, ...] = SCENARIOS,
     family: CompressedFamily | None = None,
     wire_override: dict[str, int] | None = None,
 ) -> dict:
@@ -278,12 +249,10 @@ def centralised_protocol(
 
     plan = family.plan
     w_blk = 1.0 / (plan.k1 * plan.k2)
-    outputs: dict[str, dict[str, np.ndarray]] = {sc.name: {} for sc in scenarios}
-    wanted = {sc.name for sc in scenarios}
+    outputs: dict[str, dict[str, np.ndarray]] = {sc.name: {} for sc in SCENARIOS}
 
     def add(scname: str, key: str, op) -> None:
-        if scname in wanted:
-            outputs[scname][key] = outputs[scname].get(key, 0.0) + op
+        outputs[scname][key] = outputs[scname].get(key, 0.0) + op
 
     for k1 in range(plan.k1):
         for k2 in range(plan.k2):
@@ -305,19 +274,16 @@ def centralised_protocol(
                 tot_x = int(family.codebook_x.counts[k1][xi])
                 tot_y = int(family.codebook_y.counts[k2][yi])
                 stage1 = dec_x.apply(k1, xi, sigma)
-                if "x_only" in wanted:
-                    for sym, op in stage1.items():
-                        add("x_only", sym, w_blk * tot_y * op)
-                if "y_only" in wanted:
-                    for sym, post in dec_y.apply(k2, yi, sigma).items():
-                        add("y_only", sym, w_blk * tot_x * post)
-                if "both" in wanted:
-                    for sym_x, op1 in stage1.items():
-                        for sym_y, post in dec_y.apply(k2, yi, op1).items():
-                            add("both", qo.join_symbol(sym_x, sym_y), w_blk * post)
+                for sym, op in stage1.items():
+                    add("x_only", sym, w_blk * tot_y * op)
+                for sym, post in dec_y.apply(k2, yi, sigma).items():
+                    add("y_only", sym, w_blk * tot_x * post)
+                for sym_x, op1 in stage1.items():
+                    for sym_y, post in dec_y.apply(k2, yi, op1).items():
+                        add("both", qo.join_symbol(sym_x, sym_y), w_blk * post)
 
     results = {}
-    for sc in scenarios:
+    for sc in SCENARIOS:
         ideal = ideal_blocks(prep, sc)
         out = outputs[sc.name]
         results[sc.name] = {
@@ -365,25 +331,20 @@ def compose_with_side_information(
     """
     marg = _marginal_instance(inst)
     prep = prepare(marg)
-    run = centralised_protocol(
-        prep,
-        budget,
-        seed,
-        log_const=log_const,
-        scenarios=(AdversaryScenario(True, False),),
-    )
-    stage, plan = run["stage_x"], run["family"].plan
-    ensemble, eps0 = stage.ensemble, budget.eps0
+    run = centralised_protocol(prep, budget, seed, log_const=log_const)
+    stage, family, eps0 = run["stage_x"], run["family"], budget.eps0
+    plan, codebook = family.plan, family.codebook_x
     th = thresholds(prep, budget.eps, plan.log_const)
-    atoms = [
-        (float(np.trace(op).real) / ensemble.coins, float(ensemble.mult[key]))
-        for key, op in ensemble.atom_env.items()
-    ]
-    total = sum(p * m for p, m in atoms)
-    hmax_kl, _ = ent.smooth_max_entropy_atoms([(p / total, m) for p, m in atoms], eps0)
+    state = _link_state(family, prep, "X")
+    atoms = []
+    for s in state.symbols:
+        k, sym = qo.split_symbol(s)
+        m = int(codebook.counts[int(k)][codebook.alphabet.index(sym)])
+        atoms.append((state.weights[s] / m, float(m)))
+    hmax_kl, _ = ent.smooth_max_entropy_atoms(atoms, eps0)
     ihyp_kl = math.inf
     if prep.has_side_information():
-        ihyp_kl, _ = ent.i_hyp_weighted_cq(*_axis_weighted_blocks(ensemble, prep), eps0)
+        ihyp_kl, _ = ent.i_hyp_cq(state, eps0)
     realized, check = 0, math.inf
     if not math.isinf(ihyp_kl):
         realized = max(

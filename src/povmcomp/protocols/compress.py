@@ -43,12 +43,10 @@ class BudgetError(ProtocolError):
 class Codebook:
     """Per-coin-block multinomial symbol counts for one axis."""
 
-    axis: str
     coins: int  # K
     messages: int  # L
     alphabet: tuple[str, ...]
     counts: np.ndarray  # (K, |alphabet|) integer counts summing to L
-    source: qo.Distribution
     seed: int
 
     def offsets(self, k: int) -> np.ndarray:
@@ -74,7 +72,7 @@ def draw_codebook(
             np.random.SeedSequence(entropy=seed, spawn_key=(_AXIS_SPAWN_KEY[axis], k))
         )
         counts[k] = rng.multinomial(messages, probs)
-    return Codebook(axis, coins, messages, source.alphabet, counts, source, seed)
+    return Codebook(coins, messages, source.alphabet, counts, seed)
 
 
 @dataclass(frozen=True)
@@ -203,7 +201,7 @@ class CompressedFamily:
         return worst
 
 
-def _block_class_table(prep: PreparedInstance, cx: np.ndarray, cy: np.ndarray, l1: int, l2: int):
+def _block_class_table(prep: PreparedInstance, cx: np.ndarray, cy: np.ndarray):
     """Per (x, y) class: multiplicity, t-weight, and mirror block."""
     xs, ys = prep.px.alphabet, prep.py.alphabet
     joint = prep.joint.as_dict()
@@ -247,7 +245,7 @@ def build_compressed_povm(
         blocks: dict[tuple[int, int], CompressedBlock] = {}
         for k1 in range(plan.k1):
             for k2 in range(plan.k2):
-                table = _block_class_table(prep, cb_x.counts[k1], cb_y.counts[k2], plan.l1, plan.l2)
+                table = _block_class_table(prep, cb_x.counts[k1], cb_y.counts[k2])
                 avg = np.zeros_like(prep.rho_a)
                 for (x, y), (m, t) in table.items():
                     p_xy = prep.joint.prob(qo.join_symbol(x, y))

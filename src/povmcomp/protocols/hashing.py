@@ -13,14 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def _bits(value: int, width: int) -> np.ndarray:
-    return np.array([(value >> i) & 1 for i in range(width)], dtype=np.uint8)
-
-
-def _from_bits(bits: np.ndarray) -> int:
-    return int(sum(int(b) << i for i, b in enumerate(bits)))
-
-
 @dataclass(frozen=True)
 class HashScheme:
     input_bits: int
@@ -29,14 +21,10 @@ class HashScheme:
     offset: np.ndarray  # (output_bits,)
 
     def apply(self, index: int) -> int:
-        if self.output_bits == 0:
-            return 0
-        b = _bits(index, self.input_bits)
-        return _from_bits((self.matrix @ b + self.offset) % 2)
+        return int(self.apply_many(np.array([index]))[0])
 
     def apply_many(self, indices: np.ndarray) -> np.ndarray:
-        if self.output_bits == 0:
-            return np.zeros(len(indices), dtype=np.int64)
+        """Hash values of ``indices``, input and output bit 0 least significant."""
         bits = ((indices[:, None] >> np.arange(self.input_bits)[None, :]) & 1).astype(np.uint8)
         vals = (bits @ self.matrix.T + self.offset[None, :]) % 2
         return (vals.astype(np.int64) << np.arange(self.output_bits)[None, :]).sum(axis=1)

@@ -29,7 +29,6 @@ from ..io import Instance
 class PreparedInstance:
     instance: Instance
     rho_a: np.ndarray
-    sqrt_rho_a: np.ndarray
     pinv_sqrt_rho_a: np.ndarray
     supp_proj_a: np.ndarray
     joint: qo.Distribution
@@ -91,7 +90,6 @@ def prepare(inst: Instance) -> PreparedInstance:
     return PreparedInstance(
         instance=inst,
         rho_a=rho_a,
-        sqrt_rho_a=sqrt_a,
         pinv_sqrt_rho_a=la.pseudo_inverse_sqrt(rho_a),
         supp_proj_a=la.support_projector(rho_a),
         joint=joint,

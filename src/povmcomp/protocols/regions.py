@@ -52,7 +52,7 @@ class RateRegion:
     def to_payload(self) -> dict:
         return {"kind": self.kind, "constraints": [h.to_payload() for h in self.constraints]}
 
-    def admits(self, r_x: float, r_y: float, c_x: float, c_y: float, slack: float = 0.0) -> bool:
+    def admits(self, r_x: float, r_y: float, c_x: float, c_y: float) -> bool:
         point = {"R_X": r_x, "R_Y": r_y, "C_X": c_x, "C_Y": c_y}
         groups: dict[tuple, list[HalfSpace]] = {}
         for h in self.constraints:
@@ -60,7 +60,7 @@ class RateRegion:
             groups.setdefault(tag, []).append(h)
         for constraints in groups.values():
             if all(
-                sum(h.coeffs.get(k, 0.0) * v for k, v in point.items()) > h.rhs - slack
+                sum(h.coeffs.get(k, 0.0) * v for k, v in point.items()) > h.rhs
                 for h in constraints
             ):
                 return True

@@ -313,19 +313,18 @@ def steered_blocks(
     rho: np.ndarray,
     lay: la.SystemLayout,
     keep: tuple[str, ...],
-    measured: str = "A",
 ) -> dict[tuple[str, str], np.ndarray]:
     """Post-measurement operators sqrt(El) rho sqrt(El) reduced to ``keep``.
 
-    The POVM acts on the ``measured`` factor of ``lay``; each returned block
-    has trace p(x, y).
+    The POVM acts on the factor "A" of ``lay``; each returned block has
+    trace p(x, y).
     """
     rho = la.as_matrix(rho)
     if rho.shape[0] != lay.dim:
         raise ValueError("state does not match layout")
-    if povm.dim != lay.dim_of(measured):
+    if povm.dim != lay.dim_of("A"):
         raise ValueError("POVM does not act on the measured factor dimension")
-    pos = lay.index_of(measured)
+    pos = lay.index_of("A")
     pre = int(np.prod([d for _, d in lay.factors[:pos]])) if pos else 1
     post = int(np.prod([d for _, d in lay.factors[pos + 1 :]])) if pos + 1 < len(lay.factors) else 1
     out = {}

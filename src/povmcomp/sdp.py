@@ -177,8 +177,8 @@ class AffineExpr:
         self.terms.append(Term(var, "id", coeff))
         return self
 
-    def plus_kron(self, left: np.ndarray, var: str, coeff: float = 1.0) -> "AffineExpr":
-        self.terms.append(Term(var, "kron", coeff, left=np.asarray(left, dtype=complex)))
+    def plus_kron(self, left: np.ndarray, var: str) -> "AffineExpr":
+        self.terms.append(Term(var, "kron", 1.0, left=np.asarray(left, dtype=complex)))
         return self
 
     def plus_subblock(

@@ -24,15 +24,11 @@ class SplitPair:
     p_v: qo.Distribution
 
 
-def split(p: qo.Distribution, theta: float, order: tuple[str, ...] | None = None) -> SplitPair:
-    """Split ``p`` by CDF exponentiation along ``order`` (default: alphabet)."""
+def split(p: qo.Distribution, theta: float) -> SplitPair:
+    """Split ``p`` by CDF exponentiation along its alphabet order."""
     if not 0.0 <= theta <= 1.0:
         raise ValueError(f"theta {theta} outside [0, 1]")
-    order = tuple(order) if order is not None else p.alphabet
-    if sorted(order) != sorted(p.alphabet):
-        raise ValueError("order must be a permutation of the alphabet")
-    probs = np.array([p.prob(s) for s in order])
-    cdf = np.cumsum(probs)
+    cdf = np.cumsum(p.probs)
     cdf[-1] = 1.0
     cdf_u = cdf ** (1.0 - theta)
     cdf_v = cdf**theta
@@ -42,8 +38,8 @@ def split(p: qo.Distribution, theta: float, order: tuple[str, ...] | None = None
     pv = np.clip(pv, 0.0, None)
     return SplitPair(
         float(theta),
-        qo.Distribution(order, pu / pu.sum()),
-        qo.Distribution(order, pv / pv.sum()),
+        qo.Distribution(p.alphabet, pu / pu.sum()),
+        qo.Distribution(p.alphabet, pv / pv.sum()),
     )
 
 

@@ -388,16 +388,29 @@ def farkas_from_expressions(prob, slack: np.ndarray) -> tuple[float, float]:
     return gap, float(np.linalg.norm(grad + eq_rows @ nu))
 
 
+def gf2_hash(matrix: np.ndarray, offset: np.ndarray, index: int) -> int:
+    """The value of ``index`` under x -> M x + o over GF(2), one bit at a
+    time: output bit r is the parity of o_r and of the input bits j with
+    M[r, j] = 1 (bit 0 is the least significant, in and out)."""
+    value = 0
+    for r in range(len(offset)):
+        bit = int(offset[r])
+        for j in range(matrix.shape[1]):
+            bit ^= int(matrix[r, j]) & ((index >> j) & 1)
+        value |= bit << r
+    return value
+
+
 class PerMessageStageDecoder:
     """Decode branches of one centralised link, built per (coin, wire message).
 
     The reference for ``compose._StageDecoder``, which builds one decoder per
     (coin, fiber signature): here every wire message's fiber is found by
     brute force over the index space and decoded on its own, and a class's
-    indices are summed message by message, each fiber tested in the order of
-    its indices' decimal names.  ``build`` is the library's
-    ``sequential_kraus`` and ``abort`` its abort symbol, passed in so that
-    this module imports nothing from the library.
+    indices are summed message by message, each fiber tested in ascending
+    index order.  ``build`` is the library's ``sequential_kraus`` and
+    ``abort`` its abort symbol, passed in so that this module imports
+    nothing from the library.
     """
 
     def __init__(self, stage, codebook, d_tail: int, build, abort: str):
@@ -406,7 +419,7 @@ class PerMessageStageDecoder:
         self.d_tail = d_tail
         self.build = build
         self.abort = abort
-        self.hashes = stage.hash_scheme.apply_many(np.arange(stage.ensemble.messages))
+        self.hashes = stage.hash_scheme.apply_many(np.arange(codebook.messages))
         self._cache: dict[tuple[int, int], list] = {}
 
     def branches(self, k: int, message: int) -> list:
@@ -416,7 +429,7 @@ class PerMessageStageDecoder:
         return self._cache[key]
 
     def _message_branches(self, k: int, message: int) -> list:
-        fiber = sorted((int(i) for i in np.flatnonzero(self.hashes == message)), key=str)
+        fiber = [int(i) for i in np.flatnonzero(self.hashes == message)]
         offsets = self.codebook.offsets(k)
         alphabet = self.codebook.alphabet
         classes = [alphabet[int(np.searchsorted(offsets, i, side="right") - 1)] for i in fiber]

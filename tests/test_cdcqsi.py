@@ -58,12 +58,12 @@ class TestHashScheme:
             realised = {scheme.apply(i) for i in range(2**n)}
             assert len(table) == len(realised)
 
-    def test_apply_many_matches_apply(self):
+    def test_apply_many_matches_gf2_oracle(self):
         rng = np.random.default_rng(1)
-        scheme = draw_hash(8, 3, rng)
-        idx = np.arange(200)
-        vec = scheme.apply_many(idx)
-        assert all(vec[i] == scheme.apply(i) for i in idx)
+        for n, r in ((8, 3), (5, 5), (4, 0)):
+            scheme = draw_hash(n, r, rng)
+            want = [oracles.gf2_hash(scheme.matrix, scheme.offset, i) for i in range(2**n)]
+            assert scheme.apply_many(np.arange(2**n)).tolist() == want
 
     def test_fibers_of_unequal_size_raise(self):
         # over [0, 3) the map b -> b_0 has fibers {0, 2} and {1}

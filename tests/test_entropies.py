@@ -191,22 +191,6 @@ class TestIHyp:
             w = np.linalg.eigvalsh(t)
             assert w[0] > -1e-10 and w[-1] < 1 + 1e-10
 
-    def test_weighted_matches_cq(self):
-        rng = np.random.default_rng(12)
-        for n in (2, 3):
-            symbols = tuple(str(i) for i in range(n))
-            p = rng.dirichlet(np.ones(n))
-            blocks = [oracles.random_density(rng, 2) for _ in symbols]
-            cq = qo.CQState(symbols, dict(zip(symbols, p)), dict(zip(symbols, blocks)))
-            for eps in (0.05, 0.2):
-                v_cq, t_cq = ent.i_hyp_cq(cq, eps)
-                v_w, t_w = ent.i_hyp_weighted_cq(list(symbols), list(p), blocks, eps)
-                assert abs(v_w - v_cq) <= 1e-12
-                assert abs(t_w.achieved_beta - t_cq.achieved_beta) <= 1e-12
-                assert set(t_w.per_symbol) == set(symbols)
-                for s in symbols:
-                    assert np.max(np.abs(t_w.per_symbol[s] - t_cq.per_symbol[s])) <= 1e-12
-
     def test_dense_matches_cq(self):
         rng = np.random.default_rng(9)
         cq = qo.CQState(

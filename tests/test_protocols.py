@@ -228,38 +228,19 @@ def test_golden_protocol_runs(solved):
         assert out["composition_check"] >= -1.0
 
 
-def test_centralised_reads_cached_side_corrections(solved, monkeypatch):
-    # thresholds hold I_H^(eps0/2)(X:B) and (Y:B); the run makes no i_hyp_cq call of its own
+def test_only_hashed_links_build_decoder_tests(solved, monkeypatch):
+    # a link builds its tests, one i_hyp_cq solve of its state at the
+    # protocol's eps, only when it hashes; identity links make none, and the
+    # I_H^(eps0/2)(X:B) and (Y:B) corrections come from the thresholds' cache
     name, prep, _, _ = solved
     calls = []
     i_hyp_cq = ent.i_hyp_cq
 
-    def counting_i_hyp_cq(*args, **kwargs):
-        calls.append(args)
-        return i_hyp_cq(*args, **kwargs)
+    def counting_i_hyp_cq(cq, eps):
+        calls.append(eps)
+        return i_hyp_cq(cq, eps)
 
     monkeypatch.setattr(ent, "i_hyp_cq", counting_i_hyp_cq)
-    run = P.centralised_protocol(
-        prep, GOLDEN_BUDGETS[name], GOLDEN_SEED, log_const=GOLDEN_C,
-        wire_override=GOLDEN_WIRE.get(name),
-    )
-    assert calls == []
-    want = _golden()[name]["centralised"]
-    assert _hex({sc: out["deviation"] for sc, out in run["scenarios"].items()}) == want
-
-
-def test_only_hashed_links_build_decoder_tests(solved, monkeypatch):
-    # a link builds its tests, one i_hyp_weighted_cq solve at the protocol's
-    # eps, only when it hashes; identity links and rate bookkeeping make none
-    name, prep, _, _ = solved
-    calls = []
-    i_hyp_weighted_cq = ent.i_hyp_weighted_cq
-
-    def counting_i_hyp_weighted_cq(symbols, weights, blocks, eps):
-        calls.append(eps)
-        return i_hyp_weighted_cq(symbols, weights, blocks, eps)
-
-    monkeypatch.setattr(ent, "i_hyp_weighted_cq", counting_i_hyp_weighted_cq)
     run = P.centralised_protocol(
         prep, GOLDEN_BUDGETS[name], GOLDEN_SEED, log_const=GOLDEN_C,
         wire_override=GOLDEN_WIRE.get(name),
@@ -268,6 +249,8 @@ def test_only_hashed_links_build_decoder_tests(solved, monkeypatch):
     assert calls == [GOLDEN_EPS] * len(hashed)
     tested = {axis for axis, stage in (("X", run["stage_x"]), ("Y", run["stage_y"])) if stage.tests}
     assert tested == hashed
+    want = _golden()[name]["centralised"]
+    assert _hex({sc: out["deviation"] for sc, out in run["scenarios"].items()}) == want
 
 
 def test_abort_key_is_no_real_outcome(solved):
@@ -348,12 +331,12 @@ def test_centralised_runs_on_sparse_joint_povm(instrument_derived):
 def _signature_pairs(stage, codebook) -> set:
     """Distinct (coin, class sequence in decoder order) of the link's
     multi-candidate fibers, found by brute force."""
-    hashes = stage.hash_scheme.apply_many(np.arange(stage.ensemble.messages))
+    hashes = stage.hash_scheme.apply_many(np.arange(codebook.messages))
     pairs = set()
     for k in range(codebook.coins):
         offsets = codebook.offsets(k)
         for m in np.unique(hashes):
-            fiber = sorted((int(i) for i in np.flatnonzero(hashes == m)), key=str)
+            fiber = [int(i) for i in np.flatnonzero(hashes == m)]
             if len(fiber) > 1:
                 sig = tuple(int(np.searchsorted(offsets, i, side="right")) - 1 for i in fiber)
                 pairs.add((k, sig))

@@ -114,14 +114,6 @@ class TestAdjoints:
             )
             assert np.max(np.abs(probed - direct)) < 1e-10
 
-    def test_rvec_isometry(self):
-        rng = np.random.default_rng(1)
-        a = oracles.random_hermitian(rng, 4)
-        b = oracles.random_hermitian(rng, 4)
-        va, vb = sdp.herm_to_rvec(a), sdp.herm_to_rvec(b)
-        assert np.isclose(va @ vb, np.real(np.sum(a.conj() * b)), atol=1e-12)
-        assert np.allclose(sdp.rvec_to_herm(va, 4), a)
-
 
 class TestBatchedCone:
     """The batched rvec maps, and the cone projection that ``Program.farkas``

@@ -48,6 +48,75 @@ def test_only_tests_call_the_pinned_names():
     assert test_only == TEST_ONLY
 
 
+def _defaulted_params(tree: ast.Module, module: str):
+    """(call name, parameter, positional slot or None, label) of every
+    defaulted parameter in a module.
+
+    A method's slots do not count its ``self``/``cls``, and ``__init__`` is
+    called by its class's name.  A keyword-only parameter has no slot.
+    """
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                yield from visit(child, child.name)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                static = any(
+                    isinstance(d, ast.Name) and d.id == "staticmethod"
+                    for d in child.decorator_list
+                )
+                bound = owner is not None and not static
+                call = owner if bound and child.name == "__init__" else child.name
+                args = child.args
+                positional = args.posonlyargs + args.args
+                first = len(positional) - len(args.defaults)
+                for slot, arg in enumerate(positional):
+                    if slot >= first:
+                        label = f"{module}.{owner + '.' if owner else ''}{child.name}({arg.arg})"
+                        yield call, arg.arg, slot - bound, label
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                    if default is not None:
+                        yield call, arg.arg, None, f"{module}.{child.name}({arg.arg})"
+                yield from visit(child, None)
+            else:
+                yield from visit(child, owner)
+
+    return list(visit(tree, None))
+
+
+def test_defaults_are_set_by_some_caller():
+    """A defaulted parameter of the library is passed by at least one call
+    in ``src/``, ``tests/`` or ``bench/``; one that no call passes is a
+    constant.  Calls match by name (a class call by its ``__init__``).  A
+    starred argument or ``**kwargs`` forwards what its caller got, so it
+    passes nothing of its own."""
+    passed: dict[str, list[tuple[int, set]]] = {}
+    for folder in ("src", "tests", "bench"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                n_pos = 0
+                for arg in node.args:
+                    if isinstance(arg, ast.Starred):
+                        break
+                    n_pos += 1
+                keywords = {kw.arg for kw in node.keywords if kw.arg is not None}
+                passed.setdefault(name, []).append((n_pos, keywords))
+    unset = []
+    for path in sorted((ROOT / "src/povmcomp").rglob("*.py")):
+        module = path.relative_to(ROOT / "src").with_suffix("").as_posix().replace("/", ".")
+        for call, param, slot, label in _defaulted_params(ast.parse(path.read_text()), module):
+            if not any(
+                param in keywords or (slot is not None and n_pos > slot)
+                for n_pos, keywords in passed.get(call, [])
+            ):
+                unset.append(label)
+    assert unset == []
+
+
 def test_modules_use_their_imports():
     """Every name a library module imports is read somewhere in that module
     (a package ``__init__`` re-exports, so it does not count)."""
