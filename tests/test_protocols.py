@@ -228,10 +228,31 @@ def test_golden_protocol_runs(solved):
         assert out["composition_check"] >= -1.0
 
 
+def test_centralised_reads_cached_side_corrections(solved, monkeypatch):
+    # thresholds hold I_H^(eps0/2)(X:B) and (Y:B); the run makes no i_hyp_cq
+    # call at eps0/2 of its own, only the link tests' calls at the protocol's eps
+    name, prep, _, _ = solved
+    calls = []
+    i_hyp_cq = ent.i_hyp_cq
+
+    def counting_i_hyp_cq(cq, eps):
+        calls.append(eps)
+        return i_hyp_cq(cq, eps)
+
+    monkeypatch.setattr(ent, "i_hyp_cq", counting_i_hyp_cq)
+    run = P.centralised_protocol(
+        prep, GOLDEN_BUDGETS[name], GOLDEN_SEED, log_const=GOLDEN_C,
+        wire_override=GOLDEN_WIRE.get(name),
+    )
+    assert GOLDEN_EPS ** 0.1 / 2 not in calls
+    assert set(calls) <= {GOLDEN_EPS}
+    want = _golden()[name]["centralised"]
+    assert _hex({sc: out["deviation"] for sc, out in run["scenarios"].items()}) == want
+
+
 def test_only_hashed_links_build_decoder_tests(solved, monkeypatch):
     # a link builds its tests, one i_hyp_cq solve of its state at the
-    # protocol's eps, only when it hashes; identity links make none, and the
-    # I_H^(eps0/2)(X:B) and (Y:B) corrections come from the thresholds' cache
+    # protocol's eps, only when it hashes; identity links make none
     name, prep, _, _ = solved
     calls = []
     i_hyp_cq = ent.i_hyp_cq
@@ -249,8 +270,6 @@ def test_only_hashed_links_build_decoder_tests(solved, monkeypatch):
     assert calls == [GOLDEN_EPS] * len(hashed)
     tested = {axis for axis, stage in (("X", run["stage_x"]), ("Y", run["stage_y"])) if stage.tests}
     assert tested == hashed
-    want = _golden()[name]["centralised"]
-    assert _hex({sc: out["deviation"] for sc, out in run["scenarios"].items()}) == want
 
 
 def test_abort_key_is_no_real_outcome(solved):
