@@ -99,9 +99,10 @@ def cdc_qsi(
     for _ in range(hash_draws):
         for _attempt in range(MAX_REDRAWS):
             scheme = draw_hash(input_bits, rate, rng)
+            message = dict(zip(supp, scheme.apply_many(np.arange(len(supp))).tolist()))
             buckets: dict[int, list[str]] = {}
-            for i, sym in enumerate(supp):
-                buckets.setdefault(scheme.apply(i), []).append(sym)
+            for sym in supp:
+                buckets.setdefault(message[sym], []).append(sym)
             if bucket_cap is None or all(len(b) <= bucket_cap for b in buckets.values()):
                 break
             redraws += 1
@@ -118,7 +119,7 @@ def cdc_qsi(
                 key = (x, qo.ABORT)
                 output[key] = output.get(key, 0.0) + px * cq.blocks[x]
                 continue
-            m = scheme.apply(supp.index(x))
+            m = message[x]
             for sym, op in zip(buckets[m] + [qo.ABORT], kraus[m]):
                 post = op @ cq.blocks[x] @ op.conj().T
                 output[(x, sym)] = output.get((x, sym), 0.0) + px * post

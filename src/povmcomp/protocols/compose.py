@@ -161,9 +161,11 @@ class _StageDecoder:
     its fiber, in the order ``sequential_kraus`` tests them (ascending
     index, as ``HashScheme.fibers`` lists them), because his tests are per
     (coin, class) of the link's state.  That class sequence is the fiber's
-    signature; classes take contiguous index ranges, so it is monotone.
-    The link's fibers come from one ``HashScheme.fibers`` table; per coin,
-    every fiber gets a signature id and one decoder is built per signature.
+    signature; classes take contiguous index ranges, so it is nondecreasing
+    and fixed by its class histogram.  The link's fibers come from one
+    ``HashScheme.fibers`` table; per coin, ``_signatures`` numbers the
+    distinct signatures in lexicographic order, and one decoder is built
+    per signature.
     Sequential decoding's error analysis holds for any fixed candidate
     order (Sen, arXiv:1109.0802).  ``counts[k][c, s]`` is how many indices
     of class c in coin k hash into a fiber of signature s, so a class
@@ -176,14 +178,13 @@ class _StageDecoder:
         fibers = stage.hash_scheme.fibers(messages)
         self.counts: list[np.ndarray] = []
         self.branches: list[list[list[tuple[str, np.ndarray | None]]]] = []
+        n_cls = len(codebook.alphabet)
         for k in range(codebook.coins):
             cls = np.searchsorted(codebook.offsets(k), np.arange(messages), side="right") - 1
-            sigs, first, sig_of_fiber = np.unique(
-                cls[fibers], axis=0, return_index=True, return_inverse=True
-            )
+            first, sig_of_fiber = _signatures(cls[fibers])
             sig_of_index = np.empty(messages, dtype=np.int64)
             sig_of_index[fibers] = sig_of_fiber.reshape(-1, 1)
-            n_cls, n_sig = len(codebook.alphabet), len(sigs)
+            n_sig = len(first)
             counts = np.bincount(cls * n_sig + sig_of_index, minlength=n_cls * n_sig)
             self.counts.append(counts.reshape(n_cls, n_sig))
             self.branches.append(
@@ -203,6 +204,26 @@ class _StageDecoder:
                 post = op if branch_op is None else branch_op @ op @ branch_op.conj().T
                 out[sym] = out.get(sym, 0.0) + cnt * post
         return out
+
+
+def _signatures(fiber_cls: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first fiber of each signature, signature of each fiber) of class rows.
+
+    A stable ``lexsort`` of the rows, column 0 the primary key, ranks them
+    in lexicographic order with each signature's first fiber first, and
+    adjacent rows that differ start a new signature.  Rows are compared
+    column by column, never packed into one integer, which would overflow
+    int64 for long fibers over many classes, and the keys are the rows
+    themselves, so memory stays that of the class table.
+    """
+    n_fib = len(fiber_cls)
+    order = np.lexsort(fiber_cls.T[::-1])
+    ranked = fiber_cls[order]
+    new = np.ones(n_fib, dtype=bool)
+    new[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    sig_of_fiber = np.empty(n_fib, dtype=np.int64)
+    sig_of_fiber[order] = np.cumsum(new) - 1
+    return order[new], sig_of_fiber
 
 
 def _fiber_branches(

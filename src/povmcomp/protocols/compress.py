@@ -47,7 +47,6 @@ class Codebook:
     messages: int  # L
     alphabet: tuple[str, ...]
     counts: np.ndarray  # (K, |alphabet|) integer counts summing to L
-    seed: int
 
     def offsets(self, k: int) -> np.ndarray:
         return np.concatenate([[0], np.cumsum(self.counts[k])])
@@ -72,7 +71,7 @@ def draw_codebook(
             np.random.SeedSequence(entropy=seed, spawn_key=(_AXIS_SPAWN_KEY[axis], k))
         )
         counts[k] = rng.multinomial(messages, probs)
-    return Codebook(coins, messages, source.alphabet, counts, seed)
+    return Codebook(coins, messages, source.alphabet, counts)
 
 
 @dataclass(frozen=True)
@@ -182,14 +181,12 @@ class CompressedBlock:
 @dataclass
 class CompressedFamily:
     plan: CodebookPlan
-    seed: int
     attempt: int
     codebook_x: Codebook
     codebook_y: Codebook
     nice: dict[tuple[int, int], bool]
     fraction_nice: float
     blocks: dict[tuple[int, int], CompressedBlock]
-    eps: float
 
     def completeness_residual(self, prep: PreparedInstance) -> float:
         worst = 0.0
@@ -262,9 +259,7 @@ def build_compressed_povm(
                 )
         fraction = sum(nice.values()) / len(nice)
         if fraction >= 1.0 - quarter:
-            return CompressedFamily(
-                plan, seed, attempt, cb_x, cb_y, nice, fraction, blocks, eps
-            )
+            return CompressedFamily(plan, attempt, cb_x, cb_y, nice, fraction, blocks)
     raise ProtocolError(
         f"event E failed on {MAX_CODEBOOK_DRAWS} codebook draws "
         "(nice fraction below 1 - eps^0.25)"

@@ -1,9 +1,12 @@
 """2-universal hashing over GF(2): random matrix plus offset.
 
 For fixed distinct inputs the collision probability over the draw is
-exactly 2^-R.  Buckets (preimage fibers) come as one table over the whole
-input space: every input is hashed once and the inputs are sorted by hash
-value, so a decoder reads any message's fiber as a row of that table.
+exactly 2^-R.  A hash value is the offset XOR the matrix columns of the
+input's set bits, so a batch of inputs is hashed with one XOR pass per
+input bit, in memory linear in the batch.  Buckets (preimage fibers) come
+as one table over the whole input space: every input is hashed once and
+the inputs are sorted by hash value, so a decoder reads any message's
+fiber as a row of that table.
 """
 
 from __future__ import annotations
@@ -24,10 +27,18 @@ class HashScheme:
         return int(self.apply_many(np.array([index]))[0])
 
     def apply_many(self, indices: np.ndarray) -> np.ndarray:
-        """Hash values of ``indices``, input and output bit 0 least significant."""
-        bits = ((indices[:, None] >> np.arange(self.input_bits)[None, :]) & 1).astype(np.uint8)
-        vals = (bits @ self.matrix.T + self.offset[None, :]) % 2
-        return (vals.astype(np.int64) << np.arange(self.output_bits)[None, :]).sum(axis=1)
+        """Hash values of ``indices``, input and output bit 0 least significant.
+
+        Each input bit that is set XORs its matrix column, packed into an
+        integer mask, into the offset's mask.
+        """
+        weights = np.int64(1) << np.arange(self.output_bits, dtype=np.int64)
+        masks = weights @ self.matrix.astype(np.int64)
+        vals = np.full(len(indices), weights @ self.offset.astype(np.int64), dtype=np.int64)
+        for j, mask in enumerate(masks.tolist()):
+            if mask:
+                vals ^= ((indices >> j) & 1) * mask
+        return vals
 
     def fibers(self, count: int) -> np.ndarray:
         """Preimage fibers of the inputs [0, count), one row per hash value.
@@ -36,15 +47,16 @@ class HashScheme:
         value and each row lists its inputs in ascending order.  Over the
         full input space the fibers of an affine map are cosets of its
         kernel, so they share one size and form a (values, size) array;
-        a ``count`` whose fibers differ in size raises ValueError.
+        a ``count`` whose fibers differ in size raises ValueError.  When
+        every realised value has the same count s, the sorted order is s
+        copies of the least value, then s of the next, and so on, so each
+        row of the order reshaped to width s holds exactly one value.
         """
         vals = self.apply_many(np.arange(count, dtype=np.int64))
-        order = np.argsort(vals, kind="stable")
-        n_values = len(np.unique(vals))
-        if count % n_values == 0:
-            table = order.reshape(n_values, -1)
-            if np.all(vals[table] == vals[table[:, :1]]):
-                return table
+        sizes = np.bincount(vals)
+        sizes = sizes[sizes > 0]
+        if np.all(sizes == sizes[0]):
+            return np.argsort(vals, kind="stable").reshape(len(sizes), -1)
         raise ValueError(f"hash fibers of [0, {count}) differ in size")
 
 

@@ -401,6 +401,14 @@ def gf2_hash(matrix: np.ndarray, offset: np.ndarray, index: int) -> int:
     return value
 
 
+def unique_row_signatures(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first row of each distinct row, id of each row) of a 2-d integer
+    array, the distinct rows numbered in lexicographic order, by
+    ``np.unique(axis=0)``."""
+    _, first, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+    return first, inverse.reshape(-1)
+
+
 class PerMessageStageDecoder:
     """Decode branches of one centralised link, built per (coin, wire message).
 

@@ -48,15 +48,30 @@ class TestHashScheme:
             r = int(rng.integers(0, n + 1))
             scheme = draw_hash(n, r, rng)
             table = scheme.fibers(2**n)
+            vals = scheme.apply_many(np.arange(2**n)).tolist()
+            for i in (0, 2**n - 1, int(rng.integers(2**n))):
+                assert scheme.apply(i) == oracles.gf2_hash(scheme.matrix, scheme.offset, i)
             # every fiber is the full preimage of its value, inputs ascending
             for fiber in table:
-                val = scheme.apply(int(fiber[0]))
-                brute = [i for i in range(2**n) if scheme.apply(i) == val]
+                val = vals[int(fiber[0])]
+                brute = [i for i in range(2**n) if vals[i] == val]
                 assert fiber.tolist() == brute
             # the fibers partition the input space, one per realised value
             assert sorted(table.ravel().tolist()) == list(range(2**n))
-            realised = {scheme.apply(i) for i in range(2**n)}
-            assert len(table) == len(realised)
+            assert len(table) == len(set(vals))
+
+    def test_rank_deficient_hash_fibers(self):
+        # a repeated row leaves rank 2 of 3 output bits: 2^2 fibers of 2^(5-2)
+        a, b = [1, 0, 1, 1, 0], [0, 1, 1, 0, 1]
+        matrix = np.array([a, b, a], dtype=np.uint8)
+        scheme = HashScheme(5, 3, matrix, np.array([1, 0, 0], dtype=np.uint8))
+        table = scheme.fibers(32)
+        assert table.shape == (4, 8)
+        vals = [oracles.gf2_hash(matrix, scheme.offset, i) for i in range(32)]
+        heads = [vals[int(f[0])] for f in table]
+        assert heads == sorted(set(vals))
+        for fiber, val in zip(table, heads):
+            assert fiber.tolist() == [i for i in range(32) if vals[i] == val]
 
     def test_apply_many_matches_gf2_oracle(self):
         rng = np.random.default_rng(1)

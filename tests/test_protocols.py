@@ -362,6 +362,22 @@ def _signature_pairs(stage, codebook) -> set:
     return pairs
 
 
+def test_signature_numbering_matches_lexicographic_unique():
+    # monotone class rows, as a decoder sees its fibers: a few sorted rows
+    # repeated in random order.  Fibers of 256 over 12 classes have
+    # 257^12 > 2^63 class histograms, so a packed integer code would overflow.
+    rng = np.random.default_rng(16)
+    for n_fib, size, n_cls in ((1, 1, 1), (32, 1, 6), (64, 4, 3), (300, 7, 5), (50, 256, 12)):
+        for _ in range(3):
+            probs = rng.dirichlet(np.ones(n_cls))
+            pool = np.sort(rng.choice(n_cls, size=(max(n_fib // 4, 1), size), p=probs), axis=1)
+            rows = pool[rng.integers(len(pool), size=n_fib)]
+            first, sig = compose._signatures(rows)
+            want_first, want_sig = oracles.unique_row_signatures(rows)
+            assert first.tolist() == want_first.tolist()
+            assert sig.tolist() == want_sig.tolist()
+
+
 def test_signature_decode_matches_per_message_decode(monkeypatch):
     # both links hashed: X 8 -> 6 bits (fibers of 4), Y 7 -> 6 bits (fibers of 2)
     prep = P.prepare(io.load_bundled("qubit_entangled_side_info"))
