@@ -13,7 +13,8 @@ of decoders and matrix products does not grow with 2^logL, only a few
 array passes over the indices do.  Decoding the X channel first perturbs B
 only gently, then the Y channel is decoded on the damaged state.  Output
 states and deviations are computed exactly by branch enumeration; only
-codebooks, hashes and transcripts are sampled.
+codebooks, hashes and transcripts are sampled.  Nothing here steers: every
+E-operator is one a compressed block carries or the prepared E marginal.
 
 Decoder tests are evaluated at the protocol's own eps, and only on a link
 that hashes: an identity link decodes every fiber as a lone candidate.
@@ -46,7 +47,6 @@ from .compress import (
     block_dict_distance,
     ideal_blocks,
     sample_transcript,
-    steered_env_block,
 )
 from .cdcqsi import sequential_kraus
 from .hashing import HashScheme, draw_hash, identity_hash
@@ -75,16 +75,16 @@ def _link_state(family: CompressedFamily, prep: PreparedInstance, axis: str) -> 
         acc: dict[str, np.ndarray] = {}
         for ko in range(other_coins):
             key = (k, ko) if axis == "X" else (ko, k)
-            if not family.nice[key]:
+            blk = family.blocks.get(key)
+            if blk is None:
                 continue
-            blk = family.blocks[key]
-            for (x, y), gamma in blk.gammas.items():
+            for (x, y), env in blk.env.items():
                 own = x if axis == "X" else y
                 if counts[own] == 0:
                     continue
                 other_mult = blk.counts[(x, y)] // counts[own]
                 acc.setdefault(own, np.zeros((prep.dim_e, prep.dim_e), dtype=complex))
-                acc[own] += (1.0 / other_coins) * other_mult * steered_env_block(prep, gamma)
+                acc[own] += (1.0 / other_coins) * other_mult * env
         for sym, op in acc.items():
             tr = float(np.trace(op).real)
             p = tr * counts[sym] / coins
@@ -264,7 +264,6 @@ def centralised_protocol(
     stage_x = _axis_stage(family, prep, "X", budget, seed, wire_override.get("X"))
     stage_y = _axis_stage(family, prep, "Y", budget, seed, wire_override.get("Y"))
     d_tail = prep.env_dims["R"] * prep.env_dims["M"]
-    rho_e = steered_env_block(prep, np.eye(prep.dim_a))
     dec_x = _StageDecoder(stage_x, family.codebook_x, d_tail)
     dec_y = _StageDecoder(stage_y, family.codebook_y, d_tail)
 
@@ -277,19 +276,14 @@ def centralised_protocol(
 
     for k1 in range(plan.k1):
         for k2 in range(plan.k2):
-            abort_op = w_blk * (
-                rho_e
-                if not family.nice[(k1, k2)]
-                else steered_env_block(prep, family.blocks[(k1, k2)].gamma0)
-            )
+            blk = family.blocks.get((k1, k2))
+            abort_op = w_blk * (prep.rho_e if blk is None else blk.env0)
             add("x_only", ABORT, abort_op)
             add("y_only", ABORT, abort_op)
             add("both", qo.join_symbol(ABORT, ABORT), abort_op)
-            if not family.nice[(k1, k2)]:
+            if blk is None:
                 continue
-            blk = family.blocks[(k1, k2)]
-            for (x, y), gamma in blk.gammas.items():
-                sigma = steered_env_block(prep, gamma)
+            for (x, y), sigma in blk.env.items():
                 xi = prep.px.alphabet.index(x)
                 yi = prep.py.alphabet.index(y)
                 tot_x = int(family.codebook_x.counts[k1][xi])

@@ -7,10 +7,16 @@ constant on a symbol class.  Indices use the canonical sorted layout: inside
 a coin block, class x occupies the index range [offset(x), offset(x) + m_x);
 a uniformly random codeword composed with this sorting is distributed like
 the raw iid draw, and the protocol only ever touches counts and offsets.
+
+Each kept class element and abort element of a nice coin block is steered
+to E once, here, with ``PreparedInstance.steer``; the unassisted output,
+the centralised decoder and the link states all read those E-operators.
+A coin block that is not nice aborts and is absent from the family.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -166,25 +172,26 @@ class CompressedBlock:
     ``gammas[c]`` is the per-index POVM element of any index in class c;
     ``counts[c]`` is how many indices of the block carry it.  The elements
     plus ``gamma0`` and the off-support completion sum to the identity.
+    ``env[c]`` and ``env0`` are the E-operators that ``gammas[c]`` and
+    ``gamma0`` steer, formed once here for every consumer.
     """
 
-    k1: int
-    k2: int
     gammas: dict[tuple[str, str], np.ndarray]
     counts: dict[tuple[str, str], int]
     gamma0: np.ndarray
-    normalization: float
-    deviation: float  # mirror-form sample-average distance of the block
-    certificate: cov.GoodSetCertificate | None
+    env: dict[tuple[str, str], np.ndarray]
+    env0: np.ndarray
 
 
 @dataclass
 class CompressedFamily:
+    """Codebooks and the compressed blocks of their nice coin pairs; a
+    non-nice coin pair aborts and has no entry in ``blocks``."""
+
     plan: CodebookPlan
     attempt: int
     codebook_x: Codebook
     codebook_y: Codebook
-    nice: dict[tuple[int, int], bool]
     fraction_nice: float
     blocks: dict[tuple[int, int], CompressedBlock]
 
@@ -199,7 +206,7 @@ class CompressedFamily:
 
 
 def _block_class_table(prep: PreparedInstance, cx: np.ndarray, cy: np.ndarray):
-    """Per (x, y) class: multiplicity, t-weight, and mirror block."""
+    """Per (x, y) class: multiplicity, t-weight, and mirror block over p(x, y)."""
     xs, ys = prep.px.alphabet, prep.py.alphabet
     joint = prep.joint.as_dict()
     table = {}
@@ -213,8 +220,8 @@ def _block_class_table(prep: PreparedInstance, cx: np.ndarray, cy: np.ndarray):
             px, py = prep.px.prob(x), prep.py.prob(y)
             if px * py <= 0:
                 continue
-            t = p_xy / (px * py)
-            table[(x, y)] = (m, t)
+            mirror = prep.mirror_blocks[(x, y)]
+            table[(x, y)] = (m, p_xy / (px * py), mirror / p_xy if p_xy > 1e-15 else 0.0 * mirror)
     return table
 
 
@@ -233,55 +240,41 @@ def build_compressed_povm(
     """
     eps = budget.eps
     plan = plan_codebooks(prep, budget, log_const)
-    quarter = eps**0.25
+    n_total = plan.l1 * plan.l2
     for attempt in range(MAX_CODEBOOK_DRAWS):
         draw_seed = seed + 1_000_003 * attempt
         cb_x = draw_codebook("X", plan.k1, plan.l1, prep.px, draw_seed)
         cb_y = draw_codebook("Y", plan.k2, plan.l2, prep.py, draw_seed + 1)
-        nice: dict[tuple[int, int], bool] = {}
         blocks: dict[tuple[int, int], CompressedBlock] = {}
         for k1 in range(plan.k1):
             for k2 in range(plan.k2):
                 table = _block_class_table(prep, cb_x.counts[k1], cb_y.counts[k2])
                 avg = np.zeros_like(prep.rho_a)
-                for (x, y), (m, t) in table.items():
-                    p_xy = prep.joint.prob(qo.join_symbol(x, y))
-                    if p_xy <= 1e-15:
-                        continue
-                    avg += (m / (plan.l1 * plan.l2)) * t * (prep.mirror_blocks[(x, y)] / p_xy)
+                for m, t, mirror in table.values():
+                    avg += (m / n_total) * t * mirror
                 deviation = la.trace_norm_distance(avg, prep.rho_a)
-                is_nice = deviation <= math.sqrt(eps)
-                nice[(k1, k2)] = is_nice
-                if not is_nice:
-                    continue
-                blocks[(k1, k2)] = _assemble_block(
-                    prep, table, plan, k1, k2, deviation, eps
-                )
-        fraction = sum(nice.values()) / len(nice)
-        if fraction >= 1.0 - quarter:
-            return CompressedFamily(plan, attempt, cb_x, cb_y, nice, fraction, blocks)
+                if deviation <= math.sqrt(eps):
+                    blocks[(k1, k2)] = _assemble_block(prep, table, n_total, deviation)
+        fraction = len(blocks) / (plan.k1 * plan.k2)
+        if fraction >= 1.0 - eps**0.25:
+            return CompressedFamily(plan, attempt, cb_x, cb_y, fraction, blocks)
     raise ProtocolError(
         f"event E failed on {MAX_CODEBOOK_DRAWS} codebook draws "
         "(nice fraction below 1 - eps^0.25)"
     )
 
 
-def _assemble_block(prep, table, plan, k1, k2, deviation, eps) -> CompressedBlock:
-    classes = sorted(table.keys())
-    n_total = plan.l1 * plan.l2
-    sigmas, weights = [], []
-    for c in classes:
-        m, t = table[c]
-        p_xy = prep.joint.prob(qo.join_symbol(*c))
-        sigmas.append(t * (prep.mirror_blocks[c] / p_xy) if p_xy > 1e-15 else 0.0 * prep.rho_a)
-        weights.append(m / n_total)
+def _assemble_block(prep, table, n_total, deviation) -> CompressedBlock:
+    classes = sorted(table)
+    sigmas = [table[c][1] * table[c][2] for c in classes]
+    weights = [table[c][0] / n_total for c in classes]
     cert = cov.extract_good_set_transformed(sigmas, weights, prep.rho_a, max(deviation, 1e-9))
     inv_sq = prep.pinv_sqrt_rho_a
     raw = {}
     acc = np.zeros_like(prep.rho_a)
     for pos in cert.good:
         c = classes[pos]
-        m, t = table[c]
+        m, t, _ = table[c]
         raw_el = (t / n_total) * (inv_sq @ cert.primed[pos] @ inv_sq)
         raw_el = (raw_el + raw_el.conj().T) / 2
         raw[c] = raw_el
@@ -296,14 +289,11 @@ def _assemble_block(prep, table, plan, k1, k2, deviation, eps) -> CompressedBloc
         gamma0 -= table[c][0] * g
     gamma0 = (gamma0 + gamma0.conj().T) / 2
     return CompressedBlock(
-        k1=k1,
-        k2=k2,
         gammas=gammas,
         counts={c: table[c][0] for c in gammas},
         gamma0=gamma0,
-        normalization=norm,
-        deviation=deviation,
-        certificate=cert,
+        env={c: prep.steer(g) for c, g in gammas.items()},
+        env0=prep.steer(gamma0),
     )
 
 
@@ -336,17 +326,6 @@ SCENARIOS = (
 ABORT = qo.ABORT
 
 
-def steered_env_block(prep: PreparedInstance, op_a: np.ndarray) -> np.ndarray:
-    """Post-measurement E-operator of measuring ``op_a`` on A.
-
-    With the global pure state as a matrix Psi on A x E, tracing out A makes
-    the Lueders sandwich collapse to (Psi^dag op Psi)^T; trace Tr[op rho_A].
-    """
-    psi = prep.global_pure.reshape(prep.dim_a, prep.dim_e)
-    out = (psi.conj().T @ op_a @ psi).T
-    return (out + out.conj().T) / 2
-
-
 def _accumulate(acc: dict[str, np.ndarray], key: str, op: np.ndarray) -> None:
     if key in acc:
         acc[key] = acc[key] + op
@@ -360,29 +339,25 @@ def exact_output_blocks(family: CompressedFamily, prep: PreparedInstance) -> dic
     Abort outcomes (the gamma0 element and non-nice blocks) map to the
     distinguished abort symbol on both registers and carry their full weight.
     """
-    k1n, k2n = family.plan.k1, family.plan.k2
-    w_blk = 1.0 / (k1n * k2n)
+    plan, abort = family.plan, qo.join_symbol(ABORT, ABORT)
+    w_blk = 1.0 / (plan.k1 * plan.k2)
     out: dict[str, np.ndarray] = {}
-    rho_e = steered_env_block(prep, np.eye(prep.dim_a))
-    for (k1, k2), is_nice in family.nice.items():
-        if not is_nice:
-            _accumulate(out, qo.join_symbol(ABORT, ABORT), w_blk * rho_e)
+    for key in itertools.product(range(plan.k1), range(plan.k2)):
+        blk = family.blocks.get(key)
+        if blk is None:
+            _accumulate(out, abort, w_blk * prep.rho_e)
             continue
-        blk = family.blocks[(k1, k2)]
-        for c, gamma in blk.gammas.items():
-            op = steered_env_block(prep, gamma)
+        for c, op in blk.env.items():
             _accumulate(out, qo.join_symbol(*c), w_blk * blk.counts[c] * op)
-        _accumulate(out, qo.join_symbol(ABORT, ABORT), w_blk * steered_env_block(prep, blk.gamma0))
+        _accumulate(out, abort, w_blk * blk.env0)
     return out
 
 
 def ideal_blocks(prep: PreparedInstance, scenario: AdversaryScenario) -> dict[str, np.ndarray]:
     """Scenario target: steered E-blocks of the original POVM, marginalized."""
-    out: dict[str, np.ndarray] = {}
-    for (x, y), blk in prep.env_blocks.items():
-        key = _scenario_key(qo.join_symbol(x, y), scenario)
-        _accumulate(out, key, blk)
-    return out
+    return marginalize_blocks(
+        {qo.join_symbol(*xy): blk for xy, blk in prep.env_blocks.items()}, scenario
+    )
 
 
 def _scenario_key(sym: str, scenario: AdversaryScenario) -> str:
@@ -417,9 +392,9 @@ def sample_transcript(
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(77,)))
     k1 = int(rng.integers(family.plan.k1))
     k2 = int(rng.integers(family.plan.k2))
-    if not family.nice[(k1, k2)]:
+    blk = family.blocks.get((k1, k2))
+    if blk is None:
         return {"k1": k1, "k2": k2, "l1": -1, "l2": -1, "abort": True}
-    blk = family.blocks[(k1, k2)]
     classes = list(blk.gammas.keys())
     probs = np.array(
         [blk.counts[c] * np.trace(blk.gammas[c] @ prep.rho_a).real for c in classes]

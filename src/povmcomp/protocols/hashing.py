@@ -18,9 +18,8 @@ import numpy as np
 
 @dataclass(frozen=True)
 class HashScheme:
-    input_bits: int
     output_bits: int
-    matrix: np.ndarray  # (output_bits, input_bits) over GF(2)
+    matrix: np.ndarray  # (output_bits, input bits) over GF(2)
     offset: np.ndarray  # (output_bits,)
 
     def apply(self, index: int) -> int:
@@ -63,14 +62,11 @@ class HashScheme:
 def draw_hash(input_bits: int, output_bits: int, rng: np.random.Generator) -> HashScheme:
     matrix = rng.integers(0, 2, size=(output_bits, input_bits), dtype=np.uint8)
     offset = rng.integers(0, 2, size=output_bits, dtype=np.uint8)
-    return HashScheme(input_bits, output_bits, matrix, offset)
+    return HashScheme(output_bits, matrix, offset)
 
 
 def identity_hash(input_bits: int) -> HashScheme:
     """Raw index transmission as a degenerate hash (singleton fibers)."""
     return HashScheme(
-        input_bits,
-        input_bits,
-        np.eye(input_bits, dtype=np.uint8),
-        np.zeros(input_bits, dtype=np.uint8),
+        input_bits, np.eye(input_bits, dtype=np.uint8), np.zeros(input_bits, dtype=np.uint8)
     )

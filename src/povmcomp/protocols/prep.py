@@ -3,18 +3,20 @@
 The measured register A is purified against everything else: the reference
 for rate purposes is E = B (x) R (x) M, where M is a rank-truncated mirror
 completing the given state to a pure one.  Mirror-form operators
-sqrt(rho_A) Lambda sqrt(rho_A) live on A and drive the POVM construction;
-steered blocks on E, formed once here, drive deviations, side-information
-decoding, the thresholds and the rate regions.  Every smooth entropy of
-those is taken on a cq state that ``CQState.group_parts`` and
-``CQState.embed_parts`` cut from ``env_cq``; ``side_information`` is the
-one I_H on B.
+sqrt(rho_A) Lambda sqrt(rho_A) live on A and drive the POVM construction.
+``PreparedInstance.steer`` is the one map from A-operators to E-operators;
+``prepare`` steers the POVM with it once, and the E-blocks drive
+deviations, side-information decoding, the thresholds and the rate
+regions.  Every smooth entropy of those is taken on a cq state that
+``CQState.group_parts`` and ``CQState.embed_parts`` cut from ``env_cq``;
+``side_information`` is the one I_H on B.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -53,6 +55,19 @@ class PreparedInstance:
     def dim_b(self) -> int:
         return self.env_dims["B"]
 
+    def steer(self, op_a: np.ndarray) -> np.ndarray:
+        """E-operator steered by ``op_a`` on A, of trace Tr[op_a rho_A]: with the
+        pure state as a matrix Psi on A x E, Tr_A of the Lueders sandwich
+        collapses by cyclicity to (Psi^dag op_a Psi)^T."""
+        psi = self.global_pure.reshape(self.dim_a, self.dim_e)
+        out = (psi.conj().T @ op_a @ psi).T
+        return (out + out.conj().T) / 2
+
+    @cached_property
+    def rho_e(self) -> np.ndarray:
+        """The reduced state on E, steered by the identity."""
+        return self.steer(np.eye(self.dim_a))
+
     def has_side_information(self) -> bool:
         return self.env_dims["B"] > 1
 
@@ -79,15 +94,12 @@ def prepare(inst: Instance) -> PreparedInstance:
     # rank-truncated purification: global pure state on (A B R) (x) M
     psi = la.purify(rho, truncate=True, tol=1e-12)
     dm = psi.size // (inst.dim_a * inst.dim_b * inst.dim_r)
-    full_lay = la.layout(("A", inst.dim_a), ("B", inst.dim_b), ("R", inst.dim_r), ("M", dm))
-    global_rho = np.outer(psi, psi.conj())
     joint = qo.induced_distribution(inst.povm, rho_a)
     sqrt_a = la.matrix_sqrt(rho_a)
     mirror_blocks = {
         key: sqrt_a @ el @ sqrt_a for key, el in inst.povm.elements.items()
     }
-    env_blocks = qo.steered_blocks(inst.povm, global_rho, full_lay, keep=("B", "R", "M"))
-    return PreparedInstance(
+    prep = PreparedInstance(
         instance=inst,
         rho_a=rho_a,
         pinv_sqrt_rho_a=la.pseudo_inverse_sqrt(rho_a),
@@ -98,8 +110,10 @@ def prepare(inst: Instance) -> PreparedInstance:
         global_pure=psi,
         env_dims={"B": inst.dim_b, "R": inst.dim_r, "M": dm},
         mirror_blocks=mirror_blocks,
-        env_blocks=env_blocks,
+        env_blocks={},
     )
+    prep.env_blocks.update((key, prep.steer(el)) for key, el in inst.povm.elements.items())
+    return prep
 
 
 def _x_env_cq(prep: PreparedInstance) -> qo.CQState:

@@ -7,7 +7,7 @@ stable across runs and file formats.
 A cq state over a joint register is reshaped in one place: ``CQState``
 keeps some components of its symbols (``group_parts``) or keeps one and
 moves others into a classical side register beside the quantum part
-(``embed_parts``).  Post-measurement blocks come from ``steered_blocks``.
+(``embed_parts``).  Steering to a purifying reference is ``protocols.prep``'s.
 """
 
 from __future__ import annotations
@@ -307,30 +307,3 @@ def cq_tensor_power(cq: CQState, n: int) -> CQState:
         symbols, weights, blocks = new_syms, new_w, new_b
     return CQState(tuple(symbols), weights, blocks)
 
-
-def steered_blocks(
-    povm: JointPOVM,
-    rho: np.ndarray,
-    lay: la.SystemLayout,
-    keep: tuple[str, ...],
-) -> dict[tuple[str, str], np.ndarray]:
-    """Post-measurement operators sqrt(El) rho sqrt(El) reduced to ``keep``.
-
-    The POVM acts on the factor "A" of ``lay``; each returned block has
-    trace p(x, y).
-    """
-    rho = la.as_matrix(rho)
-    if rho.shape[0] != lay.dim:
-        raise ValueError("state does not match layout")
-    if povm.dim != lay.dim_of("A"):
-        raise ValueError("POVM does not act on the measured factor dimension")
-    pos = lay.index_of("A")
-    pre = int(np.prod([d for _, d in lay.factors[:pos]])) if pos else 1
-    post = int(np.prod([d for _, d in lay.factors[pos + 1 :]])) if pos + 1 < len(lay.factors) else 1
-    out = {}
-    for key, el in povm.elements.items():
-        sq = la.matrix_sqrt(el)
-        op = la.tensor(np.eye(pre), sq, np.eye(post))
-        blk = op @ rho @ op.conj().T
-        out[key] = la.partial_trace(blk, lay, keep)
-    return out

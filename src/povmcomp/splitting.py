@@ -19,7 +19,6 @@ from . import qobjects as qo
 
 @dataclass(frozen=True)
 class SplitPair:
-    theta: float
     p_u: qo.Distribution
     p_v: qo.Distribution
 
@@ -37,7 +36,6 @@ def split(p: qo.Distribution, theta: float) -> SplitPair:
     pu = np.clip(pu, 0.0, None)
     pv = np.clip(pv, 0.0, None)
     return SplitPair(
-        float(theta),
         qo.Distribution(p.alphabet, pu / pu.sum()),
         qo.Distribution(p.alphabet, pv / pv.sum()),
     )

@@ -57,6 +57,20 @@ def partial_trace_oracle(op: np.ndarray, dims: list[int], keep: list[int]) -> np
     return out
 
 
+def steered_blocks_oracle(elements: dict, pure: np.ndarray, dims: list[int]) -> dict:
+    """Dense Lueders post-measurement blocks of a POVM acting on factor 0 of
+    the pure state ``pure`` over ``dims``, reduced to the other factors:
+    Tr_0[(sqrt(El) (x) I) |pure><pure| (sqrt(El) (x) I)], of trace p(El)."""
+    rho = np.outer(pure, pure.conj())
+    rest = int(np.prod(dims[1:]))
+    out = {}
+    for key, el in elements.items():
+        w, v = np.linalg.eigh(el)
+        sq = kron_oracle((v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T, np.eye(rest))
+        out[key] = partial_trace_oracle(sq @ rho @ sq.conj().T, dims, list(range(1, len(dims))))
+    return out
+
+
 def fidelity_oracle(a: np.ndarray, b: np.ndarray) -> float:
     sa = scipy.linalg.sqrtm(a)
     inner = scipy.linalg.sqrtm(sa @ b @ sa)

@@ -35,7 +35,7 @@ class TestHashScheme:
             for bits in itertools.product([0, 1], repeat=n * r + r):
                 m = np.array(bits[: n * r], dtype=np.uint8).reshape(r, n)
                 o = np.array(bits[n * r :], dtype=np.uint8)
-                scheme = HashScheme(n, r, m, o)
+                scheme = HashScheme(r, m, o)
                 total += 1
                 if scheme.apply(a) == scheme.apply(b):
                     collisions += 1
@@ -64,7 +64,7 @@ class TestHashScheme:
         # a repeated row leaves rank 2 of 3 output bits: 2^2 fibers of 2^(5-2)
         a, b = [1, 0, 1, 1, 0], [0, 1, 1, 0, 1]
         matrix = np.array([a, b, a], dtype=np.uint8)
-        scheme = HashScheme(5, 3, matrix, np.array([1, 0, 0], dtype=np.uint8))
+        scheme = HashScheme(3, matrix, np.array([1, 0, 0], dtype=np.uint8))
         table = scheme.fibers(32)
         assert table.shape == (4, 8)
         vals = [oracles.gf2_hash(matrix, scheme.offset, i) for i in range(32)]
@@ -82,7 +82,7 @@ class TestHashScheme:
 
     def test_fibers_of_unequal_size_raise(self):
         # over [0, 3) the map b -> b_0 has fibers {0, 2} and {1}
-        scheme = HashScheme(2, 1, np.array([[1, 0]], dtype=np.uint8), np.zeros(1, dtype=np.uint8))
+        scheme = HashScheme(1, np.array([[1, 0]], dtype=np.uint8), np.zeros(1, dtype=np.uint8))
         assert scheme.fibers(4).tolist() == [[0, 2], [1, 3]]
         with pytest.raises(ValueError):
             scheme.fibers(3)
@@ -173,7 +173,7 @@ class TestCdcQsi:
         for bits in itertools.product([0, 1], repeat=rate * input_bits + rate):
             m = np.array(bits[: rate * input_bits], dtype=np.uint8).reshape(rate, input_bits)
             o = np.array(bits[rate * input_bits :], dtype=np.uint8)
-            scheme = HashScheme(input_bits, rate, m, o)
+            scheme = HashScheme(rate, m, o)
             buckets = {}
             for i, sym in enumerate(("0", "1")):
                 buckets.setdefault(scheme.apply(i), []).append(sym)

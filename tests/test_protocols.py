@@ -211,8 +211,17 @@ def test_golden_protocol_runs(solved):
     }
     hashed = _hashed_axes(run)
     assert hashed == set(GOLDEN_WIRE.get(name, ()))
+    supp_e = prep.steer(prep.supp_proj_a)
     for res in (run, unassisted):
-        assert res["family"].completeness_residual(prep) <= 1e-9
+        family = res["family"]
+        assert family.completeness_residual(prep) <= 1e-9
+        # the same completeness on E, from the E-operators each block carries
+        for blk in family.blocks.values():
+            total = sum(blk.counts[c] * env for c, env in blk.env.items()) + blk.env0
+            assert np.max(np.abs(total - supp_e)) <= 1e-12
+            for c, env in blk.env.items():
+                want = np.trace(blk.gammas[c] @ prep.rho_a).real
+                assert abs(np.trace(env).real - want) <= 1e-12, c
         for sc_name, sc in res["scenarios"].items():
             trace = sum(float(np.trace(op).real) for op in sc["output"].values())
             assert abs(trace - 1.0) <= 1e-9, sc_name
@@ -290,17 +299,19 @@ def test_golden_regions(solved):
 
 
 def test_one_shot_region_steers_nothing_after_prepare(monkeypatch):
-    # prepare steers the POVM through the purified state once; every
-    # (axis, theta) cell of the region reads those E-blocks
-    prep = P.prepare(io.load_bundled("trivial"))
+    # prepare steers each POVM element through the purified state once;
+    # every (axis, theta) cell of the region reads those E-blocks
     calls = []
-    steered_blocks = qo.steered_blocks
+    steer = P.PreparedInstance.steer
 
-    def counting_steered_blocks(*args, **kwargs):
-        calls.append(args)
-        return steered_blocks(*args, **kwargs)
+    def counting_steer(self, op_a):
+        calls.append(op_a)
+        return steer(self, op_a)
 
-    monkeypatch.setattr(qo, "steered_blocks", counting_steered_blocks)
+    monkeypatch.setattr(P.PreparedInstance, "steer", counting_steer)
+    prep = P.prepare(io.load_bundled("trivial"))
+    assert len(calls) == len(prep.instance.povm.elements)
+    calls.clear()
     region = P.one_shot_region(prep, GOLDEN_EPS, theta_grid=(0.0, 0.5, 1.0))
     assert len(region.constraints) == 4 * 3 * 2
     assert calls == []

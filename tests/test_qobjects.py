@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from povmcomp import io, linalg as la, qobjects as qo
+from povmcomp import io, qobjects as qo
 from povmcomp import protocols as P
 
 import oracles
@@ -132,19 +132,29 @@ class TestPostMeasurementCQ:
         for s in cq.symbols:
             assert abs(cq.weights[s] - prep.joint.prob(s)) < 1e-10
 
-    def test_steered_b_block_via_cyclicity(self):
-        # tracing out A makes sqrt(el) rho sqrt(el) equal to el rho under Tr_A
+    def test_env_blocks_match_dense_lueders_oracle(self):
+        # prepare steers each element through the pure state on A x E with
+        # E = B R M; the dense sandwich on all of A B R M, traced over A,
+        # must agree, and the blocks must sum to what the identity steers
         rng = np.random.default_rng(7)
-        parts = oracles.random_povm(rng, 2, 2)
-        povm = qo.povm_from_elements({(str(i), "0"): p for i, p in enumerate(parts)})
-        lay = la.layout(("A", 2), ("B", 2), ("R", 1))
-        rho = oracles.random_density(rng, 4)
-        blocks = qo.steered_blocks(povm, rho, lay, keep=("B",))
-        for i, p in enumerate(parts):
-            direct = oracles.partial_trace_oracle(
-                oracles.kron_oracle(p, np.eye(2)) @ rho, [2, 2], [1]
+        parts = oracles.random_povm(rng, 2, 3)
+        povm = qo.povm_from_elements({(str(i), str(i % 2)): p for i, p in enumerate(parts)})
+        rho = oracles.random_density(rng, 8, rank=3)
+        insts = [io.load_bundled(name) for name in io.BUNDLED]
+        insts.append(io.Instance({"A": 2, "B": 2, "R": 2}, rho, povm))
+        for inst in insts:
+            prep = P.prepare(inst)
+            dims = [prep.dim_a] + [prep.env_dims[f] for f in ("B", "R", "M")]
+            abr = oracles.partial_trace_oracle(
+                np.outer(prep.global_pure, prep.global_pure.conj()), dims, [0, 1, 2]
             )
-            assert np.max(np.abs(blocks[(str(i), "0")] - direct)) < 1e-10
+            assert np.max(np.abs(abr - inst.state)) < 1e-12
+            want = oracles.steered_blocks_oracle(inst.povm.elements, prep.global_pure, dims)
+            assert prep.env_blocks.keys() == want.keys()
+            for key, blk in prep.env_blocks.items():
+                assert np.max(np.abs(blk - want[key])) < 1e-12, key
+            total = sum(prep.env_blocks.values())
+            assert np.max(np.abs(total - prep.steer(np.eye(prep.dim_a)))) < 1e-12
 
 
 class TestCQState:

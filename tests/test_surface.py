@@ -135,3 +135,66 @@ def test_modules_use_their_imports():
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}:{line} {name}" for name, line in imported if name not in read]
     assert unused == []
+
+
+def test_parameters_are_read():
+    """Every parameter of a library function is read in its body, nested
+    functions included; ``self`` and ``cls`` are exempt.  A parameter that
+    nothing reads is a name its callers fill for nothing."""
+    unread = []
+    for path in sorted((ROOT / "src/povmcomp").rglob("*.py")):
+        module = path.relative_to(ROOT / "src").with_suffix("").as_posix().replace("/", ".")
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = node.args
+            params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+            params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+            read = {
+                n.id
+                for stmt in node.body
+                for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            }
+            unread += [
+                f"{module}.{node.name}({p})"
+                for p in params
+                if p not in read and p not in ("self", "cls")
+            ]
+    assert unread == []
+
+
+def _is_dataclass(decorator: ast.expr) -> bool:
+    if isinstance(decorator, ast.Call):
+        decorator = decorator.func
+    name = decorator.id if isinstance(decorator, ast.Name) else getattr(decorator, "attr", None)
+    return name == "dataclass"
+
+
+def test_dataclass_fields_are_read():
+    """Every field of a library dataclass is read as an attribute
+    (``obj.field``) somewhere in ``src/``, ``tests/`` or ``bench/``.  The
+    match is by name alone, so any attribute read of that name counts."""
+    read = set()
+    for folder in ("src", "tests", "bench"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            read |= {
+                node.attr
+                for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            }
+    unread = []
+    for path in sorted((ROOT / "src/povmcomp").rglob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(cls, ast.ClassDef) or not any(
+                _is_dataclass(d) for d in cls.decorator_list
+            ):
+                continue
+            unread += [
+                f"{cls.name}.{stmt.target.id}"
+                for stmt in cls.body
+                if isinstance(stmt, ast.AnnAssign)
+                and isinstance(stmt.target, ast.Name)
+                and stmt.target.id not in read
+            ]
+    assert unread == []
