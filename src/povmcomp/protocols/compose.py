@@ -1,29 +1,33 @@
 """Composition with quantum side information and the centralised protocol.
 
-Alice runs the compressed measurement once per seed; each link carries a
-2-universal hash of its message index.  Bob, who shares the public coins,
-decodes sequentially on his B register through the message's hash fiber,
-in ascending index order, with the per-(coin, class) hypothesis tests of
-I_H(KL : K'B).  That I_H is taken on the link's composition state, one
-``CQState`` over (coin, class) with (K', B) blocks built by
-``_link_state``, so a decode depends only on the fiber's class sequence
-(its signature).  Each link's fibers are tabulated once and its messages
-grouped by signature, with one decoder per (coin, signature): the number
-of decoders and matrix products does not grow with 2^logL, only a few
-array passes over the indices do.  Decoding the X channel first perturbs B
-only gently, then the Y channel is decoded on the damaged state.  Output
-states and deviations are computed exactly by branch enumeration; only
-codebooks, hashes and transcripts are sampled.  Nothing here steers: every
-E-operator is one a compressed block carries or the prepared E marginal.
+Alice runs the compressed measurement once per seed; each link carries its
+message index, or a 2-universal hash of it when Bob's B register lets the
+link send fewer bits.  An unhashed link has no tests or fiber table: Bob
+reads the class off the wire.  The unassisted simulator is this
+protocol with no hashed link, so both share one output accumulator.
 
-Decoder tests are evaluated at the protocol's own eps, and only on a link
-that hashes: an identity link decodes every fiber as a lone candidate.
-The point-to-point composition adds the rate bookkeeping of the
-composition claim: the coin register copy K' counts toward the decodable
-information, so the sendable rate drops by the side-information term at
-the derived budget eps0 = eps^(1/10).  The claim constrains rates, not
-which valid test family the decoder uses, and tests at eps0 would be
-uselessly weak at desk-scale eps.
+On a hashed link Bob, who shares the public coins, decodes sequentially on
+B through the message's hash fiber, in ascending index order, with the
+per-(coin, class) hypothesis tests of I_H(KL : K'B).  That I_H is taken on
+the link's composition state, one ``CQState`` over (coin, class) with
+(K', B) blocks built by ``_link_state``, so a decode depends only on the
+fiber's class sequence (its signature).  Each link's fibers are tabulated
+once and its messages grouped by signature, with one decoder per (coin,
+signature): the number of decoders and matrix products does not grow with
+2^logL, only a few array passes over the indices do.  Decoding the X
+channel first perturbs B only gently, then the Y channel is decoded on the
+damaged state.  Output states and deviations are computed exactly by
+branch enumeration; only codebooks, hashes and transcripts are sampled.
+Nothing here steers: every E-operator is one a compressed block carries or
+the prepared E marginal.
+
+Decoder tests are evaluated at the protocol's own eps.  The point-to-point
+composition adds the rate bookkeeping of the composition claim: the coin
+register copy K' counts toward the decodable information, so the sendable
+rate drops by the side-information term at the derived budget
+eps0 = eps^(1/10).  The claim constrains rates, not which valid test family
+the decoder uses, and tests at eps0 would be uselessly weak at desk-scale
+eps.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ from ..io import Instance
 from .compress import (
     ABORT,
     SCENARIOS,
+    AdversaryScenario,
     CompressedFamily,
     ProtocolError,
     build_compressed_povm,
@@ -104,14 +109,16 @@ def _link_state(family: CompressedFamily, prep: PreparedInstance, axis: str) -> 
 
 @dataclass
 class AxisStage:
-    """What Bob needs to decode one link: its hash and, when it hashes, its tests."""
+    """What Bob needs to decode one link: its hash and, when it hashes, its tests.
+
+    An unhashed link (``wire_bits == log_l``) carries the message index
+    itself, through ``identity_hash``, and has no tests.
+    """
 
     wire_bits: int
     log_l: int
     hash_scheme: HashScheme
-    # on B, per (coin, class); None on an identity link, whose fibers are
-    # lone candidates that decode without a test
-    tests: dict[tuple[int, str], np.ndarray] | None
+    tests: dict[tuple[int, str], np.ndarray] | None  # on B, per (coin, class)
 
 
 def _link_tests(state: qo.CQState, d_b: int, eps: float):
@@ -134,18 +141,18 @@ def _axis_stage(
     wire_override: int | None = None,
 ) -> AxisStage:
     log_l = family.plan.log_l1 if axis == "X" else family.plan.log_l2
-    wire_bits, scheme, tests = log_l, identity_hash(max(log_l, 1)), None
+    wire_bits, scheme, tests = log_l, identity_hash(log_l), None
     if prep.has_side_information() and log_l > 0:
-        if log_l > MAX_HASHED_LOG_L:
-            raise ProtocolError(
-                f"hashed decoding tabulates every index; logL={log_l} exceeds "
-                f"{MAX_HASHED_LOG_L} (pass a log_const override to shrink codebooks)"
-            )
         budget_rate = budget.r_x if axis == "X" else budget.r_y
         if wire_override is not None:
             budget_rate = wire_override
         wire_bits = max(0, min(int(round(budget_rate)), log_l))
         if wire_bits < log_l:
+            if log_l > MAX_HASHED_LOG_L:
+                raise ProtocolError(
+                    f"hashed decoding tabulates every index; logL={log_l} exceeds "
+                    f"{MAX_HASHED_LOG_L} (pass a log_const override to shrink codebooks)"
+                )
             rng = np.random.default_rng(
                 np.random.SeedSequence(entropy=seed, spawn_key=(101 if axis == "X" else 102,))
             )
@@ -170,29 +177,39 @@ class _StageDecoder:
     order (Sen, arXiv:1109.0802).  ``counts[k][c, s]`` is how many indices
     of class c in coin k hash into a fiber of signature s, so a class
     decodes as a count-weighted sum over signatures, with no work per wire
-    message.
+    message.  An unhashed link tabulates nothing: each class is its own
+    signature and decodes to itself with no measurement (branch operator
+    None, the identity).
     """
 
     def __init__(self, stage: AxisStage, codebook, d_tail: int):
+        alphabet = codebook.alphabet
+        if stage.wire_bits == stage.log_l:
+            self.counts = [np.diag(row) for row in codebook.counts]
+            self.branches = [[[(sym, None)] for sym in alphabet]] * codebook.coins
+            return
         messages = codebook.messages
         fibers = stage.hash_scheme.fibers(messages)
-        self.counts: list[np.ndarray] = []
-        self.branches: list[list[list[tuple[str, np.ndarray | None]]]] = []
-        n_cls = len(codebook.alphabet)
+        zero = np.zeros_like(next(iter(stage.tests.values())))
+        eye_tail = np.eye(d_tail, dtype=complex)
+        self.counts, self.branches = [], []
         for k in range(codebook.coins):
             cls = np.searchsorted(codebook.offsets(k), np.arange(messages), side="right") - 1
             first, sig_of_fiber = _signatures(cls[fibers])
             sig_of_index = np.empty(messages, dtype=np.int64)
             sig_of_index[fibers] = sig_of_fiber.reshape(-1, 1)
             n_sig = len(first)
-            counts = np.bincount(cls * n_sig + sig_of_index, minlength=n_cls * n_sig)
-            self.counts.append(counts.reshape(n_cls, n_sig))
-            self.branches.append(
-                [
-                    _fiber_branches(stage, k, fibers[f], cls, codebook.alphabet, d_tail)
-                    for f in first
-                ]
-            )
+            counts = np.bincount(cls * n_sig + sig_of_index, minlength=len(alphabet) * n_sig)
+            self.counts.append(counts.reshape(len(alphabet), n_sig))
+            self.branches.append([])
+            for f in first:
+                # a hash to fewer bits has a non-trivial kernel, so every
+                # fiber holds at least two candidates
+                classes = [alphabet[c] for c in cls[fibers[f]]]
+                kraus = sequential_kraus([stage.tests.get((k, sym), zero) for sym in classes])
+                self.branches[-1].append(
+                    [(sym, np.kron(op, eye_tail)) for sym, op in zip(classes + [ABORT], kraus)]
+                )
 
     def apply(self, k: int, class_idx: int, op: np.ndarray) -> dict[str, np.ndarray]:
         """Decoded post-states of ``op`` summed over the indices of one class in coin k."""
@@ -224,22 +241,6 @@ def _signatures(fiber_cls: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     sig_of_fiber = np.empty(n_fib, dtype=np.int64)
     sig_of_fiber[order] = np.cumsum(new) - 1
     return order[new], sig_of_fiber
-
-
-def _fiber_branches(
-    stage: AxisStage, k: int, fiber: np.ndarray, cls: np.ndarray, alphabet, d_tail: int
-) -> list[tuple[str, np.ndarray | None]]:
-    """(decoded class, branch operator on E) of one fiber in coin k; None is the identity."""
-    classes = [alphabet[c] for c in cls[fiber]]
-    if len(fiber) == 1:
-        # a lone candidate (every fiber of an identity link) decodes without
-        # a measurement: sequential_kraus would give it the identity
-        return [(classes[0], None)]
-    d_b = next(iter(stage.tests.values())).shape[0]
-    zero = np.zeros((d_b, d_b), dtype=complex)
-    kraus = sequential_kraus([stage.tests.get((k, sym), zero) for sym in classes])
-    eye_tail = np.eye(d_tail, dtype=complex)
-    return [(sym, np.kron(op, eye_tail)) for sym, op in zip(classes + [ABORT], kraus)]
 
 
 def centralised_protocol(
@@ -320,6 +321,31 @@ def centralised_protocol(
         "eps0": budget.eps0,
         "fraction_nice": family.fraction_nice,
     }
+
+
+def simulate_unassisted(
+    prep: PreparedInstance,
+    budget: OneShotBudget,
+    seed: int,
+    scenario: AdversaryScenario | None = None,
+    family: CompressedFamily | None = None,
+    log_const: float | None = None,
+) -> dict:
+    """The centralised protocol with no hashed link, under ``scenario`` or all three.
+
+    Every wire carries its whole message index, so the output is the
+    compressed measurement's exact coin-averaged output; the seed picks
+    codebooks and the sampled transcript trajectory.
+    """
+    if family is None:
+        family = build_compressed_povm(prep, budget, seed, log_const)
+    plan = family.plan
+    run = centralised_protocol(
+        prep, budget, seed, family=family, wire_override={"X": plan.log_l1, "Y": plan.log_l2}
+    )
+    if scenario is not None:
+        run["scenarios"] = {scenario.name: run["scenarios"][scenario.name]}
+    return run
 
 
 def _marginal_instance(inst: Instance) -> Instance:

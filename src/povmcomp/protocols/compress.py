@@ -1,4 +1,4 @@
-"""Compressed POVM construction and the unassisted multi-link simulator.
+"""Compressed POVM construction, adversary scenarios and their targets.
 
 Codebooks are huge (their sizes carry the additive rate constant), but all
 protocol statistics depend on them only through per-block symbol counts, so
@@ -9,14 +9,14 @@ a uniformly random codeword composed with this sorting is distributed like
 the raw iid draw, and the protocol only ever touches counts and offsets.
 
 Each kept class element and abort element of a nice coin block is steered
-to E once, here, with ``PreparedInstance.steer``; the unassisted output,
-the centralised decoder and the link states all read those E-operators.
-A coin block that is not nice aborts and is absent from the family.
+to E once, here, with ``PreparedInstance.steer``; the centralised
+protocol's output and its link states read those E-operators.  A coin
+block that is not nice aborts and is absent from the family.  The
+protocol itself, unassisted or hashed, runs in ``compose``.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -298,7 +298,7 @@ def _assemble_block(prep, table, n_total, deviation) -> CompressedBlock:
 
 
 # ---------------------------------------------------------------------------
-# unassisted simulation (exact, coin-averaged, mirror picture on E)
+# adversary scenarios: the links an adversary keeps, and each one's target
 
 
 @dataclass(frozen=True)
@@ -326,53 +326,16 @@ SCENARIOS = (
 ABORT = qo.ABORT
 
 
-def _accumulate(acc: dict[str, np.ndarray], key: str, op: np.ndarray) -> None:
-    if key in acc:
-        acc[key] = acc[key] + op
-    else:
-        acc[key] = op.copy()
-
-
-def exact_output_blocks(family: CompressedFamily, prep: PreparedInstance) -> dict[str, np.ndarray]:
-    """Coin-averaged protocol output: subnormalized E-operators keyed 'x|y'.
-
-    Abort outcomes (the gamma0 element and non-nice blocks) map to the
-    distinguished abort symbol on both registers and carry their full weight.
-    """
-    plan, abort = family.plan, qo.join_symbol(ABORT, ABORT)
-    w_blk = 1.0 / (plan.k1 * plan.k2)
-    out: dict[str, np.ndarray] = {}
-    for key in itertools.product(range(plan.k1), range(plan.k2)):
-        blk = family.blocks.get(key)
-        if blk is None:
-            _accumulate(out, abort, w_blk * prep.rho_e)
-            continue
-        for c, op in blk.env.items():
-            _accumulate(out, qo.join_symbol(*c), w_blk * blk.counts[c] * op)
-        _accumulate(out, abort, w_blk * blk.env0)
-    return out
-
-
 def ideal_blocks(prep: PreparedInstance, scenario: AdversaryScenario) -> dict[str, np.ndarray]:
-    """Scenario target: steered E-blocks of the original POVM, marginalized."""
-    return marginalize_blocks(
-        {qo.join_symbol(*xy): blk for xy, blk in prep.env_blocks.items()}, scenario
-    )
-
-
-def _scenario_key(sym: str, scenario: AdversaryScenario) -> str:
-    x, y = qo.split_symbol(sym)[:2]
-    if scenario.x_link_on and scenario.y_link_on:
-        return qo.join_symbol(x, y)
-    return x if scenario.x_link_on else y
-
-
-def marginalize_blocks(
-    blocks: dict[str, np.ndarray], scenario: AdversaryScenario
-) -> dict[str, np.ndarray]:
+    """Scenario target: the original POVM's E-blocks, keyed by the outcomes
+    of the links the scenario keeps and summed over the rest."""
     out: dict[str, np.ndarray] = {}
-    for sym, op in blocks.items():
-        _accumulate(out, _scenario_key(sym, scenario), op)
+    for (x, y), blk in prep.env_blocks.items():
+        if scenario.x_link_on and scenario.y_link_on:
+            key = qo.join_symbol(x, y)
+        else:
+            key = x if scenario.x_link_on else y
+        out[key] = out[key] + blk if key in out else blk
     return out
 
 
@@ -418,38 +381,3 @@ def sample_transcript(
                 "abort": False,
             }
     return {"k1": k1, "k2": k2, "l1": -1, "l2": -1, "abort": True}
-
-
-def simulate_unassisted(
-    prep: PreparedInstance,
-    budget: OneShotBudget,
-    seed: int,
-    scenario: AdversaryScenario | None = None,
-    family: CompressedFamily | None = None,
-    log_const: float | None = None,
-) -> dict:
-    """Exact deviation of the compressed measurement from the scenario target.
-
-    The output state is computed exactly as the coin-averaged mixture (the
-    public coins are uniform shared randomness); the seed picks codebooks
-    and the sampled transcript trajectory.
-    """
-    if family is None:
-        family = build_compressed_povm(prep, budget, seed, log_const)
-    both = exact_output_blocks(family, prep)
-    scenarios = [scenario] if scenario is not None else list(SCENARIOS)
-    results = {}
-    for sc in scenarios:
-        out = marginalize_blocks(both, sc)
-        ideal = ideal_blocks(prep, sc)
-        results[sc.name] = {
-            "deviation": block_dict_distance(out, ideal),
-            "output": out,
-        }
-    transcript = sample_transcript(family, prep, seed)
-    return {
-        "family": family,
-        "scenarios": results,
-        "transcript": transcript,
-        "fraction_nice": family.fraction_nice,
-    }

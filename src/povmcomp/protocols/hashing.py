@@ -6,7 +6,8 @@ input's set bits, so a batch of inputs is hashed with one XOR pass per
 input bit, in memory linear in the batch.  Buckets (preimage fibers) come
 as one table over the whole input space: every input is hashed once and
 the inputs are sorted by hash value, so a decoder reads any message's
-fiber as a row of that table.
+fiber as a row of that table.  A link that sends its whole message index
+carries it through ``identity_hash``, whose fibers nothing tabulates.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ def draw_hash(input_bits: int, output_bits: int, rng: np.random.Generator) -> Ha
 
 
 def identity_hash(input_bits: int) -> HashScheme:
-    """Raw index transmission as a degenerate hash (singleton fibers)."""
+    """Raw index transmission: the wire map of an unhashed link, never tabulated."""
     return HashScheme(
         input_bits, np.eye(input_bits, dtype=np.uint8), np.zeros(input_bits, dtype=np.uint8)
     )

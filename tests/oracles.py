@@ -473,3 +473,34 @@ class PerMessageStageDecoder:
                 post = op if branch_op is None else branch_op @ op @ branch_op.conj().T
                 out[sym] = out.get(sym, 0.0) + cnt * post
         return out
+
+
+def unassisted_output_blocks(family, rho_e, scenario, join, abort: str) -> dict:
+    """Coin-averaged output of the compressed measurement when every link
+    carries its whole message index: subnormalised E-operators keyed by the
+    outcomes of the links ``scenario`` keeps.
+
+    The reference for ``compose.simulate_unassisted``: each (x, y) class of
+    a nice coin block adds its count times its E-operator to the key of its
+    outcomes, and the abort element and every non-nice block (``rho_e``)
+    add to the abort key, all weighted by 1/(K1 K2).  ``join`` is the
+    library's ``join_symbol`` and ``abort`` its abort symbol, passed in so
+    that this module imports nothing from the library.
+    """
+
+    def key(x: str, y: str) -> str:
+        if scenario.x_link_on and scenario.y_link_on:
+            return join(x, y)
+        return x if scenario.x_link_on else y
+
+    plan = family.plan
+    w_blk = 1.0 / (plan.k1 * plan.k2)
+    out: dict = {}
+    for coins in itertools.product(range(plan.k1), range(plan.k2)):
+        blk = family.blocks.get(coins)
+        terms = [(key(abort, abort), rho_e if blk is None else blk.env0)]
+        if blk is not None:
+            terms += [(key(*c), blk.counts[c] * op) for c, op in blk.env.items()]
+        for k, op in terms:
+            out[k] = out.get(k, 0.0) + w_blk * op
+    return out

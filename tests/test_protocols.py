@@ -15,6 +15,7 @@ from povmcomp import protocols as P
 from povmcomp.budget import OneShotBudget
 from povmcomp.protocols import compose, compress
 from povmcomp.protocols.compress import ABORT, SCENARIOS
+from povmcomp.protocols.hashing import HashScheme
 
 import oracles
 
@@ -203,6 +204,18 @@ def _hashed_axes(run: dict) -> set:
     }
 
 
+def _links(sc) -> set:
+    return {axis for axis, live in (("X", sc.x_link_on), ("Y", sc.y_link_on)) if live}
+
+
+def _check_outputs(prep, res: dict) -> None:
+    """A complete compressed POVM and a trace-one output in every scenario."""
+    assert res["family"].completeness_residual(prep) <= 1e-9
+    for sc_name, sc in res["scenarios"].items():
+        trace = sum(float(np.trace(op).real) for op in sc["output"].values())
+        assert abs(trace - 1.0) <= 1e-9, sc_name
+
+
 def test_golden_protocol_runs(solved):
     name, prep, _, _ = solved
     run, unassisted = _protocol_runs(name, prep)
@@ -213,8 +226,8 @@ def test_golden_protocol_runs(solved):
     assert hashed == set(GOLDEN_WIRE.get(name, ()))
     supp_e = prep.steer(prep.supp_proj_a)
     for res in (run, unassisted):
+        _check_outputs(prep, res)
         family = res["family"]
-        assert family.completeness_residual(prep) <= 1e-9
         # the same completeness on E, from the E-operators each block carries
         for blk in family.blocks.values():
             total = sum(blk.counts[c] * env for c, env in blk.env.items()) + blk.env0
@@ -222,15 +235,18 @@ def test_golden_protocol_runs(solved):
             for c, env in blk.env.items():
                 want = np.trace(blk.gammas[c] @ prep.rho_a).real
                 assert abs(np.trace(env).real - want) <= 1e-12, c
-        for sc_name, sc in res["scenarios"].items():
-            trace = sum(float(np.trace(op).real) for op in sc["output"].values())
-            assert abs(trace - 1.0) <= 1e-9, sc_name
-    for sc in SCENARIOS:
-        on = {axis for axis, live in (("X", sc.x_link_on), ("Y", sc.y_link_on)) if live}
-        if not on & hashed:
-            got = run["scenarios"][sc.name]["deviation"]
-            want = unassisted["scenarios"][sc.name]["deviation"]
-            assert abs(got - want) <= 1e-12, sc.name
+    # every scenario whose links carry whole indices, block by block against
+    # the independent reference
+    unhashed = [(unassisted, sc) for sc in SCENARIOS]
+    unhashed += [(run, sc) for sc in SCENARIOS if not _links(sc) & hashed]
+    for res, sc in unhashed:
+        want = oracles.unassisted_output_blocks(
+            res["family"], prep.rho_e, sc, qo.join_symbol, ABORT
+        )
+        got = res["scenarios"][sc.name]["output"]
+        assert set(got) == set(want), sc.name
+        for key, op in got.items():
+            assert np.max(np.abs(op - want[key])) <= 1e-12, (sc.name, key)
     if name in COMPOSE_INSTANCES:
         out = _composition(name, prep)
         assert _hex(out) == _golden()[name]["compose"]
@@ -261,7 +277,7 @@ def test_centralised_reads_cached_side_corrections(solved, monkeypatch):
 
 def test_only_hashed_links_build_decoder_tests(solved, monkeypatch):
     # a link builds its tests, one i_hyp_cq solve of its state at the
-    # protocol's eps, only when it hashes; identity links make none
+    # protocol's eps, only when it hashes; unhashed links make none
     name, prep, _, _ = solved
     calls = []
     i_hyp_cq = ent.i_hyp_cq
@@ -279,6 +295,34 @@ def test_only_hashed_links_build_decoder_tests(solved, monkeypatch):
     assert calls == [GOLDEN_EPS] * len(hashed)
     tested = {axis for axis, stage in (("X", run["stage_x"]), ("Y", run["stage_y"])) if stage.tests}
     assert tested == hashed
+
+
+def test_unhashed_links_tabulate_nothing(solved, monkeypatch):
+    # a link tabulates its hash fibers and builds sequential decoders only
+    # when it hashes; an unhashed link reads each class off the wire
+    name, prep, _, _ = solved
+    calls = []
+    fibers, build = HashScheme.fibers, compose.sequential_kraus
+
+    def counting_fibers(self, count):
+        calls.append("fibers")
+        return fibers(self, count)
+
+    def counting_build(tests):
+        calls.append("kraus")
+        return build(tests)
+
+    monkeypatch.setattr(HashScheme, "fibers", counting_fibers)
+    monkeypatch.setattr(compose, "sequential_kraus", counting_build)
+    budget = GOLDEN_BUDGETS[name]
+    P.simulate_unassisted(prep, budget, GOLDEN_SEED, log_const=GOLDEN_C)
+    assert calls == []
+    P.centralised_protocol(
+        prep, budget, GOLDEN_SEED, log_const=GOLDEN_C, wire_override=GOLDEN_WIRE.get(name)
+    )
+    hashed = GOLDEN_WIRE.get(name, {})
+    assert calls.count("fibers") == len(hashed)
+    assert ("kraus" in calls) == bool(hashed)
 
 
 def test_abort_key_is_no_real_outcome(solved):
@@ -319,10 +363,28 @@ def test_one_shot_region_steers_nothing_after_prepare(monkeypatch):
 
 @pytest.mark.parametrize("log_const", [0.0, None], ids=["c0", "cdefault"])
 def test_default_budget_is_planned(solved, log_const):
-    # budget_from_thresholds and plan_codebooks follow one rounding rule
+    # budget_from_thresholds and plan_codebooks follow one rounding rule, and
+    # the protocol runs end to end at that budget
     _, prep, _, _ = solved
     budget = P.budget_from_thresholds(prep, GOLDEN_EPS, log_const=log_const)
     P.plan_codebooks(prep, budget, log_const)
+    _check_outputs(prep, P.centralised_protocol(prep, budget, GOLDEN_SEED, log_const=log_const))
+
+
+def test_hash_cap_applies_only_to_hashed_links():
+    # at log_const 15 the default budget gives the X link logL 17, above the
+    # cap on tabulated links, but the link sends its index whole and runs;
+    # hashing that link to fewer bits is refused
+    prep = P.prepare(io.load_bundled("qubit_entangled_side_info"))
+    budget = P.budget_from_thresholds(prep, GOLDEN_EPS, log_const=15.0)
+    run = P.centralised_protocol(prep, budget, GOLDEN_SEED, log_const=15.0)
+    assert run["stage_x"].log_l == compose.MAX_HASHED_LOG_L + 1
+    assert _hashed_axes(run) == set()
+    _check_outputs(prep, run)
+    with pytest.raises(P.ProtocolError, match="logL=17"):
+        P.centralised_protocol(
+            prep, budget, GOLDEN_SEED, family=run["family"], wire_override={"X": 16}
+        )
 
 
 def _write_golden() -> None:
@@ -351,11 +413,7 @@ def test_centralised_runs_on_sparse_joint_povm(instrument_derived):
     prep, budget = instrument_derived
     n_pairs = len(prep.px.alphabet) * len(prep.py.alphabet)
     assert len(prep.joint.alphabet) < n_pairs
-    run = P.centralised_protocol(prep, budget, 1, log_const=0.0)
-    assert run["family"].completeness_residual(prep) <= 1e-9
-    for name, sc in run["scenarios"].items():
-        trace = sum(float(np.trace(op).real) for op in sc["output"].values())
-        assert abs(trace - 1.0) <= 1e-9, name
+    _check_outputs(prep, P.centralised_protocol(prep, budget, 1, log_const=0.0))
 
 
 def _signature_pairs(stage, codebook) -> set:
