@@ -137,7 +137,10 @@ def extract_good_set(
     Follows the purification proof literally: psi = sum sqrt(w_i) |rho_i>|i>,
     phi = Uhlmann partner of target's purification in the same space, primed
     states read off the |i> slices, GOOD = INDEX (weight ratio close to 1)
-    intersect CLOSE (primed state close to the original).
+    intersect CLOSE (primed state close to the original).  The square roots
+    of the parts with positive weight come from one stacked ``eigh``, which
+    checks them as ``assert_psd`` does, and the CLOSE distances of the
+    parts phi does not vanish on from one stacked ``eigvalsh``.
     """
     if eps <= 0 or eps >= 1:
         raise ValueError("eps must lie in (0, 1)")
@@ -151,27 +154,27 @@ def extract_good_set(
     if hyp > eps + 1e-9:
         raise ValueError(f"hypothesis distance {hyp:.3e} exceeds eps {eps}")
     quarter = eps**0.25
+    live = [i for i in range(n) if weights[i] > 0]
     # psi on A (x) (A' x C), slices along C
     psi = np.zeros((d, d, n), dtype=complex)
-    for i, (w, p) in enumerate(zip(weights, parts)):
-        if w <= 0:
-            continue
-        psi[:, :, i] = math.sqrt(w) * la.matrix_sqrt(la.assert_psd(p))
+    roots = la.matrix_sqrt_many(np.reshape([parts[i] for i in live], (len(live), d, d)))
+    for i, root in zip(live, roots):
+        psi[:, :, i] = math.sqrt(weights[i]) * root
     phi = la.uhlmann_partner(psi.reshape(d, d * n).reshape(-1), target)
     phi = phi.reshape(d, d, n)
-    good, primed = [], {}
-    prob_good = 0.0
-    for i in range(n):
-        w = weights[i]
-        if w <= 0:
-            continue
+    kept = []  # (i, q, rho_p) of the live parts phi does not vanish on
+    for i in live:
         v = phi[:, :, i]
         q = float(np.sum(np.abs(v) ** 2))
-        if q <= 1e-300:
-            continue
-        rho_p = v @ v.conj().T / q
+        if q > 1e-300:
+            kept.append((i, q, v @ v.conj().T / q))
+    diffs = [rho_p - (weights[i] / q) * la.as_matrix(parts[i]) for i, q, rho_p in kept]
+    dists = la.trace_norm_many(np.reshape(diffs, (len(kept), d, d)))
+    good, primed = [], {}
+    prob_good = 0.0
+    for (i, q, rho_p), scaled_dist in zip(kept, dists):
+        w = weights[i]
         in_index = abs(1.0 - w / q) <= quarter
-        scaled_dist = la.trace_norm_distance(rho_p, (w / q) * la.as_matrix(parts[i]))
         in_close = scaled_dist <= quarter
         if in_index and in_close:
             good.append(i)

@@ -7,6 +7,8 @@ is the purified-distance ball over normalized states.  The hypothesis
 testing quantity is the Neyman-Pearson minimization of the type-II error
 at type-I error at most eps; optimal tests threshold ``t rho - sigma`` with
 fractional weight on the boundary eigenspace so alpha hits 1 - eps exactly.
+A block-diagonal pair is held as (blocks, d, d) stacks, so the threshold
+search decomposes every block at once.
 """
 
 from __future__ import annotations
@@ -116,25 +118,38 @@ class NPTest:
 
 
 class _Blocks:
-    """Block-diagonal pair (rho, sigma) as subnormalized block lists."""
+    """Block-diagonal pair (rho, sigma) as ``(n, d, d)`` stacks of subnormalized blocks.
+
+    Every block has one dimension d: ``i_hyp_cq``'s blocks all live on the
+    quantum register, and ``d_hyp``'s pair is one block (n = 1).
+    """
 
     def __init__(self, rho_blocks: list[np.ndarray], sigma_blocks: list[np.ndarray]):
-        self.rho = [la.as_matrix(b) for b in rho_blocks]
-        self.sigma = [la.as_matrix(b) for b in sigma_blocks]
+        self.rho = np.stack([la.as_matrix(b) for b in rho_blocks])
+        self.sigma = np.stack([la.as_matrix(b) for b in sigma_blocks])
 
-    def spectra(self, t: float):
-        out = []
-        for r, s in zip(self.rho, self.sigma):
-            d, v = np.linalg.eigh(t * r - s)
-            w_r = np.real(np.einsum("ij,jk,ki->i", v.conj().T, r, v))
-            w_s = np.real(np.einsum("ij,jk,ki->i", v.conj().T, s, v))
-            out.append((d, v, w_r, w_s))
-        return out
+    def spectra(self, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenvalues and eigenvectors of every block's t rho - sigma,
+        stacked over the blocks, from one ``eigh``."""
+        return np.linalg.eigh(t * self.rho - self.sigma)
 
     def alpha_strict(self, t: float, tol: float) -> float:
-        return sum(
-            float(w_r[d > tol].sum()) for d, _, w_r, _ in self.spectra(t)
-        )
+        d, v = self.spectra(t)
+        return sum(_row_sums(_weights(v, self.rho), d > tol))
+
+
+def _weights(v: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """Real diagonals of v_b^dag M_b v_b, one row per block."""
+    return np.real(np.einsum("nij,njk,nki->ni", v.conj().swapaxes(-1, -2), mats, v))
+
+
+def _row_sums(w: np.ndarray, mask: np.ndarray) -> list[float]:
+    """Each block's sum of ``w`` over ``mask``, as ``w[b][mask[b]].sum()``.
+
+    Summed row by row: a zero-filled stacked sum associates the terms of a
+    row of 8 or more differently, which can move the bisection's bracket.
+    """
+    return [float(row[m].sum()) for row, m in zip(w, mask)]
 
 
 def _np_bisect(blocks: _Blocks, target: float) -> tuple[float, float]:
@@ -161,23 +176,27 @@ def _np_bisect(blocks: _Blocks, target: float) -> tuple[float, float]:
 
 
 def _np_threshold(blocks: _Blocks, eps: float):
-    """Optimal NP test; returns (beta, per-block test operators, alpha)."""
+    """Optimal NP test; returns (beta, per-block test operators, alpha).
+
+    The blocks are searched together: the kernel test comes from one
+    stacked ``eigh`` of sigma, each bisection probe of ``alpha_strict`` is
+    one stacked ``eigh`` of t rho - sigma and one stacked weight
+    ``einsum``, and the tests at the bracket's top come from one stacked
+    spectrum.  Sums over blocks run in block order, each block's own sum
+    as a per-block search takes it, so the bracket, the tests and
+    (alpha, beta) are those of a search one block at a time.
+    """
     target = 1.0 - eps
     # beta = 0 reachable: test supported on ker(sigma)
-    ker_alpha = 0.0
-    for r, s in zip(blocks.rho, blocks.sigma):
-        w, v = np.linalg.eigh(s)
-        kcols = v[:, np.abs(w) <= 1e-12]
+    w, v = np.linalg.eigh(blocks.sigma)
+    ker_tests, ker_alpha = [], 0.0
+    for r, wb, vb in zip(blocks.rho, w, v):
+        kcols = vb[:, np.abs(wb) <= 1e-12]
+        ker_tests.append(kcols @ kcols.conj().T)
         if kcols.size:
-            proj = kcols @ kcols.conj().T
-            ker_alpha += float(np.trace(proj @ r).real)
+            ker_alpha += float(np.trace(ker_tests[-1] @ r).real)
     if ker_alpha >= target - 1e-12:
-        tests = []
-        for r, s in zip(blocks.rho, blocks.sigma):
-            w, v = np.linalg.eigh(s)
-            kcols = v[:, np.abs(w) <= 1e-12]
-            tests.append(kcols @ kcols.conj().T if kcols.size else np.zeros_like(s))
-        return math.inf, tests, ker_alpha
+        return math.inf, ker_tests, ker_alpha
 
     if eps <= 1e-14:
         tests = [la.support_projector(r) for r in blocks.rho]
@@ -189,23 +208,19 @@ def _np_threshold(blocks: _Blocks, eps: float):
     t_lo, t_hi = _np_bisect(blocks, target)
     t_star = t_hi
     gap = max(t_hi - t_lo, 1e-15) * (1.0 + scale)
-    spectra = blocks.spectra(t_star)
-    alpha_strict, kernel_w = 0.0, 0.0
-    for d, _, w_r, _ in spectra:
-        alpha_strict += float(w_r[d > gap].sum())
-        kernel_w += float(w_r[np.abs(d) <= gap].sum())
+    d, v = blocks.spectra(t_star)
+    w_r, w_s = _weights(v, blocks.rho), _weights(v, blocks.sigma)
+    take, border = d > gap, np.abs(d) <= gap
+    alpha_strict = sum(_row_sums(w_r, take))
+    kernel_w = sum(_row_sums(w_r, border))
     c = 0.0
     if kernel_w > 1e-15:
         c = min(max((target - alpha_strict) / kernel_w, 0.0), 1.0)
-    tests, alpha, beta = [], 0.0, 0.0
-    for d, v, w_r, w_s in spectra:
-        take = d > gap
-        border = np.abs(d) <= gap
-        weights = take.astype(float) + c * border.astype(float)
-        tests.append((v * weights) @ v.conj().T)
-        alpha += float((w_r * weights).sum())
-        beta += float((w_s * weights).sum())
-    return beta, tests, alpha
+    weights = take.astype(float) + c * border.astype(float)
+    tests = (v * weights[:, None, :]) @ v.conj().swapaxes(-1, -2)
+    alpha = sum((w_r * weights).sum(axis=1).tolist())
+    beta = sum((w_s * weights).sum(axis=1).tolist())
+    return beta, list(tests), alpha
 
 
 def _np_test(

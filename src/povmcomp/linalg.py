@@ -4,6 +4,9 @@ All operators are plain ``numpy`` arrays of dtype complex128.  Validation
 helpers raise ``ValueError`` when an input violates the contract instead of
 silently repairing it; tiny negative eigenvalues (below the PSD tolerance)
 are the one exception and get clamped to zero before square roots.
+The ``*_many`` functions take a (..., d, d) stack and decompose all of its
+members with one stacked LAPACK call; each member's result is the one its
+single-matrix counterpart gives.
 """
 
 from __future__ import annotations
@@ -26,20 +29,36 @@ def as_matrix(op) -> np.ndarray:
     return mat
 
 
-def assert_hermitian(op) -> np.ndarray:
-    mat = as_matrix(op)
-    if not np.all(np.isfinite(mat)):
+def _as_stack(ops) -> np.ndarray:
+    """``ops`` as a complex ``(..., d, d)`` stack of square matrices."""
+    mats = np.asarray(ops, dtype=complex)
+    if mats.ndim < 2 or mats.shape[-1] != mats.shape[-2]:
+        raise ValueError(f"expected a stack of square matrices, got shape {mats.shape}")
+    return mats
+
+
+def _hermitian_part(mats: np.ndarray) -> np.ndarray:
+    """(M + M^dag) / 2 of a stack whose members are Hermitian within tolerance."""
+    if not np.all(np.isfinite(mats)):
         raise ValueError("matrix has non-finite entries")
-    if np.max(np.abs(mat - mat.conj().T)) > HERM_TOL * 100:
+    adj = mats.conj().swapaxes(-1, -2)
+    if np.max(np.abs(mats - adj), initial=0.0) > HERM_TOL * 100:
         raise ValueError("matrix is not Hermitian within tolerance")
-    return (mat + mat.conj().T) / 2
+    return (mats + adj) / 2
+
+
+def _check_psd(least_eig: float, tol: float = PSD_TOL * 100) -> None:
+    if least_eig < -tol:
+        raise ValueError(f"matrix has negative eigenvalue {least_eig:.3e}")
+
+
+def assert_hermitian(op) -> np.ndarray:
+    return _hermitian_part(as_matrix(op))
 
 
 def assert_psd(op, tol: float = PSD_TOL * 100) -> np.ndarray:
     mat = assert_hermitian(op)
-    w = np.linalg.eigvalsh(mat)
-    if w[0] < -tol:
-        raise ValueError(f"matrix has negative eigenvalue {w[0]:.3e}")
+    _check_psd(np.linalg.eigvalsh(mat)[0], tol)
     return mat
 
 
@@ -123,8 +142,14 @@ def partial_trace(op, lay: SystemLayout, keep) -> np.ndarray:
 
 
 def trace_norm(op) -> float:
-    mat = assert_hermitian(op)
-    return float(np.sum(np.abs(np.linalg.eigvalsh(mat))))
+    return float(trace_norm_many(as_matrix(op)))
+
+
+def trace_norm_many(ops) -> np.ndarray:
+    """``trace_norm`` of every member of a ``(..., d, d)`` stack, from one
+    stacked ``eigvalsh``."""
+    mats = _hermitian_part(_as_stack(ops))
+    return np.sum(np.abs(np.linalg.eigvalsh(mats)), axis=-1)
 
 
 def trace_norm_distance(a, b) -> float:
@@ -136,13 +161,24 @@ def trace_norm_distance(a, b) -> float:
 
 
 def matrix_sqrt(op) -> np.ndarray:
-    """PSD square root; eigenvalues below ``-SQRT_NEG_TOL`` are an error."""
-    mat = assert_hermitian(op)
-    w, v = np.linalg.eigh(mat)
-    if w[0] < -SQRT_NEG_TOL:
-        raise ValueError(f"matrix_sqrt of non-PSD input (min eig {w[0]:.3e})")
-    w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ v.conj().T
+    """PSD square root; an eigenvalue below ``-PSD_TOL * 100`` is
+    ``assert_psd``'s ValueError, and smaller negative ones are clamped."""
+    return matrix_sqrt_many(as_matrix(op))
+
+
+def matrix_sqrt_many(ops) -> np.ndarray:
+    """``matrix_sqrt`` of every member of a ``(..., d, d)`` stack, from one
+    stacked ``eigh``; each member is symmetrised and checked as
+    ``assert_psd`` does."""
+    w, v = np.linalg.eigh(_hermitian_part(_as_stack(ops)))
+    if w.size:
+        _check_psd(w[..., 0].min())
+    return _root(w, v)
+
+
+def _root(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The PSD square root V sqrt(max(W, 0)) V^dag of (stacked) eigenpairs."""
+    return (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def pseudo_inverse_sqrt(op) -> np.ndarray:
@@ -214,23 +250,25 @@ def uhlmann_partner(psi, target) -> np.ndarray:
     ``fidelity(reduced(psi), target)``, chosen real nonnegative.
     """
     vec = np.asarray(psi, dtype=complex).reshape(-1)
-    tgt = assert_psd(target)
+    tgt = assert_hermitian(target)
+    # one decomposition gives the PSD check, the rank, the root and the support
+    wt, vt = np.linalg.eigh(tgt)
+    _check_psd(wt[0])
     d = tgt.shape[0]
     if vec.size % d != 0:
         raise ValueError("psi length is not divisible by the target dimension")
     dm = vec.size // d
-    w = np.linalg.eigvalsh(tgt)
-    rank = int(np.sum(w > 1e-12))
+    rank = int(np.sum(wt > 1e-12))
     if dm < rank:
         raise ValueError(f"purifying dimension {dm} smaller than target rank {rank}")
+    root = _root(wt, vt)
     psi_mat = vec.reshape(d, dm)
-    a = matrix_sqrt(tgt) @ psi_mat
+    a = root @ psi_mat
     u, s, vh = np.linalg.svd(a, full_matrices=False)
     keep = s > 1e-13
     u1 = u[:, keep]
     v1 = vh.conj().T[:, keep]
     # complete with support directions of target not yet covered
-    wt, vt = np.linalg.eigh(tgt)
     supp = vt[:, wt > 1e-12]
     rem = supp - u1 @ (u1.conj().T @ supp)
     qrem, rrem = np.linalg.qr(rem)
@@ -247,5 +285,5 @@ def uhlmann_partner(psi, target) -> np.ndarray:
         part_iso = u1 @ v1.conj().T + u2 @ v2.conj().T
     else:
         part_iso = u1 @ v1.conj().T
-    phi_mat = matrix_sqrt(tgt) @ part_iso
+    phi_mat = root @ part_iso
     return phi_mat.reshape(-1)

@@ -30,7 +30,7 @@ BUCKET_SLACK_BITS = 5
 MAX_REDRAWS = 50
 
 
-def sequential_kraus(tests: list[np.ndarray]) -> list[np.ndarray]:
+def sequential_kraus(tests) -> np.ndarray:
     """Kraus operators of successive-cancellation decoding through ``tests``.
 
     Candidate j, tested in the caller's order, decodes through
@@ -40,17 +40,34 @@ def sequential_kraus(tests: list[np.ndarray]) -> list[np.ndarray]:
     branch sqrt(I - sum_j S_j^dag S_j).  A lone candidate needs no
     measurement, since the hash alone names it: it gets [I, 0], so it
     decodes with probability 1 and leaves the state as it was.
+
+    ``tests`` is one test sequence, shape (L, d, d) or a list of L
+    matrices, or a stack of sequences of one length, shape (..., L, d, d);
+    the result has shape (..., L + 1, d, d), row by row the operators of
+    the row's sequence.  A stack runs one matrix product chain, one stacked
+    ``svd`` per candidate position and one stacked square root for the
+    failure branch.
     """
-    eye = np.eye(tests[0].shape[0], dtype=complex)
-    if len(tests) == 1:
-        return [eye, np.zeros_like(eye)]
-    kraus, tail, residual = [], eye, eye
-    for pi in tests:
+    tests = np.asarray(tests, dtype=complex)
+    n_cand, d = tests.shape[-3], tests.shape[-1]
+    eye = np.eye(d, dtype=complex)
+    kraus = np.zeros(tests.shape[:-3] + (n_cand + 1, d, d), dtype=complex)
+    if n_cand == 1:
+        kraus[..., 0, :, :] = eye
+        return kraus
+    tail = residual = np.broadcast_to(eye, tests.shape[:-3] + (d, d))
+    for j in range(n_cand):
+        pi = tests[..., j, :, :]
         s = pi @ tail
         tail = (eye - pi) @ tail
-        residual = residual - s.conj().T @ s
-        kraus.append(_polar_unitary(s).conj().T @ s)
-    return kraus + [la.matrix_sqrt(residual)]
+        residual = residual - _adjoint(s) @ s
+        kraus[..., j, :, :] = _adjoint(_polar_unitary(s)) @ s
+    kraus[..., n_cand, :, :] = la.matrix_sqrt_many(residual)
+    return kraus
+
+
+def _adjoint(ops: np.ndarray) -> np.ndarray:
+    return ops.conj().swapaxes(-1, -2)
 
 
 def _polar_unitary(s: np.ndarray) -> np.ndarray:

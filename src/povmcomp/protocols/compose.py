@@ -171,14 +171,19 @@ class _StageDecoder:
     signature; classes take contiguous index ranges, so it is nondecreasing
     and fixed by its class histogram.  The link's fibers come from one
     ``HashScheme.fibers`` table; per coin, ``_signatures`` numbers the
-    distinct signatures in lexicographic order, and one decoder is built
-    per signature.
+    distinct signatures in lexicographic order.  An affine hash's fibers
+    share one size, so a coin's signatures stack into one
+    (signatures, fiber size) array of test sequences, and one
+    ``sequential_kraus`` call builds every signature's decoder.
+    ``branches[k]`` holds them as a (signatures, fiber size + 1, D, D)
+    stack on (B, tail), and ``symbols[k][s]`` names signature s's branches:
+    its classes, then the abort symbol.
     Sequential decoding's error analysis holds for any fixed candidate
     order (Sen, arXiv:1109.0802).  ``counts[k][c, s]`` is how many indices
     of class c in coin k hash into a fiber of signature s, so a class
     decodes as a count-weighted sum over signatures, with no work per wire
     message.  An unhashed link tabulates nothing: each class is its own
-    signature and decodes to itself with no measurement (branch operator
+    signature and decodes to itself with no measurement (``branches[k]``
     None, the identity).
     """
 
@@ -186,13 +191,13 @@ class _StageDecoder:
         alphabet = codebook.alphabet
         if stage.wire_bits == stage.log_l:
             self.counts = [np.diag(row) for row in codebook.counts]
-            self.branches = [[[(sym, None)] for sym in alphabet]] * codebook.coins
+            self.branches = [None] * codebook.coins
+            self.symbols = [[[sym] for sym in alphabet]] * codebook.coins
             return
         messages = codebook.messages
         fibers = stage.hash_scheme.fibers(messages)
         zero = np.zeros_like(next(iter(stage.tests.values())))
-        eye_tail = np.eye(d_tail, dtype=complex)
-        self.counts, self.branches = [], []
+        self.counts, self.branches, self.symbols = [], [], []
         for k in range(codebook.coins):
             cls = np.searchsorted(codebook.offsets(k), np.arange(messages), side="right") - 1
             first, sig_of_fiber = _signatures(cls[fibers])
@@ -201,26 +206,41 @@ class _StageDecoder:
             n_sig = len(first)
             counts = np.bincount(cls * n_sig + sig_of_index, minlength=len(alphabet) * n_sig)
             self.counts.append(counts.reshape(len(alphabet), n_sig))
-            self.branches.append([])
-            for f in first:
-                # a hash to fewer bits has a non-trivial kernel, so every
-                # fiber holds at least two candidates
-                classes = [alphabet[c] for c in cls[fibers[f]]]
-                kraus = sequential_kraus([stage.tests.get((k, sym), zero) for sym in classes])
-                self.branches[-1].append(
-                    [(sym, np.kron(op, eye_tail)) for sym, op in zip(classes + [ABORT], kraus)]
-                )
+            # a hash to fewer bits has a non-trivial kernel, so every fiber
+            # holds at least two candidates
+            sig_cls = cls[fibers[first]]
+            tests = np.stack([stage.tests.get((k, sym), zero) for sym in alphabet])
+            self.branches.append(_kron_eye(sequential_kraus(tests[sig_cls]), d_tail))
+            self.symbols.append([[alphabet[c] for c in row] + [ABORT] for row in sig_cls])
 
     def apply(self, k: int, class_idx: int, op: np.ndarray) -> dict[str, np.ndarray]:
-        """Decoded post-states of ``op`` summed over the indices of one class in coin k."""
+        """Decoded post-states of ``op`` summed over the indices of one class in coin k.
+
+        One stacked congruence covers the branches of every signature the
+        class reaches; the posts are summed signature by signature, each
+        signature's branches in decoder order.
+        """
+        counts = self.counts[k][class_idx]
+        live = np.flatnonzero(counts)
+        branches = self.branches[k]
+        if branches is None:
+            posts = op[None, None]
+        else:
+            ops = branches[live]
+            posts = ops @ op @ ops.conj().swapaxes(-1, -2)
         out: dict[str, np.ndarray] = {}
-        for cnt, branches in zip(self.counts[k][class_idx], self.branches[k]):
-            if cnt == 0:
-                continue
-            for sym, branch_op in branches:
-                post = op if branch_op is None else branch_op @ op @ branch_op.conj().T
-                out[sym] = out.get(sym, 0.0) + cnt * post
+        for s, sig_posts in zip(live, counts[live, None, None, None] * posts):
+            for sym, post in zip(self.symbols[k][s], sig_posts):
+                out[sym] = out.get(sym, 0.0) + post
         return out
+
+
+def _kron_eye(ops: np.ndarray, d_tail: int) -> np.ndarray:
+    """``np.kron(op, I_d_tail)`` of every op of a (..., d, d) stack, by broadcasting."""
+    d = ops.shape[-1]
+    eye = np.eye(d_tail, dtype=complex)
+    prod = ops[..., :, None, :, None] * eye[:, None, :]
+    return prod.reshape(ops.shape[:-2] + (d * d_tail, d * d_tail))
 
 
 def _signatures(fiber_cls: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -345,7 +345,8 @@ def block_dict_distance(a: dict, b: dict) -> float:
     dim = next(iter(a.values())).shape[0]
     zero = np.zeros((dim, dim), dtype=complex)
     # sorted, not set order: a set of strings iterates in a per-process order
-    return sum(la.trace_norm(a.get(k, zero) - b.get(k, zero)) for k in sorted(set(a) | set(b)))
+    diffs = [a.get(k, zero) - b.get(k, zero) for k in sorted(set(a) | set(b))]
+    return sum(la.trace_norm_many(np.reshape(diffs, (len(diffs), dim, dim))).tolist())
 
 
 def sample_transcript(

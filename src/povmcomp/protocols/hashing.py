@@ -56,7 +56,10 @@ class HashScheme:
         sizes = np.bincount(vals)
         sizes = sizes[sizes > 0]
         if np.all(sizes == sizes[0]):
-            return np.argsort(vals, kind="stable").reshape(len(sizes), -1)
+            # sorted as the narrowest unsigned type that holds every hash
+            # value, so that numpy's stable sort can run as a radix sort
+            keys = vals.astype(np.min_scalar_type(2**self.output_bits - 1))
+            return np.argsort(keys, kind="stable").reshape(len(sizes), -1)
         raise ValueError(f"hash fibers of [0, {count}) differ in size")
 
 

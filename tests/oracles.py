@@ -82,8 +82,14 @@ def purified_distance(fidelity: float) -> float:
     return math.sqrt(max(0.0, 1.0 - fidelity * fidelity))
 
 
-def _trace_norm(op: np.ndarray) -> float:
+def trace_norm_oracle(op: np.ndarray) -> float:
     return float(np.sum(np.abs(np.linalg.eigvalsh((op + op.conj().T) / 2))))
+
+
+def psd_sqrt_oracle(op: np.ndarray) -> np.ndarray:
+    """V sqrt(max(W, 0)) V^dag from the ``eigh`` of op's Hermitian part."""
+    w, v = np.linalg.eigh((op + op.conj().T) / 2)
+    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
 
 
 def verify_certificate(cert, parts: list, weights: list, target: np.ndarray) -> dict[str, bool]:
@@ -95,7 +101,7 @@ def verify_certificate(cert, parts: list, weights: list, target: np.ndarray) -> 
     quarter = cert.eps_used**0.25
     ok_prob = cert.prob_good >= 1.0 - 10.0 * quarter
     ok_close = all(
-        _trace_norm(cert.primed[i] - parts[i] / max(np.trace(parts[i]).real, 1e-300))
+        trace_norm_oracle(cert.primed[i] - parts[i] / max(np.trace(parts[i]).real, 1e-300))
         <= 2 * quarter + 1e-7
         for i in cert.good
     )
@@ -231,6 +237,81 @@ def np_bisect_fixed(alpha_strict, target: float) -> tuple[float, float]:
         else:
             t_lo = mid
     return t_lo, t_hi
+
+
+class PerBlockNP:
+    """The Neyman-Pearson search of a block-diagonal pair (rho, sigma), one
+    block at a time: one ``eigh`` and two weight contractions per block per
+    probe.  The reference for ``entropies._Blocks`` and ``_np_threshold``,
+    which stack the blocks; ``threshold`` follows the same steps (kernel
+    test, bisection bracket, border weight) with the fixed 120-halving
+    bisection of ``np_bisect_fixed``.  Inputs must have eps > 1e-14."""
+
+    def __init__(self, rho_blocks, sigma_blocks):
+        self.rho = [np.asarray(b, dtype=complex) for b in rho_blocks]
+        self.sigma = [np.asarray(b, dtype=complex) for b in sigma_blocks]
+
+    def spectra(self, t: float) -> list:
+        out = []
+        for r, s in zip(self.rho, self.sigma):
+            d, v = np.linalg.eigh(t * r - s)
+            w_r = np.real(np.einsum("ij,jk,ki->i", v.conj().T, r, v))
+            w_s = np.real(np.einsum("ij,jk,ki->i", v.conj().T, s, v))
+            out.append((d, v, w_r, w_s))
+        return out
+
+    def alpha_strict(self, t: float, tol: float) -> float:
+        return sum(float(w_r[d > tol].sum()) for d, _, w_r, _ in self.spectra(t))
+
+    def threshold(self, eps: float) -> tuple[float, list, float]:
+        """(beta, per-block tests, alpha) of the optimal test."""
+        assert eps > 1e-14
+        target = 1.0 - eps
+        ker_tests, ker_alpha = [], 0.0
+        for r, s in zip(self.rho, self.sigma):
+            w, v = np.linalg.eigh(s)
+            kcols = v[:, np.abs(w) <= 1e-12]
+            ker_tests.append(kcols @ kcols.conj().T)
+            if kcols.size:
+                ker_alpha += float(np.trace(ker_tests[-1] @ r).real)
+        if ker_alpha >= target - 1e-12:
+            return math.inf, ker_tests, ker_alpha
+        scale = sum(float(np.trace(s).real) for s in self.sigma) + 1.0
+        t_lo, t_hi = np_bisect_fixed(self.alpha_strict, target)
+        gap = max(t_hi - t_lo, 1e-15) * (1.0 + scale)
+        spectra = self.spectra(t_hi)
+        alpha_strict = sum(float(w_r[d > gap].sum()) for d, _, w_r, _ in spectra)
+        kernel_w = sum(float(w_r[np.abs(d) <= gap].sum()) for d, _, w_r, _ in spectra)
+        c = 0.0
+        if kernel_w > 1e-15:
+            c = min(max((target - alpha_strict) / kernel_w, 0.0), 1.0)
+        tests, alpha, beta = [], 0.0, 0.0
+        for d, v, w_r, w_s in spectra:
+            weights = (d > gap).astype(float) + c * (np.abs(d) <= gap).astype(float)
+            tests.append((v * weights) @ v.conj().T)
+            alpha += float((w_r * weights).sum())
+            beta += float((w_s * weights).sum())
+        return beta, tests, alpha
+
+
+def sequential_kraus_oracle(tests: list) -> list:
+    """Successive-cancellation Kraus operators of one test sequence, built
+    one candidate at a time: K_j = U_j^dag S_j with
+    S_j = Pi_j (I - Pi_{j-1}) ... (I - Pi_1) and U_j from the SVD of S_j,
+    then the failure branch sqrt(I - sum_j S_j^dag S_j) from ``eigh``; a
+    lone candidate gets [I, 0].  The per-sequence reference for the
+    library's stacked ``sequential_kraus``."""
+    eye = np.eye(tests[0].shape[0], dtype=complex)
+    if len(tests) == 1:
+        return [eye, np.zeros_like(eye)]
+    kraus, tail, residual = [], eye, eye
+    for pi in tests:
+        s = pi @ tail
+        tail = (eye - pi) @ tail
+        residual = residual - s.conj().T @ s
+        u, _, vh = np.linalg.svd(s)
+        kraus.append((u @ vh).conj().T @ s)
+    return kraus + [psd_sqrt_oracle(residual)]
 
 
 def shannon_entropy(p) -> float:
@@ -430,8 +511,9 @@ class PerMessageStageDecoder:
     (coin, fiber signature): here every wire message's fiber is found by
     brute force over the index space and decoded on its own, and a class's
     indices are summed message by message, each fiber tested in ascending
-    index order.  ``build`` is the library's ``sequential_kraus`` and
-    ``abort`` its abort symbol, passed in so that this module imports
+    index order.  ``build`` maps one test sequence to its branch operators
+    (the library's ``sequential_kraus`` on a one-row stack) and ``abort``
+    is the library's abort symbol, passed in so that this module imports
     nothing from the library.
     """
 

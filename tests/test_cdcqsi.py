@@ -134,6 +134,27 @@ class TestSequentialKraus:
         assert np.allclose(failure, 0.0)
         assert completeness_residual(kraus) < 1e-12
 
+    @pytest.mark.parametrize("n_cand", [1, 2, 4])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_stack_rows_match_single_sequences(self, n_cand, d):
+        # a stack of test sequences decodes row by row as the single sequences do
+        rng = np.random.default_rng(10 * n_cand + d)
+        stack = np.array(
+            [
+                [[oracles.random_povm(rng, d, 2)[0] for _ in range(n_cand)] for _ in range(3)]
+                for _ in range(2)
+            ]
+        )
+        kraus = sequential_kraus(stack)
+        assert kraus.shape == (2, 3, n_cand + 1, d, d)
+        for row, tests in zip(kraus.reshape(-1, n_cand + 1, d, d), stack.reshape(-1, n_cand, d, d)):
+            assert completeness_residual(row) <= 1e-12
+            single = sequential_kraus(list(tests))
+            want = oracles.sequential_kraus_oracle(list(tests))
+            for op, one, ref in zip(row, single, want):
+                assert np.array_equal(op, one)
+                assert np.array_equal(op, ref)
+
 
 class TestCdcQsi:
     def test_single_symbol(self):

@@ -242,6 +242,48 @@ class TestNPBisection:
                 assert np.array_equal(t, ref)
 
 
+class TestStackedNP:
+    """The stacked Neyman-Pearson search, one ``eigh`` per probe over all
+    blocks, gives the per-block loop's bracket, tests and (alpha, beta)
+    bit for bit."""
+
+    @staticmethod
+    def assert_matches(rho, sigma, eps):
+        blocks, ref = ent._Blocks(rho, sigma), oracles.PerBlockNP(rho, sigma)
+        target = 1.0 - eps
+        for t in (0.0, 0.3, 1.0, 2.5, 17.0):
+            assert blocks.alpha_strict(t, 0.0) == ref.alpha_strict(t, 0.0)
+        assert ent._np_bisect(blocks, target) == oracles.np_bisect_fixed(ref.alpha_strict, target)
+        beta, tests, alpha = ent._np_threshold(blocks, eps)
+        ref_beta, ref_tests, ref_alpha = ref.threshold(eps)
+        assert (beta, alpha) == (ref_beta, ref_alpha)
+        assert len(tests) == len(ref_tests) == len(rho)
+        for t, want in zip(tests, ref_tests):
+            assert np.array_equal(t, want)
+
+    @pytest.mark.parametrize("n_blocks", [1, 3, 6])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_random_pairs(self, n_blocks, d):
+        rng = np.random.default_rng(100 * n_blocks + d)
+        p = rng.dirichlet(np.ones(n_blocks))
+        q = rng.dirichlet(np.ones(n_blocks))
+        rho = [pi * oracles.random_density(rng, d, rank=1 + i % d) for i, pi in enumerate(p)]
+        sigma = [qi * oracles.random_density(rng, d) for qi in q]
+        for eps in (0.02, 0.1, 0.3):
+            self.assert_matches(rho, sigma, eps)
+
+    def test_commuting_pair(self):
+        # diagonal blocks: alpha(t) is a step function, the optimal test
+        # puts a fractional weight on the tied entries, and sigma's zero
+        # entry carries rho mass that the kernel test alone cannot reach
+        rho = [np.diag([0.2, 0.1, 0.05]), np.diag([0.3, 0.15, 0.2])]
+        sigma = [np.diag([0.1, 0.05, 0.0]), np.diag([0.3, 0.15, 0.4])]
+        for eps in (0.1, 0.25, 0.5):
+            self.assert_matches(rho, sigma, eps)
+        # and a kernel mass of 1 - eps: beta = 0 through the kernel test
+        self.assert_matches(rho, sigma, 0.95)
+
+
 class TestDMax:
     def test_equal(self):
         rng = np.random.default_rng(10)

@@ -92,6 +92,15 @@ class TestTraceNorm:
             lhs = la.trace_norm_distance(np.diag(p), np.diag(q))
             assert np.isclose(lhs, oracles.trace_norm_subset_oracle(p - q), atol=1e-12)
 
+    def test_stack_matches_members(self):
+        rng = np.random.default_rng(15)
+        stack = np.array([oracles.random_hermitian(rng, 3) for _ in range(5)])
+        got = la.trace_norm_many(stack)
+        assert got.shape == (5,)
+        assert got.tolist() == [oracles.trace_norm_oracle(m) for m in stack]
+        assert got.tolist() == [la.trace_norm(m) for m in stack]
+        assert la.trace_norm_many(np.zeros((0, 3, 3))).shape == (0,)
+
 
 class TestFidelity:
     def test_self(self):
@@ -141,6 +150,25 @@ class TestSqrt:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             la.matrix_sqrt(np.diag([1.0, -1e-3]))
+
+    def test_stack_matches_members(self):
+        # one stacked eigh gives each member's root bit for bit
+        rng = np.random.default_rng(16)
+        stack = np.array([oracles.random_density(rng, 3, rank=1 + i % 3) for i in range(6)])
+        roots = la.matrix_sqrt_many(stack)
+        assert roots.shape == stack.shape
+        for root, member in zip(roots, stack):
+            assert np.array_equal(root, oracles.psd_sqrt_oracle(member))
+
+    def test_stack_keeps_the_psd_check(self):
+        stack = np.array([np.eye(2), np.diag([1.0, -1e-3]), np.eye(2)])
+        with pytest.raises(ValueError, match="negative eigenvalue"):
+            la.matrix_sqrt_many(stack)
+        # within assert_psd's tolerance the member is clamped, not refused
+        root = la.matrix_sqrt_many(np.diag([1.0, -1e-9])[None])
+        assert np.array_equal(root, np.diag([1.0, 0.0])[None])
+        with pytest.raises(ValueError, match="square"):
+            la.matrix_sqrt_many(np.ones((2, 2, 3)))
 
 
 class TestPurify:

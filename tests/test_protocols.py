@@ -297,11 +297,17 @@ def test_only_hashed_links_build_decoder_tests(solved, monkeypatch):
     assert tested == hashed
 
 
+def _stacked_rows(tests) -> int:
+    """How many test sequences a stacked ``sequential_kraus`` call decodes."""
+    return int(np.prod(np.shape(tests)[:-3]))
+
+
 def test_unhashed_links_tabulate_nothing(solved, monkeypatch):
     # a link tabulates its hash fibers and builds sequential decoders only
-    # when it hashes; an unhashed link reads each class off the wire
+    # when it hashes, one decoder per (coin, signature); an unhashed link
+    # reads each class off the wire
     name, prep, _, _ = solved
-    calls = []
+    calls, rows = [], []
     fibers, build = HashScheme.fibers, compose.sequential_kraus
 
     def counting_fibers(self, count):
@@ -310,6 +316,7 @@ def test_unhashed_links_tabulate_nothing(solved, monkeypatch):
 
     def counting_build(tests):
         calls.append("kraus")
+        rows.append(_stacked_rows(tests))
         return build(tests)
 
     monkeypatch.setattr(HashScheme, "fibers", counting_fibers)
@@ -317,12 +324,18 @@ def test_unhashed_links_tabulate_nothing(solved, monkeypatch):
     budget = GOLDEN_BUDGETS[name]
     P.simulate_unassisted(prep, budget, GOLDEN_SEED, log_const=GOLDEN_C)
     assert calls == []
-    P.centralised_protocol(
+    run = P.centralised_protocol(
         prep, budget, GOLDEN_SEED, log_const=GOLDEN_C, wire_override=GOLDEN_WIRE.get(name)
     )
     hashed = GOLDEN_WIRE.get(name, {})
     assert calls.count("fibers") == len(hashed)
     assert ("kraus" in calls) == bool(hashed)
+    family = run["family"]
+    links = (("X", run["stage_x"], family.codebook_x), ("Y", run["stage_y"], family.codebook_y))
+    assert calls.count("kraus") == sum(cb.coins for axis, _, cb in links if axis in hashed)
+    assert sum(rows) == sum(
+        len(_signature_pairs(stage, cb)) for axis, stage, cb in links if axis in hashed
+    )
 
 
 def test_abort_key_is_no_real_outcome(solved):
@@ -452,11 +465,11 @@ def test_signature_decode_matches_per_message_decode(monkeypatch):
     prep = P.prepare(io.load_bundled("qubit_entangled_side_info"))
     budget = OneShotBudget(0.1, r_x=8, r_y=7, c_x=1, c_y=1)
     wire = {"X": 6, "Y": 6}
-    builds = []
+    rows = []
     build = compose.sequential_kraus
 
     def counting_build(tests):
-        builds.append(len(tests))
+        rows.append(_stacked_rows(tests))
         return build(tests)
 
     with monkeypatch.context() as patch:
@@ -468,10 +481,15 @@ def test_signature_decode_matches_per_message_decode(monkeypatch):
     n_pairs = len(_signature_pairs(stage_x, family.codebook_x)) + len(
         _signature_pairs(stage_y, family.codebook_y)
     )
-    assert len(builds) == n_pairs
+    # one stacked call per (link, coin), one row per (coin, signature)
+    assert len(rows) == family.codebook_x.coins + family.codebook_y.coins
+    assert sum(rows) == n_pairs
+
+    def single_row_build(tests):
+        return list(compose.sequential_kraus(np.stack(tests)[None])[0])
 
     per_message = functools.partial(
-        oracles.PerMessageStageDecoder, build=compose.sequential_kraus, abort=ABORT
+        oracles.PerMessageStageDecoder, build=single_row_build, abort=ABORT
     )
     monkeypatch.setattr(compose, "_StageDecoder", per_message)
     ref = P.centralised_protocol(

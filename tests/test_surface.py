@@ -10,7 +10,10 @@ on purpose, and code that gains a caller leaves it.
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -198,3 +201,24 @@ def test_dataclass_fields_are_read():
                 and stmt.target.id not in read
             ]
     assert unread == []
+
+
+def test_library_never_imports_scipy():
+    """Importing every library module leaves scipy unloaded: scipy is a test
+    extra only, and loading ``scipy.linalg`` about doubles a run's peak
+    memory."""
+    code = (
+        "import pkgutil, sys, povmcomp, povmcomp.protocols\n"
+        "for mod in pkgutil.walk_packages(povmcomp.__path__, 'povmcomp.'):\n"
+        "    __import__(mod.name)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"
