@@ -313,18 +313,40 @@ def _support_components(mats: list[np.ndarray]) -> list[np.ndarray]:
 
 @dataclass
 class _BallBlock:
-    """How one component's rho' is encoded inside the smoothing program.
+    """How one component that carries rho holds its rho' inside the smoothing program.
 
     ``var`` holds a PSD matrix G on supp(rho_c) (+) C^d whose pinned
-    top-left corner is rho_c's positive spectrum; rho' is the trailing
-    subblock rotated back to the original basis.  The reduction keeps the
-    fidelity block strictly feasible even when rho_c is rank deficient.
-    For zero blocks G is rho' itself (``rank`` 0, no rotation needed).
+    top-left corner is rho_c's positive spectrum ``eigs`` (descending);
+    rho' is the trailing subblock rotated back to the original basis by
+    ``rotation``.  The reduction keeps the fidelity block strictly feasible
+    even when rho_c is rank deficient.  ``comp`` lists the component's
+    indices.
     """
 
     var: str
-    rank: int
+    comp: np.ndarray
+    eigs: np.ndarray
     rotation: np.ndarray
+
+    @property
+    def rank(self) -> int:
+        return len(self.eigs)
+
+
+def _ball_blocks(rho, sigma) -> tuple[list[_BallBlock], float]:
+    """The components of the joint support pattern that carry rho, and
+    s0 = sum_c Tr sigma_c over the rest, the rho-free components: those
+    where rho_c has no eigenvalue above 1e-12."""
+    blocks, free_mass = [], 0.0
+    for i, c in enumerate(_support_components([rho, sigma])):
+        w, u = np.linalg.eigh(rho[np.ix_(c, c)])
+        keep = w > 1e-12
+        if keep.any():
+            rotation = np.concatenate([u[:, keep][:, ::-1], u[:, ~keep]], axis=1)
+            blocks.append(_BallBlock(f"ball{i}", c, w[keep][::-1], rotation))
+        else:
+            free_mass += float(np.trace(sigma[np.ix_(c, c)]).real)
+    return blocks, free_mass
 
 
 def _entry_pin(var: str, dim: int, i: int, j: int, value: float, imag: bool) -> sdp.ScalarExpr:
@@ -339,35 +361,25 @@ def _entry_pin(var: str, dim: int, i: int, j: int, value: float, imag: bool) -> 
 
 
 def _fidelity_ball_problem(
-    rho_blocks: list[np.ndarray], target_f: float
-) -> tuple[sdp.SDProblem, list[_BallBlock]]:
+    blocks: list[_BallBlock], target_f: float, free: bool
+) -> sdp.SDProblem:
     """The smoothing program's fidelity ball: rho' PSD and close to rho.
 
-    Per component c the program holds one PSD variable G_c on
-    supp(rho_c) (+) C^d with the top-left corner pinned to rho_c's spectrum
-    and Z = the off-diagonal corner; sum_c Re Tr Z_c >= target_f encodes the
-    fidelity constraint and rho' (the trailing subblock) is normalized.
+    Per component c that carries rho the program holds one PSD variable
+    G_c on supp(rho_c) (+) C^d with the top-left corner pinned to rho_c's
+    spectrum and Z = the off-diagonal corner; sum_c Re Tr Z_c >= target_f
+    encodes the fidelity constraint.  With ``free`` a 1x1 variable w >= 0
+    stands for the trace of rho' on the rho-free components (see
+    ``_capped_ball``).  The trace of rho', sum_c Tr rho'_c + w, is 1.
     """
     prob = sdp.SDProblem()
-    infos: list[_BallBlock] = []
     tr_terms, z_terms = [], []
-    for i, rb in enumerate(rho_blocks):
-        d = rb.shape[0]
-        w, u = np.linalg.eigh(rb)
-        keep = w > 1e-12
-        r = int(keep.sum())
-        if r == 0:
-            var = prob.add_var(f"ball{i}", d)
-            prob.require_psd(sdp.AffineExpr.zero(d).plus_var(var))
-            infos.append(_BallBlock(var, 0, np.eye(d, dtype=complex)))
-            tr_terms.append((var, np.eye(d, dtype=complex)))
-            continue
-        rotation = np.concatenate([u[:, keep][:, ::-1], u[:, ~keep]], axis=1)
-        eigs = w[keep][::-1]
-        var = prob.add_var(f"ball{i}", r + d)
+    for blk in blocks:
+        r, d, var = blk.rank, len(blk.comp), blk.var
+        prob.add_var(var, r + d)
         prob.require_psd(sdp.AffineExpr.zero(r + d).plus_var(var))
         for a in range(r):
-            prob.require_eq(_entry_pin(var, r + d, a, a, float(eigs[a]), imag=False))
+            prob.require_eq(_entry_pin(var, r + d, a, a, float(blk.eigs[a]), imag=False))
             for b in range(a + 1, r):
                 prob.require_eq(_entry_pin(var, r + d, a, b, 0.0, imag=False))
                 prob.require_eq(_entry_pin(var, r + d, a, b, 0.0, imag=True))
@@ -379,10 +391,14 @@ def _fidelity_ball_problem(
         tr_f = np.zeros((r + d, r + d), dtype=complex)
         tr_f[r:, r:] = np.eye(d)
         tr_terms.append((var, tr_f))
-        infos.append(_BallBlock(var, r, rotation))
+    if free:
+        prob.add_var("w", 1)
+        tr_terms.append(("w", np.eye(1, dtype=complex)))
     prob.require_eq(sdp.ScalarExpr(-1.0, tuple(tr_terms)))
     prob.require_geq(sdp.ScalarExpr(-float(target_f), tuple(z_terms)))
-    return prob, infos
+    if free:
+        prob.require_geq(sdp.trace_functional("w", 1))
+    return prob
 
 
 def _capped_ball(rho, sigma, eps: float, lam: float | None) -> sdp.SDProblem:
@@ -392,24 +408,38 @@ def _capped_ball(rho, sigma, eps: float, lam: float | None) -> sdp.SDProblem:
 
     With ``lam`` None the cap is t sigma_c - rho'_c with t a 1x1 variable,
     and the objective is min t, whose optimum is 2^(D_max^eps).
+
+    The rho-free components are folded into one scalar.  On a component
+    with rho_c = 0, rho'_c enters the program only through Tr rho'_c, in
+    the trace equality, and 0 <= rho'_c <= t sigma_c lets that trace take
+    every value in [0, t Tr sigma_c] (rho'_c = a sigma_c reaches each).
+    So all of them give way to one 1x1 variable w with w >= 0 and
+    t s0 - w >= 0 (2^lam s0 - w >= 0 at fixed lam), s0 = sum_c Tr sigma_c
+    over those components, and w joins the trace equality.  Both programs
+    are feasible at exactly the same t: a point of the per-component
+    program gives w = sum_c Tr rho'_c, and a point of the folded one gives
+    rho'_c = (w / s0) sigma_c.  When s0 is 0 (every rho-free component has
+    sigma_c = 0, so each rho'_c is pinned to 0) there is no w.
     """
-    comps = _support_components([rho, sigma])
-    rho_blocks = [rho[np.ix_(c, c)] for c in comps]
-    prob, infos = _fidelity_ball_problem(rho_blocks, math.sqrt(max(0.0, 1.0 - eps * eps)))
+    blocks, free_mass = _ball_blocks(rho, sigma)
+    free = free_mass > 0.0
+    prob = _fidelity_ball_problem(blocks, math.sqrt(max(0.0, 1.0 - eps * eps)), free)
     if lam is None:
         prob.add_var("t", 1)
         prob.objective = sdp.trace_functional("t", 1)
-    for c, info in zip(comps, infos):
-        sb = sigma[np.ix_(c, c)]
+    for blk in blocks:
+        sb = sigma[np.ix_(blk.comp, blk.comp)]
         if lam is None:
-            cap = sdp.AffineExpr.zero(len(c)).plus_kron(sb, "t")
+            cap = sdp.AffineExpr.zero(len(blk.comp)).plus_kron(sb, "t")
         else:
             cap = sdp.AffineExpr.const_expr(2.0**lam * sb)
-        if info.rank == 0:
-            cap.plus_var(info.var, -1.0)
+        prob.require_psd(cap.plus_subblock(blk.var, blk.rank, blk.rotation, -1.0))
+    if free:
+        one = np.eye(1, dtype=complex)
+        if lam is None:
+            prob.require_geq(sdp.ScalarExpr(0.0, (("t", free_mass * one), ("w", -one))))
         else:
-            cap.plus_subblock(info.var, info.rank, info.rotation, -1.0)
-        prob.require_psd(cap)
+            prob.require_geq(sdp.ScalarExpr(2.0**lam * free_mass, (("w", -one),)))
     return prob
 
 
@@ -425,7 +455,12 @@ def d_max_smooth(rho, sigma, eps: float) -> float:
       the cone and normalised, is a Farkas witness (``sdp.witness_fires``)
       of the fixed-lambda program at v - BISECT_TOL_BITS.
 
-    So the value lies in (v - BISECT_TOL_BITS, v].  Raises SolverError when
+    So the value lies in (v - BISECT_TOL_BITS, v].  The programs are the
+    folded ones of ``_capped_ball``, with the rho-free components in one
+    scalar w; a fixed-lambda program is feasible exactly when its
+    per-component form is (w = sum_c Tr rho'_c one way,
+    rho'_c = (w / s0) sigma_c the other), so both certificates bound the
+    per-component value, which is D_max^eps.  Raises SolverError when
     the solve ends without an optimum or either certificate fails.
     """
     eps = _validate_eps(eps)

@@ -2,12 +2,13 @@
 
 For fixed distinct inputs the collision probability over the draw is
 exactly 2^-R.  A hash value is the offset XOR the matrix columns of the
-input's set bits, so a batch of inputs is hashed with one XOR pass per
-input bit, in memory linear in the batch.  Buckets (preimage fibers) come
-as one table over the whole input space: every input is hashed once and
-the inputs are sorted by hash value, so a decoder reads any message's
-fiber as a row of that table.  A link that sends its whole message index
-carries it through ``identity_hash``, whose fibers nothing tabulates.
+input's set bits, so a batch of inputs is hashed with one table lookup
+and XOR pass per input byte, in memory linear in the batch.  Buckets
+(preimage fibers) come as one table over the whole input space: every
+input is hashed once and the inputs are sorted by hash value, so a
+decoder reads any message's fiber as a row of that table.  A link that
+sends its whole message index carries it through ``identity_hash``, whose
+fibers nothing tabulates.
 """
 
 from __future__ import annotations
@@ -29,15 +30,20 @@ class HashScheme:
     def apply_many(self, indices: np.ndarray) -> np.ndarray:
         """Hash values of ``indices``, input and output bit 0 least significant.
 
-        Each input bit that is set XORs its matrix column, packed into an
-        integer mask, into the offset's mask.
+        A value is the offset's mask XOR the matrix columns, packed into
+        integer masks, of the input's set bits.  Per input byte a 256-entry
+        table holds the XOR of its bits' masks, so the batch takes one
+        lookup and one XOR per byte.
         """
         weights = np.int64(1) << np.arange(self.output_bits, dtype=np.int64)
         masks = weights @ self.matrix.astype(np.int64)
+        # bits past the last input bit hash to nothing
+        masks = np.concatenate([masks, np.zeros(-len(masks) % 8, dtype=np.int64)])
+        bits = (np.arange(256, dtype=np.int64)[:, None] >> np.arange(8)) & 1
+        tables = np.bitwise_xor.reduce(bits * masks.reshape(-1, 1, 8), axis=2)
         vals = np.full(len(indices), weights @ self.offset.astype(np.int64), dtype=np.int64)
-        for j, mask in enumerate(masks.tolist()):
-            if mask:
-                vals ^= ((indices >> j) & 1) * mask
+        for k, table in enumerate(tables):
+            vals ^= table[(indices >> (8 * k)) & 255]
         return vals
 
     def fibers(self, count: int) -> np.ndarray:

@@ -36,7 +36,8 @@ Fixed settings: a point counts as feasible when its constraints are met to
 residual of ``GAP_TOL`` and steps ``STEP_TO_BOUNDARY`` of the way to the
 cone's boundary; ``MAX_VAR_REALS`` caps the variables' real dimension n,
 since ``minimize`` takes the SVD of G_eq with its n x n right factor for the
-null-space basis and solves a Schur matrix of up to that size.
+null-space basis and solves a Schur matrix of up to that size; a larger
+problem raises ``ProblemTooLarge``.
 """
 
 from __future__ import annotations
@@ -59,6 +60,12 @@ MAX_VAR_REALS = 6000
 GAP_TOL = 1e-6
 STEP_TO_BOUNDARY = 0.99
 IPM_MAX_ITER = 100
+
+
+class ProblemTooLarge(ValueError):
+    """A problem whose variables have more than ``MAX_VAR_REALS`` real
+    coordinates; ``Program`` raises it before it compiles anything."""
+
 
 _SQRT2 = math.sqrt(2.0)
 _INDEX_CACHE: dict[int, tuple] = {}
@@ -268,7 +275,10 @@ class Program:
             off += d * d
         self.n_vars = off
         if off > MAX_VAR_REALS:
-            raise ValueError(f"problem too large for the dense engine ({off} var reals)")
+            raise ProblemTooLarge(
+                f"problem too large for the dense engine: {off} var reals"
+                f" > MAX_VAR_REALS = {MAX_VAR_REALS}"
+            )
         self.prob = prob
         self.block_dims = [e.dim for e in prob.psd_constraints]
         self.n_graph = sum(d * d for d in self.block_dims) + len(prob.inequalities)

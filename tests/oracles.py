@@ -483,6 +483,98 @@ def farkas_from_expressions(prob, slack: np.ndarray) -> tuple[float, float]:
     return gap, float(np.linalg.norm(grad + eq_rows @ nu))
 
 
+def support_components_oracle(mats: list) -> list:
+    """Connected components of the union pattern |M_ij| > 1e-12 (made
+    symmetric), as sorted index arrays ordered by their least index,
+    found by breadth-first search."""
+    d = mats[0].shape[0]
+    adj = np.zeros((d, d), dtype=bool)
+    for m in mats:
+        adj |= np.abs(m) > 1e-12
+    adj |= adj.T
+    seen, comps = set(), []
+    for start in range(d):
+        if start in seen:
+            continue
+        comp, frontier = {start}, [start]
+        while frontier:
+            nxt = [j for i in frontier for j in np.flatnonzero(adj[i]).tolist() if j not in comp]
+            comp.update(nxt)
+            frontier = nxt
+        seen |= comp
+        comps.append(np.array(sorted(comp)))
+    return comps
+
+
+def capped_ball_per_component(sdp, rho, sigma, eps: float, lam):
+    """The smoothing program of D_max^eps(rho || sigma) with one ball
+    variable, one ball block and one cap block per component of the joint
+    support pattern, the rho-free components included: the form the
+    library folds into one scalar.  ``lam`` None gives the min t program,
+    a number the fixed-lambda one.  ``sdp`` is the library's sdp module,
+    passed in so that this file imports nothing from the library.
+
+    A component that carries rho holds G_c on supp(rho_c) (+) C^d, its
+    top-left corner pinned to rho_c's positive spectrum (entry by entry),
+    the off-diagonal corner Z_c in the fidelity row and the trailing
+    subblock, rotated back, as rho'_c; a rho-free component's G_c is
+    rho'_c itself.
+    """
+
+    def pin(var, dim, i, j, value, imag):
+        f = np.zeros((dim, dim), dtype=complex)
+        if imag:
+            f[i, j], f[j, i] = 0.5j, -0.5j
+        else:
+            f[i, j] = 0.5
+            f[j, i] += 0.5
+        return sdp.ScalarExpr(-value, ((var, f),))
+
+    prob = sdp.SDProblem()
+    comps = support_components_oracle([rho, sigma])
+    caps, tr_terms, z_terms = [], [], []
+    for i, c in enumerate(comps):
+        d = len(c)
+        w, u = np.linalg.eigh(rho[np.ix_(c, c)])
+        keep = w > 1e-12
+        r = int(keep.sum())
+        var = prob.add_var(f"ball{i}", r + d)
+        prob.require_psd(sdp.AffineExpr.zero(r + d).plus_var(var))
+        if r == 0:
+            tr_terms.append((var, np.eye(d, dtype=complex)))
+            caps.append((c, lambda cap, var=var: cap.plus_var(var, -1.0)))
+            continue
+        rotation = np.concatenate([u[:, keep][:, ::-1], u[:, ~keep]], axis=1)
+        eigs = w[keep][::-1]
+        for a in range(r):
+            prob.require_eq(pin(var, r + d, a, a, float(eigs[a]), False))
+            for b in range(a + 1, r):
+                prob.require_eq(pin(var, r + d, a, b, 0.0, False))
+                prob.require_eq(pin(var, r + d, a, b, 0.0, True))
+        z_f = np.zeros((r + d, r + d), dtype=complex)
+        z_f[np.arange(r), r + np.arange(r)] = z_f[r + np.arange(r), np.arange(r)] = 0.5
+        z_terms.append((var, z_f))
+        tr_f = np.zeros((r + d, r + d), dtype=complex)
+        tr_f[r:, r:] = np.eye(d)
+        tr_terms.append((var, tr_f))
+        caps.append(
+            (c, lambda cap, var=var, r=r, rot=rotation: cap.plus_subblock(var, r, rot, -1.0))
+        )
+    prob.require_eq(sdp.ScalarExpr(-1.0, tuple(tr_terms)))
+    prob.require_geq(sdp.ScalarExpr(-math.sqrt(max(0.0, 1.0 - eps * eps)), tuple(z_terms)))
+    if lam is None:
+        prob.add_var("t", 1)
+        prob.objective = sdp.trace_functional("t", 1)
+    for c, minus_rho in caps:
+        sb = sigma[np.ix_(c, c)]
+        if lam is None:
+            cap = sdp.AffineExpr.zero(len(c)).plus_kron(sb, "t")
+        else:
+            cap = sdp.AffineExpr.const_expr(2.0**lam * sb)
+        prob.require_psd(minus_rho(cap))
+    return prob
+
+
 def gf2_hash(matrix: np.ndarray, offset: np.ndarray, index: int) -> int:
     """The value of ``index`` under x -> M x + o over GF(2), one bit at a
     time: output bit r is the parity of o_r and of the input bits j with
@@ -492,6 +584,20 @@ def gf2_hash(matrix: np.ndarray, offset: np.ndarray, index: int) -> int:
         bit = int(offset[r])
         for j in range(matrix.shape[1]):
             bit ^= int(matrix[r, j]) & ((index >> j) & 1)
+        value |= bit << r
+    return value
+
+
+def gf2_hash_many(matrix: np.ndarray, offset: np.ndarray, indices) -> np.ndarray:
+    """``gf2_hash`` over an array of indices, one output bit and one input
+    bit at a time."""
+    indices = np.asarray(indices, dtype=np.int64)
+    value = np.zeros(len(indices), dtype=np.int64)
+    for r in range(len(offset)):
+        bit = np.full(len(indices), int(offset[r]), dtype=np.int64)
+        for j in range(matrix.shape[1]):
+            if matrix[r, j]:
+                bit ^= (indices >> j) & 1
         value |= bit << r
     return value
 

@@ -74,11 +74,24 @@ class TestHashScheme:
             assert fiber.tolist() == [i for i in range(32) if vals[i] == val]
 
     def test_apply_many_matches_gf2_oracle(self):
-        rng = np.random.default_rng(1)
-        for n, r in ((8, 3), (5, 5), (4, 0)):
+        # every input width from 1 to 20 bits, so the last byte of the
+        # byte tables is full or partial, with indices 0 and 2^n - 1 in
+        # every batch; and a hash to no bits
+        rng = np.random.default_rng(5)
+        cases = [(4, 0)] + [
+            (n, r) for n in range(1, 21) for r in sorted({1, int(rng.integers(1, n + 1)), n})
+        ]
+        for n, r in cases:
             scheme = draw_hash(n, r, rng)
-            want = [oracles.gf2_hash(scheme.matrix, scheme.offset, i) for i in range(2**n)]
-            assert scheme.apply_many(np.arange(2**n)).tolist() == want
+            top = 2**n - 1
+            if n <= 12:
+                idx = np.arange(2**n)
+            else:
+                idx = np.concatenate([[0, top], rng.integers(0, 2**n, size=2000)])
+            want = oracles.gf2_hash_many(scheme.matrix, scheme.offset, idx)
+            assert np.array_equal(scheme.apply_many(idx), want), (n, r)
+            for i in (0, top):
+                assert scheme.apply(i) == oracles.gf2_hash(scheme.matrix, scheme.offset, i)
 
     def test_fibers_of_unequal_size_raise(self):
         # over [0, 3) the map b -> b_0 has fibers {0, 2} and {1}

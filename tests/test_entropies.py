@@ -1,9 +1,11 @@
+import collections
 import math
 
 import numpy as np
 import pytest
 
-from povmcomp import entropies as ent, linalg as la, qobjects as qo
+from povmcomp import entropies as ent, io, linalg as la, qobjects as qo, sdp
+from povmcomp import protocols as P
 
 import oracles
 
@@ -330,6 +332,113 @@ class TestDMaxSmooth:
         vals = [ent.d_max_smooth(rho, sig, e) for e in (0.0, 0.1, 0.3)]
         assert vals[0] <= math.log2(3) + 1e-9
         assert all(b <= a + 2e-3 for a, b in zip(vals, vals[1:]))
+
+
+def block_pair(rng, carried, free, zero=0):
+    """(rho, sigma) on ``carried`` blocks that hold rho, ``free`` blocks
+    where only sigma lives and ``zero`` isolated indices where both vanish,
+    the indices shuffled.  Each entry of ``carried``/``free`` is a block
+    size; sigma is a random density on each block, scaled to trace 1."""
+    sizes = list(carried) + list(free) + [1] * zero
+    d = sum(sizes)
+    rho = np.zeros((d, d), dtype=complex)
+    sigma = np.zeros((d, d), dtype=complex)
+    weights = rng.dirichlet(np.ones(len(carried)))
+    pos = 0
+    for k, size in enumerate(sizes):
+        sl = slice(pos, pos + size)
+        if k < len(carried):
+            rho[sl, sl] = weights[k] * oracles.random_density(rng, size)
+        if k < len(carried) + len(free):
+            sigma[sl, sl] = oracles.random_density(rng, size)
+        pos += size
+    perm = rng.permutation(d)
+    return rho[np.ix_(perm, perm)], sigma[np.ix_(perm, perm)] / np.trace(sigma).real
+
+
+def min_t(prob) -> float:
+    res = sdp.minimize(prob)
+    assert res.status == "optimal"
+    return float(res.assignment["t"][0, 0].real)
+
+
+def smoothing_pairs(monkeypatch, run) -> list:
+    """The (rho, sigma) of every smooth D_max that ``run()`` asks for, each
+    answered with 0 instead of a solve."""
+    pairs = []
+
+    def record(rho, sigma, eps):
+        pairs.append((rho, sigma))
+        return 0.0
+
+    monkeypatch.setattr(ent, "d_max_smooth", record)
+    run()
+    return pairs
+
+
+def compiled(prob) -> tuple:
+    prog = sdp.Program(prob)
+    arrays = (prog.g_graph, prog.c_graph, prog.g_eq, prog.c_eq)
+    return prob.variables, [a.tobytes() for a in arrays]
+
+
+class TestFoldedBall:
+    """The rho-free components of the smoothing program fold into one
+    scalar w; ``oracles.capped_ball_per_component`` keeps one ball variable
+    per component."""
+
+    def check_fold(self, rho, sigma, eps, has_w):
+        folded = ent._capped_ball(rho, sigma, eps, None)
+        assert ("w" in dict(folded.variables)) == has_w
+        t = min_t(folded)
+        want = min_t(oracles.capped_ball_per_component(sdp, rho, sigma, eps, None))
+        assert t == pytest.approx(want, rel=1e-6)
+        # d_max_smooth raises SolverError unless both certificates pass on
+        # the folded fixed-lambda programs
+        assert ent.d_max_smooth(rho, sigma, eps) == pytest.approx(math.log2(want), abs=1e-6)
+
+    def test_folded_matches_per_component_program(self):
+        rng = np.random.default_rng(31)
+        for trial in range(6):
+            carried = rng.integers(1, 3, size=int(rng.integers(1, 3))).tolist()
+            free = rng.integers(1, 3, size=int(rng.integers(1, 4))).tolist()
+            rho, sigma = block_pair(rng, carried, free)
+            self.check_fold(rho, sigma, (0.05, 0.1, 0.3)[trial % 3], has_w=True)
+
+    def test_isolated_index_where_both_vanish(self):
+        # the zero index is a rho-free component with sigma_c = 0; it adds
+        # nothing to s0, and w still stands for the other rho-free block
+        rho, sigma = block_pair(np.random.default_rng(32), [2], [1], zero=1)
+        self.check_fold(rho, sigma, 0.1, has_w=True)
+
+    def test_no_w_when_every_rho_free_component_has_no_sigma(self):
+        rho, sigma = block_pair(np.random.default_rng(33), [2, 1], [], zero=2)
+        assert ent._ball_blocks(rho, sigma)[1] == 0.0
+        self.check_fold(rho, sigma, 0.1, has_w=False)
+
+    @pytest.mark.parametrize("name", ["qubit_cq", "qubit_entangled_side_info"])
+    def test_programs_without_rho_free_components_are_unchanged(self, monkeypatch, name):
+        prep = P.prepare(io.load_bundled(name))
+        pairs = smoothing_pairs(monkeypatch, lambda: P.thresholds(prep, 0.1))
+        assert len(pairs) == 2
+        for rho, sigma in pairs:
+            assert ent._ball_blocks(rho, sigma)[1] == 0.0
+            for lam in (None, 0.7):
+                want = oracles.capped_ball_per_component(sdp, rho, sigma, 0.1, lam)
+                assert compiled(ent._capped_ball(rho, sigma, 0.1, lam)) == compiled(want)
+
+    def test_largest_region_program_size(self, monkeypatch):
+        prep = P.prepare(io.load_bundled("instrument_derived"))
+        pairs = smoothing_pairs(
+            monkeypatch, lambda: P.one_shot_region(prep, 0.1, theta_grid=(0.5,), axes=("X", "Y"))
+        )
+        sizes = []
+        for rho, sigma in pairs:
+            prog = sdp.Program(ent._capped_ball(rho, sigma, 0.1, None))
+            ref = sdp.Program(oracles.capped_ball_per_component(sdp, rho, sigma, 0.1, None))
+            sizes.append((ref.n_vars, prog.n_vars, collections.Counter(prog.block_dims)))
+        ref_reals, reals, blocks = max(sizes, key=lambda s: s[0])
+        assert (ref_reals, reals, blocks) == (181, 146, {4: 9, 2: 9})
 
 
 class TestIMax:

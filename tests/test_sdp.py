@@ -332,6 +332,23 @@ class TestFeasibility:
         assert res.residuals["gap"] <= 1e-7
 
 
+class TestSizeCap:
+    def test_too_large_problem_raises_before_compiling(self, monkeypatch):
+        # one 78 x 78 variable has 6084 > MAX_VAR_REALS real coordinates
+        def compile_guard(self):
+            raise AssertionError("the size check must come before the compile step")
+
+        monkeypatch.setattr(sdp.Program, "_columns", compile_guard)
+        prob = sdp.SDProblem()
+        prob.add_var("X", 78)
+        prob.require_psd(sdp.AffineExpr.zero(78).plus_var("X"))
+        with pytest.raises(sdp.ProblemTooLarge) as info:
+            sdp.Program(prob)
+        assert isinstance(info.value, ValueError)
+        assert "6084 var reals" in str(info.value)
+        assert f"MAX_VAR_REALS = {sdp.MAX_VAR_REALS}" in str(info.value)
+
+
 def witness_functional(prob, w, nu, assign) -> float:
     """<G x + c, w> + <G_eq x + c_eq, nu> at x = assign, evaluated from the
     problem's own expressions: w holds one rvec block per PSD constraint,
