@@ -9,7 +9,7 @@ hashed link is the unassisted simulation), ``regions`` (one-shot and iid
 rate regions).
 """
 
-from .prep import PreparedInstance, prepare, thresholds  # noqa: F401
+from .prep import LINKS, PreparedInstance, prepare, thresholds  # noqa: F401
 from .compress import (  # noqa: F401
     Codebook,
     CodebookPlan,

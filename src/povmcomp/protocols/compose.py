@@ -1,10 +1,11 @@
 """Composition with quantum side information and the centralised protocol.
 
-Alice runs the compressed measurement once per seed; each link carries its
-message index, or a 2-universal hash of it when Bob's B register lets the
-link send fewer bits.  An unhashed link has no tests or fiber table: Bob
-reads the class off the wire.  The unassisted simulator is this
-protocol with no hashed link, so both share one output accumulator.
+Alice runs the compressed measurement once per seed; each link, one per
+outcome register, carries its message index, or a 2-universal hash of it
+when Bob's B register lets the link send fewer bits.  An unhashed link has
+no tests or fiber table: Bob reads the class off the wire.  The unassisted
+simulator is this protocol with no hashed link, so both share one output
+accumulator.
 
 On a hashed link Bob, who shares the public coins, decodes sequentially on
 B through the message's hash fiber, in ascending index order, with the
@@ -14,12 +15,12 @@ the link's composition state, one ``CQState`` over (coin, class) with
 fiber's class sequence (its signature).  Each link's fibers are tabulated
 once and its messages grouped by signature, with one decoder per (coin,
 signature): the number of decoders and matrix products does not grow with
-2^logL, only a few array passes over the indices do.  Decoding the X
-channel first perturbs B only gently, then the Y channel is decoded on the
-damaged state.  Output states and deviations are computed exactly by
-branch enumeration; only codebooks, hashes and transcripts are sampled.
-Nothing here steers: every E-operator is one a compressed block carries or
-the prepared E marginal.
+2^logL, only a few array passes over the indices do.  Bob decodes the
+links in ``LINKS`` order: decoding a link perturbs B only gently, and each
+later link is decoded on the damaged state.  Output states and deviations
+are computed exactly by branch enumeration; only codebooks, hashes and
+transcripts are sampled.  Nothing here steers: every E-operator is one a
+compressed block carries or the prepared E marginal.
 
 Decoder tests are evaluated at the protocol's own eps.  The point-to-point
 composition adds the rate bookkeeping of the composition claim: the coin
@@ -32,6 +33,7 @@ eps.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -55,39 +57,34 @@ from .compress import (
 )
 from .cdcqsi import sequential_kraus
 from .hashing import HashScheme, draw_hash, identity_hash
-from .prep import PreparedInstance, prepare, thresholds
+from .prep import LINKS, PreparedInstance, prepare, thresholds
 
 # a hashed link tabulates its fibers and every index's class per coin, which
 # takes memory linear in 2^logL
 MAX_HASHED_LOG_L = 16
 
 
-def _link_state(family: CompressedFamily, prep: PreparedInstance, axis: str) -> qo.CQState:
-    """The link's composition state over (K, class) with (K', B) blocks.
+def _link_state(family: CompressedFamily, prep: PreparedInstance, i: int) -> qo.CQState:
+    """Link i's composition state over (K, class) with (K', B) blocks.
 
     The weight of ``"k|class"`` is the class's index mass in coin k (its
-    outcome probability averaged over the other link's coins, times its
+    outcome probability averaged over the other links' coins, times its
     count), normalised over the non-abort mass; its block is the class's
     E-operator reduced to B, placed in coin slot k of a (K' B) register.
     """
-    plan = family.plan
-    coins, other_coins = (plan.k1, plan.k2) if axis == "X" else (plan.k2, plan.k1)
-    codebook = family.codebook_x if axis == "X" else family.codebook_y
+    codebook = family.codebooks[i]
+    coins = codebook.coins
+    other_coins = math.prod(cb.coins for cb in family.codebooks) // coins
     env_lay, d_b = prep.env_layout(), prep.dim_b
     symbols, weights, blocks = [], {}, {}
     for k in range(coins):
         counts = dict(zip(codebook.alphabet, codebook.counts[k].tolist()))
         acc: dict[str, np.ndarray] = {}
-        for ko in range(other_coins):
-            key = (k, ko) if axis == "X" else (ko, k)
-            blk = family.blocks.get(key)
-            if blk is None:
-                continue
-            for (x, y), env in blk.env.items():
-                own = x if axis == "X" else y
-                if counts[own] == 0:
-                    continue
-                other_mult = blk.counts[(x, y)] // counts[own]
+        # blocks are held in coin order; a block's classes count > 0 on every link
+        for blk in (b for key, b in family.blocks.items() if key[i] == k):
+            for cls, env in blk.env.items():
+                own = cls[i]
+                other_mult = blk.counts[cls] // counts[own]
                 acc.setdefault(own, np.zeros((prep.dim_e, prep.dim_e), dtype=complex))
                 acc[own] += (1.0 / other_coins) * other_mult * env
         for sym, op in acc.items():
@@ -108,7 +105,7 @@ def _link_state(family: CompressedFamily, prep: PreparedInstance, axis: str) -> 
 
 
 @dataclass
-class AxisStage:
+class LinkStage:
     """What Bob needs to decode one link: its hash and, when it hashes, its tests.
 
     An unhashed link (``wire_bits == log_l``) carries the message index
@@ -132,33 +129,30 @@ def _link_tests(state: qo.CQState, d_b: int, eps: float):
     return tests
 
 
-def _axis_stage(
+def _link_stage(
     family: CompressedFamily,
     prep: PreparedInstance,
-    axis: str,
+    i: int,
     budget: OneShotBudget,
     seed: int,
-    wire_override: int | None = None,
-) -> AxisStage:
-    log_l = family.plan.log_l1 if axis == "X" else family.plan.log_l2
+    wire_override: int | None,
+) -> LinkStage:
+    """Link i's stage; ``wire_override``, when not None, replaces its rate R."""
+    log_l = family.plan.log_l[i]
     wire_bits, scheme, tests = log_l, identity_hash(log_l), None
     if prep.has_side_information() and log_l > 0:
-        budget_rate = budget.r_x if axis == "X" else budget.r_y
-        if wire_override is not None:
-            budget_rate = wire_override
-        wire_bits = max(0, min(int(round(budget_rate)), log_l))
+        rate = (budget.r_x, budget.r_y)[i] if wire_override is None else wire_override
+        wire_bits = min(int(round(rate)), log_l)
         if wire_bits < log_l:
             if log_l > MAX_HASHED_LOG_L:
                 raise ProtocolError(
                     f"hashed decoding tabulates every index; logL={log_l} exceeds "
                     f"{MAX_HASHED_LOG_L} (pass a log_const override to shrink codebooks)"
                 )
-            rng = np.random.default_rng(
-                np.random.SeedSequence(entropy=seed, spawn_key=(101 if axis == "X" else 102,))
-            )
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(101 + i,)))
             scheme = draw_hash(log_l, wire_bits, rng)
-            tests = _link_tests(_link_state(family, prep, axis), prep.dim_b, budget.eps)
-    return AxisStage(wire_bits, log_l, scheme, tests)
+            tests = _link_tests(_link_state(family, prep, i), prep.dim_b, budget.eps)
+    return LinkStage(wire_bits, log_l, scheme, tests)
 
 
 class _StageDecoder:
@@ -187,7 +181,7 @@ class _StageDecoder:
     None, the identity).
     """
 
-    def __init__(self, stage: AxisStage, codebook, d_tail: int):
+    def __init__(self, stage: LinkStage, codebook, d_tail: int):
         alphabet = codebook.alphabet
         if stage.wire_bits == stage.log_l:
             self.counts = [np.diag(row) for row in codebook.counts]
@@ -276,47 +270,49 @@ def centralised_protocol(
     Output states and deviations are exact given the drawn codebooks and
     hashes; the transcript is one sampled trajectory, which every scenario
     shares.  Encoder aborts transmit a reserved all-zeros message and
-    decode to the abort symbol.
+    decode to the abort symbol.  ``wire_override`` maps a link name to the
+    bits its wire carries in place of its budget rate.
     """
     prep = source if isinstance(source, PreparedInstance) else prepare(source)
+    wire_override = wire_override or {}
+    bad = {link: bits for link, bits in wire_override.items() if link not in LINKS or bits < 0}
+    if bad:
+        raise ValueError(f"wire_override {bad}: keys must be links {LINKS}, values nonnegative")
     if family is None:
         family = build_compressed_povm(prep, budget, seed, log_const)
-    wire_override = wire_override or {}
-    stage_x = _axis_stage(family, prep, "X", budget, seed, wire_override.get("X"))
-    stage_y = _axis_stage(family, prep, "Y", budget, seed, wire_override.get("Y"))
+    stages = [
+        _link_stage(family, prep, i, budget, seed, wire_override.get(link))
+        for i, link in enumerate(LINKS)
+    ]
     d_tail = prep.env_dims["R"] * prep.env_dims["M"]
-    dec_x = _StageDecoder(stage_x, family.codebook_x, d_tail)
-    dec_y = _StageDecoder(stage_y, family.codebook_y, d_tail)
+    codebooks = family.codebooks
+    dec_x, dec_y = (_StageDecoder(st, cb, d_tail) for st, cb in zip(stages, codebooks))
 
-    plan = family.plan
-    w_blk = 1.0 / (plan.k1 * plan.k2)
+    w_blk = 1.0 / math.prod(cb.coins for cb in codebooks)
     outputs: dict[str, dict[str, np.ndarray]] = {sc.name: {} for sc in SCENARIOS}
 
     def add(scname: str, key: str, op) -> None:
         outputs[scname][key] = outputs[scname].get(key, 0.0) + op
 
-    for k1 in range(plan.k1):
-        for k2 in range(plan.k2):
-            blk = family.blocks.get((k1, k2))
-            abort_op = w_blk * (prep.rho_e if blk is None else blk.env0)
-            add("x_only", ABORT, abort_op)
-            add("y_only", ABORT, abort_op)
-            add("both", qo.join_symbol(ABORT, ABORT), abort_op)
-            if blk is None:
-                continue
-            for (x, y), sigma in blk.env.items():
-                xi = prep.px.alphabet.index(x)
-                yi = prep.py.alphabet.index(y)
-                tot_x = int(family.codebook_x.counts[k1][xi])
-                tot_y = int(family.codebook_y.counts[k2][yi])
-                stage1 = dec_x.apply(k1, xi, sigma)
-                for sym, op in stage1.items():
-                    add("x_only", sym, w_blk * tot_y * op)
-                for sym, post in dec_y.apply(k2, yi, sigma).items():
-                    add("y_only", sym, w_blk * tot_x * post)
-                for sym_x, op1 in stage1.items():
-                    for sym_y, post in dec_y.apply(k2, yi, op1).items():
-                        add("both", qo.join_symbol(sym_x, sym_y), w_blk * post)
+    for k1, k2 in itertools.product(*(range(cb.coins) for cb in codebooks)):
+        blk = family.blocks.get((k1, k2))
+        abort_op = w_blk * (prep.rho_e if blk is None else blk.env0)
+        add("x_only", ABORT, abort_op)
+        add("y_only", ABORT, abort_op)
+        add("both", qo.join_symbol(ABORT, ABORT), abort_op)
+        if blk is None:
+            continue
+        for cls, sigma in blk.env.items():
+            xi, yi = (cb.alphabet.index(sym) for cb, sym in zip(codebooks, cls))
+            tot_x, tot_y = (int(cb.counts[k][j]) for cb, k, j in zip(codebooks, (k1, k2), (xi, yi)))
+            stage1 = dec_x.apply(k1, xi, sigma)
+            for sym, op in stage1.items():
+                add("x_only", sym, w_blk * tot_y * op)
+            for sym, post in dec_y.apply(k2, yi, sigma).items():
+                add("y_only", sym, w_blk * tot_x * post)
+            for sym_x, op1 in stage1.items():
+                for sym_y, post in dec_y.apply(k2, yi, op1).items():
+                    add("both", qo.join_symbol(sym_x, sym_y), w_blk * post)
 
     results = {}
     for sc in SCENARIOS:
@@ -327,17 +323,19 @@ def centralised_protocol(
             "output": out,
         }
 
+    # link i's wire message is ``m<name>`` (``mx``), its wire width ``wire_<name>``
     transcript = sample_transcript(family, prep, seed)
-    mx = 0 if transcript["abort"] else stage_x.hash_scheme.apply(transcript["l1"])
-    my = 0 if transcript["abort"] else stage_y.hash_scheme.apply(transcript["l2"])
-    transcript = dict(transcript, mx=mx, my=my, wire_x=stage_x.wire_bits, wire_y=stage_y.wire_bits)
+    for i, (link, stage) in enumerate(zip(LINKS, stages)):
+        index, name = transcript[f"l{i + 1}"], link.lower()
+        transcript[f"m{name}"] = 0 if transcript["abort"] else stage.hash_scheme.apply(index)
+        transcript[f"wire_{name}"] = stage.wire_bits
 
     return {
         "family": family,
         "scenarios": results,
         "transcript": transcript,
-        "stage_x": stage_x,
-        "stage_y": stage_y,
+        "stage_x": stages[0],
+        "stage_y": stages[1],
         "eps0": budget.eps0,
         "fraction_nice": family.fraction_nice,
     }
@@ -359,10 +357,8 @@ def simulate_unassisted(
     """
     if family is None:
         family = build_compressed_povm(prep, budget, seed, log_const)
-    plan = family.plan
-    run = centralised_protocol(
-        prep, budget, seed, family=family, wire_override={"X": plan.log_l1, "Y": plan.log_l2}
-    )
+    wire = dict(zip(LINKS, family.plan.log_l))
+    run = centralised_protocol(prep, budget, seed, family=family, wire_override=wire)
     if scenario is not None:
         run["scenarios"] = {scenario.name: run["scenarios"][scenario.name]}
     return run
@@ -394,9 +390,9 @@ def compose_with_side_information(
     prep = prepare(marg)
     run = centralised_protocol(prep, budget, seed, log_const=log_const)
     stage, family, eps0 = run["stage_x"], run["family"], budget.eps0
-    plan, codebook = family.plan, family.codebook_x
+    plan, codebook = family.plan, family.codebooks[0]
     th = thresholds(prep, budget.eps, plan.log_const)
-    state = _link_state(family, prep, "X")
+    state = _link_state(family, prep, 0)
     atoms = []
     for s in state.symbols:
         k, sym = qo.split_symbol(s)
@@ -412,7 +408,7 @@ def compose_with_side_information(
             0, min(stage.log_l, math.ceil(hmax_kl - ihyp_kl + math.log2(1.0 / eps0) - 1e-9))
         )
         # I_H^(eps0/2)(X : B), which thresholds computed at the same eps0
-        check = ihyp_kl - plan.log_k1 - th["ih_x_b"]
+        check = ihyp_kl - plan.log_k[0] - th["ih_x_b"]
     return {
         "net_rate_x": th["imax_x"] - th["ih_x_b"] + th["log_const"] + 1.0,
         "realized_rate": realized,

@@ -1,12 +1,15 @@
 """Compressed POVM construction, adversary scenarios and their targets.
 
-Codebooks are huge (their sizes carry the additive rate constant), but all
-protocol statistics depend on them only through per-block symbol counts, so
-blocks are drawn as multinomial count vectors and every per-index object is
-constant on a symbol class.  Indices use the canonical sorted layout: inside
-a coin block, class x occupies the index range [offset(x), offset(x) + m_x);
-a uniformly random codeword composed with this sorting is distributed like
-the raw iid draw, and the protocol only ever touches counts and offsets.
+Each link of ``LINKS`` has one codebook, drawn from its outcome marginal;
+a coin block picks one coin per link, and its classes hold one outcome
+per link.  Codebooks are huge (their sizes carry the additive rate
+constant), but all protocol statistics depend on them only through
+per-block symbol counts, so blocks are drawn as multinomial count vectors
+and every per-index object is constant on a symbol class.  Indices use the
+canonical sorted layout: inside a link's coin block, symbol x occupies the
+index range [offset(x), offset(x) + m_x); a uniformly random codeword
+composed with this sorting is distributed like the raw iid draw, and the
+protocol only ever touches counts and offsets.
 
 Each kept class element and abort element of a nice coin block is steered
 to E once, here, with ``PreparedInstance.steer``; the centralised
@@ -17,6 +20,7 @@ protocol itself, unassisted or hashed, runs in ``compose``.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -26,7 +30,7 @@ from .. import covering as cov
 from .. import linalg as la
 from .. import qobjects as qo
 from ..budget import OneShotBudget
-from .prep import PreparedInstance, thresholds
+from .prep import LINKS, PreparedInstance, thresholds
 
 
 # budget_from_thresholds sits BUDGET_MARGIN_BITS above the link-rate
@@ -47,7 +51,7 @@ class BudgetError(ProtocolError):
 
 @dataclass
 class Codebook:
-    """Per-coin-block multinomial symbol counts for one axis."""
+    """Per-coin-block multinomial symbol counts for one link."""
 
     coins: int  # K
     messages: int  # L
@@ -62,19 +66,19 @@ class Codebook:
         return int(off[class_idx]), int(off[class_idx + 1])
 
 
-# Fixed per-axis spawn keys, so a seed draws the same codebook in every
+# Fixed per-link spawn keys, so a seed draws the same codebook in every
 # process (``hash`` of a str is salted per process).
-_AXIS_SPAWN_KEY = {"X": 29892, "Y": 45071}
+_LINK_SPAWN_KEYS = (29892, 45071)
 
 
 def draw_codebook(
-    axis: str, coins: int, messages: int, source: qo.Distribution, seed: int
+    link: int, coins: int, messages: int, source: qo.Distribution, seed: int
 ) -> Codebook:
     probs = source.probs / source.probs.sum()
     counts = np.zeros((coins, len(source.alphabet)), dtype=np.int64)
     for k in range(coins):
         rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=seed, spawn_key=(_AXIS_SPAWN_KEY[axis], k))
+            np.random.SeedSequence(entropy=seed, spawn_key=(_LINK_SPAWN_KEYS[link], k))
         )
         counts[k] = rng.multinomial(messages, probs)
     return Codebook(coins, messages, source.alphabet, counts)
@@ -82,27 +86,17 @@ def draw_codebook(
 
 @dataclass(frozen=True)
 class CodebookPlan:
-    log_k1: int
-    log_l1: int
-    log_k2: int
-    log_l2: int
+    """Codebook sizes per link, in ``LINKS`` order: link i draws 2^log_k[i]
+    coin blocks of 2^log_l[i] message indices."""
+
+    log_k: tuple[int, ...]
+    log_l: tuple[int, ...]
     log_const: float
 
-    @property
-    def k1(self) -> int:
-        return 1 << self.log_k1
 
-    @property
-    def l1(self) -> int:
-        return 1 << self.log_l1
-
-    @property
-    def k2(self) -> int:
-        return 1 << self.log_k2
-
-    @property
-    def l2(self) -> int:
-        return 1 << self.log_l2
+def _link_thresholds(th: dict[str, float], i: int) -> tuple[float, float, float]:
+    """Link i's (logL, logKL, I_H on B) from ``thresholds``."""
+    return th[f"logL{i + 1}"], th[f"logKL{i + 1}"], th[f"ih_{LINKS[i].lower()}_b"]
 
 
 def plan_codebooks(
@@ -110,35 +104,28 @@ def plan_codebooks(
 ) -> CodebookPlan:
     """Codebook sizes carried by the budget's link rates.
 
-    One rule: logL = floor(R + max(I_H - 1, 0)), the wire rate plus the
-    real-valued side-information saving, floored once; logK = floor(C).
-    Raises BudgetError when the implied sizes fall below the instantiated
-    thresholds.
+    One rule per link: logL = floor(R + max(I_H - 1, 0)), the wire rate
+    plus the real-valued side-information saving, floored once;
+    logK = floor(C).  Raises BudgetError when the implied sizes fall below
+    the instantiated thresholds.
     """
     th = thresholds(prep, budget.eps, log_const)
-    log_l1 = max(0, math.floor(budget.r_x + max(th["ih_x_b"] - 1.0, 0.0) + 1e-9))
-    log_l2 = max(0, math.floor(budget.r_y + max(th["ih_y_b"] - 1.0, 0.0) + 1e-9))
-    log_k1 = max(0, math.floor(budget.c_x + 1e-9))
-    log_k2 = max(0, math.floor(budget.c_y + 1e-9))
-    if len(prep.px.alphabet) <= 1:
-        log_l1 = log_k1 = 0  # a constant register needs no codebook
-    if len(prep.py.alphabet) <= 1:
-        log_l2 = log_k2 = 0
-    if len(prep.px.alphabet) > 1 and (
-        log_l1 + 1e-9 < th["logL1"] or log_k1 + log_l1 + 1e-9 < th["logKL1"]
-    ):
-        raise BudgetError(
-            f"X link budget (R={budget.r_x}, C={budget.c_x}) below the thresholds "
-            f"(logL1 > {th['logL1']:.3f}, logK1+logL1 > {th['logKL1']:.3f})"
-        )
-    if len(prep.py.alphabet) > 1 and (
-        log_l2 + 1e-9 < th["logL2"] or log_k2 + log_l2 + 1e-9 < th["logKL2"]
-    ):
-        raise BudgetError(
-            f"Y link budget (R={budget.r_y}, C={budget.c_y}) below the thresholds "
-            f"(logL2 > {th['logL2']:.3f}, logK2+logL2 > {th['logKL2']:.3f})"
-        )
-    return CodebookPlan(log_k1, log_l1, log_k2, log_l2, th["log_const"])
+    rates = ((budget.r_x, budget.c_x), (budget.r_y, budget.c_y))
+    log_k, log_l = [], []
+    for i, (r, c) in enumerate(rates):
+        min_l, min_kl, ih = _link_thresholds(th, i)
+        lk = max(0, math.floor(c + 1e-9))
+        ll = max(0, math.floor(r + max(ih - 1.0, 0.0) + 1e-9))
+        if len(prep.marginals[i].alphabet) <= 1:
+            lk = ll = 0  # a constant register needs no codebook
+        elif ll + 1e-9 < min_l or lk + ll + 1e-9 < min_kl:
+            raise BudgetError(
+                f"{LINKS[i]} link budget (R={r}, C={c}) below the thresholds "
+                f"(logL > {min_l:.3f}, logK+logL > {min_kl:.3f})"
+            )
+        log_k.append(lk)
+        log_l.append(ll)
+    return CodebookPlan(tuple(log_k), tuple(log_l), th["log_const"])
 
 
 def budget_from_thresholds(
@@ -153,15 +140,13 @@ def budget_from_thresholds(
     real-valued I_H, so the planned sizes clear both thresholds.
     """
     th = thresholds(prep, eps, log_const)
-    margin = BUDGET_MARGIN_BITS
-    r_x = max(0.0, th["rate_x"] + margin)
-    r_y = max(0.0, th["rate_y"] + margin)
-    c_x = max(0.0, th["logKL1"] - th["ih_x_b"] + margin - r_x) + COIN_MARGIN_BITS
-    c_y = max(0.0, th["logKL2"] - th["ih_y_b"] + margin - r_y) + COIN_MARGIN_BITS
-    if len(prep.px.alphabet) <= 1:
-        r_x = c_x = 0.0
-    if len(prep.py.alphabet) <= 1:
-        r_y = c_y = 0.0
+    rates = []
+    for i, marginal in enumerate(prep.marginals):
+        min_l, min_kl, ih = _link_thresholds(th, i)
+        r = max(0.0, min_l - ih + BUDGET_MARGIN_BITS)
+        c = max(0.0, min_kl - ih + BUDGET_MARGIN_BITS - r) + COIN_MARGIN_BITS
+        rates.append((r, c) if len(marginal.alphabet) > 1 else (0.0, 0.0))
+    (r_x, c_x), (r_y, c_y) = rates
     return OneShotBudget(eps, r_x=r_x, r_y=r_y, c_x=c_x, c_y=c_y)
 
 
@@ -185,15 +170,14 @@ class CompressedBlock:
 
 @dataclass
 class CompressedFamily:
-    """Codebooks and the compressed blocks of their nice coin pairs; a
-    non-nice coin pair aborts and has no entry in ``blocks``."""
+    """Codebooks and the compressed POVMs of their nice coin blocks, keyed
+    by one coin per link; a block that is not nice aborts and has no entry."""
 
     plan: CodebookPlan
     attempt: int
-    codebook_x: Codebook
-    codebook_y: Codebook
+    codebooks: tuple[Codebook, ...]  # per link, in LINKS order
     fraction_nice: float
-    blocks: dict[tuple[int, int], CompressedBlock]
+    blocks: dict[tuple[int, ...], CompressedBlock]
 
     def completeness_residual(self, prep: PreparedInstance) -> float:
         worst = 0.0
@@ -205,23 +189,23 @@ class CompressedFamily:
         return worst
 
 
-def _block_class_table(prep: PreparedInstance, cx: np.ndarray, cy: np.ndarray):
-    """Per (x, y) class: multiplicity, t-weight, and mirror block over p(x, y)."""
-    xs, ys = prep.px.alphabet, prep.py.alphabet
+def _block_class_table(prep: PreparedInstance, counts: list[np.ndarray]):
+    """Per class (one symbol per link, first link outermost): multiplicity,
+    t-weight, and mirror block over p(class); ``counts[i]`` holds link i's."""
     joint = prep.joint.as_dict()
     table = {}
-    for i, x in enumerate(xs):
-        for j, y in enumerate(ys):
-            m = int(cx[i]) * int(cy[j])
-            xy = qo.join_symbol(x, y)
-            if m == 0 or xy not in joint:
-                continue  # a pair outside the joint support carries mass 0
-            p_xy = joint[xy]
-            px, py = prep.px.prob(x), prep.py.prob(y)
-            if px * py <= 0:
-                continue
-            mirror = prep.mirror_blocks[(x, y)]
-            table[(x, y)] = (m, p_xy / (px * py), mirror / p_xy if p_xy > 1e-15 else 0.0 * mirror)
+    for idx in itertools.product(*(range(len(m.alphabet)) for m in prep.marginals)):
+        cls = tuple(m.alphabet[j] for m, j in zip(prep.marginals, idx))
+        mult = math.prod(int(cnt[j]) for cnt, j in zip(counts, idx))
+        key = qo.join_symbol(*cls)
+        if mult == 0 or key not in joint:
+            continue  # a class outside the joint support carries mass 0
+        p = joint[key]
+        p_prod = math.prod(m.prob(sym) for m, sym in zip(prep.marginals, cls))
+        if p_prod <= 0:
+            continue
+        mirror = prep.mirror_blocks[cls]
+        table[cls] = (mult, p / p_prod, mirror / p if p > 1e-15 else 0.0 * mirror)
     return table
 
 
@@ -240,24 +224,25 @@ def build_compressed_povm(
     """
     eps = budget.eps
     plan = plan_codebooks(prep, budget, log_const)
-    n_total = plan.l1 * plan.l2
+    n_total = math.prod(1 << log_l for log_l in plan.log_l)
     for attempt in range(MAX_CODEBOOK_DRAWS):
         draw_seed = seed + 1_000_003 * attempt
-        cb_x = draw_codebook("X", plan.k1, plan.l1, prep.px, draw_seed)
-        cb_y = draw_codebook("Y", plan.k2, plan.l2, prep.py, draw_seed + 1)
-        blocks: dict[tuple[int, int], CompressedBlock] = {}
-        for k1 in range(plan.k1):
-            for k2 in range(plan.k2):
-                table = _block_class_table(prep, cb_x.counts[k1], cb_y.counts[k2])
-                avg = np.zeros_like(prep.rho_a)
-                for m, t, mirror in table.values():
-                    avg += (m / n_total) * t * mirror
-                deviation = la.trace_norm_distance(avg, prep.rho_a)
-                if deviation <= math.sqrt(eps):
-                    blocks[(k1, k2)] = _assemble_block(prep, table, n_total, deviation)
-        fraction = len(blocks) / (plan.k1 * plan.k2)
+        codebooks = tuple(
+            draw_codebook(i, 1 << plan.log_k[i], 1 << plan.log_l[i], marginal, draw_seed + i)
+            for i, marginal in enumerate(prep.marginals)
+        )
+        blocks: dict[tuple[int, ...], CompressedBlock] = {}
+        for coins in itertools.product(*(range(cb.coins) for cb in codebooks)):
+            table = _block_class_table(prep, [cb.counts[k] for cb, k in zip(codebooks, coins)])
+            avg = np.zeros_like(prep.rho_a)
+            for m, t, mirror in table.values():
+                avg += (m / n_total) * t * mirror
+            deviation = la.trace_norm_distance(avg, prep.rho_a)
+            if deviation <= math.sqrt(eps):
+                blocks[coins] = _assemble_block(prep, table, n_total, deviation)
+        fraction = len(blocks) / math.prod(cb.coins for cb in codebooks)
         if fraction >= 1.0 - eps**0.25:
-            return CompressedFamily(plan, attempt, cb_x, cb_y, fraction, blocks)
+            return CompressedFamily(plan, attempt, codebooks, fraction, blocks)
     raise ProtocolError(
         f"event E failed on {MAX_CODEBOOK_DRAWS} codebook draws "
         "(nice fraction below 1 - eps^0.25)"
@@ -329,12 +314,10 @@ ABORT = qo.ABORT
 def ideal_blocks(prep: PreparedInstance, scenario: AdversaryScenario) -> dict[str, np.ndarray]:
     """Scenario target: the original POVM's E-blocks, keyed by the outcomes
     of the links the scenario keeps and summed over the rest."""
+    kept = (scenario.x_link_on, scenario.y_link_on)
     out: dict[str, np.ndarray] = {}
-    for (x, y), blk in prep.env_blocks.items():
-        if scenario.x_link_on and scenario.y_link_on:
-            key = qo.join_symbol(x, y)
-        else:
-            key = x if scenario.x_link_on else y
+    for cls, blk in prep.env_blocks.items():
+        key = qo.join_symbol(*(sym for sym, on in zip(cls, kept) if on))
         out[key] = out[key] + blk if key in out else blk
     return out
 
@@ -352,33 +335,30 @@ def block_dict_distance(a: dict, b: dict) -> float:
 def sample_transcript(
     family: CompressedFamily, prep: PreparedInstance, seed: int
 ) -> dict[str, int | bool]:
-    """One seeded protocol run: coins, measurement outcome, message indices."""
+    """One seeded protocol run: coins, measurement outcome, message indices.
+
+    Link i's coin and message index are ``k{i+1}`` and ``l{i+1}``; an abort
+    has index -1 on every link.
+    """
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(77,)))
-    k1 = int(rng.integers(family.plan.k1))
-    k2 = int(rng.integers(family.plan.k2))
-    blk = family.blocks.get((k1, k2))
-    if blk is None:
-        return {"k1": k1, "k2": k2, "l1": -1, "l2": -1, "abort": True}
-    classes = list(blk.gammas.keys())
-    probs = np.array(
-        [blk.counts[c] * np.trace(blk.gammas[c] @ prep.rho_a).real for c in classes]
-    )
-    p_abort = max(0.0, 1.0 - probs.sum())
-    draw = rng.random() * (probs.sum() + p_abort)
-    cum = 0.0
-    for c, p in zip(classes, probs):
-        cum += p
-        if draw < cum:
-            x, y = c
-            xi = prep.px.alphabet.index(x)
-            yi = prep.py.alphabet.index(y)
-            lo1, hi1 = family.codebook_x.index_range(k1, xi)
-            lo2, hi2 = family.codebook_y.index_range(k2, yi)
-            return {
-                "k1": k1,
-                "k2": k2,
-                "l1": int(rng.integers(lo1, hi1)),
-                "l2": int(rng.integers(lo2, hi2)),
-                "abort": False,
-            }
-    return {"k1": k1, "k2": k2, "l1": -1, "l2": -1, "abort": True}
+    coins = tuple(int(rng.integers(cb.coins)) for cb in family.codebooks)
+    indices, blk = [-1] * len(coins), family.blocks.get(coins)
+    if blk is not None:
+        classes = list(blk.gammas.keys())
+        probs = np.array(
+            [blk.counts[c] * np.trace(blk.gammas[c] @ prep.rho_a).real for c in classes]
+        )
+        p_abort = max(0.0, 1.0 - probs.sum())
+        draw = rng.random() * (probs.sum() + p_abort)
+        cum = 0.0
+        for c, p in zip(classes, probs):
+            cum += p
+            if draw < cum:
+                indices = [
+                    int(rng.integers(*cb.index_range(k, cb.alphabet.index(sym))))
+                    for cb, k, sym in zip(family.codebooks, coins, c)
+                ]
+                break
+    out = {f"k{i + 1}": k for i, k in enumerate(coins)}
+    out.update((f"l{i + 1}", index) for i, index in enumerate(indices))
+    return dict(out, abort=min(indices) < 0)

@@ -26,6 +26,10 @@ from .. import entropies as ent
 from ..budget import default_log_const
 from ..io import Instance
 
+# The outcome registers, one link each, in decoding order; link i is
+# component i of a joint outcome symbol.
+LINKS = ("X", "Y")
+
 
 @dataclass
 class PreparedInstance:
@@ -34,8 +38,7 @@ class PreparedInstance:
     pinv_sqrt_rho_a: np.ndarray
     supp_proj_a: np.ndarray
     joint: qo.Distribution
-    px: qo.Distribution
-    py: qo.Distribution
+    marginals: tuple[qo.Distribution, ...]  # per link, in LINKS order
     global_pure: np.ndarray  # state vector on A (x) E
     env_dims: dict[str, int]  # B, R, M dimensions inside E
     mirror_blocks: dict[tuple[str, str], np.ndarray]  # sqrt(rho) El sqrt(rho), trace p
@@ -105,8 +108,7 @@ def prepare(inst: Instance) -> PreparedInstance:
         pinv_sqrt_rho_a=la.pseudo_inverse_sqrt(rho_a),
         supp_proj_a=la.support_projector(rho_a),
         joint=joint,
-        px=qo.marginal_x(joint),
-        py=qo.marginal_y(joint),
+        marginals=tuple(qo.marginal(joint, i) for i in range(len(LINKS))),
         global_pure=psi,
         env_dims={"B": inst.dim_b, "R": inst.dim_r, "M": dm},
         mirror_blocks=mirror_blocks,
@@ -146,37 +148,31 @@ def thresholds(
     """Codebook-size and rate thresholds for the multi-link protocol.
 
     Returns logL / coin+message thresholds (unassisted construction) plus
-    the side-information corrections of the assisted rate region.  The
-    entropies do not depend on ``log_const`` and are computed once per eps.
+    the side-information corrections of the assisted rate region.  Link i's
+    logL and logKL keys end in i + 1 (``logL1``), its others in its name
+    (``imax_x``, ``ih_x_b``).  The entropies do not depend on ``log_const``
+    and are computed once per eps.
     """
     c = default_log_const(eps) if log_const is None else float(log_const)
     key = ("thresholds", eps, c)
     if key in prep._cache:
         return prep._cache[key]
     ents = prep._cache.get(("entropies", eps))
+    names = [link.lower() for link in LINKS]
     if ents is None:
-        x_cq = _x_env_cq(prep)
         eps0 = eps ** (1.0 / 10.0)
-        ents = prep._cache[("entropies", eps)] = {
-            "imax_x": ent.i_max_cq(x_cq, eps),
-            "imax_y": ent.i_max_cq(_y_xenv_cq(prep), eps),
-            "hmax_x": ent.h_max_smooth(prep.px, eps).value,
-            "hmax_y": ent.h_max_smooth(prep.py, eps).value,
-            "ih_x_b": side_information(prep, x_cq, eps0 / 2),
-            "ih_y_b": side_information(prep, prep.env_cq().group_parts((1,)), eps0 / 2),
-        }
-    out = {
-        "log_const": c,
-        "logL1": ents["imax_x"] + c,
-        "logL2": ents["imax_y"] + c,
-        "logKL1": ents["hmax_x"] + c,
-        "logKL2": ents["hmax_y"] + c,
-        **ents,
-    }
-    out["rate_x"] = out["logL1"] - out["ih_x_b"]
-    out["rate_y"] = out["logL2"] - out["ih_y_b"]
-    out["coin_rate_x"] = max(out["logKL1"] - out["logL1"], 0.0)
-    out["coin_rate_y"] = max(out["logKL2"] - out["logL2"], 0.0)
+        ents = prep._cache[("entropies", eps)] = {}
+        # link i's I_max is taken against E and the classical links before it
+        for i, (s, imax_cq) in enumerate(zip(names, (_x_env_cq(prep), _y_xenv_cq(prep)))):
+            ents[f"imax_{s}"] = ent.i_max_cq(imax_cq, eps)
+            ents[f"hmax_{s}"] = ent.h_max_smooth(prep.marginals[i], eps).value
+            ents[f"ih_{s}_b"] = side_information(prep, prep.env_cq().group_parts((i,)), eps0 / 2)
+    out = {"log_const": c, **ents}
+    for n, s in enumerate(names, start=1):
+        out[f"logL{n}"] = ents[f"imax_{s}"] + c
+        out[f"logKL{n}"] = ents[f"hmax_{s}"] + c
+        out[f"rate_{s}"] = out[f"logL{n}"] - ents[f"ih_{s}_b"]
+        out[f"coin_rate_{s}"] = max(out[f"logKL{n}"] - out[f"logL{n}"], 0.0)
     prep._cache[key] = out
     return out
 

@@ -157,8 +157,7 @@ def iid_region(source: Instance | PreparedInstance) -> RateRegion:
     i_xy_e = mi(cq_dense((0, 1), None))
     i_x_b = mi(cq_dense((0,), ("B",))) if prep.has_side_information() else 0.0
     i_y_b = mi(cq_dense((1,), ("B",))) if prep.has_side_information() else 0.0
-    h_x = _shannon(qo.marginal_x(prep.joint).probs)
-    h_y = _shannon(qo.marginal_y(prep.joint).probs)
+    h_x, h_y = (_shannon(m.probs) for m in prep.marginals)
     i_x_y = h_x + h_y - _shannon(prep.joint.probs)
     prov = {"model": "iid", "values": {
         "I(X:E)": i_x_e, "I(Y:E)": i_y_e, "I(XY:E)": i_xy_e,

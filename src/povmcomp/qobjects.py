@@ -56,15 +56,8 @@ class Distribution:
         return {s: float(p) for s, p in zip(self.alphabet, self.probs)}
 
 
-def marginal_x(joint: Distribution) -> Distribution:
-    return _marginal(joint, 0)
-
-
-def marginal_y(joint: Distribution) -> Distribution:
-    return _marginal(joint, 1)
-
-
-def _marginal(joint: Distribution, part: int) -> Distribution:
+def marginal(joint: Distribution, part: int) -> Distribution:
+    """Distribution of component ``part`` of the joint symbols, in first-seen order."""
     acc: dict[str, float] = {}
     order: list[str] = []
     for sym, p in zip(joint.alphabet, joint.probs):

@@ -48,7 +48,7 @@ def split_control_state(cq: qo.CQState, theta: float) -> qo.CQState:
     weights, split along the order in which x first appears.  The block of
     (u, v, y) is that of max(u, v)|y.  Zero-probability cells are omitted.
     """
-    px = qo.marginal_x(qo.Distribution(cq.symbols, np.array([cq.weights[s] for s in cq.symbols])))
+    px = qo.marginal(qo.Distribution(cq.symbols, np.array([cq.weights[s] for s in cq.symbols])), 0)
     pair = split(px, theta)
     rank = list(px.alphabet).index
     symbols, weights, blocks = [], {}, {}

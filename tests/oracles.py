@@ -681,10 +681,10 @@ def unassisted_output_blocks(family, rho_e, scenario, join, abort: str) -> dict:
             return join(x, y)
         return x if scenario.x_link_on else y
 
-    plan = family.plan
-    w_blk = 1.0 / (plan.k1 * plan.k2)
+    cb_x, cb_y = family.codebooks
+    w_blk = 1.0 / (cb_x.coins * cb_y.coins)
     out: dict = {}
-    for coins in itertools.product(range(plan.k1), range(plan.k2)):
+    for coins in itertools.product(range(cb_x.coins), range(cb_y.coins)):
         blk = family.blocks.get(coins)
         terms = [(key(abort, abort), rho_e if blk is None else blk.env0)]
         if blk is not None:

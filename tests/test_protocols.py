@@ -30,8 +30,8 @@ from povmcomp import protocols as P
 from povmcomp.protocols.compress import draw_codebook
 
 prep = P.prepare(io.load_bundled("qubit_cq"))
-cx = draw_codebook("X", 4, 64, prep.px, 1)
-cy = draw_codebook("Y", 4, 64, prep.py, 1)
+cx = draw_codebook(0, 4, 64, prep.marginals[0], 1)
+cy = draw_codebook(1, 4, 64, prep.marginals[1], 1)
 budget = P.budget_from_thresholds(prep, 0.1, log_const=0.0)
 run = P.centralised_protocol(prep, budget, 1, log_const=0.0)
 print(json.dumps({
@@ -331,11 +331,49 @@ def test_unhashed_links_tabulate_nothing(solved, monkeypatch):
     assert calls.count("fibers") == len(hashed)
     assert ("kraus" in calls) == bool(hashed)
     family = run["family"]
-    links = (("X", run["stage_x"], family.codebook_x), ("Y", run["stage_y"], family.codebook_y))
+    links = tuple(zip(P.LINKS, (run["stage_x"], run["stage_y"]), family.codebooks))
     assert calls.count("kraus") == sum(cb.coins for axis, _, cb in links if axis in hashed)
     assert sum(rows) == sum(
         len(_signature_pairs(stage, cb)) for axis, stage, cb in links if axis in hashed
     )
+
+
+def test_transcript_follows_each_link(solved):
+    # each wire reports its stage's width; a transcript that does not abort
+    # puts every link's index in the range its codebook gives one kept class
+    # of the coin block, and every wire message is its stage's hash of it
+    name, prep, _, _ = solved
+    for run in _protocol_runs(name, prep):
+        tr, family = run["transcript"], run["family"]
+        stages = (run["stage_x"], run["stage_y"])
+        assert (tr["wire_x"], tr["wire_y"]) == tuple(st.wire_bits for st in stages)
+        if tr["abort"]:
+            continue
+        coins, indices = (tr["k1"], tr["k2"]), (tr["l1"], tr["l2"])
+        hits = [
+            cls
+            for cls in family.blocks[coins].gammas
+            if all(
+                lo <= index < hi
+                for cb, k, sym, index in zip(family.codebooks, coins, cls, indices)
+                for lo, hi in [cb.index_range(k, cb.alphabet.index(sym))]
+            )
+        ]
+        assert len(hits) == 1, (name, tr)
+        for stage, index, key in zip(stages, indices, ("mx", "my")):
+            assert tr[key] == stage.hash_scheme.apply(index)
+
+
+@pytest.mark.parametrize("wire", [{"Z": 1}, {"X": -3}], ids=["unknown_link", "negative"])
+def test_bad_wire_override_is_refused(wire):
+    # a key that names no link, or a negative width, is an error, not a
+    # silently unhashed or clamped link
+    name = "qubit_entangled_side_info"
+    prep = P.prepare(io.load_bundled(name))
+    with pytest.raises(ValueError, match="wire_override"):
+        P.centralised_protocol(
+            prep, GOLDEN_BUDGETS[name], GOLDEN_SEED, log_const=GOLDEN_C, wire_override=wire
+        )
 
 
 def test_abort_key_is_no_real_outcome(solved):
@@ -424,7 +462,7 @@ def instrument_derived():
 def test_centralised_runs_on_sparse_joint_povm(instrument_derived):
     # the joint distribution of instrument_derived lacks some (x, y) pairs
     prep, budget = instrument_derived
-    n_pairs = len(prep.px.alphabet) * len(prep.py.alphabet)
+    n_pairs = len(prep.marginals[0].alphabet) * len(prep.marginals[1].alphabet)
     assert len(prep.joint.alphabet) < n_pairs
     _check_outputs(prep, P.centralised_protocol(prep, budget, 1, log_const=0.0))
 
@@ -478,11 +516,11 @@ def test_signature_decode_matches_per_message_decode(monkeypatch):
     family = run["family"]
     stage_x, stage_y = run["stage_x"], run["stage_y"]
     assert stage_x.wire_bits < stage_x.log_l and stage_y.wire_bits < stage_y.log_l
-    n_pairs = len(_signature_pairs(stage_x, family.codebook_x)) + len(
-        _signature_pairs(stage_y, family.codebook_y)
+    n_pairs = sum(
+        len(_signature_pairs(stage, cb)) for stage, cb in zip((stage_x, stage_y), family.codebooks)
     )
     # one stacked call per (link, coin), one row per (coin, signature)
-    assert len(rows) == family.codebook_x.coins + family.codebook_y.coins
+    assert len(rows) == sum(cb.coins for cb in family.codebooks)
     assert sum(rows) == n_pairs
 
     def single_row_build(tests):

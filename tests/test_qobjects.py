@@ -114,7 +114,7 @@ class TestInducedDistribution:
         povm = qo.povm_from_elements(elements)
         rho = oracles.random_density(rng, 2)
         joint = qo.induced_distribution(povm, rho)
-        mx = qo.marginal_x(joint)
+        mx = qo.marginal(joint, 0)
         for x in ("0", "1"):
             direct = np.trace(povm.marginal_x_element(x) @ rho).real
             assert abs(mx.prob(x) - direct) < 1e-12

@@ -203,6 +203,24 @@ def test_dataclass_fields_are_read():
     assert unread == []
 
 
+def test_protocol_steps_do_not_branch_on_link_names():
+    """No comparison in ``compress`` or ``compose`` names the link ``"X"`` or
+    ``"Y"``: each per-link step is written once, indexed by link position."""
+    hits = []
+    for name in ("compress.py", "compose.py"):
+        tree = ast.parse((ROOT / "src/povmcomp/protocols" / name).read_text())
+        hits += [
+            f"{name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Compare)
+            and any(
+                isinstance(side, ast.Constant) and side.value in ("X", "Y")
+                for side in (node.left, *node.comparators)
+            )
+        ]
+    assert hits == []
+
+
 def test_library_never_imports_scipy():
     """Importing every library module leaves scipy unloaded: scipy is a test
     extra only, and loading ``scipy.linalg`` about doubles a run's peak
