@@ -401,13 +401,18 @@ def _fidelity_ball_problem(
     return prob
 
 
-def _capped_ball(rho, sigma, eps: float, lam: float | None) -> sdp.SDProblem:
+def _capped_ball(
+    rho, sigma, eps: float, lam: float | None, ball: tuple[list[_BallBlock], float] | None = None
+) -> sdp.SDProblem:
     """The program of D_max^eps(rho || sigma): rho' in the fidelity ball of
     rho, split into the components of the joint support pattern, with each
     component's cap 2^lam sigma_c - rho'_c PSD.
 
     With ``lam`` None the cap is t sigma_c - rho'_c with t a 1x1 variable,
-    and the objective is min t, whose optimum is 2^(D_max^eps).
+    and the objective is min t, whose optimum is 2^(D_max^eps).  ``ball``
+    is ``_ball_blocks(rho, sigma)``, built here when None; a caller that
+    builds several programs of one pair passes it, and each program
+    compiles to the same bytes as from its own build.
 
     The rho-free components are folded into one scalar.  On a component
     with rho_c = 0, rho'_c enters the program only through Tr rho'_c, in
@@ -421,7 +426,7 @@ def _capped_ball(rho, sigma, eps: float, lam: float | None) -> sdp.SDProblem:
     rho'_c = (w / s0) sigma_c.  When s0 is 0 (every rho-free component has
     sigma_c = 0, so each rho'_c is pinned to 0) there is no w.
     """
-    blocks, free_mass = _ball_blocks(rho, sigma)
+    blocks, free_mass = _ball_blocks(rho, sigma) if ball is None else ball
     free = free_mass > 0.0
     prob = _fidelity_ball_problem(blocks, math.sqrt(max(0.0, 1.0 - eps * eps)), free)
     if lam is None:
@@ -462,20 +467,28 @@ def d_max_smooth(rho, sigma, eps: float) -> float:
     rho'_c = (w / s0) sigma_c the other), so both certificates bound the
     per-component value, which is D_max^eps.  Raises SolverError when
     the solve ends without an optimum or either certificate fails.
+
+    The components are classified and their spectra taken once
+    (``_ball_blocks``), and the three programs are built from those
+    blocks.  Each certificate is still tested on its own program: the
+    recheck evaluates the fixed-lambda program's expressions, and the
+    Farkas test compiles the program at v - BISECT_TOL_BITS; nothing is
+    read from the min t compile.
     """
     eps = _validate_eps(eps)
     rho = la.assert_density(rho)
     sigma = la.assert_psd(sigma)
     if eps == 0.0:
         return d_max(rho, sigma)
-    res = sdp.minimize(_capped_ball(rho, sigma, eps, None))
+    ball = _ball_blocks(rho, sigma)
+    res = sdp.minimize(_capped_ball(rho, sigma, eps, None, ball))
     if res.status != "optimal":
         raise SolverError(f"D_max^eps solve ended {res.status}", res.residuals)
     value = math.log2(float(res.assignment["t"][0, 0].real))
-    ok, checked = sdp.recheck(_capped_ball(rho, sigma, eps, value), res.assignment)
+    ok, checked = sdp.recheck(_capped_ball(rho, sigma, eps, value, ball), res.assignment)
     if not ok:
         raise SolverError(f"D_max^eps = {value} not certified feasible", checked)
-    lo = sdp.Program(_capped_ball(rho, sigma, eps, value - BISECT_TOL_BITS))
+    lo = sdp.Program(_capped_ball(rho, sigma, eps, value - BISECT_TOL_BITS, ball))
     _, _, gap, resid = lo.farkas(res.dual[0])
     if not sdp.witness_fires(gap, resid):
         raise SolverError(

@@ -29,7 +29,7 @@ from .. import qobjects as qo
 from .. import splitting as sp
 from ..budget import default_log_const
 from ..io import Instance
-from .prep import PreparedInstance, prepare, side_information
+from .prep import LINKS, PreparedInstance, prepare, side_information
 
 
 @dataclass
@@ -99,7 +99,12 @@ def one_shot_region(
 
     region = RateRegion(kind="one-shot")
     for axis in axes:
-        joint = env_cq if axis == "X" else env_cq.group_parts((1, 0))
+        # the split link's component first, then the other link's; link 0's
+        # order is env_cq's own, which regrouping would round
+        own = LINKS.index(axis)
+        other = LINKS[1 - own]
+        joint = env_cq.group_parts((own, 1 - own)) if own else env_cq
+        own_r, own_c, oth_r, oth_c = f"R_{axis}", f"C_{axis}", f"R_{other}", f"C_{other}"
         for theta in theta_grid:
             ctrl = sp.split_control_state(joint, theta)
             u_cq = ctrl.group_parts((0,))
@@ -108,8 +113,6 @@ def one_shot_region(
             vals["aU"], vals["bU"] = bounds(u_cq, u_cq)
             vals["aV"], vals["bV"] = bounds(v_cq, ctrl.group_parts((1,)))
             vals["aY"], vals["bY"] = bounds(ctrl.embed_parts(2, (0,)), ctrl.group_parts((2,)))
-            own_r, own_c = ("R_X", "C_X") if axis == "X" else ("R_Y", "C_Y")
-            oth_r, oth_c = ("R_Y", "C_Y") if axis == "X" else ("R_X", "C_X")
             prov = {"axis": axis, "theta": theta, "eps": eps, "log_const": c, "values": vals}
             if not _degenerate(u_cq) and not _degenerate(v_cq):
                 # cross facets from eliminating the internal split rates
@@ -152,31 +155,35 @@ def iid_region(source: Instance | PreparedInstance) -> RateRegion:
             "I_AB"
         ]
 
-    i_x_e = mi(cq_dense((0,), None))
-    i_y_e = mi(cq_dense((1,), None))
+    side = prep.has_side_information()
+    i_e = [mi(cq_dense((i,), None)) for i in range(len(LINKS))]
+    i_b = [mi(cq_dense((i,), ("B",))) if side else 0.0 for i in range(len(LINKS))]
+    h = [_shannon(m.probs) for m in prep.marginals]
     i_xy_e = mi(cq_dense((0, 1), None))
-    i_x_b = mi(cq_dense((0,), ("B",))) if prep.has_side_information() else 0.0
-    i_y_b = mi(cq_dense((1,), ("B",))) if prep.has_side_information() else 0.0
-    h_x, h_y = (_shannon(m.probs) for m in prep.marginals)
-    i_x_y = h_x + h_y - _shannon(prep.joint.probs)
+    i_x_y = h[0] + h[1] - _shannon(prep.joint.probs)
     prov = {"model": "iid", "values": {
-        "I(X:E)": i_x_e, "I(Y:E)": i_y_e, "I(XY:E)": i_xy_e,
-        "I(X:B)": i_x_b, "I(Y:B)": i_y_b, "I(X:Y)": i_x_y,
-        "H(X)": h_x, "H(Y)": h_y,
+        **{f"I({link}:E)": v for link, v in zip(LINKS, i_e)},
+        "I(XY:E)": i_xy_e,
+        **{f"I({link}:B)": v for link, v in zip(LINKS, i_b)},
+        "I(X:Y)": i_x_y,
+        **{f"H({link})": v for link, v in zip(LINKS, h)},
     }}
-    region = RateRegion(kind="iid")
-    region.constraints = [
-        HalfSpace({"R_X": 1.0}, i_x_e - i_x_b, dict(prov, bound="R_X")),
-        HalfSpace({"R_Y": 1.0}, i_y_e - i_y_b, dict(prov, bound="R_Y")),
-        HalfSpace(
-            {"R_X": 1.0, "R_Y": 1.0},
-            i_xy_e + i_x_y - i_x_b - i_y_b,
-            dict(prov, bound="sum-rate"),
-        ),
-        HalfSpace({"R_X": 1.0, "C_X": 1.0}, h_x - i_x_b, dict(prov, bound="coin-X")),
-        HalfSpace({"R_Y": 1.0, "C_Y": 1.0}, h_y - i_y_b, dict(prov, bound="coin-Y")),
+    rate = [
+        HalfSpace({f"R_{link}": 1.0}, i_e[i] - i_b[i], dict(prov, bound=f"R_{link}"))
+        for i, link in enumerate(LINKS)
     ]
-    return region
+    sum_rate = HalfSpace(
+        {f"R_{link}": 1.0 for link in LINKS},
+        i_xy_e + i_x_y - i_b[0] - i_b[1],
+        dict(prov, bound="sum-rate"),
+    )
+    coin = [
+        HalfSpace(
+            {f"R_{link}": 1.0, f"C_{link}": 1.0}, h[i] - i_b[i], dict(prov, bound=f"coin-{link}")
+        )
+        for i, link in enumerate(LINKS)
+    ]
+    return RateRegion([*rate, sum_rate, *coin], kind="iid")
 
 
 def _shannon(probs) -> float:

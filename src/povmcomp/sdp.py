@@ -27,9 +27,12 @@ certificates, which the caller checks on the program at a fixed value:
   1 / WITNESS_RATIO.  ``d_max_smooth`` builds w from the dual z of its
   min t solve and tests it on the program just below the optimum.
 
-A solve that reaches no certified optimum within ``IPM_MAX_ITER`` steps,
-or whose duality gap grows past degree / ``GAP_TOL``, returns
-"maxIterations".
+Each solve starts at s = eta e, z = xi e (e the identity blocks and unit
+inequality slots), with eta and xi scaled from the problem's data as in
+SDPT3's infeasible start (Toh, Todd and Tutuncu, Optim. Methods Softw. 11,
+1999).  A solve that reaches no certified optimum within ``IPM_MAX_ITER``
+steps, or whose duality gap grows past its start's gap / ``GAP_TOL``,
+returns "maxIterations".
 
 Fixed settings: a point counts as feasible when its constraints are met to
 ``10 * FEASIBLE_TOL``; ``minimize`` stops at a relative gap and dual
@@ -44,6 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -287,16 +291,19 @@ class Program:
         full = self._columns()
         self.g_graph = full[: self.n_graph]
         self.g_eq = full[self.n_graph :]
-        # least-squares multiplier of the infeasibility witness: nu = nu_map @ w
-        # minimizes |G^T w + G_eq^T nu| (G_eq has full row rank, as ``minimize`` needs)
-        if self.n_eq:
-            self.nu_map = -np.linalg.solve(self.g_eq @ self.g_eq.T, self.g_eq @ self.g_graph.T)
-        else:
-            self.nu_map = np.zeros((0, self.n_graph))
         rows = [herm_to_rvec(e.const) for e in prob.psd_constraints]
         rows.append(np.array([iq.const for iq in prob.inequalities]))
         self.c_graph = np.concatenate(rows) if self.n_graph else np.zeros(0)
         self.c_eq = np.array([eq.const for eq in prob.equalities])
+
+    @cached_property
+    def nu_map(self) -> np.ndarray:
+        """The least-squares multiplier of the infeasibility witness:
+        nu = nu_map @ w minimizes |G^T w + G_eq^T nu| (G_eq has full row
+        rank, as ``minimize`` needs).  Only ``farkas`` reads it."""
+        if not self.n_eq:
+            return np.zeros((0, self.n_graph))
+        return -np.linalg.solve(self.g_eq @ self.g_eq.T, self.g_eq @ self.g_graph.T)
 
     # -- structure ---------------------------------------------------------
     def _basis(self) -> dict[str, np.ndarray]:
@@ -524,11 +531,21 @@ def minimize(prob: SDProblem) -> SDPResult:
 
     The equalities are removed once: x = x0 + N u with N a null-space
     basis of G_eq (full row rank) and x0 its least-norm solution, so the
-    problem is min <N^T q, u> s.t. s = A u + h in K with A = G N.  From the
-    infeasible start u = 0, s = z = e (identity blocks, unit inequality
-    slots), each iteration takes a Mehrotra predictor-corrector step
-    (SIAM J. Optim. 2, 1992) under Nesterov-Todd scaling (SIAM J. Optim. 8,
-    1998; ``_ScaledCone``).  The predictor solves the Newton system with
+    problem is min <N^T q, u> s.t. s = A u + h in K with A = G N.
+
+    The infeasible start is u = 0, s = eta e, z = xi e, with e the identity
+    blocks and unit inequality slots, n = degree = <e, e>, a_k the columns
+    of A and q~ = N^T q:
+
+        xi  = max(10, sqrt n, n max_k (1 + |q~_k|) / (1 + |a_k|)),
+        eta = max(10, sqrt n, |h|, max_k |a_k|).
+
+    This is SDPT3's rule (Toh, Todd and Tutuncu, Optim. Methods Softw. 11,
+    1999) with its X our z, its Z our s, b = q~, C = h and A_k = a_k, so
+    the start follows the scale of the data.  Each iteration takes a
+    Mehrotra predictor-corrector step (SIAM J. Optim. 2, 1992) under
+    Nesterov-Todd scaling (SIAM J. Optim. 8, 1998; ``_ScaledCone``).  The
+    predictor solves the Newton system with
     lam o (ds~ + dz~) = -lam o lam, the corrector with
     sigma mu e - lam o lam - ds~_a o dz~_a, where sigma is the cube of the
     gap ratio the predictor would reach; both share the Schur matrix
@@ -546,9 +563,9 @@ def minimize(prob: SDProblem) -> SDPResult:
     z the slack-side multiplier (one rvec per PSD block, then one weight
     per inequality), y the least-squares equality multiplier with
     G^T z + G_eq^T y = q.  Otherwise, after
-    ``IPM_MAX_ITER`` iterations, once the gap <s, z> exceeds
-    degree / ``GAP_TOL`` (the iterates diverge, as on an infeasible problem;
-    the start has gap = degree), or when a step's linear algebra fails (a
+    ``IPM_MAX_ITER`` iterations, once the gap <s, z> exceeds the start's
+    gap eta xi degree / ``GAP_TOL`` (the iterates diverge, as on an
+    infeasible problem), or when a step's linear algebra fails (a
     block no longer numerically positive definite), it returns
     "maxIterations" with the last point.
     """
@@ -570,7 +587,13 @@ def minimize(prob: SDProblem) -> SDPResult:
         e[slots[:, :d]] = 1.0
     e[prog.n_psd :] = 1.0
     degree = float(e.sum())
-    u, s, z = np.zeros(null.shape[1]), e.copy(), e.copy()
+    root = math.sqrt(degree)
+    col_norms = np.linalg.norm(a, axis=0)
+    ratio = float(np.max((1.0 + np.abs(q_red)) / (1.0 + col_norms), initial=0.0))
+    xi = max(10.0, root, degree * ratio)
+    eta = max(10.0, root, float(np.linalg.norm(h)), float(np.max(col_norms, initial=0.0)))
+    u, s, z = np.zeros(null.shape[1]), eta * e, xi * e
+    gap_start = float(s @ z)
     status, it = "maxIterations", 0
     while True:
         r_p = a @ u + h - s
@@ -585,7 +608,7 @@ def minimize(prob: SDProblem) -> SDPResult:
             if ok:
                 status = "optimal"
                 break
-        if it == IPM_MAX_ITER or gap > degree / GAP_TOL:
+        if it == IPM_MAX_ITER or gap > gap_start / GAP_TOL:
             break
         try:
             cone = _ScaledCone(prog, s, z)

@@ -441,6 +441,54 @@ class TestFoldedBall:
         assert (ref_reals, reals, blocks) == (181, 146, {4: 9, 2: 9})
 
 
+@pytest.fixture(scope="module")
+def region_x_pairs() -> list:
+    """The (rho, sigma) of the three smooth D_max of the ``region``
+    benchmark's X-axis cell: instrument_derived, theta 0.5, eps 0.1."""
+    prep = P.prepare(io.load_bundled("instrument_derived"))
+    with pytest.MonkeyPatch.context() as mp:
+        pairs = smoothing_pairs(
+            mp, lambda: P.one_shot_region(prep, 0.1, theta_grid=(0.5,), axes=("X",))
+        )
+    assert len(pairs) == 3
+    return pairs
+
+
+class TestSmoothingSolve:
+    @pytest.mark.parametrize("kappa", [1e-2, 1e2])
+    def test_value_is_covariant_under_scaling_sigma(self, region_x_pairs, kappa):
+        # D_max^eps(rho || kappa sigma) = D_max^eps(rho || sigma) - log2 kappa;
+        # d_max_smooth raises SolverError unless both certificates pass, and
+        # the solve starts from a point scaled to the data, whatever kappa is
+        for rho, sigma in region_x_pairs:
+            want = ent.d_max_smooth(rho, sigma, 0.1)
+            got = ent.d_max_smooth(rho, kappa * sigma, 0.1) + math.log2(kappa)
+            assert abs(got - want) <= ent.BISECT_TOL_BITS
+
+    def test_one_build_of_the_blocks_per_value(self, monkeypatch, region_x_pairs):
+        # the min-t, recheck and Farkas programs share one classification
+        # of the components, and each compiles to the bytes of its own build
+        ball_blocks, capped_ball = ent._ball_blocks, ent._capped_ball
+        n_blocks, built = [0], []
+
+        def counting_ball_blocks(rho, sigma):
+            n_blocks[0] += 1
+            return ball_blocks(rho, sigma)
+
+        def recording_capped_ball(rho, sigma, eps, lam, ball=None):
+            built.append((rho, sigma, eps, lam, capped_ball(rho, sigma, eps, lam, ball)))
+            return built[-1][-1]
+
+        monkeypatch.setattr(ent, "_ball_blocks", counting_ball_blocks)
+        monkeypatch.setattr(ent, "_capped_ball", recording_capped_ball)
+        for rho, sigma in region_x_pairs:
+            ent.d_max_smooth(rho, sigma, 0.1)
+        assert n_blocks[0] == len(region_x_pairs)
+        assert len(built) == 3 * len(region_x_pairs)
+        for rho, sigma, eps, lam, prob in built:
+            assert compiled(prob) == compiled(capped_ball(rho, sigma, eps, lam))
+
+
 class TestIMax:
     def test_product_is_zero(self):
         rng = np.random.default_rng(14)

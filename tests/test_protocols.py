@@ -86,9 +86,9 @@ def test_block_distance_is_the_same_in_every_process():
 # Golden pins: every value below was recorded as float.hex at eps 0.1,
 # seed 1 and log_const 0, with the status of every ``sdp.minimize`` solve
 # of ``thresholds`` in call order (``python tests/test_protocols.py`` rewrites
-# the file).  Codebook plans come from explicit integer budgets, not from
-# budget_from_thresholds; the X links of the two instances with a B
-# register hash 3 message bits to 2.
+# the file and prints each pin it moves, with its Δ).  Codebook plans come
+# from explicit integer budgets, not from budget_from_thresholds; the X links
+# of the two instances with a B register hash 3 message bits to 2.
 GOLDEN_PATH = Path(__file__).resolve().parent / "golden_protocols.json"
 GOLDEN_EPS, GOLDEN_SEED, GOLDEN_C = 0.1, 1, 0.0
 GOLDEN_BUDGETS = {
@@ -450,7 +450,35 @@ def _write_golden() -> None:
         if name in COMPOSE_INSTANCES:
             pins["compose"] = _hex(_composition(name, prep))
         payload[name] = pins
+    old = json.loads(GOLDEN_PATH.read_text()) if GOLDEN_PATH.exists() else {}
+    for line in _moved_pins(old, payload):
+        print(line)
     GOLDEN_PATH.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
+
+
+def _moved_pins(old, new, path: str = "") -> list[str]:
+    """One line per pin that differs between two golden payloads: its path,
+    the old and the new value and, for two float.hex values, their Δ."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        keys = list(old) + [k for k in new if k not in old]
+        return [
+            line
+            for k in keys
+            for line in _moved_pins(old.get(k), new.get(k), f"{path}/{k}" if path else k)
+        ]
+    if isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        return [
+            line
+            for i, (o, n) in enumerate(zip(old, new))
+            for line in _moved_pins(o, n, f"{path}[{i}]")
+        ]
+    if old == new:
+        return []
+    try:
+        delta = f"  Δ {float.fromhex(new) - float.fromhex(old):+.3e}"
+    except (TypeError, ValueError):
+        delta = ""
+    return [f"{path}: {old} -> {new}{delta}"]
 
 
 @pytest.fixture(scope="module")

@@ -314,9 +314,11 @@ class TestFeasibility:
 
     def test_infeasible_box_stops_without_a_verdict(self):
         # the iterates of 0 <= X <= I, Tr X = 4 diverge: minimize stops once
-        # the duality gap passes degree / GAP_TOL and keeps its last point
+        # the duality gap passes the start's gap / GAP_TOL, long before
+        # IPM_MAX_ITER, and keeps its last point
         res = self.solve_box(3, 4)
         assert res.status == "maxIterations"
+        assert res.iterations < sdp.IPM_MAX_ITER
         assert res.residuals["primal"] > 0.1
 
     def test_feasible_interior(self):

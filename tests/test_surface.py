@@ -204,10 +204,11 @@ def test_dataclass_fields_are_read():
 
 
 def test_protocol_steps_do_not_branch_on_link_names():
-    """No comparison in ``compress`` or ``compose`` names the link ``"X"`` or
-    ``"Y"``: each per-link step is written once, indexed by link position."""
+    """No comparison in ``compress``, ``compose`` or ``regions`` names the
+    link ``"X"`` or ``"Y"``: each per-link step is written once, indexed by
+    link position."""
     hits = []
-    for name in ("compress.py", "compose.py"):
+    for name in ("compress.py", "compose.py", "regions.py"):
         tree = ast.parse((ROOT / "src/povmcomp/protocols" / name).read_text())
         hits += [
             f"{name}:{node.lineno}"
