@@ -28,6 +28,9 @@ class OneShotBudget:
     c_y: float = 0.0
 
     def __post_init__(self):
+        for name in ("eps", "r_x", "r_y", "c_x", "c_y"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, not {getattr(self, name)!r}")
         if not 0.0 < self.eps < 1.0:
             raise ValueError("eps must lie in (0, 1)")
         for name in ("r_x", "r_y", "c_x", "c_y"):

@@ -285,30 +285,24 @@ def d_max(rho, sigma) -> float:
 
 
 def _support_components(mats: list[np.ndarray]) -> list[np.ndarray]:
-    """Connected components of the union support pattern (index arrays)."""
-    d = mats[0].shape[0]
-    mask = np.zeros((d, d), dtype=bool)
-    for m in mats:
+    """Connected components of the union support pattern |M_ij| > 1e-12
+    (made symmetric), as sorted index arrays ordered by their least index.
+
+    Label propagation on the boolean pattern: every index starts with its
+    own label and takes the least label among itself and its neighbours
+    until no label moves, so each component ends labelled by its least index.
+    """
+    mask = np.abs(mats[0]) > 1e-12
+    for m in mats[1:]:
         mask |= np.abs(m) > 1e-12
     mask |= mask.T
-    parent = list(range(d))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(d):
-        for j in range(i + 1, d):
-            if mask[i, j]:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-    groups: dict[int, list[int]] = {}
-    for i in range(d):
-        groups.setdefault(find(i), []).append(i)
-    return [np.array(sorted(g)) for g in sorted(groups.values(), key=lambda g: g[0])]
+    labels = np.arange(len(mask))
+    while True:
+        moved = np.where(mask, labels, labels[:, None]).min(axis=1)
+        if (moved == labels).all():
+            roots = np.flatnonzero(labels == np.arange(len(labels)))
+            return [np.flatnonzero(labels == root) for root in roots]
+        labels = moved
 
 
 @dataclass
@@ -336,10 +330,17 @@ class _BallBlock:
 def _ball_blocks(rho, sigma) -> tuple[list[_BallBlock], float]:
     """The components of the joint support pattern that carry rho, and
     s0 = sum_c Tr sigma_c over the rest, the rho-free components: those
-    where rho_c has no eigenvalue above 1e-12."""
+    where rho_c has no eigenvalue above 1e-12.  The spectra of the rho_c
+    come from one stacked ``eigh`` per component size."""
+    comps = _support_components([rho, sigma])
+    spectra: list = [None] * len(comps)
+    for size in sorted({len(c) for c in comps}):
+        idx = [i for i, c in enumerate(comps) if len(c) == size]
+        ws, us = np.linalg.eigh(np.stack([rho[np.ix_(comps[i], comps[i])] for i in idx]))
+        for i, w, u in zip(idx, ws, us):
+            spectra[i] = (w, u)
     blocks, free_mass = [], 0.0
-    for i, c in enumerate(_support_components([rho, sigma])):
-        w, u = np.linalg.eigh(rho[np.ix_(c, c)])
+    for i, (c, (w, u)) in enumerate(zip(comps, spectra)):
         keep = w > 1e-12
         if keep.any():
             rotation = np.concatenate([u[:, keep][:, ::-1], u[:, ~keep]], axis=1)
@@ -489,7 +490,7 @@ def d_max_smooth(rho, sigma, eps: float) -> float:
     if not ok:
         raise SolverError(f"D_max^eps = {value} not certified feasible", checked)
     lo = sdp.Program(_capped_ball(rho, sigma, eps, value - BISECT_TOL_BITS, ball))
-    _, _, gap, resid = lo.farkas(res.dual[0])
+    _, _, gap, resid = lo.farkas(res.dual)
     if not sdp.witness_fires(gap, resid):
         raise SolverError(
             f"D_max^eps = {value} - {BISECT_TOL_BITS} not certified infeasible",

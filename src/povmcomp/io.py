@@ -74,12 +74,13 @@ class Instance:
 
 
 def instance_from_payload(payload: dict) -> Instance:
-    dims = {k: int(v) for k, v in payload["dims"].items()}
-    for reg in ("A", "B", "R"):
-        if reg not in dims:
-            raise ValueError(f"missing dimension for register {reg}")
-        if dims[reg] < 1:
-            raise ValueError(f"dimension of register {reg} must be >= 1")
+    dims = payload["dims"]
+    if sorted(dims) != ["A", "B", "R"]:
+        raise ValueError(f"dims must name exactly the registers A, B and R, not {sorted(dims)}")
+    for reg, v in dims.items():
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
+            raise ValueError(f"dimension of register {reg} must be an integer >= 1, not {v!r}")
+    dims = {k: int(v) for k, v in dims.items()}
     total = dims["A"] * dims["B"] * dims["R"]
     state = matrix_from_json(payload["state"], total)
     la.assert_density(state)  # validate; keep the parsed entries byte-exact

@@ -8,8 +8,11 @@ inequalities; each Hermitian block is stored by its isometric real vector,
 ``herm_to_rvec``/``rvec_to_herm``).  Both conversions are one matrix
 product with the rvec basis of the block dimension, which ``_rvec_basis``
 builds once per dimension and caches.  Set-up probes the linear map G once
-per (constraint, variable), over the stacked basis matrices of that cache
-(``Term.apply`` broadcasts over a leading axis).
+per (PSD constraint, variable) and once per variable for all its scalar
+rows, over the stacked basis matrices of that cache.  ``Program`` also fixes
+the cone layout ``minimize`` works in: one slab per block dimension, its
+blocks side by side as one (n, d^2) view, then the inequality slots, with
+slot maps that give each slot its eigenvalue pair (i, j).
 
 ``minimize`` is the one solver: a primal-dual interior-point method with
 Nesterov-Todd scaling and Mehrotra's predictor-corrector for a problem with
@@ -48,7 +51,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -255,20 +257,27 @@ class SDPResult:
     assignment: dict[str, np.ndarray]
     residuals: dict[str, float]
     iterations: int
-    # (z, y) of the solve: z over the problem's slack, so that
-    # ``Program(prob).farkas(z)`` reads it as a witness
-    dual: tuple[np.ndarray, np.ndarray]
+    # the dual z of the solve, over the problem's slack in its own order, so
+    # that ``Program(prob).farkas(z)`` reads it as a witness
+    dual: np.ndarray
 
 
 class Program:
     """One problem compiled over the rvec coordinates of its variables.
 
     The problem reads s = G x + c in K, G_eq x + c_eq = 0: G is the linear
-    map probed once per (constraint, variable), with the PSD blocks' rvec
-    rows first and one row per inequality after them, G_eq has one row per
-    equality, and K is the product of the PSD cones and the nonnegative
-    orthant of the inequalities.  ``minimize`` starts from this compile
-    step, and ``farkas`` tests a Farkas witness against it.
+    map with the PSD blocks' rvec rows first, in problem order, and one row
+    per inequality after them, G_eq has one row per equality, and K is the
+    product of the PSD cones and the nonnegative orthant of the
+    inequalities.  ``minimize`` starts from this compile step, and
+    ``farkas`` tests a Farkas witness against it.
+
+    The slab layout: ``order`` lists the slack positions slab by slab
+    (dimensions in order of first appearance, then the inequalities), the
+    slab of (d, lo, n) in ``slabs`` holds n blocks at positions lo ..
+    lo + n d^2 of that order, and ``pair`` gives each slot its eigenvalue
+    pair (i, j), i = j on a diagonal or inequality slot, as positions in
+    the block-eigenvalue vector (the slabs' eigenvalues, then the inequalities').
     """
 
     def __init__(self, prob: SDProblem):
@@ -312,9 +321,9 @@ class Program:
             lab: _rvec_basis(d)[0].reshape(d * d, d, d) for lab, (_, d) in self.var_offsets.items()
         }
 
-    def functional(self, scalar: ScalarExpr, basis: dict | None = None) -> np.ndarray:
-        """The linear part of ``scalar`` as a row over the rvec coordinates."""
-        basis = self._basis() if basis is None else basis
+    def functional(self, scalar: ScalarExpr) -> np.ndarray:
+        """The linear part of ``scalar`` (the objective) as a row over the rvec coordinates."""
+        basis = self._basis()
         row = np.zeros(self.n_vars)
         for var, f in scalar.terms:
             o, d = self.var_offsets[var]
@@ -325,8 +334,10 @@ class Program:
         """The linear map over the rvec coordinates of the variables.
 
         Each variable's d*d basis matrices are probed as one stack, once per
-        constraint that holds the variable; a constraint's terms of one
+        PSD constraint that holds the variable; a constraint's terms of one
         variable are summed, from zero and in order, before the conversion.
+        The inequality and equality rows that hold a variable are probed in
+        one stacked product per variable, each term's row added in order.
         """
         cols = np.zeros((self.n_graph + self.n_eq, self.n_vars))
         basis = self._basis()
@@ -340,15 +351,20 @@ class Program:
                         acc = acc + t.apply(basis[lab])
                 cols[row : row + expr.dim**2, o : o + d * d] = herm_to_rvec(acc).T
             row += expr.dim**2
-        for scalar in self.prob.inequalities + self.prob.equalities:
-            cols[row] = self.functional(scalar, basis)
-            row += 1
+        scalars = self.prob.inequalities + self.prob.equalities
+        for var, (rows, _, fs) in _terms_by_var(scalars).items():
+            o, d = self.var_offsets[var]
+            step = max(1, 2**16 // d**4)  # a product holds one row or at most 2^16 entries
+            for lo in range(0, len(rows), step):
+                probe = fs[lo : lo + step].conj()[:, None] * basis[var]
+                vals = np.real(np.sum(probe, axis=(-2, -1)))
+                np.add.at(cols, (row + rows[lo : lo + step], slice(o, o + d * d)), vals)
         return cols
 
     def _index_blocks(self) -> None:
         """``block_slots[d]`` holds, per PSD block of dimension d, the
         positions of its rvec in the slack s (blocks in order of appearance);
-        the inequality slots start at ``n_psd``."""
+        the inequality slots start at ``n_psd``; the slab layout follows."""
         offsets: dict[int, list[int]] = {}
         pos = 0
         for d in self.block_dims:
@@ -358,6 +374,17 @@ class Program:
             d: np.array(offs)[:, None] + np.arange(d * d) for d, offs in offsets.items()
         }
         self.n_psd = pos
+        ineq = np.arange(pos, self.n_graph)
+        self.order = np.concatenate([sl.ravel() for sl in self.block_slots.values()] + [ineq])
+        self.slabs, pairs, lo, first = [], [], 0, 0
+        for d, slots in self.block_slots.items():
+            self.slabs.append((d, lo, len(slots)))
+            base = first + d * np.arange(len(slots))[:, None, None]
+            ends = [np.concatenate([np.arange(d), side, side]) for side in _herm_indices(d)[0]]
+            pairs.append(np.swapaxes(base + ends, 0, 1).reshape(2, -1))
+            lo, first = lo + slots.size, first + d * len(slots)
+        pairs.append(np.stack([ineq, ineq]) - pos + first)
+        self.pair = np.concatenate(pairs, axis=1)
 
     def get_vars(self, x: np.ndarray) -> dict[str, np.ndarray]:
         return {lab: rvec_to_herm(x[o : o + d * d], d) for lab, (o, d) in self.var_offsets.items()}
@@ -401,17 +428,38 @@ def recheck(prob: SDProblem, assign: dict[str, np.ndarray]) -> tuple[bool, dict[
 
 
 def _recheck(prob: SDProblem, assign: dict[str, np.ndarray]) -> dict[str, float]:
-    """Independent constraint evaluation of a candidate assignment."""
+    """Independent constraint evaluation of a candidate assignment from the
+    problem's expressions, with one ``eigvalsh`` per block dimension."""
+    vals = [expr.evaluate(assign) for expr in prob.psd_constraints]
     min_eig = 0.0
-    for expr in prob.psd_constraints:
-        val = expr.evaluate(assign)
-        min_eig = min(min_eig, float(np.linalg.eigvalsh((val + val.conj().T) / 2)[0]))
-    eq_resid = 0.0
-    for eq in prob.equalities:
-        eq_resid = max(eq_resid, abs(eq.evaluate(assign)))
-    for ineq in prob.inequalities:
-        min_eig = min(min_eig, ineq.evaluate(assign))
+    for d in dict.fromkeys(v.shape[0] for v in vals):
+        stack = np.stack([v for v in vals if v.shape[0] == d])
+        min_eig = min(min_eig, float(np.linalg.eigvalsh((stack + _ct(stack)) / 2)[:, 0].min()))
+    min_eig = min(min_eig, float(_scalar_values(prob.inequalities, assign).min(initial=0.0)))
+    eq_resid = float(np.abs(_scalar_values(prob.equalities, assign)).max(initial=0.0))
     return {"primal": max(-min_eig, 0.0), "gap": eq_resid}
+
+
+def _terms_by_var(scalars: list[ScalarExpr]) -> dict[str, list[np.ndarray]]:
+    """Per variable, the rows, the positions in their row and the stacked F
+    of the scalar terms that hold it, in row and term order."""
+    groups: dict[str, list] = {}
+    for i, scalar in enumerate(scalars):
+        for j, (var, f) in enumerate(scalar.terms):
+            groups.setdefault(var, []).append((i, j, f))
+    return {var: [np.array(part) for part in zip(*grp)] for var, grp in groups.items()}
+
+
+def _scalar_values(scalars: list[ScalarExpr], assign: dict[str, np.ndarray]) -> np.ndarray:
+    """``ScalarExpr.evaluate`` of every row: the terms' Re Tr[F^H X] from
+    one stacked product per variable, added to the constant in term order."""
+    table = np.zeros((len(scalars), max((len(sc.terms) for sc in scalars), default=0)))
+    for var, (rows, pos, fs) in _terms_by_var(scalars).items():
+        table[rows, pos] = np.real(np.sum(fs.conj() * assign[var], axis=(-2, -1)))
+    vals = np.array([sc.const for sc in scalars], dtype=float)
+    for col in table.T:
+        vals = vals + col
+    return vals
 
 
 def _ct(mats: np.ndarray) -> np.ndarray:
@@ -438,89 +486,79 @@ def _congruence(c: np.ndarray) -> np.ndarray:
     return np.swapaxes(images.view(np.float64) @ reader, -1, -2)
 
 
-class _ScaledBlocks(NamedTuple):
-    """The PSD blocks of one dimension under ``_ScaledCone``'s scaling."""
-
-    d: int
-    slots: np.ndarray  # (n, d*d) slack positions of each block's rvec
-    scale: np.ndarray  # (n, d*d, d*d) T on the rvecs
-
-
 class _ScaledCone:
-    """The slack space of a ``Program`` under Nesterov-Todd scaling.
-
-    Per PSD block dimension d, the pair (S, Z) of positive definite blocks
-    gets R with R^H Z R = R^-1 S R^-H = diag(lam): with S = L_S L_S^H,
-    Z = L_Z L_Z^H and L_Z^H L_S = U diag(lam) V^H, R = L_S V diag(lam)^-1/2
-    and R^-1 = diag(lam)^-1/2 U^H L_Z^H.  The scaling map is
-    T(X) = R^-1 X R^-H, one d^2 x d^2 matrix per block on the rvecs (one
-    ``_congruence`` per block dimension, from the cached rvec basis); on the
-    inequality slots it is sqrt(z / s), with lam = sqrt(s z).  ``minimize``
-    needs T and T^T only: it takes the unscaled primal step T^-1 ds~ from
-    its residual, as r_p + A du.  The scaled point T s = T^-T z = lam is
-    diagonal, so lam o lam and the inverse of lam o, with
-    X o Y = (X Y + Y X) / 2, act slot by slot on the rvecs: an rvec slot of
-    entry (i, j) is multiplied by lam_i lam_j or divided by (lam_i + lam_j) / 2.
+    """The slack space of a ``Program``, in its slab layout, under
+    Nesterov-Todd scaling.  Per PSD block, the pair (S, Z) of positive definite blocks gets R with
+    R^H Z R = R^-1 S R^-H = diag(lam): with S = L_S L_S^H, Z = L_Z L_Z^H and
+    L_Z^H L_S = U diag(lam) V^H, R = L_S V diag(lam)^-1/2 and
+    R^-1 = diag(lam)^-1/2 U^H L_Z^H.  The scaling map is T(X) = R^-1 X R^-H,
+    one d^2 x d^2 matrix per block on the rvecs (one ``_congruence`` per
+    slab, from the cached rvec basis, in ``scales``); on the inequality
+    slots it is sqrt(z / s), with lam = sqrt(s z).  ``minimize`` needs T and
+    T^T only: it takes the unscaled primal step T^-1 ds~ from its residual,
+    as r_p + A du.  The scaled point T s = T^-T z = lam is diagonal, so
+    lam o lam and the inverse of lam o, with X o Y = (X Y + Y X) / 2, act
+    slot by slot on the rvecs: a slot of entry (i, j) is multiplied by
+    lam_i lam_j or divided by (lam_i + lam_j) / 2.  ``lam``, ``mid`` and
+    ``isq`` = 1 / sqrt(lam_i lam_j) ((1 / sqrt lam_i)^2 on a block's
+    diagonal) are gathered from the eigenvalues through ``Program.pair``,
+    and every kernel works on the (n, d^2) views of the slabs.
     """
 
     def __init__(self, prog: Program, s: np.ndarray, z: np.ndarray):
-        self.groups = []
-        n_psd = prog.n_psd
-        self.t_scalar = np.sqrt(z[n_psd:] / s[n_psd:])
-        self.lam = np.zeros_like(s)
-        self.lam[n_psd:] = np.sqrt(s[n_psd:] * z[n_psd:])
-        self.mid = self.lam.copy()  # (lam_i + lam_j) / 2 per slot
-        self.isq = np.zeros_like(s)  # 1 / sqrt(lam_i lam_j) per slot
-        self.isq[n_psd:] = 1.0 / self.lam[n_psd:]
-        for d, slots in prog.block_slots.items():
-            ls, lz = np.linalg.cholesky(rvec_to_herm(np.stack((s[slots], z[slots])), d))
+        self.slabs, self.n_psd = prog.slabs, prog.n_psd
+        self.scales, eigs, both = [], [], np.stack((s, z))
+        for d, lo, n in self.slabs:
+            pair = both[:, lo : lo + n * d * d].reshape(2, n, d * d)
+            ls, lz = np.linalg.cholesky(rvec_to_herm(pair, d))
             u, lam, vh = np.linalg.svd(_ct(lz) @ ls)
-            isq = 1.0 / np.sqrt(lam)
-            r_inv = isq[:, :, None] * (_ct(u) @ _ct(lz))
-            self.groups.append(_ScaledBlocks(d, slots, _congruence(r_inv)))
-            self.lam[slots[:, :d]] = lam
-            iu = _herm_indices(d)[0]
-            li, lj = lam[:, iu[0]], lam[:, iu[1]]
-            mid, isq_pair = (li + lj) / 2, 1.0 / np.sqrt(li * lj)
-            self.mid[slots] = np.concatenate([lam, mid, mid], axis=1)
-            self.isq[slots] = np.concatenate([isq * isq, isq_pair, isq_pair], axis=1)
-        self.n_psd = n_psd
+            r_inv = (1.0 / np.sqrt(lam))[:, :, None] * (_ct(u) @ _ct(lz))
+            self.scales.append(_congruence(r_inv))
+            eigs.append(lam.ravel())
+        self.t_scalar = np.sqrt(z[self.n_psd :] / s[self.n_psd :])
+        eigs.append(np.sqrt(s[self.n_psd :] * z[self.n_psd :]))
+        eig = np.concatenate(eigs)
+        li, lj = eig[prog.pair]
+        diag = prog.pair[0] == prog.pair[1]
+        self.lam = np.where(diag, li, 0.0)
+        self.mid = (li + lj) / 2
+        psd_diag = diag & (np.arange(diag.size) < self.n_psd)
+        self.isq = np.where(psd_diag, (1.0 / np.sqrt(li)) ** 2, 1.0 / np.sqrt(li * lj))
 
     def _apply(self, vec: np.ndarray, mats: list, scalar: np.ndarray) -> np.ndarray:
         """vec (or each column of a matrix) with each block's rvec multiplied
         by its matrix in ``mats`` and the inequality slots by ``scalar``."""
         out = np.empty_like(vec)
-        column = vec.ndim == 1
-        for group, mat in zip(self.groups, mats):
-            block = vec[group.slots]
-            out[group.slots] = (mat @ block[..., None])[..., 0] if column else mat @ block
-        out[self.n_psd :] = (scalar if column else scalar[:, None]) * vec[self.n_psd :]
+        for (d, lo, n), mat in zip(self.slabs, mats):
+            hi = lo + n * d * d
+            out[lo:hi] = (mat @ vec[lo:hi].reshape(n, d * d, -1)).reshape(out[lo:hi].shape)
+        out[self.n_psd :] = (scalar if vec.ndim == 1 else scalar[:, None]) * vec[self.n_psd :]
         return out
 
     def scale(self, vec: np.ndarray) -> np.ndarray:
         """T vec, or T applied to each column of a matrix."""
-        return self._apply(vec, [g.scale for g in self.groups], self.t_scalar)
+        return self._apply(vec, self.scales, self.t_scalar)
 
     def scale_adjoint(self, vec: np.ndarray) -> np.ndarray:
         """T^T vec."""
-        return self._apply(vec, [np.swapaxes(g.scale, -1, -2) for g in self.groups], self.t_scalar)
+        return self._apply(vec, [np.swapaxes(m, -1, -2) for m in self.scales], self.t_scalar)
 
     def jordan(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """a o b."""
-        out = a * b
-        for g in self.groups:
-            ma, mb = rvec_to_herm(np.stack((a[g.slots], b[g.slots])), g.d)
-            out[g.slots] = herm_to_rvec((ma @ mb + mb @ ma) / 2)
+        out, both = a * b, np.stack((a, b))
+        for d, lo, n in self.slabs:
+            ma, mb = rvec_to_herm(both[:, lo : lo + n * d * d].reshape(2, n, d * d), d)
+            out[lo : lo + n * d * d] = herm_to_rvec((ma @ mb + mb @ ma) / 2).ravel()
         return out
 
     def max_step(self, *directions: np.ndarray) -> float:
         """The largest alpha with lam + alpha d in the cone for each of the
         given directions d (inf if none), from one stacked ``eigvalsh`` per
-        block dimension."""
+        slab."""
         rel = np.stack(directions) * self.isq
         worst = -float(rel[:, self.n_psd :].min(initial=0.0))
-        for g in self.groups:
-            blocks = rvec_to_herm(rel[:, g.slots], g.d)
+        for d, lo, n in self.slabs:
+            blocks = rvec_to_herm(rel[:, lo : lo + n * d * d].reshape(len(rel), n, d * d), d)
             worst = max(worst, -float(np.linalg.eigvalsh(blocks).min()))
         return 1.0 / worst if worst > 0.0 else math.inf
 
@@ -554,15 +592,16 @@ def minimize(prob: SDProblem) -> SDPResult:
     T^-1 ds~ = r_p + A du, read from the residual r_p = A u + h - s; the
     dual step is T^T dz~.
 
+    The iteration works in the slab layout: A, h and e are permuted once by
+    ``Program.order``.
     Returns "optimal" once the primal point passes ``recheck`` and the
     dual residual |A^T z - N^T q| and the gap <s, z> are both at most
     ``GAP_TOL`` max(1, |<q, x>|), the scale of the objective: the dual z
     can grow large on a thin feasible set (|z| ~ 6e4 at eps 0.001), and
     there a dual residual at the rounding level of z still bounds the
-    objective to that relative accuracy.  The dual (z, y) is in ``dual``:
-    z the slack-side multiplier (one rvec per PSD block, then one weight
-    per inequality), y the least-squares equality multiplier with
-    G^T z + G_eq^T y = q.  Otherwise, after
+    objective to that relative accuracy.  ``dual`` is z alone, the
+    slack-side multiplier back in the problem's own order (one rvec per
+    PSD block, then one weight per inequality).  Otherwise, after
     ``IPM_MAX_ITER`` iterations, once the gap <s, z> exceeds the start's
     gap eta xi degree / ``GAP_TOL`` (the iterates diverge, as on an
     infeasible problem), or when a step's linear algebra fails (a
@@ -579,13 +618,10 @@ def minimize(prob: SDProblem) -> SDPResult:
         x0 = -vh[: prog.n_eq].T @ ((left.T @ prog.c_eq) / sv)
     else:
         null, x0 = np.eye(prog.n_vars), np.zeros(prog.n_vars)
-    a = prog.g_graph @ null
-    h = prog.g_graph @ x0 + prog.c_graph
+    a = (prog.g_graph @ null)[prog.order]
+    h = (prog.g_graph @ x0 + prog.c_graph)[prog.order]
     q_red = null.T @ q
-    e = np.zeros(prog.n_graph)
-    for d, slots in prog.block_slots.items():
-        e[slots[:, :d]] = 1.0
-    e[prog.n_psd :] = 1.0
+    e = (prog.pair[0] == prog.pair[1]).astype(float)
     degree = float(e.sum())
     root = math.sqrt(degree)
     col_norms = np.linalg.norm(a, axis=0)
@@ -634,10 +670,7 @@ def minimize(prob: SDProblem) -> SDPResult:
         s = s + alpha * (r_p + a @ du)  # = T^-1 ds~, by the linearised r_p + A du - ds = 0
         z = z + alpha * cone.scale_adjoint(dz)
         it += 1
-    y = np.zeros(0)
-    if prog.n_eq:
-        y = np.linalg.solve(prog.g_eq @ prog.g_eq.T, prog.g_eq @ (q - prog.g_graph.T @ z))
     assign = prog.get_vars(x)
     if "primal" not in res:
         res.update(_recheck(prob, assign))
-    return SDPResult(status, assign, res, it, dual=(z, y))
+    return SDPResult(status, assign, res, it, dual=z[np.argsort(prog.order)])

@@ -483,6 +483,23 @@ def farkas_from_expressions(prob, slack: np.ndarray) -> tuple[float, float]:
     return gap, float(np.linalg.norm(grad + eq_rows @ nu))
 
 
+def recheck_per_expression(prob, assign: dict) -> dict:
+    """The residuals of an SDP's constraints at ``assign``, one expression
+    at a time: the least eigenvalue of each PSD expression's Hermitian part
+    and each inequality's value give "primal" (0 when all are >= 0), the
+    largest |equality value| gives "gap"."""
+    min_eig = 0.0
+    for expr in prob.psd_constraints:
+        val = expr.evaluate(assign)
+        min_eig = min(min_eig, float(np.linalg.eigvalsh((val + val.conj().T) / 2)[0]))
+    eq_resid = 0.0
+    for eq in prob.equalities:
+        eq_resid = max(eq_resid, abs(eq.evaluate(assign)))
+    for ineq in prob.inequalities:
+        min_eig = min(min_eig, ineq.evaluate(assign))
+    return {"primal": max(-min_eig, 0.0), "gap": eq_resid}
+
+
 def support_components_oracle(mats: list) -> list:
     """Connected components of the union pattern |M_ij| > 1e-12 (made
     symmetric), as sorted index arrays ordered by their least index,

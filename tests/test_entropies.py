@@ -382,6 +382,60 @@ def compiled(prob) -> tuple:
     return prob.variables, [a.tobytes() for a in arrays]
 
 
+def support_patterns(rng, d) -> list:
+    """Seeded support patterns on d indices, each a list of matrices: one
+    chain through all indices in a random order, the same chain cut at
+    random places and split over two matrices, isolated indices (entries
+    only below 1e-12), the full pattern, and a random sparse pattern."""
+    perm = rng.permutation(d)
+    chain = np.zeros((d, d), dtype=complex)
+    chain[perm[:-1], perm[1:]] = rng.normal(size=d - 1) + 1j
+    cut = chain.copy()
+    cut[perm[:-1], perm[1:]] *= rng.random(d - 1) < 0.7
+    half = rng.random((d, d)) < 0.5
+    sparse = (rng.random((d, d)) < 1.5 / d) * rng.normal(size=(d, d))
+    return [
+        [chain],
+        [cut * half, cut * ~half],
+        [np.full((d, d), 1e-13), np.zeros((d, d))],
+        [np.ones((d, d))],
+        [sparse, np.diag(rng.normal(size=d))],
+    ]
+
+
+class TestSupportComponents:
+    @pytest.mark.parametrize("d", [1, 2, 5, 17, 40])
+    def test_matches_oracle_on_seeded_patterns(self, d):
+        for mats in support_patterns(np.random.default_rng(40 + d), d):
+            got = ent._support_components(mats)
+            want = oracles.support_components_oracle(mats)
+            assert len(got) == len(want)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    def test_one_eigh_per_component_size(self, monkeypatch):
+        # components of sizes 1, 2 and 3 that carry rho, rho-free ones of
+        # sizes 1 and 2; each spectrum is that of the component's own eigh
+        rho, sigma = block_pair(np.random.default_rng(41), [2, 1, 3, 2, 1], [2, 1], zero=1)
+        comps = ent._support_components([rho, sigma])
+        eigh, calls = np.linalg.eigh, []
+
+        def counting(a):
+            calls.append(a.shape)
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        blocks, _ = ent._ball_blocks(rho, sigma)
+        assert len(calls) == len({len(c) for c in comps}) == 3
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        assert len(blocks) == 5
+        for blk in blocks:
+            w, u = np.linalg.eigh(rho[np.ix_(blk.comp, blk.comp)])
+            keep = w > 1e-12
+            assert np.array_equal(blk.eigs, w[keep][::-1])
+            rotation = np.concatenate([u[:, keep][:, ::-1], u[:, ~keep]], axis=1)
+            assert np.array_equal(blk.rotation, rotation)
+
+
 class TestFoldedBall:
     """The rho-free components of the smoothing program fold into one
     scalar w; ``oracles.capped_ball_per_component`` keeps one ball variable

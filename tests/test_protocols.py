@@ -182,6 +182,14 @@ def _golden() -> dict:
     return json.loads(GOLDEN_PATH.read_text())
 
 
+@pytest.mark.parametrize("field", ["eps", "r_x", "r_y", "c_x", "c_y"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_budget_rejects_non_finite_fields(field, value):
+    fields = {"eps": 0.1, "r_x": 3.0, "r_y": 2.0, "c_x": 1.0, "c_y": 1.0, field: value}
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        OneShotBudget(**fields)
+
+
 def test_golden_thresholds_with_certified_verdicts(solved):
     name, _, th, solves = solved
     want = _golden()[name]
@@ -193,7 +201,7 @@ def test_golden_thresholds_with_certified_verdicts(solved):
         primal = sdp._recheck(ent._capped_ball(rho, sigma, eps, value), res.assignment)
         assert primal["primal"] <= 10 * sdp.FEASIBLE_TOL and primal["gap"] <= 10 * sdp.FEASIBLE_TOL
         lo = ent._capped_ball(rho, sigma, eps, value - ent.BISECT_TOL_BITS)
-        gap, resid = oracles.farkas_from_expressions(lo, res.dual[0])
+        gap, resid = oracles.farkas_from_expressions(lo, res.dual)
         assert gap > 0 and resid <= sdp.WITNESS_RATIO * gap
 
 

@@ -221,6 +221,29 @@ class TestInstanceIO:
         io.save_instance(loaded, path)
         assert path.read_bytes() == first
 
+    @pytest.mark.parametrize("name", io.BUNDLED)
+    def test_bundled_instances_round_trip_bytes(self, name):
+        path = io.bundled_instance_path(name)
+        assert io.dumps_canonical(io.load_bundled(name).to_payload()) == path.read_text()
+
+    @pytest.mark.parametrize(
+        "dims, message",
+        [
+            ({"A": 2.9, "B": 1, "R": 1}, "register A must be an integer"),
+            ({"A": 2.0, "B": 1, "R": 1}, "register A must be an integer"),
+            ({"A": 2, "B": True, "R": 1}, "register B must be an integer"),
+            ({"A": 2, "B": 1, "R": 0}, "register R must be an integer >= 1"),
+            ({"A": 2, "B": 1, "R": 1, "C": 3}, "exactly the registers A, B and R"),
+            ({"A": 2, "B": 1}, "exactly the registers A, B and R"),
+        ],
+    )
+    def test_dims_name_exactly_a_b_r_as_integers(self, dims, message):
+        payload = io.load_bundled("trivial").to_payload()
+        assert payload["dims"] == {"A": 2, "B": 1, "R": 1}
+        payload["dims"] = dims
+        with pytest.raises(ValueError, match=message):
+            io.instance_from_payload(payload)
+
     def test_invalid_state_rejected(self, tmp_path):
         payload = {
             "dims": {"A": 2, "B": 1, "R": 1},

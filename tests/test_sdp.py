@@ -6,6 +6,7 @@ import pytest
 from povmcomp import entropies as ent
 from povmcomp import io, sdp
 from povmcomp import linalg as la
+from povmcomp import protocols as P
 from povmcomp.protocols import prep as prep_mod
 
 import oracles
@@ -37,8 +38,8 @@ def box_min_t(dim, target_trace):
 
 def feasibility_problem(which):
     """A problem with the objective Tr X, which its constraints fix ("box")
-    or bound below ("interleaved"), so that ``minimize`` finds a feasible point."""
-    prob = box_problem(3, 3) if which == "box" else interleaved_blocks_problem()
+    or bound below (the others), so that ``minimize`` finds a feasible point."""
+    prob = kernel_problem(which)
     prob.objective = sdp.trace_functional("X", prob.variables[0][1])
     return prob
 
@@ -58,6 +59,18 @@ def interleaved_blocks_problem():
     prob.require_geq(sdp.trace_functional("X", 2, const=-0.5))
     prob.require_geq(sdp.trace_functional("W", 4, coeff=-1.0, const=2.0))
     prob.require_eq(sdp.trace_functional("Y", 3, const=-1.0))
+    return prob
+
+
+def mixed_rows_problem():
+    """``interleaved_blocks_problem`` with one more inequality that holds W
+    twice, lists its variables in another order than the problem and has a
+    nonzero constant; every bounded point meets it."""
+    prob = interleaved_blocks_problem()
+    rng = np.random.default_rng(12)
+    f = {lab: oracles.random_hermitian(rng, d) / 10 for lab, d in prob.variables}
+    terms = (("W", f["W"]), ("Y", f["Y"]), ("X", f["X"]), ("W", -f["W"] / 3))
+    prob.require_geq(sdp.ScalarExpr(3.0, terms))
     return prob
 
 
@@ -89,11 +102,13 @@ def kernel_problem(which):
         return box_problem(3, 3)
     if which == "interleaved":
         return interleaved_blocks_problem()
+    if which == "mixed_rows":
+        return mixed_rows_problem()
     rho, sigma = random_pair()
     return ent._capped_ball(rho, sigma, 0.1, ent.d_max(rho, sigma) if which == "ball_cap" else None)
 
 
-KERNEL_PROBLEMS = ["box", "interleaved", "ball_cap", "min_t"]
+KERNEL_PROBLEMS = ["box", "interleaved", "mixed_rows", "ball_cap", "min_t"]
 
 
 def fires(gap, resid):
@@ -145,12 +160,14 @@ class TestBatchedCone:
 
 
 def random_interior(prog, rng):
-    """A slack-side point strictly inside the cone of ``prog``: each PSD
-    block G G^H + I for a random complex G, each inequality slot in [0.5, 1.5)."""
+    """A slack-side point strictly inside the cone of ``prog``, in its slab
+    layout: each PSD block G G^H + I for a random complex G, each inequality
+    slot in [0.5, 1.5)."""
     point = rng.uniform(0.5, 1.5, size=prog.n_graph)
-    for d, slots in prog.block_slots.items():
-        g = rng.normal(size=(len(slots), d, d)) + 1j * rng.normal(size=(len(slots), d, d))
-        point[slots] = sdp.herm_to_rvec(g @ np.conj(np.swapaxes(g, -1, -2)) + np.eye(d))
+    for d, lo, n in prog.slabs:
+        g = rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d))
+        blocks = sdp.herm_to_rvec(g @ np.conj(np.swapaxes(g, -1, -2)) + np.eye(d))
+        point[lo : lo + n * d * d] = blocks.ravel()
     return point
 
 
@@ -218,8 +235,9 @@ class TestIterationKernels:
             ds, dz = cone.directions[-1]
             alpha = min(1.0, sdp.STEP_TO_BOUNDARY * scaled_cone.max_step(cone, ds, dz))
             unscaled = ds / np.concatenate([np.ones(cone.n_psd), cone.t_scalar])
-            for g in cone.groups:
-                unscaled[g.slots] = np.linalg.solve(g.scale, ds[g.slots][..., None])[..., 0]
+            for (d, lo, n), scale in zip(cone.slabs, cone.scales):
+                blocks = ds[lo : lo + n * d * d].reshape(n, d * d, 1)
+                unscaled[lo : lo + n * d * d] = np.linalg.solve(scale, blocks).ravel()
             assert np.max(np.abs((following.s - cone.s) / alpha - unscaled)) <= 1e-10
 
     def test_one_congruence_per_block_group_per_iteration(self, monkeypatch):
@@ -233,8 +251,173 @@ class TestIterationKernels:
 
         monkeypatch.setattr(sdp, "_congruence", counting)
         res = sdp.minimize(prob)
-        groups = len(sdp.Program(prob).block_slots)
-        assert groups == 2 and len(calls) == groups * res.iterations
+        slabs = len(sdp.Program(prob).slabs)
+        assert slabs == 2 and len(calls) == slabs * res.iterations
+
+
+def linalg_spy(monkeypatch) -> list:
+    """Records the name of every ``np.linalg`` function called from now on."""
+    calls = []
+    for name in np.linalg.__all__:
+        fn = getattr(np.linalg, name)
+        if callable(fn) and not isinstance(fn, type):
+
+            def spy(*args, _fn=fn, _name=name, **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, spy)
+    return calls
+
+
+class TestSlabLayout:
+    """The slab layout of ``Program``: the blocks of one dimension side by
+    side, slot maps to the eigenvalue pairs, and a dual in problem order."""
+
+    def test_slabs_group_the_blocks_by_dimension(self):
+        prog = sdp.Program(interleaved_blocks_problem())
+        assert prog.slabs == [(2, 0, 2), (3, 8, 2), (4, 26, 1)]
+        offsets = [0, 4, 13, 17, 33, 42]  # problem order: dims 2, 3, 2, 4, 3, then 2 slots
+        want = [offsets[k] + np.arange(d * d) for k, d in ((0, 2), (2, 2), (1, 3), (4, 3), (3, 4))]
+        assert np.array_equal(prog.order, np.concatenate(want + [np.arange(42, 44)]))
+        # a problem with its blocks grouped by dimension keeps its order
+        grouped = sdp.Program(kernel_problem("min_t"))
+        assert np.array_equal(grouped.order, np.arange(grouped.n_graph))
+
+    def test_slot_maps_give_each_slot_its_eigenvalue_pair(self):
+        # lam, mid and isq of _ScaledCone against the eigenvalues of S Z,
+        # block by block, for every rvec slot of entry (i, j)
+        prog = sdp.Program(interleaved_blocks_problem())
+        rng = np.random.default_rng(23)
+        for _ in range(5):
+            s, z = random_interior(prog, rng), random_interior(prog, rng)
+            cone = sdp._ScaledCone(prog, s, z)
+            lam, mid, isq = [], [], []
+            for d, lo, n in prog.slabs:
+                iu = np.triu_indices(d, k=1)
+                i, j = (np.concatenate([np.arange(d), side, side]) for side in iu)
+                for b in range(n):
+                    blk = slice(lo + b * d * d, lo + (b + 1) * d * d)
+                    sz = sdp.rvec_to_herm(s[blk], d) @ sdp.rvec_to_herm(z[blk], d)
+                    ev = np.sort(np.sqrt(np.linalg.eigvals(sz).real))[::-1]
+                    lam.append(np.where(i == j, ev[i], 0.0))
+                    mid.append((ev[i] + ev[j]) / 2)
+                    isq.append(1.0 / np.sqrt(ev[i] * ev[j]))
+            ineq = np.sqrt(s[prog.n_psd :] * z[prog.n_psd :])
+            wants = (lam + [ineq], mid + [ineq], isq + [1 / ineq])
+            for got, want in zip((cone.lam, cone.mid, cone.isq), map(np.concatenate, wants)):
+                assert np.max(np.abs(got - want) / want.clip(1.0)) <= 1e-10
+            # the Jordan product, block by block
+            a, b = rng.normal(size=(2, prog.n_graph))
+            jordan = a * b
+            for d, lo, n in prog.slabs:
+                for blk in np.arange(lo, lo + n * d * d).reshape(n, d * d):
+                    ma, mb = sdp.rvec_to_herm(a[blk], d), sdp.rvec_to_herm(b[blk], d)
+                    jordan[blk] = sdp.herm_to_rvec((ma @ mb + mb @ ma) / 2)
+            assert np.max(np.abs(cone.jordan(a, b) - jordan)) <= 1e-12
+            # the scaled point: T s = T^-T z = lam
+            assert np.max(np.abs(cone.scale(s) - cone.lam)) <= 1e-10 * np.max(cone.lam)
+            assert np.max(np.abs(cone.scale_adjoint(cone.lam) - z)) <= 1e-10 * np.max(np.abs(z))
+
+    def test_dual_is_in_problem_order(self):
+        # the solve runs in slab order; the z it returns is read in problem
+        # order, as a dual point (G^T z - q in the row space of G_eq, and
+        # <G x + c, z> ~ 0) and by farkas and its expression oracle alike.
+        # An indefinite objective presses on every block, so no block's z is 0
+        prob = interleaved_blocks_problem()
+        rng = np.random.default_rng(25)
+        prob.objective = sdp.ScalarExpr(
+            0.0, tuple((lab, oracles.random_hermitian(rng, d)) for lab, d in prob.variables)
+        )
+        prog = sdp.Program(prob)
+        assert not np.array_equal(prog.order, np.arange(prog.n_graph))
+        res = sdp.minimize(prob)
+        assert res.status == "optimal"
+        z = res.dual
+        null = np.linalg.svd(prog.g_eq)[2][prog.n_eq :].T
+        q = prog.functional(prob.objective)
+        assert np.linalg.norm(null.T @ (prog.g_graph.T @ z - q)) <= 1e-5
+        x = np.concatenate([sdp.herm_to_rvec(res.assignment[lab]) for lab, _ in prob.variables])
+        assert abs((prog.g_graph @ x + prog.c_graph) @ z) <= 1e-5
+        gap, resid = prog.farkas(z)[2:]
+        want_gap, want_resid = oracles.farkas_from_expressions(prob, z)
+        assert gap == pytest.approx(want_gap, rel=1e-12, abs=1e-14)
+        assert resid == pytest.approx(want_resid, abs=1e-13)
+
+
+@pytest.fixture(scope="module")
+def region_program():
+    """The largest smoothing program of the ``region`` benchmark's X-axis
+    cell (instrument_derived, theta 0.5, eps 0.1): 146 variable reals."""
+    prep = prep_mod.prepare(io.load_bundled("instrument_derived"))
+    probs, solve = [], sdp.minimize
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sdp, "minimize", lambda prob: (probs.append(prob), solve(prob))[1])
+        P.one_shot_region(prep, 0.1, theta_grid=(0.5,), axes=("X",))
+    return max(probs, key=lambda prob: sdp.Program(prob).n_vars)
+
+
+def test_linalg_calls_per_iteration_on_the_region_program(region_program, monkeypatch):
+    # per iteration: one cholesky and one svd per slab, one eigvalsh per slab
+    # in each of the two step tests, two solves and one norm; around the
+    # loop: the svd of G_eq, the start's two norms, the last dual-residual
+    # norm and the recheck's one eigvalsh per block dimension
+    prog = sdp.Program(region_program)
+    slabs = len(prog.slabs)
+    assert prog.n_vars == 146 and slabs == 2
+    calls = linalg_spy(monkeypatch)
+    res = sdp.minimize(region_program)
+    assert res.status == "optimal"
+    assert len(calls) <= (4 * slabs + 3) * res.iterations + 4 + slabs
+
+
+def kernel_assignments(which) -> list:
+    """Assignments of a ``kernel_problem``: the solve's point (feasible),
+    that point moved by 1e-9 (feasible within the recheck's tolerance) and
+    by 0.1, and three random Hermitian assignments (infeasible)."""
+    prob = kernel_problem(which)
+    ball = which in ("ball_cap", "min_t")
+    point = sdp.minimize(kernel_problem("min_t") if ball else feasibility_problem(which)).assignment
+    rng = np.random.default_rng(24)
+    out = [point]
+    for size in (1e-9, 0.1):
+        out.append({k: x + size * oracles.random_hermitian(rng, len(x)) for k, x in point.items()})
+    out += [{lab: oracles.random_hermitian(rng, d) for lab, d in prob.variables} for _ in range(3)]
+    return out
+
+
+class TestRecheck:
+    """``_recheck`` evaluates the problem's own expressions, with one stacked
+    ``eigvalsh`` per block dimension and the scalar rows stacked per variable."""
+
+    @pytest.mark.parametrize("which", KERNEL_PROBLEMS)
+    def test_matches_per_expression_oracle(self, which):
+        prob = kernel_problem(which)
+        verdicts = set()
+        for assign in kernel_assignments(which):
+            got = sdp._recheck(prob, assign)
+            want = oracles.recheck_per_expression(prob, assign)
+            assert {k: v.hex() for k, v in got.items()} == {k: v.hex() for k, v in want.items()}
+            verdicts.add(sdp.recheck(prob, assign)[0])
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("which", KERNEL_PROBLEMS)
+    def test_scalar_rows_match_evaluate(self, which):
+        # each row's value has the bits of ScalarExpr.evaluate: its terms
+        # added to the constant in term order, whatever the variables' order
+        prob = kernel_problem(which)
+        for assign in kernel_assignments(which):
+            for rows in (prob.inequalities, prob.equalities):
+                got = sdp._scalar_values(rows, assign).tolist()
+                assert [v.hex() for v in got] == [row.evaluate(assign).hex() for row in rows]
+
+    @pytest.mark.parametrize("which", KERNEL_PROBLEMS)
+    def test_one_eigvalsh_per_block_dimension(self, which, monkeypatch):
+        prob = kernel_problem(which)
+        assign = kernel_assignments(which)[-1]
+        calls = linalg_spy(monkeypatch)
+        sdp._recheck(prob, assign)
+        assert calls == ["eigvalsh"] * len(set(e.dim for e in prob.psd_constraints))
 
 
 class TestBatchedProbe:
@@ -310,7 +493,7 @@ class TestFeasibility:
         res = sdp.minimize(box_min_t(3, 4))
         assert res.status == "optimal"
         assert res.assignment["t"][0, 0].real == pytest.approx(4 / 3, abs=1e-5)
-        assert fires(*sdp.Program(box_problem(3, 4)).farkas(res.dual[0])[2:])
+        assert fires(*sdp.Program(box_problem(3, 4)).farkas(res.dual)[2:])
 
     def test_infeasible_box_stops_without_a_verdict(self):
         # the iterates of 0 <= X <= I, Tr X = 4 diverge: minimize stops once
@@ -387,7 +570,7 @@ class TestWitness:
 
     def test_box_witness_checked_from_expressions(self):
         prob = box_problem(3, 4)
-        w, nu, gap, resid = sdp.Program(prob).farkas(sdp.minimize(box_min_t(3, 4)).dual[0])
+        w, nu, gap, resid = sdp.Program(prob).farkas(sdp.minimize(box_min_t(3, 4)).dual)
         const = witness_functional(prob, w, nu, {"X": np.zeros((3, 3), dtype=complex)})
         r = [witness_functional(prob, w, nu, {"X": b}) - const for b in herm_basis(3)]
         assert const == pytest.approx(-gap, abs=1e-12)
@@ -403,7 +586,7 @@ class TestWitness:
         prob = feasibility_problem(which)
         res = sdp.minimize(prob)
         assert res.status == "optimal"
-        assert not fires(*sdp.Program(prob).farkas(res.dual[0])[2:])
+        assert not fires(*sdp.Program(prob).farkas(res.dual)[2:])
 
     @staticmethod
     def solved(which):
@@ -418,19 +601,19 @@ class TestWitness:
         rho, sigma, value, res = self.solved(which)
         tol = ent.BISECT_TOL_BITS
         below = ent._capped_ball(rho, sigma, 0.1, value - tol)
-        assert fires(*sdp.Program(below).farkas(res.dual[0])[2:])
+        assert fires(*sdp.Program(below).farkas(res.dual)[2:])
         # the soundness half: above the value the program is feasible (the
         # solve's own point passes), so no witness may fire there
         above = ent._capped_ball(rho, sigma, 0.1, value + tol)
         assert sdp.recheck(above, res.assignment)[0]
-        assert not fires(*sdp.Program(above).farkas(res.dual[0])[2:])
+        assert not fires(*sdp.Program(above).farkas(res.dual)[2:])
 
     @pytest.mark.parametrize("which", ["env", "random"])
     def test_farkas_matches_expression_oracle_on_min_t_duals(self, which):
         # Program.farkas clips each block dimension's stack with one eigh;
         # the oracle clips block by block and evaluates the expressions
         rho, sigma, value, res = self.solved(which)
-        z = res.dual[0]
+        z = res.dual
         below = ent._capped_ball(rho, sigma, 0.1, value - ent.BISECT_TOL_BITS)
         gap, resid = sdp.Program(below).farkas(z)[2:]
         want_gap, want_resid = oracles.farkas_from_expressions(below, z)
@@ -551,5 +734,5 @@ class TestFidelityBlock:
                 continue  # too close to the boundary to classify numerically
             prob = self.fidelity_ball_problem(np.diag(p), np.diag(s), lam, target)
             feasible = sdp.recheck(prob, res.assignment)[0]
-            infeasible = fires(*sdp.Program(prob).farkas(res.dual[0])[2:])
+            infeasible = fires(*sdp.Program(prob).farkas(res.dual)[2:])
             assert (feasible, infeasible) == (lam >= lam_star, lam < lam_star), lam
