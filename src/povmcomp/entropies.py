@@ -327,11 +327,28 @@ class _BallBlock:
         return len(self.eigs)
 
 
+def _real_pair(rho, sigma) -> tuple[np.ndarray, np.ndarray]:
+    """(rho, sigma) as real matrices when both imaginary parts are within
+    ``la.HERM_TOL``, the round-off repair ``la._hermitian_part`` makes for
+    the anti-Hermitian part; else both as complex matrices, unchanged.
+
+    A real pair gives real rotations (from a real ``eigh``) and real
+    smoothing programs, which ``sdp`` solves over the real symmetric
+    matrices; by the conjugation argument of the ``sdp`` docstring they have
+    the value and the certificates of the Hermitian programs.
+    """
+    if max(np.max(np.abs(np.imag(m)), initial=0.0) for m in (rho, sigma)) <= la.HERM_TOL:
+        return np.real(rho), np.real(sigma)
+    return np.asarray(rho, dtype=complex), np.asarray(sigma, dtype=complex)
+
+
 def _ball_blocks(rho, sigma) -> tuple[list[_BallBlock], float]:
     """The components of the joint support pattern that carry rho, and
     s0 = sum_c Tr sigma_c over the rest, the rho-free components: those
     where rho_c has no eigenvalue above 1e-12.  The spectra of the rho_c
-    come from one stacked ``eigh`` per component size."""
+    come from one stacked ``eigh`` per component size, of the pair as
+    ``_real_pair`` gives it."""
+    rho, sigma = _real_pair(rho, sigma)
     comps = _support_components([rho, sigma])
     spectra: list = [None] * len(comps)
     for size in sorted({len(c) for c in comps}):
@@ -362,7 +379,7 @@ def _entry_pin(var: str, dim: int, i: int, j: int, value: float, imag: bool) -> 
 
 
 def _fidelity_ball_problem(
-    blocks: list[_BallBlock], target_f: float, free: bool
+    blocks: list[_BallBlock], target_f: float, free: bool, real: bool
 ) -> sdp.SDProblem:
     """The smoothing program's fidelity ball: rho' PSD and close to rho.
 
@@ -372,6 +389,8 @@ def _fidelity_ball_problem(
     encodes the fidelity constraint.  With ``free`` a 1x1 variable w >= 0
     stands for the trace of rho' on the rho-free components (see
     ``_capped_ball``).  The trace of rho', sum_c Tr rho'_c + w, is 1.
+    With ``real`` (a real pair) the corner's imaginary parts get no pin:
+    they vanish on a real G, and their rows would be zero rows of G_eq.
     """
     prob = sdp.SDProblem()
     tr_terms, z_terms = [], []
@@ -383,7 +402,8 @@ def _fidelity_ball_problem(
             prob.require_eq(_entry_pin(var, r + d, a, a, float(blk.eigs[a]), imag=False))
             for b in range(a + 1, r):
                 prob.require_eq(_entry_pin(var, r + d, a, b, 0.0, imag=False))
-                prob.require_eq(_entry_pin(var, r + d, a, b, 0.0, imag=True))
+                if not real:
+                    prob.require_eq(_entry_pin(var, r + d, a, b, 0.0, imag=True))
         z_f = np.zeros((r + d, r + d), dtype=complex)
         for a in range(r):
             z_f[a, r + a] = 0.5
@@ -413,7 +433,8 @@ def _capped_ball(
     and the objective is min t, whose optimum is 2^(D_max^eps).  ``ball``
     is ``_ball_blocks(rho, sigma)``, built here when None; a caller that
     builds several programs of one pair passes it, and each program
-    compiles to the same bytes as from its own build.
+    compiles to the same bytes as from its own build.  The pair is taken
+    as ``_real_pair`` gives it, so a real pair gives a real program.
 
     The rho-free components are folded into one scalar.  On a component
     with rho_c = 0, rho'_c enters the program only through Tr rho'_c, in
@@ -427,9 +448,11 @@ def _capped_ball(
     rho'_c = (w / s0) sigma_c.  When s0 is 0 (every rho-free component has
     sigma_c = 0, so each rho'_c is pinned to 0) there is no w.
     """
+    rho, sigma = _real_pair(rho, sigma)
     blocks, free_mass = _ball_blocks(rho, sigma) if ball is None else ball
     free = free_mass > 0.0
-    prob = _fidelity_ball_problem(blocks, math.sqrt(max(0.0, 1.0 - eps * eps)), free)
+    real = not np.iscomplexobj(sigma)
+    prob = _fidelity_ball_problem(blocks, math.sqrt(max(0.0, 1.0 - eps * eps)), free, real)
     if lam is None:
         prob.add_var("t", 1)
         prob.objective = sdp.trace_functional("t", 1)
@@ -471,10 +494,15 @@ def d_max_smooth(rho, sigma, eps: float) -> float:
 
     The components are classified and their spectra taken once
     (``_ball_blocks``), and the three programs are built from those
-    blocks.  Each certificate is still tested on its own program: the
-    recheck evaluates the fixed-lambda program's expressions, and the
-    Farkas test compiles the program at v - BISECT_TOL_BITS; nothing is
-    read from the min t compile.
+    blocks.  All three take the pair as ``_real_pair`` gives it: real parts
+    when both imaginary parts are within ``la.HERM_TOL`` (round-off, which
+    ``la._hermitian_part`` repairs the same way), so on a real pair, as on
+    every bundled instance, the min t solve and both certificates work over
+    real symmetric matrices, and a rebuild of any of them from the same
+    pair gives the same real program.  Each certificate is still tested on
+    its own program: the recheck evaluates the fixed-lambda program's
+    expressions, and the Farkas test compiles the program at
+    v - BISECT_TOL_BITS; nothing is read from the min t compile.
     """
     eps = _validate_eps(eps)
     rho = la.assert_density(rho)

@@ -4,15 +4,35 @@ Problems are posed over named Hermitian variables with affine Hermitian
 expressions required PSD plus scalar equalities/inequalities.  ``Program``
 compiles a problem once into s = G x + c in K, G_eq x + c_eq = 0 over the
 rvec coordinates of its variables (K the PSD cones and the orthant of the
-inequalities; each Hermitian block is stored by its isometric real vector,
+inequalities; each block is stored by its isometric real vector,
 ``herm_to_rvec``/``rvec_to_herm``).  Both conversions are one matrix
-product with the rvec basis of the block dimension, which ``_rvec_basis``
-builds once per dimension and caches.  Set-up probes the linear map G once
-per (PSD constraint, variable) and once per variable for all its scalar
-rows, over the stacked basis matrices of that cache.  ``Program`` also fixes
-the cone layout ``minimize`` works in: one slab per block dimension, its
-blocks side by side as one (n, d^2) view, then the inequality slots, with
-slot maps that give each slot its eigenvalue pair (i, j).
+product with the rvec basis of the block dimension and field, which
+``_rvec_basis`` builds once and caches.  Set-up probes the linear map G
+once per (PSD constraint, variable) and once per variable for all its
+scalar rows, over the stacked basis matrices of that cache.  ``Program``
+also fixes the cone layout ``minimize`` works in: one slab per block
+dimension, its blocks side by side as one (n, k) view, then the inequality
+slots, with slot maps that give each slot its eigenvalue pair (i, j).
+
+The field is read from the data.  A problem is real when every
+coefficient has a zero imaginary part: each PSD constant, each term's
+coefficient and ``kron``/``subblock_conj`` left matrix, and the F of each
+scalar row and of the objective (``_is_real``).  A real problem is solved
+over real symmetric matrices, k = d(d+1)/2 coordinates per d x d block
+(the diagonal and sqrt2 times the upper triangle); any other over
+Hermitian ones, k = d^2.  On real data this loses nothing.  Every map of
+the problem then commutes with entrywise conjugation (E(conj X) =
+conj E(X), Re Tr[F^H conj X] = Re Tr[F^H X] for real F), and conjugation
+keeps a matrix PSD.  So with X feasible, conj X is feasible with the same
+objective, and so is Re X = (X + conj X) / 2, by convexity: a real
+symmetric optimum is a Hermitian optimum, and a point the real solve
+returns is a Hermitian point.  A Farkas witness (w, nu) of the real
+program proves the Hermitian program infeasible as well: w is real, and
+along an imaginary direction i A (A real antisymmetric) every map gives a
+purely imaginary image, whose pairing with real w and real F is 0.  So the
+gradient r has no component outside the real coordinates, |r| and the gap
+are the same over the Hermitian coordinates, and the bound
+|x| >= gap / |r| holds for every Hermitian x.
 
 ``minimize`` is the one solver: a primal-dual interior-point method with
 Nesterov-Todd scaling and Mehrotra's predictor-corrector for a problem with
@@ -41,7 +61,8 @@ Fixed settings: a point counts as feasible when its constraints are met to
 ``10 * FEASIBLE_TOL``; ``minimize`` stops at a relative gap and dual
 residual of ``GAP_TOL`` and steps ``STEP_TO_BOUNDARY`` of the way to the
 cone's boundary; ``MAX_VAR_REALS`` caps the variables' real dimension n,
-since ``minimize`` takes the SVD of G_eq with its n x n right factor for the
+the reals of the field solved (sum of k over the variables), since
+``minimize`` takes the SVD of G_eq with its n x n right factor for the
 null-space basis and solves a Schur matrix of up to that size; a larger
 problem raises ``ProblemTooLarge``.
 """
@@ -70,12 +91,13 @@ IPM_MAX_ITER = 100
 
 class ProblemTooLarge(ValueError):
     """A problem whose variables have more than ``MAX_VAR_REALS`` real
-    coordinates; ``Program`` raises it before it compiles anything."""
+    coordinates over its field; ``Program`` raises it before it compiles
+    anything."""
 
 
 _SQRT2 = math.sqrt(2.0)
 _INDEX_CACHE: dict[int, tuple] = {}
-_BASIS_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+_BASIS_CACHE: dict[tuple[int, bool], tuple[np.ndarray, np.ndarray]] = {}
 
 
 def _herm_indices(d: int):
@@ -87,11 +109,17 @@ def _herm_indices(d: int):
     return cached
 
 
-def _rvec_basis(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """The cached, read-only pair (B, reader) of dimension d.
+def rvec_size(d: int, real: bool = False) -> int:
+    """The rvec coordinates of a d x d block: d(d+1)/2 over the real
+    symmetric matrices, d^2 over the Hermitian ones."""
+    return d * (d + 1) // 2 if real else d * d
 
-    B is (d^2, d^2) complex: its row k is the k-th rvec basis matrix E_k,
-    flattened.  The diagonal e_i e_i^T come first, then
+
+def _rvec_basis(d: int, real: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """The cached, read-only pair (B, reader) of dimension d and field.
+
+    Hermitian: B is (d^2, d^2) complex: its row k is the k-th rvec basis
+    matrix E_k, flattened.  The diagonal e_i e_i^T come first, then
     (e_i e_j^T + e_j e_i^T) / sqrt2 and then i (e_i e_j^T - e_j e_i^T) / sqrt2
     for the entries i < j; ``rvec_to_herm`` multiplies by B viewed as
     (d^2, 2 d^2) reals.  ``reader`` (2 d^2, d^2) takes a flattened matrix,
@@ -100,41 +128,60 @@ def _rvec_basis(d: int) -> tuple[np.ndarray, np.ndarray]:
     imaginary parts, so on a Hermitian M it is Re(M.flat @ B^H); a matrix
     that is Hermitian only up to rounding gets the same bits as from an
     entrywise read of its upper triangle.
+
+    Real: the same basis without its imaginary rows, B (d(d+1)/2, d^2) and
+    ``reader`` (d^2, d(d+1)/2), both real, over flattened real matrices:
+    the diagonal and sqrt2 times the upper triangle.
     """
-    cached = _BASIS_CACHE.get(d)
+    cached = _BASIS_CACHE.get((d, real))
     if cached is None:
-        iu, di = _herm_indices(d)
-        n_off = iu[0].size
-        diag, upper, lower = di[0] * (d + 1), iu[0] * d + iu[1], iu[1] * d + iu[0]
-        k_diag = np.arange(d)
-        k_re = d + np.arange(n_off)
-        k_im = k_re + n_off
-        basis = np.zeros((d * d, d * d), dtype=complex)
-        basis[k_diag, diag] = 1.0
-        basis[k_re, upper] = basis[k_re, lower] = 1.0 / _SQRT2
-        basis[k_im, upper] = 1j / _SQRT2
-        basis[k_im, lower] = -1j / _SQRT2
-        reader = np.zeros((d * d, 2, d * d))
-        reader[diag, 0, k_diag] = 1.0
-        reader[upper, 0, k_re] = _SQRT2
-        reader[upper, 1, k_im] = _SQRT2
-        cached = (basis, reader.reshape(2 * d * d, d * d))
+        if real:
+            basis, reader = _rvec_basis(d)
+            k = rvec_size(d, True)
+            cached = (basis[:k].real.copy(), reader.reshape(d * d, 2, d * d)[:, 0, :k].copy())
+        else:
+            iu, di = _herm_indices(d)
+            n_off = iu[0].size
+            diag, upper, lower = di[0] * (d + 1), iu[0] * d + iu[1], iu[1] * d + iu[0]
+            k_diag = np.arange(d)
+            k_re = d + np.arange(n_off)
+            k_im = k_re + n_off
+            basis = np.zeros((d * d, d * d), dtype=complex)
+            basis[k_diag, diag] = 1.0
+            basis[k_re, upper] = basis[k_re, lower] = 1.0 / _SQRT2
+            basis[k_im, upper] = 1j / _SQRT2
+            basis[k_im, lower] = -1j / _SQRT2
+            reader = np.zeros((d * d, 2, d * d))
+            reader[diag, 0, k_diag] = 1.0
+            reader[upper, 0, k_re] = _SQRT2
+            reader[upper, 1, k_im] = _SQRT2
+            cached = (basis, reader.reshape(2 * d * d, d * d))
         for arr in cached:
             arr.flags.writeable = False
-        _BASIS_CACHE[d] = cached
+        _BASIS_CACHE[d, real] = cached
     return cached
 
 
-def herm_to_rvec(mat: np.ndarray) -> np.ndarray:
-    """Isometric real parametrization of Hermitian matrices: (..., d, d) -> (..., d^2)."""
+def herm_to_rvec(mat: np.ndarray, real: bool = False) -> np.ndarray:
+    """Isometric real parametrization of Hermitian matrices: (..., d, d) ->
+    (..., d^2), or of real symmetric ones (the real parts of ``mat``) ->
+    (..., d(d+1)/2) with ``real``."""
     d = mat.shape[-1]
-    flat = np.ascontiguousarray(mat, dtype=complex).view(np.float64)
-    return flat.reshape(mat.shape[:-2] + (2 * d * d,)) @ _rvec_basis(d)[1]
+    if real:
+        flat = np.real(mat)
+    else:
+        flat = np.ascontiguousarray(mat, dtype=complex).view(np.float64)
+    return flat.reshape(mat.shape[:-2] + (-1,)) @ _rvec_basis(d, real)[1]
 
 
-def rvec_to_herm(vec: np.ndarray, d: int) -> np.ndarray:
-    """Inverse of ``herm_to_rvec``: (..., d^2) -> (..., d, d)."""
-    flat = np.asarray(vec, dtype=np.float64) @ _rvec_basis(d)[0].view(np.float64)
+def rvec_to_herm(vec: np.ndarray, d: int, real: bool = False) -> np.ndarray:
+    """Inverse of ``herm_to_rvec``: (..., d^2) -> (..., d, d) complex, or
+    (..., d(d+1)/2) -> (..., d, d) real with ``real``."""
+    basis = _rvec_basis(d, real)[0]
+    if real:
+        flat = np.asarray(vec, dtype=np.float64) @ basis
+        return flat.reshape(flat.shape[:-1] + (d, d))
+    flat = np.asarray(vec, dtype=np.float64) @ basis.view(np.float64)
     return flat.view(complex).reshape(flat.shape[:-1] + (d, d))
 
 
@@ -251,6 +298,19 @@ class SDProblem:
         self.inequalities.append(expr)
 
 
+def _is_real(prob: SDProblem) -> bool:
+    """Whether every coefficient of ``prob`` has a zero imaginary part: each
+    PSD constant, each term's coefficient and left matrix, and the F of each
+    scalar row and of the objective."""
+    rows = prob.equalities + prob.inequalities + [prob.objective] * (prob.objective is not None)
+    arrays = [np.zeros(0)] + [expr.const.ravel() for expr in prob.psd_constraints]
+    arrays += [t.left.ravel() for e in prob.psd_constraints for t in e.terms if t.left is not None]
+    arrays += [f.ravel() for row in rows for _, f in row.terms]
+    coeffs = [t.coeff for expr in prob.psd_constraints for t in expr.terms]
+    # one test over all the arrays: a test per array costs more than a small compile's probes
+    return not (any(complex(c).imag for c in coeffs) or np.concatenate(arrays).imag.any())
+
+
 @dataclass
 class SDPResult:
     status: str  # "optimal" | "maxIterations"
@@ -265,6 +325,10 @@ class SDPResult:
 class Program:
     """One problem compiled over the rvec coordinates of its variables.
 
+    ``real`` is the field, read from the data (``_is_real``): a real
+    problem is compiled over the d(d+1)/2 real symmetric coordinates of each
+    d x d block, any other over its d^2 Hermitian ones; every size, offset
+    and slot map below counts ``rvec_size(d, real)`` coordinates per block.
     The problem reads s = G x + c in K, G_eq x + c_eq = 0: G is the linear
     map with the PSD blocks' rvec rows first, in problem order, and one row
     per inequality after them, G_eq has one row per equality, and K is the
@@ -275,17 +339,18 @@ class Program:
     The slab layout: ``order`` lists the slack positions slab by slab
     (dimensions in order of first appearance, then the inequalities), the
     slab of (d, lo, n) in ``slabs`` holds n blocks at positions lo ..
-    lo + n d^2 of that order, and ``pair`` gives each slot its eigenvalue
+    lo + n k of that order, and ``pair`` gives each slot its eigenvalue
     pair (i, j), i = j on a diagonal or inequality slot, as positions in
     the block-eigenvalue vector (the slabs' eigenvalues, then the inequalities').
     """
 
     def __init__(self, prob: SDProblem):
+        self.real = _is_real(prob)
         self.var_offsets: dict[str, tuple[int, int]] = {}
         off = 0
         for lab, d in prob.variables:
             self.var_offsets[lab] = (off, d)
-            off += d * d
+            off += rvec_size(d, self.real)
         self.n_vars = off
         if off > MAX_VAR_REALS:
             raise ProblemTooLarge(
@@ -294,13 +359,14 @@ class Program:
             )
         self.prob = prob
         self.block_dims = [e.dim for e in prob.psd_constraints]
-        self.n_graph = sum(d * d for d in self.block_dims) + len(prob.inequalities)
+        self.n_graph = sum(rvec_size(d, self.real) for d in self.block_dims)
+        self.n_graph += len(prob.inequalities)
         self._index_blocks()
         self.n_eq = len(prob.equalities)
         full = self._columns()
         self.g_graph = full[: self.n_graph]
         self.g_eq = full[self.n_graph :]
-        rows = [herm_to_rvec(e.const) for e in prob.psd_constraints]
+        rows = [herm_to_rvec(e.const, self.real) for e in prob.psd_constraints]
         rows.append(np.array([iq.const for iq in prob.inequalities]))
         self.c_graph = np.concatenate(rows) if self.n_graph else np.zeros(0)
         self.c_eq = np.array([eq.const for eq in prob.equalities])
@@ -316,9 +382,10 @@ class Program:
 
     # -- structure ---------------------------------------------------------
     def _basis(self) -> dict[str, np.ndarray]:
-        """Per variable, its d*d rvec basis matrices as one (d*d, d, d) stack."""
+        """Per variable, its k rvec basis matrices as one (k, d, d) stack."""
         return {
-            lab: _rvec_basis(d)[0].reshape(d * d, d, d) for lab, (_, d) in self.var_offsets.items()
+            lab: _rvec_basis(d, self.real)[0].reshape(-1, d, d)
+            for lab, (_, d) in self.var_offsets.items()
         }
 
     def functional(self, scalar: ScalarExpr) -> np.ndarray:
@@ -327,13 +394,13 @@ class Program:
         row = np.zeros(self.n_vars)
         for var, f in scalar.terms:
             o, d = self.var_offsets[var]
-            row[o : o + d * d] += np.real(np.sum(f.conj() * basis[var], axis=(-2, -1)))
+            row[o : o + len(basis[var])] += np.real(np.sum(f.conj() * basis[var], axis=(-2, -1)))
         return row
 
     def _columns(self) -> np.ndarray:
         """The linear map over the rvec coordinates of the variables.
 
-        Each variable's d*d basis matrices are probed as one stack, once per
+        Each variable's k basis matrices are probed as one stack, once per
         PSD constraint that holds the variable; a constraint's terms of one
         variable are summed, from zero and in order, before the conversion.
         The inequality and equality rows that hold a variable are probed in
@@ -343,22 +410,24 @@ class Program:
         basis = self._basis()
         row = 0
         for expr in self.prob.psd_constraints:
+            width = rvec_size(expr.dim, self.real)
             for lab in dict.fromkeys(t.var for t in expr.terms):
-                o, d = self.var_offsets[lab]
-                acc = np.zeros((d * d, expr.dim, expr.dim), dtype=complex)
+                o, k = self.var_offsets[lab][0], len(basis[lab])
+                acc = np.zeros((k, expr.dim, expr.dim), dtype=complex)
                 for t in expr.terms:
                     if t.var == lab:
                         acc = acc + t.apply(basis[lab])
-                cols[row : row + expr.dim**2, o : o + d * d] = herm_to_rvec(acc).T
-            row += expr.dim**2
+                cols[row : row + width, o : o + k] = herm_to_rvec(acc, self.real).T
+            row += width
         scalars = self.prob.inequalities + self.prob.equalities
         for var, (rows, _, fs) in _terms_by_var(scalars).items():
-            o, d = self.var_offsets[var]
-            step = max(1, 2**16 // d**4)  # a product holds one row or at most 2^16 entries
+            o, k = self.var_offsets[var][0], len(basis[var])
+            # a product holds one row or at most 2^16 entries
+            step = max(1, 2**16 // basis[var].size)
             for lo in range(0, len(rows), step):
                 probe = fs[lo : lo + step].conj()[:, None] * basis[var]
                 vals = np.real(np.sum(probe, axis=(-2, -1)))
-                np.add.at(cols, (row + rows[lo : lo + step], slice(o, o + d * d)), vals)
+                np.add.at(cols, (row + rows[lo : lo + step], slice(o, o + k)), vals)
         return cols
 
     def _index_blocks(self) -> None:
@@ -369,9 +438,10 @@ class Program:
         pos = 0
         for d in self.block_dims:
             offsets.setdefault(d, []).append(pos)
-            pos += d * d
+            pos += rvec_size(d, self.real)
         self.block_slots = {
-            d: np.array(offs)[:, None] + np.arange(d * d) for d, offs in offsets.items()
+            d: np.array(offs)[:, None] + np.arange(rvec_size(d, self.real))
+            for d, offs in offsets.items()
         }
         self.n_psd = pos
         ineq = np.arange(pos, self.n_graph)
@@ -380,14 +450,20 @@ class Program:
         for d, slots in self.block_slots.items():
             self.slabs.append((d, lo, len(slots)))
             base = first + d * np.arange(len(slots))[:, None, None]
-            ends = [np.concatenate([np.arange(d), side, side]) for side in _herm_indices(d)[0]]
+            # the upper entries' slots come once per part: real, then imaginary
+            parts = 1 if self.real else 2
+            iu = _herm_indices(d)[0]
+            ends = [np.concatenate([np.arange(d)] + [side] * parts) for side in iu]
             pairs.append(np.swapaxes(base + ends, 0, 1).reshape(2, -1))
             lo, first = lo + slots.size, first + d * len(slots)
         pairs.append(np.stack([ineq, ineq]) - pos + first)
         self.pair = np.concatenate(pairs, axis=1)
 
     def get_vars(self, x: np.ndarray) -> dict[str, np.ndarray]:
-        return {lab: rvec_to_herm(x[o : o + d * d], d) for lab, (o, d) in self.var_offsets.items()}
+        return {
+            lab: rvec_to_herm(x[o : o + rvec_size(d, self.real)], d, self.real)
+            for lab, (o, d) in self.var_offsets.items()
+        }
 
     # -- infeasibility witness -----------------------------------------------
     def farkas(self, slack: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
@@ -403,8 +479,9 @@ class Program:
         """
         w = np.clip(slack, 0.0, None)
         for d, slots in self.block_slots.items():
-            vals, vecs = np.linalg.eigh(rvec_to_herm(slack[slots], d))
-            w[slots] = herm_to_rvec((vecs * np.clip(vals, 0.0, None)[:, None, :]) @ _ct(vecs))
+            vals, vecs = np.linalg.eigh(rvec_to_herm(slack[slots], d, self.real))
+            clipped = (vecs * np.clip(vals, 0.0, None)[:, None, :]) @ _ct(vecs)
+            w[slots] = herm_to_rvec(clipped, self.real)
         norm = float(np.linalg.norm(w))
         if norm > 0.0:
             w /= norm
@@ -466,24 +543,28 @@ def _ct(mats: np.ndarray) -> np.ndarray:
     return np.conj(np.swapaxes(mats, -1, -2))
 
 
-def _congruence(c: np.ndarray) -> np.ndarray:
-    """The (n, d^2, d^2) matrices of X -> C X C^H on rvecs, for a stack C of (n, d, d).
+def _congruence(c: np.ndarray, real: bool = False) -> np.ndarray:
+    """The (n, k, k) matrices of X -> C X C^H on rvecs, for a stack C of
+    (n, d, d), k = ``rvec_size(d, real)``; with ``real`` C is real.
 
     On flattened matrices the map is C (x) conj(C), so on rvecs it is
     Re(conj(B) (C (x) conj(C)) B^T) with ``_rvec_basis``'s B.  All basis
     matrices E_k go through it in one matrix product, and ``reader`` takes
-    each image C E_k C^H to its rvec, the column k.  This costs d^6 flops
-    per block, against d^4 for an entrywise build, in a few numpy calls per
+    each image C E_k C^H to its rvec, the column k.  Per block this costs
+    k d^4 products for the images and k^2 d^2 for the reads (twice that
+    over the Hermitian field, whose images have imaginary parts): about
+    3 d^6 with k = d^2, and d^6 / 2 + d^6 / 4 over the real field with
+    k = d(d+1)/2, against d^4 for an entrywise build, in a few numpy calls per
     stack.  With one BLAS thread it is the faster build up to d = 8 and the
     slower one from d = 12; the bundled instances' blocks have d <= 4.
     """
     n, d = c.shape[0], c.shape[-1]
-    basis, reader = _rvec_basis(d)
+    basis, reader = _rvec_basis(d, real)
     ct = np.swapaxes(c, -1, -2)
     # kron[(i, j), (a, b)] = C[a, i] conj(C[b, j])
     kron = (ct[:, :, None, :, None] * ct.conj()[:, None, :, None, :]).reshape(n, d * d, d * d)
     images = basis @ kron  # row k: C E_k C^H, flattened
-    return np.swapaxes(images.view(np.float64) @ reader, -1, -2)
+    return np.swapaxes((images if real else images.view(np.float64)) @ reader, -1, -2)
 
 
 class _ScaledCone:
@@ -491,9 +572,10 @@ class _ScaledCone:
     Nesterov-Todd scaling.  Per PSD block, the pair (S, Z) of positive definite blocks gets R with
     R^H Z R = R^-1 S R^-H = diag(lam): with S = L_S L_S^H, Z = L_Z L_Z^H and
     L_Z^H L_S = U diag(lam) V^H, R = L_S V diag(lam)^-1/2 and
-    R^-1 = diag(lam)^-1/2 U^H L_Z^H.  The scaling map is T(X) = R^-1 X R^-H,
-    one d^2 x d^2 matrix per block on the rvecs (one ``_congruence`` per
-    slab, from the cached rvec basis, in ``scales``); on the inequality
+    R^-1 = diag(lam)^-1/2 U^H L_Z^H, all real on a real ``Program``.  The
+    scaling map is T(X) = R^-1 X R^-H, one k x k matrix per block on the
+    rvecs (one ``_congruence`` per slab, from the cached rvec basis, in
+    ``scales``); on the inequality
     slots it is sqrt(z / s), with lam = sqrt(s z).  ``minimize`` needs T and
     T^T only: it takes the unscaled primal step T^-1 ds~ from its residual,
     as r_p + A du.  The scaled point T s = T^-T z = lam is diagonal, so
@@ -502,18 +584,19 @@ class _ScaledCone:
     lam_i lam_j or divided by (lam_i + lam_j) / 2.  ``lam``, ``mid`` and
     ``isq`` = 1 / sqrt(lam_i lam_j) ((1 / sqrt lam_i)^2 on a block's
     diagonal) are gathered from the eigenvalues through ``Program.pair``,
-    and every kernel works on the (n, d^2) views of the slabs.
+    and every kernel works on the (n, k) views of the slabs.
     """
 
     def __init__(self, prog: Program, s: np.ndarray, z: np.ndarray):
-        self.slabs, self.n_psd = prog.slabs, prog.n_psd
+        self.slabs, self.n_psd, self.real = prog.slabs, prog.n_psd, prog.real
         self.scales, eigs, both = [], [], np.stack((s, z))
         for d, lo, n in self.slabs:
-            pair = both[:, lo : lo + n * d * d].reshape(2, n, d * d)
-            ls, lz = np.linalg.cholesky(rvec_to_herm(pair, d))
+            k = rvec_size(d, self.real)
+            pair = both[:, lo : lo + n * k].reshape(2, n, k)
+            ls, lz = np.linalg.cholesky(rvec_to_herm(pair, d, self.real))
             u, lam, vh = np.linalg.svd(_ct(lz) @ ls)
             r_inv = (1.0 / np.sqrt(lam))[:, :, None] * (_ct(u) @ _ct(lz))
-            self.scales.append(_congruence(r_inv))
+            self.scales.append(_congruence(r_inv, self.real))
             eigs.append(lam.ravel())
         self.t_scalar = np.sqrt(z[self.n_psd :] / s[self.n_psd :])
         eigs.append(np.sqrt(s[self.n_psd :] * z[self.n_psd :]))
@@ -530,8 +613,9 @@ class _ScaledCone:
         by its matrix in ``mats`` and the inequality slots by ``scalar``."""
         out = np.empty_like(vec)
         for (d, lo, n), mat in zip(self.slabs, mats):
-            hi = lo + n * d * d
-            out[lo:hi] = (mat @ vec[lo:hi].reshape(n, d * d, -1)).reshape(out[lo:hi].shape)
+            k = mat.shape[-1]
+            hi = lo + n * k
+            out[lo:hi] = (mat @ vec[lo:hi].reshape(n, k, -1)).reshape(out[lo:hi].shape)
         out[self.n_psd :] = (scalar if vec.ndim == 1 else scalar[:, None]) * vec[self.n_psd :]
         return out
 
@@ -547,8 +631,9 @@ class _ScaledCone:
         """a o b."""
         out, both = a * b, np.stack((a, b))
         for d, lo, n in self.slabs:
-            ma, mb = rvec_to_herm(both[:, lo : lo + n * d * d].reshape(2, n, d * d), d)
-            out[lo : lo + n * d * d] = herm_to_rvec((ma @ mb + mb @ ma) / 2).ravel()
+            k = rvec_size(d, self.real)
+            ma, mb = rvec_to_herm(both[:, lo : lo + n * k].reshape(2, n, k), d, self.real)
+            out[lo : lo + n * k] = herm_to_rvec((ma @ mb + mb @ ma) / 2, self.real).ravel()
         return out
 
     def max_step(self, *directions: np.ndarray) -> float:
@@ -558,7 +643,8 @@ class _ScaledCone:
         rel = np.stack(directions) * self.isq
         worst = -float(rel[:, self.n_psd :].min(initial=0.0))
         for d, lo, n in self.slabs:
-            blocks = rvec_to_herm(rel[:, lo : lo + n * d * d].reshape(len(rel), n, d * d), d)
+            k = rvec_size(d, self.real)
+            blocks = rvec_to_herm(rel[:, lo : lo + n * k].reshape(len(rel), n, k), d, self.real)
             worst = max(worst, -float(np.linalg.eigvalsh(blocks).min()))
         return 1.0 / worst if worst > 0.0 else math.inf
 

@@ -380,21 +380,50 @@ def random_povm(rng: np.random.Generator, d: int, n: int) -> list[np.ndarray]:
     return [s_inv @ p @ s_inv.conj().T for p in parts]
 
 
-def _herm_to_rvec_single(mat: np.ndarray) -> np.ndarray:
+def problem_is_real(prob) -> bool:
+    """Whether an SDP's data are all real: the PSD constants, each term's
+    coefficient and left matrix, and the F of every scalar row and of the
+    objective.  Such a problem is solved over real symmetric matrices, with
+    d(d+1)/2 rvec coordinates per d x d block (diagonal, then sqrt2 times
+    the upper triangle's real parts); any other over Hermitian ones, d^2."""
+    data = []
+    for expr in prob.psd_constraints:
+        data.append(expr.const)
+        for t in expr.terms:
+            data.append(t.coeff)
+            if t.left is not None:
+                data.append(t.left)
+    rows = prob.equalities + prob.inequalities
+    if prob.objective is not None:
+        rows = rows + [prob.objective]
+    for row in rows:
+        data.extend(f for _, f in row.terms)
+    return all(np.all(np.imag(x) == 0.0) for x in data)
+
+
+def rvec_width(d: int, real: bool) -> int:
+    """The rvec coordinates of a d x d block over the real or the Hermitian field."""
+    return d * (d + 1) // 2 if real else d * d
+
+
+def _herm_to_rvec_single(mat: np.ndarray, real: bool = False) -> np.ndarray:
     d = mat.shape[0]
     iu, di = np.triu_indices(d, k=1), np.diag_indices(d)
     s = math.sqrt(2.0)
     upper = mat[iu]
-    return np.concatenate([np.real(mat[di]), s * np.real(upper), s * np.imag(upper)])
+    parts = [np.real(mat[di]), s * np.real(upper)]
+    return np.concatenate(parts if real else parts + [s * np.imag(upper)])
 
 
-def _rvec_to_herm_single(vec: np.ndarray, d: int) -> np.ndarray:
+def _rvec_to_herm_single(vec: np.ndarray, d: int, real: bool = False) -> np.ndarray:
     iu, di = np.triu_indices(d, k=1), np.diag_indices(d)
     s = math.sqrt(2.0)
     out = np.zeros((d, d), dtype=complex)
     out[di] = vec[:d]
     n_off = iu[0].size
-    upper = vec[d : d + n_off] / s + 1j * vec[d + n_off :] / s
+    upper = vec[d : d + n_off] / s
+    if not real:
+        upper = upper + 1j * vec[d + n_off :] / s
     out[iu] = upper
     out[(iu[1], iu[0])] = upper.conj()
     return out
@@ -412,35 +441,46 @@ def linear_part(expr, assign: dict) -> np.ndarray:
 def probe_columns_per_basis(program) -> np.ndarray:
     """The SDP's linear map probed one rvec basis vector at a time: each
     column is the problem's linear part at one basis matrix, all other
-    variables zero."""
+    variables zero, over the field ``problem_is_real`` reads from the data
+    of ``program.prob`` (the only attribute read)."""
     prob = program.prob
-    cols = np.zeros((program.n_graph + program.n_eq, program.n_vars))
-    assign = {lab: np.zeros((d, d), dtype=complex) for lab, (_, d) in program.var_offsets.items()}
-    for lab, (o, d) in program.var_offsets.items():
-        for k in range(d * d):
-            basis = np.zeros(d * d)
+    real = problem_is_real(prob)
+    widths = [rvec_width(d, real) for _, d in prob.variables]
+    n_rows = sum(rvec_width(e.dim, real) for e in prob.psd_constraints)
+    cols = np.zeros((n_rows + len(prob.inequalities) + len(prob.equalities), sum(widths)))
+    assign = {lab: np.zeros((d, d), dtype=complex) for lab, d in prob.variables}
+    o = 0
+    for (lab, d), width in zip(prob.variables, widths):
+        for k in range(width):
+            basis = np.zeros(width)
             basis[k] = 1.0
-            assign[lab] = _rvec_to_herm_single(basis, d)
-            rows = [_herm_to_rvec_single(linear_part(e, assign)) for e in prob.psd_constraints]
+            assign[lab] = _rvec_to_herm_single(basis, d, real)
+            rows = [
+                _herm_to_rvec_single(linear_part(e, assign), real) for e in prob.psd_constraints
+            ]
             scalars = [
                 sum(float(np.real(np.sum(f.conj() * assign[var]))) for var, f in expr.terms)
                 for expr in prob.inequalities + prob.equalities
             ]
             cols[:, o + k] = np.concatenate(rows + [np.array(scalars)])
             assign[lab] = np.zeros((d, d), dtype=complex)
+        o += width
     return cols
 
 
 def clip_slack_per_block(prob, slack: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-    """An SDP's slack-side vector (one rvec per PSD constraint, then one
-    weight per inequality) projected onto the cone and normalised: each
-    block by its own eigenvalues, the weights clipped at 0.  Returns the
-    blocks as matrices and the weights."""
+    """An SDP's slack-side vector (one rvec per PSD constraint, over the
+    field of ``problem_is_real``, then one weight per inequality) projected
+    onto the cone and normalised: each block by its own eigenvalues, the
+    weights clipped at 0.  Returns the blocks as matrices and the weights."""
+    real = problem_is_real(prob)
+    widths = [rvec_width(expr.dim, real) for expr in prob.psd_constraints]
+    assert len(slack) == sum(widths) + len(prob.inequalities)
     blocks, pos = [], 0
-    for expr in prob.psd_constraints:
-        w, v = np.linalg.eigh(_rvec_to_herm_single(slack[pos : pos + expr.dim**2], expr.dim))
+    for expr, width in zip(prob.psd_constraints, widths):
+        w, v = np.linalg.eigh(_rvec_to_herm_single(slack[pos : pos + width], expr.dim, real))
         blocks.append((v * np.clip(w, 0.0, None)) @ v.conj().T)
-        pos += expr.dim**2
+        pos += width
     weights = np.clip(slack[pos:], 0.0, None)
     norm = math.sqrt(sum(float(np.sum(np.abs(b) ** 2)) for b in blocks) + weights @ weights)
     return [b / norm for b in blocks], weights / norm
@@ -453,8 +493,10 @@ def farkas_from_expressions(prob, slack: np.ndarray) -> tuple[float, float]:
     ``slack`` holds one rvec per PSD constraint, then one weight per
     inequality; ``clip_slack_per_block`` makes it the cone element w.  With F(x) = sum_b <W_b, E_b(x)> + sum_i w_i g_i(x) + sum_j nu_j h_j(x)
     over the PSD expressions E_b, inequalities g_i and equalities h_j,
-    gap = -F(0) and r is F's gradient over the rvec coordinates, probed one
-    basis matrix at a time, with nu the least-squares multiplier.
+    gap = -F(0) and r is F's gradient over the Hermitian rvec coordinates,
+    probed one basis matrix at a time, with nu the least-squares
+    multiplier.  On a real problem too, so a witness from its real slack is
+    tested against every Hermitian point, not only the real symmetric ones.
     """
     blocks, weights = clip_slack_per_block(prob, slack)
 
@@ -487,7 +529,8 @@ def recheck_per_expression(prob, assign: dict) -> dict:
     """The residuals of an SDP's constraints at ``assign``, one expression
     at a time: the least eigenvalue of each PSD expression's Hermitian part
     and each inequality's value give "primal" (0 when all are >= 0), the
-    largest |equality value| gives "gap"."""
+    largest |equality value| gives "gap".  It reads no rvec: ``assign``
+    holds matrices, real symmetric (a real problem's solve) or Hermitian."""
     min_eig = 0.0
     for expr in prob.psd_constraints:
         val = expr.evaluate(assign)
@@ -536,7 +579,16 @@ def capped_ball_per_component(sdp, rho, sigma, eps: float, lam):
     the off-diagonal corner Z_c in the fidelity row and the trailing
     subblock, rotated back, as rho'_c; a rho-free component's G_c is
     rho'_c itself.
+
+    When the imaginary parts of rho and sigma are both at most 1e-10, the
+    pair is replaced by its real parts and the corner's imaginary parts get
+    no pin: on real data the program is solved over real symmetric
+    matrices, where those parts are 0.
     """
+    if max(np.max(np.abs(np.imag(m))) for m in (rho, sigma)) <= 1e-10:
+        rho, sigma, real = np.real(rho), np.real(sigma), True
+    else:
+        real = False
 
     def pin(var, dim, i, j, value, imag):
         f = np.zeros((dim, dim), dtype=complex)
@@ -567,7 +619,8 @@ def capped_ball_per_component(sdp, rho, sigma, eps: float, lam):
             prob.require_eq(pin(var, r + d, a, a, float(eigs[a]), False))
             for b in range(a + 1, r):
                 prob.require_eq(pin(var, r + d, a, b, 0.0, False))
-                prob.require_eq(pin(var, r + d, a, b, 0.0, True))
+                if not real:
+                    prob.require_eq(pin(var, r + d, a, b, 0.0, True))
         z_f = np.zeros((r + d, r + d), dtype=complex)
         z_f[np.arange(r), r + np.arange(r)] = z_f[r + np.arange(r), np.arange(r)] = 0.5
         z_terms.append((var, z_f))

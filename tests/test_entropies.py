@@ -1,4 +1,5 @@
 import collections
+import itertools
 import math
 
 import numpy as np
@@ -492,7 +493,8 @@ class TestFoldedBall:
             ref = sdp.Program(oracles.capped_ball_per_component(sdp, rho, sigma, 0.1, None))
             sizes.append((ref.n_vars, prog.n_vars, collections.Counter(prog.block_dims)))
         ref_reals, reals, blocks = max(sizes, key=lambda s: s[0])
-        assert (ref_reals, reals, blocks) == (181, 146, {4: 9, 2: 9})
+        # real data: both programs are solved over real symmetric matrices
+        assert (ref_reals, reals, blocks) == (118, 92, {4: 9, 2: 9})
 
 
 @pytest.fixture(scope="module")
@@ -541,6 +543,87 @@ class TestSmoothingSolve:
         assert len(built) == 3 * len(region_x_pairs)
         for rho, sigma, eps, lam, prob in built:
             assert compiled(prob) == compiled(capped_ball(rho, sigma, eps, lam))
+
+
+def phased(m: np.ndarray) -> np.ndarray:
+    """U m U^H for the fixed diagonal phase unitary U = diag(e^(i phi_k)),
+    phi_k = 0.7 k + 0.3: the support pattern and every smoothed value stay,
+    but an off-diagonal entry between indices of different phase turns
+    complex."""
+    u = np.exp(1j * (0.7 * np.arange(len(m)) + 0.3))
+    return u[:, None] * m * u.conj()[None, :]
+
+
+def real_pairs() -> list:
+    """Six seeded real (rho, sigma): real states on C^2 (x) C^2 and
+    C^2 (x) C^3, of rank 1 and full rank, against their marginals' product."""
+    rng = np.random.default_rng(51)
+    out = []
+    for dims, rank in itertools.product(((2, 2), (2, 3)), (1, 2, None)):
+        d = dims[0] * dims[1]
+        g = rng.normal(size=(d, rank or d))
+        rho = g @ g.T / np.trace(g @ g.T)
+        lay = la.layout(("A", dims[0]), ("B", dims[1]))
+        sigma = la.tensor(la.partial_trace(rho, lay, ["A"]), la.partial_trace(rho, lay, ["B"]))
+        out.append((rho, np.real(sigma)))
+    return out
+
+
+class TestRealField:
+    """Real pairs make real smoothing programs, solved over real symmetric
+    matrices; a phase conjugation of the same pair forces the Hermitian
+    path and must give the same value."""
+
+    @staticmethod
+    def check_parity(rho, sigma, eps):
+        real = sdp.Program(ent._capped_ball(rho, sigma, eps, None))
+        herm = sdp.Program(ent._capped_ball(phased(rho), phased(sigma), eps, None))
+        assert real.real and not herm.real
+        assert herm.n_vars == sum(d * d for _, d in herm.prob.variables)
+        assert real.n_vars == sum(d * (d + 1) // 2 for _, d in real.prob.variables)
+        # d_max_smooth raises SolverError unless both certificates pass
+        got = ent.d_max_smooth(rho, sigma, eps)
+        assert abs(got - ent.d_max_smooth(phased(rho), phased(sigma), eps)) <= 1e-6
+
+    def test_real_pairs_match_their_phased_pairs(self):
+        for k, (rho, sigma) in enumerate(real_pairs()):
+            self.check_parity(rho, sigma, (0.05, 0.1, 0.2)[k % 3])
+
+    def test_region_pairs_match_their_phased_pairs(self, monkeypatch):
+        prep = P.prepare(io.load_bundled("instrument_derived"))
+        pairs = smoothing_pairs(
+            monkeypatch, lambda: P.one_shot_region(prep, 0.1, theta_grid=(0.5,), axes=("X", "Y"))
+        )
+        monkeypatch.undo()
+        assert len(pairs) == 6
+        for rho, sigma in pairs:
+            self.check_parity(rho, sigma, 0.1)
+
+    def test_round_off_imaginary_parts_are_dropped(self):
+        # imaginary parts within la.HERM_TOL are round-off: the program is
+        # the real one, byte for byte, and its rotations come from a real eigh
+        rho, sigma = real_pairs()[4]
+        noise = 1e-12 * oracles.random_hermitian(np.random.default_rng(52), len(rho))
+        noisy = (rho + 1j * np.imag(noise), sigma.astype(complex))
+        for lam in (None, 0.4):
+            assert compiled(ent._capped_ball(*noisy, 0.1, lam)) == compiled(
+                ent._capped_ball(rho, sigma, 0.1, lam)
+            )
+        assert all(not np.iscomplexobj(blk.rotation) for blk in ent._ball_blocks(*noisy)[0])
+
+    @pytest.mark.parametrize("name", io.BUNDLED)
+    def test_bundled_smoothing_programs_are_real(self, monkeypatch, name):
+        prep = P.prepare(io.load_bundled(name))
+
+        def run():
+            P.thresholds(prep, 0.1)
+            P.one_shot_region(prep, 0.1, theta_grid=(0.5,))
+
+        pairs = smoothing_pairs(monkeypatch, run)
+        assert pairs
+        for rho, sigma in pairs:
+            for lam in (None, 0.4):
+                assert sdp.Program(ent._capped_ball(rho, sigma, 0.1, lam)).real
 
 
 class TestIMax:

@@ -111,6 +111,21 @@ def kernel_problem(which):
 KERNEL_PROBLEMS = ["box", "interleaved", "mixed_rows", "ball_cap", "min_t"]
 
 
+@pytest.mark.parametrize("which", KERNEL_PROBLEMS)
+def test_field_follows_the_data(which):
+    # box and interleaved have real data only; mixed_rows has a complex
+    # scalar row, and the ball programs of the complex random_pair have
+    # complex constants and rotations.  Each keeps its field's reals per
+    # variable: d(d+1)/2 real symmetric, d^2 Hermitian
+    prob = kernel_problem(which)
+    prog = sdp.Program(prob)
+    assert prog.real == (which in ("box", "interleaved")) == oracles.problem_is_real(prob)
+    assert prog.n_vars == sum(sdp.rvec_size(d, prog.real) for _, d in prob.variables)
+    assert prog.n_graph == sum(sdp.rvec_size(e.dim, prog.real) for e in prob.psd_constraints) + len(
+        prob.inequalities
+    )
+
+
 def fires(gap, resid):
     return gap > 0 and resid <= sdp.WITNESS_RATIO * gap
 
@@ -147,27 +162,28 @@ class TestBatchedCone:
             assert np.allclose(back, mats, atol=1e-14)
 
     def test_projection_matches_per_block_oracle(self):
-        # blocks of dimensions 2, 3, 2, 4, 3 and two inequality weights
-        prob = interleaved_blocks_problem()
-        prog = sdp.Program(prob)
-        assert prog.block_dims == [2, 3, 2, 4, 3]
+        # blocks of dimensions 2, 3, 2, 4, 3 and two inequality weights (three
+        # in mixed_rows), over the real field and the Hermitian one
         rng = np.random.default_rng(7)
-        for _ in range(20):
-            slack = rng.normal(size=prog.n_graph)
-            blocks, weights = oracles.clip_slack_per_block(prob, slack)
-            want = np.concatenate([sdp.herm_to_rvec(b) for b in blocks] + [weights])
-            assert np.max(np.abs(prog.farkas(slack)[0] - want)) <= 1e-14
+        for prob, real in ((interleaved_blocks_problem(), True), (mixed_rows_problem(), False)):
+            prog = sdp.Program(prob)
+            assert prog.block_dims == [2, 3, 2, 4, 3] and prog.real == real
+            for _ in range(20):
+                slack = rng.normal(size=prog.n_graph)
+                blocks, weights = oracles.clip_slack_per_block(prob, slack)
+                want = np.concatenate([sdp.herm_to_rvec(b, real) for b in blocks] + [weights])
+                assert np.max(np.abs(prog.farkas(slack)[0] - want)) <= 1e-14
 
 
 def random_interior(prog, rng):
     """A slack-side point strictly inside the cone of ``prog``, in its slab
-    layout: each PSD block G G^H + I for a random complex G, each inequality
-    slot in [0.5, 1.5)."""
+    layout: each PSD block G G^H + I for a random G (complex unless the
+    program is real), each inequality slot in [0.5, 1.5)."""
     point = rng.uniform(0.5, 1.5, size=prog.n_graph)
     for d, lo, n in prog.slabs:
-        g = rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d))
-        blocks = sdp.herm_to_rvec(g @ np.conj(np.swapaxes(g, -1, -2)) + np.eye(d))
-        point[lo : lo + n * d * d] = blocks.ravel()
+        g = rng.normal(size=(n, d, d)) + (0 if prog.real else 1j) * rng.normal(size=(n, d, d))
+        blocks = sdp.herm_to_rvec(g @ np.conj(np.swapaxes(g, -1, -2)) + np.eye(d), prog.real)
+        point[lo : lo + blocks.size] = blocks.ravel()
     return point
 
 
@@ -190,6 +206,23 @@ class TestIterationKernels:
                 assert np.max(np.abs(v - oracles._herm_to_rvec_single(m))) <= 1e-14
                 back = sdp.rvec_to_herm(r, d)
                 assert np.max(np.abs(back - oracles._rvec_to_herm_single(r, d))) <= 1e-14
+            # the real field: the Hermitian rvec of a real symmetric matrix
+            # without its imaginary coordinates, which are 0
+            k = sdp.rvec_size(d, True)
+            sym = np.real(mats)
+            real_vecs = sdp.herm_to_rvec(sym, True)
+            assert real_vecs.shape == (6, k) == (6, d * (d + 1) // 2)
+            assert np.array_equal(real_vecs, sdp.herm_to_rvec(sym.astype(complex))[:, :k])
+            assert not np.any(sdp.herm_to_rvec(sym.astype(complex))[:, k:])
+            assert sdp.rvec_to_herm(real_vecs, d, True).dtype == np.float64
+            assert np.max(np.abs(sdp.rvec_to_herm(real_vecs, d, True) - sym)) <= 1e-14
+            gram = np.einsum("aij,bij->ab", sym, sym)
+            assert np.max(np.abs(real_vecs @ real_vecs.T - gram)) <= 1e-12
+            for m, r in zip(sym, raw[:, :k]):
+                want = oracles._herm_to_rvec_single(m, True)
+                assert np.array_equal(sdp.herm_to_rvec(m, True), want)
+                back = sdp.rvec_to_herm(r, d, True)
+                assert np.max(np.abs(back - oracles._rvec_to_herm_single(r, d, True))) <= 1e-14
 
     def test_congruence_acts_on_rvecs(self):
         rng = np.random.default_rng(21)
@@ -198,6 +231,12 @@ class TestIterationKernels:
             mats = np.stack([oracles.random_hermitian(rng, d) for _ in range(3)])
             got = (sdp._congruence(c) @ sdp.herm_to_rvec(mats)[..., None])[..., 0]
             want = sdp.herm_to_rvec(c @ mats @ np.conj(np.swapaxes(c, -1, -2)))
+            assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+            # over the real field, for a real C
+            c, mats = np.real(c), np.real(mats)
+            got = (sdp._congruence(c, True) @ sdp.herm_to_rvec(mats, True)[..., None])[..., 0]
+            want = sdp.herm_to_rvec(c @ mats @ np.swapaxes(c, -1, -2), True)
+            assert got.shape == (3, sdp.rvec_size(d, True))
             assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
     def test_paired_step_is_the_shorter_single_step(self):
@@ -236,8 +275,9 @@ class TestIterationKernels:
             alpha = min(1.0, sdp.STEP_TO_BOUNDARY * scaled_cone.max_step(cone, ds, dz))
             unscaled = ds / np.concatenate([np.ones(cone.n_psd), cone.t_scalar])
             for (d, lo, n), scale in zip(cone.slabs, cone.scales):
-                blocks = ds[lo : lo + n * d * d].reshape(n, d * d, 1)
-                unscaled[lo : lo + n * d * d] = np.linalg.solve(scale, blocks).ravel()
+                k = sdp.rvec_size(d, cone.real)
+                blocks = ds[lo : lo + n * k].reshape(n, k, 1)
+                unscaled[lo : lo + n * k] = np.linalg.solve(scale, blocks).ravel()
             assert np.max(np.abs((following.s - cone.s) / alpha - unscaled)) <= 1e-10
 
     def test_one_congruence_per_block_group_per_iteration(self, monkeypatch):
@@ -245,9 +285,9 @@ class TestIterationKernels:
         calls = []
         congruence = sdp._congruence
 
-        def counting(c):
+        def counting(c, real):
             calls.append(c.shape)
-            return congruence(c)
+            return congruence(c, real)
 
         monkeypatch.setattr(sdp, "_congruence", counting)
         res = sdp.minimize(prob)
@@ -275,30 +315,45 @@ class TestSlabLayout:
     side, slot maps to the eigenvalue pairs, and a dual in problem order."""
 
     def test_slabs_group_the_blocks_by_dimension(self):
-        prog = sdp.Program(interleaved_blocks_problem())
-        assert prog.slabs == [(2, 0, 2), (3, 8, 2), (4, 26, 1)]
-        offsets = [0, 4, 13, 17, 33, 42]  # problem order: dims 2, 3, 2, 4, 3, then 2 slots
-        want = [offsets[k] + np.arange(d * d) for k, d in ((0, 2), (2, 2), (1, 3), (4, 3), (3, 4))]
-        assert np.array_equal(prog.order, np.concatenate(want + [np.arange(42, 44)]))
+        # one layout over the Hermitian field (d^2 slots per block) and the
+        # real one (d(d+1)/2): mixed_rows has the blocks of the real
+        # interleaved problem and one complex inequality more
+        for prob, slabs in (
+            (mixed_rows_problem(), [(2, 0, 2), (3, 8, 2), (4, 26, 1)]),
+            (interleaved_blocks_problem(), [(2, 0, 2), (3, 6, 2), (4, 18, 1)]),
+        ):
+            prog = sdp.Program(prob)
+            assert prog.slabs == slabs
+            # problem order: dims 2, 3, 2, 4, 3, then the inequality slots
+            sizes = [sdp.rvec_size(d, prog.real) for d in (2, 3, 2, 4, 3)]
+            offsets = np.cumsum([0] + sizes)
+            slab_order = (0, 2, 1, 4, 3)  # the blocks of dims 2, 2, 3, 3, 4
+            want = [offsets[k] + np.arange(sizes[k]) for k in slab_order]
+            want.append(np.arange(offsets[-1], prog.n_graph))
+            assert np.array_equal(prog.order, np.concatenate(want))
         # a problem with its blocks grouped by dimension keeps its order
         grouped = sdp.Program(kernel_problem("min_t"))
         assert np.array_equal(grouped.order, np.arange(grouped.n_graph))
 
     def test_slot_maps_give_each_slot_its_eigenvalue_pair(self):
         # lam, mid and isq of _ScaledCone against the eigenvalues of S Z,
-        # block by block, for every rvec slot of entry (i, j)
-        prog = sdp.Program(interleaved_blocks_problem())
+        # block by block, for every rvec slot of entry (i, j), on the real
+        # interleaved problem and the complex mixed_rows one
         rng = np.random.default_rng(23)
-        for _ in range(5):
+        progs = [sdp.Program(interleaved_blocks_problem()), sdp.Program(mixed_rows_problem())]
+        for prog in progs * 5:
             s, z = random_interior(prog, rng), random_interior(prog, rng)
             cone = sdp._ScaledCone(prog, s, z)
             lam, mid, isq = [], [], []
             for d, lo, n in prog.slabs:
                 iu = np.triu_indices(d, k=1)
-                i, j = (np.concatenate([np.arange(d), side, side]) for side in iu)
+                parts = 1 if prog.real else 2
+                i, j = (np.concatenate([np.arange(d)] + [side] * parts) for side in iu)
+                k = len(i)
                 for b in range(n):
-                    blk = slice(lo + b * d * d, lo + (b + 1) * d * d)
-                    sz = sdp.rvec_to_herm(s[blk], d) @ sdp.rvec_to_herm(z[blk], d)
+                    blk = slice(lo + b * k, lo + (b + 1) * k)
+                    sm, zm = sdp.rvec_to_herm(np.stack((s[blk], z[blk])), d, prog.real)
+                    sz = sm @ zm
                     ev = np.sort(np.sqrt(np.linalg.eigvals(sz).real))[::-1]
                     lam.append(np.where(i == j, ev[i], 0.0))
                     mid.append((ev[i] + ev[j]) / 2)
@@ -311,9 +366,10 @@ class TestSlabLayout:
             a, b = rng.normal(size=(2, prog.n_graph))
             jordan = a * b
             for d, lo, n in prog.slabs:
-                for blk in np.arange(lo, lo + n * d * d).reshape(n, d * d):
-                    ma, mb = sdp.rvec_to_herm(a[blk], d), sdp.rvec_to_herm(b[blk], d)
-                    jordan[blk] = sdp.herm_to_rvec((ma @ mb + mb @ ma) / 2)
+                k = sdp.rvec_size(d, prog.real)
+                for blk in np.arange(lo, lo + n * k).reshape(n, k):
+                    ma, mb = sdp.rvec_to_herm(np.stack((a[blk], b[blk])), d, prog.real)
+                    jordan[blk] = sdp.herm_to_rvec((ma @ mb + mb @ ma) / 2, prog.real)
             assert np.max(np.abs(cone.jordan(a, b) - jordan)) <= 1e-12
             # the scaled point: T s = T^-T z = lam
             assert np.max(np.abs(cone.scale(s) - cone.lam)) <= 1e-10 * np.max(cone.lam)
@@ -348,7 +404,7 @@ class TestSlabLayout:
 @pytest.fixture(scope="module")
 def region_program():
     """The largest smoothing program of the ``region`` benchmark's X-axis
-    cell (instrument_derived, theta 0.5, eps 0.1): 146 variable reals."""
+    cell (instrument_derived, theta 0.5, eps 0.1): real, 92 variable reals."""
     prep = prep_mod.prepare(io.load_bundled("instrument_derived"))
     probs, solve = [], sdp.minimize
     with pytest.MonkeyPatch.context() as mp:
@@ -364,7 +420,7 @@ def test_linalg_calls_per_iteration_on_the_region_program(region_program, monkey
     # norm and the recheck's one eigvalsh per block dimension
     prog = sdp.Program(region_program)
     slabs = len(prog.slabs)
-    assert prog.n_vars == 146 and slabs == 2
+    assert prog.real and prog.n_vars == 92 and slabs == 2
     calls = linalg_spy(monkeypatch)
     res = sdp.minimize(region_program)
     assert res.status == "optimal"
@@ -519,31 +575,43 @@ class TestFeasibility:
 
 class TestSizeCap:
     def test_too_large_problem_raises_before_compiling(self, monkeypatch):
-        # one 78 x 78 variable has 6084 > MAX_VAR_REALS real coordinates
+        # the cap counts the reals of the field solved: one 78 x 78 variable
+        # has 6084 > MAX_VAR_REALS Hermitian coordinates (a complex constant
+        # makes the problem complex), and a real 110 x 110 one 6105 real
+        # symmetric ones
         def compile_guard(self):
             raise AssertionError("the size check must come before the compile step")
 
         monkeypatch.setattr(sdp.Program, "_columns", compile_guard)
-        prob = sdp.SDProblem()
-        prob.add_var("X", 78)
-        prob.require_psd(sdp.AffineExpr.zero(78).plus_var("X"))
-        with pytest.raises(sdp.ProblemTooLarge) as info:
-            sdp.Program(prob)
-        assert isinstance(info.value, ValueError)
-        assert "6084 var reals" in str(info.value)
-        assert f"MAX_VAR_REALS = {sdp.MAX_VAR_REALS}" in str(info.value)
+
+        def one_block(d, const):
+            prob = sdp.SDProblem()
+            prob.add_var("X", d)
+            prob.require_psd(sdp.AffineExpr.const_expr(const).plus_var("X"))
+            return prob
+
+        phase = np.zeros((78, 78), dtype=complex)
+        phase[0, 1], phase[1, 0] = 1j, -1j
+        for prob, reals in ((one_block(78, phase), 6084), (one_block(110, 0 * np.eye(110)), 6105)):
+            with pytest.raises(sdp.ProblemTooLarge) as info:
+                sdp.Program(prob)
+            assert isinstance(info.value, ValueError)
+            assert f"{reals} var reals" in str(info.value)
+            assert f"MAX_VAR_REALS = {sdp.MAX_VAR_REALS}" in str(info.value)
 
 
 def witness_functional(prob, w, nu, assign) -> float:
     """<G x + c, w> + <G_eq x + c_eq, nu> at x = assign, evaluated from the
-    problem's own expressions: w holds one rvec block per PSD constraint,
-    then one weight per inequality; nu one weight per equality."""
-    val, pos = 0.0, 0
+    problem's own expressions: w holds one rvec block per PSD constraint
+    (over the field of ``Program(prob)``), then one weight per inequality;
+    nu one weight per equality."""
+    val, pos, real = 0.0, 0, sdp.Program(prob).real
     for expr in prob.psd_constraints:
-        block = sdp.rvec_to_herm(w[pos : pos + expr.dim**2], expr.dim)
+        k = sdp.rvec_size(expr.dim, real)
+        block = sdp.rvec_to_herm(w[pos : pos + k], expr.dim, real)
         assert np.linalg.eigvalsh(block)[0] >= -1e-12
         val += float(np.real(np.sum(block.conj() * expr.evaluate(assign))))
-        pos += expr.dim**2
+        pos += k
     assert np.all(w[pos:] >= 0.0)
     val += sum(wi * iq.evaluate(assign) for wi, iq in zip(w[pos:], prob.inequalities))
     return val + sum(ni * eq.evaluate(assign) for ni, eq in zip(nu, prob.equalities))
@@ -569,7 +637,11 @@ class TestWitness:
     min t solve, read as a Farkas witness on the fixed-lambda program."""
 
     def test_box_witness_checked_from_expressions(self):
+        # the box has real data, so its witness is a real one; r runs over
+        # the Hermitian basis, so it bounds every Hermitian X, not only the
+        # real symmetric ones the solve worked over
         prob = box_problem(3, 4)
+        assert sdp.Program(prob).real
         w, nu, gap, resid = sdp.Program(prob).farkas(sdp.minimize(box_min_t(3, 4)).dual)
         const = witness_functional(prob, w, nu, {"X": np.zeros((3, 3), dtype=complex)})
         r = [witness_functional(prob, w, nu, {"X": b}) - const for b in herm_basis(3)]
