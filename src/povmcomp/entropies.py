@@ -307,63 +307,103 @@ def _support_components(mats: list[np.ndarray]) -> list[np.ndarray]:
 
 @dataclass
 class _BallBlock:
-    """How one component that carries rho holds its rho' inside the smoothing program.
+    """How one sub-block that carries rho holds its rho' inside the
+    smoothing program, in the eigenbasis of its component's rho_c.
 
-    ``var`` holds a PSD matrix G on supp(rho_c) (+) C^d whose pinned
-    top-left corner is rho_c's positive spectrum ``eigs`` (descending);
-    rho' is the trailing subblock rotated back to the original basis by
-    ``rotation``.  The reduction keeps the fidelity block strictly feasible
-    even when rho_c is rank deficient.  ``comp`` lists the component's
-    indices.
+    ``var`` holds a PSD matrix G on supp(rho_b) (+) C^d whose pinned
+    top-left corner is rho_b's positive spectrum ``eigs`` (descending, the
+    first r of the d directions); rho'_b is the trailing d x d subblock,
+    capped by ``sigma``, sigma_b in the same basis.  The reduction keeps the
+    fidelity block strictly feasible even when rho_b is rank deficient.
     """
 
     var: str
-    comp: np.ndarray
     eigs: np.ndarray
-    rotation: np.ndarray
+    sigma: np.ndarray
 
     @property
     def rank(self) -> int:
         return len(self.eigs)
 
+    @property
+    def dim(self) -> int:
+        return len(self.sigma)
 
-def _real_pair(rho, sigma) -> tuple[np.ndarray, np.ndarray]:
-    """(rho, sigma) as real matrices when both imaginary parts are within
+
+def _real_parts(*mats) -> tuple[np.ndarray, ...]:
+    """The matrices as real ones when every imaginary part is within
     ``la.HERM_TOL``, the round-off repair ``la._hermitian_part`` makes for
-    the anti-Hermitian part; else both as complex matrices, unchanged.
+    the anti-Hermitian part; else all as complex matrices, unchanged.
 
-    A real pair gives real rotations (from a real ``eigh``) and real
-    smoothing programs, which ``sdp`` solves over the real symmetric
-    matrices; by the conjugation argument of the ``sdp`` docstring they have
-    the value and the certificates of the Hermitian programs.
+    A real pair gives real rotations (from a real ``eigh``), and real
+    sub-blocks of sigma give real smoothing programs, which ``sdp`` solves
+    over the real symmetric matrices; by the conjugation argument of the
+    ``sdp`` docstring they have the value and the certificates of the
+    Hermitian programs.
     """
-    if max(np.max(np.abs(np.imag(m)), initial=0.0) for m in (rho, sigma)) <= la.HERM_TOL:
-        return np.real(rho), np.real(sigma)
-    return np.asarray(rho, dtype=complex), np.asarray(sigma, dtype=complex)
+    if all(np.max(np.abs(m.imag), initial=0.0) <= la.HERM_TOL for m in mats if m.dtype.kind == "c"):
+        return tuple(np.real(m) for m in mats)
+    return tuple(np.asarray(m, dtype=complex) for m in mats)
 
 
 def _ball_blocks(rho, sigma) -> tuple[list[_BallBlock], float]:
-    """The components of the joint support pattern that carry rho, and
-    s0 = sum_c Tr sigma_c over the rest, the rho-free components: those
-    where rho_c has no eigenvalue above 1e-12.  The spectra of the rho_c
-    come from one stacked ``eigh`` per component size, of the pair as
-    ``_real_pair`` gives it."""
-    rho, sigma = _real_pair(rho, sigma)
+    """The sub-blocks that carry rho, each in the eigenbasis of its
+    component's rho_c, and s0 = sum_b Tr sigma_b over the rho-free ones.
+
+    Each component c of the joint support pattern of (rho, sigma), taken
+    as ``_real_parts`` gives the pair, is rotated into the eigenbasis of
+    rho_c: U_c from one stacked ``eigh`` per component size, its columns in
+    descending eigenvalue order, and sigma'_c = U_c^H sigma_c U_c from one
+    stacked product per size.  The rotated components are split again by
+    ``_support_components`` of the joint pattern of (diag w, sigma'_c), with
+    the same 1e-12 mask; diag w joins no two indices, so the pattern is
+    sigma'_c's.  A rotated component with no off-diagonal entry at or below
+    1e-12 cannot split, and when none can, the split pass is skipped.  A
+    sub-block b lists its kept eigenvalues (above 1e-12) in descending
+    order, then its kernel directions, and holds sigma_b, real when its
+    imaginary parts are round-off (``_real_parts``).  A sub-block with no
+    kept eigenvalue is rho-free and adds Tr sigma_b to s0.
+
+    The split is exact.  Smooth entropies are invariant under a unitary
+    applied to both states (Tomamichel, arXiv:1504.00233), so the program
+    may be posed in the basis (+)_c U_c: rho is diagonal there, and sigma
+    is (+)_c sigma'_c.  The pinching P onto the sub-blocks fixes both, and
+    it maps a feasible rho' to a feasible one: P(rho') is a density, the
+    cap passes to P(rho') <= t P(sigma') = t sigma', and
+    F(rho, P(rho')) = F(P(rho), P(rho')) >= F(rho, rho') by data
+    processing.  So an optimum can be taken block diagonal (the program's
+    symmetry under the phases e^(i theta_b) on each sub-block, averaged
+    into P; Gatermann and Parrilo, arXiv:math/0211450), and for one the
+    fidelity is the sum of the sub-blocks' fidelities.  This is the same
+    argument that splits the original basis into support components.  With
+    a degenerate spectrum of rho_c, ``eigh`` picks one basis of the
+    eigenspace among many, and sigma'_c in that basis may join indices that
+    another basis would separate: the split can only be missed, never
+    wrong, since every split it finds is a block structure of both rho and
+    sigma' in a basis that diagonalises rho.
+    """
+    rho, sigma = _real_parts(rho, sigma)
     comps = _support_components([rho, sigma])
-    spectra: list = [None] * len(comps)
+    # each component's rotated directions sit on its own indices, in
+    # descending eigenvalue order, so a sorted part of a component lists
+    # its kept directions first
+    eigs, rotated, split = np.zeros(len(rho)), np.zeros_like(sigma), False
     for size in sorted({len(c) for c in comps}):
-        idx = [i for i, c in enumerate(comps) if len(c) == size]
-        ws, us = np.linalg.eigh(np.stack([rho[np.ix_(comps[i], comps[i])] for i in idx]))
-        for i, w, u in zip(idx, ws, us):
-            spectra[i] = (w, u)
+        ix = np.array([c for c in comps if len(c) == size])
+        rows, cols = ix[:, :, None], ix[:, None, :]
+        w, u = np.linalg.eigh(rho[rows, cols])
+        u = u[..., ::-1]
+        eigs[ix] = w[:, ::-1]
+        rotated[rows, cols] = block = np.swapaxes(u.conj(), -1, -2) @ sigma[rows, cols] @ u
+        split = split or bool(((np.abs(block) <= 1e-12) & ~np.eye(size, dtype=bool)).any())
     blocks, free_mass = [], 0.0
-    for i, (c, (w, u)) in enumerate(zip(comps, spectra)):
-        keep = w > 1e-12
-        if keep.any():
-            rotation = np.concatenate([u[:, keep][:, ::-1], u[:, ~keep]], axis=1)
-            blocks.append(_BallBlock(f"ball{i}", c, w[keep][::-1], rotation))
+    for sub in _support_components([rotated]) if split else comps:
+        kept = eigs[sub] > 1e-12
+        (sb,) = _real_parts(rotated[sub[:, None], sub])
+        if kept.any():
+            blocks.append(_BallBlock(f"ball{len(blocks)}", eigs[sub][kept], sb))
         else:
-            free_mass += float(np.trace(sigma[np.ix_(c, c)]).real)
+            free_mass += float(np.trace(sb).real)
     return blocks, free_mass
 
 
@@ -383,19 +423,21 @@ def _fidelity_ball_problem(
 ) -> sdp.SDProblem:
     """The smoothing program's fidelity ball: rho' PSD and close to rho.
 
-    Per component c that carries rho the program holds one PSD variable
-    G_c on supp(rho_c) (+) C^d with the top-left corner pinned to rho_c's
-    spectrum and Z = the off-diagonal corner; sum_c Re Tr Z_c >= target_f
+    Per sub-block b that carries rho the program holds one PSD variable
+    G_b on supp(rho_b) (+) C^d with the top-left corner pinned to rho_b's
+    spectrum and Z = the off-diagonal corner; sum_b Re Tr Z_b >= target_f
     encodes the fidelity constraint.  With ``free`` a 1x1 variable w >= 0
-    stands for the trace of rho' on the rho-free components (see
-    ``_capped_ball``).  The trace of rho', sum_c Tr rho'_c + w, is 1.
-    With ``real`` (a real pair) the corner's imaginary parts get no pin:
-    they vanish on a real G, and their rows would be zero rows of G_eq.
+    stands for the trace of rho' on the rho-free sub-blocks (see
+    ``_capped_ball``).  The trace of rho', sum_b Tr rho'_b + w, is 1.
+    With ``real`` (every sigma_b real, so the program is real) the
+    corner's imaginary parts get no pin: they vanish on a real G, and their
+    rows would be zero rows of G_eq.  A Hermitian program needs them all,
+    or its corners are not pinned.
     """
     prob = sdp.SDProblem()
     tr_terms, z_terms = [], []
     for blk in blocks:
-        r, d, var = blk.rank, len(blk.comp), blk.var
+        r, d, var = blk.rank, blk.dim, blk.var
         prob.add_var(var, r + d)
         prob.require_psd(sdp.AffineExpr.zero(r + d).plus_var(var))
         for a in range(r):
@@ -426,43 +468,55 @@ def _capped_ball(
     rho, sigma, eps: float, lam: float | None, ball: tuple[list[_BallBlock], float] | None = None
 ) -> sdp.SDProblem:
     """The program of D_max^eps(rho || sigma): rho' in the fidelity ball of
-    rho, split into the components of the joint support pattern, with each
-    component's cap 2^lam sigma_c - rho'_c PSD.
+    rho, split into the sub-blocks of ``_ball_blocks``, each in the
+    eigenbasis of its component's rho_c, with each sub-block's cap
+    2^lam sigma_b - rho'_b PSD.
 
-    With ``lam`` None the cap is t sigma_c - rho'_c with t a 1x1 variable,
-    and the objective is min t, whose optimum is 2^(D_max^eps).  ``ball``
-    is ``_ball_blocks(rho, sigma)``, built here when None; a caller that
+    With ``lam`` None the cap is t sigma_b - rho'_b with t a 1x1 variable,
+    and the objective is min t, whose optimum is 2^(D_max^eps).  rho'_b is
+    the trailing subblock of G_b, with no rotation: sigma_b is already in
+    rho_b's basis.  A 1x1 sub-block's cap is a scalar row,
+    t sigma_b - G_b[1, 1] >= 0, like w's.  ``ball`` is
+    ``_ball_blocks(rho, sigma)``, built here when None; a caller that
     builds several programs of one pair passes it, and each program
-    compiles to the same bytes as from its own build.  The pair is taken
-    as ``_real_pair`` gives it, so a real pair gives a real program.
+    compiles to the same bytes as from its own build.  The program is real
+    when every sigma_b is.
 
-    The rho-free components are folded into one scalar.  On a component
-    with rho_c = 0, rho'_c enters the program only through Tr rho'_c, in
-    the trace equality, and 0 <= rho'_c <= t sigma_c lets that trace take
-    every value in [0, t Tr sigma_c] (rho'_c = a sigma_c reaches each).
+    The rho-free sub-blocks are folded into one scalar.  On a sub-block
+    with rho_b = 0, rho'_b enters the program only through Tr rho'_b, in
+    the trace equality, and 0 <= rho'_b <= t sigma_b lets that trace take
+    every value in [0, t Tr sigma_b] (rho'_b = a sigma_b reaches each).
     So all of them give way to one 1x1 variable w with w >= 0 and
-    t s0 - w >= 0 (2^lam s0 - w >= 0 at fixed lam), s0 = sum_c Tr sigma_c
-    over those components, and w joins the trace equality.  Both programs
-    are feasible at exactly the same t: a point of the per-component
-    program gives w = sum_c Tr rho'_c, and a point of the folded one gives
-    rho'_c = (w / s0) sigma_c.  When s0 is 0 (every rho-free component has
-    sigma_c = 0, so each rho'_c is pinned to 0) there is no w.
+    t s0 - w >= 0 (2^lam s0 - w >= 0 at fixed lam), s0 = sum_b Tr sigma_b
+    over those sub-blocks, and w joins the trace equality.  Both programs
+    are feasible at exactly the same t: a point of the per-block
+    program gives w = sum_b Tr rho'_b, and a point of the folded one gives
+    rho'_b = (w / s0) sigma_b.  When s0 is 0 (every rho-free sub-block has
+    sigma_b = 0, so each rho'_b is pinned to 0) there is no w.
     """
-    rho, sigma = _real_pair(rho, sigma)
     blocks, free_mass = _ball_blocks(rho, sigma) if ball is None else ball
     free = free_mass > 0.0
-    real = not np.iscomplexobj(sigma)
+    real = not any(np.iscomplexobj(blk.sigma) for blk in blocks)
     prob = _fidelity_ball_problem(blocks, math.sqrt(max(0.0, 1.0 - eps * eps)), free, real)
     if lam is None:
         prob.add_var("t", 1)
         prob.objective = sdp.trace_functional("t", 1)
     for blk in blocks:
-        sb = sigma[np.ix_(blk.comp, blk.comp)]
+        if blk.dim == 1:
+            # a 1x1 sub-block carries rank 1, so G_b is 2x2
+            tail = np.zeros((2, 2), dtype=complex)
+            tail[1, 1] = -1.0
+            if lam is None:
+                prob.require_geq(sdp.ScalarExpr(0.0, (("t", blk.sigma), (blk.var, tail))))
+            else:
+                cap = 2.0**lam * float(blk.sigma[0, 0].real)
+                prob.require_geq(sdp.ScalarExpr(cap, ((blk.var, tail),)))
+            continue
         if lam is None:
-            cap = sdp.AffineExpr.zero(len(blk.comp)).plus_kron(sb, "t")
+            cap = sdp.AffineExpr.zero(blk.dim).plus_kron(blk.sigma, "t")
         else:
-            cap = sdp.AffineExpr.const_expr(2.0**lam * sb)
-        prob.require_psd(cap.plus_subblock(blk.var, blk.rank, blk.rotation, -1.0))
+            cap = sdp.AffineExpr.const_expr(2.0**lam * blk.sigma)
+        prob.require_psd(cap.plus_subblock(blk.var, blk.rank, -1.0))
     if free:
         one = np.eye(1, dtype=complex)
         if lam is None:
@@ -485,24 +539,38 @@ def d_max_smooth(rho, sigma, eps: float) -> float:
       of the fixed-lambda program at v - BISECT_TOL_BITS.
 
     So the value lies in (v - BISECT_TOL_BITS, v].  The programs are the
-    folded ones of ``_capped_ball``, with the rho-free components in one
-    scalar w; a fixed-lambda program is feasible exactly when its
-    per-component form is (w = sum_c Tr rho'_c one way,
-    rho'_c = (w / s0) sigma_c the other), so both certificates bound the
-    per-component value, which is D_max^eps.  Raises SolverError when
-    the solve ends without an optimum or either certificate fails.
+    split and folded ones of ``_capped_ball``, and both certificates bound
+    D_max^eps itself, for two exact steps:
 
-    The components are classified and their spectra taken once
+    - Split: each support component is posed in the eigenbasis of its
+      rho_c, which leaves the value alone (smooth entropies are invariant
+      under a unitary applied to both states; Tomamichel,
+      arXiv:1504.00233), and split again by the pattern of its rotated
+      sigma'_c.  That block pinching fixes rho and sigma' and maps each
+      feasible rho' to a feasible block-diagonal one (the argument is in
+      ``_ball_blocks``; Gatermann and Parrilo, arXiv:math/0211450), so
+      the per-block program has the same value.  A degenerate spectrum of
+      rho_c can only hide a split, never make a wrong one.
+    - Fold: the rho-free sub-blocks are one scalar w; a fixed-lambda
+      program is feasible exactly when its per-block form is
+      (w = sum_b Tr rho'_b one way, rho'_b = (w / s0) sigma_b the other).
+
+    Raises SolverError when the solve ends without an optimum or either
+    certificate fails.
+
+    The sub-blocks are found and their spectra taken once
     (``_ball_blocks``), and the three programs are built from those
-    blocks.  All three take the pair as ``_real_pair`` gives it: real parts
+    blocks.  The pair is taken as ``_real_parts`` gives it: real parts
     when both imaginary parts are within ``la.HERM_TOL`` (round-off, which
-    ``la._hermitian_part`` repairs the same way), so on a real pair, as on
-    every bundled instance, the min t solve and both certificates work over
-    real symmetric matrices, and a rebuild of any of them from the same
-    pair gives the same real program.  Each certificate is still tested on
-    its own program: the recheck evaluates the fixed-lambda program's
-    expressions, and the Farkas test compiles the program at
-    v - BISECT_TOL_BITS; nothing is read from the min t compile.
+    ``la._hermitian_part`` repairs the same way), and so is each rotated
+    sigma_b.  On a real pair, as on every bundled instance, and on a pair
+    whose components all commute, whatever its phases, the min t solve
+    and both certificates work over real symmetric matrices, and a
+    rebuild of any of them from the same blocks gives the same program.
+    Each certificate is still tested on its own program: the recheck
+    evaluates the fixed-lambda program's expressions, and the Farkas test
+    compiles the program at v - BISECT_TOL_BITS; nothing is read from the
+    min t compile.
     """
     eps = _validate_eps(eps)
     rho = la.assert_density(rho)

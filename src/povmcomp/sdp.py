@@ -16,7 +16,7 @@ slots, with slot maps that give each slot its eigenvalue pair (i, j).
 
 The field is read from the data.  A problem is real when every
 coefficient has a zero imaginary part: each PSD constant, each term's
-coefficient and ``kron``/``subblock_conj`` left matrix, and the F of each
+coefficient and ``kron`` left matrix, and the F of each
 scalar row and of the objective (``_is_real``).  A real problem is solved
 over real symmetric matrices, k = d(d+1)/2 coordinates per d x d block
 (the diagonal and sqrt2 times the upper triangle); any other over
@@ -190,9 +190,9 @@ class Term:
     """One affine contribution coeff * map(X_var)."""
 
     var: str
-    kind: str  # "id" | "kron" | "subblock_conj"
+    kind: str  # "id" | "kron" | "subblock"
     coeff: float = 1.0
-    left: np.ndarray | None = None
+    left: np.ndarray | None = None  # the kron term's left factor
     start: int = 0  # first row and column of the subblock
 
     def apply(self, x: np.ndarray) -> np.ndarray:
@@ -201,10 +201,9 @@ class Term:
             return self.coeff * x
         if self.kind == "kron":
             return self.coeff * _kron(self.left, x)
-        if self.kind == "subblock_conj":
-            # trailing principal subblock, rotated back by the fixed unitary
-            sub = x[..., self.start :, self.start :]
-            return self.coeff * (self.left @ sub @ self.left.conj().T)
+        if self.kind == "subblock":
+            # the trailing principal subblock from row and column ``start``
+            return self.coeff * x[..., self.start :, self.start :]
         raise ValueError(f"unknown term kind {self.kind}")
 
 
@@ -241,12 +240,8 @@ class AffineExpr:
         self.terms.append(Term(var, "kron", 1.0, left=np.asarray(left, dtype=complex)))
         return self
 
-    def plus_subblock(
-        self, var: str, start: int, rotation: np.ndarray, coeff: float = 1.0
-    ) -> "AffineExpr":
-        self.terms.append(
-            Term(var, "subblock_conj", coeff, left=np.asarray(rotation, dtype=complex), start=start)
-        )
+    def plus_subblock(self, var: str, start: int, coeff: float = 1.0) -> "AffineExpr":
+        self.terms.append(Term(var, "subblock", coeff, start=start))
         return self
 
     def evaluate(self, assign: dict[str, np.ndarray]) -> np.ndarray:

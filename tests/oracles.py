@@ -577,8 +577,10 @@ def capped_ball_per_component(sdp, rho, sigma, eps: float, lam):
     A component that carries rho holds G_c on supp(rho_c) (+) C^d, its
     top-left corner pinned to rho_c's positive spectrum (entry by entry),
     the off-diagonal corner Z_c in the fidelity row and the trailing
-    subblock, rotated back, as rho'_c; a rho-free component's G_c is
-    rho'_c itself.
+    subblock as rho'_c in U, the component's eigenbasis of rho_c (its kept
+    eigenvectors in descending order, then its kernel); its cap is
+    t U^H sigma_c U - tail(G_c) on the whole component, never split
+    further.  A rho-free component's G_c is rho'_c itself.
 
     When the imaginary parts of rho and sigma are both at most 1e-10, the
     pair is replaced by its real parts and the corner's imaginary parts get
@@ -611,7 +613,7 @@ def capped_ball_per_component(sdp, rho, sigma, eps: float, lam):
         prob.require_psd(sdp.AffineExpr.zero(r + d).plus_var(var))
         if r == 0:
             tr_terms.append((var, np.eye(d, dtype=complex)))
-            caps.append((c, lambda cap, var=var: cap.plus_var(var, -1.0)))
+            caps.append((sigma[np.ix_(c, c)], None, var))
             continue
         rotation = np.concatenate([u[:, keep][:, ::-1], u[:, ~keep]], axis=1)
         eigs = w[keep][::-1]
@@ -627,21 +629,18 @@ def capped_ball_per_component(sdp, rho, sigma, eps: float, lam):
         tr_f = np.zeros((r + d, r + d), dtype=complex)
         tr_f[r:, r:] = np.eye(d)
         tr_terms.append((var, tr_f))
-        caps.append(
-            (c, lambda cap, var=var, r=r, rot=rotation: cap.plus_subblock(var, r, rot, -1.0))
-        )
+        caps.append((rotation.conj().T @ sigma[np.ix_(c, c)] @ rotation, r, var))
     prob.require_eq(sdp.ScalarExpr(-1.0, tuple(tr_terms)))
     prob.require_geq(sdp.ScalarExpr(-math.sqrt(max(0.0, 1.0 - eps * eps)), tuple(z_terms)))
     if lam is None:
         prob.add_var("t", 1)
         prob.objective = sdp.trace_functional("t", 1)
-    for c, minus_rho in caps:
-        sb = sigma[np.ix_(c, c)]
+    for sb, r, var in caps:
         if lam is None:
-            cap = sdp.AffineExpr.zero(len(c)).plus_kron(sb, "t")
+            cap = sdp.AffineExpr.zero(len(sb)).plus_kron(sb, "t")
         else:
             cap = sdp.AffineExpr.const_expr(2.0**lam * sb)
-        prob.require_psd(minus_rho(cap))
+        prob.require_psd(cap.plus_var(var, -1.0) if r is None else cap.plus_subblock(var, r, -1.0))
     return prob
 
 

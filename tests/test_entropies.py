@@ -404,6 +404,100 @@ def support_patterns(rng, d) -> list:
     ]
 
 
+def classical_copy_pair(rng, classes, groups, real):
+    """(rho, sigma) of I_max(X : C Q) for a seeded cq state whose side
+    register holds C = classes[x], a classical copy of x's class, and Q.
+
+    Each tau_x is V_k D_x V_k^H, with one random unitary V_k per class k
+    (real or complex) and D_x block diagonal over ``groups`` (block sizes
+    adding up to dim Q).  The class's first symbol has a random full-rank
+    block in every group; each other symbol a random rank per group, 0
+    included (at least 1 in the first).  So every class average has full
+    rank, and in the eigenbasis of rho_c a one-symbol class commutes with
+    its sigma_c, while a larger one splits along the groups: partly
+    commuting, with rank-deficient and rho-free sub-blocks."""
+    n, k, q = len(classes), max(classes) + 1, sum(groups)
+    imag = 0.0 if real else 1j
+    vs = [np.linalg.qr(rng.normal(size=(q, q)) + imag * rng.normal(size=(q, q)))[0] for _ in range(k)]
+    p = rng.dirichlet(np.ones(n))
+    dim_e = k * q
+    rho = np.zeros((n * dim_e, n * dim_e), dtype=float if real else complex)
+    for x, c in enumerate(classes):
+        first, d_x, lo = classes.index(c) == x, np.zeros((q, q)), 0
+        for j, g in enumerate(groups):
+            r = g if first else int(rng.integers(1 if j == 0 else 0, g + 1))
+            f = rng.normal(size=(g, r))
+            d_x[lo : lo + g, lo : lo + g] = f @ f.T
+            lo += g
+        tau = vs[c] @ d_x @ vs[c].conj().T
+        off = x * dim_e + c * q
+        rho[off : off + q, off : off + q] = p[x] * tau / np.trace(tau).real
+    lay = la.layout(("X", n), ("E", dim_e))
+    sigma = la.tensor(la.partial_trace(rho, lay, ["X"]), la.partial_trace(rho, lay, ["E"]))
+    return rho, sigma
+
+
+def classical_copy_pairs() -> list:
+    """Eight seeded (rho, sigma, eps) of ``classical_copy_pair``, cycling
+    over four shapes (classes, groups, real) and eps 0.05, 0.1, 0.2."""
+    shapes = [
+        ((0, 1, 2), (1, 2), True),
+        ((0, 0, 1), (1, 2), True),
+        ((0, 0, 1, 1), (1, 1, 2), False),
+        ((0, 0, 0), (2, 1), False),
+    ]
+    rng = np.random.default_rng(61)
+    return [
+        (*classical_copy_pair(rng, *shapes[k % 4]), (0.05, 0.1, 0.2)[k % 3]) for k in range(8)
+    ]
+
+
+def all_components_commute(rho, sigma) -> bool:
+    """Whether rho_c and sigma_c commute on every component of the joint
+    support pattern (``oracles.support_components_oracle``)."""
+    for c in oracles.support_components_oracle([rho, sigma]):
+        r, s = rho[np.ix_(c, c)], sigma[np.ix_(c, c)]
+        if np.abs(r @ s - s @ r).max() > 1e-12:
+            return False
+    return True
+
+
+def split_kinds(rho, sigma) -> set:
+    """The kinds of sub-block that the eigenbasis split of (rho, sigma)
+    makes, found with the oracle's components, per component that carries
+    rho, in the basis of its own ``eigh`` (descending): "commuting" (it
+    splits into 1x1 sub-blocks only), "partly commuting" (into a 1x1 and
+    a larger one), "rank-deficient" (rho_c has a kernel) and "rho-free" (a
+    sub-block holds only kernel directions)."""
+    kinds = set()
+    for c in oracles.support_components_oracle([rho, sigma]):
+        w, u = np.linalg.eigh(rho[np.ix_(c, c)])
+        kept, u = w[::-1] > 1e-12, u[:, ::-1]
+        if not kept.any():
+            continue
+        subs = oracles.support_components_oracle([u.conj().T @ sigma[np.ix_(c, c)] @ u])
+        sizes = sorted(len(sub) for sub in subs)
+        if len(subs) > 1 and sizes[-1] == 1:
+            kinds.add("commuting")
+        if sizes[0] == 1 < sizes[-1]:
+            kinds.add("partly commuting")
+        if not kept.all():
+            kinds.add("rank-deficient")
+        if any(not kept[sub].any() for sub in subs):
+            kinds.add("rho-free")
+    return kinds
+
+
+def corner_pins(rho, sigma, real: bool) -> int:
+    """The equalities a smoothing program of (rho, sigma) needs: the trace
+    row, and per sub-block of rank r its r diagonal corner pins and
+    r(r-1)/2 off-diagonal ones, twice over (real and imaginary part) on a
+    Hermitian program."""
+    blocks, _ = ent._ball_blocks(rho, sigma)
+    off = sum(b.rank * (b.rank - 1) // 2 for b in blocks)
+    return 1 + sum(b.rank for b in blocks) + off * (1 if real else 2)
+
+
 class TestSupportComponents:
     @pytest.mark.parametrize("d", [1, 2, 5, 17, 40])
     def test_matches_oracle_on_seeded_patterns(self, d):
@@ -415,7 +509,8 @@ class TestSupportComponents:
 
     def test_one_eigh_per_component_size(self, monkeypatch):
         # components of sizes 1, 2 and 3 that carry rho, rho-free ones of
-        # sizes 1 and 2; each spectrum is that of the component's own eigh
+        # sizes 1 and 2; each spectrum is that of the component's own eigh,
+        # and each sigma_b is the component's sigma in that eigenbasis
         rho, sigma = block_pair(np.random.default_rng(41), [2, 1, 3, 2, 1], [2, 1], zero=1)
         comps = ent._support_components([rho, sigma])
         eigh, calls = np.linalg.eigh, []
@@ -428,13 +523,32 @@ class TestSupportComponents:
         blocks, _ = ent._ball_blocks(rho, sigma)
         assert len(calls) == len({len(c) for c in comps}) == 3
         monkeypatch.setattr(np.linalg, "eigh", eigh)
-        assert len(blocks) == 5
-        for blk in blocks:
-            w, u = np.linalg.eigh(rho[np.ix_(blk.comp, blk.comp)])
+        carried = [c for c in comps if np.abs(rho[np.ix_(c, c)]).max() > 1e-12]
+        assert len(blocks) == len(carried) == 5
+        for blk, c in zip(blocks, carried):
+            w, u = np.linalg.eigh(rho[np.ix_(c, c)])
             keep = w > 1e-12
             assert np.array_equal(blk.eigs, w[keep][::-1])
-            rotation = np.concatenate([u[:, keep][:, ::-1], u[:, ~keep]], axis=1)
-            assert np.array_equal(blk.rotation, rotation)
+            assert blk.dim == len(c)
+            u = u[:, ::-1]
+            np.testing.assert_allclose(blk.sigma, u.conj().T @ sigma[np.ix_(c, c)] @ u, atol=1e-15)
+
+    def test_split_pass_only_when_a_rotated_block_can_split(self, monkeypatch):
+        # random blocks do not commute: no rotated block has an off-diagonal
+        # entry at or below 1e-12, and the split pass is skipped; a
+        # classical-copy pair has commuting components and takes one pass
+        calls, support_components = [], ent._support_components
+
+        def counting(mats):
+            calls.append(len(mats))
+            return support_components(mats)
+
+        monkeypatch.setattr(ent, "_support_components", counting)
+        ent._ball_blocks(*block_pair(np.random.default_rng(42), [2, 3, 1], [2]))
+        assert calls == [2]
+        calls.clear()
+        ent._ball_blocks(*classical_copy_pairs()[0][:2])
+        assert calls == [2, 1]
 
 
 class TestFoldedBall:
@@ -473,14 +587,27 @@ class TestFoldedBall:
 
     @pytest.mark.parametrize("name", ["qubit_cq", "qubit_entangled_side_info"])
     def test_programs_without_rho_free_components_are_unchanged(self, monkeypatch, name):
+        # no component of these pairs is rho-free or splits in its
+        # eigenbasis: each program has the unsplit program's variables and
+        # blocks, and its value (the caps now live in the eigenbasis, so
+        # the compiled bytes differ)
         prep = P.prepare(io.load_bundled(name))
         pairs = smoothing_pairs(monkeypatch, lambda: P.thresholds(prep, 0.1))
         assert len(pairs) == 2
+        monkeypatch.undo()
         for rho, sigma in pairs:
             assert ent._ball_blocks(rho, sigma)[1] == 0.0
             for lam in (None, 0.7):
+                got = ent._capped_ball(rho, sigma, 0.1, lam)
                 want = oracles.capped_ball_per_component(sdp, rho, sigma, 0.1, lam)
-                assert compiled(ent._capped_ball(rho, sigma, 0.1, lam)) == compiled(want)
+                assert [d for _, d in got.variables] == [d for _, d in want.variables]
+                assert [e.dim for e in got.psd_constraints] == [e.dim for e in want.psd_constraints]
+                assert (len(got.equalities), len(got.inequalities)) == (
+                    len(want.equalities),
+                    len(want.inequalities),
+                )
+            want_t = min_t(oracles.capped_ball_per_component(sdp, rho, sigma, 0.1, None))
+            assert min_t(ent._capped_ball(rho, sigma, 0.1, None)) == pytest.approx(want_t, rel=1e-6)
 
     def test_largest_region_program_size(self, monkeypatch):
         prep = P.prepare(io.load_bundled("instrument_derived"))
@@ -493,8 +620,10 @@ class TestFoldedBall:
             ref = sdp.Program(oracles.capped_ball_per_component(sdp, rho, sigma, 0.1, None))
             sizes.append((ref.n_vars, prog.n_vars, collections.Counter(prog.block_dims)))
         ref_reals, reals, blocks = max(sizes, key=lambda s: s[0])
-        # real data: both programs are solved over real symmetric matrices
-        assert (ref_reals, reals, blocks) == (118, 92, {4: 9, 2: 9})
+        # real data: both programs are solved over real symmetric matrices;
+        # all 9 components that carry rho commute with their sigma_c, so each
+        # splits into two 2x2 balls with scalar caps
+        assert (ref_reals, reals, blocks) == (118, 56, {2: 18})
 
 
 @pytest.fixture(scope="module")
@@ -545,13 +674,20 @@ class TestSmoothingSolve:
             assert compiled(prob) == compiled(capped_ball(rho, sigma, eps, lam))
 
 
-def phased(m: np.ndarray) -> np.ndarray:
-    """U m U^H for the fixed diagonal phase unitary U = diag(e^(i phi_k)),
-    phi_k = 0.7 k + 0.3: the support pattern and every smoothed value stay,
-    but an off-diagonal entry between indices of different phase turns
-    complex."""
-    u = np.exp(1j * (0.7 * np.arange(len(m)) + 0.3))
-    return u[:, None] * m * u.conj()[None, :]
+def phased(rho, sigma) -> tuple:
+    """(U rho U^H, U sigma U^H) for a fixed complex unitary U, block
+    diagonal over the pair's support components (a seeded random unitary
+    per component): the components and every smoothed value stay, but in
+    the eigenbasis of rho_c a component that does not commute turns
+    complex.  Diagonal phases alone would not: the ``eigh`` of a
+    phase-conjugated real matrix returns the conjugated real eigenbasis,
+    up to one phase, so its rotated sigma'_c is real again."""
+    rng = np.random.default_rng(53)
+    u = np.zeros(rho.shape, dtype=complex)
+    for c in oracles.support_components_oracle([rho, sigma]):
+        g = rng.normal(size=(len(c), len(c))) + 1j * rng.normal(size=(len(c), len(c)))
+        u[np.ix_(c, c)] = np.linalg.qr(g)[0]
+    return u @ rho @ u.conj().T, u @ sigma @ u.conj().T
 
 
 def real_pairs() -> list:
@@ -571,19 +707,27 @@ def real_pairs() -> list:
 
 class TestRealField:
     """Real pairs make real smoothing programs, solved over real symmetric
-    matrices; a phase conjugation of the same pair forces the Hermitian
-    path and must give the same value."""
+    matrices; a complex unitary conjugation of each support component
+    (``phased``) forces the Hermitian path wherever a component does not
+    commute, and must give the same value."""
 
     @staticmethod
     def check_parity(rho, sigma, eps):
+        # in the eigenbasis of rho_c a commuting component is real whatever
+        # its phases, so the phased program is Hermitian exactly when some
+        # component does not commute; then every block's variable has d^2
+        # reals, else d(d+1)/2
         real = sdp.Program(ent._capped_ball(rho, sigma, eps, None))
-        herm = sdp.Program(ent._capped_ball(phased(rho), phased(sigma), eps, None))
-        assert real.real and not herm.real
-        assert herm.n_vars == sum(d * d for _, d in herm.prob.variables)
+        herm = sdp.Program(ent._capped_ball(*phased(rho, sigma), eps, None))
+        assert real.real and herm.real == all_components_commute(rho, sigma)
+        assert herm.n_vars == sum(sdp.rvec_size(d, herm.real) for _, d in herm.prob.variables)
         assert real.n_vars == sum(d * (d + 1) // 2 for _, d in real.prob.variables)
+        # a Hermitian program pins the imaginary parts of every corner too
+        assert len(real.prob.equalities) == corner_pins(rho, sigma, True)
+        assert len(herm.prob.equalities) == corner_pins(*phased(rho, sigma), herm.real)
         # d_max_smooth raises SolverError unless both certificates pass
         got = ent.d_max_smooth(rho, sigma, eps)
-        assert abs(got - ent.d_max_smooth(phased(rho), phased(sigma), eps)) <= 1e-6
+        assert abs(got - ent.d_max_smooth(*phased(rho, sigma), eps)) <= 1e-6
 
     def test_real_pairs_match_their_phased_pairs(self):
         for k, (rho, sigma) in enumerate(real_pairs()):
@@ -596,12 +740,13 @@ class TestRealField:
         )
         monkeypatch.undo()
         assert len(pairs) == 6
+        assert [all_components_commute(*pair) for pair in pairs] == [False, True, False] * 2
         for rho, sigma in pairs:
             self.check_parity(rho, sigma, 0.1)
 
     def test_round_off_imaginary_parts_are_dropped(self):
         # imaginary parts within la.HERM_TOL are round-off: the program is
-        # the real one, byte for byte, and its rotations come from a real eigh
+        # the real one, byte for byte, and its rotated sigma_b are real
         rho, sigma = real_pairs()[4]
         noise = 1e-12 * oracles.random_hermitian(np.random.default_rng(52), len(rho))
         noisy = (rho + 1j * np.imag(noise), sigma.astype(complex))
@@ -609,7 +754,7 @@ class TestRealField:
             assert compiled(ent._capped_ball(*noisy, 0.1, lam)) == compiled(
                 ent._capped_ball(rho, sigma, 0.1, lam)
             )
-        assert all(not np.iscomplexobj(blk.rotation) for blk in ent._ball_blocks(*noisy)[0])
+        assert all(not np.iscomplexobj(blk.sigma) for blk in ent._ball_blocks(*noisy)[0])
 
     @pytest.mark.parametrize("name", io.BUNDLED)
     def test_bundled_smoothing_programs_are_real(self, monkeypatch, name):
@@ -624,6 +769,58 @@ class TestRealField:
         for rho, sigma in pairs:
             for lam in (None, 0.4):
                 assert sdp.Program(ent._capped_ball(rho, sigma, 0.1, lam)).real
+
+
+class TestEigenbasisSplit:
+    """Each certified value of the split programs against the unsplit
+    ``oracles.capped_ball_per_component``: every support component whole
+    and in one block, its cap in its eigenbasis, and no fold."""
+
+    @staticmethod
+    def check_oracle_parity(rho, sigma, eps):
+        want = math.log2(min_t(oracles.capped_ball_per_component(sdp, rho, sigma, eps, None)))
+        # d_max_smooth raises SolverError unless both certificates pass
+        assert abs(ent.d_max_smooth(rho, sigma, eps) - want) <= 1e-6
+
+    def test_classical_copy_pairs_match_the_unsplit_oracle(self):
+        kinds = set()
+        for rho, sigma, eps in classical_copy_pairs():
+            kinds |= split_kinds(rho, sigma)
+            self.check_oracle_parity(rho, sigma, eps)
+        assert kinds == {"commuting", "partly commuting", "rank-deficient", "rho-free"}
+
+    def test_region_pairs_match_the_unsplit_oracle(self, monkeypatch):
+        prep = P.prepare(io.load_bundled("instrument_derived"))
+        pairs = smoothing_pairs(
+            monkeypatch, lambda: P.one_shot_region(prep, 0.1, theta_grid=(0.5,), axes=("X", "Y"))
+        )
+        monkeypatch.undo()
+        assert len(pairs) == 6
+        for rho, sigma in pairs:
+            self.check_oracle_parity(rho, sigma, 0.1)
+
+    @pytest.mark.parametrize("name", io.BUNDLED)
+    def test_threshold_pairs_match_the_unsplit_oracle(self, monkeypatch, name):
+        prep = P.prepare(io.load_bundled(name))
+        pairs = smoothing_pairs(monkeypatch, lambda: P.thresholds(prep, 0.1))
+        monkeypatch.undo()
+        assert len(pairs) == 2
+        for rho, sigma in pairs:
+            self.check_oracle_parity(rho, sigma, 0.1)
+
+    def test_hermitian_programs_pin_every_corner(self):
+        # the complex classical-copy pairs mix real sub-blocks (commuting
+        # components) with complex ones of rank 2: the program is Hermitian
+        # and every corner's imaginary parts are pinned
+        mixed = 0
+        for rho, sigma, eps in classical_copy_pairs():
+            prog = sdp.Program(ent._capped_ball(rho, sigma, eps, None))
+            assert len(prog.prob.equalities) == corner_pins(rho, sigma, prog.real)
+            blocks = ent._ball_blocks(rho, sigma)[0]
+            kinds = {np.iscomplexobj(b.sigma) for b in blocks}
+            mixed += kinds == {True, False} and max(b.rank for b in blocks) > 1
+            assert prog.real == (True not in kinds)
+        assert mixed
 
 
 class TestIMax:

@@ -96,8 +96,8 @@ def random_pair():
 
 def kernel_problem(which):
     """Problems covering every Term kind: "ball_cap" is d_max_smooth's
-    fixed-lambda fidelity-ball program with its cap (id, subblock_conj),
-    "min_t" its min t program (id, subblock_conj, kron)."""
+    fixed-lambda fidelity-ball program with its cap (id, subblock),
+    "min_t" its min t program (id, subblock, kron)."""
     if which == "box":
         return box_problem(3, 3)
     if which == "interleaved":
@@ -115,7 +115,8 @@ KERNEL_PROBLEMS = ["box", "interleaved", "mixed_rows", "ball_cap", "min_t"]
 def test_field_follows_the_data(which):
     # box and interleaved have real data only; mixed_rows has a complex
     # scalar row, and the ball programs of the complex random_pair have
-    # complex constants and rotations.  Each keeps its field's reals per
+    # complex constants (its sigma in the eigenbasis of rho, which does not
+    # commute with it).  Each keeps its field's reals per
     # variable: d(d+1)/2 real symmetric, d^2 Hermitian
     prob = kernel_problem(which)
     prog = sdp.Program(prob)
@@ -404,7 +405,7 @@ class TestSlabLayout:
 @pytest.fixture(scope="module")
 def region_program():
     """The largest smoothing program of the ``region`` benchmark's X-axis
-    cell (instrument_derived, theta 0.5, eps 0.1): real, 92 variable reals."""
+    cell (instrument_derived, theta 0.5, eps 0.1): real, 58 variable reals."""
     prep = prep_mod.prepare(io.load_bundled("instrument_derived"))
     probs, solve = [], sdp.minimize
     with pytest.MonkeyPatch.context() as mp:
@@ -420,7 +421,7 @@ def test_linalg_calls_per_iteration_on_the_region_program(region_program, monkey
     # norm and the recheck's one eigvalsh per block dimension
     prog = sdp.Program(region_program)
     slabs = len(prog.slabs)
-    assert prog.real and prog.n_vars == 92 and slabs == 2
+    assert prog.real and prog.n_vars == 58 and slabs == 2
     calls = linalg_spy(monkeypatch)
     res = sdp.minimize(region_program)
     assert res.status == "optimal"
@@ -491,16 +492,15 @@ class TestBatchedProbe:
             for expr in kernel_problem(which).psd_constraints
             for t in expr.terms
         }
-        assert kinds == {"id", "kron", "subblock_conj"}
+        assert kinds == {"id", "kron", "subblock"}
 
     def test_batched_apply_equals_per_matrix_calls(self):
         rng = np.random.default_rng(10)
         left = oracles.random_hermitian(rng, 2)
-        rot = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
         terms = [
             sdp.Term("X", "id", -0.7),
             sdp.Term("X", "kron", 1.3, left=left),
-            sdp.Term("X", "subblock_conj", -1.1, left=rot, start=2),
+            sdp.Term("X", "subblock", -1.1, start=2),
         ]
         stack = np.stack([oracles.random_hermitian(rng, 6) for _ in range(5)])
         for t in terms:
