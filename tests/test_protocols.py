@@ -100,7 +100,6 @@ GOLDEN_BUDGETS = {
     "rate_split_showcase": OneShotBudget(GOLDEN_EPS, r_x=4, c_x=1),
 }
 GOLDEN_WIRE = {"classical_commuting": {"X": 2}, "qubit_entangled_side_info": {"X": 2}}
-ONE_SHOT_INSTANCES = ("trivial", "instrument_derived")
 COMPOSE_INSTANCES = ("trivial", "qubit_entangled_side_info")
 
 
@@ -397,8 +396,7 @@ def test_golden_regions(solved):
     name, prep, _, _ = solved
     rhs = _hex(h.rhs for h in P.iid_region(prep).constraints)
     assert rhs == _golden()[name]["iid_region"]
-    if name in ONE_SHOT_INSTANCES:
-        assert _one_shot_rhs(prep) == _golden()[name]["one_shot_region"]
+    assert _one_shot_rhs(prep) == _golden()[name]["one_shot_region"]
 
 
 def test_one_shot_region_steers_nothing_after_prepare(monkeypatch):
@@ -453,8 +451,7 @@ def _write_golden() -> None:
         pins = _threshold_pins(th, solves)
         pins.update(_run_pins(*_protocol_runs(name, prep)))
         pins["iid_region"] = _hex(h.rhs for h in P.iid_region(prep).constraints)
-        if name in ONE_SHOT_INSTANCES:
-            pins["one_shot_region"] = _one_shot_rhs(prep)
+        pins["one_shot_region"] = _one_shot_rhs(prep)
         if name in COMPOSE_INSTANCES:
             pins["compose"] = _hex(_composition(name, prep))
         payload[name] = pins
