@@ -571,14 +571,37 @@ def d_max_smooth(rho, sigma, eps: float) -> float:
     evaluates the fixed-lambda program's expressions, and the Farkas test
     compiles the program at v - BISECT_TOL_BITS; nothing is read from the
     min t compile.
+
+    This is the one-pair case of ``_d_max_smooth_many``, which
+    ``i_max_cq_many`` uses for several values at once: their min t
+    programs go to one ``sdp.minimize_many`` batch, which gives each
+    program the result of its lone solve, bit for bit, and each value is
+    then certified on its own, as here.
     """
     eps = _validate_eps(eps)
-    rho = la.assert_density(rho)
-    sigma = la.assert_psd(sigma)
+    return _d_max_smooth_many([(la.assert_density(rho), la.assert_psd(sigma))], eps)[0]
+
+
+def _d_max_smooth_many(pairs: list[tuple[np.ndarray, np.ndarray]], eps: float) -> list[float]:
+    """``d_max_smooth`` of each (rho, sigma), checked already (rho a density,
+    sigma PSD, both as ``la._hermitian_part`` returns them), at a checked
+    eps: one ``sdp.minimize_many`` over their min t programs, then each
+    value's two certificates in pair order.  The first value that fails
+    raises its SolverError."""
     if eps == 0.0:
-        return d_max(rho, sigma)
-    ball = _ball_blocks(rho, sigma)
-    res = sdp.minimize(_capped_ball(rho, sigma, eps, None, ball))
+        return [d_max(rho, sigma) for rho, sigma in pairs]
+    balls = [_ball_blocks(rho, sigma) for rho, sigma in pairs]
+    results = sdp.minimize_many(
+        [_capped_ball(rho, sigma, eps, None, ball) for (rho, sigma), ball in zip(pairs, balls)]
+    )
+    return [
+        _certified_value(rho, sigma, eps, ball, res)
+        for (rho, sigma), ball, res in zip(pairs, balls, results)
+    ]
+
+
+def _certified_value(rho, sigma, eps: float, ball, res: sdp.SDPResult) -> float:
+    """log2 t of a min t solve of ``d_max_smooth``, once both certificates pass."""
     if res.status != "optimal":
         raise SolverError(f"D_max^eps solve ended {res.status}", res.residuals)
     value = math.log2(float(res.assignment["t"][0, 0].real))
@@ -595,20 +618,35 @@ def d_max_smooth(rho, sigma, eps: float) -> float:
     return value
 
 
-def i_max_cq(cq: qo.CQState, eps: float) -> float:
-    """i_max_smooth of a ``CQState``, its classical register first."""
-    return i_max_smooth(cq.dense(), (len(cq.symbols), cq.quantum_dim), eps)
+def i_max_cq_many(cqs: list[qo.CQState], eps: float) -> list[float]:
+    """``i_max_smooth`` of each ``CQState``, its classical register first,
+    with all their min t programs solved as one batch."""
+    return _i_max_many([(cq.dense(), (len(cq.symbols), cq.quantum_dim)) for cq in cqs], eps)
 
 
 def i_max_smooth(rho_ab, dims: tuple[int, int], eps: float) -> float:
     """Smooth max information against the fixed product of the marginals."""
-    rho_ab = la.assert_density(rho_ab)
-    da, db = dims
-    lay = la.layout(("A", da), ("B", db))
-    sigma = la.tensor(
-        la.partial_trace(rho_ab, lay, ["A"]), la.partial_trace(rho_ab, lay, ["B"])
-    )
-    return d_max_smooth(rho_ab, sigma, eps)
+    return _i_max_many([(rho_ab, dims)], eps)[0]
+
+
+def _i_max_many(states: list[tuple[np.ndarray, tuple[int, int]]], eps: float) -> list[float]:
+    """``i_max_smooth`` of each (rho_AB, dims), each state checked once.
+
+    ``la.assert_density`` checks rho_AB, and sigma = rho_A (x) rho_B is
+    built from the partial traces of the matrix it returns: PSD, so it gets
+    no check of its own.  That matrix is Hermitian to the bit, and so is
+    sigma, so the Hermitian repair of ``d_max_smooth``'s checks would
+    change neither.
+    """
+    pairs = []
+    for rho_ab, (da, db) in states:
+        rho_ab = la.assert_density(rho_ab)
+        lay = la.layout(("A", da), ("B", db))
+        sigma = la.tensor(
+            la.partial_trace(rho_ab, lay, ["A"]), la.partial_trace(rho_ab, lay, ["B"])
+        )
+        pairs.append((rho_ab, sigma))
+    return _d_max_smooth_many(pairs, _validate_eps(eps))
 
 
 # ---------------------------------------------------------------------------

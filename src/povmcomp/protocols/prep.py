@@ -162,9 +162,11 @@ def thresholds(
     if ents is None:
         eps0 = eps ** (1.0 / 10.0)
         ents = prep._cache[("entropies", eps)] = {}
-        # link i's I_max is taken against E and the classical links before it
-        for i, (s, imax_cq) in enumerate(zip(names, (_x_env_cq(prep), _y_xenv_cq(prep)))):
-            ents[f"imax_{s}"] = ent.i_max_cq(imax_cq, eps)
+        # link i's I_max is taken against E and the classical links before
+        # it; both come from one batch
+        i_maxes = ent.i_max_cq_many([_x_env_cq(prep), _y_xenv_cq(prep)], eps)
+        for i, (s, i_max) in enumerate(zip(names, i_maxes)):
+            ents[f"imax_{s}"] = i_max
             ents[f"hmax_{s}"] = ent.h_max_smooth(prep.marginals[i], eps).value
             ents[f"ih_{s}_b"] = side_information(prep, prep.env_cq().group_parts((i,)), eps0 / 2)
     out = {"log_const": c, **ents}

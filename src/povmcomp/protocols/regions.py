@@ -84,57 +84,68 @@ def one_shot_region(
     c = default_log_const(eps) if log_const is None else float(log_const)
     env_cq = prep.env_cq()
 
-    def bounds(imax_cq: qo.CQState, plain_cq: qo.CQState) -> tuple[float, float]:
-        """(I_max - I_H + c, H_max - I_H) of one split register, I_H on B.
-
-        ``imax_cq`` carries the register with its side registers, for I_max;
-        ``plain_cq`` is the register alone.  A degenerate register needs no
-        sub-channel, so both are 0.
-        """
-        if _degenerate(imax_cq):
-            return 0.0, 0.0
+    def bounds(i_max: float, plain_cq: qo.CQState) -> tuple[float, float]:
+        """(I_max - I_H + c, H_max - I_H) of one live split register, I_H
+        on B: ``i_max`` is the I_max of the register with its side
+        registers, ``plain_cq`` the register alone."""
         ih = side_information(prep, plain_cq, eps)
-        a = ent.i_max_cq(imax_cq, eps) - ih + c
-        return a, ent.h_max_smooth(plain_cq.classical_distribution(), eps).value - ih
+        return i_max - ih + c, ent.h_max_smooth(plain_cq.classical_distribution(), eps).value - ih
 
-    region = RateRegion(kind="one-shot")
+    # per (axis, theta) cell, the (I_max register, plain register) of U, V
+    # and the other link's Y
+    cells = []
     for axis in axes:
         # the split link's component first, then the other link's; link 0's
         # order is env_cq's own, which regrouping would round
         own = LINKS.index(axis)
-        other = LINKS[1 - own]
         joint = env_cq.group_parts((own, 1 - own)) if own else env_cq
-        own_r, own_c, oth_r, oth_c = f"R_{axis}", f"C_{axis}", f"R_{other}", f"C_{other}"
         for theta in theta_grid:
             ctrl = sp.split_control_state(joint, theta)
             u_cq = ctrl.group_parts((0,))
-            v_cq = ctrl.embed_parts(1, (0, 2))
-            vals = {}
-            vals["aU"], vals["bU"] = bounds(u_cq, u_cq)
-            vals["aV"], vals["bV"] = bounds(v_cq, ctrl.group_parts((1,)))
-            vals["aY"], vals["bY"] = bounds(ctrl.embed_parts(2, (0,)), ctrl.group_parts((2,)))
-            prov = {"axis": axis, "theta": theta, "eps": eps, "log_const": c, "values": vals}
-            if not _degenerate(u_cq) and not _degenerate(v_cq):
-                # cross facets from eliminating the internal split rates
-                coin_sum = max(
-                    vals["bU"] + vals["bV"],
-                    vals["aU"] + vals["bV"],
-                    vals["bU"] + vals["aV"],
-                )
-            else:
-                coin_sum = vals["bU"] + vals["bV"]  # single live sub-channel
-            region.constraints.append(
-                HalfSpace({own_r: 1.0}, vals["aU"] + vals["aV"], dict(prov, bound="split-rate"))
+            registers = (
+                (u_cq, u_cq),
+                (ctrl.embed_parts(1, (0, 2)), ctrl.group_parts((1,))),
+                (ctrl.embed_parts(2, (0,)), ctrl.group_parts((2,))),
             )
-            region.constraints.append(
-                HalfSpace({own_r: 1.0, own_c: 1.0}, coin_sum, dict(prov, bound="split-coin-sum"))
+            cells.append((axis, theta, registers))
+    # a degenerate register needs no sub-channel, so both its bounds are 0;
+    # the I_max of every live one, over all cells, comes from one batch
+    live = [imax_cq for *_, regs in cells for imax_cq, _ in regs if not _degenerate(imax_cq)]
+    i_maxes = iter(ent.i_max_cq_many(live, eps))
+
+    region = RateRegion(kind="one-shot")
+    for axis, theta, registers in cells:
+        other = LINKS[1 - LINKS.index(axis)]
+        own_r, own_c, oth_r, oth_c = f"R_{axis}", f"C_{axis}", f"R_{other}", f"C_{other}"
+        vals = {}
+        for name, (imax_cq, plain_cq) in zip("UVY", registers):
+            live_reg = not _degenerate(imax_cq)
+            vals[f"a{name}"], vals[f"b{name}"] = (
+                bounds(next(i_maxes), plain_cq) if live_reg else (0.0, 0.0)
             )
-            region.constraints.append(
-                HalfSpace({oth_r: 1.0}, vals["aY"], dict(prov, bound="other-rate"))
+        prov = {"axis": axis, "theta": theta, "eps": eps, "log_const": c, "values": vals}
+        (u_cq, _), (v_cq, _), _ = registers
+        if not _degenerate(u_cq) and not _degenerate(v_cq):
+            # cross facets from eliminating the internal split rates
+            coin_sum = max(
+                vals["bU"] + vals["bV"],
+                vals["aU"] + vals["bV"],
+                vals["bU"] + vals["aV"],
             )
-            region.constraints.append(
-                HalfSpace({oth_r: 1.0, oth_c: 1.0}, vals["bY"], dict(prov, bound="other-coin-sum"))
-            )
+        else:
+            coin_sum = vals["bU"] + vals["bV"]  # single live sub-channel
+        region.constraints.append(
+            HalfSpace({own_r: 1.0}, vals["aU"] + vals["aV"], dict(prov, bound="split-rate"))
+        )
+        region.constraints.append(
+            HalfSpace({own_r: 1.0, own_c: 1.0}, coin_sum, dict(prov, bound="split-coin-sum"))
+        )
+        region.constraints.append(
+            HalfSpace({oth_r: 1.0}, vals["aY"], dict(prov, bound="other-rate"))
+        )
+        region.constraints.append(
+            HalfSpace({oth_r: 1.0, oth_c: 1.0}, vals["bY"], dict(prov, bound="other-coin-sum"))
+        )
     return region
 
 

@@ -36,10 +36,18 @@ are the same over the Hermitian coordinates, and the bound
 
 ``minimize`` is the one solver: a primal-dual interior-point method with
 Nesterov-Todd scaling and Mehrotra's predictor-corrector for a problem with
-an objective.  It serves ``entropies.d_max_smooth`` (and with it
-``i_max_smooth``, the protocol thresholds and the one-shot region), whose
-min t program it solves in one call.  A solve's result carries two
-certificates, which the caller checks on the program at a fixed value:
+an objective.  ``minimize_many`` runs it on several programs at once: they
+step together, and each slab kernel of the iteration (the cone's
+``cholesky``, ``svd`` and ``_congruence``, the step tests' ``eigvalsh`` and
+the Jordan product) runs once per block dimension and field over the
+blocks of every program still stepping, while each program keeps its own
+scalars and Schur solve.  Each program gets the result of its lone solve,
+bit for bit, and ``minimize`` is the batch of one.  The solver serves
+``entropies.d_max_smooth`` (and with it ``i_max_smooth``, the protocol
+thresholds and the one-shot region): a caller that holds several values
+(``entropies.i_max_cq_many``) solves their min t programs as one batch.
+A solve's result carries two certificates, which the caller checks on the
+program at a fixed value:
 
 - A point is feasible when ``recheck`` accepts it: ``_recheck`` evaluates
   its constraints again from the problem's own expressions.  ``minimize``
@@ -70,6 +78,7 @@ problem raises ``ProblemTooLarge``.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -353,6 +362,8 @@ class Program:
                 f" > MAX_VAR_REALS = {MAX_VAR_REALS}"
             )
         self.prob = prob
+        # the _Union of the last batch this program came first in (``_union_of``)
+        self.last_union = None
         self.block_dims = [e.dim for e in prob.psd_constraints]
         self.n_graph = sum(rvec_size(d, self.real) for d in self.block_dims)
         self.n_graph += len(prob.inequalities)
@@ -580,73 +591,220 @@ class _ScaledCone:
     ``isq`` = 1 / sqrt(lam_i lam_j) ((1 / sqrt lam_i)^2 on a block's
     diagonal) are gathered from the eigenvalues through ``Program.pair``,
     and every kernel works on the (n, k) views of the slabs.
+
+    ``_scaled_cones`` builds the cones of several programs at once, and
+    the other kernels (T vec in ``_scale_many``, T^T vec in
+    ``_scale_adjoint_many``, a o b in ``_jordans``, the step test in
+    ``_max_steps``) take several cones at once.  ``scale`` of a matrix,
+    T A in ``minimize``, stays per cone: each program's A has its own
+    number of columns.
     """
 
-    def __init__(self, prog: Program, s: np.ndarray, z: np.ndarray):
+    def __init__(self, prog: Program, scales: list, vectors: tuple):
+        self.prog, self.scales = prog, scales
         self.slabs, self.n_psd, self.real = prog.slabs, prog.n_psd, prog.real
-        self.scales, eigs, both = [], [], np.stack((s, z))
-        for d, lo, n in self.slabs:
-            k = rvec_size(d, self.real)
-            pair = both[:, lo : lo + n * k].reshape(2, n, k)
-            ls, lz = np.linalg.cholesky(rvec_to_herm(pair, d, self.real))
-            u, lam, vh = np.linalg.svd(_ct(lz) @ ls)
-            r_inv = (1.0 / np.sqrt(lam))[:, :, None] * (_ct(u) @ _ct(lz))
-            self.scales.append(_congruence(r_inv, self.real))
-            eigs.append(lam.ravel())
-        self.t_scalar = np.sqrt(z[self.n_psd :] / s[self.n_psd :])
-        eigs.append(np.sqrt(s[self.n_psd :] * z[self.n_psd :]))
-        eig = np.concatenate(eigs)
-        li, lj = eig[prog.pair]
-        diag = prog.pair[0] == prog.pair[1]
-        self.lam = np.where(diag, li, 0.0)
-        self.mid = (li + lj) / 2
-        psd_diag = diag & (np.arange(diag.size) < self.n_psd)
-        self.isq = np.where(psd_diag, (1.0 / np.sqrt(li)) ** 2, 1.0 / np.sqrt(li * lj))
+        self.lam, self.mid, self.isq, self.t_scalar = vectors
 
-    def _apply(self, vec: np.ndarray, mats: list, scalar: np.ndarray) -> np.ndarray:
-        """vec (or each column of a matrix) with each block's rvec multiplied
-        by its matrix in ``mats`` and the inequality slots by ``scalar``."""
-        out = np.empty_like(vec)
-        for (d, lo, n), mat in zip(self.slabs, mats):
-            k = mat.shape[-1]
-            hi = lo + n * k
-            out[lo:hi] = (mat @ vec[lo:hi].reshape(n, k, -1)).reshape(out[lo:hi].shape)
-        out[self.n_psd :] = (scalar if vec.ndim == 1 else scalar[:, None]) * vec[self.n_psd :]
+    def scale(self, mat: np.ndarray) -> np.ndarray:
+        """T applied to each column of a matrix: each block's rows multiplied
+        by its scaling matrix, the inequality rows by ``t_scalar``."""
+        out = np.empty_like(mat)
+        for (d, lo, n), scale in zip(self.slabs, self.scales):
+            k = scale.shape[-1]
+            rows = slice(lo, lo + n * k)
+            out[rows] = (scale @ mat[rows].reshape(n, k, -1)).reshape(n * k, -1)
+        out[self.n_psd :] = self.t_scalar[:, None] * mat[self.n_psd :]
         return out
 
-    def scale(self, vec: np.ndarray) -> np.ndarray:
-        """T vec, or T applied to each column of a matrix."""
-        return self._apply(vec, self.scales, self.t_scalar)
 
-    def scale_adjoint(self, vec: np.ndarray) -> np.ndarray:
-        """T^T vec."""
-        return self._apply(vec, [np.swapaxes(m, -1, -2) for m in self.scales], self.t_scalar)
+# -- slab kernels over several programs ----------------------------------------
+#
+# Each kernel takes a list of items, one per program, lays their vectors
+# end to end and runs each numpy call once per union slab: the blocks of
+# one dimension and field of every program, side by side in program order
+# (``_Union``).  A stacked LAPACK or matmul call gives each slice the bits it
+# gives that slice alone, and the elementwise work is exact per slot, so a
+# program's result does not depend on the other programs.
 
-    def jordan(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """a o b."""
-        out, both = a * b, np.stack((a, b))
-        for d, lo, n in self.slabs:
-            k = rvec_size(d, self.real)
-            ma, mb = rvec_to_herm(both[:, lo : lo + n * k].reshape(2, n, k), d, self.real)
-            out[lo : lo + n * k] = herm_to_rvec((ma @ mb + mb @ ma) / 2, self.real).ravel()
-        return out
 
-    def max_step(self, *directions: np.ndarray) -> float:
-        """The largest alpha with lam + alpha d in the cone for each of the
-        given directions d (inf if none), from one stacked ``eigvalsh`` per
-        slab."""
-        rel = np.stack(directions) * self.isq
-        worst = -float(rel[:, self.n_psd :].min(initial=0.0))
-        for d, lo, n in self.slabs:
-            k = rvec_size(d, self.real)
-            blocks = rvec_to_herm(rel[:, lo : lo + n * k].reshape(len(rel), n, k), d, self.real)
-            worst = max(worst, -float(np.linalg.eigvalsh(blocks).min()))
-        return 1.0 / worst if worst > 0.0 else math.inf
+class _Union:
+    """Where the slots of several programs sit when their vectors are laid
+    end to end in program order: program i's slack slots at ``spans[i]``,
+    its inequality slots at ``ineq_spans[i]`` of the joined inequality
+    slots ``ineq``.
+
+    ``slabs`` holds one (d, real, take, parts) per union slab: ``take``
+    lists the slots of its blocks in the joined vector, block by block,
+    and ``parts`` each program's share as (program, slab index, first row,
+    n), the rows counting the union slab's blocks.  ``pair``, ``diag`` and
+    ``psd_diag`` are ``Program.pair`` and its diagonal slots (those of the
+    PSD blocks alone) over the joined eigenvalue vectors: per program, its
+    slabs' eigenvalues, then its inequalities'.  For the step test,
+    ``low_take`` reads each program's 0 and its inequality slots from the
+    joined vector with a 0 in front, one run per program from
+    ``low_starts``.
+    """
+
+    def __init__(self, progs: list[Program]):
+        # weak, so that a program's memo of its union makes no cycle
+        self.progs = [weakref.ref(prog) for prog in progs]
+        self.spans, self.ineq_spans, self.low_starts = [], [], []
+        union: dict[tuple[int, bool], list] = {}
+        pairs, psd, ineq, low_take = [], [], [], []
+        lo = lo_ineq = first = 0
+        for i, prog in enumerate(progs):
+            for j, (d, at, n) in enumerate(prog.slabs):
+                union.setdefault((d, prog.real), []).append((i, j, lo + at, n))
+            slots = np.arange(lo + prog.n_psd, lo + prog.n_graph)
+            pairs.append(prog.pair + first)
+            psd.append(np.arange(prog.n_graph) < prog.n_psd)
+            ineq.append(slots)
+            low_take += [np.zeros(1, dtype=int), slots + 1]
+            self.low_starts.append(lo_ineq + i)
+            self.spans.append((lo, lo + prog.n_graph))
+            self.ineq_spans.append((lo_ineq, lo_ineq + slots.size))
+            lo, lo_ineq = lo + prog.n_graph, lo_ineq + slots.size
+            first += sum(d * n for d, _, n in prog.slabs) + slots.size
+        self.slabs = []
+        for (d, real), parts in union.items():
+            k = rvec_size(d, real)
+            take = np.concatenate([np.arange(at, at + n * k) for _, _, at, n in parts])
+            rows = np.cumsum([0] + [n for *_, n in parts]).tolist()
+            parts = [(i, j, row, n) for (i, j, _, n), row in zip(parts, rows)]
+            self.slabs.append((d, real, take, parts))
+        self.ineq = np.concatenate(ineq)
+        self.pair = np.concatenate(pairs, axis=1)
+        self.diag = self.pair[0] == self.pair[1]
+        self.psd_diag = self.diag & np.concatenate(psd)
+        self.low_take = np.concatenate(low_take)
+
+    def split(self, joined: np.ndarray) -> list[np.ndarray]:
+        """A joined vector as each program's own (views)."""
+        return [joined[lo:hi] for lo, hi in self.spans]
+
+
+def _union_of(progs: list[Program]) -> _Union:
+    """The ``_Union`` of ``progs``: the last one built for the first of
+    them when it has exactly these programs, else a new one.  A batch keeps
+    its programs from round to round until one of them stops."""
+    last = progs[0].last_union
+    if last is None or len(last.progs) != len(progs) or any(
+        ref() is not prog for ref, prog in zip(last.progs, progs)
+    ):
+        last = progs[0].last_union = _Union(progs)
+    return last
+
+
+def _scaled_cones(items: list[tuple[Program, np.ndarray, np.ndarray]]) -> list[_ScaledCone]:
+    """The ``_ScaledCone`` of each (prog, s, z): one ``cholesky``, one
+    ``svd`` and one ``_congruence`` per union slab."""
+    progs = [prog for prog, _, _ in items]
+    union = _union_of(progs)
+    both = np.stack([np.concatenate([item[side] for item in items]) for side in (1, 2)])
+    scales = [[None] * len(prog.slabs) for prog in progs]
+    eigs = [[None] * len(prog.slabs) for prog in progs]
+    for d, real, take, parts in union.slabs:
+        pair = rvec_to_herm(both[:, take].reshape(2, -1, rvec_size(d, real)), d, real)
+        ls, lz = np.linalg.cholesky(pair)
+        u, lam, vh = np.linalg.svd(_ct(lz) @ ls)
+        r_inv = (1.0 / np.sqrt(lam))[:, :, None] * (_ct(u) @ _ct(lz))
+        mats = _congruence(r_inv, real)
+        for i, j, row, n in parts:
+            scales[i][j], eigs[i][j] = mats[row : row + n], lam[row : row + n].ravel()
+    s, z = both[:, union.ineq]
+    tails = np.sqrt(s * z)
+    eig = np.concatenate(
+        [e for own, (lo, hi) in zip(eigs, union.ineq_spans) for e in own + [tails[lo:hi]]]
+    )
+    li, lj = eig[union.pair]
+    lam = np.where(union.diag, li, 0.0)
+    mid = (li + lj) / 2
+    isq = np.where(union.psd_diag, (1.0 / np.sqrt(li)) ** 2, 1.0 / np.sqrt(li * lj))
+    t_scalar = np.sqrt(z / s)
+    return [
+        _ScaledCone(prog, own, (lam[lo:hi], mid[lo:hi], isq[lo:hi], t_scalar[a:b]))
+        for prog, own, (lo, hi), (a, b) in zip(progs, scales, union.spans, union.ineq_spans)
+    ]
+
+
+def _scalings(items: list[tuple[_ScaledCone, np.ndarray]], adjoint: bool) -> list[np.ndarray]:
+    """T vec of each (cone, vec), or T^T vec with ``adjoint``: one stacked
+    product per union slab.  A cone's matrices are the transposed view of
+    the C-contiguous product ``_congruence`` makes; the union stacks those
+    products and transposes them back, so that each product sees the
+    strides of the cone's own matrices, which choose the BLAS kernel and so
+    the bits."""
+    cones = [cone for cone, _ in items]
+    union = _union_of([cone.prog for cone in cones])
+    vec = np.concatenate([v for _, v in items])
+    out = np.empty_like(vec)
+    for d, real, take, parts in union.slabs:
+        stacked = np.concatenate([np.swapaxes(cones[i].scales[j], -1, -2) for i, j, _, _ in parts])
+        mats = stacked if adjoint else np.swapaxes(stacked, -1, -2)
+        out[take] = (mats @ vec[take].reshape(-1, rvec_size(d, real), 1)).ravel()
+    out[union.ineq] = np.concatenate([cone.t_scalar for cone in cones]) * vec[union.ineq]
+    return union.split(out)
+
+
+def _scale_many(items: list[tuple[_ScaledCone, np.ndarray]]) -> list[np.ndarray]:
+    """T vec of each (cone, vec)."""
+    return _scalings(items, False)
+
+
+def _scale_adjoint_many(items: list[tuple[_ScaledCone, np.ndarray]]) -> list[np.ndarray]:
+    """T^T vec of each (cone, vec)."""
+    return _scalings(items, True)
+
+
+def _jordans(items: list[tuple[_ScaledCone, np.ndarray, np.ndarray]]) -> list[np.ndarray]:
+    """a o b of each (cone, a, b)."""
+    union = _union_of([cone.prog for cone, _, _ in items])
+    both = np.stack([np.concatenate([item[side] for item in items]) for side in (1, 2)])
+    out = both[0] * both[1]
+    for d, real, take, _ in union.slabs:
+        ma, mb = rvec_to_herm(both[:, take].reshape(2, -1, rvec_size(d, real)), d, real)
+        out[take] = herm_to_rvec((ma @ mb + mb @ ma) / 2, real).ravel()
+    return union.split(out)
+
+
+def _max_steps(items: list[tuple[_ScaledCone, tuple[np.ndarray, ...]]]) -> list[float]:
+    """For each (cone, directions): the largest alpha with lam + alpha d in
+    the cone for each direction d (inf if none limits it), from one stacked
+    ``eigvalsh`` per union slab.  Every item gives the same number of
+    directions."""
+    union = _union_of([cone.prog for cone, _ in items])
+    isq = np.concatenate([cone.isq for cone, _ in items])
+    sides = range(len(items[0][1]))
+    rel = np.stack([np.concatenate([dirs[j] for _, dirs in items]) for j in sides]) * isq
+    # per program, the least of 0, of its inequality slots over the
+    # directions and of its blocks' eigenvalues (eigvalsh sorts them up)
+    ext = np.concatenate(([0.0], rel.min(axis=0)))
+    low = np.minimum.reduceat(ext[union.low_take], union.low_starts).tolist()
+    for d, real, take, parts in union.slabs:
+        blocks = rvec_to_herm(rel[:, take].reshape(len(rel), -1, rvec_size(d, real)), d, real)
+        least = np.linalg.eigvalsh(blocks)[..., 0].min(axis=0)
+        rows = [row for _, _, row, _ in parts]
+        for (i, *_), value in zip(parts, np.minimum.reduceat(least, rows).tolist()):
+            low[i] = min(low[i], value)
+    return [1.0 / -v if v < 0.0 else math.inf for v in low]
+
+
+def _run_kernel(kernel, items: list) -> list:
+    """``kernel(items)``, the results in item order.  A ``LinAlgError`` of
+    the stacked call is traced to the items that cause it: each item is run
+    alone, and one whose own call raises gets its error as its result."""
+    try:
+        return kernel(items)
+    except np.linalg.LinAlgError as err:
+        if len(items) == 1:
+            return [err]
+    return [_run_kernel(kernel, [item])[0] for item in items]
 
 
 def minimize(prob: SDProblem) -> SDPResult:
     """Primal-dual interior-point solve of min <q, x> s.t. G x + c in K,
-    G_eq x + c_eq = 0, the ``Program`` of ``prob`` with q its objective.
+    G_eq x + c_eq = 0, the ``Program`` of ``prob`` with q its objective:
+    ``minimize_many`` of the one program.
 
     The equalities are removed once: x = x0 + N u with N a null-space
     basis of G_eq (full row rank) and x0 its least-norm solution, so the
@@ -689,6 +847,63 @@ def minimize(prob: SDProblem) -> SDPResult:
     block no longer numerically positive definite), it returns
     "maxIterations" with the last point.
     """
+    return minimize_many([prob])[0]
+
+
+def minimize_many(probs: list[SDProblem]) -> list[SDPResult]:
+    """``minimize`` of each program, its results in order, with the programs
+    stepped together.
+
+    Each program runs its own iteration (``_solve``) up to each slab
+    kernel: the cone's ``cholesky``, ``svd`` and ``_congruence``
+    (``_scaled_cones``), the scalings T r_p and T^T dz (``_scale_many``,
+    ``_scale_adjoint_many``), the step tests' ``eigvalsh``
+    (``_max_steps``) and the Jordan product (``_jordans``).  There it
+    waits, and the kernel runs
+    once over the blocks of every program that waits for it
+    (``_run_kernel``), one numpy call per block dimension and field.  A
+    round of the loop then makes the LAPACK calls of one program's
+    iteration, whatever the number of programs, and a program leaves the
+    batch when it stops.  A ``LinAlgError`` of a stacked call is traced to
+    the programs whose own blocks raise it, which stop as they would alone.
+
+    The scalars (residuals, gap, sigma, step length, stop tests), the
+    scaling T A (A has the program's own number of columns) and the Schur
+    solve stay per program.  The Schur system keeps its own size: padding the
+    systems to one size could change the order of LAPACK's factorisation,
+    and so make a program's bits depend on its batch.  The stacked calls do
+    not, so each program gets the iterates, status and result of its lone
+    solve, bit for bit.
+    """
+    solves = [_solve(prob) for prob in probs]
+    results: list = [None] * len(solves)
+    waiting: dict[int, tuple] = {}
+
+    def resume(i: int, out) -> None:
+        try:
+            if isinstance(out, np.linalg.LinAlgError):
+                waiting[i] = solves[i].throw(out)
+            else:
+                waiting[i] = solves[i].send(out)
+        except StopIteration as done:
+            results[i] = done.value
+            waiting.pop(i, None)
+
+    for i in range(len(solves)):
+        resume(i, None)
+    while waiting:
+        kernel = next(iter(waiting.values()))[0]
+        batch = [i for i, (k, _) in waiting.items() if k is kernel]
+        for i, out in zip(batch, _run_kernel(kernel, [waiting[i][1] for i in batch])):
+            resume(i, out)
+    return results
+
+
+def _solve(prob: SDProblem):
+    """The iteration of ``minimize`` on one program, as a generator: at each
+    slab kernel it yields (kernel, item) and is sent the item's result, or
+    thrown the ``LinAlgError`` of the item's own call; it returns the
+    ``SDPResult``."""
     if prob.objective is None:
         raise ValueError("minimize needs an objective")
     prog = Program(prob)
@@ -728,11 +943,11 @@ def minimize(prob: SDProblem) -> SDPResult:
         if it == IPM_MAX_ITER or gap > gap_start / GAP_TOL:
             break
         try:
-            cone = _ScaledCone(prog, s, z)
+            cone = yield _scaled_cones, (prog, s, z)
             lam = cone.lam
             m = cone.scale(a)
             schur = m.T @ m
-            t_rp = cone.scale(r_p)
+            t_rp = yield _scale_many, (cone, r_p)
 
             def newton(rhs):
                 v = rhs / cone.mid
@@ -741,15 +956,16 @@ def minimize(prob: SDProblem) -> SDPResult:
                 return du, v - dz, dz
 
             _, ds_a, dz_a = newton(-lam * lam)
-            alpha = min(1.0, cone.max_step(ds_a, dz_a))
+            alpha = min(1.0, (yield _max_steps, (cone, (ds_a, dz_a))))
             sigma = (float((lam + alpha * ds_a) @ (lam + alpha * dz_a)) / gap) ** 3
-            du, ds, dz = newton(sigma * gap / degree * e - lam * lam - cone.jordan(ds_a, dz_a))
-            alpha = min(1.0, STEP_TO_BOUNDARY * cone.max_step(ds, dz))
+            corr = yield _jordans, (cone, ds_a, dz_a)
+            du, ds, dz = newton(sigma * gap / degree * e - lam * lam - corr)
+            alpha = min(1.0, STEP_TO_BOUNDARY * (yield _max_steps, (cone, (ds, dz))))
         except np.linalg.LinAlgError:
             break
         u = u + alpha * du
         s = s + alpha * (r_p + a @ du)  # = T^-1 ds~, by the linearised r_p + A du - ds = 0
-        z = z + alpha * cone.scale_adjoint(dz)
+        z = z + alpha * (yield _scale_adjoint_many, (cone, dz))
         it += 1
     assign = prog.get_vars(x)
     if "primal" not in res:

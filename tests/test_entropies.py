@@ -365,14 +365,15 @@ def min_t(prob) -> float:
 
 def smoothing_pairs(monkeypatch, run) -> list:
     """The (rho, sigma) of every smooth D_max that ``run()`` asks for, each
-    answered with 0 instead of a solve."""
+    answered with 0 instead of a solve.  Every value, single or in a batch,
+    goes through ``entropies._d_max_smooth_many``."""
     pairs = []
 
-    def record(rho, sigma, eps):
-        pairs.append((rho, sigma))
-        return 0.0
+    def record(batch, eps):
+        pairs.extend(batch)
+        return [0.0] * len(batch)
 
-    monkeypatch.setattr(ent, "d_max_smooth", record)
+    monkeypatch.setattr(ent, "_d_max_smooth_many", record)
     run()
     return pairs
 

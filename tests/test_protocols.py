@@ -112,21 +112,24 @@ def _hex(values) -> dict | list:
 def _solve_instance(name: str):
     """(prep, thresholds at log_const 0, and per smooth D_max the thresholds
     took: its arguments (rho, sigma, eps), its value and its ``sdp.minimize``
-    result)."""
+    result).  The values go through ``entropies._d_max_smooth_many`` and
+    their solves through ``sdp.minimize_many``, in call order."""
     calls, results = [], []
-    d_max_smooth, minimize = ent.d_max_smooth, sdp.minimize
+    d_max_smooth_many, minimize_many = ent._d_max_smooth_many, sdp.minimize_many
 
-    def recording_d_max_smooth(rho, sigma, eps):
-        calls.append((rho, sigma, eps, d_max_smooth(rho, sigma, eps)))
-        return calls[-1][-1]
+    def recording_d_max_smooth_many(pairs, eps):
+        values = d_max_smooth_many(pairs, eps)
+        calls.extend((rho, sigma, eps, v) for (rho, sigma), v in zip(pairs, values))
+        return values
 
-    def recording_minimize(prob):
-        results.append(minimize(prob))
-        return results[-1]
+    def recording_minimize_many(probs):
+        out = minimize_many(probs)
+        results.extend(out)
+        return out
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ent, "d_max_smooth", recording_d_max_smooth)
-        mp.setattr(sdp, "minimize", recording_minimize)
+        mp.setattr(ent, "_d_max_smooth_many", recording_d_max_smooth_many)
+        mp.setattr(sdp, "minimize_many", recording_minimize_many)
         prep = P.prepare(io.load_bundled(name))
         th = P.thresholds(prep, GOLDEN_EPS, GOLDEN_C)
     assert len(calls) == len(results)

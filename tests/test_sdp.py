@@ -1,3 +1,4 @@
+import collections
 import math
 
 import numpy as np
@@ -244,36 +245,44 @@ class TestIterationKernels:
         prog = sdp.Program(interleaved_blocks_problem())
         rng = np.random.default_rng(22)
         for _ in range(20):
-            cone = sdp._ScaledCone(prog, random_interior(prog, rng), random_interior(prog, rng))
+            s, z = random_interior(prog, rng), random_interior(prog, rng)
+            (cone,) = sdp._scaled_cones([(prog, s, z)])
             a, b = rng.normal(size=(2, prog.n_graph))
-            assert cone.max_step(a, b) == min(cone.max_step(a), cone.max_step(b))
+
+            def max_step(*directions):
+                return sdp._max_steps([(cone, directions)])[0]
+
+            assert max_step(a, b) == min(max_step(a), max_step(b))
             # a direction into the cone never limits the step
-            assert cone.max_step(cone.lam) == math.inf
-            assert cone.max_step(cone.lam, b) == cone.max_step(b)
+            assert max_step(cone.lam) == math.inf
+            assert max_step(cone.lam, b) == max_step(b)
 
     def test_primal_step_is_the_unscaled_newton_step(self, monkeypatch):
         """On the min t program of qubit_entangled_side_info's smooth I_max,
         each step s takes, r_p + A du, is T^-1 ds~ of the corrector's
         direction at that iterate's scaling."""
-        scaled_cone = sdp._ScaledCone
+        scaled_cones, max_steps = sdp._scaled_cones, sdp._max_steps
         cones = []
 
-        class Recording(scaled_cone):
-            def __init__(self, prog, s, z):
-                super().__init__(prog, s, z)
-                self.s, self.directions = s, []
-                cones.append(self)
+        def recording_cones(items):
+            out = scaled_cones(items)
+            for cone, (_, s, _) in zip(out, items):
+                cone.s, cone.directions = s, []
+                cones.append(cone)
+            return out
 
-            def max_step(self, *directions):
-                self.directions.append(directions)
-                return super().max_step(*directions)
+        def recording_steps(items):
+            for cone, directions in items:
+                cone.directions.append(directions)
+            return max_steps(items)
 
-        monkeypatch.setattr(sdp, "_ScaledCone", Recording)
+        monkeypatch.setattr(sdp, "_scaled_cones", recording_cones)
+        monkeypatch.setattr(sdp, "_max_steps", recording_steps)
         res = sdp.minimize(ent._capped_ball(*env_state_pair(), 0.1, None))
         assert res.status == "optimal" and len(cones) == res.iterations > 10
         for cone, following in zip(cones, cones[1:]):
             ds, dz = cone.directions[-1]
-            alpha = min(1.0, sdp.STEP_TO_BOUNDARY * scaled_cone.max_step(cone, ds, dz))
+            alpha = min(1.0, sdp.STEP_TO_BOUNDARY * max_steps([(cone, (ds, dz))])[0])
             unscaled = ds / np.concatenate([np.ones(cone.n_psd), cone.t_scalar])
             for (d, lo, n), scale in zip(cone.slabs, cone.scales):
                 k = sdp.rvec_size(d, cone.real)
@@ -344,7 +353,7 @@ class TestSlabLayout:
         progs = [sdp.Program(interleaved_blocks_problem()), sdp.Program(mixed_rows_problem())]
         for prog in progs * 5:
             s, z = random_interior(prog, rng), random_interior(prog, rng)
-            cone = sdp._ScaledCone(prog, s, z)
+            (cone,) = sdp._scaled_cones([(prog, s, z)])
             lam, mid, isq = [], [], []
             for d, lo, n in prog.slabs:
                 iu = np.triu_indices(d, k=1)
@@ -371,10 +380,13 @@ class TestSlabLayout:
                 for blk in np.arange(lo, lo + n * k).reshape(n, k):
                     ma, mb = sdp.rvec_to_herm(np.stack((a[blk], b[blk])), d, prog.real)
                     jordan[blk] = sdp.herm_to_rvec((ma @ mb + mb @ ma) / 2, prog.real)
-            assert np.max(np.abs(cone.jordan(a, b) - jordan)) <= 1e-12
+            assert np.max(np.abs(sdp._jordans([(cone, a, b)])[0] - jordan)) <= 1e-12
             # the scaled point: T s = T^-T z = lam
-            assert np.max(np.abs(cone.scale(s) - cone.lam)) <= 1e-10 * np.max(cone.lam)
-            assert np.max(np.abs(cone.scale_adjoint(cone.lam) - z)) <= 1e-10 * np.max(np.abs(z))
+            t_s = sdp._scale_many([(cone, s)])[0]
+            assert np.max(np.abs(t_s - cone.lam)) <= 1e-10 * np.max(cone.lam)
+            assert np.array_equal(cone.scale(s[:, None])[:, 0], t_s)
+            t_adj = sdp._scale_adjoint_many([(cone, cone.lam)])[0]
+            assert np.max(np.abs(t_adj - z)) <= 1e-10 * np.max(np.abs(z))
 
     def test_dual_is_in_problem_order(self):
         # the solve runs in slab order; the z it returns is read in problem
@@ -403,15 +415,25 @@ class TestSlabLayout:
 
 
 @pytest.fixture(scope="module")
-def region_program():
-    """The largest smoothing program of the ``region`` benchmark's X-axis
-    cell (instrument_derived, theta 0.5, eps 0.1): real, 58 variable reals."""
+def region_programs():
+    """The six smoothing programs of the ``region`` benchmark's pass
+    (instrument_derived, theta 0.5, eps 0.1, axes X and Y), as
+    ``one_shot_region`` hands them to ``sdp.minimize_many`` in one batch:
+    the X cell's three registers U, V and Y, then the Y cell's."""
     prep = prep_mod.prepare(io.load_bundled("instrument_derived"))
-    probs, solve = [], sdp.minimize
+    batches, solve_many = [], sdp.minimize_many
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sdp, "minimize", lambda prob: (probs.append(prob), solve(prob))[1])
-        P.one_shot_region(prep, 0.1, theta_grid=(0.5,), axes=("X",))
-    return max(probs, key=lambda prob: sdp.Program(prob).n_vars)
+        mp.setattr(sdp, "minimize_many", lambda ps: (batches.append(ps), solve_many(ps))[1])
+        P.one_shot_region(prep, 0.1, theta_grid=(0.5,))
+    (probs,) = batches
+    assert len(probs) == 6
+    return probs
+
+
+@pytest.fixture(scope="module")
+def region_program(region_programs):
+    """The largest smoothing program of the X-axis cell: real, 58 variable reals."""
+    return max(region_programs[:3], key=lambda prob: sdp.Program(prob).n_vars)
 
 
 def test_linalg_calls_per_iteration_on_the_region_program(region_program, monkeypatch):
@@ -426,6 +448,133 @@ def test_linalg_calls_per_iteration_on_the_region_program(region_program, monkey
     res = sdp.minimize(region_program)
     assert res.status == "optimal"
     assert len(calls) <= (4 * slabs + 3) * res.iterations + 4 + slabs
+
+
+def infeasible_box():
+    """The program of ``test_infeasible_box_stops_without_a_verdict``: it
+    stops at "maxIterations" without an optimum."""
+    prob = box_problem(3, 4)
+    prob.objective = sdp.trace_functional("X", 3)
+    return prob
+
+
+def result_bits(res) -> tuple:
+    """Everything a solve returns, as exact values and bytes."""
+    return (
+        res.status,
+        res.iterations,
+        {k: float(v).hex() for k, v in res.residuals.items()},
+        {k: v.tobytes() for k, v in res.assignment.items()},
+        res.dual.tobytes(),
+    )
+
+
+class TestBatch:
+    """``minimize_many`` steps its programs together and gives each the
+    result of its lone ``minimize``, bit for bit."""
+
+    def test_each_result_is_its_lone_solve(self, region_programs):
+        # the six region programs (real, blocks of 2 and 4), the Hermitian
+        # min t program of random_pair and the infeasible box, in two orders
+        batch = [*region_programs, kernel_problem("min_t"), infeasible_box()]
+        assert [sdp.Program(prob).real for prob in batch] == [True] * 6 + [False, True]
+        lone = [result_bits(sdp.minimize(prob)) for prob in batch]
+        assert [bits[0] for bits in lone] == ["optimal"] * 7 + ["maxIterations"]
+        for order in (list(range(len(batch))), list(range(len(batch)))[::-1]):
+            got = sdp.minimize_many([batch[i] for i in order])
+            assert [result_bits(res) for res in got] == [lone[i] for i in order]
+
+    def test_kernels_match_per_program_calls(self, region_programs):
+        # the interleaved problem (real blocks 2, 3, 2, 4, 3), mixed_rows
+        # (the same blocks over the Hermitian field) and two region programs
+        # (real blocks 4 and 2): union slabs of three dimensions and both
+        # fields, each program's share at its own rows.  Every kernel over
+        # all four gives each program the bytes of its own call
+        progs = [
+            sdp.Program(prob)
+            for prob in (interleaved_blocks_problem(), mixed_rows_problem(), *region_programs[:2])
+        ]
+        rng = np.random.default_rng(26)
+        for _ in range(3):
+            items = [(prog, random_interior(prog, rng), random_interior(prog, rng)) for prog in progs]
+            cones = sdp._scaled_cones(items)
+            alone = [sdp._scaled_cones([item])[0] for item in items]
+            for cone, one in zip(cones, alone):
+                assert [m.tobytes() for m in cone.scales] == [m.tobytes() for m in one.scales]
+                for name in ("lam", "mid", "isq", "t_scalar"):
+                    assert getattr(cone, name).tobytes() == getattr(one, name).tobytes()
+            vecs = [rng.normal(size=(2, prog.n_graph)) for prog in progs]
+            for kernel, args in (
+                (sdp._max_steps, [(c, tuple(v)) for c, v in zip(cones, vecs)]),
+                (sdp._jordans, [(c, *v) for c, v in zip(cones, vecs)]),
+                (sdp._scale_many, [(c, v[0]) for c, v in zip(cones, vecs)]),
+                (sdp._scale_adjoint_many, [(c, v[1]) for c, v in zip(cones, vecs)]),
+            ):
+                each = [kernel([arg])[0] for arg in args]
+                assert [np.asarray(x).tobytes() for x in kernel(args)] == [
+                    np.asarray(x).tobytes() for x in each
+                ]
+
+    def test_a_linalg_error_stops_only_its_program(self, region_programs, monkeypatch):
+        # a cholesky that raises on the blocks of one program's fourth cone
+        # (the 56-real program of the X cell, whose 18 blocks of dimension 2
+        # share their slab with the other programs' blocks): that program
+        # stops at "maxIterations" after 3 steps, as it does alone, and the
+        # others do not change
+        target = region_programs[1]
+        assert [d for d, _, _ in sdp.Program(target).slabs] == [2]
+        cholesky, inputs = np.linalg.cholesky, []
+        with monkeypatch.context() as mp:
+            mp.setattr(np.linalg, "cholesky", lambda a: (inputs.append(a.copy()), cholesky(a))[1])
+            sdp.minimize(target)
+        poison = {m.tobytes() for m in inputs[3].reshape(-1, 2, 2)}
+        raised = []
+
+        def poisoned(a):
+            if any(m.tobytes() in poison for m in a.reshape((-1,) + a.shape[-2:])):
+                raised.append(a.shape)
+                raise np.linalg.LinAlgError("poisoned block")
+            return cholesky(a)
+
+        want = [result_bits(sdp.minimize(prob)) for prob in region_programs]
+        monkeypatch.setattr(np.linalg, "cholesky", poisoned)
+        alone = sdp.minimize(target)
+        assert (alone.status, alone.iterations) == ("maxIterations", 3)
+        want[1] = result_bits(alone)
+        raised.clear()
+        assert [result_bits(res) for res in sdp.minimize_many(region_programs)] == want
+        # the stacked call over all six programs' blocks of dimension 2, then
+        # the target's own call
+        assert raised == [(2, 56, 2, 2), (2, 18, 2, 2)]
+
+    def test_linalg_calls_per_round_on_the_region_batch(self, region_programs, monkeypatch):
+        # per round of the loop: one cholesky and one svd per union slab (a
+        # block dimension and field of the programs still stepping), one
+        # eigvalsh per union slab in each of the two step tests, and two
+        # Schur solves per stepping program; around the loop: each
+        # program's svd of G_eq and each recheck's one eigvalsh per block
+        # dimension
+        progs = [sdp.Program(prob) for prob in region_programs]
+        rechecked, recheck = [], sdp._recheck
+        monkeypatch.setattr(
+            sdp, "_recheck", lambda prob, assign: (rechecked.append(prob), recheck(prob, assign))[1]
+        )
+        calls = linalg_spy(monkeypatch)
+        results = sdp.minimize_many(region_programs)
+        assert [res.status for res in results] == ["optimal"] * 6
+        steps = [res.iterations for res in results]
+        unions = [
+            len({(d, p.real) for p, n in zip(progs, steps) if n > r for d, _, _ in p.slabs})
+            for r in range(max(steps))
+        ]
+        count = collections.Counter(calls)
+        assert count["cholesky"] == sum(unions)
+        assert count["svd"] == sum(unions) + sum(1 for prog in progs if prog.n_eq)
+        recheck_eigs = sum(len({e.dim for e in prob.psd_constraints}) for prob in rechecked)
+        assert count["eigvalsh"] == 2 * sum(unions) + recheck_eigs
+        assert count["solve"] == 2 * sum(steps)
+        # the lone solves make one cholesky per slab per program and step
+        assert sum(unions) < sum(len(prog.slabs) * n for prog, n in zip(progs, steps))
 
 
 def kernel_assignments(which) -> list:
