@@ -38,16 +38,16 @@ are the same over the Hermitian coordinates, and the bound
 Nesterov-Todd scaling and Mehrotra's predictor-corrector for a problem with
 an objective.  ``minimize_many`` runs it on several programs at once: they
 step together, and each slab kernel of the iteration (the cone's
-``cholesky``, ``svd`` and ``_congruence``, the step tests' ``eigvalsh`` and
-the Jordan product) runs once per block dimension and field over the
-blocks of every program still stepping, while each program keeps its own
-scalars and Schur solve.  Each program gets the result of its lone solve,
-bit for bit, and ``minimize`` is the batch of one.  The solver serves
-``entropies.d_max_smooth`` (and with it ``i_max_smooth``, the protocol
-thresholds and the one-shot region): a caller that holds several values
-(``entropies.i_max_cq_many``) solves their min t programs as one batch.
-A solve's result carries two certificates, which the caller checks on the
-program at a fixed value:
+``cholesky``, ``svd`` and ``_congruence``, the scalings of vectors, the
+step tests' ``eigvalsh`` and the Jordan product) runs once per block
+dimension and field over the blocks of every program still stepping, while
+each program keeps its own scalars and Schur solve.  Each program gets
+the result of its lone solve, bit for bit, and ``minimize`` is the batch of
+one.  The solver serves ``entropies.d_max_smooth`` (and with it
+``i_max_smooth``, the protocol thresholds and the one-shot region): a
+caller that holds several values (``entropies.i_max_cq_many``) solves
+their min t programs as one batch.  A solve's result carries two
+certificates, which the caller checks on the program at a fixed value:
 
 - A point is feasible when ``recheck`` accepts it: ``_recheck`` evaluates
   its constraints again from the problem's own expressions.  ``minimize``

@@ -23,6 +23,14 @@ def box_problem(dim, target_trace):
     return prob
 
 
+def box_with_objective(dim, target_trace):
+    """box_problem with the objective Tr X, which its trace equality holds
+    constant: a feasibility problem for ``minimize``."""
+    prob = box_problem(dim, target_trace)
+    prob.objective = sdp.trace_functional("X", dim)
+    return prob
+
+
 def box_min_t(dim, target_trace):
     """box_problem with its cap I relaxed to t I, and min t: the optimum is
     target_trace / dim, so box_problem(dim, target_trace) is feasible iff
@@ -450,14 +458,6 @@ def test_linalg_calls_per_iteration_on_the_region_program(region_program, monkey
     assert len(calls) <= (4 * slabs + 3) * res.iterations + 4 + slabs
 
 
-def infeasible_box():
-    """The program of ``test_infeasible_box_stops_without_a_verdict``: it
-    stops at "maxIterations" without an optimum."""
-    prob = box_problem(3, 4)
-    prob.objective = sdp.trace_functional("X", 3)
-    return prob
-
-
 def result_bits(res) -> tuple:
     """Everything a solve returns, as exact values and bytes."""
     return (
@@ -475,8 +475,9 @@ class TestBatch:
 
     def test_each_result_is_its_lone_solve(self, region_programs):
         # the six region programs (real, blocks of 2 and 4), the Hermitian
-        # min t program of random_pair and the infeasible box, in two orders
-        batch = [*region_programs, kernel_problem("min_t"), infeasible_box()]
+        # min t program of random_pair and the infeasible box of
+        # test_infeasible_box_stops_without_a_verdict, in two orders
+        batch = [*region_programs, kernel_problem("min_t"), box_with_objective(3, 4)]
         assert [sdp.Program(prob).real for prob in batch] == [True] * 6 + [False, True]
         lone = [result_bits(sdp.minimize(prob)) for prob in batch]
         assert [bits[0] for bits in lone] == ["optimal"] * 7 + ["maxIterations"]
@@ -683,9 +684,7 @@ class TestFeasibility:
 
     @staticmethod
     def solve_box(dim, target_trace):
-        prob = box_problem(dim, target_trace)
-        prob.objective = sdp.trace_functional("X", dim)
-        return sdp.minimize(prob)
+        return sdp.minimize(box_with_objective(dim, target_trace))
 
     def test_unique_point_identity(self):
         res = self.solve_box(3, 3)
