@@ -38,6 +38,11 @@ class OneShotBudget:
                 raise ValueError(f"rate {name} must be nonnegative")
 
     @property
+    def link_rates(self) -> tuple[tuple[float, float], ...]:
+        """(R, C) of each link, in the order of ``protocols.prep.LINKS``."""
+        return ((self.r_x, self.c_x), (self.r_y, self.c_y))
+
+    @property
     def eps0(self) -> float:
         """Derived budget for the side-information composition."""
         return self.eps ** (1.0 / 10.0)

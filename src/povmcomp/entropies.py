@@ -555,8 +555,8 @@ def d_max_smooth(rho, sigma, eps: float) -> float:
       program is feasible exactly when its per-block form is
       (w = sum_b Tr rho'_b one way, rho'_b = (w / s0) sigma_b the other).
 
-    Raises SolverError when the solve ends without an optimum or either
-    certificate fails.
+    The solve's status decides nothing: SolverError, naming the status and
+    iterations, is raised only when a certificate fails or t is not positive.
 
     The sub-blocks are found and their spectra taken once
     (``_ball_blocks``), and the three programs are built from those
@@ -602,17 +602,19 @@ def _d_max_smooth_many(pairs: list[tuple[np.ndarray, np.ndarray]], eps: float) -
 
 def _certified_value(rho, sigma, eps: float, ball, res: sdp.SDPResult) -> float:
     """log2 t of a min t solve of ``d_max_smooth``, once both certificates pass."""
-    if res.status != "optimal":
-        raise SolverError(f"D_max^eps solve ended {res.status}", res.residuals)
-    value = math.log2(float(res.assignment["t"][0, 0].real))
+    ended = f"(solve ended {res.status} after {res.iterations} iterations)"
+    t = float(res.assignment["t"][0, 0].real)
+    if not (math.isfinite(t) and t > 0.0):
+        raise SolverError(f"D_max^eps solve gave t = {t} {ended}", res.residuals)
+    value = math.log2(t)
     ok, checked = sdp.recheck(_capped_ball(rho, sigma, eps, value, ball), res.assignment)
     if not ok:
-        raise SolverError(f"D_max^eps = {value} not certified feasible", checked)
+        raise SolverError(f"D_max^eps = {value} not certified feasible {ended}", checked)
     lo = sdp.Program(_capped_ball(rho, sigma, eps, value - BISECT_TOL_BITS, ball))
     _, _, gap, resid = lo.farkas(res.dual)
     if not sdp.witness_fires(gap, resid):
         raise SolverError(
-            f"D_max^eps = {value} - {BISECT_TOL_BITS} not certified infeasible",
+            f"D_max^eps = {value} - {BISECT_TOL_BITS} not certified infeasible {ended}",
             {"witness_gap": gap, "witness_resid": resid},
         )
     return value

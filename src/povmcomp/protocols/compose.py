@@ -7,18 +7,20 @@ no tests or fiber table: Bob reads the class off the wire.  The unassisted
 simulator is this protocol with no hashed link, so both share one output
 accumulator.
 
-On a hashed link Bob, who shares the public coins, decodes sequentially on
-B through the message's hash fiber, in ascending index order, with the
-per-(coin, class) hypothesis tests of I_H(KL : K'B).  That I_H is taken on
-the link's composition state, one ``CQState`` over (coin, class) with
-(K', B) blocks built by ``_link_state``, so a decode depends only on the
-fiber's class sequence (its signature).  Each link's fibers are tabulated
-once and its messages grouped by signature, with one decoder per (coin,
-signature): the number of decoders and matrix products does not grow with
-2^logL, only a few array passes over the indices do.  Bob decodes the
-links in ``LINKS`` order: decoding a link perturbs B only gently, and each
-later link is decoded on the damaged state.  Output states and deviations
-are computed exactly by branch enumeration; only codebooks, hashes and
+A scenario is the set of links an adversary keeps.  Bob decodes them
+sequentially on B in ``LINKS`` order, each on the state its predecessors
+gently perturbed, sharing the decodes of common prefixes; a dropped link
+counts each class by its multiplicity.
+On a hashed link Bob, who shares the public coins, decodes through the
+message's hash fiber, in ascending index order, with the per-(coin, class)
+hypothesis tests of I_H(KL : K'B).  That I_H is taken on the link's
+composition state, one ``CQState`` over (coin, class) with (K', B) blocks
+built by ``_link_state``, so a decode depends only on the fiber's class
+sequence (its signature).  Each link's fibers are tabulated once and its
+messages grouped by signature, with one decoder per (coin, signature): the
+number of decoders and matrix products does not grow with 2^logL, only a
+few array passes over the indices do.  Output states and deviations are
+computed exactly by branch enumeration; only codebooks, hashes and
 transcripts are sampled.  Nothing here steers: every E-operator is one a
 compressed block carries or the prepared E marginal.
 
@@ -141,7 +143,7 @@ def _link_stage(
     log_l = family.plan.log_l[i]
     wire_bits, scheme, tests = log_l, identity_hash(log_l), None
     if prep.has_side_information() and log_l > 0:
-        rate = (budget.r_x, budget.r_y)[i] if wire_override is None else wire_override
+        rate = budget.link_rates[i][0] if wire_override is None else wire_override
         wire_bits = min(int(round(rate)), log_l)
         if wire_bits < log_l:
             if log_l > MAX_HASHED_LOG_L:
@@ -267,11 +269,11 @@ def centralised_protocol(
 ) -> dict:
     """One full protocol run: encode once, decode under every scenario.
 
-    Output states and deviations are exact given the drawn codebooks and
-    hashes; the transcript is one sampled trajectory, which every scenario
-    shares.  Encoder aborts transmit a reserved all-zeros message and
-    decode to the abort symbol.  ``wire_override`` maps a link name to the
-    bits its wire carries in place of its budget rate.
+    Each class of a coin block is decoded in ``LINKS`` order, each link's
+    decoder run once on the posts of every set of earlier links; a scenario
+    sums its kept links' posts times the class counts of the links it drops.
+    Encoder aborts send the all-zeros message and decode to one abort symbol
+    per kept link.  ``wire_override`` maps link names to wire widths.
     """
     prep = source if isinstance(source, PreparedInstance) else prepare(source)
     wire_override = wire_override or {}
@@ -284,44 +286,43 @@ def centralised_protocol(
         _link_stage(family, prep, i, budget, seed, wire_override.get(link))
         for i, link in enumerate(LINKS)
     ]
-    d_tail = prep.env_dims["R"] * prep.env_dims["M"]
-    codebooks = family.codebooks
-    dec_x, dec_y = (_StageDecoder(st, cb, d_tail) for st, cb in zip(stages, codebooks))
+    d_tail = prep.dim_e // prep.dim_b
+    decoders = [_StageDecoder(st, cb, d_tail) for st, cb in zip(stages, family.codebooks)]
 
-    w_blk = 1.0 / math.prod(cb.coins for cb in codebooks)
-    outputs: dict[str, dict[str, np.ndarray]] = {sc.name: {} for sc in SCENARIOS}
+    w_blk = 1.0 / math.prod(cb.coins for cb in family.codebooks)
+    outputs: dict[AdversaryScenario, dict[str, np.ndarray]] = {sc: {} for sc in SCENARIOS}
 
-    def add(scname: str, key: str, op) -> None:
-        outputs[scname][key] = outputs[scname].get(key, 0.0) + op
+    def add(sc: AdversaryScenario, symbols, op) -> None:
+        key = qo.join_symbol(*symbols)
+        outputs[sc][key] = outputs[sc].get(key, 0.0) + op
 
-    for k1, k2 in itertools.product(*(range(cb.coins) for cb in codebooks)):
-        blk = family.blocks.get((k1, k2))
+    for coins in itertools.product(*(range(cb.coins) for cb in family.codebooks)):
+        blk = family.blocks.get(coins)
         abort_op = w_blk * (prep.rho_e if blk is None else blk.env0)
-        add("x_only", ABORT, abort_op)
-        add("y_only", ABORT, abort_op)
-        add("both", qo.join_symbol(ABORT, ABORT), abort_op)
+        for sc in SCENARIOS:
+            add(sc, [ABORT] * len(sc.links), abort_op)
         if blk is None:
             continue
         for cls, sigma in blk.env.items():
-            xi, yi = (cb.alphabet.index(sym) for cb, sym in zip(codebooks, cls))
-            tot_x, tot_y = (int(cb.counts[k][j]) for cb, k, j in zip(codebooks, (k1, k2), (xi, yi)))
-            stage1 = dec_x.apply(k1, xi, sigma)
-            for sym, op in stage1.items():
-                add("x_only", sym, w_blk * tot_y * op)
-            for sym, post in dec_y.apply(k2, yi, sigma).items():
-                add("y_only", sym, w_blk * tot_x * post)
-            for sym_x, op1 in stage1.items():
-                for sym_y, post in dec_y.apply(k2, yi, op1).items():
-                    add("both", qo.join_symbol(sym_x, sym_y), w_blk * post)
+            idx = [cb.alphabet.index(sym) for cb, sym in zip(family.codebooks, cls)]
+            tot = [int(cb.counts[k][j]) for cb, k, j in zip(family.codebooks, coins, idx)]
+            posts = {(): [((), sigma)]}
+            for i, dec in enumerate(decoders):
+                for links, branches in list(posts.items()):
+                    posts[links + (i,)] = [
+                        (symbols + (sym,), post)
+                        for symbols, op in branches
+                        for sym, post in dec.apply(coins[i], idx[i], op).items()
+                    ]
+            for sc in SCENARIOS:
+                w = w_blk * math.prod(t for i, t in enumerate(tot) if i not in sc.links)
+                for symbols, post in posts[sc.links]:
+                    add(sc, symbols, w * post)
 
-    results = {}
-    for sc in SCENARIOS:
-        ideal = ideal_blocks(prep, sc)
-        out = outputs[sc.name]
-        results[sc.name] = {
-            "deviation": block_dict_distance(out, ideal),
-            "output": out,
-        }
+    results = {
+        sc.name: {"deviation": block_dict_distance(out, ideal_blocks(prep, sc)), "output": out}
+        for sc, out in outputs.items()
+    }
 
     # link i's wire message is ``m<name>`` (``mx``), its wire width ``wire_<name>``
     transcript = sample_transcript(family, prep, seed)

@@ -110,9 +110,8 @@ def plan_codebooks(
     the instantiated thresholds.
     """
     th = thresholds(prep, budget.eps, log_const)
-    rates = ((budget.r_x, budget.c_x), (budget.r_y, budget.c_y))
     log_k, log_l = [], []
-    for i, (r, c) in enumerate(rates):
+    for i, (r, c) in enumerate(budget.link_rates):
         min_l, min_kl, ih = _link_thresholds(th, i)
         lk = max(0, math.floor(c + 1e-9))
         ll = max(0, math.floor(r + max(ih - 1.0, 0.0) + 1e-9))
@@ -292,20 +291,24 @@ class AdversaryScenario:
     y_link_on: bool
 
     def __post_init__(self):
-        if not (self.x_link_on or self.y_link_on):
+        if not self.links:
             raise ValueError("at least one link must be on")
 
     @property
+    def links(self) -> tuple[int, ...]:
+        """Positions in ``LINKS`` of the kept links, ascending."""
+        return tuple(i for i, on in enumerate((self.x_link_on, self.y_link_on)) if on)
+
+    @property
     def name(self) -> str:
-        if self.x_link_on and self.y_link_on:
-            return "both"
-        return "x_only" if self.x_link_on else "y_only"
+        kept = "_".join(LINKS[i].lower() for i in self.links)
+        return "both" if len(self.links) == len(LINKS) else f"{kept}_only"
 
 
-SCENARIOS = (
-    AdversaryScenario(True, True),
-    AdversaryScenario(True, False),
-    AdversaryScenario(False, True),
+SCENARIOS = tuple(
+    AdversaryScenario(*(i in kept for i in range(len(LINKS))))
+    for size in range(len(LINKS), 0, -1)
+    for kept in itertools.combinations(range(len(LINKS)), size)
 )
 
 ABORT = qo.ABORT
@@ -314,10 +317,9 @@ ABORT = qo.ABORT
 def ideal_blocks(prep: PreparedInstance, scenario: AdversaryScenario) -> dict[str, np.ndarray]:
     """Scenario target: the original POVM's E-blocks, keyed by the outcomes
     of the links the scenario keeps and summed over the rest."""
-    kept = (scenario.x_link_on, scenario.y_link_on)
     out: dict[str, np.ndarray] = {}
     for cls, blk in prep.env_blocks.items():
-        key = qo.join_symbol(*(sym for sym, on in zip(cls, kept) if on))
+        key = qo.join_symbol(*(cls[i] for i in scenario.links))
         out[key] = out[key] + blk if key in out else blk
     return out
 

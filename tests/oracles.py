@@ -761,3 +761,46 @@ def unassisted_output_blocks(family, rho_e, scenario, join, abort: str) -> dict:
         for k, op in terms:
             out[k] = out.get(k, 0.0) + w_blk * op
     return out
+
+
+def centralised_output_blocks(family, rho_e, decoders, join, abort: str) -> dict:
+    """Every scenario's output of the two-link centralised protocol, by
+    scenario name: subnormalised E-operators keyed by the decoded outcomes
+    of the links the scenario keeps.
+
+    The reference for the accumulator of ``compose.centralised_protocol``,
+    written out as three decode paths: each (x, y) class of a nice coin
+    block is decoded on X alone, on Y alone, and on Y after each X branch.
+    A scenario that drops a link adds its posts times that link's class
+    count in its coin, and the abort element and every non-nice block
+    (``rho_e``) add to the abort key; every term is weighted by 1/(K1 K2).
+    ``decoders`` holds the X and Y decoders, each with
+    ``apply(coin, class index, op)`` as ``PerMessageStageDecoder`` has it;
+    ``join`` and ``abort`` are as for ``unassisted_output_blocks``.
+    """
+    dec_x, dec_y = decoders
+    cb_x, cb_y = family.codebooks
+    w_blk = 1.0 / (cb_x.coins * cb_y.coins)
+    out: dict = {"both": {}, "x_only": {}, "y_only": {}}
+
+    def add(name: str, key: str, op) -> None:
+        out[name][key] = out[name].get(key, 0.0) + w_blk * op
+
+    for k1, k2 in itertools.product(range(cb_x.coins), range(cb_y.coins)):
+        blk = family.blocks.get((k1, k2))
+        abort_op = rho_e if blk is None else blk.env0
+        add("both", join(abort, abort), abort_op)
+        add("x_only", abort, abort_op)
+        add("y_only", abort, abort_op)
+        if blk is None:
+            continue
+        for (x, y), sigma in blk.env.items():
+            xi, yi = cb_x.alphabet.index(x), cb_y.alphabet.index(y)
+            n_x, n_y = int(cb_x.counts[k1][xi]), int(cb_y.counts[k2][yi])
+            for sym_x, op in dec_x.apply(k1, xi, sigma).items():
+                add("x_only", sym_x, n_y * op)
+                for sym_y, post in dec_y.apply(k2, yi, op).items():
+                    add("both", join(sym_x, sym_y), post)
+            for sym_y, op in dec_y.apply(k2, yi, sigma).items():
+                add("y_only", sym_y, n_x * op)
+    return out

@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import itertools
 import math
 
@@ -673,6 +674,29 @@ class TestSmoothingSolve:
         assert len(built) == 3 * len(region_x_pairs)
         for rho, sigma, eps, lam, prob in built:
             assert compiled(prob) == compiled(capped_ball(rho, sigma, eps, lam))
+
+    def test_certificates_decide_whatever_the_status(self, monkeypatch, region_x_pairs):
+        # a solve reported "maxIterations" whose point and dual pass both
+        # certificates gives the value of the optimal report, to the bit; with
+        # its dual zeroed there is no infeasibility witness, and no value
+        rho, sigma = region_x_pairs[0]
+        want = ent.d_max_smooth(rho, sigma, 0.1)
+        minimize_many, zero_dual = sdp.minimize_many, []
+
+        def stalled(probs):
+            return [
+                dataclasses.replace(
+                    res, status="maxIterations", dual=res.dual * 0.0 if zero_dual else res.dual
+                )
+                for res in minimize_many(probs)
+            ]
+
+        monkeypatch.setattr(sdp, "minimize_many", stalled)
+        assert ent.d_max_smooth(rho, sigma, 0.1).hex() == want.hex()
+        zero_dual.append(True)
+        stall = r"not certified infeasible \(solve ended maxIterations after \d+ iterations\)"
+        with pytest.raises(ent.SolverError, match=stall):
+            ent.d_max_smooth(rho, sigma, 0.1)
 
 
 def phased(rho, sigma) -> tuple:

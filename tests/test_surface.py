@@ -206,7 +206,9 @@ def test_dataclass_fields_are_read():
 def test_protocol_steps_do_not_branch_on_link_names():
     """No comparison in ``compress``, ``compose`` or ``regions`` names the
     link ``"X"`` or ``"Y"``: each per-link step is written once, indexed by
-    link position."""
+    link position.  In all of ``src/``, only ``AdversaryScenario`` reads its
+    per-link flags ``x_link_on``/``y_link_on``; every other step takes the
+    kept links from its ``links``."""
     hits = []
     for name in ("compress.py", "compose.py", "regions.py"):
         tree = ast.parse((ROOT / "src/povmcomp/protocols" / name).read_text())
@@ -218,6 +220,21 @@ def test_protocol_steps_do_not_branch_on_link_names():
                 isinstance(side, ast.Constant) and side.value in ("X", "Y")
                 for side in (node.left, *node.comparators)
             )
+        ]
+    for path in sorted((ROOT / "src/povmcomp").rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        inside = {
+            id(node)
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef) and cls.name == "AdversaryScenario"
+            for node in ast.walk(cls)
+        }
+        hits += [
+            f"{path.name}:{node.lineno} {node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and node.attr in ("x_link_on", "y_link_on")
+            and id(node) not in inside
         ]
     assert hits == []
 
