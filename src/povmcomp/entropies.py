@@ -26,7 +26,9 @@ BISECT_TOL_BITS = 1e-3
 
 
 class SolverError(RuntimeError):
-    """Raised when a smoothing SDP fails to converge; carries residuals."""
+    """Raised when a smoothing value fails one of its two certificates, or
+    its solve gives no positive t; carries residuals.  A solve that stops
+    short of convergence raises nothing while both certificates pass."""
 
     def __init__(self, message: str, residuals: dict | None = None):
         super().__init__(message)
@@ -284,24 +286,29 @@ def d_max(rho, sigma) -> float:
     return math.log2(top)
 
 
-def _support_components(mats: list[np.ndarray]) -> list[np.ndarray]:
-    """Connected components of the union support pattern |M_ij| > 1e-12
-    (made symmetric), as sorted index arrays ordered by their least index.
+def _support_components(mats: list[np.ndarray]) -> list[list[np.ndarray]]:
+    """Per member k of the (n, d, d) stacks ``mats``, the connected
+    components of the union support pattern |M[k]_ij| > 1e-12 (made
+    symmetric), as sorted index arrays ordered by their least index.
 
-    Label propagation on the boolean pattern: every index starts with its
-    own label and takes the least label among itself and its neighbours
-    until no label moves, so each component ends labelled by its least index.
+    Label propagation on the boolean patterns, every member at once: every
+    index starts with its own label and takes the least label among itself
+    and its neighbours until no label moves, so each component ends
+    labelled by its least index.
     """
     mask = np.abs(mats[0]) > 1e-12
     for m in mats[1:]:
         mask |= np.abs(m) > 1e-12
-    mask |= mask.T
-    labels = np.arange(len(mask))
+    mask |= mask.swapaxes(-1, -2)
+    labels = np.broadcast_to(np.arange(mask.shape[-1]), mask.shape[:-1])
     while True:
-        moved = np.where(mask, labels, labels[:, None]).min(axis=1)
+        moved = np.where(mask, labels[:, None, :], labels[:, :, None]).min(axis=-1)
         if (moved == labels).all():
-            roots = np.flatnonzero(labels == np.arange(len(labels)))
-            return [np.flatnonzero(labels == root) for root in roots]
+            roots = labels == np.arange(mask.shape[-1])
+            return [
+                [np.flatnonzero(row == r) for r in np.flatnonzero(is_root)]
+                for row, is_root in zip(labels, roots)
+            ]
         labels = moved
 
 
@@ -346,64 +353,70 @@ def _real_parts(*mats) -> tuple[np.ndarray, ...]:
     return tuple(np.asarray(m, dtype=complex) for m in mats)
 
 
-def _ball_blocks(rho, sigma) -> tuple[list[_BallBlock], float]:
-    """The sub-blocks that carry rho, each in the eigenbasis of its
-    component's rho_c, and s0 = sum_b Tr sigma_b over the rho-free ones.
+def _ball_blocks(pairs) -> tuple[list[_BallBlock], float]:
+    """The sub-blocks that carry rho of the direct sum (+)_k (rho_k, sigma_k)
+    of ``pairs``, all of one dimension d (a cq state's blocks), each in the
+    eigenbasis of its component's rho_c, and s0 = sum_b Tr sigma_b over
+    the rho-free ones.
 
-    Each component c of the joint support pattern of (rho, sigma), taken
-    as ``_real_parts`` gives the pair, is rotated into the eigenbasis of
-    rho_c: U_c from one stacked ``eigh`` per component size, its columns in
-    descending eigenvalue order, and sigma'_c = U_c^H sigma_c U_c from one
-    stacked product per size.  The rotated components are split again by
-    ``_support_components`` of the joint pattern of (diag w, sigma'_c), with
-    the same 1e-12 mask; diag w joins no two indices, so the pattern is
-    sigma'_c's.  A rotated component with no off-diagonal entry at or below
-    1e-12 cannot split, and when none can, the split pass is skipped.  A
-    sub-block b lists its kept eigenvalues (above 1e-12) in descending
-    order, then its kernel directions, and holds sigma_b, real when its
-    imaginary parts are round-off (``_real_parts``).  A sub-block with no
-    kept eigenvalue is rho-free and adds Tr sigma_b to s0.
+    The pairs are stacked, and the field is decided once for all of them
+    (``_real_parts``).  Each component c of a pair's joint support pattern
+    of (rho_k, sigma_k) is rotated into the eigenbasis of rho_c: U_c from
+    one stacked ``eigh`` per component size across all the pairs, its
+    columns in descending eigenvalue order, and
+    sigma'_c = U_c^H sigma_c U_c from one stacked product per size.  Each
+    rotated component is split again by its own pattern, with the same
+    1e-12 mask (diag w joins no two indices): ``_support_components`` of
+    each pair's rotated sigma', whose components lie inside the pair's
+    components.  The sub-blocks are listed pair by pair, and within a pair
+    by their least original index, so the parts of two components may
+    interleave; s0 is summed in that order.  A sub-block b lists its kept
+    eigenvalues (above 1e-12) in descending order, then its kernel
+    directions, and holds sigma_b, real when its imaginary parts are
+    round-off (``_real_parts``).  A sub-block with no kept eigenvalue is
+    rho-free and adds Tr sigma_b to s0.
 
-    The split is exact.  Smooth entropies are invariant under a unitary
-    applied to both states (Tomamichel, arXiv:1504.00233), so the program
-    may be posed in the basis (+)_c U_c: rho is diagonal there, and sigma
-    is (+)_c sigma'_c.  The pinching P onto the sub-blocks fixes both, and
-    it maps a feasible rho' to a feasible one: P(rho') is a density, the
-    cap passes to P(rho') <= t P(sigma') = t sigma', and
-    F(rho, P(rho')) = F(P(rho), P(rho')) >= F(rho, rho') by data
-    processing.  So an optimum can be taken block diagonal (the program's
-    symmetry under the phases e^(i theta_b) on each sub-block, averaged
-    into P; Gatermann and Parrilo, arXiv:math/0211450), and for one the
-    fidelity is the sum of the sub-blocks' fidelities.  This is the same
-    argument that splits the original basis into support components.  With
-    a degenerate spectrum of rho_c, ``eigh`` picks one basis of the
-    eigenspace among many, and sigma'_c in that basis may join indices that
-    another basis would separate: the split can only be missed, never
+    The split is exact.  Smooth entropies are invariant under isometries
+    and split over direct sums (Tomamichel, arXiv:1504.00233), so the pairs
+    are one program, and it may be posed in the basis (+)_c U_c: rho is
+    diagonal there, and sigma is (+)_c sigma'_c.  The pinching P onto the
+    sub-blocks fixes both, and it maps a feasible rho' to a feasible one:
+    P(rho') is a density, the cap passes to P(rho') <= t P(sigma') =
+    t sigma', and F(rho, P(rho')) = F(P(rho), P(rho')) >= F(rho, rho') by
+    data processing.  So an optimum can be taken block diagonal (the
+    program's symmetry under the phases e^(i theta_b) on each sub-block,
+    averaged into P; Gatermann and Parrilo, arXiv:math/0211450), and for
+    one the fidelity is the sum of the sub-blocks' fidelities.  The same
+    argument splits the pairs and each pair into its support components.
+    With a degenerate spectrum of rho_c, ``eigh`` picks one basis of the
+    eigenspace among many, and sigma'_c in that basis may join indices
+    that another basis would separate: the split can only be missed, never
     wrong, since every split it finds is a block structure of both rho and
     sigma' in a basis that diagonalises rho.
     """
-    rho, sigma = _real_parts(rho, sigma)
-    comps = _support_components([rho, sigma])
+    rho, sigma = _real_parts(*(np.stack(mats) for mats in zip(*pairs)))
+    comps = [(k, c) for k, cs in enumerate(_support_components([rho, sigma])) for c in cs]
     # each component's rotated directions sit on its own indices, in
     # descending eigenvalue order, so a sorted part of a component lists
     # its kept directions first
-    eigs, rotated, split = np.zeros(len(rho)), np.zeros_like(sigma), False
-    for size in sorted({len(c) for c in comps}):
-        ix = np.array([c for c in comps if len(c) == size])
-        rows, cols = ix[:, :, None], ix[:, None, :]
-        w, u = np.linalg.eigh(rho[rows, cols])
+    eigs, rotated = np.zeros(rho.shape[:2]), np.zeros_like(sigma)
+    for size in sorted({len(c) for _, c in comps}):
+        k = np.array([k for k, c in comps if len(c) == size])
+        ix = np.array([c for _, c in comps if len(c) == size])
+        at = k[:, None, None], ix[:, :, None], ix[:, None, :]
+        w, u = np.linalg.eigh(rho[at])
         u = u[..., ::-1]
-        eigs[ix] = w[:, ::-1]
-        rotated[rows, cols] = block = np.swapaxes(u.conj(), -1, -2) @ sigma[rows, cols] @ u
-        split = split or bool(((np.abs(block) <= 1e-12) & ~np.eye(size, dtype=bool)).any())
+        eigs[k[:, None], ix] = w[:, ::-1]
+        rotated[at] = np.swapaxes(u.conj(), -1, -2) @ sigma[at] @ u
     blocks, free_mass = [], 0.0
-    for sub in _support_components([rotated]) if split else comps:
-        kept = eigs[sub] > 1e-12
-        (sb,) = _real_parts(rotated[sub[:, None], sub])
-        if kept.any():
-            blocks.append(_BallBlock(f"ball{len(blocks)}", eigs[sub][kept], sb))
-        else:
-            free_mass += float(np.trace(sb).real)
+    for eig, rot, subs in zip(eigs, rotated, _support_components([rotated])):
+        for sub in subs:
+            kept = eig[sub] > 1e-12
+            (sb,) = _real_parts(rot[sub[:, None], sub])
+            if kept.any():
+                blocks.append(_BallBlock(f"ball{len(blocks)}", eig[sub][kept], sb))
+            else:
+                free_mass += float(np.trace(sb).real)
     return blocks, free_mass
 
 
@@ -464,23 +477,18 @@ def _fidelity_ball_problem(
     return prob
 
 
-def _capped_ball(
-    rho, sigma, eps: float, lam: float | None, ball: tuple[list[_BallBlock], float] | None = None
-) -> sdp.SDProblem:
+def _capped_ball(ball: tuple, eps: float, lam: float | None) -> sdp.SDProblem:
     """The program of D_max^eps(rho || sigma): rho' in the fidelity ball of
-    rho, split into the sub-blocks of ``_ball_blocks``, each in the
-    eigenbasis of its component's rho_c, with each sub-block's cap
-    2^lam sigma_b - rho'_b PSD.
+    rho, split into the sub-blocks of ``ball`` (``_ball_blocks`` of the
+    pairs), each in the eigenbasis of its component's rho_c, with each
+    sub-block's cap 2^lam sigma_b - rho'_b PSD.
 
     With ``lam`` None the cap is t sigma_b - rho'_b with t a 1x1 variable,
     and the objective is min t, whose optimum is 2^(D_max^eps).  rho'_b is
     the trailing subblock of G_b, with no rotation: sigma_b is already in
     rho_b's basis.  A 1x1 sub-block's cap is a scalar row,
-    t sigma_b - G_b[1, 1] >= 0, like w's.  ``ball`` is
-    ``_ball_blocks(rho, sigma)``, built here when None; a caller that
-    builds several programs of one pair passes it, and each program
-    compiles to the same bytes as from its own build.  The program is real
-    when every sigma_b is.
+    t sigma_b - G_b[1, 1] >= 0, like w's.  The program is real when every
+    sigma_b is.
 
     The rho-free sub-blocks are folded into one scalar.  On a sub-block
     with rho_b = 0, rho'_b enters the program only through Tr rho'_b, in
@@ -494,7 +502,7 @@ def _capped_ball(
     rho'_b = (w / s0) sigma_b.  When s0 is 0 (every rho-free sub-block has
     sigma_b = 0, so each rho'_b is pinned to 0) there is no w.
     """
-    blocks, free_mass = _ball_blocks(rho, sigma) if ball is None else ball
+    blocks, free_mass = ball
     free = free_mass > 0.0
     real = not any(np.iscomplexobj(blk.sigma) for blk in blocks)
     prob = _fidelity_ball_problem(blocks, math.sqrt(max(0.0, 1.0 - eps * eps)), free, real)
@@ -529,11 +537,12 @@ def _capped_ball(
 def d_max_smooth(rho, sigma, eps: float) -> float:
     """Smoothed max relative entropy over the purified-distance ball.
 
-    One ``sdp.minimize`` solve of min t over ``_capped_ball(..., None)``
-    gives v = log2 t, and v is returned only with two certificates:
+    One solve of min t over ``_capped_ball(ball, eps, None)``, with
+    ``ball`` the sub-blocks of the one pair (rho, sigma), gives v = log2 t,
+    and v is returned only with two certificates:
 
     - v is feasible: ``sdp.recheck`` accepts the solve's rho' in the
-      fixed-lambda program ``_capped_ball(..., v)``;
+      fixed-lambda program ``_capped_ball(ball, eps, v)``;
     - v - BISECT_TOL_BITS is infeasible: the solve's dual z, projected onto
       the cone and normalised, is a Farkas witness (``sdp.witness_fires``)
       of the fixed-lambda program at v - BISECT_TOL_BITS.
@@ -543,14 +552,11 @@ def d_max_smooth(rho, sigma, eps: float) -> float:
     D_max^eps itself, for two exact steps:
 
     - Split: each support component is posed in the eigenbasis of its
-      rho_c, which leaves the value alone (smooth entropies are invariant
-      under a unitary applied to both states; Tomamichel,
-      arXiv:1504.00233), and split again by the pattern of its rotated
-      sigma'_c.  That block pinching fixes rho and sigma' and maps each
-      feasible rho' to a feasible block-diagonal one (the argument is in
-      ``_ball_blocks``; Gatermann and Parrilo, arXiv:math/0211450), so
-      the per-block program has the same value.  A degenerate spectrum of
-      rho_c can only hide a split, never make a wrong one.
+      rho_c and split again by the pattern of its rotated sigma'_c, which
+      leaves the value alone (the argument is in ``_ball_blocks``:
+      Tomamichel, arXiv:1504.00233; Gatermann and Parrilo,
+      arXiv:math/0211450).  A degenerate spectrum of rho_c can only hide
+      a split, never make a wrong one.
     - Fold: the rho-free sub-blocks are one scalar w; a fixed-lambda
       program is feasible exactly when its per-block form is
       (w = sum_b Tr rho'_b one way, rho'_b = (w / s0) sigma_b the other).
@@ -572,45 +578,39 @@ def d_max_smooth(rho, sigma, eps: float) -> float:
     compiles the program at v - BISECT_TOL_BITS; nothing is read from the
     min t compile.
 
-    This is the one-pair case of ``_d_max_smooth_many``, which
-    ``i_max_cq_many`` uses for several values at once: their min t
-    programs go to one ``sdp.minimize_many`` batch, which gives each
-    program the result of its lone solve, bit for bit, and each value is
-    then certified on its own, as here.
+    This is the one-pair value of ``_d_max_smooth_many``, whose value of
+    several pairs, as ``i_max_cq_many`` gives a cq state, is that of their
+    direct sum: one ``_ball_blocks`` of all of them, listed pair by pair.
     """
     eps = _validate_eps(eps)
-    return _d_max_smooth_many([(la.assert_density(rho), la.assert_psd(sigma))], eps)[0]
+    return _d_max_smooth_many([[(la.assert_density(rho), la.assert_psd(sigma))]], eps)[0]
 
 
-def _d_max_smooth_many(pairs: list[tuple[np.ndarray, np.ndarray]], eps: float) -> list[float]:
-    """``d_max_smooth`` of each (rho, sigma), checked already (rho a density,
-    sigma PSD, both as ``la._hermitian_part`` returns them), at a checked
-    eps: one ``sdp.minimize_many`` over their min t programs, then each
-    value's two certificates in pair order.  The first value that fails
-    raises its SolverError."""
+def _d_max_smooth_many(values: list[list[tuple]], eps: float) -> list[float]:
+    """D_max^eps of the direct sum of each value's pairs (rho_k, sigma_k),
+    checked already (every matrix PSD and as ``la._hermitian_part``
+    returns it, the rho_k together a density), at a checked eps: one
+    ``sdp.minimize_many`` over their min t programs, then each value's two
+    certificates in order; the first that fails raises its SolverError.
+    At eps 0 a value is the max of ``d_max`` over its pairs."""
     if eps == 0.0:
-        return [d_max(rho, sigma) for rho, sigma in pairs]
-    balls = [_ball_blocks(rho, sigma) for rho, sigma in pairs]
-    results = sdp.minimize_many(
-        [_capped_ball(rho, sigma, eps, None, ball) for (rho, sigma), ball in zip(pairs, balls)]
-    )
-    return [
-        _certified_value(rho, sigma, eps, ball, res)
-        for (rho, sigma), ball, res in zip(pairs, balls, results)
-    ]
+        return [max(d_max(rho, sigma) for rho, sigma in pairs) for pairs in values]
+    balls = [_ball_blocks(pairs) for pairs in values]
+    results = sdp.minimize_many([_capped_ball(ball, eps, None) for ball in balls])
+    return [_certified_value(ball, eps, res) for ball, res in zip(balls, results)]
 
 
-def _certified_value(rho, sigma, eps: float, ball, res: sdp.SDPResult) -> float:
+def _certified_value(ball: tuple, eps: float, res: sdp.SDPResult) -> float:
     """log2 t of a min t solve of ``d_max_smooth``, once both certificates pass."""
     ended = f"(solve ended {res.status} after {res.iterations} iterations)"
     t = float(res.assignment["t"][0, 0].real)
     if not (math.isfinite(t) and t > 0.0):
         raise SolverError(f"D_max^eps solve gave t = {t} {ended}", res.residuals)
     value = math.log2(t)
-    ok, checked = sdp.recheck(_capped_ball(rho, sigma, eps, value, ball), res.assignment)
+    ok, checked = sdp.recheck(_capped_ball(ball, eps, value), res.assignment)
     if not ok:
         raise SolverError(f"D_max^eps = {value} not certified feasible {ended}", checked)
-    lo = sdp.Program(_capped_ball(rho, sigma, eps, value - BISECT_TOL_BITS, ball))
+    lo = sdp.Program(_capped_ball(ball, eps, value - BISECT_TOL_BITS))
     _, _, gap, resid = lo.farkas(res.dual)
     if not sdp.witness_fires(gap, resid):
         raise SolverError(
@@ -622,33 +622,46 @@ def _certified_value(rho, sigma, eps: float, ball, res: sdp.SDPResult) -> float:
 
 def i_max_cq_many(cqs: list[qo.CQState], eps: float) -> list[float]:
     """``i_max_smooth`` of each ``CQState``, its classical register first,
-    with all their min t programs solved as one batch."""
-    return _i_max_many([(cq.dense(), (len(cq.symbols), cq.quantum_dim)) for cq in cqs], eps)
+    with all their min t programs solved as one batch.
+
+    A cq state's value is taken from its blocks (``_cq_pairs``), one pair
+    per symbol; the dense cq matrix is never built."""
+    eps = _validate_eps(eps)
+    return _d_max_smooth_many([_cq_pairs(cq) for cq in cqs], eps)
+
+
+def _cq_pairs(cq: qo.CQState) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(w_s rho_s, q_s rho_S) for each symbol s of ``cq``, with
+    q_s = Tr w_s rho_s and rho_S = sum_s w_s rho_s: the diagonal blocks of
+    the dense cq matrix and of the product of its marginals.
+
+    The weighted blocks get ``la.assert_density``'s checks of that matrix,
+    stricter than ``CQState``'s PSD check to 1e-7: Hermitian within
+    tolerance (and repaired as ``la._hermitian_part`` does), the least
+    eigenvalue of one stacked ``eigvalsh`` at least -``la.PSD_TOL`` * 100,
+    the total trace 1 within 1e-8.  The sigma blocks are PSD by construction.
+    """
+    blocks = la._hermitian_part(la._as_stack([cq.weights[s] * cq.blocks[s] for s in cq.symbols]))
+    la._check_psd(float(np.linalg.eigvalsh(blocks)[:, 0].min()))
+    q = np.einsum("xii->x", blocks)
+    total = float(q.real.sum())
+    if abs(total - 1.0) > 1e-8:
+        raise ValueError(f"trace {total} is not 1 within tolerance")
+    rho_s = np.einsum("xij->ij", blocks)
+    return [(block, q_s * rho_s) for block, q_s in zip(blocks, q)]
 
 
 def i_max_smooth(rho_ab, dims: tuple[int, int], eps: float) -> float:
-    """Smooth max information against the fixed product of the marginals."""
-    return _i_max_many([(rho_ab, dims)], eps)[0]
-
-
-def _i_max_many(states: list[tuple[np.ndarray, tuple[int, int]]], eps: float) -> list[float]:
-    """``i_max_smooth`` of each (rho_AB, dims), each state checked once.
+    """Smooth max information against the fixed product of the marginals.
 
     ``la.assert_density`` checks rho_AB, and sigma = rho_A (x) rho_B is
     built from the partial traces of the matrix it returns: PSD, so it gets
-    no check of its own.  That matrix is Hermitian to the bit, and so is
-    sigma, so the Hermitian repair of ``d_max_smooth``'s checks would
-    change neither.
+    no check of its own.  The value is ``d_max_smooth``'s of that pair.
     """
-    pairs = []
-    for rho_ab, (da, db) in states:
-        rho_ab = la.assert_density(rho_ab)
-        lay = la.layout(("A", da), ("B", db))
-        sigma = la.tensor(
-            la.partial_trace(rho_ab, lay, ["A"]), la.partial_trace(rho_ab, lay, ["B"])
-        )
-        pairs.append((rho_ab, sigma))
-    return _d_max_smooth_many(pairs, _validate_eps(eps))
+    rho_ab = la.assert_density(rho_ab)
+    lay = la.layout(("A", dims[0]), ("B", dims[1]))
+    sigma = la.tensor(la.partial_trace(rho_ab, lay, ["A"]), la.partial_trace(rho_ab, lay, ["B"]))
+    return _d_max_smooth_many([[(rho_ab, sigma)]], _validate_eps(eps))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -200,17 +200,6 @@ def support_projector(op) -> np.ndarray:
     return cols @ cols.conj().T
 
 
-def fidelity(a, b) -> float:
-    """Uhlmann fidelity ``F = || sqrt(a) sqrt(b) ||_1`` in [0, 1]."""
-    ma, mb = as_matrix(a), as_matrix(b)
-    if ma.shape != mb.shape:
-        raise ValueError("dimension mismatch")
-    sa = matrix_sqrt(ma)
-    sb = matrix_sqrt(mb)
-    sv = np.linalg.svd(sa @ sb, compute_uv=False)
-    return float(min(np.sum(sv), 1.0))
-
-
 def purify(rho, truncate: bool = False, tol: float = 1e-12) -> np.ndarray:
     """Purification of ``rho`` on system (x) mirror.
 
@@ -246,8 +235,8 @@ def uhlmann_partner(psi, target) -> np.ndarray:
 
     ``psi`` purifies some state on the primary system (first factor); the
     mirror is everything after it.  The returned vector purifies ``target``
-    in the same space, and its overlap with ``psi`` equals
-    ``fidelity(reduced(psi), target)``, chosen real nonnegative.
+    in the same space, and its overlap with ``psi`` equals the Uhlmann
+    fidelity of reduced(psi) and ``target``, chosen real nonnegative.
     """
     vec = np.asarray(psi, dtype=complex).reshape(-1)
     tgt = assert_hermitian(target)

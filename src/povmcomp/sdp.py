@@ -10,7 +10,7 @@ product with the rvec basis of the block dimension and field, which
 ``_rvec_basis`` builds once and caches.  Set-up probes the linear map G
 once per (PSD constraint, variable) and once per variable for all its
 scalar rows, over the stacked basis matrices of that cache.  ``Program``
-also fixes the cone layout ``minimize`` works in: one slab per block
+also fixes the cone layout the solver works in: one slab per block
 dimension, its blocks side by side as one (n, k) view, then the inequality
 slots, with slot maps that give each slot its eigenvalue pair (i, j).
 
@@ -34,23 +34,23 @@ gradient r has no component outside the real coordinates, |r| and the gap
 are the same over the Hermitian coordinates, and the bound
 |x| >= gap / |r| holds for every Hermitian x.
 
-``minimize`` is the one solver: a primal-dual interior-point method with
-Nesterov-Todd scaling and Mehrotra's predictor-corrector for a problem with
-an objective.  ``minimize_many`` runs it on several programs at once: they
-step together, and each slab kernel of the iteration (the cone's
-``cholesky``, ``svd`` and ``_congruence``, the scalings of vectors, the
-step tests' ``eigvalsh`` and the Jordan product) runs once per block
-dimension and field over the blocks of every program still stepping, while
-each program keeps its own scalars and Schur solve.  Each program gets
-the result of its lone solve, bit for bit, and ``minimize`` is the batch of
-one.  The solver serves ``entropies.d_max_smooth`` (and with it
-``i_max_smooth``, the protocol thresholds and the one-shot region): a
-caller that holds several values (``entropies.i_max_cq_many``) solves
-their min t programs as one batch.  A solve's result carries two
-certificates, which the caller checks on the program at a fixed value:
+``minimize_many`` is the one solver: a primal-dual interior-point method
+with Nesterov-Todd scaling and Mehrotra's predictor-corrector for problems
+with an objective, run on several programs at once: they step together,
+and each slab kernel of the iteration (the cone's ``cholesky``, ``svd``
+and ``_congruence``, the scalings of vectors, the step tests' ``eigvalsh``
+and the Jordan product) runs once per block dimension and field over the
+blocks of every program still stepping, while each program keeps its own
+scalars and Schur solve.  Each program gets the result of its lone solve
+(a batch of one), bit for bit.  The solver serves
+``entropies.d_max_smooth`` and ``entropies.i_max_smooth``; the protocol
+thresholds and the one-shot region reach it through
+``entropies.i_max_cq_many``, which solves the min t programs of all its
+cq states as one batch.  A solve's result carries two certificates, which
+the caller checks on the program at a fixed value:
 
 - A point is feasible when ``recheck`` accepts it: ``_recheck`` evaluates
-  its constraints again from the problem's own expressions.  ``minimize``
+  its constraints again from the problem's own expressions.  The solver
   returns "optimal" only for a primal point that passes it.
 - A problem is infeasible when a Farkas witness passes ``witness_fires``:
   a cone element w with gap > 0 and |G^T w + G_eq^T nu| <= WITNESS_RATIO * gap
@@ -66,11 +66,11 @@ steps, or whose duality gap grows past its start's gap / ``GAP_TOL``,
 returns "maxIterations".
 
 Fixed settings: a point counts as feasible when its constraints are met to
-``10 * FEASIBLE_TOL``; ``minimize`` stops at a relative gap and dual
+``10 * FEASIBLE_TOL``; the solver stops at a relative gap and dual
 residual of ``GAP_TOL`` and steps ``STEP_TO_BOUNDARY`` of the way to the
 cone's boundary; ``MAX_VAR_REALS`` caps the variables' real dimension n,
 the reals of the field solved (sum of k over the variables), since
-``minimize`` takes the SVD of G_eq with its n x n right factor for the
+the solver takes the SVD of G_eq with its n x n right factor for the
 null-space basis and solves a Schur matrix of up to that size; a larger
 problem raises ``ProblemTooLarge``.
 """
@@ -284,7 +284,7 @@ class SDProblem:
     psd_constraints: list[AffineExpr] = field(default_factory=list)
     equalities: list[ScalarExpr] = field(default_factory=list)
     inequalities: list[ScalarExpr] = field(default_factory=list)  # each >= 0
-    objective: ScalarExpr | None = None  # what ``minimize`` minimizes
+    objective: ScalarExpr | None = None  # what ``minimize_many`` minimizes
 
     def add_var(self, label: str, dim: int) -> str:
         if any(lab == label for lab, _ in self.variables):
@@ -337,7 +337,7 @@ class Program:
     map with the PSD blocks' rvec rows first, in problem order, and one row
     per inequality after them, G_eq has one row per equality, and K is the
     product of the PSD cones and the nonnegative orthant of the
-    inequalities.  ``minimize`` starts from this compile step, and
+    inequalities.  ``minimize_many`` starts from this compile step, and
     ``farkas`` tests a Farkas witness against it.
 
     The slab layout: ``order`` lists the slack positions slab by slab
@@ -381,7 +381,7 @@ class Program:
     def nu_map(self) -> np.ndarray:
         """The least-squares multiplier of the infeasibility witness:
         nu = nu_map @ w minimizes |G^T w + G_eq^T nu| (G_eq has full row
-        rank, as ``minimize`` needs).  Only ``farkas`` reads it."""
+        rank, as ``minimize_many`` needs).  Only ``farkas`` reads it."""
         if not self.n_eq:
             return np.zeros((0, self.n_graph))
         return -np.linalg.solve(self.g_eq @ self.g_eq.T, self.g_eq @ self.g_graph.T)
@@ -582,7 +582,7 @@ class _ScaledCone:
     scaling map is T(X) = R^-1 X R^-H, one k x k matrix per block on the
     rvecs (one ``_congruence`` per slab, from the cached rvec basis, in
     ``scales``); on the inequality
-    slots it is sqrt(z / s), with lam = sqrt(s z).  ``minimize`` needs T and
+    slots it is sqrt(z / s), with lam = sqrt(s z).  The solver needs T and
     T^T only: it takes the unscaled primal step T^-1 ds~ from its residual,
     as r_p + A du.  The scaled point T s = T^-T z = lam is diagonal, so
     lam o lam and the inverse of lam o, with X o Y = (X Y + Y X) / 2, act
@@ -596,7 +596,7 @@ class _ScaledCone:
     the other kernels (T vec in ``_scale_many``, T^T vec in
     ``_scale_adjoint_many``, a o b in ``_jordans``, the step test in
     ``_max_steps``) take several cones at once.  ``scale`` of a matrix,
-    T A in ``minimize``, stays per cone: each program's A has its own
+    T A in the solver, stays per cone: each program's A has its own
     number of columns.
     """
 
@@ -801,10 +801,10 @@ def _run_kernel(kernel, items: list) -> list:
     return [_run_kernel(kernel, [item])[0] for item in items]
 
 
-def minimize(prob: SDProblem) -> SDPResult:
-    """Primal-dual interior-point solve of min <q, x> s.t. G x + c in K,
-    G_eq x + c_eq = 0, the ``Program`` of ``prob`` with q its objective:
-    ``minimize_many`` of the one program.
+def minimize_many(probs: list[SDProblem]) -> list[SDPResult]:
+    """Primal-dual interior-point solve of each program, min <q, x> s.t.
+    G x + c in K, G_eq x + c_eq = 0 (the ``Program`` of the problem, with q
+    its objective), its results in order, with the programs stepped together.
 
     The equalities are removed once: x = x0 + N u with N a null-space
     basis of G_eq (full row rank) and x0 its least-norm solution, so the
@@ -846,13 +846,6 @@ def minimize(prob: SDProblem) -> SDPResult:
     infeasible problem), or when a step's linear algebra fails (a
     block no longer numerically positive definite), it returns
     "maxIterations" with the last point.
-    """
-    return minimize_many([prob])[0]
-
-
-def minimize_many(probs: list[SDProblem]) -> list[SDPResult]:
-    """``minimize`` of each program, its results in order, with the programs
-    stepped together.
 
     Each program runs its own iteration (``_solve``) up to each slab
     kernel: the cone's ``cholesky``, ``svd`` and ``_congruence``
@@ -873,7 +866,7 @@ def minimize_many(probs: list[SDProblem]) -> list[SDPResult]:
     systems to one size could change the order of LAPACK's factorisation,
     and so make a program's bits depend on its batch.  The stacked calls do
     not, so each program gets the iterates, status and result of its lone
-    solve, bit for bit.
+    solve (a batch of one), bit for bit.
     """
     solves = [_solve(prob) for prob in probs]
     results: list = [None] * len(solves)
@@ -900,12 +893,12 @@ def minimize_many(probs: list[SDProblem]) -> list[SDPResult]:
 
 
 def _solve(prob: SDProblem):
-    """The iteration of ``minimize`` on one program, as a generator: at each
+    """The iteration of ``minimize_many`` on one program, as a generator: at each
     slab kernel it yields (kernel, item) and is sent the item's result, or
     thrown the ``LinAlgError`` of the item's own call; it returns the
     ``SDPResult``."""
     if prob.objective is None:
-        raise ValueError("minimize needs an objective")
+        raise ValueError("minimize_many needs an objective")
     prog = Program(prob)
     q = prog.functional(prob.objective)
     if prog.n_eq:

@@ -77,6 +77,13 @@ def fidelity_oracle(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.real(np.trace(inner)))
 
 
+def fidelity(a: np.ndarray, b: np.ndarray) -> float:
+    """Uhlmann fidelity ``F = || sqrt(a) sqrt(b) ||_1`` in [0, 1], from the
+    singular values of the product of the PSD square roots."""
+    sv = np.linalg.svd(psd_sqrt_oracle(a) @ psd_sqrt_oracle(b), compute_uv=False)
+    return float(min(np.sum(sv), 1.0))
+
+
 def purified_distance(fidelity: float) -> float:
     """sqrt(1 - F^2), the smoothing metric, from a fidelity F."""
     return math.sqrt(max(0.0, 1.0 - fidelity * fidelity))

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from povmcomp import entropies as ent, io, linalg as la, qobjects as qo, sdp
 from povmcomp import protocols as P
@@ -359,24 +360,40 @@ def block_pair(rng, carried, free, zero=0):
 
 
 def min_t(prob) -> float:
-    res = sdp.minimize(prob)
+    (res,) = sdp.minimize_many([prob])
     assert res.status == "optimal"
     return float(res.assignment["t"][0, 0].real)
 
 
-def smoothing_pairs(monkeypatch, run) -> list:
-    """The (rho, sigma) of every smooth D_max that ``run()`` asks for, each
-    answered with 0 instead of a solve.  Every value, single or in a batch,
-    goes through ``entropies._d_max_smooth_many``."""
-    pairs = []
+def ball(rho, sigma) -> tuple:
+    """The sub-blocks of the one pair (rho, sigma)."""
+    return ent._ball_blocks([(rho, sigma)])
+
+
+def capped_ball(rho, sigma, eps, lam):
+    """``d_max_smooth``'s program of the one pair (rho, sigma)."""
+    return ent._capped_ball(ball(rho, sigma), eps, lam)
+
+
+def direct_sum(pairs) -> tuple:
+    """The dense (rho, sigma) of the direct sum of the pairs (rho_k, sigma_k)."""
+    return tuple(scipy.linalg.block_diag(*mats) for mats in zip(*pairs))
+
+
+def smoothing_values(monkeypatch, run) -> list:
+    """The pairs (rho_k, sigma_k) of every smooth D_max that ``run()`` asks
+    for, one list per value, each answered with 0 instead of a solve.
+    Every value, single or in a batch, goes through
+    ``entropies._d_max_smooth_many``; a cq state's pairs are its classes."""
+    values = []
 
     def record(batch, eps):
-        pairs.extend(batch)
+        values.extend(batch)
         return [0.0] * len(batch)
 
     monkeypatch.setattr(ent, "_d_max_smooth_many", record)
     run()
-    return pairs
+    return values
 
 
 def compiled(prob) -> tuple:
@@ -439,18 +456,22 @@ def classical_copy_pair(rng, classes, groups, real):
     return rho, sigma
 
 
+# the (classes, groups, real) shapes of ``classical_copy_pairs``
+CLASSICAL_COPY_SHAPES = [
+    ((0, 1, 2), (1, 2), True),
+    ((0, 0, 1), (1, 2), True),
+    ((0, 0, 1, 1), (1, 1, 2), False),
+    ((0, 0, 0), (2, 1), False),
+]
+
+
 def classical_copy_pairs() -> list:
     """Eight seeded (rho, sigma, eps) of ``classical_copy_pair``, cycling
-    over four shapes (classes, groups, real) and eps 0.05, 0.1, 0.2."""
-    shapes = [
-        ((0, 1, 2), (1, 2), True),
-        ((0, 0, 1), (1, 2), True),
-        ((0, 0, 1, 1), (1, 1, 2), False),
-        ((0, 0, 0), (2, 1), False),
-    ]
+    over the four ``CLASSICAL_COPY_SHAPES`` and eps 0.05, 0.1, 0.2."""
     rng = np.random.default_rng(61)
     return [
-        (*classical_copy_pair(rng, *shapes[k % 4]), (0.05, 0.1, 0.2)[k % 3]) for k in range(8)
+        (*classical_copy_pair(rng, *CLASSICAL_COPY_SHAPES[k % 4]), (0.05, 0.1, 0.2)[k % 3])
+        for k in range(8)
     ]
 
 
@@ -495,7 +516,7 @@ def corner_pins(rho, sigma, real: bool) -> int:
     row, and per sub-block of rank r its r diagonal corner pins and
     r(r-1)/2 off-diagonal ones, twice over (real and imaginary part) on a
     Hermitian program."""
-    blocks, _ = ent._ball_blocks(rho, sigma)
+    blocks, _ = ball(rho, sigma)
     off = sum(b.rank * (b.rank - 1) // 2 for b in blocks)
     return 1 + sum(b.rank for b in blocks) + off * (1 if real else 2)
 
@@ -503,18 +524,24 @@ def corner_pins(rho, sigma, real: bool) -> int:
 class TestSupportComponents:
     @pytest.mark.parametrize("d", [1, 2, 5, 17, 40])
     def test_matches_oracle_on_seeded_patterns(self, d):
-        for mats in support_patterns(np.random.default_rng(40 + d), d):
-            got = ent._support_components(mats)
-            want = oracles.support_components_oracle(mats)
-            assert len(got) == len(want)
-            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        # the patterns one at a time, and all as one stack (each padded to
+        # two matrices), whose members take different numbers of sweeps
+        patterns = support_patterns(np.random.default_rng(40 + d), d)
+        wants = [oracles.support_components_oracle(mats) for mats in patterns]
+        padded = [mats + [np.zeros((d, d))] * (2 - len(mats)) for mats in patterns]
+        stacked = ent._support_components([np.stack(mats) for mats in zip(*padded)])
+        for mats, want, in_stack in zip(patterns, wants, stacked):
+            (got,) = ent._support_components([m[None] for m in mats])
+            for comps in (got, in_stack):
+                assert len(comps) == len(want)
+                assert all(np.array_equal(g, w) for g, w in zip(comps, want))
 
     def test_one_eigh_per_component_size(self, monkeypatch):
         # components of sizes 1, 2 and 3 that carry rho, rho-free ones of
         # sizes 1 and 2; each spectrum is that of the component's own eigh,
         # and each sigma_b is the component's sigma in that eigenbasis
         rho, sigma = block_pair(np.random.default_rng(41), [2, 1, 3, 2, 1], [2, 1], zero=1)
-        comps = ent._support_components([rho, sigma])
+        comps = oracles.support_components_oracle([rho, sigma])
         eigh, calls = np.linalg.eigh, []
 
         def counting(a):
@@ -522,7 +549,7 @@ class TestSupportComponents:
             return eigh(a)
 
         monkeypatch.setattr(np.linalg, "eigh", counting)
-        blocks, _ = ent._ball_blocks(rho, sigma)
+        blocks, _ = ball(rho, sigma)
         assert len(calls) == len({len(c) for c in comps}) == 3
         monkeypatch.setattr(np.linalg, "eigh", eigh)
         carried = [c for c in comps if np.abs(rho[np.ix_(c, c)]).max() > 1e-12]
@@ -535,22 +562,35 @@ class TestSupportComponents:
             u = u[:, ::-1]
             np.testing.assert_allclose(blk.sigma, u.conj().T @ sigma[np.ix_(c, c)] @ u, atol=1e-15)
 
-    def test_split_pass_only_when_a_rotated_block_can_split(self, monkeypatch):
-        # random blocks do not commute: no rotated block has an off-diagonal
-        # entry at or below 1e-12, and the split pass is skipped; a
-        # classical-copy pair has commuting components and takes one pass
-        calls, support_components = [], ent._support_components
+    def test_pairs_split_as_their_direct_sum(self, monkeypatch):
+        # a classical-copy pair cut into its classes, as a cq state's pairs:
+        # the sub-blocks, their order (pair by pair, then by least original
+        # index) and s0 are those of the dense direct sum, to the bit, from
+        # one eigh per component size across all the pairs
+        eigh, calls = np.linalg.eigh, []
 
-        def counting(mats):
-            calls.append(len(mats))
-            return support_components(mats)
+        def counting(a):
+            calls.append(a.shape[-1])
+            return eigh(a)
 
-        monkeypatch.setattr(ent, "_support_components", counting)
-        ent._ball_blocks(*block_pair(np.random.default_rng(42), [2, 3, 1], [2]))
-        assert calls == [2]
-        calls.clear()
-        ent._ball_blocks(*classical_copy_pairs()[0][:2])
-        assert calls == [2, 1]
+        for k, (rho, sigma, _) in enumerate(classical_copy_pairs()):
+            n = len(CLASSICAL_COPY_SHAPES[k % 4][0])
+            cuts = [slice(x * len(rho) // n, (x + 1) * len(rho) // n) for x in range(n)]
+            pairs = [(rho[c, c], sigma[c, c]) for c in cuts]
+            assert np.array_equal(direct_sum(pairs)[1], sigma)
+            want_blocks, want_free = ball(rho, sigma)
+            with monkeypatch.context() as patch:
+                patch.setattr(np.linalg, "eigh", counting)
+                blocks, free = ent._ball_blocks(pairs)
+            sizes = {len(c) for r, s in pairs for c in oracles.support_components_oracle([r, s])}
+            assert sorted(calls) == sorted(sizes)
+            calls.clear()
+            assert free == want_free
+            assert len(blocks) == len(want_blocks)
+            for got, want in zip(blocks, want_blocks):
+                assert got.var == want.var and got.sigma.dtype == want.sigma.dtype
+                assert np.array_equal(got.eigs, want.eigs)
+                assert np.array_equal(got.sigma, want.sigma)
 
 
 class TestFoldedBall:
@@ -559,7 +599,7 @@ class TestFoldedBall:
     per component."""
 
     def check_fold(self, rho, sigma, eps, has_w):
-        folded = ent._capped_ball(rho, sigma, eps, None)
+        folded = capped_ball(rho, sigma, eps, None)
         assert ("w" in dict(folded.variables)) == has_w
         t = min_t(folded)
         want = min_t(oracles.capped_ball_per_component(sdp, rho, sigma, eps, None))
@@ -584,7 +624,7 @@ class TestFoldedBall:
 
     def test_no_w_when_every_rho_free_component_has_no_sigma(self):
         rho, sigma = block_pair(np.random.default_rng(33), [2, 1], [], zero=2)
-        assert ent._ball_blocks(rho, sigma)[1] == 0.0
+        assert ball(rho, sigma)[1] == 0.0
         self.check_fold(rho, sigma, 0.1, has_w=False)
 
     @pytest.mark.parametrize("name", ["qubit_cq", "qubit_entangled_side_info"])
@@ -594,13 +634,15 @@ class TestFoldedBall:
         # blocks, and its value (the caps now live in the eigenbasis, so
         # the compiled bytes differ)
         prep = P.prepare(io.load_bundled(name))
-        pairs = smoothing_pairs(monkeypatch, lambda: P.thresholds(prep, 0.1))
-        assert len(pairs) == 2
+        values = smoothing_values(monkeypatch, lambda: P.thresholds(prep, 0.1))
+        assert len(values) == 2
         monkeypatch.undo()
-        for rho, sigma in pairs:
-            assert ent._ball_blocks(rho, sigma)[1] == 0.0
+        for pairs in values:
+            rho, sigma = direct_sum(pairs)
+            sub_blocks = ent._ball_blocks(pairs)
+            assert sub_blocks[1] == 0.0
             for lam in (None, 0.7):
-                got = ent._capped_ball(rho, sigma, 0.1, lam)
+                got = ent._capped_ball(sub_blocks, 0.1, lam)
                 want = oracles.capped_ball_per_component(sdp, rho, sigma, 0.1, lam)
                 assert [d for _, d in got.variables] == [d for _, d in want.variables]
                 assert [e.dim for e in got.psd_constraints] == [e.dim for e in want.psd_constraints]
@@ -609,17 +651,18 @@ class TestFoldedBall:
                     len(want.inequalities),
                 )
             want_t = min_t(oracles.capped_ball_per_component(sdp, rho, sigma, 0.1, None))
-            assert min_t(ent._capped_ball(rho, sigma, 0.1, None)) == pytest.approx(want_t, rel=1e-6)
+            assert min_t(ent._capped_ball(sub_blocks, 0.1, None)) == pytest.approx(want_t, rel=1e-6)
 
     def test_largest_region_program_size(self, monkeypatch):
         prep = P.prepare(io.load_bundled("instrument_derived"))
-        pairs = smoothing_pairs(
+        values = smoothing_values(
             monkeypatch, lambda: P.one_shot_region(prep, 0.1, theta_grid=(0.5,), axes=("X", "Y"))
         )
         sizes = []
-        for rho, sigma in pairs:
-            prog = sdp.Program(ent._capped_ball(rho, sigma, 0.1, None))
-            ref = sdp.Program(oracles.capped_ball_per_component(sdp, rho, sigma, 0.1, None))
+        for pairs in values:
+            prog = sdp.Program(ent._capped_ball(ent._ball_blocks(pairs), 0.1, None))
+            ref = oracles.capped_ball_per_component(sdp, *direct_sum(pairs), 0.1, None)
+            ref = sdp.Program(ref)
             sizes.append((ref.n_vars, prog.n_vars, collections.Counter(prog.block_dims)))
         ref_reals, reals, blocks = max(sizes, key=lambda s: s[0])
         # real data: both programs are solved over real symmetric matrices;
@@ -630,15 +673,15 @@ class TestFoldedBall:
 
 @pytest.fixture(scope="module")
 def region_x_pairs() -> list:
-    """The (rho, sigma) of the three smooth D_max of the ``region``
+    """The dense (rho, sigma) of the three smooth D_max of the ``region``
     benchmark's X-axis cell: instrument_derived, theta 0.5, eps 0.1."""
     prep = P.prepare(io.load_bundled("instrument_derived"))
     with pytest.MonkeyPatch.context() as mp:
-        pairs = smoothing_pairs(
+        values = smoothing_values(
             mp, lambda: P.one_shot_region(prep, 0.1, theta_grid=(0.5,), axes=("X",))
         )
-    assert len(pairs) == 3
-    return pairs
+    assert len(values) == 3
+    return [direct_sum(pairs) for pairs in values]
 
 
 class TestSmoothingSolve:
@@ -654,26 +697,31 @@ class TestSmoothingSolve:
 
     def test_one_build_of_the_blocks_per_value(self, monkeypatch, region_x_pairs):
         # the min-t, recheck and Farkas programs share one classification
-        # of the components, and each compiles to the bytes of its own build
+        # of the components, and each compiles to the bytes of a program
+        # built from a fresh classification
         ball_blocks, capped_ball = ent._ball_blocks, ent._capped_ball
-        n_blocks, built = [0], []
+        balls, built = [], []
 
-        def counting_ball_blocks(rho, sigma):
-            n_blocks[0] += 1
-            return ball_blocks(rho, sigma)
+        def recording_ball_blocks(pairs):
+            balls.append(ball_blocks(pairs))
+            return balls[-1]
 
-        def recording_capped_ball(rho, sigma, eps, lam, ball=None):
-            built.append((rho, sigma, eps, lam, capped_ball(rho, sigma, eps, lam, ball)))
+        def recording_capped_ball(sub_blocks, eps, lam):
+            built.append((sub_blocks, eps, lam, capped_ball(sub_blocks, eps, lam)))
             return built[-1][-1]
 
-        monkeypatch.setattr(ent, "_ball_blocks", counting_ball_blocks)
+        monkeypatch.setattr(ent, "_ball_blocks", recording_ball_blocks)
         monkeypatch.setattr(ent, "_capped_ball", recording_capped_ball)
         for rho, sigma in region_x_pairs:
             ent.d_max_smooth(rho, sigma, 0.1)
-        assert n_blocks[0] == len(region_x_pairs)
+        assert len(balls) == len(region_x_pairs)
         assert len(built) == 3 * len(region_x_pairs)
-        for rho, sigma, eps, lam, prob in built:
-            assert compiled(prob) == compiled(capped_ball(rho, sigma, eps, lam))
+        for (rho, sigma), sub_blocks in zip(region_x_pairs, balls):
+            progs = [(eps, lam, prob) for b, eps, lam, prob in built if b is sub_blocks]
+            assert len(progs) == 3
+            for eps, lam, prob in progs:
+                fresh = capped_ball(ball_blocks([(rho, sigma)]), eps, lam)
+                assert compiled(prob) == compiled(fresh)
 
     def test_certificates_decide_whatever_the_status(self, monkeypatch, region_x_pairs):
         # a solve reported "maxIterations" whose point and dual pass both
@@ -742,8 +790,8 @@ class TestRealField:
         # its phases, so the phased program is Hermitian exactly when some
         # component does not commute; then every block's variable has d^2
         # reals, else d(d+1)/2
-        real = sdp.Program(ent._capped_ball(rho, sigma, eps, None))
-        herm = sdp.Program(ent._capped_ball(*phased(rho, sigma), eps, None))
+        real = sdp.Program(capped_ball(rho, sigma, eps, None))
+        herm = sdp.Program(capped_ball(*phased(rho, sigma), eps, None))
         assert real.real and herm.real == all_components_commute(rho, sigma)
         assert herm.n_vars == sum(sdp.rvec_size(d, herm.real) for _, d in herm.prob.variables)
         assert real.n_vars == sum(d * (d + 1) // 2 for _, d in real.prob.variables)
@@ -760,10 +808,11 @@ class TestRealField:
 
     def test_region_pairs_match_their_phased_pairs(self, monkeypatch):
         prep = P.prepare(io.load_bundled("instrument_derived"))
-        pairs = smoothing_pairs(
+        values = smoothing_values(
             monkeypatch, lambda: P.one_shot_region(prep, 0.1, theta_grid=(0.5,), axes=("X", "Y"))
         )
         monkeypatch.undo()
+        pairs = [direct_sum(value) for value in values]
         assert len(pairs) == 6
         assert [all_components_commute(*pair) for pair in pairs] == [False, True, False] * 2
         for rho, sigma in pairs:
@@ -776,10 +825,10 @@ class TestRealField:
         noise = 1e-12 * oracles.random_hermitian(np.random.default_rng(52), len(rho))
         noisy = (rho + 1j * np.imag(noise), sigma.astype(complex))
         for lam in (None, 0.4):
-            assert compiled(ent._capped_ball(*noisy, 0.1, lam)) == compiled(
-                ent._capped_ball(rho, sigma, 0.1, lam)
+            assert compiled(capped_ball(*noisy, 0.1, lam)) == compiled(
+                capped_ball(rho, sigma, 0.1, lam)
             )
-        assert all(not np.iscomplexobj(blk.sigma) for blk in ent._ball_blocks(*noisy)[0])
+        assert all(not np.iscomplexobj(blk.sigma) for blk in ball(*noisy)[0])
 
     @pytest.mark.parametrize("name", io.BUNDLED)
     def test_bundled_smoothing_programs_are_real(self, monkeypatch, name):
@@ -789,11 +838,11 @@ class TestRealField:
             P.thresholds(prep, 0.1)
             P.one_shot_region(prep, 0.1, theta_grid=(0.5,))
 
-        pairs = smoothing_pairs(monkeypatch, run)
-        assert pairs
-        for rho, sigma in pairs:
+        values = smoothing_values(monkeypatch, run)
+        assert values
+        for pairs in values:
             for lam in (None, 0.4):
-                assert sdp.Program(ent._capped_ball(rho, sigma, 0.1, lam)).real
+                assert sdp.Program(ent._capped_ball(ent._ball_blocks(pairs), 0.1, lam)).real
 
 
 class TestEigenbasisSplit:
@@ -802,36 +851,37 @@ class TestEigenbasisSplit:
     and in one block, its cap in its eigenbasis, and no fold."""
 
     @staticmethod
-    def check_oracle_parity(rho, sigma, eps):
-        want = math.log2(min_t(oracles.capped_ball_per_component(sdp, rho, sigma, eps, None)))
-        # d_max_smooth raises SolverError unless both certificates pass
-        assert abs(ent.d_max_smooth(rho, sigma, eps) - want) <= 1e-6
+    def check_oracle_parity(pairs, eps):
+        """The value of the direct sum of ``pairs`` against the oracle's."""
+        prob = oracles.capped_ball_per_component(sdp, *direct_sum(pairs), eps, None)
+        # the value is certified: a failed certificate raises SolverError
+        assert abs(ent._d_max_smooth_many([pairs], eps)[0] - math.log2(min_t(prob))) <= 1e-6
 
     def test_classical_copy_pairs_match_the_unsplit_oracle(self):
         kinds = set()
         for rho, sigma, eps in classical_copy_pairs():
             kinds |= split_kinds(rho, sigma)
-            self.check_oracle_parity(rho, sigma, eps)
+            self.check_oracle_parity([(rho, sigma)], eps)
         assert kinds == {"commuting", "partly commuting", "rank-deficient", "rho-free"}
 
     def test_region_pairs_match_the_unsplit_oracle(self, monkeypatch):
         prep = P.prepare(io.load_bundled("instrument_derived"))
-        pairs = smoothing_pairs(
+        values = smoothing_values(
             monkeypatch, lambda: P.one_shot_region(prep, 0.1, theta_grid=(0.5,), axes=("X", "Y"))
         )
         monkeypatch.undo()
-        assert len(pairs) == 6
-        for rho, sigma in pairs:
-            self.check_oracle_parity(rho, sigma, 0.1)
+        assert len(values) == 6
+        for pairs in values:
+            self.check_oracle_parity(pairs, 0.1)
 
     @pytest.mark.parametrize("name", io.BUNDLED)
     def test_threshold_pairs_match_the_unsplit_oracle(self, monkeypatch, name):
         prep = P.prepare(io.load_bundled(name))
-        pairs = smoothing_pairs(monkeypatch, lambda: P.thresholds(prep, 0.1))
+        values = smoothing_values(monkeypatch, lambda: P.thresholds(prep, 0.1))
         monkeypatch.undo()
-        assert len(pairs) == 2
-        for rho, sigma in pairs:
-            self.check_oracle_parity(rho, sigma, 0.1)
+        assert len(values) == 2
+        for pairs in values:
+            self.check_oracle_parity(pairs, 0.1)
 
     def test_hermitian_programs_pin_every_corner(self):
         # the complex classical-copy pairs mix real sub-blocks (commuting
@@ -839,9 +889,9 @@ class TestEigenbasisSplit:
         # and every corner's imaginary parts are pinned
         mixed = 0
         for rho, sigma, eps in classical_copy_pairs():
-            prog = sdp.Program(ent._capped_ball(rho, sigma, eps, None))
+            prog = sdp.Program(capped_ball(rho, sigma, eps, None))
             assert len(prog.prob.equalities) == corner_pins(rho, sigma, prog.real)
-            blocks = ent._ball_blocks(rho, sigma)[0]
+            blocks = ball(rho, sigma)[0]
             kinds = {np.iscomplexobj(b.sigma) for b in blocks}
             mixed += kinds == {True, False} and max(b.rank for b in blocks) > 1
             assert prog.real == (True not in kinds)
@@ -870,6 +920,64 @@ class TestIMax:
     def test_classical_correlated_eps0(self):
         rho = np.diag([0.5, 0.0, 0.0, 0.5]).astype(complex)
         assert np.isclose(ent.i_max_smooth(rho, (2, 2), 0.0), 1.0, atol=1e-9)
+
+
+@pytest.fixture(scope="module")
+def smoothed_cq_states() -> list:
+    """Every cq state whose smooth I_max ``thresholds`` and
+    ``one_shot_region`` (theta 0.5) take on the bundled instances, taken
+    with ``CQState.dense`` patched to raise: neither call builds the dense
+    cq matrix."""
+    states, i_max_cq_many = [], ent.i_max_cq_many
+
+    def recording(cqs, eps):
+        states.extend(cqs)
+        return i_max_cq_many(cqs, eps)
+
+    def no_dense(self):
+        raise AssertionError("the dense cq matrix was built")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ent, "i_max_cq_many", recording)
+        mp.setattr(qo.CQState, "dense", no_dense)
+        for name in io.BUNDLED:
+            prep = P.prepare(io.load_bundled(name))
+            P.thresholds(prep, 0.1)
+            P.one_shot_region(prep, 0.1, theta_grid=(0.5,))
+    assert len(states) == 39
+    return states
+
+
+class TestCqPath:
+    """``i_max_cq_many`` smooths a cq state from its blocks, one pair per
+    symbol; ``i_max_smooth`` smooths its dense matrix."""
+
+    @pytest.mark.parametrize("eps", [0.1, 0.0])
+    def test_blocks_and_dense_matrix_agree(self, smoothed_cq_states, eps):
+        # to the bit at eps 0.1; at eps 0 the max of d_max over the blocks
+        # against d_max of the dense pair
+        for cq in smoothed_cq_states:
+            (got,) = ent.i_max_cq_many([cq], eps)
+            want = ent.i_max_smooth(cq.dense(), (len(cq.symbols), cq.quantum_dim), eps)
+            if eps:
+                assert got.hex() == want.hex()
+            else:
+                assert abs(got - want) <= 1e-12
+
+    def test_block_checks_are_the_dense_checks(self):
+        # a weighted block with eigenvalue -5e-8 passes CQState's 1e-7 check
+        # but not the dense matrix's, nor the blocks'
+        cq = qo.CQState(
+            ("0", "1"),
+            {"0": 0.5, "1": 0.5},
+            {"0": np.diag([1.0 + 1e-7, -1e-7]), "1": np.eye(2) / 2},
+        )
+        assert np.linalg.eigvalsh(0.5 * cq.blocks["0"])[0] == pytest.approx(-5e-8)
+        with pytest.raises(ValueError, match="negative eigenvalue"):
+            ent.i_max_smooth(cq.dense(), (2, 2), 0.1)
+        for eps in (0.0, 0.1):
+            with pytest.raises(ValueError, match="negative eigenvalue"):
+                ent.i_max_cq_many([cq], eps)
 
 
 class TestVonNeumann:

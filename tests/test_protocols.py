@@ -109,35 +109,46 @@ def _hex(values) -> dict | list:
     return [float(v).hex() for v in values]
 
 
-def _solve_instance(name: str):
-    """(prep, thresholds at log_const 0, and per smooth D_max the thresholds
-    took: its arguments (rho, sigma, eps), its value and its ``sdp.minimize``
-    result).  The values go through ``entropies._d_max_smooth_many`` and
-    their solves through ``sdp.minimize_many``, in call order."""
-    calls, results = [], []
-    d_max_smooth_many, minimize_many = ent._d_max_smooth_many, sdp.minimize_many
+def _certified_solves(run):
+    """``run()``'s output and, per smooth D_max it certified, in call order:
+    (its sub-blocks, eps, value, ``sdp.minimize_many`` result).  Every
+    value goes through ``entropies._certified_value``."""
+    solves = []
+    certified_value = ent._certified_value
 
-    def recording_d_max_smooth_many(pairs, eps):
-        values = d_max_smooth_many(pairs, eps)
-        calls.extend((rho, sigma, eps, v) for (rho, sigma), v in zip(pairs, values))
-        return values
-
-    def recording_minimize_many(probs):
-        out = minimize_many(probs)
-        results.extend(out)
-        return out
+    def recording_certified_value(ball, eps, res):
+        value = certified_value(ball, eps, res)
+        solves.append((ball, eps, value, res))
+        return value
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ent, "_d_max_smooth_many", recording_d_max_smooth_many)
-        mp.setattr(sdp, "minimize_many", recording_minimize_many)
-        prep = P.prepare(io.load_bundled(name))
-        th = P.thresholds(prep, GOLDEN_EPS, GOLDEN_C)
-    assert len(calls) == len(results)
-    return name, prep, th, list(zip(calls, results))
+        mp.setattr(ent, "_certified_value", recording_certified_value)
+        out = run()
+    return out, solves
+
+
+def _solve_instance(name: str):
+    """(prep, thresholds at log_const 0, and the certified solves of the
+    thresholds, ``_certified_solves``)."""
+    prep = P.prepare(io.load_bundled(name))
+    th, solves = _certified_solves(lambda: P.thresholds(prep, GOLDEN_EPS, GOLDEN_C))
+    return name, prep, th, solves
+
+
+def _check_certificates(solves) -> None:
+    """Both certificates of every value v, checked again from the programs'
+    expressions: the solve's rho' is feasible at v, and its dual is a
+    Farkas witness at v - BISECT_TOL_BITS."""
+    for ball, eps, value, res in solves:
+        primal = sdp._recheck(ent._capped_ball(ball, eps, value), res.assignment)
+        assert primal["primal"] <= 10 * sdp.FEASIBLE_TOL and primal["gap"] <= 10 * sdp.FEASIBLE_TOL
+        lo = ent._capped_ball(ball, eps, value - ent.BISECT_TOL_BITS)
+        gap, resid = oracles.farkas_from_expressions(lo, res.dual)
+        assert gap > 0 and resid <= sdp.WITNESS_RATIO * gap
 
 
 def _threshold_pins(th: dict, solves) -> dict:
-    return {"thresholds": _hex(th), "statuses": [res.status for _, res in solves]}
+    return {"thresholds": _hex(th), "statuses": [res.status for *_, res in solves]}
 
 
 def _protocol_runs(name: str, prep):
@@ -156,9 +167,12 @@ def _run_pins(run: dict, unassisted: dict) -> dict:
     }
 
 
-def _one_shot_rhs(prep) -> list:
-    region = P.one_shot_region(prep, GOLDEN_EPS, theta_grid=(0.5,), log_const=GOLDEN_C)
-    return _hex(h.rhs for h in region.constraints)
+def _one_shot_rhs(prep) -> tuple[list, list]:
+    """The one-shot region's right-hand sides and its certified solves."""
+    region, solves = _certified_solves(
+        lambda: P.one_shot_region(prep, GOLDEN_EPS, theta_grid=(0.5,), log_const=GOLDEN_C)
+    )
+    return _hex(h.rhs for h in region.constraints), solves
 
 
 COMPOSE_KEYS = (
@@ -196,15 +210,7 @@ def test_golden_thresholds_with_certified_verdicts(solved):
     name, _, th, solves = solved
     want = _golden()[name]
     assert _threshold_pins(th, solves) == {k: want[k] for k in ("thresholds", "statuses")}
-    # both certificates of every value v, checked again from the programs'
-    # expressions: the solve's rho' is feasible at v, and its dual is a
-    # Farkas witness at v - BISECT_TOL_BITS
-    for (rho, sigma, eps, value), res in solves:
-        primal = sdp._recheck(ent._capped_ball(rho, sigma, eps, value), res.assignment)
-        assert primal["primal"] <= 10 * sdp.FEASIBLE_TOL and primal["gap"] <= 10 * sdp.FEASIBLE_TOL
-        lo = ent._capped_ball(rho, sigma, eps, value - ent.BISECT_TOL_BITS)
-        gap, resid = oracles.farkas_from_expressions(lo, res.dual)
-        assert gap > 0 and resid <= sdp.WITNESS_RATIO * gap
+    _check_certificates(solves)
 
 
 def _hashed_axes(run: dict) -> set:
@@ -399,7 +405,9 @@ def test_golden_regions(solved):
     name, prep, _, _ = solved
     rhs = _hex(h.rhs for h in P.iid_region(prep).constraints)
     assert rhs == _golden()[name]["iid_region"]
-    assert _one_shot_rhs(prep) == _golden()[name]["one_shot_region"]
+    rhs, solves = _one_shot_rhs(prep)
+    assert rhs == _golden()[name]["one_shot_region"]
+    _check_certificates(solves)
 
 
 def test_one_shot_region_steers_nothing_after_prepare(monkeypatch):
@@ -454,7 +462,7 @@ def _write_golden() -> None:
         pins = _threshold_pins(th, solves)
         pins.update(_run_pins(*_protocol_runs(name, prep)))
         pins["iid_region"] = _hex(h.rhs for h in P.iid_region(prep).constraints)
-        pins["one_shot_region"] = _one_shot_rhs(prep)
+        pins["one_shot_region"] = _one_shot_rhs(prep)[0]
         if name in COMPOSE_INSTANCES:
             pins["compose"] = _hex(_composition(name, prep))
         payload[name] = pins

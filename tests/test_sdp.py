@@ -25,7 +25,7 @@ def box_problem(dim, target_trace):
 
 def box_with_objective(dim, target_trace):
     """box_problem with the objective Tr X, which its trace equality holds
-    constant: a feasibility problem for ``minimize``."""
+    constant: a feasibility problem for ``minimize_many``."""
     prob = box_problem(dim, target_trace)
     prob.objective = sdp.trace_functional("X", dim)
     return prob
@@ -47,7 +47,7 @@ def box_min_t(dim, target_trace):
 
 def feasibility_problem(which):
     """A problem with the objective Tr X, which its constraints fix ("box")
-    or bound below (the others), so that ``minimize`` finds a feasible point."""
+    or bound below (the others), so that ``minimize_many`` finds a feasible point."""
     prob = kernel_problem(which)
     prob.objective = sdp.trace_functional("X", prob.variables[0][1])
     return prob
@@ -89,6 +89,16 @@ def marginals_product(rho, dims):
     return la.tensor(la.partial_trace(rho, lay, ["A"]), la.partial_trace(rho, lay, ["B"]))
 
 
+def minimize(prob):
+    """``sdp.minimize_many`` of the one program."""
+    return sdp.minimize_many([prob])[0]
+
+
+def capped_ball(rho, sigma, eps, lam):
+    """``d_max_smooth``'s program of the one pair (rho, sigma)."""
+    return ent._capped_ball(ent._ball_blocks([(rho, sigma)]), eps, lam)
+
+
 def env_state_pair():
     """(rho, sigma) of the smooth I_max of qubit_entangled_side_info's X env state."""
     prep = prep_mod.prepare(io.load_bundled("qubit_entangled_side_info"))
@@ -114,7 +124,7 @@ def kernel_problem(which):
     if which == "mixed_rows":
         return mixed_rows_problem()
     rho, sigma = random_pair()
-    return ent._capped_ball(rho, sigma, 0.1, ent.d_max(rho, sigma) if which == "ball_cap" else None)
+    return capped_ball(rho, sigma, 0.1, ent.d_max(rho, sigma) if which == "ball_cap" else None)
 
 
 KERNEL_PROBLEMS = ["box", "interleaved", "mixed_rows", "ball_cap", "min_t"]
@@ -286,7 +296,7 @@ class TestIterationKernels:
 
         monkeypatch.setattr(sdp, "_scaled_cones", recording_cones)
         monkeypatch.setattr(sdp, "_max_steps", recording_steps)
-        res = sdp.minimize(ent._capped_ball(*env_state_pair(), 0.1, None))
+        res = minimize(capped_ball(*env_state_pair(), 0.1, None))
         assert res.status == "optimal" and len(cones) == res.iterations > 10
         for cone, following in zip(cones, cones[1:]):
             ds, dz = cone.directions[-1]
@@ -299,7 +309,7 @@ class TestIterationKernels:
             assert np.max(np.abs((following.s - cone.s) / alpha - unscaled)) <= 1e-10
 
     def test_one_congruence_per_block_group_per_iteration(self, monkeypatch):
-        prob = ent._capped_ball(*env_state_pair(), 0.1, None)
+        prob = capped_ball(*env_state_pair(), 0.1, None)
         calls = []
         congruence = sdp._congruence
 
@@ -308,7 +318,7 @@ class TestIterationKernels:
             return congruence(c, real)
 
         monkeypatch.setattr(sdp, "_congruence", counting)
-        res = sdp.minimize(prob)
+        res = minimize(prob)
         slabs = len(sdp.Program(prob).slabs)
         assert slabs == 2 and len(calls) == slabs * res.iterations
 
@@ -408,7 +418,7 @@ class TestSlabLayout:
         )
         prog = sdp.Program(prob)
         assert not np.array_equal(prog.order, np.arange(prog.n_graph))
-        res = sdp.minimize(prob)
+        res = minimize(prob)
         assert res.status == "optimal"
         z = res.dual
         null = np.linalg.svd(prog.g_eq)[2][prog.n_eq :].T
@@ -453,7 +463,7 @@ def test_linalg_calls_per_iteration_on_the_region_program(region_program, monkey
     slabs = len(prog.slabs)
     assert prog.real and prog.n_vars == 58 and slabs == 2
     calls = linalg_spy(monkeypatch)
-    res = sdp.minimize(region_program)
+    res = minimize(region_program)
     assert res.status == "optimal"
     assert len(calls) <= (4 * slabs + 3) * res.iterations + 4 + slabs
 
@@ -471,7 +481,7 @@ def result_bits(res) -> tuple:
 
 class TestBatch:
     """``minimize_many`` steps its programs together and gives each the
-    result of its lone ``minimize``, bit for bit."""
+    result of its lone solve (a batch of one), bit for bit."""
 
     def test_each_result_is_its_lone_solve(self, region_programs):
         # the six region programs (real, blocks of 2 and 4), the Hermitian
@@ -479,7 +489,7 @@ class TestBatch:
         # test_infeasible_box_stops_without_a_verdict, in two orders
         batch = [*region_programs, kernel_problem("min_t"), box_with_objective(3, 4)]
         assert [sdp.Program(prob).real for prob in batch] == [True] * 6 + [False, True]
-        lone = [result_bits(sdp.minimize(prob)) for prob in batch]
+        lone = [result_bits(minimize(prob)) for prob in batch]
         assert [bits[0] for bits in lone] == ["optimal"] * 7 + ["maxIterations"]
         for order in (list(range(len(batch))), list(range(len(batch)))[::-1]):
             got = sdp.minimize_many([batch[i] for i in order])
@@ -527,7 +537,7 @@ class TestBatch:
         cholesky, inputs = np.linalg.cholesky, []
         with monkeypatch.context() as mp:
             mp.setattr(np.linalg, "cholesky", lambda a: (inputs.append(a.copy()), cholesky(a))[1])
-            sdp.minimize(target)
+            minimize(target)
         poison = {m.tobytes() for m in inputs[3].reshape(-1, 2, 2)}
         raised = []
 
@@ -537,9 +547,9 @@ class TestBatch:
                 raise np.linalg.LinAlgError("poisoned block")
             return cholesky(a)
 
-        want = [result_bits(sdp.minimize(prob)) for prob in region_programs]
+        want = [result_bits(minimize(prob)) for prob in region_programs]
         monkeypatch.setattr(np.linalg, "cholesky", poisoned)
-        alone = sdp.minimize(target)
+        alone = minimize(target)
         assert (alone.status, alone.iterations) == ("maxIterations", 3)
         want[1] = result_bits(alone)
         raised.clear()
@@ -584,7 +594,7 @@ def kernel_assignments(which) -> list:
     by 0.1, and three random Hermitian assignments (infeasible)."""
     prob = kernel_problem(which)
     ball = which in ("ball_cap", "min_t")
-    point = sdp.minimize(kernel_problem("min_t") if ball else feasibility_problem(which)).assignment
+    point = minimize(kernel_problem("min_t") if ball else feasibility_problem(which)).assignment
     rng = np.random.default_rng(24)
     out = [point]
     for size in (1e-9, 0.1):
@@ -664,12 +674,12 @@ class TestKernelVerdicts:
     def test_smoothing_identical_with_oracle_kernels(self, monkeypatch):
         """d_max_smooth's min t program for the smooth I_max of
         qubit_entangled_side_info's X env state gets the same status,
-        iteration count and value bits from ``sdp.minimize`` when ``Program``
-        probes its map per basis matrix."""
-        prob = ent._capped_ball(*env_state_pair(), 0.1, None)
+        iteration count and value bits from ``sdp.minimize_many`` when
+        ``Program`` probes its map per basis matrix."""
+        prob = capped_ball(*env_state_pair(), 0.1, None)
 
         def run():
-            res = sdp.minimize(prob)
+            res = minimize(prob)
             return res.status, res.iterations, float(res.assignment["t"][0, 0].real).hex()
 
         kernels = run()
@@ -679,12 +689,12 @@ class TestKernelVerdicts:
 
 
 class TestFeasibility:
-    """Feasibility problems posed to ``minimize`` with an objective that
+    """Feasibility problems posed to ``minimize_many`` with an objective that
     their trace equality holds constant."""
 
     @staticmethod
     def solve_box(dim, target_trace):
-        return sdp.minimize(box_with_objective(dim, target_trace))
+        return minimize(box_with_objective(dim, target_trace))
 
     def test_unique_point_identity(self):
         res = self.solve_box(3, 3)
@@ -694,13 +704,13 @@ class TestFeasibility:
     def test_infeasible_trace(self):
         # 0 <= X <= I caps Tr X at 3: the relaxation X <= t I has min t = 4/3,
         # and its dual is a witness against t = 1
-        res = sdp.minimize(box_min_t(3, 4))
+        res = minimize(box_min_t(3, 4))
         assert res.status == "optimal"
         assert res.assignment["t"][0, 0].real == pytest.approx(4 / 3, abs=1e-5)
         assert fires(*sdp.Program(box_problem(3, 4)).farkas(res.dual)[2:])
 
     def test_infeasible_box_stops_without_a_verdict(self):
-        # the iterates of 0 <= X <= I, Tr X = 4 diverge: minimize stops once
+        # the iterates of 0 <= X <= I, Tr X = 4 diverge: the solve stops once
         # the duality gap passes the start's gap / GAP_TOL, long before
         # IPM_MAX_ITER, and keeps its last point
         res = self.solve_box(3, 4)
@@ -790,7 +800,7 @@ class TestWitness:
         # real symmetric ones the solve worked over
         prob = box_problem(3, 4)
         assert sdp.Program(prob).real
-        w, nu, gap, resid = sdp.Program(prob).farkas(sdp.minimize(box_min_t(3, 4)).dual)
+        w, nu, gap, resid = sdp.Program(prob).farkas(minimize(box_min_t(3, 4)).dual)
         const = witness_functional(prob, w, nu, {"X": np.zeros((3, 3), dtype=complex)})
         r = [witness_functional(prob, w, nu, {"X": b}) - const for b in herm_basis(3)]
         assert const == pytest.approx(-gap, abs=1e-12)
@@ -804,7 +814,7 @@ class TestWitness:
     def test_no_witness_fires_on_feasible_problems(self, which):
         # a feasible point x has |x| < 1 / WITNESS_RATIO, so no witness may fire
         prob = feasibility_problem(which)
-        res = sdp.minimize(prob)
+        res = minimize(prob)
         assert res.status == "optimal"
         assert not fires(*sdp.Program(prob).farkas(res.dual)[2:])
 
@@ -812,7 +822,7 @@ class TestWitness:
     def solved(which):
         """(rho, sigma, v = log2 of the optimal t, the solve's result) at eps 0.1."""
         rho, sigma = env_state_pair() if which == "env" else random_pair()
-        res = sdp.minimize(ent._capped_ball(rho, sigma, 0.1, None))
+        res = minimize(capped_ball(rho, sigma, 0.1, None))
         assert res.status == "optimal"
         return rho, sigma, math.log2(float(res.assignment["t"][0, 0].real)), res
 
@@ -820,11 +830,11 @@ class TestWitness:
     def test_min_t_dual_fires_only_below_the_value(self, which):
         rho, sigma, value, res = self.solved(which)
         tol = ent.BISECT_TOL_BITS
-        below = ent._capped_ball(rho, sigma, 0.1, value - tol)
+        below = capped_ball(rho, sigma, 0.1, value - tol)
         assert fires(*sdp.Program(below).farkas(res.dual)[2:])
         # the soundness half: above the value the program is feasible (the
         # solve's own point passes), so no witness may fire there
-        above = ent._capped_ball(rho, sigma, 0.1, value + tol)
+        above = capped_ball(rho, sigma, 0.1, value + tol)
         assert sdp.recheck(above, res.assignment)[0]
         assert not fires(*sdp.Program(above).farkas(res.dual)[2:])
 
@@ -834,13 +844,13 @@ class TestWitness:
         # the oracle clips block by block and evaluates the expressions
         rho, sigma, value, res = self.solved(which)
         z = res.dual
-        below = ent._capped_ball(rho, sigma, 0.1, value - ent.BISECT_TOL_BITS)
+        below = capped_ball(rho, sigma, 0.1, value - ent.BISECT_TOL_BITS)
         gap, resid = sdp.Program(below).farkas(z)[2:]
         want_gap, want_resid = oracles.farkas_from_expressions(below, z)
         assert fires(gap, resid) and fires(want_gap, want_resid)
         assert gap == pytest.approx(want_gap, rel=1e-12)
         assert resid == pytest.approx(want_resid, abs=1e-13)  # w is a unit vector
-        above = ent._capped_ball(rho, sigma, 0.1, value + ent.BISECT_TOL_BITS)
+        above = capped_ball(rho, sigma, 0.1, value + ent.BISECT_TOL_BITS)
         assert not fires(*oracles.farkas_from_expressions(above, z))
 
 
@@ -860,7 +870,7 @@ class TestGeneratedSuite:
             )
             prob.require_eq(sdp.trace_functional("X", d, const=-1.0))
             prob.objective = sdp.trace_functional("X", d)  # constant: a feasibility solve
-            res = sdp.minimize(prob)
+            res = minimize(prob)
             assert res.status == "optimal", f"trial {trial}"
 
     def test_objective_minimize_trace(self):
@@ -872,7 +882,7 @@ class TestGeneratedSuite:
         prob.require_psd(sdp.AffineExpr.const_expr(-rho).plus_var("X"))
         prob.require_psd(sdp.AffineExpr.zero(2).plus_var("X"))
         prob.objective = sdp.trace_functional("X", 2)
-        res = sdp.minimize(prob)
+        res = minimize(prob)
         assert res.status == "optimal"
         assert abs(np.trace(res.assignment["X"]).real - 1.0) <= 1e-6
 
@@ -946,7 +956,7 @@ class TestFidelityBlock:
         eps = 0.1
         target = np.sqrt(1 - eps**2)
         lam_star = oracles.dmax_smooth_classical_oracle(p, s, eps)
-        res = sdp.minimize(self.fidelity_ball_problem(np.diag(p), np.diag(s), None, target))
+        res = minimize(self.fidelity_ball_problem(np.diag(p), np.diag(s), None, target))
         assert res.status == "optimal"
         assert math.log2(res.assignment["t"][0, 0].real) == pytest.approx(lam_star, abs=1e-5)
         for lam in np.linspace(lam_star - 1.0, lam_star + 1.0, 20):
