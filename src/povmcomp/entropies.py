@@ -431,22 +431,41 @@ def _entry_pin(var: str, dim: int, i: int, j: int, value: float, imag: bool) -> 
     return sdp.ScalarExpr(-value, ((var, f),))
 
 
-def _fidelity_ball_problem(
-    blocks: list[_BallBlock], target_f: float, free: bool, real: bool
-) -> sdp.SDProblem:
-    """The smoothing program's fidelity ball: rho' PSD and close to rho.
+def _capped_ball(ball: tuple, eps: float) -> sdp.SDProblem:
+    """The min t program of D_max^eps(rho || sigma), whose optimum is
+    2^(D_max^eps): rho' in the fidelity ball of rho, split into the
+    sub-blocks of ``ball`` (``_ball_blocks`` of the pairs), each in the
+    eigenbasis of its component's rho_c, with each sub-block's cap
+    t sigma_b - rho'_b PSD, t a 1x1 variable.
 
     Per sub-block b that carries rho the program holds one PSD variable
     G_b on supp(rho_b) (+) C^d with the top-left corner pinned to rho_b's
-    spectrum and Z = the off-diagonal corner; sum_b Re Tr Z_b >= target_f
-    encodes the fidelity constraint.  With ``free`` a 1x1 variable w >= 0
-    stands for the trace of rho' on the rho-free sub-blocks (see
-    ``_capped_ball``).  The trace of rho', sum_b Tr rho'_b + w, is 1.
-    With ``real`` (every sigma_b real, so the program is real) the
-    corner's imaginary parts get no pin: they vanish on a real G, and their
-    rows would be zero rows of G_eq.  A Hermitian program needs them all,
-    or its corners are not pinned.
+    spectrum and Z = the off-diagonal corner; sum_b Re Tr Z_b >=
+    sqrt(1 - eps^2) encodes the fidelity constraint.  rho'_b is the
+    trailing subblock of G_b, with no rotation: sigma_b is already in
+    rho_b's basis.  A 1x1 sub-block's cap is a scalar row,
+    t sigma_b - G_b[1, 1] >= 0, like w's.  The trace of rho',
+    sum_b Tr rho'_b + w, is 1.  The program is real when every sigma_b
+    is, and then the corner's imaginary parts get no pin: they vanish on
+    a real G, and their rows would be zero rows of G_eq.  A Hermitian
+    program needs them all, or its corners are not pinned.  t is in no
+    equality row.
+
+    The rho-free sub-blocks are folded into one scalar.  On a sub-block
+    with rho_b = 0, rho'_b enters the program only through Tr rho'_b, in
+    the trace equality, and 0 <= rho'_b <= t sigma_b lets that trace take
+    every value in [0, t Tr sigma_b] (rho'_b = a sigma_b reaches each).
+    So all of them give way to one 1x1 variable w with w >= 0 and
+    t s0 - w >= 0, s0 = sum_b Tr sigma_b over those sub-blocks, and w
+    joins the trace equality.  At every fixed t both programs are
+    feasible together: a point of the per-block program gives
+    w = sum_b Tr rho'_b, and a point of the folded one gives
+    rho'_b = (w / s0) sigma_b.  When s0 is 0 (every rho-free sub-block
+    has sigma_b = 0, so each rho'_b is pinned to 0) there is no w.
     """
+    blocks, free_mass = ball
+    free = free_mass > 0.0
+    real = not any(np.iscomplexobj(blk.sigma) for blk in blocks)
     prob = sdp.SDProblem()
     tr_terms, z_terms = [], []
     for blk in blocks:
@@ -467,88 +486,47 @@ def _fidelity_ball_problem(
         tr_f = np.zeros((r + d, r + d), dtype=complex)
         tr_f[r:, r:] = np.eye(d)
         tr_terms.append((var, tr_f))
+    one = np.eye(1, dtype=complex)
     if free:
         prob.add_var("w", 1)
-        tr_terms.append(("w", np.eye(1, dtype=complex)))
+        tr_terms.append(("w", one))
     prob.require_eq(sdp.ScalarExpr(-1.0, tuple(tr_terms)))
-    prob.require_geq(sdp.ScalarExpr(-float(target_f), tuple(z_terms)))
+    prob.require_geq(sdp.ScalarExpr(-math.sqrt(max(0.0, 1.0 - eps * eps)), tuple(z_terms)))
     if free:
         prob.require_geq(sdp.trace_functional("w", 1))
-    return prob
-
-
-def _capped_ball(ball: tuple, eps: float, lam: float | None) -> sdp.SDProblem:
-    """The program of D_max^eps(rho || sigma): rho' in the fidelity ball of
-    rho, split into the sub-blocks of ``ball`` (``_ball_blocks`` of the
-    pairs), each in the eigenbasis of its component's rho_c, with each
-    sub-block's cap 2^lam sigma_b - rho'_b PSD.
-
-    With ``lam`` None the cap is t sigma_b - rho'_b with t a 1x1 variable,
-    and the objective is min t, whose optimum is 2^(D_max^eps).  rho'_b is
-    the trailing subblock of G_b, with no rotation: sigma_b is already in
-    rho_b's basis.  A 1x1 sub-block's cap is a scalar row,
-    t sigma_b - G_b[1, 1] >= 0, like w's.  The program is real when every
-    sigma_b is.
-
-    The rho-free sub-blocks are folded into one scalar.  On a sub-block
-    with rho_b = 0, rho'_b enters the program only through Tr rho'_b, in
-    the trace equality, and 0 <= rho'_b <= t sigma_b lets that trace take
-    every value in [0, t Tr sigma_b] (rho'_b = a sigma_b reaches each).
-    So all of them give way to one 1x1 variable w with w >= 0 and
-    t s0 - w >= 0 (2^lam s0 - w >= 0 at fixed lam), s0 = sum_b Tr sigma_b
-    over those sub-blocks, and w joins the trace equality.  Both programs
-    are feasible at exactly the same t: a point of the per-block
-    program gives w = sum_b Tr rho'_b, and a point of the folded one gives
-    rho'_b = (w / s0) sigma_b.  When s0 is 0 (every rho-free sub-block has
-    sigma_b = 0, so each rho'_b is pinned to 0) there is no w.
-    """
-    blocks, free_mass = ball
-    free = free_mass > 0.0
-    real = not any(np.iscomplexobj(blk.sigma) for blk in blocks)
-    prob = _fidelity_ball_problem(blocks, math.sqrt(max(0.0, 1.0 - eps * eps)), free, real)
-    if lam is None:
-        prob.add_var("t", 1)
-        prob.objective = sdp.trace_functional("t", 1)
+    prob.add_var("t", 1)
+    prob.objective = sdp.trace_functional("t", 1)
     for blk in blocks:
         if blk.dim == 1:
             # a 1x1 sub-block carries rank 1, so G_b is 2x2
             tail = np.zeros((2, 2), dtype=complex)
             tail[1, 1] = -1.0
-            if lam is None:
-                prob.require_geq(sdp.ScalarExpr(0.0, (("t", blk.sigma), (blk.var, tail))))
-            else:
-                cap = 2.0**lam * float(blk.sigma[0, 0].real)
-                prob.require_geq(sdp.ScalarExpr(cap, ((blk.var, tail),)))
-            continue
-        if lam is None:
+            prob.require_geq(sdp.ScalarExpr(0.0, (("t", blk.sigma), (blk.var, tail))))
+        else:
             cap = sdp.AffineExpr.zero(blk.dim).plus_kron(blk.sigma, "t")
-        else:
-            cap = sdp.AffineExpr.const_expr(2.0**lam * blk.sigma)
-        prob.require_psd(cap.plus_subblock(blk.var, blk.rank, -1.0))
+            prob.require_psd(cap.plus_subblock(blk.var, blk.rank, -1.0))
     if free:
-        one = np.eye(1, dtype=complex)
-        if lam is None:
-            prob.require_geq(sdp.ScalarExpr(0.0, (("t", free_mass * one), ("w", -one))))
-        else:
-            prob.require_geq(sdp.ScalarExpr(2.0**lam * free_mass, (("w", -one),)))
+        prob.require_geq(sdp.ScalarExpr(0.0, (("t", free_mass * one), ("w", -one))))
     return prob
 
 
 def d_max_smooth(rho, sigma, eps: float) -> float:
     """Smoothed max relative entropy over the purified-distance ball.
 
-    One solve of min t over ``_capped_ball(ball, eps, None)``, with
-    ``ball`` the sub-blocks of the one pair (rho, sigma), gives v = log2 t,
-    and v is returned only with two certificates:
+    One solve of min t over ``_capped_ball(ball, eps)``, with ``ball`` the
+    sub-blocks of the one pair (rho, sigma), gives v = log2 t, and v is
+    returned only with two certificates, both on that one program with t
+    held fixed:
 
-    - v is feasible: ``sdp.recheck`` accepts the solve's rho' in the
-      fixed-lambda program ``_capped_ball(ball, eps, v)``;
+    - v is feasible: ``sdp.recheck`` accepts the solve's rho' with t set
+      to 2^v;
     - v - BISECT_TOL_BITS is infeasible: the solve's dual z, projected onto
       the cone and normalised, is a Farkas witness (``sdp.witness_fires``)
-      of the fixed-lambda program at v - BISECT_TOL_BITS.
+      of the program with t held at 2^(v - BISECT_TOL_BITS)
+      (``Program.farkas`` of the solve's own compile).
 
-    So the value lies in (v - BISECT_TOL_BITS, v].  The programs are the
-    split and folded ones of ``_capped_ball``, and both certificates bound
+    So the value lies in (v - BISECT_TOL_BITS, v].  The program is the
+    split and folded one of ``_capped_ball``, and both certificates bound
     D_max^eps itself, for two exact steps:
 
     - Split: each support component is posed in the eigenbasis of its
@@ -557,7 +535,7 @@ def d_max_smooth(rho, sigma, eps: float) -> float:
       Tomamichel, arXiv:1504.00233; Gatermann and Parrilo,
       arXiv:math/0211450).  A degenerate spectrum of rho_c can only hide
       a split, never make a wrong one.
-    - Fold: the rho-free sub-blocks are one scalar w; a fixed-lambda
+    - Fold: the rho-free sub-blocks are one scalar w; at every fixed t the
       program is feasible exactly when its per-block form is
       (w = sum_b Tr rho'_b one way, rho'_b = (w / s0) sigma_b the other).
 
@@ -565,18 +543,15 @@ def d_max_smooth(rho, sigma, eps: float) -> float:
     iterations, is raised only when a certificate fails or t is not positive.
 
     The sub-blocks are found and their spectra taken once
-    (``_ball_blocks``), and the three programs are built from those
-    blocks.  The pair is taken as ``_real_parts`` gives it: real parts
-    when both imaginary parts are within ``la.HERM_TOL`` (round-off, which
-    ``la._hermitian_part`` repairs the same way), and so is each rotated
-    sigma_b.  On a real pair, as on every bundled instance, and on a pair
-    whose components all commute, whatever its phases, the min t solve
-    and both certificates work over real symmetric matrices, and a
-    rebuild of any of them from the same blocks gives the same program.
-    Each certificate is still tested on its own program: the recheck
-    evaluates the fixed-lambda program's expressions, and the Farkas test
-    compiles the program at v - BISECT_TOL_BITS; nothing is read from the
-    min t compile.
+    (``_ball_blocks``), the program is built once from those blocks, and
+    it is compiled once, by the solve.  The pair is taken as
+    ``_real_parts`` gives it: real parts when both imaginary parts are
+    within ``la.HERM_TOL`` (round-off, which ``la._hermitian_part``
+    repairs the same way), and so is each rotated sigma_b.  On a real
+    pair, as on every bundled instance, and on a pair whose components all
+    commute, whatever its phases, the solve and both certificates work
+    over real symmetric matrices.  The recheck evaluates the program's
+    expressions, not its compile.
 
     This is the one-pair value of ``_d_max_smooth_many``, whose value of
     several pairs, as ``i_max_cq_many`` gives a cq state, is that of their
@@ -591,31 +566,33 @@ def _d_max_smooth_many(values: list[list[tuple]], eps: float) -> list[float]:
     checked already (every matrix PSD and as ``la._hermitian_part``
     returns it, the rho_k together a density), at a checked eps: one
     ``sdp.minimize_many`` over their min t programs, then each value's two
-    certificates in order; the first that fails raises its SolverError.
-    At eps 0 a value is the max of ``d_max`` over its pairs."""
+    certificates in order; the first value that fails raises its
+    SolverError.  At eps 0 a value is the max of ``d_max`` over its pairs."""
     if eps == 0.0:
         return [max(d_max(rho, sigma) for rho, sigma in pairs) for pairs in values]
-    balls = [_ball_blocks(pairs) for pairs in values]
-    results = sdp.minimize_many([_capped_ball(ball, eps, None) for ball in balls])
-    return [_certified_value(ball, eps, res) for ball, res in zip(balls, results)]
+    results = sdp.minimize_many([_capped_ball(_ball_blocks(pairs), eps) for pairs in values])
+    return [_certified_value(res) for res in results]
 
 
-def _certified_value(ball: tuple, eps: float, res: sdp.SDPResult) -> float:
-    """log2 t of a min t solve of ``d_max_smooth``, once both certificates pass."""
+def _certified_value(res: sdp.SDPResult) -> float:
+    """log2 t of a min t solve of ``d_max_smooth``, once both certificates
+    pass.  Both are evaluated before either raises, and a SolverError of
+    either carries both: "primal" and "gap" of the recheck, "witness_gap"
+    and "witness_resid" of the witness."""
     ended = f"(solve ended {res.status} after {res.iterations} iterations)"
     t = float(res.assignment["t"][0, 0].real)
     if not (math.isfinite(t) and t > 0.0):
         raise SolverError(f"D_max^eps solve gave t = {t} {ended}", res.residuals)
     value = math.log2(t)
-    ok, checked = sdp.recheck(_capped_ball(ball, eps, value), res.assignment)
-    if not ok:
-        raise SolverError(f"D_max^eps = {value} not certified feasible {ended}", checked)
-    lo = sdp.Program(_capped_ball(ball, eps, value - BISECT_TOL_BITS))
-    _, _, gap, resid = lo.farkas(res.dual)
+    at_value = dict(res.assignment, t=np.full((1, 1), 2.0**value))
+    feasible, residuals = sdp.recheck(res.program.prob, at_value)
+    _, _, gap, resid = res.program.farkas(res.dual, {"t": 2.0 ** (value - BISECT_TOL_BITS)})
+    residuals.update(witness_gap=gap, witness_resid=resid)
+    if not feasible:
+        raise SolverError(f"D_max^eps = {value} not certified feasible {ended}", residuals)
     if not sdp.witness_fires(gap, resid):
         raise SolverError(
-            f"D_max^eps = {value} - {BISECT_TOL_BITS} not certified infeasible {ended}",
-            {"witness_gap": gap, "witness_resid": resid},
+            f"D_max^eps = {value} - {BISECT_TOL_BITS} not certified infeasible {ended}", residuals
         )
     return value
 

@@ -46,8 +46,9 @@ scalars and Schur solve.  Each program gets the result of its lone solve
 ``entropies.d_max_smooth`` and ``entropies.i_max_smooth``; the protocol
 thresholds and the one-shot region reach it through
 ``entropies.i_max_cq_many``, which solves the min t programs of all its
-cq states as one batch.  A solve's result carries two certificates, which
-the caller checks on the program at a fixed value:
+cq states as one batch.  A solve's result carries its compiled
+``Program`` and two certificates, which the caller checks on that
+program with a variable held fixed:
 
 - A point is feasible when ``recheck`` accepts it: ``_recheck`` evaluates
   its constraints again from the problem's own expressions.  The solver
@@ -56,7 +57,8 @@ the caller checks on the program at a fixed value:
   a cone element w with gap > 0 and |G^T w + G_eq^T nu| <= WITNESS_RATIO * gap
   (``Program.farkas``), which proves that no feasible point has norm below
   1 / WITNESS_RATIO.  ``d_max_smooth`` builds w from the dual z of its
-  min t solve and tests it on the program just below the optimum.
+  min t solve and tests it on the solve's own program with t held just
+  below the optimum.
 
 Each solve starts at s = eta e, z = xi e (e the identity blocks and unit
 inequality slots), with eta and xi scaled from the problem's data as in
@@ -322,8 +324,9 @@ class SDPResult:
     residuals: dict[str, float]
     iterations: int
     # the dual z of the solve, over the problem's slack in its own order, so
-    # that ``Program(prob).farkas(z)`` reads it as a witness
+    # that ``program.farkas(z)`` reads it as a witness
     dual: np.ndarray
+    program: Program  # the compiled problem the solve ran on
 
 
 class Program:
@@ -472,7 +475,9 @@ class Program:
         }
 
     # -- infeasibility witness -----------------------------------------------
-    def farkas(self, slack: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
+    def farkas(
+        self, slack: np.ndarray, held: dict[str, float] | None = None
+    ) -> tuple[np.ndarray, np.ndarray, float, float]:
         """Farkas witness (w, nu, gap, |r|) from a slack-side vector.
 
         w is ``slack`` (one rvec per PSD block, then one weight per
@@ -482,6 +487,13 @@ class Program:
         multiplier; r = G^T w + G_eq^T nu and gap = -(<c, w> + <c_eq, nu>).
         For every feasible x, 0 <= <w, G x + c> = <r, x> - gap, so
         |x| >= gap / |r|; ``witness_fires`` reads that bound.
+
+        ``held`` holds 1x1 variables at fixed values: each one's coordinate
+        moves to the constant side, gap -= value * r_var and r_var := 0,
+        which is the witness of the program with that variable fixed.  It
+        is exact when no equality row holds the variable, so that G_eq,
+        ``nu_map`` and the slack layout stay; a held variable with a
+        nonzero G_eq column raises ValueError.
         """
         w = np.clip(slack, 0.0, None)
         for d, slots in self.block_slots.items():
@@ -494,6 +506,12 @@ class Program:
         nu = self.nu_map @ w
         r = self.g_graph.T @ w + self.g_eq.T @ nu
         gap = -float(self.c_graph @ w + self.c_eq @ nu)
+        for var, value in (held or {}).items():
+            o, d = self.var_offsets[var]
+            if d != 1 or self.g_eq[:, o].any():
+                raise ValueError(f"{var!r} is not a 1x1 variable outside every equality row")
+            gap -= value * float(r[o])
+            r[o] = 0.0
         return w, nu, gap, float(np.linalg.norm(r))
 
 
@@ -963,4 +981,4 @@ def _solve(prob: SDProblem):
     assign = prog.get_vars(x)
     if "primal" not in res:
         res.update(_recheck(prob, assign))
-    return SDPResult(status, assign, res, it, dual=z[np.argsort(prog.order)])
+    return SDPResult(status, assign, res, it, dual=z[np.argsort(prog.order)], program=prog)

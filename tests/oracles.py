@@ -7,6 +7,7 @@ inside its own test harness.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 
@@ -530,6 +531,41 @@ def farkas_from_expressions(prob, slack: np.ndarray) -> tuple[float, float]:
     nu = -np.linalg.lstsq(eq_rows, grad, rcond=None)[0]
     gap = -(cone_part(assign, False) + sum(n * eq.const for n, eq in zip(nu, prob.equalities)))
     return gap, float(np.linalg.norm(grad + eq_rows @ nu))
+
+
+def pin_variable(prob, var: str, value: float):
+    """A copy of an SDP with its 1x1 variable ``var`` held at ``value``:
+    each term of ``var`` becomes the constant it takes there, value * F (a
+    kron term's left factor, a scalar term's F), added to its expression's
+    constant; ``var`` and the objective are dropped.  Pinning the min t
+    program's t gives the program at that fixed t."""
+    assert dict(prob.variables)[var] == 1
+    pinned = np.full((1, 1), float(value))
+
+    def psd(expr):
+        const = expr.const
+        for t in expr.terms:
+            if t.var == var:
+                const = const + t.apply(pinned)
+        return dataclasses.replace(expr, const=const, terms=[t for t in expr.terms if t.var != var])
+
+    def scalar(expr):
+        const = expr.const
+        for v, f in expr.terms:
+            if v == var:
+                const += float(np.real(np.sum(f.conj() * pinned)))
+        return dataclasses.replace(
+            expr, const=const, terms=tuple((v, f) for v, f in expr.terms if v != var)
+        )
+
+    return dataclasses.replace(
+        prob,
+        variables=[(lab, d) for lab, d in prob.variables if lab != var],
+        psd_constraints=[psd(e) for e in prob.psd_constraints],
+        equalities=[scalar(e) for e in prob.equalities],
+        inequalities=[scalar(e) for e in prob.inequalities],
+        objective=None,
+    )
 
 
 def recheck_per_expression(prob, assign: dict) -> dict:

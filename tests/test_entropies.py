@@ -370,9 +370,15 @@ def ball(rho, sigma) -> tuple:
     return ent._ball_blocks([(rho, sigma)])
 
 
-def capped_ball(rho, sigma, eps, lam):
-    """``d_max_smooth``'s program of the one pair (rho, sigma)."""
-    return ent._capped_ball(ball(rho, sigma), eps, lam)
+def capped_ball(rho, sigma, eps):
+    """``d_max_smooth``'s min t program of the one pair (rho, sigma)."""
+    return ent._capped_ball(ball(rho, sigma), eps)
+
+
+def at_lam(prob, lam):
+    """The min t program ``prob`` with t held at 2^lam
+    (``oracles.pin_variable``), or ``prob`` itself when ``lam`` is None."""
+    return prob if lam is None else oracles.pin_variable(prob, "t", 2.0**lam)
 
 
 def direct_sum(pairs) -> tuple:
@@ -599,13 +605,13 @@ class TestFoldedBall:
     per component."""
 
     def check_fold(self, rho, sigma, eps, has_w):
-        folded = capped_ball(rho, sigma, eps, None)
+        folded = capped_ball(rho, sigma, eps)
         assert ("w" in dict(folded.variables)) == has_w
         t = min_t(folded)
         want = min_t(oracles.capped_ball_per_component(sdp, rho, sigma, eps, None))
         assert t == pytest.approx(want, rel=1e-6)
         # d_max_smooth raises SolverError unless both certificates pass on
-        # the folded fixed-lambda programs
+        # the folded program with t held
         assert ent.d_max_smooth(rho, sigma, eps) == pytest.approx(math.log2(want), abs=1e-6)
 
     def test_folded_matches_per_component_program(self):
@@ -642,7 +648,7 @@ class TestFoldedBall:
             sub_blocks = ent._ball_blocks(pairs)
             assert sub_blocks[1] == 0.0
             for lam in (None, 0.7):
-                got = ent._capped_ball(sub_blocks, 0.1, lam)
+                got = at_lam(ent._capped_ball(sub_blocks, 0.1), lam)
                 want = oracles.capped_ball_per_component(sdp, rho, sigma, 0.1, lam)
                 assert [d for _, d in got.variables] == [d for _, d in want.variables]
                 assert [e.dim for e in got.psd_constraints] == [e.dim for e in want.psd_constraints]
@@ -651,7 +657,7 @@ class TestFoldedBall:
                     len(want.inequalities),
                 )
             want_t = min_t(oracles.capped_ball_per_component(sdp, rho, sigma, 0.1, None))
-            assert min_t(ent._capped_ball(sub_blocks, 0.1, None)) == pytest.approx(want_t, rel=1e-6)
+            assert min_t(ent._capped_ball(sub_blocks, 0.1)) == pytest.approx(want_t, rel=1e-6)
 
     def test_largest_region_program_size(self, monkeypatch):
         prep = P.prepare(io.load_bundled("instrument_derived"))
@@ -660,7 +666,7 @@ class TestFoldedBall:
         )
         sizes = []
         for pairs in values:
-            prog = sdp.Program(ent._capped_ball(ent._ball_blocks(pairs), 0.1, None))
+            prog = sdp.Program(ent._capped_ball(ent._ball_blocks(pairs), 0.1))
             ref = oracles.capped_ball_per_component(sdp, *direct_sum(pairs), 0.1, None)
             ref = sdp.Program(ref)
             sizes.append((ref.n_vars, prog.n_vars, collections.Counter(prog.block_dims)))
@@ -696,32 +702,35 @@ class TestSmoothingSolve:
             assert abs(got - want) <= ent.BISECT_TOL_BITS
 
     def test_one_build_of_the_blocks_per_value(self, monkeypatch, region_x_pairs):
-        # the min-t, recheck and Farkas programs share one classification
-        # of the components, and each compiles to the bytes of a program
-        # built from a fresh classification
-        ball_blocks, capped_ball = ent._ball_blocks, ent._capped_ball
-        balls, built = [], []
+        # the solve and both certificates share one classification of the
+        # components, one program and its one compile, which has the bytes
+        # of a program built from a fresh classification
+        ball_blocks, capped_ball, program = ent._ball_blocks, ent._capped_ball, sdp.Program
+        balls, built, progs = [], [], []
 
         def recording_ball_blocks(pairs):
             balls.append(ball_blocks(pairs))
             return balls[-1]
 
-        def recording_capped_ball(sub_blocks, eps, lam):
-            built.append((sub_blocks, eps, lam, capped_ball(sub_blocks, eps, lam)))
+        def recording_capped_ball(sub_blocks, eps):
+            built.append((sub_blocks, eps, capped_ball(sub_blocks, eps)))
             return built[-1][-1]
+
+        def recording_program(prob):
+            progs.append(program(prob))
+            return progs[-1]
 
         monkeypatch.setattr(ent, "_ball_blocks", recording_ball_blocks)
         monkeypatch.setattr(ent, "_capped_ball", recording_capped_ball)
+        monkeypatch.setattr(sdp, "Program", recording_program)
         for rho, sigma in region_x_pairs:
             ent.d_max_smooth(rho, sigma, 0.1)
-        assert len(balls) == len(region_x_pairs)
-        assert len(built) == 3 * len(region_x_pairs)
-        for (rho, sigma), sub_blocks in zip(region_x_pairs, balls):
-            progs = [(eps, lam, prob) for b, eps, lam, prob in built if b is sub_blocks]
-            assert len(progs) == 3
-            for eps, lam, prob in progs:
-                fresh = capped_ball(ball_blocks([(rho, sigma)]), eps, lam)
-                assert compiled(prob) == compiled(fresh)
+        monkeypatch.undo()
+        n = len(region_x_pairs)
+        assert (len(balls), len(built), len(progs)) == (n, n, n)
+        for pair, sub_blocks, (b, eps, prob), prog in zip(region_x_pairs, balls, built, progs):
+            assert b is sub_blocks and prog.prob is prob
+            assert compiled(prob) == compiled(capped_ball(ball_blocks([pair]), eps))
 
     def test_certificates_decide_whatever_the_status(self, monkeypatch, region_x_pairs):
         # a solve reported "maxIterations" whose point and dual pass both
@@ -729,22 +738,64 @@ class TestSmoothingSolve:
         # its dual zeroed there is no infeasibility witness, and no value
         rho, sigma = region_x_pairs[0]
         want = ent.d_max_smooth(rho, sigma, 0.1)
-        minimize_many, zero_dual = sdp.minimize_many, []
-
-        def stalled(probs):
-            return [
-                dataclasses.replace(
-                    res, status="maxIterations", dual=res.dual * 0.0 if zero_dual else res.dual
-                )
-                for res in minimize_many(probs)
-            ]
-
-        monkeypatch.setattr(sdp, "minimize_many", stalled)
+        stalled_solves(monkeypatch, lambda res: {})
         assert ent.d_max_smooth(rho, sigma, 0.1).hex() == want.hex()
-        zero_dual.append(True)
-        stall = r"not certified infeasible \(solve ended maxIterations after \d+ iterations\)"
-        with pytest.raises(ent.SolverError, match=stall):
+        stalled_solves(monkeypatch, lambda res: {"dual": res.dual * 0.0})
+        with pytest.raises(ent.SolverError, match="not certified infeasible " + STALLED) as err:
             ent.d_max_smooth(rho, sigma, 0.1)
+        # the error carries both certificates: the point still passes
+        residuals = err.value.residuals
+        assert set(residuals) == {"primal", "gap", "witness_gap", "witness_resid"}
+        assert residuals["primal"] <= 10 * sdp.FEASIBLE_TOL
+        assert not sdp.witness_fires(residuals["witness_gap"], residuals["witness_resid"])
+
+    def test_a_point_over_its_cap_is_not_certified_feasible(self, monkeypatch, region_x_pairs):
+        # t halved under the solve's rho': the point is over its cap, while
+        # the dual is a witness below the halved value as well
+        rho, sigma = region_x_pairs[0]
+
+        def halved(res):
+            return {"assignment": {**res.assignment, "t": 0.5 * res.assignment["t"]}}
+
+        stalled_solves(monkeypatch, halved)
+        with pytest.raises(ent.SolverError, match="not certified feasible " + STALLED) as err:
+            ent.d_max_smooth(rho, sigma, 0.1)
+        residuals = err.value.residuals
+        assert set(residuals) == {"primal", "gap", "witness_gap", "witness_resid"}
+        assert residuals["primal"] > 10 * sdp.FEASIBLE_TOL
+        assert sdp.witness_fires(residuals["witness_gap"], residuals["witness_resid"])
+
+    @pytest.mark.parametrize("t", [0.0, math.nan])
+    def test_a_solve_without_positive_t_raises(self, monkeypatch, region_x_pairs, t):
+        # no value to certify: the error carries the solve's own residuals
+        rho, sigma = region_x_pairs[0]
+        stalled = []
+
+        def no_t(res):
+            stalled.append(res)
+            return {"assignment": {**res.assignment, "t": np.full_like(res.assignment["t"], t)}}
+
+        stalled_solves(monkeypatch, no_t)
+        with pytest.raises(ent.SolverError, match=f"solve gave t = {t} " + STALLED) as err:
+            ent.d_max_smooth(rho, sigma, 0.1)
+        assert err.value.residuals == stalled[0].residuals
+
+
+STALLED = r"\(solve ended maxIterations after \d+ iterations\)"
+
+
+def stalled_solves(monkeypatch, change) -> None:
+    """Patch ``sdp.minimize_many`` to report each solve "maxIterations",
+    with the fields that ``change(result)`` returns replaced."""
+    minimize_many = sdp.minimize_many
+
+    def stalled(probs):
+        return [
+            dataclasses.replace(res, status="maxIterations", **change(res))
+            for res in minimize_many(probs)
+        ]
+
+    monkeypatch.setattr(sdp, "minimize_many", stalled)
 
 
 def phased(rho, sigma) -> tuple:
@@ -790,8 +841,8 @@ class TestRealField:
         # its phases, so the phased program is Hermitian exactly when some
         # component does not commute; then every block's variable has d^2
         # reals, else d(d+1)/2
-        real = sdp.Program(capped_ball(rho, sigma, eps, None))
-        herm = sdp.Program(capped_ball(*phased(rho, sigma), eps, None))
+        real = sdp.Program(capped_ball(rho, sigma, eps))
+        herm = sdp.Program(capped_ball(*phased(rho, sigma), eps))
         assert real.real and herm.real == all_components_commute(rho, sigma)
         assert herm.n_vars == sum(sdp.rvec_size(d, herm.real) for _, d in herm.prob.variables)
         assert real.n_vars == sum(d * (d + 1) // 2 for _, d in real.prob.variables)
@@ -825,8 +876,8 @@ class TestRealField:
         noise = 1e-12 * oracles.random_hermitian(np.random.default_rng(52), len(rho))
         noisy = (rho + 1j * np.imag(noise), sigma.astype(complex))
         for lam in (None, 0.4):
-            assert compiled(capped_ball(*noisy, 0.1, lam)) == compiled(
-                capped_ball(rho, sigma, 0.1, lam)
+            assert compiled(at_lam(capped_ball(*noisy, 0.1), lam)) == compiled(
+                at_lam(capped_ball(rho, sigma, 0.1), lam)
             )
         assert all(not np.iscomplexobj(blk.sigma) for blk in ball(*noisy)[0])
 
@@ -842,7 +893,8 @@ class TestRealField:
         assert values
         for pairs in values:
             for lam in (None, 0.4):
-                assert sdp.Program(ent._capped_ball(ent._ball_blocks(pairs), 0.1, lam)).real
+                prob = ent._capped_ball(ent._ball_blocks(pairs), 0.1)
+                assert sdp.Program(at_lam(prob, lam)).real
 
 
 class TestEigenbasisSplit:
@@ -889,7 +941,7 @@ class TestEigenbasisSplit:
         # and every corner's imaginary parts are pinned
         mixed = 0
         for rho, sigma, eps in classical_copy_pairs():
-            prog = sdp.Program(capped_ball(rho, sigma, eps, None))
+            prog = sdp.Program(capped_ball(rho, sigma, eps))
             assert len(prog.prob.equalities) == corner_pins(rho, sigma, prog.real)
             blocks = ball(rho, sigma)[0]
             kinds = {np.iscomplexobj(b.sigma) for b in blocks}

@@ -84,7 +84,7 @@ def test_block_distance_is_the_same_in_every_process():
 
 
 # Golden pins: every value below was recorded as float.hex at eps 0.1,
-# seed 1 and log_const 0, with the status of every ``sdp.minimize`` solve
+# seed 1 and log_const 0, with the status of every ``sdp.minimize_many`` solve
 # of ``thresholds`` in call order (``python tests/test_protocols.py`` rewrites
 # the file and prints each pin it moves, with its Δ).  Codebook plans come
 # from explicit integer budgets, not from budget_from_thresholds; the X links
@@ -111,14 +111,14 @@ def _hex(values) -> dict | list:
 
 def _certified_solves(run):
     """``run()``'s output and, per smooth D_max it certified, in call order:
-    (its sub-blocks, eps, value, ``sdp.minimize_many`` result).  Every
-    value goes through ``entropies._certified_value``."""
+    (its value, ``sdp.minimize_many`` result).  Every value goes through
+    ``entropies._certified_value``."""
     solves = []
     certified_value = ent._certified_value
 
-    def recording_certified_value(ball, eps, res):
-        value = certified_value(ball, eps, res)
-        solves.append((ball, eps, value, res))
+    def recording_certified_value(res):
+        value = certified_value(res)
+        solves.append((value, res))
         return value
 
     with pytest.MonkeyPatch.context() as mp:
@@ -136,13 +136,15 @@ def _solve_instance(name: str):
 
 
 def _check_certificates(solves) -> None:
-    """Both certificates of every value v, checked again from the programs'
-    expressions: the solve's rho' is feasible at v, and its dual is a
-    Farkas witness at v - BISECT_TOL_BITS."""
-    for ball, eps, value, res in solves:
-        primal = sdp._recheck(ent._capped_ball(ball, eps, value), res.assignment)
+    """Both certificates of every value v, checked again from the
+    expressions of the solved program with t pinned (``oracles.pin_variable``):
+    the solve's rho' is feasible at t = 2^v, and its dual is a Farkas witness
+    at t = 2^(v - BISECT_TOL_BITS)."""
+    for value, res in solves:
+        prob = res.program.prob
+        primal = sdp._recheck(oracles.pin_variable(prob, "t", 2.0**value), res.assignment)
         assert primal["primal"] <= 10 * sdp.FEASIBLE_TOL and primal["gap"] <= 10 * sdp.FEASIBLE_TOL
-        lo = ent._capped_ball(ball, eps, value - ent.BISECT_TOL_BITS)
+        lo = oracles.pin_variable(prob, "t", 2.0 ** (value - ent.BISECT_TOL_BITS))
         gap, resid = oracles.farkas_from_expressions(lo, res.dual)
         assert gap > 0 and resid <= sdp.WITNESS_RATIO * gap
 

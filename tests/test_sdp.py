@@ -94,9 +94,14 @@ def minimize(prob):
     return sdp.minimize_many([prob])[0]
 
 
-def capped_ball(rho, sigma, eps, lam):
-    """``d_max_smooth``'s program of the one pair (rho, sigma)."""
-    return ent._capped_ball(ent._ball_blocks([(rho, sigma)]), eps, lam)
+def capped_ball(rho, sigma, eps):
+    """``d_max_smooth``'s min t program of the one pair (rho, sigma)."""
+    return ent._capped_ball(ent._ball_blocks([(rho, sigma)]), eps)
+
+
+def capped_ball_at(rho, sigma, eps, lam):
+    """That program with t held at 2^lam (``oracles.pin_variable``)."""
+    return oracles.pin_variable(capped_ball(rho, sigma, eps), "t", 2.0**lam)
 
 
 def env_state_pair():
@@ -114,9 +119,9 @@ def random_pair():
 
 
 def kernel_problem(which):
-    """Problems covering every Term kind: "ball_cap" is d_max_smooth's
-    fixed-lambda fidelity-ball program with its cap (id, subblock),
-    "min_t" its min t program (id, subblock, kron)."""
+    """Problems covering every Term kind: "min_t" is d_max_smooth's min t
+    program (id, subblock, kron), "ball_cap" the same with t pinned, its
+    cap a constant (id, subblock)."""
     if which == "box":
         return box_problem(3, 3)
     if which == "interleaved":
@@ -124,7 +129,9 @@ def kernel_problem(which):
     if which == "mixed_rows":
         return mixed_rows_problem()
     rho, sigma = random_pair()
-    return capped_ball(rho, sigma, 0.1, ent.d_max(rho, sigma) if which == "ball_cap" else None)
+    if which == "ball_cap":
+        return capped_ball_at(rho, sigma, 0.1, ent.d_max(rho, sigma))
+    return capped_ball(rho, sigma, 0.1)
 
 
 KERNEL_PROBLEMS = ["box", "interleaved", "mixed_rows", "ball_cap", "min_t"]
@@ -296,7 +303,7 @@ class TestIterationKernels:
 
         monkeypatch.setattr(sdp, "_scaled_cones", recording_cones)
         monkeypatch.setattr(sdp, "_max_steps", recording_steps)
-        res = minimize(capped_ball(*env_state_pair(), 0.1, None))
+        res = minimize(capped_ball(*env_state_pair(), 0.1))
         assert res.status == "optimal" and len(cones) == res.iterations > 10
         for cone, following in zip(cones, cones[1:]):
             ds, dz = cone.directions[-1]
@@ -309,7 +316,7 @@ class TestIterationKernels:
             assert np.max(np.abs((following.s - cone.s) / alpha - unscaled)) <= 1e-10
 
     def test_one_congruence_per_block_group_per_iteration(self, monkeypatch):
-        prob = capped_ball(*env_state_pair(), 0.1, None)
+        prob = capped_ball(*env_state_pair(), 0.1)
         calls = []
         congruence = sdp._congruence
 
@@ -676,7 +683,7 @@ class TestKernelVerdicts:
         qubit_entangled_side_info's X env state gets the same status,
         iteration count and value bits from ``sdp.minimize_many`` when
         ``Program`` probes its map per basis matrix."""
-        prob = capped_ball(*env_state_pair(), 0.1, None)
+        prob = capped_ball(*env_state_pair(), 0.1)
 
         def run():
             res = minimize(prob)
@@ -792,7 +799,8 @@ def herm_basis(d):
 
 class TestWitness:
     """The infeasibility certificate of ``d_max_smooth``: the dual z of the
-    min t solve, read as a Farkas witness on the fixed-lambda program."""
+    min t solve, read as a Farkas witness on the program with t fixed (the
+    solve's own program with t held, or ``oracles.pin_variable``'s)."""
 
     def test_box_witness_checked_from_expressions(self):
         # the box has real data, so its witness is a real one; r runs over
@@ -822,7 +830,7 @@ class TestWitness:
     def solved(which):
         """(rho, sigma, v = log2 of the optimal t, the solve's result) at eps 0.1."""
         rho, sigma = env_state_pair() if which == "env" else random_pair()
-        res = minimize(capped_ball(rho, sigma, 0.1, None))
+        res = minimize(capped_ball(rho, sigma, 0.1))
         assert res.status == "optimal"
         return rho, sigma, math.log2(float(res.assignment["t"][0, 0].real)), res
 
@@ -830,11 +838,11 @@ class TestWitness:
     def test_min_t_dual_fires_only_below_the_value(self, which):
         rho, sigma, value, res = self.solved(which)
         tol = ent.BISECT_TOL_BITS
-        below = capped_ball(rho, sigma, 0.1, value - tol)
+        below = capped_ball_at(rho, sigma, 0.1, value - tol)
         assert fires(*sdp.Program(below).farkas(res.dual)[2:])
         # the soundness half: above the value the program is feasible (the
         # solve's own point passes), so no witness may fire there
-        above = capped_ball(rho, sigma, 0.1, value + tol)
+        above = capped_ball_at(rho, sigma, 0.1, value + tol)
         assert sdp.recheck(above, res.assignment)[0]
         assert not fires(*sdp.Program(above).farkas(res.dual)[2:])
 
@@ -844,14 +852,34 @@ class TestWitness:
         # the oracle clips block by block and evaluates the expressions
         rho, sigma, value, res = self.solved(which)
         z = res.dual
-        below = capped_ball(rho, sigma, 0.1, value - ent.BISECT_TOL_BITS)
+        below = capped_ball_at(rho, sigma, 0.1, value - ent.BISECT_TOL_BITS)
         gap, resid = sdp.Program(below).farkas(z)[2:]
         want_gap, want_resid = oracles.farkas_from_expressions(below, z)
         assert fires(gap, resid) and fires(want_gap, want_resid)
         assert gap == pytest.approx(want_gap, rel=1e-12)
         assert resid == pytest.approx(want_resid, abs=1e-13)  # w is a unit vector
-        above = capped_ball(rho, sigma, 0.1, value + ent.BISECT_TOL_BITS)
+        above = capped_ball_at(rho, sigma, 0.1, value + ent.BISECT_TOL_BITS)
         assert not fires(*oracles.farkas_from_expressions(above, z))
+
+    def test_held_t_matches_the_pinned_program_on_region_programs(self, region_programs):
+        # d_max_smooth's witness: the solve's own program with t held, against
+        # the fixed-t program rebuilt from the expressions; it fires below the
+        # value and not above it
+        for prob, res in zip(region_programs, sdp.minimize_many(region_programs)):
+            value = math.log2(float(res.assignment["t"][0, 0].real))
+            for step, below in ((-ent.BISECT_TOL_BITS, True), (ent.BISECT_TOL_BITS, False)):
+                t0 = 2.0 ** (value + step)
+                gap, resid = res.program.farkas(res.dual, {"t": t0})[2:]
+                pinned = oracles.pin_variable(prob, "t", t0)
+                want = oracles.farkas_from_expressions(pinned, res.dual)
+                assert fires(gap, resid) == fires(*want) == below
+                assert gap == pytest.approx(want[0], rel=1e-9)
+
+    def test_held_variable_in_an_equality_row_raises(self, region_programs):
+        # w joins the trace equality, so holding it would change nu
+        res = minimize(next(prob for prob in region_programs if "w" in dict(prob.variables)))
+        with pytest.raises(ValueError, match="outside every equality row"):
+            res.program.farkas(res.dual, {"w": 0.5})
 
 
 class TestGeneratedSuite:
