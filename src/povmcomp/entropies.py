@@ -519,7 +519,7 @@ def d_max_smooth(rho, sigma, eps: float) -> float:
     held fixed:
 
     - v is feasible: ``sdp.recheck`` accepts the solve's rho' with t set
-      to 2^v;
+      to 2^v (the solve's own final recheck, when 2^v is its t);
     - v - BISECT_TOL_BITS is infeasible: the solve's dual z, projected onto
       the cone and normalised, is a Farkas witness (``sdp.witness_fires``)
       of the program with t held at 2^(v - BISECT_TOL_BITS)
@@ -539,12 +539,20 @@ def d_max_smooth(rho, sigma, eps: float) -> float:
       program is feasible exactly when its per-block form is
       (w = sum_b Tr rho'_b one way, rho'_b = (w / s0) sigma_b the other).
 
+    A classical value, whose sub-blocks that carry rho are all 1x1 with
+    sigma_b > 0 (a commuting pair, split), skips the interior-point
+    method: the program is then a water-filling over scalars, whose least
+    t ``_water_fill`` solves exactly, as a root of a quadratic in sqrt(t),
+    with the point and the dual of its KKT conditions.  The two
+    certificates decide that value as they decide a solved one, on the
+    same program.  Every other value is solved by ``sdp.minimize_many``.
+
     The solve's status decides nothing: SolverError, naming the status and
     iterations, is raised only when a certificate fails or t is not positive.
 
     The sub-blocks are found and their spectra taken once
     (``_ball_blocks``), the program is built once from those blocks, and
-    it is compiled once, by the solve.  The pair is taken as
+    it is compiled once, by the solve or by ``_water_fill``.  The pair is taken as
     ``_real_parts`` gives it: real parts when both imaginary parts are
     within ``la.HERM_TOL`` (round-off, which ``la._hermitian_part``
     repairs the same way), and so is each rotated sigma_b.  On a real
@@ -564,28 +572,128 @@ def d_max_smooth(rho, sigma, eps: float) -> float:
 def _d_max_smooth_many(values: list[list[tuple]], eps: float) -> list[float]:
     """D_max^eps of the direct sum of each value's pairs (rho_k, sigma_k),
     checked already (every matrix PSD and as ``la._hermitian_part``
-    returns it, the rho_k together a density), at a checked eps: one
-    ``sdp.minimize_many`` over their min t programs, then each value's two
-    certificates in order; the first value that fails raises its
+    returns it, the rho_k together a density), at a checked eps: a
+    classical value (every sub-block that carries rho 1x1, with
+    sigma_b > 0) is solved in closed form (``_water_fill``), the others by
+    one ``sdp.minimize_many`` over their min t programs, then each value's
+    two certificates in order; the first value that fails raises its
     SolverError.  At eps 0 a value is the max of ``d_max`` over its pairs."""
     if eps == 0.0:
         return [max(d_max(rho, sigma) for rho, sigma in pairs) for pairs in values]
-    results = sdp.minimize_many([_capped_ball(_ball_blocks(pairs), eps) for pairs in values])
+    balls = [_ball_blocks(pairs) for pairs in values]
+    classical = [all(b.dim == 1 and b.sigma[0, 0] > 0 for b in ball[0]) for ball in balls]
+    probs = [_capped_ball(b, eps) for b, c in zip(balls, classical) if not c]
+    solved = iter(sdp.minimize_many(probs))
+    results = [_water_fill(b, eps) if c else next(solved) for b, c in zip(balls, classical)]
     return [_certified_value(res) for res in results]
+
+
+def _water_fill(ball: tuple, eps: float) -> sdp.SDPResult:
+    """The min t solve of ``_capped_ball(ball, eps)`` in closed form, for a
+    classical ``ball``: every sub-block b that carries rho is 1x1, with
+    rho_b = lambda_b and sigma_b > 0.  The program is built and compiled
+    once, for the certificates; the result reports 0 iterations.
+
+    There G_b is PSD exactly when x_b = rho'_b >= 0 and its corner
+    Z_b^2 <= lambda_b x_b, so at a fixed t the best fidelity is
+    F(t) = max sum_b sqrt(lambda_b x_b) over x_b <= t sigma_b and
+    sum_b x_b <= 1, and w takes the rest of the trace: w <= t s0 holds
+    exactly when t >= t_min = 1 / (sum_b sigma_b + s0).  F is a
+    water-filling (the classical case of Tomamichel, arXiv:1504.00233):
+    with mu the multiplier of the trace, x_b = min(t sigma_b,
+    lambda_b / (4 mu^2)), so the capped sub-blocks are a prefix of the
+    order of lambda_b / sigma_b, descending, and they uncap one by one as
+    t grows.  On the segment of t where the first k are capped, with
+    A = sum sqrt(lambda_b sigma_b) and S = sum sigma_b over them and
+    L = sum lambda_b over the others, F(t) = A sqrt(t) + sqrt(L (1 - S t)),
+    so F(t) = c = sqrt(1 - eps^2) is a quadratic in sqrt(t), and since F
+    grows with t its crossing is the smaller root.  So
+    t* = max(t_min, the crossing), exactly, with no bisection; at t_min
+    every sub-block is capped.
+
+    The point is G_b = [[lambda_b, sqrt(lambda_b x_b)], [sqrt(lambda_b x_b),
+    x_b]], w = 1 - sum_b x_b and t = t*.  The dual z, in the problem's
+    slack order, holds the water-filling's KKT multipliers at
+    t' = 2^(log2 t* - BISECT_TOL_BITS), where F(t') < c: W_b =
+    [[1 / (4 kappa_b), -1/2], [-1/2, kappa_b]] with kappa_b =
+    max(mu, sqrt(lambda_b / (t' sigma_b)) / 2), 1 on the fidelity row, mu
+    on w >= 0, kappa_b - mu on each cap and 0 on w's cap.  Against the
+    pins and the trace row its pairing with the slack is the constant
+    mu + sum_b (lambda_b / (4 kappa_b) + t' (kappa_b - mu) sigma_b) - c,
+    the water-filling's dual value F(t') less c, so its gap is
+    c - F(t') > 0.  When t' (sum_b sigma_b + s0) < 1 no point can be
+    normalised, and z is that contradiction alone: 1 on every cap and on
+    w's cap, 0 elsewhere, with gap 1 - t' (sum_b sigma_b + s0).
+    """
+    blocks, free_mass = ball
+    free = free_mass > 0.0
+    prog = sdp.Program(_capped_ball(ball, eps))
+    lam = np.array([blk.eigs[0] for blk in blocks])
+    sig = np.array([blk.sigma[0, 0].real for blk in blocks])
+    s_all = float(sig.sum()) + (free_mass if free else 0.0)
+    c = math.sqrt(max(0.0, 1.0 - eps * eps))
+    order = np.argsort(-lam / sig, kind="stable")
+    lam_o, sig_o, n = lam[order], sig[order], len(blocks)
+    # per k = 0 .. n, with the first k of ``order`` capped: S, A and L
+    cap_s = np.concatenate(([0.0], np.cumsum(sig_o)))
+    cap_a = np.concatenate(([0.0], np.cumsum(np.sqrt(lam_o * sig_o))))
+    rest_l = np.concatenate((np.cumsum(lam_o[::-1])[::-1], [0.0]))
+    # the top of segment k = 1 .. n, where its k-th sub-block uncaps, and F there
+    ratio = lam_o / sig_o
+    top = ratio / (rest_l[1:] + ratio * cap_s[1:])
+    f_top = np.sqrt(top) * cap_a[1:]
+    f_top += np.sqrt(np.clip(rest_l[1:] * (1.0 - top * cap_s[1:]), 0.0, None))
+    k = max(int(np.sum(f_top >= c)), 1)
+    a, s, rest = cap_a[k], cap_s[k], rest_l[k]
+    root = (c * c - rest) / (c * a + math.sqrt(max(rest * (a * a + s * (rest - c * c)), 0.0)))
+    t_star = max(1.0 / s_all, root * root)
+    if t_star > root * root:
+        k = n  # bound by the normalisation: every sub-block is capped at t_min
+
+    x = np.empty(n)
+    share = (1.0 - t_star * cap_s[k]) / rest_l[k] if k < n else 0.0
+    x[order] = np.concatenate((t_star * sig_o[:k], share * lam_o[k:]))
+    corner = np.sqrt(lam * x)
+    assign = {
+        blk.var: np.array([[lb, zb], [zb, xb]]) for blk, lb, zb, xb in zip(blocks, lam, corner, x)
+    }
+    if free:
+        assign["w"] = np.full((1, 1), 1.0 - x.sum())
+    assign["t"] = np.full((1, 1), t_star)
+
+    t_low = 2.0 ** (math.log2(t_star) - BISECT_TOL_BITS)
+    psd = np.zeros((n, 2, 2))
+    if t_low * s_all < 1.0:
+        fid, floor, caps, free_cap = 0.0, 0.0, np.ones(n), 1.0
+    else:
+        k = int(np.sum(top > t_low))
+        mu = 0.5 * math.sqrt(rest_l[k] / (1.0 - t_low * cap_s[k])) if k < n else 0.0
+        kappa = np.maximum(mu, 0.5 * np.sqrt(lam / (t_low * sig)))
+        psd[:, 0, 0], psd[:, 0, 1], psd[:, 1, 0], psd[:, 1, 1] = 0.25 / kappa, -0.5, -0.5, kappa
+        fid, floor, caps, free_cap = 1.0, mu, kappa - mu, 0.0
+    ineq = [[fid], [floor] * free, caps, [free_cap] * free]
+    dual = np.concatenate([sdp.herm_to_rvec(psd, prog.real).ravel(), *ineq])
+    return sdp.SDPResult("optimal", assign, {}, 0, dual, prog)
 
 
 def _certified_value(res: sdp.SDPResult) -> float:
     """log2 t of a min t solve of ``d_max_smooth``, once both certificates
     pass.  Both are evaluated before either raises, and a SolverError of
     either carries both: "primal" and "gap" of the recheck, "witness_gap"
-    and "witness_resid" of the witness."""
+    and "witness_resid" of the witness.  When 2^v is the solve's t and the
+    solve has rechecked its point (its residuals hold "primal"), the
+    recheck is that one; else the point is rechecked with t set to 2^v."""
     ended = f"(solve ended {res.status} after {res.iterations} iterations)"
     t = float(res.assignment["t"][0, 0].real)
     if not (math.isfinite(t) and t > 0.0):
         raise SolverError(f"D_max^eps solve gave t = {t} {ended}", res.residuals)
     value = math.log2(t)
-    at_value = dict(res.assignment, t=np.full((1, 1), 2.0**value))
-    feasible, residuals = sdp.recheck(res.program.prob, at_value)
+    if 2.0**value == t and "primal" in res.residuals:
+        residuals = {key: res.residuals[key] for key in ("primal", "gap")}
+        feasible = sdp.within_tolerance(residuals)
+    else:
+        at_value = dict(res.assignment, t=np.full((1, 1), 2.0**value))
+        feasible, residuals = sdp.recheck(res.program.prob, at_value)
     _, _, gap, resid = res.program.farkas(res.dual, {"t": 2.0 ** (value - BISECT_TOL_BITS)})
     residuals.update(witness_gap=gap, witness_resid=resid)
     if not feasible:

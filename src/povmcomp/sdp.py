@@ -46,13 +46,21 @@ scalars and Schur solve.  Each program gets the result of its lone solve
 ``entropies.d_max_smooth`` and ``entropies.i_max_smooth``; the protocol
 thresholds and the one-shot region reach it through
 ``entropies.i_max_cq_many``, which solves the min t programs of all its
-cq states as one batch.  A solve's result carries its compiled
-``Program`` and two certificates, which the caller checks on that
-program with a variable held fixed:
+cq states as one batch.  A classical value skips it: when every
+sub-block that carries rho is 1x1 with sigma_b > 0, the program is a
+water-filling over scalars, and ``entropies._water_fill`` gives its
+optimum t* in closed form, with a point and a dual from the
+water-filling's KKT conditions, in the ``SDPResult`` a solve would give
+(0 iterations).  That is exact: at fixed t the program's best fidelity is
+the water-filling's, piecewise A sqrt(t) + sqrt(L (1 - S t)) in t, so
+t* is a root of a quadratic in sqrt(t).  A result, solved or closed form,
+carries its compiled ``Program`` and two certificates, which the caller
+checks on that program with a variable held fixed:
 
 - A point is feasible when ``recheck`` accepts it: ``_recheck`` evaluates
   its constraints again from the problem's own expressions.  The solver
-  returns "optimal" only for a primal point that passes it.
+  returns "optimal" only for a primal point that passes it, and its
+  residuals hold that last recheck of its point.
 - A problem is infeasible when a Farkas witness passes ``witness_fires``:
   a cone element w with gap > 0 and |G^T w + G_eq^T nu| <= WITNESS_RATIO * gap
   (``Program.farkas``), which proves that no feasible point has norm below
@@ -429,7 +437,7 @@ class Program:
                 cols[row : row + width, o : o + k] = herm_to_rvec(acc, self.real).T
             row += width
         scalars = self.prob.inequalities + self.prob.equalities
-        for var, (rows, _, fs) in _terms_by_var(scalars).items():
+        for var, (rows, fs) in _terms_by_var(scalars).items():
             o, k = self.var_offsets[var][0], len(basis[var])
             # a product holds one row or at most 2^16 entries
             step = max(1, 2**16 // basis[var].size)
@@ -525,7 +533,13 @@ def recheck(prob: SDProblem, assign: dict[str, np.ndarray]) -> tuple[bool, dict[
     """Whether ``assign`` satisfies ``prob`` to ``10 * FEASIBLE_TOL``, by
     ``_recheck``'s independent evaluation, and its residuals."""
     res = _recheck(prob, assign)
-    return res["primal"] <= 10 * FEASIBLE_TOL and res["gap"] <= 10 * FEASIBLE_TOL, res
+    return within_tolerance(res), res
+
+
+def within_tolerance(residuals: dict[str, float]) -> bool:
+    """Whether the "primal" and "gap" residuals of ``_recheck`` are both at
+    most ``10 * FEASIBLE_TOL``: the verdict of ``recheck``."""
+    return residuals["primal"] <= 10 * FEASIBLE_TOL and residuals["gap"] <= 10 * FEASIBLE_TOL
 
 
 def _recheck(prob: SDProblem, assign: dict[str, np.ndarray]) -> dict[str, float]:
@@ -542,21 +556,26 @@ def _recheck(prob: SDProblem, assign: dict[str, np.ndarray]) -> dict[str, float]
 
 
 def _terms_by_var(scalars: list[ScalarExpr]) -> dict[str, list[np.ndarray]]:
-    """Per variable, the rows, the positions in their row and the stacked F
-    of the scalar terms that hold it, in row and term order."""
+    """Per variable, the rows and the stacked F of the scalar terms that
+    hold it, in row and term order."""
     groups: dict[str, list] = {}
     for i, scalar in enumerate(scalars):
-        for j, (var, f) in enumerate(scalar.terms):
-            groups.setdefault(var, []).append((i, j, f))
+        for var, f in scalar.terms:
+            groups.setdefault(var, []).append((i, f))
     return {var: [np.array(part) for part in zip(*grp)] for var, grp in groups.items()}
 
 
 def _scalar_values(scalars: list[ScalarExpr], assign: dict[str, np.ndarray]) -> np.ndarray:
     """``ScalarExpr.evaluate`` of every row: the terms' Re Tr[F^H X] from
-    one stacked product per variable, added to the constant in term order."""
+    one stacked product per shape of F, added to the constant in term order."""
+    groups: dict[tuple, list] = {}
+    for i, scalar in enumerate(scalars):
+        for j, (var, f) in enumerate(scalar.terms):
+            groups.setdefault(f.shape, []).append((i, j, f, assign[var]))
     table = np.zeros((len(scalars), max((len(sc.terms) for sc in scalars), default=0)))
-    for var, (rows, pos, fs) in _terms_by_var(scalars).items():
-        table[rows, pos] = np.real(np.sum(fs.conj() * assign[var], axis=(-2, -1)))
+    for group in groups.values():
+        rows, pos, fs, xs = zip(*group)
+        table[rows, pos] = np.real(np.sum(np.conj(fs) * np.array(xs), axis=(-2, -1)))
     vals = np.array([sc.const for sc in scalars], dtype=float)
     for col in table.T:
         vals = vals + col

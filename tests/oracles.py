@@ -193,35 +193,45 @@ def dmax_bisect_oracle(rho: np.ndarray, sigma: np.ndarray, lo=-40.0, hi=60.0, it
 def dmax_smooth_classical_oracle(p: np.ndarray, s: np.ndarray, eps: float) -> float:
     """Exact classical smoothing of D_max over the normalized fidelity ball.
 
-    For fixed lambda the best achievable fidelity max sum sqrt(p_i q_i)
-    subject to q_i <= 2^lambda s_i, sum q = 1 has the water-filling form
-    q_i = min(cap_i, t p_i); feasibility of lambda is F_max >= sqrt(1-eps^2).
+    For fixed lambda, with caps cap_i = 2^lambda s_i, lambda is feasible
+    when the caps sum to at least 1 and the best fidelity
+    max sum sqrt(p_i q_i) over q_i <= cap_i, sum q = 1 is at least
+    sqrt(1 - eps^2).  Only the entries with p_i > 0 add fidelity, so they
+    water-fill: q_i = min(cap_i, tau p_i) with sum 1 when their caps reach
+    1, else q_i = cap_i; the entries with p_i = 0 take the leftover mass up
+    to their caps.  Bisection on lambda, and on tau for each lambda, each
+    until its float64 midpoint stops falling strictly inside its bracket.
     """
     target = math.sqrt(max(0.0, 1.0 - eps * eps))
+    live = p > 0
+    p_live = p[live]
 
     def best_fidelity(lam):
         cap = 2.0**lam * s
         if cap.sum() < 1.0 - 1e-12:
             return -1.0  # cannot even normalize
-        lo_t, hi_t = 0.0, 2.0 / max(p.min() if p.min() > 0 else 1e-18, 1e-18)
-        while np.minimum(cap, hi_t * p).sum() < 1.0 - 1e-15:
-            hi_t *= 2.0
-        for _ in range(200):
-            mid = (lo_t + hi_t) / 2
-            if np.minimum(cap, mid * p).sum() >= 1.0:
-                hi_t = mid
-            else:
-                lo_t = mid
-        q = np.minimum(cap, hi_t * p)
-        q = q * (1.0 / q.sum())
-        q = np.minimum(q, cap)  # renormalization can only shrink entries
-        return float(np.sqrt(p * q).sum())
+        q = cap[live]
+        if q.sum() > 1.0:
+            lo_t, hi_t = 0.0, float((q / p_live).max())
+            for _ in range(200):
+                mid = (lo_t + hi_t) / 2
+                if not lo_t < mid < hi_t:
+                    break
+                if np.minimum(q, mid * p_live).sum() >= 1.0:
+                    hi_t = mid
+                else:
+                    lo_t = mid
+            q = np.minimum(q, hi_t * p_live)
+            q = q / max(q.sum(), 1.0)  # renormalization can only shrink entries
+        return float(np.sqrt(p_live * q).sum())
 
     lo, hi = -40.0, 60.0
     if best_fidelity(hi) < target - 1e-12:
         return math.inf
     for _ in range(200):
         mid = (lo + hi) / 2
+        if not lo < mid < hi:
+            break
         if best_fidelity(mid) >= target - 1e-13:
             hi = mid
         else:

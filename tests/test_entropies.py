@@ -527,6 +527,147 @@ def corner_pins(rho, sigma, real: bool) -> int:
     return 1 + sum(b.rank for b in blocks) + off * (1 if real else 2)
 
 
+def commuting_pairs(free: bool) -> list:
+    """Six seeded commuting (rho, sigma, p, s) on 2 to 6 indices: diag(p)
+    and diag(s), rotated by one random real orthogonal matrix in every
+    other pair.  With ``free`` the first third of p (at least one entry)
+    is 0, so sigma holds free mass there."""
+    rng = np.random.default_rng(71 + free)
+    out = []
+    for k in range(6):
+        n = int(rng.integers(2, 7))
+        p, s = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n))
+        if free:
+            p[: max(1, n // 3)] = 0.0
+            p /= p.sum()
+        u = np.linalg.qr(rng.normal(size=(n, n)))[0] if k % 2 else np.eye(n)
+        out.append((u @ np.diag(p) @ u.T, u @ np.diag(s) @ u.T, p, s))
+    return out
+
+
+def is_classical(sub_blocks) -> bool:
+    """Whether every sub-block that carries rho is 1x1 with sigma_b > 0."""
+    return all(blk.rank == blk.dim == 1 and blk.sigma[0, 0] > 0 for blk in sub_blocks[0])
+
+
+def solver_batches(monkeypatch) -> list:
+    """Patch ``sdp.minimize_many`` to record the size of every batch it gets."""
+    sizes, minimize_many = [], sdp.minimize_many
+    monkeypatch.setattr(
+        sdp, "minimize_many", lambda probs: (sizes.append(len(probs)), minimize_many(probs))[1]
+    )
+    return sizes
+
+
+class TestWaterFill:
+    """A classical value (every sub-block that carries rho 1x1, with
+    sigma_b > 0) gets its min t solve in closed form (``_water_fill``) and
+    no interior-point iteration; its two certificates decide it as they
+    decide a solve's."""
+
+    def test_oracle_gives_the_free_mass_to_the_rho_free_entries(self):
+        # both caps full: sqrt(0.1 t 0.5) twice = sqrt(0.99) at t = 0.99 / 0.2,
+        # and the third entry takes the remaining mass, under its cap 0.8 t
+        p, s = np.array([0.5, 0.5, 0.0]), np.array([0.1, 0.1, 0.8])
+        want = math.log2(0.99 / 0.2)
+        assert oracles.dmax_smooth_classical_oracle(p, s, 0.1) == pytest.approx(want, abs=1e-9)
+        value = ent.d_max_smooth(np.diag(p), np.diag(s), 0.1)
+        assert value - ent.BISECT_TOL_BITS < want <= value
+
+    @pytest.mark.parametrize("free", [False, True])
+    def test_certified_interval_holds_the_oracle_value(self, monkeypatch, free):
+        # the commuting part of the eps ladder: (v - BISECT_TOL_BITS, v]
+        # holds the exact classical value, with no program for the solver
+        sizes = solver_batches(monkeypatch)
+        for rho, sigma, p, s in commuting_pairs(free):
+            sub_blocks = ball(rho, sigma)
+            assert is_classical(sub_blocks) and (sub_blocks[1] > 0.0) == free
+            for eps in (0.1, 1e-2, 1e-3, 1e-4, 1e-5):
+                value = ent.d_max_smooth(rho, sigma, eps)
+                oracle = oracles.dmax_smooth_classical_oracle(p, s, eps)
+                assert value - ent.BISECT_TOL_BITS < oracle <= value, (p, s, eps)
+        assert set(sizes) == {0}
+
+    def test_bundled_classical_values_match_the_interior_point_solve(self, smoothed_cq_states):
+        balls = [ent._ball_blocks(ent._cq_pairs(cq)) for cq in smoothed_cq_states]
+        classical = [sub_blocks for sub_blocks in balls if is_classical(sub_blocks)]
+        assert len(classical) == 20
+        solved = sdp.minimize_many([ent._capped_ball(sub_blocks, 0.1) for sub_blocks in classical])
+        for sub_blocks, res in zip(classical, solved):
+            closed = ent._water_fill(sub_blocks, 0.1)
+            assert (closed.status, closed.iterations) == ("optimal", 0) and res.iterations > 0
+            # the closed form is exact; the solve's t is above the optimum
+            below = ent._certified_value(res) - ent._certified_value(closed)
+            assert 0.0 <= below < ent.BISECT_TOL_BITS
+
+    def test_values_bound_by_the_normalisation(self, smoothed_cq_states):
+        # t* = t_min = 1 / (sum_b sigma_b + s0) when the fidelity at t_min
+        # already reaches sqrt(1 - eps^2): the bundled 0-bit values (trivial's
+        # thresholds among them), where every sub-block is capped at t_min
+        # and the witness below is the trace contradiction alone
+        bound = []
+        for cq in smoothed_cq_states:
+            sub_blocks = ent._ball_blocks(ent._cq_pairs(cq))
+            if not is_classical(sub_blocks):
+                continue
+            res = ent._water_fill(sub_blocks, 0.1)
+            sigmas = np.array([blk.sigma[0, 0] for blk in sub_blocks[0]])
+            t_min = 1.0 / (sigmas.sum() + max(sub_blocks[1], 0.0))
+            if res.assignment["t"][0, 0] == pytest.approx(t_min, rel=1e-14):
+                value = ent._certified_value(res)
+                bound.append(value)
+                n_psd = 3 * len(sigmas)  # real 2x2 blocks, 3 coordinates each
+                assert not res.dual[:n_psd].any() and set(res.dual[n_psd + 1 :]) <= {0.0, 1.0}
+                caps = [res.assignment[blk.var][1, 1] for blk in sub_blocks[0]]
+                assert caps == pytest.approx(t_min * sigmas, rel=1e-14)
+        assert len(bound) == 5 and max(abs(v) for v in bound) < 1e-12
+        # rho = diag(0.5, 0.5, 0): the free mass 0.1 fills the trace at t = 1
+        p, s = np.array([0.5, 0.5, 0.0]), np.array([0.45, 0.45, 0.1])
+        value = ent.d_max_smooth(np.diag(p), np.diag(s), 0.4)
+        assert abs(value) <= 1e-15
+        oracle = oracles.dmax_smooth_classical_oracle(p, s, 0.4)
+        assert value - ent.BISECT_TOL_BITS < oracle <= value
+
+    def test_a_sub_block_without_sigma_stays_on_the_interior_point_method(self, monkeypatch):
+        # sigma_b = 0 under rho's second entry: its cap pins x_b to 0, and
+        # the value goes to the solver, as every value that is not classical
+        p, s = np.array([0.995, 0.005]), np.array([1.0, 0.0])
+        assert [blk.sigma[0, 0] for blk in ball(np.diag(p), np.diag(s))[0]] == [1.0, 0.0]
+        sizes = solver_batches(monkeypatch)
+
+        def no_water_fill(sub_blocks, eps):
+            raise AssertionError("a value with sigma_b = 0 went to the closed form")
+
+        monkeypatch.setattr(ent, "_water_fill", no_water_fill)
+        value = ent.d_max_smooth(np.diag(p), np.diag(s), 0.1)
+        assert sizes == [1]
+        oracle = oracles.dmax_smooth_classical_oracle(p, s, 0.1)
+        assert value - ent.BISECT_TOL_BITS < oracle <= value
+
+    def test_each_value_makes_one_recheck(self, monkeypatch):
+        # the region pass: the certificate of each of the four solved values
+        # reads its solve's final recheck, and each of the two classical
+        # values is rechecked once, by its certificate
+        prep = P.prepare(io.load_bundled("instrument_derived"))
+        checked, recheck = [], sdp._recheck
+        fills, water_fill = [], ent._water_fill
+
+        def recording_recheck(prob, assign):
+            checked.append(id(prob))
+            return recheck(prob, assign)
+
+        def recording_water_fill(sub_blocks, eps):
+            fills.append(sub_blocks)
+            return water_fill(sub_blocks, eps)
+
+        monkeypatch.setattr(sdp, "_recheck", recording_recheck)
+        monkeypatch.setattr(ent, "_water_fill", recording_water_fill)
+        sizes = solver_batches(monkeypatch)
+        P.one_shot_region(prep, 0.1, theta_grid=(0.5,))
+        assert (sizes, len(fills)) == ([4], 2)
+        assert len(checked) == len(set(checked)) == 6
+
+
 class TestSupportComponents:
     @pytest.mark.parametrize("d", [1, 2, 5, 17, 40])
     def test_matches_oracle_on_seeded_patterns(self, d):
@@ -751,11 +892,14 @@ class TestSmoothingSolve:
 
     def test_a_point_over_its_cap_is_not_certified_feasible(self, monkeypatch, region_x_pairs):
         # t halved under the solve's rho': the point is over its cap, while
-        # the dual is a witness below the halved value as well
+        # the dual is a witness below the halved value as well.  A result's
+        # residuals are its own point's recheck, so the halved point carries
+        # none, and the certificate rechecks it
         rho, sigma = region_x_pairs[0]
 
         def halved(res):
-            return {"assignment": {**res.assignment, "t": 0.5 * res.assignment["t"]}}
+            halved_t = {**res.assignment, "t": 0.5 * res.assignment["t"]}
+            return {"assignment": halved_t, "residuals": {}}
 
         stalled_solves(monkeypatch, halved)
         with pytest.raises(ent.SolverError, match="not certified feasible " + STALLED) as err:

@@ -442,17 +442,25 @@ class TestSlabLayout:
 @pytest.fixture(scope="module")
 def region_programs():
     """The six smoothing programs of the ``region`` benchmark's pass
-    (instrument_derived, theta 0.5, eps 0.1, axes X and Y), as
-    ``one_shot_region`` hands them to ``sdp.minimize_many`` in one batch:
-    the X cell's three registers U, V and Y, then the Y cell's."""
+    (instrument_derived, theta 0.5, eps 0.1, axes X and Y): the min t
+    programs of the six values ``one_shot_region`` hands to
+    ``entropies._d_max_smooth_many`` in one call, built as it builds them,
+    the X cell's three registers U, V and Y, then the Y cell's.  The
+    library solves the two classical ones in closed form; here all six
+    are programs for ``sdp.minimize_many``."""
     prep = prep_mod.prepare(io.load_bundled("instrument_derived"))
-    batches, solve_many = [], sdp.minimize_many
+    calls, smooth_many = [], ent._d_max_smooth_many
+
+    def recording(values, eps):
+        calls.append((values, eps))
+        return smooth_many(values, eps)
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sdp, "minimize_many", lambda ps: (batches.append(ps), solve_many(ps))[1])
+        mp.setattr(ent, "_d_max_smooth_many", recording)
         P.one_shot_region(prep, 0.1, theta_grid=(0.5,))
-    (probs,) = batches
-    assert len(probs) == 6
-    return probs
+    ((values, eps),) = calls
+    assert len(values) == 6
+    return [ent._capped_ball(ent._ball_blocks(pairs), eps) for pairs in values]
 
 
 @pytest.fixture(scope="module")
@@ -612,7 +620,8 @@ def kernel_assignments(which) -> list:
 
 class TestRecheck:
     """``_recheck`` evaluates the problem's own expressions, with one stacked
-    ``eigvalsh`` per block dimension and the scalar rows stacked per variable."""
+    ``eigvalsh`` per block dimension and the scalar terms stacked per shape
+    of their F."""
 
     @pytest.mark.parametrize("which", KERNEL_PROBLEMS)
     def test_matches_per_expression_oracle(self, which):
@@ -623,6 +632,21 @@ class TestRecheck:
             want = oracles.recheck_per_expression(prob, assign)
             assert {k: v.hex() for k, v in got.items()} == {k: v.hex() for k, v in want.items()}
             verdicts.add(sdp.recheck(prob, assign)[0])
+        assert verdicts == {True, False}
+
+    def test_region_rechecks_match_per_expression_oracle(self, region_programs):
+        # the rechecks of a region pass, on programs of up to 20 variables
+        # whose scalar rows mix terms of shapes 1, 2 and 4: each solve's
+        # point, and the same point with t lowered by BISECT_TOL_BITS, over
+        # its caps
+        verdicts = set()
+        for prob, res in zip(region_programs, sdp.minimize_many(region_programs)):
+            low = dict(res.assignment, t=res.assignment["t"] * 2.0**-ent.BISECT_TOL_BITS)
+            for assign in (res.assignment, low):
+                got = sdp._recheck(prob, assign)
+                want = oracles.recheck_per_expression(prob, assign)
+                assert {k: v.hex() for k, v in got.items()} == {k: v.hex() for k, v in want.items()}
+                verdicts.add(sdp.recheck(prob, assign)[0])
         assert verdicts == {True, False}
 
     @pytest.mark.parametrize("which", KERNEL_PROBLEMS)
