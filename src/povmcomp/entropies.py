@@ -1,6 +1,7 @@
 """One-shot entropic quantities: smooth max entropy, hypothesis testing
-relative entropy, max relative entropy (plain and smoothed), smooth max
-information, and the von Neumann suite.
+relative entropy, max relative entropy (plain and smoothed) and smooth max
+information; and the asymptotic ones: von Neumann entropy and the Holevo
+quantity of a cq state, taken from its blocks.
 
 Conventions: all logarithms are base 2, rates are bits.  The smoothing ball
 is the purified-distance ball over normalized states.  The hypothesis
@@ -715,23 +716,33 @@ def i_max_cq_many(cqs: list[qo.CQState], eps: float) -> list[float]:
     return _d_max_smooth_many([_cq_pairs(cq) for cq in cqs], eps)
 
 
-def _cq_pairs(cq: qo.CQState) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(w_s rho_s, q_s rho_S) for each symbol s of ``cq``, with
-    q_s = Tr w_s rho_s and rho_S = sum_s w_s rho_s: the diagonal blocks of
-    the dense cq matrix and of the product of its marginals.
+def _cq_blocks(cq: qo.CQState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The weighted blocks w_s rho_s of ``cq`` as one stack, their traces
+    q_s and their spectra: the diagonal blocks of the dense cq matrix.
 
-    The weighted blocks get ``la.assert_density``'s checks of that matrix,
-    stricter than ``CQState``'s PSD check to 1e-7: Hermitian within
-    tolerance (and repaired as ``la._hermitian_part`` does), the least
-    eigenvalue of one stacked ``eigvalsh`` at least -``la.PSD_TOL`` * 100,
-    the total trace 1 within 1e-8.  The sigma blocks are PSD by construction.
+    The blocks get ``la.assert_density``'s checks of that matrix, stricter
+    than ``CQState``'s PSD check to 1e-7: Hermitian within tolerance (and
+    repaired as ``la._hermitian_part`` does), the least eigenvalue of one
+    stacked ``eigvalsh`` at least -``la.PSD_TOL`` * 100, the total trace 1
+    within 1e-8.
     """
     blocks = la._hermitian_part(la._as_stack([cq.weights[s] * cq.blocks[s] for s in cq.symbols]))
-    la._check_psd(float(np.linalg.eigvalsh(blocks)[:, 0].min()))
+    spectra = np.linalg.eigvalsh(blocks)
+    la._check_psd(float(spectra[:, 0].min()))
     q = np.einsum("xii->x", blocks)
     total = float(q.real.sum())
     if abs(total - 1.0) > 1e-8:
         raise ValueError(f"trace {total} is not 1 within tolerance")
+    return blocks, q, spectra
+
+
+def _cq_pairs(cq: qo.CQState) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(w_s rho_s, q_s rho_S) for each symbol s of ``cq``, with
+    q_s = Tr w_s rho_s and rho_S = sum_s w_s rho_s: the diagonal blocks of
+    the dense cq matrix and of the product of its marginals.  The weighted
+    blocks are ``_cq_blocks``'; the sigma blocks are PSD by construction.
+    """
+    blocks, q, _ = _cq_blocks(cq)
     rho_s = np.einsum("xij->ij", blocks)
     return [(block, q_s * rho_s) for block, q_s in zip(blocks, q)]
 
@@ -753,40 +764,36 @@ def i_max_smooth(rho_ab, dims: tuple[int, int], eps: float) -> float:
 # von Neumann quantities
 
 
-def entropy(rho) -> float:
-    w = np.linalg.eigvalsh(la.assert_psd(rho))
+def spectrum_entropy(values) -> float:
+    """-sum v log2 v over the entries v > 1e-15 of a spectrum or a
+    probability vector (of any shape), in bits."""
+    w = np.asarray(values, dtype=float)
     w = w[w > 1e-15]
     return float(-(w * np.log2(w)).sum())
 
 
-def relative_entropy(rho, sigma) -> float:
-    rho = la.assert_psd(rho)
-    sigma = la.assert_psd(sigma)
-    proj = la.support_projector(sigma)
-    if float(np.trace((np.eye(len(rho)) - proj) @ rho).real) > 1e-10:
-        return math.inf
-    wr, vr = np.linalg.eigh(rho)
-    ws, vs = np.linalg.eigh(sigma)
-    log_r = (vr * np.log2(np.clip(wr, 1e-300, None))) @ vr.conj().T
-    log_s = (vs * np.log2(np.clip(ws, 1e-300, None))) @ vs.conj().T
-    val = np.trace(rho @ (log_r - log_s)).real
-    return float(val)
+def entropy(rho) -> float:
+    """Von Neumann entropy of a PSD operator, in bits, from one ``eigvalsh``
+    whose least eigenvalue gets ``la.assert_psd``'s check."""
+    w = np.linalg.eigvalsh(la.assert_hermitian(rho))
+    la._check_psd(float(w[0]))
+    return spectrum_entropy(w)
 
 
-def von_neumann_suite(rho_ab, dims: tuple[int, int]) -> dict[str, float]:
-    """Entropies and mutual information of a bipartite state, base 2."""
-    rho_ab = la.assert_density(rho_ab)
-    da, db = dims
-    lay = la.layout(("A", da), ("B", db))
-    rho_a = la.partial_trace(rho_ab, lay, ["A"])
-    rho_b = la.partial_trace(rho_ab, lay, ["B"])
-    h_a, h_b, h_ab = entropy(rho_a), entropy(rho_b), entropy(rho_ab)
-    return {
-        "H_A": h_a,
-        "H_B": h_b,
-        "H_AB": h_ab,
-        "I_AB": h_a + h_b - h_ab,
-        "H_A_given_B": h_ab - h_b,
-        "H_B_given_A": h_ab - h_a,
-        "D_AB_vs_product": relative_entropy(rho_ab, la.tensor(rho_a, rho_b)),
-    }
+def holevo_cq(cq: qo.CQState) -> float:
+    """The Holevo quantity I(S:Q) of a ``CQState``, its classical register S
+    against its quantum part Q, from the blocks:
+
+        I(S:Q) = H(q) + H(sum_s w_s rho_s) - sum_s H(w_s rho_s),
+
+    with q_s = Tr w_s rho_s and H of a block the entropy of its spectrum.
+    The block-diagonal rho_SQ has the union of the weighted blocks' spectra,
+    Tr_Q of it is diag(q) and Tr_S of it is sum_s w_s rho_s, so this is
+    H(S) + H(Q) - H(SQ) exactly, for subnormalized blocks too (Wilde,
+    Hayden, Buscemi and Hsieh, arXiv:1206.4121).  The blocks are
+    ``_cq_blocks``', with its checks; one stacked ``eigvalsh`` over them and
+    one over their sum (``entropy``), and the dense cq matrix is never built.
+    """
+    blocks, q, spectra = _cq_blocks(cq)
+    h_q = entropy(np.einsum("xij->ij", blocks))
+    return spectrum_entropy(q.real) + h_q - spectrum_entropy(spectra)

@@ -92,9 +92,6 @@ class SystemLayout:
     def dim(self) -> int:
         return int(np.prod(self.dims)) if self.factors else 1
 
-    def dim_of(self, label: str) -> int:
-        return dict(self.factors)[label]
-
     def index_of(self, label: str) -> int:
         for i, (lab, _) in enumerate(self.factors):
             if lab == label:

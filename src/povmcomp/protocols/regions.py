@@ -21,8 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .. import entropies as ent
 from .. import linalg as la
 from .. import qobjects as qo
@@ -150,28 +148,27 @@ def one_shot_region(
 
 
 def iid_region(source: Instance | PreparedInstance) -> RateRegion:
-    """Asymptotic region: five half-spaces from von Neumann quantities."""
+    """Asymptotic region: five half-spaces from Holevo quantities of the
+    prepared cq state (``ent.holevo_cq``) and Shannon entropies.
+
+    I(X:E), I(Y:E) and I(XY:E) are those of the steered E-blocks grouped to
+    the link's components, I(X:B) and I(Y:B) of the same states with their
+    blocks reduced to B (0 without side information); H(X), H(Y) and
+    I(X:Y) = H(X) + H(Y) - H(XY) come from the outcome distributions.
+    """
     prep = source if isinstance(source, PreparedInstance) else prepare(source)
     cq = prep.env_cq()
     lay = prep.env_layout()
-
-    def cq_dense(group_idx: tuple[int, ...], reduce_to: tuple[str, ...] | None):
-        state = cq.group_parts(group_idx)
-        if reduce_to is not None:
-            state = state.map_blocks(lambda b: la.partial_trace(b, lay, reduce_to))
-        return state
-
-    def mi(state: qo.CQState) -> float:
-        return ent.von_neumann_suite(state.dense(), (len(state.symbols), state.quantum_dim))[
-            "I_AB"
-        ]
-
     side = prep.has_side_information()
-    i_e = [mi(cq_dense((i,), None)) for i in range(len(LINKS))]
-    i_b = [mi(cq_dense((i,), ("B",))) if side else 0.0 for i in range(len(LINKS))]
-    h = [_shannon(m.probs) for m in prep.marginals]
-    i_xy_e = mi(cq_dense((0, 1), None))
-    i_x_y = h[0] + h[1] - _shannon(prep.joint.probs)
+    per_link = [cq.group_parts((i,)) for i in range(len(LINKS))]
+    i_e = [ent.holevo_cq(state) for state in per_link]
+    i_b = [
+        ent.holevo_cq(state.map_blocks(lambda b: la.partial_trace(b, lay, ("B",)))) if side else 0.0
+        for state in per_link
+    ]
+    h = [ent.spectrum_entropy(m.probs) for m in prep.marginals]
+    i_xy_e = ent.holevo_cq(cq.group_parts((0, 1)))
+    i_x_y = h[0] + h[1] - ent.spectrum_entropy(prep.joint.probs)
     prov = {"model": "iid", "values": {
         **{f"I({link}:E)": v for link, v in zip(LINKS, i_e)},
         "I(XY:E)": i_xy_e,
@@ -195,9 +192,3 @@ def iid_region(source: Instance | PreparedInstance) -> RateRegion:
         for i, link in enumerate(LINKS)
     ]
     return RateRegion([*rate, sum_rate, *coin], kind="iid")
-
-
-def _shannon(probs) -> float:
-    p = np.asarray(probs, dtype=float)
-    p = p[p > 0]
-    return float(-(p * np.log2(p)).sum())

@@ -94,9 +94,6 @@ from functools import cached_property
 
 import numpy as np
 
-from . import linalg as la
-
-
 # an "infeasible" verdict needs |G^T w + G_eq^T nu| <= WITNESS_RATIO * gap
 WITNESS_RATIO = 0.1
 FEASIBLE_TOL = 1e-8
@@ -241,11 +238,6 @@ class AffineExpr:
     dim: int
     const: np.ndarray
     terms: list[Term] = field(default_factory=list)
-
-    @staticmethod
-    def const_expr(mat: np.ndarray) -> "AffineExpr":
-        mat = la.as_matrix(mat)
-        return AffineExpr(mat.shape[0], mat.astype(complex), [])
 
     @staticmethod
     def zero(dim: int) -> "AffineExpr":

@@ -338,6 +338,20 @@ def shannon_entropy(p) -> float:
     return float(-(p * np.log2(p)).sum())
 
 
+def mutual_information_oracle(rho_ab: np.ndarray, dims: tuple[int, int]) -> float:
+    """I(A:B) = H(A) + H(B) - H(AB) of a dense bipartite state, in bits, from
+    the spectra of the state and of its two index-summation partial traces."""
+    h_a, h_b, h_ab = (
+        shannon_entropy(np.linalg.eigvalsh(m))
+        for m in (
+            partial_trace_oracle(rho_ab, list(dims), [0]),
+            partial_trace_oracle(rho_ab, list(dims), [1]),
+            rho_ab,
+        )
+    )
+    return h_a + h_b - h_ab
+
+
 def covering_enumeration_oracle(pxy: np.ndarray, blocks: dict, k: int, l: int) -> float:
     """Exact expectation of the measure-transformed covering deviation.
 
@@ -619,6 +633,13 @@ def support_components_oracle(mats: list) -> list:
     return comps
 
 
+def const_expr(sdp, mat: np.ndarray):
+    """The affine expression with constant ``mat`` and no terms; ``sdp`` is
+    the library's sdp module."""
+    mat = np.asarray(mat, dtype=complex)
+    return sdp.AffineExpr(mat.shape[0], mat, [])
+
+
 def capped_ball_per_component(sdp, rho, sigma, eps: float, lam):
     """The smoothing program of D_max^eps(rho || sigma) with one ball
     variable, one ball block and one cap block per component of the joint
@@ -692,7 +713,7 @@ def capped_ball_per_component(sdp, rho, sigma, eps: float, lam):
         if lam is None:
             cap = sdp.AffineExpr.zero(len(sb)).plus_kron(sb, "t")
         else:
-            cap = sdp.AffineExpr.const_expr(2.0**lam * sb)
+            cap = const_expr(sdp, 2.0**lam * sb)
         prob.require_psd(cap.plus_var(var, -1.0) if r is None else cap.plus_subblock(var, r, -1.0))
     return prob
 

@@ -1162,7 +1162,8 @@ class TestCqPath:
 
     def test_block_checks_are_the_dense_checks(self):
         # a weighted block with eigenvalue -5e-8 passes CQState's 1e-7 check
-        # but not the dense matrix's, nor the blocks'
+        # but not the dense matrix's, nor the blocks' (smoothed or in the
+        # Holevo quantity)
         cq = qo.CQState(
             ("0", "1"),
             {"0": 0.5, "1": 0.5},
@@ -1174,23 +1175,76 @@ class TestCqPath:
         for eps in (0.0, 0.1):
             with pytest.raises(ValueError, match="negative eigenvalue"):
                 ent.i_max_cq_many([cq], eps)
+        with pytest.raises(ValueError, match="negative eigenvalue"):
+            ent.holevo_cq(cq)
 
 
 class TestVonNeumann:
     def test_max_mixed(self):
         assert np.isclose(ent.entropy(np.eye(2) / 2), 1.0)
 
-    def test_relative_self(self):
-        rng = np.random.default_rng(16)
-        rho = oracles.random_density(rng, 3)
-        assert abs(ent.relative_entropy(rho, rho)) < 1e-10
-
     def test_bell_mutual_information(self):
         v = np.zeros(4, dtype=complex)
         v[0] = v[3] = 1 / np.sqrt(2)
-        suite = ent.von_neumann_suite(np.outer(v, v.conj()), (2, 2))
-        assert np.isclose(suite["I_AB"], 2.0, atol=1e-10)
-        assert np.isclose(suite["H_A"], 1.0, atol=1e-10)
+        bell = np.outer(v, v.conj())
+        assert np.isclose(oracles.mutual_information_oracle(bell, (2, 2)), 2.0, atol=1e-10)
+        rho_a = oracles.partial_trace_oracle(bell, [2, 2], [0])
+        assert np.isclose(ent.entropy(rho_a), 1.0, atol=1e-10)
+        assert abs(ent.entropy(bell)) <= 1e-10
+
+
+def _iid_states(prep) -> dict:
+    """The five cq states of ``iid_region``, by its provenance key: each
+    link's E-blocks and their reductions to B, and the joint E-blocks."""
+    cq, lay = prep.env_cq(), prep.env_layout()
+    states = {}
+    for i, link in enumerate(P.LINKS):
+        state = cq.group_parts((i,))
+        states[f"I({link}:E)"] = state
+        states[f"I({link}:B)"] = state.map_blocks(lambda b: la.partial_trace(b, lay, ("B",)))
+    states["I(XY:E)"] = cq.group_parts((0, 1))
+    return states
+
+
+def _dense_holevo(cq: qo.CQState) -> float:
+    return oracles.mutual_information_oracle(cq.dense(), (len(cq.symbols), cq.quantum_dim))
+
+
+class TestHolevo:
+    """``holevo_cq`` takes I(S:Q) from the blocks; the reference is
+    H(S) + H(Q) - H(SQ) of the dense cq matrix."""
+
+    @pytest.mark.parametrize("name", io.BUNDLED)
+    def test_iid_states_match_dense_oracle(self, name, monkeypatch):
+        prep = P.prepare(io.load_bundled(name))
+        states = _iid_states(prep)
+        for key, state in states.items():
+            assert abs(ent.holevo_cq(state) - _dense_holevo(state)) <= 1e-12, key
+
+        # iid_region reads these values and builds no dense cq matrix
+        def no_dense(self):
+            raise AssertionError("the dense cq matrix was built")
+
+        monkeypatch.setattr(qo.CQState, "dense", no_dense)
+        values = P.iid_region(prep).constraints[0].provenance["values"]
+        for key, state in states.items():
+            side = key.endswith("E)") or prep.has_side_information()
+            assert values[key] == (ent.holevo_cq(state) if side else 0.0), key
+
+    def test_random_cq_states_match_dense_oracle(self):
+        # subnormalized blocks, one of rank 1 and one symbol of weight 0
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            n, d = int(rng.integers(3, 6)), int(rng.integers(1, 5))
+            traces = rng.uniform(0.3, 1.0, size=n)
+            blocks = [t * oracles.random_density(rng, d) for t in traces]
+            blocks[1] = traces[1] * oracles.random_density(rng, d, rank=1)
+            raw = rng.dirichlet(np.ones(n))
+            raw[-1] = 0.0
+            weights = raw / (raw * traces).sum()
+            symbols = tuple(str(s) for s in range(n))
+            cq = qo.CQState(symbols, dict(zip(symbols, weights)), dict(zip(symbols, blocks)))
+            assert abs(ent.holevo_cq(cq) - _dense_holevo(cq)) <= 1e-12
 
 
 class TestQAEPTrend:
@@ -1209,8 +1263,7 @@ class TestQAEPTrend:
         for cq in fixtures:
             dist_x = cq.classical_distribution()
             h_lim = oracles.shannon_entropy(dist_x.probs)
-            suite = ent.von_neumann_suite(cq.dense(), (2, 2))
-            i_lim = suite["I_AB"]
+            i_lim = ent.holevo_cq(cq)
             h_gaps, d_gaps = [], []
             for n in (1, 2, 3):
                 pn = qo.distribution_power(dist_x, n)

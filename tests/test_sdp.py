@@ -18,7 +18,7 @@ def box_problem(dim, target_trace):
     prob = sdp.SDProblem()
     prob.add_var("X", dim)
     prob.require_psd(sdp.AffineExpr.zero(dim).plus_var("X"))
-    prob.require_psd(sdp.AffineExpr.const_expr(np.eye(dim)).plus_var("X", -1.0))
+    prob.require_psd(oracles.const_expr(sdp, np.eye(dim)).plus_var("X", -1.0))
     prob.require_eq(sdp.trace_functional("X", dim, const=-float(target_trace)))
     return prob
 
@@ -62,9 +62,9 @@ def interleaved_blocks_problem():
     prob.add_var("W", 4)
     prob.require_psd(sdp.AffineExpr.zero(2).plus_var("X"))
     prob.require_psd(sdp.AffineExpr.zero(3).plus_var("Y"))
-    prob.require_psd(sdp.AffineExpr.const_expr(np.eye(2)).plus_var("X", -1.0))
+    prob.require_psd(oracles.const_expr(sdp, np.eye(2)).plus_var("X", -1.0))
     prob.require_psd(sdp.AffineExpr.zero(4).plus_var("W"))
-    prob.require_psd(sdp.AffineExpr.const_expr(np.eye(3)).plus_var("Y", -1.0))
+    prob.require_psd(oracles.const_expr(sdp, np.eye(3)).plus_var("Y", -1.0))
     prob.require_geq(sdp.trace_functional("X", 2, const=-0.5))
     prob.require_geq(sdp.trace_functional("W", 4, coeff=-1.0, const=2.0))
     prob.require_eq(sdp.trace_functional("Y", 3, const=-1.0))
@@ -776,7 +776,7 @@ class TestSizeCap:
         def one_block(d, const):
             prob = sdp.SDProblem()
             prob.add_var("X", d)
-            prob.require_psd(sdp.AffineExpr.const_expr(const).plus_var("X"))
+            prob.require_psd(oracles.const_expr(sdp, const).plus_var("X"))
             return prob
 
         phase = np.zeros((78, 78), dtype=complex)
@@ -918,7 +918,7 @@ class TestGeneratedSuite:
             prob.require_psd(sdp.AffineExpr.zero(d).plus_var("X"))
             # X <= rho + margin I has interior point X = rho
             prob.require_psd(
-                sdp.AffineExpr.const_expr(rho + 5e-3 * np.eye(d)).plus_var("X", -1.0)
+                oracles.const_expr(sdp, rho + 5e-3 * np.eye(d)).plus_var("X", -1.0)
             )
             prob.require_eq(sdp.trace_functional("X", d, const=-1.0))
             prob.objective = sdp.trace_functional("X", d)  # constant: a feasibility solve
@@ -931,7 +931,7 @@ class TestGeneratedSuite:
         rho = oracles.random_density(rng, 2)
         prob = sdp.SDProblem()
         prob.add_var("X", 2)
-        prob.require_psd(sdp.AffineExpr.const_expr(-rho).plus_var("X"))
+        prob.require_psd(oracles.const_expr(sdp, -rho).plus_var("X"))
         prob.require_psd(sdp.AffineExpr.zero(2).plus_var("X"))
         prob.objective = sdp.trace_functional("X", 2)
         res = minimize(prob)
@@ -983,7 +983,7 @@ class TestFidelityBlock:
         prob.add_var("rhop", d)
         prob.add_var("Zre", d)
         prob.add_var("Zim", d)
-        block = sdp.AffineExpr.const_expr(np.kron(e00, rho))
+        block = oracles.const_expr(sdp, np.kron(e00, rho))
         block.plus_kron(e11, "rhop")
         block.plus_kron(sx, "Zre")
         block.plus_kron(-sy, "Zim")
@@ -993,7 +993,7 @@ class TestFidelityBlock:
             prob.objective = sdp.trace_functional("t", 1)
             cap = sdp.AffineExpr.zero(d).plus_kron(sigma, "t")
         else:
-            cap = sdp.AffineExpr.const_expr(2.0**lam * sigma)
+            cap = oracles.const_expr(sdp, 2.0**lam * sigma)
         prob.require_psd(cap.plus_var("rhop", -1.0))
         prob.require_eq(sdp.trace_functional("rhop", d, const=-1.0))
         prob.require_geq(sdp.trace_functional("Zre", d, const=-float(c)))

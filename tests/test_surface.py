@@ -1,11 +1,12 @@
 """The library's test-only surface, pinned.
 
-A public top-level function or class of ``povmcomp`` is test-only when no
-module under ``src/povmcomp`` or ``bench/`` names it in code: as a name, as
-an attribute, or as a part of a string constant that is a dotted name (the
-bench probes name their targets by string).  Comments and the prose of
-docstrings are no reference.  A package ``__init__`` does not count, so a
-re-export is no reference.  New library code that only tests call goes into
+A public top-level function or class of ``povmcomp``, or a public method of
+one of its classes, is test-only when no module under ``src/povmcomp`` or
+``bench/`` names it in code: as a name, as an attribute, or as a part of a
+string constant that is a dotted name (the bench probes name their targets
+by string).  Dunder methods are called by the language, so they are exempt.
+Comments and the prose of docstrings are no reference.  A package
+``__init__`` does not count, so a re-export is no reference.  New library code that only tests call goes into
 ``TEST_ONLY`` on purpose, and code that gains a caller leaves it.
 """
 
@@ -57,16 +58,25 @@ def test_only_tests_call_the_pinned_names():
         if path.name != "__init__.py"
     }
     public = [
-        node.name
+        (node.name, node.name)
         for path, tree in trees.items()
         if path.is_relative_to(ROOT / "src")
         for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
     ]
-    assert len(public) > 50
+    methods = [
+        (f"{node.name}.{item.name}", item.name)
+        for path, tree in trees.items()
+        if path.is_relative_to(ROOT / "src")
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+    ]
+    assert len(public) > 50 and len(methods) > 50
     words = sum((_code_names(tree) for tree in trees.values()), Counter())
     # a definition is no ast.Name, so a name the code never uses counts 0
-    test_only = {name for name in public if words[name] == 0}
+    test_only = {label for label, name in public + methods if words[name] == 0}
     assert test_only == TEST_ONLY
 
 
