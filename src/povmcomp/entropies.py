@@ -46,22 +46,13 @@ def _validate_eps(eps: float) -> float:
 # smooth max entropy (classical)
 
 
-@dataclass
-class HmaxSolution:
-    value: float
-    lam: dict[str, float]
-    subdistribution: dict[str, float]  # P restricted to the kept support, subnormalized
-
-
-def smooth_max_entropy_atoms(
-    atoms: list[tuple[float, float]], eps: float
-) -> tuple[float, list[tuple[float, float]]]:
-    """Greedy optimizer of the max-entropy LP over weighted atoms.
+def smooth_max_entropy_atoms(atoms: list[tuple[float, float]], eps: float) -> float:
+    """Smooth max entropy of weighted atoms by the greedy optimizer of its LP.
 
     ``atoms`` is a list of (probability, multiplicity); multiplicities let
     callers fold exchangeable symbols (e.g. codebook classes) into one atom.
-    Returns ``(log2 of the optimal sum, kept counts per atom)`` where a kept
-    count may be fractional on the single boundary atom.
+    The greedy drops the least likely atoms first until eps of mass is
+    spent, the last one fractionally, and returns log2 of the kept count.
     """
     eps = _validate_eps(eps)
     order = sorted(range(len(atoms)), key=lambda i: atoms[i][0])
@@ -83,29 +74,14 @@ def smooth_max_entropy_atoms(
     lam_sum = sum(kept)
     if lam_sum <= 0:
         raise ValueError("smoothing removed the whole distribution")
-    return math.log2(lam_sum), [(atoms[i][0], kept[i]) for i in range(len(atoms))]
+    return math.log2(lam_sum)
 
 
-def h_max_smooth(p: qo.Distribution, eps: float) -> HmaxSolution:
-    """Smooth max entropy of a distribution with the greedy LP optimizer.
-
-    The returned subdistribution keeps P on the surviving symbols (dropped
-    low-probability prefix removed, fractional boundary symbol retained).
-    """
-    eps = _validate_eps(eps)
-    # canonical tie break: sort by (probability, symbol)
+def h_max_smooth(p: qo.Distribution, eps: float) -> float:
+    """Smooth max entropy of a distribution, in bits: its symbols as atoms
+    of multiplicity 1, tied probabilities ordered by symbol name."""
     idx = sorted(range(len(p.alphabet)), key=lambda i: (p.probs[i], p.alphabet[i]))
-    atoms = [(float(p.probs[i]), 1.0) for i in idx]
-    value, kept = smooth_max_entropy_atoms(atoms, eps)
-    lam = {}
-    sub: dict[str, float] = {}
-    for (prob, kept_frac), i in zip(kept, idx):
-        sym = p.alphabet[i]
-        lam[sym] = kept_frac
-        if kept_frac > 1e-12 and prob > 0:
-            sub[sym] = prob
-    sub = {s: sub[s] for s in p.alphabet if s in sub}  # restore alphabet order
-    return HmaxSolution(value, lam, sub)
+    return smooth_max_entropy_atoms([(float(p.probs[i]), 1.0) for i in idx], eps)
 
 
 # ---------------------------------------------------------------------------

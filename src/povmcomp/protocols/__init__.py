@@ -2,11 +2,11 @@
 
 Submodules: ``prep`` (instance preparation and thresholds), ``compress``
 (codebooks, compressed POVMs, adversary scenarios and their targets),
-``hashing`` (2-universal GF(2) hashes), ``cdcqsi`` (classical data
-compression with quantum side information), ``compose`` (side-information
-composition and the centralised multi-link protocol, whose run with no
-hashed link is the unassisted simulation), ``regions`` (one-shot and iid
-rate regions).
+``hashing`` (2-universal GF(2) hashes), ``compose`` (the centralised
+multi-link protocol: its hashed links compress classical data against
+quantum side information on B, its run with no hashed link is the
+unassisted simulation, and its one-link run the side-information
+composition), ``regions`` (one-shot and iid rate regions).
 """
 
 from .prep import LINKS, PreparedInstance, prepare, thresholds  # noqa: F401
@@ -21,10 +21,10 @@ from .compress import (  # noqa: F401
     plan_codebooks,
 )
 from .hashing import HashScheme, draw_hash  # noqa: F401
-from .cdcqsi import cdc_qsi, sequential_kraus  # noqa: F401
 from .compose import (  # noqa: F401
     centralised_protocol,
     compose_with_side_information,
+    sequential_kraus,
     simulate_unassisted,
 )
 from .regions import RateRegion, iid_region, one_shot_region  # noqa: F401

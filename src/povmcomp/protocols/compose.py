@@ -13,10 +13,11 @@ gently perturbed, sharing the decodes of common prefixes; a dropped link
 counts each class by its multiplicity.
 On a hashed link Bob, who shares the public coins, decodes through the
 message's hash fiber, in ascending index order, with the per-(coin, class)
-hypothesis tests of I_H(KL : K'B).  That I_H is taken on the link's
-composition state, one ``CQState`` over (coin, class) with (K', B) blocks
-built by ``_link_state``, so a decode depends only on the fiber's class
-sequence (its signature).  Each link's fibers are tabulated once and its
+hypothesis tests of I_H(KL : K'B): classical data compression with quantum
+side information, one ``sequential_kraus`` operator per decoded branch.
+That I_H is taken on the link's composition state, one ``CQState`` over
+(coin, class) with (K', B) blocks built by ``_link_state``, so a decode
+depends only on the fiber's class sequence (its signature).  Each link's fibers are tabulated once and its
 messages grouped by signature, with one decoder per (coin, signature): the
 number of decoders and matrix products does not grow with 2^logL, only a
 few array passes over the indices do.  Output states and deviations are
@@ -57,7 +58,6 @@ from .compress import (
     ideal_blocks,
     sample_transcript,
 )
-from .cdcqsi import sequential_kraus
 from .hashing import HashScheme, draw_hash, identity_hash
 from .prep import LINKS, PreparedInstance, prepare, thresholds
 
@@ -155,6 +155,51 @@ def _link_stage(
             scheme = draw_hash(log_l, wire_bits, rng)
             tests = _link_tests(_link_state(family, prep, i), prep.dim_b, budget.eps)
     return LinkStage(wire_bits, log_l, scheme, tests)
+
+
+def sequential_kraus(tests) -> np.ndarray:
+    """Kraus operators of successive-cancellation decoding through ``tests``.
+
+    Candidate j, tested in the caller's order, decodes through
+    K_j = U_j^dag S_j with S_j = Pi_j (I - Pi_{j-1}) ... (I - Pi_1) and U_j
+    the left polar unitary of S_j = U_j sqrt(S_j^dag S_j): the decoded branch
+    undoes the measurement's rotation.  The last operator is the failure
+    branch sqrt(I - sum_j S_j^dag S_j).  A lone candidate needs no
+    measurement, since the hash alone names it: it gets [I, 0], so it
+    decodes with probability 1 and leaves the state as it was.
+
+    ``tests`` is one test sequence, shape (L, d, d) or a list of L
+    matrices, or a stack of sequences of one length, shape (..., L, d, d);
+    the result has shape (..., L + 1, d, d), row by row the operators of
+    the row's sequence.  A stack runs one matrix product chain, one stacked
+    ``svd`` per candidate position and one stacked square root for the
+    failure branch.
+    """
+    tests = np.asarray(tests, dtype=complex)
+    n_cand, d = tests.shape[-3], tests.shape[-1]
+    eye = np.eye(d, dtype=complex)
+    kraus = np.zeros(tests.shape[:-3] + (n_cand + 1, d, d), dtype=complex)
+    if n_cand == 1:
+        kraus[..., 0, :, :] = eye
+        return kraus
+    tail = residual = np.broadcast_to(eye, tests.shape[:-3] + (d, d))
+    for j in range(n_cand):
+        pi = tests[..., j, :, :]
+        s = pi @ tail
+        tail = (eye - pi) @ tail
+        residual = residual - _adjoint(s) @ s
+        kraus[..., j, :, :] = _adjoint(_polar_unitary(s)) @ s
+    kraus[..., n_cand, :, :] = la.matrix_sqrt_many(residual)
+    return kraus
+
+
+def _adjoint(ops: np.ndarray) -> np.ndarray:
+    return ops.conj().swapaxes(-1, -2)
+
+
+def _polar_unitary(s: np.ndarray) -> np.ndarray:
+    u, _, vh = np.linalg.svd(s)
+    return u @ vh
 
 
 class _StageDecoder:
@@ -399,7 +444,7 @@ def compose_with_side_information(
         k, sym = qo.split_symbol(s)
         m = int(codebook.counts[int(k)][codebook.alphabet.index(sym)])
         atoms.append((state.weights[s] / m, float(m)))
-    hmax_kl, _ = ent.smooth_max_entropy_atoms(atoms, eps0)
+    hmax_kl = ent.smooth_max_entropy_atoms(atoms, eps0)
     ihyp_kl = math.inf
     if prep.has_side_information():
         ihyp_kl, _ = ent.i_hyp_cq(state, eps0)

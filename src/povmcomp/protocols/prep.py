@@ -167,7 +167,7 @@ def thresholds(
         i_maxes = ent.i_max_cq_many([_x_env_cq(prep), _y_xenv_cq(prep)], eps)
         for i, (s, i_max) in enumerate(zip(names, i_maxes)):
             ents[f"imax_{s}"] = i_max
-            ents[f"hmax_{s}"] = ent.h_max_smooth(prep.marginals[i], eps).value
+            ents[f"hmax_{s}"] = ent.h_max_smooth(prep.marginals[i], eps)
             ents[f"ih_{s}_b"] = side_information(prep, prep.env_cq().group_parts((i,)), eps0 / 2)
     out = {"log_const": c, **ents}
     for n, s in enumerate(names, start=1):

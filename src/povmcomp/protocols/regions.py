@@ -87,7 +87,7 @@ def one_shot_region(
         on B: ``i_max`` is the I_max of the register with its side
         registers, ``plain_cq`` the register alone."""
         ih = side_information(prep, plain_cq, eps)
-        return i_max - ih + c, ent.h_max_smooth(plain_cq.classical_distribution(), eps).value - ih
+        return i_max - ih + c, ent.h_max_smooth(plain_cq.classical_distribution(), eps) - ih
 
     # per (axis, theta) cell, the (I_max register, plain register) of U, V
     # and the other link's Y

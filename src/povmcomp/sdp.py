@@ -282,16 +282,16 @@ def trace_functional(var: str, dim: int, coeff: float = 1.0, const: float = 0.0)
 
 @dataclass
 class SDProblem:
-    variables: list[tuple[str, int]] = field(default_factory=list)
+    variables: dict[str, int] = field(default_factory=dict)  # label -> dim, in add order
     psd_constraints: list[AffineExpr] = field(default_factory=list)
     equalities: list[ScalarExpr] = field(default_factory=list)
     inequalities: list[ScalarExpr] = field(default_factory=list)  # each >= 0
     objective: ScalarExpr | None = None  # what ``minimize_many`` minimizes
 
     def add_var(self, label: str, dim: int) -> str:
-        if any(lab == label for lab, _ in self.variables):
+        if label in self.variables:
             raise ValueError(f"duplicate variable {label!r}")
-        self.variables.append((label, dim))
+        self.variables[label] = dim
         return label
 
     def require_psd(self, expr: AffineExpr) -> None:
@@ -355,7 +355,7 @@ class Program:
         self.real = _is_real(prob)
         self.var_offsets: dict[str, tuple[int, int]] = {}
         off = 0
-        for lab, d in prob.variables:
+        for lab, d in prob.variables.items():
             self.var_offsets[lab] = (off, d)
             off += rvec_size(d, self.real)
         self.n_vars = off

@@ -477,12 +477,12 @@ def probe_columns_per_basis(program) -> np.ndarray:
     of ``program.prob`` (the only attribute read)."""
     prob = program.prob
     real = problem_is_real(prob)
-    widths = [rvec_width(d, real) for _, d in prob.variables]
+    widths = [rvec_width(d, real) for d in prob.variables.values()]
     n_rows = sum(rvec_width(e.dim, real) for e in prob.psd_constraints)
     cols = np.zeros((n_rows + len(prob.inequalities) + len(prob.equalities), sum(widths)))
-    assign = {lab: np.zeros((d, d), dtype=complex) for lab, d in prob.variables}
+    assign = {lab: np.zeros((d, d), dtype=complex) for lab, d in prob.variables.items()}
     o = 0
-    for (lab, d), width in zip(prob.variables, widths):
+    for (lab, d), width in zip(prob.variables.items(), widths):
         for k in range(width):
             basis = np.zeros(width)
             basis[k] = 1.0
@@ -541,9 +541,9 @@ def farkas_from_expressions(prob, slack: np.ndarray) -> tuple[float, float]:
             val += wi * (iq.evaluate(assign) - iq.const if linear else iq.const)
         return val
 
-    assign = {lab: np.zeros((d, d), dtype=complex) for lab, d in prob.variables}
+    assign = {lab: np.zeros((d, d), dtype=complex) for lab, d in prob.variables.items()}
     grad, eq_rows = [], []
-    for lab, d in prob.variables:
+    for lab, d in prob.variables.items():
         for k in range(d * d):
             basis = np.zeros(d * d)
             basis[k] = 1.0
@@ -563,7 +563,7 @@ def pin_variable(prob, var: str, value: float):
     kron term's left factor, a scalar term's F), added to its expression's
     constant; ``var`` and the objective are dropped.  Pinning the min t
     program's t gives the program at that fixed t."""
-    assert dict(prob.variables)[var] == 1
+    assert prob.variables[var] == 1
     pinned = np.full((1, 1), float(value))
 
     def psd(expr):
@@ -584,7 +584,7 @@ def pin_variable(prob, var: str, value: float):
 
     return dataclasses.replace(
         prob,
-        variables=[(lab, d) for lab, d in prob.variables if lab != var],
+        variables={lab: d for lab, d in prob.variables.items() if lab != var},
         psd_constraints=[psd(e) for e in prob.psd_constraints],
         equalities=[scalar(e) for e in prob.equalities],
         inequalities=[scalar(e) for e in prob.inequalities],

@@ -1,26 +1,12 @@
 import itertools
-import math
 
 import numpy as np
 import pytest
 
-from povmcomp import entropies as ent
-from povmcomp import qobjects as qo
-from povmcomp.protocols import cdc_qsi
-from povmcomp.protocols.cdcqsi import sequential_kraus
+from povmcomp.protocols.compose import sequential_kraus
 from povmcomp.protocols.hashing import HashScheme, draw_hash, identity_hash
 
 import oracles
-
-
-def orthogonal_fixture(n=4):
-    """Uniform n-symbol source with orthogonal side-information states."""
-    blocks = {}
-    for i in range(n):
-        b = np.zeros((n, n), dtype=complex)
-        b[i, i] = 1.0
-        blocks[str(i)] = b
-    return qo.CQState(tuple(str(i) for i in range(n)), {str(i): 1.0 / n for i in range(n)}, blocks)
 
 
 class TestHashScheme:
@@ -167,89 +153,3 @@ class TestSequentialKraus:
             for op, one, ref in zip(row, single, want):
                 assert np.array_equal(op, one)
                 assert np.array_equal(op, ref)
-
-
-class TestCdcQsi:
-    def test_single_symbol(self):
-        cq = qo.CQState(("a",), {"a": 1.0}, {"a": np.eye(2, dtype=complex) / 2})
-        out = cdc_qsi(cq, eps=0.1, seed=0, hash_draws=5)
-        assert out["rate"] == 0
-        assert out["avg_error"] == 0.0
-
-    def test_orthogonal_fixture_bound(self):
-        cq = orthogonal_fixture(4)
-        out = cdc_qsi(cq, eps=0.1, seed=1, hash_draws=100)
-        bound = math.sqrt(0.2) + 0.1
-        assert out["rate"] == max(
-            0, math.ceil(out["hmax"] - out["i_hyp"] + math.log2(10))
-        )
-        assert out["avg_error"] <= bound
-        assert out["distance"] <= out["distance_bound"]
-
-    def test_trivial_side_info_rate(self):
-        # trivial B: buckets must be resolved by rate alone
-        blocks = {str(i): np.eye(1, dtype=complex) for i in range(4)}
-        cq = qo.CQState(tuple(str(i) for i in range(4)), {str(i): 0.25 for i in range(4)}, blocks)
-        out = cdc_qsi(cq, eps=0.1, seed=2, hash_draws=40)
-        # I_H against a trivial register is -log2(1-eps)
-        assert np.isclose(out["i_hyp"], -math.log2(0.9), atol=1e-9)
-        assert out["rate"] == math.ceil(out["hmax"] + math.log2(0.9) + math.log2(10))
-        assert out["avg_error"] <= math.sqrt(0.2) + 0.1
-
-    def test_exhaustive_hash_enumeration_small(self):
-        # 2-symbol uniform source, trivial B: enumerate every (matrix, offset)
-        blocks = {"0": np.eye(1, dtype=complex), "1": np.eye(1, dtype=complex)}
-        cq = qo.CQState(("0", "1"), {"0": 0.5, "1": 0.5}, blocks)
-        ref = cdc_qsi(cq, eps=0.1, seed=3, hash_draws=400)
-        rate, input_bits = ref["rate"], 1
-        _, test = ent.i_hyp_cq(cq, 0.1)
-        errs = []
-        for bits in itertools.product([0, 1], repeat=rate * input_bits + rate):
-            m = np.array(bits[: rate * input_bits], dtype=np.uint8).reshape(rate, input_bits)
-            o = np.array(bits[rate * input_bits :], dtype=np.uint8)
-            scheme = HashScheme(rate, m, o)
-            buckets = {}
-            for i, sym in enumerate(("0", "1")):
-                buckets.setdefault(scheme.apply(i), []).append(sym)
-            # each bucket's error is that of the decoder cdc_qsi builds for
-            # it: a lone candidate decodes with certainty, while a collision
-            # runs the scalar 0.9 tests in turn and can still decode right
-            err = 0.0
-            for b in buckets.values():
-                kraus = sequential_kraus([test.per_symbol[s] for s in sorted(b)])
-                for s, k in zip(sorted(b), kraus):
-                    correct = np.trace(k @ cq.blocks[s] @ k.conj().T).real
-                    err += 0.5 * (1.0 - correct)
-            errs.append(err)
-        exact = float(np.mean(errs))
-        # the per-draw error is 0 or the collision error (about 0.59, hit
-        # with probability 2^-rate = 1/32); over 400 draws its mean has a
-        # standard deviation of about 0.005, so 0.03 is six of them
-        assert abs(ref["avg_error"] - exact) < 0.03
-
-    def test_error_decreases_with_distinguishability(self):
-        rng = np.random.default_rng(4)
-        mixed = {
-            "0": np.diag([0.6, 0.4]).astype(complex),
-            "1": np.diag([0.4, 0.6]).astype(complex),
-        }
-        sharp = {
-            "0": np.diag([1.0, 0.0]).astype(complex),
-            "1": np.diag([0.0, 1.0]).astype(complex),
-        }
-        out_m = cdc_qsi(
-            qo.CQState(("0", "1"), {"0": 0.5, "1": 0.5}, mixed),
-            eps=0.1, seed=5, hash_draws=60, rate_override=0,
-        )
-        out_s = cdc_qsi(
-            qo.CQState(("0", "1"), {"0": 0.5, "1": 0.5}, sharp),
-            eps=0.1, seed=5, hash_draws=60, rate_override=0,
-        )
-        assert out_s["avg_error"] < out_m["avg_error"]
-
-    def test_deterministic_under_seed(self):
-        cq = orthogonal_fixture(3)
-        a = cdc_qsi(cq, eps=0.1, seed=6, hash_draws=10)
-        b = cdc_qsi(cq, eps=0.1, seed=6, hash_draws=10)
-        assert a["avg_error"] == b["avg_error"]
-        assert a["per_draw_error"] == b["per_draw_error"]

@@ -586,5 +586,24 @@ def test_signature_decode_matches_per_message_decode(monkeypatch):
             assert np.max(np.abs(op - want[name][key])) <= 1e-12, (name, key)
 
 
+def test_hashed_link_decodes_better_with_distinguishable_side_information():
+    # A measured in Z, Y trivial, rho = (|0><0| (x) b0 + |1><1| (x) b1) / 2:
+    # X's hash (4 -> 2 bits) leaves fibers of 4 indices for Bob to tell
+    # apart on B, which orthogonal b0, b1 let him do and b0 = b1 does not
+    z0, z1 = np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)
+    povm = qo.povm_from_elements({("0", "_"): z0, ("1", "_"): z1})
+    budget = OneShotBudget(0.1, r_x=4, c_x=1)
+
+    def x_only_deviation(b0, b1):
+        rho = 0.5 * (np.kron(z0, b0) + np.kron(z1, b1))
+        inst = io.Instance({"A": 2, "B": 2, "R": 1}, rho, povm)
+        run = P.centralised_protocol(inst, budget, 1, log_const=0.0, wire_override={"X": 2})
+        assert run["stage_x"].wire_bits < run["stage_x"].log_l
+        return run["scenarios"]["x_only"]["deviation"]
+
+    mixed = np.eye(2, dtype=complex) / 2
+    assert x_only_deviation(z0, z1) < x_only_deviation(mixed, mixed)
+
+
 if __name__ == "__main__":
     _write_golden()

@@ -49,7 +49,7 @@ def feasibility_problem(which):
     """A problem with the objective Tr X, which its constraints fix ("box")
     or bound below (the others), so that ``minimize_many`` finds a feasible point."""
     prob = kernel_problem(which)
-    prob.objective = sdp.trace_functional("X", prob.variables[0][1])
+    prob.objective = sdp.trace_functional("X", prob.variables["X"])
     return prob
 
 
@@ -77,7 +77,7 @@ def mixed_rows_problem():
     nonzero constant; every bounded point meets it."""
     prob = interleaved_blocks_problem()
     rng = np.random.default_rng(12)
-    f = {lab: oracles.random_hermitian(rng, d) / 10 for lab, d in prob.variables}
+    f = {lab: oracles.random_hermitian(rng, d) / 10 for lab, d in prob.variables.items()}
     terms = (("W", f["W"]), ("Y", f["Y"]), ("X", f["X"]), ("W", -f["W"] / 3))
     prob.require_geq(sdp.ScalarExpr(3.0, terms))
     return prob
@@ -147,10 +147,18 @@ def test_field_follows_the_data(which):
     prob = kernel_problem(which)
     prog = sdp.Program(prob)
     assert prog.real == (which in ("box", "interleaved")) == oracles.problem_is_real(prob)
-    assert prog.n_vars == sum(sdp.rvec_size(d, prog.real) for _, d in prob.variables)
+    assert prog.n_vars == sum(sdp.rvec_size(d, prog.real) for d in prob.variables.values())
     assert prog.n_graph == sum(sdp.rvec_size(e.dim, prog.real) for e in prob.psd_constraints) + len(
         prob.inequalities
     )
+
+
+def test_add_var_rejects_a_duplicate_label():
+    prob = interleaved_blocks_problem()
+    with pytest.raises(ValueError, match="duplicate variable 'Y'"):
+        prob.add_var("Y", 2)
+    assert prob.variables == {"X": 2, "Y": 3, "W": 4}
+    assert list(prob.variables) == ["X", "Y", "W"]
 
 
 def fires(gap, resid):
@@ -163,8 +171,8 @@ class TestAdjoints:
         prob = kernel_problem("min_t")
         prog = sdp.Program(prob)
         for _ in range(5):
-            assign = {lab: oracles.random_hermitian(rng, d) for lab, d in prob.variables}
-            x = np.concatenate([sdp.herm_to_rvec(assign[lab]) for lab, _ in prob.variables])
+            assign = {lab: oracles.random_hermitian(rng, d) for lab, d in prob.variables.items()}
+            x = np.concatenate([sdp.herm_to_rvec(assign[lab]) for lab in prob.variables])
             probed = prog.g_graph[: prog.n_psd] @ x
             direct = np.concatenate(
                 [sdp.herm_to_rvec(oracles.linear_part(e, assign)) for e in prob.psd_constraints]
@@ -421,7 +429,7 @@ class TestSlabLayout:
         prob = interleaved_blocks_problem()
         rng = np.random.default_rng(25)
         prob.objective = sdp.ScalarExpr(
-            0.0, tuple((lab, oracles.random_hermitian(rng, d)) for lab, d in prob.variables)
+            0.0, tuple((lab, oracles.random_hermitian(rng, d)) for lab, d in prob.variables.items())
         )
         prog = sdp.Program(prob)
         assert not np.array_equal(prog.order, np.arange(prog.n_graph))
@@ -431,7 +439,7 @@ class TestSlabLayout:
         null = np.linalg.svd(prog.g_eq)[2][prog.n_eq :].T
         q = prog.functional(prob.objective)
         assert np.linalg.norm(null.T @ (prog.g_graph.T @ z - q)) <= 1e-5
-        x = np.concatenate([sdp.herm_to_rvec(res.assignment[lab]) for lab, _ in prob.variables])
+        x = np.concatenate([sdp.herm_to_rvec(res.assignment[lab]) for lab in prob.variables])
         assert abs((prog.g_graph @ x + prog.c_graph) @ z) <= 1e-5
         gap, resid = prog.farkas(z)[2:]
         want_gap, want_resid = oracles.farkas_from_expressions(prob, z)
@@ -614,7 +622,7 @@ def kernel_assignments(which) -> list:
     out = [point]
     for size in (1e-9, 0.1):
         out.append({k: x + size * oracles.random_hermitian(rng, len(x)) for k, x in point.items()})
-    out += [{lab: oracles.random_hermitian(rng, d) for lab, d in prob.variables} for _ in range(3)]
+    out += [{lab: oracles.random_hermitian(rng, d) for lab, d in prob.variables.items()} for _ in range(3)]
     return out
 
 
@@ -901,7 +909,7 @@ class TestWitness:
 
     def test_held_variable_in_an_equality_row_raises(self, region_programs):
         # w joins the trace equality, so holding it would change nu
-        res = minimize(next(prob for prob in region_programs if "w" in dict(prob.variables)))
+        res = minimize(next(prob for prob in region_programs if "w" in prob.variables))
         with pytest.raises(ValueError, match="outside every equality row"):
             res.program.farkas(res.dual, {"w": 0.5})
 
