@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -101,11 +102,27 @@ class _Blocks:
 
     Every block has one dimension d: ``i_hyp_cq``'s blocks all live on the
     quantum register, and ``d_hyp``'s pair is one block (n = 1).
+
+    alpha_strict(t) = sum_b Tr[{t rho_b - sigma_b > 0} rho_b] is the left
+    derivative of the convex map t -> sum_b Tr(t rho_b - sigma_b)_+, so it
+    is nondecreasing in t.  Its eigenvalues grow with t (rho_b >= 0), and
+    it jumps only where one of them crosses 0: where t rho_b - sigma_b is
+    singular, at t = 1 / mu for mu > 0 in the spectrum of
+    sigma_b^(-1/2) (rho_b / K) sigma_b^(-1/2) on supp sigma_b, with
+    rho_b / K the Schur complement of rho_b's corner on ker sigma_b
+    (rho_b itself when rho_b carries no mass there, as for every block of
+    ``i_hyp_cq``, whose sigma_b = p_b rho_S covers each rho_b).  Between
+    two jumps it is continuous; for a commuting pair it is constant there.
     """
 
     def __init__(self, rho_blocks: list[np.ndarray], sigma_blocks: list[np.ndarray]):
         self.rho = np.stack([la.as_matrix(b) for b in rho_blocks])
         self.sigma = np.stack([la.as_matrix(b) for b in sigma_blocks])
+
+    @cached_property
+    def sigma_eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        """One stacked ``eigh`` of sigma: the kernel test's and the jumps'."""
+        return np.linalg.eigh(self.sigma)
 
     def spectra(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         """Eigenvalues and eigenvectors of every block's t rho - sigma,
@@ -115,6 +132,55 @@ class _Blocks:
     def alpha_strict(self, t: float, tol: float) -> float:
         d, v = self.spectra(t)
         return sum(_row_sums(_weights(v, self.rho), d > tol))
+
+    def jumps(self) -> tuple[list[float], list[float]]:
+        """The points t_j where alpha_strict jumps, ascending, and the half
+        width of each one's window: where a computed reading may fall on
+        either side of the jump.
+
+        From sigma's ``eigh`` and one stacked ``eigh`` of the pencil
+        sigma_b^(-1/2) (rho_b / K) sigma_b^(-1/2) on supp sigma_b (the
+        class docstring).  Its eigenvector y of mu gives the null vector x
+        of t_j rho_b - sigma_b, and x^dag rho_b x / |x|^2 = lambda' is the
+        speed at which that eigenvalue crosses 0.  A backward stable
+        ``eigh`` of t rho_b - sigma_b errs by about EIG_NOISE times its
+        norm (at most t Tr rho_b + Tr sigma_b), so the window's half width
+        is EIG_NOISE (t_j Tr rho_b + Tr sigma_b) / lambda'.  Jumps within
+        1e-9 of each other, relatively, are one jump whose window spans
+        them all.
+        """
+        w, v = self.sigma_eigh
+        supp = w > 1e-12
+        inv_sqrt = np.where(supp, 1.0 / np.sqrt(np.where(supp, w, 1.0)), 0.0)
+        rot = v.conj().swapaxes(-1, -2) @ self.rho @ v
+        # x = (D y, gain D y) on supp sigma_b (+) ker sigma_b, with D = inv_sqrt
+        gain = np.zeros_like(rot)
+        for b in np.flatnonzero(~supp.all(axis=1)):
+            k, s = ~supp[b], supp[b]
+            corner = rot[b][np.ix_(k, k)]
+            if np.abs(corner).max() <= 1e-12:
+                continue
+            g = np.linalg.pinv(corner, rcond=1e-10, hermitian=True) @ rot[b][np.ix_(k, s)]
+            rot[b][np.ix_(s, s)] -= rot[b][np.ix_(s, k)] @ g
+            gain[b][np.ix_(k, s)] = -g
+        mu, y = np.linalg.eigh(inv_sqrt[:, :, None] * rot * inv_sqrt[:, None, :])
+        dy = inv_sqrt[:, :, None] * y
+        spread = (np.abs(dy) ** 2).sum(axis=1) + (np.abs(gain @ dy) ** 2).sum(axis=1)
+        scale = np.einsum("nii->n", self.rho).real, np.einsum("nii->n", self.sigma).real
+        live = (mu > 0) & (mu > 1e-12 * mu.max(initial=0.0))
+        at = 1.0 / mu[live]
+        norm = at * np.broadcast_to(scale[0][:, None], mu.shape)[live]
+        norm += np.broadcast_to(scale[1][:, None], mu.shape)[live]
+        half = EIG_NOISE * norm * spread[live] / mu[live]
+        order = np.argsort(at, kind="stable")
+        points, halves = [], []
+        for t, h in zip(at[order].tolist(), half[order].tolist()):
+            if points and t <= points[-1] * (1.0 + 1e-9):
+                halves[-1] = max(halves[-1], h, t - points[-1])
+            else:
+                points.append(t)
+                halves.append(h)
+        return points, halves
 
 
 def _weights(v: np.ndarray, mats: np.ndarray) -> np.ndarray:
@@ -131,23 +197,187 @@ def _row_sums(w: np.ndarray, mask: np.ndarray) -> list[float]:
     return [float(row[m].sum()) for row, m in zip(w, mask)]
 
 
+# relative error of a stacked eigh's eigenvalues (4 ulps), the absolute error
+# of a computed alpha_strict (64 ulps), and the relative width at which the
+# root search of a continuous crossing hands over to its confirmation
+EIG_NOISE = 2.0**-50
+ALPHA_NOISE = 2.0**-46
+ROOT_CLOSE = 2.0**-30
+
+
+class _Readings:
+    """The readings alpha_strict(t, 0) of one threshold search, and the
+    confirmed bracket [lo, hi] outside which it answers without an ``eigh``.
+
+    ``read`` keeps every reading, so a point read twice costs one ``eigh``.
+    ``reaches(t)``, alpha_strict(t, 0) >= target, is False at t <= lo and
+    True at t >= hi, and read elsewhere.  ``below`` and ``above`` are the
+    tightest points read on either side of the target, which steer the
+    search; only ``confirm`` moves [lo, hi].
+    """
+
+    def __init__(self, blocks: _Blocks, target: float):
+        self.blocks, self.target = blocks, target
+        self.alpha: dict[float, float] = {}
+        self.lo, self.hi = 0.0, math.inf
+
+    def read(self, t: float) -> float:
+        if t not in self.alpha:
+            self.alpha[t] = self.blocks.alpha_strict(t, 0.0)
+        return self.alpha[t]
+
+    def reaches(self, t: float) -> bool:
+        if t <= self.lo:
+            return False
+        if t >= self.hi:
+            return True
+        return self.read(t) >= self.target
+
+    def below(self) -> float:
+        return max((t for t, a in self.alpha.items() if a < self.target), default=0.0)
+
+    def above(self) -> float:
+        return min((t for t, a in self.alpha.items() if a >= self.target), default=math.inf)
+
+    def confirm(self, t: float, half: float) -> bool:
+        """Read t - half, and t + half when t - half reads below the
+        target; when they straddle it, they become [lo, hi]."""
+        a, b = t - half, t + half
+        if self.read(a) < self.target <= self.read(b):
+            self.lo, self.hi = a, b
+            return True
+        return False
+
+
+def _np_bracket(rd: _Readings) -> None:
+    """Confirm a bracket [lo, hi] of the threshold from the jumps of
+    alpha_strict (``_Blocks.jumps``), or leave none.
+
+    A bisection over the points between the jumps (the geometric means of
+    neighbours, half the first, twice the last) finds the least that
+    reads at or above the target.  The crossing is then at the jump just
+    below it, or in a continuous stretch beside that jump.  At the jump,
+    [t_j - h, t_j + h] with h its window's half width (at least 4 ulps) is
+    confirmed when its ends straddle the target; a failed confirmation
+    widens h 16-fold, at most three times, while t_j stays between the
+    tightest readings.  Otherwise the crossing is a root of the
+    continuous alpha_strict: ``_np_root``.
+    """
+    points, halves = rd.blocks.jumps()
+    if not points:
+        return
+    between = np.sqrt(np.multiply(points[:-1], points[1:])).tolist()
+    probes = [points[0] / 2.0, *between, points[-1] * 2.0]
+    lo, hi = -1, len(probes)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if rd.read(probes[mid]) >= rd.target:
+            hi = mid
+        else:
+            lo = mid
+    if 1 <= hi <= len(points):
+        t = points[hi - 1]
+        half = max(halves[hi - 1], 4.0 * math.ulp(t))
+        for _ in range(4):
+            if not rd.below() < t < rd.above():
+                break
+            if rd.confirm(t, half):
+                return
+            half *= 16.0
+    _np_root(rd)
+
+
+def _np_root(rd: _Readings) -> None:
+    """Confirm a bracket of a crossing of the continuous alpha_strict, or
+    leave none.
+
+    Regula falsi between the tightest readings (times 4 from the last one
+    until one reads at or above the target), safeguarded twice: the
+    Illinois rule halves the stale end's value when one end moves twice
+    running, and a third move of the same end takes the geometric mean.
+    Once the readings are within ROOT_CLOSE of each other, relatively,
+    their secant gives the root r and the slope s, and [r - h, r + h] with
+    h = ALPHA_NOISE / s (at least 4 ulps) is confirmed as at a jump, h
+    widened 16-fold at most twice.
+    """
+    target = rd.target
+    for _ in range(200):
+        if not math.isinf(rd.above()):
+            break
+        rd.read(4.0 * rd.below() if rd.below() > 0.0 else 1.0)
+    low, high = rd.below(), rd.above()
+    if math.isinf(high):
+        return
+    g_low, g_high = rd.alpha.get(low, 0.0) - target, rd.alpha[high] - target
+    side = 0
+    for _ in range(40):
+        low, high = rd.below(), rd.above()
+        if high - low <= ROOT_CLOSE * high:
+            a_low, a_high = rd.alpha.get(low, 0.0), rd.alpha[high]
+            slope = (a_high - a_low) / (high - low)
+            root = min(max(low + (target - a_low) / slope, low), high)
+            half = max(ALPHA_NOISE / slope, 4.0 * math.ulp(root))
+            for _ in range(3):
+                if rd.confirm(root, half):
+                    return
+                half *= 16.0
+            return
+        t = high - g_high * (high - low) / (g_high - g_low)
+        if abs(side) >= 3:
+            t = math.sqrt(low * high) if low > 0.0 else high / 4.0
+        if g_high == 0.0:
+            t = max(high * (1.0 - ROOT_CLOSE / 2.0), (low + high) / 2.0)
+        if not low < t < high:
+            t = (low + high) / 2.0
+        if rd.read(t) >= target:
+            g_high = rd.alpha[t] - target
+            if side > 0:
+                g_low /= 2.0
+            side = side + 1 if side > 0 else 1
+        else:
+            g_low = rd.alpha[t] - target
+            if side < 0:
+                g_high /= 2.0
+            side = side - 1 if side < 0 else -1
+
+
 def _np_bisect(blocks: _Blocks, target: float) -> tuple[float, float]:
     """Bracket [t_lo, t_hi] of the least t with alpha_strict(t) >= target.
 
-    Halves until the float64 midpoint stops falling strictly inside the
-    bracket, at most 120 times; further halvings would only probe t_lo or
-    t_hi again and leave the bracket as it is.
+    First a bracket of the threshold is confirmed from the jumps of
+    alpha_strict (``_np_bracket``).  Then the bisection runs: expansion
+    by 4 from [0, 1], then halving until the float64 midpoint stops
+    falling strictly inside the bracket, at most 120 times; further
+    halvings would only probe t_lo or t_hi again and leave the bracket as
+    it is.  A point outside the confirmed bracket is answered without an
+    ``eigh`` (``_Readings.reaches``), and a point read before is not read
+    again, so the bisection reads only its own points inside the
+    confirmed bracket.
+
+    The computed alpha_strict is not monotone near the threshold: inside
+    a window of a few to a few thousand ulps, its readings fall on either
+    side of the target at random.  The bisection's answer is where its
+    own points land in that window, so an answer without an ``eigh`` is
+    its own only when it lies outside the window.  Hence only a
+    confirmed bracket, whose half width bounds the window, answers
+    points; the readings of the search inside it only steer it.  So the
+    bracket, the tests, alpha and beta are those of the bisection alone
+    (``tests/oracles.np_bisect_fixed``).  With no confirmed bracket (no
+    jumps, a crossing the root search does not pin down) the bisection
+    runs alone, less the points the search has read.
     """
+    rd = _Readings(blocks, target)
+    _np_bracket(rd)
     t_lo, t_hi = 0.0, 1.0
     for _ in range(200):
-        if blocks.alpha_strict(t_hi, 0.0) >= target:
+        if rd.reaches(t_hi):
             break
         t_lo, t_hi = t_hi, t_hi * 4.0
     for _ in range(120):
         mid = (t_lo + t_hi) / 2
         if not t_lo < mid < t_hi:
             break
-        if blocks.alpha_strict(mid, 0.0) >= target:
+        if rd.reaches(mid):
             t_hi = mid
         else:
             t_lo = mid
@@ -157,17 +387,20 @@ def _np_bisect(blocks: _Blocks, target: float) -> tuple[float, float]:
 def _np_threshold(blocks: _Blocks, eps: float):
     """Optimal NP test; returns (beta, per-block test operators, alpha).
 
-    The blocks are searched together: the kernel test comes from one
-    stacked ``eigh`` of sigma, each bisection probe of ``alpha_strict`` is
-    one stacked ``eigh`` of t rho - sigma and one stacked weight
-    ``einsum``, and the tests at the bracket's top come from one stacked
-    spectrum.  Sums over blocks run in block order, each block's own sum
-    as a per-block search takes it, so the bracket, the tests and
+    The blocks are searched together: the kernel test and the jumps come
+    from one stacked ``eigh`` of sigma (``_Blocks.sigma_eigh``), each
+    probe of ``alpha_strict`` is one stacked ``eigh`` of t rho - sigma
+    and one stacked weight ``einsum``, and the tests at the bracket's top
+    come from one stacked spectrum.  The threshold's bracket is
+    ``_np_bisect``'s: the bisection's own, read at about a dozen points
+    around a confirmed bracket from alpha_strict's jumps instead of 55.
+    Sums over blocks run in block order, each block's own sum as a
+    per-block search takes it, so the bracket, the tests and
     (alpha, beta) are those of a search one block at a time.
     """
     target = 1.0 - eps
     # beta = 0 reachable: test supported on ker(sigma)
-    w, v = np.linalg.eigh(blocks.sigma)
+    w, v = blocks.sigma_eigh
     ker_tests, ker_alpha = [], 0.0
     for r, wb, vb in zip(blocks.rho, w, v):
         kcols = vb[:, np.abs(wb) <= 1e-12]
@@ -624,6 +857,7 @@ def _water_fill(ball: tuple, eps: float) -> sdp.SDPResult:
     a, s, rest = cap_a[k], cap_s[k], rest_l[k]
     root = (c * c - rest) / (c * a + math.sqrt(max(rest * (a * a + s * (rest - c * c)), 0.0)))
     t_star = max(1.0 / s_all, root * root)
+    t_cap = max(t_star, _t_star_cap((root, a, s, rest), c, sig, free_mass if free else 0.0))
     if t_star > root * root:
         k = n  # bound by the normalisation: every sub-block is capped at t_min
 
@@ -636,9 +870,9 @@ def _water_fill(ball: tuple, eps: float) -> sdp.SDPResult:
     }
     if free:
         assign["w"] = np.full((1, 1), 1.0 - x.sum())
-    assign["t"] = np.full((1, 1), t_star)
+    assign["t"] = np.full((1, 1), t_cap)
 
-    t_low = 2.0 ** (math.log2(t_star) - BISECT_TOL_BITS)
+    t_low = 2.0 ** (math.log2(t_cap) - BISECT_TOL_BITS)
     psd = np.zeros((n, 2, 2))
     if t_low * s_all < 1.0:
         fid, floor, caps, free_cap = 0.0, 0.0, np.ones(n), 1.0
@@ -651,6 +885,51 @@ def _water_fill(ball: tuple, eps: float) -> sdp.SDPResult:
     ineq = [[fid], [floor] * free, caps, [free_cap] * free]
     dual = np.concatenate([sdp.herm_to_rvec(psd, prog.real).ravel(), *ineq])
     return sdp.SDPResult("optimal", assign, {}, 0, dual, prog)
+
+
+def _rounded_up(t: float, rel: float) -> float:
+    """The next float above t (1 + rel + ln 2 ulp(log2 t)): at least
+    t (1 + rel), and its log2, rounded by one ulp at most, at least
+    log2 (t (1 + rel))."""
+    return math.nextafter(t * (1.0 + rel + math.log(2.0) * math.ulp(math.log2(t))), math.inf)
+
+
+def _t_star_cap(segment: tuple, c: float, sigmas: np.ndarray, free_mass: float) -> float:
+    """A float at or above the exact least t of ``_water_fill``'s program,
+    from its computed crossing on ``segment`` = (root, A, S, L), the
+    fidelity c and the caps' (sigma_b, s0), which are taken as exact.
+
+    With u = 2^-53, t_min = 1 / (sum_b sigma_b + s0) is rounded twice
+    (``math.fsum`` and the reciprocal), so it is at most 2u above the
+    float.  The crossing solves G(r) = A r + sqrt(L (1 - S r^2)) - c = 0
+    with r = sqrt(t), and the computed A, S and L are cumulative sums of
+    at most n terms of one or two roundings each: relative errors of at
+    most g = (n + 1) u / (1 - (n + 1) u).  A bound on |G(root)| with
+    exact data is then the computed residual, its own rounding (4u times
+    its terms), the data's errors times G's partial derivatives, and c's
+    rounding (2u c + u / c); dividing twice that by G'(root), which is
+    positive on the segment since F grows with t, bounds r* - root.  When
+    G' is not positive or the shift is not small (an ill-conditioned
+    crossing), the cap is t* 2^(BISECT_TOL_BITS / 4), which still keeps the
+    value within the certified interval.
+    """
+    root, a, s, rest = segment
+    u = 2.0**-53
+    t_min = _rounded_up(1.0 / math.fsum([*sigmas.tolist(), free_mass]), 2.0 * u)
+    if root <= 0.0:
+        return t_min
+    g = (len(sigmas) + 1) * u / (1.0 - (len(sigmas) + 1) * u)
+    tail = math.sqrt(max(rest * (1.0 - s * root * root), 0.0))
+    fit = a * root + tail
+    err = abs(fit - c) + 4.0 * u * (fit + c) + g * (a * root + tail / 2.0) + 2.0 * u * c + u / c
+    slope = a
+    if rest > 0.0:
+        slope = a - s * root * rest / tail if tail > 0.0 else -math.inf
+        err += g * rest * s * root * root / (2.0 * tail) if tail > 0.0 else math.inf
+    shift = 2.0 * err / slope if slope > 0.0 else math.inf
+    if not shift <= 1e-6 * root:
+        return max(t_min, root * root * 2.0 ** (BISECT_TOL_BITS / 4.0))
+    return max(t_min, _rounded_up((root + shift) ** 2, u))
 
 
 def _certified_value(res: sdp.SDPResult) -> float:

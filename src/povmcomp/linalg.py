@@ -62,6 +62,16 @@ def assert_psd(op, tol: float = PSD_TOL * 100) -> np.ndarray:
     return mat
 
 
+def assert_psd_many(ops, tol: float = PSD_TOL * 100) -> np.ndarray:
+    """``assert_psd`` of every member of a (..., d, d) stack: one Hermitian
+    test of the whole stack and one stacked ``eigvalsh``, whose least
+    eigenvalue gets the check; returns the Hermitian parts."""
+    mats = _hermitian_part(_as_stack(ops))
+    if mats.size:
+        _check_psd(float(np.linalg.eigvalsh(mats)[..., 0].min()), tol)
+    return mats
+
+
 def assert_density(op) -> np.ndarray:
     mat = assert_psd(op)
     tr = float(np.trace(mat).real)

@@ -189,12 +189,15 @@ class CQState:
     def __post_init__(self):
         if set(self.symbols) != set(self.weights) or set(self.symbols) != set(self.blocks):
             raise ValueError("symbols, weights and blocks must share keys")
+        if any(self.weights[s] < -1e-12 for s in self.symbols):
+            raise ValueError("negative weight")
+        mats = [la.as_matrix(self.blocks[s]) for s in self.symbols]
+        # one stacked PSD check per block shape
+        for shape in dict.fromkeys(m.shape for m in mats):
+            la.assert_psd_many([m for m in mats if m.shape == shape], tol=1e-7)
         mass = 0.0
-        for s in self.symbols:
-            if self.weights[s] < -1e-12:
-                raise ValueError("negative weight")
-            la.assert_psd(self.blocks[s], tol=1e-7)
-            mass += self.weights[s] * float(np.trace(self.blocks[s]).real)
+        for s, m in zip(self.symbols, mats):
+            mass += self.weights[s] * float(np.trace(m).real)
         if abs(mass - 1.0) > 1e-8:
             raise ValueError(f"total mass {mass} is not 1")
 

@@ -195,21 +195,27 @@ def dmax_smooth_classical_oracle(p: np.ndarray, s: np.ndarray, eps: float) -> fl
 
     For fixed lambda, with caps cap_i = 2^lambda s_i, lambda is feasible
     when the caps sum to at least 1 and the best fidelity
-    max sum sqrt(p_i q_i) over q_i <= cap_i, sum q = 1 is at least
+    F = max sum sqrt(p_i q_i) over q_i <= cap_i, sum q = 1 is at least
     sqrt(1 - eps^2).  Only the entries with p_i > 0 add fidelity, so they
     water-fill: q_i = min(cap_i, tau p_i) with sum 1 when their caps reach
     1, else q_i = cap_i; the entries with p_i = 0 take the leftover mass up
-    to their caps.  Bisection on lambda, and on tau for each lambda, each
-    until its float64 midpoint stops falling strictly inside its bracket.
+    to their caps.  The test is 1 - F <= 1 - sqrt(1 - eps^2), both sides
+    free of cancellation: 1 - F = (sum (sqrt p_i - sqrt q_i)^2
+    + (1 - sum p) + (1 - sum q)) / 2 over the live entries, and
+    1 - sqrt(1 - eps^2) = eps^2 / (1 + sqrt(1 - eps^2)).  Bisection on
+    lambda, and on tau for each lambda, each until its float64 midpoint
+    stops falling strictly inside its bracket.
     """
-    target = math.sqrt(max(0.0, 1.0 - eps * eps))
+    slack = eps * eps / (1.0 + math.sqrt(max(0.0, 1.0 - eps * eps)))
     live = p > 0
     p_live = p[live]
+    p_lost = 1.0 - math.fsum(p_live.tolist())
 
-    def best_fidelity(lam):
+    def deficit(lam):
+        """1 - the best fidelity at 2^lam, or inf when the caps cannot normalize."""
         cap = 2.0**lam * s
         if cap.sum() < 1.0 - 1e-12:
-            return -1.0  # cannot even normalize
+            return math.inf
         q = cap[live]
         if q.sum() > 1.0:
             lo_t, hi_t = 0.0, float((q / p_live).max())
@@ -223,16 +229,17 @@ def dmax_smooth_classical_oracle(p: np.ndarray, s: np.ndarray, eps: float) -> fl
                     lo_t = mid
             q = np.minimum(q, hi_t * p_live)
             q = q / max(q.sum(), 1.0)  # renormalization can only shrink entries
-        return float(np.sqrt(p_live * q).sum())
+        squares = math.fsum(((np.sqrt(p_live) - np.sqrt(q)) ** 2).tolist())
+        return (squares + p_lost + (1.0 - math.fsum(q.tolist()))) / 2.0
 
     lo, hi = -40.0, 60.0
-    if best_fidelity(hi) < target - 1e-12:
+    if deficit(hi) > slack:
         return math.inf
     for _ in range(200):
         mid = (lo + hi) / 2
         if not lo < mid < hi:
             break
-        if best_fidelity(mid) >= target - 1e-13:
+        if deficit(mid) <= slack:
             hi = mid
         else:
             lo = mid

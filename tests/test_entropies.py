@@ -273,6 +273,135 @@ class TestStackedNP:
         self.assert_matches(rho, sigma, 0.95)
 
 
+class TestNPBracket:
+    """Each branch of the threshold search (``_np_bracket``, ``_np_root``):
+    the bracket is the fixed 120-halving bisection's and the test the
+    per-block search's, bit for bit, and the search reads no more points
+    than the bisection alone."""
+
+    @staticmethod
+    def counted(blocks) -> list:
+        calls, alpha_strict = [], blocks.alpha_strict
+        blocks.alpha_strict = lambda t, tol: calls.append(t) or alpha_strict(t, tol)
+        return calls
+
+    def branch(self, rho, sigma, eps, monkeypatch, fewer=True) -> str:
+        """Checks one pair and returns the branch its search took: "jump"
+        (a bracket confirmed at a jump), "root" (confirmed by the root
+        search) or "none" (no confirmed bracket).  With ``fewer`` the
+        search must read no more points than the bisection alone."""
+        blocks, ref = ent._Blocks(rho, sigma), oracles.PerBlockNP(rho, sigma)
+        target = 1.0 - eps
+        beta, tests, alpha = ent._np_threshold(blocks, eps)
+        ref_beta, ref_tests, ref_alpha = ref.threshold(eps)
+        assert (beta, alpha) == (ref_beta, ref_alpha) and math.isfinite(beta)
+        for t, want in zip(tests, ref_tests, strict=True):
+            assert np.array_equal(t, want)
+        searches, roots = [], []
+        calls = self.counted(blocks)
+        with monkeypatch.context() as patch:
+            bracket, root = ent._np_bracket, ent._np_root
+            patch.setattr(ent, "_np_bracket", lambda rd: searches.append(rd) or bracket(rd))
+            patch.setattr(ent, "_np_root", lambda rd: roots.append(rd) or root(rd))
+            got = ent._np_bisect(blocks, target)
+        assert got == oracles.np_bisect_fixed(ref.alpha_strict, target)
+        read = len(calls)
+        with monkeypatch.context() as patch:
+            patch.setattr(ent, "_np_bracket", lambda rd: None)
+            assert ent._np_bisect(blocks, target) == got
+        assert read <= len(calls) - read or not fewer
+        (rd,) = searches
+        if math.isinf(rd.hi):
+            return "none"
+        assert rd.lo < got[1] and got[0] < rd.hi
+        return "root" if roots else "jump"
+
+    def test_jump_with_tied_entries(self, monkeypatch):
+        # sigma / rho is 0.5 on two entries in two blocks and 2 on the others:
+        # alpha_strict steps 0 -> 0.6 at t = 0.5 and 0.6 -> 1 at t = 2, and
+        # the test puts a fractional weight on the tied entries
+        rho = [np.diag([0.3, 0.2]), np.diag([0.2, 0.3])]
+        sigma = [np.diag([0.15, 0.4]), np.diag([0.4, 0.15])]
+        assert ent._Blocks(rho, sigma).jumps()[0] == pytest.approx([0.5, 2.0], rel=1e-15)
+        assert self.branch(rho, sigma, 0.5, monkeypatch) == "jump"
+        # t* = 2 > 1: the bisection's expansion to [1, 4] is answered too
+        assert self.branch(rho, sigma, 0.1, monkeypatch) == "jump"
+
+    def test_target_inside_a_continuous_segment(self, monkeypatch):
+        # a non-commuting pair: alpha_strict jumps 0 -> 0.37 at t = 0.215 and
+        # 0.992 -> 1 at t = 36.5, and grows continuously between them
+        rng = np.random.default_rng(5)
+        rho, sigma = [oracles.random_density(rng, 2)], [oracles.random_density(rng, 2)]
+        blocks = ent._Blocks(rho, sigma)
+        (low, high), _ = blocks.jumps()
+        assert blocks.alpha_strict(low * (1 + 1e-9), 0.0) < 0.5
+        assert blocks.alpha_strict(high * (1 - 1e-9), 0.0) > 0.99
+        for eps in (0.5, 0.2, 0.02):
+            assert self.branch(rho, sigma, eps, monkeypatch) == "root"
+
+    def test_singular_sigma(self, monkeypatch):
+        # rho carries about a third of its mass on ker sigma and couples it
+        # to supp sigma: the jumps come from the Schur complement of that corner
+        rng = np.random.default_rng(6)
+        rho = [oracles.random_density(rng, 3)]
+        sigma = [oracles.random_density(rng, 3, rank=2)]
+        w, v = np.linalg.eigh(sigma[0])
+        ker = v[:, np.abs(w) <= 1e-12]
+        assert 0.1 < np.trace(ker.conj().T @ rho[0] @ ker).real < 0.5
+        branches = [self.branch(rho, sigma, eps, monkeypatch) for eps in (0.3, 0.1, 0.01)]
+        assert branches == ["jump", "root", "jump"]
+
+    def test_rank_deficient_rho(self, monkeypatch):
+        # a pure rho: one jump, after which alpha_strict grows continuously to 1
+        rng = np.random.default_rng(7)
+        blocks_rho = [0.6 * oracles.random_density(rng, 3, rank=1), 0.4 * np.eye(3) / 3]
+        blocks_sigma = [0.5 * oracles.random_density(rng, 3), 0.5 * np.eye(3) / 3]
+        branches = [self.branch(blocks_rho, blocks_sigma, eps, monkeypatch) for eps in (0.4, 0.1, 0.01)]
+        assert branches == ["jump", "jump", "root"]
+
+    def test_threshold_above_one_replays_the_expansion(self, monkeypatch):
+        # t* = 19 (commuting) and t* near 36 (the pair of the continuous
+        # case at eps 0.005): the expansion's probes 1, 4, 16 (and 64) are
+        # answered by the confirmed bracket
+        rho, sigma = [np.diag([0.95, 0.05])], [np.diag([0.05, 0.95])]
+        assert self.branch(rho, sigma, 0.01, monkeypatch) == "jump"
+        rng = np.random.default_rng(5)
+        rho, sigma = [oracles.random_density(rng, 2)], [oracles.random_density(rng, 2)]
+        assert self.branch(rho, sigma, 0.005, monkeypatch) == "jump"
+
+    def test_wrong_or_missing_jumps_leave_the_bisection_its_own(self, monkeypatch):
+        # with no jumps there is no bracket and the bisection reads all its
+        # points; with jumps 0.1% off and windows of 4 ulps the confirmations
+        # fail and the root search takes over, at a cost, and the bracket is
+        # still the bisection's own
+        rng = np.random.default_rng(5)
+        rho, sigma = [oracles.random_density(rng, 2)], [oracles.random_density(rng, 2)]
+        jumps = ent._Blocks.jumps
+        monkeypatch.setattr(ent._Blocks, "jumps", lambda self: ([], []))
+        assert self.branch(rho, sigma, 0.2, monkeypatch) == "none"
+        commuting = [np.diag([0.3, 0.2]), np.diag([0.2, 0.3])], [np.diag([0.15, 0.4]), np.diag([0.4, 0.15])]
+
+        def off(self):
+            points, _ = jumps(self)
+            return [1.001 * t for t in points], [0.0] * len(points)
+
+        monkeypatch.setattr(ent._Blocks, "jumps", off)
+        for eps in (0.5, 0.2):
+            assert self.branch(rho, sigma, eps, monkeypatch, fewer=False) in {"root", "none"}
+            assert self.branch(*commuting, eps, monkeypatch, fewer=False) in {"root", "none"}
+
+    def test_kernel_test_exit(self, monkeypatch):
+        # rho's mass on ker sigma reaches 1 - eps: beta = 0, no search at all
+        rho = [np.diag([0.2, 0.1, 0.05]), np.diag([0.3, 0.15, 0.2])]
+        sigma = [np.diag([0.1, 0.05, 0.0]), np.diag([0.3, 0.15, 0.0])]
+        monkeypatch.setattr(ent, "_np_bisect", lambda b, tg: pytest.fail("searched"))
+        beta, tests, alpha = ent._np_threshold(ent._Blocks(rho, sigma), 0.75)
+        ref_beta, ref_tests, ref_alpha = oracles.PerBlockNP(rho, sigma).threshold(0.75)
+        assert math.isinf(beta) and (beta, alpha) == (ref_beta, ref_alpha) and alpha == 0.25
+        for t, want in zip(tests, ref_tests, strict=True):
+            assert np.array_equal(t, want)
+
+
 class TestDMax:
     def test_equal(self):
         rng = np.random.default_rng(10)

@@ -586,6 +586,30 @@ def test_signature_decode_matches_per_message_decode(monkeypatch):
             assert np.max(np.abs(op - want[name][key])) <= 1e-12, (name, key)
 
 
+def test_decode_thresholds_read_few_points(monkeypatch):
+    # the bench ``decode`` set-up (thresholds at log_const 0) and one pass:
+    # each of their three Neyman-Pearson thresholds reads at most 20 points
+    # of alpha_strict, where the bisection alone reads 54, 56 and 55
+    counts, alpha_strict, bisect = [], ent._Blocks.alpha_strict, ent._np_bisect
+
+    def counted_alpha(self, t, tol):
+        counts[-1] += 1
+        return alpha_strict(self, t, tol)
+
+    def counted_bisect(blocks, target):
+        counts.append(0)
+        return bisect(blocks, target)
+
+    monkeypatch.setattr(ent._Blocks, "alpha_strict", counted_alpha)
+    monkeypatch.setattr(ent, "_np_bisect", counted_bisect)
+    prep = P.prepare(io.load_bundled("qubit_entangled_side_info"))
+    P.thresholds(prep, 0.1, 0.0)
+    assert len(counts) == 2
+    budget = OneShotBudget(0.1, r_x=14, r_y=13, c_x=1, c_y=1)
+    P.centralised_protocol(prep, budget, 1, log_const=0.0, wire_override={"X": 12})
+    assert len(counts) == 3 and max(counts) <= 20
+
+
 def test_hashed_link_decodes_better_with_distinguishable_side_information():
     # A measured in Z, Y trivial, rho = (|0><0| (x) b0 + |1><1| (x) b1) / 2:
     # X's hash (4 -> 2 bits) leaves fibers of 4 indices for Bob to tell

@@ -194,6 +194,28 @@ class TestCQState:
                     want += weights[s] / w_t * oracles.kron_oracle(proj, blocks[s])
             assert np.max(np.abs(out.blocks[t] - want)) < 1e-15
 
+    def test_blocks_checked_one_stack_per_shape(self, monkeypatch):
+        # one stacked eigvalsh per block shape, with CQState's 1e-7 tolerance
+        calls, eigvalsh = [], np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+        shifted = np.diag([1.0 + 5e-8, -5e-8]).astype(complex)
+        blocks = {"a": np.eye(2) / 2, "b": shifted, "c": np.eye(3) / 3}
+        qo.CQState(("a", "b", "c"), {"a": 0.25, "b": 0.25, "c": 0.5}, blocks)
+        assert calls == [(2, 2, 2), (1, 3, 3)]
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (np.diag([1.0 + 2e-7, -2e-7]), "negative eigenvalue"),
+            (np.array([[0.5, 0.1], [0.0, 0.5]]), "not Hermitian"),
+            (np.diag([np.nan, 1.0]), "non-finite"),
+        ],
+    )
+    def test_rejects_a_bad_block_among_good_ones(self, bad, message):
+        blocks = {"a": np.eye(2) / 2, "b": bad.astype(complex), "c": np.eye(2) / 2}
+        with pytest.raises(ValueError, match=message):
+            qo.CQState(("a", "b", "c"), {"a": 0.25, "b": 0.25, "c": 0.5}, blocks)
+
     def test_dense_layout(self):
         cq = qo.CQState(
             ("u", "v"),
