@@ -151,10 +151,11 @@ class _Blocks:
         """
         w, v = self.sigma_eigh
         supp = w > 1e-12
-        inv_sqrt = np.where(supp, 1.0 / np.sqrt(np.where(supp, w, 1.0)), 0.0)
+        inv_w = np.divide(1.0, w, out=np.zeros_like(w), where=supp)
+        inv_sqrt = np.sqrt(inv_w)
         rot = v.conj().swapaxes(-1, -2) @ self.rho @ v
         # x = (D y, gain D y) on supp sigma_b (+) ker sigma_b, with D = inv_sqrt
-        gain = np.zeros_like(rot)
+        gain = None
         for b in np.flatnonzero(~supp.all(axis=1)):
             k, s = ~supp[b], supp[b]
             corner = rot[b][np.ix_(k, k)]
@@ -162,16 +163,17 @@ class _Blocks:
                 continue
             g = np.linalg.pinv(corner, rcond=1e-10, hermitian=True) @ rot[b][np.ix_(k, s)]
             rot[b][np.ix_(s, s)] -= rot[b][np.ix_(s, k)] @ g
+            gain = np.zeros_like(rot) if gain is None else gain
             gain[b][np.ix_(k, s)] = -g
         mu, y = np.linalg.eigh(inv_sqrt[:, :, None] * rot * inv_sqrt[:, None, :])
-        dy = inv_sqrt[:, :, None] * y
-        spread = (np.abs(dy) ** 2).sum(axis=1) + (np.abs(gain @ dy) ** 2).sum(axis=1)
-        scale = np.einsum("nii->n", self.rho).real, np.einsum("nii->n", self.sigma).real
+        spread = np.einsum("nki,nk->ni", (y * y.conj()).real, inv_w)
+        if gain is not None:
+            spread += (np.abs(gain @ (inv_sqrt[:, :, None] * y)) ** 2).sum(axis=1)
         live = (mu > 0) & (mu > 1e-12 * mu.max(initial=0.0))
-        at = 1.0 / mu[live]
-        norm = at * np.broadcast_to(scale[0][:, None], mu.shape)[live]
-        norm += np.broadcast_to(scale[1][:, None], mu.shape)[live]
-        half = EIG_NOISE * norm * spread[live] / mu[live]
+        mu_live = np.where(live, mu, 1.0)
+        norm = np.einsum("nii->n", self.rho).real[:, None] / mu_live
+        norm += np.einsum("nii->n", self.sigma).real[:, None]
+        at, half = 1.0 / mu[live], (EIG_NOISE * norm * spread / mu_live)[live]
         order = np.argsort(at, kind="stable")
         points, halves = [], []
         for t, h in zip(at[order].tolist(), half[order].tolist()):
@@ -266,7 +268,7 @@ def _np_bracket(rd: _Readings) -> None:
     points, halves = rd.blocks.jumps()
     if not points:
         return
-    between = np.sqrt(np.multiply(points[:-1], points[1:])).tolist()
+    between = [math.sqrt(a * b) for a, b in zip(points, points[1:])]
     probes = [points[0] / 2.0, *between, points[-1] * 2.0]
     lo, hi = -1, len(probes)
     while hi - lo > 1:
@@ -298,7 +300,9 @@ def _np_root(rd: _Readings) -> None:
     Once the readings are within ROOT_CLOSE of each other, relatively,
     their secant gives the root r and the slope s, and [r - h, r + h] with
     h = ALPHA_NOISE / s (at least 4 ulps) is confirmed as at a jump, h
-    widened 16-fold at most twice.
+    widened 16-fold at most twice.  Readings out of order (a point reading
+    at or above the target below one that reads under it) end the search
+    with no bracket, and so do 40 steps without convergence.
     """
     target = rd.target
     for _ in range(200):
@@ -306,12 +310,14 @@ def _np_root(rd: _Readings) -> None:
             break
         rd.read(4.0 * rd.below() if rd.below() > 0.0 else 1.0)
     low, high = rd.below(), rd.above()
-    if math.isinf(high):
+    if not low < high < math.inf:
         return
     g_low, g_high = rd.alpha.get(low, 0.0) - target, rd.alpha[high] - target
     side = 0
     for _ in range(40):
         low, high = rd.below(), rd.above()
+        if not low < high:
+            return
         if high - low <= ROOT_CLOSE * high:
             a_low, a_high = rd.alpha.get(low, 0.0), rd.alpha[high]
             slope = (a_high - a_low) / (high - low)
