@@ -916,8 +916,8 @@ def _t_star_cap(segment: tuple, c: float, sigmas: np.ndarray, free_mass: float) 
     rounding (2u c + u / c); dividing twice that by G'(root), which is
     positive on the segment since F grows with t, bounds r* - root.  When
     G' is not positive or the shift is not small (an ill-conditioned
-    crossing), the cap is t* 2^(BISECT_TOL_BITS / 4), which still keeps the
-    value within the certified interval.
+    crossing), the crossing's t is raised by 2^(BISECT_TOL_BITS / 4)
+    instead, which the two certificates still decide.
     """
     root, a, s, rest = segment
     u = 2.0**-53

@@ -701,6 +701,15 @@ class TestWaterFill:
                 assert value - ent.BISECT_TOL_BITS < oracle <= value, (p, s, eps)
         assert set(sizes) == {0}
 
+    def test_an_ill_conditioned_crossing_is_raised_by_a_quarter_tolerance(self):
+        # at eps 1e-8 the crossing of the second pair is too flat for the
+        # error bound of its root (the shift would pass 1e-6 of the root), so
+        # its t is raised by 2^(BISECT_TOL_BITS / 4), and both certificates
+        # still hold; at eps 1e-7 the bound holds and the value barely moves
+        rho, sigma, _, _ = commuting_pairs(False)[1]
+        raised = ent.d_max_smooth(rho, sigma, 1e-8) - ent.d_max_smooth(rho, sigma, 1e-7)
+        assert 0.9 < raised / (ent.BISECT_TOL_BITS / 4) < 1.1
+
     def test_bundled_classical_values_match_the_interior_point_solve(self, smoothed_cq_states):
         balls = [ent._ball_blocks(ent._cq_pairs(cq)) for cq in smoothed_cq_states]
         classical = [sub_blocks for sub_blocks in balls if is_classical(sub_blocks)]
