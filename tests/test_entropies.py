@@ -356,7 +356,9 @@ class TestNPBracket:
         rng = np.random.default_rng(7)
         blocks_rho = [0.6 * oracles.random_density(rng, 3, rank=1), 0.4 * np.eye(3) / 3]
         blocks_sigma = [0.5 * oracles.random_density(rng, 3), 0.5 * np.eye(3) / 3]
-        branches = [self.branch(blocks_rho, blocks_sigma, eps, monkeypatch) for eps in (0.4, 0.1, 0.01)]
+        branches = [
+            self.branch(blocks_rho, blocks_sigma, eps, monkeypatch) for eps in (0.4, 0.1, 0.01)
+        ]
         assert branches == ["jump", "jump", "root"]
 
     def test_threshold_above_one_replays_the_expansion(self, monkeypatch):
@@ -379,7 +381,10 @@ class TestNPBracket:
         jumps = ent._Blocks.jumps
         monkeypatch.setattr(ent._Blocks, "jumps", lambda self: ([], []))
         assert self.branch(rho, sigma, 0.2, monkeypatch) == "none"
-        commuting = [np.diag([0.3, 0.2]), np.diag([0.2, 0.3])], [np.diag([0.15, 0.4]), np.diag([0.4, 0.15])]
+        commuting = (
+            [np.diag([0.3, 0.2]), np.diag([0.2, 0.3])],
+            [np.diag([0.15, 0.4]), np.diag([0.4, 0.15])],
+        )
 
         def off(self):
             points, _ = jumps(self)
