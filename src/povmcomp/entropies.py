@@ -302,7 +302,8 @@ def _np_root(rd: _Readings) -> None:
     h = ALPHA_NOISE / s (at least 4 ulps) is confirmed as at a jump, h
     widened 16-fold at most twice.  Readings out of order (a point reading
     at or above the target below one that reads under it) end the search
-    with no bracket, and so do 40 steps without convergence.
+    with no bracket, and so do 40 steps without convergence and a reading
+    equal to the end it replaces (a plateau, where regula falsi creeps).
     """
     target = rd.target
     for _ in range(200):
@@ -335,7 +336,10 @@ def _np_root(rd: _Readings) -> None:
             t = max(high * (1.0 - ROOT_CLOSE / 2.0), (low + high) / 2.0)
         if not low < t < high:
             t = (low + high) / 2.0
-        if rd.read(t) >= target:
+        reaches = rd.read(t) >= target
+        if rd.alpha[t] == rd.alpha.get(high if reaches else low):
+            return
+        if reaches:
             g_high = rd.alpha[t] - target
             if side > 0:
                 g_low /= 2.0
@@ -502,15 +506,15 @@ def d_max(rho, sigma) -> float:
     return math.log2(top)
 
 
-def _support_components(mats: list[np.ndarray]) -> list[list[np.ndarray]]:
+def _support_components(mats: list[np.ndarray]) -> np.ndarray:
     """Per member k of the (n, d, d) stacks ``mats``, the connected
     components of the union support pattern |M[k]_ij| > 1e-12 (made
-    symmetric), as sorted index arrays ordered by their least index.
+    symmetric), as (n, d) labels: each index labelled by the least index
+    of its component.
 
     Label propagation on the boolean patterns, every member at once: every
     index starts with its own label and takes the least label among itself
-    and its neighbours until no label moves, so each component ends
-    labelled by its least index.
+    and its neighbours until no label moves.
     """
     mask = np.abs(mats[0]) > 1e-12
     for m in mats[1:]:
@@ -520,12 +524,21 @@ def _support_components(mats: list[np.ndarray]) -> list[list[np.ndarray]]:
     while True:
         moved = np.where(mask, labels[:, None, :], labels[:, :, None]).min(axis=-1)
         if (moved == labels).all():
-            roots = labels == np.arange(mask.shape[-1])
-            return [
-                [np.flatnonzero(row == r) for r in np.flatnonzero(is_root)]
-                for row, is_root in zip(labels, roots)
-            ]
+            return labels
         labels = moved
+
+
+def _by_size(labels: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The components of ``_support_components``' labels, one entry per
+    size s: their ids k d + least index (ascending), their members k and
+    their (m, s) sorted index arrays, for the ``at`` of ``_ball_blocks``."""
+    n, d = labels.shape
+    key = (np.arange(n)[:, None] * d + labels).ravel()
+    ids = np.flatnonzero(key == np.arange(n * d))
+    sizes = np.bincount(key, minlength=n * d)[ids]
+    order, starts = np.argsort(key, kind="stable"), np.cumsum(sizes) - sizes
+    picks = [(s, sizes == s) for s in np.flatnonzero(np.bincount(sizes)).tolist()]
+    return [(ids[p], ids[p] // d, order[starts[p][:, None] + np.arange(s)] % d) for s, p in picks]
 
 
 @dataclass
@@ -559,10 +572,9 @@ def _real_parts(*mats) -> tuple[np.ndarray, ...]:
     the anti-Hermitian part; else all as complex matrices, unchanged.
 
     A real pair gives real rotations (from a real ``eigh``), and real
-    sub-blocks of sigma give real smoothing programs, which ``sdp`` solves
-    over the real symmetric matrices; by the conjugation argument of the
-    ``sdp`` docstring they have the value and the certificates of the
-    Hermitian programs.
+    sub-blocks of sigma give real smoothing programs, solved over the real
+    symmetric matrices with the value and the certificates of the
+    Hermitian programs (the conjugation argument of the ``sdp`` docstring).
     """
     if all(np.max(np.abs(m.imag), initial=0.0) <= la.HERM_TOL for m in mats if m.dtype.kind == "c"):
         return tuple(np.real(m) for m in mats)
@@ -575,22 +587,24 @@ def _ball_blocks(pairs) -> tuple[list[_BallBlock], float]:
     eigenbasis of its component's rho_c, and s0 = sum_b Tr sigma_b over
     the rho-free ones.
 
+    Array passes over all the pairs at once, with no loop over components.
     The pairs are stacked, and the field is decided once for all of them
     (``_real_parts``).  Each component c of a pair's joint support pattern
-    of (rho_k, sigma_k) is rotated into the eigenbasis of rho_c: U_c from
+    of (rho_k, sigma_k) (labels from ``_support_components``, grouped by
+    size by ``_by_size``) is rotated into the eigenbasis of rho_c: U_c from
     one stacked ``eigh`` per component size across all the pairs, its
     columns in descending eigenvalue order, and
     sigma'_c = U_c^H sigma_c U_c from one stacked product per size.  Each
     rotated component is split again by its own pattern, with the same
-    1e-12 mask (diag w joins no two indices): ``_support_components`` of
-    each pair's rotated sigma', whose components lie inside the pair's
-    components.  The sub-blocks are listed pair by pair, and within a pair
-    by their least original index, so the parts of two components may
-    interleave; s0 is summed in that order.  A sub-block b lists its kept
-    eigenvalues (above 1e-12) in descending order, then its kernel
-    directions, and holds sigma_b, real when its imaginary parts are
-    round-off (``_real_parts``).  A sub-block with no kept eigenvalue is
-    rho-free and adds Tr sigma_b to s0.
+    1e-12 mask (diag w joins no two indices), whose components lie inside
+    the pair's components, and the sub-blocks of each size are cut out as
+    one stack.  They are listed pair by pair, and within a pair by their
+    least original index, so the parts of two components may interleave;
+    s0 is summed in that order.  A sub-block b lists its kept eigenvalues
+    (above 1e-12) in descending order, then its kernel directions, and
+    holds sigma_b, real when its imaginary parts are within
+    ``la.HERM_TOL`` (tested over each stack at once).  A sub-block with no
+    kept eigenvalue is rho-free and adds Tr sigma_b to s0.
 
     The split is exact.  Smooth entropies are invariant under isometries
     and split over direct sums (Tomamichel, arXiv:1504.00233), so the pairs
@@ -611,28 +625,28 @@ def _ball_blocks(pairs) -> tuple[list[_BallBlock], float]:
     sigma' in a basis that diagonalises rho.
     """
     rho, sigma = _real_parts(*(np.stack(mats) for mats in zip(*pairs)))
-    comps = [(k, c) for k, cs in enumerate(_support_components([rho, sigma])) for c in cs]
     # each component's rotated directions sit on its own indices, in
     # descending eigenvalue order, so a sorted part of a component lists
     # its kept directions first
     eigs, rotated = np.zeros(rho.shape[:2]), np.zeros_like(sigma)
-    for size in sorted({len(c) for _, c in comps}):
-        k = np.array([k for k, c in comps if len(c) == size])
-        ix = np.array([c for _, c in comps if len(c) == size])
+    for _, k, ix in _by_size(_support_components([rho, sigma])):
         at = k[:, None, None], ix[:, :, None], ix[:, None, :]
         w, u = np.linalg.eigh(rho[at])
         u = u[..., ::-1]
         eigs[k[:, None], ix] = w[:, ::-1]
         rotated[at] = np.swapaxes(u.conj(), -1, -2) @ sigma[at] @ u
+    subs = []
+    for ids, k, ix in _by_size(_support_components([rotated])):
+        eig, sb = eigs[k[:, None], ix], rotated[k[:, None, None], ix[:, :, None], ix[:, None, :]]
+        real = np.abs(sb.imag).max(axis=(1, 2)) <= la.HERM_TOL
+        carried = (eig > 1e-12).any(axis=1).tolist()
+        subs += zip(ids.tolist(), eig, (b.real if r else b for b, r in zip(sb, real)), carried)
     blocks, free_mass = [], 0.0
-    for eig, rot, subs in zip(eigs, rotated, _support_components([rotated])):
-        for sub in subs:
-            kept = eig[sub] > 1e-12
-            (sb,) = _real_parts(rot[sub[:, None], sub])
-            if kept.any():
-                blocks.append(_BallBlock(f"ball{len(blocks)}", eig[sub][kept], sb))
-            else:
-                free_mass += float(np.trace(sb).real)
+    for _, eig, sb, carried in sorted(subs, key=lambda sub: sub[0]):
+        if carried:
+            blocks.append(_BallBlock(f"ball{len(blocks)}", eig[eig > 1e-12], sb))
+        else:
+            free_mass += float(np.trace(sb).real)
     return blocks, free_mass
 
 
@@ -729,17 +743,13 @@ def _capped_ball(ball: tuple, eps: float) -> sdp.SDProblem:
 def d_max_smooth(rho, sigma, eps: float) -> float:
     """Smoothed max relative entropy over the purified-distance ball.
 
-    One solve of min t over ``_capped_ball(ball, eps)``, with ``ball`` the
+    The least t of ``_capped_ball(ball, eps)``, with ``ball`` the
     sub-blocks of the one pair (rho, sigma), gives v = log2 t, and v is
-    returned only with two certificates, both on that one program with t
-    held fixed:
+    returned only with two certificates, both with t held fixed:
 
-    - v is feasible: ``sdp.recheck`` accepts the solve's rho' with t set
-      to 2^v (the solve's own final recheck, when 2^v is its t);
-    - v - BISECT_TOL_BITS is infeasible: the solve's dual z, projected onto
-      the cone and normalised, is a Farkas witness (``sdp.witness_fires``)
-      of the program with t held at 2^(v - BISECT_TOL_BITS)
-      (``Program.farkas`` of the solve's own compile).
+    - v is feasible: the point passes ``sdp._recheck``'s checks at t = 2^v;
+    - v - BISECT_TOL_BITS is infeasible: the dual is a Farkas witness
+      (``sdp.witness_fires``) at t = 2^(v - BISECT_TOL_BITS).
 
     So the value lies in (v - BISECT_TOL_BITS, v].  The program is the
     split and folded one of ``_capped_ball``, and both certificates bound
@@ -755,27 +765,27 @@ def d_max_smooth(rho, sigma, eps: float) -> float:
       program is feasible exactly when its per-block form is
       (w = sum_b Tr rho'_b one way, rho'_b = (w / s0) sigma_b the other).
 
-    A classical value, whose sub-blocks that carry rho are all 1x1 with
-    sigma_b > 0 (a commuting pair, split), skips the interior-point
-    method: the program is then a water-filling over scalars, whose least
-    t ``_water_fill`` solves exactly, as a root of a quadratic in sqrt(t),
-    with the point and the dual of its KKT conditions.  The two
-    certificates decide that value as they decide a solved one, on the
-    same program.  Every other value is solved by ``sdp.minimize_many``.
-
-    The solve's status decides nothing: SolverError, naming the status and
-    iterations, is raised only when a certificate fails or t is not positive.
+    One certificate path per kind of value.  A classical value, whose
+    sub-blocks that carry rho are all 1x1 with sigma_b > 0 (a commuting
+    pair, split), builds no program: it is a water-filling over
+    (lambda_b, sigma_b, s0), whose least t ``_water_fill`` solves exactly,
+    with the point and the KKT multipliers, and both certificates are
+    evaluated on those vectors (``_certified_fill``).  Every other value
+    is solved by ``sdp.minimize_many``, and both certificates are checked
+    on the program it compiled (``_certified_value``): the recheck from
+    the program's expressions (the solve's own final one, when 2^v is its
+    t), the witness by ``Program.farkas``.  The solve's status decides
+    nothing: SolverError, naming the status and iterations, is raised only
+    when a certificate fails or t is not positive.
 
     The sub-blocks are found and their spectra taken once
-    (``_ball_blocks``), the program is built once from those blocks, and
-    it is compiled once, by the solve or by ``_water_fill``.  The pair is taken as
-    ``_real_parts`` gives it: real parts when both imaginary parts are
-    within ``la.HERM_TOL`` (round-off, which ``la._hermitian_part``
-    repairs the same way), and so is each rotated sigma_b.  On a real
-    pair, as on every bundled instance, and on a pair whose components all
-    commute, whatever its phases, the solve and both certificates work
-    over real symmetric matrices.  The recheck evaluates the program's
-    expressions, not its compile.
+    (``_ball_blocks``).  The pair is taken as ``_real_parts`` gives it:
+    real parts when both imaginary parts are within ``la.HERM_TOL``
+    (round-off, which ``la._hermitian_part`` repairs the same way), and so
+    is each rotated sigma_b.  On a real pair, as on every bundled
+    instance, and on a pair whose components all commute, whatever its
+    phases, the solve and both certificates work over real symmetric
+    matrices.
 
     This is the one-pair value of ``_d_max_smooth_many``, whose value of
     several pairs, as ``i_max_cq_many`` gives a cq state, is that of their
@@ -790,9 +800,10 @@ def _d_max_smooth_many(values: list[list[tuple]], eps: float) -> list[float]:
     checked already (every matrix PSD and as ``la._hermitian_part``
     returns it, the rho_k together a density), at a checked eps: a
     classical value (every sub-block that carries rho 1x1, with
-    sigma_b > 0) is solved in closed form (``_water_fill``), the others by
-    one ``sdp.minimize_many`` over their min t programs, then each value's
-    two certificates in order; the first value that fails raises its
+    sigma_b > 0) is solved in closed form on its scalars (``_water_fill``),
+    the others by one ``sdp.minimize_many`` over their min t programs, then
+    each value's two certificates in order (``_certified_fill``,
+    ``_certified_value``); the first value that fails raises its
     SolverError.  At eps 0 a value is the max of ``d_max`` over its pairs."""
     if eps == 0.0:
         return [max(d_max(rho, sigma) for rho, sigma in pairs) for pairs in values]
@@ -800,56 +811,75 @@ def _d_max_smooth_many(values: list[list[tuple]], eps: float) -> list[float]:
     classical = [all(b.dim == 1 and b.sigma[0, 0] > 0 for b in ball[0]) for ball in balls]
     probs = [_capped_ball(b, eps) for b, c in zip(balls, classical) if not c]
     solved = iter(sdp.minimize_many(probs))
-    results = [_water_fill(b, eps) if c else next(solved) for b, c in zip(balls, classical)]
-    return [_certified_value(res) for res in results]
+    return [
+        _certified_fill(_water_fill(*_scalars(b), eps)) if c else _certified_value(next(solved))
+        for b, c in zip(balls, classical)
+    ]
 
 
-def _water_fill(ball: tuple, eps: float) -> sdp.SDPResult:
-    """The min t solve of ``_capped_ball(ball, eps)`` in closed form, for a
-    classical ``ball``: every sub-block b that carries rho is 1x1, with
-    rho_b = lambda_b and sigma_b > 0.  The program is built and compiled
-    once, for the certificates; the result reports 0 iterations.
+def _scalars(ball: tuple) -> tuple[np.ndarray, np.ndarray, float]:
+    """(lambda_b, sigma_b, s0) of a classical ``ball``, s0 = 0 unless positive."""
+    lam = np.array([blk.eigs[0] for blk in ball[0]])
+    return lam, np.array([blk.sigma[0, 0].real for blk in ball[0]]), max(ball[1], 0.0)
 
-    There G_b is PSD exactly when x_b = rho'_b >= 0 and its corner
+
+@dataclass
+class _WaterFill:
+    """``_water_fill``'s record: the data, t_cap, the point at t* and the
+    KKT multipliers at t_low (each W_b = v_b v_b^T; ``ineq`` on the
+    fidelity row, w >= 0, the caps and w's cap; ``nu`` on the pins and the
+    trace row)."""
+
+    lam: np.ndarray
+    sig: np.ndarray
+    free_mass: float
+    eps: float
+    t_cap: float
+    x: np.ndarray
+    z: np.ndarray
+    w: float
+    t_low: float
+    v: np.ndarray
+    ineq: tuple
+    nu: tuple
+
+
+def _water_fill(lam: np.ndarray, sig: np.ndarray, free_mass: float, eps: float) -> _WaterFill:
+    """The min t solve of ``_capped_ball`` in closed form, for a classical
+    value: every sub-block b that carries rho is 1x1, with rho_b = lambda_b
+    and sigma_b > 0, and s0 = ``free_mass`` >= 0.  No program is built.
+
+    G_b is PSD exactly when x_b = rho'_b >= 0 and its corner
     Z_b^2 <= lambda_b x_b, so at a fixed t the best fidelity is
     F(t) = max sum_b sqrt(lambda_b x_b) over x_b <= t sigma_b and
-    sum_b x_b <= 1, and w takes the rest of the trace: w <= t s0 holds
-    exactly when t >= t_min = 1 / (sum_b sigma_b + s0).  F is a
-    water-filling (the classical case of Tomamichel, arXiv:1504.00233):
-    with mu the multiplier of the trace, x_b = min(t sigma_b,
-    lambda_b / (4 mu^2)), so the capped sub-blocks are a prefix of the
-    order of lambda_b / sigma_b, descending, and they uncap one by one as
-    t grows.  On the segment of t where the first k are capped, with
-    A = sum sqrt(lambda_b sigma_b) and S = sum sigma_b over them and
-    L = sum lambda_b over the others, F(t) = A sqrt(t) + sqrt(L (1 - S t)),
-    so F(t) = c = sqrt(1 - eps^2) is a quadratic in sqrt(t), and since F
-    grows with t its crossing is the smaller root.  So
-    t* = max(t_min, the crossing), exactly, with no bisection; at t_min
-    every sub-block is capped.
+    sum_b x_b <= 1, and w <= t s0 takes the rest of the trace exactly when
+    t >= t_min = 1 / (sum_b sigma_b + s0).  F is a water-filling (the
+    classical case of Tomamichel, arXiv:1504.00233): x_b = min(t sigma_b,
+    lambda_b / (4 mu^2)), mu the trace's multiplier, so the capped
+    sub-blocks are a prefix of the order of lambda_b / sigma_b,
+    descending, and they uncap one by one as t grows.  On the segment of t
+    where the first k are capped, with A = sum sqrt(lambda_b sigma_b) and
+    S = sum sigma_b over them and L = sum lambda_b over the others,
+    F(t) = A sqrt(t) + sqrt(L (1 - S t)), so F(t) = c = sqrt(1 - eps^2) is
+    a quadratic in sqrt(t), and since F grows with t its crossing is the
+    smaller root.  So t* = max(t_min, the crossing), exactly, with no
+    bisection; at t_min every sub-block is capped.
 
-    The point is G_b = [[lambda_b, sqrt(lambda_b x_b)], [sqrt(lambda_b x_b),
-    x_b]], w = 1 - sum_b x_b and t = t*.  The dual z, in the problem's
-    slack order, holds the water-filling's KKT multipliers at
-    t' = 2^(log2 t* - BISECT_TOL_BITS), where F(t') < c: W_b =
-    [[1 / (4 kappa_b), -1/2], [-1/2, kappa_b]] with kappa_b =
-    max(mu, sqrt(lambda_b / (t' sigma_b)) / 2), 1 on the fidelity row, mu
-    on w >= 0, kappa_b - mu on each cap and 0 on w's cap.  Against the
-    pins and the trace row its pairing with the slack is the constant
-    mu + sum_b (lambda_b / (4 kappa_b) + t' (kappa_b - mu) sigma_b) - c,
-    the water-filling's dual value F(t') less c, so its gap is
-    c - F(t') > 0.  When t' (sum_b sigma_b + s0) < 1 no point can be
-    normalised, and z is that contradiction alone: 1 on every cap and on
-    w's cap, 0 elsewhere, with gap 1 - t' (sum_b sigma_b + s0).
+    The point is G_b = [[lambda_b, z_b], [z_b, x_b]], z_b =
+    sqrt(lambda_b x_b), w = 1 - sum_b x_b, at t_cap >= t* (``_t_star_cap``).
+    The multipliers are the water-filling's at t_low = 2^(log2 t_cap -
+    BISECT_TOL_BITS), where F(t_low) < c: v_b = (1 / (2 sqrt(kappa_b)),
+    -sqrt(kappa_b)), kappa_b = max(mu, sqrt(lambda_b / (t_low sigma_b)) / 2),
+    1 on the fidelity row, mu on w >= 0, kappa_b - mu on each cap, 0 on w's
+    cap, -1 / (4 kappa_b) on each pin and -mu on the trace row, with gap
+    c - F(t_low).  When t_low (sum_b sigma_b + s0) < 1 no point can be
+    normalised: 1 on every cap, on w's cap and on the trace row, 0
+    elsewhere, with gap 1 - t_low (sum_b sigma_b + s0).
     """
-    blocks, free_mass = ball
-    free = free_mass > 0.0
-    prog = sdp.Program(_capped_ball(ball, eps))
-    lam = np.array([blk.eigs[0] for blk in blocks])
-    sig = np.array([blk.sigma[0, 0].real for blk in blocks])
-    s_all = float(sig.sum()) + (free_mass if free else 0.0)
     c = math.sqrt(max(0.0, 1.0 - eps * eps))
+    s_all = float(sig.sum()) + free_mass
     order = np.argsort(-lam / sig, kind="stable")
-    lam_o, sig_o, n = lam[order], sig[order], len(blocks)
+    lam_o, sig_o, n = lam[order], sig[order], len(lam)
     # per k = 0 .. n, with the first k of ``order`` capped: S, A and L
     cap_s = np.concatenate(([0.0], np.cumsum(sig_o)))
     cap_a = np.concatenate(([0.0], np.cumsum(np.sqrt(lam_o * sig_o))))
@@ -863,34 +893,56 @@ def _water_fill(ball: tuple, eps: float) -> sdp.SDPResult:
     a, s, rest = cap_a[k], cap_s[k], rest_l[k]
     root = (c * c - rest) / (c * a + math.sqrt(max(rest * (a * a + s * (rest - c * c)), 0.0)))
     t_star = max(1.0 / s_all, root * root)
-    t_cap = max(t_star, _t_star_cap((root, a, s, rest), c, sig, free_mass if free else 0.0))
+    t_cap = max(t_star, _t_star_cap((root, a, s, rest), c, sig, free_mass))
     if t_star > root * root:
         k = n  # bound by the normalisation: every sub-block is capped at t_min
 
     x = np.empty(n)
     share = (1.0 - t_star * cap_s[k]) / rest_l[k] if k < n else 0.0
     x[order] = np.concatenate((t_star * sig_o[:k], share * lam_o[k:]))
-    corner = np.sqrt(lam * x)
-    assign = {
-        blk.var: np.array([[lb, zb], [zb, xb]]) for blk, lb, zb, xb in zip(blocks, lam, corner, x)
-    }
-    if free:
-        assign["w"] = np.full((1, 1), 1.0 - x.sum())
-    assign["t"] = np.full((1, 1), t_cap)
-
     t_low = 2.0 ** (math.log2(t_cap) - BISECT_TOL_BITS)
-    psd = np.zeros((n, 2, 2))
     if t_low * s_all < 1.0:
-        fid, floor, caps, free_cap = 0.0, 0.0, np.ones(n), 1.0
+        v, ineq, nu = np.zeros((n, 2)), (0.0, 0.0, np.ones(n), 1.0), (np.zeros(n), 1.0)
     else:
         k = int(np.sum(top > t_low))
         mu = 0.5 * math.sqrt(rest_l[k] / (1.0 - t_low * cap_s[k])) if k < n else 0.0
         kappa = np.maximum(mu, 0.5 * np.sqrt(lam / (t_low * sig)))
-        psd[:, 0, 0], psd[:, 0, 1], psd[:, 1, 0], psd[:, 1, 1] = 0.25 / kappa, -0.5, -0.5, kappa
-        fid, floor, caps, free_cap = 1.0, mu, kappa - mu, 0.0
-    ineq = [[fid], [floor] * free, caps, [free_cap] * free]
-    dual = np.concatenate([sdp.herm_to_rvec(psd, prog.real).ravel(), *ineq])
-    return sdp.SDPResult("optimal", assign, {}, 0, dual, prog)
+        v = np.stack((0.5 / np.sqrt(kappa), -np.sqrt(kappa)), axis=1)
+        ineq, nu = (1.0, mu, kappa - mu, 0.0), (-0.25 / kappa, -mu)
+    w = 1.0 - x.sum() if free_mass > 0.0 else 0.0
+    return _WaterFill(lam, sig, free_mass, eps, t_cap, x, np.sqrt(lam * x), w, t_low, v, ineq, nu)
+
+
+def _fill_residuals(fill: _WaterFill) -> dict[str, float]:
+    """Both certificates of ``fill`` on its vectors, keyed as
+    ``_certified_value``'s.  "primal" and "gap" are ``sdp._recheck``'s at
+    t = 2^(log2 t_cap): each G_b's least eigenvalue (closed form), the caps
+    t sigma_b - x_b, the fidelity row, with s0 > 0 w and t s0 - w, and the
+    trace row (the pins hold exactly).  "witness_gap" and "witness_resid"
+    are ``Program.farkas``' gap and |r| of the multipliers at t_low, not
+    normalised (the test is homogeneous): r over each G_b's (G_11, G_22,
+    sqrt2 G_12) and w, and gap = -(the Lagrangian's constant)."""
+    c = math.sqrt(max(0.0, 1.0 - fill.eps * fill.eps))
+    t, free = 2.0 ** math.log2(fill.t_cap), fill.free_mass > 0.0
+    least = (fill.lam + fill.x) / 2.0 - np.hypot((fill.lam - fill.x) / 2.0, fill.z)
+    rows = [least, t * fill.sig - fill.x, [fill.z.sum() - c]]
+    rows += [[fill.w, t * fill.free_mass - fill.w]] * free
+    primal = max(0.0, *(-float(np.min(row)) for row in rows))
+    fid, floor, caps, free_cap = fill.ineq
+    pins, trace = fill.nu
+    a, b = fill.v[:, 0], fill.v[:, 1]
+    r = [a * a + pins, (2.0 * a * b + fid) / math.sqrt(2.0), b * b - caps + trace]
+    gap = fid * c - fill.t_low * (float(caps @ fill.sig) + free_cap * fill.free_mass)
+    gap += float(pins @ fill.lam) + trace
+    resid = math.hypot(float(np.linalg.norm(np.concatenate(r))), (floor - free_cap + trace) * free)
+    eq = abs(float(fill.x.sum()) + fill.w - 1.0)
+    return {"primal": primal, "gap": eq, "witness_gap": gap, "witness_resid": resid}
+
+
+def _certified_fill(fill: _WaterFill) -> float:
+    """log2 t_cap of a classical value once both certificates pass on its
+    vectors (``_fill_residuals``)."""
+    return _verdict(math.log2(fill.t_cap), _fill_residuals(fill), "(closed form)")
 
 
 def _rounded_up(t: float, rel: float) -> float:
@@ -939,12 +991,13 @@ def _t_star_cap(segment: tuple, c: float, sigmas: np.ndarray, free_mass: float) 
 
 
 def _certified_value(res: sdp.SDPResult) -> float:
-    """log2 t of a min t solve of ``d_max_smooth``, once both certificates
-    pass.  Both are evaluated before either raises, and a SolverError of
-    either carries both: "primal" and "gap" of the recheck, "witness_gap"
-    and "witness_resid" of the witness.  When 2^v is the solve's t and the
-    solve has rechecked its point (its residuals hold "primal"), the
-    recheck is that one; else the point is rechecked with t set to 2^v."""
+    """log2 t of an interior-point min t solve of ``d_max_smooth``, once
+    both certificates pass on its compiled program.  Both are evaluated
+    before either raises, and a SolverError of either carries both:
+    "primal" and "gap" of the recheck, "witness_gap" and "witness_resid"
+    of the witness.  When 2^v is the solve's t and the solve has rechecked
+    its point (its residuals hold "primal"), the recheck is that one; else
+    the point is rechecked with t set to 2^v."""
     ended = f"(solve ended {res.status} after {res.iterations} iterations)"
     t = float(res.assignment["t"][0, 0].real)
     if not (math.isfinite(t) and t > 0.0):
@@ -952,15 +1005,20 @@ def _certified_value(res: sdp.SDPResult) -> float:
     value = math.log2(t)
     if 2.0**value == t and "primal" in res.residuals:
         residuals = {key: res.residuals[key] for key in ("primal", "gap")}
-        feasible = sdp.within_tolerance(residuals)
     else:
         at_value = dict(res.assignment, t=np.full((1, 1), 2.0**value))
-        feasible, residuals = sdp.recheck(res.program.prob, at_value)
+        residuals = sdp.recheck(res.program.prob, at_value)[1]
     _, _, gap, resid = res.program.farkas(res.dual, {"t": 2.0 ** (value - BISECT_TOL_BITS)})
     residuals.update(witness_gap=gap, witness_resid=resid)
-    if not feasible:
+    return _verdict(value, residuals, ended)
+
+
+def _verdict(value: float, residuals: dict[str, float], ended: str) -> float:
+    """``value`` when ``sdp.within_tolerance`` and ``sdp.witness_fires``
+    pass its residuals; else SolverError with them all."""
+    if not sdp.within_tolerance(residuals):
         raise SolverError(f"D_max^eps = {value} not certified feasible {ended}", residuals)
-    if not sdp.witness_fires(gap, resid):
+    if not sdp.witness_fires(residuals["witness_gap"], residuals["witness_resid"]):
         raise SolverError(
             f"D_max^eps = {value} - {BISECT_TOL_BITS} not certified infeasible {ended}", residuals
         )

@@ -79,7 +79,12 @@ class PreparedInstance:
         return la.layout(("B", d["B"]), ("R", d["R"]), ("M", d["M"]))
 
     def env_cq(self) -> qo.CQState:
-        """cq state over (x, y) with normalized steered E-blocks."""
+        """cq state over (x, y) with normalized steered E-blocks, built once;
+        every caller derives new states from it and mutates none of its dicts."""
+        return self._env_cq
+
+    @cached_property
+    def _env_cq(self) -> qo.CQState:
         symbols, weights, blocks = [], {}, {}
         for (x, y), blk in self.env_blocks.items():
             p = float(np.trace(blk).real)

@@ -46,14 +46,12 @@ scalars and Schur solve.  Each program gets the result of its lone solve
 ``entropies.d_max_smooth`` and ``entropies.i_max_smooth``; the protocol
 thresholds and the one-shot region reach it through
 ``entropies.i_max_cq_many``, which solves the min t programs of all its
-cq states as one batch.  A classical value skips it: when every
-sub-block that carries rho is 1x1 with sigma_b > 0, the program is a
-water-filling over scalars, and ``entropies._water_fill`` gives its
-optimum t* in closed form, with a point and a dual from the
-water-filling's KKT conditions, in the ``SDPResult`` a solve would give
-(0 iterations).  That is exact: at fixed t the program's best fidelity is
-the water-filling's, piecewise A sqrt(t) + sqrt(L (1 - S t)) in t, so
-t* is a root of a quadratic in sqrt(t).  A result, solved or closed form,
+cq states as one batch.  A classical value (every sub-block that
+carries rho 1x1 with sigma_b > 0) builds no problem at all: it is a
+water-filling over (lambda_b, sigma_b, s0), which
+``entropies._water_fill`` solves in closed form; both certificates below
+are evaluated on those vectors (``entropies._fill_residuals``) and judged
+by ``within_tolerance`` and ``witness_fires``.  Every solved value
 carries its compiled ``Program`` and two certificates, which the caller
 checks on that program with a variable held fixed:
 

@@ -885,3 +885,66 @@ def centralised_output_blocks(family, rho_e, decoders, join, abort: str) -> dict
             for sym_y, op in dec_y.apply(k2, yi, sigma).items():
                 add("y_only", sym_y, n_x * op)
     return out
+
+
+def ball_blocks_reference(ent, pairs) -> tuple[list, float]:
+    """``entropies._ball_blocks`` one component and one sub-block at a
+    time (``ent`` is the library's entropies module): each pair's
+    components by breadth-first search (``support_components_oracle``),
+    one stacked ``eigh`` per component size across the pairs, then each
+    pair's rotated sigma split again, sub-block by sub-block in order of
+    least index, each one's field from ``ent._real_parts`` on its own."""
+    rho, sigma = ent._real_parts(*(np.stack(mats) for mats in zip(*pairs)))
+    comps = [
+        (k, c) for k in range(len(rho)) for c in support_components_oracle([rho[k], sigma[k]])
+    ]
+    eigs, rotated = np.zeros(rho.shape[:2]), np.zeros_like(sigma)
+    for size in sorted({len(c) for _, c in comps}):
+        k = np.array([k for k, c in comps if len(c) == size])
+        ix = np.array([c for _, c in comps if len(c) == size])
+        at = k[:, None, None], ix[:, :, None], ix[:, None, :]
+        w, u = np.linalg.eigh(rho[at])
+        u = u[..., ::-1]
+        eigs[k[:, None], ix] = w[:, ::-1]
+        rotated[at] = np.swapaxes(u.conj(), -1, -2) @ sigma[at] @ u
+    blocks, free_mass = [], 0.0
+    for eig, rot in zip(eigs, rotated):
+        for sub in support_components_oracle([rot]):
+            kept = eig[sub] > 1e-12
+            (sb,) = ent._real_parts(rot[sub[:, None], sub])
+            if kept.any():
+                blocks.append(ent._BallBlock(f"ball{len(blocks)}", eig[sub][kept], sb))
+            else:
+                free_mass += float(np.trace(sb).real)
+    return blocks, free_mass
+
+
+def water_fill_certificates(ent, sdp, fill) -> tuple[dict, float, float, float]:
+    """Both certificates of a classical value's closed-form record
+    (``entropies._water_fill``; ``ent`` and ``sdp`` are the library's
+    modules), from the expressions of its min t program: ``_capped_ball``
+    rebuilt from the record's (lambda_b, sigma_b, s0, eps), t pinned
+    (``pin_variable``).  Returns ``sdp._recheck``'s residuals of the point
+    at t = 2^v, and the (gap, |r|) of ``farkas_from_expressions`` at
+    ``fill.t_low`` for the multipliers laid out in slack order (each
+    W_b = v_b v_b^T as its rvec, then the inequality weights), with the
+    norm of that slack: the scalar gap over it is the oracle's gap."""
+    blocks = [
+        ent._BallBlock(f"ball{i}", np.array([lam]), np.array([[sig]]))
+        for i, (lam, sig) in enumerate(zip(fill.lam, fill.sig))
+    ]
+    prob = ent._capped_ball((blocks, fill.free_mass), fill.eps)
+    free = "w" in prob.variables
+    assign = {
+        blk.var: np.array([[lam, z], [z, x]])
+        for blk, lam, z, x in zip(blocks, fill.lam, fill.z, fill.x)
+    }
+    if free:
+        assign["w"] = np.full((1, 1), fill.w)
+    primal = sdp._recheck(pin_variable(prob, "t", 2.0 ** math.log2(fill.t_cap)), assign)
+    fid, floor, caps, free_cap = fill.ineq
+    psd = [_herm_to_rvec_single(np.outer(v, v), real=True) for v in fill.v]
+    weights = [[fid], [floor] * free, np.broadcast_to(caps, len(blocks)), [free_cap] * free]
+    slack = np.concatenate(psd + weights)
+    gap, resid = farkas_from_expressions(pin_variable(prob, "t", fill.t_low), slack)
+    return primal, gap, resid, float(np.linalg.norm(slack))

@@ -285,11 +285,11 @@ class TestNPBracket:
         blocks.alpha_strict = lambda t, tol: calls.append(t) or alpha_strict(t, tol)
         return calls
 
-    def branch(self, rho, sigma, eps, monkeypatch, fewer=True) -> str:
+    def branch(self, rho, sigma, eps, monkeypatch, excess=0) -> str:
         """Checks one pair and returns the branch its search took: "jump"
         (a bracket confirmed at a jump), "root" (confirmed by the root
-        search) or "none" (no confirmed bracket).  With ``fewer`` the
-        search must read no more points than the bisection alone."""
+        search) or "none" (no confirmed bracket).  The search must read at
+        most ``excess`` points more than the bisection alone."""
         blocks, ref = ent._Blocks(rho, sigma), oracles.PerBlockNP(rho, sigma)
         target = 1.0 - eps
         beta, tests, alpha = ent._np_threshold(blocks, eps)
@@ -309,7 +309,7 @@ class TestNPBracket:
         with monkeypatch.context() as patch:
             patch.setattr(ent, "_np_bracket", lambda rd: None)
             assert ent._np_bisect(blocks, target) == got
-        assert read <= len(calls) - read or not fewer
+        assert read <= len(calls) - read + excess
         (rd,) = searches
         if math.isinf(rd.hi):
             return "none"
@@ -374,8 +374,12 @@ class TestNPBracket:
     def test_wrong_or_missing_jumps_leave_the_bisection_its_own(self, monkeypatch):
         # with no jumps there is no bracket and the bisection reads all its
         # points; with jumps 0.1% off and windows of 4 ulps the confirmations
-        # fail and the root search takes over, at a cost, and the bracket is
-        # still the bisection's own
+        # fail and the root search takes over, and the bracket is still the
+        # bisection's own.  On the continuous crossing the root search still
+        # saves reads; on the commuting pair alpha_strict is a step, so its
+        # first reading equal to the end it replaces stops it, and the
+        # bisection reads all its points after the bracket's two probes, the
+        # confirmation's end and that one reading
         rng = np.random.default_rng(5)
         rho, sigma = [oracles.random_density(rng, 2)], [oracles.random_density(rng, 2)]
         jumps = ent._Blocks.jumps
@@ -392,8 +396,8 @@ class TestNPBracket:
 
         monkeypatch.setattr(ent._Blocks, "jumps", off)
         for eps in (0.5, 0.2):
-            assert self.branch(rho, sigma, eps, monkeypatch, fewer=False) in {"root", "none"}
-            assert self.branch(*commuting, eps, monkeypatch, fewer=False) in {"root", "none"}
+            assert self.branch(rho, sigma, eps, monkeypatch) in {"root", "none"}
+            assert self.branch(*commuting, eps, monkeypatch, excess=4) == "none"
 
     def test_kernel_test_exit(self, monkeypatch):
         # rho's mass on ker sigma reaches 1 - eps: beta = 0, no search at all
@@ -679,9 +683,9 @@ def solver_batches(monkeypatch) -> list:
 
 class TestWaterFill:
     """A classical value (every sub-block that carries rho 1x1, with
-    sigma_b > 0) gets its min t solve in closed form (``_water_fill``) and
-    no interior-point iteration; its two certificates decide it as they
-    decide a solve's."""
+    sigma_b > 0) gets its min t solve in closed form (``_water_fill``),
+    with no program, and its two certificates are evaluated on its
+    vectors (``TestScalarCertificates``)."""
 
     def test_oracle_gives_the_free_mass_to_the_rho_free_entries(self):
         # both caps full: sqrt(0.1 t 0.5) twice = sqrt(0.99) at t = 0.99 / 0.2,
@@ -721,11 +725,10 @@ class TestWaterFill:
         assert len(classical) == 20
         solved = sdp.minimize_many([ent._capped_ball(sub_blocks, 0.1) for sub_blocks in classical])
         for sub_blocks, res in zip(classical, solved):
-            closed = ent._water_fill(sub_blocks, 0.1)
-            assert (closed.status, closed.iterations) == ("optimal", 0) and res.iterations > 0
+            closed = ent._certified_fill(water_fill(sub_blocks, 0.1))
             # the closed form is exact; the solve's t is above the optimum
-            below = ent._certified_value(res) - ent._certified_value(closed)
-            assert 0.0 <= below < ent.BISECT_TOL_BITS
+            below = ent._certified_value(res) - closed
+            assert res.iterations > 0 and 0.0 <= below < ent.BISECT_TOL_BITS
 
     def test_values_bound_by_the_normalisation(self, smoothed_cq_states):
         # t* = t_min = 1 / (sum_b sigma_b + s0) when the fidelity at t_min
@@ -737,16 +740,15 @@ class TestWaterFill:
             sub_blocks = ent._ball_blocks(ent._cq_pairs(cq))
             if not is_classical(sub_blocks):
                 continue
-            res = ent._water_fill(sub_blocks, 0.1)
+            fill = water_fill(sub_blocks, 0.1)
             sigmas = np.array([blk.sigma[0, 0] for blk in sub_blocks[0]])
             t_min = 1.0 / (sigmas.sum() + max(sub_blocks[1], 0.0))
-            if res.assignment["t"][0, 0] == pytest.approx(t_min, rel=1e-14):
-                value = ent._certified_value(res)
-                bound.append(value)
-                n_psd = 3 * len(sigmas)  # real 2x2 blocks, 3 coordinates each
-                assert not res.dual[:n_psd].any() and set(res.dual[n_psd + 1 :]) <= {0.0, 1.0}
-                caps = [res.assignment[blk.var][1, 1] for blk in sub_blocks[0]]
-                assert caps == pytest.approx(t_min * sigmas, rel=1e-14)
+            if fill.t_cap == pytest.approx(t_min, rel=1e-14):
+                bound.append(ent._certified_fill(fill))
+                fid, floor, caps, free_cap = fill.ineq
+                assert not fill.v.any() and (fid, floor, free_cap, fill.nu[1]) == (0, 0, 1, 1)
+                assert not fill.nu[0].any() and set(caps.tolist()) == {1.0}
+                assert fill.x == pytest.approx(t_min * sigmas, rel=1e-14)
         assert len(bound) == 5 and max(abs(v) for v in bound) < 1e-12
         # rho = diag(0.5, 0.5, 0): the free mass 0.1 fills the trace at t = 1
         p, s = np.array([0.5, 0.5, 0.0]), np.array([0.45, 0.45, 0.1])
@@ -762,7 +764,7 @@ class TestWaterFill:
         assert [blk.sigma[0, 0] for blk in ball(np.diag(p), np.diag(s))[0]] == [1.0, 0.0]
         sizes = solver_batches(monkeypatch)
 
-        def no_water_fill(sub_blocks, eps):
+        def no_water_fill(*args):
             raise AssertionError("a value with sigma_b = 0 went to the closed form")
 
         monkeypatch.setattr(ent, "_water_fill", no_water_fill)
@@ -773,26 +775,150 @@ class TestWaterFill:
 
     def test_each_value_makes_one_recheck(self, monkeypatch):
         # the region pass: the certificate of each of the four solved values
-        # reads its solve's final recheck, and each of the two classical
-        # values is rechecked once, by its certificate
+        # reads its solve's final recheck, the one recheck of its program,
+        # and each of the two classical values is rechecked on its scalars
         prep = P.prepare(io.load_bundled("instrument_derived"))
         checked, recheck = [], sdp._recheck
-        fills, water_fill = [], ent._water_fill
+        fills, fill_residuals = [], ent._fill_residuals
 
         def recording_recheck(prob, assign):
             checked.append(id(prob))
             return recheck(prob, assign)
 
-        def recording_water_fill(sub_blocks, eps):
-            fills.append(sub_blocks)
-            return water_fill(sub_blocks, eps)
+        def recording_fill_residuals(fill):
+            fills.append(fill)
+            return fill_residuals(fill)
 
         monkeypatch.setattr(sdp, "_recheck", recording_recheck)
-        monkeypatch.setattr(ent, "_water_fill", recording_water_fill)
+        monkeypatch.setattr(ent, "_fill_residuals", recording_fill_residuals)
         sizes = solver_batches(monkeypatch)
         P.one_shot_region(prep, 0.1, theta_grid=(0.5,))
         assert (sizes, len(fills)) == ([4], 2)
-        assert len(checked) == len(set(checked)) == 6
+        assert len(checked) == len(set(checked)) == 4
+
+
+def water_fill(sub_blocks, eps):
+    """``_water_fill``'s record of a classical ``_ball_blocks`` result."""
+    return ent._water_fill(*ent._scalars(sub_blocks), eps)
+
+
+def check_scalar_certificates(fill) -> dict:
+    """The scalar certificates of ``fill`` against the program oracle
+    (``oracles.water_fill_certificates``): the same two verdicts, and the
+    witness gap, normalised as the oracle's, within 1e-9 relative."""
+    got = ent._fill_residuals(fill)
+    primal, gap, resid, norm = oracles.water_fill_certificates(ent, sdp, fill)
+    assert sdp.within_tolerance(got) == sdp.within_tolerance(primal)
+    assert sdp.witness_fires(got["witness_gap"], got["witness_resid"]) == sdp.witness_fires(
+        gap, resid
+    )
+    assert got["witness_gap"] / norm == pytest.approx(gap, rel=1e-9)
+    return got
+
+
+def certified(residuals) -> tuple[bool, bool]:
+    return sdp.within_tolerance(residuals), sdp.witness_fires(
+        residuals["witness_gap"], residuals["witness_resid"]
+    )
+
+
+class TestScalarCertificates:
+    """A classical value is certified on (lambda_b, sigma_b, s0) alone
+    (``_fill_residuals``); the program oracle rebuilds its ``_capped_ball``
+    and checks both certificates from the program's expressions."""
+
+    def test_bundled_values_agree_with_the_program_oracle(self, smoothed_cq_states):
+        balls = [ent._ball_blocks(ent._cq_pairs(cq)) for cq in smoothed_cq_states]
+        fills = [water_fill(b, 0.1) for b in balls if is_classical(b)]
+        assert len(fills) == 20
+        for fill in fills:
+            assert certified(check_scalar_certificates(fill)) == (True, True)
+
+    def test_seeded_pairs_agree_with_the_program_oracle(self):
+        # 12 commuting pairs with and without free mass at eps 0.1 and 1e-5,
+        # and pairs bound by the normalisation, whose witness is the
+        # contradiction t_low (sum_b sigma_b + s0) < 1
+        cases = [
+            (p, s, eps)
+            for free in (False, True)
+            for _, _, p, s in commuting_pairs(free)
+            for eps in (0.1, 1e-5)
+        ]
+        cases += [
+            (np.array([0.5, 0.5, 0.0]), np.array([0.45, 0.45, 0.1]), 0.4),
+            (np.array([0.5, 0.5]), np.array([0.5, 0.5]), 0.1),
+        ]
+        kinds = collections.Counter()
+        for p, s, eps in cases:
+            fill = water_fill(ball(np.diag(p), np.diag(s)), eps)
+            assert certified(check_scalar_certificates(fill)) == (True, True)
+            contradiction = fill.t_low * (fill.sig.sum() + fill.free_mass) < 1.0
+            kinds[fill.free_mass > 0.0, contradiction] += 1
+        assert set(kinds) == {(False, False), (True, False), (False, True), (True, True)}
+
+    def test_a_point_past_its_cap_is_not_feasible(self, smoothed_cq_states):
+        # x_b moved 1e-6 past its cap, the mass taken from w, so that only
+        # the cap row sees it
+        moved = 0
+        for cq in smoothed_cq_states:
+            sub_blocks = ent._ball_blocks(ent._cq_pairs(cq))
+            if not is_classical(sub_blocks):
+                continue
+            fill = water_fill(sub_blocks, 0.1)
+            x = fill.x.copy()
+            x[0] = 2.0 ** math.log2(fill.t_cap) * fill.sig[0] + 1e-6
+            w = fill.w - (x[0] - fill.x[0])
+            if fill.free_mass == 0.0 or w < 0.0:
+                continue
+            past = dataclasses.replace(fill, x=x, z=np.sqrt(fill.lam * x), w=w)
+            assert ent._fill_residuals(past)["gap"] < 1e-12
+            assert certified(check_scalar_certificates(past)) == (False, True)
+            moved += 1
+        assert moved >= 3
+
+    def test_the_stationarity_residual_is_read_not_assumed(self, smoothed_cq_states):
+        # the trace row's multiplier moved by 1: every x_b coordinate of r
+        # (and w's) moves by 1, the gap by 1, and the witness must not fire
+        for cq in smoothed_cq_states:
+            sub_blocks = ent._ball_blocks(ent._cq_pairs(cq))
+            if not is_classical(sub_blocks):
+                continue
+            fill = water_fill(sub_blocks, 0.1)
+            pins, trace = fill.nu
+            moved = ent._fill_residuals(dataclasses.replace(fill, nu=(pins, trace + 1.0)))
+            got = ent._fill_residuals(fill)
+            n = len(fill.lam) + (fill.free_mass > 0.0)
+            assert moved["witness_resid"] == pytest.approx(math.sqrt(n), rel=1e-9)
+            assert moved["witness_gap"] == pytest.approx(got["witness_gap"] + 1.0, rel=1e-12)
+            assert certified(moved) == (True, False)
+
+    def test_the_dual_at_the_optimum_does_not_fire(self, monkeypatch, smoothed_cq_states):
+        # with no tolerance below v the multipliers are taken at 2^v itself,
+        # where the point is feasible: no witness may fire there
+        monkeypatch.setattr(ent, "BISECT_TOL_BITS", 0.0)
+        pairs = commuting_pairs(False) + commuting_pairs(True)
+        cases = [ball(np.diag(p), np.diag(s)) for *_, p, s in pairs]
+        balls = [ent._ball_blocks(ent._cq_pairs(cq)) for cq in smoothed_cq_states]
+        for sub_blocks in [b for b in balls if is_classical(b)] + cases:
+            fill = water_fill(sub_blocks, 0.1)
+            assert fill.t_low == 2.0 ** math.log2(fill.t_cap)
+            assert certified(check_scalar_certificates(fill))[1] is False
+
+    def test_no_program_is_built_for_a_classical_instance(self, monkeypatch):
+        # classical_commuting's thresholds and theta 0.5 region: 8 values,
+        # all classical, with no SDProblem and no Program
+        prep = P.prepare(io.load_bundled("classical_commuting"))
+        fills, certified_fill = [], ent._certified_fill
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a classical value built a program")
+
+        monkeypatch.setattr(sdp.Program, "__init__", refuse)
+        monkeypatch.setattr(sdp.SDProblem, "__init__", refuse)
+        monkeypatch.setattr(ent, "_certified_fill", lambda f: fills.append(f) or certified_fill(f))
+        P.thresholds(prep, 0.1, 0.0)
+        P.one_shot_region(prep, 0.1, theta_grid=(0.5,))
+        assert len(fills) == 8
 
 
 class TestSupportComponents:
@@ -806,9 +932,11 @@ class TestSupportComponents:
         stacked = ent._support_components([np.stack(mats) for mats in zip(*padded)])
         for mats, want, in_stack in zip(patterns, wants, stacked):
             (got,) = ent._support_components([m[None] for m in mats])
-            for comps in (got, in_stack):
+            for labels in (got, in_stack):
+                comps = [np.flatnonzero(labels == r) for r in np.unique(labels)]
                 assert len(comps) == len(want)
                 assert all(np.array_equal(g, w) for g, w in zip(comps, want))
+                assert all(labels[c].tolist() == [c[0]] * len(c) for c in comps)
 
     def test_one_eigh_per_component_size(self, monkeypatch):
         # components of sizes 1, 2 and 3 that carry rho, rho-free ones of
@@ -865,6 +993,72 @@ class TestSupportComponents:
                 assert got.var == want.var and got.sigma.dtype == want.sigma.dtype
                 assert np.array_equal(got.eigs, want.eigs)
                 assert np.array_equal(got.sigma, want.sigma)
+
+
+def assert_same_sub_blocks(got, want) -> None:
+    """Two ``_ball_blocks`` results agree to the bit: order, names,
+    spectra, sigma_b and its field, and s0."""
+    (blocks, free), (want_blocks, want_free) = got, want
+    assert free.hex() == want_free.hex() and len(blocks) == len(want_blocks)
+    for b, w in zip(blocks, want_blocks):
+        assert b.var == w.var and b.sigma.dtype == w.sigma.dtype
+        assert b.eigs.tobytes() == w.eigs.tobytes() and b.sigma.tobytes() == w.sigma.tobytes()
+
+
+def degenerate_pairs(rng) -> list:
+    """Seeded pairs (rho_k, sigma_k) of one dimension, the indices of each
+    shuffled: per pair, blocks of 1 to 9 indices whose rho has a
+    degenerate spectrum (some of it 0) in a random complex basis, under a
+    sigma that is a random complex density, or commutes with rho there
+    (so its rotated sigma is real up to round-off), or is the only mass."""
+    d, out = int(rng.integers(4, 13)), []
+    for _ in range(int(rng.integers(1, 4))):
+        rho, sigma = np.zeros((d, d), dtype=complex), np.zeros((d, d), dtype=complex)
+        pos = 0
+        while pos < d:
+            size = min(int(rng.integers(1, 10)), d - pos)
+            sl = slice(pos, pos + size)
+            u = np.linalg.qr(rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size)))[0]
+            vals = rng.choice([0.0, 0.2, 0.2, 0.5], size=size)
+            kind = int(rng.integers(0, 3))
+            if kind < 2:
+                rho[sl, sl] = u @ np.diag(vals) @ u.conj().T
+            if kind == 1:
+                sigma[sl, sl] = u @ np.diag(rng.choice([0.1, 0.3], size=size)) @ u.conj().T
+            else:
+                sigma[sl, sl] = oracles.random_density(rng, size)
+            pos += size
+        perm = rng.permutation(d)
+        out.append((rho[np.ix_(perm, perm)], sigma[np.ix_(perm, perm)]))
+    return out
+
+
+class TestBallBlocksReference:
+    """``_ball_blocks``' array pass against the per-sub-block loop it
+    replaced (``oracles.ball_blocks_reference``), to the bit."""
+
+    def test_bundled_values(self, smoothed_cq_states):
+        # every threshold and region value; each interior-point program
+        # then compiles to the reference's bytes
+        for cq in smoothed_cq_states:
+            pairs = ent._cq_pairs(cq)
+            got, want = ent._ball_blocks(pairs), oracles.ball_blocks_reference(ent, pairs)
+            assert_same_sub_blocks(got, want)
+            if not is_classical(got):
+                prog, ref = (sdp.Program(ent._capped_ball(b, 0.1)) for b in (got, want))
+                for name in ("g_graph", "c_graph", "g_eq", "c_eq"):
+                    assert getattr(prog, name).tobytes() == getattr(ref, name).tobytes()
+
+    def test_seeded_degenerate_and_complex_pairs(self):
+        rng = np.random.default_rng(90)
+        fields = collections.Counter()
+        for _ in range(24):
+            pairs = degenerate_pairs(rng)
+            got = ent._ball_blocks(pairs)
+            assert_same_sub_blocks(got, oracles.ball_blocks_reference(ent, pairs))
+            fields.update(b.sigma.dtype.kind for b in got[0])
+            fields["free"] += got[1] > 0.0
+        assert fields["c"] and fields["f"] and fields["free"]
 
 
 class TestFoldedBall:
@@ -994,9 +1188,10 @@ class TestSmoothingSolve:
         for rho, sigma in region_x_pairs:
             ent.d_max_smooth(rho, sigma, 0.1)
         monkeypatch.undo()
-        n = len(region_x_pairs)
-        assert (len(balls), len(built), len(progs)) == (n, n, n)
-        for pair, sub_blocks, (b, eps, prob), prog in zip(region_x_pairs, balls, built, progs):
+        # the classical value among them builds no program
+        solved = [(pair, b) for pair, b in zip(region_x_pairs, balls) if not is_classical(b)]
+        assert (len(balls), len(solved), len(built), len(progs)) == (3, 2, 2, 2)
+        for (pair, sub_blocks), (b, eps, prob), prog in zip(solved, built, progs):
             assert b is sub_blocks and prog.prob is prob
             assert compiled(prob) == compiled(capped_ball(ball_blocks([pair]), eps))
 

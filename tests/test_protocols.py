@@ -111,18 +111,22 @@ def _hex(values) -> dict | list:
 
 def _certified_solves(run):
     """``run()``'s output and, per smooth D_max it certified, in call order:
-    (its value, ``sdp.minimize_many`` result).  Every value goes through
-    ``entropies._certified_value``."""
+    (its value, its ``sdp.minimize_many`` result or, for a classical value,
+    its ``entropies._water_fill`` record).  Every value goes through
+    ``entropies._certified_value`` or ``entropies._certified_fill``."""
     solves = []
-    certified_value = ent._certified_value
 
-    def recording_certified_value(res):
-        value = certified_value(res)
-        solves.append((value, res))
-        return value
+    def recording(certify):
+        def certified(res):
+            value = certify(res)
+            solves.append((value, res))
+            return value
+
+        return certified
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ent, "_certified_value", recording_certified_value)
+        for name in ("_certified_value", "_certified_fill"):
+            mp.setattr(ent, name, recording(getattr(ent, name)))
         out = run()
     return out, solves
 
@@ -137,20 +141,27 @@ def _solve_instance(name: str):
 
 def _check_certificates(solves) -> None:
     """Both certificates of every value v, checked again from the
-    expressions of the solved program with t pinned (``oracles.pin_variable``):
-    the solve's rho' is feasible at t = 2^v, and its dual is a Farkas witness
-    at t = 2^(v - BISECT_TOL_BITS)."""
+    expressions of its program with t pinned (``oracles.pin_variable``):
+    the point is feasible at t = 2^v, and the dual is a Farkas witness at
+    t = 2^(v - BISECT_TOL_BITS).  A classical value's program is rebuilt
+    from its record (``oracles.water_fill_certificates``)."""
     for value, res in solves:
-        prob = res.program.prob
-        primal = sdp._recheck(oracles.pin_variable(prob, "t", 2.0**value), res.assignment)
+        if isinstance(res, ent._WaterFill):
+            primal, gap, resid, _ = oracles.water_fill_certificates(ent, sdp, res)
+        else:
+            prob = res.program.prob
+            primal = sdp._recheck(oracles.pin_variable(prob, "t", 2.0**value), res.assignment)
+            lo = oracles.pin_variable(prob, "t", 2.0 ** (value - ent.BISECT_TOL_BITS))
+            gap, resid = oracles.farkas_from_expressions(lo, res.dual)
         assert primal["primal"] <= 10 * sdp.FEASIBLE_TOL and primal["gap"] <= 10 * sdp.FEASIBLE_TOL
-        lo = oracles.pin_variable(prob, "t", 2.0 ** (value - ent.BISECT_TOL_BITS))
-        gap, resid = oracles.farkas_from_expressions(lo, res.dual)
         assert gap > 0 and resid <= sdp.WITNESS_RATIO * gap
 
 
 def _threshold_pins(th: dict, solves) -> dict:
-    return {"thresholds": _hex(th), "statuses": [res.status for *_, res in solves]}
+    """The thresholds and each value's status; a closed-form value's is
+    "optimal"."""
+    statuses = [getattr(res, "status", "optimal") for _, res in solves]
+    return {"thresholds": _hex(th), "statuses": statuses}
 
 
 def _protocol_runs(name: str, prep):
@@ -429,6 +440,19 @@ def test_one_shot_region_steers_nothing_after_prepare(monkeypatch):
     region = P.one_shot_region(prep, GOLDEN_EPS, theta_grid=(0.0, 0.5, 1.0))
     assert len(region.constraints) == 4 * 3 * 2
     assert calls == []
+
+
+def test_env_cq_is_built_once_and_left_alone():
+    # one CQState per prepared instance, shared by thresholds and both
+    # regions, none of which mutates its dicts or blocks
+    prep = P.prepare(io.load_bundled("instrument_derived"))
+    cq = prep.env_cq()
+    weights, blocks = dict(cq.weights), {s: b.copy() for s, b in cq.blocks.items()}
+    P.thresholds(prep, GOLDEN_EPS, GOLDEN_C)
+    P.one_shot_region(prep, GOLDEN_EPS, theta_grid=(0.5,))
+    P.iid_region(prep)
+    assert prep.env_cq() is cq and cq.weights == weights and cq.blocks.keys() == blocks.keys()
+    assert all(np.array_equal(cq.blocks[s], b) for s, b in blocks.items())
 
 
 @pytest.mark.parametrize("log_const", [0.0, None], ids=["c0", "cdefault"])
