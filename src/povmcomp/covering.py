@@ -137,74 +137,83 @@ def extract_good_set(
     Follows the purification proof literally: psi = sum sqrt(w_i) |rho_i>|i>,
     phi = Uhlmann partner of target's purification in the same space, primed
     states read off the |i> slices, GOOD = INDEX (weight ratio close to 1)
-    intersect CLOSE (primed state close to the original).  The square roots
-    of the parts with positive weight come from one stacked ``eigh``, which
-    checks them as ``assert_psd`` does, and the CLOSE distances of the
-    parts phi does not vanish on from one stacked ``eigvalsh``.
+    intersect CLOSE (primed state close to the original).  ``good_sets``
+    with one row, in which every part takes a slice.
     """
-    if eps <= 0 or eps >= 1:
+    present = np.ones((1, len(parts)), dtype=bool)
+    good, primed, prob_good, op_slack = good_sets(parts, [weights], present, target, [eps])
+    idx = np.flatnonzero(good[0]).tolist()
+    primed_of = {i: primed[0, i] for i in idx}
+    return GoodSetCertificate(idx, primed_of, float(prob_good[0]), float(op_slack[0]), eps)
+
+
+def good_sets(parts, weights, present, target, eps):
+    """GOOD sets of every row of ``weights`` over one (n, d, d) stack of states.
+
+    Row r purifies sum_i w_ri parts_i with a slice of C per part that
+    ``present[r]`` offers, at slack ``eps[r]``.  The target is checked and
+    decomposed once, the roots, distances and slacks of all rows are stacked,
+    and only the Uhlmann partner runs row by row.  Returns the GOOD mask
+    (b, n), the primed states (b, n, d, d), zero off GOOD, and per row
+    prob_good and op_slack (``GoodSetCertificate``'s).
+    """
+    eps = np.asarray(eps, dtype=float)
+    if np.any((eps <= 0) | (eps >= 1)):
         raise ValueError("eps must lie in (0, 1)")
-    target = la.assert_density(target)
-    d = target.shape[0]
-    n = len(parts)
-    if len(weights) != n:
-        raise ValueError("weights and parts length mismatch")
-    avg = sum(w * la.as_matrix(p) for w, p in zip(weights, parts))
-    hyp = la.trace_norm_distance(avg, target)
-    if hyp > eps + 1e-9:
-        raise ValueError(f"hypothesis distance {hyp:.3e} exceeds eps {eps}")
+    target, *eig = la.density_eigh(target)
+    parts, weights = la._as_stack(parts), np.asarray(weights, dtype=float)
+    (b, n), d = weights.shape, target.shape[0]
+    hyp = la.trace_norm_many(np.einsum("rn,nij->rij", weights, parts) - target)
+    if np.any(hyp > eps + 1e-9):
+        r = int(np.argmax(hyp - eps))
+        raise ValueError(f"hypothesis distance {hyp[r]:.3e} exceeds eps {eps[r]}")
     quarter = eps**0.25
-    live = [i for i in range(n) if weights[i] > 0]
+    live = present & (weights > 0)
+    used = live.any(axis=0)
     # psi on A (x) (A' x C), slices along C
-    psi = np.zeros((d, d, n), dtype=complex)
-    roots = la.matrix_sqrt_many(np.reshape([parts[i] for i in live], (len(live), d, d)))
-    for i, root in zip(live, roots):
-        psi[:, :, i] = math.sqrt(weights[i]) * root
-    phi = la.uhlmann_partner(psi.reshape(d, d * n).reshape(-1), target)
-    phi = phi.reshape(d, d, n)
-    kept = []  # (i, q, rho_p) of the live parts phi does not vanish on
-    for i in live:
-        v = phi[:, :, i]
-        q = float(np.sum(np.abs(v) ** 2))
-        if q > 1e-300:
-            kept.append((i, q, v @ v.conj().T / q))
-    diffs = [rho_p - (weights[i] / q) * la.as_matrix(parts[i]) for i, q, rho_p in kept]
-    dists = la.trace_norm_many(np.reshape(diffs, (len(kept), d, d)))
-    good, primed = [], {}
-    prob_good = 0.0
-    for (i, q, rho_p), scaled_dist in zip(kept, dists):
-        w = weights[i]
-        in_index = abs(1.0 - w / q) <= quarter
-        in_close = scaled_dist <= quarter
-        if in_index and in_close:
-            good.append(i)
-            primed[i] = rho_p
-            prob_good += w
-    bound = (1.0 + quarter) * target
-    for i in good:
-        bound = bound - weights[i] * primed[i]
-    op_slack = float(np.linalg.eigvalsh((bound + bound.conj().T) / 2)[0])
-    return GoodSetCertificate(good, primed, prob_good, op_slack, eps)
+    psi = np.zeros((b, d, d, n), dtype=complex)
+    roots = np.moveaxis(la.matrix_sqrt_many(parts[used]), 0, -1)
+    psi[..., used] = np.sqrt(weights[:, None, None, used]) * roots
+    phi = np.zeros_like(psi)
+    for r, cols in enumerate(present):
+        phi[r][..., cols] = la.uhlmann_partner(psi[r][..., cols], target, eig).reshape(d, d, -1)
+    # the live parts phi does not vanish on
+    q = np.sum(np.abs(phi) ** 2, axis=(1, 2))
+    kept = live & (q > 1e-300)
+    rows, cols = np.nonzero(kept)
+    v = phi[rows, :, :, cols]
+    rho_p = v @ v.conj().swapaxes(-1, -2) / q[kept][:, None, None]
+    ratio = weights[kept] / q[kept]
+    dists = la.trace_norm_many(rho_p - ratio[:, None, None] * parts[cols])
+    in_good = (np.abs(1.0 - ratio) <= quarter[rows]) & (dists <= quarter[rows])
+    good, primed = np.zeros_like(kept), np.zeros((b, n, d, d), dtype=complex)
+    good[rows, cols], primed[rows, cols] = in_good, rho_p * in_good[:, None, None]
+    prob_good = np.where(good, weights, 0.0).sum(axis=1)
+    bound = (1.0 + quarter)[:, None, None] * target - np.einsum("rn,rnij->rij", weights, primed)
+    op_slack = np.linalg.eigvalsh((bound + bound.conj().swapaxes(-1, -2)) / 2)[:, 0]
+    return good, primed, prob_good, op_slack
+
+
+def transformed_rows(sigmas, weights, eps):
+    """``good_sets``' parts, weights and slacks for subnormalized pieces:
+    pieces normalized (I / d of weight 0 at trace <= 1e-14), row r's
+    weights w_ri Tr[sigma_i] / sum_j w_rj Tr[sigma_j], slacks doubled
+    (normalizing the average at most doubles the hypothesis distance)."""
+    sigmas, weights = la._as_stack(sigmas), np.asarray(weights, dtype=float)
+    traces = np.array([float(np.trace(s).real) for s in sigmas])
+    tiny = traces <= 1e-14
+    # each row summed in order, as a sum over its pieces
+    z = np.cumsum(weights * traces, axis=1)[:, -1:]
+    flat = np.eye(sigmas.shape[-1], dtype=complex) / sigmas.shape[-1]
+    parts = np.where(tiny[:, None, None], flat, sigmas / np.where(tiny, 1.0, traces)[:, None, None])
+    new_weights = np.where(tiny | (weights <= 0), 0.0, weights * traces / z)
+    return parts, new_weights, np.minimum(2 * np.asarray(eps, dtype=float), 0.999)
 
 
 def extract_good_set_transformed(
     sigmas: list[np.ndarray], weights: list[float], target: np.ndarray, eps: float
 ) -> GoodSetCertificate:
-    """GOOD-set for subnormalized pieces via normalize-and-reweight.
-
-    Pieces are normalized to states, weights move to w_i Tr[sigma_i], and
-    the extraction runs with doubled slack (normalizing the average at most
-    doubles the hypothesis distance).
-    """
-    traces = [float(np.trace(s).real) for s in sigmas]
-    z = sum(w * t for w, t in zip(weights, traces))
-    parts, new_weights = [], []
-    for s, w, t in zip(sigmas, weights, traces):
-        if t <= 1e-14 or w <= 0:
-            parts.append(np.eye(s.shape[0], dtype=complex) / s.shape[0])
-            new_weights.append(0.0)
-        else:
-            parts.append(la.as_matrix(s) / t)
-            new_weights.append(w * t / z)
-    return extract_good_set(parts, new_weights, target, min(2 * eps, 0.999))
-
+    """GOOD-set for subnormalized pieces via normalize-and-reweight
+    (``transformed_rows``)."""
+    parts, new_weights, eps2 = transformed_rows(sigmas, [weights], [eps])
+    return extract_good_set(list(parts), new_weights[0].tolist(), target, float(eps2[0]))

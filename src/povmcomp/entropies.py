@@ -113,11 +113,14 @@ class _Blocks:
     (rho_b itself when rho_b carries no mass there, as for every block of
     ``i_hyp_cq``, whose sigma_b = p_b rho_S covers each rho_b).  Between
     two jumps it is continuous; for a commuting pair it is constant there.
+
+    ``sigma_mass`` is each sigma block's trace, or its matrix's if it is a slot.
     """
 
-    def __init__(self, rho_blocks: list[np.ndarray], sigma_blocks: list[np.ndarray]):
+    def __init__(self, rho_blocks, sigma_blocks, sigma_mass=None):
         self.rho = np.stack([la.as_matrix(b) for b in rho_blocks])
         self.sigma = np.stack([la.as_matrix(b) for b in sigma_blocks])
+        self.sigma_mass = np.einsum("nii->n", self.sigma).real if sigma_mass is None else sigma_mass
 
     @cached_property
     def sigma_eigh(self) -> tuple[np.ndarray, np.ndarray]:
@@ -172,7 +175,7 @@ class _Blocks:
         live = (mu > 0) & (mu > 1e-12 * mu.max(initial=0.0))
         mu_live = np.where(live, mu, 1.0)
         norm = np.einsum("nii->n", self.rho).real[:, None] / mu_live
-        norm += np.einsum("nii->n", self.sigma).real[:, None]
+        norm += self.sigma_mass[:, None]
         at, half = 1.0 / mu[live], (EIG_NOISE * norm * spread / mu_live)[live]
         order = np.argsort(at, kind="stable")
         points, halves = [], []
@@ -426,7 +429,7 @@ def _np_threshold(blocks: _Blocks, eps: float):
         beta = sum(float(np.trace(p @ s).real) for p, s in zip(tests, blocks.sigma))
         return beta, tests, alpha
 
-    scale = sum(float(np.trace(s).real) for s in blocks.sigma) + 1.0
+    scale = sum(blocks.sigma_mass.tolist()) + 1.0
     t_lo, t_hi = _np_bisect(blocks, target)
     t_star = t_hi
     gap = max(t_hi - t_lo, 1e-15) * (1.0 + scale)
@@ -446,15 +449,16 @@ def _np_threshold(blocks: _Blocks, eps: float):
 
 
 def _np_test(
-    rho_blocks: list, sigma_blocks: list, eps: float, symbols=None
+    rho_blocks: list, sigma_blocks: list, eps: float, symbols=None, sigma_mass=None
 ) -> tuple[float, NPTest]:
     """The Neyman-Pearson value and test of a block-diagonal pair.
 
     With ``symbols`` the per-block tests are keyed by symbol in
     ``per_symbol``; without, the pair is one block and its test is
-    ``operator``.
+    ``operator``.  ``sigma_mass`` is ``_Blocks``'.
     """
-    beta, tests, alpha = _np_threshold(_Blocks(rho_blocks, sigma_blocks), _validate_eps(eps))
+    blocks = _Blocks(rho_blocks, sigma_blocks, sigma_mass)
+    beta, tests, alpha = _np_threshold(blocks, _validate_eps(eps))
     value = math.inf if beta <= 0 or math.isinf(beta) else -math.log2(beta)
     beta = 0.0 if math.isinf(beta) else beta
     if symbols is None:
@@ -471,17 +475,25 @@ def d_hyp(rho, sigma, eps: float) -> tuple[float, NPTest]:
     return _np_test([rho], [sigma], eps)
 
 
-def i_hyp_cq(cq: qo.CQState, eps: float) -> tuple[float, NPTest]:
+def i_hyp_cq(cq: qo.CQState, eps: float, slots=None) -> tuple[float, NPTest]:
     """Hypothesis-testing mutual information of a cq state.
 
     The optimal test is block diagonal over the classical register; the
     per-symbol components 0 <= Pi_x <= I are exposed for sequential decoders.
+
+    With ``slots``, the register is a direct sum and symbol j's block lives
+    on slot ``slots[j]``; t rho_x - sigma_x is negative semidefinite off x's
+    slot, so x's test is taken there, with sigma's whole-register mass.
     """
-    avg = cq.average_block()
     dist = cq.classical_distribution()
     weights = [dist.prob(s) for s in cq.symbols]
     rho_blocks = [p * cq.blocks[s] for p, s in zip(weights, cq.symbols)]
-    return _np_test(rho_blocks, [p * avg for p in weights], eps, cq.symbols)
+    at = np.zeros(len(weights), dtype=int) if slots is None else slots
+    avg = np.zeros((max(at) + 1,) + rho_blocks[0].shape, dtype=complex)
+    np.add.at(avg, at, [cq.weights[s] * cq.blocks[s] for s in cq.symbols])
+    mass = None if slots is None else np.array(weights) * float(np.einsum("kii->", avg).real)
+    sigma = [p * avg[k] for p, k in zip(weights, at)]
+    return _np_test(rho_blocks, sigma, eps, cq.symbols, mass)
 
 
 # ---------------------------------------------------------------------------

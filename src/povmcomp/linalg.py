@@ -73,11 +73,18 @@ def assert_psd_many(ops, tol: float = PSD_TOL * 100) -> np.ndarray:
 
 
 def assert_density(op) -> np.ndarray:
-    mat = assert_psd(op)
+    return density_eigh(op)[0]
+
+
+def density_eigh(op) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The checked density matrix and its eigenpairs, from one ``eigh``."""
+    mat = assert_hermitian(op)
+    w, v = np.linalg.eigh(mat)
+    _check_psd(w[0])
     tr = float(np.trace(mat).real)
     if abs(tr - 1.0) > 1e-8:
         raise ValueError(f"trace {tr} is not 1 within tolerance")
-    return mat
+    return mat, w, v
 
 
 @dataclass(frozen=True)
@@ -237,20 +244,22 @@ def _basis_vec(dim: int, k: int) -> np.ndarray:
     return e
 
 
-def uhlmann_partner(psi, target) -> np.ndarray:
+def uhlmann_partner(psi, target, eigh=None) -> np.ndarray:
     """Purification of ``target`` maximizing overlap with ``psi``.
 
     ``psi`` purifies some state on the primary system (first factor); the
     mirror is everything after it.  The returned vector purifies ``target``
     in the same space, and its overlap with ``psi`` equals the Uhlmann
     fidelity of reduced(psi) and ``target``, chosen real nonnegative.
+    ``eigh``: the target's checked eigenpairs, when the caller has them.
     """
-    vec = np.asarray(psi, dtype=complex).reshape(-1)
-    tgt = assert_hermitian(target)
     # one decomposition gives the PSD check, the rank, the root and the support
-    wt, vt = np.linalg.eigh(tgt)
-    _check_psd(wt[0])
-    d = tgt.shape[0]
+    if eigh is None:
+        eigh = np.linalg.eigh(assert_hermitian(target))
+        _check_psd(eigh[0][0])
+    wt, vt = eigh
+    vec = np.asarray(psi, dtype=complex).reshape(-1)
+    d = len(wt)
     if vec.size % d != 0:
         raise ValueError("psi length is not divisible by the target dimension")
     dm = vec.size // d

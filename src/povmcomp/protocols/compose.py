@@ -15,15 +15,19 @@ On a hashed link Bob, who shares the public coins, decodes through the
 message's hash fiber, in ascending index order, with the per-(coin, class)
 hypothesis tests of I_H(KL : K'B): classical data compression with quantum
 side information, one ``sequential_kraus`` operator per decoded branch.
-That I_H is taken on the link's composition state, one ``CQState`` over
-(coin, class) with (K', B) blocks built by ``_link_state``, so a decode
-depends only on the fiber's class sequence (its signature).  Each link's fibers are tabulated once and its
-messages grouped by signature, with one decoder per (coin, signature): the
-number of decoders and matrix products does not grow with 2^logL, only a
-few array passes over the indices do.  Output states and deviations are
-computed exactly by branch enumeration; only codebooks, hashes and
-transcripts are sampled.  Nothing here steers: every E-operator is one a
-compressed block carries or the prepared E marginal.
+That I_H is taken on the link's composition state (``_link_state``), a
+``CQState`` over (coin, class) whose block sits on B in coin slot k of the
+(K', B) register, a direct sum, so each test is taken on its d_B x d_B
+slot.  A decode depends only on the fiber's class sequence (its
+signature): one ``sequential_kraus`` call per link builds the decoders of
+every (coin, signature), and neither their number nor the calls grow with
+2^logL or the coins.  The accumulator runs on arrays: every class of every
+nice block is a row, a link decodes all rows with one stacked congruence
+onto a fixed decoded-symbol axis, and a scenario's output is one
+count-weighted contraction, made ``{key: op}`` at the end.  Output states
+and deviations are computed exactly by branch enumeration; only codebooks,
+hashes and transcripts are sampled.  Nothing here steers: every E-operator
+is one a compressed block carries or the prepared E marginal.
 
 Decoder tests are evaluated at the protocol's own eps.  The point-to-point
 composition adds the rate bookkeeping of the composition claim: the coin
@@ -36,7 +40,6 @@ eps.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -66,44 +69,31 @@ from .prep import LINKS, PreparedInstance, prepare, thresholds
 MAX_HASHED_LOG_L = 16
 
 
-def _link_state(family: CompressedFamily, prep: PreparedInstance, i: int) -> qo.CQState:
-    """Link i's composition state over (K, class) with (K', B) blocks.
+def _link_state(family: CompressedFamily, prep: PreparedInstance, i: int):
+    """Link i's composition state over (K, class), and each symbol's coin slot.
 
     The weight of ``"k|class"`` is the class's index mass in coin k (its
     outcome probability averaged over the other links' coins, times its
     count), normalised over the non-abort mass; its block is the class's
-    E-operator reduced to B, placed in coin slot k of a (K' B) register.
+    E-operator reduced to B, on coin slot k of the (K' B) register.
     """
     codebook = family.codebooks[i]
-    coins = codebook.coins
+    coins, n_cls, d_b = codebook.coins, len(codebook.alphabet), prep.dim_b
     other_coins = math.prod(cb.coins for cb in family.codebooks) // coins
-    env_lay, d_b = prep.env_layout(), prep.dim_b
-    symbols, weights, blocks = [], {}, {}
-    for k in range(coins):
-        counts = dict(zip(codebook.alphabet, codebook.counts[k].tolist()))
-        acc: dict[str, np.ndarray] = {}
-        # blocks are held in coin order; a block's classes count > 0 on every link
-        for blk in (b for key, b in family.blocks.items() if key[i] == k):
-            for cls, env in blk.env.items():
-                own = cls[i]
-                other_mult = blk.counts[cls] // counts[own]
-                acc.setdefault(own, np.zeros((prep.dim_e, prep.dim_e), dtype=complex))
-                acc[own] += (1.0 / other_coins) * other_mult * env
-        for sym, op in acc.items():
-            tr = float(np.trace(op).real)
-            p = tr * counts[sym] / coins
-            if p <= 1e-14:
-                continue
-            side = np.zeros((coins * d_b, coins * d_b), dtype=complex)
-            side[k * d_b : (k + 1) * d_b, k * d_b : (k + 1) * d_b] = la.partial_trace(
-                op / tr, env_lay, ["B"]
-            )
-            s = qo.join_symbol(str(k), sym)
-            symbols.append(s)
-            weights[s] = p
-            blocks[s] = side
-    total = sum(weights.values())
-    return qo.CQState(tuple(symbols), {s: w / total for s, w in weights.items()}, blocks)
+    env, row_coins, cls, tot = family.class_rows
+    d_t = env.shape[-1] // d_b
+    env_b = np.einsum("rajbj->rab", env.reshape(-1, d_b, d_t, d_b, d_t))
+    # the class's index count on the other links, averaged over their coins
+    weight = np.prod(np.delete(tot, i, axis=1), axis=1) / other_coins
+    acc = np.zeros((coins * n_cls, d_b, d_b), dtype=complex)
+    np.add.at(acc, row_coins[:, i] * n_cls + cls[:, i], weight[:, None, None] * env_b)
+    tr = np.einsum("sii->s", acc).real
+    p = tr * codebook.counts.reshape(-1) / coins
+    live = np.flatnonzero(p > 1e-14)
+    symbols = tuple(qo.join_symbol(str(s // n_cls), codebook.alphabet[s % n_cls]) for s in live)
+    weights = dict(zip(symbols, (p[live] / p[live].sum()).tolist()))
+    blocks = dict(zip(symbols, acc[live] / tr[live, None, None]))
+    return qo.CQState.derived(symbols, weights, blocks), live // n_cls
 
 
 @dataclass
@@ -120,15 +110,10 @@ class LinkStage:
     tests: dict[tuple[int, str], np.ndarray] | None  # on B, per (coin, class)
 
 
-def _link_tests(state: qo.CQState, d_b: int, eps: float):
-    """Per-(coin, class) hypothesis tests on B of I_H^eps(KL : K'B)."""
-    _, test_obj = ent.i_hyp_cq(state, eps)
-    tests = {}
-    for s, op in test_obj.per_symbol.items():
-        k_str, sym = qo.split_symbol(s)
-        k = int(k_str)
-        tests[(k, sym)] = op[k * d_b : (k + 1) * d_b, k * d_b : (k + 1) * d_b]
-    return tests
+def _link_tests(state: qo.CQState, slots, eps: float):
+    """Per-(coin, class) hypothesis tests on B of I_H^eps(KL : K'B), slot by slot."""
+    tests = ent.i_hyp_cq(state, eps, slots)[1].per_symbol
+    return {(int(k), sym): tests[s] for s in tests for k, sym in [qo.split_symbol(s)]}
 
 
 def _link_stage(
@@ -153,7 +138,7 @@ def _link_stage(
                 )
             rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(101 + i,)))
             scheme = draw_hash(log_l, wire_bits, rng)
-            tests = _link_tests(_link_state(family, prep, i), prep.dim_b, budget.eps)
+            tests = _link_tests(*_link_state(family, prep, i), budget.eps)
     return LinkStage(wire_bits, log_l, scheme, tests)
 
 
@@ -171,9 +156,9 @@ def sequential_kraus(tests) -> np.ndarray:
     ``tests`` is one test sequence, shape (L, d, d) or a list of L
     matrices, or a stack of sequences of one length, shape (..., L, d, d);
     the result has shape (..., L + 1, d, d), row by row the operators of
-    the row's sequence.  A stack runs one matrix product chain, one stacked
-    ``svd`` per candidate position and one stacked square root for the
-    failure branch.
+    the row's sequence.  A stack runs one matrix product chain, then one
+    stacked ``svd`` for the polar factors of every candidate position and
+    one stacked square root for the failure branch.
     """
     tests = np.asarray(tests, dtype=complex)
     n_cand, d = tests.shape[-3], tests.shape[-1]
@@ -185,10 +170,12 @@ def sequential_kraus(tests) -> np.ndarray:
     tail = residual = np.broadcast_to(eye, tests.shape[:-3] + (d, d))
     for j in range(n_cand):
         pi = tests[..., j, :, :]
-        s = pi @ tail
+        kraus[..., j, :, :] = s = pi @ tail
         tail = (eye - pi) @ tail
         residual = residual - _adjoint(s) @ s
-        kraus[..., j, :, :] = _adjoint(_polar_unitary(s)) @ s
+    s = kraus[..., :n_cand, :, :]
+    u, _, vh = np.linalg.svd(s)
+    kraus[..., :n_cand, :, :] = _adjoint(u @ vh) @ s
     kraus[..., n_cand, :, :] = la.matrix_sqrt_many(residual)
     return kraus
 
@@ -197,83 +184,76 @@ def _adjoint(ops: np.ndarray) -> np.ndarray:
     return ops.conj().swapaxes(-1, -2)
 
 
-def _polar_unitary(s: np.ndarray) -> np.ndarray:
-    u, _, vh = np.linalg.svd(s)
-    return u @ vh
-
-
 class _StageDecoder:
-    """Decode branch operators of one link, built once per (coin, fiber signature).
+    """Decode branch operators of one link, for all its coins at once.
 
     Bob's decoder for a wire message sees only the classes of the indices in
     its fiber, in the order ``sequential_kraus`` tests them (ascending
     index, as ``HashScheme.fibers`` lists them), because his tests are per
-    (coin, class) of the link's state.  That class sequence is the fiber's
-    signature; classes take contiguous index ranges, so it is nondecreasing
-    and fixed by its class histogram.  The link's fibers come from one
-    ``HashScheme.fibers`` table; per coin, ``_signatures`` numbers the
-    distinct signatures in lexicographic order.  An affine hash's fibers
-    share one size, so a coin's signatures stack into one
-    (signatures, fiber size) array of test sequences, and one
-    ``sequential_kraus`` call builds every signature's decoder.
-    ``branches[k]`` holds them as a (signatures, fiber size + 1, D, D)
-    stack on (B, tail), and ``symbols[k][s]`` names signature s's branches:
-    its classes, then the abort symbol.
-    Sequential decoding's error analysis holds for any fixed candidate
-    order (Sen, arXiv:1109.0802).  ``counts[k][c, s]`` is how many indices
-    of class c in coin k hash into a fiber of signature s, so a class
-    decodes as a count-weighted sum over signatures, with no work per wire
-    message.  An unhashed link tabulates nothing: each class is its own
-    signature and decodes to itself with no measurement (``branches[k]``
-    None, the identity).
+    (coin, class).  The coin and that class sequence, nondecreasing since
+    classes take contiguous index ranges, are the fiber's signature.
+    ``_signatures`` numbers the (coin, sequence) rows of all fibers in
+    lexicographic order, so coin k's signatures start at ``start[k]``; an
+    affine hash's fibers share one size, and one ``sequential_kraus`` call
+    builds ``branches``, (signatures, fiber size + 1, D, D) on (B, tail).
+    ``onehot`` maps each branch to its decoded symbol, its class or abort,
+    on the axis of the alphabet then ``ABORT`` (``n_out`` entries), and
+    ``counts[k, c, j]`` is how many indices of class c in coin k hash into
+    a fiber of coin k's signature j.  Sequential decoding's error analysis
+    holds for any fixed candidate order (Sen, arXiv:1109.0802).  An
+    unhashed link tabulates nothing: class c of coin k decodes to itself
+    with no measurement (``branches`` None), ``counts[k, c]`` times.
     """
 
     def __init__(self, stage: LinkStage, codebook, d_tail: int):
-        alphabet = codebook.alphabet
+        coins, n_cls = codebook.coins, len(codebook.alphabet)
+        self.n_out = n_cls + 1
+        self.branches, self.counts = None, codebook.counts
         if stage.wire_bits == stage.log_l:
-            self.counts = [np.diag(row) for row in codebook.counts]
-            self.branches = [None] * codebook.coins
-            self.symbols = [[[sym] for sym in alphabet]] * codebook.coins
             return
-        messages = codebook.messages
-        fibers = stage.hash_scheme.fibers(messages)
-        zero = np.zeros_like(next(iter(stage.tests.values())))
-        self.counts, self.branches, self.symbols = [], [], []
-        for k in range(codebook.coins):
-            cls = np.searchsorted(codebook.offsets(k), np.arange(messages), side="right") - 1
-            first, sig_of_fiber = _signatures(cls[fibers])
-            sig_of_index = np.empty(messages, dtype=np.int64)
-            sig_of_index[fibers] = sig_of_fiber.reshape(-1, 1)
-            n_sig = len(first)
-            counts = np.bincount(cls * n_sig + sig_of_index, minlength=len(alphabet) * n_sig)
-            self.counts.append(counts.reshape(len(alphabet), n_sig))
-            # a hash to fewer bits has a non-trivial kernel, so every fiber
-            # holds at least two candidates
-            sig_cls = cls[fibers[first]]
-            tests = np.stack([stage.tests.get((k, sym), zero) for sym in alphabet])
-            self.branches.append(_kron_eye(sequential_kraus(tests[sig_cls]), d_tail))
-            self.symbols.append([[alphabet[c] for c in row] + [ABORT] for row in sig_cls])
+        fibers = stage.hash_scheme.fibers(codebook.messages)
+        n_fib, size = fibers.shape
+        # the class of every index of every coin, in the narrowest integer type
+        ids = np.arange(max(coins, n_cls), dtype=np.min_scalar_type(max(coins, n_cls)))
+        cls = np.repeat(np.tile(ids[:n_cls], coins), codebook.counts.reshape(-1))
+        fiber_cls = cls.reshape(coins, -1)[:, fibers].reshape(-1, size)
+        first, sig = _signatures(np.column_stack([np.repeat(ids[:coins], n_fib), fiber_cls]))
+        sig_coin, sig_cls = first // n_fib, fiber_cls[first]
+        # every fiber of a signature holds the signature's class histogram
+        hist = (sig_cls[:, :, None] == np.arange(n_cls)).sum(axis=1)
+        self.start = np.searchsorted(sig_coin, np.arange(coins))
+        local = np.arange(len(first)) - self.start[sig_coin]
+        self.counts = np.zeros((coins, n_cls, local.max() + 1), dtype=np.int64)
+        self.counts[sig_coin, :, local] = np.bincount(sig)[:, None] * hist
+        d_b = next(iter(stage.tests.values())).shape[0]
+        tests = np.zeros((coins, n_cls, d_b, d_b), dtype=complex)
+        for (k, sym), op in stage.tests.items():
+            tests[k, codebook.alphabet.index(sym)] = op
+        # a hash to fewer bits has a non-trivial kernel, so every fiber
+        # holds at least two candidates
+        self.branches = _kron_eye(sequential_kraus(tests[sig_coin[:, None], sig_cls]), d_tail)
+        out = np.column_stack([sig_cls, np.full(len(first), n_cls)])
+        self.onehot = out[..., None] == np.arange(self.n_out)
 
-    def apply(self, k: int, class_idx: int, op: np.ndarray) -> dict[str, np.ndarray]:
-        """Decoded post-states of ``op`` summed over the indices of one class in coin k.
-
-        One stacked congruence covers the branches of every signature the
-        class reaches; the posts are summed signature by signature, each
-        signature's branches in decoder order.
-        """
-        counts = self.counts[k][class_idx]
-        live = np.flatnonzero(counts)
-        branches = self.branches[k]
-        if branches is None:
-            posts = op[None, None]
-        else:
-            ops = branches[live]
-            posts = ops @ op @ ops.conj().swapaxes(-1, -2)
-        out: dict[str, np.ndarray] = {}
-        for s, sig_posts in zip(live, counts[live, None, None, None] * posts):
-            for sym, post in zip(self.symbols[k][s], sig_posts):
-                out[sym] = out.get(sym, 0.0) + post
-        return out
+    def apply(self, coin, cls, ops) -> tuple[np.ndarray, np.ndarray]:
+        """Posts of ``ops`` (rows, m, D, D), row r of class ``cls[r]`` in coin
+        ``coin[r]``, summed over the class's indices, (rows, m, n_out, D, D),
+        and the decoded symbols each row reaches: one stacked congruence over
+        the (row, signature) pairs with indices, one count-weighted sum."""
+        rows = np.arange(len(coin))
+        if self.branches is None:
+            out = np.zeros(ops.shape[:2] + (self.n_out,) + ops.shape[2:], dtype=complex)
+            out[rows, :, cls] = self.counts[coin, cls][:, None, None, None] * ops
+            return out, np.arange(self.n_out) == cls[:, None]
+        r, j = np.nonzero(self.counts[coin, cls])
+        sig = self.start[coin[r]] + j
+        branch = self.branches[sig][:, None]
+        posts = branch @ ops[r][:, :, None] @ _adjoint(branch)
+        weight = self.counts[coin[r], cls[r], j][:, None, None] * self.onehot[sig]
+        # a row's class has indices on every link, so each row has a pair
+        heads = np.flatnonzero(np.diff(r, prepend=-1))
+        out = np.add.reduceat(np.einsum("pjo,pmjxy->pmoxy", weight, posts), heads)
+        return out, np.add.reduceat(weight.sum(axis=1), heads) > 0
 
 
 def _kron_eye(ops: np.ndarray, d_tail: int) -> np.ndarray:
@@ -314,11 +294,12 @@ def centralised_protocol(
 ) -> dict:
     """One full protocol run: encode once, decode under every scenario.
 
-    Each class of a coin block is decoded in ``LINKS`` order, each link's
-    decoder run once on the posts of every set of earlier links; a scenario
-    sums its kept links' posts times the class counts of the links it drops.
-    Encoder aborts send the all-zeros message and decode to one abort symbol
-    per kept link.  ``wire_override`` maps link names to wire widths.
+    Every class of every nice block is decoded in ``LINKS`` order, each
+    link's decoder run once on the posts of every set of earlier links; a
+    scenario sums its kept links' posts times the class counts of the links
+    it drops.  Encoder aborts send the all-zeros message and decode to one
+    abort symbol per kept link.  ``wire_override`` maps link names to wire
+    widths.
     """
     prep = source if isinstance(source, PreparedInstance) else prepare(source)
     wire_override = wire_override or {}
@@ -334,40 +315,35 @@ def centralised_protocol(
     d_tail = prep.dim_e // prep.dim_b
     decoders = [_StageDecoder(st, cb, d_tail) for st, cb in zip(stages, family.codebooks)]
 
-    w_blk = 1.0 / math.prod(cb.coins for cb in family.codebooks)
-    outputs: dict[AdversaryScenario, dict[str, np.ndarray]] = {sc: {} for sc in SCENARIOS}
-
-    def add(sc: AdversaryScenario, symbols, op) -> None:
-        key = qo.join_symbol(*symbols)
-        outputs[sc][key] = outputs[sc].get(key, 0.0) + op
-
-    for coins in itertools.product(*(range(cb.coins) for cb in family.codebooks)):
-        blk = family.blocks.get(coins)
-        abort_op = w_blk * (prep.rho_e if blk is None else blk.env0)
-        for sc in SCENARIOS:
-            add(sc, [ABORT] * len(sc.links), abort_op)
-        if blk is None:
-            continue
-        for cls, sigma in blk.env.items():
-            idx = [cb.alphabet.index(sym) for cb, sym in zip(family.codebooks, cls)]
-            tot = [int(cb.counts[k][j]) for cb, k, j in zip(family.codebooks, coins, idx)]
-            posts = {(): [((), sigma)]}
-            for i, dec in enumerate(decoders):
-                for links, branches in list(posts.items()):
-                    posts[links + (i,)] = [
-                        (symbols + (sym,), post)
-                        for symbols, op in branches
-                        for sym, post in dec.apply(coins[i], idx[i], op).items()
-                    ]
-            for sc in SCENARIOS:
-                w = w_blk * math.prod(t for i, t in enumerate(tot) if i not in sc.links)
-                for symbols, post in posts[sc.links]:
-                    add(sc, symbols, w * post)
-
-    results = {
-        sc.name: {"deviation": block_dict_distance(out, ideal_blocks(prep, sc)), "output": out}
-        for sc, out in outputs.items()
-    }
+    env, coins, cls, tot = family.class_rows
+    n_rows, dim = len(env), prep.dim_e
+    n_blk = math.prod(cb.coins for cb in family.codebooks)
+    abort_op = sum(blk.env0 for blk in family.blocks.values())
+    abort_op = (abort_op + (n_blk - len(family.blocks)) * prep.rho_e) / n_blk
+    # posts of every set of links, as (rows, decoded symbols, D, D) with the
+    # links' symbol axes flattened, and which symbols each row reaches
+    posts = {(): (env[:, None], np.ones((n_rows, 1), dtype=bool))}
+    for i, dec in enumerate(decoders):
+        for links, (ops, reach) in list(posts.items()):
+            out, hit = dec.apply(coins[:, i], cls[:, i], ops)
+            hit = (reach[:, :, None] & hit[:, None, :]).reshape(n_rows, -1)
+            posts[links + (i,)] = (out.reshape(n_rows, -1, dim, dim), hit)
+    names = [cb.alphabet + (ABORT,) for cb in family.codebooks]
+    results = {}
+    for sc in SCENARIOS:
+        links = sc.links
+        ops, reach = posts[links]
+        dropped = [i for i in range(len(LINKS)) if i not in links]
+        out = np.tensordot(np.prod(tot[:, dropped], axis=1) / n_blk, ops, axes=1)
+        # every link's abort symbol comes last, so the aborts' entry is the last
+        out[-1] += abort_op
+        reach = reach.any(axis=0)
+        reach[-1] = True
+        hits = zip(links, np.nonzero(reach.reshape([decoders[i].n_out for i in links])))
+        keys = zip(*([names[i][o] for o in hit.tolist()] for i, hit in hits))
+        output = {qo.join_symbol(*key): op for key, op in zip(keys, out[reach])}
+        deviation = block_dict_distance(output, ideal_blocks(prep, sc))
+        results[sc.name] = {"deviation": deviation, "output": output}
 
     # link i's wire message is ``m<name>`` (``mx``), its wire width ``wire_<name>``
     transcript = sample_transcript(family, prep, seed)
@@ -438,7 +414,7 @@ def compose_with_side_information(
     stage, family, eps0 = run["stage_x"], run["family"], budget.eps0
     plan, codebook = family.plan, family.codebooks[0]
     th = thresholds(prep, budget.eps, plan.log_const)
-    state = _link_state(family, prep, 0)
+    state, slots = _link_state(family, prep, 0)
     atoms = []
     for s in state.symbols:
         k, sym = qo.split_symbol(s)
@@ -447,7 +423,7 @@ def compose_with_side_information(
     hmax_kl = ent.smooth_max_entropy_atoms(atoms, eps0)
     ihyp_kl = math.inf
     if prep.has_side_information():
-        ihyp_kl, _ = ent.i_hyp_cq(state, eps0)
+        ihyp_kl, _ = ent.i_hyp_cq(state, eps0, slots)
     realized, check = 0, math.inf
     if not math.isinf(ihyp_kl):
         realized = max(

@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -187,25 +188,36 @@ class CompressedFamily:
             worst = max(worst, float(np.max(np.abs(total - prep.supp_proj_a))))
         return worst
 
+    @cached_property
+    def class_rows(self) -> tuple[np.ndarray, ...]:
+        """Every kept class of every block as a row: its E-operator (rows, D, D)
+        and, per link, the block's coin, the symbol index and its count."""
+        rows = [(key, c, op) for key, blk in self.blocks.items() for c, op in blk.env.items()]
+        shape, blk = (len(rows), len(self.codebooks)), next(iter(self.blocks.values()))
+        env = np.array([op for _, _, op in rows]).reshape((-1,) + blk.env0.shape)
+        coins = np.array([key for key, _, _ in rows], dtype=np.int64).reshape(shape)
+        cls = [[cb.alphabet.index(s) for cb, s in zip(self.codebooks, c)] for _, c, _ in rows]
+        cls = np.array(cls, dtype=np.int64).reshape(shape)
+        tot = [cb.counts[coins[:, i], cls[:, i]] for i, cb in enumerate(self.codebooks)]
+        return env, coins, cls, np.stack(tot, axis=1)
 
-def _block_class_table(prep: PreparedInstance, counts: list[np.ndarray]):
-    """Per class (one symbol per link, first link outermost): multiplicity,
-    t-weight, and mirror block over p(class); ``counts[i]`` holds link i's."""
+
+def _class_table(prep: PreparedInstance):
+    """Every class (one symbol per link) of the joint support with positive
+    marginal product, sorted: the classes, their per-link symbol indices
+    (n, links), t-weights (n,) and mirror blocks over p(class) (n, d, d)."""
     joint = prep.joint.as_dict()
-    table = {}
+    rows = []
     for idx in itertools.product(*(range(len(m.alphabet)) for m in prep.marginals)):
         cls = tuple(m.alphabet[j] for m, j in zip(prep.marginals, idx))
-        mult = math.prod(int(cnt[j]) for cnt, j in zip(counts, idx))
-        key = qo.join_symbol(*cls)
-        if mult == 0 or key not in joint:
-            continue  # a class outside the joint support carries mass 0
-        p = joint[key]
+        p = joint.get(qo.join_symbol(*cls))
         p_prod = math.prod(m.prob(sym) for m, sym in zip(prep.marginals, cls))
-        if p_prod <= 0:
-            continue
+        if p is None or p_prod <= 0:
+            continue  # a class outside the joint support carries mass 0
         mirror = prep.mirror_blocks[cls]
-        table[cls] = (mult, p / p_prod, mirror / p if p > 1e-15 else 0.0 * mirror)
-    return table
+        rows.append((cls, idx, p / p_prod, mirror / p if p > 1e-15 else 0.0 * mirror))
+    classes, idx, t, mirrors = zip(*sorted(rows, key=lambda row: row[0]))
+    return classes, np.array(idx), np.array(t), np.stack(mirrors)
 
 
 def build_compressed_povm(
@@ -220,65 +232,65 @@ def build_compressed_povm(
     sits within sqrt(eps) of rho_A in trace norm; non-nice blocks abort.
     If fewer than a 1 - eps^(1/4) fraction of blocks is nice, the draw is
     retried with the next derived seed, ``MAX_CODEBOOK_DRAWS`` draws in all.
+    All blocks of a draw are tested with one stacked trace norm.
     """
     eps = budget.eps
     plan = plan_codebooks(prep, budget, log_const)
     n_total = math.prod(1 << log_l for log_l in plan.log_l)
+    _, idx, t, mirrors = table = _class_table(prep)
     for attempt in range(MAX_CODEBOOK_DRAWS):
         draw_seed = seed + 1_000_003 * attempt
         codebooks = tuple(
             draw_codebook(i, 1 << plan.log_k[i], 1 << plan.log_l[i], marginal, draw_seed + i)
             for i, marginal in enumerate(prep.marginals)
         )
-        blocks: dict[tuple[int, ...], CompressedBlock] = {}
-        for coins in itertools.product(*(range(cb.coins) for cb in codebooks)):
-            table = _block_class_table(prep, [cb.counts[k] for cb, k in zip(codebooks, coins)])
-            avg = np.zeros_like(prep.rho_a)
-            for m, t, mirror in table.values():
-                avg += (m / n_total) * t * mirror
-            deviation = la.trace_norm_distance(avg, prep.rho_a)
-            if deviation <= math.sqrt(eps):
-                blocks[coins] = _assemble_block(prep, table, n_total, deviation)
-        fraction = len(blocks) / math.prod(cb.coins for cb in codebooks)
+        keys = list(itertools.product(*(range(cb.coins) for cb in codebooks)))
+        counts = [cb.counts[[k[i] for k in keys]][:, idx[:, i]] for i, cb in enumerate(codebooks)]
+        mult = np.prod(counts, axis=0)  # of every class in every block, (blocks, classes)
+        avg = np.einsum("bc,cij->bij", (mult / n_total) * t, mirrors)
+        deviation = la.trace_norm_many(avg - prep.rho_a)
+        nice = np.flatnonzero(deviation <= math.sqrt(eps))
+        fraction = len(nice) / len(keys)
         if fraction >= 1.0 - eps**0.25:
-            return CompressedFamily(plan, attempt, codebooks, fraction, blocks)
+            blocks = _assemble_blocks(prep, table, mult[nice], n_total, deviation[nice])
+            keys = [keys[b] for b in nice]
+            return CompressedFamily(plan, attempt, codebooks, fraction, dict(zip(keys, blocks)))
     raise ProtocolError(
         f"event E failed on {MAX_CODEBOOK_DRAWS} codebook draws "
         "(nice fraction below 1 - eps^0.25)"
     )
 
 
-def _assemble_block(prep, table, n_total, deviation) -> CompressedBlock:
-    classes = sorted(table)
-    sigmas = [table[c][1] * table[c][2] for c in classes]
-    weights = [table[c][0] / n_total for c in classes]
-    cert = cov.extract_good_set_transformed(sigmas, weights, prep.rho_a, max(deviation, 1e-9))
+def _assemble_blocks(prep, table, mult, n_total, deviation) -> list:
+    """The ``CompressedBlock`` of every nice block, from its class multiplicities:
+    one ``covering.good_sets`` call, stacks over (block, class), and one
+    stacked ``PreparedInstance.steer`` of every kept and abort element."""
+    classes, _, t, mirrors = table
+    parts, weights, eps = cov.transformed_rows(
+        t[:, None, None] * mirrors, mult / n_total, np.maximum(deviation, 1e-9)
+    )
+    good, primed, _, _ = cov.good_sets(parts, weights, mult > 0, prep.rho_a, eps)
     inv_sq = prep.pinv_sqrt_rho_a
-    raw = {}
-    acc = np.zeros_like(prep.rho_a)
-    for pos in cert.good:
-        c = classes[pos]
-        m, t, _ = table[c]
-        raw_el = (t / n_total) * (inv_sq @ cert.primed[pos] @ inv_sq)
-        raw_el = (raw_el + raw_el.conj().T) / 2
-        raw[c] = raw_el
-        acc += m * raw_el
+    raw = (t / n_total)[:, None, None] * (inv_sq @ primed @ inv_sq)
+    raw = (raw + raw.conj().swapaxes(-1, -2)) / 2
+    kept = np.where(good, mult, 0)
+    acc = np.einsum("bc,bcij->bij", kept, raw)
     # normalization: smallest factor keeping the completion PSD (measured
     # operator-inequality constant, clamped to at least 1)
-    top = float(np.linalg.eigvalsh(acc)[-1]) if raw else 0.0
-    norm = max(top, 1.0) * (1.0 + 1e-12)
-    gammas = {c: g / norm for c, g in raw.items()}
+    norm = np.maximum(np.linalg.eigvalsh(acc)[:, -1], 1.0) * (1.0 + 1e-12)
+    gammas = raw / norm[:, None, None, None]
     gamma0 = prep.supp_proj_a.copy()
-    for c, g in gammas.items():
-        gamma0 -= table[c][0] * g
-    gamma0 = (gamma0 + gamma0.conj().T) / 2
-    return CompressedBlock(
-        gammas=gammas,
-        counts={c: table[c][0] for c in gammas},
-        gamma0=gamma0,
-        env={c: prep.steer(g) for c, g in gammas.items()},
-        env0=prep.steer(gamma0),
-    )
+    for c in range(len(classes)):  # class by class, the order of a per-block sum
+        gamma0 = gamma0 - kept[:, c, None, None] * gammas[:, c]
+    gamma0 = (gamma0 + gamma0.conj().swapaxes(-1, -2)) / 2
+    env = prep.steer(np.concatenate([gammas, gamma0[:, None]], axis=1))
+    blocks = []
+    for b, row in enumerate(good):
+        cls = [classes[c] for c in np.flatnonzero(row)]
+        counts = {c: int(m) for c, m in zip(cls, mult[b, row])}
+        els, env_of = dict(zip(cls, gammas[b, row])), dict(zip(cls, env[b, :-1][row]))
+        blocks.append(CompressedBlock(els, counts, gamma0[b], env_of, env[b, -1]))
+    return blocks
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ fibers nothing tabulates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -32,19 +33,25 @@ class HashScheme:
 
         A value is the offset's mask XOR the matrix columns, packed into
         integer masks, of the input's set bits.  Per input byte a 256-entry
-        table holds the XOR of its bits' masks, so the batch takes one
-        lookup and one XOR per byte.
+        table holds the XOR of its bits' masks (``_tables``), so the batch
+        takes one lookup and one XOR per byte.
         """
+        offset, tables = self._tables
+        vals = np.full(len(indices), offset, dtype=np.int64)
+        for k, table in enumerate(tables):
+            vals ^= table[(indices >> (8 * k)) & 255]
+        return vals
+
+    @cached_property
+    def _tables(self) -> tuple[int, np.ndarray]:
+        """The offset's mask and the byte tables, built once per scheme."""
         weights = np.int64(1) << np.arange(self.output_bits, dtype=np.int64)
         masks = weights @ self.matrix.astype(np.int64)
         # bits past the last input bit hash to nothing
         masks = np.concatenate([masks, np.zeros(-len(masks) % 8, dtype=np.int64)])
         bits = (np.arange(256, dtype=np.int64)[:, None] >> np.arange(8)) & 1
         tables = np.bitwise_xor.reduce(bits * masks.reshape(-1, 1, 8), axis=2)
-        vals = np.full(len(indices), weights @ self.offset.astype(np.int64), dtype=np.int64)
-        for k, table in enumerate(tables):
-            vals ^= table[(indices >> (8 * k)) & 255]
-        return vals
+        return int(weights @ self.offset.astype(np.int64)), tables
 
     def fibers(self, count: int) -> np.ndarray:
         """Preimage fibers of the inputs [0, count), one row per hash value.

@@ -61,10 +61,11 @@ class PreparedInstance:
     def steer(self, op_a: np.ndarray) -> np.ndarray:
         """E-operator steered by ``op_a`` on A, of trace Tr[op_a rho_A]: with the
         pure state as a matrix Psi on A x E, Tr_A of the Lueders sandwich
-        collapses by cyclicity to (Psi^dag op_a Psi)^T."""
+        collapses by cyclicity to (Psi^dag op_a Psi)^T.  A (..., d_A, d_A)
+        stack is steered member by member with one product."""
         psi = self.global_pure.reshape(self.dim_a, self.dim_e)
-        out = (psi.conj().T @ op_a @ psi).T
-        return (out + out.conj().T) / 2
+        out = (psi.conj().T @ op_a @ psi).swapaxes(-1, -2)
+        return (out + out.conj().swapaxes(-1, -2)) / 2
 
     @cached_property
     def rho_e(self) -> np.ndarray:

@@ -186,20 +186,29 @@ class CQState:
     weights: dict[str, float] = field(repr=False)
     blocks: dict[str, np.ndarray] = field(repr=False)
 
-    def __post_init__(self):
+    def __post_init__(self, psd: bool = True):
         if set(self.symbols) != set(self.weights) or set(self.symbols) != set(self.blocks):
             raise ValueError("symbols, weights and blocks must share keys")
         if any(self.weights[s] < -1e-12 for s in self.symbols):
             raise ValueError("negative weight")
         mats = [la.as_matrix(self.blocks[s]) for s in self.symbols]
         # one stacked PSD check per block shape
-        for shape in dict.fromkeys(m.shape for m in mats):
+        for shape in dict.fromkeys(m.shape for m in mats) if psd else ():
             la.assert_psd_many([m for m in mats if m.shape == shape], tol=1e-7)
         mass = 0.0
         for s, m in zip(self.symbols, mats):
             mass += self.weights[s] * float(np.trace(m).real)
         if abs(mass - 1.0) > 1e-8:
             raise ValueError(f"total mass {mass} is not 1")
+
+    @classmethod
+    def derived(cls, symbols, weights, blocks) -> "CQState":
+        """A state a PSD-preserving map made from checked blocks: all checks
+        but the eigenvalues (a regrouping, a re-weighting, a partial trace)."""
+        out = cls.__new__(cls)
+        out.symbols, out.weights, out.blocks = symbols, weights, blocks
+        out.__post_init__(psd=False)
+        return out
 
     @property
     def quantum_dim(self) -> int:
@@ -211,12 +220,6 @@ class CQState:
         )
         return Distribution(self.symbols, probs)
 
-    def average_block(self) -> np.ndarray:
-        out = np.zeros((self.quantum_dim, self.quantum_dim), dtype=complex)
-        for s in self.symbols:
-            out += self.weights[s] * self.blocks[s]
-        return out
-
     def dense(self) -> np.ndarray:
         """Dense matrix on (classical basis) tensor (quantum part)."""
         n, d = len(self.symbols), self.quantum_dim
@@ -226,7 +229,8 @@ class CQState:
         return out
 
     def map_blocks(self, fn) -> "CQState":
-        return CQState(
+        """Every block replaced by ``fn`` of it, which must keep it PSD."""
+        return CQState.derived(
             self.symbols,
             dict(self.weights),
             {s: fn(self.blocks[s]) for s in self.symbols},
@@ -249,7 +253,7 @@ class CQState:
         for k in order:
             if weights[k] > 1e-15:
                 blocks[k] = blocks[k] / weights[k]
-        return CQState(tuple(order), weights, blocks)
+        return CQState.derived(tuple(order), weights, blocks)
 
     def group_parts(self, idx: tuple[int, ...]) -> "CQState":
         """Coarse-grain joint symbols to their components ``idx``, in that order."""
@@ -273,7 +277,7 @@ class CQState:
             t, j = p[keep], slots.index(key) * d
             if t in blocks:
                 blocks[t][j : j + d, j : j + d] += self.weights[s] / weights[t] * self.blocks[s]
-        return CQState(tuple(weights), weights, blocks)
+        return CQState.derived(tuple(weights), weights, blocks)
 
 
 def distribution_power(p: Distribution, n: int) -> Distribution:

@@ -66,4 +66,4 @@ def split_control_state(cq: qo.CQState, theta: float) -> qo.CQState:
                 symbols.append(sym)
                 weights[sym] = float(w)
                 blocks[sym] = cq.blocks[s]
-    return qo.CQState(tuple(symbols), weights, blocks)
+    return qo.CQState.derived(tuple(symbols), weights, blocks)

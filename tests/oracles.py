@@ -813,6 +813,30 @@ class PerMessageStageDecoder:
         return out
 
 
+def register_link_test(i_hyp_cq, state, slots, eps: float) -> tuple:
+    """I_H^eps of a link state taken on its whole (K', B) register.
+
+    The reference for ``entropies.i_hyp_cq`` with slots, which tests each
+    symbol on its slot alone: here symbol j's block is placed in slot
+    ``slots[j]`` of a direct sum of max(slots) + 1 slots, and ``i_hyp_cq``
+    (the library's, passed in, called without slots) tests the dense
+    register state.  Returns (value, alpha, beta, {symbol: the test's
+    block on the symbol's slot}).
+    """
+    d = state.blocks[state.symbols[0]].shape[0]
+    n = (max(slots) + 1) * d
+    blocks = {}
+    for s, k in zip(state.symbols, slots):
+        blocks[s] = np.zeros((n, n), dtype=complex)
+        blocks[s][k * d : (k + 1) * d, k * d : (k + 1) * d] = state.blocks[s]
+    value, test = i_hyp_cq(type(state)(state.symbols, dict(state.weights), blocks), eps)
+    per_symbol = {
+        s: test.per_symbol[s][k * d : (k + 1) * d, k * d : (k + 1) * d]
+        for s, k in zip(state.symbols, slots)
+    }
+    return value, test.achieved_alpha, test.achieved_beta, per_symbol
+
+
 def unassisted_output_blocks(family, rho_e, scenario, join, abort: str) -> dict:
     """Coin-averaged output of the compressed measurement when every link
     carries its whole message index: subnormalised E-operators keyed by the

@@ -79,6 +79,15 @@ class TestHashScheme:
             for i in (0, top):
                 assert scheme.apply(i) == oracles.gf2_hash(scheme.matrix, scheme.offset, i)
 
+    def test_byte_tables_are_built_once_per_scheme(self):
+        # fibers and apply share one set of tables, kept on the scheme
+        scheme = draw_hash(12, 5, np.random.default_rng(8))
+        scheme.fibers(2**12)
+        tables = scheme.__dict__["_tables"]
+        for i in (0, 77, 2**12 - 1):
+            assert scheme.apply(i) == oracles.gf2_hash(scheme.matrix, scheme.offset, i)
+        assert scheme.__dict__["_tables"] is tables
+
     def test_fibers_of_unequal_size_raise(self):
         # over [0, 3) the map b -> b_0 has fibers {0, 2} and {1}
         scheme = HashScheme(1, np.array([[1, 0]], dtype=np.uint8), np.zeros(1, dtype=np.uint8))

@@ -138,7 +138,7 @@ class TestIHyp:
             {"a": 0.5, "b": 0.5},
             {"a": oracles.random_density(rng, 2), "b": oracles.random_density(rng, 2)},
         )
-        avg = cq.average_block()
+        avg = 0.5 * cq.blocks["a"] + 0.5 * cq.blocks["b"]
         cq_prod = qo.CQState(("a", "b"), {"a": 0.5, "b": 0.5}, {"a": avg, "b": avg})
         val, _ = ent.i_hyp_cq(cq_prod, 0.1)
         assert np.isclose(val, -math.log2(0.9), atol=1e-9)

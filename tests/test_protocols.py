@@ -289,9 +289,9 @@ def test_centralised_reads_cached_side_corrections(solved, monkeypatch):
     calls = []
     i_hyp_cq = ent.i_hyp_cq
 
-    def counting_i_hyp_cq(cq, eps):
+    def counting_i_hyp_cq(cq, eps, slots=None):
         calls.append(eps)
-        return i_hyp_cq(cq, eps)
+        return i_hyp_cq(cq, eps, slots)
 
     monkeypatch.setattr(ent, "i_hyp_cq", counting_i_hyp_cq)
     run = P.centralised_protocol(
@@ -311,9 +311,9 @@ def test_only_hashed_links_build_decoder_tests(solved, monkeypatch):
     calls = []
     i_hyp_cq = ent.i_hyp_cq
 
-    def counting_i_hyp_cq(cq, eps):
+    def counting_i_hyp_cq(cq, eps, slots=None):
         calls.append(eps)
-        return i_hyp_cq(cq, eps)
+        return i_hyp_cq(cq, eps, slots)
 
     monkeypatch.setattr(ent, "i_hyp_cq", counting_i_hyp_cq)
     run = P.centralised_protocol(
@@ -333,8 +333,9 @@ def _stacked_rows(tests) -> int:
 
 def test_unhashed_links_tabulate_nothing(solved, monkeypatch):
     # a link tabulates its hash fibers and builds sequential decoders only
-    # when it hashes, one decoder per (coin, signature); an unhashed link
-    # reads each class off the wire
+    # when it hashes, with one stacked call for all its coins and one
+    # decoder per (coin, signature); an unhashed link reads each class off
+    # the wire
     name, prep, _, _ = solved
     calls, rows = [], []
     fibers, build = HashScheme.fibers, compose.sequential_kraus
@@ -361,7 +362,7 @@ def test_unhashed_links_tabulate_nothing(solved, monkeypatch):
     assert ("kraus" in calls) == bool(hashed)
     family = run["family"]
     links = tuple(zip(P.LINKS, (run["stage_x"], run["stage_y"]), family.codebooks))
-    assert calls.count("kraus") == sum(cb.coins for axis, _, cb in links if axis in hashed)
+    assert calls.count("kraus") == len(hashed)
     assert sum(rows) == sum(
         len(_signature_pairs(stage, cb)) for axis, stage, cb in links if axis in hashed
     )
@@ -440,6 +441,25 @@ def test_one_shot_region_steers_nothing_after_prepare(monkeypatch):
     region = P.one_shot_region(prep, GOLDEN_EPS, theta_grid=(0.0, 0.5, 1.0))
     assert len(region.constraints) == 4 * 3 * 2
     assert calls == []
+
+
+def test_derived_states_pass_the_full_check(monkeypatch):
+    # the one-shot regions derive every state from the checked env_cq and
+    # skip only the eigenvalue check on them; each passes the full check
+    derived = []
+    make = qo.CQState.derived.__func__
+
+    def recording(cls, symbols, weights, blocks):
+        derived.append(make(cls, symbols, weights, blocks))
+        return derived[-1]
+
+    monkeypatch.setattr(qo.CQState, "derived", classmethod(recording))
+    for name in io.BUNDLED:
+        count = len(derived)
+        P.one_shot_region(P.prepare(io.load_bundled(name)), GOLDEN_EPS, theta_grid=(0.5,))
+        assert len(derived) > count, name
+    for state in derived:
+        qo.CQState(state.symbols, state.weights, state.blocks)
 
 
 def test_env_cq_is_built_once_and_left_alone():
@@ -589,18 +609,24 @@ def test_signature_decode_matches_per_message_decode(monkeypatch):
     n_pairs = sum(
         len(_signature_pairs(stage, cb)) for stage, cb in zip((stage_x, stage_y), family.codebooks)
     )
-    # one stacked call per (link, coin), one row per (coin, signature)
-    assert len(rows) == sum(cb.coins for cb in family.codebooks)
+    # one stacked call per link, one row per (coin, signature)
+    assert len(rows) == len(family.codebooks)
     assert sum(rows) == n_pairs
+
+    _check_against_per_message_decode(prep, run)
+
+
+def _check_against_per_message_decode(prep, run) -> None:
+    """The run, scenario by scenario, against per-message decoders (the same
+    sequential_kraus, one fiber at a time) summed by the reference accumulator."""
 
     def single_row_build(tests):
         return list(compose.sequential_kraus(np.stack(tests)[None])[0])
 
-    # the run, scenario by scenario, against per-message decoders (the same
-    # sequential_kraus, one fiber at a time) summed by the reference accumulator
+    family = run["family"]
     decoders = [
         oracles.PerMessageStageDecoder(stage, cb, prep.dim_e // prep.dim_b, single_row_build, ABORT)
-        for stage, cb in zip((stage_x, stage_y), family.codebooks)
+        for stage, cb in zip((run["stage_x"], run["stage_y"]), family.codebooks)
     ]
     want = oracles.centralised_output_blocks(family, prep.rho_e, decoders, qo.join_symbol, ABORT)
     assert set(run["scenarios"]) == set(want)
@@ -608,6 +634,121 @@ def test_signature_decode_matches_per_message_decode(monkeypatch):
         assert set(sc["output"]) == set(want[name]), name
         for key, op in sc["output"].items():
             assert np.max(np.abs(op - want[name][key])) <= 1e-12, (name, key)
+
+
+@pytest.mark.parametrize(
+    "coins, wire", [(3, {"X": 6, "Y": 6}), (2, {"X": 6})], ids=["c3_both_hashed", "c2_x_hashed"]
+)
+def test_coin_scaling_matches_per_message_decode(coins, wire):
+    # 2^c coins per link, so 4^c coin blocks, decoded in one array pass per
+    # layer; every scenario's output against the per-message reference
+    prep = P.prepare(io.load_bundled("qubit_entangled_side_info"))
+    budget = OneShotBudget(0.1, r_x=8, r_y=7, c_x=coins, c_y=coins)
+    run = P.centralised_protocol(prep, budget, 1, log_const=0.0, wire_override=wire)
+    assert [cb.coins for cb in run["family"].codebooks] == [2**coins] * 2
+    assert _hashed_axes(run) == set(wire)
+    _check_against_per_message_decode(prep, run)
+
+
+@pytest.mark.parametrize("coins", [1, 2])
+def test_decode_work_does_not_grow_with_the_coins(coins, monkeypatch):
+    # at every coin count: rho_A decomposed once per codebook draw, link
+    # tests that decompose nothing larger than d_B, and one sequential_kraus
+    # call per hashed link; np.linalg's eigh, eigvalsh and svd are spied on
+    prep = P.prepare(io.load_bundled("qubit_entangled_side_info"))
+    budget = OneShotBudget(0.1, r_x=8, r_y=7, c_x=coins, c_y=coins)
+    seen = {"build": [], "link": [], "kraus": 0}
+    step = []  # the library step running now
+
+    def within(name, fn):
+        def wrapped(*args, **kwargs):
+            step.append(name)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                step.pop()
+
+        return wrapped
+
+    def spying(fn):
+        def spy(a, *args, **kwargs):
+            if step:
+                seen[step[-1]].append(np.reshape(a, (-1,) + np.shape(a)[-2:]))
+            return fn(a, *args, **kwargs)
+
+        return spy
+
+    def counting_build(tests):
+        seen["kraus"] += 1
+        return build(tests)
+
+    build = compose.sequential_kraus
+    monkeypatch.setattr(compose, "sequential_kraus", counting_build)
+    for name, fn in (("build", compose.build_compressed_povm), ("link", compose._link_tests)):
+        monkeypatch.setattr(compose, fn.__name__, within(name, fn))
+    for name in ("eigh", "eigvalsh", "svd"):
+        monkeypatch.setattr(np.linalg, name, spying(getattr(np.linalg, name)))
+    run = P.centralised_protocol(prep, budget, 1, log_const=0.0, wire_override={"X": 6, "Y": 6})
+    monkeypatch.undo()
+    assert _hashed_axes(run) == {"X", "Y"}
+    assert seen["kraus"] == 2
+    rho_a = prep.rho_a
+    of_rho_a = sum(
+        int(np.sum(np.all(np.abs(mats - rho_a) <= 1e-15, axis=(1, 2))))
+        for mats in seen["build"]
+        if mats.shape[-2:] == rho_a.shape
+    )
+    assert of_rho_a == run["family"].attempt + 1
+    assert seen["link"] and max(mats.shape[-1] for mats in seen["link"]) == prep.dim_b
+
+
+def _bundled_link_states():
+    """(label, state, slots) of both links of the two bundled instances with
+    a B register, at the golden rates with two and with four coins per link."""
+    for name in ("classical_commuting", "qubit_entangled_side_info"):
+        prep = P.prepare(io.load_bundled(name))
+        for coins in (1, 2):
+            budget = OneShotBudget(GOLDEN_EPS, r_x=3, r_y=2, c_x=coins, c_y=coins)
+            family = compress.build_compressed_povm(prep, budget, GOLDEN_SEED, GOLDEN_C)
+            for i, link in enumerate(P.LINKS):
+                yield (f"{name}/{link}/c{coins}", *compose._link_state(family, prep, i))
+
+
+def _seeded_link_states():
+    """(label, state, slots) of seeded link states over three coin slots on a
+    B of dimension 2 or 3.  Slot 1's blocks share one rank-1 support and slot
+    2's one of rank d - 1, so their averages are singular, and on the dense
+    register every symbol's sigma has kernel directions on other slots."""
+    for seed, d in ((0, 2), (1, 3), (2, 3), (3, 2)):
+        rng = np.random.default_rng(seed)
+        symbols, blocks, slots = [], {}, []
+        for k, rank in enumerate((d, 1, d - 1)):
+            iso = np.linalg.qr(rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank)))[0]
+            for x in range(2 + seed % 2):
+                sym = qo.join_symbol(str(k), str(x))
+                symbols.append(sym)
+                blocks[sym] = iso @ oracles.random_density(rng, rank) @ iso.conj().T
+                slots.append(k)
+        weights = dict(zip(symbols, rng.dirichlet(np.ones(len(symbols))).tolist()))
+        yield f"seed{seed}/d{d}", qo.CQState(tuple(symbols), weights, blocks), np.array(slots)
+
+
+@pytest.mark.parametrize("eps", [GOLDEN_EPS, GOLDEN_EPS**0.1], ids=["eps", "eps0"])
+def test_slot_link_tests_equal_register_tests(eps):
+    # the link tests taken on d_B x d_B slot blocks against i_hyp_cq on the
+    # dense (K', B) register, whose test is read on each symbol's slot
+    cases = [*_bundled_link_states(), *_seeded_link_states()]
+    for label, state, slots in cases:
+        assert state.blocks[state.symbols[0]].shape[0] <= 3, label
+        value, test = ent.i_hyp_cq(state, eps, slots)
+        want_value, alpha, beta, want_tests = oracles.register_link_test(
+            ent.i_hyp_cq, state, slots, eps
+        )
+        got = (value, test.achieved_alpha, test.achieved_beta)
+        for got, want in zip(got, (want_value, alpha, beta)):
+            assert abs(got - want) <= 1e-12 * abs(want), (label, got, want)
+        for s in state.symbols:
+            assert np.max(np.abs(test.per_symbol[s] - want_tests[s])) <= 1e-12, (label, s)
 
 
 def test_decode_thresholds_read_few_points(monkeypatch):

@@ -27,6 +27,8 @@ TEST_ONLY = {
     "instrument_to_povm",
     "distribution_power",
     "cq_tensor_power",
+    # the build's nice test and GOOD sets take stacked trace norms
+    "trace_norm_distance",
     # to be called by the command-line run at its default budget, and by a
     # pinned default-budget run whose links hash
     "budget_from_thresholds",
@@ -36,6 +38,7 @@ TEST_ONLY = {
 # dataclass fields that only tests read as attributes; the run report is
 # to read them
 TEST_ONLY_FIELDS = {
+    "GoodSetCertificate.primed",
     "GoodSetCertificate.prob_good",
     "GoodSetCertificate.op_slack",
     "GoodSetCertificate.eps_used",
