@@ -15,7 +15,7 @@ search decomposes every block at once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -553,31 +553,6 @@ def _by_size(labels: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarra
     return [(ids[p], ids[p] // d, order[starts[p][:, None] + np.arange(s)] % d) for s, p in picks]
 
 
-@dataclass
-class _BallBlock:
-    """How one sub-block that carries rho holds its rho' inside the
-    smoothing program, in the eigenbasis of its component's rho_c.
-
-    ``var`` holds a PSD matrix G on supp(rho_b) (+) C^d whose pinned
-    top-left corner is rho_b's positive spectrum ``eigs`` (descending, the
-    first r of the d directions); rho'_b is the trailing d x d subblock,
-    capped by ``sigma``, sigma_b in the same basis.  The reduction keeps the
-    fidelity block strictly feasible even when rho_b is rank deficient.
-    """
-
-    var: str
-    eigs: np.ndarray
-    sigma: np.ndarray
-
-    @property
-    def rank(self) -> int:
-        return len(self.eigs)
-
-    @property
-    def dim(self) -> int:
-        return len(self.sigma)
-
-
 def _real_parts(*mats) -> tuple[np.ndarray, ...]:
     """The matrices as real ones when every imaginary part is within
     ``la.HERM_TOL``, the round-off repair ``la._hermitian_part`` makes for
@@ -593,7 +568,7 @@ def _real_parts(*mats) -> tuple[np.ndarray, ...]:
     return tuple(np.asarray(m, dtype=complex) for m in mats)
 
 
-def _ball_blocks(pairs) -> tuple[list[_BallBlock], float]:
+def _ball_blocks(pairs) -> tuple[list[sdp.BallBlock], float]:
     """The sub-blocks that carry rho of the direct sum (+)_k (rho_k, sigma_k)
     of ``pairs``, all of one dimension d (a cq state's blocks), each in the
     eigenbasis of its component's rho_c, and s0 = sum_b Tr sigma_b over
@@ -616,7 +591,10 @@ def _ball_blocks(pairs) -> tuple[list[_BallBlock], float]:
     (above 1e-12) in descending order, then its kernel directions, and
     holds sigma_b, real when its imaginary parts are within
     ``la.HERM_TOL`` (tested over each stack at once).  A sub-block with no
-    kept eigenvalue is rho-free and adds Tr sigma_b to s0.
+    kept eigenvalue is rho-free and adds Tr sigma_b to s0.  The least
+    eigenvalue of the components' spectra, which is each rho_k's (up to
+    the entries below 1e-12 the pattern drops), gets ``la.assert_psd``'s
+    check, so ``_cq_pairs`` takes no spectrum of its own.
 
     The split is exact.  Smooth entropies are invariant under isometries
     and split over direct sums (Tomamichel, arXiv:1504.00233), so the pairs
@@ -647,6 +625,7 @@ def _ball_blocks(pairs) -> tuple[list[_BallBlock], float]:
         u = u[..., ::-1]
         eigs[k[:, None], ix] = w[:, ::-1]
         rotated[at] = np.swapaxes(u.conj(), -1, -2) @ sigma[at] @ u
+    la._check_psd(float(eigs.min()))
     subs = []
     for ids, k, ix in _by_size(_support_components([rotated])):
         eig, sb = eigs[k[:, None], ix], rotated[k[:, None, None], ix[:, :, None], ix[:, None, :]]
@@ -656,115 +635,29 @@ def _ball_blocks(pairs) -> tuple[list[_BallBlock], float]:
     blocks, free_mass = [], 0.0
     for _, eig, sb, carried in sorted(subs, key=lambda sub: sub[0]):
         if carried:
-            blocks.append(_BallBlock(f"ball{len(blocks)}", eig[eig > 1e-12], sb))
+            blocks.append(sdp.BallBlock(eig[eig > 1e-12], sb))
         else:
             free_mass += float(np.trace(sb).real)
     return blocks, free_mass
 
 
-def _entry_pin(var: str, dim: int, i: int, j: int, value: float, imag: bool) -> sdp.ScalarExpr:
-    f = np.zeros((dim, dim), dtype=complex)
-    if imag:
-        f[i, j] = 0.5j
-        f[j, i] = -0.5j
-    else:
-        f[i, j] = 0.5
-        f[j, i] += 0.5
-    return sdp.ScalarExpr(-value, ((var, f),))
-
-
-def _capped_ball(ball: tuple, eps: float) -> sdp.SDProblem:
-    """The min t program of D_max^eps(rho || sigma), whose optimum is
-    2^(D_max^eps): rho' in the fidelity ball of rho, split into the
-    sub-blocks of ``ball`` (``_ball_blocks`` of the pairs), each in the
-    eigenbasis of its component's rho_c, with each sub-block's cap
-    t sigma_b - rho'_b PSD, t a 1x1 variable.
-
-    Per sub-block b that carries rho the program holds one PSD variable
-    G_b on supp(rho_b) (+) C^d with the top-left corner pinned to rho_b's
-    spectrum and Z = the off-diagonal corner; sum_b Re Tr Z_b >=
-    sqrt(1 - eps^2) encodes the fidelity constraint.  rho'_b is the
-    trailing subblock of G_b, with no rotation: sigma_b is already in
-    rho_b's basis.  A 1x1 sub-block's cap is a scalar row,
-    t sigma_b - G_b[1, 1] >= 0, like w's.  The trace of rho',
-    sum_b Tr rho'_b + w, is 1.  The program is real when every sigma_b
-    is, and then the corner's imaginary parts get no pin: they vanish on
-    a real G, and their rows would be zero rows of G_eq.  A Hermitian
-    program needs them all, or its corners are not pinned.  t is in no
-    equality row.
-
-    The rho-free sub-blocks are folded into one scalar.  On a sub-block
-    with rho_b = 0, rho'_b enters the program only through Tr rho'_b, in
-    the trace equality, and 0 <= rho'_b <= t sigma_b lets that trace take
-    every value in [0, t Tr sigma_b] (rho'_b = a sigma_b reaches each).
-    So all of them give way to one 1x1 variable w with w >= 0 and
-    t s0 - w >= 0, s0 = sum_b Tr sigma_b over those sub-blocks, and w
-    joins the trace equality.  At every fixed t both programs are
-    feasible together: a point of the per-block program gives
-    w = sum_b Tr rho'_b, and a point of the folded one gives
-    rho'_b = (w / s0) sigma_b.  When s0 is 0 (every rho-free sub-block
-    has sigma_b = 0, so each rho'_b is pinned to 0) there is no w.
-    """
-    blocks, free_mass = ball
-    free = free_mass > 0.0
-    real = not any(np.iscomplexobj(blk.sigma) for blk in blocks)
-    prob = sdp.SDProblem()
-    tr_terms, z_terms = [], []
-    for blk in blocks:
-        r, d, var = blk.rank, blk.dim, blk.var
-        prob.add_var(var, r + d)
-        prob.require_psd(sdp.AffineExpr.zero(r + d).plus_var(var))
-        for a in range(r):
-            prob.require_eq(_entry_pin(var, r + d, a, a, float(blk.eigs[a]), imag=False))
-            for b in range(a + 1, r):
-                prob.require_eq(_entry_pin(var, r + d, a, b, 0.0, imag=False))
-                if not real:
-                    prob.require_eq(_entry_pin(var, r + d, a, b, 0.0, imag=True))
-        z_f = np.zeros((r + d, r + d), dtype=complex)
-        for a in range(r):
-            z_f[a, r + a] = 0.5
-            z_f[r + a, a] = 0.5
-        z_terms.append((var, z_f))
-        tr_f = np.zeros((r + d, r + d), dtype=complex)
-        tr_f[r:, r:] = np.eye(d)
-        tr_terms.append((var, tr_f))
-    one = np.eye(1, dtype=complex)
-    if free:
-        prob.add_var("w", 1)
-        tr_terms.append(("w", one))
-    prob.require_eq(sdp.ScalarExpr(-1.0, tuple(tr_terms)))
-    prob.require_geq(sdp.ScalarExpr(-math.sqrt(max(0.0, 1.0 - eps * eps)), tuple(z_terms)))
-    if free:
-        prob.require_geq(sdp.trace_functional("w", 1))
-    prob.add_var("t", 1)
-    prob.objective = sdp.trace_functional("t", 1)
-    for blk in blocks:
-        if blk.dim == 1:
-            # a 1x1 sub-block carries rank 1, so G_b is 2x2
-            tail = np.zeros((2, 2), dtype=complex)
-            tail[1, 1] = -1.0
-            prob.require_geq(sdp.ScalarExpr(0.0, (("t", blk.sigma), (blk.var, tail))))
-        else:
-            cap = sdp.AffineExpr.zero(blk.dim).plus_kron(blk.sigma, "t")
-            prob.require_psd(cap.plus_subblock(blk.var, blk.rank, -1.0))
-    if free:
-        prob.require_geq(sdp.ScalarExpr(0.0, (("t", free_mass * one), ("w", -one))))
-    return prob
-
-
 def d_max_smooth(rho, sigma, eps: float) -> float:
     """Smoothed max relative entropy over the purified-distance ball.
 
-    The least t of ``_capped_ball(ball, eps)``, with ``ball`` the
-    sub-blocks of the one pair (rho, sigma), gives v = log2 t, and v is
-    returned only with two certificates, both with t held fixed:
+    The least t of the capped ball (``sdp.Ball``) of the sub-blocks of the
+    one pair (rho, sigma) gives v = log2 t, and v is returned only with two
+    certificates, both with t held fixed:
 
-    - v is feasible: the point passes ``sdp._recheck``'s checks at t = 2^v;
+    - v is feasible: the point passes ``sdp.recheck``'s checks at t = 2^v;
     - v - BISECT_TOL_BITS is infeasible: the dual is a Farkas witness
-      (``sdp.witness_fires``) at t = 2^(v - BISECT_TOL_BITS).
+      (``sdp.witness``, ``sdp.witness_fires``) at t = 2^(v - BISECT_TOL_BITS).
 
     So the value lies in (v - BISECT_TOL_BITS, v].  The program is the
-    split and folded one of ``_capped_ball``, and both certificates bound
+    split and folded one the ``sdp`` docstring poses: per sub-block that
+    carries rho, G_b = [[Lambda_b, Z_b], [Z_b^H, rho'_b]] PSD with rho_b's
+    spectrum Lambda_b as data, the cap t sigma_b - rho'_b PSD (a scalar row
+    when d_b = 1), sum_b Re Tr' Z_b >= sqrt(1 - eps^2), and the trace of
+    rho', sum_b Tr rho'_b + w, equal to 1.  Both certificates bound
     D_max^eps itself, for two exact steps:
 
     - Split: each support component is posed in the eigenbasis of its
@@ -773,31 +666,36 @@ def d_max_smooth(rho, sigma, eps: float) -> float:
       Tomamichel, arXiv:1504.00233; Gatermann and Parrilo,
       arXiv:math/0211450).  A degenerate spectrum of rho_c can only hide
       a split, never make a wrong one.
-    - Fold: the rho-free sub-blocks are one scalar w; at every fixed t the
-      program is feasible exactly when its per-block form is
+    - Fold: the rho-free sub-blocks are one scalar w, with w >= 0 and
+      t s0 - w >= 0, s0 = sum_b Tr sigma_b over them.  On such a sub-block
+      rho'_b enters only through Tr rho'_b, and 0 <= rho'_b <= t sigma_b
+      lets that trace take every value in [0, t Tr sigma_b]; so at every
+      fixed t the program is feasible exactly when its per-block form is
       (w = sum_b Tr rho'_b one way, rho'_b = (w / s0) sigma_b the other).
+      When s0 is 0 (every rho-free sub-block has sigma_b = 0, so each
+      rho'_b is 0) there is no w.
 
-    One certificate path per kind of value.  A classical value, whose
+    Two solves, one pair of certificates.  A classical value, whose
     sub-blocks that carry rho are all 1x1 with sigma_b > 0 (a commuting
-    pair, split), builds no program: it is a water-filling over
+    pair, split), goes to no solver: it is a water-filling over
     (lambda_b, sigma_b, s0), whose least t ``_water_fill`` solves exactly,
     with the point and the KKT multipliers, and both certificates are
-    evaluated on those vectors (``_certified_fill``).  Every other value
-    is solved by ``sdp.minimize_many``, and both certificates are checked
-    on the program it compiled (``_certified_value``): the recheck from
-    the program's expressions (the solve's own final one, when 2^v is its
-    t), the witness by ``Program.farkas``.  The solve's status decides
-    nothing: SolverError, naming the status and iterations, is raised only
-    when a certificate fails or t is not positive.
+    evaluated on those 1x1 blocks (``_certified_fill``).  Every other value
+    is solved by ``sdp.minimize_balls``, and both certificates are checked
+    in block form (``_certified_value``): the recheck from the point's own
+    blocks (the solve's own final one, when 2^v is its t), the witness on
+    the projected dual.  Both paths share ``sdp.recheck`` and
+    ``sdp.witness``.  The solve's status decides nothing: SolverError,
+    naming the status and iterations, is raised only when a certificate
+    fails or t is not positive.
 
     The sub-blocks are found and their spectra taken once
     (``_ball_blocks``).  The pair is taken as ``_real_parts`` gives it:
     real parts when both imaginary parts are within ``la.HERM_TOL``
     (round-off, which ``la._hermitian_part`` repairs the same way), and so
-    is each rotated sigma_b.  On a real pair, as on every bundled
-    instance, and on a pair whose components all commute, whatever its
-    phases, the solve and both certificates work over real symmetric
-    matrices.
+    is each rotated sigma_b.  A real sub-block, as on every bundled
+    instance and on every component that commutes whatever its phases, is
+    solved and certified over real symmetric matrices.
 
     This is the one-pair value of ``_d_max_smooth_many``, whose value of
     several pairs, as ``i_max_cq_many`` gives a cq state, is that of their
@@ -809,28 +707,31 @@ def d_max_smooth(rho, sigma, eps: float) -> float:
 
 def _d_max_smooth_many(values: list[list[tuple]], eps: float) -> list[float]:
     """D_max^eps of the direct sum of each value's pairs (rho_k, sigma_k),
-    checked already (every matrix PSD and as ``la._hermitian_part``
-    returns it, the rho_k together a density), at a checked eps: a
-    classical value (every sub-block that carries rho 1x1, with
-    sigma_b > 0) is solved in closed form on its scalars (``_water_fill``),
-    the others by one ``sdp.minimize_many`` over their min t programs, then
-    each value's two certificates in order (``_certified_fill``,
-    ``_certified_value``); the first value that fails raises its
-    SolverError.  At eps 0 a value is the max of ``d_max`` over its pairs."""
+    checked already (every matrix Hermitian as ``la._hermitian_part``
+    returns it, the rho_k together a density, which ``_ball_blocks``
+    checks for PSD on its spectra), at a checked eps: a classical value
+    (every sub-block that carries rho 1x1, with sigma_b > 0) is solved in
+    closed form on its scalars (``_water_fill``), the others by one
+    ``sdp.minimize_balls`` over their capped balls, then each value's two
+    certificates in order (``_certified_fill``, ``_certified_value``); the
+    first value that fails raises its SolverError.  At eps 0 a value is
+    the max of ``d_max`` over its pairs."""
     if eps == 0.0:
         return [max(d_max(rho, sigma) for rho, sigma in pairs) for pairs in values]
-    balls = [_ball_blocks(pairs) for pairs in values]
-    classical = [all(b.dim == 1 and b.sigma[0, 0] > 0 for b in ball[0]) for ball in balls]
-    probs = [_capped_ball(b, eps) for b, c in zip(balls, classical) if not c]
-    solved = iter(sdp.minimize_many(probs))
+    subs = [_ball_blocks(pairs) for pairs in values]
+    classical = [all(b.dim == 1 and b.sigma[0, 0] > 0 for b in blocks) for blocks, _ in subs]
+    fidelity = math.sqrt(max(0.0, 1.0 - eps * eps))
+    balls = [sdp.Ball(*sub, fidelity) for sub, c in zip(subs, classical) if not c]
+    solved = zip(balls, sdp.minimize_balls(balls))
     return [
-        _certified_fill(_water_fill(*_scalars(b), eps)) if c else _certified_value(next(solved))
-        for b, c in zip(balls, classical)
+        _certified_fill(_water_fill(*_scalars(sub), eps)) if c else _certified_value(*next(solved))
+        for sub, c in zip(subs, classical)
     ]
 
 
 def _scalars(ball: tuple) -> tuple[np.ndarray, np.ndarray, float]:
-    """(lambda_b, sigma_b, s0) of a classical ``ball``, s0 = 0 unless positive."""
+    """(lambda_b, sigma_b, s0) of a classical ``ball`` (``_ball_blocks``'
+    sub-blocks and s0), s0 = 0 unless positive."""
     lam = np.array([blk.eigs[0] for blk in ball[0]])
     return lam, np.array([blk.sigma[0, 0].real for blk in ball[0]]), max(ball[1], 0.0)
 
@@ -839,8 +740,9 @@ def _scalars(ball: tuple) -> tuple[np.ndarray, np.ndarray, float]:
 class _WaterFill:
     """``_water_fill``'s record: the data, t_cap, the point at t* and the
     KKT multipliers at t_low (each W_b = v_b v_b^T; ``ineq`` on the
-    fidelity row, w >= 0, the caps and w's cap; ``nu`` on the pins and the
-    trace row)."""
+    fidelity row, w >= 0, the caps and w's cap; ``nu`` on the corner pins
+    of the per-entry form, -W_b[0, 0], and on the trace row, the one the
+    block form reads)."""
 
     lam: np.ndarray
     sig: np.ndarray
@@ -857,9 +759,9 @@ class _WaterFill:
 
 
 def _water_fill(lam: np.ndarray, sig: np.ndarray, free_mass: float, eps: float) -> _WaterFill:
-    """The min t solve of ``_capped_ball`` in closed form, for a classical
+    """The capped ball's min t solve in closed form, for a classical
     value: every sub-block b that carries rho is 1x1, with rho_b = lambda_b
-    and sigma_b > 0, and s0 = ``free_mass`` >= 0.  No program is built.
+    and sigma_b > 0, and s0 = ``free_mass`` >= 0.  Nothing is solved.
 
     G_b is PSD exactly when x_b = rho'_b >= 0 and its corner
     Z_b^2 <= lambda_b x_b, so at a fixed t the best fidelity is
@@ -926,29 +828,25 @@ def _water_fill(lam: np.ndarray, sig: np.ndarray, free_mass: float, eps: float) 
 
 
 def _fill_residuals(fill: _WaterFill) -> dict[str, float]:
-    """Both certificates of ``fill`` on its vectors, keyed as
-    ``_certified_value``'s.  "primal" and "gap" are ``sdp._recheck``'s at
-    t = 2^(log2 t_cap): each G_b's least eigenvalue (closed form), the caps
-    t sigma_b - x_b, the fidelity row, with s0 > 0 w and t s0 - w, and the
-    trace row (the pins hold exactly).  "witness_gap" and "witness_resid"
-    are ``Program.farkas``' gap and |r| of the multipliers at t_low, not
-    normalised (the test is homogeneous): r over each G_b's (G_11, G_22,
-    sqrt2 G_12) and w, and gap = -(the Lagrangian's constant)."""
+    """Both certificates of ``fill``, keyed as ``_certified_value``'s, from
+    the block-form routines on its 1x1 sub-blocks: "primal" and "gap" are
+    ``sdp.recheck``'s of the point G_b = [[lambda_b, z_b], [z_b, x_b]], w
+    at t = 2^(log2 t_cap); "witness_gap" and "witness_resid" are
+    ``sdp.witness``' of the multipliers at t_low (W_b = v_b v_b^T and the
+    weights of the caps, the fidelity row and w's rows), with the record's
+    multiplier of the trace row, not normalised (the test is
+    homogeneous)."""
     c = math.sqrt(max(0.0, 1.0 - fill.eps * fill.eps))
-    t, free = 2.0 ** math.log2(fill.t_cap), fill.free_mass > 0.0
-    least = (fill.lam + fill.x) / 2.0 - np.hypot((fill.lam - fill.x) / 2.0, fill.z)
-    rows = [least, t * fill.sig - fill.x, [fill.z.sum() - c]]
-    rows += [[fill.w, t * fill.free_mass - fill.w]] * free
-    primal = max(0.0, *(-float(np.min(row)) for row in rows))
+    ones = [sdp.BallBlock(lam, sig) for lam, sig in zip(fill.lam[:, None], fill.sig[:, None, None])]
+    ball = sdp.Ball(ones, fill.free_mass, c)
+    t = 2.0 ** math.log2(fill.t_cap)
+    point = sdp.BallPoint(t, fill.w, [fill.z[:, None, None]], [fill.x[:, None, None]])
     fid, floor, caps, free_cap = fill.ineq
-    pins, trace = fill.nu
-    a, b = fill.v[:, 0], fill.v[:, 1]
-    r = [a * a + pins, (2.0 * a * b + fid) / math.sqrt(2.0), b * b - caps + trace]
-    gap = fid * c - fill.t_low * (float(caps @ fill.sig) + free_cap * fill.free_mass)
-    gap += float(pins @ fill.lam) + trace
-    resid = math.hypot(float(np.linalg.norm(np.concatenate(r))), (floor - free_cap + trace) * free)
-    eq = abs(float(fill.x.sum()) + fill.w - 1.0)
-    return {"primal": primal, "gap": eq, "witness_gap": gap, "witness_resid": resid}
+    caps = np.broadcast_to(caps, fill.lam.shape)[:, None, None]
+    witness = sdp.BallDual([fill.v[:, :, None] * fill.v[:, None, :]], [caps], fid, floor, free_cap)
+    residuals = sdp.recheck(ball, point)
+    gap, resid = sdp.witness(ball, witness, fill.t_low, fill.nu[1])
+    return dict(residuals, witness_gap=gap, witness_resid=resid)
 
 
 def _certified_fill(fill: _WaterFill) -> float:
@@ -1002,25 +900,26 @@ def _t_star_cap(segment: tuple, c: float, sigmas: np.ndarray, free_mass: float) 
     return max(t_min, _rounded_up((root + shift) ** 2, u))
 
 
-def _certified_value(res: sdp.SDPResult) -> float:
+def _certified_value(ball: sdp.Ball, res: sdp.BallSolve) -> float:
     """log2 t of an interior-point min t solve of ``d_max_smooth``, once
-    both certificates pass on its compiled program.  Both are evaluated
-    before either raises, and a SolverError of either carries both:
-    "primal" and "gap" of the recheck, "witness_gap" and "witness_resid"
-    of the witness.  When 2^v is the solve's t and the solve has rechecked
-    its point (its residuals hold "primal"), the recheck is that one; else
-    the point is rechecked with t set to 2^v."""
+    both certificates pass in block form.  Both are evaluated before
+    either raises, and a SolverError of either carries both: "primal" and
+    "gap" of the recheck, "witness_gap" and "witness_resid" of the
+    witness, the solve's dual projected onto the cone and normalised
+    (``sdp.project``) with t held at 2^(v - BISECT_TOL_BITS).  When 2^v is
+    the solve's t and the solve has rechecked its point (its residuals
+    hold "primal"), the recheck is that one; else the point is rechecked
+    with t set to 2^v."""
     ended = f"(solve ended {res.status} after {res.iterations} iterations)"
-    t = float(res.assignment["t"][0, 0].real)
+    t = res.point.t
     if not (math.isfinite(t) and t > 0.0):
         raise SolverError(f"D_max^eps solve gave t = {t} {ended}", res.residuals)
     value = math.log2(t)
     if 2.0**value == t and "primal" in res.residuals:
         residuals = {key: res.residuals[key] for key in ("primal", "gap")}
     else:
-        at_value = dict(res.assignment, t=np.full((1, 1), 2.0**value))
-        residuals = sdp.recheck(res.program.prob, at_value)[1]
-    _, _, gap, resid = res.program.farkas(res.dual, {"t": 2.0 ** (value - BISECT_TOL_BITS)})
+        residuals = sdp.recheck(ball, replace(res.point, t=2.0**value))
+    gap, resid = sdp.witness(ball, sdp.project(res.dual), 2.0 ** (value - BISECT_TOL_BITS))
     residuals.update(witness_gap=gap, witness_resid=resid)
     return _verdict(value, residuals, ended)
 
@@ -1039,7 +938,7 @@ def _verdict(value: float, residuals: dict[str, float], ended: str) -> float:
 
 def i_max_cq_many(cqs: list[qo.CQState], eps: float) -> list[float]:
     """``i_max_smooth`` of each ``CQState``, its classical register first,
-    with all their min t programs solved as one batch.
+    with all their capped balls solved as one batch.
 
     A cq state's value is taken from its blocks (``_cq_pairs``), one pair
     per symbol; the dense cq matrix is never built."""
@@ -1047,23 +946,27 @@ def i_max_cq_many(cqs: list[qo.CQState], eps: float) -> list[float]:
     return _d_max_smooth_many([_cq_pairs(cq) for cq in cqs], eps)
 
 
-def _cq_blocks(cq: qo.CQState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The weighted blocks w_s rho_s of ``cq`` as one stack, their traces
-    q_s and their spectra: the diagonal blocks of the dense cq matrix.
-
-    The blocks get ``la.assert_density``'s checks of that matrix, stricter
-    than ``CQState``'s PSD check to 1e-7: Hermitian within tolerance (and
-    repaired as ``la._hermitian_part`` does), the least eigenvalue of one
-    stacked ``eigvalsh`` at least -``la.PSD_TOL`` * 100, the total trace 1
-    within 1e-8.
-    """
+def _cq_weighted(cq: qo.CQState) -> tuple[np.ndarray, np.ndarray]:
+    """The weighted blocks w_s rho_s of ``cq`` as one stack and their
+    traces q_s: the diagonal blocks of the dense cq matrix, Hermitian within
+    tolerance (and repaired as ``la._hermitian_part`` does), their total
+    trace 1 within 1e-8."""
     blocks = la._hermitian_part(la._as_stack([cq.weights[s] * cq.blocks[s] for s in cq.symbols]))
-    spectra = np.linalg.eigvalsh(blocks)
-    la._check_psd(float(spectra[:, 0].min()))
     q = np.einsum("xii->x", blocks)
     total = float(q.real.sum())
     if abs(total - 1.0) > 1e-8:
         raise ValueError(f"trace {total} is not 1 within tolerance")
+    return blocks, q
+
+
+def _cq_blocks(cq: qo.CQState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_cq_weighted``'s blocks and traces and the blocks' spectra, whose
+    least eigenvalue gets ``la.assert_density``'s check of the dense cq
+    matrix (stricter than ``CQState``'s PSD check to 1e-7): at least
+    -``la.PSD_TOL`` * 100, from one stacked ``eigvalsh``."""
+    blocks, q = _cq_weighted(cq)
+    spectra = np.linalg.eigvalsh(blocks)
+    la._check_psd(float(spectra[:, 0].min()))
     return blocks, q, spectra
 
 
@@ -1071,9 +974,11 @@ def _cq_pairs(cq: qo.CQState) -> list[tuple[np.ndarray, np.ndarray]]:
     """(w_s rho_s, q_s rho_S) for each symbol s of ``cq``, with
     q_s = Tr w_s rho_s and rho_S = sum_s w_s rho_s: the diagonal blocks of
     the dense cq matrix and of the product of its marginals.  The weighted
-    blocks are ``_cq_blocks``'; the sigma blocks are PSD by construction.
+    blocks are ``_cq_weighted``'; their PSD check is ``_ball_blocks``' on
+    its component spectra (the least eigenvalue of a block is the least
+    over its components), and the sigma blocks are PSD by construction.
     """
-    blocks, q, _ = _cq_blocks(cq)
+    blocks, q = _cq_weighted(cq)
     rho_s = np.einsum("xij->ij", blocks)
     return [(block, q_s * rho_s) for block, q_s in zip(blocks, q)]
 

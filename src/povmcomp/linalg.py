@@ -166,14 +166,6 @@ def trace_norm_many(ops) -> np.ndarray:
     return np.sum(np.abs(np.linalg.eigvalsh(mats)), axis=-1)
 
 
-def trace_norm_distance(a, b) -> float:
-    """``||a - b||_1`` for Hermitian operators of equal dimension."""
-    ma, mb = as_matrix(a), as_matrix(b)
-    if ma.shape != mb.shape:
-        raise ValueError("dimension mismatch")
-    return trace_norm(ma - mb)
-
-
 def matrix_sqrt(op) -> np.ndarray:
     """PSD square root; an eigenvalue below ``-PSD_TOL * 100`` is
     ``assert_psd``'s ValueError, and smaller negative ones are clamped."""

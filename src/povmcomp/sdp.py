@@ -1,98 +1,116 @@
-"""Small dense semidefinite engine: one primal-dual interior-point method.
+"""Interior-point solver of the capped fidelity ball, in its own block form.
 
-Problems are posed over named Hermitian variables with affine Hermitian
-expressions required PSD plus scalar equalities/inequalities.  ``Program``
-compiles a problem once into s = G x + c in K, G_eq x + c_eq = 0 over the
-rvec coordinates of its variables (K the PSD cones and the orthant of the
-inequalities; each block is stored by its isometric real vector,
-``herm_to_rvec``/``rvec_to_herm``).  Both conversions are one matrix
-product with the rvec basis of the block dimension and field, which
-``_rvec_basis`` builds once and caches.  Set-up probes the linear map G
-once per (PSD constraint, variable) and once per variable for all its
-scalar rows, over the stacked basis matrices of that cache.  ``Program``
-also fixes the cone layout the solver works in: one slab per block
-dimension, its blocks side by side as one (n, k) view, then the inequality
-slots, with slot maps that give each slot its eigenvalue pair (i, j).
+The library poses one program family: the min t program of
+``entropies.d_max_smooth``, whose least t is 2^(D_max^eps).  A value is a
+``Ball``: sub-blocks b (``BallBlock``) with rho_b's positive spectrum
+Lambda_b (r_b of them) and sigma_b (d_b x d_b) in rho_b's eigenbasis, the
+mass s0 of the rho-free sub-blocks and the fidelity c = sqrt(1 - eps^2).
+Its variables are Z_b (r_b x d_b), rho'_b (d_b x d_b), t and, when
+s0 > 0, w:
 
-The field is read from the data.  A problem is real when every
-coefficient has a zero imaginary part: each PSD constant, each term's
-coefficient and ``kron`` left matrix, and the F of each
-scalar row and of the objective (``_is_real``).  A real problem is solved
-over real symmetric matrices, k = d(d+1)/2 coordinates per d x d block
-(the diagonal and sqrt2 times the upper triangle); any other over
-Hermitian ones, k = d^2.  On real data this loses nothing.  Every map of
-the problem then commutes with entrywise conjugation (E(conj X) =
-conj E(X), Re Tr[F^H conj X] = Re Tr[F^H X] for real F), and conjugation
-keeps a matrix PSD.  So with X feasible, conj X is feasible with the same
-objective, and so is Re X = (X + conj X) / 2, by convexity: a real
-symmetric optimum is a Hermitian optimum, and a point the real solve
-returns is a Hermitian point.  A Farkas witness (w, nu) of the real
-program proves the Hermitian program infeasible as well: w is real, and
-along an imaginary direction i A (A real antisymmetric) every map gives a
-purely imaginary image, whose pairing with real w and real F is 0.  So the
-gradient r has no component outside the real coordinates, |r| and the gap
-are the same over the Hermitian coordinates, and the bound
-|x| >= gap / |r| holds for every Hermitian x.
+    G_b = [[Lambda_b, Z_b], [Z_b^H, rho'_b]] PSD,
+    C_b = t sigma_b - rho'_b PSD (a scalar row when d_b = 1),
+    sum_b Re Tr' Z_b >= c (Tr' the sum of Z_b[a, a], a < r_b),
+    w >= 0,  t s0 - w >= 0,
+    sum_b Tr rho'_b + w = 1,
 
-``minimize_many`` is the one solver: a primal-dual interior-point method
-with Nesterov-Todd scaling and Mehrotra's predictor-corrector for problems
-with an objective, run on several programs at once: they step together,
-and each slab kernel of the iteration (the cone's ``cholesky``, ``svd``
-and ``_congruence``, the scalings of vectors, the step tests' ``eigvalsh``
-and the Jordan product) runs once per block dimension and field over the
-blocks of every program still stepping, while each program keeps its own
-scalars and Schur solve.  Each program gets the result of its lone solve
-(a batch of one), bit for bit.  The solver serves
-``entropies.d_max_smooth`` and ``entropies.i_max_smooth``; the protocol
-thresholds and the one-shot region reach it through
-``entropies.i_max_cq_many``, which solves the min t programs of all its
-cq states as one batch.  A classical value (every sub-block that
-carries rho 1x1 with sigma_b > 0) builds no problem at all: it is a
-water-filling over (lambda_b, sigma_b, s0), which
-``entropies._water_fill`` solves in closed form; both certificates below
-are evaluated on those vectors (``entropies._fill_residuals``) and judged
-by ``within_tolerance`` and ``witness_fires``.  Every solved value
-carries its compiled ``Program`` and two certificates, which the caller
-checks on that program with a variable held fixed:
+min t.  The fidelity row is the semidefinite form of F(rho, rho') >= c:
+[[rho, Z], [Z^H, rho']] PSD with Re Tr Z >= c (Watrous), posed per
+sub-block on supp(rho_b) (+) C^d in rho_b's eigenbasis, which keeps G_b
+strictly feasible when rho_b is rank deficient.  Lambda_b is data in
+G_b's corner, so no equality pins it.  The argument that this program has
+the value of D_max^eps (the split into sub-blocks, the fold of the
+rho-free ones into w) is in ``entropies._ball_blocks`` and
+``entropies.d_max_smooth``.
 
-- A point is feasible when ``recheck`` accepts it: ``_recheck`` evaluates
-  its constraints again from the problem's own expressions.  The solver
-  returns "optimal" only for a primal point that passes it, and its
-  residuals hold that last recheck of its point.
-- A problem is infeasible when a Farkas witness passes ``witness_fires``:
-  a cone element w with gap > 0 and |G^T w + G_eq^T nu| <= WITNESS_RATIO * gap
-  (``Program.farkas``), which proves that no feasible point has norm below
-  1 / WITNESS_RATIO.  ``d_max_smooth`` builds w from the dual z of its
-  min t solve and tests it on the solve's own program with t held just
-  below the optimum.
+Coordinates.  Each PSD block is stored by its isometric real vector
+(``herm_to_rvec``/``rvec_to_herm``, one matrix product with the cached
+basis of ``_rvec_basis``): d(d+1)/2 coordinates over the real symmetric
+matrices (the diagonal and sqrt2 times the upper triangle), d^2 over the
+Hermitian ones.  A sub-block is real when its sigma_b is (``entropies``
+decides it per sub-block); the program is invariant under conjugating one
+sub-block's (Z_b, rho'_b) when Lambda_b and sigma_b are real, and
+conjugation keeps every constraint, so a real optimum of that block is an
+optimum, and a real witness has no gradient along its imaginary
+directions.  The free reals x of a value are G_b's rvec coordinates off
+its r x r corner (Z_b's entries times sqrt2, then rho'_b's rvec, in G_b's
+order), then t and w.  So the map x -> (G_b, C_b, scalar rows) is a
+selection with signs, plus t sigma_b in each cap: one sparse matrix A in
+coordinate form, s = A x + h in K, with h holding Lambda_b in G_b's corner
+and -c in the fidelity row.  ``MAX_VAR_REALS`` caps a value's free reals,
+which size its dense Schur matrix; ``minimize_balls`` raises
+``ProblemTooLarge`` before it builds anything.
 
-Each solve starts at s = eta e, z = xi e (e the identity blocks and unit
-inequality slots), with eta and xi scaled from the problem's data as in
-SDPT3's infeasible start (Toh, Todd and Tutuncu, Optim. Methods Softw. 11,
-1999).  A solve that reaches no certified optimum within ``IPM_MAX_ITER``
-steps, or whose duality gap grows past its start's gap / ``GAP_TOL``,
-returns "maxIterations".
+The step.  A primal-dual interior-point method with Nesterov-Todd scaling
+and Mehrotra's predictor-corrector (SIAM J. Optim. 2, 1992), from SDPT3's
+infeasible start (Toh, Todd and Tutuncu, Optim. Methods Softw. 11, 1999):
+x = 0, s = eta e, z = xi e, y = 0 (e the identity blocks and unit scalar
+slots, n its degree, a_k the columns of A, q the objective's row):
 
-Fixed settings: a point counts as feasible when its constraints are met to
-``10 * FEASIBLE_TOL``; the solver stops at a relative gap and dual
-residual of ``GAP_TOL`` and steps ``STEP_TO_BOUNDARY`` of the way to the
-cone's boundary; ``MAX_VAR_REALS`` caps the variables' real dimension n,
-the reals of the field solved (sum of k over the variables), since
-the solver takes the SVD of G_eq with its n x n right factor for the
-null-space basis and solves a Schur matrix of up to that size; a larger
-problem raises ``ProblemTooLarge``.
+    xi  = max(10, sqrt n, n max_k (1 + |q_k|) / (1 + |a_k|)),
+    eta = max(10, sqrt n, |h|, max_k |a_k|).
+
+The scaling of a block pair (S, Z): S = L L^H (``cholesky``), and
+L^H Z L = V diag(lam^2) V^H (``eigh``), so R^-1 = diag(lam^-3/2) V^H L^H Z
+has R^-1 S R^-H = R^H Z R = diag(lam): T(X) = R^-1 X R^-H, one k x k matrix
+per block on the rvecs (``_congruence``), sqrt(z / s) on a scalar slot.
+Every value keeps one dense Schur matrix H = (T A)^T (T A), assembled
+from the blocks' T^T T, and the trace row is its one equality, solved by
+bordering H with one row and one column:
+
+    [[H, e], [e^T, 0]] [dx; -dy] = [A^T T^T (v - T r_p) + r_d; -r_e],
+
+with r_p = A x + h - s, r_d = A^T z + e y - q, r_e = e^T x - 1 and v the
+scaled right-hand side.  The predictor takes lam o (ds~ + dz~) =
+-lam o lam, the corrector sigma mu e - lam o lam - ds~_a o dz~_a with
+sigma the cube of the gap ratio the predictor would reach (X o Y =
+(XY + YX) / 2); the step goes ``STEP_TO_BOUNDARY`` of the way to the
+cone's boundary, at most 1, from one ``eigvalsh`` per block size of the
+paired directions.  A value stops "optimal" once its dual residual and
+gap <s, z> are at most ``GAP_TOL`` max(1, t) and its point passes
+``recheck``; it stops "maxIterations" after ``IPM_MAX_ITER`` steps, once
+its gap passes the start's gap / ``GAP_TOL`` (the iterates diverge), or
+when its step's linear algebra fails.
+
+The batch.  ``minimize_balls`` steps every value of a call together.  The
+blocks of one size and field, over all the values, are one stack for
+each LAPACK and matrix kernel; each value's scalars (residual norms, gap,
+sigma, step length, stop tests) are segment sums over the joined vectors
+(``np.bincount``, which adds in input order); the Schur matrices of one
+size are one stacked ``solve``.  A stacked call gives each block the bits
+of its own call and every sum adds a value's terms in the same order in
+any batch, so a value gets the result of its lone solve, bit for bit.  A
+value leaves the batch when it stops; a ``LinAlgError`` is traced to the
+values whose own step raises it.
+
+The certificates, in block form:
+
+- ``recheck`` rebuilds G_b and C_b from a point's own (Z, rho', t, w),
+  takes one ``eigvalsh`` per block size, and reads the scalar rows and the
+  trace row: "primal" is the largest violation, "gap" |trace - 1|; a
+  point is feasible when both are at most ``10 * FEASIBLE_TOL``
+  (``within_tolerance``).
+- ``witness`` reads a dual (W_b on G_b, V_b on C_b, the weights of the
+  scalar rows) as a Farkas witness with t held: its residual r over every
+  free real (per sub-block R_b = W_b + (f / 2) F_Z + (nu I - V_b) on the
+  trailing block, read off the corner; w's weight), nu the trace row's
+  least-squares multiplier unless given, and its gap, the program's
+  constant paired with the dual.  For every feasible x,
+  0 <= <dual, A x + h> = <r, x> - gap, so |x| >= gap / |r|;
+  ``witness_fires`` (gap > 0, |r| <= ``WITNESS_RATIO`` gap) proves the
+  program infeasible at that t.  ``project`` makes the cone element and
+  normalises it (one ``eigh`` per block size above 1).
 """
 
 from __future__ import annotations
 
 import math
-import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-# an "infeasible" verdict needs |G^T w + G_eq^T nu| <= WITNESS_RATIO * gap
+# an "infeasible" verdict needs |r| <= WITNESS_RATIO * gap
 WITNESS_RATIO = 0.1
 FEASIBLE_TOL = 1e-8
 MAX_VAR_REALS = 6000
@@ -104,8 +122,8 @@ IPM_MAX_ITER = 100
 
 
 class ProblemTooLarge(ValueError):
-    """A problem whose variables have more than ``MAX_VAR_REALS`` real
-    coordinates over its field; ``Program`` raises it before it compiles
+    """A value whose free reals (the size of its Schur matrix) exceed
+    ``MAX_VAR_REALS``; ``minimize_balls`` raises it before it builds
     anything."""
 
 
@@ -199,379 +217,6 @@ def rvec_to_herm(vec: np.ndarray, d: int, real: bool = False) -> np.ndarray:
     return flat.view(complex).reshape(flat.shape[:-1] + (d, d))
 
 
-@dataclass(frozen=True)
-class Term:
-    """One affine contribution coeff * map(X_var)."""
-
-    var: str
-    kind: str  # "id" | "kron" | "subblock"
-    coeff: float = 1.0
-    left: np.ndarray | None = None  # the kron term's left factor
-    start: int = 0  # first row and column of the subblock
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """coeff * map(x) for x of shape (..., d, d), broadcast over leading axes."""
-        if self.kind == "id":
-            return self.coeff * x
-        if self.kind == "kron":
-            return self.coeff * _kron(self.left, x)
-        if self.kind == "subblock":
-            # the trailing principal subblock from row and column ``start``
-            return self.coeff * x[..., self.start :, self.start :]
-        raise ValueError(f"unknown term kind {self.kind}")
-
-
-def _kron(left: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """np.kron(left, x) for x of shape (..., d, d), with the same products
-    (einsum's complex products can differ from np.kron's by an ulp)."""
-    n, d = left.shape[0], x.shape[-1]
-    prod = left[:, None, :, None] * x[..., None, :, None, :]
-    return prod.reshape(x.shape[:-2] + (n * d, n * d))
-
-
-@dataclass
-class AffineExpr:
-    """const + sum of terms; evaluates to a Hermitian matrix of size dim."""
-
-    dim: int
-    const: np.ndarray
-    terms: list[Term] = field(default_factory=list)
-
-    @staticmethod
-    def zero(dim: int) -> "AffineExpr":
-        return AffineExpr(dim, np.zeros((dim, dim), dtype=complex), [])
-
-    def plus_var(self, var: str, coeff: float = 1.0) -> "AffineExpr":
-        self.terms.append(Term(var, "id", coeff))
-        return self
-
-    def plus_kron(self, left: np.ndarray, var: str) -> "AffineExpr":
-        self.terms.append(Term(var, "kron", 1.0, left=np.asarray(left, dtype=complex)))
-        return self
-
-    def plus_subblock(self, var: str, start: int, coeff: float = 1.0) -> "AffineExpr":
-        self.terms.append(Term(var, "subblock", coeff, start=start))
-        return self
-
-    def evaluate(self, assign: dict[str, np.ndarray]) -> np.ndarray:
-        out = self.const.copy()
-        for t in self.terms:
-            out = out + t.apply(assign[t.var])
-        return out
-
-
-@dataclass(frozen=True)
-class ScalarExpr:
-    """const + sum_i Re Tr[F_i^dag X_i]; real-valued affine functional."""
-
-    const: float
-    terms: tuple[tuple[str, np.ndarray], ...]
-
-    def evaluate(self, assign: dict[str, np.ndarray]) -> float:
-        val = self.const
-        for var, f in self.terms:
-            val += float(np.real(np.sum(f.conj() * assign[var])))
-        return val
-
-
-def trace_functional(var: str, dim: int, coeff: float = 1.0, const: float = 0.0) -> ScalarExpr:
-    return ScalarExpr(const, ((var, coeff * np.eye(dim, dtype=complex)),))
-
-
-@dataclass
-class SDProblem:
-    variables: dict[str, int] = field(default_factory=dict)  # label -> dim, in add order
-    psd_constraints: list[AffineExpr] = field(default_factory=list)
-    equalities: list[ScalarExpr] = field(default_factory=list)
-    inequalities: list[ScalarExpr] = field(default_factory=list)  # each >= 0
-    objective: ScalarExpr | None = None  # what ``minimize_many`` minimizes
-
-    def add_var(self, label: str, dim: int) -> str:
-        if label in self.variables:
-            raise ValueError(f"duplicate variable {label!r}")
-        self.variables[label] = dim
-        return label
-
-    def require_psd(self, expr: AffineExpr) -> None:
-        self.psd_constraints.append(expr)
-
-    def require_eq(self, expr: ScalarExpr) -> None:
-        self.equalities.append(expr)
-
-    def require_geq(self, expr: ScalarExpr) -> None:
-        self.inequalities.append(expr)
-
-
-def _is_real(prob: SDProblem) -> bool:
-    """Whether every coefficient of ``prob`` has a zero imaginary part: each
-    PSD constant, each term's coefficient and left matrix, and the F of each
-    scalar row and of the objective."""
-    rows = prob.equalities + prob.inequalities + [prob.objective] * (prob.objective is not None)
-    arrays = [np.zeros(0)] + [expr.const.ravel() for expr in prob.psd_constraints]
-    arrays += [t.left.ravel() for e in prob.psd_constraints for t in e.terms if t.left is not None]
-    arrays += [f.ravel() for row in rows for _, f in row.terms]
-    coeffs = [t.coeff for expr in prob.psd_constraints for t in expr.terms]
-    # one test over all the arrays: a test per array costs more than a small compile's probes
-    return not (any(complex(c).imag for c in coeffs) or np.concatenate(arrays).imag.any())
-
-
-@dataclass
-class SDPResult:
-    status: str  # "optimal" | "maxIterations"
-    assignment: dict[str, np.ndarray]
-    residuals: dict[str, float]
-    iterations: int
-    # the dual z of the solve, over the problem's slack in its own order, so
-    # that ``program.farkas(z)`` reads it as a witness
-    dual: np.ndarray
-    program: Program  # the compiled problem the solve ran on
-
-
-class Program:
-    """One problem compiled over the rvec coordinates of its variables.
-
-    ``real`` is the field, read from the data (``_is_real``): a real
-    problem is compiled over the d(d+1)/2 real symmetric coordinates of each
-    d x d block, any other over its d^2 Hermitian ones; every size, offset
-    and slot map below counts ``rvec_size(d, real)`` coordinates per block.
-    The problem reads s = G x + c in K, G_eq x + c_eq = 0: G is the linear
-    map with the PSD blocks' rvec rows first, in problem order, and one row
-    per inequality after them, G_eq has one row per equality, and K is the
-    product of the PSD cones and the nonnegative orthant of the
-    inequalities.  ``minimize_many`` starts from this compile step, and
-    ``farkas`` tests a Farkas witness against it.
-
-    The slab layout: ``order`` lists the slack positions slab by slab
-    (dimensions in order of first appearance, then the inequalities), the
-    slab of (d, lo, n) in ``slabs`` holds n blocks at positions lo ..
-    lo + n k of that order, and ``pair`` gives each slot its eigenvalue
-    pair (i, j), i = j on a diagonal or inequality slot, as positions in
-    the block-eigenvalue vector (the slabs' eigenvalues, then the inequalities').
-    """
-
-    def __init__(self, prob: SDProblem):
-        self.real = _is_real(prob)
-        self.var_offsets: dict[str, tuple[int, int]] = {}
-        off = 0
-        for lab, d in prob.variables.items():
-            self.var_offsets[lab] = (off, d)
-            off += rvec_size(d, self.real)
-        self.n_vars = off
-        if off > MAX_VAR_REALS:
-            raise ProblemTooLarge(
-                f"problem too large for the dense engine: {off} var reals"
-                f" > MAX_VAR_REALS = {MAX_VAR_REALS}"
-            )
-        self.prob = prob
-        # the _Union of the last batch this program came first in (``_union_of``)
-        self.last_union = None
-        self.block_dims = [e.dim for e in prob.psd_constraints]
-        self.n_graph = sum(rvec_size(d, self.real) for d in self.block_dims)
-        self.n_graph += len(prob.inequalities)
-        self._index_blocks()
-        self.n_eq = len(prob.equalities)
-        full = self._columns()
-        self.g_graph = full[: self.n_graph]
-        self.g_eq = full[self.n_graph :]
-        rows = [herm_to_rvec(e.const, self.real) for e in prob.psd_constraints]
-        rows.append(np.array([iq.const for iq in prob.inequalities]))
-        self.c_graph = np.concatenate(rows) if self.n_graph else np.zeros(0)
-        self.c_eq = np.array([eq.const for eq in prob.equalities])
-
-    @cached_property
-    def nu_map(self) -> np.ndarray:
-        """The least-squares multiplier of the infeasibility witness:
-        nu = nu_map @ w minimizes |G^T w + G_eq^T nu| (G_eq has full row
-        rank, as ``minimize_many`` needs).  Only ``farkas`` reads it."""
-        if not self.n_eq:
-            return np.zeros((0, self.n_graph))
-        return -np.linalg.solve(self.g_eq @ self.g_eq.T, self.g_eq @ self.g_graph.T)
-
-    # -- structure ---------------------------------------------------------
-    def _basis(self) -> dict[str, np.ndarray]:
-        """Per variable, its k rvec basis matrices as one (k, d, d) stack."""
-        return {
-            lab: _rvec_basis(d, self.real)[0].reshape(-1, d, d)
-            for lab, (_, d) in self.var_offsets.items()
-        }
-
-    def functional(self, scalar: ScalarExpr) -> np.ndarray:
-        """The linear part of ``scalar`` (the objective) as a row over the rvec coordinates."""
-        basis = self._basis()
-        row = np.zeros(self.n_vars)
-        for var, f in scalar.terms:
-            o, d = self.var_offsets[var]
-            row[o : o + len(basis[var])] += np.real(np.sum(f.conj() * basis[var], axis=(-2, -1)))
-        return row
-
-    def _columns(self) -> np.ndarray:
-        """The linear map over the rvec coordinates of the variables.
-
-        Each variable's k basis matrices are probed as one stack, once per
-        PSD constraint that holds the variable; a constraint's terms of one
-        variable are summed, from zero and in order, before the conversion.
-        The inequality and equality rows that hold a variable are probed in
-        one stacked product per variable, each term's row added in order.
-        """
-        cols = np.zeros((self.n_graph + self.n_eq, self.n_vars))
-        basis = self._basis()
-        row = 0
-        for expr in self.prob.psd_constraints:
-            width = rvec_size(expr.dim, self.real)
-            for lab in dict.fromkeys(t.var for t in expr.terms):
-                o, k = self.var_offsets[lab][0], len(basis[lab])
-                acc = np.zeros((k, expr.dim, expr.dim), dtype=complex)
-                for t in expr.terms:
-                    if t.var == lab:
-                        acc = acc + t.apply(basis[lab])
-                cols[row : row + width, o : o + k] = herm_to_rvec(acc, self.real).T
-            row += width
-        scalars = self.prob.inequalities + self.prob.equalities
-        for var, (rows, fs) in _terms_by_var(scalars).items():
-            o, k = self.var_offsets[var][0], len(basis[var])
-            # a product holds one row or at most 2^16 entries
-            step = max(1, 2**16 // basis[var].size)
-            for lo in range(0, len(rows), step):
-                probe = fs[lo : lo + step].conj()[:, None] * basis[var]
-                vals = np.real(np.sum(probe, axis=(-2, -1)))
-                np.add.at(cols, (row + rows[lo : lo + step], slice(o, o + k)), vals)
-        return cols
-
-    def _index_blocks(self) -> None:
-        """``block_slots[d]`` holds, per PSD block of dimension d, the
-        positions of its rvec in the slack s (blocks in order of appearance);
-        the inequality slots start at ``n_psd``; the slab layout follows."""
-        offsets: dict[int, list[int]] = {}
-        pos = 0
-        for d in self.block_dims:
-            offsets.setdefault(d, []).append(pos)
-            pos += rvec_size(d, self.real)
-        self.block_slots = {
-            d: np.array(offs)[:, None] + np.arange(rvec_size(d, self.real))
-            for d, offs in offsets.items()
-        }
-        self.n_psd = pos
-        ineq = np.arange(pos, self.n_graph)
-        self.order = np.concatenate([sl.ravel() for sl in self.block_slots.values()] + [ineq])
-        self.slabs, pairs, lo, first = [], [], 0, 0
-        for d, slots in self.block_slots.items():
-            self.slabs.append((d, lo, len(slots)))
-            base = first + d * np.arange(len(slots))[:, None, None]
-            # the upper entries' slots come once per part: real, then imaginary
-            parts = 1 if self.real else 2
-            iu = _herm_indices(d)[0]
-            ends = [np.concatenate([np.arange(d)] + [side] * parts) for side in iu]
-            pairs.append(np.swapaxes(base + ends, 0, 1).reshape(2, -1))
-            lo, first = lo + slots.size, first + d * len(slots)
-        pairs.append(np.stack([ineq, ineq]) - pos + first)
-        self.pair = np.concatenate(pairs, axis=1)
-
-    def get_vars(self, x: np.ndarray) -> dict[str, np.ndarray]:
-        return {
-            lab: rvec_to_herm(x[o : o + rvec_size(d, self.real)], d, self.real)
-            for lab, (o, d) in self.var_offsets.items()
-        }
-
-    # -- infeasibility witness -----------------------------------------------
-    def farkas(
-        self, slack: np.ndarray, held: dict[str, float] | None = None
-    ) -> tuple[np.ndarray, np.ndarray, float, float]:
-        """Farkas witness (w, nu, gap, |r|) from a slack-side vector.
-
-        w is ``slack`` (one rvec per PSD block, then one weight per
-        inequality) projected onto the cone and normalised: each block's
-        negative eigenvalues are clipped (one stacked ``eigh`` per block
-        dimension), and so are the weights.  nu is its least-squares
-        multiplier; r = G^T w + G_eq^T nu and gap = -(<c, w> + <c_eq, nu>).
-        For every feasible x, 0 <= <w, G x + c> = <r, x> - gap, so
-        |x| >= gap / |r|; ``witness_fires`` reads that bound.
-
-        ``held`` holds 1x1 variables at fixed values: each one's coordinate
-        moves to the constant side, gap -= value * r_var and r_var := 0,
-        which is the witness of the program with that variable fixed.  It
-        is exact when no equality row holds the variable, so that G_eq,
-        ``nu_map`` and the slack layout stay; a held variable with a
-        nonzero G_eq column raises ValueError.
-        """
-        w = np.clip(slack, 0.0, None)
-        for d, slots in self.block_slots.items():
-            vals, vecs = np.linalg.eigh(rvec_to_herm(slack[slots], d, self.real))
-            clipped = (vecs * np.clip(vals, 0.0, None)[:, None, :]) @ _ct(vecs)
-            w[slots] = herm_to_rvec(clipped, self.real)
-        norm = float(np.linalg.norm(w))
-        if norm > 0.0:
-            w /= norm
-        nu = self.nu_map @ w
-        r = self.g_graph.T @ w + self.g_eq.T @ nu
-        gap = -float(self.c_graph @ w + self.c_eq @ nu)
-        for var, value in (held or {}).items():
-            o, d = self.var_offsets[var]
-            if d != 1 or self.g_eq[:, o].any():
-                raise ValueError(f"{var!r} is not a 1x1 variable outside every equality row")
-            gap -= value * float(r[o])
-            r[o] = 0.0
-        return w, nu, gap, float(np.linalg.norm(r))
-
-
-def witness_fires(gap: float, resid: float) -> bool:
-    """The test an infeasibility verdict needs: gap > 0 and |r| <= WITNESS_RATIO * gap,
-    which proves that no feasible point has norm below 1 / WITNESS_RATIO."""
-    return gap > 0.0 and resid <= WITNESS_RATIO * gap
-
-
-def recheck(prob: SDProblem, assign: dict[str, np.ndarray]) -> tuple[bool, dict[str, float]]:
-    """Whether ``assign`` satisfies ``prob`` to ``10 * FEASIBLE_TOL``, by
-    ``_recheck``'s independent evaluation, and its residuals."""
-    res = _recheck(prob, assign)
-    return within_tolerance(res), res
-
-
-def within_tolerance(residuals: dict[str, float]) -> bool:
-    """Whether the "primal" and "gap" residuals of ``_recheck`` are both at
-    most ``10 * FEASIBLE_TOL``: the verdict of ``recheck``."""
-    return residuals["primal"] <= 10 * FEASIBLE_TOL and residuals["gap"] <= 10 * FEASIBLE_TOL
-
-
-def _recheck(prob: SDProblem, assign: dict[str, np.ndarray]) -> dict[str, float]:
-    """Independent constraint evaluation of a candidate assignment from the
-    problem's expressions, with one ``eigvalsh`` per block dimension."""
-    vals = [expr.evaluate(assign) for expr in prob.psd_constraints]
-    min_eig = 0.0
-    for d in dict.fromkeys(v.shape[0] for v in vals):
-        stack = np.stack([v for v in vals if v.shape[0] == d])
-        min_eig = min(min_eig, float(np.linalg.eigvalsh((stack + _ct(stack)) / 2)[:, 0].min()))
-    min_eig = min(min_eig, float(_scalar_values(prob.inequalities, assign).min(initial=0.0)))
-    eq_resid = float(np.abs(_scalar_values(prob.equalities, assign)).max(initial=0.0))
-    return {"primal": max(-min_eig, 0.0), "gap": eq_resid}
-
-
-def _terms_by_var(scalars: list[ScalarExpr]) -> dict[str, list[np.ndarray]]:
-    """Per variable, the rows and the stacked F of the scalar terms that
-    hold it, in row and term order."""
-    groups: dict[str, list] = {}
-    for i, scalar in enumerate(scalars):
-        for var, f in scalar.terms:
-            groups.setdefault(var, []).append((i, f))
-    return {var: [np.array(part) for part in zip(*grp)] for var, grp in groups.items()}
-
-
-def _scalar_values(scalars: list[ScalarExpr], assign: dict[str, np.ndarray]) -> np.ndarray:
-    """``ScalarExpr.evaluate`` of every row: the terms' Re Tr[F^H X] from
-    one stacked product per shape of F, added to the constant in term order."""
-    groups: dict[tuple, list] = {}
-    for i, scalar in enumerate(scalars):
-        for j, (var, f) in enumerate(scalar.terms):
-            groups.setdefault(f.shape, []).append((i, j, f, assign[var]))
-    table = np.zeros((len(scalars), max((len(sc.terms) for sc in scalars), default=0)))
-    for group in groups.values():
-        rows, pos, fs, xs = zip(*group)
-        table[rows, pos] = np.real(np.sum(np.conj(fs) * np.array(xs), axis=(-2, -1)))
-    vals = np.array([sc.const for sc in scalars], dtype=float)
-    for col in table.T:
-        vals = vals + col
-    return vals
-
-
 def _ct(mats: np.ndarray) -> np.ndarray:
     return np.conj(np.swapaxes(mats, -1, -2))
 
@@ -600,394 +245,716 @@ def _congruence(c: np.ndarray, real: bool = False) -> np.ndarray:
     return np.swapaxes((images if real else images.view(np.float64)) @ reader, -1, -2)
 
 
-class _ScaledCone:
-    """The slack space of a ``Program``, in its slab layout, under
-    Nesterov-Todd scaling.  Per PSD block, the pair (S, Z) of positive definite blocks gets R with
-    R^H Z R = R^-1 S R^-H = diag(lam): with S = L_S L_S^H, Z = L_Z L_Z^H and
-    L_Z^H L_S = U diag(lam) V^H, R = L_S V diag(lam)^-1/2 and
-    R^-1 = diag(lam)^-1/2 U^H L_Z^H, all real on a real ``Program``.  The
-    scaling map is T(X) = R^-1 X R^-H, one k x k matrix per block on the
-    rvecs (one ``_congruence`` per slab, from the cached rvec basis, in
-    ``scales``); on the inequality
-    slots it is sqrt(z / s), with lam = sqrt(s z).  The solver needs T and
-    T^T only: it takes the unscaled primal step T^-1 ds~ from its residual,
-    as r_p + A du.  The scaled point T s = T^-T z = lam is diagonal, so
-    lam o lam and the inverse of lam o, with X o Y = (X Y + Y X) / 2, act
-    slot by slot on the rvecs: a slot of entry (i, j) is multiplied by
-    lam_i lam_j or divided by (lam_i + lam_j) / 2.  ``lam``, ``mid`` and
-    ``isq`` = 1 / sqrt(lam_i lam_j) ((1 / sqrt lam_i)^2 on a block's
-    diagonal) are gathered from the eigenvalues through ``Program.pair``,
-    and every kernel works on the (n, k) views of the slabs.
+# -- the program ----------------------------------------------------------------
 
-    ``_scaled_cones`` builds the cones of several programs at once, and
-    the other kernels (T vec in ``_scale_many``, T^T vec in
-    ``_scale_adjoint_many``, a o b in ``_jordans``, the step test in
-    ``_max_steps``) take several cones at once.  ``scale`` of a matrix,
-    T A in the solver, stays per cone: each program's A has its own
-    number of columns.
-    """
 
-    def __init__(self, prog: Program, scales: list, vectors: tuple):
-        self.prog, self.scales = prog, scales
-        self.slabs, self.n_psd, self.real = prog.slabs, prog.n_psd, prog.real
-        self.lam, self.mid, self.isq, self.t_scalar = vectors
+@dataclass
+class BallBlock:
+    """One sub-block that carries rho: rho_b's positive spectrum ``eigs``
+    (descending, the first r of its d directions) and ``sigma``, sigma_b
+    in rho_b's eigenbasis, real or complex (the block's field)."""
 
-    def scale(self, mat: np.ndarray) -> np.ndarray:
-        """T applied to each column of a matrix: each block's rows multiplied
-        by its scaling matrix, the inequality rows by ``t_scalar``."""
-        out = np.empty_like(mat)
-        for (d, lo, n), scale in zip(self.slabs, self.scales):
-            k = scale.shape[-1]
-            rows = slice(lo, lo + n * k)
-            out[rows] = (scale @ mat[rows].reshape(n, k, -1)).reshape(n * k, -1)
-        out[self.n_psd :] = self.t_scalar[:, None] * mat[self.n_psd :]
+    eigs: np.ndarray
+    sigma: np.ndarray
+
+    @property
+    def rank(self) -> int:
+        return len(self.eigs)
+
+    @property
+    def dim(self) -> int:
+        return len(self.sigma)
+
+    @property
+    def real(self) -> bool:
+        return not np.iscomplexobj(self.sigma)
+
+
+@dataclass
+class Ball:
+    """The capped ball of one value: its sub-blocks, s0 (``free_mass``; no w
+    unless it is positive) and the fidelity c = sqrt(1 - eps^2)."""
+
+    blocks: list[BallBlock]
+    free_mass: float
+    fidelity: float
+
+    @cached_property
+    def shapes(self) -> list[tuple[int, int, list[int], np.ndarray, np.ndarray]]:
+        """Its sub-blocks grouped by (r, d, field), in order of first
+        appearance: (r, d, their indices, their spectra (n, r), their
+        sigma_b (n, d, d)); a point's and a dual's stacks follow them."""
+        groups: dict[tuple[int, int, bool], list[int]] = {}
+        for i, blk in enumerate(self.blocks):
+            groups.setdefault((blk.rank, blk.dim, blk.real), []).append(i)
+        out = []
+        for (r, d, _), idx in groups.items():
+            blocks = [self.blocks[i] for i in idx]
+            eigs, sigma = np.stack([b.eigs for b in blocks]), np.stack([b.sigma for b in blocks])
+            out.append((r, d, idx, eigs, sigma))
         return out
 
 
-# -- slab kernels over several programs ----------------------------------------
-#
-# Each kernel takes a list of items, one per program, lays their vectors
-# end to end and runs each numpy call once per union slab: the blocks of
-# one dimension and field of every program, side by side in program order
-# (``_Union``).  A stacked LAPACK or matmul call gives each slice the bits it
-# gives that slice alone, and the elementwise work is exact per slot, so a
-# program's result does not depend on the other programs.
+@dataclass
+class BallPoint:
+    """A point of a ``Ball``: t, w (0 without one), and per group of
+    ``Ball.shapes`` the stacks of its sub-blocks' Z_b (n, r, d) and
+    rho'_b (n, d, d)."""
+
+    t: float
+    w: float
+    z: list[np.ndarray]
+    rho: list[np.ndarray]
 
 
-class _Union:
-    """Where the slots of several programs sit when their vectors are laid
-    end to end in program order: program i's slack slots at ``spans[i]``,
-    its inequality slots at ``ineq_spans[i]`` of the joined inequality
-    slots ``ineq``.
+@dataclass
+class BallDual:
+    """A slack-side vector of a ``Ball``: per group of ``Ball.shapes`` the
+    stacks of W_b on G_b and of V_b on C_b (1 x 1 when d_b = 1), and the
+    weights of the fidelity row, of w >= 0 and of t s0 - w >= 0 (0 without
+    w)."""
 
-    ``slabs`` holds one (d, real, take, parts) per union slab: ``take``
-    lists the slots of its blocks in the joined vector, block by block,
-    and ``parts`` each program's share as (program, slab index, first row,
-    n), the rows counting the union slab's blocks.  ``pair``, ``diag`` and
-    ``psd_diag`` are ``Program.pair`` and its diagonal slots (those of the
-    PSD blocks alone) over the joined eigenvalue vectors: per program, its
-    slabs' eigenvalues, then its inequalities'.  For the step test,
-    ``low_take`` reads each program's 0 and its inequality slots from the
-    joined vector with a 0 in front, one run per program from
-    ``low_starts``.
+    g: list[np.ndarray]
+    cap: list[np.ndarray]
+    fid: float
+    floor: float
+    free_cap: float
+
+
+@dataclass
+class BallSolve:
+    status: str  # "optimal" | "maxIterations"
+    iterations: int
+    residuals: dict[str, float]
+    point: BallPoint
+    dual: BallDual  # the solve's z, read by ``project`` and ``witness``
+
+
+def _reals(r: int, d: int, real: bool) -> int:
+    """The free reals of a sub-block of rank r and dimension d: G_b's rvec
+    off its r x r corner."""
+    return rvec_size(r + d, real) - rvec_size(r, real)
+
+
+# -- certificates -------------------------------------------------------------
+
+
+def recheck(ball: Ball, point: BallPoint) -> dict[str, float]:
+    """The residuals of ``point`` on ``ball``, evaluated again from its own
+    (Z, rho', t, w): "primal" the largest violation of the PSD blocks G_b
+    and C_b (one ``eigvalsh`` per block size) and of the scalar rows,
+    "gap" the trace row's |sum_b Tr rho'_b + w - 1|."""
+    mats: dict[int, list[np.ndarray]] = {}
+    rows, fid, mass = [np.zeros(1)], 0.0, 0.0
+    for (r, d, _, eigs, sigma), z, rho in zip(ball.shapes, point.z, point.rho):
+        g = np.zeros((len(z), r + d, r + d), dtype=np.result_type(z, rho))
+        g[:, np.arange(r), np.arange(r)] = eigs
+        g[:, :r, r:], g[:, r:, :r], g[:, r:, r:] = z, _ct(z), rho
+        mats.setdefault(r + d, []).append(g)
+        cap = point.t * sigma - rho
+        if d == 1:
+            rows.append(cap[:, 0, 0].real)
+        else:
+            mats.setdefault(d, []).append(cap)
+        fid += float(z[:, np.arange(r), np.arange(r)].real.sum())
+        mass += float(rho[:, np.arange(d), np.arange(d)].real.sum())
+    rows.append([fid - ball.fidelity])
+    if ball.free_mass > 0.0:
+        rows.append([point.w, point.t * ball.free_mass - point.w])
+        mass += point.w
+    least = float(np.min(np.concatenate(rows)))
+    for group in mats.values():
+        stack = np.concatenate(group)
+        least = min(least, float(np.linalg.eigvalsh((stack + _ct(stack)) / 2)[:, 0].min()))
+    return {"primal": max(-least, 0.0), "gap": abs(mass - 1.0)}
+
+
+def witness(
+    ball: Ball, dual: BallDual, t: float, trace: float | None = None
+) -> tuple[float, float]:
+    """(gap, |r|) of ``dual`` as a Farkas witness of ``ball`` with t held
+    at ``t``, not normalised (the test is homogeneous).
+
+    Per sub-block the residual over its free reals is
+    R_b = W_b + (f / 2) F_Z + (nu I - V_b) on the trailing d x d block,
+    F_Z the fidelity row's matrix (1 at (a, r + a) and (r + a, a), a < r),
+    read off the corner: |R_b|^2 counts the trailing block and twice the
+    off-diagonal one, as their rvec coordinates do.  w's residual is
+    floor - free_cap + nu.  nu is ``trace`` when given, else the trace
+    row's least-squares multiplier, minus the mean of the residuals on
+    the trace row's reals.  t's residual sum_b Re Tr[V_b sigma_b] +
+    free_cap s0 moves to the gap with t held:
+    gap = c f - sum_b sum_a Lambda_a W_b[a, a] + nu - t (that residual).
     """
-
-    def __init__(self, progs: list[Program]):
-        # weak, so that a program's memo of its union makes no cycle
-        self.progs = [weakref.ref(prog) for prog in progs]
-        self.spans, self.ineq_spans, self.low_starts = [], [], []
-        union: dict[tuple[int, bool], list] = {}
-        pairs, psd, ineq, low_take = [], [], [], []
-        lo = lo_ineq = first = 0
-        for i, prog in enumerate(progs):
-            for j, (d, at, n) in enumerate(prog.slabs):
-                union.setdefault((d, prog.real), []).append((i, j, lo + at, n))
-            slots = np.arange(lo + prog.n_psd, lo + prog.n_graph)
-            pairs.append(prog.pair + first)
-            psd.append(np.arange(prog.n_graph) < prog.n_psd)
-            ineq.append(slots)
-            low_take += [np.zeros(1, dtype=int), slots + 1]
-            self.low_starts.append(lo_ineq + i)
-            self.spans.append((lo, lo + prog.n_graph))
-            self.ineq_spans.append((lo_ineq, lo_ineq + slots.size))
-            lo, lo_ineq = lo + prog.n_graph, lo_ineq + slots.size
-            first += sum(d * n for d, _, n in prog.slabs) + slots.size
-        self.slabs = []
-        for (d, real), parts in union.items():
-            k = rvec_size(d, real)
-            take = np.concatenate([np.arange(at, at + n * k) for _, _, at, n in parts])
-            rows = np.cumsum([0] + [n for *_, n in parts]).tolist()
-            parts = [(i, j, row, n) for (i, j, _, n), row in zip(parts, rows)]
-            self.slabs.append((d, real, take, parts))
-        self.ineq = np.concatenate(ineq)
-        self.pair = np.concatenate(pairs, axis=1)
-        self.diag = self.pair[0] == self.pair[1]
-        self.psd_diag = self.diag & np.concatenate(psd)
-        self.low_take = np.concatenate(low_take)
-
-    def split(self, joined: np.ndarray) -> list[np.ndarray]:
-        """A joined vector as each program's own (views)."""
-        return [joined[lo:hi] for lo, hi in self.spans]
+    free = ball.free_mass > 0.0
+    parts = list(zip(ball.shapes, dual.g, dual.cap))
+    tails = [g[:, r:, r:] - cap for (r, *_), g, cap in parts]
+    if trace is None:
+        total = sum(float(np.trace(tail, axis1=1, axis2=2).real.sum()) for tail in tails)
+        count = sum(d * len(idx) for (_, d, idx, _, _), _, _ in parts) + free
+        trace = -(total + (dual.floor - dual.free_cap) * free) / count
+    resid, held = 0.0, dual.free_cap * ball.free_mass * free
+    gap = ball.fidelity * dual.fid + trace
+    for ((r, d, _, eigs, sigma), g, cap), tail in zip(parts, tails):
+        off = g[:, :r, r:].copy()
+        off[:, np.arange(r), np.arange(r)] += dual.fid / 2
+        tail[:, np.arange(d), np.arange(d)] += trace
+        resid += float(np.sum(np.abs(tail) ** 2)) + 2.0 * float(np.sum(np.abs(off) ** 2))
+        held += float(np.sum(np.conj(cap) * sigma).real)
+        gap -= float(np.sum(eigs * g[:, np.arange(r), np.arange(r)].real))
+    if free:
+        resid += (dual.floor - dual.free_cap + trace) ** 2
+    return gap - t * held, math.sqrt(resid)
 
 
-def _union_of(progs: list[Program]) -> _Union:
-    """The ``_Union`` of ``progs``: the last one built for the first of
-    them when it has exactly these programs, else a new one.  A batch keeps
-    its programs from round to round until one of them stops."""
-    last = progs[0].last_union
-    if last is None or len(last.progs) != len(progs) or any(
-        ref() is not prog for ref, prog in zip(last.progs, progs)
-    ):
-        last = progs[0].last_union = _Union(progs)
-    return last
-
-
-def _scaled_cones(items: list[tuple[Program, np.ndarray, np.ndarray]]) -> list[_ScaledCone]:
-    """The ``_ScaledCone`` of each (prog, s, z): one ``cholesky``, one
-    ``svd`` and one ``_congruence`` per union slab."""
-    progs = [prog for prog, _, _ in items]
-    union = _union_of(progs)
-    both = np.stack([np.concatenate([item[side] for item in items]) for side in (1, 2)])
-    scales = [[None] * len(prog.slabs) for prog in progs]
-    eigs = [[None] * len(prog.slabs) for prog in progs]
-    for d, real, take, parts in union.slabs:
-        pair = rvec_to_herm(both[:, take].reshape(2, -1, rvec_size(d, real)), d, real)
-        ls, lz = np.linalg.cholesky(pair)
-        u, lam, vh = np.linalg.svd(_ct(lz) @ ls)
-        r_inv = (1.0 / np.sqrt(lam))[:, :, None] * (_ct(u) @ _ct(lz))
-        mats = _congruence(r_inv, real)
-        for i, j, row, n in parts:
-            scales[i][j], eigs[i][j] = mats[row : row + n], lam[row : row + n].ravel()
-    s, z = both[:, union.ineq]
-    tails = np.sqrt(s * z)
-    eig = np.concatenate(
-        [e for own, (lo, hi) in zip(eigs, union.ineq_spans) for e in own + [tails[lo:hi]]]
+def project(dual: BallDual) -> BallDual:
+    """``dual`` projected onto the cone and normalised: each block's
+    negative eigenvalues clipped (one stacked ``eigh`` per block size
+    above 1), and so are the scalar weights; the norm counts every block's
+    Frobenius norm, as its rvec does."""
+    stacks = dual.g + dual.cap
+    sizes: dict[int, list[int]] = {}
+    for i, m in enumerate(stacks):
+        sizes.setdefault(m.shape[-1], []).append(i)
+    clipped = list(stacks)
+    weights = [max(v, 0.0) for v in (dual.fid, dual.floor, dual.free_cap)]
+    square = sum(v * v for v in weights)
+    for size, idx in sizes.items():
+        joined = np.concatenate([stacks[i] for i in idx]) if len(idx) > 1 else stacks[idx[0]]
+        if size == 1:
+            joined = np.clip(joined.real, 0.0, None)
+        else:
+            vals, vecs = np.linalg.eigh(joined)
+            joined = (vecs * np.clip(vals, 0.0, None)[:, None, :]) @ _ct(vecs)
+        square += float(np.sum(np.abs(joined) ** 2))
+        lo = 0
+        for i in idx:
+            clipped[i] = joined[lo : lo + len(stacks[i])]
+            lo += len(stacks[i])
+    scale = 1.0 / math.sqrt(square) if square > 0.0 else 1.0
+    n = len(dual.g)
+    fid, floor, free_cap = (v * scale for v in weights)
+    return BallDual(
+        [m * scale for m in clipped[:n]], [m * scale for m in clipped[n:]], fid, floor, free_cap
     )
-    li, lj = eig[union.pair]
-    lam = np.where(union.diag, li, 0.0)
-    mid = (li + lj) / 2
-    isq = np.where(union.psd_diag, (1.0 / np.sqrt(li)) ** 2, 1.0 / np.sqrt(li * lj))
-    t_scalar = np.sqrt(z / s)
-    return [
-        _ScaledCone(prog, own, (lam[lo:hi], mid[lo:hi], isq[lo:hi], t_scalar[a:b]))
-        for prog, own, (lo, hi), (a, b) in zip(progs, scales, union.spans, union.ineq_spans)
-    ]
 
 
-def _scalings(items: list[tuple[_ScaledCone, np.ndarray]], adjoint: bool) -> list[np.ndarray]:
-    """T vec of each (cone, vec), or T^T vec with ``adjoint``: one stacked
-    product per union slab.  A cone's matrices are the transposed view of
-    the C-contiguous product ``_congruence`` makes; the union stacks those
-    products and transposes them back, so that each product sees the
-    strides of the cone's own matrices, which choose the BLAS kernel and so
-    the bits."""
-    cones = [cone for cone, _ in items]
-    union = _union_of([cone.prog for cone in cones])
-    vec = np.concatenate([v for _, v in items])
-    out = np.empty_like(vec)
-    for d, real, take, parts in union.slabs:
-        stacked = np.concatenate([np.swapaxes(cones[i].scales[j], -1, -2) for i, j, _, _ in parts])
-        mats = stacked if adjoint else np.swapaxes(stacked, -1, -2)
-        out[take] = (mats @ vec[take].reshape(-1, rvec_size(d, real), 1)).ravel()
-    out[union.ineq] = np.concatenate([cone.t_scalar for cone in cones]) * vec[union.ineq]
-    return union.split(out)
+def witness_fires(gap: float, resid: float) -> bool:
+    """The test an infeasibility verdict needs: gap > 0 and |r| <= WITNESS_RATIO * gap,
+    which proves that no feasible point has norm below 1 / WITNESS_RATIO."""
+    return gap > 0.0 and resid <= WITNESS_RATIO * gap
 
 
-def _scale_many(items: list[tuple[_ScaledCone, np.ndarray]]) -> list[np.ndarray]:
-    """T vec of each (cone, vec)."""
-    return _scalings(items, False)
+def within_tolerance(residuals: dict[str, float]) -> bool:
+    """Whether the "primal" and "gap" residuals of ``recheck`` are both at
+    most ``10 * FEASIBLE_TOL``."""
+    return residuals["primal"] <= 10 * FEASIBLE_TOL and residuals["gap"] <= 10 * FEASIBLE_TOL
 
 
-def _scale_adjoint_many(items: list[tuple[_ScaledCone, np.ndarray]]) -> list[np.ndarray]:
-    """T^T vec of each (cone, vec)."""
-    return _scalings(items, True)
+# -- layout of a batch -----------------------------------------------------------
 
 
-def _jordans(items: list[tuple[_ScaledCone, np.ndarray, np.ndarray]]) -> list[np.ndarray]:
-    """a o b of each (cone, a, b)."""
-    union = _union_of([cone.prog for cone, _, _ in items])
-    both = np.stack([np.concatenate([item[side] for item in items]) for side in (1, 2)])
-    out = both[0] * both[1]
-    for d, real, take, _ in union.slabs:
-        ma, mb = rvec_to_herm(both[:, take].reshape(2, -1, rvec_size(d, real)), d, real)
-        out[take] = herm_to_rvec((ma @ mb + mb @ ma) / 2, real).ravel()
-    return union.split(out)
+def _rvec_positions(n: int, real: bool) -> dict[tuple[int, int, int], int]:
+    """The rvec position of each coordinate (i, j, part) of an n x n block:
+    the diagonal (i, i, 0), then the upper entries' real parts (i, j, 0)
+    and, over the Hermitian field, their imaginary parts (i, j, 1)."""
+    iu = _herm_indices(n)[0]
+    pos = {(i, i, 0): i for i in range(n)}
+    for idx, (i, j) in enumerate(zip(*(side.tolist() for side in iu))):
+        pos[i, j, 0] = n + idx
+        if not real:
+            pos[i, j, 1] = n + len(iu[0]) + idx
+    return pos
 
 
-def _max_steps(items: list[tuple[_ScaledCone, tuple[np.ndarray, ...]]]) -> list[float]:
-    """For each (cone, directions): the largest alpha with lam + alpha d in
-    the cone for each direction d (inf if none limits it), from one stacked
-    ``eigvalsh`` per union slab.  Every item gives the same number of
-    directions."""
-    union = _union_of([cone.prog for cone, _ in items])
-    isq = np.concatenate([cone.isq for cone, _ in items])
-    sides = range(len(items[0][1]))
-    rel = np.stack([np.concatenate([dirs[j] for _, dirs in items]) for j in sides]) * isq
-    # per program, the least of 0, of its inequality slots over the
-    # directions and of its blocks' eigenvalues (eigvalsh sorts them up)
-    ext = np.concatenate(([0.0], rel.min(axis=0)))
-    low = np.minimum.reduceat(ext[union.low_take], union.low_starts).tolist()
-    for d, real, take, parts in union.slabs:
-        blocks = rvec_to_herm(rel[:, take].reshape(len(rel), -1, rvec_size(d, real)), d, real)
-        least = np.linalg.eigvalsh(blocks)[..., 0].min(axis=0)
-        rows = [row for _, _, row, _ in parts]
-        for (i, *_), value in zip(parts, np.minimum.reduceat(least, rows).tolist()):
-            low[i] = min(low[i], value)
-    return [1.0 / -v if v < 0.0 else math.inf for v in low]
+_GEOMETRY: dict[tuple[int, int, bool], tuple] = {}
 
 
-def _run_kernel(kernel, items: list) -> list:
-    """``kernel(items)``, the results in item order.  A ``LinAlgError`` of
-    the stacked call is traced to the items that cause it: each item is run
-    alone, and one whose own call raises gets its error as its result."""
-    try:
-        return kernel(items)
-    except np.linalg.LinAlgError as err:
-        if len(items) == 1:
-            return [err]
-    return [_run_kernel(kernel, [item])[0] for item in items]
+def _geometry(r: int, d: int, real: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where a sub-block's free reals sit in the rvec of its G_b: their
+    positions (off the r x r corner, ascending), and among them the index
+    of each rvec coordinate of rho'_b (in its own rvec order) and of
+    Re Z_b[a, a] for a < r."""
+    key = (r, d, real)
+    if key not in _GEOMETRY:
+        pos = _rvec_positions(r + d, real)
+        free = sorted(p for (i, j, _), p in pos.items() if j >= r)
+        index = {p: k for k, p in enumerate(free)}
+        tail = sorted(_rvec_positions(d, real).items(), key=lambda item: item[1])
+        rho = [index[pos[r + i, r + j, part]] for (i, j, part), _ in tail]
+        zdiag = [index[pos[a, r + a, 0]] for a in range(r)]
+        _GEOMETRY[key] = (np.array(free), np.array(rho), np.array(zdiag, dtype=int))
+    return _GEOMETRY[key]
 
 
-def minimize_many(probs: list[SDProblem]) -> list[SDPResult]:
-    """Primal-dual interior-point solve of each program, min <q, x> s.t.
-    G x + c in K, G_eq x + c_eq = 0 (the ``Program`` of the problem, with q
-    its objective), its results in order, with the programs stepped together.
+class _Layout:
+    """Where the blocks, scalar slots and free reals of several values sit
+    in the joined vectors of a batch; it depends on the values' shapes
+    alone (per sub-block (r, d, real), and whether there is a w).
 
-    The equalities are removed once: x = x0 + N u with N a null-space
-    basis of G_eq (full row rank) and x0 its least-norm solution, so the
-    problem is min <N^T q, u> s.t. s = A u + h in K with A = G N.
-
-    The infeasible start is u = 0, s = eta e, z = xi e, with e the identity
-    blocks and unit inequality slots, n = degree = <e, e>, a_k the columns
-    of A and q~ = N^T q:
-
-        xi  = max(10, sqrt n, n max_k (1 + |q~_k|) / (1 + |a_k|)),
-        eta = max(10, sqrt n, |h|, max_k |a_k|).
-
-    This is SDPT3's rule (Toh, Todd and Tutuncu, Optim. Methods Softw. 11,
-    1999) with its X our z, its Z our s, b = q~, C = h and A_k = a_k, so
-    the start follows the scale of the data.  Each iteration takes a
-    Mehrotra predictor-corrector step (SIAM J. Optim. 2, 1992) under
-    Nesterov-Todd scaling (SIAM J. Optim. 8, 1998; ``_ScaledCone``).  The
-    predictor solves the Newton system with
-    lam o (ds~ + dz~) = -lam o lam, the corrector with
-    sigma mu e - lam o lam - ds~_a o dz~_a, where sigma is the cube of the
-    gap ratio the predictor would reach; both share the Schur matrix
-    (T A)^T (T A).  The step goes 0.99 of the way to the boundary, at most 1,
-    with one paired ``max_step`` test of (ds~, dz~).  The primal step is
-    T^-1 ds~ = r_p + A du, read from the residual r_p = A u + h - s; the
-    dual step is T^T dz~.
-
-    The iteration works in the slab layout: A, h and e are permuted once by
-    ``Program.order``.
-    Returns "optimal" once the primal point passes ``recheck`` and the
-    dual residual |A^T z - N^T q| and the gap <s, z> are both at most
-    ``GAP_TOL`` max(1, |<q, x>|), the scale of the objective: the dual z
-    can grow large on a thin feasible set (|z| ~ 6e4 at eps 0.001), and
-    there a dual residual at the rounding level of z still bounds the
-    objective to that relative accuracy.  ``dual`` is z alone, the
-    slack-side multiplier back in the problem's own order (one rvec per
-    PSD block, then one weight per inequality).  Otherwise, after
-    ``IPM_MAX_ITER`` iterations, once the gap <s, z> exceeds the start's
-    gap eta xi degree / ``GAP_TOL`` (the iterates diverge, as on an
-    infeasible problem), or when a step's linear algebra fails (a
-    block no longer numerically positive definite), it returns
-    "maxIterations" with the last point.
-
-    Each program runs its own iteration (``_solve``) up to each slab
-    kernel: the cone's ``cholesky``, ``svd`` and ``_congruence``
-    (``_scaled_cones``), the scalings T r_p and T^T dz (``_scale_many``,
-    ``_scale_adjoint_many``), the step tests' ``eigvalsh``
-    (``_max_steps``) and the Jordan product (``_jordans``).  There it
-    waits, and the kernel runs
-    once over the blocks of every program that waits for it
-    (``_run_kernel``), one numpy call per block dimension and field.  A
-    round of the loop then makes the LAPACK calls of one program's
-    iteration, whatever the number of programs, and a program leaves the
-    batch when it stops.  A ``LinAlgError`` of a stacked call is traced to
-    the programs whose own blocks raise it, which stop as they would alone.
-
-    The scalars (residuals, gap, sigma, step length, stop tests), the
-    scaling T A (A has the program's own number of columns) and the Schur
-    solve stay per program.  The Schur system keeps its own size: padding the
-    systems to one size could change the order of LAPACK's factorisation,
-    and so make a program's bits depend on its batch.  The stacked calls do
-    not, so each program gets the iterates, status and result of its lone
-    solve (a batch of one), bit for bit.
+    Slack: one slab per (size, field), sorted, holding the G_b of that
+    size and the C_b (d > 1) of every value, value by value, each as its
+    rvec; then each value's scalar slots: the fidelity row, the caps of
+    its 1 x 1 sub-blocks, w >= 0 and t s0 - w >= 0.  Free reals: value by
+    value, each sub-block's, then t, then w.  A is in coordinate form
+    (``rows``, ``cols``, ``coef``), entries slab by slab, then slot by
+    slot, so that ``np.bincount`` adds every slot's and every real's terms
+    in the same order in any batch; ``sigma_at``, ``cap_at`` and
+    ``mass_at`` are the entries that take sigma_b's rvec, a 1 x 1 sigma_b
+    and s0.  The Schur matrices (n_v + 1 square, bordered by the trace
+    row) lie end to end, grouped by size.  Each Schur term joins two A
+    entries of one block or slot (``first``, ``second``), weighted by an
+    entry of the joined T^T T or by its slot's z / s (``weight_at``), and
+    adds to one position (``h_at``).
     """
-    solves = [_solve(prob) for prob in probs]
-    results: list = [None] * len(solves)
-    waiting: dict[int, tuple] = {}
 
-    def resume(i: int, out) -> None:
-        try:
-            if isinstance(out, np.linalg.LinAlgError):
-                waiting[i] = solves[i].throw(out)
+    def __init__(self, shapes: tuple):
+        self.n_vals = len(shapes)
+        x_lo, n_x, self.block_x = [], 0, []
+        for blocks, free in shapes:
+            x_lo.append(n_x)
+            base = []
+            for r, d, real in blocks:
+                base.append(n_x)
+                n_x += _reals(r, d, real)
+            self.block_x.append(base)
+            n_x += 1 + free
+        self.x_lo, self.n_x = np.array(x_lo + [n_x]), n_x
+        self.t_at = self.x_lo[1:] - 1 - np.array([free for _, free in shapes], dtype=int)
+        self.x_val = np.repeat(np.arange(self.n_vals), np.diff(self.x_lo))
+
+        rows, cols, coef, slot_val = [], [], [], []
+        sigma_at, cap_at, mass_at, corner, trace = [], [], [], [], []
+        terms = []  # per block or slot: (its A entries, their local slots, T^T T offset, k, value)
+        self.slabs = []  # (n, real, slots, count, k, members (value, block, is G_b))
+        self.g_slot = [[0] * len(blocks) for blocks, _ in shapes]
+        self.c_slot = [[0] * len(blocks) for blocks, _ in shapes]
+        slot = entry = k_lo = 0
+        keys = {(r + d, real) for blocks, _ in shapes for r, d, real in blocks}
+        keys |= {(d, real) for blocks, _ in shapes for _, d, real in blocks if d > 1}
+        for n, real in sorted(keys):
+            k = rvec_size(n, real)
+            members = [
+                (v, b, r + d == n)
+                for v, (blocks, _) in enumerate(shapes)
+                for b, (r, d, blk_real) in enumerate(blocks)
+                if blk_real == real and n in (r + d, d)
+            ]
+            for m, (v, b, is_g) in enumerate(members):
+                r, d, _ = shapes[v][0][b]
+                free_pos, rho, _ = _geometry(r, d, real)
+                base = slot + m * k
+                (self.g_slot if is_g else self.c_slot)[v][b] = base
+                if is_g:
+                    rows.append(base + free_pos)
+                    cols.append(self.block_x[v][b] + np.arange(len(free_pos)))
+                    coef.append(np.ones(len(free_pos)))
+                    corner.append(base + np.arange(r))
+                    mine, local = entry + np.arange(len(free_pos)), free_pos
+                else:
+                    kd = len(rho)
+                    rows += [base + np.arange(kd)] * 2
+                    cols += [self.block_x[v][b] + rho, np.full(kd, self.t_at[v])]
+                    coef += [-np.ones(kd), np.zeros(kd)]
+                    sigma_at.append(entry + kd + np.arange(kd))
+                    mine, local = entry + np.arange(2 * kd), np.tile(np.arange(kd), 2)
+                entry += len(mine)
+                terms.append((mine, local, k_lo + m * k * k, k, v))
+                slot_val.append(np.full(k, v))
+            at = slice(slot, slot + len(members) * k)
+            self.slabs.append((n, real, at, len(members), k, members))
+            slot += len(members) * k
+            k_lo += len(members) * k * k
+        self.n_psd = slot
+        fid_at = []
+        for v, (blocks, free) in enumerate(shapes):
+            t, w = self.t_at[v], self.t_at[v] + 1
+            fid_at.append(slot)
+            where = [
+                (self.block_x[v][b], _geometry(r, d, real), d)
+                for b, (r, d, real) in enumerate(blocks)
+            ]
+            z_cols = np.concatenate([base + zdiag for base, (_, _, zdiag), _ in where])
+            scalar_rows = [(z_cols, np.full(len(z_cols), 1.0 / _SQRT2))]
+            for b, (base, (_, rho, _), d) in enumerate(where):
+                trace.append(base + rho[:d])
+                if d == 1:
+                    self.c_slot[v][b] = slot + len(scalar_rows)
+                    cap_at.append(entry + sum(len(c) for c, _ in scalar_rows) + 1)
+                    scalar_rows.append((np.array([base + rho[0], t]), np.array([-1.0, 0.0])))
+            if free:
+                trace.append(np.array([w]))
+                scalar_rows.append((np.array([w]), np.ones(1)))
+                mass_at.append(entry + sum(len(c) for c, _ in scalar_rows))
+                scalar_rows.append((np.array([t, w]), np.array([0.0, -1.0])))
+            for c, f in scalar_rows:
+                rows.append(np.full(len(c), slot))
+                cols.append(c)
+                coef.append(f)
+                terms.append((entry + np.arange(len(c)), None, slot, None, v))
+                slot_val.append([v])
+                entry += len(c)
+                slot += 1
+        self.n_slots = slot
+        self.rows, self.cols, self.coef = map(np.concatenate, (rows, cols, coef))
+        self.sigma_at = np.concatenate(sigma_at) if sigma_at else np.zeros(0, dtype=int)
+        self.cap_at, self.mass_at = np.array(cap_at, dtype=int), np.array(mass_at, dtype=int)
+        self.corner, self.fid_at = np.concatenate(corner), np.array(fid_at)
+        trace = np.concatenate(trace)
+        self.etr = np.zeros(self.n_x)
+        self.etr[trace] = 1.0
+        self.slot_val = np.concatenate(slot_val)
+        self.slots_of = [np.flatnonzero(self.slot_val == v) for v in range(self.n_vals)]
+        self.scalar_starts = np.searchsorted(self.slot_val[self.n_psd :], np.arange(self.n_vals))
+
+        # per slab: each slot's eigenvalue pair (i, j) as flat indices into
+        # the slab's (members, n) eigenvalues (i = j on a diagonal slot),
+        # and where each value's run of members starts; e, the identity
+        self.e = np.zeros(self.n_slots)
+        self.e[self.n_psd :] = 1.0
+        self.slab_info = []
+        t_rows, t_cols = [], []
+        for n, real, at, count, k, members in self.slabs:
+            iu = _herm_indices(n)[0]
+            ends = [np.concatenate([np.arange(n)] + [side] * (1 if real else 2)) for side in iu]
+            pair = np.swapaxes(np.arange(count)[:, None, None] * n + np.array(ends)[None], 0, 1)
+            pair = pair.reshape(2, -1)
+            vals = np.array([v for v, _, _ in members], dtype=int)
+            starts = np.flatnonzero(np.diff(vals, prepend=-1))
+            diag = pair[0] == pair[1]
+            self.slab_info.append((n, real, at, count, k, pair, diag, vals[starts], starts))
+            self.e[at] = np.tile(np.arange(k) < n, count)
+            # T in coordinate form: each member's k x k block
+            grid = at.start + np.arange(count)[:, None, None] * k
+            t_rows.append(np.broadcast_to(grid + np.arange(k)[:, None], (count, k, k)).ravel())
+            t_cols.append(np.broadcast_to(grid + np.arange(k), (count, k, k)).ravel())
+        scalars = np.arange(self.n_psd, self.n_slots)
+        self.t_rows = np.concatenate(t_rows + [scalars])
+        self.t_cols = np.concatenate(t_cols + [scalars])
+        self.degree = np.bincount(self.slot_val, self.e, minlength=self.n_vals)
+
+        # Schur matrices: value v's is (n_v + 1) square, the last row and
+        # column its trace row; matrices of one size lie together
+        width = np.diff(self.x_lo) + 1
+        groups: dict[int, list[int]] = {}
+        for v, size in enumerate(width.tolist()):
+            groups.setdefault(size, []).append(v)
+        h_lo, self.solves, at = np.zeros(self.n_vals, dtype=int), [], 0
+        for size, vals in groups.items():
+            # the right-hand sides and solutions of this size's systems, as
+            # indices into (x reals, then one trace row per value)
+            own = [list(range(self.x_lo[v], self.x_lo[v + 1])) + [self.n_x + v] for v in vals]
+            self.solves.append((np.array(own), at, size))
+            h_lo[vals] = at + size * size * np.arange(len(vals))
+            at += size * size * len(vals)
+        self.h_size = at
+        local = self.cols - self.x_lo[self.x_val[self.cols]]
+
+        def h_at(v, a, b):
+            return h_lo[v] + a * width[v] + b
+
+        first, second, weight_at, h_pos, n_weights = [], [], [], [], k_lo
+        for mine, pos, at, k, v in terms:
+            first.append(np.repeat(mine, len(mine)))
+            second.append(np.tile(mine, len(mine)))
+            if pos is None:  # a scalar slot: its z / s, after every T^T T entry
+                weight_at.append(np.full(len(mine) ** 2, n_weights))
+                n_weights += 1
             else:
-                waiting[i] = solves[i].send(out)
-        except StopIteration as done:
-            results[i] = done.value
-            waiting.pop(i, None)
+                weight_at.append(at + (pos[:, None] * k + pos[None, :]).ravel())
+            h_pos.append(h_at(v, local[mine][:, None], local[mine][None, :]).ravel())
+        self.first, self.second = np.concatenate(first), np.concatenate(second)
+        self.weight_at, self.h_at = np.concatenate(weight_at), np.concatenate(h_pos)
+        tv = self.x_val[trace]
+        end, at = width[tv] - 1, trace - self.x_lo[tv]
+        self.border = np.concatenate([h_at(tv, at, end), h_at(tv, end, at)])
 
-    for i in range(len(solves)):
-        resume(i, None)
-    while waiting:
-        kernel = next(iter(waiting.values()))[0]
-        batch = [i for i, (k, _) in waiting.items() if k is kernel]
-        for i, out in zip(batch, _run_kernel(kernel, [waiting[i][1] for i in batch])):
-            resume(i, out)
+
+_LAYOUTS: dict[tuple, _Layout] = {}
+
+
+def _layout(shapes: tuple) -> _Layout:
+    """The ``_Layout`` of ``shapes``, built once per shapes (a pass asks for
+    the same few again and again)."""
+    lay = _LAYOUTS.get(shapes)
+    if lay is None:
+        if len(_LAYOUTS) >= 256:
+            _LAYOUTS.clear()
+        lay = _LAYOUTS[shapes] = _Layout(shapes)
+    return lay
+
+
+@dataclass
+class _State:
+    x: np.ndarray  # free reals, joined
+    y: np.ndarray  # the trace row's multiplier, per value
+    s: np.ndarray  # slack, joined
+    z: np.ndarray  # dual, joined
+
+
+class _Batch:
+    """The values still stepping: their ``_Layout`` and the data it takes
+    (A's coefficients, h, q, and the coefficient products of the Schur
+    pairs)."""
+
+    def __init__(self, balls: list[Ball]):
+        self.balls = balls
+        lay = self.lay = _layout(
+            tuple(
+                (
+                    tuple((b.rank, b.dim, b.real) for b in ball.blocks),
+                    ball.free_mass > 0.0,
+                )
+                for ball in balls
+            )
+        )
+        coef = lay.coef.copy()
+        sigmas, eigs = [np.zeros(0)], [np.zeros(0)]
+        for n, real, *_, members in lay.slabs:
+            caps = [balls[v].blocks[b].sigma for v, b, is_g in members if not is_g]
+            if caps:
+                sigmas.append(herm_to_rvec(np.stack(caps), real).ravel())
+            eigs += [balls[v].blocks[b].eigs for v, b, is_g in members if is_g]
+        coef[lay.sigma_at] = np.concatenate(sigmas)
+        coef[lay.cap_at] = [b.sigma[0, 0].real for ball in balls for b in ball.blocks if b.dim == 1]
+        coef[lay.mass_at] = [ball.free_mass for ball in balls if ball.free_mass > 0.0]
+        self.coef = coef
+        self.h = np.zeros(lay.n_slots)
+        self.h[lay.corner] = np.concatenate(eigs)
+        self.h[lay.fid_at] = [-ball.fidelity for ball in balls]
+        self.q = np.zeros(lay.n_x)
+        self.q[lay.t_at] = 1.0
+        self.pair_coef = coef[lay.first] * coef[lay.second]
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """A x over the joined slots."""
+        lay = self.lay
+        return np.bincount(lay.rows, self.coef * x[lay.cols], minlength=lay.n_slots)
+
+    def adjoint(self, y: np.ndarray) -> np.ndarray:
+        """A^T y over the joined free reals."""
+        lay = self.lay
+        return np.bincount(lay.cols, self.coef * y[lay.rows], minlength=lay.n_x)
+
+    def per_value(self, slots: np.ndarray) -> np.ndarray:
+        """Each value's sum of a vector over its slots."""
+        return np.bincount(self.lay.slot_val, slots, minlength=self.lay.n_vals)
+
+    def start(self) -> _State:
+        """SDPT3's infeasible start, per value."""
+        lay = self.lay
+        col = np.sqrt(np.bincount(lay.cols, self.coef**2, minlength=lay.n_x))
+        ratio, widest = np.zeros(lay.n_vals), np.zeros(lay.n_vals)
+        np.maximum.at(ratio, lay.x_val, (1.0 + np.abs(self.q)) / (1.0 + col))
+        np.maximum.at(widest, lay.x_val, col)
+        root = np.sqrt(lay.degree)
+        xi = np.maximum(np.maximum(10.0, root), lay.degree * ratio)
+        eta = np.maximum(np.maximum(10.0, root), np.sqrt(self.per_value(self.h**2)))
+        s, z = np.maximum(eta, widest)[lay.slot_val] * lay.e, xi[lay.slot_val] * lay.e
+        return _State(np.zeros(lay.n_x), np.zeros(lay.n_vals), s, z)
+
+    def residuals(self, st: _State) -> tuple:
+        """r_p, r_d, r_e and each value's |r_d|, gap and t."""
+        lay = self.lay
+        r_p = self.apply(st.x) + self.h - st.s
+        r_d = self.adjoint(st.z) + lay.etr * st.y[lay.x_val] - self.q
+        r_e = np.bincount(lay.x_val, lay.etr * st.x, minlength=lay.n_vals) - 1.0
+        dual = np.sqrt(np.bincount(lay.x_val, r_d * r_d, minlength=lay.n_vals))
+        return r_p, r_d, r_e, dual, self.per_value(st.s * st.z), st.x[lay.t_at]
+
+    def step(self, st: _State, r_p, r_d, r_e, gap) -> _State:
+        """One predictor-corrector step of every value."""
+        lay = self.lay
+        psd, n_slots = lay.n_psd, lay.n_slots
+        lam, mid, isq = np.empty(n_slots), np.empty(n_slots), np.empty(n_slots)
+        scales, grams = [], []
+        for n, real, at, count, k, pair, diag, _, _ in lay.slab_info:
+            s_b, z_b = rvec_to_herm(np.stack([st.s[at], st.z[at]]).reshape(2, count, k), n, real)
+            low = np.linalg.cholesky(s_b)
+            left = _ct(low) @ z_b
+            mu, vecs = np.linalg.eigh(left @ low)
+            if not (mu > 0.0).all():
+                raise np.linalg.LinAlgError("a block is not positive definite")
+            eig = np.sqrt(mu)
+            scale = _congruence((eig**-1.5)[..., None] * (_ct(vecs) @ left), real)
+            scales.append(scale.ravel())
+            grams.append((np.swapaxes(scale, -1, -2) @ scale).ravel())
+            li, lj = eig.ravel()[pair]
+            lam[at] = np.where(diag, li, 0.0)
+            mid[at] = (li + lj) / 2
+            isq[at] = np.where(diag, (1.0 / np.sqrt(li)) ** 2, 1.0 / np.sqrt(li * lj))
+        ratio = st.z[psd:] / st.s[psd:]
+        tails = np.sqrt(st.s[psd:] * st.z[psd:])
+        lam[psd:] = mid[psd:] = tails
+        isq[psd:] = 1.0 / np.sqrt(tails * tails)
+        t_vals = np.concatenate(scales + [np.sqrt(ratio)])
+        weights = np.concatenate(grams + [ratio])
+        schur = np.bincount(lay.h_at, weights[lay.weight_at] * self.pair_coef, minlength=lay.h_size)
+        schur[lay.border] = 1.0
+
+        def scaled(vec):
+            return np.bincount(lay.t_rows, t_vals * vec[lay.t_cols], minlength=n_slots)
+
+        def scaled_adjoint(vec):
+            return np.bincount(lay.t_cols, t_vals * vec[lay.t_rows], minlength=n_slots)
+
+        t_rp = scaled(r_p)
+
+        def newton(rhs):
+            v = rhs / mid
+            ext = np.concatenate([self.adjoint(scaled_adjoint(v - t_rp)) + r_d, -r_e])
+            sol = np.empty_like(ext)
+            for at, lo, size in lay.solves:
+                mats = schur[lo : lo + len(at) * size * size].reshape(len(at), size, size)
+                sol[at] = np.linalg.solve(mats, ext[at][..., None])[..., 0]
+            dz = v - t_rp - scaled(self.apply(sol[: lay.n_x]))
+            return sol[: lay.n_x], -sol[lay.n_x :], v - dz, dz
+
+        def max_step(ds, dz):
+            rel = np.stack([ds, dz]) * isq
+            low = np.minimum(0.0, np.minimum.reduceat(rel[:, psd:].min(axis=0), lay.scalar_starts))
+            for n, real, at, count, k, _, _, vals, starts in lay.slab_info:
+                blocks = rvec_to_herm(rel[:, at].reshape(2, count, k), n, real)
+                least = np.minimum.reduceat(np.linalg.eigvalsh(blocks)[..., 0].min(axis=0), starts)
+                low[vals] = np.minimum(low[vals], least)
+            out = np.full(lay.n_vals, math.inf)
+            out[low < 0.0] = -1.0 / low[low < 0.0]
+            return out
+
+        _, _, ds_a, dz_a = newton(-lam * lam)
+        alpha = np.minimum(1.0, max_step(ds_a, dz_a))[lay.slot_val]
+        sigma = (self.per_value((lam + alpha * ds_a) * (lam + alpha * dz_a)) / gap) ** 3
+        corr = ds_a * dz_a
+        for n, real, at, count, k, *_ in lay.slab_info:
+            a, b = rvec_to_herm(np.stack([ds_a[at], dz_a[at]]).reshape(2, count, k), n, real)
+            corr[at] = herm_to_rvec((a @ b + b @ a) / 2, real).ravel()
+        dx, dy, ds, dz = newton((sigma * gap / lay.degree)[lay.slot_val] * lay.e - lam * lam - corr)
+        alpha = np.minimum(1.0, STEP_TO_BOUNDARY * max_step(ds, dz))
+        a_slot = alpha[lay.slot_val]
+        return _State(
+            st.x + alpha[lay.x_val] * dx,
+            st.y + alpha * dy,
+            st.s + a_slot * (r_p + self.apply(dx)),
+            st.z + a_slot * scaled_adjoint(dz),
+        )
+
+    def point(self, st: _State, v: int) -> BallPoint:
+        """Value v's point: t, w and per group of ``Ball.shapes`` its
+        sub-blocks' (Z_b, rho'_b), read off the G_b their free reals and
+        Lambda_b make."""
+        lay, ball = self.lay, self.balls[v]
+        z, rho = [], []
+        for r, d, idx, eigs, sigma in ball.shapes:
+            real = not np.iscomplexobj(sigma)
+            free = _geometry(r, d, real)[0]
+            base = np.array([lay.block_x[v][i] for i in idx])
+            full = np.zeros((len(idx), rvec_size(r + d, real)))
+            full[:, :r] = eigs
+            full[:, free] = st.x[base[:, None] + np.arange(len(free))]
+            g = rvec_to_herm(full, r + d, real)
+            z.append(g[:, :r, r:])
+            rho.append(g[:, r:, r:])
+        t = float(st.x[lay.t_at[v]])
+        w = float(st.x[lay.t_at[v] + 1]) if ball.free_mass > 0.0 else 0.0
+        return BallPoint(t, w, z, rho)
+
+    def dual(self, st: _State, v: int) -> BallDual:
+        """Value v's dual z, per group of ``Ball.shapes``."""
+        lay, ball = self.lay, self.balls[v]
+        g, cap = [], []
+        for r, d, idx, _, sigma in ball.shapes:
+            real = not np.iscomplexobj(sigma)
+            g_at = np.array([lay.g_slot[v][i] for i in idx])[:, None]
+            c_at = np.array([lay.c_slot[v][i] for i in idx])[:, None]
+            g.append(rvec_to_herm(st.z[g_at + np.arange(rvec_size(r + d, real))], r + d, real))
+            cap.append(rvec_to_herm(st.z[c_at + np.arange(rvec_size(d, real))], d, real))
+        fid = lay.fid_at[v]
+        last = lay.slots_of[v][-2:] if ball.free_mass > 0.0 else None
+        floor, free_cap = (float(st.z[i]) for i in last) if last is not None else (0.0, 0.0)
+        return BallDual(g, cap, float(st.z[fid]), floor, free_cap)
+
+    def keep(self, st: _State, kept: list[int]) -> tuple[_Batch, _State]:
+        """The batch of the values ``kept`` (indices into this one) and their
+        state, each value's reals and slots in their own order."""
+        new = _Batch([self.balls[v] for v in kept])
+        old, lay = self.lay, new.lay
+        x, s, z = np.empty(lay.n_x), np.empty(lay.n_slots), np.empty(lay.n_slots)
+        for j, v in enumerate(kept):
+            x[lay.x_lo[j] : lay.x_lo[j + 1]] = st.x[old.x_lo[v] : old.x_lo[v + 1]]
+            s[lay.slots_of[j]] = st.s[old.slots_of[v]]
+            z[lay.slots_of[j]] = st.z[old.slots_of[v]]
+        return new, _State(x, st.y[kept], s, z)
+
+
+def _fails(batch: _Batch, st: _State, v: int) -> bool:
+    """Whether value v's step, alone, raises a ``LinAlgError``."""
+    one, own = batch.keep(st, [v])
+    r_p, r_d, r_e, _, gap, _ = one.residuals(own)
+    try:
+        one.step(own, r_p, r_d, r_e, gap)
+    except np.linalg.LinAlgError:
+        return True
+    return False
+
+
+def minimize_balls(balls: list[Ball]) -> list[BallSolve]:
+    """The interior-point solve of each ball's min t program, all stepped
+    together, each with the result of its lone solve (a batch of one), in
+    order.  "optimal" needs a point that passes ``recheck``, whose
+    residuals the result holds; ``dual`` is the last z, block by block.
+
+    Raises ``ProblemTooLarge`` when a value has more than
+    ``MAX_VAR_REALS`` free reals, before anything is built."""
+    for ball in balls:
+        reals = sum(_reals(b.rank, b.dim, b.real) for b in ball.blocks) + 1 + (ball.free_mass > 0.0)
+        if reals > MAX_VAR_REALS:
+            raise ProblemTooLarge(
+                f"problem too large for the dense Schur solve: {reals} var reals"
+                f" > MAX_VAR_REALS = {MAX_VAR_REALS}"
+            )
+    results: list = [None] * len(balls)
+    if not balls:
+        return results
+    active = list(range(len(balls)))
+    batch = _Batch(balls)
+    st = batch.start()
+    gap_start = batch.per_value(st.s * st.z)
+    it = 0
+    while active:
+        r_p, r_d, r_e, dual, gap, obj = batch.residuals(st)
+        own = [
+            {"dual": float(a), "duality_gap": float(b), "objective": float(c)}
+            for a, b, c in zip(dual, gap, obj)
+        ]
+        stopped = {}
+        for j, i in enumerate(active):
+            res, point = own[j], None
+            if max(dual[j], gap[j]) <= GAP_TOL * max(1.0, abs(obj[j])):
+                point = batch.point(st, j)
+                res.update(recheck(balls[i], point))
+                if within_tolerance(res):
+                    stopped[j] = ("optimal", res, point)
+                    continue
+            if it == IPM_MAX_ITER or gap[j] > gap_start[j] / GAP_TOL:
+                stopped[j] = ("maxIterations", res, point)
+        if not stopped:
+            try:
+                st = batch.step(st, r_p, r_d, r_e, gap)
+                it += 1
+                continue
+            except np.linalg.LinAlgError:
+                failed = [j for j in range(len(active)) if _fails(batch, st, j)]
+                for j in failed or range(len(active)):
+                    stopped[j] = ("maxIterations", own[j], None)
+        for j, (status, res, point) in stopped.items():
+            if point is None:
+                point = batch.point(st, j)
+            if "primal" not in res:
+                res.update(recheck(batch.balls[j], point))
+            results[active[j]] = BallSolve(status, it, res, point, batch.dual(st, j))
+        kept = [j for j in range(len(active)) if j not in stopped]
+        active = [active[j] for j in kept]
+        if active:
+            batch, st = batch.keep(st, kept)
+            gap_start = gap_start[kept]
     return results
-
-
-def _solve(prob: SDProblem):
-    """The iteration of ``minimize_many`` on one program, as a generator: at each
-    slab kernel it yields (kernel, item) and is sent the item's result, or
-    thrown the ``LinAlgError`` of the item's own call; it returns the
-    ``SDPResult``."""
-    if prob.objective is None:
-        raise ValueError("minimize_many needs an objective")
-    prog = Program(prob)
-    q = prog.functional(prob.objective)
-    if prog.n_eq:
-        left, sv, vh = np.linalg.svd(prog.g_eq)
-        null = vh[prog.n_eq :].T
-        x0 = -vh[: prog.n_eq].T @ ((left.T @ prog.c_eq) / sv)
-    else:
-        null, x0 = np.eye(prog.n_vars), np.zeros(prog.n_vars)
-    a = (prog.g_graph @ null)[prog.order]
-    h = (prog.g_graph @ x0 + prog.c_graph)[prog.order]
-    q_red = null.T @ q
-    e = (prog.pair[0] == prog.pair[1]).astype(float)
-    degree = float(e.sum())
-    root = math.sqrt(degree)
-    col_norms = np.linalg.norm(a, axis=0)
-    ratio = float(np.max((1.0 + np.abs(q_red)) / (1.0 + col_norms), initial=0.0))
-    xi = max(10.0, root, degree * ratio)
-    eta = max(10.0, root, float(np.linalg.norm(h)), float(np.max(col_norms, initial=0.0)))
-    u, s, z = np.zeros(null.shape[1]), eta * e, xi * e
-    gap_start = float(s @ z)
-    status, it = "maxIterations", 0
-    while True:
-        r_p = a @ u + h - s
-        r_d = a.T @ z - q_red
-        x = x0 + null @ u
-        gap = float(s @ z)
-        obj = float(q @ x) + prob.objective.const
-        res = {"dual": float(np.linalg.norm(r_d)), "duality_gap": gap, "objective": obj}
-        if max(res["dual"], gap) <= GAP_TOL * max(1.0, abs(obj)):
-            ok, checked = recheck(prob, prog.get_vars(x))
-            res.update(checked)
-            if ok:
-                status = "optimal"
-                break
-        if it == IPM_MAX_ITER or gap > gap_start / GAP_TOL:
-            break
-        try:
-            cone = yield _scaled_cones, (prog, s, z)
-            lam = cone.lam
-            m = cone.scale(a)
-            schur = m.T @ m
-            t_rp = yield _scale_many, (cone, r_p)
-
-            def newton(rhs):
-                v = rhs / cone.mid
-                du = np.linalg.solve(schur, m.T @ (v - t_rp) + r_d)
-                dz = v - t_rp - m @ du
-                return du, v - dz, dz
-
-            _, ds_a, dz_a = newton(-lam * lam)
-            alpha = min(1.0, (yield _max_steps, (cone, (ds_a, dz_a))))
-            sigma = (float((lam + alpha * ds_a) @ (lam + alpha * dz_a)) / gap) ** 3
-            corr = yield _jordans, (cone, ds_a, dz_a)
-            du, ds, dz = newton(sigma * gap / degree * e - lam * lam - corr)
-            alpha = min(1.0, STEP_TO_BOUNDARY * (yield _max_steps, (cone, (ds, dz))))
-        except np.linalg.LinAlgError:
-            break
-        u = u + alpha * du
-        s = s + alpha * (r_p + a @ du)  # = T^-1 ds~, by the linearised r_p + A du - ds = 0
-        z = z + alpha * (yield _scale_adjoint_many, (cone, dz))
-        it += 1
-    assign = prog.get_vars(x)
-    if "primal" not in res:
-        res.update(_recheck(prob, assign))
-    return SDPResult(status, assign, res, it, dual=z[np.argsort(prog.order)], program=prog)

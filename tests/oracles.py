@@ -94,6 +94,15 @@ def trace_norm_oracle(op: np.ndarray) -> float:
     return float(np.sum(np.abs(np.linalg.eigvalsh((op + op.conj().T) / 2))))
 
 
+def trace_norm_distance(a, b) -> float:
+    """||a - b||_1 of two Hermitian operators of equal dimension, from the
+    eigenvalues of their difference."""
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    if a.shape != b.shape:
+        raise ValueError("dimension mismatch")
+    return trace_norm_oracle(a - b)
+
+
 def psd_sqrt_oracle(op: np.ndarray) -> np.ndarray:
     """V sqrt(max(W, 0)) V^dag from the ``eigh`` of op's Hermitian part."""
     w, v = np.linalg.eigh((op + op.conj().T) / 2)
@@ -937,35 +946,36 @@ def ball_blocks_reference(ent, pairs) -> tuple[list, float]:
             kept = eig[sub] > 1e-12
             (sb,) = ent._real_parts(rot[sub[:, None], sub])
             if kept.any():
-                blocks.append(ent._BallBlock(f"ball{len(blocks)}", eig[sub][kept], sb))
+                blocks.append(ent.sdp.BallBlock(eig[sub][kept], sb))
             else:
                 free_mass += float(np.trace(sb).real)
     return blocks, free_mass
 
 
-def water_fill_certificates(ent, sdp, fill) -> tuple[dict, float, float, float]:
+def water_fill_certificates(ent, ref, fill) -> tuple[dict, float, float, float]:
     """Both certificates of a classical value's closed-form record
-    (``entropies._water_fill``; ``ent`` and ``sdp`` are the library's
-    modules), from the expressions of its min t program: ``_capped_ball``
-    rebuilt from the record's (lambda_b, sigma_b, s0, eps), t pinned
-    (``pin_variable``).  Returns ``sdp._recheck``'s residuals of the point
-    at t = 2^v, and the (gap, |r|) of ``farkas_from_expressions`` at
-    ``fill.t_low`` for the multipliers laid out in slack order (each
-    W_b = v_b v_b^T as its rvec, then the inequality weights), with the
-    norm of that slack: the scalar gap over it is the oracle's gap."""
+    (``entropies._water_fill``; ``ent`` is the library's entropies module,
+    ``ref`` the generic layer of ``sdp_reference``), from the expressions
+    of its min t program: ``ref.capped_ball`` rebuilt from the record's
+    (lambda_b, sigma_b, s0, eps), t pinned (``pin_variable``).  Returns
+    ``ref._recheck``'s residuals of the point at t = 2^v, and the
+    (gap, |r|) of ``farkas_from_expressions`` at ``fill.t_low`` for the
+    multipliers laid out in slack order (each W_b = v_b v_b^T as its rvec,
+    then the inequality weights), with the norm of that slack: the scalar
+    gap over it is the oracle's gap."""
     blocks = [
-        ent._BallBlock(f"ball{i}", np.array([lam]), np.array([[sig]]))
-        for i, (lam, sig) in enumerate(zip(fill.lam, fill.sig))
+        ent.sdp.BallBlock(np.array([lam]), np.array([[sig]]))
+        for lam, sig in zip(fill.lam, fill.sig)
     ]
-    prob = ent._capped_ball((blocks, fill.free_mass), fill.eps)
+    prob = ref.capped_ball((blocks, fill.free_mass), fill.eps)
     free = "w" in prob.variables
     assign = {
-        blk.var: np.array([[lam, z], [z, x]])
-        for blk, lam, z, x in zip(blocks, fill.lam, fill.z, fill.x)
+        f"ball{i}": np.array([[lam, z], [z, x]])
+        for i, (lam, z, x) in enumerate(zip(fill.lam, fill.z, fill.x))
     }
     if free:
         assign["w"] = np.full((1, 1), fill.w)
-    primal = sdp._recheck(pin_variable(prob, "t", 2.0 ** math.log2(fill.t_cap)), assign)
+    primal = ref._recheck(pin_variable(prob, "t", 2.0 ** math.log2(fill.t_cap)), assign)
     fid, floor, caps, free_cap = fill.ineq
     psd = [_herm_to_rvec_single(np.outer(v, v), real=True) for v in fill.v]
     weights = [[fid], [floor] * free, np.broadcast_to(caps, len(blocks)), [free_cap] * free]

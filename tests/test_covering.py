@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from povmcomp import covering as cov, linalg as la, qobjects as qo
+from povmcomp import covering as cov, qobjects as qo
 
 import oracles
 
@@ -98,7 +98,7 @@ class TestGoodSet:
         assert cert.prob_good > 1 - 1e-9
         assert cert.op_slack > -1e-9
         for i in cert.good:
-            assert la.trace_norm_distance(cert.primed[i], parts[i]) < 1e-6
+            assert oracles.trace_norm_distance(cert.primed[i], parts[i]) < 1e-6
 
     def test_single_part(self):
         rng = np.random.default_rng(14)
@@ -117,7 +117,7 @@ class TestGoodSet:
             target = (target + target.conj().T) / 2
             target /= np.trace(target).real
             eps = 0.05
-            assert la.trace_norm_distance(avg, target) <= eps
+            assert oracles.trace_norm_distance(avg, target) <= eps
             cert = cov.extract_good_set(parts, weights, target, eps=eps)
             checks = oracles.verify_certificate(cert, parts, weights, target)
             assert all(checks.values()), (trial, checks)
@@ -162,4 +162,4 @@ class TestGoodSet:
         assert sorted({atom_classes[i] for i in atom_cert.good}) == sorted(class_cert.good)
         for i in atom_cert.good:
             ref = class_cert.primed[atom_classes[i]]
-            assert la.trace_norm_distance(atom_cert.primed[i], ref) < 1e-8
+            assert oracles.trace_norm_distance(atom_cert.primed[i], ref) < 1e-8

@@ -11,6 +11,7 @@ from povmcomp import entropies as ent, io, linalg as la, qobjects as qo, sdp
 from povmcomp import protocols as P
 
 import oracles
+import sdp_reference as ref
 
 
 def dist(*probs, names=None):
@@ -482,7 +483,7 @@ def block_pair(rng, carried, free, zero=0):
 
 
 def min_t(prob) -> float:
-    (res,) = sdp.minimize_many([prob])
+    (res,) = ref.minimize_many([prob])
     assert res.status == "optimal"
     return float(res.assignment["t"][0, 0].real)
 
@@ -493,8 +494,9 @@ def ball(rho, sigma) -> tuple:
 
 
 def capped_ball(rho, sigma, eps):
-    """``d_max_smooth``'s min t program of the one pair (rho, sigma)."""
-    return ent._capped_ball(ball(rho, sigma), eps)
+    """``d_max_smooth``'s min t program of the one pair (rho, sigma), in
+    the reference's generic form."""
+    return ref.capped_ball(ball(rho, sigma), eps)
 
 
 def at_lam(prob, lam):
@@ -525,7 +527,7 @@ def smoothing_values(monkeypatch, run) -> list:
 
 
 def compiled(prob) -> tuple:
-    prog = sdp.Program(prob)
+    prog = ref.Program(prob)
     arrays = (prog.g_graph, prog.c_graph, prog.g_eq, prog.c_eq)
     return list(prob.variables.items()), [a.tobytes() for a in arrays]
 
@@ -673,10 +675,10 @@ def is_classical(sub_blocks) -> bool:
 
 
 def solver_batches(monkeypatch) -> list:
-    """Patch ``sdp.minimize_many`` to record the size of every batch it gets."""
-    sizes, minimize_many = [], sdp.minimize_many
+    """Patch ``sdp.minimize_balls`` to record the size of every batch it gets."""
+    sizes, minimize_balls = [], sdp.minimize_balls
     monkeypatch.setattr(
-        sdp, "minimize_many", lambda probs: (sizes.append(len(probs)), minimize_many(probs))[1]
+        sdp, "minimize_balls", lambda balls: (sizes.append(len(balls)), minimize_balls(balls))[1]
     )
     return sizes
 
@@ -723,11 +725,11 @@ class TestWaterFill:
         balls = [ent._ball_blocks(ent._cq_pairs(cq)) for cq in smoothed_cq_states]
         classical = [sub_blocks for sub_blocks in balls if is_classical(sub_blocks)]
         assert len(classical) == 20
-        solved = sdp.minimize_many([ent._capped_ball(sub_blocks, 0.1) for sub_blocks in classical])
-        for sub_blocks, res in zip(classical, solved):
+        balls = [sdp.Ball(*sub_blocks, math.sqrt(1 - 0.1**2)) for sub_blocks in classical]
+        for sub_blocks, ball, res in zip(classical, balls, sdp.minimize_balls(balls)):
             closed = ent._certified_fill(water_fill(sub_blocks, 0.1))
             # the closed form is exact; the solve's t is above the optimum
-            below = ent._certified_value(res) - closed
+            below = ent._certified_value(ball, res) - closed
             assert res.iterations > 0 and 0.0 <= below < ent.BISECT_TOL_BITS
 
     def test_values_bound_by_the_normalisation(self, smoothed_cq_states):
@@ -775,26 +777,26 @@ class TestWaterFill:
 
     def test_each_value_makes_one_recheck(self, monkeypatch):
         # the region pass: the certificate of each of the four solved values
-        # reads its solve's final recheck, the one recheck of its program,
-        # and each of the two classical values is rechecked on its scalars
+        # reads its solve's final recheck, the one recheck of its ball, and
+        # each of the two classical values is rechecked once, on its scalars
         prep = P.prepare(io.load_bundled("instrument_derived"))
-        checked, recheck = [], sdp._recheck
+        checked, recheck = [], sdp.recheck
         fills, fill_residuals = [], ent._fill_residuals
 
-        def recording_recheck(prob, assign):
-            checked.append(id(prob))
-            return recheck(prob, assign)
+        def recording_recheck(ball, point):
+            checked.append(ball)
+            return recheck(ball, point)
 
         def recording_fill_residuals(fill):
             fills.append(fill)
             return fill_residuals(fill)
 
-        monkeypatch.setattr(sdp, "_recheck", recording_recheck)
+        monkeypatch.setattr(sdp, "recheck", recording_recheck)
         monkeypatch.setattr(ent, "_fill_residuals", recording_fill_residuals)
         sizes = solver_batches(monkeypatch)
         P.one_shot_region(prep, 0.1, theta_grid=(0.5,))
         assert (sizes, len(fills)) == ([4], 2)
-        assert len(checked) == len(set(checked)) == 4
+        assert len(checked) == len({id(ball) for ball in checked}) == 4 + 2
 
 
 def water_fill(sub_blocks, eps):
@@ -807,7 +809,7 @@ def check_scalar_certificates(fill) -> dict:
     (``oracles.water_fill_certificates``): the same two verdicts, and the
     witness gap, normalised as the oracle's, within 1e-9 relative."""
     got = ent._fill_residuals(fill)
-    primal, gap, resid, norm = oracles.water_fill_certificates(ent, sdp, fill)
+    primal, gap, resid, norm = oracles.water_fill_certificates(ent, ref, fill)
     assert sdp.within_tolerance(got) == sdp.within_tolerance(primal)
     assert sdp.witness_fires(got["witness_gap"], got["witness_resid"]) == sdp.witness_fires(
         gap, resid
@@ -913,8 +915,7 @@ class TestScalarCertificates:
         def refuse(*args, **kwargs):
             raise AssertionError("a classical value built a program")
 
-        monkeypatch.setattr(sdp.Program, "__init__", refuse)
-        monkeypatch.setattr(sdp.SDProblem, "__init__", refuse)
+        monkeypatch.setattr(sdp._Batch, "__init__", refuse)
         monkeypatch.setattr(ent, "_certified_fill", lambda f: fills.append(f) or certified_fill(f))
         P.thresholds(prep, 0.1, 0.0)
         P.one_shot_region(prep, 0.1, theta_grid=(0.5,))
@@ -990,18 +991,18 @@ class TestSupportComponents:
             assert free == want_free
             assert len(blocks) == len(want_blocks)
             for got, want in zip(blocks, want_blocks):
-                assert got.var == want.var and got.sigma.dtype == want.sigma.dtype
+                assert got.sigma.dtype == want.sigma.dtype
                 assert np.array_equal(got.eigs, want.eigs)
                 assert np.array_equal(got.sigma, want.sigma)
 
 
 def assert_same_sub_blocks(got, want) -> None:
-    """Two ``_ball_blocks`` results agree to the bit: order, names,
-    spectra, sigma_b and its field, and s0."""
+    """Two ``_ball_blocks`` results agree to the bit: order, spectra,
+    sigma_b and its field, and s0."""
     (blocks, free), (want_blocks, want_free) = got, want
     assert free.hex() == want_free.hex() and len(blocks) == len(want_blocks)
     for b, w in zip(blocks, want_blocks):
-        assert b.var == w.var and b.sigma.dtype == w.sigma.dtype
+        assert b.sigma.dtype == w.sigma.dtype
         assert b.eigs.tobytes() == w.eigs.tobytes() and b.sigma.tobytes() == w.sigma.tobytes()
 
 
@@ -1045,9 +1046,9 @@ class TestBallBlocksReference:
             got, want = ent._ball_blocks(pairs), oracles.ball_blocks_reference(ent, pairs)
             assert_same_sub_blocks(got, want)
             if not is_classical(got):
-                prog, ref = (sdp.Program(ent._capped_ball(b, 0.1)) for b in (got, want))
+                prog, oracle = (ref.Program(ref.capped_ball(b, 0.1)) for b in (got, want))
                 for name in ("g_graph", "c_graph", "g_eq", "c_eq"):
-                    assert getattr(prog, name).tobytes() == getattr(ref, name).tobytes()
+                    assert getattr(prog, name).tobytes() == getattr(oracle, name).tobytes()
 
     def test_seeded_degenerate_and_complex_pairs(self):
         rng = np.random.default_rng(90)
@@ -1070,7 +1071,7 @@ class TestFoldedBall:
         folded = capped_ball(rho, sigma, eps)
         assert ("w" in folded.variables) == has_w
         t = min_t(folded)
-        want = min_t(oracles.capped_ball_per_component(sdp, rho, sigma, eps, None))
+        want = min_t(oracles.capped_ball_per_component(ref, rho, sigma, eps, None))
         assert t == pytest.approx(want, rel=1e-6)
         # d_max_smooth raises SolverError unless both certificates pass on
         # the folded program with t held
@@ -1110,16 +1111,16 @@ class TestFoldedBall:
             sub_blocks = ent._ball_blocks(pairs)
             assert sub_blocks[1] == 0.0
             for lam in (None, 0.7):
-                got = at_lam(ent._capped_ball(sub_blocks, 0.1), lam)
-                want = oracles.capped_ball_per_component(sdp, rho, sigma, 0.1, lam)
+                got = at_lam(ref.capped_ball(sub_blocks, 0.1), lam)
+                want = oracles.capped_ball_per_component(ref, rho, sigma, 0.1, lam)
                 assert list(got.variables.values()) == list(want.variables.values())
                 assert [e.dim for e in got.psd_constraints] == [e.dim for e in want.psd_constraints]
                 assert (len(got.equalities), len(got.inequalities)) == (
                     len(want.equalities),
                     len(want.inequalities),
                 )
-            want_t = min_t(oracles.capped_ball_per_component(sdp, rho, sigma, 0.1, None))
-            assert min_t(ent._capped_ball(sub_blocks, 0.1)) == pytest.approx(want_t, rel=1e-6)
+            want_t = min_t(oracles.capped_ball_per_component(ref, rho, sigma, 0.1, None))
+            assert min_t(ref.capped_ball(sub_blocks, 0.1)) == pytest.approx(want_t, rel=1e-6)
 
     def test_largest_region_program_size(self, monkeypatch):
         prep = P.prepare(io.load_bundled("instrument_derived"))
@@ -1128,10 +1129,10 @@ class TestFoldedBall:
         )
         sizes = []
         for pairs in values:
-            prog = sdp.Program(ent._capped_ball(ent._ball_blocks(pairs), 0.1))
-            ref = oracles.capped_ball_per_component(sdp, *direct_sum(pairs), 0.1, None)
-            ref = sdp.Program(ref)
-            sizes.append((ref.n_vars, prog.n_vars, collections.Counter(prog.block_dims)))
+            prog = ref.Program(ref.capped_ball(ent._ball_blocks(pairs), 0.1))
+            unsplit = oracles.capped_ball_per_component(ref, *direct_sum(pairs), 0.1, None)
+            unsplit = ref.Program(unsplit)
+            sizes.append((unsplit.n_vars, prog.n_vars, collections.Counter(prog.block_dims)))
         ref_reals, reals, blocks = max(sizes, key=lambda s: s[0])
         # real data: both programs are solved over real symmetric matrices;
         # all 9 components that carry rho commute with their sigma_c, so each
@@ -1165,35 +1166,39 @@ class TestSmoothingSolve:
 
     def test_one_build_of_the_blocks_per_value(self, monkeypatch, region_x_pairs):
         # the solve and both certificates share one classification of the
-        # components, one program and its one compile, which has the bytes
-        # of a program built from a fresh classification
-        ball_blocks, capped_ball, program = ent._ball_blocks, ent._capped_ball, sdp.Program
-        balls, built, progs = [], [], []
+        # components: the ball the solve steps and the certificates read
+        # holds the sub-blocks of the value's one ``_ball_blocks`` call
+        ball_blocks, minimize_balls, certified_value = (
+            ent._ball_blocks,
+            sdp.minimize_balls,
+            ent._certified_value,
+        )
+        built, solved, certified = [], [], []
 
         def recording_ball_blocks(pairs):
-            balls.append(ball_blocks(pairs))
-            return balls[-1]
+            built.append(ball_blocks(pairs))
+            return built[-1]
 
-        def recording_capped_ball(sub_blocks, eps):
-            built.append((sub_blocks, eps, capped_ball(sub_blocks, eps)))
-            return built[-1][-1]
+        def recording_minimize_balls(balls):
+            solved.extend(balls)
+            return minimize_balls(balls)
 
-        def recording_program(prob):
-            progs.append(program(prob))
-            return progs[-1]
+        def recording_certified_value(ball, res):
+            certified.append(ball)
+            return certified_value(ball, res)
 
         monkeypatch.setattr(ent, "_ball_blocks", recording_ball_blocks)
-        monkeypatch.setattr(ent, "_capped_ball", recording_capped_ball)
-        monkeypatch.setattr(sdp, "Program", recording_program)
+        monkeypatch.setattr(sdp, "minimize_balls", recording_minimize_balls)
+        monkeypatch.setattr(ent, "_certified_value", recording_certified_value)
         for rho, sigma in region_x_pairs:
             ent.d_max_smooth(rho, sigma, 0.1)
         monkeypatch.undo()
-        # the classical value among them builds no program
-        solved = [(pair, b) for pair, b in zip(region_x_pairs, balls) if not is_classical(b)]
-        assert (len(balls), len(solved), len(built), len(progs)) == (3, 2, 2, 2)
-        for (pair, sub_blocks), (b, eps, prob), prog in zip(solved, built, progs):
-            assert b is sub_blocks and prog.prob is prob
-            assert compiled(prob) == compiled(capped_ball(ball_blocks([pair]), eps))
+        # the classical value among them goes to no solve
+        kept = [b for b in built if not is_classical(b)]
+        assert (len(built), len(kept), len(solved), len(certified)) == (3, 2, 2, 2)
+        for sub_blocks, ball, checked in zip(kept, solved, certified):
+            assert ball is checked and ball.blocks is sub_blocks[0]
+            assert ball.free_mass == sub_blocks[1]
 
     def test_certificates_decide_whatever_the_status(self, monkeypatch, region_x_pairs):
         # a solve reported "maxIterations" whose point and dual pass both
@@ -1203,7 +1208,7 @@ class TestSmoothingSolve:
         want = ent.d_max_smooth(rho, sigma, 0.1)
         stalled_solves(monkeypatch, lambda res: {})
         assert ent.d_max_smooth(rho, sigma, 0.1).hex() == want.hex()
-        stalled_solves(monkeypatch, lambda res: {"dual": res.dual * 0.0})
+        stalled_solves(monkeypatch, lambda res: {"dual": zeroed(res.dual)})
         with pytest.raises(ent.SolverError, match="not certified infeasible " + STALLED) as err:
             ent.d_max_smooth(rho, sigma, 0.1)
         # the error carries both certificates: the point still passes
@@ -1220,8 +1225,7 @@ class TestSmoothingSolve:
         rho, sigma = region_x_pairs[0]
 
         def halved(res):
-            halved_t = {**res.assignment, "t": 0.5 * res.assignment["t"]}
-            return {"assignment": halved_t, "residuals": {}}
+            return {"point": dataclasses.replace(res.point, t=0.5 * res.point.t), "residuals": {}}
 
         stalled_solves(monkeypatch, halved)
         with pytest.raises(ent.SolverError, match="not certified feasible " + STALLED) as err:
@@ -1239,7 +1243,7 @@ class TestSmoothingSolve:
 
         def no_t(res):
             stalled.append(res)
-            return {"assignment": {**res.assignment, "t": np.full_like(res.assignment["t"], t)}}
+            return {"point": dataclasses.replace(res.point, t=t)}
 
         stalled_solves(monkeypatch, no_t)
         with pytest.raises(ent.SolverError, match=f"solve gave t = {t} " + STALLED) as err:
@@ -1251,17 +1255,22 @@ STALLED = r"\(solve ended maxIterations after \d+ iterations\)"
 
 
 def stalled_solves(monkeypatch, change) -> None:
-    """Patch ``sdp.minimize_many`` to report each solve "maxIterations",
+    """Patch ``sdp.minimize_balls`` to report each solve "maxIterations",
     with the fields that ``change(result)`` returns replaced."""
-    minimize_many = sdp.minimize_many
+    minimize_balls = sdp.minimize_balls
 
-    def stalled(probs):
+    def stalled(balls):
         return [
             dataclasses.replace(res, status="maxIterations", **change(res))
-            for res in minimize_many(probs)
+            for res in minimize_balls(balls)
         ]
 
-    monkeypatch.setattr(sdp, "minimize_many", stalled)
+    monkeypatch.setattr(sdp, "minimize_balls", stalled)
+
+
+def zeroed(dual):
+    """A ``sdp.BallDual`` of the same shape with every entry 0."""
+    return sdp.BallDual([0.0 * m for m in dual.g], [0.0 * m for m in dual.cap], 0.0, 0.0, 0.0)
 
 
 def phased(rho, sigma) -> tuple:
@@ -1307,8 +1316,8 @@ class TestRealField:
         # its phases, so the phased program is Hermitian exactly when some
         # component does not commute; then every block's variable has d^2
         # reals, else d(d+1)/2
-        real = sdp.Program(capped_ball(rho, sigma, eps))
-        herm = sdp.Program(capped_ball(*phased(rho, sigma), eps))
+        real = ref.Program(capped_ball(rho, sigma, eps))
+        herm = ref.Program(capped_ball(*phased(rho, sigma), eps))
         assert real.real and herm.real == all_components_commute(rho, sigma)
         assert herm.n_vars == sum(sdp.rvec_size(d, herm.real) for d in herm.prob.variables.values())
         assert real.n_vars == sum(d * (d + 1) // 2 for d in real.prob.variables.values())
@@ -1359,8 +1368,8 @@ class TestRealField:
         assert values
         for pairs in values:
             for lam in (None, 0.4):
-                prob = ent._capped_ball(ent._ball_blocks(pairs), 0.1)
-                assert sdp.Program(at_lam(prob, lam)).real
+                prob = ref.capped_ball(ent._ball_blocks(pairs), 0.1)
+                assert ref.Program(at_lam(prob, lam)).real
 
 
 class TestEigenbasisSplit:
@@ -1371,7 +1380,7 @@ class TestEigenbasisSplit:
     @staticmethod
     def check_oracle_parity(pairs, eps):
         """The value of the direct sum of ``pairs`` against the oracle's."""
-        prob = oracles.capped_ball_per_component(sdp, *direct_sum(pairs), eps, None)
+        prob = oracles.capped_ball_per_component(ref, *direct_sum(pairs), eps, None)
         # the value is certified: a failed certificate raises SolverError
         assert abs(ent._d_max_smooth_many([pairs], eps)[0] - math.log2(min_t(prob))) <= 1e-6
 
@@ -1407,7 +1416,7 @@ class TestEigenbasisSplit:
         # and every corner's imaginary parts are pinned
         mixed = 0
         for rho, sigma, eps in classical_copy_pairs():
-            prog = sdp.Program(capped_ball(rho, sigma, eps))
+            prog = ref.Program(capped_ball(rho, sigma, eps))
             assert len(prog.prob.equalities) == corner_pins(rho, sigma, prog.real)
             blocks = ball(rho, sigma)[0]
             kinds = {np.iscomplexobj(b.sigma) for b in blocks}
@@ -1464,6 +1473,76 @@ def smoothed_cq_states() -> list:
             P.one_shot_region(prep, 0.1, theta_grid=(0.5,))
     assert len(states) == 39
     return states
+
+
+def complex_balls() -> list:
+    """Seeded (rho, sigma, eps) whose sub-blocks carry complex sigma_b: a
+    random complex state of rank 1 to 3 against a random complex density,
+    alone (no rho-free component, so no w) or beside a block where only
+    sigma lives (s0 > 0, so w)."""
+    rng = np.random.default_rng(71)
+    out = []
+    shapes = ((2, 1, False, 0.1), (3, 2, False, 0.05), (3, 1, True, 0.1), (4, 3, True, 0.2))
+    for d, rank, free, eps in shapes:
+        rho, sigma = oracles.random_density(rng, d, rank), oracles.random_density(rng, d)
+        if free:
+            rho = scipy.linalg.block_diag(rho, np.zeros((2, 2)))
+            sigma = scipy.linalg.block_diag(sigma, oracles.random_density(rng, 2)) / 2
+        out.append((rho, sigma, eps))
+    return out
+
+
+class TestBlockForm:
+    """``sdp.minimize_balls`` and its block-form certificates against the
+    reference's generic solve of the same program (``sdp_reference``)."""
+
+    @staticmethod
+    def check(ball, eps) -> None:
+        (res,) = sdp.minimize_balls([ball])
+        value = ent._certified_value(ball, res)
+        prob = ref.capped_ball((ball.blocks, ball.free_mass), eps)
+        (want,) = ref.minimize_many([prob])
+        assert want.status == "optimal"
+        top = math.log2(float(want.assignment["t"][0, 0].real))
+        # the reference certifies (top - BISECT_TOL_BITS, top]; the two
+        # solves take the same iteration, so the values differ by round-off
+        # (at most 8.4e-14 bits on the bundled values), which may put the
+        # block form's just above top
+        assert top - ent.BISECT_TOL_BITS < value <= top + 1e-12
+        assert res.iterations == want.iterations
+        # the block-form recheck of the point at 2^v and witness of the
+        # projected dual at 2^(v - BISECT_TOL_BITS) are the reference's
+        # recheck and Farkas witness of the same point and dual on its own
+        # compile, both certificates pass on both sides
+        point = dataclasses.replace(res.point, t=2.0**value)
+        got = sdp.recheck(ball, point)
+        pinned = oracles.pin_variable(prob, "t", 2.0**value)
+        oracle = ref._recheck(pinned, ref.assignment_of(ball, point))
+        for key in ("primal", "gap"):
+            assert got[key] == pytest.approx(oracle[key], rel=1e-9, abs=1e-15)
+        low = 2.0 ** (value - ent.BISECT_TOL_BITS)
+        gap, resid = sdp.witness(ball, sdp.project(res.dual), low)
+        slack = ref.slack_of(ball, res.dual)
+        want_gap, want_resid = ref.Program(prob).farkas(slack, {"t": low})[2:]
+        assert gap == pytest.approx(want_gap, rel=1e-9)
+        assert resid == pytest.approx(want_resid, rel=1e-9)
+        assert sdp.within_tolerance(got) and sdp.witness_fires(gap, resid)
+
+    def test_bundled_interior_point_values(self, smoothed_cq_states):
+        subs = [ent._ball_blocks(ent._cq_pairs(cq)) for cq in smoothed_cq_states]
+        solved = [sdp.Ball(*sub, math.sqrt(1 - 0.1**2)) for sub in subs if not is_classical(sub)]
+        assert len(solved) == 19
+        for value in solved:
+            self.check(value, 0.1)
+
+    def test_seeded_complex_sigma_with_and_without_w(self):
+        kinds = set()
+        for rho, sigma, eps in complex_balls():
+            value = sdp.Ball(*ball(rho, sigma), math.sqrt(1 - eps * eps))
+            assert any(np.iscomplexobj(b.sigma) for b in value.blocks)
+            kinds.add(value.free_mass > 0.0)
+            self.check(value, eps)
+        assert kinds == {False, True}
 
 
 class TestCqPath:

@@ -18,6 +18,7 @@ from povmcomp.protocols.compress import ABORT, SCENARIOS
 from povmcomp.protocols.hashing import HashScheme
 
 import oracles
+import sdp_reference as ref
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -84,7 +85,7 @@ def test_block_distance_is_the_same_in_every_process():
 
 
 # Golden pins: every value below was recorded as float.hex at eps 0.1,
-# seed 1 and log_const 0, with the status of every ``sdp.minimize_many`` solve
+# seed 1 and log_const 0, with the status of every ``sdp.minimize_balls`` solve
 # of ``thresholds`` in call order (``python tests/test_protocols.py`` rewrites
 # the file and prints each pin it moves, with its Δ).  Codebook plans come
 # from explicit integer budgets, not from budget_from_thresholds; the X links
@@ -111,15 +112,16 @@ def _hex(values) -> dict | list:
 
 def _certified_solves(run):
     """``run()``'s output and, per smooth D_max it certified, in call order:
-    (its value, its ``sdp.minimize_many`` result or, for a classical value,
-    its ``entropies._water_fill`` record).  Every value goes through
-    ``entropies._certified_value`` or ``entropies._certified_fill``."""
+    (its value, its ``sdp.minimize_balls`` result and ``sdp.Ball`` or, for
+    a classical value, its ``entropies._water_fill`` record).  Every value
+    goes through ``entropies._certified_value`` or
+    ``entropies._certified_fill``."""
     solves = []
 
     def recording(certify):
-        def certified(res):
-            value = certify(res)
-            solves.append((value, res))
+        def certified(*args):
+            value = certify(*args)
+            solves.append((value, args))
             return value
 
         return certified
@@ -141,18 +143,21 @@ def _solve_instance(name: str):
 
 def _check_certificates(solves) -> None:
     """Both certificates of every value v, checked again from the
-    expressions of its program with t pinned (``oracles.pin_variable``):
-    the point is feasible at t = 2^v, and the dual is a Farkas witness at
-    t = 2^(v - BISECT_TOL_BITS).  A classical value's program is rebuilt
-    from its record (``oracles.water_fill_certificates``)."""
-    for value, res in solves:
-        if isinstance(res, ent._WaterFill):
-            primal, gap, resid, _ = oracles.water_fill_certificates(ent, sdp, res)
+    expressions of the reference program (``sdp_reference.capped_ball``)
+    with t pinned (``oracles.pin_variable``): the point is feasible at
+    t = 2^v, and the dual is a Farkas witness at t = 2^(v - BISECT_TOL_BITS).
+    A classical value's program is rebuilt from its record
+    (``oracles.water_fill_certificates``)."""
+    for value, args in solves:
+        if isinstance(args[0], ent._WaterFill):
+            primal, gap, resid, _ = oracles.water_fill_certificates(ent, ref, args[0])
         else:
-            prob = res.program.prob
-            primal = sdp._recheck(oracles.pin_variable(prob, "t", 2.0**value), res.assignment)
+            ball, res = args
+            prob = ref.capped_ball((ball.blocks, ball.free_mass), GOLDEN_EPS)
+            assign = ref.assignment_of(ball, res.point)
+            primal = ref._recheck(oracles.pin_variable(prob, "t", 2.0**value), assign)
             lo = oracles.pin_variable(prob, "t", 2.0 ** (value - ent.BISECT_TOL_BITS))
-            gap, resid = oracles.farkas_from_expressions(lo, res.dual)
+            gap, resid = oracles.farkas_from_expressions(lo, ref.slack_of(ball, res.dual))
         assert primal["primal"] <= 10 * sdp.FEASIBLE_TOL and primal["gap"] <= 10 * sdp.FEASIBLE_TOL
         assert gap > 0 and resid <= sdp.WITNESS_RATIO * gap
 
@@ -160,7 +165,7 @@ def _check_certificates(solves) -> None:
 def _threshold_pins(th: dict, solves) -> dict:
     """The thresholds and each value's status; a closed-form value's is
     "optimal"."""
-    statuses = [getattr(res, "status", "optimal") for _, res in solves]
+    statuses = [getattr(args[-1], "status", "optimal") for _, args in solves]
     return {"thresholds": _hex(th), "statuses": statuses}
 
 

@@ -11,15 +11,16 @@ from povmcomp import protocols as P
 from povmcomp.protocols import prep as prep_mod
 
 import oracles
+import sdp_reference as ref
 
 
 def box_problem(dim, target_trace):
     """X PSD, X <= I, Tr X = target_trace"""
-    prob = sdp.SDProblem()
+    prob = ref.SDProblem()
     prob.add_var("X", dim)
-    prob.require_psd(sdp.AffineExpr.zero(dim).plus_var("X"))
-    prob.require_psd(oracles.const_expr(sdp, np.eye(dim)).plus_var("X", -1.0))
-    prob.require_eq(sdp.trace_functional("X", dim, const=-float(target_trace)))
+    prob.require_psd(ref.AffineExpr.zero(dim).plus_var("X"))
+    prob.require_psd(oracles.const_expr(ref, np.eye(dim)).plus_var("X", -1.0))
+    prob.require_eq(ref.trace_functional("X", dim, const=-float(target_trace)))
     return prob
 
 
@@ -27,7 +28,7 @@ def box_with_objective(dim, target_trace):
     """box_problem with the objective Tr X, which its trace equality holds
     constant: a feasibility problem for ``minimize_many``."""
     prob = box_problem(dim, target_trace)
-    prob.objective = sdp.trace_functional("X", dim)
+    prob.objective = ref.trace_functional("X", dim)
     return prob
 
 
@@ -35,13 +36,13 @@ def box_min_t(dim, target_trace):
     """box_problem with its cap I relaxed to t I, and min t: the optimum is
     target_trace / dim, so box_problem(dim, target_trace) is feasible iff
     that is at most 1."""
-    prob = sdp.SDProblem()
+    prob = ref.SDProblem()
     prob.add_var("X", dim)
     prob.add_var("t", 1)
-    prob.require_psd(sdp.AffineExpr.zero(dim).plus_var("X"))
-    prob.require_psd(sdp.AffineExpr.zero(dim).plus_kron(np.eye(dim), "t").plus_var("X", -1.0))
-    prob.require_eq(sdp.trace_functional("X", dim, const=-float(target_trace)))
-    prob.objective = sdp.trace_functional("t", 1)
+    prob.require_psd(ref.AffineExpr.zero(dim).plus_var("X"))
+    prob.require_psd(ref.AffineExpr.zero(dim).plus_kron(np.eye(dim), "t").plus_var("X", -1.0))
+    prob.require_eq(ref.trace_functional("X", dim, const=-float(target_trace)))
+    prob.objective = ref.trace_functional("t", 1)
     return prob
 
 
@@ -49,25 +50,25 @@ def feasibility_problem(which):
     """A problem with the objective Tr X, which its constraints fix ("box")
     or bound below (the others), so that ``minimize_many`` finds a feasible point."""
     prob = kernel_problem(which)
-    prob.objective = sdp.trace_functional("X", prob.variables["X"])
+    prob.objective = ref.trace_functional("X", prob.variables["X"])
     return prob
 
 
 def interleaved_blocks_problem():
     """PSD blocks of dimensions 2, 3, 2, 4, 3 in that order, plus two
     scalar inequalities."""
-    prob = sdp.SDProblem()
+    prob = ref.SDProblem()
     prob.add_var("X", 2)
     prob.add_var("Y", 3)
     prob.add_var("W", 4)
-    prob.require_psd(sdp.AffineExpr.zero(2).plus_var("X"))
-    prob.require_psd(sdp.AffineExpr.zero(3).plus_var("Y"))
-    prob.require_psd(oracles.const_expr(sdp, np.eye(2)).plus_var("X", -1.0))
-    prob.require_psd(sdp.AffineExpr.zero(4).plus_var("W"))
-    prob.require_psd(oracles.const_expr(sdp, np.eye(3)).plus_var("Y", -1.0))
-    prob.require_geq(sdp.trace_functional("X", 2, const=-0.5))
-    prob.require_geq(sdp.trace_functional("W", 4, coeff=-1.0, const=2.0))
-    prob.require_eq(sdp.trace_functional("Y", 3, const=-1.0))
+    prob.require_psd(ref.AffineExpr.zero(2).plus_var("X"))
+    prob.require_psd(ref.AffineExpr.zero(3).plus_var("Y"))
+    prob.require_psd(oracles.const_expr(ref, np.eye(2)).plus_var("X", -1.0))
+    prob.require_psd(ref.AffineExpr.zero(4).plus_var("W"))
+    prob.require_psd(oracles.const_expr(ref, np.eye(3)).plus_var("Y", -1.0))
+    prob.require_geq(ref.trace_functional("X", 2, const=-0.5))
+    prob.require_geq(ref.trace_functional("W", 4, coeff=-1.0, const=2.0))
+    prob.require_eq(ref.trace_functional("Y", 3, const=-1.0))
     return prob
 
 
@@ -79,7 +80,7 @@ def mixed_rows_problem():
     rng = np.random.default_rng(12)
     f = {lab: oracles.random_hermitian(rng, d) / 10 for lab, d in prob.variables.items()}
     terms = (("W", f["W"]), ("Y", f["Y"]), ("X", f["X"]), ("W", -f["W"] / 3))
-    prob.require_geq(sdp.ScalarExpr(3.0, terms))
+    prob.require_geq(ref.ScalarExpr(3.0, terms))
     return prob
 
 
@@ -90,13 +91,14 @@ def marginals_product(rho, dims):
 
 
 def minimize(prob):
-    """``sdp.minimize_many`` of the one program."""
-    return sdp.minimize_many([prob])[0]
+    """``ref.minimize_many`` of the one program."""
+    return ref.minimize_many([prob])[0]
 
 
 def capped_ball(rho, sigma, eps):
-    """``d_max_smooth``'s min t program of the one pair (rho, sigma)."""
-    return ent._capped_ball(ent._ball_blocks([(rho, sigma)]), eps)
+    """``d_max_smooth``'s min t program of the one pair (rho, sigma), in
+    the reference's generic form."""
+    return ref.capped_ball(ent._ball_blocks([(rho, sigma)]), eps)
 
 
 def capped_ball_at(rho, sigma, eps, lam):
@@ -145,10 +147,10 @@ def test_field_follows_the_data(which):
     # commute with it).  Each keeps its field's reals per
     # variable: d(d+1)/2 real symmetric, d^2 Hermitian
     prob = kernel_problem(which)
-    prog = sdp.Program(prob)
+    prog = ref.Program(prob)
     assert prog.real == (which in ("box", "interleaved")) == oracles.problem_is_real(prob)
-    assert prog.n_vars == sum(sdp.rvec_size(d, prog.real) for d in prob.variables.values())
-    assert prog.n_graph == sum(sdp.rvec_size(e.dim, prog.real) for e in prob.psd_constraints) + len(
+    assert prog.n_vars == sum(ref.rvec_size(d, prog.real) for d in prob.variables.values())
+    assert prog.n_graph == sum(ref.rvec_size(e.dim, prog.real) for e in prob.psd_constraints) + len(
         prob.inequalities
     )
 
@@ -162,20 +164,20 @@ def test_add_var_rejects_a_duplicate_label():
 
 
 def fires(gap, resid):
-    return gap > 0 and resid <= sdp.WITNESS_RATIO * gap
+    return gap > 0 and resid <= ref.WITNESS_RATIO * gap
 
 
 class TestAdjoints:
     def test_probed_linear_map_matches_terms(self):
         rng = np.random.default_rng(0)
         prob = kernel_problem("min_t")
-        prog = sdp.Program(prob)
+        prog = ref.Program(prob)
         for _ in range(5):
             assign = {lab: oracles.random_hermitian(rng, d) for lab, d in prob.variables.items()}
-            x = np.concatenate([sdp.herm_to_rvec(assign[lab]) for lab in prob.variables])
+            x = np.concatenate([ref.herm_to_rvec(assign[lab]) for lab in prob.variables])
             probed = prog.g_graph[: prog.n_psd] @ x
             direct = np.concatenate(
-                [sdp.herm_to_rvec(oracles.linear_part(e, assign)) for e in prob.psd_constraints]
+                [ref.herm_to_rvec(oracles.linear_part(e, assign)) for e in prob.psd_constraints]
             )
             assert np.max(np.abs(probed - direct)) < 1e-10
 
@@ -188,12 +190,12 @@ class TestBatchedCone:
         rng = np.random.default_rng(6)
         for d in (1, 2, 3, 5):
             mats = np.stack([oracles.random_hermitian(rng, d) for _ in range(4)])
-            vecs = sdp.herm_to_rvec(mats)
+            vecs = ref.herm_to_rvec(mats)
             assert vecs.shape == (4, d * d)
-            assert np.array_equal(vecs, np.stack([sdp.herm_to_rvec(m) for m in mats]))
-            back = sdp.rvec_to_herm(vecs, d)
+            assert np.array_equal(vecs, np.stack([ref.herm_to_rvec(m) for m in mats]))
+            back = ref.rvec_to_herm(vecs, d)
             assert back.shape == (4, d, d)
-            assert np.array_equal(back, np.stack([sdp.rvec_to_herm(v, d) for v in vecs]))
+            assert np.array_equal(back, np.stack([ref.rvec_to_herm(v, d) for v in vecs]))
             assert np.allclose(back, mats, atol=1e-14)
 
     def test_projection_matches_per_block_oracle(self):
@@ -201,12 +203,12 @@ class TestBatchedCone:
         # in mixed_rows), over the real field and the Hermitian one
         rng = np.random.default_rng(7)
         for prob, real in ((interleaved_blocks_problem(), True), (mixed_rows_problem(), False)):
-            prog = sdp.Program(prob)
+            prog = ref.Program(prob)
             assert prog.block_dims == [2, 3, 2, 4, 3] and prog.real == real
             for _ in range(20):
                 slack = rng.normal(size=prog.n_graph)
                 blocks, weights = oracles.clip_slack_per_block(prob, slack)
-                want = np.concatenate([sdp.herm_to_rvec(b, real) for b in blocks] + [weights])
+                want = np.concatenate([ref.herm_to_rvec(b, real) for b in blocks] + [weights])
                 assert np.max(np.abs(prog.farkas(slack)[0] - want)) <= 1e-14
 
 
@@ -217,7 +219,7 @@ def random_interior(prog, rng):
     point = rng.uniform(0.5, 1.5, size=prog.n_graph)
     for d, lo, n in prog.slabs:
         g = rng.normal(size=(n, d, d)) + (0 if prog.real else 1j) * rng.normal(size=(n, d, d))
-        blocks = sdp.herm_to_rvec(g @ np.conj(np.swapaxes(g, -1, -2)) + np.eye(d), prog.real)
+        blocks = ref.herm_to_rvec(g @ np.conj(np.swapaxes(g, -1, -2)) + np.eye(d), prog.real)
         point[lo : lo + blocks.size] = blocks.ravel()
     return point
 
@@ -230,33 +232,33 @@ class TestIterationKernels:
         rng = np.random.default_rng(20)
         for d in range(1, 6):
             mats = np.stack([oracles.random_hermitian(rng, d) for _ in range(6)])
-            vecs = sdp.herm_to_rvec(mats)
-            assert np.max(np.abs(sdp.rvec_to_herm(vecs, d) - mats)) <= 1e-14
+            vecs = ref.herm_to_rvec(mats)
+            assert np.max(np.abs(ref.rvec_to_herm(vecs, d) - mats)) <= 1e-14
             raw = rng.normal(size=(6, d * d))
-            assert np.max(np.abs(sdp.herm_to_rvec(sdp.rvec_to_herm(raw, d)) - raw)) <= 1e-14
+            assert np.max(np.abs(ref.herm_to_rvec(ref.rvec_to_herm(raw, d)) - raw)) <= 1e-14
             # isometric: <rvec A, rvec B> = Re Tr[A^H B] for every pair
             gram = np.real(np.einsum("aij,bij->ab", mats.conj(), mats))
             assert np.max(np.abs(vecs @ vecs.T - gram)) <= 1e-12
             for m, v, r in zip(mats, vecs, raw):
                 assert np.max(np.abs(v - oracles._herm_to_rvec_single(m))) <= 1e-14
-                back = sdp.rvec_to_herm(r, d)
+                back = ref.rvec_to_herm(r, d)
                 assert np.max(np.abs(back - oracles._rvec_to_herm_single(r, d))) <= 1e-14
             # the real field: the Hermitian rvec of a real symmetric matrix
             # without its imaginary coordinates, which are 0
-            k = sdp.rvec_size(d, True)
+            k = ref.rvec_size(d, True)
             sym = np.real(mats)
-            real_vecs = sdp.herm_to_rvec(sym, True)
+            real_vecs = ref.herm_to_rvec(sym, True)
             assert real_vecs.shape == (6, k) == (6, d * (d + 1) // 2)
-            assert np.array_equal(real_vecs, sdp.herm_to_rvec(sym.astype(complex))[:, :k])
-            assert not np.any(sdp.herm_to_rvec(sym.astype(complex))[:, k:])
-            assert sdp.rvec_to_herm(real_vecs, d, True).dtype == np.float64
-            assert np.max(np.abs(sdp.rvec_to_herm(real_vecs, d, True) - sym)) <= 1e-14
+            assert np.array_equal(real_vecs, ref.herm_to_rvec(sym.astype(complex))[:, :k])
+            assert not np.any(ref.herm_to_rvec(sym.astype(complex))[:, k:])
+            assert ref.rvec_to_herm(real_vecs, d, True).dtype == np.float64
+            assert np.max(np.abs(ref.rvec_to_herm(real_vecs, d, True) - sym)) <= 1e-14
             gram = np.einsum("aij,bij->ab", sym, sym)
             assert np.max(np.abs(real_vecs @ real_vecs.T - gram)) <= 1e-12
             for m, r in zip(sym, raw[:, :k]):
                 want = oracles._herm_to_rvec_single(m, True)
-                assert np.array_equal(sdp.herm_to_rvec(m, True), want)
-                back = sdp.rvec_to_herm(r, d, True)
+                assert np.array_equal(ref.herm_to_rvec(m, True), want)
+                back = ref.rvec_to_herm(r, d, True)
                 assert np.max(np.abs(back - oracles._rvec_to_herm_single(r, d, True))) <= 1e-14
 
     def test_congruence_acts_on_rvecs(self):
@@ -264,26 +266,26 @@ class TestIterationKernels:
         for d in range(1, 6):
             c = rng.normal(size=(3, d, d)) + 1j * rng.normal(size=(3, d, d))
             mats = np.stack([oracles.random_hermitian(rng, d) for _ in range(3)])
-            got = (sdp._congruence(c) @ sdp.herm_to_rvec(mats)[..., None])[..., 0]
-            want = sdp.herm_to_rvec(c @ mats @ np.conj(np.swapaxes(c, -1, -2)))
+            got = (ref._congruence(c) @ ref.herm_to_rvec(mats)[..., None])[..., 0]
+            want = ref.herm_to_rvec(c @ mats @ np.conj(np.swapaxes(c, -1, -2)))
             assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
             # over the real field, for a real C
             c, mats = np.real(c), np.real(mats)
-            got = (sdp._congruence(c, True) @ sdp.herm_to_rvec(mats, True)[..., None])[..., 0]
-            want = sdp.herm_to_rvec(c @ mats @ np.swapaxes(c, -1, -2), True)
-            assert got.shape == (3, sdp.rvec_size(d, True))
+            got = (ref._congruence(c, True) @ ref.herm_to_rvec(mats, True)[..., None])[..., 0]
+            want = ref.herm_to_rvec(c @ mats @ np.swapaxes(c, -1, -2), True)
+            assert got.shape == (3, ref.rvec_size(d, True))
             assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
     def test_paired_step_is_the_shorter_single_step(self):
-        prog = sdp.Program(interleaved_blocks_problem())
+        prog = ref.Program(interleaved_blocks_problem())
         rng = np.random.default_rng(22)
         for _ in range(20):
             s, z = random_interior(prog, rng), random_interior(prog, rng)
-            (cone,) = sdp._scaled_cones([(prog, s, z)])
+            (cone,) = ref._scaled_cones([(prog, s, z)])
             a, b = rng.normal(size=(2, prog.n_graph))
 
             def max_step(*directions):
-                return sdp._max_steps([(cone, directions)])[0]
+                return ref._max_steps([(cone, directions)])[0]
 
             assert max_step(a, b) == min(max_step(a), max_step(b))
             # a direction into the cone never limits the step
@@ -294,7 +296,7 @@ class TestIterationKernels:
         """On the min t program of qubit_entangled_side_info's smooth I_max,
         each step s takes, r_p + A du, is T^-1 ds~ of the corrector's
         direction at that iterate's scaling."""
-        scaled_cones, max_steps = sdp._scaled_cones, sdp._max_steps
+        scaled_cones, max_steps = ref._scaled_cones, ref._max_steps
         cones = []
 
         def recording_cones(items):
@@ -309,16 +311,16 @@ class TestIterationKernels:
                 cone.directions.append(directions)
             return max_steps(items)
 
-        monkeypatch.setattr(sdp, "_scaled_cones", recording_cones)
-        monkeypatch.setattr(sdp, "_max_steps", recording_steps)
+        monkeypatch.setattr(ref, "_scaled_cones", recording_cones)
+        monkeypatch.setattr(ref, "_max_steps", recording_steps)
         res = minimize(capped_ball(*env_state_pair(), 0.1))
         assert res.status == "optimal" and len(cones) == res.iterations > 10
         for cone, following in zip(cones, cones[1:]):
             ds, dz = cone.directions[-1]
-            alpha = min(1.0, sdp.STEP_TO_BOUNDARY * max_steps([(cone, (ds, dz))])[0])
+            alpha = min(1.0, ref.STEP_TO_BOUNDARY * max_steps([(cone, (ds, dz))])[0])
             unscaled = ds / np.concatenate([np.ones(cone.n_psd), cone.t_scalar])
             for (d, lo, n), scale in zip(cone.slabs, cone.scales):
-                k = sdp.rvec_size(d, cone.real)
+                k = ref.rvec_size(d, cone.real)
                 blocks = ds[lo : lo + n * k].reshape(n, k, 1)
                 unscaled[lo : lo + n * k] = np.linalg.solve(scale, blocks).ravel()
             assert np.max(np.abs((following.s - cone.s) / alpha - unscaled)) <= 1e-10
@@ -326,15 +328,15 @@ class TestIterationKernels:
     def test_one_congruence_per_block_group_per_iteration(self, monkeypatch):
         prob = capped_ball(*env_state_pair(), 0.1)
         calls = []
-        congruence = sdp._congruence
+        congruence = ref._congruence
 
         def counting(c, real):
             calls.append(c.shape)
             return congruence(c, real)
 
-        monkeypatch.setattr(sdp, "_congruence", counting)
+        monkeypatch.setattr(ref, "_congruence", counting)
         res = minimize(prob)
-        slabs = len(sdp.Program(prob).slabs)
+        slabs = len(ref.Program(prob).slabs)
         assert slabs == 2 and len(calls) == slabs * res.iterations
 
 
@@ -365,17 +367,17 @@ class TestSlabLayout:
             (mixed_rows_problem(), [(2, 0, 2), (3, 8, 2), (4, 26, 1)]),
             (interleaved_blocks_problem(), [(2, 0, 2), (3, 6, 2), (4, 18, 1)]),
         ):
-            prog = sdp.Program(prob)
+            prog = ref.Program(prob)
             assert prog.slabs == slabs
             # problem order: dims 2, 3, 2, 4, 3, then the inequality slots
-            sizes = [sdp.rvec_size(d, prog.real) for d in (2, 3, 2, 4, 3)]
+            sizes = [ref.rvec_size(d, prog.real) for d in (2, 3, 2, 4, 3)]
             offsets = np.cumsum([0] + sizes)
             slab_order = (0, 2, 1, 4, 3)  # the blocks of dims 2, 2, 3, 3, 4
             want = [offsets[k] + np.arange(sizes[k]) for k in slab_order]
             want.append(np.arange(offsets[-1], prog.n_graph))
             assert np.array_equal(prog.order, np.concatenate(want))
         # a problem with its blocks grouped by dimension keeps its order
-        grouped = sdp.Program(kernel_problem("min_t"))
+        grouped = ref.Program(kernel_problem("min_t"))
         assert np.array_equal(grouped.order, np.arange(grouped.n_graph))
 
     def test_slot_maps_give_each_slot_its_eigenvalue_pair(self):
@@ -383,10 +385,10 @@ class TestSlabLayout:
         # block by block, for every rvec slot of entry (i, j), on the real
         # interleaved problem and the complex mixed_rows one
         rng = np.random.default_rng(23)
-        progs = [sdp.Program(interleaved_blocks_problem()), sdp.Program(mixed_rows_problem())]
+        progs = [ref.Program(interleaved_blocks_problem()), ref.Program(mixed_rows_problem())]
         for prog in progs * 5:
             s, z = random_interior(prog, rng), random_interior(prog, rng)
-            (cone,) = sdp._scaled_cones([(prog, s, z)])
+            (cone,) = ref._scaled_cones([(prog, s, z)])
             lam, mid, isq = [], [], []
             for d, lo, n in prog.slabs:
                 iu = np.triu_indices(d, k=1)
@@ -395,7 +397,7 @@ class TestSlabLayout:
                 k = len(i)
                 for b in range(n):
                     blk = slice(lo + b * k, lo + (b + 1) * k)
-                    sm, zm = sdp.rvec_to_herm(np.stack((s[blk], z[blk])), d, prog.real)
+                    sm, zm = ref.rvec_to_herm(np.stack((s[blk], z[blk])), d, prog.real)
                     sz = sm @ zm
                     ev = np.sort(np.sqrt(np.linalg.eigvals(sz).real))[::-1]
                     lam.append(np.where(i == j, ev[i], 0.0))
@@ -409,16 +411,16 @@ class TestSlabLayout:
             a, b = rng.normal(size=(2, prog.n_graph))
             jordan = a * b
             for d, lo, n in prog.slabs:
-                k = sdp.rvec_size(d, prog.real)
+                k = ref.rvec_size(d, prog.real)
                 for blk in np.arange(lo, lo + n * k).reshape(n, k):
-                    ma, mb = sdp.rvec_to_herm(np.stack((a[blk], b[blk])), d, prog.real)
-                    jordan[blk] = sdp.herm_to_rvec((ma @ mb + mb @ ma) / 2, prog.real)
-            assert np.max(np.abs(sdp._jordans([(cone, a, b)])[0] - jordan)) <= 1e-12
+                    ma, mb = ref.rvec_to_herm(np.stack((a[blk], b[blk])), d, prog.real)
+                    jordan[blk] = ref.herm_to_rvec((ma @ mb + mb @ ma) / 2, prog.real)
+            assert np.max(np.abs(ref._jordans([(cone, a, b)])[0] - jordan)) <= 1e-12
             # the scaled point: T s = T^-T z = lam
-            t_s = sdp._scale_many([(cone, s)])[0]
+            t_s = ref._scale_many([(cone, s)])[0]
             assert np.max(np.abs(t_s - cone.lam)) <= 1e-10 * np.max(cone.lam)
             assert np.array_equal(cone.scale(s[:, None])[:, 0], t_s)
-            t_adj = sdp._scale_adjoint_many([(cone, cone.lam)])[0]
+            t_adj = ref._scale_adjoint_many([(cone, cone.lam)])[0]
             assert np.max(np.abs(t_adj - z)) <= 1e-10 * np.max(np.abs(z))
 
     def test_dual_is_in_problem_order(self):
@@ -428,10 +430,10 @@ class TestSlabLayout:
         # An indefinite objective presses on every block, so no block's z is 0
         prob = interleaved_blocks_problem()
         rng = np.random.default_rng(25)
-        prob.objective = sdp.ScalarExpr(
+        prob.objective = ref.ScalarExpr(
             0.0, tuple((lab, oracles.random_hermitian(rng, d)) for lab, d in prob.variables.items())
         )
-        prog = sdp.Program(prob)
+        prog = ref.Program(prob)
         assert not np.array_equal(prog.order, np.arange(prog.n_graph))
         res = minimize(prob)
         assert res.status == "optimal"
@@ -439,7 +441,7 @@ class TestSlabLayout:
         null = np.linalg.svd(prog.g_eq)[2][prog.n_eq :].T
         q = prog.functional(prob.objective)
         assert np.linalg.norm(null.T @ (prog.g_graph.T @ z - q)) <= 1e-5
-        x = np.concatenate([sdp.herm_to_rvec(res.assignment[lab]) for lab in prob.variables])
+        x = np.concatenate([ref.herm_to_rvec(res.assignment[lab]) for lab in prob.variables])
         assert abs((prog.g_graph @ x + prog.c_graph) @ z) <= 1e-5
         gap, resid = prog.farkas(z)[2:]
         want_gap, want_resid = oracles.farkas_from_expressions(prob, z)
@@ -448,14 +450,13 @@ class TestSlabLayout:
 
 
 @pytest.fixture(scope="module")
-def region_programs():
-    """The six smoothing programs of the ``region`` benchmark's pass
-    (instrument_derived, theta 0.5, eps 0.1, axes X and Y): the min t
-    programs of the six values ``one_shot_region`` hands to
-    ``entropies._d_max_smooth_many`` in one call, built as it builds them,
-    the X cell's three registers U, V and Y, then the Y cell's.  The
-    library solves the two classical ones in closed form; here all six
-    are programs for ``sdp.minimize_many``."""
+def region_balls():
+    """The six capped balls of the ``region`` benchmark's pass
+    (instrument_derived, theta 0.5, eps 0.1, axes X and Y): the six values
+    ``one_shot_region`` hands to ``entropies._d_max_smooth_many`` in one
+    call, built as it builds them, the X cell's three registers U, V and
+    Y, then the Y cell's.  The library solves the two classical ones in
+    closed form; here all six are balls for ``sdp.minimize_balls``."""
     prep = prep_mod.prepare(io.load_bundled("instrument_derived"))
     calls, smooth_many = [], ent._d_max_smooth_many
 
@@ -467,28 +468,64 @@ def region_programs():
         mp.setattr(ent, "_d_max_smooth_many", recording)
         P.one_shot_region(prep, 0.1, theta_grid=(0.5,))
     ((values, eps),) = calls
-    assert len(values) == 6
-    return [ent._capped_ball(ent._ball_blocks(pairs), eps) for pairs in values]
+    assert len(values) == 6 and eps == 0.1
+    return [sdp.Ball(*ent._ball_blocks(pairs), math.sqrt(1 - eps * eps)) for pairs in values]
 
 
 @pytest.fixture(scope="module")
-def region_program(region_programs):
-    """The largest smoothing program of the X-axis cell: real, 58 variable reals."""
-    return max(region_programs[:3], key=lambda prob: sdp.Program(prob).n_vars)
+def region_programs(region_balls):
+    """The six region values as the reference's min t programs."""
+    return [ref.capped_ball((ball.blocks, ball.free_mass), 0.1) for ball in region_balls]
 
 
-def test_linalg_calls_per_iteration_on_the_region_program(region_program, monkeypatch):
-    # per iteration: one cholesky and one svd per slab, one eigvalsh per slab
-    # in each of the two step tests, two solves and one norm; around the
-    # loop: the svd of G_eq, the start's two norms, the last dual-residual
-    # norm and the recheck's one eigvalsh per block dimension
-    prog = sdp.Program(region_program)
-    slabs = len(prog.slabs)
-    assert prog.real and prog.n_vars == 58 and slabs == 2
+def block_sizes(ball) -> set:
+    """The sizes of a ball's PSD blocks: each G_b's r + d, each cap's d > 1."""
+    return {b.rank + b.dim for b in ball.blocks} | {b.dim for b in ball.blocks if b.dim > 1}
+
+
+def slabs(ball) -> set:
+    """(size, field) of a ball's PSD blocks, the stacks of a batch."""
+    out = {(b.rank + b.dim, b.real) for b in ball.blocks}
+    return out | {(b.dim, b.real) for b in ball.blocks if b.dim > 1}
+
+
+def schur_size(ball) -> int:
+    """A ball's free reals, plus the trace row that borders its Schur matrix."""
+    size = sdp.rvec_size
+    reals = sum(size(b.rank + b.dim, b.real) - size(b.rank, b.real) for b in ball.blocks)
+    return reals + 1 + (ball.free_mass > 0) + 1
+
+
+def test_linalg_calls_per_iteration_on_the_region_program(region_balls, monkeypatch):
+    # the largest value of the X-axis cell (real sub-blocks, five of (2, 2)
+    # and two of (1, 1), and w: 41 free reals): per iteration one cholesky
+    # and one eigh per block size (the scaling), one eigvalsh per block size
+    # in each of the two step tests and two Schur solves; around the loop
+    # the rechecks' one eigvalsh per block size.  No svd, no null space
+    ball = max(region_balls[:3], key=schur_size)
+    assert schur_size(ball) == 42 and block_sizes(ball) == {2, 4}
+    rechecks, recheck = [], sdp.recheck
+    monkeypatch.setattr(sdp, "recheck", lambda *args: (rechecks.append(1), recheck(*args))[1])
     calls = linalg_spy(monkeypatch)
-    res = minimize(region_program)
-    assert res.status == "optimal"
-    assert len(calls) <= (4 * slabs + 3) * res.iterations + 4 + slabs
+    (res,) = sdp.minimize_balls([ball])
+    assert res.status == "optimal" and res.iterations > 10
+    count = collections.Counter(calls)
+    assert count["cholesky"] == count["eigh"] == 2 * res.iterations
+    assert count["eigvalsh"] == 2 * 2 * res.iterations + 2 * len(rechecks)
+    assert count["solve"] == 2 * res.iterations
+    assert sum(count.values()) == sum(count[k] for k in ("cholesky", "eigh", "eigvalsh", "solve"))
+
+
+def ball_bits(res) -> tuple:
+    """Everything a block-form solve returns, as exact values and bytes."""
+    point, dual = res.point, res.dual
+    return (
+        res.status,
+        res.iterations,
+        {k: float(v).hex() for k, v in res.residuals.items()},
+        (point.t.hex(), point.w.hex(), [m.tobytes() for m in point.z + point.rho]),
+        ([m.tobytes() for m in dual.g + dual.cap], dual.fid, dual.floor, dual.free_cap),
+    )
 
 
 def result_bits(res) -> tuple:
@@ -503,20 +540,27 @@ def result_bits(res) -> tuple:
 
 
 class TestBatch:
-    """``minimize_many`` steps its programs together and gives each the
-    result of its lone solve (a batch of one), bit for bit."""
+    """``sdp.minimize_balls`` steps its values together and gives each the
+    result of its lone solve (a batch of one), bit for bit, and so does
+    the reference's ``minimize_many`` with its programs."""
 
-    def test_each_result_is_its_lone_solve(self, region_programs):
-        # the six region programs (real, blocks of 2 and 4), the Hermitian
-        # min t program of random_pair and the infeasible box of
-        # test_infeasible_box_stops_without_a_verdict, in two orders
-        batch = [*region_programs, kernel_problem("min_t"), box_with_objective(3, 4)]
-        assert [sdp.Program(prob).real for prob in batch] == [True] * 6 + [False, True]
-        lone = [result_bits(minimize(prob)) for prob in batch]
+    def test_each_result_is_its_lone_solve(self, region_balls):
+        # the six region values (real sub-blocks of shapes (2, 2) and
+        # (1, 1)), the Hermitian ball of random_pair, and the first region
+        # value with fidelity 1.5, which no point meets (sum_a Re Z[a, a] <=
+        # sqrt(sum_a lambda_a) sqrt(Tr rho') = 1), so its iterates diverge
+        # and stop "maxIterations" long before IPM_MAX_ITER; in two orders
+        herm = sdp.Ball(*ent._ball_blocks([random_pair()]), math.sqrt(1 - 0.1**2))
+        far = sdp.Ball(region_balls[0].blocks, region_balls[0].free_mass, 1.5)
+        batch = [*region_balls, herm, far]
+        fields = [{np.iscomplexobj(b.sigma) for b in ball.blocks} for ball in batch]
+        assert fields == [{False}] * 6 + [{True}, {False}]
+        lone = [ball_bits(sdp.minimize_balls([ball])[0]) for ball in batch]
         assert [bits[0] for bits in lone] == ["optimal"] * 7 + ["maxIterations"]
+        assert lone[-1][1] < sdp.IPM_MAX_ITER
         for order in (list(range(len(batch))), list(range(len(batch)))[::-1]):
-            got = sdp.minimize_many([batch[i] for i in order])
-            assert [result_bits(res) for res in got] == [lone[i] for i in order]
+            got = sdp.minimize_balls([batch[i] for i in order])
+            assert [ball_bits(res) for res in got] == [lone[i] for i in order]
 
     def test_kernels_match_per_program_calls(self, region_programs):
         # the interleaved problem (real blocks 2, 3, 2, 4, 3), mixed_rows
@@ -525,24 +569,24 @@ class TestBatch:
         # fields, each program's share at its own rows.  Every kernel over
         # all four gives each program the bytes of its own call
         progs = [
-            sdp.Program(prob)
+            ref.Program(prob)
             for prob in (interleaved_blocks_problem(), mixed_rows_problem(), *region_programs[:2])
         ]
         rng = np.random.default_rng(26)
         for _ in range(3):
             items = [(prog, random_interior(prog, rng), random_interior(prog, rng)) for prog in progs]
-            cones = sdp._scaled_cones(items)
-            alone = [sdp._scaled_cones([item])[0] for item in items]
+            cones = ref._scaled_cones(items)
+            alone = [ref._scaled_cones([item])[0] for item in items]
             for cone, one in zip(cones, alone):
                 assert [m.tobytes() for m in cone.scales] == [m.tobytes() for m in one.scales]
                 for name in ("lam", "mid", "isq", "t_scalar"):
                     assert getattr(cone, name).tobytes() == getattr(one, name).tobytes()
             vecs = [rng.normal(size=(2, prog.n_graph)) for prog in progs]
             for kernel, args in (
-                (sdp._max_steps, [(c, tuple(v)) for c, v in zip(cones, vecs)]),
-                (sdp._jordans, [(c, *v) for c, v in zip(cones, vecs)]),
-                (sdp._scale_many, [(c, v[0]) for c, v in zip(cones, vecs)]),
-                (sdp._scale_adjoint_many, [(c, v[1]) for c, v in zip(cones, vecs)]),
+                (ref._max_steps, [(c, tuple(v)) for c, v in zip(cones, vecs)]),
+                (ref._jordans, [(c, *v) for c, v in zip(cones, vecs)]),
+                (ref._scale_many, [(c, v[0]) for c, v in zip(cones, vecs)]),
+                (ref._scale_adjoint_many, [(c, v[1]) for c, v in zip(cones, vecs)]),
             ):
                 each = [kernel([arg])[0] for arg in args]
                 assert [np.asarray(x).tobytes() for x in kernel(args)] == [
@@ -556,7 +600,7 @@ class TestBatch:
         # stops at "maxIterations" after 3 steps, as it does alone, and the
         # others do not change
         target = region_programs[1]
-        assert [d for d, _, _ in sdp.Program(target).slabs] == [2]
+        assert [d for d, _, _ in ref.Program(target).slabs] == [2]
         cholesky, inputs = np.linalg.cholesky, []
         with monkeypatch.context() as mp:
             mp.setattr(np.linalg, "cholesky", lambda a: (inputs.append(a.copy()), cholesky(a))[1])
@@ -576,39 +620,97 @@ class TestBatch:
         assert (alone.status, alone.iterations) == ("maxIterations", 3)
         want[1] = result_bits(alone)
         raised.clear()
-        assert [result_bits(res) for res in sdp.minimize_many(region_programs)] == want
+        assert [result_bits(res) for res in ref.minimize_many(region_programs)] == want
         # the stacked call over all six programs' blocks of dimension 2, then
         # the target's own call
         assert raised == [(2, 56, 2, 2), (2, 18, 2, 2)]
 
-    def test_linalg_calls_per_round_on_the_region_batch(self, region_programs, monkeypatch):
-        # per round of the loop: one cholesky and one svd per union slab (a
-        # block dimension and field of the programs still stepping), one
+    def test_linalg_calls_per_round_on_the_region_batch(self, region_balls, monkeypatch):
+        # per round of the loop: one cholesky and one eigh per union slab
+        # (a block size and field of the values still stepping), one
         # eigvalsh per union slab in each of the two step tests, and two
-        # Schur solves per stepping program; around the loop: each
-        # program's svd of G_eq and each recheck's one eigvalsh per block
-        # dimension
-        progs = [sdp.Program(prob) for prob in region_programs]
-        rechecked, recheck = [], sdp._recheck
+        # stacked Schur solves per size of the stepping values' Schur
+        # matrices; around the loop: each recheck's one eigvalsh per block
+        # size.  No svd
+        rechecked, recheck = [], sdp.recheck
         monkeypatch.setattr(
-            sdp, "_recheck", lambda prob, assign: (rechecked.append(prob), recheck(prob, assign))[1]
+            sdp, "recheck", lambda ball, point: (rechecked.append(ball), recheck(ball, point))[1]
         )
         calls = linalg_spy(monkeypatch)
-        results = sdp.minimize_many(region_programs)
+        results = sdp.minimize_balls(region_balls)
         assert [res.status for res in results] == ["optimal"] * 6
         steps = [res.iterations for res in results]
-        unions = [
-            len({(d, p.real) for p, n in zip(progs, steps) if n > r for d, _, _ in p.slabs})
-            for r in range(max(steps))
-        ]
+        rounds = range(max(steps))
+        stepping = [[b for b, n in zip(region_balls, steps) if n > r] for r in rounds]
+        unions = [len(set().union(*map(slabs, balls))) for balls in stepping]
+        sizes = [len({schur_size(b) for b in balls}) for balls in stepping]
         count = collections.Counter(calls)
-        assert count["cholesky"] == sum(unions)
-        assert count["svd"] == sum(unions) + sum(1 for prog in progs if prog.n_eq)
-        recheck_eigs = sum(len({e.dim for e in prob.psd_constraints}) for prob in rechecked)
+        assert count["svd"] == 0
+        assert count["cholesky"] == count["eigh"] == sum(unions)
+        recheck_eigs = sum(len(block_sizes(ball)) for ball in rechecked)
         assert count["eigvalsh"] == 2 * sum(unions) + recheck_eigs
-        assert count["solve"] == 2 * sum(steps)
-        # the lone solves make one cholesky per slab per program and step
-        assert sum(unions) < sum(len(prog.slabs) * n for prog, n in zip(progs, steps))
+        assert count["solve"] == 2 * sum(sizes)
+        kinds = ("cholesky", "eigh", "eigvalsh", "solve")
+        assert sum(count.values()) == sum(count[k] for k in kinds)
+        # the lone solves make one cholesky per slab per value and step
+        assert sum(unions) < sum(len(slabs(b)) * n for b, n in zip(region_balls, steps))
+
+
+class TestBlockSolver:
+    """``sdp.minimize_balls``' size cap and its ``LinAlgError`` trace."""
+
+    def test_too_large_ball_raises_before_building(self, monkeypatch):
+        # the cap counts the free reals of the block form, G_b's rvec off its
+        # corner plus t: a complex sub-block of rank 1 and dimension 77 has
+        # 78^2 - 1 + 1 = 6084 > MAX_VAR_REALS, a real one of dimension 109
+        # 110 * 111 / 2 - 1 + 1 = 6105
+        def guard(balls):
+            raise AssertionError("the size check must come before the batch is built")
+
+        monkeypatch.setattr(sdp, "_Batch", guard)
+        phase = np.eye(77, dtype=complex)
+        phase[0, 1], phase[1, 0] = 0.1j, -0.1j
+        for sigma, reals in ((phase, 6084), (np.eye(109), 6105)):
+            ball = sdp.Ball([sdp.BallBlock(np.ones(1), sigma)], 0.0, 0.9)
+            with pytest.raises(sdp.ProblemTooLarge) as info:
+                sdp.minimize_balls([ball])
+            assert isinstance(info.value, ValueError)
+            assert f"{reals} var reals" in str(info.value)
+            assert f"MAX_VAR_REALS = {sdp.MAX_VAR_REALS}" in str(info.value)
+
+    def test_a_linalg_error_stops_only_its_value(self, region_balls, monkeypatch):
+        # a cholesky that raises on the blocks of one value's fourth scaling
+        # (the X cell's value of eighteen (1, 1) sub-blocks, whose 2 x 2 G_b
+        # share their stack with the other values' blocks of size 2): that
+        # value stops "maxIterations" after 3 steps, as it does alone, and
+        # the others do not change
+        target = region_balls[1]
+        assert slabs(target) == {(2, True)} and len(target.blocks) == 18
+        cholesky, inputs = np.linalg.cholesky, []
+        with monkeypatch.context() as mp:
+            mp.setattr(np.linalg, "cholesky", lambda a: (inputs.append(a.copy()), cholesky(a))[1])
+            sdp.minimize_balls([target])
+        poison = {m.tobytes() for m in inputs[3].reshape(-1, 2, 2)}
+        raised = []
+
+        def poisoned(a):
+            if any(m.tobytes() in poison for m in a.reshape((-1,) + a.shape[-2:])):
+                raised.append(a.shape)
+                raise np.linalg.LinAlgError("poisoned block")
+            return cholesky(a)
+
+        want = [ball_bits(sdp.minimize_balls([ball])[0]) for ball in region_balls]
+        monkeypatch.setattr(np.linalg, "cholesky", poisoned)
+        (alone,) = sdp.minimize_balls([target])
+        assert (alone.status, alone.iterations) == ("maxIterations", 3)
+        want[1] = ball_bits(alone)
+        raised.clear()
+        assert [ball_bits(res) for res in sdp.minimize_balls(region_balls)] == want
+        # the stacked call over all six values' blocks of size 2, then the
+        # target's own call
+        blocks = [b for ball in region_balls for b in ball.blocks]
+        size_two = sum((b.rank + b.dim == 2) + (b.dim == 2) for b in blocks)
+        assert raised == [(size_two, 2, 2), (18, 2, 2)]
 
 
 def kernel_assignments(which) -> list:
@@ -636,10 +738,10 @@ class TestRecheck:
         prob = kernel_problem(which)
         verdicts = set()
         for assign in kernel_assignments(which):
-            got = sdp._recheck(prob, assign)
+            got = ref._recheck(prob, assign)
             want = oracles.recheck_per_expression(prob, assign)
             assert {k: v.hex() for k, v in got.items()} == {k: v.hex() for k, v in want.items()}
-            verdicts.add(sdp.recheck(prob, assign)[0])
+            verdicts.add(ref.recheck(prob, assign)[0])
         assert verdicts == {True, False}
 
     def test_region_rechecks_match_per_expression_oracle(self, region_programs):
@@ -648,13 +750,13 @@ class TestRecheck:
         # point, and the same point with t lowered by BISECT_TOL_BITS, over
         # its caps
         verdicts = set()
-        for prob, res in zip(region_programs, sdp.minimize_many(region_programs)):
+        for prob, res in zip(region_programs, ref.minimize_many(region_programs)):
             low = dict(res.assignment, t=res.assignment["t"] * 2.0**-ent.BISECT_TOL_BITS)
             for assign in (res.assignment, low):
-                got = sdp._recheck(prob, assign)
+                got = ref._recheck(prob, assign)
                 want = oracles.recheck_per_expression(prob, assign)
                 assert {k: v.hex() for k, v in got.items()} == {k: v.hex() for k, v in want.items()}
-                verdicts.add(sdp.recheck(prob, assign)[0])
+                verdicts.add(ref.recheck(prob, assign)[0])
         assert verdicts == {True, False}
 
     @pytest.mark.parametrize("which", KERNEL_PROBLEMS)
@@ -664,7 +766,7 @@ class TestRecheck:
         prob = kernel_problem(which)
         for assign in kernel_assignments(which):
             for rows in (prob.inequalities, prob.equalities):
-                got = sdp._scalar_values(rows, assign).tolist()
+                got = ref._scalar_values(rows, assign).tolist()
                 assert [v.hex() for v in got] == [row.evaluate(assign).hex() for row in rows]
 
     @pytest.mark.parametrize("which", KERNEL_PROBLEMS)
@@ -672,7 +774,7 @@ class TestRecheck:
         prob = kernel_problem(which)
         assign = kernel_assignments(which)[-1]
         calls = linalg_spy(monkeypatch)
-        sdp._recheck(prob, assign)
+        ref._recheck(prob, assign)
         assert calls == ["eigvalsh"] * len(set(e.dim for e in prob.psd_constraints))
 
 
@@ -681,7 +783,7 @@ class TestBatchedProbe:
 
     @pytest.mark.parametrize("which", KERNEL_PROBLEMS)
     def test_columns_equal_per_basis_prober(self, which):
-        prog = sdp.Program(kernel_problem(which))
+        prog = ref.Program(kernel_problem(which))
         assert np.array_equal(prog._columns(), oracles.probe_columns_per_basis(prog))
 
     def test_every_term_kind_is_probed(self):
@@ -697,9 +799,9 @@ class TestBatchedProbe:
         rng = np.random.default_rng(10)
         left = oracles.random_hermitian(rng, 2)
         terms = [
-            sdp.Term("X", "id", -0.7),
-            sdp.Term("X", "kron", 1.3, left=left),
-            sdp.Term("X", "subblock", -1.1, start=2),
+            ref.Term("X", "id", -0.7),
+            ref.Term("X", "kron", 1.3, left=left),
+            ref.Term("X", "subblock", -1.1, start=2),
         ]
         stack = np.stack([oracles.random_hermitian(rng, 6) for _ in range(5)])
         for t in terms:
@@ -713,7 +815,7 @@ class TestKernelVerdicts:
     def test_smoothing_identical_with_oracle_kernels(self, monkeypatch):
         """d_max_smooth's min t program for the smooth I_max of
         qubit_entangled_side_info's X env state gets the same status,
-        iteration count and value bits from ``sdp.minimize_many`` when
+        iteration count and value bits from ``ref.minimize_many`` when
         ``Program`` probes its map per basis matrix."""
         prob = capped_ball(*env_state_pair(), 0.1)
 
@@ -722,7 +824,7 @@ class TestKernelVerdicts:
             return res.status, res.iterations, float(res.assignment["t"][0, 0].real).hex()
 
         kernels = run()
-        monkeypatch.setattr(sdp.Program, "_columns", oracles.probe_columns_per_basis)
+        monkeypatch.setattr(ref.Program, "_columns", oracles.probe_columns_per_basis)
         assert kernels == run()
         assert kernels[0] == "optimal"
 
@@ -746,7 +848,7 @@ class TestFeasibility:
         res = minimize(box_min_t(3, 4))
         assert res.status == "optimal"
         assert res.assignment["t"][0, 0].real == pytest.approx(4 / 3, abs=1e-5)
-        assert fires(*sdp.Program(box_problem(3, 4)).farkas(res.dual)[2:])
+        assert fires(*ref.Program(box_problem(3, 4)).farkas(res.dual)[2:])
 
     def test_infeasible_box_stops_without_a_verdict(self):
         # the iterates of 0 <= X <= I, Tr X = 4 diverge: the solve stops once
@@ -754,7 +856,7 @@ class TestFeasibility:
         # IPM_MAX_ITER, and keeps its last point
         res = self.solve_box(3, 4)
         assert res.status == "maxIterations"
-        assert res.iterations < sdp.IPM_MAX_ITER
+        assert res.iterations < ref.IPM_MAX_ITER
         assert res.residuals["primal"] > 0.1
 
     def test_feasible_interior(self):
@@ -779,22 +881,22 @@ class TestSizeCap:
         def compile_guard(self):
             raise AssertionError("the size check must come before the compile step")
 
-        monkeypatch.setattr(sdp.Program, "_columns", compile_guard)
+        monkeypatch.setattr(ref.Program, "_columns", compile_guard)
 
         def one_block(d, const):
-            prob = sdp.SDProblem()
+            prob = ref.SDProblem()
             prob.add_var("X", d)
-            prob.require_psd(oracles.const_expr(sdp, const).plus_var("X"))
+            prob.require_psd(oracles.const_expr(ref, const).plus_var("X"))
             return prob
 
         phase = np.zeros((78, 78), dtype=complex)
         phase[0, 1], phase[1, 0] = 1j, -1j
         for prob, reals in ((one_block(78, phase), 6084), (one_block(110, 0 * np.eye(110)), 6105)):
-            with pytest.raises(sdp.ProblemTooLarge) as info:
-                sdp.Program(prob)
+            with pytest.raises(ref.ProblemTooLarge) as info:
+                ref.Program(prob)
             assert isinstance(info.value, ValueError)
             assert f"{reals} var reals" in str(info.value)
-            assert f"MAX_VAR_REALS = {sdp.MAX_VAR_REALS}" in str(info.value)
+            assert f"MAX_VAR_REALS = {ref.MAX_VAR_REALS}" in str(info.value)
 
 
 def witness_functional(prob, w, nu, assign) -> float:
@@ -802,10 +904,10 @@ def witness_functional(prob, w, nu, assign) -> float:
     problem's own expressions: w holds one rvec block per PSD constraint
     (over the field of ``Program(prob)``), then one weight per inequality;
     nu one weight per equality."""
-    val, pos, real = 0.0, 0, sdp.Program(prob).real
+    val, pos, real = 0.0, 0, ref.Program(prob).real
     for expr in prob.psd_constraints:
-        k = sdp.rvec_size(expr.dim, real)
-        block = sdp.rvec_to_herm(w[pos : pos + k], expr.dim, real)
+        k = ref.rvec_size(expr.dim, real)
+        block = ref.rvec_to_herm(w[pos : pos + k], expr.dim, real)
         assert np.linalg.eigvalsh(block)[0] >= -1e-12
         val += float(np.real(np.sum(block.conj() * expr.evaluate(assign))))
         pos += k
@@ -839,8 +941,8 @@ class TestWitness:
         # the Hermitian basis, so it bounds every Hermitian X, not only the
         # real symmetric ones the solve worked over
         prob = box_problem(3, 4)
-        assert sdp.Program(prob).real
-        w, nu, gap, resid = sdp.Program(prob).farkas(minimize(box_min_t(3, 4)).dual)
+        assert ref.Program(prob).real
+        w, nu, gap, resid = ref.Program(prob).farkas(minimize(box_min_t(3, 4)).dual)
         const = witness_functional(prob, w, nu, {"X": np.zeros((3, 3), dtype=complex)})
         r = [witness_functional(prob, w, nu, {"X": b}) - const for b in herm_basis(3)]
         assert const == pytest.approx(-gap, abs=1e-12)
@@ -856,7 +958,7 @@ class TestWitness:
         prob = feasibility_problem(which)
         res = minimize(prob)
         assert res.status == "optimal"
-        assert not fires(*sdp.Program(prob).farkas(res.dual)[2:])
+        assert not fires(*ref.Program(prob).farkas(res.dual)[2:])
 
     @staticmethod
     def solved(which):
@@ -871,12 +973,12 @@ class TestWitness:
         rho, sigma, value, res = self.solved(which)
         tol = ent.BISECT_TOL_BITS
         below = capped_ball_at(rho, sigma, 0.1, value - tol)
-        assert fires(*sdp.Program(below).farkas(res.dual)[2:])
+        assert fires(*ref.Program(below).farkas(res.dual)[2:])
         # the soundness half: above the value the program is feasible (the
         # solve's own point passes), so no witness may fire there
         above = capped_ball_at(rho, sigma, 0.1, value + tol)
-        assert sdp.recheck(above, res.assignment)[0]
-        assert not fires(*sdp.Program(above).farkas(res.dual)[2:])
+        assert ref.recheck(above, res.assignment)[0]
+        assert not fires(*ref.Program(above).farkas(res.dual)[2:])
 
     @pytest.mark.parametrize("which", ["env", "random"])
     def test_farkas_matches_expression_oracle_on_min_t_duals(self, which):
@@ -885,7 +987,7 @@ class TestWitness:
         rho, sigma, value, res = self.solved(which)
         z = res.dual
         below = capped_ball_at(rho, sigma, 0.1, value - ent.BISECT_TOL_BITS)
-        gap, resid = sdp.Program(below).farkas(z)[2:]
+        gap, resid = ref.Program(below).farkas(z)[2:]
         want_gap, want_resid = oracles.farkas_from_expressions(below, z)
         assert fires(gap, resid) and fires(want_gap, want_resid)
         assert gap == pytest.approx(want_gap, rel=1e-12)
@@ -897,7 +999,7 @@ class TestWitness:
         # d_max_smooth's witness: the solve's own program with t held, against
         # the fixed-t program rebuilt from the expressions; it fires below the
         # value and not above it
-        for prob, res in zip(region_programs, sdp.minimize_many(region_programs)):
+        for prob, res in zip(region_programs, ref.minimize_many(region_programs)):
             value = math.log2(float(res.assignment["t"][0, 0].real))
             for step, below in ((-ent.BISECT_TOL_BITS, True), (ent.BISECT_TOL_BITS, False)):
                 t0 = 2.0 ** (value + step)
@@ -921,15 +1023,15 @@ class TestGeneratedSuite:
         for trial in range(10):
             d = int(rng.integers(2, 5))
             rho = oracles.random_density(rng, d)
-            prob = sdp.SDProblem()
+            prob = ref.SDProblem()
             prob.add_var("X", d)
-            prob.require_psd(sdp.AffineExpr.zero(d).plus_var("X"))
+            prob.require_psd(ref.AffineExpr.zero(d).plus_var("X"))
             # X <= rho + margin I has interior point X = rho
             prob.require_psd(
-                oracles.const_expr(sdp, rho + 5e-3 * np.eye(d)).plus_var("X", -1.0)
+                oracles.const_expr(ref, rho + 5e-3 * np.eye(d)).plus_var("X", -1.0)
             )
-            prob.require_eq(sdp.trace_functional("X", d, const=-1.0))
-            prob.objective = sdp.trace_functional("X", d)  # constant: a feasibility solve
+            prob.require_eq(ref.trace_functional("X", d, const=-1.0))
+            prob.objective = ref.trace_functional("X", d)  # constant: a feasibility solve
             res = minimize(prob)
             assert res.status == "optimal", f"trial {trial}"
 
@@ -937,11 +1039,11 @@ class TestGeneratedSuite:
         # minimize Tr X subject to X >= rho (X PSD): optimum X = rho
         rng = np.random.default_rng(4)
         rho = oracles.random_density(rng, 2)
-        prob = sdp.SDProblem()
+        prob = ref.SDProblem()
         prob.add_var("X", 2)
-        prob.require_psd(oracles.const_expr(sdp, -rho).plus_var("X"))
-        prob.require_psd(sdp.AffineExpr.zero(2).plus_var("X"))
-        prob.objective = sdp.trace_functional("X", 2)
+        prob.require_psd(oracles.const_expr(ref, -rho).plus_var("X"))
+        prob.require_psd(ref.AffineExpr.zero(2).plus_var("X"))
+        prob.objective = ref.trace_functional("X", 2)
         res = minimize(prob)
         assert res.status == "optimal"
         assert abs(np.trace(res.assignment["X"]).real - 1.0) <= 1e-6
@@ -987,24 +1089,24 @@ class TestFidelityBlock:
         e11 = np.diag([0.0, 1.0])
         sx = np.array([[0.0, 1.0], [1.0, 0.0]])
         sy = np.array([[0.0, -1j], [1j, 0.0]])
-        prob = sdp.SDProblem()
+        prob = ref.SDProblem()
         prob.add_var("rhop", d)
         prob.add_var("Zre", d)
         prob.add_var("Zim", d)
-        block = oracles.const_expr(sdp, np.kron(e00, rho))
+        block = oracles.const_expr(ref, np.kron(e00, rho))
         block.plus_kron(e11, "rhop")
         block.plus_kron(sx, "Zre")
         block.plus_kron(-sy, "Zim")
         prob.require_psd(block)
         if lam is None:
             prob.add_var("t", 1)
-            prob.objective = sdp.trace_functional("t", 1)
-            cap = sdp.AffineExpr.zero(d).plus_kron(sigma, "t")
+            prob.objective = ref.trace_functional("t", 1)
+            cap = ref.AffineExpr.zero(d).plus_kron(sigma, "t")
         else:
-            cap = oracles.const_expr(sdp, 2.0**lam * sigma)
+            cap = oracles.const_expr(ref, 2.0**lam * sigma)
         prob.require_psd(cap.plus_var("rhop", -1.0))
-        prob.require_eq(sdp.trace_functional("rhop", d, const=-1.0))
-        prob.require_geq(sdp.trace_functional("Zre", d, const=-float(c)))
+        prob.require_eq(ref.trace_functional("rhop", d, const=-1.0))
+        prob.require_geq(ref.trace_functional("Zre", d, const=-float(c)))
         return prob
 
     def test_commuting_matches_classical_oracle(self):
@@ -1023,6 +1125,6 @@ class TestFidelityBlock:
             if abs(lam - lam_star) < 2e-3:
                 continue  # too close to the boundary to classify numerically
             prob = self.fidelity_ball_problem(np.diag(p), np.diag(s), lam, target)
-            feasible = sdp.recheck(prob, res.assignment)[0]
-            infeasible = fires(*sdp.Program(prob).farkas(res.dual)[2:])
+            feasible = ref.recheck(prob, res.assignment)[0]
+            infeasible = fires(*ref.Program(prob).farkas(res.dual)[2:])
             assert (feasible, infeasible) == (lam >= lam_star, lam < lam_star), lam

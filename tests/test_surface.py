@@ -27,8 +27,6 @@ TEST_ONLY = {
     "instrument_to_povm",
     "distribution_power",
     "cq_tensor_power",
-    # the build's nice test and GOOD sets take stacked trace norms
-    "trace_norm_distance",
     # to be called by the command-line run at its default budget, and by a
     # pinned default-budget run whose links hash
     "budget_from_thresholds",
@@ -313,3 +311,16 @@ def test_library_never_imports_scipy():
         check=True,
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_library_never_calls_unique():
+    """No library module calls ``np.unique``: its first call raises a
+    process's peak memory by about 1.5 MB, which ``peak_rss_mb`` reads."""
+    calls = []
+    for path in sorted((ROOT / "src/povmcomp").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            named = isinstance(node, ast.Attribute) and node.attr == "unique"
+            imported = isinstance(node, ast.ImportFrom) and "unique" in [a.name for a in node.names]
+            if named or imported:
+                calls.append(f"{path.name}:{node.lineno}")
+    assert calls == []
