@@ -13,7 +13,6 @@ from .prep import LINKS, PreparedInstance, prepare, thresholds  # noqa: F401
 from .compress import (  # noqa: F401
     Codebook,
     CodebookPlan,
-    CompressedBlock,
     CompressedFamily,
     ProtocolError,
     budget_from_thresholds,

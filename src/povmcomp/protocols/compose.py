@@ -21,13 +21,13 @@ That I_H is taken on the link's composition state (``_link_state``), a
 slot.  A decode depends only on the fiber's class sequence (its
 signature): one ``sequential_kraus`` call per link builds the decoders of
 every (coin, signature), and neither their number nor the calls grow with
-2^logL or the coins.  The accumulator runs on arrays: every class of every
-nice block is a row, a link decodes all rows with one stacked congruence
-onto a fixed decoded-symbol axis, and a scenario's output is one
-count-weighted contraction, made ``{key: op}`` at the end.  Output states
-and deviations are computed exactly by branch enumeration; only codebooks,
-hashes and transcripts are sampled.  Nothing here steers: every E-operator
-is one a compressed block carries or the prepared E marginal.
+2^logL or the coins.  The accumulator runs on the compressed family's
+rows (one per kept class of a nice block): a link decodes all rows with
+one stacked congruence onto a fixed decoded-symbol axis, and a scenario's
+output is one count-weighted contraction, made ``{key: op}`` at the end.
+Output states and deviations are computed exactly by branch enumeration;
+only codebooks, hashes and transcripts are sampled.  Nothing here steers:
+every E-operator is one the family carries or the prepared E marginal.
 
 Decoder tests are evaluated at the protocol's own eps.  The point-to-point
 composition adds the rate bookkeeping of the composition claim: the coin
@@ -74,15 +74,17 @@ def _link_state(family: CompressedFamily, prep: PreparedInstance, i: int):
 
     The weight of ``"k|class"`` is the class's index mass in coin k (its
     outcome probability averaged over the other links' coins, times its
-    count), normalised over the non-abort mass; its block is the class's
-    E-operator reduced to B, on coin slot k of the (K' B) register.
+    count), normalised over the non-abort mass; its block is the
+    count-weighted sum of the E-operators of the family's rows with coin k
+    and this symbol on link i, reduced to B and normalised, on coin slot k
+    of the (K' B) register.
     """
     codebook = family.codebooks[i]
     coins, n_cls, d_b = codebook.coins, len(codebook.alphabet), prep.dim_b
     other_coins = math.prod(cb.coins for cb in family.codebooks) // coins
-    env, row_coins, cls, tot = family.class_rows
-    d_t = env.shape[-1] // d_b
-    env_b = np.einsum("rajbj->rab", env.reshape(-1, d_b, d_t, d_b, d_t))
+    row_coins, cls, tot = family.row_links()
+    d_t = family.env.shape[-1] // d_b
+    env_b = np.einsum("rajbj->rab", family.env.reshape(-1, d_b, d_t, d_b, d_t))
     # the class's index count on the other links, averaged over their coins
     weight = np.prod(np.delete(tot, i, axis=1), axis=1) / other_coins
     acc = np.zeros((coins * n_cls, d_b, d_b), dtype=complex)
@@ -294,11 +296,12 @@ def centralised_protocol(
 ) -> dict:
     """One full protocol run: encode once, decode under every scenario.
 
-    Every class of every nice block is decoded in ``LINKS`` order, each
+    Every row of the compressed family is decoded in ``LINKS`` order, each
     link's decoder run once on the posts of every set of earlier links; a
-    scenario sums its kept links' posts times the class counts of the links
-    it drops.  Encoder aborts send the all-zeros message and decode to one
-    abort symbol per kept link.  ``wire_override`` maps link names to wire
+    scenario sums its kept links' posts times the rows' index counts on the
+    links it drops.  Encoder aborts (each nice block's abort element and
+    every block that is not nice) send the all-zeros message and decode to
+    one abort symbol per kept link.  ``wire_override`` maps link names to wire
     widths.
     """
     prep = source if isinstance(source, PreparedInstance) else prepare(source)
@@ -315,11 +318,11 @@ def centralised_protocol(
     d_tail = prep.dim_e // prep.dim_b
     decoders = [_StageDecoder(st, cb, d_tail) for st, cb in zip(stages, family.codebooks)]
 
-    env, coins, cls, tot = family.class_rows
+    env, (coins, cls, tot) = family.env, family.row_links()
     n_rows, dim = len(env), prep.dim_e
     n_blk = math.prod(cb.coins for cb in family.codebooks)
-    abort_op = sum(blk.env0 for blk in family.blocks.values())
-    abort_op = (abort_op + (n_blk - len(family.blocks)) * prep.rho_e) / n_blk
+    abort_op = sum(family.env0)  # block by block: a stacked sum may group the terms
+    abort_op = (abort_op + (n_blk - len(family.env0)) * prep.rho_e) / n_blk
     # posts of every set of links, as (rows, decoded symbols, D, D) with the
     # links' symbol axes flattened, and which symbols each row reaches
     posts = {(): (env[:, None], np.ones((n_rows, 1), dtype=bool))}

@@ -11,11 +11,17 @@ index range [offset(x), offset(x) + m_x); a uniformly random codeword
 composed with this sorting is distributed like the raw iid draw, and the
 protocol only ever touches counts and offsets.
 
-Each kept class element and abort element of a nice coin block is steered
-to E once, here, with ``PreparedInstance.steer``; the centralised
-protocol's output and its link states read those E-operators.  A coin
-block that is not nice aborts and is absent from the family.  The
-protocol itself, unassisted or hashed, runs in ``compose``.
+The family is held as rows, one per kept (nice block, class) pair: the
+per-index element on A, the E-operator it steers, the row's block and its
+class-table index (``_class_table`` lists the classes of the joint
+support, sorted).  Rows run over the nice blocks in coin-key order, the
+first link's coin most significant, and within a block over its GOOD
+classes in class-table order.  Per nice block the family holds its coins,
+its abort element gamma0 and gamma0's E-operator.  A coin block that is
+not nice aborts and has no rows.  Every element is steered to E once,
+here, with ``PreparedInstance.steer``; the centralised protocol's output
+and its link states read those E-operators.  The protocol itself,
+unassisted or hashed, runs in ``compose``.
 """
 
 from __future__ import annotations
@@ -23,7 +29,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -151,60 +156,53 @@ def budget_from_thresholds(
 
 
 @dataclass
-class CompressedBlock:
-    """Per-coin-block compressed POVM in class-collapsed form.
-
-    ``gammas[c]`` is the per-index POVM element of any index in class c;
-    ``counts[c]`` is how many indices of the block carry it.  The elements
-    plus ``gamma0`` and the off-support completion sum to the identity.
-    ``env[c]`` and ``env0`` are the E-operators that ``gammas[c]`` and
-    ``gamma0`` steer, formed once here for every consumer.
-    """
-
-    gammas: dict[tuple[str, str], np.ndarray]
-    counts: dict[tuple[str, str], int]
-    gamma0: np.ndarray
-    env: dict[tuple[str, str], np.ndarray]
-    env0: np.ndarray
-
-
-@dataclass
 class CompressedFamily:
-    """Codebooks and the compressed POVMs of their nice coin blocks, keyed
-    by one coin per link; a block that is not nice aborts and has no entry."""
+    """Codebooks and the compressed POVMs of their nice coin blocks, as rows.
+
+    Row r is one kept class of one nice block, in the module's row order:
+    ``gammas[r]`` is the per-index element on A of the class's indices,
+    ``env[r]`` the E-operator it steers, ``row_block[r]`` the block and
+    ``row_class[r]`` the class-table index, whose per-link symbol indices
+    are ``class_symbols[row_class[r]]``.  Nice block b has the coins
+    ``block_coins[b]``, the abort element ``gamma0[b]`` and its E-operator
+    ``env0[b]``; its elements times their index counts, plus gamma0 and the
+    off-support completion, sum to the identity.
+    """
 
     plan: CodebookPlan
     attempt: int
     codebooks: tuple[Codebook, ...]  # per link, in LINKS order
     fraction_nice: float
-    blocks: dict[tuple[int, ...], CompressedBlock]
+    block_coins: np.ndarray  # (blocks, links)
+    class_symbols: np.ndarray  # (classes, links)
+    gammas: np.ndarray  # (rows, d_A, d_A)
+    env: np.ndarray  # (rows, D, D)
+    row_block: np.ndarray  # (rows,)
+    row_class: np.ndarray  # (rows,)
+    gamma0: np.ndarray  # (blocks, d_A, d_A)
+    env0: np.ndarray  # (blocks, D, D)
+
+    def row_links(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per row and link, each (rows, links): the block's coin, the class's
+        symbol index and how many indices of that coin carry the symbol."""
+        coins = self.block_coins[self.row_block]
+        symbols = self.class_symbols[self.row_class]
+        counts = [cb.counts[coins[:, i], symbols[:, i]] for i, cb in enumerate(self.codebooks)]
+        return coins, symbols, np.stack(counts, axis=1)
 
     def completeness_residual(self, prep: PreparedInstance) -> float:
-        worst = 0.0
-        for blk in self.blocks.values():
-            total = blk.gamma0.copy()
-            for c, g in blk.gammas.items():
-                total = total + blk.counts[c] * g
-            worst = max(worst, float(np.max(np.abs(total - prep.supp_proj_a))))
-        return worst
-
-    @cached_property
-    def class_rows(self) -> tuple[np.ndarray, ...]:
-        """Every kept class of every block as a row: its E-operator (rows, D, D)
-        and, per link, the block's coin, the symbol index and its count."""
-        rows = [(key, c, op) for key, blk in self.blocks.items() for c, op in blk.env.items()]
-        shape, blk = (len(rows), len(self.codebooks)), next(iter(self.blocks.values()))
-        env = np.array([op for _, _, op in rows]).reshape((-1,) + blk.env0.shape)
-        coins = np.array([key for key, _, _ in rows], dtype=np.int64).reshape(shape)
-        cls = [[cb.alphabet.index(s) for cb, s in zip(self.codebooks, c)] for _, c, _ in rows]
-        cls = np.array(cls, dtype=np.int64).reshape(shape)
-        tot = [cb.counts[coins[:, i], cls[:, i]] for i, cb in enumerate(self.codebooks)]
-        return env, coins, cls, np.stack(tot, axis=1)
+        """Largest absolute entry of gamma0 plus the count-weighted elements,
+        minus the projector onto supp rho_A, over the nice blocks; each
+        block's sum starts at gamma0 and adds its rows in order."""
+        total = self.gamma0.copy()
+        weight = np.prod(self.row_links()[2], axis=1)
+        np.add.at(total, self.row_block, weight[:, None, None] * self.gammas)
+        return float(np.max(np.abs(total - prep.supp_proj_a)))
 
 
 def _class_table(prep: PreparedInstance):
     """Every class (one symbol per link) of the joint support with positive
-    marginal product, sorted: the classes, their per-link symbol indices
+    marginal product, sorted by its symbols: their per-link symbol indices
     (n, links), t-weights (n,) and mirror blocks over p(class) (n, d, d)."""
     joint = prep.joint.as_dict()
     rows = []
@@ -216,8 +214,8 @@ def _class_table(prep: PreparedInstance):
             continue  # a class outside the joint support carries mass 0
         mirror = prep.mirror_blocks[cls]
         rows.append((cls, idx, p / p_prod, mirror / p if p > 1e-15 else 0.0 * mirror))
-    classes, idx, t, mirrors = zip(*sorted(rows, key=lambda row: row[0]))
-    return classes, np.array(idx), np.array(t), np.stack(mirrors)
+    _, idx, t, mirrors = zip(*sorted(rows, key=lambda row: row[0]))
+    return np.array(idx), np.array(t), np.stack(mirrors)
 
 
 def build_compressed_povm(
@@ -237,35 +235,35 @@ def build_compressed_povm(
     eps = budget.eps
     plan = plan_codebooks(prep, budget, log_const)
     n_total = math.prod(1 << log_l for log_l in plan.log_l)
-    _, idx, t, mirrors = table = _class_table(prep)
+    idx, t, mirrors = table = _class_table(prep)
     for attempt in range(MAX_CODEBOOK_DRAWS):
         draw_seed = seed + 1_000_003 * attempt
         codebooks = tuple(
             draw_codebook(i, 1 << plan.log_k[i], 1 << plan.log_l[i], marginal, draw_seed + i)
             for i, marginal in enumerate(prep.marginals)
         )
-        keys = list(itertools.product(*(range(cb.coins) for cb in codebooks)))
-        counts = [cb.counts[[k[i] for k in keys]][:, idx[:, i]] for i, cb in enumerate(codebooks)]
+        keys = np.array(list(itertools.product(*(range(cb.coins) for cb in codebooks))))
+        counts = [cb.counts[keys[:, i]][:, idx[:, i]] for i, cb in enumerate(codebooks)]
         mult = np.prod(counts, axis=0)  # of every class in every block, (blocks, classes)
         avg = np.einsum("bc,cij->bij", (mult / n_total) * t, mirrors)
         deviation = la.trace_norm_many(avg - prep.rho_a)
         nice = np.flatnonzero(deviation <= math.sqrt(eps))
         fraction = len(nice) / len(keys)
         if fraction >= 1.0 - eps**0.25:
-            blocks = _assemble_blocks(prep, table, mult[nice], n_total, deviation[nice])
-            keys = [keys[b] for b in nice]
-            return CompressedFamily(plan, attempt, codebooks, fraction, dict(zip(keys, blocks)))
+            rows = _assemble_rows(prep, table, mult[nice], n_total, deviation[nice])
+            return CompressedFamily(plan, attempt, codebooks, fraction, keys[nice], idx, *rows)
     raise ProtocolError(
         f"event E failed on {MAX_CODEBOOK_DRAWS} codebook draws "
         "(nice fraction below 1 - eps^0.25)"
     )
 
 
-def _assemble_blocks(prep, table, mult, n_total, deviation) -> list:
-    """The ``CompressedBlock`` of every nice block, from its class multiplicities:
-    one ``covering.good_sets`` call, stacks over (block, class), and one
-    stacked ``PreparedInstance.steer`` of every kept and abort element."""
-    classes, _, t, mirrors = table
+def _assemble_rows(prep, table, mult, n_total, deviation) -> tuple:
+    """``CompressedFamily``'s row and block arrays from every nice block's
+    class multiplicities: one ``covering.good_sets`` call, stacks over
+    (block, class), and one stacked ``PreparedInstance.steer`` of every kept
+    and abort element."""
+    _, t, mirrors = table
     parts, weights, eps = cov.transformed_rows(
         t[:, None, None] * mirrors, mult / n_total, np.maximum(deviation, 1e-9)
     )
@@ -280,17 +278,12 @@ def _assemble_blocks(prep, table, mult, n_total, deviation) -> list:
     norm = np.maximum(np.linalg.eigvalsh(acc)[:, -1], 1.0) * (1.0 + 1e-12)
     gammas = raw / norm[:, None, None, None]
     gamma0 = prep.supp_proj_a.copy()
-    for c in range(len(classes)):  # class by class, the order of a per-block sum
+    for c in range(len(t)):  # class by class, the order of a per-block sum
         gamma0 = gamma0 - kept[:, c, None, None] * gammas[:, c]
     gamma0 = (gamma0 + gamma0.conj().swapaxes(-1, -2)) / 2
     env = prep.steer(np.concatenate([gammas, gamma0[:, None]], axis=1))
-    blocks = []
-    for b, row in enumerate(good):
-        cls = [classes[c] for c in np.flatnonzero(row)]
-        counts = {c: int(m) for c, m in zip(cls, mult[b, row])}
-        els, env_of = dict(zip(cls, gammas[b, row])), dict(zip(cls, env[b, :-1][row]))
-        blocks.append(CompressedBlock(els, counts, gamma0[b], env_of, env[b, -1]))
-    return blocks
+    row_block, row_class = np.nonzero(good)
+    return gammas[good], env[:, :-1][good], row_block, row_class, gamma0, env[:, -1]
 
 
 # ---------------------------------------------------------------------------
@@ -356,23 +349,21 @@ def sample_transcript(
     """
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(77,)))
     coins = tuple(int(rng.integers(cb.coins)) for cb in family.codebooks)
-    indices, blk = [-1] * len(coins), family.blocks.get(coins)
-    if blk is not None:
-        classes = list(blk.gammas.keys())
-        probs = np.array(
-            [blk.counts[c] * np.trace(blk.gammas[c] @ prep.rho_a).real for c in classes]
-        )
+    indices = [-1] * len(coins)
+    rows = np.flatnonzero(np.all(family.block_coins == coins, axis=1)[family.row_block])
+    if len(rows):
+        _, symbols, counts = family.row_links()
+        tr = np.trace(family.gammas[rows] @ prep.rho_a, axis1=1, axis2=2).real
+        probs = np.prod(counts[rows], axis=1) * tr
         p_abort = max(0.0, 1.0 - probs.sum())
         draw = rng.random() * (probs.sum() + p_abort)
-        cum = 0.0
-        for c, p in zip(classes, probs):
-            cum += p
-            if draw < cum:
-                indices = [
-                    int(rng.integers(*cb.index_range(k, cb.alphabet.index(sym))))
-                    for cb, k, sym in zip(family.codebooks, coins, c)
-                ]
-                break
+        # the first row whose running sum, added in row order, exceeds the draw
+        hit = np.searchsorted(np.cumsum(probs), draw, side="right")
+        if hit < len(rows):
+            indices = [
+                int(rng.integers(*cb.index_range(k, s)))
+                for cb, k, s in zip(family.codebooks, coins, symbols[rows[hit]])
+            ]
     out = {f"k{i + 1}": k for i, k in enumerate(coins)}
     out.update((f"l{i + 1}", index) for i, index in enumerate(indices))
     return dict(out, abort=min(indices) < 0)

@@ -846,6 +846,37 @@ def register_link_test(i_hyp_cq, state, slots, eps: float) -> tuple:
     return value, test.achieved_alpha, test.achieved_beta, per_symbol
 
 
+@dataclasses.dataclass
+class BlockView:
+    """One nice coin block of a compressed family, keyed by class (one
+    symbol per link): each class's per-index element, E-operator and index
+    count, and the block's abort element and its E-operator."""
+
+    gammas: dict
+    env: dict
+    counts: dict
+    gamma0: np.ndarray
+    env0: np.ndarray
+
+
+def family_blocks(family) -> dict:
+    """A ``BlockView`` per nice block of a ``CompressedFamily``, keyed by the
+    block's coins, rebuilt from the family's rows one row at a time.  A
+    class's index count is the product over links of its symbol's count in
+    the block's coin, read off the codebooks."""
+    out = {}
+    for b, coins in enumerate(family.block_coins.tolist()):
+        blk = out[tuple(coins)] = BlockView({}, {}, {}, family.gamma0[b], family.env0[b])
+        for r in np.flatnonzero(family.row_block == b):
+            symbols = family.class_symbols[family.row_class[r]].tolist()
+            cls = tuple(cb.alphabet[s] for cb, s in zip(family.codebooks, symbols))
+            blk.gammas[cls], blk.env[cls] = family.gammas[r], family.env[r]
+            blk.counts[cls] = math.prod(
+                int(cb.counts[k, s]) for cb, k, s in zip(family.codebooks, coins, symbols)
+            )
+    return out
+
+
 def unassisted_output_blocks(family, rho_e, scenario, join, abort: str) -> dict:
     """Coin-averaged output of the compressed measurement when every link
     carries its whole message index: subnormalised E-operators keyed by the
@@ -866,9 +897,9 @@ def unassisted_output_blocks(family, rho_e, scenario, join, abort: str) -> dict:
 
     cb_x, cb_y = family.codebooks
     w_blk = 1.0 / (cb_x.coins * cb_y.coins)
-    out: dict = {}
+    blocks, out = family_blocks(family), {}
     for coins in itertools.product(range(cb_x.coins), range(cb_y.coins)):
-        blk = family.blocks.get(coins)
+        blk = blocks.get(coins)
         terms = [(key(abort, abort), rho_e if blk is None else blk.env0)]
         if blk is not None:
             terms += [(key(*c), blk.counts[c] * op) for c, op in blk.env.items()]
@@ -890,18 +921,20 @@ def centralised_output_blocks(family, rho_e, decoders, join, abort: str) -> dict
     (``rho_e``) add to the abort key; every term is weighted by 1/(K1 K2).
     ``decoders`` holds the X and Y decoders, each with
     ``apply(coin, class index, op)`` as ``PerMessageStageDecoder`` has it;
-    ``join`` and ``abort`` are as for ``unassisted_output_blocks``.
+    ``join`` and ``abort`` are as for ``unassisted_output_blocks``, and the
+    blocks are ``family_blocks``' view of the family's rows.
     """
     dec_x, dec_y = decoders
     cb_x, cb_y = family.codebooks
     w_blk = 1.0 / (cb_x.coins * cb_y.coins)
+    blocks = family_blocks(family)
     out: dict = {"both": {}, "x_only": {}, "y_only": {}}
 
     def add(name: str, key: str, op) -> None:
         out[name][key] = out[name].get(key, 0.0) + w_blk * op
 
     for k1, k2 in itertools.product(range(cb_x.coins), range(cb_y.coins)):
-        blk = family.blocks.get((k1, k2))
+        blk = blocks.get((k1, k2))
         abort_op = rho_e if blk is None else blk.env0
         add("both", join(abort, abort), abort_op)
         add("x_only", abort, abort_op)

@@ -250,6 +250,19 @@ def _check_outputs(prep, res: dict) -> None:
         assert abs(trace - 1.0) <= 1e-9, sc_name
 
 
+def _check_env_blocks(prep, family) -> None:
+    """The same completeness on E, from the E-operators each block carries,
+    and each E-operator's trace against its element's outcome probability;
+    block by block, through ``oracles.family_blocks``."""
+    supp_e = prep.steer(prep.supp_proj_a)
+    for blk in oracles.family_blocks(family).values():
+        total = sum(blk.counts[c] * env for c, env in blk.env.items()) + blk.env0
+        assert np.max(np.abs(total - supp_e)) <= 1e-12
+        for c, env in blk.env.items():
+            want = np.trace(blk.gammas[c] @ prep.rho_a).real
+            assert abs(np.trace(env).real - want) <= 1e-12, c
+
+
 def test_golden_protocol_runs(solved):
     name, prep, _, _ = solved
     run, unassisted = _protocol_runs(name, prep)
@@ -258,17 +271,9 @@ def test_golden_protocol_runs(solved):
     }
     hashed = _hashed_axes(run)
     assert hashed == set(GOLDEN_WIRE.get(name, ()))
-    supp_e = prep.steer(prep.supp_proj_a)
     for res in (run, unassisted):
         _check_outputs(prep, res)
-        family = res["family"]
-        # the same completeness on E, from the E-operators each block carries
-        for blk in family.blocks.values():
-            total = sum(blk.counts[c] * env for c, env in blk.env.items()) + blk.env0
-            assert np.max(np.abs(total - supp_e)) <= 1e-12
-            for c, env in blk.env.items():
-                want = np.trace(blk.gammas[c] @ prep.rho_a).real
-                assert abs(np.trace(env).real - want) <= 1e-12, c
+        _check_env_blocks(prep, res["family"])
     # every scenario whose links carry whole indices, block by block against
     # the independent reference
     unhashed = [(unassisted, sc) for sc in SCENARIOS]
@@ -387,7 +392,7 @@ def test_transcript_follows_each_link(solved):
         coins, indices = (tr["k1"], tr["k2"]), (tr["l1"], tr["l2"])
         hits = [
             cls
-            for cls in family.blocks[coins].gammas
+            for cls in oracles.family_blocks(family)[coins].gammas
             if all(
                 lo <= index < hi
                 for cb, k, sym, index in zip(family.codebooks, coins, cls, indices)
@@ -646,13 +651,15 @@ def _check_against_per_message_decode(prep, run) -> None:
 )
 def test_coin_scaling_matches_per_message_decode(coins, wire):
     # 2^c coins per link, so 4^c coin blocks, decoded in one array pass per
-    # layer; every scenario's output against the per-message reference
+    # layer; every scenario's output against the per-message reference, and
+    # every block's E-operators against its completeness and traces
     prep = P.prepare(io.load_bundled("qubit_entangled_side_info"))
     budget = OneShotBudget(0.1, r_x=8, r_y=7, c_x=coins, c_y=coins)
     run = P.centralised_protocol(prep, budget, 1, log_const=0.0, wire_override=wire)
     assert [cb.coins for cb in run["family"].codebooks] == [2**coins] * 2
     assert _hashed_axes(run) == set(wire)
     _check_against_per_message_decode(prep, run)
+    _check_env_blocks(prep, run["family"])
 
 
 @pytest.mark.parametrize("coins", [1, 2])
