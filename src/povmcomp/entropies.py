@@ -28,9 +28,9 @@ BISECT_TOL_BITS = 1e-3
 
 
 class SolverError(RuntimeError):
-    """Raised when a smoothing value fails one of its two certificates, or
-    its solve gives no positive t; carries residuals.  A solve that stops
-    short of convergence raises nothing while both certificates pass."""
+    """Raised when a smoothing or hypothesis-testing value fails a
+    certificate, or its solve gives no positive t; carries residuals.  A
+    solve stopping short of convergence raises nothing while both pass."""
 
     def __init__(self, message: str, residuals: dict | None = None):
         super().__init__(message)
@@ -91,9 +91,13 @@ def h_max_smooth(p: qo.Distribution, eps: float) -> float:
 
 @dataclass
 class NPTest:
+    """An optimal test; the optimal type-II error lies in
+    [``dual_beta``, ``achieved_beta``] (``_certified``)."""
+
     operator: np.ndarray | None
     achieved_alpha: float
     achieved_beta: float
+    dual_beta: float
     per_symbol: dict[str, np.ndarray] | None = None
 
 
@@ -104,10 +108,11 @@ class _Blocks:
     quantum register, and ``d_hyp``'s pair is one block (n = 1).
 
     alpha_strict(t) = sum_b Tr[{t rho_b - sigma_b > 0} rho_b] is the left
-    derivative of the convex map t -> sum_b Tr(t rho_b - sigma_b)_+, so it
-    is nondecreasing in t.  Its eigenvalues grow with t (rho_b >= 0), and
-    it jumps only where one of them crosses 0: where t rho_b - sigma_b is
-    singular, at t = 1 / mu for mu > 0 in the spectrum of
+    derivative of the convex map g(t) = sum_b Tr(t rho_b - sigma_b)_+, so
+    it is nondecreasing in t, and the Lagrange bound t (1 - eps) - g(t)
+    peaks where it crosses 1 - eps.  It jumps only where an eigenvalue of
+    t rho_b - sigma_b, growing with t (rho_b >= 0), crosses 0: where
+    t rho_b - sigma_b is singular, at t = 1 / mu for mu > 0 in the spectrum of
     sigma_b^(-1/2) (rho_b / K) sigma_b^(-1/2) on supp sigma_b, with
     rho_b / K the Schur complement of rho_b's corner on ker sigma_b
     (rho_b itself when rho_b carries no mass there, as for every block of
@@ -134,7 +139,7 @@ class _Blocks:
 
     def alpha_strict(self, t: float, tol: float) -> float:
         d, v = self.spectra(t)
-        return sum(_row_sums(_weights(v, self.rho), d > tol))
+        return float(_weights(v, self.rho)[d > tol].sum())
 
     def jumps(self) -> tuple[list[float], list[float]]:
         """The points t_j where alpha_strict jumps, ascending, and the half
@@ -193,50 +198,32 @@ def _weights(v: np.ndarray, mats: np.ndarray) -> np.ndarray:
     return np.real(np.einsum("nij,njk,nki->ni", v.conj().swapaxes(-1, -2), mats, v))
 
 
-def _row_sums(w: np.ndarray, mask: np.ndarray) -> list[float]:
-    """Each block's sum of ``w`` over ``mask``, as ``w[b][mask[b]].sum()``.
-
-    Summed row by row: a zero-filled stacked sum associates the terms of a
-    row of 8 or more differently, which can move the bisection's bracket.
-    """
-    return [float(row[m].sum()) for row, m in zip(w, mask)]
-
-
 # relative error of a stacked eigh's eigenvalues (4 ulps), the absolute error
 # of a computed alpha_strict (64 ulps), and the relative width at which the
 # root search of a continuous crossing hands over to its confirmation
 EIG_NOISE = 2.0**-50
 ALPHA_NOISE = 2.0**-46
 ROOT_CLOSE = 2.0**-30
+# tolerance of an NP test's primal residuals and interval width in bits (``_certified``)
+NP_TOL = 1e-12
 
 
 class _Readings:
-    """The readings alpha_strict(t, 0) of one threshold search, and the
-    confirmed bracket [lo, hi] outside which it answers without an ``eigh``.
+    """The readings alpha_strict(t, 0) of one threshold search.
 
     ``read`` keeps every reading, so a point read twice costs one ``eigh``.
-    ``reaches(t)``, alpha_strict(t, 0) >= target, is False at t <= lo and
-    True at t >= hi, and read elsewhere.  ``below`` and ``above`` are the
-    tightest points read on either side of the target, which steer the
-    search; only ``confirm`` moves [lo, hi].
+    ``below`` and ``above`` are the tightest points read on either side of
+    the target, which steer the search.
     """
 
     def __init__(self, blocks: _Blocks, target: float):
         self.blocks, self.target = blocks, target
         self.alpha: dict[float, float] = {}
-        self.lo, self.hi = 0.0, math.inf
 
     def read(self, t: float) -> float:
         if t not in self.alpha:
             self.alpha[t] = self.blocks.alpha_strict(t, 0.0)
         return self.alpha[t]
-
-    def reaches(self, t: float) -> bool:
-        if t <= self.lo:
-            return False
-        if t >= self.hi:
-            return True
-        return self.read(t) >= self.target
 
     def below(self) -> float:
         return max((t for t, a in self.alpha.items() if a < self.target), default=0.0)
@@ -244,19 +231,18 @@ class _Readings:
     def above(self) -> float:
         return min((t for t, a in self.alpha.items() if a >= self.target), default=math.inf)
 
-    def confirm(self, t: float, half: float) -> bool:
-        """Read t - half, and t + half when t - half reads below the
-        target; when they straddle it, they become [lo, hi]."""
+    def confirm(self, t: float, half: float) -> tuple[float, float] | None:
+        """[t - half, t + half] when its ends straddle the target: t - half
+        reads below it and then t + half at or above it."""
         a, b = t - half, t + half
         if self.read(a) < self.target <= self.read(b):
-            self.lo, self.hi = a, b
-            return True
-        return False
+            return a, b
+        return None
 
 
-def _np_bracket(rd: _Readings) -> None:
-    """Confirm a bracket [lo, hi] of the threshold from the jumps of
-    alpha_strict (``_Blocks.jumps``), or leave none.
+def _np_bracket(rd: _Readings) -> tuple[float, float] | None:
+    """A confirmed bracket [lo, hi] of the threshold from the jumps of
+    alpha_strict (``_Blocks.jumps``), or None.
 
     A bisection over the points between the jumps (the geometric means of
     neighbours, half the first, twice the last) finds the least that
@@ -270,7 +256,7 @@ def _np_bracket(rd: _Readings) -> None:
     """
     points, halves = rd.blocks.jumps()
     if not points:
-        return
+        return None
     between = [math.sqrt(a * b) for a, b in zip(points, points[1:])]
     probes = [points[0] / 2.0, *between, points[-1] * 2.0]
     lo, hi = -1, len(probes)
@@ -286,15 +272,15 @@ def _np_bracket(rd: _Readings) -> None:
         for _ in range(4):
             if not rd.below() < t < rd.above():
                 break
-            if rd.confirm(t, half):
-                return
+            if bracket := rd.confirm(t, half):
+                return bracket
             half *= 16.0
-    _np_root(rd)
+    return _np_root(rd)
 
 
-def _np_root(rd: _Readings) -> None:
-    """Confirm a bracket of a crossing of the continuous alpha_strict, or
-    leave none.
+def _np_root(rd: _Readings) -> tuple[float, float] | None:
+    """A confirmed bracket of a crossing of the continuous alpha_strict,
+    or None.
 
     Regula falsi between the tightest readings (times 4 from the last one
     until one reads at or above the target), safeguarded twice: the
@@ -315,23 +301,23 @@ def _np_root(rd: _Readings) -> None:
         rd.read(4.0 * rd.below() if rd.below() > 0.0 else 1.0)
     low, high = rd.below(), rd.above()
     if not low < high < math.inf:
-        return
+        return None
     g_low, g_high = rd.alpha.get(low, 0.0) - target, rd.alpha[high] - target
     side = 0
     for _ in range(40):
         low, high = rd.below(), rd.above()
         if not low < high:
-            return
+            return None
         if high - low <= ROOT_CLOSE * high:
             a_low, a_high = rd.alpha.get(low, 0.0), rd.alpha[high]
             slope = (a_high - a_low) / (high - low)
             root = min(max(low + (target - a_low) / slope, low), high)
             half = max(ALPHA_NOISE / slope, 4.0 * math.ulp(root))
             for _ in range(3):
-                if rd.confirm(root, half):
-                    return
+                if bracket := rd.confirm(root, half):
+                    return bracket
                 half *= 16.0
-            return
+            return None
         t = high - g_high * (high - low) / (g_high - g_low)
         if abs(side) >= 3:
             t = math.sqrt(low * high) if low > 0.0 else high / 4.0
@@ -341,7 +327,7 @@ def _np_root(rd: _Readings) -> None:
             t = (low + high) / 2.0
         reaches = rd.read(t) >= target
         if rd.alpha[t] == rd.alpha.get(high if reaches else low):
-            return
+            return None
         if reaches:
             g_high = rd.alpha[t] - target
             if side > 0:
@@ -352,118 +338,130 @@ def _np_root(rd: _Readings) -> None:
             if side < 0:
                 g_high /= 2.0
             side = side - 1 if side < 0 else -1
+    return None
 
 
 def _np_bisect(blocks: _Blocks, target: float) -> tuple[float, float]:
-    """Bracket [t_lo, t_hi] of the least t with alpha_strict(t) >= target.
-
-    First a bracket of the threshold is confirmed from the jumps of
-    alpha_strict (``_np_bracket``).  Then the bisection runs: expansion
-    by 4 from [0, 1], then halving until the float64 midpoint stops
-    falling strictly inside the bracket, at most 120 times; further
-    halvings would only probe t_lo or t_hi again and leave the bracket as
-    it is.  A point outside the confirmed bracket is answered without an
-    ``eigh`` (``_Readings.reaches``), and a point read before is not read
-    again, so the bisection reads only its own points inside the
-    confirmed bracket.
-
-    The computed alpha_strict is not monotone near the threshold: inside
-    a window of a few to a few thousand ulps, its readings fall on either
-    side of the target at random.  The bisection's answer is where its
-    own points land in that window, so an answer without an ``eigh`` is
-    its own only when it lies outside the window.  Hence only a
-    confirmed bracket, whose half width bounds the window, answers
-    points; the readings of the search inside it only steer it.  So the
-    bracket, the tests, alpha and beta are those of the bisection alone
-    (``tests/oracles.np_bisect_fixed``).  With no confirmed bracket (no
-    jumps, a crossing the root search does not pin down) the bisection
-    runs alone, less the points the search has read.
+    """Bracket [t_lo, t_hi] of the least t with alpha_strict(t) >= target:
+    the one confirmed from alpha_strict's jumps (``_np_bracket``), whose
+    ends read on either side of the target.  Without one, the bisection:
+    expansion by 4 from [0, 1], then halving until the float64 midpoint
+    stops falling strictly inside the bracket, at most 120 times.  The test
+    taken in it is certified on its own (``_certified``), so the bracket
+    need only hold the threshold.
     """
     rd = _Readings(blocks, target)
-    _np_bracket(rd)
+    if bracket := _np_bracket(rd):
+        return bracket
     t_lo, t_hi = 0.0, 1.0
     for _ in range(200):
-        if rd.reaches(t_hi):
+        if rd.read(t_hi) >= target:
             break
         t_lo, t_hi = t_hi, t_hi * 4.0
     for _ in range(120):
         mid = (t_lo + t_hi) / 2
         if not t_lo < mid < t_hi:
             break
-        if rd.reaches(mid):
+        if rd.read(mid) >= target:
             t_hi = mid
         else:
             t_lo = mid
     return t_lo, t_hi
 
 
-def _np_threshold(blocks: _Blocks, eps: float):
-    """Optimal NP test; returns (beta, per-block test operators, alpha).
+def _np_threshold(blocks: _Blocks, eps: float) -> tuple[list, float, float, float]:
+    """Optimal NP test: (per-block tests, alpha, beta, dual), with dual a
+    lower bound on the optimal beta (``_certified``).
 
-    The blocks are searched together: the kernel test and the jumps come
-    from one stacked ``eigh`` of sigma (``_Blocks.sigma_eigh``), each
-    probe of ``alpha_strict`` is one stacked ``eigh`` of t rho - sigma
-    and one stacked weight ``einsum``, and the tests at the bracket's top
-    come from one stacked spectrum.  The threshold's bracket is
-    ``_np_bisect``'s: the bisection's own, read at about a dozen points
-    around a confirmed bracket from alpha_strict's jumps instead of 55.
-    Sums over blocks run in block order, each block's own sum as a
-    per-block search takes it, so the bracket, the tests and
-    (alpha, beta) are those of a search one block at a time.
+    The test is taken from one stacked ``eigh`` of t rho - sigma at the
+    middle t of ``_np_bisect``'s bracket, a jump t_j or a secant root (at
+    the top, alpha would overshoot 1 - eps by up to 2 ALPHA_NOISE on a
+    continuous stretch).  Its eigenvalues d give {d > gap} plus the weight
+    on the border |d| <= gap that brings alpha to 1 - eps, and the dual
+    t (1 - eps) - sum max(d, 0).
+
+    Two exits take no search.  When rho's mass on ker sigma reaches
+    1 - eps, the test is the projector onto ker sigma, with beta = 0 and
+    the dual at t = 0.  At eps <= 1e-14 it is the eps = 0 test, rho's
+    support projector Pi, optimal there (T <= I with Tr T rho = 1 is I on
+    supp rho), and its dual is its beta, which the Lagrange bound reaches
+    only as t grows without end.
     """
     target = 1.0 - eps
     # beta = 0 reachable: test supported on ker(sigma)
     w, v = blocks.sigma_eigh
-    ker_tests, ker_alpha = [], 0.0
-    for r, wb, vb in zip(blocks.rho, w, v):
-        kcols = vb[:, np.abs(wb) <= 1e-12]
-        ker_tests.append(kcols @ kcols.conj().T)
-        if kcols.size:
-            ker_alpha += float(np.trace(ker_tests[-1] @ r).real)
-    if ker_alpha >= target - 1e-12:
-        return math.inf, ker_tests, ker_alpha
+    ker = v * (np.abs(w) <= 1e-12)[:, None, :]
+    tests = ker @ ker.conj().swapaxes(-1, -2)
+    alpha = float(np.einsum("nij,nji->", tests, blocks.rho).real)
+    if alpha >= target - 1e-12:
+        return list(tests), alpha, 0.0, 0.0
 
     if eps <= 1e-14:
         tests = [la.support_projector(r) for r in blocks.rho]
         alpha = sum(float(np.trace(p @ r).real) for p, r in zip(tests, blocks.rho))
         beta = sum(float(np.trace(p @ s).real) for p, s in zip(tests, blocks.sigma))
-        return beta, tests, alpha
+        return tests, alpha, beta, beta
 
-    scale = sum(blocks.sigma_mass.tolist()) + 1.0
     t_lo, t_hi = _np_bisect(blocks, target)
-    t_star = t_hi
-    gap = max(t_hi - t_lo, 1e-15) * (1.0 + scale)
-    d, v = blocks.spectra(t_star)
+    t = (t_lo + t_hi) / 2.0
+    gap = max(t_hi - t_lo, 1e-15) * (2.0 + sum(blocks.sigma_mass.tolist()))
+    d, v = blocks.spectra(t)
     w_r, w_s = _weights(v, blocks.rho), _weights(v, blocks.sigma)
     take, border = d > gap, np.abs(d) <= gap
-    alpha_strict = sum(_row_sums(w_r, take))
-    kernel_w = sum(_row_sums(w_r, border))
-    c = 0.0
-    if kernel_w > 1e-15:
-        c = min(max((target - alpha_strict) / kernel_w, 0.0), 1.0)
-    weights = take.astype(float) + c * border.astype(float)
+    kernel_w = float(w_r[border].sum())
+    short = target - float(w_r[take].sum())
+    c = min(max(short / kernel_w, 0.0), 1.0) if kernel_w > 1e-15 else 0.0
+    weights = take + c * border
     tests = (v * weights[:, None, :]) @ v.conj().swapaxes(-1, -2)
-    alpha = sum((w_r * weights).sum(axis=1).tolist())
-    beta = sum((w_s * weights).sum(axis=1).tolist())
-    return beta, list(tests), alpha
+    alpha, beta = (sum((w * weights).sum(axis=1).tolist()) for w in (w_r, w_s))
+    return list(tests), alpha, beta, t * target - float(np.maximum(d, 0.0).sum())
+
+
+def _certified(blocks: _Blocks, tests: list, test: NPTest, eps: float) -> float:
+    """-log2 of ``test``'s beta once its checks pass; else SolverError
+    with both ends and the residuals.
+
+    Primal: the tests T_b, on their own, have eigenvalues in [0, 1], and
+    sum_b Tr T_b rho_b >= 1 - eps and sum_b Tr T_b sigma_b are the test's
+    alpha and beta.  Dual: weak duality gives the optimal
+    beta* >= mu (1 - eps) - sum_b Tr(mu rho_b - sigma_b)_+ at every
+    mu >= 0 (Wang and Renner, arXiv:1007.5456), as ``dual_beta`` is.  So
+    I_H^eps lies in [-log2 beta, -log2 dual_beta].  Each residual, and the
+    interval's width in bits either way round, must be at most NP_TOL.
+    """
+    stack = np.stack(tests)
+    ends = np.linalg.eigvalsh(stack)
+    alpha, beta = (float(np.einsum("nij,nji->", stack, m).real) for m in (blocks.rho, blocks.sigma))
+    value, upper = (
+        -math.log2(b) if b > 0.0 else math.inf for b in (test.achieved_beta, test.dual_beta)
+    )
+    residuals = {
+        "range": float(max(-ends.min(), ends.max() - 1.0)),
+        "alpha": max(abs(alpha - test.achieved_alpha), 1.0 - eps - test.achieved_alpha),
+        "beta": abs(beta - test.achieved_beta),
+        "width": 0.0 if value == upper else abs(upper - value),
+    }
+    if not max(residuals.values()) <= NP_TOL:
+        raise SolverError(f"I_H^eps in [{value}, {upper}] not certified", residuals)
+    return value
 
 
 def _np_test(
     rho_blocks: list, sigma_blocks: list, eps: float, symbols=None, sigma_mass=None
 ) -> tuple[float, NPTest]:
-    """The Neyman-Pearson value and test of a block-diagonal pair.
+    """The certified Neyman-Pearson value and test of a block-diagonal pair.
 
     With ``symbols`` the per-block tests are keyed by symbol in
     ``per_symbol``; without, the pair is one block and its test is
     ``operator``.  ``sigma_mass`` is ``_Blocks``'.
     """
-    blocks = _Blocks(rho_blocks, sigma_blocks, sigma_mass)
-    beta, tests, alpha = _np_threshold(blocks, _validate_eps(eps))
-    value = math.inf if beta <= 0 or math.isinf(beta) else -math.log2(beta)
-    beta = 0.0 if math.isinf(beta) else beta
+    blocks, eps = _Blocks(rho_blocks, sigma_blocks, sigma_mass), _validate_eps(eps)
+    tests, alpha, beta, dual = _np_threshold(blocks, eps)
     if symbols is None:
-        return value, NPTest(tests[0], alpha, beta)
-    return value, NPTest(None, alpha, beta, dict(zip(symbols, tests)))
+        test = NPTest(tests[0], alpha, beta, dual)
+    else:
+        test = NPTest(None, alpha, beta, dual, dict(zip(symbols, tests)))
+    return _certified(blocks, tests, test, eps), test
 
 
 def d_hyp(rho, sigma, eps: float) -> tuple[float, NPTest]:

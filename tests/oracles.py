@@ -277,9 +277,11 @@ class PerBlockNP:
     """The Neyman-Pearson search of a block-diagonal pair (rho, sigma), one
     block at a time: one ``eigh`` and two weight contractions per block per
     probe.  The reference for ``entropies._Blocks`` and ``_np_threshold``,
-    which stack the blocks; ``threshold`` follows the same steps (kernel
-    test, bisection bracket, border weight) with the fixed 120-halving
-    bisection of ``np_bisect_fixed``.  Inputs must have eps > 1e-14."""
+    which stack the blocks and take a shorter search's bracket: its value
+    must lie in their certified interval.  ``threshold`` takes the kernel
+    test, the bracket of the fixed 120-halving bisection
+    (``np_bisect_fixed``) and the border weight.  Inputs must have
+    eps > 1e-14."""
 
     def __init__(self, rho_blocks, sigma_blocks):
         self.rho = [np.asarray(b, dtype=complex) for b in rho_blocks]

@@ -195,61 +195,70 @@ class TestIHyp:
         assert np.isclose(v_cq, v_dense, atol=1e-9)
 
 
+def certified_interval(rho, sigma, eps) -> tuple[float, float]:
+    """The library's certified interval [-log2 beta, -log2 dual_beta] of a
+    block-diagonal pair's Neyman-Pearson value, once the per-block
+    oracle's value (``oracles.PerBlockNP``, the fixed 120-halving
+    bisection) is checked to lie inside it, up to its NP_TOL bits, and
+    both tests to reach alpha = 1 - eps."""
+    value, test = ent._np_test(rho, sigma, eps, symbols=range(len(rho)))
+    upper = -math.log2(test.dual_beta) if test.dual_beta > 0.0 else math.inf
+    ref_beta, _, ref_alpha = oracles.PerBlockNP(rho, sigma).threshold(eps)
+    want = -math.log2(ref_beta) if 0.0 < ref_beta < math.inf else math.inf
+    if math.isinf(want):
+        assert value == upper == math.inf
+    else:
+        assert value - ent.NP_TOL <= want <= upper + ent.NP_TOL, (value, want, upper)
+    assert abs(test.achieved_alpha - ref_alpha) <= ent.NP_TOL
+    return value, upper
+
+
+def counted(blocks) -> list:
+    """The points at which ``blocks`` is read from now on."""
+    calls, alpha_strict = [], blocks.alpha_strict
+    blocks.alpha_strict = lambda t, tol: calls.append(t) or alpha_strict(t, tol)
+    return calls
+
+
 class TestNPBisection:
-    """The threshold bisection stops once the midpoint stops moving, with
-    the same result as the fixed 120 halvings."""
+    """The threshold search reads a fraction of the fixed 120-halving
+    bisection's points, and that bisection's value lies in the search's
+    certified interval."""
 
     @staticmethod
-    def block_lists():
+    def pairs():
         rng = np.random.default_rng(11)
         for n_blocks, d in ((1, 2), (2, 2), (3, 3), (4, 2)):
             p = rng.dirichlet(np.ones(n_blocks))
             rho = [pi * oracles.random_density(rng, d) for pi in p]
             avg = sum(rho)
-            yield ent._Blocks(rho, [pi * avg for pi in p])  # i_hyp_cq's pair
+            yield rho, [pi * avg for pi in p]  # i_hyp_cq's pair
 
     @pytest.mark.parametrize("eps", [0.01, 0.1, 0.3])
-    def test_matches_fixed_bisection(self, eps, monkeypatch):
-        target = 1.0 - eps
-        for blocks in self.block_lists():
-            assert ent._np_bisect(blocks, target) == oracles.np_bisect_fixed(
-                blocks.alpha_strict, target
-            )
-            calls = []
-            alpha_strict = blocks.alpha_strict
-            blocks.alpha_strict = lambda t, tol: calls.append(t) or alpha_strict(t, tol)
-            beta, tests, alpha = ent._np_threshold(blocks, eps)
+    def test_matches_fixed_bisection(self, eps):
+        for rho, sigma in self.pairs():
+            certified_interval(rho, sigma, eps)
+            blocks = ent._Blocks(rho, sigma)
+            calls = counted(blocks)
+            ent._np_threshold(blocks, eps)
             n_calls = len(calls)
             assert 0 < n_calls <= 60
-            with monkeypatch.context() as patch:
-                patch.setattr(
-                    ent, "_np_bisect", lambda b, tg: oracles.np_bisect_fixed(b.alpha_strict, tg)
-                )
-                ref_beta, ref_tests, ref_alpha = ent._np_threshold(blocks, eps)
+            oracles.np_bisect_fixed(blocks.alpha_strict, 1.0 - eps)
             assert len(calls) - n_calls > 120
-            assert beta == ref_beta and alpha == ref_alpha
-            for t, ref in zip(tests, ref_tests):
-                assert np.array_equal(t, ref)
 
 
 class TestStackedNP:
     """The stacked Neyman-Pearson search, one ``eigh`` per probe over all
-    blocks, gives the per-block loop's bracket, tests and (alpha, beta)
-    bit for bit."""
+    blocks, reads alpha_strict as the per-block loop does, up to the
+    summation order, and the per-block search's value lies in its
+    certified interval."""
 
     @staticmethod
     def assert_matches(rho, sigma, eps):
         blocks, ref = ent._Blocks(rho, sigma), oracles.PerBlockNP(rho, sigma)
-        target = 1.0 - eps
         for t in (0.0, 0.3, 1.0, 2.5, 17.0):
-            assert blocks.alpha_strict(t, 0.0) == ref.alpha_strict(t, 0.0)
-        assert ent._np_bisect(blocks, target) == oracles.np_bisect_fixed(ref.alpha_strict, target)
-        beta, tests, alpha = ent._np_threshold(blocks, eps)
-        ref_beta, ref_tests, ref_alpha = ref.threshold(eps)
-        assert (beta, alpha) == (ref_beta, ref_alpha)
-        assert len(tests) == len(ref_tests) == len(rho)
-        for t, want in zip(tests, ref_tests):
-            assert np.array_equal(t, want)
+            assert abs(blocks.alpha_strict(t, 0.0) - ref.alpha_strict(t, 0.0)) <= ent.ALPHA_NOISE
+        certified_interval(rho, sigma, eps)
 
     @pytest.mark.parametrize("n_blocks", [1, 3, 6])
     @pytest.mark.parametrize("d", [2, 3])
@@ -274,59 +283,51 @@ class TestStackedNP:
         self.assert_matches(rho, sigma, 0.95)
 
 
+# sigma / rho is 0.5 on two entries in two blocks and 2 on the others:
+# alpha_strict steps 0 -> 0.6 at t = 0.5 and 0.6 -> 1 at t = 2
+TIED = ([np.diag([0.3, 0.2]), np.diag([0.2, 0.3])], [np.diag([0.15, 0.4]), np.diag([0.4, 0.15])])
+
+
 class TestNPBracket:
     """Each branch of the threshold search (``_np_bracket``, ``_np_root``):
-    the bracket is the fixed 120-halving bisection's and the test the
-    per-block search's, bit for bit, and the search reads no more points
-    than the bisection alone."""
-
-    @staticmethod
-    def counted(blocks) -> list:
-        calls, alpha_strict = [], blocks.alpha_strict
-        blocks.alpha_strict = lambda t, tol: calls.append(t) or alpha_strict(t, tol)
-        return calls
+    the per-block search's value lies in the certified interval, a
+    confirmed bracket overlaps the fixed bisection's, and the search reads
+    no more points than the bisection alone."""
 
     def branch(self, rho, sigma, eps, monkeypatch, excess=0) -> str:
         """Checks one pair and returns the branch its search took: "jump"
         (a bracket confirmed at a jump), "root" (confirmed by the root
-        search) or "none" (no confirmed bracket).  The search must read at
-        most ``excess`` points more than the bisection alone."""
-        blocks, ref = ent._Blocks(rho, sigma), oracles.PerBlockNP(rho, sigma)
-        target = 1.0 - eps
-        beta, tests, alpha = ent._np_threshold(blocks, eps)
-        ref_beta, ref_tests, ref_alpha = ref.threshold(eps)
-        assert (beta, alpha) == (ref_beta, ref_alpha) and math.isfinite(beta)
-        for t, want in zip(tests, ref_tests, strict=True):
-            assert np.array_equal(t, want)
-        searches, roots = [], []
-        calls = self.counted(blocks)
+        search) or "none" (no confirmed bracket: the bisection's own
+        bracket).  The search must read at most ``excess`` points more
+        than the bisection alone."""
+        assert math.isfinite(certified_interval(rho, sigma, eps)[0])
+        blocks, target = ent._Blocks(rho, sigma), 1.0 - eps
+        fixed = oracles.np_bisect_fixed(blocks.alpha_strict, target)
+        found, roots = [], []
+        calls = counted(blocks)
         with monkeypatch.context() as patch:
             bracket, root = ent._np_bracket, ent._np_root
-            patch.setattr(ent, "_np_bracket", lambda rd: searches.append(rd) or bracket(rd))
+            patch.setattr(ent, "_np_bracket", lambda rd: found.append(bracket(rd)) or found[-1])
             patch.setattr(ent, "_np_root", lambda rd: roots.append(rd) or root(rd))
             got = ent._np_bisect(blocks, target)
-        assert got == oracles.np_bisect_fixed(ref.alpha_strict, target)
         read = len(calls)
         with monkeypatch.context() as patch:
             patch.setattr(ent, "_np_bracket", lambda rd: None)
-            assert ent._np_bisect(blocks, target) == got
+            assert ent._np_bisect(blocks, target) == fixed
         assert read <= len(calls) - read + excess
-        (rd,) = searches
-        if math.isinf(rd.hi):
+        (confirmed,) = found
+        if confirmed is None:
+            assert got == fixed
             return "none"
-        assert rd.lo < got[1] and got[0] < rd.hi
+        assert got == confirmed and got[0] < fixed[1] and fixed[0] < got[1]
         return "root" if roots else "jump"
 
     def test_jump_with_tied_entries(self, monkeypatch):
-        # sigma / rho is 0.5 on two entries in two blocks and 2 on the others:
-        # alpha_strict steps 0 -> 0.6 at t = 0.5 and 0.6 -> 1 at t = 2, and
         # the test puts a fractional weight on the tied entries
-        rho = [np.diag([0.3, 0.2]), np.diag([0.2, 0.3])]
-        sigma = [np.diag([0.15, 0.4]), np.diag([0.4, 0.15])]
-        assert ent._Blocks(rho, sigma).jumps()[0] == pytest.approx([0.5, 2.0], rel=1e-15)
-        assert self.branch(rho, sigma, 0.5, monkeypatch) == "jump"
-        # t* = 2 > 1: the bisection's expansion to [1, 4] is answered too
-        assert self.branch(rho, sigma, 0.1, monkeypatch) == "jump"
+        assert ent._Blocks(*TIED).jumps()[0] == pytest.approx([0.5, 2.0], rel=1e-15)
+        assert self.branch(*TIED, 0.5, monkeypatch) == "jump"
+        # t* = 2 > 1
+        assert self.branch(*TIED, 0.1, monkeypatch) == "jump"
 
     def test_target_inside_a_continuous_segment(self, monkeypatch):
         # a non-commuting pair: alpha_strict jumps 0 -> 0.37 at t = 0.215 and
@@ -362,10 +363,10 @@ class TestNPBracket:
         ]
         assert branches == ["jump", "jump", "root"]
 
-    def test_threshold_above_one_replays_the_expansion(self, monkeypatch):
+    def test_threshold_above_one(self, monkeypatch):
         # t* = 19 (commuting) and t* near 36 (the pair of the continuous
-        # case at eps 0.005): the expansion's probes 1, 4, 16 (and 64) are
-        # answered by the confirmed bracket
+        # case at eps 0.005): the bracket confirmed at the jump is taken
+        # with no reading of the bisection's expansion 1, 4, 16 (and 64)
         rho, sigma = [np.diag([0.95, 0.05])], [np.diag([0.05, 0.95])]
         assert self.branch(rho, sigma, 0.01, monkeypatch) == "jump"
         rng = np.random.default_rng(5)
@@ -386,10 +387,6 @@ class TestNPBracket:
         jumps = ent._Blocks.jumps
         monkeypatch.setattr(ent._Blocks, "jumps", lambda self: ([], []))
         assert self.branch(rho, sigma, 0.2, monkeypatch) == "none"
-        commuting = (
-            [np.diag([0.3, 0.2]), np.diag([0.2, 0.3])],
-            [np.diag([0.15, 0.4]), np.diag([0.4, 0.15])],
-        )
 
         def off(self):
             points, _ = jumps(self)
@@ -398,18 +395,113 @@ class TestNPBracket:
         monkeypatch.setattr(ent._Blocks, "jumps", off)
         for eps in (0.5, 0.2):
             assert self.branch(rho, sigma, eps, monkeypatch) in {"root", "none"}
-            assert self.branch(*commuting, eps, monkeypatch, excess=4) == "none"
+            assert self.branch(*TIED, eps, monkeypatch, excess=4) == "none"
 
     def test_kernel_test_exit(self, monkeypatch):
         # rho's mass on ker sigma reaches 1 - eps: beta = 0, no search at all
         rho = [np.diag([0.2, 0.1, 0.05]), np.diag([0.3, 0.15, 0.2])]
         sigma = [np.diag([0.1, 0.05, 0.0]), np.diag([0.3, 0.15, 0.0])]
         monkeypatch.setattr(ent, "_np_bisect", lambda b, tg: pytest.fail("searched"))
-        beta, tests, alpha = ent._np_threshold(ent._Blocks(rho, sigma), 0.75)
+        tests, alpha, beta, dual = ent._np_threshold(ent._Blocks(rho, sigma), 0.75)
         ref_beta, ref_tests, ref_alpha = oracles.PerBlockNP(rho, sigma).threshold(0.75)
-        assert math.isinf(beta) and (beta, alpha) == (ref_beta, ref_alpha) and alpha == 0.25
+        assert math.isinf(ref_beta) and (beta, dual) == (0.0, 0.0)
+        assert alpha == ref_alpha == 0.25
         for t, want in zip(tests, ref_tests, strict=True):
             assert np.array_equal(t, want)
+        assert certified_interval(rho, sigma, 0.75) == (math.inf, math.inf)
+
+
+class TestNPCertificate:
+    """``_certified`` passes the threshold's test, and fails it once the
+    test leaves [0, I] or its alpha falls below 1 - eps, once the search
+    lands off the threshold, or once the dual is taken off it.  Both exits
+    of ``_np_threshold`` return through it."""
+
+    @staticmethod
+    def threshold(rho, sigma, eps):
+        blocks = ent._Blocks(rho, sigma)
+        tests, alpha, beta, dual = ent._np_threshold(blocks, eps)
+        test = ent.NPTest(None, alpha, beta, dual)
+        assert ent._certified(blocks, tests, test, eps) < math.inf
+        return blocks, tests, test
+
+    def failed(self, blocks, tests, test, eps) -> dict:
+        with pytest.raises(ent.SolverError, match="not certified") as info:
+            ent._certified(blocks, tests, test, eps)
+        return info.value.residuals
+
+    @pytest.mark.parametrize("seed", [None, 5])
+    @pytest.mark.parametrize("scale, fails", [(1.0 - 1e-9, "alpha"), (1.0 + 1e-9, "range")])
+    def test_scaled_test(self, seed, scale, fails):
+        # every test scaled with its own alpha and beta: by 1 - 1e-9, alpha
+        # falls 1e-9 short of 1 - eps; by 1 + 1e-9, T exceeds I
+        pair = TIED
+        if seed is not None:
+            rng = np.random.default_rng(seed)
+            pair = [oracles.random_density(rng, 2)], [oracles.random_density(rng, 2)]
+        blocks, tests, test = self.threshold(*pair, 0.2)
+        alpha, beta = scale * test.achieved_alpha, scale * test.achieved_beta
+        scaled = dataclasses.replace(test, achieved_alpha=alpha, achieved_beta=beta)
+        residuals = self.failed(blocks, [scale * t for t in tests], scaled, 0.2)
+        assert residuals[fails] > 1e-10 and residuals["beta"] <= ent.NP_TOL
+
+    def test_bracket_off_the_threshold(self, monkeypatch):
+        # a search landing 10% above the threshold t* = 0.5: its test takes
+        # alpha 0.6 > 1 - eps, and the bound at its t falls below beta
+        bisect = ent._np_bisect
+        monkeypatch.setattr(ent, "_np_bisect", lambda b, tg: tuple(1.1 * t for t in bisect(b, tg)))
+        with pytest.raises(ent.SolverError, match="not certified") as info:
+            ent._np_test(*TIED, 0.5, symbols=range(2))
+        assert info.value.residuals["width"] > 0.1
+
+    @pytest.mark.parametrize("eps", [0.5, 0.1])
+    def test_dual_off_the_threshold(self, eps):
+        # the dual is the Lagrange bound at the middle t of the bracket; at
+        # mu = t (1 + 1e-6) instead, at a jump, the bound falls first order
+        # in mu - t below beta
+        blocks, tests, test = self.threshold(*TIED, eps)
+        t = sum(ent._np_bisect(blocks, 1.0 - eps)) / 2.0
+
+        def dual(mu):
+            d = np.linalg.eigvalsh(mu * blocks.rho - blocks.sigma)
+            return mu * (1.0 - eps) - float(np.maximum(d, 0.0).sum())
+
+        assert abs(test.dual_beta - dual(t)) <= ent.NP_TOL
+        off = dataclasses.replace(test, dual_beta=dual(t * (1.0 + 1e-6)))
+        residuals = self.failed(blocks, tests, off, eps)
+        assert residuals["width"] > 1e-8
+        assert max(residuals[k] for k in ("range", "alpha", "beta")) <= ent.NP_TOL
+
+    @pytest.mark.parametrize("eps", [1e-3, 1e-4])
+    def test_small_eps_random_pairs(self, eps):
+        # continuous crossings at large t / beta: a test taken at the
+        # bracket's top would overshoot 1 - eps by up to 2 ALPHA_NOISE and
+        # fail the gate on 10 and 80 of these 200 pairs
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            d = int(rng.integers(2, 5))
+            rho = oracles.random_density(rng, d, rank=int(rng.integers(1, d + 1)))
+            ent.d_hyp(rho, oracles.random_density(rng, d), eps)
+
+    def test_exits_are_checked(self, monkeypatch):
+        # the eps <= 1e-14 support exit and the kernel exit (beta = 0) take
+        # no search, and return through the same check
+        rho, sigma = np.diag([0.7, 0.3, 0.0]), np.diag([0.2, 0.3, 0.5])
+        value, test = ent.d_hyp(rho, sigma, 0.0)
+        assert value == 1.0 and test.dual_beta == test.achieved_beta == 0.5
+        on_kernel = np.diag([0.95, 0.05, 0.0]), np.diag([0.0, 0.3, 0.7])
+        value, test = ent.d_hyp(*on_kernel, 0.1)
+        assert math.isinf(value) and test.dual_beta == test.achieved_beta == 0.0
+        with monkeypatch.context() as patch:
+            support = la.support_projector
+            patch.setattr(la, "support_projector", lambda r: 0.5 * support(r))
+            with pytest.raises(ent.SolverError, match="not certified"):
+                ent.d_hyp(rho, sigma, 0.0)
+        # every eigenvector of sigma taken for its kernel: T = I, whose beta is 1
+        every = (np.zeros((1, 3)), np.eye(3, dtype=complex)[None])
+        monkeypatch.setattr(ent._Blocks, "sigma_eigh", property(lambda self: every))
+        with pytest.raises(ent.SolverError, match="not certified"):
+            ent.d_hyp(*on_kernel, 0.1)
 
 
 class TestDMax:

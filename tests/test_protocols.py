@@ -765,8 +765,9 @@ def test_slot_link_tests_equal_register_tests(eps):
 
 def test_decode_thresholds_read_few_points(monkeypatch):
     # the bench ``decode`` set-up (thresholds at log_const 0) and one pass:
-    # each of their three Neyman-Pearson thresholds reads at most 20 points
-    # of alpha_strict, where the bisection alone reads 54, 56 and 55
+    # each of their three Neyman-Pearson thresholds takes its bracket from
+    # alpha_strict's jumps in at most 8 readings, where the bisection alone
+    # reads 54, 56 and 55
     counts, alpha_strict, bisect = [], ent._Blocks.alpha_strict, ent._np_bisect
 
     def counted_alpha(self, t, tol):
@@ -784,7 +785,7 @@ def test_decode_thresholds_read_few_points(monkeypatch):
     assert len(counts) == 2
     budget = OneShotBudget(0.1, r_x=14, r_y=13, c_x=1, c_y=1)
     P.centralised_protocol(prep, budget, 1, log_const=0.0, wire_override={"X": 12})
-    assert len(counts) == 3 and max(counts) <= 20
+    assert len(counts) == 3 and max(counts) <= 8
 
 
 def test_hashed_link_decodes_better_with_distinguishable_side_information():

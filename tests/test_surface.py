@@ -41,8 +41,6 @@ TEST_ONLY_FIELDS = {
     "GoodSetCertificate.op_slack",
     "GoodSetCertificate.eps_used",
     "NPTest.operator",
-    "NPTest.achieved_alpha",
-    "NPTest.achieved_beta",
 }
 
 
