@@ -566,11 +566,12 @@ def _real_parts(*mats) -> tuple[np.ndarray, ...]:
     return tuple(np.asarray(m, dtype=complex) for m in mats)
 
 
-def _ball_blocks(pairs) -> tuple[list[sdp.BallBlock], float]:
+def _ball_blocks(pairs) -> tuple[list[np.ndarray], list[np.ndarray], float]:
     """The sub-blocks that carry rho of the direct sum (+)_k (rho_k, sigma_k)
     of ``pairs``, all of one dimension d (a cq state's blocks), each in the
-    eigenbasis of its component's rho_c, and s0 = sum_b Tr sigma_b over
-    the rho-free ones.
+    eigenbasis of its component's rho_c, as the stacks of an ``sdp.Ball``
+    (its spectra (n, r) and its sigma_b (n, d, d) per group of one
+    (r, d, field)), and s0 = sum_b Tr sigma_b over the rho-free ones.
 
     Array passes over all the pairs at once, with no loop over components.
     The pairs are stacked, and the field is decided once for all of them
@@ -583,13 +584,16 @@ def _ball_blocks(pairs) -> tuple[list[sdp.BallBlock], float]:
     rotated component is split again by its own pattern, with the same
     1e-12 mask (diag w joins no two indices), whose components lie inside
     the pair's components, and the sub-blocks of each size are cut out as
-    one stack.  They are listed pair by pair, and within a pair by their
-    least original index, so the parts of two components may interleave;
-    s0 is summed in that order.  A sub-block b lists its kept eigenvalues
-    (above 1e-12) in descending order, then its kernel directions, and
-    holds sigma_b, real when its imaginary parts are within
-    ``la.HERM_TOL`` (tested over each stack at once).  A sub-block with no
-    kept eigenvalue is rho-free and adds Tr sigma_b to s0.  The least
+    one stack.  A sub-block's rank r counts its kept eigenvalues (above
+    1e-12), which come first, in descending order, before its kernel
+    directions; its sigma_b is real when its imaginary parts are within
+    ``la.HERM_TOL`` (tested over each stack at once).  Each size's stack is
+    split by (r, field) into the groups, and a sub-block with r = 0 is
+    rho-free and adds Tr sigma_b to s0.  Sub-blocks are ranked pair by
+    pair, and within a pair by their least original index, so the parts of
+    two components may interleave: each group keeps that order, the groups
+    come in the order of their first sub-block (group-major), and s0 adds
+    its traces one by one in that order.  The least
     eigenvalue of the components' spectra, which is each rho_k's (up to
     the entries below 1e-12 the pattern drops), gets ``la.assert_psd``'s
     check, so ``_cq_pairs`` takes no spectrum of its own.
@@ -624,19 +628,24 @@ def _ball_blocks(pairs) -> tuple[list[sdp.BallBlock], float]:
         eigs[k[:, None], ix] = w[:, ::-1]
         rotated[at] = np.swapaxes(u.conj(), -1, -2) @ sigma[at] @ u
     la._check_psd(float(eigs.min()))
-    subs = []
+    groups, free_ids, free_traces = [], [np.zeros(0, dtype=int)], [np.zeros(0)]
     for ids, k, ix in _by_size(_support_components([rotated])):
         eig, sb = eigs[k[:, None], ix], rotated[k[:, None, None], ix[:, :, None], ix[:, None, :]]
+        rank = np.count_nonzero(eig > 1e-12, axis=1)
         real = np.abs(sb.imag).max(axis=(1, 2)) <= la.HERM_TOL
-        carried = (eig > 1e-12).any(axis=1).tolist()
-        subs += zip(ids.tolist(), eig, (b.real if r else b for b, r in zip(sb, real)), carried)
-    blocks, free_mass = [], 0.0
-    for _, eig, sb, carried in sorted(subs, key=lambda sub: sub[0]):
-        if carried:
-            blocks.append(sdp.BallBlock(eig[eig > 1e-12], sb))
-        else:
-            free_mass += float(np.trace(sb).real)
-    return blocks, free_mass
+        free = rank == 0
+        free_ids.append(ids[free])
+        free_traces.append(np.trace(sb[free], axis1=1, axis2=2).real)
+        key = 2 * rank + real
+        for group in np.flatnonzero(np.bincount(key[~free])).tolist():
+            pick = key == group
+            r, stack = group // 2, sb[pick]
+            groups.append((ids[pick][0], eig[pick, :r], stack.real if group % 2 else stack))
+    groups.sort(key=lambda group: group[0])
+    # s0 adds the traces in order of least index, one at a time
+    traces = np.concatenate(free_traces)[np.argsort(np.concatenate(free_ids))]
+    free_mass = float(np.cumsum(traces)[-1]) if len(traces) else 0.0
+    return [eig for _, eig, _ in groups], [sb for _, _, sb in groups], free_mass
 
 
 def d_max_smooth(rho, sigma, eps: float) -> float:
@@ -678,7 +687,7 @@ def d_max_smooth(rho, sigma, eps: float) -> float:
     pair, split), goes to no solver: it is a water-filling over
     (lambda_b, sigma_b, s0), whose least t ``_water_fill`` solves exactly,
     with the point and the KKT multipliers, and both certificates are
-    evaluated on those 1x1 blocks (``_certified_fill``).  Every other value
+    evaluated on one stack of those 1x1 blocks (``_certified_fill``).  Every other value
     is solved by ``sdp.minimize_balls``, and both certificates are checked
     in block form (``_certified_value``): the recheck from the point's own
     blocks (the solve's own final one, when 2^v is its t), the witness on
@@ -688,7 +697,9 @@ def d_max_smooth(rho, sigma, eps: float) -> float:
     fails or t is not positive.
 
     The sub-blocks are found and their spectra taken once
-    (``_ball_blocks``).  The pair is taken as ``_real_parts`` gives it:
+    (``_ball_blocks``), stacked by (r, d, field) in the group-major order
+    the ball, its solve's layout and both certificates read.  The pair is
+    taken as ``_real_parts`` gives it:
     real parts when both imaginary parts are within ``la.HERM_TOL``
     (round-off, which ``la._hermitian_part`` repairs the same way), and so
     is each rotated sigma_b.  A real sub-block, as on every bundled
@@ -697,7 +708,7 @@ def d_max_smooth(rho, sigma, eps: float) -> float:
 
     This is the one-pair value of ``_d_max_smooth_many``, whose value of
     several pairs, as ``i_max_cq_many`` gives a cq state, is that of their
-    direct sum: one ``_ball_blocks`` of all of them, listed pair by pair.
+    direct sum: one ``_ball_blocks`` of all of them, ranked pair by pair.
     """
     eps = _validate_eps(eps)
     return _d_max_smooth_many([[(la.assert_density(rho), la.assert_psd(sigma))]], eps)[0]
@@ -716,22 +727,20 @@ def _d_max_smooth_many(values: list[list[tuple]], eps: float) -> list[float]:
     the max of ``d_max`` over its pairs."""
     if eps == 0.0:
         return [max(d_max(rho, sigma) for rho, sigma in pairs) for pairs in values]
-    subs = [_ball_blocks(pairs) for pairs in values]
-    classical = [all(b.dim == 1 and b.sigma[0, 0] > 0 for b in blocks) for blocks, _ in subs]
     fidelity = math.sqrt(max(0.0, 1.0 - eps * eps))
-    balls = [sdp.Ball(*sub, fidelity) for sub, c in zip(subs, classical) if not c]
-    solved = zip(balls, sdp.minimize_balls(balls))
-    return [
-        _certified_fill(_water_fill(*_scalars(sub), eps)) if c else _certified_value(*next(solved))
-        for sub, c in zip(subs, classical)
+    balls = [sdp.Ball(*_ball_blocks(pairs), fidelity) for pairs in values]
+    classical = [
+        all(sigma.shape[-1] == 1 and (sigma.real > 0).all() for sigma in ball.sigma)
+        for ball in balls
     ]
-
-
-def _scalars(ball: tuple) -> tuple[np.ndarray, np.ndarray, float]:
-    """(lambda_b, sigma_b, s0) of a classical ``ball`` (``_ball_blocks``'
-    sub-blocks and s0), s0 = 0 unless positive."""
-    lam = np.array([blk.eigs[0] for blk in ball[0]])
-    return lam, np.array([blk.sigma[0, 0].real for blk in ball[0]]), max(ball[1], 0.0)
+    solved = iter(sdp.minimize_balls([ball for ball, c in zip(balls, classical) if not c]))
+    out = []
+    for ball, c in zip(balls, classical):
+        if c:
+            lam, sig = (np.concatenate(stacks).ravel() for stacks in (ball.eigs, ball.sigma))
+            fill = _water_fill(lam, sig.real, max(ball.free_mass, 0.0), eps)
+        out.append(_certified_fill(fill) if c else _certified_value(ball, next(solved)))
+    return out
 
 
 @dataclass
@@ -827,16 +836,15 @@ def _water_fill(lam: np.ndarray, sig: np.ndarray, free_mass: float, eps: float) 
 
 def _fill_residuals(fill: _WaterFill) -> dict[str, float]:
     """Both certificates of ``fill``, keyed as ``_certified_value``'s, from
-    the block-form routines on its 1x1 sub-blocks: "primal" and "gap" are
-    ``sdp.recheck``'s of the point G_b = [[lambda_b, z_b], [z_b, x_b]], w
-    at t = 2^(log2 t_cap); "witness_gap" and "witness_resid" are
+    the block-form routines on one stack of its 1x1 sub-blocks: "primal"
+    and "gap" are ``sdp.recheck``'s of the point G_b = [[lambda_b, z_b],
+    [z_b, x_b]], w at t = 2^(log2 t_cap); "witness_gap" and "witness_resid" are
     ``sdp.witness``' of the multipliers at t_low (W_b = v_b v_b^T and the
     weights of the caps, the fidelity row and w's rows), with the record's
     multiplier of the trace row, not normalised (the test is
     homogeneous)."""
     c = math.sqrt(max(0.0, 1.0 - fill.eps * fill.eps))
-    ones = [sdp.BallBlock(lam, sig) for lam, sig in zip(fill.lam[:, None], fill.sig[:, None, None])]
-    ball = sdp.Ball(ones, fill.free_mass, c)
+    ball = sdp.Ball([fill.lam[:, None]], [fill.sig[:, None, None]], fill.free_mass, c)
     t = 2.0 ** math.log2(fill.t_cap)
     point = sdp.BallPoint(t, fill.w, [fill.z[:, None, None]], [fill.x[:, None, None]])
     fid, floor, caps, free_cap = fill.ineq

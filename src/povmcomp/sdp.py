@@ -2,9 +2,12 @@
 
 The library poses one program family: the min t program of
 ``entropies.d_max_smooth``, whose least t is 2^(D_max^eps).  A value is a
-``Ball``: sub-blocks b (``BallBlock``) with rho_b's positive spectrum
-Lambda_b (r_b of them) and sigma_b (d_b x d_b) in rho_b's eigenbasis, the
-mass s0 of the rho-free sub-blocks and the fidelity c = sqrt(1 - eps^2).
+``Ball``: sub-blocks b with rho_b's positive spectrum Lambda_b (r_b of
+them) and sigma_b (d_b x d_b) in rho_b's eigenbasis, the mass s0 of the
+rho-free sub-blocks and the fidelity c = sqrt(1 - eps^2).  The sub-blocks
+are held as stacks, one per group of one (r, d, field) in order of first
+appearance, and are ordered group by group (group-major): a point, a
+dual, the layout of a batch and every kernel read them in that order.
 Its variables are Z_b (r_b x d_b), rho'_b (d_b x d_b), t and, when
 s0 > 0, w:
 
@@ -32,14 +35,15 @@ decides it per sub-block); the program is invariant under conjugating one
 sub-block's (Z_b, rho'_b) when Lambda_b and sigma_b are real, and
 conjugation keeps every constraint, so a real optimum of that block is an
 optimum, and a real witness has no gradient along its imaginary
-directions.  The free reals x of a value are G_b's rvec coordinates off
-its r x r corner (Z_b's entries times sqrt2, then rho'_b's rvec, in G_b's
-order), then t and w.  So the map x -> (G_b, C_b, scalar rows) is a
-selection with signs, plus t sigma_b in each cap: one sparse matrix A in
-coordinate form, s = A x + h in K, with h holding Lambda_b in G_b's corner
-and -c in the fidelity row.  ``MAX_VAR_REALS`` caps a value's free reals,
-which size its dense Schur matrix; ``minimize_balls`` raises
-``ProblemTooLarge`` before it builds anything.
+directions.  The free reals x of a value are, sub-block by sub-block in
+group-major order, G_b's rvec coordinates off its r x r corner (Z_b's
+entries times sqrt2, then rho'_b's rvec, in G_b's order), then t and w.
+So the map x -> (G_b, C_b, scalar rows) is a selection with signs, plus t
+sigma_b in each cap: one sparse matrix A in coordinate form, s = A x + h
+in K, with h holding Lambda_b in G_b's corner and -c in the fidelity row.
+``MAX_VAR_REALS`` caps a value's free reals, which size its dense Schur
+matrix; ``minimize_balls`` raises ``ProblemTooLarge`` before it builds
+anything.
 
 The step.  A primal-dual interior-point method with Nesterov-Todd scaling
 and Mehrotra's predictor-corrector (SIAM J. Optim. 2, 1992), from SDPT3's
@@ -73,15 +77,15 @@ its gap passes the start's gap / ``GAP_TOL`` (the iterates diverge), or
 when its step's linear algebra fails.
 
 The batch.  ``minimize_balls`` steps every value of a call together.  The
-blocks of one size and field, over all the values, are one stack for
-each LAPACK and matrix kernel; each value's scalars (residual norms, gap,
-sigma, step length, stop tests) are segment sums over the joined vectors
-(``np.bincount``, which adds in input order); the Schur matrices of one
-size are one stacked ``solve``.  A stacked call gives each block the bits
-of its own call and every sum adds a value's terms in the same order in
-any batch, so a value gets the result of its lone solve, bit for bit.  A
-value leaves the batch when it stops; a ``LinAlgError`` is traced to the
-values whose own step raises it.
+blocks of one size and field, over all the values (each value's groups in
+turn), are one stack for each LAPACK and matrix kernel; each value's
+scalars (residual norms, gap, sigma, step length, stop tests) are segment
+sums over the joined vectors (``np.bincount``, which adds in input order);
+the Schur matrices of one size are one stacked ``solve``.  A stacked call
+gives each block the bits of its own call and every sum adds a value's
+terms in the same order in any batch, so a value gets the result of its
+lone solve, bit for bit.  A value leaves the batch when it stops; a
+``LinAlgError`` is traced to the values whose own step raises it.
 
 The certificates, in block form:
 
@@ -106,7 +110,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -249,57 +252,36 @@ def _congruence(c: np.ndarray, real: bool = False) -> np.ndarray:
 
 
 @dataclass
-class BallBlock:
-    """One sub-block that carries rho: rho_b's positive spectrum ``eigs``
-    (descending, the first r of its d directions) and ``sigma``, sigma_b
-    in rho_b's eigenbasis, real or complex (the block's field)."""
-
-    eigs: np.ndarray
-    sigma: np.ndarray
-
-    @property
-    def rank(self) -> int:
-        return len(self.eigs)
-
-    @property
-    def dim(self) -> int:
-        return len(self.sigma)
-
-    @property
-    def real(self) -> bool:
-        return not np.iscomplexobj(self.sigma)
-
-
-@dataclass
 class Ball:
-    """The capped ball of one value: its sub-blocks, s0 (``free_mass``; no w
-    unless it is positive) and the fidelity c = sqrt(1 - eps^2)."""
+    """The capped ball of one value: its sub-blocks that carry rho, one
+    stack per group of one (r, d, field), s0 (``free_mass``; no w unless it
+    is positive) and the fidelity c = sqrt(1 - eps^2).
 
-    blocks: list[BallBlock]
+    Group j holds ``eigs[j]`` (n, r), each sub-block's positive spectrum of
+    rho_b (descending, the first r of its d directions), and ``sigma[j]``
+    (n, d, d), its sigma_b in rho_b's eigenbasis, real or complex (the
+    group's field); r, d, the field and n are read off the arrays.  The
+    sub-blocks are ordered group by group, and a point's and a dual's
+    stacks follow the same groups."""
+
+    eigs: list[np.ndarray]
+    sigma: list[np.ndarray]
     free_mass: float
     fidelity: float
 
-    @cached_property
-    def shapes(self) -> list[tuple[int, int, list[int], np.ndarray, np.ndarray]]:
-        """Its sub-blocks grouped by (r, d, field), in order of first
-        appearance: (r, d, their indices, their spectra (n, r), their
-        sigma_b (n, d, d)); a point's and a dual's stacks follow them."""
-        groups: dict[tuple[int, int, bool], list[int]] = {}
-        for i, blk in enumerate(self.blocks):
-            groups.setdefault((blk.rank, blk.dim, blk.real), []).append(i)
-        out = []
-        for (r, d, _), idx in groups.items():
-            blocks = [self.blocks[i] for i in idx]
-            eigs, sigma = np.stack([b.eigs for b in blocks]), np.stack([b.sigma for b in blocks])
-            out.append((r, d, idx, eigs, sigma))
-        return out
+
+def _groups(ball: Ball) -> tuple[tuple[int, int, bool, int], ...]:
+    """(r, d, real, n) of each group of ``ball``, read off its stacks."""
+    return tuple(
+        (eigs.shape[1], sigma.shape[-1], not np.iscomplexobj(sigma), len(sigma))
+        for eigs, sigma in zip(ball.eigs, ball.sigma)
+    )
 
 
 @dataclass
 class BallPoint:
-    """A point of a ``Ball``: t, w (0 without one), and per group of
-    ``Ball.shapes`` the stacks of its sub-blocks' Z_b (n, r, d) and
-    rho'_b (n, d, d)."""
+    """A point of a ``Ball``: t, w (0 without one), and per group of the
+    ball the stacks of its sub-blocks' Z_b (n, r, d) and rho'_b (n, d, d)."""
 
     t: float
     w: float
@@ -309,10 +291,10 @@ class BallPoint:
 
 @dataclass
 class BallDual:
-    """A slack-side vector of a ``Ball``: per group of ``Ball.shapes`` the
-    stacks of W_b on G_b and of V_b on C_b (1 x 1 when d_b = 1), and the
-    weights of the fidelity row, of w >= 0 and of t s0 - w >= 0 (0 without
-    w)."""
+    """A slack-side vector of a ``Ball``: per group of the ball the stacks
+    of W_b on G_b (n, r + d, r + d) and of V_b on C_b (n, d, d; 1 x 1 when
+    d = 1), and the weights of the fidelity row, of w >= 0 and of
+    t s0 - w >= 0 (0 without w)."""
 
     g: list[np.ndarray]
     cap: list[np.ndarray]
@@ -346,7 +328,8 @@ def recheck(ball: Ball, point: BallPoint) -> dict[str, float]:
     "gap" the trace row's |sum_b Tr rho'_b + w - 1|."""
     mats: dict[int, list[np.ndarray]] = {}
     rows, fid, mass = [np.zeros(1)], 0.0, 0.0
-    for (r, d, _, eigs, sigma), z, rho in zip(ball.shapes, point.z, point.rho):
+    for eigs, sigma, z, rho in zip(ball.eigs, ball.sigma, point.z, point.rho):
+        r, d = eigs.shape[1], sigma.shape[-1]
         g = np.zeros((len(z), r + d, r + d), dtype=np.result_type(z, rho))
         g[:, np.arange(r), np.arange(r)] = eigs
         g[:, :r, r:], g[:, r:, :r], g[:, r:, r:] = z, _ct(z), rho
@@ -387,15 +370,16 @@ def witness(
     gap = c f - sum_b sum_a Lambda_a W_b[a, a] + nu - t (that residual).
     """
     free = ball.free_mass > 0.0
-    parts = list(zip(ball.shapes, dual.g, dual.cap))
-    tails = [g[:, r:, r:] - cap for (r, *_), g, cap in parts]
+    parts = list(zip(ball.eigs, ball.sigma, dual.g, dual.cap))
+    tails = [g[:, eigs.shape[1] :, eigs.shape[1] :] - cap for eigs, _, g, cap in parts]
     if trace is None:
         total = sum(float(np.trace(tail, axis1=1, axis2=2).real.sum()) for tail in tails)
-        count = sum(d * len(idx) for (_, d, idx, _, _), _, _ in parts) + free
+        count = sum(sigma.shape[0] * sigma.shape[-1] for sigma in ball.sigma) + free
         trace = -(total + (dual.floor - dual.free_cap) * free) / count
     resid, held = 0.0, dual.free_cap * ball.free_mass * free
     gap = ball.fidelity * dual.fid + trace
-    for ((r, d, _, eigs, sigma), g, cap), tail in zip(parts, tails):
+    for (eigs, sigma, g, cap), tail in zip(parts, tails):
+        r, d = eigs.shape[1], sigma.shape[-1]
         off = g[:, :r, r:].copy()
         off[:, np.arange(r), np.arange(r)] += dual.fid / 2
         tail[:, np.arange(d), np.arange(d)] += trace
@@ -490,34 +474,37 @@ def _geometry(r: int, d: int, real: bool) -> tuple[np.ndarray, np.ndarray, np.nd
 class _Layout:
     """Where the blocks, scalar slots and free reals of several values sit
     in the joined vectors of a batch; it depends on the values' shapes
-    alone (per sub-block (r, d, real), and whether there is a w).
+    alone (per group (r, d, real, n), and whether there is a w).
 
     Slack: one slab per (size, field), sorted, holding the G_b of that
-    size and the C_b (d > 1) of every value, value by value, each as its
-    rvec; then each value's scalar slots: the fidelity row, the caps of
-    its 1 x 1 sub-blocks, w >= 0 and t s0 - w >= 0.  Free reals: value by
-    value, each sub-block's, then t, then w.  A is in coordinate form
-    (``rows``, ``cols``, ``coef``), entries slab by slab, then slot by
-    slot, so that ``np.bincount`` adds every slot's and every real's terms
-    in the same order in any batch; ``sigma_at``, ``cap_at`` and
-    ``mass_at`` are the entries that take sigma_b's rvec, a 1 x 1 sigma_b
-    and s0.  The Schur matrices (n_v + 1 square, bordered by the trace
-    row) lie end to end, grouped by size.  Each Schur term joins two A
-    entries of one block or slot (``first``, ``second``), weighted by an
-    entry of the joined T^T T or by its slot's z / s (``weight_at``), and
-    adds to one position (``h_at``).
+    size and the C_b (d > 1) of every value, value by value and group by
+    group, each as its rvec; then each value's scalar slots: the fidelity
+    row, the caps of its 1 x 1 sub-blocks, w >= 0 and t s0 - w >= 0.  Free
+    reals: value by value, each sub-block's in group order, then t, then
+    w.  A is in coordinate form (``rows``, ``cols``, ``coef``), entries
+    slab by slab, then slot by slot, so that ``np.bincount`` adds every
+    slot's and every real's terms in the same order in any batch;
+    ``sigma_at``, ``cap_at`` and ``mass_at`` are the entries that take
+    sigma_b's rvec, a 1 x 1 sigma_b and s0.  ``group_x``, ``g_slot`` and
+    ``c_slot`` give, per value and group, each sub-block's first free real
+    and the first slot of its G_b and C_b.  The Schur matrices (n_v + 1
+    square, bordered by the trace row) lie end to end, grouped by size.
+    Each Schur term joins two A entries of one block or slot (``first``,
+    ``second``), weighted by an entry of the joined T^T T or by its slot's
+    z / s (``weight_at``), and adds to one position (``h_at``).
     """
 
     def __init__(self, shapes: tuple):
         self.n_vals = len(shapes)
-        x_lo, n_x, self.block_x = [], 0, []
-        for blocks, free in shapes:
+        x_lo, n_x, self.group_x = [], 0, []
+        for groups, free in shapes:
             x_lo.append(n_x)
-            base = []
-            for r, d, real in blocks:
-                base.append(n_x)
-                n_x += _reals(r, d, real)
-            self.block_x.append(base)
+            starts = []
+            for r, d, real, n in groups:
+                width = _reals(r, d, real)
+                starts.append(n_x + width * np.arange(n))
+                n_x += width * n
+            self.group_x.append(starts)
             n_x += 1 + free
         self.x_lo, self.n_x = np.array(x_lo + [n_x]), n_x
         self.t_at = self.x_lo[1:] - 1 - np.array([free for _, free in shapes], dtype=int)
@@ -525,80 +512,88 @@ class _Layout:
 
         rows, cols, coef, slot_val = [], [], [], []
         sigma_at, cap_at, mass_at, corner, trace = [], [], [], [], []
-        terms = []  # per block or slot: (its A entries, their local slots, T^T T offset, k, value)
-        self.slabs = []  # (n, real, slots, count, k, members (value, block, is G_b))
-        self.g_slot = [[0] * len(blocks) for blocks, _ in shapes]
-        self.c_slot = [[0] * len(blocks) for blocks, _ in shapes]
+        # per run of blocks or slots of one value: (their A entries, one row
+        # each; their local slots; their T^T T offsets, or their slots; k; value)
+        terms = []
+        self.slabs = []  # (size, real, slots, count, k, runs (value, group, of G_b))
+        self.g_slot = [[None] * len(groups) for groups, _ in shapes]
+        self.c_slot = [[None] * len(groups) for groups, _ in shapes]
         slot = entry = k_lo = 0
-        keys = {(r + d, real) for blocks, _ in shapes for r, d, real in blocks}
-        keys |= {(d, real) for blocks, _ in shapes for _, d, real in blocks if d > 1}
-        for n, real in sorted(keys):
-            k = rvec_size(n, real)
-            members = [
-                (v, b, r + d == n)
-                for v, (blocks, _) in enumerate(shapes)
-                for b, (r, d, blk_real) in enumerate(blocks)
-                if blk_real == real and n in (r + d, d)
+        keys = {(r + d, real) for groups, _ in shapes for r, d, real, _ in groups}
+        keys |= {(d, real) for groups, _ in shapes for _, d, real, _ in groups if d > 1}
+        for size, real in sorted(keys):
+            k = rvec_size(size, real)
+            runs = [
+                (v, g, r + d == size)
+                for v, (groups, _) in enumerate(shapes)
+                for g, (r, d, group_real, _) in enumerate(groups)
+                if group_real == real and size in (r + d, d)
             ]
-            for m, (v, b, is_g) in enumerate(members):
-                r, d, _ = shapes[v][0][b]
+            count = 0
+            for v, g, is_g in runs:
+                r, d, _, n = shapes[v][0][g]
                 free_pos, rho, _ = _geometry(r, d, real)
-                base = slot + m * k
-                (self.g_slot if is_g else self.c_slot)[v][b] = base
+                members = count + np.arange(n)
+                base, x_at = slot + members * k, self.group_x[v][g][:, None]
+                (self.g_slot if is_g else self.c_slot)[v][g] = base
                 if is_g:
-                    rows.append(base + free_pos)
-                    cols.append(self.block_x[v][b] + np.arange(len(free_pos)))
-                    coef.append(np.ones(len(free_pos)))
-                    corner.append(base + np.arange(r))
-                    mine, local = entry + np.arange(len(free_pos)), free_pos
+                    local, at = free_pos, base[:, None] + free_pos
+                    corner.append((base[:, None] + np.arange(r)).ravel())
+                    cols.append((x_at + np.arange(len(free_pos))).ravel())
+                    coef.append(np.ones(at.size))
                 else:
                     kd = len(rho)
-                    rows += [base + np.arange(kd)] * 2
-                    cols += [self.block_x[v][b] + rho, np.full(kd, self.t_at[v])]
-                    coef += [-np.ones(kd), np.zeros(kd)]
-                    sigma_at.append(entry + kd + np.arange(kd))
-                    mine, local = entry + np.arange(2 * kd), np.tile(np.arange(kd), 2)
-                entry += len(mine)
-                terms.append((mine, local, k_lo + m * k * k, k, v))
-                slot_val.append(np.full(k, v))
-            at = slice(slot, slot + len(members) * k)
-            self.slabs.append((n, real, at, len(members), k, members))
-            slot += len(members) * k
-            k_lo += len(members) * k * k
+                    local, at = np.tile(np.arange(kd), 2), np.tile(base[:, None] + np.arange(kd), 2)
+                    cols.append(np.hstack([x_at + rho, np.full((n, kd), self.t_at[v])]).ravel())
+                    coef.append(np.tile(np.repeat([-1.0, 0.0], kd), n))
+                mine = entry + np.arange(at.size).reshape(at.shape)
+                if not is_g:
+                    sigma_at.append(mine[:, kd:].ravel())
+                rows.append(at.ravel())
+                entry += at.size
+                terms.append((mine, local, k_lo + members * k * k, k, v))
+                slot_val.append(np.full(n * k, v))
+                count += n
+            self.slabs.append((size, real, slice(slot, slot + count * k), count, k, runs))
+            slot += count * k
+            k_lo += count * k * k
         self.n_psd = slot
         fid_at = []
-        for v, (blocks, free) in enumerate(shapes):
+        for v, (groups, free) in enumerate(shapes):
             t, w = self.t_at[v], self.t_at[v] + 1
             fid_at.append(slot)
-            where = [
-                (self.block_x[v][b], _geometry(r, d, real), d)
-                for b, (r, d, real) in enumerate(blocks)
-            ]
-            z_cols = np.concatenate([base + zdiag for base, (_, _, zdiag), _ in where])
-            scalar_rows = [(z_cols, np.full(len(z_cols), 1.0 / _SQRT2))]
-            for b, (base, (_, rho, _), d) in enumerate(where):
-                trace.append(base + rho[:d])
+            geometry = [_geometry(r, d, real) for r, d, real, _ in groups]
+            x_at = [x[:, None] for x in self.group_x[v]]
+            z_cols = np.concatenate([(x + zdiag).ravel() for x, (*_, zdiag) in zip(x_at, geometry)])
+            # runs of scalar slots: their columns and coefficients, one row per slot
+            scalars = [(z_cols[None], np.full((1, len(z_cols)), 1.0 / _SQRT2))]
+            for g, ((_, d, _, n), x, (_, rho, _)) in enumerate(zip(groups, x_at, geometry)):
+                trace.append((x + rho[:d]).ravel())
                 if d == 1:
-                    self.c_slot[v][b] = slot + len(scalar_rows)
-                    cap_at.append(entry + sum(len(c) for c, _ in scalar_rows) + 1)
-                    scalar_rows.append((np.array([base + rho[0], t]), np.array([-1.0, 0.0])))
+                    self.c_slot[v][g] = slot + sum(len(c) for c, _ in scalars) + np.arange(n)
+                    cap_at.append(entry + sum(c.size for c, _ in scalars) + 2 * np.arange(n) + 1)
+                    caps = np.hstack([x + rho[0], np.full((n, 1), t)])
+                    scalars.append((caps, np.tile([-1.0, 0.0], (n, 1))))
             if free:
                 trace.append(np.array([w]))
-                scalar_rows.append((np.array([w]), np.ones(1)))
-                mass_at.append(entry + sum(len(c) for c, _ in scalar_rows))
-                scalar_rows.append((np.array([t, w]), np.array([0.0, -1.0])))
-            for c, f in scalar_rows:
-                rows.append(np.full(len(c), slot))
-                cols.append(c)
-                coef.append(f)
-                terms.append((entry + np.arange(len(c)), None, slot, None, v))
-                slot_val.append([v])
-                entry += len(c)
-                slot += 1
+                scalars.append((np.array([[w]]), np.ones((1, 1))))
+                mass_at.append(np.array([entry + sum(c.size for c, _ in scalars)]))
+                scalars.append((np.array([[t, w]]), np.array([[0.0, -1.0]])))
+            for c, f in scalars:
+                n = len(c)
+                mine = entry + np.arange(c.size).reshape(c.shape)
+                rows.append(np.repeat(slot + np.arange(n), c.shape[1]))
+                cols.append(c.ravel())
+                coef.append(f.ravel())
+                terms.append((mine, None, slot + np.arange(n), None, v))
+                slot_val.append(np.full(n, v))
+                entry += c.size
+                slot += n
         self.n_slots = slot
         self.rows, self.cols, self.coef = map(np.concatenate, (rows, cols, coef))
-        self.sigma_at = np.concatenate(sigma_at) if sigma_at else np.zeros(0, dtype=int)
-        self.cap_at, self.mass_at = np.array(cap_at, dtype=int), np.array(mass_at, dtype=int)
+        self.sigma_at, self.cap_at, self.mass_at = (
+            np.concatenate(at) if at else np.zeros(0, dtype=int) for at in (sigma_at, cap_at, mass_at)
+        )
         self.corner, self.fid_at = np.concatenate(corner), np.array(fid_at)
         trace = np.concatenate(trace)
         self.etr = np.zeros(self.n_x)
@@ -608,39 +603,39 @@ class _Layout:
         self.scalar_starts = np.searchsorted(self.slot_val[self.n_psd :], np.arange(self.n_vals))
 
         # per slab: each slot's eigenvalue pair (i, j) as flat indices into
-        # the slab's (members, n) eigenvalues (i = j on a diagonal slot),
+        # the slab's (members, size) eigenvalues (i = j on a diagonal slot),
         # and where each value's run of members starts; e, the identity
         self.e = np.zeros(self.n_slots)
         self.e[self.n_psd :] = 1.0
         self.slab_info = []
         t_rows, t_cols = [], []
-        for n, real, at, count, k, members in self.slabs:
-            iu = _herm_indices(n)[0]
-            ends = [np.concatenate([np.arange(n)] + [side] * (1 if real else 2)) for side in iu]
-            pair = np.swapaxes(np.arange(count)[:, None, None] * n + np.array(ends)[None], 0, 1)
+        for size, real, at, count, k, runs in self.slabs:
+            iu = _herm_indices(size)[0]
+            ends = [np.concatenate([np.arange(size)] + [side] * (1 if real else 2)) for side in iu]
+            pair = np.swapaxes(np.arange(count)[:, None, None] * size + np.array(ends)[None], 0, 1)
             pair = pair.reshape(2, -1)
-            vals = np.array([v for v, _, _ in members], dtype=int)
+            vals = np.repeat([v for v, _, _ in runs], [shapes[v][0][g][3] for v, g, _ in runs])
             starts = np.flatnonzero(np.diff(vals, prepend=-1))
             diag = pair[0] == pair[1]
-            self.slab_info.append((n, real, at, count, k, pair, diag, vals[starts], starts))
-            self.e[at] = np.tile(np.arange(k) < n, count)
+            self.slab_info.append((size, real, at, count, k, pair, diag, vals[starts], starts))
+            self.e[at] = np.tile(np.arange(k) < size, count)
             # T in coordinate form: each member's k x k block
             grid = at.start + np.arange(count)[:, None, None] * k
             t_rows.append(np.broadcast_to(grid + np.arange(k)[:, None], (count, k, k)).ravel())
             t_cols.append(np.broadcast_to(grid + np.arange(k), (count, k, k)).ravel())
-        scalars = np.arange(self.n_psd, self.n_slots)
-        self.t_rows = np.concatenate(t_rows + [scalars])
-        self.t_cols = np.concatenate(t_cols + [scalars])
+        scalar_slots = np.arange(self.n_psd, self.n_slots)
+        self.t_rows = np.concatenate(t_rows + [scalar_slots])
+        self.t_cols = np.concatenate(t_cols + [scalar_slots])
         self.degree = np.bincount(self.slot_val, self.e, minlength=self.n_vals)
 
         # Schur matrices: value v's is (n_v + 1) square, the last row and
         # column its trace row; matrices of one size lie together
         width = np.diff(self.x_lo) + 1
-        groups: dict[int, list[int]] = {}
+        sizes: dict[int, list[int]] = {}
         for v, size in enumerate(width.tolist()):
-            groups.setdefault(size, []).append(v)
+            sizes.setdefault(size, []).append(v)
         h_lo, self.solves, at = np.zeros(self.n_vals, dtype=int), [], 0
-        for size, vals in groups.items():
+        for size, vals in sizes.items():
             # the right-hand sides and solutions of this size's systems, as
             # indices into (x reals, then one trace row per value)
             own = [list(range(self.x_lo[v], self.x_lo[v + 1])) + [self.n_x + v] for v in vals]
@@ -653,16 +648,17 @@ class _Layout:
         def h_at(v, a, b):
             return h_lo[v] + a * width[v] + b
 
-        first, second, weight_at, h_pos, n_weights = [], [], [], [], k_lo
+        first, second, weight_at, h_pos = [], [], [], []
         for mine, pos, at, k, v in terms:
-            first.append(np.repeat(mine, len(mine)))
-            second.append(np.tile(mine, len(mine)))
-            if pos is None:  # a scalar slot: its z / s, after every T^T T entry
-                weight_at.append(np.full(len(mine) ** 2, n_weights))
-                n_weights += 1
+            n = mine.shape[1]
+            first.append(np.repeat(mine, n, axis=1).ravel())
+            second.append(np.tile(mine, n).ravel())
+            if pos is None:  # scalar slots: their z / s, after every T^T T entry
+                weight_at.append(np.repeat(k_lo + at - self.n_psd, n * n))
             else:
-                weight_at.append(at + (pos[:, None] * k + pos[None, :]).ravel())
-            h_pos.append(h_at(v, local[mine][:, None], local[mine][None, :]).ravel())
+                weight_at.append((at[:, None] + (pos[:, None] * k + pos[None, :]).ravel()).ravel())
+            ends = local[mine]
+            h_pos.append(h_at(v, ends[:, :, None], ends[:, None, :]).ravel())
         self.first, self.second = np.concatenate(first), np.concatenate(second)
         self.weight_at, self.h_at = np.concatenate(weight_at), np.concatenate(h_pos)
         tv = self.x_val[trace]
@@ -699,24 +695,18 @@ class _Batch:
 
     def __init__(self, balls: list[Ball]):
         self.balls = balls
-        lay = self.lay = _layout(
-            tuple(
-                (
-                    tuple((b.rank, b.dim, b.real) for b in ball.blocks),
-                    ball.free_mass > 0.0,
-                )
-                for ball in balls
-            )
-        )
+        lay = self.lay = _layout(tuple((_groups(ball), ball.free_mass > 0.0) for ball in balls))
         coef = lay.coef.copy()
         sigmas, eigs = [np.zeros(0)], [np.zeros(0)]
-        for n, real, *_, members in lay.slabs:
-            caps = [balls[v].blocks[b].sigma for v, b, is_g in members if not is_g]
-            if caps:
-                sigmas.append(herm_to_rvec(np.stack(caps), real).ravel())
-            eigs += [balls[v].blocks[b].eigs for v, b, is_g in members if is_g]
+        for _, real, *_, runs in lay.slabs:
+            for v, g, is_g in runs:
+                if is_g:
+                    eigs.append(balls[v].eigs[g].ravel())
+                else:
+                    sigmas.append(herm_to_rvec(balls[v].sigma[g], real).ravel())
+        caps = [sigma[:, 0, 0].real for ball in balls for sigma in ball.sigma if sigma.shape[-1] == 1]
         coef[lay.sigma_at] = np.concatenate(sigmas)
-        coef[lay.cap_at] = [b.sigma[0, 0].real for ball in balls for b in ball.blocks if b.dim == 1]
+        coef[lay.cap_at] = np.concatenate([np.zeros(0)] + caps)
         coef[lay.mass_at] = [ball.free_mass for ball in balls if ball.free_mass > 0.0]
         self.coef = coef
         self.h = np.zeros(lay.n_slots)
@@ -839,18 +829,15 @@ class _Batch:
         )
 
     def point(self, st: _State, v: int) -> BallPoint:
-        """Value v's point: t, w and per group of ``Ball.shapes`` its
-        sub-blocks' (Z_b, rho'_b), read off the G_b their free reals and
-        Lambda_b make."""
+        """Value v's point: t, w and per group its sub-blocks' (Z_b, rho'_b),
+        read off the G_b their free reals and Lambda_b make."""
         lay, ball = self.lay, self.balls[v]
         z, rho = [], []
-        for r, d, idx, eigs, sigma in ball.shapes:
-            real = not np.iscomplexobj(sigma)
+        for (r, d, real, n), eigs, x_at in zip(_groups(ball), ball.eigs, lay.group_x[v]):
             free = _geometry(r, d, real)[0]
-            base = np.array([lay.block_x[v][i] for i in idx])
-            full = np.zeros((len(idx), rvec_size(r + d, real)))
+            full = np.zeros((n, rvec_size(r + d, real)))
             full[:, :r] = eigs
-            full[:, free] = st.x[base[:, None] + np.arange(len(free))]
+            full[:, free] = st.x[x_at[:, None] + np.arange(len(free))]
             g = rvec_to_herm(full, r + d, real)
             z.append(g[:, :r, r:])
             rho.append(g[:, r:, r:])
@@ -859,15 +846,12 @@ class _Batch:
         return BallPoint(t, w, z, rho)
 
     def dual(self, st: _State, v: int) -> BallDual:
-        """Value v's dual z, per group of ``Ball.shapes``."""
+        """Value v's dual z, per group."""
         lay, ball = self.lay, self.balls[v]
         g, cap = [], []
-        for r, d, idx, _, sigma in ball.shapes:
-            real = not np.iscomplexobj(sigma)
-            g_at = np.array([lay.g_slot[v][i] for i in idx])[:, None]
-            c_at = np.array([lay.c_slot[v][i] for i in idx])[:, None]
-            g.append(rvec_to_herm(st.z[g_at + np.arange(rvec_size(r + d, real))], r + d, real))
-            cap.append(rvec_to_herm(st.z[c_at + np.arange(rvec_size(d, real))], d, real))
+        for (r, d, real, _), g_at, c_at in zip(_groups(ball), lay.g_slot[v], lay.c_slot[v]):
+            g.append(rvec_to_herm(st.z[g_at[:, None] + np.arange(rvec_size(r + d, real))], r + d, real))
+            cap.append(rvec_to_herm(st.z[c_at[:, None] + np.arange(rvec_size(d, real))], d, real))
         fid = lay.fid_at[v]
         last = lay.slots_of[v][-2:] if ball.free_mass > 0.0 else None
         floor, free_cap = (float(st.z[i]) for i in last) if last is not None else (0.0, 0.0)
@@ -906,7 +890,8 @@ def minimize_balls(balls: list[Ball]) -> list[BallSolve]:
     Raises ``ProblemTooLarge`` when a value has more than
     ``MAX_VAR_REALS`` free reals, before anything is built."""
     for ball in balls:
-        reals = sum(_reals(b.rank, b.dim, b.real) for b in ball.blocks) + 1 + (ball.free_mass > 0.0)
+        reals = sum(n * _reals(r, d, real) for r, d, real, n in _groups(ball))
+        reals += 1 + (ball.free_mass > 0.0)
         if reals > MAX_VAR_REALS:
             raise ProblemTooLarge(
                 f"problem too large for the dense Schur solve: {reals} var reals"

@@ -961,7 +961,9 @@ def ball_blocks_reference(ent, pairs) -> tuple[list, float]:
     components by breadth-first search (``support_components_oracle``),
     one stacked ``eigh`` per component size across the pairs, then each
     pair's rotated sigma split again, sub-block by sub-block in order of
-    least index, each one's field from ``ent._real_parts`` on its own."""
+    least index, each one's field from ``ent._real_parts`` on its own.
+    Returns a plain list of (Lambda_b, sigma_b) in that order, and s0; the
+    library holds the same sub-blocks stacked by (r, d, field)."""
     rho, sigma = ent._real_parts(*(np.stack(mats) for mats in zip(*pairs)))
     comps = [
         (k, c) for k in range(len(rho)) for c in support_components_oracle([rho[k], sigma[k]])
@@ -981,7 +983,7 @@ def ball_blocks_reference(ent, pairs) -> tuple[list, float]:
             kept = eig[sub] > 1e-12
             (sb,) = ent._real_parts(rot[sub[:, None], sub])
             if kept.any():
-                blocks.append(ent.sdp.BallBlock(eig[sub][kept], sb))
+                blocks.append((eig[sub][kept], sb))
             else:
                 free_mass += float(np.trace(sb).real)
     return blocks, free_mass
@@ -998,10 +1000,7 @@ def water_fill_certificates(ent, ref, fill) -> tuple[dict, float, float, float]:
     multipliers laid out in slack order (each W_b = v_b v_b^T as its rvec,
     then the inequality weights), with the norm of that slack: the scalar
     gap over it is the oracle's gap."""
-    blocks = [
-        ent.sdp.BallBlock(np.array([lam]), np.array([[sig]]))
-        for lam, sig in zip(fill.lam, fill.sig)
-    ]
+    blocks = [(np.array([lam]), np.array([[sig]])) for lam, sig in zip(fill.lam, fill.sig)]
     prob = ref.capped_ball((blocks, fill.free_mass), fill.eps)
     free = "w" in prob.variables
     assign = {

@@ -810,9 +810,11 @@ def _entry_pin(var: str, dim: int, i: int, j: int, value: float, imag: bool) -> 
 def capped_ball(ball: tuple, eps: float) -> SDProblem:
     """The min t program of D_max^eps(rho || sigma), whose optimum is
     2^(D_max^eps): rho' in the fidelity ball of rho, split into the
-    sub-blocks of ``ball`` (``entropies._ball_blocks`` of the pairs), each in the
+    sub-blocks of ``ball`` = (a plain list of (Lambda_b, sigma_b), s0), as
+    ``plain`` gives ``entropies._ball_blocks``' stacks, each in the
     eigenbasis of its component's rho_c, with each sub-block's cap
-    t sigma_b - rho'_b PSD, t a 1x1 variable.
+    t sigma_b - rho'_b PSD, t a 1x1 variable; ball{i} is the i-th
+    sub-block.
 
     Per sub-block b that carries rho the program holds one PSD variable
     G_b on supp(rho_b) (+) C^d with the top-left corner pinned to rho_b's
@@ -841,15 +843,15 @@ def capped_ball(ball: tuple, eps: float) -> SDProblem:
     """
     blocks, free_mass = ball
     free = free_mass > 0.0
-    real = not any(np.iscomplexobj(blk.sigma) for blk in blocks)
+    real = not any(np.iscomplexobj(sigma) for _, sigma in blocks)
     prob = SDProblem()
     tr_terms, z_terms = [], []
-    for i, blk in enumerate(blocks):
-        r, d, var = blk.rank, blk.dim, f"ball{i}"
+    for i, (eigs, sigma) in enumerate(blocks):
+        r, d, var = len(eigs), len(sigma), f"ball{i}"
         prob.add_var(var, r + d)
         prob.require_psd(AffineExpr.zero(r + d).plus_var(var))
         for a in range(r):
-            prob.require_eq(_entry_pin(var, r + d, a, a, float(blk.eigs[a]), imag=False))
+            prob.require_eq(_entry_pin(var, r + d, a, a, float(eigs[a]), imag=False))
             for b in range(a + 1, r):
                 prob.require_eq(_entry_pin(var, r + d, a, b, 0.0, imag=False))
                 if not real:
@@ -872,28 +874,32 @@ def capped_ball(ball: tuple, eps: float) -> SDProblem:
         prob.require_geq(trace_functional("w", 1))
     prob.add_var("t", 1)
     prob.objective = trace_functional("t", 1)
-    for i, blk in enumerate(blocks):
-        if blk.dim == 1:
+    for i, (eigs, sigma) in enumerate(blocks):
+        if len(sigma) == 1:
             # a 1x1 sub-block carries rank 1, so G_b is 2x2
             tail = np.zeros((2, 2), dtype=complex)
             tail[1, 1] = -1.0
-            prob.require_geq(ScalarExpr(0.0, (("t", blk.sigma), (f"ball{i}", tail))))
+            prob.require_geq(ScalarExpr(0.0, (("t", sigma), (f"ball{i}", tail))))
         else:
-            cap = AffineExpr.zero(blk.dim).plus_kron(blk.sigma, "t")
-            prob.require_psd(cap.plus_subblock(f"ball{i}", blk.rank, -1.0))
+            cap = AffineExpr.zero(len(sigma)).plus_kron(sigma, "t")
+            prob.require_psd(cap.plus_subblock(f"ball{i}", len(eigs), -1.0))
     if free:
         prob.require_geq(ScalarExpr(0.0, (("t", free_mass * one), ("w", -one))))
     return prob
 
 
-def _per_block(ball, stacks) -> list:
-    """Per-group stacks of a block-form point or dual (one per group of
-    ``Ball.shapes``) as one matrix per sub-block, in block order."""
-    out = [None] * len(ball.blocks)
-    for (_, _, idx, _, _), stack in zip(ball.shapes, stacks):
-        for i, m in zip(idx, stack):
-            out[i] = m
-    return out
+def plain(eigs, sigma, free_mass) -> tuple[list, float]:
+    """A stacked ball (the per-group spectra and sigma_b of
+    ``entropies._ball_blocks`` or ``povmcomp.sdp.Ball``, and s0) as
+    ``capped_ball``'s input: a plain list of (Lambda_b, sigma_b), group by
+    group, the order of the block form's sub-blocks, and s0."""
+    return list(zip(_per_block(eigs), _per_block(sigma))), free_mass
+
+
+def _per_block(stacks) -> list:
+    """Per-group stacks of a block-form point or dual as one matrix per
+    sub-block, group by group."""
+    return [m for stack in stacks for m in stack]
 
 
 def assignment_of(ball, point) -> dict[str, np.ndarray]:
@@ -901,11 +907,13 @@ def assignment_of(ball, point) -> dict[str, np.ndarray]:
     assignment of ``capped_ball``'s variables: ball{i} = G_i =
     [[Lambda_i, Z_i], [Z_i^H, rho'_i]], t and, with s0 > 0, w."""
     assign = {}
-    blocks = zip(ball.blocks, _per_block(ball, point.z), _per_block(ball, point.rho))
-    for i, (blk, z, rho) in enumerate(blocks):
-        r, d = blk.rank, blk.dim
+    blocks, _ = plain(ball.eigs, ball.sigma, ball.free_mass)
+    for i, ((eigs, sigma), z, rho) in enumerate(
+        zip(blocks, _per_block(point.z), _per_block(point.rho))
+    ):
+        r, d = len(eigs), len(sigma)
         g = np.zeros((r + d, r + d), dtype=np.result_type(z, rho))
-        g[np.arange(r), np.arange(r)] = blk.eigs
+        g[np.arange(r), np.arange(r)] = eigs
         g[:r, r:], g[r:, :r], g[r:, r:] = z, z.conj().T, rho
         assign[f"ball{i}"] = g
     if ball.free_mass > 0.0:
@@ -920,13 +928,14 @@ def slack_of(ball, dual) -> np.ndarray:
     constraint in problem order (each G_i, then the caps C_i with d > 1),
     over the program's field, then one weight per inequality (the
     fidelity row, w >= 0, the caps with d = 1, t s0 - w >= 0)."""
-    real = not any(np.iscomplexobj(blk.sigma) for blk in ball.blocks)
-    caps = _per_block(ball, dual.cap)
-    big = [c for blk, c in zip(ball.blocks, caps) if blk.dim > 1]
+    blocks, _ = plain(ball.eigs, ball.sigma, ball.free_mass)
+    real = not any(np.iscomplexobj(sigma) for _, sigma in blocks)
+    caps = _per_block(dual.cap)
+    big = [c for (_, sigma), c in zip(blocks, caps) if len(sigma) > 1]
     dtype = float if real else complex
-    psd = [herm_to_rvec(np.asarray(m, dtype=dtype), real) for m in _per_block(ball, dual.g) + big]
+    psd = [herm_to_rvec(np.asarray(m, dtype=dtype), real) for m in _per_block(dual.g) + big]
     free = ball.free_mass > 0.0
     weights = [dual.fid] + [dual.floor] * free
-    weights += [float(c[0, 0].real) for blk, c in zip(ball.blocks, caps) if blk.dim == 1]
+    weights += [float(c[0, 0].real) for (_, sigma), c in zip(blocks, caps) if len(sigma) == 1]
     weights += [dual.free_cap] * free
     return np.concatenate(psd + [np.array(weights)])

@@ -581,14 +581,31 @@ def min_t(prob) -> float:
 
 
 def ball(rho, sigma) -> tuple:
-    """The sub-blocks of the one pair (rho, sigma)."""
+    """The sub-blocks of the one pair (rho, sigma): ``_ball_blocks``'
+    per-group spectra and sigma_b, and s0."""
     return ent._ball_blocks([(rho, sigma)])
 
 
 def capped_ball(rho, sigma, eps):
     """``d_max_smooth``'s min t program of the one pair (rho, sigma), in
     the reference's generic form."""
-    return ref.capped_ball(ball(rho, sigma), eps)
+    return ref.capped_ball(ref.plain(*ball(rho, sigma)), eps)
+
+
+def group_major(items: list, key) -> list:
+    """``items`` stably reordered group by group, the groups of one
+    ``key`` in order of first appearance: the order in which
+    ``_ball_blocks`` stacks its sub-blocks by (r, d, field)."""
+    first: dict = {}
+    for item in items:
+        first.setdefault(key(item), len(first))
+    return sorted(items, key=lambda item: first[key(item)])
+
+
+def block_key(block) -> tuple:
+    """(r, d, field) of a plain sub-block (Lambda_b, sigma_b)."""
+    eigs, sigma = block
+    return len(eigs), len(sigma), sigma.dtype.kind
 
 
 def at_lam(prob, lam):
@@ -738,9 +755,9 @@ def corner_pins(rho, sigma, real: bool) -> int:
     row, and per sub-block of rank r its r diagonal corner pins and
     r(r-1)/2 off-diagonal ones, twice over (real and imaginary part) on a
     Hermitian program."""
-    blocks, _ = ball(rho, sigma)
-    off = sum(b.rank * (b.rank - 1) // 2 for b in blocks)
-    return 1 + sum(b.rank for b in blocks) + off * (1 if real else 2)
+    ranks = [len(eigs) for eigs, _ in ref.plain(*ball(rho, sigma))[0]]
+    off = sum(r * (r - 1) // 2 for r in ranks)
+    return 1 + sum(ranks) + off * (1 if real else 2)
 
 
 def commuting_pairs(free: bool) -> list:
@@ -763,7 +780,8 @@ def commuting_pairs(free: bool) -> list:
 
 def is_classical(sub_blocks) -> bool:
     """Whether every sub-block that carries rho is 1x1 with sigma_b > 0."""
-    return all(blk.rank == blk.dim == 1 and blk.sigma[0, 0] > 0 for blk in sub_blocks[0])
+    blocks, _ = ref.plain(*sub_blocks)
+    return all(len(eigs) == len(sigma) == 1 and sigma[0, 0] > 0 for eigs, sigma in blocks)
 
 
 def solver_batches(monkeypatch) -> list:
@@ -797,7 +815,7 @@ class TestWaterFill:
         sizes = solver_batches(monkeypatch)
         for rho, sigma, p, s in commuting_pairs(free):
             sub_blocks = ball(rho, sigma)
-            assert is_classical(sub_blocks) and (sub_blocks[1] > 0.0) == free
+            assert is_classical(sub_blocks) and (sub_blocks[2] > 0.0) == free
             for eps in (0.1, 1e-2, 1e-3, 1e-4, 1e-5):
                 value = ent.d_max_smooth(rho, sigma, eps)
                 oracle = oracles.dmax_smooth_classical_oracle(p, s, eps)
@@ -835,8 +853,8 @@ class TestWaterFill:
             if not is_classical(sub_blocks):
                 continue
             fill = water_fill(sub_blocks, 0.1)
-            sigmas = np.array([blk.sigma[0, 0] for blk in sub_blocks[0]])
-            t_min = 1.0 / (sigmas.sum() + max(sub_blocks[1], 0.0))
+            sigmas = np.array([sigma[0, 0] for _, sigma in ref.plain(*sub_blocks)[0]])
+            t_min = 1.0 / (sigmas.sum() + max(sub_blocks[2], 0.0))
             if fill.t_cap == pytest.approx(t_min, rel=1e-14):
                 bound.append(ent._certified_fill(fill))
                 fid, floor, caps, free_cap = fill.ineq
@@ -855,7 +873,8 @@ class TestWaterFill:
         # sigma_b = 0 under rho's second entry: its cap pins x_b to 0, and
         # the value goes to the solver, as every value that is not classical
         p, s = np.array([0.995, 0.005]), np.array([1.0, 0.0])
-        assert [blk.sigma[0, 0] for blk in ball(np.diag(p), np.diag(s))[0]] == [1.0, 0.0]
+        blocks, _ = ref.plain(*ball(np.diag(p), np.diag(s)))
+        assert [sigma[0, 0] for _, sigma in blocks] == [1.0, 0.0]
         sizes = solver_batches(monkeypatch)
 
         def no_water_fill(*args):
@@ -892,8 +911,12 @@ class TestWaterFill:
 
 
 def water_fill(sub_blocks, eps):
-    """``_water_fill``'s record of a classical ``_ball_blocks`` result."""
-    return ent._water_fill(*ent._scalars(sub_blocks), eps)
+    """``_water_fill``'s record of a classical ``_ball_blocks`` result, on
+    its (lambda_b, sigma_b) and s0 (0 unless positive)."""
+    blocks, free_mass = ref.plain(*sub_blocks)
+    lam = np.array([eigs[0] for eigs, _ in blocks])
+    sig = np.array([sigma[0, 0].real for _, sigma in blocks])
+    return ent._water_fill(lam, sig, max(free_mass, 0.0), eps)
 
 
 def check_scalar_certificates(fill) -> dict:
@@ -1044,18 +1067,24 @@ class TestSupportComponents:
             return eigh(a)
 
         monkeypatch.setattr(np.linalg, "eigh", counting)
-        blocks, _ = ball(rho, sigma)
+        blocks, _ = ref.plain(*ball(rho, sigma))
         assert len(calls) == len({len(c) for c in comps}) == 3
         monkeypatch.setattr(np.linalg, "eigh", eigh)
-        carried = [c for c in comps if np.abs(rho[np.ix_(c, c)]).max() > 1e-12]
-        assert len(blocks) == len(carried) == 5
-        for blk, c in zip(blocks, carried):
+        want = []
+        for c in comps:
             w, u = np.linalg.eigh(rho[np.ix_(c, c)])
-            keep = w > 1e-12
-            assert np.array_equal(blk.eigs, w[keep][::-1])
-            assert blk.dim == len(c)
-            u = u[:, ::-1]
-            np.testing.assert_allclose(blk.sigma, u.conj().T @ sigma[np.ix_(c, c)] @ u, atol=1e-15)
+            if w[-1] > 1e-12:
+                u = u[:, ::-1]
+                rotated = u.conj().T @ sigma[np.ix_(c, c)] @ u
+                real = np.abs(rotated.imag).max() <= la.HERM_TOL
+                want.append((w[w > 1e-12][::-1], rotated.real if real else rotated))
+        # the components in order of least index, stacked by (r, d, field)
+        want = group_major(want, block_key)
+        assert len(blocks) == len(want) == 5
+        for (eigs, sb), (want_eigs, want_sb) in zip(blocks, want):
+            assert np.array_equal(eigs, want_eigs)
+            assert sb.shape == want_sb.shape and sb.dtype == want_sb.dtype
+            np.testing.assert_allclose(sb, want_sb, atol=1e-15)
 
     def test_pairs_split_as_their_direct_sum(self, monkeypatch):
         # a classical-copy pair cut into its classes, as a cq state's pairs:
@@ -1073,29 +1102,41 @@ class TestSupportComponents:
             cuts = [slice(x * len(rho) // n, (x + 1) * len(rho) // n) for x in range(n)]
             pairs = [(rho[c, c], sigma[c, c]) for c in cuts]
             assert np.array_equal(direct_sum(pairs)[1], sigma)
-            want_blocks, want_free = ball(rho, sigma)
+            want_blocks, want_free = ref.plain(*ball(rho, sigma))
             with monkeypatch.context() as patch:
                 patch.setattr(np.linalg, "eigh", counting)
-                blocks, free = ent._ball_blocks(pairs)
+                blocks, free = ref.plain(*ent._ball_blocks(pairs))
             sizes = {len(c) for r, s in pairs for c in oracles.support_components_oracle([r, s])}
             assert sorted(calls) == sorted(sizes)
             calls.clear()
             assert free == want_free
             assert len(blocks) == len(want_blocks)
-            for got, want in zip(blocks, want_blocks):
-                assert got.sigma.dtype == want.sigma.dtype
-                assert np.array_equal(got.eigs, want.eigs)
-                assert np.array_equal(got.sigma, want.sigma)
+            for (eigs, sb), (want_eigs, want_sb) in zip(blocks, want_blocks):
+                assert sb.dtype == want_sb.dtype
+                assert np.array_equal(eigs, want_eigs)
+                assert np.array_equal(sb, want_sb)
+
+
+def reference_group_major(want) -> tuple:
+    """``oracles.ball_blocks_reference``'s plain list, in order of least
+    index, stably reordered group by group as ``_ball_blocks`` stacks it,
+    and s0."""
+    blocks, free_mass = want
+    return group_major(blocks, block_key), free_mass
 
 
 def assert_same_sub_blocks(got, want) -> None:
-    """Two ``_ball_blocks`` results agree to the bit: order, spectra,
-    sigma_b and its field, and s0."""
-    (blocks, free), (want_blocks, want_free) = got, want
+    """A ``_ball_blocks`` result and the reference's plain list agree to
+    the bit: one stack per (r, d, field), the reference's sub-blocks in
+    its order of least index within each stack and the stacks in order of
+    first appearance, the spectra, sigma_b and its field, and s0."""
+    keys = [(e.shape[1], s.shape[-1], s.dtype.kind) for e, s in zip(got[0], got[1])]
+    assert len(set(keys)) == len(keys)
+    (blocks, free), (want_blocks, want_free) = ref.plain(*got), reference_group_major(want)
     assert free.hex() == want_free.hex() and len(blocks) == len(want_blocks)
-    for b, w in zip(blocks, want_blocks):
-        assert b.sigma.dtype == w.sigma.dtype
-        assert b.eigs.tobytes() == w.eigs.tobytes() and b.sigma.tobytes() == w.sigma.tobytes()
+    for (eigs, sb), (want_eigs, want_sb) in zip(blocks, want_blocks):
+        assert sb.dtype == want_sb.dtype
+        assert eigs.tobytes() == want_eigs.tobytes() and sb.tobytes() == want_sb.tobytes()
 
 
 def degenerate_pairs(rng) -> list:
@@ -1138,7 +1179,8 @@ class TestBallBlocksReference:
             got, want = ent._ball_blocks(pairs), oracles.ball_blocks_reference(ent, pairs)
             assert_same_sub_blocks(got, want)
             if not is_classical(got):
-                prog, oracle = (ref.Program(ref.capped_ball(b, 0.1)) for b in (got, want))
+                plains = (ref.plain(*got), reference_group_major(want))
+                prog, oracle = (ref.Program(ref.capped_ball(b, 0.1)) for b in plains)
                 for name in ("g_graph", "c_graph", "g_eq", "c_eq"):
                     assert getattr(prog, name).tobytes() == getattr(oracle, name).tobytes()
 
@@ -1149,8 +1191,8 @@ class TestBallBlocksReference:
             pairs = degenerate_pairs(rng)
             got = ent._ball_blocks(pairs)
             assert_same_sub_blocks(got, oracles.ball_blocks_reference(ent, pairs))
-            fields.update(b.sigma.dtype.kind for b in got[0])
-            fields["free"] += got[1] > 0.0
+            fields.update(sigma.dtype.kind for _, sigma in ref.plain(*got)[0])
+            fields["free"] += got[2] > 0.0
         assert fields["c"] and fields["f"] and fields["free"]
 
 
@@ -1185,7 +1227,7 @@ class TestFoldedBall:
 
     def test_no_w_when_every_rho_free_component_has_no_sigma(self):
         rho, sigma = block_pair(np.random.default_rng(33), [2, 1], [], zero=2)
-        assert ball(rho, sigma)[1] == 0.0
+        assert ball(rho, sigma)[2] == 0.0
         self.check_fold(rho, sigma, 0.1, has_w=False)
 
     @pytest.mark.parametrize("name", ["qubit_cq", "qubit_entangled_side_info"])
@@ -1200,7 +1242,7 @@ class TestFoldedBall:
         monkeypatch.undo()
         for pairs in values:
             rho, sigma = direct_sum(pairs)
-            sub_blocks = ent._ball_blocks(pairs)
+            sub_blocks = ref.plain(*ent._ball_blocks(pairs))
             assert sub_blocks[1] == 0.0
             for lam in (None, 0.7):
                 got = at_lam(ref.capped_ball(sub_blocks, 0.1), lam)
@@ -1221,7 +1263,7 @@ class TestFoldedBall:
         )
         sizes = []
         for pairs in values:
-            prog = ref.Program(ref.capped_ball(ent._ball_blocks(pairs), 0.1))
+            prog = ref.Program(ref.capped_ball(ref.plain(*ent._ball_blocks(pairs)), 0.1))
             unsplit = oracles.capped_ball_per_component(ref, *direct_sum(pairs), 0.1, None)
             unsplit = ref.Program(unsplit)
             sizes.append((unsplit.n_vars, prog.n_vars, collections.Counter(prog.block_dims)))
@@ -1289,8 +1331,8 @@ class TestSmoothingSolve:
         kept = [b for b in built if not is_classical(b)]
         assert (len(built), len(kept), len(solved), len(certified)) == (3, 2, 2, 2)
         for sub_blocks, ball, checked in zip(kept, solved, certified):
-            assert ball is checked and ball.blocks is sub_blocks[0]
-            assert ball.free_mass == sub_blocks[1]
+            assert ball is checked and ball.eigs is sub_blocks[0] and ball.sigma is sub_blocks[1]
+            assert ball.free_mass == sub_blocks[2]
 
     def test_certificates_decide_whatever_the_status(self, monkeypatch, region_x_pairs):
         # a solve reported "maxIterations" whose point and dual pass both
@@ -1446,7 +1488,7 @@ class TestRealField:
             assert compiled(at_lam(capped_ball(*noisy, 0.1), lam)) == compiled(
                 at_lam(capped_ball(rho, sigma, 0.1), lam)
             )
-        assert all(not np.iscomplexobj(blk.sigma) for blk in ball(*noisy)[0])
+        assert all(not np.iscomplexobj(sigma) for sigma in ball(*noisy)[1])
 
     @pytest.mark.parametrize("name", io.BUNDLED)
     def test_bundled_smoothing_programs_are_real(self, monkeypatch, name):
@@ -1460,7 +1502,7 @@ class TestRealField:
         assert values
         for pairs in values:
             for lam in (None, 0.4):
-                prob = ref.capped_ball(ent._ball_blocks(pairs), 0.1)
+                prob = ref.capped_ball(ref.plain(*ent._ball_blocks(pairs)), 0.1)
                 assert ref.Program(at_lam(prob, lam)).real
 
 
@@ -1510,9 +1552,9 @@ class TestEigenbasisSplit:
         for rho, sigma, eps in classical_copy_pairs():
             prog = ref.Program(capped_ball(rho, sigma, eps))
             assert len(prog.prob.equalities) == corner_pins(rho, sigma, prog.real)
-            blocks = ball(rho, sigma)[0]
-            kinds = {np.iscomplexobj(b.sigma) for b in blocks}
-            mixed += kinds == {True, False} and max(b.rank for b in blocks) > 1
+            blocks, _ = ref.plain(*ball(rho, sigma))
+            kinds = {np.iscomplexobj(sigma) for _, sigma in blocks}
+            mixed += kinds == {True, False} and max(len(eigs) for eigs, _ in blocks) > 1
             assert prog.real == (True not in kinds)
         assert mixed
 
@@ -1592,7 +1634,7 @@ class TestBlockForm:
     def check(ball, eps) -> None:
         (res,) = sdp.minimize_balls([ball])
         value = ent._certified_value(ball, res)
-        prob = ref.capped_ball((ball.blocks, ball.free_mass), eps)
+        prob = ref.capped_ball(ref.plain(ball.eigs, ball.sigma, ball.free_mass), eps)
         (want,) = ref.minimize_many([prob])
         assert want.status == "optimal"
         top = math.log2(float(want.assignment["t"][0, 0].real))
@@ -1631,7 +1673,7 @@ class TestBlockForm:
         kinds = set()
         for rho, sigma, eps in complex_balls():
             value = sdp.Ball(*ball(rho, sigma), math.sqrt(1 - eps * eps))
-            assert any(np.iscomplexobj(b.sigma) for b in value.blocks)
+            assert any(np.iscomplexobj(sigma) for sigma in value.sigma)
             kinds.add(value.free_mass > 0.0)
             self.check(value, eps)
         assert kinds == {False, True}

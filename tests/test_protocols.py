@@ -153,7 +153,7 @@ def _check_certificates(solves) -> None:
             primal, gap, resid, _ = oracles.water_fill_certificates(ent, ref, args[0])
         else:
             ball, res = args
-            prob = ref.capped_ball((ball.blocks, ball.free_mass), GOLDEN_EPS)
+            prob = ref.capped_ball(ref.plain(ball.eigs, ball.sigma, ball.free_mass), GOLDEN_EPS)
             assign = ref.assignment_of(ball, res.point)
             primal = ref._recheck(oracles.pin_variable(prob, "t", 2.0**value), assign)
             lo = oracles.pin_variable(prob, "t", 2.0 ** (value - ent.BISECT_TOL_BITS))

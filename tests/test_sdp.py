@@ -98,7 +98,7 @@ def minimize(prob):
 def capped_ball(rho, sigma, eps):
     """``d_max_smooth``'s min t program of the one pair (rho, sigma), in
     the reference's generic form."""
-    return ref.capped_ball(ent._ball_blocks([(rho, sigma)]), eps)
+    return ref.capped_ball(ref.plain(*ent._ball_blocks([(rho, sigma)])), eps)
 
 
 def capped_ball_at(rho, sigma, eps, lam):
@@ -475,24 +475,33 @@ def region_balls():
 @pytest.fixture(scope="module")
 def region_programs(region_balls):
     """The six region values as the reference's min t programs."""
-    return [ref.capped_ball((ball.blocks, ball.free_mass), 0.1) for ball in region_balls]
+    return [
+        ref.capped_ball(ref.plain(ball.eigs, ball.sigma, ball.free_mass), 0.1)
+        for ball in region_balls
+    ]
+
+
+def shapes(ball) -> list:
+    """(r, d, real) of each sub-block of a ball."""
+    blocks, _ = ref.plain(ball.eigs, ball.sigma, ball.free_mass)
+    return [(len(eigs), len(sigma), not np.iscomplexobj(sigma)) for eigs, sigma in blocks]
 
 
 def block_sizes(ball) -> set:
     """The sizes of a ball's PSD blocks: each G_b's r + d, each cap's d > 1."""
-    return {b.rank + b.dim for b in ball.blocks} | {b.dim for b in ball.blocks if b.dim > 1}
+    return {r + d for r, d, _ in shapes(ball)} | {d for _, d, _ in shapes(ball) if d > 1}
 
 
 def slabs(ball) -> set:
     """(size, field) of a ball's PSD blocks, the stacks of a batch."""
-    out = {(b.rank + b.dim, b.real) for b in ball.blocks}
-    return out | {(b.dim, b.real) for b in ball.blocks if b.dim > 1}
+    out = {(r + d, real) for r, d, real in shapes(ball)}
+    return out | {(d, real) for _, d, real in shapes(ball) if d > 1}
 
 
 def schur_size(ball) -> int:
     """A ball's free reals, plus the trace row that borders its Schur matrix."""
     size = sdp.rvec_size
-    reals = sum(size(b.rank + b.dim, b.real) - size(b.rank, b.real) for b in ball.blocks)
+    reals = sum(size(r + d, real) - size(r, real) for r, d, real in shapes(ball))
     return reals + 1 + (ball.free_mass > 0) + 1
 
 
@@ -551,9 +560,10 @@ class TestBatch:
         # sqrt(sum_a lambda_a) sqrt(Tr rho') = 1), so its iterates diverge
         # and stop "maxIterations" long before IPM_MAX_ITER; in two orders
         herm = sdp.Ball(*ent._ball_blocks([random_pair()]), math.sqrt(1 - 0.1**2))
-        far = sdp.Ball(region_balls[0].blocks, region_balls[0].free_mass, 1.5)
+        first = region_balls[0]
+        far = sdp.Ball(first.eigs, first.sigma, first.free_mass, 1.5)
         batch = [*region_balls, herm, far]
-        fields = [{np.iscomplexobj(b.sigma) for b in ball.blocks} for ball in batch]
+        fields = [{not real for _, _, real in shapes(ball)} for ball in batch]
         assert fields == [{False}] * 6 + [{True}, {False}]
         lone = [ball_bits(sdp.minimize_balls([ball])[0]) for ball in batch]
         assert [bits[0] for bits in lone] == ["optimal"] * 7 + ["maxIterations"]
@@ -656,6 +666,50 @@ class TestBatch:
         assert sum(unions) < sum(len(slabs(b)) * n for b, n in zip(region_balls, steps))
 
 
+def mixed_field_pairs() -> list:
+    """Two pairs, one value: each pair the direct sum of three 2 x 2
+    components whose rho is diagonal (its own eigenbasis, up to order): of
+    rank 2 under a complex sigma, of rank 1 under a real sigma that joins
+    its two indices, and of rank 2 under a real sigma.  So the value has
+    sub-blocks of one (r, d) = (2, 2) over both fields, and of (1, 2)
+    beside them, two of each."""
+    out = []
+    for rank_two, rank_one, off in (((0.2, 0.1), 0.08, 0.3), ((0.15, 0.12), 0.05, 0.2)):
+        rho, sigma = np.zeros((6, 6), dtype=complex), np.zeros((6, 6), dtype=complex)
+        rho[[0, 1, 4, 5], [0, 1, 4, 5]] = [*rank_two, *rank_two]
+        rho[2, 2] = rank_one
+        sigma[:2, :2] = [[0.2, off * 0.1j], [-off * 0.1j, 0.1]]
+        sigma[2:4, 2:4] = [[0.1, off * 0.1], [off * 0.1, 0.2]]
+        sigma[4:, 4:] = [[0.3, 0.05], [0.05, 0.1]]
+        out.append((rho, sigma / 2))
+    total = sum(np.trace(rho).real for rho, _ in out)
+    return [(rho / total, sigma) for rho, sigma in out]
+
+
+class TestGroups:
+    """A ball holds one stack per (r, d, field): sub-blocks of one (r, d)
+    over two fields are two stacks, each solved over its own field."""
+
+    def test_one_stack_per_rank_dimension_and_field(self, region_balls):
+        pairs = mixed_field_pairs()
+        ball = sdp.Ball(*ent._ball_blocks(pairs), math.sqrt(1 - 0.1**2))
+        assert sdp._groups(ball) == ((2, 2, False, 2), (1, 2, True, 2), (2, 2, True, 2))
+        # the certified interval (v - BISECT_TOL_BITS, v] holds the
+        # reference program's min t
+        (res,) = sdp.minimize_balls([ball])
+        value = ent._certified_value(ball, res)
+        prob = ref.capped_ball(ref.plain(ball.eigs, ball.sigma, ball.free_mass), 0.1)
+        want = minimize(prob)
+        assert want.status == "optimal"
+        top = math.log2(float(want.assignment["t"][0, 0].real))
+        assert value - ent.BISECT_TOL_BITS < top <= value + 1e-12
+        # its solve among the region values is its lone solve, bit for bit
+        lone = ball_bits(res)
+        for batch in ([*region_balls, ball], [*region_balls[:3], ball, *region_balls[3:]]):
+            (got,) = [res for b, res in zip(batch, sdp.minimize_balls(batch)) if b is ball]
+            assert ball_bits(got) == lone
+
+
 class TestBlockSolver:
     """``sdp.minimize_balls``' size cap and its ``LinAlgError`` trace."""
 
@@ -671,7 +725,7 @@ class TestBlockSolver:
         phase = np.eye(77, dtype=complex)
         phase[0, 1], phase[1, 0] = 0.1j, -0.1j
         for sigma, reals in ((phase, 6084), (np.eye(109), 6105)):
-            ball = sdp.Ball([sdp.BallBlock(np.ones(1), sigma)], 0.0, 0.9)
+            ball = sdp.Ball([np.ones((1, 1))], [sigma[None]], 0.0, 0.9)
             with pytest.raises(sdp.ProblemTooLarge) as info:
                 sdp.minimize_balls([ball])
             assert isinstance(info.value, ValueError)
@@ -685,7 +739,7 @@ class TestBlockSolver:
         # value stops "maxIterations" after 3 steps, as it does alone, and
         # the others do not change
         target = region_balls[1]
-        assert slabs(target) == {(2, True)} and len(target.blocks) == 18
+        assert slabs(target) == {(2, True)} and len(shapes(target)) == 18
         cholesky, inputs = np.linalg.cholesky, []
         with monkeypatch.context() as mp:
             mp.setattr(np.linalg, "cholesky", lambda a: (inputs.append(a.copy()), cholesky(a))[1])
@@ -708,8 +762,8 @@ class TestBlockSolver:
         assert [ball_bits(res) for res in sdp.minimize_balls(region_balls)] == want
         # the stacked call over all six values' blocks of size 2, then the
         # target's own call
-        blocks = [b for ball in region_balls for b in ball.blocks]
-        size_two = sum((b.rank + b.dim == 2) + (b.dim == 2) for b in blocks)
+        blocks = [shape for ball in region_balls for shape in shapes(ball)]
+        size_two = sum((r + d == 2) + (d == 2) for r, d, _ in blocks)
         assert raised == [(size_two, 2, 2), (18, 2, 2)]
 
 
