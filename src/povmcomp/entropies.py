@@ -24,6 +24,8 @@ from . import linalg as la
 from . import qobjects as qo
 from . import sdp
 
+# the widest certified interval [lower, value] of an I_max^eps, in bits; the
+# name outlives the bisection it once bounded because the bench reads it
 BISECT_TOL_BITS = 1e-3
 
 
@@ -382,10 +384,11 @@ def _np_threshold(blocks: _Blocks, eps: float) -> tuple[list, float, float, floa
 
     Two exits take no search.  When rho's mass on ker sigma reaches
     1 - eps, the test is the projector onto ker sigma, with beta = 0 and
-    the dual at t = 0.  At eps <= 1e-14 it is the eps = 0 test, rho's
-    support projector Pi, optimal there (T <= I with Tr T rho = 1 is I on
-    supp rho), and its dual is its beta, which the Lagrange bound reaches
-    only as t grows without end.
+    the dual at t = 0.  At eps = 0 it is rho's support projector Pi,
+    optimal there (T <= I with Tr T rho = 1 is I on supp rho), and its
+    dual is its beta, which the Lagrange bound reaches only as t grows
+    without end.  Pi keeps the eigenvalues of rho's own ``eigh`` above
+    NP_TOL over their count, so the mass it drops stays within NP_TOL.
     """
     target = 1.0 - eps
     # beta = 0 reachable: test supported on ker(sigma)
@@ -396,11 +399,14 @@ def _np_threshold(blocks: _Blocks, eps: float) -> tuple[list, float, float, floa
     if alpha >= target - 1e-12:
         return list(tests), alpha, 0.0, 0.0
 
-    if eps <= 1e-14:
-        tests = [la.support_projector(r) for r in blocks.rho]
-        alpha = sum(float(np.trace(p @ r).real) for p, r in zip(tests, blocks.rho))
-        beta = sum(float(np.trace(p @ s).real) for p, s in zip(tests, blocks.sigma))
-        return tests, alpha, beta, beta
+    if eps == 0.0:
+        w, v = np.linalg.eigh(blocks.rho)
+        supp = v * (w > NP_TOL / w.size)[:, None, :]
+        tests = supp @ supp.conj().swapaxes(-1, -2)
+        alpha, beta = (
+            float(np.einsum("nij,nji->", tests, m).real) for m in (blocks.rho, blocks.sigma)
+        )
+        return list(tests), alpha, beta, beta
 
     t_lo, t_hi = _np_bisect(blocks, target)
     t = (t_lo + t_hi) / 2.0
@@ -652,20 +658,22 @@ def d_max_smooth(rho, sigma, eps: float) -> float:
     """Smoothed max relative entropy over the purified-distance ball.
 
     The least t of the capped ball (``sdp.Ball``) of the sub-blocks of the
-    one pair (rho, sigma) gives v = log2 t, and v is returned only with two
-    certificates, both with t held fixed:
+    one pair (rho, sigma) gives v = log2 t, and v is returned only with a
+    certified interval [log2 t_low, v] at most BISECT_TOL_BITS wide:
 
-    - v is feasible: the point passes ``sdp.recheck``'s checks at t = 2^v;
-    - v - BISECT_TOL_BITS is infeasible: the dual is a Farkas witness
-      (``sdp.witness``, ``sdp.witness_fires``) at t = 2^(v - BISECT_TOL_BITS).
+    - the upper end: the point passes ``sdp.recheck``'s checks at t = 2^v;
+    - the lower end: the dual, projected onto the cone, allows no t below
+      t_low by weak duality (``sdp.lower_bound``: its dual objective less
+      its residual times X = sqrt(1 + 2 sum_b Tr Lambda_b), which bounds
+      every feasible point's free reals).
 
-    So the value lies in (v - BISECT_TOL_BITS, v].  The program is the
+    So the value lies in [log2 t_low, v].  The program is the
     split and folded one the ``sdp`` docstring poses: per sub-block that
     carries rho, G_b = [[Lambda_b, Z_b], [Z_b^H, rho'_b]] PSD with rho_b's
     spectrum Lambda_b as data, the cap t sigma_b - rho'_b PSD (a scalar row
     when d_b = 1), sum_b Re Tr' Z_b >= sqrt(1 - eps^2), and the trace of
-    rho', sum_b Tr rho'_b + w, equal to 1.  Both certificates bound
-    D_max^eps itself, for two exact steps:
+    rho', sum_b Tr rho'_b + w, equal to 1.  Both ends bound D_max^eps
+    itself, for two exact steps:
 
     - Split: each support component is posed in the eigenbasis of its
       rho_c and split again by the pattern of its rotated sigma'_c, which
@@ -682,23 +690,24 @@ def d_max_smooth(rho, sigma, eps: float) -> float:
       When s0 is 0 (every rho-free sub-block has sigma_b = 0, so each
       rho'_b is 0) there is no w.
 
-    Two solves, one pair of certificates.  A classical value, whose
-    sub-blocks that carry rho are all 1x1 with sigma_b > 0 (a commuting
-    pair, split), goes to no solver: it is a water-filling over
-    (lambda_b, sigma_b, s0), whose least t ``_water_fill`` solves exactly,
-    with the point and the KKT multipliers, and both certificates are
-    evaluated on one stack of those 1x1 blocks (``_certified_fill``).  Every other value
-    is solved by ``sdp.minimize_balls``, and both certificates are checked
-    in block form (``_certified_value``): the recheck from the point's own
-    blocks (the solve's own final one, when 2^v is its t), the witness on
-    the projected dual.  Both paths share ``sdp.recheck`` and
-    ``sdp.witness``.  The solve's status decides nothing: SolverError,
-    naming the status and iterations, is raised only when a certificate
-    fails or t is not positive.
+    Two solves, one certificate.  A classical value, whose sub-blocks that
+    carry rho are all 1x1 with sigma_b > 0 (a commuting pair, split), goes
+    to no solver: it is a water-filling over (lambda_b, sigma_b, s0), whose
+    least t ``_water_fill`` solves exactly, with the point and the KKT
+    multipliers, and both ends are evaluated on one stack of those 1x1
+    blocks (``_certified_fill``).  Every other value is solved by
+    ``sdp.minimize_balls``, and both ends are checked in block form
+    (``_certified_value``): the recheck of the point's own blocks (the
+    solve's own final one, when 2^v is its t), the lower end of the
+    projected dual.  Both paths share ``sdp.recheck`` and
+    ``sdp.lower_bound``.  The solve's status decides nothing: SolverError,
+    naming both ends, the status and the iterations, is raised only when
+    the point fails its recheck, the interval is wider than
+    BISECT_TOL_BITS, or t is not positive.
 
     The sub-blocks are found and their spectra taken once
     (``_ball_blocks``), stacked by (r, d, field) in the group-major order
-    the ball, its solve's layout and both certificates read.  The pair is
+    the ball, its solve's layout and the certificate read.  The pair is
     taken as ``_real_parts`` gives it:
     real parts when both imaginary parts are within ``la.HERM_TOL``
     (round-off, which ``la._hermitian_part`` repairs the same way), and so
@@ -721,9 +730,9 @@ def _d_max_smooth_many(values: list[list[tuple]], eps: float) -> list[float]:
     checks for PSD on its spectra), at a checked eps: a classical value
     (every sub-block that carries rho 1x1, with sigma_b > 0) is solved in
     closed form on its scalars (``_water_fill``), the others by one
-    ``sdp.minimize_balls`` over their capped balls, then each value's two
-    certificates in order (``_certified_fill``, ``_certified_value``); the
-    first value that fails raises its SolverError.  At eps 0 a value is
+    ``sdp.minimize_balls`` over their capped balls, then each value's
+    certified interval in order (``_certified_fill``, ``_certified_value``);
+    the first value that fails raises its SolverError.  At eps 0 a value is
     the max of ``d_max`` over its pairs."""
     if eps == 0.0:
         return [max(d_max(rho, sigma) for rho, sigma in pairs) for pairs in values]
@@ -746,7 +755,7 @@ def _d_max_smooth_many(values: list[list[tuple]], eps: float) -> list[float]:
 @dataclass
 class _WaterFill:
     """``_water_fill``'s record: the data, t_cap, the point at t* and the
-    KKT multipliers at t_low (each W_b = v_b v_b^T; ``ineq`` on the
+    KKT multipliers (each W_b = v_b v_b^T; ``ineq`` on the
     fidelity row, w >= 0, the caps and w's cap; ``nu`` on the corner pins
     of the per-entry form, -W_b[0, 0], and on the trace row, the one the
     block form reads)."""
@@ -759,7 +768,6 @@ class _WaterFill:
     x: np.ndarray
     z: np.ndarray
     w: float
-    t_low: float
     v: np.ndarray
     ineq: tuple
     nu: tuple
@@ -788,14 +796,18 @@ def _water_fill(lam: np.ndarray, sig: np.ndarray, free_mass: float, eps: float) 
 
     The point is G_b = [[lambda_b, z_b], [z_b, x_b]], z_b =
     sqrt(lambda_b x_b), w = 1 - sum_b x_b, at t_cap >= t* (``_t_star_cap``).
-    The multipliers are the water-filling's at t_low = 2^(log2 t_cap -
-    BISECT_TOL_BITS), where F(t_low) < c: v_b = (1 / (2 sqrt(kappa_b)),
-    -sqrt(kappa_b)), kappa_b = max(mu, sqrt(lambda_b / (t_low sigma_b)) / 2),
+    The multipliers are the water-filling's at t_d = t*^2 / t_cap, t*
+    mirrored below t* by t_cap's rise over it: v_b = (1 / (2 sqrt(kappa_b)),
+    -sqrt(kappa_b)), kappa_b = max(mu, sqrt(lambda_b / (t_d sigma_b)) / 2),
     1 on the fidelity row, mu on w >= 0, kappa_b - mu on each cap, 0 on w's
-    cap, -1 / (4 kappa_b) on each pin and -mu on the trace row, with gap
-    c - F(t_low).  When t_low (sum_b sigma_b + s0) < 1 no point can be
-    normalised: 1 on every cap, on w's cap and on the trace row, 0
-    elsewhere, with gap 1 - t_low (sum_b sigma_b + s0).
+    cap, -1 / (4 kappa_b) on each pin and -mu on the trace row.  They are
+    stationary, so ``sdp.lower_bound`` reads the tangent bound
+    t_d + (c - F(t_d)) / held from them, held = sum_b (kappa_b - mu) sigma_b.
+    t_d is t* up to round-off, except below an ill-conditioned crossing
+    (``_t_star_cap``'s fallback), where F is flat at t* and held would be 0.
+    When t* = t_min the fidelity row is slack, and the bound is the
+    normalisation's: 1 on every cap, on w's cap and on the trace row, 0
+    elsewhere, which gives t_low = 1 / (sum_b sigma_b + s0).
     """
     c = math.sqrt(max(0.0, 1.0 - eps * eps))
     s_all = float(sig.sum()) + free_mass
@@ -815,49 +827,48 @@ def _water_fill(lam: np.ndarray, sig: np.ndarray, free_mass: float, eps: float) 
     root = (c * c - rest) / (c * a + math.sqrt(max(rest * (a * a + s * (rest - c * c)), 0.0)))
     t_star = max(1.0 / s_all, root * root)
     t_cap = max(t_star, _t_star_cap((root, a, s, rest), c, sig, free_mass))
-    if t_star > root * root:
-        k = n  # bound by the normalisation: every sub-block is capped at t_min
+    bound = t_star > root * root  # by the normalisation: every sub-block is capped at t_min
+    if bound:
+        k = n
 
     x = np.empty(n)
     share = (1.0 - t_star * cap_s[k]) / rest_l[k] if k < n else 0.0
     x[order] = np.concatenate((t_star * sig_o[:k], share * lam_o[k:]))
-    t_low = 2.0 ** (math.log2(t_cap) - BISECT_TOL_BITS)
-    if t_low * s_all < 1.0:
+    if bound:
         v, ineq, nu = np.zeros((n, 2)), (0.0, 0.0, np.ones(n), 1.0), (np.zeros(n), 1.0)
     else:
-        k = int(np.sum(top > t_low))
-        mu = 0.5 * math.sqrt(rest_l[k] / (1.0 - t_low * cap_s[k])) if k < n else 0.0
-        kappa = np.maximum(mu, 0.5 * np.sqrt(lam / (t_low * sig)))
+        t_d = t_star * t_star / t_cap
+        k = int(np.sum(top > t_d))
+        mu = 0.5 * math.sqrt(rest_l[k] / (1.0 - t_d * cap_s[k])) if k < n else 0.0
+        kappa = np.maximum(mu, 0.5 * np.sqrt(lam / (t_d * sig)))
         v = np.stack((0.5 / np.sqrt(kappa), -np.sqrt(kappa)), axis=1)
         ineq, nu = (1.0, mu, kappa - mu, 0.0), (-0.25 / kappa, -mu)
     w = 1.0 - x.sum() if free_mass > 0.0 else 0.0
-    return _WaterFill(lam, sig, free_mass, eps, t_cap, x, np.sqrt(lam * x), w, t_low, v, ineq, nu)
+    return _WaterFill(lam, sig, free_mass, eps, t_cap, x, np.sqrt(lam * x), w, v, ineq, nu)
 
 
 def _fill_residuals(fill: _WaterFill) -> dict[str, float]:
-    """Both certificates of ``fill``, keyed as ``_certified_value``'s, from
-    the block-form routines on one stack of its 1x1 sub-blocks: "primal"
-    and "gap" are ``sdp.recheck``'s of the point G_b = [[lambda_b, z_b],
-    [z_b, x_b]], w at t = 2^(log2 t_cap); "witness_gap" and "witness_resid" are
-    ``sdp.witness``' of the multipliers at t_low (W_b = v_b v_b^T and the
-    weights of the caps, the fidelity row and w's rows), with the record's
-    multiplier of the trace row, not normalised (the test is
-    homogeneous)."""
+    """Both ends of ``fill``, keyed as ``_certified_value``'s, from the
+    block-form routines on one stack of its 1x1 sub-blocks: "primal" and
+    "gap" are ``sdp.recheck``'s of the point G_b = [[lambda_b, z_b],
+    [z_b, x_b]], w at t = 2^(log2 t_cap); "lower" is log2 of
+    ``sdp.lower_bound`` of the multipliers (W_b = v_b v_b^T, the weights
+    of the caps, the fidelity row and w's rows, and the record's trace row
+    multiplier), -inf when that bound is not positive."""
     c = math.sqrt(max(0.0, 1.0 - fill.eps * fill.eps))
     ball = sdp.Ball([fill.lam[:, None]], [fill.sig[:, None, None]], fill.free_mass, c)
     t = 2.0 ** math.log2(fill.t_cap)
     point = sdp.BallPoint(t, fill.w, [fill.z[:, None, None]], [fill.x[:, None, None]])
     fid, floor, caps, free_cap = fill.ineq
     caps = np.broadcast_to(caps, fill.lam.shape)[:, None, None]
-    witness = sdp.BallDual([fill.v[:, :, None] * fill.v[:, None, :]], [caps], fid, floor, free_cap)
-    residuals = sdp.recheck(ball, point)
-    gap, resid = sdp.witness(ball, witness, fill.t_low, fill.nu[1])
-    return dict(residuals, witness_gap=gap, witness_resid=resid)
+    dual = sdp.BallDual([fill.v[:, :, None] * fill.v[:, None, :]], [caps], fid, floor, free_cap)
+    t_low = sdp.lower_bound(ball, dual, fill.nu[1])
+    return dict(sdp.recheck(ball, point), lower=math.log2(t_low) if t_low > 0.0 else -math.inf)
 
 
 def _certified_fill(fill: _WaterFill) -> float:
-    """log2 t_cap of a classical value once both certificates pass on its
-    vectors (``_fill_residuals``)."""
+    """log2 t_cap of a classical value once its interval is certified on
+    its vectors (``_fill_residuals``)."""
     return _verdict(math.log2(fill.t_cap), _fill_residuals(fill), "(closed form)")
 
 
@@ -885,7 +896,7 @@ def _t_star_cap(segment: tuple, c: float, sigmas: np.ndarray, free_mass: float) 
     positive on the segment since F grows with t, bounds r* - root.  When
     G' is not positive or the shift is not small (an ill-conditioned
     crossing), the crossing's t is raised by 2^(BISECT_TOL_BITS / 4)
-    instead, which the two certificates still decide.
+    instead, which the certified interval still holds.
     """
     root, a, s, rest = segment
     u = 2.0**-53
@@ -908,37 +919,34 @@ def _t_star_cap(segment: tuple, c: float, sigmas: np.ndarray, free_mass: float) 
 
 def _certified_value(ball: sdp.Ball, res: sdp.BallSolve) -> float:
     """log2 t of an interior-point min t solve of ``d_max_smooth``, once
-    both certificates pass in block form.  Both are evaluated before
-    either raises, and a SolverError of either carries both: "primal" and
-    "gap" of the recheck, "witness_gap" and "witness_resid" of the
-    witness, the solve's dual projected onto the cone and normalised
-    (``sdp.project``) with t held at 2^(v - BISECT_TOL_BITS).  When 2^v is
-    the solve's t and the solve has rechecked its point (its residuals
-    hold "primal"), the recheck is that one; else the point is rechecked
-    with t set to 2^v."""
+    its interval [lower, v] is certified in block form: "primal" and "gap"
+    of the point's recheck at t = 2^v, and "lower" = log2 of
+    ``sdp.lower_bound`` of the solve's dual projected onto the cone
+    (``sdp.project``), -inf when that bound is not positive.  When 2^v is
+    the solve's t, the recheck is the solve's own, which
+    ``sdp.minimize_balls`` makes of every final point; else the point is
+    rechecked with t set to 2^v."""
     ended = f"(solve ended {res.status} after {res.iterations} iterations)"
     t = res.point.t
     if not (math.isfinite(t) and t > 0.0):
         raise SolverError(f"D_max^eps solve gave t = {t} {ended}", res.residuals)
     value = math.log2(t)
-    if 2.0**value == t and "primal" in res.residuals:
+    if 2.0**value == t:
         residuals = {key: res.residuals[key] for key in ("primal", "gap")}
     else:
         residuals = sdp.recheck(ball, replace(res.point, t=2.0**value))
-    gap, resid = sdp.witness(ball, sdp.project(res.dual), 2.0 ** (value - BISECT_TOL_BITS))
-    residuals.update(witness_gap=gap, witness_resid=resid)
+    t_low = sdp.lower_bound(ball, sdp.project(res.dual))
+    residuals["lower"] = math.log2(t_low) if t_low > 0.0 else -math.inf
     return _verdict(value, residuals, ended)
 
 
 def _verdict(value: float, residuals: dict[str, float], ended: str) -> float:
-    """``value`` when ``sdp.within_tolerance`` and ``sdp.witness_fires``
-    pass its residuals; else SolverError with them all."""
-    if not sdp.within_tolerance(residuals):
-        raise SolverError(f"D_max^eps = {value} not certified feasible {ended}", residuals)
-    if not sdp.witness_fires(residuals["witness_gap"], residuals["witness_resid"]):
-        raise SolverError(
-            f"D_max^eps = {value} - {BISECT_TOL_BITS} not certified infeasible {ended}", residuals
-        )
+    """``value`` when ``sdp.within_tolerance`` passes its residuals and
+    [residuals["lower"], value] is at most BISECT_TOL_BITS wide, either way
+    round; else SolverError naming both ends, with the residuals."""
+    lower = residuals["lower"]
+    if not (sdp.within_tolerance(residuals) and abs(value - lower) <= BISECT_TOL_BITS):
+        raise SolverError(f"D_max^eps in [{lower}, {value}] not certified {ended}", residuals)
     return value
 
 

@@ -34,7 +34,7 @@ Hermitian ones.  A sub-block is real when its sigma_b is (``entropies``
 decides it per sub-block); the program is invariant under conjugating one
 sub-block's (Z_b, rho'_b) when Lambda_b and sigma_b are real, and
 conjugation keeps every constraint, so a real optimum of that block is an
-optimum, and a real witness has no gradient along its imaginary
+optimum, and a real dual has no residual along its imaginary
 directions.  The free reals x of a value are, sub-block by sub-block in
 group-major order, G_b's rvec coordinates off its r x r corner (Z_b's
 entries times sqrt2, then rho'_b's rvec, in G_b's order), then t and w.
@@ -94,16 +94,12 @@ The certificates, in block form:
   trace row: "primal" is the largest violation, "gap" |trace - 1|; a
   point is feasible when both are at most ``10 * FEASIBLE_TOL``
   (``within_tolerance``).
-- ``witness`` reads a dual (W_b on G_b, V_b on C_b, the weights of the
-  scalar rows) as a Farkas witness with t held: its residual r over every
-  free real (per sub-block R_b = W_b + (f / 2) F_Z + (nu I - V_b) on the
-  trailing block, read off the corner; w's weight), nu the trace row's
-  least-squares multiplier unless given, and its gap, the program's
-  constant paired with the dual.  For every feasible x,
-  0 <= <dual, A x + h> = <r, x> - gap, so |x| >= gap / |r|;
-  ``witness_fires`` (gap > 0, |r| <= ``WITNESS_RATIO`` gap) proves the
-  program infeasible at that t.  ``project`` makes the cone element and
-  normalises it (one ``eigh`` per block size above 1).
+- ``lower_bound`` reads a dual (W_b on G_b, V_b on C_b, the weights of
+  the scalar rows), made a cone element by ``project`` (one ``eigh`` per
+  block size above 1), by weak duality with t left free: the least t is
+  at least t_low = (gap - X |r|) / held, X a bound on the norm of every
+  feasible point's free reals.  A value is certified on
+  [log2 t_low, log2 t], its upper end the rechecked t.
 """
 
 from __future__ import annotations
@@ -113,8 +109,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# an "infeasible" verdict needs |r| <= WITNESS_RATIO * gap
-WITNESS_RATIO = 0.1
 FEASIBLE_TOL = 1e-8
 MAX_VAR_REALS = 6000
 # interior-point solve: stop at this relative gap and dual residual, take
@@ -309,7 +303,7 @@ class BallSolve:
     iterations: int
     residuals: dict[str, float]
     point: BallPoint
-    dual: BallDual  # the solve's z, read by ``project`` and ``witness``
+    dual: BallDual  # the solve's z, read by ``project`` and ``lower_bound``
 
 
 def _reals(r: int, d: int, real: bool) -> int:
@@ -352,12 +346,13 @@ def recheck(ball: Ball, point: BallPoint) -> dict[str, float]:
     return {"primal": max(-least, 0.0), "gap": abs(mass - 1.0)}
 
 
-def witness(
-    ball: Ball, dual: BallDual, t: float, trace: float | None = None
-) -> tuple[float, float]:
-    """(gap, |r|) of ``dual`` as a Farkas witness of ``ball`` with t held
-    at ``t``, not normalised (the test is homogeneous).
+def lower_bound(ball: Ball, dual: BallDual, trace: float | None = None) -> float:
+    """The least t that ``dual``, a cone element (``project``), allows on
+    ``ball``: t_low = (gap - X |r|) / held, or 0 when held or the
+    numerator is not positive.  It is homogeneous in the dual.
 
+    Weak duality with t left free.  For every feasible point (x, t),
+    0 <= <dual, A x + h> = <r, x> + t held - gap, x the free reals but t.
     Per sub-block the residual over its free reals is
     R_b = W_b + (f / 2) F_Z + (nu I - V_b) on the trailing d x d block,
     F_Z the fidelity row's matrix (1 at (a, r + a) and (r + a, a), a < r),
@@ -365,9 +360,14 @@ def witness(
     off-diagonal one, as their rvec coordinates do.  w's residual is
     floor - free_cap + nu.  nu is ``trace`` when given, else the trace
     row's least-squares multiplier, minus the mean of the residuals on
-    the trace row's reals.  t's residual sum_b Re Tr[V_b sigma_b] +
-    free_cap s0 moves to the gap with t held:
-    gap = c f - sum_b sum_a Lambda_a W_b[a, a] + nu - t (that residual).
+    the trace row's reals.  t's coefficient is
+    held = sum_b Re Tr[V_b sigma_b] + free_cap s0 and the constant is
+    gap = c f - sum_b sum_a Lambda_a W_b[a, a] + nu.  So t held >=
+    gap - |r| |x|, and X = sqrt(1 + 2 sum_b Tr Lambda_b) bounds |x| on
+    every feasible point: |rho'|_F^2 + w^2 <= (Tr rho' + w)^2 = 1, and
+    G_b PSD gives |Z_b|_F^2 <= Tr Lambda_b Tr rho'_b, counted twice by
+    Z_b's rvec coordinates.  The least t of the program is at least t_low
+    (Jansson, Chaykin and Keil, SIAM J. Numer. Anal. 46, 2007).
     """
     free = ball.free_mass > 0.0
     parts = list(zip(ball.eigs, ball.sigma, dual.g, dual.cap))
@@ -388,21 +388,20 @@ def witness(
         gap -= float(np.sum(eigs * g[:, np.arange(r), np.arange(r)].real))
     if free:
         resid += (dual.floor - dual.free_cap + trace) ** 2
-    return gap - t * held, math.sqrt(resid)
+    norm = math.sqrt(1.0 + 2.0 * sum(float(eigs.sum()) for eigs in ball.eigs))
+    low = gap - norm * math.sqrt(resid)
+    return low / held if held > 0.0 and low > 0.0 else 0.0
 
 
 def project(dual: BallDual) -> BallDual:
-    """``dual`` projected onto the cone and normalised: each block's
-    negative eigenvalues clipped (one stacked ``eigh`` per block size
-    above 1), and so are the scalar weights; the norm counts every block's
-    Frobenius norm, as its rvec does."""
+    """``dual`` projected onto the cone: each block's negative eigenvalues
+    clipped (one stacked ``eigh`` per block size above 1), and so are the
+    scalar weights.  No norm is taken: ``lower_bound`` is homogeneous."""
     stacks = dual.g + dual.cap
     sizes: dict[int, list[int]] = {}
     for i, m in enumerate(stacks):
         sizes.setdefault(m.shape[-1], []).append(i)
     clipped = list(stacks)
-    weights = [max(v, 0.0) for v in (dual.fid, dual.floor, dual.free_cap)]
-    square = sum(v * v for v in weights)
     for size, idx in sizes.items():
         joined = np.concatenate([stacks[i] for i in idx]) if len(idx) > 1 else stacks[idx[0]]
         if size == 1:
@@ -410,23 +409,13 @@ def project(dual: BallDual) -> BallDual:
         else:
             vals, vecs = np.linalg.eigh(joined)
             joined = (vecs * np.clip(vals, 0.0, None)[:, None, :]) @ _ct(vecs)
-        square += float(np.sum(np.abs(joined) ** 2))
         lo = 0
         for i in idx:
             clipped[i] = joined[lo : lo + len(stacks[i])]
             lo += len(stacks[i])
-    scale = 1.0 / math.sqrt(square) if square > 0.0 else 1.0
     n = len(dual.g)
-    fid, floor, free_cap = (v * scale for v in weights)
-    return BallDual(
-        [m * scale for m in clipped[:n]], [m * scale for m in clipped[n:]], fid, floor, free_cap
-    )
-
-
-def witness_fires(gap: float, resid: float) -> bool:
-    """The test an infeasibility verdict needs: gap > 0 and |r| <= WITNESS_RATIO * gap,
-    which proves that no feasible point has norm below 1 / WITNESS_RATIO."""
-    return gap > 0.0 and resid <= WITNESS_RATIO * gap
+    fid, floor, free_cap = (max(v, 0.0) for v in (dual.fid, dual.floor, dual.free_cap))
+    return BallDual(clipped[:n], clipped[n:], fid, floor, free_cap)
 
 
 def within_tolerance(residuals: dict[str, float]) -> bool:

@@ -989,17 +989,32 @@ def ball_blocks_reference(ent, pairs) -> tuple[list, float]:
     return blocks, free_mass
 
 
-def water_fill_certificates(ent, ref, fill) -> tuple[dict, float, float, float]:
-    """Both certificates of a classical value's closed-form record
+def lower_end_from_expressions(prob, slack: np.ndarray, norm: float) -> float:
+    """log2 of the least t that a slack-side vector allows on a min t
+    program by weak duality, evaluated from the program's own expressions:
+    with t pinned at 1 and at 2 (``pin_variable``; at 0 the caps would
+    lose sigma's field), ``farkas_from_expressions`` gives gap(1), gap(2)
+    and |r| (which does not depend on t), so t's coefficient is
+    held = gap(1) - gap(2), and a feasible point whose free reals have norm
+    at most ``norm`` has t >= (gap(1) + held - norm |r|) / held.  -inf
+    when held or that numerator is not positive."""
+    gap1, resid = farkas_from_expressions(pin_variable(prob, "t", 1.0), slack)
+    gap2, _ = farkas_from_expressions(pin_variable(prob, "t", 2.0), slack)
+    held = gap1 - gap2
+    low = gap1 + held - norm * resid
+    return math.log2(low / held) if low > 0.0 and held > 0.0 else -math.inf
+
+
+def water_fill_certificates(ent, ref, fill) -> tuple[dict, float]:
+    """Both ends of a classical value's closed-form record
     (``entropies._water_fill``; ``ent`` is the library's entropies module,
     ``ref`` the generic layer of ``sdp_reference``), from the expressions
     of its min t program: ``ref.capped_ball`` rebuilt from the record's
-    (lambda_b, sigma_b, s0, eps), t pinned (``pin_variable``).  Returns
-    ``ref._recheck``'s residuals of the point at t = 2^v, and the
-    (gap, |r|) of ``farkas_from_expressions`` at ``fill.t_low`` for the
-    multipliers laid out in slack order (each W_b = v_b v_b^T as its rvec,
-    then the inequality weights), with the norm of that slack: the scalar
-    gap over it is the oracle's gap."""
+    (lambda_b, sigma_b, s0, eps).  Returns ``ref._recheck``'s residuals of
+    the point with t pinned at 2^v (``pin_variable``), and
+    ``lower_end_from_expressions`` of the multipliers laid out in slack
+    order (each W_b = v_b v_b^T as its rvec, then the inequality weights)
+    with the norm bound sqrt(1 + 2 sum_b lambda_b)."""
     blocks = [(np.array([lam]), np.array([[sig]])) for lam, sig in zip(fill.lam, fill.sig)]
     prob = ref.capped_ball((blocks, fill.free_mass), fill.eps)
     free = "w" in prob.variables
@@ -1014,5 +1029,5 @@ def water_fill_certificates(ent, ref, fill) -> tuple[dict, float, float, float]:
     psd = [_herm_to_rvec_single(np.outer(v, v), real=True) for v in fill.v]
     weights = [[fid], [floor] * free, np.broadcast_to(caps, len(blocks)), [free_cap] * free]
     slack = np.concatenate(psd + weights)
-    gap, resid = farkas_from_expressions(pin_variable(prob, "t", fill.t_low), slack)
-    return primal, gap, resid, float(np.linalg.norm(slack))
+    norm = math.sqrt(1.0 + 2.0 * float(fill.lam.sum()))
+    return primal, lower_end_from_expressions(prob, slack, norm)

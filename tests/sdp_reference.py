@@ -10,7 +10,9 @@ per block, Mehrotra's predictor-corrector, several programs stepped
 together); ``_recheck`` and ``Program.farkas`` are its two certificates;
 ``capped_ball`` poses ``entropies.d_max_smooth``'s min t program in it, with
 the corner of each G_b pinned entry by entry.  The constants, the rvec
-maps and the tolerance tests are the library's own (``povmcomp.sdp``).
+maps and the tolerance tests are the library's own (``povmcomp.sdp``); its
+Farkas rule (``WITNESS_RATIO``, ``witness_fires``) is its own, an oracle
+independent of the library's weak-duality lower end.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from povmcomp.sdp import (  # noqa: F401  (re-exported for the tests)
     IPM_MAX_ITER,
     MAX_VAR_REALS,
     STEP_TO_BOUNDARY,
-    WITNESS_RATIO,
     ProblemTooLarge,
     _congruence,
     _ct,
@@ -37,9 +38,18 @@ from povmcomp.sdp import (  # noqa: F401  (re-exported for the tests)
     herm_to_rvec,
     rvec_size,
     rvec_to_herm,
-    witness_fires,
     within_tolerance,
 )
+
+# the reference's own infeasibility rule: a Farkas witness fires when
+# gap > 0 and |r| <= WITNESS_RATIO * gap, which proves that no feasible
+# point has norm below 1 / WITNESS_RATIO
+WITNESS_RATIO = 0.1
+
+
+def witness_fires(gap: float, resid: float) -> bool:
+    """The reference's Farkas test: gap > 0 and |r| <= WITNESS_RATIO * gap."""
+    return gap > 0.0 and resid <= WITNESS_RATIO * gap
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@ import collections
 import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -484,8 +485,8 @@ class TestNPCertificate:
             ent.d_hyp(rho, oracles.random_density(rng, d), eps)
 
     def test_exits_are_checked(self, monkeypatch):
-        # the eps <= 1e-14 support exit and the kernel exit (beta = 0) take
-        # no search, and return through the same check
+        # the eps = 0 support exit and the kernel exit (beta = 0) take no
+        # search, and return through the same check
         rho, sigma = np.diag([0.7, 0.3, 0.0]), np.diag([0.2, 0.3, 0.5])
         value, test = ent.d_hyp(rho, sigma, 0.0)
         assert value == 1.0 and test.dual_beta == test.achieved_beta == 0.5
@@ -493,15 +494,29 @@ class TestNPCertificate:
         value, test = ent.d_hyp(*on_kernel, 0.1)
         assert math.isinf(value) and test.dual_beta == test.achieved_beta == 0.0
         with monkeypatch.context() as patch:
-            support = la.support_projector
-            patch.setattr(la, "support_projector", lambda r: 0.5 * support(r))
+            # every eigenvalue read 0.3 low: the support's cutoff drops rho's
+            # 0.3, and the exit's alpha falls to 0.7
+            eigh = np.linalg.eigh
+            patch.setattr(np.linalg, "eigh", lambda m: (lambda w, v: (w - 0.3, v))(*eigh(m)))
             with pytest.raises(ent.SolverError, match="not certified"):
-                ent.d_hyp(rho, sigma, 0.0)
+                ent._np_test([rho], [sigma], 0.0)
         # every eigenvector of sigma taken for its kernel: T = I, whose beta is 1
         every = (np.zeros((1, 3)), np.eye(3, dtype=complex)[None])
         monkeypatch.setattr(ent._Blocks, "sigma_eigh", property(lambda self: every))
         with pytest.raises(ent.SolverError, match="not certified"):
             ent.d_hyp(*on_kernel, 0.1)
+
+    def test_the_support_exit_is_taken_at_eps_0_only(self):
+        # at eps 1e-14 the search runs, and its Lagrange bound, which
+        # subtracts two numbers of size t, cancels to 4.8e-9 bits off beta:
+        # the value raises naming both ends, where a support exit would
+        # return 0 bits on a zero-width interval
+        with pytest.raises(ent.SolverError, match=r"in \[7\.22\d+e-06, 7\.22\d+e-06\]"):
+            ent.d_hyp(np.diag([1.0 - 1e-9, 1e-9]), np.eye(2) / 2, 1e-14)
+        # at eps 0 the support keeps rho's eigenvalue 2e-12, above NP_TOL / 2,
+        # which la.support_projector's cutoff 1e-10 would drop
+        value, test = ent.d_hyp(np.diag([1.0 - 2e-12, 2e-12]), np.eye(2) / 2, 0.0)
+        assert value == 0.0 and test.achieved_alpha == 1.0
 
 
 class TestDMax:
@@ -921,22 +936,23 @@ def water_fill(sub_blocks, eps):
 
 def check_scalar_certificates(fill) -> dict:
     """The scalar certificates of ``fill`` against the program oracle
-    (``oracles.water_fill_certificates``): the same two verdicts, and the
-    witness gap, normalised as the oracle's, within 1e-9 relative."""
+    (``oracles.water_fill_certificates``): the same recheck verdict, and
+    the same lower end within 1e-8 bits.  Both sides sum terms of size 1
+    that cancel to t* held, which is 2e-6 to 1e-5 at eps 1e-5 (0.02 to
+    0.5 at eps 0.1), so their round-off differs by up to 1.7e-9 bits
+    there (6e-14 at eps 0.1)."""
     got = ent._fill_residuals(fill)
-    primal, gap, resid, norm = oracles.water_fill_certificates(ent, ref, fill)
+    primal, lower = oracles.water_fill_certificates(ent, ref, fill)
     assert sdp.within_tolerance(got) == sdp.within_tolerance(primal)
-    assert sdp.witness_fires(got["witness_gap"], got["witness_resid"]) == sdp.witness_fires(
-        gap, resid
-    )
-    assert got["witness_gap"] / norm == pytest.approx(gap, rel=1e-9)
+    assert got["lower"] == pytest.approx(lower, abs=1e-8)
     return got
 
 
-def certified(residuals) -> tuple[bool, bool]:
-    return sdp.within_tolerance(residuals), sdp.witness_fires(
-        residuals["witness_gap"], residuals["witness_resid"]
-    )
+def certified(fill, residuals) -> tuple[bool, bool]:
+    """Whether the point passes its recheck, and whether the interval
+    [lower, log2 t_cap] is at most BISECT_TOL_BITS wide."""
+    width = abs(math.log2(fill.t_cap) - residuals["lower"])
+    return sdp.within_tolerance(residuals), width <= ent.BISECT_TOL_BITS
 
 
 class TestScalarCertificates:
@@ -949,12 +965,12 @@ class TestScalarCertificates:
         fills = [water_fill(b, 0.1) for b in balls if is_classical(b)]
         assert len(fills) == 20
         for fill in fills:
-            assert certified(check_scalar_certificates(fill)) == (True, True)
+            assert certified(fill, check_scalar_certificates(fill)) == (True, True)
 
     def test_seeded_pairs_agree_with_the_program_oracle(self):
         # 12 commuting pairs with and without free mass at eps 0.1 and 1e-5,
-        # and pairs bound by the normalisation, whose witness is the
-        # contradiction t_low (sum_b sigma_b + s0) < 1
+        # and pairs bound by the normalisation, whose multipliers weigh the
+        # caps and the trace row alone, for the lower end 1 / (sum_b sigma_b + s0)
         cases = [
             (p, s, eps)
             for free in (False, True)
@@ -968,9 +984,8 @@ class TestScalarCertificates:
         kinds = collections.Counter()
         for p, s, eps in cases:
             fill = water_fill(ball(np.diag(p), np.diag(s)), eps)
-            assert certified(check_scalar_certificates(fill)) == (True, True)
-            contradiction = fill.t_low * (fill.sig.sum() + fill.free_mass) < 1.0
-            kinds[fill.free_mass > 0.0, contradiction] += 1
+            assert certified(fill, check_scalar_certificates(fill)) == (True, True)
+            kinds[fill.free_mass > 0.0, not fill.v.any()] += 1
         assert set(kinds) == {(False, False), (True, False), (False, True), (True, True)}
 
     def test_a_point_past_its_cap_is_not_feasible(self, smoothed_cq_states):
@@ -989,13 +1004,15 @@ class TestScalarCertificates:
                 continue
             past = dataclasses.replace(fill, x=x, z=np.sqrt(fill.lam * x), w=w)
             assert ent._fill_residuals(past)["gap"] < 1e-12
-            assert certified(check_scalar_certificates(past)) == (False, True)
+            assert certified(past, check_scalar_certificates(past)) == (False, True)
             moved += 1
         assert moved >= 3
 
     def test_the_stationarity_residual_is_read_not_assumed(self, smoothed_cq_states):
         # the trace row's multiplier moved by 1: every x_b coordinate of r
-        # (and w's) moves by 1, the gap by 1, and the witness must not fire
+        # (and w's) moves by 1 and the constant by 1, so X |r| >= sqrt 3 > 1
+        # takes more than the constant gains, and the lower end falls out
+        # of the interval
         for cq in smoothed_cq_states:
             sub_blocks = ent._ball_blocks(ent._cq_pairs(cq))
             if not is_classical(sub_blocks):
@@ -1003,23 +1020,19 @@ class TestScalarCertificates:
             fill = water_fill(sub_blocks, 0.1)
             pins, trace = fill.nu
             moved = ent._fill_residuals(dataclasses.replace(fill, nu=(pins, trace + 1.0)))
-            got = ent._fill_residuals(fill)
-            n = len(fill.lam) + (fill.free_mass > 0.0)
-            assert moved["witness_resid"] == pytest.approx(math.sqrt(n), rel=1e-9)
-            assert moved["witness_gap"] == pytest.approx(got["witness_gap"] + 1.0, rel=1e-12)
-            assert certified(moved) == (True, False)
+            assert moved["lower"] < ent._fill_residuals(fill)["lower"]
+            assert certified(fill, moved) == (True, False)
 
-    def test_the_dual_at_the_optimum_does_not_fire(self, monkeypatch, smoothed_cq_states):
-        # with no tolerance below v the multipliers are taken at 2^v itself,
-        # where the point is feasible: no witness may fire there
-        monkeypatch.setattr(ent, "BISECT_TOL_BITS", 0.0)
+    def test_the_multipliers_at_t_star_give_a_tight_lower_end(self, smoothed_cq_states):
+        # stationary multipliers at t* put the lower end at log2 t* up to
+        # round-off, at or below the upper end log2 t_cap
         pairs = commuting_pairs(False) + commuting_pairs(True)
         cases = [ball(np.diag(p), np.diag(s)) for *_, p, s in pairs]
         balls = [ent._ball_blocks(ent._cq_pairs(cq)) for cq in smoothed_cq_states]
         for sub_blocks in [b for b in balls if is_classical(b)] + cases:
             fill = water_fill(sub_blocks, 0.1)
-            assert fill.t_low == 2.0 ** math.log2(fill.t_cap)
-            assert certified(check_scalar_certificates(fill))[1] is False
+            width = math.log2(fill.t_cap) - check_scalar_certificates(fill)["lower"]
+            assert 0.0 <= width <= 1e-10
 
     def test_no_program_is_built_for_a_classical_instance(self, monkeypatch):
         # classical_commuting's thresholds and theta 0.5 region: 8 values,
@@ -1336,38 +1349,55 @@ class TestSmoothingSolve:
 
     def test_certificates_decide_whatever_the_status(self, monkeypatch, region_x_pairs):
         # a solve reported "maxIterations" whose point and dual pass both
-        # certificates gives the value of the optimal report, to the bit; with
-        # its dual zeroed there is no infeasibility witness, and no value
+        # checks gives the value of the optimal report, to the bit; with its
+        # dual zeroed there is no lower end, and no value
         rho, sigma = region_x_pairs[0]
         want = ent.d_max_smooth(rho, sigma, 0.1)
-        stalled_solves(monkeypatch, lambda res: {})
+        stalled_solves(monkeypatch, lambda ball, res: {})
         assert ent.d_max_smooth(rho, sigma, 0.1).hex() == want.hex()
-        stalled_solves(monkeypatch, lambda res: {"dual": zeroed(res.dual)})
-        with pytest.raises(ent.SolverError, match="not certified infeasible " + STALLED) as err:
+        stalled_solves(monkeypatch, lambda ball, res: {"dual": zeroed(res.dual)})
+        ends = rf"in \[-inf, {want!r}\] not certified "
+        with pytest.raises(ent.SolverError, match=ends + STALLED) as err:
             ent.d_max_smooth(rho, sigma, 0.1)
-        # the error carries both certificates: the point still passes
+        # the error carries the recheck and the lower end: the point still passes
         residuals = err.value.residuals
-        assert set(residuals) == {"primal", "gap", "witness_gap", "witness_resid"}
+        assert set(residuals) == {"primal", "gap", "lower"}
         assert residuals["primal"] <= 10 * sdp.FEASIBLE_TOL
-        assert not sdp.witness_fires(residuals["witness_gap"], residuals["witness_resid"])
+        assert residuals["lower"] == -math.inf
+
+    def test_the_dual_is_projected_onto_the_cone(self, monkeypatch):
+        # t s0 - w >= 0 is slack at this optimum, so its weight is near 0;
+        # made -1, the projection clips it back to 0 and the interval
+        # stands, while read as it is, its residual on w would take the
+        # lower end 0.9 bits down
+        rho = np.diag([1.0, 0.0, 0.0])
+        sigma = np.array([[0.4, 0.2, 0.0], [0.2, 0.4, 0.0], [0.0, 0.0, 0.2]])
+        want = ent.d_max_smooth(rho, sigma, 0.1)
+
+        def off_cone(ball, res):
+            return {"dual": dataclasses.replace(res.dual, free_cap=-1.0)}
+
+        stalled_solves(monkeypatch, off_cone)
+        assert ent.d_max_smooth(rho, sigma, 0.1).hex() == want.hex()
 
     def test_a_point_over_its_cap_is_not_certified_feasible(self, monkeypatch, region_x_pairs):
         # t halved under the solve's rho': the point is over its cap, while
-        # the dual is a witness below the halved value as well.  A result's
-        # residuals are its own point's recheck, so the halved point carries
-        # none, and the certificate rechecks it
+        # the dual keeps the lower end at the value.  A result's residuals
+        # are its own point's recheck, as ``sdp.minimize_balls`` makes them
         rho, sigma = region_x_pairs[0]
+        want = ent.d_max_smooth(rho, sigma, 0.1)
 
-        def halved(res):
-            return {"point": dataclasses.replace(res.point, t=0.5 * res.point.t), "residuals": {}}
+        def halved(ball, res):
+            point = dataclasses.replace(res.point, t=0.5 * res.point.t)
+            return {"point": point, "residuals": dict(res.residuals, **sdp.recheck(ball, point))}
 
         stalled_solves(monkeypatch, halved)
-        with pytest.raises(ent.SolverError, match="not certified feasible " + STALLED) as err:
+        with pytest.raises(ent.SolverError, match="not certified " + STALLED) as err:
             ent.d_max_smooth(rho, sigma, 0.1)
         residuals = err.value.residuals
-        assert set(residuals) == {"primal", "gap", "witness_gap", "witness_resid"}
+        assert set(residuals) == {"primal", "gap", "lower"}
         assert residuals["primal"] > 10 * sdp.FEASIBLE_TOL
-        assert sdp.witness_fires(residuals["witness_gap"], residuals["witness_resid"])
+        assert abs(residuals["lower"] - want) <= 1e-5
 
     @pytest.mark.parametrize("t", [0.0, math.nan])
     def test_a_solve_without_positive_t_raises(self, monkeypatch, region_x_pairs, t):
@@ -1375,7 +1405,7 @@ class TestSmoothingSolve:
         rho, sigma = region_x_pairs[0]
         stalled = []
 
-        def no_t(res):
+        def no_t(ball, res):
             stalled.append(res)
             return {"point": dataclasses.replace(res.point, t=t)}
 
@@ -1390,13 +1420,13 @@ STALLED = r"\(solve ended maxIterations after \d+ iterations\)"
 
 def stalled_solves(monkeypatch, change) -> None:
     """Patch ``sdp.minimize_balls`` to report each solve "maxIterations",
-    with the fields that ``change(result)`` returns replaced."""
+    with the fields that ``change(ball, result)`` returns replaced."""
     minimize_balls = sdp.minimize_balls
 
     def stalled(balls):
         return [
-            dataclasses.replace(res, status="maxIterations", **change(res))
-            for res in minimize_balls(balls)
+            dataclasses.replace(res, status="maxIterations", **change(ball, res))
+            for ball, res in zip(balls, minimize_balls(balls))
         ]
 
     monkeypatch.setattr(sdp, "minimize_balls", stalled)
@@ -1626,41 +1656,63 @@ def complex_balls() -> list:
     return out
 
 
+def test_every_bundled_value_is_certified_within_1e_5_bits(monkeypatch):
+    # the thresholds and the theta 0.25, 0.5 and 0.75 regions of every
+    # bundled instance: each certified interval [lower, v], closed-form
+    # (widths up to 1e-12 bits) or interior-point (up to 1.4e-6), is at
+    # most 1e-5 bits wide, its lower end at or below v
+    widths, verdict = [], ent._verdict
+
+    def recording(value, residuals, ended):
+        widths.append(("closed form" in ended, value - residuals["lower"]))
+        return verdict(value, residuals, ended)
+
+    monkeypatch.setattr(ent, "_verdict", recording)
+    for name in io.BUNDLED:
+        prep = P.prepare(io.load_bundled(name))
+        P.thresholds(prep, 0.1)
+        P.one_shot_region(prep, 0.1, theta_grid=(0.25, 0.5, 0.75))
+    assert collections.Counter(closed for closed, _ in widths) == {True: 46, False: 47}
+    assert all(0.0 <= width <= 1e-5 for _, width in widths)
+
+
 class TestBlockForm:
     """``sdp.minimize_balls`` and its block-form certificates against the
     reference's generic solve of the same program (``sdp_reference``)."""
 
     @staticmethod
-    def check(ball, eps) -> None:
-        (res,) = sdp.minimize_balls([ball])
-        value = ent._certified_value(ball, res)
+    def reference_top(ball, eps) -> tuple:
+        """The reference program of ``ball`` and log2 of its solve's t."""
         prob = ref.capped_ball(ref.plain(ball.eigs, ball.sigma, ball.free_mass), eps)
         (want,) = ref.minimize_many([prob])
         assert want.status == "optimal"
-        top = math.log2(float(want.assignment["t"][0, 0].real))
-        # the reference certifies (top - BISECT_TOL_BITS, top]; the two
-        # solves take the same iteration, so the values differ by round-off
-        # (at most 8.4e-14 bits on the bundled values), which may put the
-        # block form's just above top
-        assert top - ent.BISECT_TOL_BITS < value <= top + 1e-12
+        return prob, want, math.log2(float(want.assignment["t"][0, 0].real))
+
+    @classmethod
+    def check(cls, ball, eps) -> None:
+        (res,) = sdp.minimize_balls([ball])
+        value = ent._certified_value(ball, res)
+        prob, want, top = cls.reference_top(ball, eps)
+        # the certified interval [lower, v] holds the reference's min t; the
+        # two solves take the same iteration, so the values differ by
+        # round-off (at most 8.4e-14 bits on the bundled values), which may
+        # put the block form's just above top
+        lower = math.log2(sdp.lower_bound(ball, sdp.project(res.dual)))
+        assert lower <= top <= value + 1e-12
         assert res.iterations == want.iterations
-        # the block-form recheck of the point at 2^v and witness of the
-        # projected dual at 2^(v - BISECT_TOL_BITS) are the reference's
-        # recheck and Farkas witness of the same point and dual on its own
-        # compile, both certificates pass on both sides
+        # the block-form recheck of the point at 2^v and lower end of the
+        # projected dual are the reference's recheck of the same point and
+        # lower end of the same dual, from the expressions of its own compile
         point = dataclasses.replace(res.point, t=2.0**value)
         got = sdp.recheck(ball, point)
         pinned = oracles.pin_variable(prob, "t", 2.0**value)
         oracle = ref._recheck(pinned, ref.assignment_of(ball, point))
         for key in ("primal", "gap"):
             assert got[key] == pytest.approx(oracle[key], rel=1e-9, abs=1e-15)
-        low = 2.0 ** (value - ent.BISECT_TOL_BITS)
-        gap, resid = sdp.witness(ball, sdp.project(res.dual), low)
-        slack = ref.slack_of(ball, res.dual)
-        want_gap, want_resid = ref.Program(prob).farkas(slack, {"t": low})[2:]
-        assert gap == pytest.approx(want_gap, rel=1e-9)
-        assert resid == pytest.approx(want_resid, rel=1e-9)
-        assert sdp.within_tolerance(got) and sdp.witness_fires(gap, resid)
+        norm = math.sqrt(1.0 + 2.0 * sum(float(eigs.sum()) for eigs in ball.eigs))
+        want_lower = oracles.lower_end_from_expressions(prob, ref.slack_of(ball, res.dual), norm)
+        assert lower == pytest.approx(want_lower, abs=1e-9)
+        assert sdp.within_tolerance(got) and value - lower <= 1e-5
 
     def test_bundled_interior_point_values(self, smoothed_cq_states):
         subs = [ent._ball_blocks(ent._cq_pairs(cq)) for cq in smoothed_cq_states]
@@ -1677,6 +1729,57 @@ class TestBlockForm:
             kinds.add(value.free_mass > 0.0)
             self.check(value, eps)
         assert kinds == {False, True}
+
+    def test_seeded_random_pairs(self):
+        # random complex pairs of dimension 2 to 4 and every rank of rho:
+        # log2 t_low <= the reference's min t <= v on each
+        rng = np.random.default_rng(83)
+        for _ in range(12):
+            d = int(rng.integers(2, 5))
+            rho = oracles.random_density(rng, d, rank=int(rng.integers(1, d + 1)))
+            value = sdp.Ball(*ball(rho, oracles.random_density(rng, d)), math.sqrt(1 - 0.1**2))
+            self.check(value, 0.1)
+
+    def test_a_solve_cut_off_early(self, monkeypatch):
+        # after 3 steps the dual is far from optimal: its lower end still
+        # lies at or below the reference's min t, and the value either
+        # certifies or raises naming both ends
+        monkeypatch.setattr(sdp, "IPM_MAX_ITER", 3)
+        rng = np.random.default_rng(89)
+        raised = 0
+        for _ in range(6):
+            d = int(rng.integers(2, 5))
+            rho = oracles.random_density(rng, d, rank=int(rng.integers(1, d + 1)))
+            value = sdp.Ball(*ball(rho, oracles.random_density(rng, d)), math.sqrt(1 - 0.1**2))
+            (res,) = sdp.minimize_balls([value])
+            assert res.iterations == 3
+            t_low = sdp.lower_bound(value, sdp.project(res.dual))
+            # the reference keeps its own step limit
+            top = self.reference_top(value, 0.1)[2]
+            assert t_low == 0.0 or math.log2(t_low) <= top
+            try:
+                ent._certified_value(value, res)
+            except ent.SolverError as err:
+                assert re.search(r"in \[\S+, \S+\] not certified", str(err))
+                raised += 1
+        assert raised == 6
+
+    def test_a_dual_off_optimal_keeps_its_lower_end_below_the_value(self):
+        # the fidelity row's weight raised by 1% to 50% is still a cone
+        # element, but its residual on Re Z_00 grows: for this pure rho,
+        # <r, x> at the optimum is sqrt2 c |r| > |r|, so only a norm bound
+        # of at least sqrt2 c (X = sqrt 3) keeps the lower end below the
+        # reference's min t
+        rho, sigma = np.diag([1.0, 0.0]), np.array([[0.5, 0.2], [0.2, 0.5]])
+        value = sdp.Ball(*ball(rho, sigma), math.sqrt(1 - 0.1**2))
+        assert sdp._groups(value) == ((1, 2, True, 1),)
+        (res,) = sdp.minimize_balls([value])
+        top = self.reference_top(value, 0.1)[2]
+        dual = sdp.project(res.dual)
+        assert math.log2(sdp.lower_bound(value, dual)) <= top
+        for factor in (1.01, 1.1, 1.5):
+            t_low = sdp.lower_bound(value, dataclasses.replace(dual, fid=factor * dual.fid))
+            assert t_low == 0.0 or math.log2(t_low) <= top
 
 
 class TestCqPath:

@@ -1,5 +1,6 @@
 import functools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -142,24 +143,30 @@ def _solve_instance(name: str):
 
 
 def _check_certificates(solves) -> None:
-    """Both certificates of every value v, checked again from the
-    expressions of the reference program (``sdp_reference.capped_ball``)
-    with t pinned (``oracles.pin_variable``): the point is feasible at
-    t = 2^v, and the dual is a Farkas witness at t = 2^(v - BISECT_TOL_BITS).
-    A classical value's program is rebuilt from its record
+    """The certified interval [lower, v] of every value v, checked again
+    from the expressions of the reference program
+    (``sdp_reference.capped_ball``): the point is feasible with t pinned
+    at 2^v (``oracles.pin_variable``), and the lower end that weak duality
+    gives from the same dual (``oracles.lower_end_from_expressions``) is
+    the library's within 1e-9 bits, at most BISECT_TOL_BITS below v.  A
+    classical value's program is rebuilt from its record
     (``oracles.water_fill_certificates``)."""
     for value, args in solves:
         if isinstance(args[0], ent._WaterFill):
-            primal, gap, resid, _ = oracles.water_fill_certificates(ent, ref, args[0])
+            primal, want = oracles.water_fill_certificates(ent, ref, args[0])
+            lower = ent._fill_residuals(args[0])["lower"]
         else:
             ball, res = args
             prob = ref.capped_ball(ref.plain(ball.eigs, ball.sigma, ball.free_mass), GOLDEN_EPS)
             assign = ref.assignment_of(ball, res.point)
             primal = ref._recheck(oracles.pin_variable(prob, "t", 2.0**value), assign)
-            lo = oracles.pin_variable(prob, "t", 2.0 ** (value - ent.BISECT_TOL_BITS))
-            gap, resid = oracles.farkas_from_expressions(lo, ref.slack_of(ball, res.dual))
+            norm = math.sqrt(1.0 + 2.0 * sum(float(eigs.sum()) for eigs in ball.eigs))
+            slack = ref.slack_of(ball, res.dual)
+            want = oracles.lower_end_from_expressions(prob, slack, norm)
+            lower = math.log2(sdp.lower_bound(ball, sdp.project(res.dual)))
         assert primal["primal"] <= 10 * sdp.FEASIBLE_TOL and primal["gap"] <= 10 * sdp.FEASIBLE_TOL
-        assert gap > 0 and resid <= sdp.WITNESS_RATIO * gap
+        assert lower == pytest.approx(want, abs=1e-9)
+        assert abs(value - lower) <= ent.BISECT_TOL_BITS
 
 
 def _threshold_pins(th: dict, solves) -> dict:

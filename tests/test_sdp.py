@@ -163,10 +163,6 @@ def test_add_var_rejects_a_duplicate_label():
     assert list(prob.variables) == ["X", "Y", "W"]
 
 
-def fires(gap, resid):
-    return gap > 0 and resid <= ref.WITNESS_RATIO * gap
-
-
 class TestAdjoints:
     def test_probed_linear_map_matches_terms(self):
         rng = np.random.default_rng(0)
@@ -902,7 +898,7 @@ class TestFeasibility:
         res = minimize(box_min_t(3, 4))
         assert res.status == "optimal"
         assert res.assignment["t"][0, 0].real == pytest.approx(4 / 3, abs=1e-5)
-        assert fires(*ref.Program(box_problem(3, 4)).farkas(res.dual)[2:])
+        assert ref.witness_fires(*ref.Program(box_problem(3, 4)).farkas(res.dual)[2:])
 
     def test_infeasible_box_stops_without_a_verdict(self):
         # the iterates of 0 <= X <= I, Tr X = 4 diverge: the solve stops once
@@ -1001,7 +997,7 @@ class TestWitness:
         r = [witness_functional(prob, w, nu, {"X": b}) - const for b in herm_basis(3)]
         assert const == pytest.approx(-gap, abs=1e-12)
         assert np.linalg.norm(r) == pytest.approx(resid, abs=1e-12)
-        assert fires(gap, resid)
+        assert ref.witness_fires(gap, resid)
         # at a feasible X every term is >= 0, yet 0 <= X <= I gives |X| <= sqrt 3
         # and a value <= -gap + |r| sqrt 3 < 0: no feasible X exists
         assert gap - np.linalg.norm(r) * np.sqrt(3) > 0
@@ -1012,7 +1008,7 @@ class TestWitness:
         prob = feasibility_problem(which)
         res = minimize(prob)
         assert res.status == "optimal"
-        assert not fires(*ref.Program(prob).farkas(res.dual)[2:])
+        assert not ref.witness_fires(*ref.Program(prob).farkas(res.dual)[2:])
 
     @staticmethod
     def solved(which):
@@ -1027,12 +1023,12 @@ class TestWitness:
         rho, sigma, value, res = self.solved(which)
         tol = ent.BISECT_TOL_BITS
         below = capped_ball_at(rho, sigma, 0.1, value - tol)
-        assert fires(*ref.Program(below).farkas(res.dual)[2:])
+        assert ref.witness_fires(*ref.Program(below).farkas(res.dual)[2:])
         # the soundness half: above the value the program is feasible (the
         # solve's own point passes), so no witness may fire there
         above = capped_ball_at(rho, sigma, 0.1, value + tol)
         assert ref.recheck(above, res.assignment)[0]
-        assert not fires(*ref.Program(above).farkas(res.dual)[2:])
+        assert not ref.witness_fires(*ref.Program(above).farkas(res.dual)[2:])
 
     @pytest.mark.parametrize("which", ["env", "random"])
     def test_farkas_matches_expression_oracle_on_min_t_duals(self, which):
@@ -1043,11 +1039,11 @@ class TestWitness:
         below = capped_ball_at(rho, sigma, 0.1, value - ent.BISECT_TOL_BITS)
         gap, resid = ref.Program(below).farkas(z)[2:]
         want_gap, want_resid = oracles.farkas_from_expressions(below, z)
-        assert fires(gap, resid) and fires(want_gap, want_resid)
+        assert ref.witness_fires(gap, resid) and ref.witness_fires(want_gap, want_resid)
         assert gap == pytest.approx(want_gap, rel=1e-12)
         assert resid == pytest.approx(want_resid, abs=1e-13)  # w is a unit vector
         above = capped_ball_at(rho, sigma, 0.1, value + ent.BISECT_TOL_BITS)
-        assert not fires(*oracles.farkas_from_expressions(above, z))
+        assert not ref.witness_fires(*oracles.farkas_from_expressions(above, z))
 
     def test_held_t_matches_the_pinned_program_on_region_programs(self, region_programs):
         # d_max_smooth's witness: the solve's own program with t held, against
@@ -1060,7 +1056,7 @@ class TestWitness:
                 gap, resid = res.program.farkas(res.dual, {"t": t0})[2:]
                 pinned = oracles.pin_variable(prob, "t", t0)
                 want = oracles.farkas_from_expressions(pinned, res.dual)
-                assert fires(gap, resid) == fires(*want) == below
+                assert ref.witness_fires(gap, resid) == ref.witness_fires(*want) == below
                 assert gap == pytest.approx(want[0], rel=1e-9)
 
     def test_held_variable_in_an_equality_row_raises(self, region_programs):
@@ -1180,5 +1176,5 @@ class TestFidelityBlock:
                 continue  # too close to the boundary to classify numerically
             prob = self.fidelity_ball_problem(np.diag(p), np.diag(s), lam, target)
             feasible = ref.recheck(prob, res.assignment)[0]
-            infeasible = fires(*ref.Program(prob).farkas(res.dual)[2:])
+            infeasible = ref.witness_fires(*ref.Program(prob).farkas(res.dual)[2:])
             assert (feasible, infeasible) == (lam >= lam_star, lam < lam_star), lam
