@@ -5,6 +5,9 @@ operator inequality (purify, Uhlmann partner, reweight).
 Codebook randomness is summarized by symbol counts: grouping the sample
 average by symbol turns a K x L double sum into an |X| x |Y| one, so the
 estimators scale to the large codebook sizes the rate thresholds demand.
+A joint cq state enters as its stack of weighted blocks B_xy, whose traces
+are p(x, y); the measure transform weighs each by 1 / (p_x p_y), so no
+block is normalised on the way.
 """
 
 from __future__ import annotations
@@ -23,33 +26,25 @@ from . import qobjects as qo
 
 
 def _joint_tables(joint: qo.CQState):
-    """Split 'x|y' symbols into index tables (p_xy, ratio, blocks)."""
-    xs, ys = [], []
-    for sym in joint.symbols:
-        x, y = qo.split_symbol(sym)
-        if x not in xs:
-            xs.append(x)
-        if y not in ys:
-            ys.append(y)
-    nx, ny = len(xs), len(ys)
+    """Tables of a cq state over 'x|y' symbols, indexed by first appearance:
+    p_x, p_y, the tilted blocks B_xy / (p_x p_y) (0 where p_x p_y is) of
+    its weighted blocks B_xy, and their sum sigma."""
+    parts = [qo.split_symbol(sym) for sym in joint.symbols]
+    xs, ys = (qo._first_seen([p[c] for p in parts]) for c in (0, 1))
     dim = joint.quantum_dim
-    pxy = np.zeros((nx, ny))
-    blocks = np.zeros((nx, ny, dim, dim), dtype=complex)
-    for sym in joint.symbols:
-        x, y = qo.split_symbol(sym)
-        i, j = xs.index(x), ys.index(y)
-        pxy[i, j] = joint.weights[sym]
-        blocks[i, j] = joint.blocks[sym]
-    px = pxy.sum(axis=1)
-    py = pxy.sum(axis=0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(np.outer(px, py) > 0, pxy / np.outer(px, py), 0.0)
-    return xs, ys, pxy, px, py, ratio, blocks
+    pxy = np.zeros((len(xs), len(ys)))
+    blocks = np.zeros((len(xs), len(ys), dim, dim), dtype=complex)
+    for (x, y), p, block in zip(parts, joint.probs, joint.blocks):
+        pxy[xs[x], ys[y]], blocks[xs[x], ys[y]] = p, block
+    px, py = pxy.sum(axis=1), pxy.sum(axis=0)
+    outer = np.outer(px, py)
+    scale = np.divide(1.0, outer, out=np.zeros_like(outer), where=outer > 0)
+    return px, py, scale[:, :, None, None] * blocks, blocks.sum(axis=(0, 1))
 
 
-def _transformed_average(counts_x, counts_y, k, l, ratio, blocks) -> np.ndarray:
-    weights = np.outer(counts_x, counts_y) * ratio / (k * l)
-    return np.einsum("xy,xyij->ij", weights, blocks)
+def _transformed_average(counts_x, counts_y, k, l, tilted) -> np.ndarray:
+    weights = np.outer(counts_x, counts_y) / (k * l)
+    return np.einsum("xy,xyij->ij", weights, tilted)
 
 
 def _prefix_counts(counts: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
@@ -86,8 +81,7 @@ def covering_sweep(
     the mean deviation decays monotonically along the grid up to noise.
     Rows are CSV-ready: (logK, logL, meanError, stderr, trials, seed).
     """
-    _, _, pxy, px, py, ratio, blocks = _joint_tables(joint)
-    sigma = np.einsum("xy,xyij->ij", pxy, blocks)
+    px, py, tilted, sigma = _joint_tables(joint)
     k_max, l_max = 2 ** max(log_k_grid), 2 ** max(log_l_grid)
     levels = sorted({(lk, ll) for lk, ll in zip(log_k_grid, log_l_grid)})
     sums = {lv: [] for lv in levels}
@@ -98,7 +92,7 @@ def covering_sweep(
         for lk, ll in levels:
             cx = _prefix_counts(cx_full, 2**lk, rng)
             cy = _prefix_counts(cy_full, 2**ll, rng)
-            avg = _transformed_average(cx, cy, 2**lk, 2**ll, ratio, blocks)
+            avg = _transformed_average(cx, cy, 2**lk, 2**ll, tilted)
             sums[(lk, ll)].append(la.trace_norm(avg - sigma))
     rows = []
     for lk, ll in levels:

@@ -125,8 +125,8 @@ class _Blocks:
     """
 
     def __init__(self, rho_blocks, sigma_blocks, sigma_mass=None):
-        self.rho = np.stack([la.as_matrix(b) for b in rho_blocks])
-        self.sigma = np.stack([la.as_matrix(b) for b in sigma_blocks])
+        self.rho = la._as_stack(rho_blocks)
+        self.sigma = la._as_stack(sigma_blocks)
         self.sigma_mass = np.einsum("nii->n", self.sigma).real if sigma_mass is None else sigma_mass
 
     @cached_property
@@ -489,15 +489,13 @@ def i_hyp_cq(cq: qo.CQState, eps: float, slots=None) -> tuple[float, NPTest]:
     on slot ``slots[j]``; t rho_x - sigma_x is negative semidefinite off x's
     slot, so x's test is taken there, with sigma's whole-register mass.
     """
-    dist = cq.classical_distribution()
-    weights = [dist.prob(s) for s in cq.symbols]
-    rho_blocks = [p * cq.blocks[s] for p, s in zip(weights, cq.symbols)]
+    weights = cq.classical_distribution().probs
     at = np.zeros(len(weights), dtype=int) if slots is None else slots
-    avg = np.zeros((max(at) + 1,) + rho_blocks[0].shape, dtype=complex)
-    np.add.at(avg, at, [cq.weights[s] * cq.blocks[s] for s in cq.symbols])
-    mass = None if slots is None else np.array(weights) * float(np.einsum("kii->", avg).real)
-    sigma = [p * avg[k] for p, k in zip(weights, at)]
-    return _np_test(rho_blocks, sigma, eps, cq.symbols, mass)
+    avg = np.zeros((max(at) + 1,) + cq.blocks.shape[1:], dtype=complex)
+    np.add.at(avg, at, cq.blocks)
+    mass = None if slots is None else weights * float(np.einsum("kii->", avg).real)
+    sigma = weights[:, None, None] * avg[at]
+    return _np_test(cq.blocks, sigma, eps, cq.symbols, mass)
 
 
 # ---------------------------------------------------------------------------
@@ -960,41 +958,29 @@ def i_max_cq_many(cqs: list[qo.CQState], eps: float) -> list[float]:
     return _d_max_smooth_many([_cq_pairs(cq) for cq in cqs], eps)
 
 
-def _cq_weighted(cq: qo.CQState) -> tuple[np.ndarray, np.ndarray]:
-    """The weighted blocks w_s rho_s of ``cq`` as one stack and their
-    traces q_s: the diagonal blocks of the dense cq matrix, Hermitian within
-    tolerance (and repaired as ``la._hermitian_part`` does), their total
-    trace 1 within 1e-8."""
-    blocks = la._hermitian_part(la._as_stack([cq.weights[s] * cq.blocks[s] for s in cq.symbols]))
-    q = np.einsum("xii->x", blocks)
-    total = float(q.real.sum())
-    if abs(total - 1.0) > 1e-8:
-        raise ValueError(f"trace {total} is not 1 within tolerance")
-    return blocks, q
-
-
 def _cq_blocks(cq: qo.CQState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``_cq_weighted``'s blocks and traces and the blocks' spectra, whose
+    """``cq``'s weighted blocks, their traces and their spectra, whose
     least eigenvalue gets ``la.assert_density``'s check of the dense cq
     matrix (stricter than ``CQState``'s PSD check to 1e-7): at least
     -``la.PSD_TOL`` * 100, from one stacked ``eigvalsh``."""
-    blocks, q = _cq_weighted(cq)
-    spectra = np.linalg.eigvalsh(blocks)
+    spectra = np.linalg.eigvalsh(cq.blocks)
     la._check_psd(float(spectra[:, 0].min()))
-    return blocks, q, spectra
+    return cq.blocks, cq.probs, spectra
 
 
 def _cq_pairs(cq: qo.CQState) -> list[tuple[np.ndarray, np.ndarray]]:
     """(w_s rho_s, q_s rho_S) for each symbol s of ``cq``, with
     q_s = Tr w_s rho_s and rho_S = sum_s w_s rho_s: the diagonal blocks of
     the dense cq matrix and of the product of its marginals.  The weighted
-    blocks are ``_cq_weighted``'; their PSD check is ``_ball_blocks``' on
+    blocks are ``cq``'s stack as it is, Hermitian as a ``CQState`` holds
+    them (its full check keeps the Hermitian parts, and a derived state is
+    made from those by sums, scalings, scatters and partial traces, which
+    keep them Hermitian exactly); their PSD check is ``_ball_blocks``' on
     its component spectra (the least eigenvalue of a block is the least
     over its components), and the sigma blocks are PSD by construction.
     """
-    blocks, q = _cq_weighted(cq)
-    rho_s = np.einsum("xij->ij", blocks)
-    return [(block, q_s * rho_s) for block, q_s in zip(blocks, q)]
+    rho_s = np.einsum("xij->ij", cq.blocks)
+    return [(block, q_s * rho_s) for block, q_s in zip(cq.blocks, cq.probs)]
 
 
 def i_max_smooth(rho_ab, dims: tuple[int, int], eps: float) -> float:

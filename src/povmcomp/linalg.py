@@ -128,31 +128,29 @@ def tensor(*ops) -> np.ndarray:
     return out
 
 
-def _to_tensor_form(op: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
-    return op.reshape(dims + dims)
-
-
 def partial_trace(op, lay: SystemLayout, keep) -> np.ndarray:
-    """Trace out all factors of ``lay`` not listed in ``keep``.
+    """Trace out all factors of ``lay`` not listed in ``keep``, of one
+    operator or of every member of a (..., d, d) stack at once.
 
     ``keep`` preserves the original factor order regardless of how it is
     listed.  Trace and PSD-ness are preserved.
     """
-    mat = as_matrix(op)
-    if mat.shape[0] != lay.dim:
-        raise ValueError(f"operator dim {mat.shape[0]} != layout dim {lay.dim}")
+    mats = _as_stack(op)
+    if mats.shape[-1] != lay.dim:
+        raise ValueError(f"operator dim {mats.shape[-1]} != layout dim {lay.dim}")
     keep = set(keep)
     for lab in keep:
         lay.index_of(lab)  # raises on unknown label
     n = len(lay.factors)
     keep_idx = [i for i, (lab, _) in enumerate(lay.factors) if lab in keep]
-    tens = _to_tensor_form(mat, lay.dims)
+    lead = mats.shape[:-2]
+    tens = mats.reshape(lead + lay.dims + lay.dims)
     row = list(range(n))
     col = [n + i if i in keep_idx else i for i in range(n)]
     out = [i for i in keep_idx] + [n + i for i in keep_idx]
-    tens = np.einsum(tens, row + col, out)
+    tens = np.einsum(tens, [..., *row, *col], [..., *out])
     kdim = int(np.prod([lay.dims[i] for i in keep_idx])) if keep_idx else 1
-    return tens.reshape(kdim, kdim)
+    return tens.reshape(lead + (kdim, kdim))
 
 
 def trace_norm(op) -> float:

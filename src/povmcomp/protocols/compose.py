@@ -72,12 +72,12 @@ MAX_HASHED_LOG_L = 16
 def _link_state(family: CompressedFamily, prep: PreparedInstance, i: int):
     """Link i's composition state over (K, class), and each symbol's coin slot.
 
-    The weight of ``"k|class"`` is the class's index mass in coin k (its
-    outcome probability averaged over the other links' coins, times its
-    count), normalised over the non-abort mass; its block is the
-    count-weighted sum of the E-operators of the family's rows with coin k
-    and this symbol on link i, reduced to B and normalised, on coin slot k
-    of the (K' B) register.
+    The block of ``"k|class"`` is the count-weighted sum of the E-operators
+    of the family's rows with coin k and this symbol on link i, reduced to
+    B, on coin slot k of the (K' B) register, scaled by the class's index
+    count over the coins and normalised over the non-abort mass: its trace
+    is the class's index mass in coin k (its outcome probability averaged
+    over the other links' coins, times its count).
     """
     codebook = family.codebooks[i]
     coins, n_cls, d_b = codebook.coins, len(codebook.alphabet), prep.dim_b
@@ -89,13 +89,12 @@ def _link_state(family: CompressedFamily, prep: PreparedInstance, i: int):
     weight = np.prod(np.delete(tot, i, axis=1), axis=1) / other_coins
     acc = np.zeros((coins * n_cls, d_b, d_b), dtype=complex)
     np.add.at(acc, row_coins[:, i] * n_cls + cls[:, i], weight[:, None, None] * env_b)
-    tr = np.einsum("sii->s", acc).real
-    p = tr * codebook.counts.reshape(-1) / coins
+    counts = codebook.counts.reshape(-1)
+    p = np.einsum("sii->s", acc).real * counts / coins
     live = np.flatnonzero(p > 1e-14)
     symbols = tuple(qo.join_symbol(str(s // n_cls), codebook.alphabet[s % n_cls]) for s in live)
-    weights = dict(zip(symbols, (p[live] / p[live].sum()).tolist()))
-    blocks = dict(zip(symbols, acc[live] / tr[live, None, None]))
-    return qo.CQState.derived(symbols, weights, blocks), live // n_cls
+    blocks = acc[live] * (counts[live] / coins / p[live].sum())[:, None, None]
+    return qo.CQState.derived(symbols, blocks), live // n_cls
 
 
 @dataclass
@@ -419,10 +418,10 @@ def compose_with_side_information(
     th = thresholds(prep, budget.eps, plan.log_const)
     state, slots = _link_state(family, prep, 0)
     atoms = []
-    for s in state.symbols:
+    for s, p in zip(state.symbols, state.probs):
         k, sym = qo.split_symbol(s)
         m = int(codebook.counts[int(k)][codebook.alphabet.index(sym)])
-        atoms.append((state.weights[s] / m, float(m)))
+        atoms.append((p / m, float(m)))
     hmax_kl = ent.smooth_max_entropy_atoms(atoms, eps0)
     ihyp_kl = math.inf
     if prep.has_side_information():

@@ -203,7 +203,8 @@ class CompressedFamily:
 def _class_table(prep: PreparedInstance):
     """Every class (one symbol per link) of the joint support with positive
     marginal product, sorted by its symbols: their per-link symbol indices
-    (n, links), t-weights (n,) and mirror blocks over p(class) (n, d, d)."""
+    (n, links), t-weights p(class) / prod_i p_i(class_i) (n,) and mirror
+    blocks over that product, the tilted blocks (n, d, d)."""
     joint = prep.joint.as_dict()
     rows = []
     for idx in itertools.product(*(range(len(m.alphabet)) for m in prep.marginals)):
@@ -212,10 +213,9 @@ def _class_table(prep: PreparedInstance):
         p_prod = math.prod(m.prob(sym) for m, sym in zip(prep.marginals, cls))
         if p is None or p_prod <= 0:
             continue  # a class outside the joint support carries mass 0
-        mirror = prep.mirror_blocks[cls]
-        rows.append((cls, idx, p / p_prod, mirror / p if p > 1e-15 else 0.0 * mirror))
-    _, idx, t, mirrors = zip(*sorted(rows, key=lambda row: row[0]))
-    return np.array(idx), np.array(t), np.stack(mirrors)
+        rows.append((cls, idx, p / p_prod, prep.mirror_blocks[cls] / p_prod))
+    _, idx, t, tilted = zip(*sorted(rows, key=lambda row: row[0]))
+    return np.array(idx), np.array(t), np.stack(tilted)
 
 
 def build_compressed_povm(
@@ -235,7 +235,7 @@ def build_compressed_povm(
     eps = budget.eps
     plan = plan_codebooks(prep, budget, log_const)
     n_total = math.prod(1 << log_l for log_l in plan.log_l)
-    idx, t, mirrors = table = _class_table(prep)
+    idx, _, tilted = table = _class_table(prep)
     for attempt in range(MAX_CODEBOOK_DRAWS):
         draw_seed = seed + 1_000_003 * attempt
         codebooks = tuple(
@@ -245,7 +245,7 @@ def build_compressed_povm(
         keys = np.array(list(itertools.product(*(range(cb.coins) for cb in codebooks))))
         counts = [cb.counts[keys[:, i]][:, idx[:, i]] for i, cb in enumerate(codebooks)]
         mult = np.prod(counts, axis=0)  # of every class in every block, (blocks, classes)
-        avg = np.einsum("bc,cij->bij", (mult / n_total) * t, mirrors)
+        avg = np.einsum("bc,cij->bij", mult / n_total, tilted)
         deviation = la.trace_norm_many(avg - prep.rho_a)
         nice = np.flatnonzero(deviation <= math.sqrt(eps))
         fraction = len(nice) / len(keys)
@@ -263,10 +263,8 @@ def _assemble_rows(prep, table, mult, n_total, deviation) -> tuple:
     class multiplicities: one ``covering.good_sets`` call, stacks over
     (block, class), and one stacked ``PreparedInstance.steer`` of every kept
     and abort element."""
-    _, t, mirrors = table
-    parts, weights, eps = cov.transformed_rows(
-        t[:, None, None] * mirrors, mult / n_total, np.maximum(deviation, 1e-9)
-    )
+    _, t, tilted = table
+    parts, weights, eps = cov.transformed_rows(tilted, mult / n_total, np.maximum(deviation, 1e-9))
     good, primed, _, _ = cov.good_sets(parts, weights, mult > 0, prep.rho_a, eps)
     inv_sq = prep.pinv_sqrt_rho_a
     raw = (t / n_total)[:, None, None] * (inv_sq @ primed @ inv_sq)

@@ -8,7 +8,8 @@ sqrt(rho_A) Lambda sqrt(rho_A) live on A and drive the POVM construction.
 ``prepare`` steers the POVM with it once, and the E-blocks drive
 deviations, side-information decoding, the thresholds and the rate
 regions.  Every smooth entropy of those is taken on a cq state that
-``CQState.group_parts`` and ``CQState.embed_parts`` cut from ``env_cq``;
+``CQState.group_parts`` and ``CQState.embed_parts`` cut from ``env_cq``,
+the stack of the steered E-blocks, each of trace p(x, y), as they are;
 ``side_information`` is the one I_H on B.
 """
 
@@ -80,20 +81,15 @@ class PreparedInstance:
         return la.layout(("B", d["B"]), ("R", d["R"]), ("M", d["M"]))
 
     def env_cq(self) -> qo.CQState:
-        """cq state over (x, y) with normalized steered E-blocks, built once;
-        every caller derives new states from it and mutates none of its dicts."""
+        """cq state over (x, y) whose blocks are the steered E-blocks as they
+        are, of trace p(x, y), built once; every caller derives new states
+        from it and mutates none of its blocks."""
         return self._env_cq
 
     @cached_property
     def _env_cq(self) -> qo.CQState:
-        symbols, weights, blocks = [], {}, {}
-        for (x, y), blk in self.env_blocks.items():
-            p = float(np.trace(blk).real)
-            s = qo.join_symbol(x, y)
-            symbols.append(s)
-            weights[s] = p
-            blocks[s] = blk / p if p > 1e-14 else np.eye(self.dim_e, dtype=complex) / self.dim_e
-        return qo.CQState(tuple(symbols), weights, blocks)
+        symbols = tuple(qo.join_symbol(x, y) for x, y in self.env_blocks)
+        return qo.CQState(symbols, np.stack(list(self.env_blocks.values())))
 
 
 def prepare(inst: Instance) -> PreparedInstance:
@@ -125,7 +121,7 @@ def prepare(inst: Instance) -> PreparedInstance:
 
 
 def _x_env_cq(prep: PreparedInstance) -> qo.CQState:
-    """cq over x with E-blocks averaged over y."""
+    """cq over x whose blocks are the E-blocks summed over y, of trace p(x)."""
     return prep.env_cq().group_parts((0,))
 
 

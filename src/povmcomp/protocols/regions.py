@@ -12,9 +12,11 @@ its contribution is zero rather than the literal smoothed quantities of a
 constant variable; this makes the theta endpoints reproduce the unsplit
 two-channel region exactly.
 
-Both regions read the prepared instance's steered E-blocks (``env_cq``):
-the one-shot region splits that joint state, or for axis Y the state with
-its components swapped, and steers nothing again.
+Both regions read the prepared instance's steered E-blocks (``env_cq``), one
+stack of weighted blocks whose traces are the outcome probabilities: the
+one-shot region splits that joint state, or for axis Y the state with its
+components swapped, and steers nothing again; every register it hands to the
+entropies is cut from the split state by summing or scattering its blocks.
 """
 
 from __future__ import annotations
@@ -66,8 +68,7 @@ class RateRegion:
 
 
 def _degenerate(cq: qo.CQState) -> bool:
-    live = [s for s in cq.symbols if cq.weights[s] > 1e-12]
-    return len(live) <= 1
+    return int((cq.probs > 1e-12).sum()) <= 1
 
 
 def one_shot_region(
@@ -93,10 +94,9 @@ def one_shot_region(
     # and the other link's Y
     cells = []
     for axis in axes:
-        # the split link's component first, then the other link's; link 0's
-        # order is env_cq's own, which regrouping would round
+        # the split link's component first, then the other link's
         own = LINKS.index(axis)
-        joint = env_cq.group_parts((own, 1 - own)) if own else env_cq
+        joint = env_cq.group_parts((own, 1 - own))
         for theta in theta_grid:
             ctrl = sp.split_control_state(joint, theta)
             u_cq = ctrl.group_parts((0,))

@@ -4,10 +4,13 @@ Classical symbols are opaque strings.  Joint symbols are tuples of strings;
 their canonical serialized form joins components with ``|`` so map keys stay
 stable across runs and file formats.
 
-A cq state over a joint register is reshaped in one place: ``CQState``
-keeps some components of its symbols (``group_parts``) or keeps one and
-moves others into a classical side register beside the quantum part
-(``embed_parts``).  Steering to a purifying reference is ``protocols.prep``'s.
+A cq state is one (n, d, d) stack of weighted blocks w_s rho_s, the
+diagonal blocks of its dense matrix, whose traces are the symbols'
+probabilities.  A cq state over a joint register is reshaped in one place:
+``CQState`` keeps some components of its symbols, summing their blocks
+(``group_parts``), or keeps one and scatters the others into a classical
+side register beside the quantum part (``embed_parts``).  Steering to a
+purifying reference is ``protocols.prep``'s.
 """
 
 from __future__ import annotations
@@ -81,6 +84,10 @@ class JointPOVM:
         for sym in self.alphabet_x + self.alphabet_y:
             if sym == ABORT or "|" in sym:
                 raise ValueError(f"outcome {sym!r} is the abort symbol or holds the '|' separator")
+        for name, alphabet in (("X", self.alphabet_x), ("Y", self.alphabet_y)):
+            for i, sym in enumerate(alphabet):
+                if sym in alphabet[:i]:
+                    raise ValueError(f"outcome {sym!r} repeats in alphabet {name}")
         dims = {m.shape[0] for m in self.elements.values()}
         if len(dims) != 1:
             raise ValueError("POVM elements have inconsistent dimensions")
@@ -175,85 +182,70 @@ def induced_distribution(povm: JointPOVM, rho: np.ndarray) -> Distribution:
 
 @dataclass
 class CQState:
-    """Classical register(s) tensored with quantum blocks.
+    """Classical register(s) tensored with quantum blocks, as one stack.
 
-    ``weights[s]`` is the probability of classical symbol ``s`` and
-    ``blocks[s]`` the normalized conditional state; subnormalized blocks are
-    tolerated as long as the total mass is 1.
+    ``blocks`` is an (n, d, d) stack whose member i is the weighted block
+    w_s rho_s of symbol ``symbols[i]``, the i-th diagonal block of the dense
+    cq matrix: its trace is the symbol's probability (``probs``), and the
+    traces sum to 1 within 1e-8.  A symbol of probability 0 has a zero
+    block.  No weight is held apart from its block, so nothing here
+    normalises a block or weights it again.
     """
 
     symbols: tuple[str, ...]
-    weights: dict[str, float] = field(repr=False)
-    blocks: dict[str, np.ndarray] = field(repr=False)
+    blocks: np.ndarray = field(repr=False)
 
     def __post_init__(self, psd: bool = True):
-        if set(self.symbols) != set(self.weights) or set(self.symbols) != set(self.blocks):
-            raise ValueError("symbols, weights and blocks must share keys")
-        if any(self.weights[s] < -1e-12 for s in self.symbols):
-            raise ValueError("negative weight")
-        mats = [la.as_matrix(self.blocks[s]) for s in self.symbols]
-        # one stacked PSD check per block shape
-        for shape in dict.fromkeys(m.shape for m in mats) if psd else ():
-            la.assert_psd_many([m for m in mats if m.shape == shape], tol=1e-7)
-        mass = 0.0
-        for s, m in zip(self.symbols, mats):
-            mass += self.weights[s] * float(np.trace(m).real)
+        blocks = la._as_stack(self.blocks)
+        if blocks.ndim != 3 or not len(blocks) == len(self.symbols) == len(set(self.symbols)):
+            raise ValueError("blocks must be an (n, d, d) stack, one member per distinct symbol")
+        # one stacked PSD check of the whole stack
+        self.blocks = la.assert_psd_many(blocks, tol=1e-7) if psd else blocks
+        mass = float(self.probs.sum())
         if abs(mass - 1.0) > 1e-8:
             raise ValueError(f"total mass {mass} is not 1")
 
     @classmethod
-    def derived(cls, symbols, weights, blocks) -> "CQState":
+    def derived(cls, symbols, blocks) -> "CQState":
         """A state a PSD-preserving map made from checked blocks: all checks
-        but the eigenvalues (a regrouping, a re-weighting, a partial trace)."""
+        but the eigenvalues (a regrouping, a scatter, a partial trace)."""
         out = cls.__new__(cls)
-        out.symbols, out.weights, out.blocks = symbols, weights, blocks
+        out.symbols, out.blocks = symbols, blocks
         out.__post_init__(psd=False)
         return out
 
     @property
     def quantum_dim(self) -> int:
-        return next(iter(self.blocks.values())).shape[0]
+        return self.blocks.shape[-1]
+
+    @property
+    def probs(self) -> np.ndarray:
+        """The symbols' probabilities: the blocks' traces."""
+        return np.einsum("sii->s", self.blocks).real
 
     def classical_distribution(self) -> Distribution:
-        probs = np.array(
-            [self.weights[s] * float(np.trace(self.blocks[s]).real) for s in self.symbols]
-        )
-        return Distribution(self.symbols, probs)
+        return Distribution(self.symbols, self.probs)
 
     def dense(self) -> np.ndarray:
         """Dense matrix on (classical basis) tensor (quantum part)."""
-        n, d = len(self.symbols), self.quantum_dim
-        out = np.zeros((n * d, n * d), dtype=complex)
-        for i, s in enumerate(self.symbols):
-            out[i * d : (i + 1) * d, i * d : (i + 1) * d] = self.weights[s] * self.blocks[s]
-        return out
+        n, d = self.blocks.shape[:2]
+        out = np.zeros((n, d, n, d), dtype=complex)
+        out[np.arange(n), :, np.arange(n)] = self.blocks
+        return out.reshape(n * d, n * d)
 
     def map_blocks(self, fn) -> "CQState":
-        """Every block replaced by ``fn`` of it, which must keep it PSD."""
-        return CQState.derived(
-            self.symbols,
-            dict(self.weights),
-            {s: fn(self.blocks[s]) for s in self.symbols},
-        )
+        """The stack replaced by ``fn`` of it, which must keep each member
+        PSD and its trace (``la.partial_trace`` takes the stack whole)."""
+        return CQState.derived(self.symbols, fn(self.blocks))
 
     def group_symbols(self, key_fn) -> "CQState":
-        """Coarse-grain the classical part by ``key_fn(symbol)``."""
-        order: list[str] = []
-        weights: dict[str, float] = {}
-        blocks: dict[str, np.ndarray] = {}
-        for s in self.symbols:
-            k = key_fn(s)
-            w = self.weights[s]
-            if k not in weights:
-                order.append(k)
-                weights[k] = 0.0
-                blocks[k] = np.zeros_like(self.blocks[s])
-            weights[k] += w
-            blocks[k] += w * self.blocks[s]
-        for k in order:
-            if weights[k] > 1e-15:
-                blocks[k] = blocks[k] / weights[k]
-        return CQState.derived(tuple(order), weights, blocks)
+        """Coarse-grain the classical part by ``key_fn(symbol)``: each new
+        block is the sum of its symbols' blocks, in first-seen order."""
+        keys = [key_fn(s) for s in self.symbols]
+        index = _first_seen(keys)
+        out = np.zeros((len(index),) + self.blocks.shape[1:], dtype=complex)
+        np.add.at(out, [index[k] for k in keys], self.blocks)
+        return CQState.derived(tuple(index), out)
 
     def group_parts(self, idx: tuple[int, ...]) -> "CQState":
         """Coarse-grain joint symbols to their components ``idx``, in that order."""
@@ -263,21 +255,27 @@ class CQState:
         """cq state over component ``keep`` whose blocks carry the components
         ``side`` as a classical side register next to the quantum part.
 
-        The block of t is sum_s w_s / w_t |side(s)><side(s)| (x) block_s over
-        the symbols s with component t; side values take slots in order of
-        first appearance.  Values of weight at most 1e-15 are dropped.
+        The block of t is sum_s |side(s)><side(s)| (x) B_s over the symbols s
+        with component t, one scatter of the stack onto the side slots,
+        which take the side values in order of first appearance.  Values t
+        whose block has trace at most 1e-15 are dropped.
         """
         parts = [split_symbol(s) for s in self.symbols]
-        side_of = [join_symbol(*[p[i] for i in side]) for p in parts]
-        slots = list(dict.fromkeys(side_of))
-        weights = {t: w for t, w in self.group_parts((keep,)).weights.items() if w > 1e-15}
-        d = self.quantum_dim
-        blocks = {t: np.zeros((len(slots) * d,) * 2, dtype=complex) for t in weights}
-        for s, p, key in zip(self.symbols, parts, side_of):
-            t, j = p[keep], slots.index(key) * d
-            if t in blocks:
-                blocks[t][j : j + d, j : j + d] += self.weights[s] / weights[t] * self.blocks[s]
-        return CQState.derived(tuple(weights), weights, blocks)
+        kept = [p[keep] for p in parts]
+        sides = [join_symbol(*[p[i] for i in side]) for p in parts]
+        order, slots = _first_seen(kept), _first_seen(sides)
+        t, j = [order[k] for k in kept], [slots[k] for k in sides]
+        n, d = len(slots), self.quantum_dim
+        out = np.zeros((len(order), n, d, n, d), dtype=complex)
+        np.add.at(out, (t, j, slice(None), j), self.blocks)
+        out = out.reshape(len(order), n * d, n * d)
+        live = np.einsum("sii->s", out).real > 1e-15
+        return CQState.derived(tuple(k for k, on in zip(order, live) if on), out[live])
+
+
+def _first_seen(keys: list[str]) -> dict[str, int]:
+    """Each distinct key's position in order of first appearance."""
+    return {k: i for i, k in enumerate(dict.fromkeys(keys))}
 
 
 def distribution_power(p: Distribution, n: int) -> Distribution:
@@ -292,18 +290,11 @@ def distribution_power(p: Distribution, n: int) -> Distribution:
 
 
 def cq_tensor_power(cq: CQState, n: int) -> CQState:
-    """n-fold iid tensor power with joined classical symbols."""
-    symbols = [""]
-    weights = {"": 1.0}
-    blocks = {"": np.eye(1, dtype=complex)}
+    """n-fold iid tensor power with joined classical symbols: each block
+    the Kronecker product of its letters' weighted blocks."""
+    symbols, blocks = [""], np.ones((1, 1, 1), dtype=complex)
     for _ in range(n):
-        new_syms, new_w, new_b = [], {}, {}
-        for s in symbols:
-            for t in cq.symbols:
-                key = join_symbol(*filter(None, (s, t)))
-                new_syms.append(key)
-                new_w[key] = weights[s] * cq.weights[t]
-                new_b[key] = np.kron(blocks[s], cq.blocks[t])
-        symbols, weights, blocks = new_syms, new_w, new_b
-    return CQState(tuple(symbols), weights, blocks)
-
+        symbols = [join_symbol(*filter(None, (s, t))) for s in symbols for t in cq.symbols]
+        (m, d), (k, e) = blocks.shape[:2], cq.blocks.shape[:2]
+        blocks = np.einsum("aij,bkl->abikjl", blocks, cq.blocks).reshape(m * k, d * e, d * e)
+    return CQState(tuple(symbols), blocks)

@@ -368,6 +368,14 @@ def lower_bound(ball: Ball, dual: BallDual, trace: float | None = None) -> float
     G_b PSD gives |Z_b|_F^2 <= Tr Lambda_b Tr rho'_b, counted twice by
     Z_b's rvec coordinates.  The least t of the program is at least t_low
     (Jansson, Chaykin and Keil, SIAM J. Numer. Anal. 46, 2007).
+
+    gap and held are sums of terms of size about 1 that cancel to about
+    t held, so their own round-off is bounded: with u = 2^-53, a float sum
+    of m products is within gamma_m = m u / (1 - m u) times the sum of its
+    terms' absolute values of the exact one (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2002, sec. 3.1).  That bound is
+    taken off gap and added to held, each entry of Re Tr[V_b sigma_b]
+    counting two products, bounded by |V_b| |sigma_b|.
     """
     free = ball.free_mass > 0.0
     parts = list(zip(ball.eigs, ball.sigma, dual.g, dual.cap))
@@ -378,6 +386,8 @@ def lower_bound(ball: Ball, dual: BallDual, trace: float | None = None) -> float
         trace = -(total + (dual.floor - dual.free_cap) * free) / count
     resid, held = 0.0, dual.free_cap * ball.free_mass * free
     gap = ball.fidelity * dual.fid + trace
+    # (number of products, sum of their absolute values) of gap and held
+    gap_terms, held_terms = [2, abs(ball.fidelity * dual.fid) + abs(trace)], [2, abs(held)]
     for (eigs, sigma, g, cap), tail in zip(parts, tails):
         r, d = eigs.shape[1], sigma.shape[-1]
         off = g[:, :r, r:].copy()
@@ -385,12 +395,26 @@ def lower_bound(ball: Ball, dual: BallDual, trace: float | None = None) -> float
         tail[:, np.arange(d), np.arange(d)] += trace
         resid += float(np.sum(np.abs(tail) ** 2)) + 2.0 * float(np.sum(np.abs(off) ** 2))
         held += float(np.sum(np.conj(cap) * sigma).real)
-        gap -= float(np.sum(eigs * g[:, np.arange(r), np.arange(r)].real))
+        held_terms[0] += 2 * sigma.size
+        held_terms[1] += float(np.sum(np.abs(cap) * np.abs(sigma)))
+        products = eigs * g[:, np.arange(r), np.arange(r)].real
+        gap -= float(np.sum(products))
+        gap_terms[0] += products.size
+        gap_terms[1] += float(np.sum(np.abs(products)))
     if free:
         resid += (dual.floor - dual.free_cap + trace) ** 2
+    gap -= _gamma(gap_terms[0]) * gap_terms[1]
+    held += _gamma(held_terms[0]) * held_terms[1]
     norm = math.sqrt(1.0 + 2.0 * sum(float(eigs.sum()) for eigs in ball.eigs))
     low = gap - norm * math.sqrt(resid)
     return low / held if held > 0.0 and low > 0.0 else 0.0
+
+
+def _gamma(m: int) -> float:
+    """gamma_m = m u / (1 - m u), u = 2^-53: the relative bound on the
+    round-off of a float sum of m products."""
+    mu = m * 2.0**-53
+    return mu / (1.0 - mu)
 
 
 def project(dual: BallDual) -> BallDual:

@@ -5,7 +5,8 @@ CDF_U = CDF_X^(1-theta) and CDF_V = CDF_X^theta, so CDF_max = CDF_U CDF_V
 recovers CDF_X exactly for every theta.  theta = 0 makes U a copy of X and
 V constant at the smallest element; theta = 1 swaps the roles.
 ``split_control_state`` applies the split to a joint cq state over 'x|y',
-such as a prepared instance's steered E-blocks, and keeps its blocks.
+such as a prepared instance's steered E-blocks: each cell's weighted block
+is a scaled copy of its x|y block.
 """
 
 from __future__ import annotations
@@ -44,26 +45,27 @@ def split(p: qo.Distribution, theta: float) -> SplitPair:
 def split_control_state(cq: qo.CQState, theta: float) -> qo.CQState:
     """Control cq state over (U, V, Y) with weights pU(u) pV(v) p(y | max(u, v)).
 
-    ``cq`` is a joint state over 'x|y'; p_X is the x-marginal of its
-    weights, split along the order in which x first appears.  The block of
-    (u, v, y) is that of max(u, v)|y.  Zero-probability cells are omitted.
+    ``cq`` is a joint state over 'x|y'; p_X is the x-marginal of its block
+    traces, split along the order in which x first appears.  The block of
+    (u, v, y) is pU(u) pV(v) B_{x|y} / p_X(x), x = max(u, v), with B_{x|y}
+    the weighted block of x|y.  Zero-probability cells are omitted.
     """
-    px = qo.marginal(qo.Distribution(cq.symbols, np.array([cq.weights[s] for s in cq.symbols])), 0)
+    probs = cq.probs
+    px = qo.marginal(qo.Distribution(cq.symbols, probs), 0)
     pair = split(px, theta)
     rank = list(px.alphabet).index
-    symbols, weights, blocks = [], {}, {}
+    parts = [qo.split_symbol(s) for s in cq.symbols]
+    symbols, scales, rows = [], [], []
     for u, wu in zip(pair.p_u.alphabet, pair.p_u.probs):
         for v, wv in zip(pair.p_v.alphabet, pair.p_v.probs):
             x = max(u, v, key=rank)
             if wu <= 1e-15 or wv <= 1e-15 or px.prob(x) <= 1e-15:
                 continue
-            for s in cq.symbols:
-                x_s, y = qo.split_symbol(s)
-                w = wu * wv * (cq.weights[s] / px.prob(x)) if x_s == x else 0.0
-                if w <= 1e-15:
-                    continue
-                sym = qo.join_symbol(u, v, y)
-                symbols.append(sym)
-                weights[sym] = float(w)
-                blocks[sym] = cq.blocks[s]
-    return qo.CQState.derived(tuple(symbols), weights, blocks)
+            scale = wu * wv / px.prob(x)
+            for i, (x_s, y) in enumerate(parts):
+                if x_s == x and scale * probs[i] > 1e-15:
+                    symbols.append(qo.join_symbol(u, v, y))
+                    scales.append(scale)
+                    rows.append(i)
+    blocks = np.array(scales)[:, None, None] * cq.blocks[rows]
+    return qo.CQState.derived(tuple(symbols), blocks)

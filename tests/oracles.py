@@ -834,13 +834,12 @@ def register_link_test(i_hyp_cq, state, slots, eps: float) -> tuple:
     register state.  Returns (value, alpha, beta, {symbol: the test's
     block on the symbol's slot}).
     """
-    d = state.blocks[state.symbols[0]].shape[0]
+    d = state.blocks.shape[-1]
     n = (max(slots) + 1) * d
-    blocks = {}
-    for s, k in zip(state.symbols, slots):
-        blocks[s] = np.zeros((n, n), dtype=complex)
-        blocks[s][k * d : (k + 1) * d, k * d : (k + 1) * d] = state.blocks[s]
-    value, test = i_hyp_cq(type(state)(state.symbols, dict(state.weights), blocks), eps)
+    blocks = np.zeros((len(slots), n, n), dtype=complex)
+    for j, k in enumerate(slots):
+        blocks[j, k * d : (k + 1) * d, k * d : (k + 1) * d] = state.blocks[j]
+    value, test = i_hyp_cq(type(state)(state.symbols, blocks), eps)
     per_symbol = {
         s: test.per_symbol[s][k * d : (k + 1) * d, k * d : (k + 1) * d]
         for s, k in zip(state.symbols, slots)

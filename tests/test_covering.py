@@ -12,14 +12,12 @@ def make_joint(seed=0, nx=2, ny=2, dim=2, product=False):
     pxy = rng.dirichlet(np.ones(nx * ny)).reshape(nx, ny)
     if product:
         pxy = np.outer(pxy.sum(axis=1), pxy.sum(axis=0))
-    symbols, weights, blocks = [], {}, {}
+    symbols, blocks = [], []
     for i in range(nx):
         for j in range(ny):
-            s = qo.join_symbol(str(i), str(j))
-            symbols.append(s)
-            weights[s] = float(pxy[i, j])
-            blocks[s] = oracles.random_density(rng, dim)
-    return qo.CQState(tuple(symbols), weights, blocks)
+            symbols.append(qo.join_symbol(str(i), str(j)))
+            blocks.append(pxy[i, j] * oracles.random_density(rng, dim))
+    return qo.CQState(tuple(symbols), np.stack(blocks))
 
 
 def single_level(joint, log_k, log_l, trials, seed):
@@ -34,25 +32,23 @@ class TestCoveringError:
         rng = np.random.default_rng(5)
         block = oracles.random_density(rng, 2)
         joint = make_joint(seed=5, product=True)
-        joint = qo.CQState(
-            joint.symbols, dict(joint.weights), {s: block for s in joint.symbols}
-        )
+        joint = qo.CQState(joint.symbols, joint.probs[:, None, None] * block)
         out = single_level(joint, 2, 2, 50, seed=1)
         assert out["meanError"] < 1e-12
 
     def test_single_symbols(self):
         rng = np.random.default_rng(6)
-        joint = qo.CQState(("x|y",), {"x|y": 1.0}, {"x|y": oracles.random_density(rng, 2)})
+        joint = qo.CQState(("x|y",), oracles.random_density(rng, 2)[None])
         out = single_level(joint, 2, 2, 20, seed=2)
         assert out["meanError"] == 0.0
 
     def test_matches_exhaustive_enumeration(self):
         joint = make_joint(seed=7)
-        _, _, pxy, _, _, _, _ = cov._joint_tables(joint)
+        pxy = joint.probs.reshape(2, 2)
         blocks = {}
-        for sym in joint.symbols:
+        for sym, p, block in zip(joint.symbols, joint.probs, joint.blocks):
             x, y = qo.split_symbol(sym)
-            blocks[(int(x), int(y))] = joint.blocks[sym]
+            blocks[(int(x), int(y))] = block / p
         exact = oracles.covering_enumeration_oracle(pxy, blocks, k=2, l=2)
         out = single_level(joint, 1, 1, 4000, seed=3)
         assert abs(out["meanError"] - exact) <= 3 * out["stderr"] + 1e-3

@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import decimal
 import itertools
 import math
 import re
@@ -137,21 +138,16 @@ class TestIHyp:
         rng = np.random.default_rng(7)
         cq = qo.CQState(
             ("a", "b"),
-            {"a": 0.5, "b": 0.5},
-            {"a": oracles.random_density(rng, 2), "b": oracles.random_density(rng, 2)},
+            0.5 * np.stack([oracles.random_density(rng, 2), oracles.random_density(rng, 2)]),
         )
-        avg = 0.5 * cq.blocks["a"] + 0.5 * cq.blocks["b"]
-        cq_prod = qo.CQState(("a", "b"), {"a": 0.5, "b": 0.5}, {"a": avg, "b": avg})
+        avg = cq.blocks[0] + cq.blocks[1]
+        cq_prod = qo.CQState(("a", "b"), 0.5 * np.stack([avg, avg]))
         val, _ = ent.i_hyp_cq(cq_prod, 0.1)
         assert np.isclose(val, -math.log2(0.9), atol=1e-9)
 
     def test_correlated_bits_vs_classical_oracle(self):
         # perfectly correlated uniform pair vs product: diag(.5,0,0,.5) / diag(.25 x4)
-        cq = qo.CQState(
-            ("0", "1"),
-            {"0": 0.5, "1": 0.5},
-            {"0": np.diag([1.0, 0.0]).astype(complex), "1": np.diag([0.0, 1.0]).astype(complex)},
-        )
+        cq = qo.CQState(("0", "1"), np.stack([np.diag([0.5, 0.0]), np.diag([0.0, 0.5])]))
         val, test = ent.i_hyp_cq(cq, 0.1)
         beta_lp = oracles.np_test_lp_oracle(
             np.array([0.5, 0.0, 0.0, 0.5]), np.array([0.25] * 4), 0.1
@@ -161,10 +157,10 @@ class TestIHyp:
         assert np.isclose(val, d, atol=1e-12)
 
     def test_orthogonal_cq_trend(self):
-        blocks = {str(i): np.zeros((4, 4), dtype=complex) for i in range(4)}
+        blocks = np.zeros((4, 4, 4), dtype=complex)
         for i in range(4):
-            blocks[str(i)][i, i] = 1.0
-        cq = qo.CQState(tuple(str(i) for i in range(4)), {str(i): 0.25 for i in range(4)}, blocks)
+            blocks[i, i, i] = 0.25
+        cq = qo.CQState(tuple(str(i) for i in range(4)), blocks)
         vals = [ent.i_hyp_cq(cq, e)[0] for e in (0.3, 0.1, 0.01)]
         assert vals[0] >= vals[1] >= vals[2]
         assert abs(vals[2] - 2.0) < 0.2  # approaches log2 |X|
@@ -173,8 +169,7 @@ class TestIHyp:
         rng = np.random.default_rng(8)
         cq = qo.CQState(
             ("x", "y"),
-            {"x": 0.6, "y": 0.4},
-            {"x": oracles.random_density(rng, 2), "y": oracles.random_density(rng, 2)},
+            np.stack([0.6 * oracles.random_density(rng, 2), 0.4 * oracles.random_density(rng, 2)]),
         )
         _, test = ent.i_hyp_cq(cq, 0.1)
         assert set(test.per_symbol) == {"x", "y"}
@@ -186,8 +181,7 @@ class TestIHyp:
         rng = np.random.default_rng(9)
         cq = qo.CQState(
             ("0", "1"),
-            {"0": 0.3, "1": 0.7},
-            {"0": oracles.random_density(rng, 2), "1": oracles.random_density(rng, 2)},
+            np.stack([0.3 * oracles.random_density(rng, 2), 0.7 * oracles.random_density(rng, 2)]),
         )
         v_cq, _ = ent.i_hyp_cq(cq, 0.15)
         rho = cq.dense()
@@ -934,6 +928,44 @@ def water_fill(sub_blocks, eps):
     return ent._water_fill(lam, sig, max(free_mass, 0.0), eps)
 
 
+def exact_log2_t_star(fill) -> decimal.Decimal:
+    """log2 of the least t of ``fill``'s program, its (lambda_b, sigma_b,
+    s0, eps) taken as exact: ``_water_fill``'s closed form evaluated with
+    ``decimal`` at 50 digits.  In the order of lambda_b / sigma_b,
+    descending, segment k (its first k sub-blocks capped) has
+    A = sum sqrt(lambda_b sigma_b) and S = sum sigma_b over them and
+    L = sum lambda_b over the others, and ends where its k-th sub-block
+    uncaps, at lambda_k / (sigma_k L + lambda_k S); the crossing lies on
+    the last segment whose end has F = A sqrt(t) + sqrt(L (1 - S t)) at or
+    above c = sqrt(1 - eps^2), and is the smaller root there; t* is it or
+    t_min = 1 / (sum_b sigma_b + s0), whichever is larger."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        exact = [decimal.Decimal(float(v)) for v in (*fill.lam, *fill.sig, fill.free_mass, fill.eps)]
+        n = len(fill.lam)
+        lam, sig, s0, eps = exact[:n], exact[n : 2 * n], exact[-2], exact[-1]
+        c = (1 - eps * eps).sqrt()
+        lam, sig = zip(*sorted(zip(lam, sig), key=lambda pair: pair[0] / pair[1], reverse=True))
+
+        def segment(k):
+            return (
+                sum((a * b).sqrt() for a, b in zip(lam[:k], sig[:k])),
+                sum(sig[:k], decimal.Decimal(0)),
+                sum(lam[k:], decimal.Decimal(0)),
+            )
+
+        k = 1
+        for j in range(1, n + 1):
+            a, s, rest = segment(j)
+            top = lam[j - 1] / (sig[j - 1] * rest + lam[j - 1] * s)
+            if a * top.sqrt() + (rest * max(1 - s * top, 0)).sqrt() >= c:
+                k = j
+        a, s, rest = segment(k)
+        root = (c * c - rest) / (c * a + (rest * max(a * a + s * (rest - c * c), 0)).sqrt())
+        t_star = max(1 / (sum(sig) + s0), max(root, 0) ** 2)
+        return t_star.ln() / decimal.Decimal(2).ln()
+
+
 def check_scalar_certificates(fill) -> dict:
     """The scalar certificates of ``fill`` against the program oracle
     (``oracles.water_fill_certificates``): the same recheck verdict, and
@@ -1033,6 +1065,20 @@ class TestScalarCertificates:
             fill = water_fill(sub_blocks, 0.1)
             width = math.log2(fill.t_cap) - check_scalar_certificates(fill)["lower"]
             assert 0.0 <= width <= 1e-10
+
+    def test_both_ends_hold_the_exact_value_at_eps_1e_5(self):
+        # at eps 1e-5 the terms of the lower end's constant, of size 1,
+        # cancel to t* held = 2e-6 to 1e-5, so its own round-off counts:
+        # with that bounded (``sdp.lower_bound``), every interval
+        # [lower, log2 t_cap] of the commuting pairs holds log2 t* at 50
+        # digits and is at most BISECT_TOL_BITS wide
+        for free in (False, True):
+            for _, _, p, s in commuting_pairs(free):
+                fill = water_fill(ball(np.diag(p), np.diag(s)), 1e-5)
+                lower, upper = ent._fill_residuals(fill)["lower"], math.log2(fill.t_cap)
+                exact = exact_log2_t_star(fill)
+                assert decimal.Decimal(lower) <= exact <= decimal.Decimal(upper), (p, s)
+                assert upper - lower <= ent.BISECT_TOL_BITS
 
     def test_no_program_is_built_for_a_classical_instance(self, monkeypatch):
         # classical_commuting's thresholds and theta 0.5 region: 8 values,
@@ -1802,12 +1848,8 @@ class TestCqPath:
         # a weighted block with eigenvalue -5e-8 passes CQState's 1e-7 check
         # but not the dense matrix's, nor the blocks' (smoothed or in the
         # Holevo quantity)
-        cq = qo.CQState(
-            ("0", "1"),
-            {"0": 0.5, "1": 0.5},
-            {"0": np.diag([1.0 + 1e-7, -1e-7]), "1": np.eye(2) / 2},
-        )
-        assert np.linalg.eigvalsh(0.5 * cq.blocks["0"])[0] == pytest.approx(-5e-8)
+        cq = qo.CQState(("0", "1"), 0.5 * np.stack([np.diag([1.0 + 1e-7, -1e-7]), np.eye(2) / 2]))
+        assert np.linalg.eigvalsh(cq.blocks[0])[0] == pytest.approx(-5e-8)
         with pytest.raises(ValueError, match="negative eigenvalue"):
             ent.i_max_smooth(cq.dense(), (2, 2), 0.1)
         for eps in (0.0, 0.1):
@@ -1881,7 +1923,7 @@ class TestHolevo:
             raw[-1] = 0.0
             weights = raw / (raw * traces).sum()
             symbols = tuple(str(s) for s in range(n))
-            cq = qo.CQState(symbols, dict(zip(symbols, weights)), dict(zip(symbols, blocks)))
+            cq = qo.CQState(symbols, weights[:, None, None] * np.stack(blocks))
             assert abs(ent.holevo_cq(cq) - _dense_holevo(cq)) <= 1e-12
 
 
@@ -1894,9 +1936,7 @@ class TestQAEPTrend:
             p = float(rng.uniform(0.25, 0.75))
             b0 = oracles.random_density(rng, 2, rank=1)
             b1 = oracles.random_density(rng, 2)
-            fixtures.append(
-                qo.CQState(("0", "1"), {"0": p, "1": 1 - p}, {"0": b0, "1": b1})
-            )
+            fixtures.append(qo.CQState(("0", "1"), np.stack([p * b0, (1 - p) * b1])))
         eps = 0.1
         for cq in fixtures:
             dist_x = cq.classical_distribution()

@@ -58,6 +58,18 @@ class TestPartialTrace:
         with pytest.raises(ValueError):
             la.partial_trace(np.eye(4), lay, keep=["C"])
 
+    def test_stack_matches_members(self):
+        # a (2, 3, 12, 12) stack traced at once: each member's result is the
+        # oracle's, and its own single-matrix call's to the bit
+        rng = np.random.default_rng(3)
+        lay = la.layout(("A", 2), ("B", 2), ("C", 3))
+        stack = np.array([[oracles.random_density(rng, 12) for _ in range(3)] for _ in range(2)])
+        out = la.partial_trace(stack, lay, keep=["C", "A"])
+        assert out.shape == (2, 3, 6, 6)
+        for got, member in zip(out.reshape(-1, 6, 6), stack.reshape(-1, 12, 12)):
+            assert np.allclose(got, oracles.partial_trace_oracle(member, [2, 2, 3], [0, 2]))
+            assert np.array_equal(got, la.partial_trace(member, lay, keep=["A", "C"]))
+
     def test_fuzz_trace_and_psd(self):
         rng = np.random.default_rng(2)
         lay = la.layout(("A", 2), ("B", 2), ("C", 3))

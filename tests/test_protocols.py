@@ -14,7 +14,7 @@ from povmcomp import entropies as ent
 from povmcomp import io, qobjects as qo, sdp
 from povmcomp import protocols as P
 from povmcomp.budget import OneShotBudget
-from povmcomp.protocols import compose, compress
+from povmcomp.protocols import compose, compress, prep as prep_mod
 from povmcomp.protocols.compress import ABORT, SCENARIOS
 from povmcomp.protocols.hashing import HashScheme
 
@@ -87,8 +87,10 @@ def test_block_distance_is_the_same_in_every_process():
 
 # Golden pins: every value below was recorded as float.hex at eps 0.1,
 # seed 1 and log_const 0, with the status of every ``sdp.minimize_balls`` solve
-# of ``thresholds`` in call order (``python tests/test_protocols.py`` rewrites
-# the file and prints each pin it moves, with its Δ).  Codebook plans come
+# of ``thresholds`` in call order and the certified interval of every I_max
+# value of ``thresholds`` and of the one-shot region (``python
+# tests/test_protocols.py`` rewrites the file, prints each pin it moves, with
+# its Δ, and ends with a one-line summary).  Codebook plans come
 # from explicit integer budgets, not from budget_from_thresholds; the X links
 # of the two instances with a B register hash 3 message bits to 2.
 GOLDEN_PATH = Path(__file__).resolve().parent / "golden_protocols.json"
@@ -142,6 +144,20 @@ def _solve_instance(name: str):
     return name, prep, th, solves
 
 
+def _lower_end(args) -> float:
+    """The certified lower end of a value from its ``_certified_solves``
+    record, as the library takes it."""
+    if isinstance(args[0], ent._WaterFill):
+        return ent._fill_residuals(args[0])["lower"]
+    ball, res = args
+    return math.log2(sdp.lower_bound(ball, sdp.project(res.dual)))
+
+
+def _intervals(solves) -> list:
+    """Each value's certified interval [lower, v], in call order."""
+    return [_hex((_lower_end(args), value)) for value, args in solves]
+
+
 def _check_certificates(solves) -> None:
     """The certified interval [lower, v] of every value v, checked again
     from the expressions of the reference program
@@ -154,7 +170,6 @@ def _check_certificates(solves) -> None:
     for value, args in solves:
         if isinstance(args[0], ent._WaterFill):
             primal, want = oracles.water_fill_certificates(ent, ref, args[0])
-            lower = ent._fill_residuals(args[0])["lower"]
         else:
             ball, res = args
             prob = ref.capped_ball(ref.plain(ball.eigs, ball.sigma, ball.free_mass), GOLDEN_EPS)
@@ -163,17 +178,17 @@ def _check_certificates(solves) -> None:
             norm = math.sqrt(1.0 + 2.0 * sum(float(eigs.sum()) for eigs in ball.eigs))
             slack = ref.slack_of(ball, res.dual)
             want = oracles.lower_end_from_expressions(prob, slack, norm)
-            lower = math.log2(sdp.lower_bound(ball, sdp.project(res.dual)))
+        lower = _lower_end(args)
         assert primal["primal"] <= 10 * sdp.FEASIBLE_TOL and primal["gap"] <= 10 * sdp.FEASIBLE_TOL
         assert lower == pytest.approx(want, abs=1e-9)
         assert abs(value - lower) <= ent.BISECT_TOL_BITS
 
 
 def _threshold_pins(th: dict, solves) -> dict:
-    """The thresholds and each value's status; a closed-form value's is
-    "optimal"."""
+    """The thresholds, each value's status (a closed-form value's is
+    "optimal") and each value's certified interval."""
     statuses = [getattr(args[-1], "status", "optimal") for _, args in solves]
-    return {"thresholds": _hex(th), "statuses": statuses}
+    return {"thresholds": _hex(th), "statuses": statuses, "intervals": _intervals(solves)}
 
 
 def _protocol_runs(name: str, prep):
@@ -193,7 +208,8 @@ def _run_pins(run: dict, unassisted: dict) -> dict:
 
 
 def _one_shot_rhs(prep) -> tuple[list, list]:
-    """The one-shot region's right-hand sides and its certified solves."""
+    """The one-shot region's right-hand sides and its certified solves
+    (``_certified_solves``)."""
     region, solves = _certified_solves(
         lambda: P.one_shot_region(prep, GOLDEN_EPS, theta_grid=(0.5,), log_const=GOLDEN_C)
     )
@@ -234,7 +250,9 @@ def test_budget_rejects_non_finite_fields(field, value):
 def test_golden_thresholds_with_certified_verdicts(solved):
     name, _, th, solves = solved
     want = _golden()[name]
-    assert _threshold_pins(th, solves) == {k: want[k] for k in ("thresholds", "statuses")}
+    assert _threshold_pins(th, solves) == {
+        k: want[k] for k in ("thresholds", "statuses", "intervals")
+    }
     _check_certificates(solves)
 
 
@@ -438,6 +456,7 @@ def test_golden_regions(solved):
     assert rhs == _golden()[name]["iid_region"]
     rhs, solves = _one_shot_rhs(prep)
     assert rhs == _golden()[name]["one_shot_region"]
+    assert _intervals(solves) == _golden()[name]["one_shot_intervals"]
     _check_certificates(solves)
 
 
@@ -466,8 +485,8 @@ def test_derived_states_pass_the_full_check(monkeypatch):
     derived = []
     make = qo.CQState.derived.__func__
 
-    def recording(cls, symbols, weights, blocks):
-        derived.append(make(cls, symbols, weights, blocks))
+    def recording(cls, symbols, blocks):
+        derived.append(make(cls, symbols, blocks))
         return derived[-1]
 
     monkeypatch.setattr(qo.CQState, "derived", classmethod(recording))
@@ -476,20 +495,71 @@ def test_derived_states_pass_the_full_check(monkeypatch):
         P.one_shot_region(P.prepare(io.load_bundled(name)), GOLDEN_EPS, theta_grid=(0.5,))
         assert len(derived) > count, name
     for state in derived:
-        qo.CQState(state.symbols, state.weights, state.blocks)
+        qo.CQState(state.symbols, state.blocks)
 
 
 def test_env_cq_is_built_once_and_left_alone():
     # one CQState per prepared instance, shared by thresholds and both
-    # regions, none of which mutates its dicts or blocks
+    # regions, none of which mutates its stack
     prep = P.prepare(io.load_bundled("instrument_derived"))
     cq = prep.env_cq()
-    weights, blocks = dict(cq.weights), {s: b.copy() for s, b in cq.blocks.items()}
+    symbols, blocks = cq.symbols, cq.blocks.copy()
     P.thresholds(prep, GOLDEN_EPS, GOLDEN_C)
     P.one_shot_region(prep, GOLDEN_EPS, theta_grid=(0.5,))
     P.iid_region(prep)
-    assert prep.env_cq() is cq and cq.weights == weights and cq.blocks.keys() == blocks.keys()
-    assert all(np.array_equal(cq.blocks[s], b) for s, b in blocks.items())
+    assert prep.env_cq() is cq and cq.symbols == symbols
+    assert np.array_equal(cq.blocks, blocks)
+
+
+def test_entropies_get_cq_states_of_unit_mass(monkeypatch):
+    # on every bundled instance, each cq state that thresholds and the
+    # theta 0.5 one-shot region hand to the entropies has block traces
+    # summing to 1 within 1e-12, and the X state's traces are the X marginal
+    states, i_max_cq_many, i_hyp_cq = [], ent.i_max_cq_many, ent.i_hyp_cq
+
+    def recording_i_max(cqs, eps):
+        states.extend(cqs)
+        return i_max_cq_many(cqs, eps)
+
+    def recording_i_hyp(cq, eps, slots=None):
+        states.append(cq)
+        return i_hyp_cq(cq, eps, slots)
+
+    monkeypatch.setattr(ent, "i_max_cq_many", recording_i_max)
+    monkeypatch.setattr(ent, "i_hyp_cq", recording_i_hyp)
+    for name in io.BUNDLED:
+        prep = P.prepare(io.load_bundled(name))
+        count = len(states)
+        P.thresholds(prep, GOLDEN_EPS, GOLDEN_C)
+        P.one_shot_region(prep, GOLDEN_EPS, theta_grid=(0.5,), log_const=GOLDEN_C)
+        assert len(states) > count, name
+        x_probs = prep_mod._x_env_cq(prep).probs
+        assert np.max(np.abs(x_probs - prep.marginals[0].probs)) <= 1e-12, name
+    assert len(states) == 39 + 16  # 39 I_max, 16 I_H on B
+    for state in states:
+        assert abs(state.probs.sum() - 1.0) <= 1e-12
+
+
+def test_moved_pin_summary_names_each_section():
+    # the pin writer's last line: the moved pins' count, and per section
+    # the largest |Δ| or the count of pins moved without one
+    old = {"a": {"thresholds": {"imax_x": (0.5).hex()}, "statuses": ["optimal"]}}
+    new = {
+        "a": {
+            "thresholds": {"imax_x": (0.5 + 2.0**-50).hex()},
+            "statuses": ["maxIterations"],
+            "intervals": [[(0.25).hex(), (0.5).hex()]],
+        }
+    }
+    moved = _moved_pins(old, new)
+    assert [(path, delta) for path, _, _, delta in moved] == [
+        ("a/thresholds/imax_x", 2.0**-50), ("a/statuses[0]", None), ("a/intervals", None)
+    ]
+    assert _moved_summary(moved) == (
+        "3 pins moved; thresholds max |Δ| 8.882e-16; statuses 1 without Δ; "
+        "intervals 1 without Δ; deviations unmoved; iid unmoved; one-shot unmoved; "
+        "compose unmoved; other unmoved"
+    )
 
 
 @pytest.mark.parametrize("log_const", [0.0, None], ids=["c0", "cdefault"])
@@ -525,39 +595,75 @@ def _write_golden() -> None:
         pins = _threshold_pins(th, solves)
         pins.update(_run_pins(*_protocol_runs(name, prep)))
         pins["iid_region"] = _hex(h.rhs for h in P.iid_region(prep).constraints)
-        pins["one_shot_region"] = _one_shot_rhs(prep)[0]
+        rhs, solves = _one_shot_rhs(prep)
+        pins["one_shot_region"], pins["one_shot_intervals"] = rhs, _intervals(solves)
         if name in COMPOSE_INSTANCES:
             pins["compose"] = _hex(_composition(name, prep))
         payload[name] = pins
     old = json.loads(GOLDEN_PATH.read_text()) if GOLDEN_PATH.exists() else {}
-    for line in _moved_pins(old, payload):
-        print(line)
+    moved = _moved_pins(old, payload)
+    for path, was, now, delta in moved:
+        print(f"{path}: {was} -> {now}" + ("" if delta is None else f"  Δ {delta:+.3e}"))
+    print(_moved_summary(moved))
     GOLDEN_PATH.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
 
 
-def _moved_pins(old, new, path: str = "") -> list[str]:
-    """One line per pin that differs between two golden payloads: its path,
-    the old and the new value and, for two float.hex values, their Δ."""
+def _moved_pins(old, new, path: str = "") -> list[tuple]:
+    """(path, old, new, Δ) of each pin that differs between two golden
+    payloads, Δ None unless both are float.hex values."""
     if isinstance(old, dict) and isinstance(new, dict):
         keys = list(old) + [k for k in new if k not in old]
         return [
-            line
+            moved
             for k in keys
-            for line in _moved_pins(old.get(k), new.get(k), f"{path}/{k}" if path else k)
+            for moved in _moved_pins(old.get(k), new.get(k), f"{path}/{k}" if path else k)
         ]
     if isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
         return [
-            line
+            moved
             for i, (o, n) in enumerate(zip(old, new))
-            for line in _moved_pins(o, n, f"{path}[{i}]")
+            for moved in _moved_pins(o, n, f"{path}[{i}]")
         ]
     if old == new:
         return []
     try:
-        delta = f"  Δ {float.fromhex(new) - float.fromhex(old):+.3e}"
+        delta = float.fromhex(new) - float.fromhex(old)
     except (TypeError, ValueError):
-        delta = ""
-    return [f"{path}: {old} -> {new}{delta}"]
+        delta = None
+    return [(path, old, new, delta)]
+
+
+# the summary's section of each pin key
+PIN_SECTIONS = {
+    "thresholds": "thresholds",
+    "statuses": "statuses",
+    "intervals": "intervals",
+    "one_shot_intervals": "intervals",
+    "centralised": "deviations",
+    "unassisted": "deviations",
+    "iid_region": "iid",
+    "one_shot_region": "one-shot",
+    "compose": "compose",
+}
+
+
+def _moved_summary(moved) -> str:
+    """One line: how many pins moved and, per section, the largest |Δ| of
+    its moved float pins, and how many of its pins moved with no Δ (a
+    status, or a pin one payload lacks)."""
+    worst, other = {}, {}
+    for path, _, _, delta in moved:
+        section = PIN_SECTIONS.get(path.split("/")[1].split("[")[0], "other")
+        if delta is None:
+            other[section] = other.get(section, 0) + 1
+        else:
+            worst[section] = max(worst.get(section, 0.0), abs(delta))
+    parts = []
+    for section in dict.fromkeys([*PIN_SECTIONS.values(), "other"]):
+        text = [f"max |Δ| {worst[section]:.3e}"] if section in worst else []
+        text += [f"{other[section]} without Δ"] if section in other else []
+        parts.append(f"{section} {', '.join(text) or 'unmoved'}")
+    return f"{len(moved)} pins moved; " + "; ".join(parts)
 
 
 @pytest.fixture(scope="module")
@@ -740,16 +846,16 @@ def _seeded_link_states():
     register every symbol's sigma has kernel directions on other slots."""
     for seed, d in ((0, 2), (1, 3), (2, 3), (3, 2)):
         rng = np.random.default_rng(seed)
-        symbols, blocks, slots = [], {}, []
+        symbols, blocks, slots = [], [], []
         for k, rank in enumerate((d, 1, d - 1)):
             iso = np.linalg.qr(rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank)))[0]
             for x in range(2 + seed % 2):
-                sym = qo.join_symbol(str(k), str(x))
-                symbols.append(sym)
-                blocks[sym] = iso @ oracles.random_density(rng, rank) @ iso.conj().T
+                symbols.append(qo.join_symbol(str(k), str(x)))
+                blocks.append(iso @ oracles.random_density(rng, rank) @ iso.conj().T)
                 slots.append(k)
-        weights = dict(zip(symbols, rng.dirichlet(np.ones(len(symbols))).tolist()))
-        yield f"seed{seed}/d{d}", qo.CQState(tuple(symbols), weights, blocks), np.array(slots)
+        weights = rng.dirichlet(np.ones(len(symbols)))
+        state = qo.CQState(tuple(symbols), weights[:, None, None] * np.stack(blocks))
+        yield f"seed{seed}/d{d}", state, np.array(slots)
 
 
 @pytest.mark.parametrize("eps", [GOLDEN_EPS, GOLDEN_EPS**0.1], ids=["eps", "eps0"])
@@ -758,7 +864,7 @@ def test_slot_link_tests_equal_register_tests(eps):
     # dense (K', B) register, whose test is read on each symbol's slot
     cases = [*_bundled_link_states(), *_seeded_link_states()]
     for label, state, slots in cases:
-        assert state.blocks[state.symbols[0]].shape[0] <= 3, label
+        assert state.quantum_dim <= 3, label
         value, test = ent.i_hyp_cq(state, eps, slots)
         want_value, alpha, beta, want_tests = oracles.register_link_test(
             ent.i_hyp_cq, state, slots, eps

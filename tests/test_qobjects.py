@@ -129,8 +129,8 @@ class TestPostMeasurementCQ:
         prep = P.prepare(io.Instance({"A": 2, "B": 2, "R": 1}, rho, povm))
         cq = prep.env_cq()
         assert cq.symbols == prep.joint.alphabet
-        for s in cq.symbols:
-            assert abs(cq.weights[s] - prep.joint.prob(s)) < 1e-10
+        for s, p in zip(cq.symbols, cq.probs):
+            assert abs(p - prep.joint.prob(s)) < 1e-10
 
     def test_env_blocks_match_dense_lueders_oracle(self):
         # prepare steers each element through the pure state on A x E with
@@ -161,15 +161,11 @@ class TestCQState:
     def test_group_symbols(self):
         rng = np.random.default_rng(8)
         b0, b1 = oracles.random_density(rng, 2), oracles.random_density(rng, 2)
-        cq = qo.CQState(
-            ("a|0", "a|1", "b|0"),
-            {"a|0": 0.25, "a|1": 0.25, "b|0": 0.5},
-            {"a|0": b0, "a|1": b1, "b|0": b0},
-        )
+        cq = qo.CQState(("a|0", "a|1", "b|0"), np.stack([b0 / 4, b1 / 4, b0 / 2]))
         grouped = cq.group_symbols(lambda s: qo.split_symbol(s)[0])
         assert grouped.symbols == ("a", "b")
-        assert np.isclose(grouped.weights["a"], 0.5)
-        assert np.allclose(grouped.blocks["a"], (b0 + b1) / 2)
+        assert np.allclose(grouped.probs, [0.5, 0.5])
+        assert np.allclose(grouped.blocks, [(b0 + b1) / 4, b0 / 2])
 
     def test_embed_parts_matches_kron_oracle(self):
         # symbols u|v|y; "z" has weight 0 and is dropped from the kept register
@@ -178,53 +174,83 @@ class TestCQState:
         p = np.append(rng.dirichlet(np.ones(5)), 0.0)
         weights = dict(zip(symbols, p))
         blocks = {s: oracles.random_density(rng, 2) for s in symbols}
-        cq = qo.CQState(symbols, weights, blocks)
+        cq = qo.CQState(symbols, np.stack([weights[s] * blocks[s] for s in symbols]))
         out = cq.embed_parts(1, (0, 2))
         slots = ["0|0", "1|1", "0|1", "1|0"]  # (u, y) in order of first appearance
         assert out.symbols == ("a", "b")
-        for t in out.symbols:
+        for t, p_t, got in zip(out.symbols, out.probs, out.blocks):
             w_t = sum(weights[s] for s in symbols if s.split("|")[1] == t)
-            assert abs(out.weights[t] - w_t) < 1e-15
+            assert abs(p_t - w_t) < 1e-15
             want = np.zeros((8, 8), dtype=complex)
             for s in symbols:
                 u, v, y = s.split("|")
                 if v == t:
                     proj = np.zeros((4, 4))
                     proj[slots.index(f"{u}|{y}"), slots.index(f"{u}|{y}")] = 1.0
-                    want += weights[s] / w_t * oracles.kron_oracle(proj, blocks[s])
-            assert np.max(np.abs(out.blocks[t] - want)) < 1e-15
+                    want += weights[s] * oracles.kron_oracle(proj, blocks[s])
+            assert np.max(np.abs(got - want)) < 1e-15
 
-    def test_blocks_checked_one_stack_per_shape(self, monkeypatch):
-        # one stacked eigvalsh per block shape, with CQState's 1e-7 tolerance
+    def test_blocks_checked_as_one_stack(self, monkeypatch):
+        # one stacked eigvalsh of the weighted blocks, with CQState's 1e-7
+        # tolerance
         calls, eigvalsh = [], np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
-        shifted = np.diag([1.0 + 5e-8, -5e-8]).astype(complex)
-        blocks = {"a": np.eye(2) / 2, "b": shifted, "c": np.eye(3) / 3}
-        qo.CQState(("a", "b", "c"), {"a": 0.25, "b": 0.25, "c": 0.5}, blocks)
-        assert calls == [(2, 2, 2), (1, 3, 3)]
+        shifted = np.diag([0.25 + 5e-8, -5e-8]).astype(complex)
+        qo.CQState(("a", "b", "c"), np.stack([np.eye(2) / 8, shifted, np.eye(2) / 4]))
+        assert calls == [(3, 2, 2)]
+
+    @pytest.mark.parametrize(
+        "symbols, blocks",
+        [
+            (("a", "b"), np.eye(2)[None] / 2),
+            (("a", "a"), np.stack([np.eye(2) / 4] * 2)),
+            (("a",), np.eye(2) / 2),
+        ],
+        ids=["too_few_blocks", "repeated_symbol", "no_stack"],
+    )
+    def test_one_block_per_distinct_symbol(self, symbols, blocks):
+        with pytest.raises(ValueError, match="one member per distinct symbol"):
+            qo.CQState(symbols, blocks)
+
+    def test_traces_are_the_probabilities(self):
+        # zero mass off the stack is refused, and a symbol of weight 0 has a
+        # zero block
+        blocks = np.stack([np.eye(2) / 2, np.zeros((2, 2))])
+        assert qo.CQState(("a", "b"), blocks).probs.tolist() == [1.0, 0.0]
+        with pytest.raises(ValueError, match="total mass 0.5 is not 1"):
+            qo.CQState(("a", "b"), blocks / 2)
 
     @pytest.mark.parametrize(
         "bad, message",
         [
-            (np.diag([1.0 + 2e-7, -2e-7]), "negative eigenvalue"),
-            (np.array([[0.5, 0.1], [0.0, 0.5]]), "not Hermitian"),
-            (np.diag([np.nan, 1.0]), "non-finite"),
+            (np.diag([0.25 + 2e-7, -2e-7]), "negative eigenvalue"),
+            (np.array([[0.125, 0.1], [0.0, 0.125]]), "not Hermitian"),
+            (np.diag([np.nan, 0.25]), "non-finite"),
         ],
     )
     def test_rejects_a_bad_block_among_good_ones(self, bad, message):
-        blocks = {"a": np.eye(2) / 2, "b": bad.astype(complex), "c": np.eye(2) / 2}
+        blocks = np.stack([np.eye(2) / 8, bad.astype(complex), np.eye(2) / 4])
         with pytest.raises(ValueError, match=message):
-            qo.CQState(("a", "b", "c"), {"a": 0.25, "b": 0.25, "c": 0.5}, blocks)
+            qo.CQState(("a", "b", "c"), blocks)
+
+    def test_tensor_power_matches_kron_oracle(self):
+        # symbols joined letter by letter, the first letter most significant,
+        # and each block the Kronecker product of its letters' weighted blocks
+        rng = np.random.default_rng(11)
+        blocks = np.stack([0.3 * oracles.random_density(rng, 2), 0.7 * oracles.random_density(rng, 2)])
+        power = qo.cq_tensor_power(qo.CQState(("a", "b"), blocks), 3)
+        assert power.symbols[:3] == ("a|a|a", "a|a|b", "a|b|a") and len(power.symbols) == 8
+        for sym, got in zip(power.symbols, power.blocks):
+            i, j, k = ("ab".index(c) for c in qo.split_symbol(sym))
+            want = oracles.kron_oracle(oracles.kron_oracle(blocks[i], blocks[j]), blocks[k])
+            assert np.max(np.abs(got - want)) < 1e-15
 
     def test_dense_layout(self):
-        cq = qo.CQState(
-            ("u", "v"),
-            {"u": 0.5, "v": 0.5},
-            {"u": np.eye(2, dtype=complex) / 2, "v": np.diag([1.0, 0.0]).astype(complex)},
-        )
-        dense = cq.dense()
-        assert dense.shape == (4, 4)
-        assert np.isclose(np.trace(dense).real, 1.0)
+        u, v = np.eye(2) / 4, np.array([[0.4, 0.1j], [-0.1j, 0.1]])
+        dense = qo.CQState(("u", "v"), np.stack([u, v])).dense()
+        want = np.zeros((4, 4), dtype=complex)
+        want[:2, :2], want[2:, 2:] = u, v
+        assert np.array_equal(dense, want)
 
 
 class TestInstanceIO:
@@ -264,6 +290,15 @@ class TestInstanceIO:
         assert payload["dims"] == {"A": 2, "B": 1, "R": 1}
         payload["dims"] = dims
         with pytest.raises(ValueError, match=message):
+            io.instance_from_payload(payload)
+
+    @pytest.mark.parametrize("axis", ["alphabetX", "alphabetY"])
+    def test_repeated_outcome_rejected(self, axis):
+        # an alphabet that repeats "0" is refused on load, naming the
+        # outcome, not later by the probability sum of prepare
+        payload = io.load_bundled("qubit_cq").to_payload()
+        payload["povm"][axis].append("0")
+        with pytest.raises(ValueError, match=f"outcome '0' repeats in alphabet {axis[-1]}"):
             io.instance_from_payload(payload)
 
     def test_invalid_state_rejected(self, tmp_path):

@@ -477,6 +477,19 @@ def region_programs(region_balls):
     ]
 
 
+def bit_twins(balls, i: int) -> list[int]:
+    """The positions of the balls equal to ``balls[i]`` to the bit.  On the
+    region pass, the X cell's V register and the Y cell's are the same
+    state (instrument_derived's outcomes pair x with y), and the stacked
+    weighted blocks make them the same ball."""
+    def data(ball):
+        return (ball.free_mass, ball.fidelity, [m.tobytes() for m in ball.eigs + ball.sigma])
+
+    twins = [j for j, ball in enumerate(balls) if data(ball) == data(balls[i])]
+    assert twins == [1, 4]
+    return twins
+
+
 def shapes(ball) -> list:
     """(r, d, real) of each sub-block of a ball."""
     blocks, _ = ref.plain(ball.eigs, ball.sigma, ball.free_mass)
@@ -599,12 +612,16 @@ class TestBatch:
                     np.asarray(x).tobytes() for x in each
                 ]
 
-    def test_a_linalg_error_stops_only_its_program(self, region_programs, monkeypatch):
+    def test_a_linalg_error_stops_only_its_program(
+        self, region_balls, region_programs, monkeypatch
+    ):
         # a cholesky that raises on the blocks of one program's fourth cone
         # (the 56-real program of the X cell, whose 18 blocks of dimension 2
-        # share their slab with the other programs' blocks): that program
-        # stops at "maxIterations" after 3 steps, as it does alone, and the
-        # others do not change
+        # share their slab with the other programs' blocks): that program,
+        # and the Y cell's program that is the same to the bit, stop at
+        # "maxIterations" after 3 steps, as it does alone, and the others do
+        # not change
+        twins = bit_twins(region_balls, 1)
         target = region_programs[1]
         assert [d for d, _, _ in ref.Program(target).slabs] == [2]
         cholesky, inputs = np.linalg.cholesky, []
@@ -624,12 +641,13 @@ class TestBatch:
         monkeypatch.setattr(np.linalg, "cholesky", poisoned)
         alone = minimize(target)
         assert (alone.status, alone.iterations) == ("maxIterations", 3)
-        want[1] = result_bits(alone)
+        for i in twins:
+            want[i] = result_bits(alone)
         raised.clear()
         assert [result_bits(res) for res in ref.minimize_many(region_programs)] == want
         # the stacked call over all six programs' blocks of dimension 2, then
-        # the target's own call
-        assert raised == [(2, 56, 2, 2), (2, 18, 2, 2)]
+        # the own calls of the target and its twin
+        assert raised == [(2, 56, 2, 2)] + [(2, 18, 2, 2)] * len(twins)
 
     def test_linalg_calls_per_round_on_the_region_batch(self, region_balls, monkeypatch):
         # per round of the loop: one cholesky and one eigh per union slab
@@ -732,8 +750,10 @@ class TestBlockSolver:
         # a cholesky that raises on the blocks of one value's fourth scaling
         # (the X cell's value of eighteen (1, 1) sub-blocks, whose 2 x 2 G_b
         # share their stack with the other values' blocks of size 2): that
-        # value stops "maxIterations" after 3 steps, as it does alone, and
-        # the others do not change
+        # value, and the Y cell's value that is the same to the bit, stop
+        # "maxIterations" after 3 steps, as it does alone, and the others do
+        # not change
+        twins = bit_twins(region_balls, 1)
         target = region_balls[1]
         assert slabs(target) == {(2, True)} and len(shapes(target)) == 18
         cholesky, inputs = np.linalg.cholesky, []
@@ -753,14 +773,15 @@ class TestBlockSolver:
         monkeypatch.setattr(np.linalg, "cholesky", poisoned)
         (alone,) = sdp.minimize_balls([target])
         assert (alone.status, alone.iterations) == ("maxIterations", 3)
-        want[1] = ball_bits(alone)
+        for i in twins:
+            want[i] = ball_bits(alone)
         raised.clear()
         assert [ball_bits(res) for res in sdp.minimize_balls(region_balls)] == want
         # the stacked call over all six values' blocks of size 2, then the
-        # target's own call
+        # own calls of the target and its twin
         blocks = [shape for ball in region_balls for shape in shapes(ball)]
         size_two = sum((r + d == 2) + (d == 2) for r, d, _ in blocks)
-        assert raised == [(size_two, 2, 2), (18, 2, 2)]
+        assert raised == [(size_two, 2, 2)] + [(18, 2, 2)] * len(twins)
 
 
 def kernel_assignments(which) -> list:

@@ -92,12 +92,10 @@ class TestSplitControl:
         base = self.make_instance().env_cq()
         ctrl = sp.split_control_state(base, 0.0)
         # at theta = 0: v is pinned to the first symbol and u tracks x
-        for sym in ctrl.symbols:
+        for sym, block in zip(ctrl.symbols, ctrl.blocks):
             u, v, y = qo.split_symbol(sym)
             assert v == "0"
-            key = qo.join_symbol(u, y)
-            assert abs(ctrl.weights[sym] - base.weights[key]) < 1e-12
-            assert np.allclose(ctrl.blocks[sym], base.blocks[key])
+            assert np.allclose(block, base.blocks[base.symbols.index(qo.join_symbol(u, y))])
         assert len(ctrl.symbols) == len(base.symbols)
 
     def test_single_outcome_povm(self):
@@ -109,23 +107,21 @@ class TestSplitControl:
         assert ctrl.symbols == ("x|x|y",)
         # the identity steers the purification to rho_E itself
         psi = prep.global_pure.reshape(3, prep.dim_e)
-        assert np.allclose(ctrl.blocks["x|x|y"], psi.T @ psi.conj())
+        assert np.allclose(ctrl.blocks[0], psi.T @ psi.conj())
 
     def test_max_y_marginal_reproduces_induced(self):
         prep = self.make_instance(seed=3)
         for theta in (0.3, 0.8):
             ctrl = sp.split_control_state(prep.env_cq(), theta)
             marg = {}
-            for sym in ctrl.symbols:
+            for sym, p in zip(ctrl.symbols, ctrl.probs):
                 u, v, y = qo.split_symbol(sym)
                 x = max(u, v)  # string order matches alphabet order here
-                marg[qo.join_symbol(x, y)] = marg.get(qo.join_symbol(x, y), 0.0) + ctrl.weights[sym]
+                marg[qo.join_symbol(x, y)] = marg.get(qo.join_symbol(x, y), 0.0) + p
             for key, val in marg.items():
                 assert abs(val - prep.joint.prob(key)) < 1e-10
 
     def test_total_mass_one(self):
         ctrl = sp.split_control_state(self.make_instance(seed=4).env_cq(), 0.5)
-        mass = sum(
-            ctrl.weights[s] * np.trace(ctrl.blocks[s]).real for s in ctrl.symbols
-        )
+        mass = sum(np.trace(block).real for block in ctrl.blocks)
         assert abs(mass - 1.0) < 1e-9
