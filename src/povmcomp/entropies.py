@@ -958,16 +958,6 @@ def i_max_cq_many(cqs: list[qo.CQState], eps: float) -> list[float]:
     return _d_max_smooth_many([_cq_pairs(cq) for cq in cqs], eps)
 
 
-def _cq_blocks(cq: qo.CQState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``cq``'s weighted blocks, their traces and their spectra, whose
-    least eigenvalue gets ``la.assert_density``'s check of the dense cq
-    matrix (stricter than ``CQState``'s PSD check to 1e-7): at least
-    -``la.PSD_TOL`` * 100, from one stacked ``eigvalsh``."""
-    spectra = np.linalg.eigvalsh(cq.blocks)
-    la._check_psd(float(spectra[:, 0].min()))
-    return cq.blocks, cq.probs, spectra
-
-
 def _cq_pairs(cq: qo.CQState) -> list[tuple[np.ndarray, np.ndarray]]:
     """(w_s rho_s, q_s rho_S) for each symbol s of ``cq``, with
     q_s = Tr w_s rho_s and rho_S = sum_s w_s rho_s: the diagonal blocks of
@@ -1026,10 +1016,13 @@ def holevo_cq(cq: qo.CQState) -> float:
     The block-diagonal rho_SQ has the union of the weighted blocks' spectra,
     Tr_Q of it is diag(q) and Tr_S of it is sum_s w_s rho_s, so this is
     H(S) + H(Q) - H(SQ) exactly, for subnormalized blocks too (Wilde,
-    Hayden, Buscemi and Hsieh, arXiv:1206.4121).  The blocks are
-    ``_cq_blocks``', with its checks; one stacked ``eigvalsh`` over them and
+    Hayden, Buscemi and Hsieh, arXiv:1206.4121).  The blocks' least
+    eigenvalue gets ``la.assert_density``'s check of the dense cq matrix
+    (stricter than ``CQState``'s PSD check to 1e-7): at least
+    -``la.PSD_TOL`` * 100.  One stacked ``eigvalsh`` over the blocks and
     one over their sum (``entropy``), and the dense cq matrix is never built.
     """
-    blocks, q, spectra = _cq_blocks(cq)
-    h_q = entropy(np.einsum("xij->ij", blocks))
-    return spectrum_entropy(q.real) + h_q - spectrum_entropy(spectra)
+    spectra = np.linalg.eigvalsh(cq.blocks)
+    la._check_psd(float(spectra[:, 0].min()))
+    h_q = entropy(np.einsum("xij->ij", cq.blocks))
+    return spectrum_entropy(cq.probs.real) + h_q - spectrum_entropy(spectra)

@@ -369,13 +369,20 @@ def lower_bound(ball: Ball, dual: BallDual, trace: float | None = None) -> float
     Z_b's rvec coordinates.  The least t of the program is at least t_low
     (Jansson, Chaykin and Keil, SIAM J. Numer. Anal. 46, 2007).
 
-    gap and held are sums of terms of size about 1 that cancel to about
-    t held, so their own round-off is bounded: with u = 2^-53, a float sum
-    of m products is within gamma_m = m u / (1 - m u) times the sum of its
+    The float arithmetic is bounded too, with u = 2^-53: a float sum of
+    m products is within gamma_m = m u / (1 - m u) times the sum of its
     terms' absolute values of the exact one (Higham, Accuracy and
-    Stability of Numerical Algorithms, 2002, sec. 3.1).  That bound is
-    taken off gap and added to held, each entry of Re Tr[V_b sigma_b]
-    counting two products, bounded by |V_b| |sigma_b|.
+    Stability of Numerical Algorithms, 2002, sec. 3.1).  gap and held are
+    sums of terms of size about 1 that cancel to about t held, so that
+    bound is taken off gap and added to held, each entry of
+    Re Tr[V_b sigma_b] counting two products, bounded by |V_b| |sigma_b|;
+    four more terms in gap's count and two in held's cover the scalar
+    steps after them.  Each entry of r takes at most two roundings, so
+    gamma_2 times the norm of its terms' absolute values (``spread``) is
+    added to |r|; |r| and X are sums of nonnegative terms under a sqrt,
+    each scaled by 1 + gamma_(count + 8), and so is their product; the
+    quotient is scaled by 1 - 2u.  The dual itself is taken as given:
+    ``project``'s clipped blocks are PSD only up to their own round-off.
     """
     free = ball.free_mass > 0.0
     parts = list(zip(ball.eigs, ball.sigma, dual.g, dual.cap))
@@ -384,16 +391,22 @@ def lower_bound(ball: Ball, dual: BallDual, trace: float | None = None) -> float
         total = sum(float(np.trace(tail, axis1=1, axis2=2).real.sum()) for tail in tails)
         count = sum(sigma.shape[0] * sigma.shape[-1] for sigma in ball.sigma) + free
         trace = -(total + (dual.floor - dual.free_cap) * free) / count
-    resid, held = 0.0, dual.free_cap * ball.free_mass * free
+    resid, spread, held = 0.0, 0.0, dual.free_cap * ball.free_mass * free
     gap = ball.fidelity * dual.fid + trace
     # (number of products, sum of their absolute values) of gap and held
-    gap_terms, held_terms = [2, abs(ball.fidelity * dual.fid) + abs(trace)], [2, abs(held)]
+    gap_terms, held_terms = [6, abs(ball.fidelity * dual.fid) + abs(trace)], [4, abs(held)]
+    count = free + sum(eigs.size for eigs in ball.eigs)
     for (eigs, sigma, g, cap), tail in zip(parts, tails):
         r, d = eigs.shape[1], sigma.shape[-1]
         off = g[:, :r, r:].copy()
         off[:, np.arange(r), np.arange(r)] += dual.fid / 2
         tail[:, np.arange(d), np.arange(d)] += trace
         resid += float(np.sum(np.abs(tail) ** 2)) + 2.0 * float(np.sum(np.abs(off) ** 2))
+        terms = np.abs(g[:, r:, r:]) + np.abs(cap)
+        terms[:, np.arange(d), np.arange(d)] += abs(trace)
+        spread += float(np.sum(terms**2))
+        spread += 2.0 * float(np.sum((np.abs(g[:, :r, r:]) + abs(dual.fid) / 2) ** 2))
+        count += tail.size + off.size
         held += float(np.sum(np.conj(cap) * sigma).real)
         held_terms[0] += 2 * sigma.size
         held_terms[1] += float(np.sum(np.abs(cap) * np.abs(sigma)))
@@ -403,11 +416,14 @@ def lower_bound(ball: Ball, dual: BallDual, trace: float | None = None) -> float
         gap_terms[1] += float(np.sum(np.abs(products)))
     if free:
         resid += (dual.floor - dual.free_cap + trace) ** 2
+        spread += (abs(dual.floor) + abs(dual.free_cap) + abs(trace)) ** 2
     gap -= _gamma(gap_terms[0]) * gap_terms[1]
     held += _gamma(held_terms[0]) * held_terms[1]
-    norm = math.sqrt(1.0 + 2.0 * sum(float(eigs.sum()) for eigs in ball.eigs))
-    low = gap - norm * math.sqrt(resid)
-    return low / held if held > 0.0 and low > 0.0 else 0.0
+    margin = 1.0 + _gamma(count + 8)
+    norm = math.sqrt(1.0 + 2.0 * sum(float(eigs.sum()) for eigs in ball.eigs)) * margin
+    size = (math.sqrt(resid) + _gamma(2) * math.sqrt(spread)) * margin
+    low = gap - norm * size * margin
+    return low / held * (1.0 - 2.0**-52) if held > 0.0 and low > 0.0 else 0.0
 
 
 def _gamma(m: int) -> float:

@@ -92,10 +92,13 @@ class TestSplitControl:
         base = self.make_instance().env_cq()
         ctrl = sp.split_control_state(base, 0.0)
         # at theta = 0: v is pinned to the first symbol and u tracks x
-        for sym, block in zip(ctrl.symbols, ctrl.blocks):
+        for sym, block, p in zip(ctrl.symbols, ctrl.blocks, ctrl.probs):
             u, v, y = qo.split_symbol(sym)
             assert v == "0"
-            assert np.allclose(block, base.blocks[base.symbols.index(qo.join_symbol(u, y))])
+            i = base.symbols.index(qo.join_symbol(u, y))
+            assert abs(p - base.probs[i]) < 1e-12
+            assert np.max(np.abs(block - base.blocks[i])) < 1e-12
+            assert np.allclose(block / p, base.blocks[i] / base.probs[i])
         assert len(ctrl.symbols) == len(base.symbols)
 
     def test_single_outcome_povm(self):
