@@ -13,8 +13,6 @@ block is normalised on the way.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import linalg as la
@@ -114,42 +112,21 @@ def covering_sweep(
 # operator inequality: GOOD-set extraction
 
 
-@dataclass
-class GoodSetCertificate:
-    good: list[int]
-    primed: dict[int, np.ndarray]
-    prob_good: float
-    op_slack: float  # min eig of (1 + eps^(1/4)) target - sum_{good} w rho'
-    eps_used: float
-
-
-def extract_good_set(
-    parts: list[np.ndarray], weights: list[float], target: np.ndarray, eps: float
-) -> GoodSetCertificate:
-    """Constructive GOOD-set for states averaging close to ``target``.
-
-    Follows the purification proof literally: psi = sum sqrt(w_i) |rho_i>|i>,
-    phi = Uhlmann partner of target's purification in the same space, primed
-    states read off the |i> slices, GOOD = INDEX (weight ratio close to 1)
-    intersect CLOSE (primed state close to the original).  ``good_sets``
-    with one row, in which every part takes a slice.
-    """
-    present = np.ones((1, len(parts)), dtype=bool)
-    good, primed, prob_good, op_slack = good_sets(parts, [weights], present, target, [eps])
-    idx = np.flatnonzero(good[0]).tolist()
-    primed_of = {i: primed[0, i] for i in idx}
-    return GoodSetCertificate(idx, primed_of, float(prob_good[0]), float(op_slack[0]), eps)
-
-
 def good_sets(parts, weights, present, target, eps):
     """GOOD sets of every row of ``weights`` over one (n, d, d) stack of states.
 
     Row r purifies sum_i w_ri parts_i with a slice of C per part that
     ``present[r]`` offers, at slack ``eps[r]``.  The target is checked and
     decomposed once, the roots, distances and slacks of all rows are stacked,
-    and only the Uhlmann partner runs row by row.  Returns the GOOD mask
-    (b, n), the primed states (b, n, d, d), zero off GOOD, and per row
-    prob_good and op_slack (``GoodSetCertificate``'s).
+    and only the Uhlmann partner runs row by row.  Row r follows the
+    purification proof literally: psi = sum_i sqrt(w_ri) |rho_i>|i>, phi
+    the Uhlmann partner of target's purification in the same space, primed
+    states read off the |i> slices, GOOD = INDEX (weight ratio within
+    eps^(1/4) of 1) intersect CLOSE (primed state within eps^(1/4) of the
+    original).  Returns the GOOD mask (b, n), the primed states
+    (b, n, d, d), zero off GOOD, and per row prob_good (the GOOD weight)
+    and op_slack (the least eigenvalue of
+    (1 + eps^(1/4)) target - sum_{GOOD} w rho').
     """
     eps = np.asarray(eps, dtype=float)
     if np.any((eps <= 0) | (eps >= 1)):
@@ -203,11 +180,3 @@ def transformed_rows(sigmas, weights, eps):
     new_weights = np.where(tiny | (weights <= 0), 0.0, weights * traces / z)
     return parts, new_weights, np.minimum(2 * np.asarray(eps, dtype=float), 0.999)
 
-
-def extract_good_set_transformed(
-    sigmas: list[np.ndarray], weights: list[float], target: np.ndarray, eps: float
-) -> GoodSetCertificate:
-    """GOOD-set for subnormalized pieces via normalize-and-reweight
-    (``transformed_rows``)."""
-    parts, new_weights, eps2 = transformed_rows(sigmas, [weights], [eps])
-    return extract_good_set(list(parts), new_weights[0].tolist(), target, float(eps2[0]))

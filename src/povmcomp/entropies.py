@@ -660,10 +660,11 @@ def d_max_smooth(rho, sigma, eps: float) -> float:
     certified interval [log2 t_low, v] at most BISECT_TOL_BITS wide:
 
     - the upper end: the point passes ``sdp.recheck``'s checks at t = 2^v;
-    - the lower end: the dual, projected onto the cone, allows no t below
-      t_low by weak duality (``sdp.lower_bound``: its dual objective less
-      its residual times X = sqrt(1 + 2 sum_b Tr Lambda_b), which bounds
-      every feasible point's free reals).
+    - the lower end: the dual, read as it is, allows no t below t_low by
+      weak duality (``sdp.lower_bound``: its dual objective less its
+      residual times X = sqrt(1 + 2 sum_b Tr Lambda_b), which bounds every
+      feasible point's free reals, and less its blocks' negative parts
+      times bounds on their primal blocks' traces).
 
     So the value lies in [log2 t_low, v].  The program is the
     split and folded one the ``sdp`` docstring poses: per sub-block that
@@ -688,20 +689,18 @@ def d_max_smooth(rho, sigma, eps: float) -> float:
       When s0 is 0 (every rho-free sub-block has sigma_b = 0, so each
       rho'_b is 0) there is no w.
 
-    Two solves, one certificate.  A classical value, whose sub-blocks that
-    carry rho are all 1x1 with sigma_b > 0 (a commuting pair, split), goes
-    to no solver: it is a water-filling over (lambda_b, sigma_b, s0), whose
-    least t ``_water_fill`` solves exactly, with the point and the KKT
-    multipliers, and both ends are evaluated on one stack of those 1x1
-    blocks (``_certified_fill``).  Every other value is solved by
-    ``sdp.minimize_balls``, and both ends are checked in block form
-    (``_certified_value``): the recheck of the point's own blocks (the
-    solve's own final one, when 2^v is its t), the lower end of the
-    projected dual.  Both paths share ``sdp.recheck`` and
-    ``sdp.lower_bound``.  The solve's status decides nothing: SolverError,
-    naming both ends, the status and the iterations, is raised only when
-    the point fails its recheck, the interval is wider than
-    BISECT_TOL_BITS, or t is not positive.
+    Two solves, one certificate.  A classical value, whose ball is one
+    real group of 1x1 sub-blocks with sigma_b > 0 (a commuting pair,
+    split), goes to no solver: it is a water-filling over
+    (lambda_b, sigma_b, s0), whose least t ``_water_fill`` solves exactly,
+    with the point and the KKT multipliers as a ``sdp.BallSolve`` on that
+    group.  Every other value is solved by ``sdp.minimize_balls``.  Every
+    solve, of either kind, is certified by ``_certified_value`` in block
+    form: the recheck of the point's own blocks (the solve's own, when 2^v
+    is its t) and the lower end of its dual.  The solve's status decides
+    nothing: SolverError, naming both ends, the status and the iterations,
+    is raised only when the point fails its recheck, the interval is wider
+    than BISECT_TOL_BITS, or t is not positive.
 
     The sub-blocks are found and their spectra taken once
     (``_ball_blocks``), stacked by (r, d, field) in the group-major order
@@ -726,55 +725,33 @@ def _d_max_smooth_many(values: list[list[tuple]], eps: float) -> list[float]:
     checked already (every matrix Hermitian as ``la._hermitian_part``
     returns it, the rho_k together a density, which ``_ball_blocks``
     checks for PSD on its spectra), at a checked eps: a classical value
-    (every sub-block that carries rho 1x1, with sigma_b > 0) is solved in
-    closed form on its scalars (``_water_fill``), the others by one
-    ``sdp.minimize_balls`` over their capped balls, then each value's
-    certified interval in order (``_certified_fill``, ``_certified_value``);
-    the first value that fails raises its SolverError.  At eps 0 a value is
-    the max of ``d_max`` over its pairs."""
+    (one real group of 1x1 sub-blocks, with sigma_b > 0) is solved in
+    closed form (``_water_fill``), the others by one ``sdp.minimize_balls``
+    over their capped balls, then each value's solve is certified in order
+    by ``_certified_value``; the first value that fails raises its
+    SolverError.  At eps 0 a value is the max of ``d_max`` over its
+    pairs."""
     if eps == 0.0:
         return [max(d_max(rho, sigma) for rho, sigma in pairs) for pairs in values]
     fidelity = math.sqrt(max(0.0, 1.0 - eps * eps))
     balls = [sdp.Ball(*_ball_blocks(pairs), fidelity) for pairs in values]
     classical = [
-        all(sigma.shape[-1] == 1 and (sigma.real > 0).all() for sigma in ball.sigma)
+        [group[:3] for group in sdp._groups(ball)] == [(1, 1, True)] and (ball.sigma[0] > 0).all()
         for ball in balls
     ]
     solved = iter(sdp.minimize_balls([ball for ball, c in zip(balls, classical) if not c]))
-    out = []
-    for ball, c in zip(balls, classical):
-        if c:
-            lam, sig = (np.concatenate(stacks).ravel() for stacks in (ball.eigs, ball.sigma))
-            fill = _water_fill(lam, sig.real, max(ball.free_mass, 0.0), eps)
-        out.append(_certified_fill(fill) if c else _certified_value(ball, next(solved)))
-    return out
+    return [
+        _certified_value(ball, _water_fill(ball) if c else next(solved))
+        for ball, c in zip(balls, classical)
+    ]
 
 
-@dataclass
-class _WaterFill:
-    """``_water_fill``'s record: the data, t_cap, the point at t* and the
-    KKT multipliers (each W_b = v_b v_b^T; ``ineq`` on the
-    fidelity row, w >= 0, the caps and w's cap; ``nu`` on the corner pins
-    of the per-entry form, -W_b[0, 0], and on the trace row, the one the
-    block form reads)."""
-
-    lam: np.ndarray
-    sig: np.ndarray
-    free_mass: float
-    eps: float
-    t_cap: float
-    x: np.ndarray
-    z: np.ndarray
-    w: float
-    v: np.ndarray
-    ineq: tuple
-    nu: tuple
-
-
-def _water_fill(lam: np.ndarray, sig: np.ndarray, free_mass: float, eps: float) -> _WaterFill:
+def _water_fill(ball: sdp.Ball) -> sdp.BallSolve:
     """The capped ball's min t solve in closed form, for a classical
-    value: every sub-block b that carries rho is 1x1, with rho_b = lambda_b
-    and sigma_b > 0, and s0 = ``free_mass`` >= 0.  Nothing is solved.
+    value: ``ball`` is one real group of 1x1 sub-blocks, rho_b = lambda_b
+    and sigma_b > 0, and s0 its free mass (0 unless positive).  Nothing is
+    solved; the result is a ``sdp.BallSolve`` with status "closedForm",
+    0 iterations and ``sdp.recheck``'s residuals of its point.
 
     G_b is PSD exactly when x_b = rho'_b >= 0 and its corner
     Z_b^2 <= lambda_b x_b, so at a fixed t the best fidelity is
@@ -793,21 +770,24 @@ def _water_fill(lam: np.ndarray, sig: np.ndarray, free_mass: float, eps: float) 
     bisection; at t_min every sub-block is capped.
 
     The point is G_b = [[lambda_b, z_b], [z_b, x_b]], z_b =
-    sqrt(lambda_b x_b), w = 1 - sum_b x_b, at t_cap >= t* (``_t_star_cap``).
-    The multipliers are the water-filling's at t_d = t*^2 / t_cap, t*
-    mirrored below t* by t_cap's rise over it: v_b = (1 / (2 sqrt(kappa_b)),
-    -sqrt(kappa_b)), kappa_b = max(mu, sqrt(lambda_b / (t_d sigma_b)) / 2),
-    1 on the fidelity row, mu on w >= 0, kappa_b - mu on each cap, 0 on w's
-    cap, -1 / (4 kappa_b) on each pin and -mu on the trace row.  They are
-    stationary, so ``sdp.lower_bound`` reads the tangent bound
-    t_d + (c - F(t_d)) / held from them, held = sum_b (kappa_b - mu) sigma_b.
-    t_d is t* up to round-off, except below an ill-conditioned crossing
-    (``_t_star_cap``'s fallback), where F is flat at t* and held would be 0.
-    When t* = t_min the fidelity row is slack, and the bound is the
-    normalisation's: 1 on every cap, on w's cap and on the trace row, 0
-    elsewhere, which gives t_low = 1 / (sum_b sigma_b + s0).
+    sqrt(lambda_b x_b), w = 1 - sum_b x_b, at t = t_cap >= t*
+    (``_t_star_cap``).  The dual holds the water-filling's multipliers at
+    t_d = t*^2 / t_cap, t* mirrored below t* by t_cap's rise over it:
+    W_b = v_b v_b^T, v_b = (1 / (2 sqrt(kappa_b)), -sqrt(kappa_b)),
+    kappa_b = max(mu, sqrt(lambda_b / (t_d sigma_b)) / 2), 1 on the
+    fidelity row, mu on w >= 0, kappa_b - mu on each cap and 0 on w's cap.
+    They are stationary with -mu on the trace row, which is the
+    least-squares multiplier ``sdp.lower_bound`` takes, up to round-off; so
+    it reads the tangent bound t_d + (c - F(t_d)) / held from them,
+    held = sum_b (kappa_b - mu) sigma_b.  t_d is t* up to round-off, except
+    below an ill-conditioned crossing (``_t_star_cap``'s fallback), where F
+    is flat at t* and held would be 0.  When t* = t_min the fidelity row is
+    slack, and the bound is the normalisation's: 1 on every cap and on w's
+    cap, 0 elsewhere (1 on the trace row), which gives
+    t_low = 1 / (sum_b sigma_b + s0).
     """
-    c = math.sqrt(max(0.0, 1.0 - eps * eps))
+    c, lam, sig = ball.fidelity, ball.eigs[0].ravel(), ball.sigma[0].ravel()
+    free_mass = max(ball.free_mass, 0.0)
     s_all = float(sig.sum()) + free_mass
     order = np.argsort(-lam / sig, kind="stable")
     lam_o, sig_o, n = lam[order], sig[order], len(lam)
@@ -833,41 +813,18 @@ def _water_fill(lam: np.ndarray, sig: np.ndarray, free_mass: float, eps: float) 
     share = (1.0 - t_star * cap_s[k]) / rest_l[k] if k < n else 0.0
     x[order] = np.concatenate((t_star * sig_o[:k], share * lam_o[k:]))
     if bound:
-        v, ineq, nu = np.zeros((n, 2)), (0.0, 0.0, np.ones(n), 1.0), (np.zeros(n), 1.0)
+        v, fid, floor, caps, free_cap = np.zeros((n, 2)), 0.0, 0.0, np.ones(n), 1.0
     else:
         t_d = t_star * t_star / t_cap
         k = int(np.sum(top > t_d))
         mu = 0.5 * math.sqrt(rest_l[k] / (1.0 - t_d * cap_s[k])) if k < n else 0.0
         kappa = np.maximum(mu, 0.5 * np.sqrt(lam / (t_d * sig)))
         v = np.stack((0.5 / np.sqrt(kappa), -np.sqrt(kappa)), axis=1)
-        ineq, nu = (1.0, mu, kappa - mu, 0.0), (-0.25 / kappa, -mu)
+        fid, floor, caps, free_cap = 1.0, mu, kappa - mu, 0.0
     w = 1.0 - x.sum() if free_mass > 0.0 else 0.0
-    return _WaterFill(lam, sig, free_mass, eps, t_cap, x, np.sqrt(lam * x), w, v, ineq, nu)
-
-
-def _fill_residuals(fill: _WaterFill) -> dict[str, float]:
-    """Both ends of ``fill``, keyed as ``_certified_value``'s, from the
-    block-form routines on one stack of its 1x1 sub-blocks: "primal" and
-    "gap" are ``sdp.recheck``'s of the point G_b = [[lambda_b, z_b],
-    [z_b, x_b]], w at t = 2^(log2 t_cap); "lower" is log2 of
-    ``sdp.lower_bound`` of the multipliers (W_b = v_b v_b^T, the weights
-    of the caps, the fidelity row and w's rows, and the record's trace row
-    multiplier), -inf when that bound is not positive."""
-    c = math.sqrt(max(0.0, 1.0 - fill.eps * fill.eps))
-    ball = sdp.Ball([fill.lam[:, None]], [fill.sig[:, None, None]], fill.free_mass, c)
-    t = 2.0 ** math.log2(fill.t_cap)
-    point = sdp.BallPoint(t, fill.w, [fill.z[:, None, None]], [fill.x[:, None, None]])
-    fid, floor, caps, free_cap = fill.ineq
-    caps = np.broadcast_to(caps, fill.lam.shape)[:, None, None]
-    dual = sdp.BallDual([fill.v[:, :, None] * fill.v[:, None, :]], [caps], fid, floor, free_cap)
-    t_low = sdp.lower_bound(ball, dual, fill.nu[1])
-    return dict(sdp.recheck(ball, point), lower=math.log2(t_low) if t_low > 0.0 else -math.inf)
-
-
-def _certified_fill(fill: _WaterFill) -> float:
-    """log2 t_cap of a classical value once its interval is certified on
-    its vectors (``_fill_residuals``)."""
-    return _verdict(math.log2(fill.t_cap), _fill_residuals(fill), "(closed form)")
+    point = sdp.BallPoint(t_cap, w, [np.sqrt(lam * x)[:, None, None]], [x[:, None, None]])
+    dual = sdp.BallDual([v[:, :, None] * v[:, None, :]], [caps[:, None, None]], fid, floor, free_cap)
+    return sdp.BallSolve("closedForm", 0, sdp.recheck(ball, point), point, dual)
 
 
 def _rounded_up(t: float, rel: float) -> float:
@@ -916,14 +873,16 @@ def _t_star_cap(segment: tuple, c: float, sigmas: np.ndarray, free_mass: float) 
 
 
 def _certified_value(ball: sdp.Ball, res: sdp.BallSolve) -> float:
-    """log2 t of an interior-point min t solve of ``d_max_smooth``, once
-    its interval [lower, v] is certified in block form: "primal" and "gap"
-    of the point's recheck at t = 2^v, and "lower" = log2 of
-    ``sdp.lower_bound`` of the solve's dual projected onto the cone
-    (``sdp.project``), -inf when that bound is not positive.  When 2^v is
-    the solve's t, the recheck is the solve's own, which
-    ``sdp.minimize_balls`` makes of every final point; else the point is
-    rechecked with t set to 2^v."""
+    """log2 t of a min t solve of ``d_max_smooth``, closed-form or
+    interior-point, once its interval [lower, v] is certified in block
+    form: "primal" and "gap" of the point's recheck at t = 2^v, and
+    "lower" = log2 of ``sdp.lower_bound`` of the solve's dual, -inf when
+    that bound is not positive.  When 2^v is the solve's t, the recheck is
+    the solve's own, which ``sdp.minimize_balls`` and ``_water_fill`` make
+    of every point; else the point is rechecked with t set to 2^v.
+    SolverError, naming both ends, the status and the iterations, unless
+    ``sdp.within_tolerance`` passes the recheck and [lower, v] is at most
+    BISECT_TOL_BITS wide."""
     ended = f"(solve ended {res.status} after {res.iterations} iterations)"
     t = res.point.t
     if not (math.isfinite(t) and t > 0.0):
@@ -933,16 +892,8 @@ def _certified_value(ball: sdp.Ball, res: sdp.BallSolve) -> float:
         residuals = {key: res.residuals[key] for key in ("primal", "gap")}
     else:
         residuals = sdp.recheck(ball, replace(res.point, t=2.0**value))
-    t_low = sdp.lower_bound(ball, sdp.project(res.dual))
-    residuals["lower"] = math.log2(t_low) if t_low > 0.0 else -math.inf
-    return _verdict(value, residuals, ended)
-
-
-def _verdict(value: float, residuals: dict[str, float], ended: str) -> float:
-    """``value`` when ``sdp.within_tolerance`` passes its residuals and
-    [residuals["lower"], value] is at most BISECT_TOL_BITS wide, either way
-    round; else SolverError naming both ends, with the residuals."""
-    lower = residuals["lower"]
+    t_low = sdp.lower_bound(ball, res.dual)
+    lower = residuals["lower"] = math.log2(t_low) if t_low > 0.0 else -math.inf
     if not (sdp.within_tolerance(residuals) and abs(value - lower) <= BISECT_TOL_BITS):
         raise SolverError(f"D_max^eps in [{lower}, {value}] not certified {ended}", residuals)
     return value

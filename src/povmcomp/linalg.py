@@ -215,23 +215,11 @@ def purify(rho, truncate: bool = False, tol: float = 1e-12) -> np.ndarray:
     mat = assert_psd(rho)
     if truncate:
         w, v = np.linalg.eigh(mat)
-        keepcols = w > tol
-        w = np.clip(w[keepcols], 0.0, None)
-        v = v[:, keepcols]
-        r = max(1, v.shape[1])
-        if v.shape[1] == 0:
+        keep = w > tol
+        if not keep.any():
             raise ValueError("cannot purify the zero operator")
-        psi = np.zeros(mat.shape[0] * r, dtype=complex)
-        for k in range(v.shape[1]):
-            psi += np.sqrt(w[k]) * np.kron(v[:, k], _basis_vec(r, k))
-        return psi
+        return (v[:, keep] * np.sqrt(w[keep])).reshape(-1)
     return matrix_sqrt(mat).reshape(-1)
-
-
-def _basis_vec(dim: int, k: int) -> np.ndarray:
-    e = np.zeros(dim, dtype=complex)
-    e[k] = 1.0
-    return e
 
 
 def uhlmann_partner(psi, target, eigh=None) -> np.ndarray:

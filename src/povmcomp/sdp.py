@@ -95,11 +95,16 @@ The certificates, in block form:
   point is feasible when both are at most ``10 * FEASIBLE_TOL``
   (``within_tolerance``).
 - ``lower_bound`` reads a dual (W_b on G_b, V_b on C_b, the weights of
-  the scalar rows), made a cone element by ``project`` (one ``eigh`` per
-  block size above 1), by weak duality with t left free: the least t is
-  at least t_low = (gap - X |r|) / held, X a bound on the norm of every
-  feasible point's free reals.  A value is certified on
-  [log2 t_low, log2 t], its upper end the rechecked t.
+  the scalar rows) as it is given, by weak duality with t left free: the
+  least t is at least t_low = (gap - X |r|) / held, X a bound on the norm
+  of every feasible point's free reals.  The scalar weights are clipped
+  at 0; each block's negative least eigenvalue (one ``eigvalsh`` per
+  stack) is charged against a bound on the trace of its primal block.
+  A value is certified on [log2 t_low, log2 t], its upper end the
+  rechecked t.
+
+Both routines read a ``BallSolve``, which the interior-point method and
+``entropies._water_fill``'s closed form both return.
 """
 
 from __future__ import annotations
@@ -299,11 +304,11 @@ class BallDual:
 
 @dataclass
 class BallSolve:
-    status: str  # "optimal" | "maxIterations"
+    status: str  # "optimal" | "maxIterations" | "closedForm"
     iterations: int
     residuals: dict[str, float]
     point: BallPoint
-    dual: BallDual  # the solve's z, read by ``project`` and ``lower_bound``
+    dual: BallDual  # the solve's z, read by ``lower_bound``
 
 
 def _reals(r: int, d: int, real: bool) -> int:
@@ -346,10 +351,10 @@ def recheck(ball: Ball, point: BallPoint) -> dict[str, float]:
     return {"primal": max(-least, 0.0), "gap": abs(mass - 1.0)}
 
 
-def lower_bound(ball: Ball, dual: BallDual, trace: float | None = None) -> float:
-    """The least t that ``dual``, a cone element (``project``), allows on
-    ``ball``: t_low = (gap - X |r|) / held, or 0 when held or the
-    numerator is not positive.  It is homogeneous in the dual.
+def lower_bound(ball: Ball, dual: BallDual) -> float:
+    """The least t that ``dual`` allows on ``ball``: t_low =
+    (gap - X |r|) / held, or 0 when held or the numerator is not positive.
+    It is homogeneous in the dual.
 
     Weak duality with t left free.  For every feasible point (x, t),
     0 <= <dual, A x + h> = <r, x> + t held - gap, x the free reals but t.
@@ -358,16 +363,24 @@ def lower_bound(ball: Ball, dual: BallDual, trace: float | None = None) -> float
     F_Z the fidelity row's matrix (1 at (a, r + a) and (r + a, a), a < r),
     read off the corner: |R_b|^2 counts the trailing block and twice the
     off-diagonal one, as their rvec coordinates do.  w's residual is
-    floor - free_cap + nu.  nu is ``trace`` when given, else the trace
-    row's least-squares multiplier, minus the mean of the residuals on
-    the trace row's reals.  t's coefficient is
-    held = sum_b Re Tr[V_b sigma_b] + free_cap s0 and the constant is
-    gap = c f - sum_b sum_a Lambda_a W_b[a, a] + nu.  So t held >=
-    gap - |r| |x|, and X = sqrt(1 + 2 sum_b Tr Lambda_b) bounds |x| on
-    every feasible point: |rho'|_F^2 + w^2 <= (Tr rho' + w)^2 = 1, and
-    G_b PSD gives |Z_b|_F^2 <= Tr Lambda_b Tr rho'_b, counted twice by
+    floor - free_cap + nu.  nu is the trace row's least-squares
+    multiplier, minus the mean of the residuals on the trace row's reals.
+    t's coefficient is held = sum_b Re Tr[V_b sigma_b] + free_cap s0 and
+    the constant is gap = c f - sum_b sum_a Lambda_a W_b[a, a] + nu.  So
+    t held >= gap - |r| |x|, and X = sqrt(1 + 2 sum_b Tr Lambda_b) bounds
+    |x| on every feasible point: |rho'|_F^2 + w^2 <= (Tr rho' + w)^2 = 1,
+    and G_b PSD gives |Z_b|_F^2 <= Tr Lambda_b Tr rho'_b, counted twice by
     Z_b's rvec coordinates.  The least t of the program is at least t_low
     (Jansson, Chaykin and Keil, SIAM J. Numer. Anal. 46, 2007).
+
+    The dual is read as it is given.  The three scalar weights f, floor
+    and free_cap are clipped at 0, which makes them cone elements exactly.
+    The blocks are not projected: with m_b^- at or above the negative part
+    of a block's least eigenvalue (``_deficit``), <M_b, S_b> >=
+    -m_b^- Tr S_b for every PSD S_b.  For W_b, Tr G_b = Tr Lambda_b +
+    Tr rho'_b with sum_b Tr rho'_b <= 1, so
+    sum_b m_b^- Tr Lambda_b + max_b m_b^- is taken off gap; for V_b,
+    Tr C_b <= t Tr sigma_b, so sum_b m_b^- Tr sigma_b is added to held.
 
     The float arithmetic is bounded too, with u = 2^-53: a float sum of
     m products is within gamma_m = m u / (1 - m u) times the sum of its
@@ -377,35 +390,37 @@ def lower_bound(ball: Ball, dual: BallDual, trace: float | None = None) -> float
     bound is taken off gap and added to held, each entry of
     Re Tr[V_b sigma_b] counting two products, bounded by |V_b| |sigma_b|;
     four more terms in gap's count and two in held's cover the scalar
-    steps after them.  Each entry of r takes at most two roundings, so
-    gamma_2 times the norm of its terms' absolute values (``spread``) is
-    added to |r|; |r| and X are sums of nonnegative terms under a sqrt,
-    each scaled by 1 + gamma_(count + 8), and so is their product; the
-    quotient is scaled by 1 - 2u.  The dual itself is taken as given:
-    ``project``'s clipped blocks are PSD only up to their own round-off.
+    steps after them.  Each charge sums nonnegative products, so it is
+    scaled by 1 + gamma of their count, and is one more term of gap or
+    held.  Each entry of r takes at most two roundings, so gamma_2 times
+    the norm of its terms' absolute values (``spread``) is added to |r|;
+    |r| and X are sums of nonnegative terms under a sqrt, each scaled by
+    1 + gamma_(count + 8), and so is their product; the quotient is scaled
+    by 1 - 2u.
     """
     free = ball.free_mass > 0.0
+    fid, floor, free_cap = (max(v, 0.0) for v in (dual.fid, dual.floor, dual.free_cap))
     parts = list(zip(ball.eigs, ball.sigma, dual.g, dual.cap))
     tails = [g[:, eigs.shape[1] :, eigs.shape[1] :] - cap for eigs, _, g, cap in parts]
-    if trace is None:
-        total = sum(float(np.trace(tail, axis1=1, axis2=2).real.sum()) for tail in tails)
-        count = sum(sigma.shape[0] * sigma.shape[-1] for sigma in ball.sigma) + free
-        trace = -(total + (dual.floor - dual.free_cap) * free) / count
-    resid, spread, held = 0.0, 0.0, dual.free_cap * ball.free_mass * free
-    gap = ball.fidelity * dual.fid + trace
+    total = sum(float(np.trace(tail, axis1=1, axis2=2).real.sum()) for tail in tails)
+    count = sum(sigma.shape[0] * sigma.shape[-1] for sigma in ball.sigma) + free
+    trace = -(total + (floor - free_cap) * free) / count
+    resid, spread, held = 0.0, 0.0, free_cap * ball.free_mass * free
+    short_g, short_c, most, reads = 0.0, 0.0, 0.0, 0
+    gap = ball.fidelity * fid + trace
     # (number of products, sum of their absolute values) of gap and held
-    gap_terms, held_terms = [6, abs(ball.fidelity * dual.fid) + abs(trace)], [4, abs(held)]
+    gap_terms, held_terms = [6, abs(ball.fidelity * fid) + abs(trace)], [4, abs(held)]
     count = free + sum(eigs.size for eigs in ball.eigs)
     for (eigs, sigma, g, cap), tail in zip(parts, tails):
         r, d = eigs.shape[1], sigma.shape[-1]
         off = g[:, :r, r:].copy()
-        off[:, np.arange(r), np.arange(r)] += dual.fid / 2
+        off[:, np.arange(r), np.arange(r)] += fid / 2
         tail[:, np.arange(d), np.arange(d)] += trace
         resid += float(np.sum(np.abs(tail) ** 2)) + 2.0 * float(np.sum(np.abs(off) ** 2))
         terms = np.abs(g[:, r:, r:]) + np.abs(cap)
         terms[:, np.arange(d), np.arange(d)] += abs(trace)
         spread += float(np.sum(terms**2))
-        spread += 2.0 * float(np.sum((np.abs(g[:, :r, r:]) + abs(dual.fid) / 2) ** 2))
+        spread += 2.0 * float(np.sum((np.abs(g[:, :r, r:]) + fid / 2) ** 2))
         count += tail.size + off.size
         held += float(np.sum(np.conj(cap) * sigma).real)
         held_terms[0] += 2 * sigma.size
@@ -414,11 +429,21 @@ def lower_bound(ball: Ball, dual: BallDual, trace: float | None = None) -> float
         gap -= float(np.sum(products))
         gap_terms[0] += products.size
         gap_terms[1] += float(np.sum(np.abs(products)))
+        # the blocks' negative parts, charged against their primal traces
+        deficit = _deficit(g)
+        most = max(most, float(deficit.max()))
+        short_g += float(deficit @ eigs.sum(axis=1))
+        short_c += float(_deficit(cap) @ np.trace(sigma, axis1=1, axis2=2).real)
+        reads += eigs.size + sigma.shape[0] * d
+    grow = 1.0 + _gamma(reads + 1)
+    charge_g, charge_c = (short_g + most) * grow, short_c * grow
+    gap -= charge_g
+    held += charge_c
     if free:
-        resid += (dual.floor - dual.free_cap + trace) ** 2
-        spread += (abs(dual.floor) + abs(dual.free_cap) + abs(trace)) ** 2
-    gap -= _gamma(gap_terms[0]) * gap_terms[1]
-    held += _gamma(held_terms[0]) * held_terms[1]
+        resid += (floor - free_cap + trace) ** 2
+        spread += (floor + free_cap + abs(trace)) ** 2
+    gap -= _gamma(gap_terms[0] + 1) * (gap_terms[1] + charge_g)
+    held += _gamma(held_terms[0] + 1) * (held_terms[1] + charge_c)
     margin = 1.0 + _gamma(count + 8)
     norm = math.sqrt(1.0 + 2.0 * sum(float(eigs.sum()) for eigs in ball.eigs)) * margin
     size = (math.sqrt(resid) + _gamma(2) * math.sqrt(spread)) * margin
@@ -433,29 +458,19 @@ def _gamma(m: int) -> float:
     return mu / (1.0 - mu)
 
 
-def project(dual: BallDual) -> BallDual:
-    """``dual`` projected onto the cone: each block's negative eigenvalues
-    clipped (one stacked ``eigh`` per block size above 1), and so are the
-    scalar weights.  No norm is taken: ``lower_bound`` is homogeneous."""
-    stacks = dual.g + dual.cap
-    sizes: dict[int, list[int]] = {}
-    for i, m in enumerate(stacks):
-        sizes.setdefault(m.shape[-1], []).append(i)
-    clipped = list(stacks)
-    for size, idx in sizes.items():
-        joined = np.concatenate([stacks[i] for i in idx]) if len(idx) > 1 else stacks[idx[0]]
-        if size == 1:
-            joined = np.clip(joined.real, 0.0, None)
-        else:
-            vals, vecs = np.linalg.eigh(joined)
-            joined = (vecs * np.clip(vals, 0.0, None)[:, None, :]) @ _ct(vecs)
-        lo = 0
-        for i in idx:
-            clipped[i] = joined[lo : lo + len(stacks[i])]
-            lo += len(stacks[i])
-    n = len(dual.g)
-    fid, floor, free_cap = (max(v, 0.0) for v in (dual.fid, dual.floor, dual.free_cap))
-    return BallDual(clipped[:n], clipped[n:], fid, floor, free_cap)
+def _deficit(blocks: np.ndarray) -> np.ndarray:
+    """Per block M of a stack, a float at or above the negative part
+    max(-lambda_min(M), 0) of its least eigenvalue: ``eigvalsh``'s least,
+    less a bound on its error.  LAPACK's Hermitian eigensolvers are
+    backward stable, each computed eigenvalue within p(d) u |M|_2 of an
+    exact one, p a modest function of the size d, which LAPACK's own error
+    estimate takes as 1 (LAPACK Users' Guide, 3rd ed., 1999, sec. 4.7);
+    gamma_(d^2) |M|_F >= d^2 u |M|_2 is taken for it, which also covers
+    the rounding of the norm and of the difference."""
+    size = blocks.shape[-1]
+    least = np.linalg.eigvalsh(blocks)[:, 0]
+    norm = np.sqrt(np.sum(np.abs(blocks) ** 2, axis=(1, 2)))
+    return np.maximum(_gamma(size * size) * norm - least, 0.0)
 
 
 def within_tolerance(residuals: dict[str, float]) -> bool:

@@ -1004,29 +1004,17 @@ def lower_end_from_expressions(prob, slack: np.ndarray, norm: float) -> float:
     return math.log2(low / held) if low > 0.0 and held > 0.0 else -math.inf
 
 
-def water_fill_certificates(ent, ref, fill) -> tuple[dict, float]:
-    """Both ends of a classical value's closed-form record
-    (``entropies._water_fill``; ``ent`` is the library's entropies module,
-    ``ref`` the generic layer of ``sdp_reference``), from the expressions
-    of its min t program: ``ref.capped_ball`` rebuilt from the record's
-    (lambda_b, sigma_b, s0, eps).  Returns ``ref._recheck``'s residuals of
-    the point with t pinned at 2^v (``pin_variable``), and
-    ``lower_end_from_expressions`` of the multipliers laid out in slack
-    order (each W_b = v_b v_b^T as its rvec, then the inequality weights)
-    with the norm bound sqrt(1 + 2 sum_b lambda_b)."""
-    blocks = [(np.array([lam]), np.array([[sig]])) for lam, sig in zip(fill.lam, fill.sig)]
-    prob = ref.capped_ball((blocks, fill.free_mass), fill.eps)
-    free = "w" in prob.variables
-    assign = {
-        f"ball{i}": np.array([[lam, z], [z, x]])
-        for i, (lam, z, x) in enumerate(zip(fill.lam, fill.z, fill.x))
-    }
-    if free:
-        assign["w"] = np.full((1, 1), fill.w)
-    primal = ref._recheck(pin_variable(prob, "t", 2.0 ** math.log2(fill.t_cap)), assign)
-    fid, floor, caps, free_cap = fill.ineq
-    psd = [_herm_to_rvec_single(np.outer(v, v), real=True) for v in fill.v]
-    weights = [[fid], [floor] * free, np.broadcast_to(caps, len(blocks)), [free_cap] * free]
-    slack = np.concatenate(psd + weights)
-    norm = math.sqrt(1.0 + 2.0 * float(fill.lam.sum()))
-    return primal, lower_end_from_expressions(prob, slack, norm)
+def ball_certificates(ref, ball, res, eps: float) -> tuple[dict, float]:
+    """Both ends of a min t solve (``povmcomp.sdp.BallSolve`` of ``ball``,
+    closed-form or interior-point) from the expressions of its program
+    (``ref`` the generic layer of ``sdp_reference``): ``ref.capped_ball``
+    rebuilt from the ball at ``eps``.  Returns ``ref._recheck``'s residuals
+    of the point with t pinned at 2^v, v = log2 of its t
+    (``pin_variable``), and ``lower_end_from_expressions`` of its dual laid
+    out in slack order (``ref.slack_of``) with the norm bound
+    sqrt(1 + 2 sum_b Tr Lambda_b)."""
+    prob = ref.capped_ball(ref.plain(ball.eigs, ball.sigma, ball.free_mass), eps)
+    pinned = pin_variable(prob, "t", 2.0 ** math.log2(res.point.t))
+    primal = ref._recheck(pinned, ref.assignment_of(ball, res.point))
+    norm = math.sqrt(1.0 + 2.0 * sum(float(eigs.sum()) for eigs in ball.eigs))
+    return primal, lower_end_from_expressions(prob, ref.slack_of(ball, res.dual), norm)

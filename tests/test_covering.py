@@ -1,3 +1,5 @@
+import types
+
 import numpy as np
 import pytest
 
@@ -83,13 +85,34 @@ class TestCoveringError:
         assert np.max(np.abs(tot_prefix - tot_direct)) / n_trials < 0.15
 
 
+def good_set(parts, weights, target, eps):
+    """The GOOD set of one row of ``cov.good_sets``, every part offered a
+    slice: its indices, primed states, prob_good and op_slack, and eps."""
+    present = np.ones((1, len(parts)), dtype=bool)
+    good, primed, prob_good, op_slack = cov.good_sets(parts, [weights], present, target, [eps])
+    return types.SimpleNamespace(
+        good=np.flatnonzero(good[0]).tolist(),
+        primed=primed[0],
+        prob_good=float(prob_good[0]),
+        op_slack=float(op_slack[0]),
+        eps_used=eps,
+    )
+
+
+def transformed_good_set(sigmas, weights, target, eps):
+    """``good_set`` of subnormalized pieces, normalized and reweighted by
+    one row of ``cov.transformed_rows``."""
+    parts, new_weights, eps2 = cov.transformed_rows(sigmas, [weights], [eps])
+    return good_set(parts, new_weights[0], target, float(eps2[0]))
+
+
 class TestGoodSet:
     def test_exact_average_all_good(self):
         rng = np.random.default_rng(13)
         parts = [oracles.random_density(rng, 2) for _ in range(3)]
         weights = [0.5, 0.3, 0.2]
         target = sum(w * p for w, p in zip(weights, parts))
-        cert = cov.extract_good_set(parts, weights, target, eps=0.05)
+        cert = good_set(parts, weights, target, eps=0.05)
         assert cert.good == [0, 1, 2]
         assert cert.prob_good > 1 - 1e-9
         assert cert.op_slack > -1e-9
@@ -99,7 +122,7 @@ class TestGoodSet:
     def test_single_part(self):
         rng = np.random.default_rng(14)
         rho = oracles.random_density(rng, 3)
-        cert = cov.extract_good_set([rho], [1.0], rho, eps=0.04)
+        cert = good_set([rho], [1.0], rho, eps=0.04)
         assert cert.good == [0]
 
     def test_random_mixture_with_slack(self):
@@ -114,13 +137,13 @@ class TestGoodSet:
             target /= np.trace(target).real
             eps = 0.05
             assert oracles.trace_norm_distance(avg, target) <= eps
-            cert = cov.extract_good_set(parts, weights, target, eps=eps)
+            cert = good_set(parts, weights, target, eps=eps)
             checks = oracles.verify_certificate(cert, parts, weights, target)
             assert all(checks.values()), (trial, checks)
 
     def test_hypothesis_violation_raises(self):
         with pytest.raises(ValueError):
-            cov.extract_good_set(
+            good_set(
                 [np.diag([1.0, 0.0])], [1.0], np.diag([0.0, 1.0]).astype(complex), eps=0.1
             )
 
@@ -129,8 +152,8 @@ class TestGoodSet:
         parts = [oracles.random_density(rng, 2) for _ in range(3)]
         weights = [0.4, 0.4, 0.2]
         target = sum(w * p for w, p in zip(weights, parts))
-        plain = cov.extract_good_set(parts, weights, target, eps=0.08)
-        trans = cov.extract_good_set_transformed(parts, weights, target, eps=0.04)
+        plain = good_set(parts, weights, target, eps=0.08)
+        trans = transformed_good_set(parts, weights, target, eps=0.04)
         assert plain.good == trans.good
 
     def test_transformed_scaled_copies(self):
@@ -138,7 +161,7 @@ class TestGoodSet:
         target = oracles.random_density(rng, 2)
         sigmas = [0.5 * target, 1.5 * target, target]
         weights = [0.4, 0.2, 0.4]
-        cert = cov.extract_good_set_transformed(sigmas, weights, target, eps=0.05)
+        cert = transformed_good_set(sigmas, weights, target, eps=0.05)
         assert cert.good == [0, 1, 2]
         assert cert.op_slack > -1e-9
 
@@ -152,8 +175,8 @@ class TestGoodSet:
         w_atoms = [0.2, 0.2, 0.3, 0.3]
         target = sum(w * p for w, p in zip(w_atoms, atoms))
         eps = 0.06
-        atom_cert = cov.extract_good_set(atoms, w_atoms, target, eps)
-        class_cert = cov.extract_good_set([c0, c1], [0.7, 0.3], target, eps)
+        atom_cert = good_set(atoms, w_atoms, target, eps)
+        class_cert = good_set([c0, c1], [0.7, 0.3], target, eps)
         atom_classes = {0: 0, 1: 0, 2: 1, 3: 0}
         assert sorted({atom_classes[i] for i in atom_cert.good}) == sorted(class_cert.good)
         for i in atom_cert.good:

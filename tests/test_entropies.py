@@ -803,10 +803,11 @@ def solver_batches(monkeypatch) -> list:
 
 
 class TestWaterFill:
-    """A classical value (every sub-block that carries rho 1x1, with
+    """A classical value (one real group of 1x1 sub-blocks, with
     sigma_b > 0) gets its min t solve in closed form (``_water_fill``),
-    with no program, and its two certificates are evaluated on its
-    vectors (``TestScalarCertificates``)."""
+    with no program, as a ``sdp.BallSolve`` that ``_certified_value``
+    certifies as it does an interior-point one
+    (``TestScalarCertificates``)."""
 
     def test_oracle_gives_the_free_mass_to_the_rho_free_entries(self):
         # both caps full: sqrt(0.1 t 0.5) twice = sqrt(0.99) at t = 0.99 / 0.2,
@@ -845,31 +846,32 @@ class TestWaterFill:
         classical = [sub_blocks for sub_blocks in balls if is_classical(sub_blocks)]
         assert len(classical) == 20
         balls = [sdp.Ball(*sub_blocks, math.sqrt(1 - 0.1**2)) for sub_blocks in classical]
-        for sub_blocks, ball, res in zip(classical, balls, sdp.minimize_balls(balls)):
-            closed = ent._certified_fill(water_fill(sub_blocks, 0.1))
+        for value, res in zip(balls, sdp.minimize_balls(balls)):
+            closed = ent._certified_value(value, ent._water_fill(value))
             # the closed form is exact; the solve's t is above the optimum
-            below = ent._certified_value(ball, res) - closed
+            below = ent._certified_value(value, res) - closed
             assert res.iterations > 0 and 0.0 <= below < ent.BISECT_TOL_BITS
 
     def test_values_bound_by_the_normalisation(self, smoothed_cq_states):
         # t* = t_min = 1 / (sum_b sigma_b + s0) when the fidelity at t_min
         # already reaches sqrt(1 - eps^2): the bundled 0-bit values (trivial's
         # thresholds among them), where every sub-block is capped at t_min
-        # and the witness below is the trace contradiction alone
+        # and the lower end is the trace contradiction alone: 1 on every cap
+        # and on w's, 0 elsewhere
         bound = []
         for cq in smoothed_cq_states:
             sub_blocks = ent._ball_blocks(ent._cq_pairs(cq))
             if not is_classical(sub_blocks):
                 continue
-            fill = water_fill(sub_blocks, 0.1)
+            value, res = water_fill(sub_blocks, 0.1)
             sigmas = np.array([sigma[0, 0] for _, sigma in ref.plain(*sub_blocks)[0]])
             t_min = 1.0 / (sigmas.sum() + max(sub_blocks[2], 0.0))
-            if fill.t_cap == pytest.approx(t_min, rel=1e-14):
-                bound.append(ent._certified_fill(fill))
-                fid, floor, caps, free_cap = fill.ineq
-                assert not fill.v.any() and (fid, floor, free_cap, fill.nu[1]) == (0, 0, 1, 1)
-                assert not fill.nu[0].any() and set(caps.tolist()) == {1.0}
-                assert fill.x == pytest.approx(t_min * sigmas, rel=1e-14)
+            if res.point.t == pytest.approx(t_min, rel=1e-14):
+                bound.append(ent._certified_value(value, res))
+                dual = res.dual
+                assert not dual.g[0].any() and (dual.fid, dual.floor, dual.free_cap) == (0, 0, 1)
+                assert set(dual.cap[0].ravel().tolist()) == {1.0}
+                assert res.point.rho[0].ravel() == pytest.approx(t_min * sigmas, rel=1e-14)
         assert len(bound) == 5 and max(abs(v) for v in bound) < 1e-12
         # rho = diag(0.5, 0.5, 0): the free mass 0.1 fills the trace at t = 1
         p, s = np.array([0.5, 0.5, 0.0]), np.array([0.45, 0.45, 0.1])
@@ -896,41 +898,50 @@ class TestWaterFill:
         assert value - ent.BISECT_TOL_BITS < oracle <= value
 
     def test_each_value_makes_one_recheck(self, monkeypatch):
-        # the region pass: the certificate of each of the four solved values
-        # reads its solve's final recheck, the one recheck of its ball, and
-        # each of the two classical values is rechecked once, on its scalars
+        # the region pass: the certificate of each value reads its solve's
+        # own recheck, the one recheck of its ball: the final one of each of
+        # the four interior-point solves, and the closed form's of each of
+        # the two classical values
         prep = P.prepare(io.load_bundled("instrument_derived"))
         checked, recheck = [], sdp.recheck
-        fills, fill_residuals = [], ent._fill_residuals
+        fills, closed_form = [], ent._water_fill
 
         def recording_recheck(ball, point):
             checked.append(ball)
             return recheck(ball, point)
 
-        def recording_fill_residuals(fill):
-            fills.append(fill)
-            return fill_residuals(fill)
+        def recording_water_fill(ball):
+            fills.append(ball)
+            return closed_form(ball)
 
         monkeypatch.setattr(sdp, "recheck", recording_recheck)
-        monkeypatch.setattr(ent, "_fill_residuals", recording_fill_residuals)
+        monkeypatch.setattr(ent, "_water_fill", recording_water_fill)
         sizes = solver_batches(monkeypatch)
         P.one_shot_region(prep, 0.1, theta_grid=(0.5,))
         assert (sizes, len(fills)) == ([4], 2)
         assert len(checked) == len({id(ball) for ball in checked}) == 4 + 2
 
 
-def water_fill(sub_blocks, eps):
-    """``_water_fill``'s record of a classical ``_ball_blocks`` result, on
-    its (lambda_b, sigma_b) and s0 (0 unless positive)."""
-    blocks, free_mass = ref.plain(*sub_blocks)
-    lam = np.array([eigs[0] for eigs, _ in blocks])
-    sig = np.array([sigma[0, 0].real for _, sigma in blocks])
-    return ent._water_fill(lam, sig, max(free_mass, 0.0), eps)
+def water_fill(sub_blocks, eps) -> tuple:
+    """The ``sdp.Ball`` at eps of a classical ``_ball_blocks`` result, and
+    its closed-form ``sdp.BallSolve`` (``_water_fill``)."""
+    value = sdp.Ball(*sub_blocks, math.sqrt(max(0.0, 1.0 - eps * eps)))
+    return value, ent._water_fill(value)
 
 
-def exact_log2_t_star(fill) -> decimal.Decimal:
-    """log2 of the least t of ``fill``'s program, its (lambda_b, sigma_b,
-    s0, eps) taken as exact: ``_water_fill``'s closed form evaluated with
+def ends(value, res) -> dict:
+    """Both ends of a solve as ``_certified_value`` reads them: the
+    recheck of its point at t = 2^v, v = log2 of its t, and "lower", log2
+    of ``sdp.lower_bound`` of its dual (-inf when that is 0)."""
+    point = dataclasses.replace(res.point, t=2.0 ** math.log2(res.point.t))
+    t_low = sdp.lower_bound(value, res.dual)
+    return dict(sdp.recheck(value, point), lower=math.log2(t_low) if t_low > 0.0 else -math.inf)
+
+
+def exact_log2_t_star(value, eps) -> decimal.Decimal:
+    """log2 of the least t of a classical ball's program, its
+    (lambda_b, sigma_b, s0) and eps taken as exact: ``_water_fill``'s
+    closed form evaluated with
     ``decimal`` at 50 digits.  In the order of lambda_b / sigma_b,
     descending, segment k (its first k sub-blocks capped) has
     A = sum sqrt(lambda_b sigma_b) and S = sum sigma_b over them and
@@ -941,8 +952,9 @@ def exact_log2_t_star(fill) -> decimal.Decimal:
     t_min = 1 / (sum_b sigma_b + s0), whichever is larger."""
     with decimal.localcontext() as ctx:
         ctx.prec = 50
-        exact = [decimal.Decimal(float(v)) for v in (*fill.lam, *fill.sig, fill.free_mass, fill.eps)]
-        n = len(fill.lam)
+        lam, sig = value.eigs[0].ravel(), value.sigma[0].ravel()
+        exact = [decimal.Decimal(float(v)) for v in (*lam, *sig, max(value.free_mass, 0.0), eps)]
+        n = len(lam)
         lam, sig, s0, eps = exact[:n], exact[n : 2 * n], exact[-2], exact[-1]
         c = (1 - eps * eps).sqrt()
         lam, sig = zip(*sorted(zip(lam, sig), key=lambda pair: pair[0] / pair[1], reverse=True))
@@ -966,43 +978,44 @@ def exact_log2_t_star(fill) -> decimal.Decimal:
         return t_star.ln() / decimal.Decimal(2).ln()
 
 
-def check_scalar_certificates(fill) -> dict:
-    """The scalar certificates of ``fill`` against the program oracle
-    (``oracles.water_fill_certificates``): the same recheck verdict, and
+def check_scalar_certificates(value, res, eps) -> dict:
+    """Both ends of a closed-form solve (``ends``) against the program
+    oracle (``oracles.ball_certificates``): the same recheck verdict, and
     the same lower end within 1e-8 bits.  Both sides sum terms of size 1
     that cancel to t* held, which is 2e-6 to 1e-5 at eps 1e-5 (0.02 to
     0.5 at eps 0.1), so their round-off differs by up to 1.7e-9 bits
     there (6e-14 at eps 0.1)."""
-    got = ent._fill_residuals(fill)
-    primal, lower = oracles.water_fill_certificates(ent, ref, fill)
+    got = ends(value, res)
+    primal, lower = oracles.ball_certificates(ref, value, res, eps)
     assert sdp.within_tolerance(got) == sdp.within_tolerance(primal)
     assert got["lower"] == pytest.approx(lower, abs=1e-8)
     return got
 
 
-def certified(fill, residuals) -> tuple[bool, bool]:
+def certified(res, residuals) -> tuple[bool, bool]:
     """Whether the point passes its recheck, and whether the interval
-    [lower, log2 t_cap] is at most BISECT_TOL_BITS wide."""
-    width = abs(math.log2(fill.t_cap) - residuals["lower"])
+    [lower, log2 t] is at most BISECT_TOL_BITS wide."""
+    width = abs(math.log2(res.point.t) - residuals["lower"])
     return sdp.within_tolerance(residuals), width <= ent.BISECT_TOL_BITS
 
 
 class TestScalarCertificates:
-    """A classical value is certified on (lambda_b, sigma_b, s0) alone
-    (``_fill_residuals``); the program oracle rebuilds its ``_capped_ball``
-    and checks both certificates from the program's expressions."""
+    """A classical value's closed-form solve is certified in block form on
+    its one group of 1x1 sub-blocks; the program oracle rebuilds its
+    ``_capped_ball`` and checks both certificates from the program's
+    expressions."""
 
     def test_bundled_values_agree_with_the_program_oracle(self, smoothed_cq_states):
         balls = [ent._ball_blocks(ent._cq_pairs(cq)) for cq in smoothed_cq_states]
         fills = [water_fill(b, 0.1) for b in balls if is_classical(b)]
         assert len(fills) == 20
-        for fill in fills:
-            assert certified(fill, check_scalar_certificates(fill)) == (True, True)
+        for value, res in fills:
+            assert certified(res, check_scalar_certificates(value, res, 0.1)) == (True, True)
 
     def test_seeded_pairs_agree_with_the_program_oracle(self):
         # 12 commuting pairs with and without free mass at eps 0.1 and 1e-5,
         # and pairs bound by the normalisation, whose multipliers weigh the
-        # caps and the trace row alone, for the lower end 1 / (sum_b sigma_b + s0)
+        # caps and w's alone, for the lower end 1 / (sum_b sigma_b + s0)
         cases = [
             (p, s, eps)
             for free in (False, True)
@@ -1015,9 +1028,9 @@ class TestScalarCertificates:
         ]
         kinds = collections.Counter()
         for p, s, eps in cases:
-            fill = water_fill(ball(np.diag(p), np.diag(s)), eps)
-            assert certified(fill, check_scalar_certificates(fill)) == (True, True)
-            kinds[fill.free_mass > 0.0, not fill.v.any()] += 1
+            value, res = water_fill(ball(np.diag(p), np.diag(s)), eps)
+            assert certified(res, check_scalar_certificates(value, res, eps)) == (True, True)
+            kinds[value.free_mass > 0.0, not res.dual.g[0].any()] += 1
         assert set(kinds) == {(False, False), (True, False), (False, True), (True, True)}
 
     def test_a_point_past_its_cap_is_not_feasible(self, smoothed_cq_states):
@@ -1028,32 +1041,36 @@ class TestScalarCertificates:
             sub_blocks = ent._ball_blocks(ent._cq_pairs(cq))
             if not is_classical(sub_blocks):
                 continue
-            fill = water_fill(sub_blocks, 0.1)
-            x = fill.x.copy()
-            x[0] = 2.0 ** math.log2(fill.t_cap) * fill.sig[0] + 1e-6
-            w = fill.w - (x[0] - fill.x[0])
-            if fill.free_mass == 0.0 or w < 0.0:
+            value, res = water_fill(sub_blocks, 0.1)
+            lam, sig, t = value.eigs[0].ravel(), value.sigma[0].ravel(), res.point.t
+            x = res.point.rho[0].ravel().copy()
+            x[0] = 2.0 ** math.log2(t) * sig[0] + 1e-6
+            w = res.point.w - (x[0] - res.point.rho[0][0, 0, 0])
+            if value.free_mass <= 0.0 or w < 0.0:
                 continue
-            past = dataclasses.replace(fill, x=x, z=np.sqrt(fill.lam * x), w=w)
-            assert ent._fill_residuals(past)["gap"] < 1e-12
-            assert certified(past, check_scalar_certificates(past)) == (False, True)
+            point = sdp.BallPoint(t, w, [np.sqrt(lam * x)[:, None, None]], [x[:, None, None]])
+            past = dataclasses.replace(res, point=point)
+            assert ends(value, past)["gap"] < 1e-12
+            assert certified(past, check_scalar_certificates(value, past, 0.1)) == (False, True)
             moved += 1
         assert moved >= 3
 
     def test_the_stationarity_residual_is_read_not_assumed(self, smoothed_cq_states):
-        # the trace row's multiplier moved by 1: every x_b coordinate of r
-        # (and w's) moves by 1 and the constant by 1, so X |r| >= sqrt 3 > 1
-        # takes more than the constant gains, and the lower end falls out
-        # of the interval
+        # the first cap's weight raised by 1, still a cone element, so
+        # nothing is charged: the least-squares trace multiplier takes back
+        # only its mean, and its x_b coordinate of r keeps most of the 1, so
+        # X |r| >= sqrt 3 |r| takes more than the constant and held gain, and
+        # the lower end falls out of the interval
         for cq in smoothed_cq_states:
             sub_blocks = ent._ball_blocks(ent._cq_pairs(cq))
             if not is_classical(sub_blocks):
                 continue
-            fill = water_fill(sub_blocks, 0.1)
-            pins, trace = fill.nu
-            moved = ent._fill_residuals(dataclasses.replace(fill, nu=(pins, trace + 1.0)))
-            assert moved["lower"] < ent._fill_residuals(fill)["lower"]
-            assert certified(fill, moved) == (True, False)
+            value, res = water_fill(sub_blocks, 0.1)
+            caps = res.dual.cap[0].copy()
+            caps[0] += 1.0
+            moved = ends(value, dataclasses.replace(res, dual=dataclasses.replace(res.dual, cap=[caps])))
+            assert moved["lower"] < ends(value, res)["lower"]
+            assert certified(res, moved) == (True, False)
 
     def test_the_multipliers_at_t_star_give_a_tight_lower_end(self, smoothed_cq_states):
         # stationary multipliers at t* put the lower end at log2 t* up to
@@ -1062,8 +1079,8 @@ class TestScalarCertificates:
         cases = [ball(np.diag(p), np.diag(s)) for *_, p, s in pairs]
         balls = [ent._ball_blocks(ent._cq_pairs(cq)) for cq in smoothed_cq_states]
         for sub_blocks in [b for b in balls if is_classical(b)] + cases:
-            fill = water_fill(sub_blocks, 0.1)
-            width = math.log2(fill.t_cap) - check_scalar_certificates(fill)["lower"]
+            value, res = water_fill(sub_blocks, 0.1)
+            width = math.log2(res.point.t) - check_scalar_certificates(value, res, 0.1)["lower"]
             assert 0.0 <= width <= 1e-10
 
     def test_both_ends_hold_the_exact_value_at_eps_1e_5(self):
@@ -1074,26 +1091,31 @@ class TestScalarCertificates:
         # digits and is at most BISECT_TOL_BITS wide
         for free in (False, True):
             for _, _, p, s in commuting_pairs(free):
-                fill = water_fill(ball(np.diag(p), np.diag(s)), 1e-5)
-                lower, upper = ent._fill_residuals(fill)["lower"], math.log2(fill.t_cap)
-                exact = exact_log2_t_star(fill)
+                value, res = water_fill(ball(np.diag(p), np.diag(s)), 1e-5)
+                lower, upper = ends(value, res)["lower"], math.log2(res.point.t)
+                exact = exact_log2_t_star(value, 1e-5)
                 assert decimal.Decimal(lower) <= exact <= decimal.Decimal(upper), (p, s)
                 assert upper - lower <= ent.BISECT_TOL_BITS
 
     def test_no_program_is_built_for_a_classical_instance(self, monkeypatch):
         # classical_commuting's thresholds and theta 0.5 region: 8 values,
-        # all classical, with no SDProblem and no Program
+        # all classical, with no solver batch: each certified solve is the
+        # closed form's
         prep = P.prepare(io.load_bundled("classical_commuting"))
-        fills, certified_fill = [], ent._certified_fill
+        statuses, certified_value = [], ent._certified_value
 
         def refuse(*args, **kwargs):
             raise AssertionError("a classical value built a program")
 
+        def recording(value, res):
+            statuses.append(res.status)
+            return certified_value(value, res)
+
         monkeypatch.setattr(sdp._Batch, "__init__", refuse)
-        monkeypatch.setattr(ent, "_certified_fill", lambda f: fills.append(f) or certified_fill(f))
+        monkeypatch.setattr(ent, "_certified_value", recording)
         P.thresholds(prep, 0.1, 0.0)
         P.one_shot_region(prep, 0.1, theta_grid=(0.5,))
-        assert len(fills) == 8
+        assert statuses == ["closedForm"] * 8
 
 
 class TestSupportComponents:
@@ -1359,8 +1381,9 @@ class TestSmoothingSolve:
 
     def test_one_build_of_the_blocks_per_value(self, monkeypatch, region_x_pairs):
         # the solve and both certificates share one classification of the
-        # components: the ball the solve steps and the certificates read
-        # holds the sub-blocks of the value's one ``_ball_blocks`` call
+        # components: the ball the solve steps (or the closed form fills)
+        # and the certificates read holds the sub-blocks of the value's one
+        # ``_ball_blocks`` call
         ball_blocks, minimize_balls, certified_value = (
             ent._ball_blocks,
             sdp.minimize_balls,
@@ -1386,11 +1409,13 @@ class TestSmoothingSolve:
         for rho, sigma in region_x_pairs:
             ent.d_max_smooth(rho, sigma, 0.1)
         monkeypatch.undo()
-        # the classical value among them goes to no solve
+        # the classical value among them goes to no solve, and every value
+        # to the one certificate
         kept = [b for b in built if not is_classical(b)]
-        assert (len(built), len(kept), len(solved), len(certified)) == (3, 2, 2, 2)
-        for sub_blocks, ball, checked in zip(kept, solved, certified):
-            assert ball is checked and ball.eigs is sub_blocks[0] and ball.sigma is sub_blocks[1]
+        assert (len(built), len(kept), len(solved), len(certified)) == (3, 2, 2, 3)
+        assert list(map(id, solved)) == [id(v) for v, b in zip(certified, built) if not is_classical(b)]
+        for sub_blocks, ball in zip(built, certified):
+            assert ball.eigs is sub_blocks[0] and ball.sigma is sub_blocks[1]
             assert ball.free_mass == sub_blocks[2]
 
     def test_certificates_decide_whatever_the_status(self, monkeypatch, region_x_pairs):
@@ -1413,9 +1438,10 @@ class TestSmoothingSolve:
 
     def test_the_dual_is_projected_onto_the_cone(self, monkeypatch):
         # t s0 - w >= 0 is slack at this optimum, so its weight is near 0;
-        # made -1, the projection clips it back to 0 and the interval
-        # stands, while read as it is, its residual on w would take the
-        # lower end 0.9 bits down
+        # made -1, ``sdp.lower_bound`` clips it back to 0 (the scalar
+        # weights' projection onto their cone, which is exact) and the
+        # interval stands, while read as it is, its residual on w would take
+        # the lower end 0.9 bits down
         rho = np.diag([1.0, 0.0, 0.0])
         sigma = np.array([[0.4, 0.2, 0.0], [0.2, 0.4, 0.0], [0.0, 0.0, 0.2]])
         want = ent.d_max_smooth(rho, sigma, 0.1)
@@ -1707,19 +1733,55 @@ def test_every_bundled_value_is_certified_within_1e_5_bits(monkeypatch):
     # bundled instance: each certified interval [lower, v], closed-form
     # (widths up to 1e-12 bits) or interior-point (up to 1.4e-6), is at
     # most 1e-5 bits wide, its lower end at or below v
-    widths, verdict = [], ent._verdict
+    widths, certified_value = [], ent._certified_value
 
-    def recording(value, residuals, ended):
-        widths.append(("closed form" in ended, value - residuals["lower"]))
-        return verdict(value, residuals, ended)
+    def recording(ball, res):
+        value = certified_value(ball, res)
+        lower = math.log2(sdp.lower_bound(ball, res.dual))
+        widths.append((res.status == "closedForm", value - lower))
+        return value
 
-    monkeypatch.setattr(ent, "_verdict", recording)
+    monkeypatch.setattr(ent, "_certified_value", recording)
     for name in io.BUNDLED:
         prep = P.prepare(io.load_bundled(name))
         P.thresholds(prep, 0.1)
         P.one_shot_region(prep, 0.1, theta_grid=(0.25, 0.5, 0.75))
     assert collections.Counter(closed for closed, _ in widths) == {True: 46, False: 47}
     assert all(0.0 <= width <= 1e-5 for _, width in widths)
+
+
+def test_every_value_takes_one_certificate_path(monkeypatch):
+    # the thresholds and the theta 0.5 region of every bundled instance:
+    # each I_max^eps value, closed-form or interior-point, is certified once
+    # by ``_certified_value``, which reads its dual as given
+    # (``sdp.lower_bound(ball, dual)``, with two arguments)
+    asked, certified, bounded = [], [], []
+    many, certified_value, lower_bound = ent._d_max_smooth_many, ent._certified_value, sdp.lower_bound
+
+    def counting(values, eps):
+        asked.append(len(values))
+        return many(values, eps)
+
+    def recording(value, res):
+        certified.append((value, res.status))
+        return certified_value(value, res)
+
+    def bounding(*args, **kwargs):
+        bounded.append((args[0], len(args), kwargs))
+        return lower_bound(*args, **kwargs)
+
+    monkeypatch.setattr(ent, "_d_max_smooth_many", counting)
+    monkeypatch.setattr(ent, "_certified_value", recording)
+    monkeypatch.setattr(sdp, "lower_bound", bounding)
+    for name in io.BUNDLED:
+        prep = P.prepare(io.load_bundled(name))
+        P.thresholds(prep, 0.1)
+        P.one_shot_region(prep, 0.1, theta_grid=(0.5,))
+    assert len(certified) == sum(asked) == len({id(value) for value, _ in certified})
+    assert [(id(value), 2, {}) for value, _ in certified] == [
+        (id(value), n, kwargs) for value, n, kwargs in bounded
+    ]
+    assert collections.Counter(status for _, status in certified) == {"closedForm": 20, "optimal": 19}
 
 
 class TestBlockForm:
@@ -1738,25 +1800,21 @@ class TestBlockForm:
     def check(cls, ball, eps) -> None:
         (res,) = sdp.minimize_balls([ball])
         value = ent._certified_value(ball, res)
-        prob, want, top = cls.reference_top(ball, eps)
+        _, want, top = cls.reference_top(ball, eps)
         # the certified interval [lower, v] holds the reference's min t; the
         # two solves take the same iteration, so the values differ by
         # round-off (at most 8.4e-14 bits on the bundled values), which may
         # put the block form's just above top
-        lower = math.log2(sdp.lower_bound(ball, sdp.project(res.dual)))
+        lower = math.log2(sdp.lower_bound(ball, res.dual))
         assert lower <= top <= value + 1e-12
         assert res.iterations == want.iterations
         # the block-form recheck of the point at 2^v and lower end of the
-        # projected dual are the reference's recheck of the same point and
+        # dual are the reference's recheck of the same point and
         # lower end of the same dual, from the expressions of its own compile
-        point = dataclasses.replace(res.point, t=2.0**value)
-        got = sdp.recheck(ball, point)
-        pinned = oracles.pin_variable(prob, "t", 2.0**value)
-        oracle = ref._recheck(pinned, ref.assignment_of(ball, point))
+        got = ends(ball, res)
+        oracle, want_lower = oracles.ball_certificates(ref, ball, res, eps)
         for key in ("primal", "gap"):
             assert got[key] == pytest.approx(oracle[key], rel=1e-9, abs=1e-15)
-        norm = math.sqrt(1.0 + 2.0 * sum(float(eigs.sum()) for eigs in ball.eigs))
-        want_lower = oracles.lower_end_from_expressions(prob, ref.slack_of(ball, res.dual), norm)
         assert lower == pytest.approx(want_lower, abs=1e-9)
         assert sdp.within_tolerance(got) and value - lower <= 1e-5
 
@@ -1776,15 +1834,38 @@ class TestBlockForm:
             self.check(value, eps)
         assert kinds == {False, True}
 
-    def test_seeded_random_pairs(self):
-        # random complex pairs of dimension 2 to 4 and every rank of rho:
-        # log2 t_low <= the reference's min t <= v on each
+    @staticmethod
+    def seeded_random_balls() -> list:
+        """12 balls of random complex pairs of dimension 2 to 4 and every
+        rank of rho, at eps 0.1."""
         rng = np.random.default_rng(83)
+        out = []
         for _ in range(12):
             d = int(rng.integers(2, 5))
             rho = oracles.random_density(rng, d, rank=int(rng.integers(1, d + 1)))
-            value = sdp.Ball(*ball(rho, oracles.random_density(rng, d)), math.sqrt(1 - 0.1**2))
+            out.append(sdp.Ball(*ball(rho, oracles.random_density(rng, d)), math.sqrt(1 - 0.1**2)))
+        return out
+
+    def test_seeded_random_pairs(self):
+        # log2 t_low <= the reference's min t <= v on each
+        for value in self.seeded_random_balls():
             self.check(value, 0.1)
+
+    def test_a_dual_shifted_off_the_cone_keeps_its_lower_end_below_the_value(self):
+        # the first W_b and V_b of each solve's dual shifted by -delta I: read
+        # as they are, their negative eigenvalues are charged against bounds
+        # on the traces of G_b and C_b, so the lower end stays at or below
+        # the reference's min t and the value; left uncharged, the shift
+        # would raise the dual objective and lower held
+        for value in self.seeded_random_balls():
+            (res,) = sdp.minimize_balls([value])
+            top = min(self.reference_top(value, 0.1)[2], ent._certified_value(value, res))
+            for delta in (1e-9, 1e-3):
+                g, cap = [m.copy() for m in res.dual.g], [m.copy() for m in res.dual.cap]
+                g[0][0] -= delta * np.eye(g[0].shape[-1])
+                cap[0][0] -= delta * np.eye(cap[0].shape[-1])
+                t_low = sdp.lower_bound(value, dataclasses.replace(res.dual, g=g, cap=cap))
+                assert t_low == 0.0 or math.log2(t_low) <= top, delta
 
     def test_a_solve_cut_off_early(self, monkeypatch):
         # after 3 steps the dual is far from optimal: its lower end still
@@ -1799,7 +1880,7 @@ class TestBlockForm:
             value = sdp.Ball(*ball(rho, oracles.random_density(rng, d)), math.sqrt(1 - 0.1**2))
             (res,) = sdp.minimize_balls([value])
             assert res.iterations == 3
-            t_low = sdp.lower_bound(value, sdp.project(res.dual))
+            t_low = sdp.lower_bound(value, res.dual)
             # the reference keeps its own step limit
             top = self.reference_top(value, 0.1)[2]
             assert t_low == 0.0 or math.log2(t_low) <= top
@@ -1821,7 +1902,7 @@ class TestBlockForm:
         assert sdp._groups(value) == ((1, 2, True, 1),)
         (res,) = sdp.minimize_balls([value])
         top = self.reference_top(value, 0.1)[2]
-        dual = sdp.project(res.dual)
+        dual = res.dual
         assert math.log2(sdp.lower_bound(value, dual)) <= top
         for factor in (1.01, 1.1, 1.5):
             t_low = sdp.lower_bound(value, dataclasses.replace(dual, fid=factor * dual.fid))

@@ -115,23 +115,19 @@ def _hex(values) -> dict | list:
 
 def _certified_solves(run):
     """``run()``'s output and, per smooth D_max it certified, in call order:
-    (its value, its ``sdp.minimize_balls`` result and ``sdp.Ball`` or, for
-    a classical value, its ``entropies._water_fill`` record).  Every value
-    goes through ``entropies._certified_value`` or
-    ``entropies._certified_fill``."""
-    solves = []
+    (its value, its ``sdp.Ball`` and its ``sdp.BallSolve``, from
+    ``sdp.minimize_balls`` or, for a classical value, from
+    ``entropies._water_fill``).  Every value goes through
+    ``entropies._certified_value``."""
+    solves, certified_value = [], ent._certified_value
 
-    def recording(certify):
-        def certified(*args):
-            value = certify(*args)
-            solves.append((value, args))
-            return value
-
-        return certified
+    def recording(ball, res):
+        value = certified_value(ball, res)
+        solves.append((value, ball, res))
+        return value
 
     with pytest.MonkeyPatch.context() as mp:
-        for name in ("_certified_value", "_certified_fill"):
-            mp.setattr(ent, name, recording(getattr(ent, name)))
+        mp.setattr(ent, "_certified_value", recording)
         out = run()
     return out, solves
 
@@ -144,18 +140,15 @@ def _solve_instance(name: str):
     return name, prep, th, solves
 
 
-def _lower_end(args) -> float:
+def _lower_end(ball, res) -> float:
     """The certified lower end of a value from its ``_certified_solves``
     record, as the library takes it."""
-    if isinstance(args[0], ent._WaterFill):
-        return ent._fill_residuals(args[0])["lower"]
-    ball, res = args
-    return math.log2(sdp.lower_bound(ball, sdp.project(res.dual)))
+    return math.log2(sdp.lower_bound(ball, res.dual))
 
 
 def _intervals(solves) -> list:
     """Each value's certified interval [lower, v], in call order."""
-    return [_hex((_lower_end(args), value)) for value, args in solves]
+    return [_hex((_lower_end(ball, res), value)) for value, ball, res in solves]
 
 
 def _check_certificates(solves) -> None:
@@ -164,30 +157,22 @@ def _check_certificates(solves) -> None:
     (``sdp_reference.capped_ball``): the point is feasible with t pinned
     at 2^v (``oracles.pin_variable``), and the lower end that weak duality
     gives from the same dual (``oracles.lower_end_from_expressions``) is
-    the library's within 1e-9 bits, at most BISECT_TOL_BITS below v.  A
-    classical value's program is rebuilt from its record
-    (``oracles.water_fill_certificates``)."""
-    for value, args in solves:
-        if isinstance(args[0], ent._WaterFill):
-            primal, want = oracles.water_fill_certificates(ent, ref, args[0])
-        else:
-            ball, res = args
-            prob = ref.capped_ball(ref.plain(ball.eigs, ball.sigma, ball.free_mass), GOLDEN_EPS)
-            assign = ref.assignment_of(ball, res.point)
-            primal = ref._recheck(oracles.pin_variable(prob, "t", 2.0**value), assign)
-            norm = math.sqrt(1.0 + 2.0 * sum(float(eigs.sum()) for eigs in ball.eigs))
-            slack = ref.slack_of(ball, res.dual)
-            want = oracles.lower_end_from_expressions(prob, slack, norm)
-        lower = _lower_end(args)
+    the library's within 1e-9 bits, at most BISECT_TOL_BITS below v
+    (``oracles.ball_certificates``, closed-form and interior-point solves
+    alike)."""
+    for value, ball, res in solves:
+        primal, want = oracles.ball_certificates(ref, ball, res, GOLDEN_EPS)
+        lower = _lower_end(ball, res)
         assert primal["primal"] <= 10 * sdp.FEASIBLE_TOL and primal["gap"] <= 10 * sdp.FEASIBLE_TOL
         assert lower == pytest.approx(want, abs=1e-9)
         assert abs(value - lower) <= ent.BISECT_TOL_BITS
 
 
 def _threshold_pins(th: dict, solves) -> dict:
-    """The thresholds, each value's status (a closed-form value's is
-    "optimal") and each value's certified interval."""
-    statuses = [getattr(args[-1], "status", "optimal") for _, args in solves]
+    """The thresholds, each value's status (a closed-form value's, its
+    solve's "closedForm", pinned as "optimal") and each value's certified
+    interval."""
+    statuses = ["optimal" if res.status == "closedForm" else res.status for *_, res in solves]
     return {"thresholds": _hex(th), "statuses": statuses, "intervals": _intervals(solves)}
 
 
