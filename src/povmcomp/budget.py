@@ -11,6 +11,12 @@ import math
 from dataclasses import dataclass
 
 
+def composition_eps(eps: float) -> float:
+    """eps0 = eps^(1/10), the error of the side-information composition's
+    hypothesis tests, derived from the protocol's eps."""
+    return eps ** (1.0 / 10.0)
+
+
 def default_log_const(eps: float) -> float:
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
@@ -44,5 +50,6 @@ class OneShotBudget:
 
     @property
     def eps0(self) -> float:
-        """Derived budget for the side-information composition."""
-        return self.eps ** (1.0 / 10.0)
+        """Derived budget for the side-information composition
+        (``composition_eps``)."""
+        return composition_eps(self.eps)

@@ -93,14 +93,14 @@ def h_max_smooth(p: qo.Distribution, eps: float) -> float:
 
 @dataclass
 class NPTest:
-    """An optimal test; the optimal type-II error lies in
-    [``dual_beta``, ``achieved_beta``] (``_certified``)."""
+    """An optimal test, as its (n, d, d) stack of per-block tests in block
+    order; the optimal type-II error lies in [``dual_beta``,
+    ``achieved_beta``] (``_certified``)."""
 
-    operator: np.ndarray | None
+    tests: np.ndarray
     achieved_alpha: float
     achieved_beta: float
     dual_beta: float
-    per_symbol: dict[str, np.ndarray] | None = None
 
 
 class _Blocks:
@@ -143,29 +143,18 @@ class _Blocks:
         d, v = self.spectra(t)
         return float(_weights(v, self.rho)[d > tol].sum())
 
-    def jumps(self) -> tuple[list[float], list[float]]:
-        """The points t_j where alpha_strict jumps, ascending, and the half
-        width of each one's window: where a computed reading may fall on
-        either side of the jump.
-
-        From sigma's ``eigh`` and one stacked ``eigh`` of the pencil
-        sigma_b^(-1/2) (rho_b / K) sigma_b^(-1/2) on supp sigma_b (the
-        class docstring).  Its eigenvector y of mu gives the null vector x
-        of t_j rho_b - sigma_b, and x^dag rho_b x / |x|^2 = lambda' is the
-        speed at which that eigenvalue crosses 0.  A backward stable
-        ``eigh`` of t rho_b - sigma_b errs by about EIG_NOISE times its
-        norm (at most t Tr rho_b + Tr sigma_b), so the window's half width
-        is EIG_NOISE (t_j Tr rho_b + Tr sigma_b) / lambda'.  Jumps within
-        1e-9 of each other, relatively, are one jump whose window spans
-        them all.
+    def jumps(self) -> list[float]:
+        """The points t_j where alpha_strict jumps, ascending: 1 / mu for the
+        eigenvalues mu > 0 of the pencil sigma_b^(-1/2) (rho_b / K)
+        sigma_b^(-1/2) on supp sigma_b (the class docstring), from sigma's
+        ``eigh`` and one stacked ``eigvalsh``.  Points within STRADDLE of
+        each other, relatively, are one jump, which one ``_straddle``
+        covers.
         """
         w, v = self.sigma_eigh
         supp = w > 1e-12
-        inv_w = np.divide(1.0, w, out=np.zeros_like(w), where=supp)
-        inv_sqrt = np.sqrt(inv_w)
+        inv_sqrt = np.sqrt(np.divide(1.0, w, out=np.zeros_like(w), where=supp))
         rot = v.conj().swapaxes(-1, -2) @ self.rho @ v
-        # x = (D y, gain D y) on supp sigma_b (+) ker sigma_b, with D = inv_sqrt
-        gain = None
         for b in np.flatnonzero(~supp.all(axis=1)):
             k, s = ~supp[b], supp[b]
             corner = rot[b][np.ix_(k, k)]
@@ -173,26 +162,13 @@ class _Blocks:
                 continue
             g = np.linalg.pinv(corner, rcond=1e-10, hermitian=True) @ rot[b][np.ix_(k, s)]
             rot[b][np.ix_(s, s)] -= rot[b][np.ix_(s, k)] @ g
-            gain = np.zeros_like(rot) if gain is None else gain
-            gain[b][np.ix_(k, s)] = -g
-        mu, y = np.linalg.eigh(inv_sqrt[:, :, None] * rot * inv_sqrt[:, None, :])
-        spread = np.einsum("nki,nk->ni", (y * y.conj()).real, inv_w)
-        if gain is not None:
-            spread += (np.abs(gain @ (inv_sqrt[:, :, None] * y)) ** 2).sum(axis=1)
+        mu = np.linalg.eigvalsh(inv_sqrt[:, :, None] * rot * inv_sqrt[:, None, :])
         live = (mu > 0) & (mu > 1e-12 * mu.max(initial=0.0))
-        mu_live = np.where(live, mu, 1.0)
-        norm = np.einsum("nii->n", self.rho).real[:, None] / mu_live
-        norm += self.sigma_mass[:, None]
-        at, half = 1.0 / mu[live], (EIG_NOISE * norm * spread / mu_live)[live]
-        order = np.argsort(at, kind="stable")
-        points, halves = [], []
-        for t, h in zip(at[order].tolist(), half[order].tolist()):
-            if points and t <= points[-1] * (1.0 + 1e-9):
-                halves[-1] = max(halves[-1], h, t - points[-1])
-            else:
+        points = []
+        for t in np.sort(1.0 / mu[live]).tolist():
+            if not points or t > points[-1] * (1.0 + STRADDLE):
                 points.append(t)
-                halves.append(h)
-        return points, halves
+        return points
 
 
 def _weights(v: np.ndarray, mats: np.ndarray) -> np.ndarray:
@@ -200,12 +176,10 @@ def _weights(v: np.ndarray, mats: np.ndarray) -> np.ndarray:
     return np.real(np.einsum("nij,njk,nki->ni", v.conj().swapaxes(-1, -2), mats, v))
 
 
-# relative error of a stacked eigh's eigenvalues (4 ulps), the absolute error
-# of a computed alpha_strict (64 ulps), and the relative width at which the
-# root search of a continuous crossing hands over to its confirmation
-EIG_NOISE = 2.0**-50
-ALPHA_NOISE = 2.0**-46
-ROOT_CLOSE = 2.0**-30
+# the relative half width at which ``_straddle`` starts, and the relative
+# width of the bracket whose secant root the search straddles
+STRADDLE = 2.0**-44
+CLOSE = 2.0**-30
 # tolerance of an NP test's primal residuals and interval width in bits (``_certified``)
 NP_TOL = 1e-12
 
@@ -233,154 +207,104 @@ class _Readings:
     def above(self) -> float:
         return min((t for t, a in self.alpha.items() if a >= self.target), default=math.inf)
 
-    def confirm(self, t: float, half: float) -> tuple[float, float] | None:
-        """[t - half, t + half] when its ends straddle the target: t - half
-        reads below it and then t + half at or above it."""
-        a, b = t - half, t + half
-        if self.read(a) < self.target <= self.read(b):
-            return a, b
-        return None
 
-
-def _np_bracket(rd: _Readings) -> tuple[float, float] | None:
-    """A confirmed bracket [lo, hi] of the threshold from the jumps of
-    alpha_strict (``_Blocks.jumps``), or None.
-
-    A bisection over the points between the jumps (the geometric means of
-    neighbours, half the first, twice the last) finds the least that
-    reads at or above the target.  The crossing is then at the jump just
-    below it, or in a continuous stretch beside that jump.  At the jump,
-    [t_j - h, t_j + h] with h its window's half width (at least 4 ulps) is
-    confirmed when its ends straddle the target; a failed confirmation
-    widens h 16-fold, at most three times, while t_j stays between the
-    tightest readings.  Otherwise the crossing is a root of the
-    continuous alpha_strict: ``_np_root``.
-    """
-    points, halves = rd.blocks.jumps()
-    if not points:
-        return None
-    between = [math.sqrt(a * b) for a, b in zip(points, points[1:])]
-    probes = [points[0] / 2.0, *between, points[-1] * 2.0]
-    lo, hi = -1, len(probes)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if rd.read(probes[mid]) >= rd.target:
-            hi = mid
-        else:
-            lo = mid
-    if 1 <= hi <= len(points):
-        t = points[hi - 1]
-        half = max(halves[hi - 1], 4.0 * math.ulp(t))
-        for _ in range(4):
-            if not rd.below() < t < rd.above():
-                break
-            if bracket := rd.confirm(t, half):
-                return bracket
-            half *= 16.0
-    return _np_root(rd)
-
-
-def _np_root(rd: _Readings) -> tuple[float, float] | None:
-    """A confirmed bracket of a crossing of the continuous alpha_strict,
-    or None.
-
-    Regula falsi between the tightest readings (times 4 from the last one
-    until one reads at or above the target), safeguarded twice: the
-    Illinois rule halves the stale end's value when one end moves twice
-    running, and a third move of the same end takes the geometric mean.
-    Once the readings are within ROOT_CLOSE of each other, relatively,
-    their secant gives the root r and the slope s, and [r - h, r + h] with
-    h = ALPHA_NOISE / s (at least 4 ulps) is confirmed as at a jump, h
-    widened 16-fold at most twice.  Readings out of order (a point reading
-    at or above the target below one that reads under it) end the search
-    with no bracket, and so do 40 steps without convergence and a reading
-    equal to the end it replaces (a plateau, where regula falsi creeps).
-    """
-    target = rd.target
-    for _ in range(200):
-        if not math.isinf(rd.above()):
-            break
-        rd.read(4.0 * rd.below() if rd.below() > 0.0 else 1.0)
-    low, high = rd.below(), rd.above()
-    if not low < high < math.inf:
-        return None
-    g_low, g_high = rd.alpha.get(low, 0.0) - target, rd.alpha[high] - target
-    side = 0
-    for _ in range(40):
-        low, high = rd.below(), rd.above()
-        if not low < high:
-            return None
-        if high - low <= ROOT_CLOSE * high:
-            a_low, a_high = rd.alpha.get(low, 0.0), rd.alpha[high]
-            slope = (a_high - a_low) / (high - low)
-            root = min(max(low + (target - a_low) / slope, low), high)
-            half = max(ALPHA_NOISE / slope, 4.0 * math.ulp(root))
-            for _ in range(3):
-                if bracket := rd.confirm(root, half):
-                    return bracket
-                half *= 16.0
-            return None
-        t = high - g_high * (high - low) / (g_high - g_low)
-        if abs(side) >= 3:
-            t = math.sqrt(low * high) if low > 0.0 else high / 4.0
-        if g_high == 0.0:
-            t = max(high * (1.0 - ROOT_CLOSE / 2.0), (low + high) / 2.0)
-        if not low < t < high:
-            t = (low + high) / 2.0
-        reaches = rd.read(t) >= target
-        if rd.alpha[t] == rd.alpha.get(high if reaches else low):
-            return None
-        if reaches:
-            g_high = rd.alpha[t] - target
-            if side > 0:
-                g_low /= 2.0
-            side = side + 1 if side > 0 else 1
-        else:
-            g_low = rd.alpha[t] - target
-            if side < 0:
-                g_high /= 2.0
-            side = side - 1 if side < 0 else -1
+def _straddle(rd: _Readings, t: float) -> tuple[float, float] | None:
+    """[t - h, t + h] with h = STRADDLE t, at least 4 ulps, when its ends
+    straddle the target (t - h reads below it, and t + h at or above it);
+    else None.  An end beyond the tightest reading on its side reads as
+    that one does, since alpha_strict is nondecreasing, and is not read."""
+    half = max(STRADDLE * t, 4.0 * math.ulp(t))
+    a, b = t - half, t + half
+    below = a <= rd.below() or rd.read(a) < rd.target
+    if below and (b >= rd.above() or rd.read(b) >= rd.target):
+        return a, b
     return None
 
 
 def _np_bisect(blocks: _Blocks, target: float) -> tuple[float, float]:
-    """Bracket [t_lo, t_hi] of the least t with alpha_strict(t) >= target:
-    the one confirmed from alpha_strict's jumps (``_np_bracket``), whose
-    ends read on either side of the target.  Without one, the bisection:
-    expansion by 4 from [0, 1], then halving until the float64 midpoint
-    stops falling strictly inside the bracket, at most 120 times.  The test
-    taken in it is certified on its own (``_certified``), so the bracket
-    need only hold the threshold.
+    """Bracket [t_lo, t_hi] of the least t with alpha_strict(t) >= target,
+    in three steps.
+
+    - A bisection over the points between alpha_strict's jumps
+      (``_Blocks.jumps``; the geometric means of neighbours, half the
+      first, twice the last) finds the least that reads at or above the
+      target.  The crossing is then at the jump just below it, or in a
+      continuous stretch beside that jump, and ``_straddle`` tries the jump.
+    - Otherwise regula falsi runs between the tightest readings (times 4
+      from the last one until one reads at or above the target),
+      safeguarded twice: the Illinois rule halves the stale end's value
+      when one end moves twice running, and a third move of the same end
+      takes the geometric mean.  Once the readings are within CLOSE of
+      each other, relatively, ``_straddle`` tries their secant root, once.
+    - With no jumps, or after failed straddles, the same loop shrinks the
+      tightest readings to 4 ulps and returns them, in order should
+      round-off have read them out of order.
+
+    A straddle is never widened.  The test is taken at the bracket's
+    middle, and where alpha_strict steps (at a jump, or at one that
+    ``jumps`` placed off by more than h), a middle d off the step leaves
+    the Lagrange bound first order in d below beta; the loop, which
+    brackets the step itself, costs a few readings more.  The test taken
+    in the bracket is certified on its own (``_certified``), so the
+    bracket need only hold the threshold.  SolverError when no reading up
+    to 4^200 reaches the target.
     """
     rd = _Readings(blocks, target)
-    if bracket := _np_bracket(rd):
-        return bracket
-    t_lo, t_hi = 0.0, 1.0
+    points = blocks.jumps()
+    if points:
+        between = [math.sqrt(a * b) for a, b in zip(points, points[1:])]
+        probes = [points[0] / 2.0, *between, points[-1] * 2.0]
+        lo, hi = -1, len(probes)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if rd.read(probes[mid]) >= target:
+                hi = mid
+            else:
+                lo = mid
+        if 1 <= hi <= len(points) and (bracket := _straddle(rd, points[hi - 1])):
+            return bracket
     for _ in range(200):
-        if rd.read(t_hi) >= target:
+        if not math.isinf(rd.above()):
             break
-        t_lo, t_hi = t_hi, t_hi * 4.0
-    for _ in range(120):
-        mid = (t_lo + t_hi) / 2
-        if not t_lo < mid < t_hi:
+        rd.read(4.0 * rd.below() if rd.below() > 0.0 else 1.0)
+    if math.isinf(rd.above()):
+        raise SolverError(f"alpha_strict stays below {target} up to t = {rd.below()}")
+    side, straddled = 0, False
+    for _ in range(200):
+        low, high = rd.below(), rd.above()
+        if not high - low > 4.0 * math.ulp(high):
             break
-        if rd.read(mid) >= target:
-            t_hi = mid
-        else:
-            t_lo = mid
-    return t_lo, t_hi
+        g_low, g_high = rd.alpha.get(low, 0.0) - target, rd.alpha[high] - target
+        if not straddled and high - low <= CLOSE * high:
+            straddled, side = True, 0
+            if bracket := _straddle(rd, low - g_low * (high - low) / (g_high - g_low)):
+                return bracket
+            continue
+        g_low, g_high = g_low / (2.0 if side == 2 else 1.0), g_high / (2.0 if side == -2 else 1.0)
+        t = high - g_high * (high - low) / (g_high - g_low)
+        if abs(side) >= 3:
+            t = math.sqrt(low * high) if low > 0.0 else high / 4.0
+        if g_high == 0.0:
+            t = max(high * (1.0 - CLOSE / 2.0), (low + high) / 2.0)
+        if not low < t < high:
+            t = (low + high) / 2.0
+        if not low < t < high:
+            break
+        side = max(side, 0) + 1 if rd.read(t) >= target else min(side, 0) - 1
+    low, high = rd.below(), rd.above()
+    return min(low, high), max(low, high)
 
 
-def _np_threshold(blocks: _Blocks, eps: float) -> tuple[list, float, float, float]:
+def _np_threshold(blocks: _Blocks, eps: float) -> tuple[np.ndarray, float, float, float]:
     """Optimal NP test: (per-block tests, alpha, beta, dual), with dual a
     lower bound on the optimal beta (``_certified``).
 
     The test is taken from one stacked ``eigh`` of t rho - sigma at the
     middle t of ``_np_bisect``'s bracket, a jump t_j or a secant root (at
-    the top, alpha would overshoot 1 - eps by up to 2 ALPHA_NOISE on a
-    continuous stretch).  Its eigenvalues d give {d > gap} plus the weight
-    on the border |d| <= gap that brings alpha to 1 - eps, and the dual
-    t (1 - eps) - sum max(d, 0).
+    the top, alpha would overshoot 1 - eps on a continuous stretch by its
+    slope times the bracket's width).  Its eigenvalues d give {d > gap}
+    plus the weight on the border |d| <= gap that brings alpha to 1 - eps,
+    and the dual t (1 - eps) - sum max(d, 0).
 
     Two exits take no search.  When rho's mass on ker sigma reaches
     1 - eps, the test is the projector onto ker sigma, with beta = 0 and
@@ -397,7 +321,7 @@ def _np_threshold(blocks: _Blocks, eps: float) -> tuple[list, float, float, floa
     tests = ker @ ker.conj().swapaxes(-1, -2)
     alpha = float(np.einsum("nij,nji->", tests, blocks.rho).real)
     if alpha >= target - 1e-12:
-        return list(tests), alpha, 0.0, 0.0
+        return tests, alpha, 0.0, 0.0
 
     if eps == 0.0:
         w, v = np.linalg.eigh(blocks.rho)
@@ -406,7 +330,7 @@ def _np_threshold(blocks: _Blocks, eps: float) -> tuple[list, float, float, floa
         alpha, beta = (
             float(np.einsum("nij,nji->", tests, m).real) for m in (blocks.rho, blocks.sigma)
         )
-        return list(tests), alpha, beta, beta
+        return tests, alpha, beta, beta
 
     t_lo, t_hi = _np_bisect(blocks, target)
     t = (t_lo + t_hi) / 2.0
@@ -420,10 +344,10 @@ def _np_threshold(blocks: _Blocks, eps: float) -> tuple[list, float, float, floa
     weights = take + c * border
     tests = (v * weights[:, None, :]) @ v.conj().swapaxes(-1, -2)
     alpha, beta = (sum((w * weights).sum(axis=1).tolist()) for w in (w_r, w_s))
-    return list(tests), alpha, beta, t * target - float(np.maximum(d, 0.0).sum())
+    return tests, alpha, beta, t * target - float(np.maximum(d, 0.0).sum())
 
 
-def _certified(blocks: _Blocks, tests: list, test: NPTest, eps: float) -> float:
+def _certified(blocks: _Blocks, tests: np.ndarray, test: NPTest, eps: float) -> float:
     """-log2 of ``test``'s beta once its checks pass; else SolverError
     with both ends and the residuals.
 
@@ -452,22 +376,12 @@ def _certified(blocks: _Blocks, tests: list, test: NPTest, eps: float) -> float:
     return value
 
 
-def _np_test(
-    rho_blocks: list, sigma_blocks: list, eps: float, symbols=None, sigma_mass=None
-) -> tuple[float, NPTest]:
-    """The certified Neyman-Pearson value and test of a block-diagonal pair.
-
-    With ``symbols`` the per-block tests are keyed by symbol in
-    ``per_symbol``; without, the pair is one block and its test is
-    ``operator``.  ``sigma_mass`` is ``_Blocks``'.
-    """
+def _np_test(rho_blocks, sigma_blocks, eps: float, sigma_mass=None) -> tuple[float, NPTest]:
+    """The certified Neyman-Pearson value and test of a block-diagonal
+    pair; ``sigma_mass`` is ``_Blocks``'."""
     blocks, eps = _Blocks(rho_blocks, sigma_blocks, sigma_mass), _validate_eps(eps)
-    tests, alpha, beta, dual = _np_threshold(blocks, eps)
-    if symbols is None:
-        test = NPTest(tests[0], alpha, beta, dual)
-    else:
-        test = NPTest(None, alpha, beta, dual, dict(zip(symbols, tests)))
-    return _certified(blocks, tests, test, eps), test
+    test = NPTest(*_np_threshold(blocks, eps))
+    return _certified(blocks, test.tests, test, eps), test
 
 
 def d_hyp(rho, sigma, eps: float) -> tuple[float, NPTest]:
@@ -482,8 +396,9 @@ def d_hyp(rho, sigma, eps: float) -> tuple[float, NPTest]:
 def i_hyp_cq(cq: qo.CQState, eps: float, slots=None) -> tuple[float, NPTest]:
     """Hypothesis-testing mutual information of a cq state.
 
-    The optimal test is block diagonal over the classical register; the
-    per-symbol components 0 <= Pi_x <= I are exposed for sequential decoders.
+    The optimal test is block diagonal over the classical register; its
+    components 0 <= Pi_x <= I, stacked in symbol order, are exposed for
+    sequential decoders.
 
     With ``slots``, the register is a direct sum and symbol j's block lives
     on slot ``slots[j]``; t rho_x - sigma_x is negative semidefinite off x's
@@ -495,7 +410,7 @@ def i_hyp_cq(cq: qo.CQState, eps: float, slots=None) -> tuple[float, NPTest]:
     np.add.at(avg, at, cq.blocks)
     mass = None if slots is None else weights * float(np.einsum("kii->", avg).real)
     sigma = weights[:, None, None] * avg[at]
-    return _np_test(cq.blocks, sigma, eps, cq.symbols, mass)
+    return _np_test(cq.blocks, sigma, eps, mass)
 
 
 # ---------------------------------------------------------------------------

@@ -113,8 +113,12 @@ class LinkStage:
 
 def _link_tests(state: qo.CQState, slots, eps: float):
     """Per-(coin, class) hypothesis tests on B of I_H^eps(KL : K'B), slot by slot."""
-    tests = ent.i_hyp_cq(state, eps, slots)[1].per_symbol
-    return {(int(k), sym): tests[s] for s in tests for k, sym in [qo.split_symbol(s)]}
+    tests = ent.i_hyp_cq(state, eps, slots)[1].tests
+    return {
+        (int(k), sym): test
+        for s, test in zip(state.symbols, tests)
+        for k, sym in [qo.split_symbol(s)]
+    }
 
 
 def _link_stage(

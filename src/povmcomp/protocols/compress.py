@@ -319,12 +319,10 @@ ABORT = qo.ABORT
 
 def ideal_blocks(prep: PreparedInstance, scenario: AdversaryScenario) -> dict[str, np.ndarray]:
     """Scenario target: the original POVM's E-blocks, keyed by the outcomes
-    of the links the scenario keeps and summed over the rest."""
-    out: dict[str, np.ndarray] = {}
-    for cls, blk in prep.env_blocks.items():
-        key = qo.join_symbol(*(cls[i] for i in scenario.links))
-        out[key] = out[key] + blk if key in out else blk
-    return out
+    of the links the scenario keeps and summed over the rest (``env_cq``
+    cut to those links)."""
+    cq = prep.env_cq().group_parts(scenario.links)
+    return dict(zip(cq.symbols, cq.blocks))
 
 
 def block_dict_distance(a: dict, b: dict) -> float:

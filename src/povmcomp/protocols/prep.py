@@ -24,7 +24,7 @@ import numpy as np
 from .. import linalg as la
 from .. import qobjects as qo
 from .. import entropies as ent
-from ..budget import default_log_const
+from ..budget import composition_eps, default_log_const
 from ..io import Instance
 
 # The outcome registers, one link each, in decoding order; link i is
@@ -162,7 +162,7 @@ def thresholds(
     ents = prep._cache.get(("entropies", eps))
     names = [link.lower() for link in LINKS]
     if ents is None:
-        eps0 = eps ** (1.0 / 10.0)
+        eps0 = composition_eps(eps)
         ents = prep._cache[("entropies", eps)] = {}
         # link i's I_max is taken against E and the classical links before
         # it; both come from one batch

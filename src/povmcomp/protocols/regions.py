@@ -10,7 +10,8 @@ R_U > aU, R_V > aV, C_U + R_U > bU, C_V + R_V > bV leaves
 A degenerate split register (point mass) needs no sub-channel at all, so
 its contribution is zero rather than the literal smoothed quantities of a
 constant variable; this makes the theta endpoints reproduce the unsplit
-two-channel region exactly.
+two-channel region within round-off (their smoothing balls differ from the
+thresholds' in the last bits).
 
 Both regions read the prepared instance's steered E-blocks (``env_cq``), one
 stack of weighted blocks whose traces are the outcome probabilities: the

@@ -255,10 +255,12 @@ def dmax_smooth_classical_oracle(p: np.ndarray, s: np.ndarray, eps: float) -> fl
     return hi
 
 
-def np_bisect_fixed(alpha_strict, target: float) -> tuple[float, float]:
+def np_bisect_fixed(alpha_strict, target: float, still: bool = False) -> tuple[float, float]:
     """Bracket of the least t with ``alpha_strict(t, 0) >= target``: the
-    Neyman-Pearson threshold bisection with a fixed 120 halvings, even after
-    the float64 midpoint has stopped moving."""
+    Neyman-Pearson threshold bisection, expansion by 4 from [0, 1], then a
+    fixed 120 halvings, even after the float64 midpoint has stopped moving.
+    With ``still`` it stops there instead: the bisection alone, whose reads
+    a shorter search must not exceed."""
     t_lo, t_hi = 0.0, 1.0
     for _ in range(200):
         if alpha_strict(t_hi, 0.0) >= target:
@@ -266,6 +268,8 @@ def np_bisect_fixed(alpha_strict, target: float) -> tuple[float, float]:
         t_lo, t_hi = t_hi, t_hi * 4.0
     for _ in range(120):
         mid = (t_lo + t_hi) / 2
+        if still and not t_lo < mid < t_hi:
+            break
         if alpha_strict(mid, 0.0) >= target:
             t_hi = mid
         else:
@@ -841,8 +845,8 @@ def register_link_test(i_hyp_cq, state, slots, eps: float) -> tuple:
         blocks[j, k * d : (k + 1) * d, k * d : (k + 1) * d] = state.blocks[j]
     value, test = i_hyp_cq(type(state)(state.symbols, blocks), eps)
     per_symbol = {
-        s: test.per_symbol[s][k * d : (k + 1) * d, k * d : (k + 1) * d]
-        for s, k in zip(state.symbols, slots)
+        s: block[k * d : (k + 1) * d, k * d : (k + 1) * d]
+        for s, k, block in zip(state.symbols, slots, test.tests)
     }
     return value, test.achieved_alpha, test.achieved_beta, per_symbol
 

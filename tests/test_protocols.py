@@ -857,8 +857,8 @@ def test_slot_link_tests_equal_register_tests(eps):
         got = (value, test.achieved_alpha, test.achieved_beta)
         for got, want in zip(got, (want_value, alpha, beta)):
             assert abs(got - want) <= 1e-12 * abs(want), (label, got, want)
-        for s in state.symbols:
-            assert np.max(np.abs(test.per_symbol[s] - want_tests[s])) <= 1e-12, (label, s)
+        for s, block in zip(state.symbols, test.tests, strict=True):
+            assert np.max(np.abs(block - want_tests[s])) <= 1e-12, (label, s)
 
 
 def test_decode_thresholds_read_few_points(monkeypatch):

@@ -33,9 +33,8 @@ TEST_ONLY = {
 }
 
 
-# dataclass fields that only tests read as attributes; the run report is
-# to read it
-TEST_ONLY_FIELDS = {"NPTest.operator"}
+# dataclass fields that only tests read as attributes
+TEST_ONLY_FIELDS = set()
 
 
 def _code_names(tree: ast.Module) -> Counter:
