@@ -176,8 +176,8 @@ def _weights(v: np.ndarray, mats: np.ndarray) -> np.ndarray:
     return np.real(np.einsum("nij,njk,nki->ni", v.conj().swapaxes(-1, -2), mats, v))
 
 
-# the relative half width at which ``_straddle`` starts, and the relative
-# width of the bracket whose secant root the search straddles
+# the relative half width of ``_straddle``, and the relative width of the
+# bracket whose secant root the search straddles
 STRADDLE = 2.0**-44
 CLOSE = 2.0**-30
 # tolerance of an NP test's primal residuals and interval width in bits (``_certified``)
@@ -209,12 +209,11 @@ class _Readings:
 
 
 def _straddle(rd: _Readings, t: float) -> tuple[float, float] | None:
-    """[t - h, t + h] with h = STRADDLE t, at least 4 ulps, when its ends
-    straddle the target (t - h reads below it, and t + h at or above it);
-    else None.  An end beyond the tightest reading on its side reads as
-    that one does, since alpha_strict is nondecreasing, and is not read."""
-    half = max(STRADDLE * t, 4.0 * math.ulp(t))
-    a, b = t - half, t + half
+    """[t - h, t + h] with h = STRADDLE t when its ends straddle the target
+    (t - h reads below it, and t + h at or above it); else None.  An end
+    beyond the tightest reading on its side reads as that one does, since
+    alpha_strict is nondecreasing, and is not read."""
+    a, b = t - STRADDLE * t, t + STRADDLE * t
     below = a <= rd.below() or rd.read(a) < rd.target
     if below and (b >= rd.above() or rd.read(b) >= rd.target):
         return a, b

@@ -49,7 +49,7 @@ def draw(rng: np.random.Generator, i: int) -> tuple[list, list]:
     return rho, [qb * oracles.random_density(rng, d, int(rng.integers(1, d))) for qb in q]
 
 
-def sweep(draws: int = 3000, eps_values=EPS) -> dict:
+def sweep(draws: int = 3000) -> dict:
     """Run the first ``draws`` draws at every eps: the reads of each search
     and the failures, each as (draw, kind, eps, failed residual, its value)."""
     reads, failures = [], []
@@ -68,7 +68,7 @@ def sweep(draws: int = 3000, eps_values=EPS) -> dict:
     try:
         for i in range(draws):
             rho, sigma = draw(rng, i)
-            for eps in eps_values:
+            for eps in EPS:
                 try:
                     ent._np_test(rho, sigma, eps)
                 except ent.SolverError as err:

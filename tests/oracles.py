@@ -255,12 +255,10 @@ def dmax_smooth_classical_oracle(p: np.ndarray, s: np.ndarray, eps: float) -> fl
     return hi
 
 
-def np_bisect_fixed(alpha_strict, target: float, still: bool = False) -> tuple[float, float]:
+def np_bisect_fixed(alpha_strict, target: float) -> tuple[float, float]:
     """Bracket of the least t with ``alpha_strict(t, 0) >= target``: the
-    Neyman-Pearson threshold bisection, expansion by 4 from [0, 1], then a
-    fixed 120 halvings, even after the float64 midpoint has stopped moving.
-    With ``still`` it stops there instead: the bisection alone, whose reads
-    a shorter search must not exceed."""
+    Neyman-Pearson threshold bisection with a fixed 120 halvings, even after
+    the float64 midpoint has stopped moving."""
     t_lo, t_hi = 0.0, 1.0
     for _ in range(200):
         if alpha_strict(t_hi, 0.0) >= target:
@@ -268,8 +266,6 @@ def np_bisect_fixed(alpha_strict, target: float, still: bool = False) -> tuple[f
         t_lo, t_hi = t_hi, t_hi * 4.0
     for _ in range(120):
         mid = (t_lo + t_hi) / 2
-        if still and not t_lo < mid < t_hi:
-            break
         if alpha_strict(mid, 0.0) >= target:
             t_hi = mid
         else:

@@ -299,7 +299,6 @@ class TestNPBracket:
         alone."""
         assert math.isfinite(certified_interval(rho, sigma, eps)[0])
         blocks, target = ent._Blocks(rho, sigma), 1.0 - eps
-        fixed = oracles.np_bisect_fixed(blocks.alpha_strict, target)
         found, straddle = [], ent._straddle
 
         def spy(rd, t):
@@ -311,8 +310,10 @@ class TestNPBracket:
             patch.setattr(ent, "_straddle", spy)
             got = ent._np_bisect(blocks, target)
         read = len(calls)
-        oracles.np_bisect_fixed(blocks.alpha_strict, target, still=True)
-        assert read <= len(calls) - read + excess
+        fixed = oracles.np_bisect_fixed(blocks.alpha_strict, target)
+        # past the point where its midpoint stops moving, the fixed
+        # bisection only re-reads its own ends
+        assert read <= len(set(calls[read:])) + excess
         assert got[0] < fixed[1] and fixed[0] < got[1]
         held = [(t, bracket) for t, bracket in found if bracket is not None]
         if not held:
