@@ -603,18 +603,20 @@ def d_max_smooth(rho, sigma, eps: float) -> float:
       When s0 is 0 (every rho-free sub-block has sigma_b = 0, so each
       rho'_b is 0) there is no w.
 
-    Two solves, one certificate.  A classical value, whose ball is one
-    real group of 1x1 sub-blocks with sigma_b > 0 (a commuting pair,
-    split), goes to no solver: it is a water-filling over
-    (lambda_b, sigma_b, s0), whose least t ``_water_fill`` solves exactly,
-    with the point and the KKT multipliers as a ``sdp.BallSolve`` on that
-    group.  Every other value is solved by ``sdp.minimize_balls``.  Every
-    solve, of either kind, is certified by ``_certified_value`` in block
-    form: the recheck of the point's own blocks (the solve's own, when 2^v
-    is its t) and the lower end of its dual.  The solve's status decides
-    nothing: SolverError, naming both ends, the status and the iterations,
-    is raised only when the point fails its recheck, the interval is wider
-    than BISECT_TOL_BITS, or t is not positive.
+    Two solves, one certificate: one solve and one certificate per
+    distinct value, keyed by bytes (``_d_max_smooth_many``).  A classical
+    value, whose ball is one real group of 1x1 sub-blocks with
+    sigma_b > 0 (a commuting pair, split), goes to no solver: it is a
+    water-filling over (lambda_b, sigma_b, s0), whose least t
+    ``_water_fill`` solves exactly, with the point and the KKT multipliers
+    as a ``sdp.BallSolve`` on that group.  Every other value is solved by
+    ``sdp.minimize_balls``.  Every solve, of either kind, is certified by
+    ``_certified_value`` in block form: the recheck of the point's own
+    blocks (the solve's own, when 2^v is its t) and the lower end of its
+    dual.  The solve's status decides nothing: SolverError, naming both
+    ends, the status and the iterations, is raised only when the point
+    fails its recheck, the interval is wider than BISECT_TOL_BITS, or t is
+    not positive.
 
     The sub-blocks are found and their spectra taken once
     (``_ball_blocks``), stacked by (r, d, field) in the group-major order
@@ -644,20 +646,40 @@ def _d_max_smooth_many(values: list[list[tuple]], eps: float) -> list[float]:
     over their capped balls, then each value's solve is certified in order
     by ``_certified_value``; the first value that fails raises its
     SolverError.  At eps 0 a value is the max of ``d_max`` over its
-    pairs."""
+    pairs.
+
+    One solve and one certificate per distinct value, keyed by bytes: a
+    value is keyed on its pairs' (shape, dtype, bytes) of rho_k and
+    sigma_k, and a repeat of a key (the X and Y cells of a region whose
+    outcomes pair x with y hand over the same registers) gets its first
+    occurrence's float, with no ball of its own.  Equal bytes give the
+    same solve, so every value is the one it would be alone; results stay
+    in value order, and the first value that fails is the first
+    occurrence of its key."""
+    keys = [
+        tuple((m.shape, m.dtype.str, m.tobytes()) for pair in pairs for m in pair)
+        for pairs in values
+    ]
+    distinct = {}
+    for key, pairs in zip(keys, values):
+        distinct.setdefault(key, pairs)
     if eps == 0.0:
-        return [max(d_max(rho, sigma) for rho, sigma in pairs) for pairs in values]
-    fidelity = math.sqrt(max(0.0, 1.0 - eps * eps))
-    balls = [sdp.Ball(*_ball_blocks(pairs), fidelity) for pairs in values]
-    classical = [
-        [group[:3] for group in sdp._groups(ball)] == [(1, 1, True)] and (ball.sigma[0] > 0).all()
-        for ball in balls
-    ]
-    solved = iter(sdp.minimize_balls([ball for ball, c in zip(balls, classical) if not c]))
-    return [
-        _certified_value(ball, _water_fill(ball) if c else next(solved))
-        for ball, c in zip(balls, classical)
-    ]
+        found = [max(d_max(rho, sigma) for rho, sigma in pairs) for pairs in distinct.values()]
+    else:
+        fidelity = math.sqrt(max(0.0, 1.0 - eps * eps))
+        balls = [sdp.Ball(*_ball_blocks(pairs), fidelity) for pairs in distinct.values()]
+        classical = [
+            [group[:3] for group in sdp._groups(ball)] == [(1, 1, True)]
+            and (ball.sigma[0] > 0).all()
+            for ball in balls
+        ]
+        solved = iter(sdp.minimize_balls([ball for ball, c in zip(balls, classical) if not c]))
+        found = [
+            _certified_value(ball, _water_fill(ball) if c else next(solved))
+            for ball, c in zip(balls, classical)
+        ]
+    by_key = dict(zip(distinct, found))
+    return [by_key[key] for key in keys]
 
 
 def _water_fill(ball: sdp.Ball) -> sdp.BallSolve:

@@ -18,6 +18,12 @@ stack of weighted blocks whose traces are the outcome probabilities: the
 one-shot region splits that joint state, or for axis Y the state with its
 components swapped, and steers nothing again; every register it hands to the
 entropies is cut from the split state by summing or scattering its blocks.
+
+The I_max of every live register, over all cells, is one
+``entropies.i_max_cq_many`` call, which makes one solve and one certificate
+per distinct value, keyed by bytes.  Where the outcomes pair each x with
+one y (instrument_derived), a Y cell's registers are its X cell's to the
+byte, so the second axis adds no solve.
 """
 
 from __future__ import annotations

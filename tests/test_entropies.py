@@ -919,10 +919,11 @@ class TestWaterFill:
         assert value - ent.BISECT_TOL_BITS < oracle <= value
 
     def test_each_value_makes_one_recheck(self, monkeypatch):
-        # the region pass: the certificate of each value reads its solve's
-        # own recheck, the one recheck of its ball: the final one of each of
-        # the four interior-point solves, and the closed form's of each of
-        # the two classical values
+        # the region pass: the certificate of each distinct value reads its
+        # solve's own recheck, the one recheck of its ball: the final one of
+        # each of the two interior-point solves, and the closed form's of the
+        # classical value (the Y cell's three values repeat the X cell's
+        # bytes, so they get no ball of their own)
         prep = P.prepare(io.load_bundled("instrument_derived"))
         checked, recheck = [], sdp.recheck
         fills, closed_form = [], ent._water_fill
@@ -939,8 +940,45 @@ class TestWaterFill:
         monkeypatch.setattr(ent, "_water_fill", recording_water_fill)
         sizes = solver_batches(monkeypatch)
         P.one_shot_region(prep, 0.1, theta_grid=(0.5,))
-        assert (sizes, len(fills)) == ([4], 2)
-        assert len(checked) == len({id(ball) for ball in checked}) == 4 + 2
+        assert (sizes, len(fills)) == ([2], 1)
+        assert len(checked) == len({id(ball) for ball in checked}) == 2 + 1
+
+
+def test_a_repeated_value_is_solved_and_certified_once(monkeypatch):
+    # values a, b, a, c, b, a, each repeat a copy with the same bytes: a and
+    # b go to the solver, c to the closed form; each distinct value gets one
+    # _ball_blocks, one solve and one certificate, and every value's bits
+    # are those of its lone call
+    (a, b), c = real_pairs()[:2], commuting_pairs(False)[0][:2]
+    alone = [ent._d_max_smooth_many([[pair]], 0.1)[0].hex() for pair in (a, b, c)]
+    order = [0, 1, 0, 2, 1, 0]
+    values = [[tuple(m.copy() for m in (a, b, c)[i])] for i in order]
+    built, certified = [], []
+    ball_blocks, certified_value = ent._ball_blocks, ent._certified_value
+
+    def building(pairs):
+        built.append(pairs)
+        return ball_blocks(pairs)
+
+    def certifying(ball, res):
+        certified.append(res.status)
+        return certified_value(ball, res)
+
+    monkeypatch.setattr(ent, "_ball_blocks", building)
+    monkeypatch.setattr(ent, "_certified_value", certifying)
+    sizes = solver_batches(monkeypatch)
+    got = [v.hex() for v in ent._d_max_smooth_many(values, 0.1)]
+    assert got == [alone[i] for i in order]
+    assert (len(built), sizes, certified) == (3, [2], ["optimal", "optimal", "closedForm"])
+    # a failing value repeated: c, b, c, b with b's solve giving no t raises
+    # once, at b's first position, after c's one certificate
+    certified.clear()
+    stalled_solves(
+        monkeypatch, lambda ball, res: {"point": dataclasses.replace(res.point, t=math.nan)}
+    )
+    with pytest.raises(ent.SolverError, match="solve gave t = nan " + STALLED):
+        ent._d_max_smooth_many([values[3], values[1], values[3], values[4]], 0.1)
+    assert certified == ["closedForm", "maxIterations"]
 
 
 def water_fill(sub_blocks, eps) -> tuple:
@@ -1753,7 +1791,8 @@ def test_every_bundled_value_is_certified_within_1e_5_bits(monkeypatch):
     # the thresholds and the theta 0.25, 0.5 and 0.75 regions of every
     # bundled instance: each certified interval [lower, v], closed-form
     # (widths up to 1e-12 bits) or interior-point (up to 1.4e-6), is at
-    # most 1e-5 bits wide, its lower end at or below v
+    # most 1e-5 bits wide, its lower end at or below v; a value that
+    # repeats another's bytes in its call is certified once
     widths, certified_value = [], ent._certified_value
 
     def recording(ball, res):
@@ -1767,20 +1806,25 @@ def test_every_bundled_value_is_certified_within_1e_5_bits(monkeypatch):
         prep = P.prepare(io.load_bundled(name))
         P.thresholds(prep, 0.1)
         P.one_shot_region(prep, 0.1, theta_grid=(0.25, 0.5, 0.75))
-    assert collections.Counter(closed for closed, _ in widths) == {True: 46, False: 47}
+    assert collections.Counter(closed for closed, _ in widths) == {True: 40, False: 41}
     assert all(0.0 <= width <= 1e-5 for _, width in widths)
 
 
 def test_every_value_takes_one_certificate_path(monkeypatch):
     # the thresholds and the theta 0.5 region of every bundled instance:
-    # each I_max^eps value, closed-form or interior-point, is certified once
-    # by ``_certified_value``, which reads its dual as given
-    # (``sdp.lower_bound(ball, dual)``, with two arguments)
-    asked, certified, bounded = [], [], []
+    # each distinct I_max^eps value of a call (its pairs' shapes, dtypes and
+    # bytes), closed-form or interior-point, is certified once by
+    # ``_certified_value``, which reads its dual as given
+    # (``sdp.lower_bound(ball, dual)``, with two arguments); the repeats are
+    # trivial's two equal thresholds and instrument_derived's Y cell, whose
+    # three values are its X cell's
+    asked, distinct, certified, bounded = [], [], [], []
     many, certified_value, lower_bound = ent._d_max_smooth_many, ent._certified_value, sdp.lower_bound
 
     def counting(values, eps):
         asked.append(len(values))
+        keys = {tuple((m.shape, m.dtype.str, m.tobytes()) for p in ps for m in p) for ps in values}
+        distinct.append(len(keys))
         return many(values, eps)
 
     def recording(value, res):
@@ -1798,11 +1842,12 @@ def test_every_value_takes_one_certificate_path(monkeypatch):
         prep = P.prepare(io.load_bundled(name))
         P.thresholds(prep, 0.1)
         P.one_shot_region(prep, 0.1, theta_grid=(0.5,))
-    assert len(certified) == sum(asked) == len({id(value) for value, _ in certified})
+    assert len(certified) == sum(distinct) == len({id(value) for value, _ in certified})
+    assert (sum(distinct), sum(asked)) == (35, 39)
     assert [(id(value), 2, {}) for value, _ in certified] == [
         (id(value), n, kwargs) for value, n, kwargs in bounded
     ]
-    assert collections.Counter(status for _, status in certified) == {"closedForm": 20, "optimal": 19}
+    assert collections.Counter(status for _, status in certified) == {"closedForm": 18, "optimal": 17}
 
 
 class TestBlockForm:

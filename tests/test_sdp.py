@@ -451,8 +451,10 @@ def region_balls():
     (instrument_derived, theta 0.5, eps 0.1, axes X and Y): the six values
     ``one_shot_region`` hands to ``entropies._d_max_smooth_many`` in one
     call, built as it builds them, the X cell's three registers U, V and
-    Y, then the Y cell's.  The library solves the two classical ones in
-    closed form; here all six are balls for ``sdp.minimize_balls``."""
+    Y, then the Y cell's.  The Y cell's pairs are the X cell's to the
+    byte, so the library solves three: the classical one in closed form,
+    two in ``sdp.minimize_balls``; here all six are balls for
+    ``sdp.minimize_balls``."""
     prep = prep_mod.prepare(io.load_bundled("instrument_derived"))
     calls, smooth_many = [], ent._d_max_smooth_many
 
