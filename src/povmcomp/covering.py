@@ -123,10 +123,8 @@ def good_sets(parts, weights, present, target, eps):
     the Uhlmann partner of target's purification in the same space, primed
     states read off the |i> slices, GOOD = INDEX (weight ratio within
     eps^(1/4) of 1) intersect CLOSE (primed state within eps^(1/4) of the
-    original).  Returns the GOOD mask (b, n), the primed states
-    (b, n, d, d), zero off GOOD, and per row prob_good (the GOOD weight)
-    and op_slack (the least eigenvalue of
-    (1 + eps^(1/4)) target - sum_{GOOD} w rho').
+    original).  Returns the GOOD mask (b, n) and the primed states
+    (b, n, d, d), zero off GOOD.
     """
     eps = np.asarray(eps, dtype=float)
     if np.any((eps <= 0) | (eps >= 1)):
@@ -159,10 +157,7 @@ def good_sets(parts, weights, present, target, eps):
     in_good = (np.abs(1.0 - ratio) <= quarter[rows]) & (dists <= quarter[rows])
     good, primed = np.zeros_like(kept), np.zeros((b, n, d, d), dtype=complex)
     good[rows, cols], primed[rows, cols] = in_good, rho_p * in_good[:, None, None]
-    prob_good = np.where(good, weights, 0.0).sum(axis=1)
-    bound = (1.0 + quarter)[:, None, None] * target - np.einsum("rn,rnij->rij", weights, primed)
-    op_slack = np.linalg.eigvalsh((bound + bound.conj().swapaxes(-1, -2)) / 2)[:, 0]
-    return good, primed, prob_good, op_slack
+    return good, primed
 
 
 def transformed_rows(sigmas, weights, eps):

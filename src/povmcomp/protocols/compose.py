@@ -70,14 +70,15 @@ MAX_HASHED_LOG_L = 16
 
 
 def _link_state(family: CompressedFamily, prep: PreparedInstance, i: int):
-    """Link i's composition state over (K, class), and each symbol's coin slot.
+    """Link i's composition state over (K, class), and its symbols' flat
+    (coin k, class c) indices ``live``, k |alphabet| + c, ascending.
 
     The block of ``"k|class"`` is the count-weighted sum of the E-operators
     of the family's rows with coin k and this symbol on link i, reduced to
     B, on coin slot k of the (K' B) register, scaled by the class's index
     count over the coins and normalised over the non-abort mass: its trace
     is the class's index mass in coin k (its outcome probability averaged
-    over the other links' coins, times its count).
+    over the other links' coins, times its count).  Pairs of no mass are no symbols.
     """
     codebook = family.codebooks[i]
     coins, n_cls, d_b = codebook.coins, len(codebook.alphabet), prep.dim_b
@@ -94,31 +95,25 @@ def _link_state(family: CompressedFamily, prep: PreparedInstance, i: int):
     live = np.flatnonzero(p > 1e-14)
     symbols = tuple(qo.join_symbol(str(s // n_cls), codebook.alphabet[s % n_cls]) for s in live)
     blocks = acc[live] * (counts[live] / coins / p[live].sum())[:, None, None]
-    return qo.CQState.derived(symbols, blocks), live // n_cls
+    return qo.CQState.derived(symbols, blocks), live
 
 
 @dataclass
 class LinkStage:
     """What Bob needs to decode one link: its hash and, when it hashes, its tests.
 
-    An unhashed link (``wire_bits == log_l``) carries the message index
-    itself, through ``identity_hash``, and has no tests.
+    ``tests`` is one (coins, classes, d_B, d_B) stack on B, indexed by
+    (coin, class position in the alphabet): the hypothesis tests of
+    I_H^eps(KL : K'B), slot by slot, at the link state's live (coin, class)
+    pairs (``_link_state``) and exact zeros at the others.  An unhashed
+    link (``wire_bits == log_l``) carries the message index itself, through
+    ``identity_hash``, and has no tests (``tests`` None).
     """
 
     wire_bits: int
     log_l: int
     hash_scheme: HashScheme
-    tests: dict[tuple[int, str], np.ndarray] | None  # on B, per (coin, class)
-
-
-def _link_tests(state: qo.CQState, slots, eps: float):
-    """Per-(coin, class) hypothesis tests on B of I_H^eps(KL : K'B), slot by slot."""
-    tests = ent.i_hyp_cq(state, eps, slots)[1].tests
-    return {
-        (int(k), sym): test
-        for s, test in zip(state.symbols, tests)
-        for k, sym in [qo.split_symbol(s)]
-    }
+    tests: np.ndarray | None
 
 
 def _link_stage(
@@ -143,7 +138,11 @@ def _link_stage(
                 )
             rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(101 + i,)))
             scheme = draw_hash(log_l, wire_bits, rng)
-            tests = _link_tests(*_link_state(family, prep, i), budget.eps)
+            state, live = _link_state(family, prep, i)
+            coins, n_cls = family.codebooks[i].coins, len(family.codebooks[i].alphabet)
+            tests = np.zeros((coins * n_cls, prep.dim_b, prep.dim_b), dtype=complex)
+            tests[live] = ent.i_hyp_cq(state, budget.eps, live // n_cls)[1].tests
+            tests = tests.reshape(coins, n_cls, prep.dim_b, prep.dim_b)
     return LinkStage(wire_bits, log_l, scheme, tests)
 
 
@@ -195,8 +194,9 @@ class _StageDecoder:
     Bob's decoder for a wire message sees only the classes of the indices in
     its fiber, in the order ``sequential_kraus`` tests them (ascending
     index, as ``HashScheme.fibers`` lists them), because his tests are per
-    (coin, class).  The coin and that class sequence, nondecreasing since
-    classes take contiguous index ranges, are the fiber's signature.
+    (coin, class), ``stage.tests[k, c]``.  The coin and that class sequence,
+    nondecreasing since classes take contiguous index ranges, are the
+    fiber's signature.
     ``_signatures`` numbers the (coin, sequence) rows of all fibers in
     lexicographic order, so coin k's signatures start at ``start[k]``; an
     affine hash's fibers share one size, and one ``sequential_kraus`` call
@@ -206,15 +206,16 @@ class _StageDecoder:
     ``counts[k, c, j]`` is how many indices of class c in coin k hash into
     a fiber of coin k's signature j.  Sequential decoding's error analysis
     holds for any fixed candidate order (Sen, arXiv:1109.0802).  An
-    unhashed link tabulates nothing: class c of coin k decodes to itself
-    with no measurement (``branches`` None), ``counts[k, c]`` times.
+    unhashed link (``stage.tests`` None) tabulates nothing: class c of coin
+    k decodes to itself with no measurement (``branches`` None),
+    ``counts[k, c]`` times.
     """
 
     def __init__(self, stage: LinkStage, codebook, d_tail: int):
         coins, n_cls = codebook.coins, len(codebook.alphabet)
         self.n_out = n_cls + 1
         self.branches, self.counts = None, codebook.counts
-        if stage.wire_bits == stage.log_l:
+        if stage.tests is None:
             return
         fibers = stage.hash_scheme.fibers(codebook.messages)
         n_fib, size = fibers.shape
@@ -230,13 +231,9 @@ class _StageDecoder:
         local = np.arange(len(first)) - self.start[sig_coin]
         self.counts = np.zeros((coins, n_cls, local.max() + 1), dtype=np.int64)
         self.counts[sig_coin, :, local] = np.bincount(sig)[:, None] * hist
-        d_b = next(iter(stage.tests.values())).shape[0]
-        tests = np.zeros((coins, n_cls, d_b, d_b), dtype=complex)
-        for (k, sym), op in stage.tests.items():
-            tests[k, codebook.alphabet.index(sym)] = op
         # a hash to fewer bits has a non-trivial kernel, so every fiber
         # holds at least two candidates
-        self.branches = _kron_eye(sequential_kraus(tests[sig_coin[:, None], sig_cls]), d_tail)
+        self.branches = _kron_eye(sequential_kraus(stage.tests[sig_coin[:, None], sig_cls]), d_tail)
         out = np.column_stack([sig_cls, np.full(len(first), n_cls)])
         self.onehot = out[..., None] == np.arange(self.n_out)
 
@@ -420,16 +417,13 @@ def compose_with_side_information(
     stage, family, eps0 = run["stage_x"], run["family"], budget.eps0
     plan, codebook = family.plan, family.codebooks[0]
     th = thresholds(prep, budget.eps, plan.log_const)
-    state, slots = _link_state(family, prep, 0)
-    atoms = []
-    for s, p in zip(state.symbols, state.probs):
-        k, sym = qo.split_symbol(s)
-        m = int(codebook.counts[int(k)][codebook.alphabet.index(sym)])
-        atoms.append((p / m, float(m)))
+    state, live = _link_state(family, prep, 0)
+    counts = codebook.counts.reshape(-1)[live]
+    atoms = [(p / m, float(m)) for p, m in zip(state.probs, counts)]
     hmax_kl = ent.smooth_max_entropy_atoms(atoms, eps0)
     ihyp_kl = math.inf
     if prep.has_side_information():
-        ihyp_kl, _ = ent.i_hyp_cq(state, eps0, slots)
+        ihyp_kl, _ = ent.i_hyp_cq(state, eps0, live // len(codebook.alphabet))
     realized, check = 0, math.inf
     if not math.isinf(ihyp_kl):
         realized = max(

@@ -265,7 +265,7 @@ def _assemble_rows(prep, table, mult, n_total, deviation) -> tuple:
     and abort element."""
     _, t, tilted = table
     parts, weights, eps = cov.transformed_rows(tilted, mult / n_total, np.maximum(deviation, 1e-9))
-    good, primed, _, _ = cov.good_sets(parts, weights, mult > 0, prep.rho_a, eps)
+    good, primed = cov.good_sets(parts, weights, mult > 0, prep.rho_a, eps)
     inv_sq = prep.pinv_sqrt_rho_a
     raw = (t / n_total)[:, None, None] * (inv_sq @ primed @ inv_sq)
     raw = (raw + raw.conj().swapaxes(-1, -2)) / 2

@@ -30,20 +30,23 @@ Coordinates.  Each PSD block is stored by its isometric real vector
 (``herm_to_rvec``/``rvec_to_herm``, one matrix product with the cached
 basis of ``_rvec_basis``): d(d+1)/2 coordinates over the real symmetric
 matrices (the diagonal and sqrt2 times the upper triangle), d^2 over the
-Hermitian ones.  A sub-block is real when its sigma_b is (``entropies``
-decides it per sub-block); the program is invariant under conjugating one
-sub-block's (Z_b, rho'_b) when Lambda_b and sigma_b are real, and
-conjugation keeps every constraint, so a real optimum of that block is an
-optimum, and a real dual has no residual along its imaginary
-directions.  The free reals x of a value are, sub-block by sub-block in
-group-major order, G_b's rvec coordinates off its r x r corner (Z_b's
-entries times sqrt2, then rho'_b's rvec, in G_b's order), then t and w.
-So the map x -> (G_b, C_b, scalar rows) is a selection with signs, plus t
-sigma_b in each cap: one sparse matrix A in coordinate form, s = A x + h
-in K, with h holding Lambda_b in G_b's corner and -c in the fidelity row.
-``MAX_VAR_REALS`` caps a value's free reals, which size its dense Schur
-matrix; ``minimize_balls`` raises ``ProblemTooLarge`` before it builds
-anything.
+Hermitian ones.  One cached table, ``_rvec_coords``, fixes their order:
+the entry (i, j) and the part of each coordinate.  The basis, the rvec
+positions a sub-block's free reals are read from (``_geometry``) and a
+batch's eigenvalue pairs (``_Layout``) are all derived from it.  A
+sub-block is real when its sigma_b is (``entropies`` decides it per
+sub-block); the program is invariant under conjugating one sub-block's
+(Z_b, rho'_b) when Lambda_b and sigma_b are real, and conjugation keeps
+every constraint, so a real optimum of that block is an optimum, and a
+real dual has no residual along its imaginary directions.  The free reals
+x of a value are, sub-block by sub-block in group-major order, G_b's rvec
+coordinates off its r x r corner (Z_b's entries times sqrt2, then rho'_b's
+rvec, in G_b's order), then t and w.  So the map x -> (G_b, C_b, scalar
+rows) is a selection with signs, plus t sigma_b in each cap: one sparse
+matrix A in coordinate form, s = A x + h in K, with h holding Lambda_b in
+G_b's corner and -c in the fidelity row.  ``MAX_VAR_REALS`` caps a value's
+free reals, which size its dense Schur matrix; ``minimize_balls`` raises
+``ProblemTooLarge`` before it builds anything.
 
 The step.  A primal-dual interior-point method with Nesterov-Todd scaling
 and Mehrotra's predictor-corrector (SIAM J. Optim. 2, 1992), from SDPT3's
@@ -111,6 +114,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -130,17 +134,6 @@ class ProblemTooLarge(ValueError):
 
 
 _SQRT2 = math.sqrt(2.0)
-_INDEX_CACHE: dict[int, tuple] = {}
-_BASIS_CACHE: dict[tuple[int, bool], tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _herm_indices(d: int):
-    cached = _INDEX_CACHE.get(d)
-    if cached is None:
-        iu = np.triu_indices(d, k=1)
-        cached = (iu, np.diag_indices(d))
-        _INDEX_CACHE[d] = cached
-    return cached
 
 
 def rvec_size(d: int, real: bool = False) -> int:
@@ -149,51 +142,54 @@ def rvec_size(d: int, real: bool = False) -> int:
     return d * (d + 1) // 2 if real else d * d
 
 
-def _rvec_basis(d: int, real: bool = False) -> tuple[np.ndarray, np.ndarray]:
+@cache
+def _rvec_coords(d: int, real: bool) -> np.ndarray:
+    """The read-only (3, k) table of a d x d block's rvec coordinates, in
+    rvec order: column k holds the entry (i, j), i <= j, of coordinate k
+    and its part (0 the real part, 1 the imaginary one).  The diagonal
+    (i, i, 0) comes first, then the upper entries' real parts (i, j, 0)
+    and, over the Hermitian field, their imaginary parts (i, j, 1), each
+    run in ``np.triu_indices`` order."""
+    iu = np.triu_indices(d, k=1)
+    ends = [np.concatenate([np.arange(d)] + [side] * (1 if real else 2)) for side in iu]
+    coords = np.stack(ends + [np.arange(rvec_size(d, real)) >= d + len(iu[0])])
+    coords.flags.writeable = False
+    return coords
+
+
+@cache
+def _rvec_basis(d: int, real: bool) -> tuple[np.ndarray, np.ndarray]:
     """The cached, read-only pair (B, reader) of dimension d and field.
 
-    Hermitian: B is (d^2, d^2) complex: its row k is the k-th rvec basis
-    matrix E_k, flattened.  The diagonal e_i e_i^T come first, then
-    (e_i e_j^T + e_j e_i^T) / sqrt2 and then i (e_i e_j^T - e_j e_i^T) / sqrt2
-    for the entries i < j; ``rvec_to_herm`` multiplies by B viewed as
-    (d^2, 2 d^2) reals.  ``reader`` (2 d^2, d^2) takes a flattened matrix,
-    viewed as interleaved real and imaginary parts, to its rvec.  It reads
-    the diagonal's real parts and sqrt2 times the upper triangle's real and
-    imaginary parts, so on a Hermitian M it is Re(M.flat @ B^H); a matrix
-    that is Hermitian only up to rounding gets the same bits as from an
-    entrywise read of its upper triangle.
+    Hermitian: B is (d^2, d^2) complex: its row k is the basis matrix E_k
+    of ``_rvec_coords``'s coordinate k, flattened: e_i e_i^T on the
+    diagonal, (e_i e_j^T + e_j e_i^T) / sqrt2 for a real part and
+    i (e_i e_j^T - e_j e_i^T) / sqrt2 for an imaginary one; ``rvec_to_herm``
+    multiplies by B viewed as (d^2, 2 d^2) reals.  ``reader`` (2 d^2, d^2)
+    takes a flattened matrix, viewed as interleaved real and imaginary
+    parts, to its rvec.  It reads the diagonal's real parts and sqrt2 times
+    the upper triangle's real and imaginary parts, so on a Hermitian M it
+    is Re(M.flat @ B^H); a matrix that is Hermitian only up to rounding
+    gets the same bits as from an entrywise read of its upper triangle.
 
     Real: the same basis without its imaginary rows, B (d(d+1)/2, d^2) and
     ``reader`` (d^2, d(d+1)/2), both real, over flattened real matrices:
     the diagonal and sqrt2 times the upper triangle.
     """
-    cached = _BASIS_CACHE.get((d, real))
-    if cached is None:
-        if real:
-            basis, reader = _rvec_basis(d)
-            k = rvec_size(d, True)
-            cached = (basis[:k].real.copy(), reader.reshape(d * d, 2, d * d)[:, 0, :k].copy())
-        else:
-            iu, di = _herm_indices(d)
-            n_off = iu[0].size
-            diag, upper, lower = di[0] * (d + 1), iu[0] * d + iu[1], iu[1] * d + iu[0]
-            k_diag = np.arange(d)
-            k_re = d + np.arange(n_off)
-            k_im = k_re + n_off
-            basis = np.zeros((d * d, d * d), dtype=complex)
-            basis[k_diag, diag] = 1.0
-            basis[k_re, upper] = basis[k_re, lower] = 1.0 / _SQRT2
-            basis[k_im, upper] = 1j / _SQRT2
-            basis[k_im, lower] = -1j / _SQRT2
-            reader = np.zeros((d * d, 2, d * d))
-            reader[diag, 0, k_diag] = 1.0
-            reader[upper, 0, k_re] = _SQRT2
-            reader[upper, 1, k_im] = _SQRT2
-            cached = (basis, reader.reshape(2 * d * d, d * d))
-        for arr in cached:
-            arr.flags.writeable = False
-        _BASIS_CACHE[d, real] = cached
-    return cached
+    i, j, part = _rvec_coords(d, real)
+    k, upper, lower = np.arange(len(i)), i * d + j, j * d + i
+    diag, re, im = i == j, (i != j) & (part == 0), part == 1
+    basis = np.zeros((len(k), d * d), dtype=complex)
+    basis[k[diag], upper[diag]] = 1.0
+    basis[k[re], upper[re]] = basis[k[re], lower[re]] = 1.0 / _SQRT2
+    basis[k[im], upper[im]] = 1j / _SQRT2
+    basis[k[im], lower[im]] = -1j / _SQRT2
+    reader = np.zeros((d * d, 1 if real else 2, len(k)))
+    reader[upper, part, k] = np.where(diag, 1.0, _SQRT2)
+    pair = (basis.real.copy() if real else basis, reader.reshape(-1, len(k)))
+    for arr in pair:
+        arr.flags.writeable = False
+    return pair
 
 
 def herm_to_rvec(mat: np.ndarray, real: bool = False) -> np.ndarray:
@@ -484,37 +480,26 @@ def within_tolerance(residuals: dict[str, float]) -> bool:
 
 def _rvec_positions(n: int, real: bool) -> dict[tuple[int, int, int], int]:
     """The rvec position of each coordinate (i, j, part) of an n x n block:
-    the diagonal (i, i, 0), then the upper entries' real parts (i, j, 0)
-    and, over the Hermitian field, their imaginary parts (i, j, 1)."""
-    iu = _herm_indices(n)[0]
-    pos = {(i, i, 0): i for i in range(n)}
-    for idx, (i, j) in enumerate(zip(*(side.tolist() for side in iu))):
-        pos[i, j, 0] = n + idx
-        if not real:
-            pos[i, j, 1] = n + len(iu[0]) + idx
-    return pos
+    ``_rvec_coords`` enumerated."""
+    return {coord: p for p, coord in enumerate(zip(*_rvec_coords(n, real).tolist()))}
 
 
-_GEOMETRY: dict[tuple[int, int, bool], tuple] = {}
-
-
+@cache
 def _geometry(r: int, d: int, real: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Where a sub-block's free reals sit in the rvec of its G_b: their
     positions (off the r x r corner, ascending), and among them the index
     of each rvec coordinate of rho'_b (in its own rvec order) and of
     Re Z_b[a, a] for a < r."""
-    key = (r, d, real)
-    if key not in _GEOMETRY:
-        pos = _rvec_positions(r + d, real)
-        free = sorted(p for (i, j, _), p in pos.items() if j >= r)
-        index = {p: k for k, p in enumerate(free)}
-        tail = sorted(_rvec_positions(d, real).items(), key=lambda item: item[1])
-        rho = [index[pos[r + i, r + j, part]] for (i, j, part), _ in tail]
-        zdiag = [index[pos[a, r + a, 0]] for a in range(r)]
-        _GEOMETRY[key] = (np.array(free), np.array(rho), np.array(zdiag, dtype=int))
-    return _GEOMETRY[key]
+    pos = _rvec_positions(r + d, real)
+    free = np.flatnonzero(_rvec_coords(r + d, real)[1] >= r)
+    index = {p: k for k, p in enumerate(free.tolist())}
+    rho = [index[pos[r + i, r + j, part]] for i, j, part in zip(*_rvec_coords(d, real).tolist())]
+    zdiag = [index[pos[a, r + a, 0]] for a in range(r)]
+    return free, np.array(rho), np.array(zdiag, dtype=int)
 
 
+# built once per shapes: a pass asks for the same few again and again
+@lru_cache(maxsize=256)
 class _Layout:
     """Where the blocks, scalar slots and free reals of several values sit
     in the joined vectors of a batch; it depends on the values' shapes
@@ -654,9 +639,8 @@ class _Layout:
         self.slab_info = []
         t_rows, t_cols = [], []
         for size, real, at, count, k, runs in self.slabs:
-            iu = _herm_indices(size)[0]
-            ends = [np.concatenate([np.arange(size)] + [side] * (1 if real else 2)) for side in iu]
-            pair = np.swapaxes(np.arange(count)[:, None, None] * size + np.array(ends)[None], 0, 1)
+            ends = _rvec_coords(size, real)[:2]
+            pair = np.swapaxes(np.arange(count)[:, None, None] * size + ends[None], 0, 1)
             pair = pair.reshape(2, -1)
             vals = np.repeat([v for v, _, _ in runs], [shapes[v][0][g][3] for v, g, _ in runs])
             starts = np.flatnonzero(np.diff(vals, prepend=-1))
@@ -710,20 +694,6 @@ class _Layout:
         self.border = np.concatenate([h_at(tv, at, end), h_at(tv, end, at)])
 
 
-_LAYOUTS: dict[tuple, _Layout] = {}
-
-
-def _layout(shapes: tuple) -> _Layout:
-    """The ``_Layout`` of ``shapes``, built once per shapes (a pass asks for
-    the same few again and again)."""
-    lay = _LAYOUTS.get(shapes)
-    if lay is None:
-        if len(_LAYOUTS) >= 256:
-            _LAYOUTS.clear()
-        lay = _LAYOUTS[shapes] = _Layout(shapes)
-    return lay
-
-
 @dataclass
 class _State:
     x: np.ndarray  # free reals, joined
@@ -739,7 +709,7 @@ class _Batch:
 
     def __init__(self, balls: list[Ball]):
         self.balls = balls
-        lay = self.lay = _layout(tuple((_groups(ball), ball.free_mass > 0.0) for ball in balls))
+        lay = self.lay = _Layout(tuple((_groups(ball), ball.free_mass > 0.0) for ball in balls))
         coef = lay.coef.copy()
         sigmas, eigs = [np.zeros(0)], [np.zeros(0)]
         for _, real, *_, runs in lay.slabs:

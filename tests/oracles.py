@@ -802,14 +802,11 @@ class PerMessageStageDecoder:
     def _message_branches(self, k: int, message: int) -> list:
         fiber = [int(i) for i in np.flatnonzero(self.hashes == message)]
         offsets = self.codebook.offsets(k)
-        alphabet = self.codebook.alphabet
-        classes = [alphabet[int(np.searchsorted(offsets, i, side="right") - 1)] for i in fiber]
+        cls = [int(np.searchsorted(offsets, i, side="right") - 1) for i in fiber]
+        classes = [self.codebook.alphabet[c] for c in cls]
         if len(fiber) == 1:
             return [(classes[0], None)]
-        tests = self.stage.tests
-        d_b = next(iter(tests.values())).shape[0]
-        zero = np.zeros((d_b, d_b), dtype=complex)
-        kraus = self.build([tests.get((k, sym), zero) for sym in classes])
+        kraus = self.build([self.stage.tests[k, c] for c in cls])
         eye_tail = np.eye(self.d_tail, dtype=complex)
         return [(sym, np.kron(op, eye_tail)) for sym, op in zip(classes + [self.abort], kraus)]
 

@@ -33,7 +33,6 @@ from povmcomp.sdp import (  # noqa: F401  (re-exported for the tests)
     ProblemTooLarge,
     _congruence,
     _ct,
-    _herm_indices,
     _rvec_basis,
     herm_to_rvec,
     rvec_size,
@@ -312,7 +311,7 @@ class Program:
             base = first + d * np.arange(len(slots))[:, None, None]
             # the upper entries' slots come once per part: real, then imaginary
             parts = 1 if self.real else 2
-            iu = _herm_indices(d)[0]
+            iu = np.triu_indices(d, k=1)
             ends = [np.concatenate([np.arange(d)] + [side] * parts) for side in iu]
             pairs.append(np.swapaxes(base + ends, 0, 1).reshape(2, -1))
             lo, first = lo + slots.size, first + d * len(slots)

@@ -87,14 +87,18 @@ class TestCoveringError:
 
 def good_set(parts, weights, target, eps):
     """The GOOD set of one row of ``cov.good_sets``, every part offered a
-    slice: its indices, primed states, prob_good and op_slack, and eps."""
+    slice: its indices, primed states, and eps, with prob_good (the GOOD
+    weight) and op_slack (the least eigenvalue of
+    (1 + eps^(1/4)) target - sum_{GOOD} w rho') computed from them."""
     present = np.ones((1, len(parts)), dtype=bool)
-    good, primed, prob_good, op_slack = cov.good_sets(parts, [weights], present, target, [eps])
+    good, primed = cov.good_sets(parts, [weights], present, target, [eps])
+    weights = np.asarray(weights, dtype=float)
+    bound = (1.0 + eps**0.25) * np.asarray(target) - np.einsum("n,nij->ij", weights, primed[0])
     return types.SimpleNamespace(
         good=np.flatnonzero(good[0]).tolist(),
         primed=primed[0],
-        prob_good=float(prob_good[0]),
-        op_slack=float(op_slack[0]),
+        prob_good=float(np.where(good[0], weights, 0.0).sum()),
+        op_slack=float(np.linalg.eigvalsh((bound + bound.conj().T) / 2)[0]),
         eps_used=eps,
     )
 

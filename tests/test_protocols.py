@@ -342,8 +342,45 @@ def test_only_hashed_links_build_decoder_tests(solved, monkeypatch):
     )
     hashed = set(GOLDEN_WIRE.get(name, ()))
     assert calls == [GOLDEN_EPS] * len(hashed)
-    tested = {axis for axis, stage in (("X", run["stage_x"]), ("Y", run["stage_y"])) if stage.tests}
+    tested = {
+        axis
+        for axis, stage in (("X", run["stage_x"]), ("Y", run["stage_y"]))
+        if stage.tests is not None
+    }
     assert tested == hashed
+
+
+@pytest.mark.parametrize(
+    "name, wire, n_dead",
+    [
+        *((name, wire, (0, None)) for name, wire in GOLDEN_WIRE.items()),
+        ("classical_commuting", {"X": 2, "Y": 1}, (0, 2)),
+    ],
+    ids=[*GOLDEN_WIRE, "classical_commuting_both_hashed"],
+)
+def test_link_tests_are_one_stack_by_coin_and_class(name, wire, n_dead):
+    # a hashed link's stage holds one (coins, classes, d_B, d_B) stack: at
+    # each live (coin, class) of its link state, flat index k n_cls + c,
+    # the test i_hyp_cq takes there, and exact zeros at the n_dead other
+    # pairs; an unhashed link (n_dead None) has no stack
+    prep = P.prepare(io.load_bundled(name))
+    run = P.centralised_protocol(
+        prep, GOLDEN_BUDGETS[name], GOLDEN_SEED, log_const=GOLDEN_C, wire_override=wire
+    )
+    family, d_b = run["family"], prep.dim_b
+    for i, (stage, dead) in enumerate(zip((run["stage_x"], run["stage_y"]), n_dead)):
+        if dead is None:
+            assert stage.tests is None
+            continue
+        codebook = family.codebooks[i]
+        n_cls = len(codebook.alphabet)
+        state, live = compose._link_state(family, prep, i)
+        want = ent.i_hyp_cq(state, GOLDEN_EPS, live // n_cls)[1].tests
+        assert stage.tests.shape == (codebook.coins, n_cls, d_b, d_b)
+        flat = stage.tests.reshape(-1, d_b, d_b)
+        assert np.array_equal(flat[live], want)
+        others = np.setdiff1d(np.arange(len(flat)), live)
+        assert len(others) == dead and not flat[others].any()
 
 
 def _stacked_rows(tests) -> int:
@@ -763,8 +800,9 @@ def test_coin_scaling_matches_per_message_decode(coins, wire):
 @pytest.mark.parametrize("coins", [1, 2])
 def test_decode_work_does_not_grow_with_the_coins(coins, monkeypatch):
     # at every coin count: rho_A decomposed once per codebook draw, link
-    # tests that decompose nothing larger than d_B, and one sequential_kraus
-    # call per hashed link; np.linalg's eigh, eigvalsh and svd are spied on
+    # tests (``i_hyp_cq`` on the link states) that decompose nothing larger
+    # than d_B, and one sequential_kraus call per hashed link; np.linalg's
+    # eigh, eigvalsh and svd are spied on
     prep = P.prepare(io.load_bundled("qubit_entangled_side_info"))
     budget = OneShotBudget(0.1, r_x=8, r_y=7, c_x=coins, c_y=coins)
     seen = {"build": [], "link": [], "kraus": 0}
@@ -794,8 +832,9 @@ def test_decode_work_does_not_grow_with_the_coins(coins, monkeypatch):
 
     build = compose.sequential_kraus
     monkeypatch.setattr(compose, "sequential_kraus", counting_build)
-    for name, fn in (("build", compose.build_compressed_povm), ("link", compose._link_tests)):
-        monkeypatch.setattr(compose, fn.__name__, within(name, fn))
+    build_povm = within("build", compose.build_compressed_povm)
+    monkeypatch.setattr(compose, "build_compressed_povm", build_povm)
+    monkeypatch.setattr(ent, "i_hyp_cq", within("link", ent.i_hyp_cq))
     for name in ("eigh", "eigvalsh", "svd"):
         monkeypatch.setattr(np.linalg, name, spying(getattr(np.linalg, name)))
     run = P.centralised_protocol(prep, budget, 1, log_const=0.0, wire_override={"X": 6, "Y": 6})
@@ -821,7 +860,8 @@ def _bundled_link_states():
             budget = OneShotBudget(GOLDEN_EPS, r_x=3, r_y=2, c_x=coins, c_y=coins)
             family = compress.build_compressed_povm(prep, budget, GOLDEN_SEED, GOLDEN_C)
             for i, link in enumerate(P.LINKS):
-                yield (f"{name}/{link}/c{coins}", *compose._link_state(family, prep, i))
+                state, live = compose._link_state(family, prep, i)
+                yield f"{name}/{link}/c{coins}", state, live // len(family.codebooks[i].alphabet)
 
 
 def _seeded_link_states():

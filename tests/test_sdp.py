@@ -257,6 +257,39 @@ class TestIterationKernels:
                 back = ref.rvec_to_herm(r, d, True)
                 assert np.max(np.abs(back - oracles._rvec_to_herm_single(r, d, True))) <= 1e-14
 
+    @pytest.mark.parametrize("real", [False, True], ids=["hermitian", "real"])
+    def test_one_coordinate_table_orders_the_rvecs(self, real):
+        # _rvec_coords's column k is (i, j, part) of rvec coordinate k: the
+        # diagonal, then the upper entries' real parts, then (Hermitian)
+        # their imaginary parts, each run in triu order; row k of the basis
+        # is that coordinate's matrix, _rvec_positions enumerates the table
+        # and a layout's eigenvalue pairs are its entries (i, j)
+        for d in range(1, 7):
+            coords = sdp._rvec_coords(d, real)
+            assert coords.shape == (3, sdp.rvec_size(d, real)) and not coords.flags.writeable
+            iu = [(i, j) for i in range(d) for j in range(i + 1, d)]
+            want = [(i, i, 0) for i in range(d)] + [(i, j, part) for part in (0, 1) for i, j in iu]
+            want = want[: coords.shape[1]]
+            assert [tuple(c) for c in coords.T.tolist()] == want
+            basis = sdp._rvec_basis(d, real)[0].reshape(-1, d, d)
+            for row, (i, j, part) in zip(basis, coords.T.tolist(), strict=True):
+                mat = np.zeros((d, d), dtype=complex)
+                if i == j:
+                    mat[i, i] = 1.0
+                else:
+                    mat[i, j] = (1j if part else 1.0) / math.sqrt(2.0)
+                    mat[j, i] = np.conj(mat[i, j])
+                assert np.array_equal(row, mat), (d, i, j, part)
+            assert sdp._rvec_positions(d, real) == {c: k for k, c in enumerate(want)}
+        groups = tuple((1, d, real, 2) for d in range(1, 6))
+        lay = sdp._Layout(((groups, False), (groups[:2], True)))
+        sizes = []
+        for size, _, _, count, k, pair, *_ in lay.slab_info:
+            sizes.append(size)
+            ends = pair.reshape(2, count, k) - size * np.arange(count)[:, None]
+            assert (ends == sdp._rvec_coords(size, real)[:2, None]).all(), size
+        assert sizes == [2, 3, 4, 5, 6]
+
     def test_congruence_acts_on_rvecs(self):
         rng = np.random.default_rng(21)
         for d in range(1, 6):

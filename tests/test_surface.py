@@ -283,6 +283,28 @@ def test_protocol_steps_do_not_branch_on_link_names():
     assert hits == []
 
 
+def test_no_module_level_mutable_containers():
+    """No library module binds a dict, list or set at module level (a
+    literal, a comprehension, or a ``dict``/``list``/``set`` call): a
+    module-level container that code fills is shared by every caller in
+    the process, so memoisation goes through ``functools`` only."""
+    kinds = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+    hits = []
+    for path in sorted((ROOT / "src/povmcomp").rglob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, (ast.Assign, ast.AnnAssign)):
+                continue
+            value = node.value
+            called = (
+                isinstance(value, ast.Call)
+                and isinstance(value.func, ast.Name)
+                and value.func.id in ("dict", "list", "set")
+            )
+            if isinstance(value, kinds) or called:
+                hits.append(f"{path.relative_to(ROOT / 'src').as_posix()}:{node.lineno}")
+    assert hits == []
+
+
 def test_library_never_imports_scipy():
     """Importing every library module leaves scipy unloaded: scipy is a test
     extra only, and loading ``scipy.linalg`` about doubles a run's peak
