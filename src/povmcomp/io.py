@@ -9,13 +9,17 @@ and a joint POVM acting on A:
               "elements": {"x|y": [[re, im], ...]}}}
 
 Serialization is canonical (sorted keys, fixed separators) so a parse +
-re-dump round trip is byte identical.
+re-dump round trip is byte identical.  An ``Instance`` validates itself
+once, when it is built: ``JointPOVM`` checks the elements and
+``la.density_eigh`` the state, whose (Hermitian part, eigenvalues,
+eigenvectors) it holds as ``spectrum``; ``state`` keeps the parsed entries.
 """
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
@@ -32,9 +36,13 @@ def matrix_to_json(mat: np.ndarray) -> list[list[float]]:
 
 def matrix_from_json(entries, dim: int) -> np.ndarray:
     flat = np.array([complex(re, im) for re, im in entries], dtype=complex)
-    if flat.size != dim * dim:
-        raise ValueError(f"matrix payload has {flat.size} entries, expected {dim * dim}")
+    _check_entries(flat.size, dim)
     return flat.reshape(dim, dim)
+
+
+def _check_entries(size: int, dim: int) -> None:
+    if size != dim * dim:
+        raise ValueError(f"matrix has {size} entries, expected {dim * dim}")
 
 
 @dataclass(frozen=True)
@@ -42,6 +50,13 @@ class Instance:
     dims: dict[str, int]
     state: np.ndarray
     povm: qo.JointPOVM
+    spectrum: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        _check_entries(np.size(self.state), self.dim_a * self.dim_b * self.dim_r)
+        if self.povm.dim != self.dim_a:
+            raise ValueError(f"POVM acts on dimension {self.povm.dim}, register A has {self.dim_a}")
+        object.__setattr__(self, "spectrum", la.density_eigh(self.state))
 
     @property
     def dim_a(self) -> int:
@@ -83,14 +98,13 @@ def instance_from_payload(payload: dict) -> Instance:
     dims = {k: int(v) for k, v in dims.items()}
     total = dims["A"] * dims["B"] * dims["R"]
     state = matrix_from_json(payload["state"], total)
-    la.assert_density(state)  # validate; keep the parsed entries byte-exact
     pv = payload["povm"]
     elements = {}
     for key, entries in pv["elements"].items():
-        x, y = qo.split_symbol(key)
-        mat = matrix_from_json(entries, dims["A"])
-        la.assert_hermitian(mat)
-        elements[(x, y)] = mat
+        parts = qo.split_symbol(key)
+        if len(parts) != 2:
+            raise ValueError(f"element key {key!r} is not of the form 'x|y'")
+        elements[parts] = matrix_from_json(entries, dims["A"])
     povm = qo.JointPOVM(tuple(pv["alphabetX"]), tuple(pv["alphabetY"]), elements)
     return Instance(dims, state, povm)
 
@@ -117,6 +131,7 @@ BUNDLED = (
 )
 
 
+@functools.cache
 def bundled_instance_path(name: str) -> Path:
     if name not in BUNDLED:
         raise ValueError(f"unknown bundled instance {name!r}; choose from {BUNDLED}")

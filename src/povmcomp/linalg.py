@@ -6,7 +6,9 @@ silently repairing it; tiny negative eigenvalues (below the PSD tolerance)
 are the one exception and get clamped to zero before square roots.
 The ``*_many`` functions take a (..., d, d) stack and decompose all of its
 members with one stacked LAPACK call; each member's result is the one its
-single-matrix counterpart gives.
+single-matrix counterpart gives.  The eigenpair forms ``_root``,
+``_pinv_root``, ``_support`` and ``purify`` take checked eigenpairs (w, v),
+so one ``density_eigh`` serves all of a matrix's functions.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ PSD_TOL = 1e-10
 SQRT_NEG_TOL = 1e-8
 # relative eigenvalue cutoff of the support (pseudo-inverse, projector)
 SUPPORT_TOL = 1e-10
+# a density matrix's trace and a distribution's sum are 1 within this
+TRACE_TOL = 1e-10
 
 
 def as_matrix(op) -> np.ndarray:
@@ -56,9 +60,9 @@ def assert_hermitian(op) -> np.ndarray:
     return _hermitian_part(as_matrix(op))
 
 
-def assert_psd(op, tol: float = PSD_TOL * 100) -> np.ndarray:
+def assert_psd(op) -> np.ndarray:
     mat = assert_hermitian(op)
-    _check_psd(np.linalg.eigvalsh(mat)[0], tol)
+    _check_psd(np.linalg.eigvalsh(mat)[0])
     return mat
 
 
@@ -82,7 +86,7 @@ def density_eigh(op) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     w, v = np.linalg.eigh(mat)
     _check_psd(w[0])
     tr = float(np.trace(mat).real)
-    if abs(tr - 1.0) > 1e-8:
+    if abs(tr - 1.0) > TRACE_TOL:
         raise ValueError(f"trace {tr} is not 1 within tolerance")
     return mat, w, v
 
@@ -164,16 +168,11 @@ def trace_norm_many(ops) -> np.ndarray:
     return np.sum(np.abs(np.linalg.eigvalsh(mats)), axis=-1)
 
 
-def matrix_sqrt(op) -> np.ndarray:
-    """PSD square root; an eigenvalue below ``-PSD_TOL * 100`` is
-    ``assert_psd``'s ValueError, and smaller negative ones are clamped."""
-    return matrix_sqrt_many(as_matrix(op))
-
-
 def matrix_sqrt_many(ops) -> np.ndarray:
-    """``matrix_sqrt`` of every member of a ``(..., d, d)`` stack, from one
-    stacked ``eigh``; each member is symmetrised and checked as
-    ``assert_psd`` does."""
+    """PSD square root of a matrix or of every member of a ``(..., d, d)``
+    stack, from one stacked ``eigh``; each member is symmetrised, an
+    eigenvalue below ``-PSD_TOL * 100`` is ``assert_psd``'s ValueError, and
+    smaller negative ones are clamped."""
     w, v = np.linalg.eigh(_hermitian_part(_as_stack(ops)))
     if w.size:
         _check_psd(w[..., 0].min())
@@ -187,39 +186,38 @@ def _root(w: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def pseudo_inverse_sqrt(op) -> np.ndarray:
     """Inverse square root on the support, zero on the kernel."""
-    mat = assert_hermitian(op)
-    w, v = np.linalg.eigh(mat)
+    w, v = np.linalg.eigh(assert_hermitian(op))
     if w[0] < -SQRT_NEG_TOL:
         raise ValueError(f"pseudo_inverse_sqrt of non-PSD input (min eig {w[0]:.3e})")
+    return _pinv_root(w, v)
+
+
+def _pinv_root(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The inverse square root on the support of a matrix's eigenpairs."""
     cutoff = max(SUPPORT_TOL, SUPPORT_TOL * max(w[-1], 0.0))
     inv = np.where(w > cutoff, 1.0 / np.sqrt(np.clip(w, cutoff, None)), 0.0)
     return (v * inv) @ v.conj().T
 
 
 def support_projector(op) -> np.ndarray:
-    mat = assert_hermitian(op)
-    w, v = np.linalg.eigh(mat)
+    return _support(*np.linalg.eigh(assert_hermitian(op)))
+
+
+def _support(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The projector onto the support of a matrix's eigenpairs."""
     cutoff = max(SUPPORT_TOL, SUPPORT_TOL * max(abs(w[0]), abs(w[-1])))
     cols = v[:, np.abs(w) > cutoff]
     return cols @ cols.conj().T
 
 
-def purify(rho, truncate: bool = False, tol: float = 1e-12) -> np.ndarray:
-    """Purification of ``rho`` on system (x) mirror.
-
-    Default convention is row-major vectorization of ``matrix_sqrt(rho)``,
-    so the mirror has the same dimension as the system.  With
-    ``truncate=True`` the mirror is cut down to the rank of ``rho``
-    (eigenvector purification), which keeps composite simulations small.
-    """
-    mat = assert_psd(rho)
-    if truncate:
-        w, v = np.linalg.eigh(mat)
-        keep = w > tol
-        if not keep.any():
-            raise ValueError("cannot purify the zero operator")
-        return (v[:, keep] * np.sqrt(w[keep])).reshape(-1)
-    return matrix_sqrt(mat).reshape(-1)
+def purify(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Purification sum_i sqrt(w_i) |v_i> (x) |i> on system (x) mirror of
+    the PSD matrix with checked eigenpairs (w, v), the mirror cut down to
+    its rank (the eigenvalues above 1e-12)."""
+    keep = w > 1e-12
+    if not keep.any():
+        raise ValueError("cannot purify the zero operator")
+    return (v[:, keep] * np.sqrt(w[keep])).reshape(-1)
 
 
 def uhlmann_partner(psi, target, eigh=None) -> np.ndarray:

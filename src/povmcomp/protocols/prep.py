@@ -10,7 +10,11 @@ deviations, side-information decoding, the thresholds and the rate
 regions.  Every smooth entropy of those is taken on a cq state that
 ``CQState.group_parts`` and ``CQState.embed_parts`` cut from ``env_cq``,
 the stack of the steered E-blocks, each of trace p(x, y), as they are;
-``side_information`` is the one I_H on B.
+``side_information`` is the one I_H on B.  Set-up decomposes each matrix
+once: ``prepare`` purifies from the eigenpairs of rho the ``Instance``
+holds, one ``la.density_eigh`` of rho_A gives p(x, y), sqrt(rho_A), its
+inverse on the support and the support projector, and one stacked
+``steer`` maps all the elements (``JointPOVM`` checked them stacked) to E.
 """
 
 from __future__ import annotations
@@ -93,30 +97,30 @@ class PreparedInstance:
 
 
 def prepare(inst: Instance) -> PreparedInstance:
-    lay = inst.layout()
-    rho = la.assert_density(inst.state)
-    rho_a = la.partial_trace(rho, lay, ["A"])
+    rho, w, v = inst.spectrum
+    rho_a = la.partial_trace(rho, inst.layout(), ["A"])
     # rank-truncated purification: global pure state on (A B R) (x) M
-    psi = la.purify(rho, truncate=True, tol=1e-12)
-    dm = psi.size // (inst.dim_a * inst.dim_b * inst.dim_r)
-    joint = qo.induced_distribution(inst.povm, rho_a)
-    sqrt_a = la.matrix_sqrt(rho_a)
+    psi = la.purify(w, v)
+    checked_a, w_a, v_a = la.density_eigh(rho_a)
+    joint = qo.induced_distribution(inst.povm, checked_a)
+    sqrt_a = la._root(w_a, v_a)
     mirror_blocks = {
         key: sqrt_a @ el @ sqrt_a for key, el in inst.povm.elements.items()
     }
     prep = PreparedInstance(
         instance=inst,
         rho_a=rho_a,
-        pinv_sqrt_rho_a=la.pseudo_inverse_sqrt(rho_a),
-        supp_proj_a=la.support_projector(rho_a),
+        pinv_sqrt_rho_a=la._pinv_root(w_a, v_a),
+        supp_proj_a=la._support(w_a, v_a),
         joint=joint,
         marginals=tuple(qo.marginal(joint, i) for i in range(len(LINKS))),
         global_pure=psi,
-        env_dims={"B": inst.dim_b, "R": inst.dim_r, "M": dm},
+        env_dims={"B": inst.dim_b, "R": inst.dim_r, "M": psi.size // rho.shape[0]},
         mirror_blocks=mirror_blocks,
         env_blocks={},
     )
-    prep.env_blocks.update((key, prep.steer(el)) for key, el in inst.povm.elements.items())
+    steered = prep.steer(np.stack(list(inst.povm.elements.values())))
+    prep.env_blocks.update(zip(inst.povm.elements, steered))
     return prep
 
 

@@ -37,7 +37,7 @@ def split_symbol(sym: str) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class Distribution:
-    """Probabilities over an ordered alphabet; sums to 1 within 1e-10."""
+    """Probabilities over an ordered alphabet; sums to 1 within ``la.TRACE_TOL``."""
 
     alphabet: tuple[str, ...]
     probs: np.ndarray
@@ -49,7 +49,7 @@ class Distribution:
             raise ValueError("alphabet and probability sizes differ")
         if np.any(probs < -1e-12):
             raise ValueError("negative probability")
-        if abs(probs.sum() - 1.0) > 1e-10:
+        if abs(probs.sum() - 1.0) > la.TRACE_TOL:
             raise ValueError(f"probabilities sum to {probs.sum()}, not 1")
 
     def prob(self, symbol: str) -> float:
@@ -88,15 +88,14 @@ class JointPOVM:
             for i, sym in enumerate(alphabet):
                 if sym in alphabet[:i]:
                     raise ValueError(f"outcome {sym!r} repeats in alphabet {name}")
-        dims = {m.shape[0] for m in self.elements.values()}
-        if len(dims) != 1:
+        if not self.elements:
+            raise ValueError("POVM has no elements")
+        if len({np.shape(m) for m in self.elements.values()}) != 1:
             raise ValueError("POVM elements have inconsistent dimensions")
-        total = np.zeros((self.dim, self.dim), dtype=complex)
-        for (x, y), m in self.elements.items():
+        for x, y in self.elements:
             if x not in self.alphabet_x or y not in self.alphabet_y:
                 raise ValueError(f"element key {(x, y)} outside the alphabets")
-            la.assert_psd(m, tol=1e-8)
-            total += m
+        total = la.assert_psd_many(list(self.elements.values()), tol=1e-8).sum(axis=0)
         if np.max(np.abs(total - np.eye(self.dim))) > 1e-8:
             raise ValueError("POVM elements do not sum to the identity")
 
@@ -166,9 +165,9 @@ def instrument_to_povm(inst: Instrument) -> JointPOVM:
 
 
 def induced_distribution(povm: JointPOVM, rho: np.ndarray) -> Distribution:
-    """p(x, y) = Tr[Lambda_{x,y} rho] over the joint alphabet."""
-    rho = la.assert_density(rho)
-    if rho.shape[0] != povm.dim:
+    """p(x, y) = Tr[Lambda_{x,y} rho] over the joint alphabet, of a density
+    matrix ``rho`` that the caller has checked (``la.density_eigh``)."""
+    if rho.shape != (povm.dim, povm.dim):
         raise ValueError("state and POVM dimensions differ")
     syms, probs = [], []
     for x in povm.alphabet_x:

@@ -109,6 +109,12 @@ def psd_sqrt_oracle(op: np.ndarray) -> np.ndarray:
     return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
 
 
+def sqrt_purify(rho: np.ndarray) -> np.ndarray:
+    """Purification of ``rho`` on system (x) mirror, a mirror as large as
+    the system: the row-major vectorisation of its PSD square root."""
+    return psd_sqrt_oracle(rho).reshape(-1)
+
+
 def verify_certificate(cert, parts: list, weights: list, target: np.ndarray) -> dict[str, bool]:
     """Independent re-check of the three invariants of a GOOD-set
     certificate (``good``, ``primed``, ``prob_good``, ``eps_used``): the GOOD

@@ -153,7 +153,7 @@ class TestFidelity:
 
 class TestSqrt:
     def test_diagonal(self):
-        assert np.allclose(la.matrix_sqrt(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]))
+        assert np.allclose(la.matrix_sqrt_many(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]))
 
     def test_pinv_sqrt_kernel(self):
         assert np.allclose(la.pseudo_inverse_sqrt(np.diag([1.0, 0.0])), np.diag([1.0, 0.0]))
@@ -161,12 +161,12 @@ class TestSqrt:
     def test_reconstruction(self):
         rng = np.random.default_rng(9)
         rho = oracles.random_density(rng, 4)
-        s = la.matrix_sqrt(rho)
+        s = la.matrix_sqrt_many(rho)
         assert np.max(np.abs(s @ s - rho)) < 1e-9
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            la.matrix_sqrt(np.diag([1.0, -1e-3]))
+            la.matrix_sqrt_many(np.diag([1.0, -1e-3]))
 
     def test_stack_matches_members(self):
         # one stacked eigh gives each member's root bit for bit
@@ -189,44 +189,51 @@ class TestSqrt:
 
 
 class TestPurify:
+    """``la.purify``: the purification from a matrix's eigenpairs, its
+    mirror cut down to the rank."""
+
     def test_pure_input_is_product(self):
+        # a one-dimensional mirror: the state itself, up to a phase
         v = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)
-        rho = np.outer(v, v.conj())
-        psi = la.purify(rho)
-        mat = psi.reshape(2, 2)
-        assert np.linalg.matrix_rank(np.round(mat, 10)) == 1
+        psi = la.purify(*np.linalg.eigh(np.outer(v, v.conj())))
+        assert psi.size == 2
+        assert np.isclose(abs(np.vdot(psi, v)), 1.0)
 
     def test_maximally_mixed_gives_bell_type(self):
-        psi = la.purify(np.eye(2) / 2)
+        psi = la.purify(*np.linalg.eigh(np.eye(2, dtype=complex) / 2))
         red = oracles.partial_trace_oracle(np.outer(psi, psi.conj()), [2, 2], [0])
         assert np.allclose(red, np.eye(2) / 2, atol=1e-10)
 
     def test_random_qutrit_reduction(self):
         rng = np.random.default_rng(10)
         rho = oracles.random_density(rng, 3)
-        psi = la.purify(rho)
+        psi = la.purify(*np.linalg.eigh(rho))
         red = oracles.partial_trace_oracle(np.outer(psi, psi.conj()), [3, 3], [0])
         assert np.max(np.abs(red - rho)) < 1e-10
 
     def test_truncated_rank(self):
         rng = np.random.default_rng(11)
         rho = oracles.random_density(rng, 4, rank=2)
-        psi = la.purify(rho, truncate=True)
+        psi = la.purify(*np.linalg.eigh(rho))
         assert psi.size == 4 * 2
         red = oracles.partial_trace_oracle(np.outer(psi, psi.conj()), [4, 2], [0])
         assert np.max(np.abs(red - rho)) < 1e-10
+
+    def test_zero_operator_refused(self):
+        with pytest.raises(ValueError, match="zero operator"):
+            la.purify(*np.linalg.eigh(np.zeros((2, 2), dtype=complex)))
 
 
 class TestUhlmann:
     def test_partner_of_own_state(self):
         rng = np.random.default_rng(12)
         rho = oracles.random_density(rng, 3)
-        psi = la.purify(rho)
+        psi = oracles.sqrt_purify(rho)
         phi = la.uhlmann_partner(psi, rho)
         assert np.isclose(abs(np.vdot(phi, psi)), 1.0, atol=1e-8)
 
     def test_orthogonal_supports(self):
-        psi = la.purify(np.diag([1.0, 0.0]).astype(complex))
+        psi = oracles.sqrt_purify(np.diag([1.0, 0.0]).astype(complex))
         phi = la.uhlmann_partner(psi, np.diag([0.0, 1.0]).astype(complex))
         assert abs(np.vdot(phi, psi)) < 1e-10
         red = oracles.partial_trace_oracle(np.outer(phi, phi.conj()), [2, 2], [0])
@@ -237,7 +244,7 @@ class TestUhlmann:
         for _ in range(200):
             rho = oracles.random_density(rng, 2)
             tgt = oracles.random_density(rng, 2)
-            psi = la.purify(rho)
+            psi = oracles.sqrt_purify(rho)
             phi = la.uhlmann_partner(psi, tgt)
             red = oracles.partial_trace_oracle(np.outer(phi, phi.conj()), [2, 2], [0])
             assert np.max(np.abs(red - tgt)) < 1e-8

@@ -1,3 +1,4 @@
+import collections
 import json
 
 import numpy as np
@@ -7,6 +8,7 @@ from povmcomp import io, qobjects as qo
 from povmcomp import protocols as P
 
 import oracles
+from test_sdp import linalg_spy
 
 
 def two_outcome_povm(d=2):
@@ -318,3 +320,90 @@ class TestInstanceIO:
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError):
             io.load_instance(path)
+
+    def test_trace_tolerance_is_the_distributions(self):
+        # a state whose trace is 1 within the Distribution's tolerance loads
+        # and prepares; at 1 +- 5e-9 it is refused when it is built, by the
+        # payload and by direct construction alike, not later by prepare
+        payload = io.load_bundled("qubit_cq").to_payload()
+        state = io.instance_from_payload(payload).state
+        for scale in (1 + 5e-11, 1 - 5e-11):
+            payload["state"] = io.matrix_to_json(state * scale)
+            P.prepare(io.instance_from_payload(payload))
+        povm = io.instance_from_payload(payload).povm
+        for scale in (1 + 5e-9, 1 - 5e-9):
+            payload["state"] = io.matrix_to_json(state * scale)
+            with pytest.raises(ValueError, match="is not 1 within tolerance"):
+                io.instance_from_payload(payload)
+            with pytest.raises(ValueError, match="is not 1 within tolerance"):
+                io.Instance(payload["dims"], state * scale, povm)
+
+    def test_malformed_element_keys_are_named(self):
+        payload = io.load_bundled("qubit_cq").to_payload()
+        elements = payload["povm"]["elements"]
+        elements["0|0|z"] = elements.pop("0|0")
+        with pytest.raises(ValueError, match=r"element key '0\|0\|z' is not of the form"):
+            io.instance_from_payload(payload)
+        payload["povm"]["elements"] = {}
+        with pytest.raises(ValueError, match="POVM has no elements"):
+            io.instance_from_payload(payload)
+
+    def test_povm_must_act_on_register_a(self):
+        inst = io.load_bundled("qubit_cq")
+        with pytest.raises(ValueError, match="POVM acts on dimension 2, register A has 1"):
+            io.Instance({"A": 1, "B": 2, "R": 1}, inst.state, inst.povm)
+
+    @pytest.mark.parametrize("name", io.BUNDLED)
+    def test_setup_decomposes_each_matrix_once(self, name, monkeypatch):
+        # one eigh of rho (the instance's check), one of rho_A (prepare) and
+        # one eigvalsh of the stacked POVM elements; nothing else
+        calls = linalg_spy(monkeypatch)
+        P.prepare(io.load_bundled(name))
+        assert collections.Counter(calls) == {"eigh": 2, "eigvalsh": 1}
+
+
+GOOD_STATE = np.diag([0.7, 0.3]).astype(complex)
+GOOD_ELEMENTS = {"0|0": np.diag([1.0, 0.0]), "1|0": np.diag([0.0, 1.0])}
+
+
+@pytest.mark.parametrize(
+    "state, elements, message",
+    [
+        (np.diag([0.7, np.nan]), {}, "non-finite entries"),
+        (np.array([[0.5, 0.1], [0.0, 0.5]]), {}, "not Hermitian"),
+        (np.diag([1.2, -0.2]), {}, "negative eigenvalue -2.000e-01"),
+        (np.diag([0.7, 0.7]), {}, "trace 1.4 is not 1"),
+        (np.eye(3) / 3, {}, "matrix has 9 entries, expected 4"),
+        (GOOD_STATE, {"0|0": np.array([[1.0, 0.0], [0.1, 0.0]])}, "not Hermitian"),
+        (
+            GOOD_STATE,
+            {"0|0": np.diag([1.2, 0.0]), "1|0": np.diag([-0.2, 1.0])},
+            "negative eigenvalue -2.000e-01",
+        ),
+        (GOOD_STATE, {"2|0": np.zeros((2, 2))}, "outside the alphabets"),
+        (GOOD_STATE, {"0|0": np.diag([0.5, 0.0])}, "do not sum to the identity"),
+    ],
+)
+def test_validation_is_the_same_on_every_entry_path(state, elements, message):
+    """Each contract violation of the state or of the POVM raises one
+    message, whether the instance is loaded from a payload or built
+    directly and then prepared."""
+    elements = {key: np.asarray(m, dtype=complex) for key, m in (GOOD_ELEMENTS | elements).items()}
+    state = np.asarray(state, dtype=complex)
+    payload = {
+        "dims": {"A": 2, "B": 1, "R": 1},
+        "state": io.matrix_to_json(state),
+        "povm": {
+            "alphabetX": ["0", "1"],
+            "alphabetY": ["0"],
+            "elements": {key: io.matrix_to_json(m) for key, m in elements.items()},
+        },
+    }
+    with pytest.raises(ValueError, match=message) as from_payload:
+        io.instance_from_payload(payload)
+    with pytest.raises(ValueError) as direct:
+        povm = qo.JointPOVM(
+            ("0", "1"), ("0",), {qo.split_symbol(key): m for key, m in elements.items()}
+        )
+        P.prepare(io.Instance(payload["dims"], state, povm))
+    assert str(direct.value) == str(from_payload.value)
