@@ -112,24 +112,25 @@ def covering_sweep(
 # operator inequality: GOOD-set extraction
 
 
-def good_sets(parts, weights, present, target, eps):
+def good_sets(parts, weights, present, spectrum, eps):
     """GOOD sets of every row of ``weights`` over one (n, d, d) stack of states.
 
     Row r purifies sum_i w_ri parts_i with a slice of C per part that
-    ``present[r]`` offers, at slack ``eps[r]``.  The target is checked and
-    decomposed once, the roots, distances and slacks of all rows are stacked,
-    and only the Uhlmann partner runs row by row.  Row r follows the
-    purification proof literally: psi = sum_i sqrt(w_ri) |rho_i>|i>, phi
-    the Uhlmann partner of target's purification in the same space, primed
-    states read off the |i> slices, GOOD = INDEX (weight ratio within
-    eps^(1/4) of 1) intersect CLOSE (primed state within eps^(1/4) of the
-    original).  Returns the GOOD mask (b, n) and the primed states
+    ``present[r]`` offers, at slack ``eps[r]``.  The target comes checked
+    and decomposed, as ``la.density_eigh``'s (target, eigenvalues,
+    eigenvectors) ``spectrum``; the roots, distances and slacks of all rows
+    are stacked, and only the Uhlmann partner runs row by row.  Row r
+    follows the purification proof literally: psi = sum_i sqrt(w_ri)
+    |rho_i>|i>, phi the Uhlmann partner of target's purification in the
+    same space, primed states read off the |i> slices, GOOD = INDEX (weight
+    ratio within eps^(1/4) of 1) intersect CLOSE (primed state within
+    eps^(1/4) of the original).  Returns the GOOD mask (b, n) and the primed states
     (b, n, d, d), zero off GOOD.
     """
     eps = np.asarray(eps, dtype=float)
     if np.any((eps <= 0) | (eps >= 1)):
         raise ValueError("eps must lie in (0, 1)")
-    target, *eig = la.density_eigh(target)
+    target, wt, vt = spectrum
     parts, weights = la._as_stack(parts), np.asarray(weights, dtype=float)
     (b, n), d = weights.shape, target.shape[0]
     hyp = la.trace_norm_many(np.einsum("rn,nij->rij", weights, parts) - target)
@@ -145,7 +146,7 @@ def good_sets(parts, weights, present, target, eps):
     psi[..., used] = np.sqrt(weights[:, None, None, used]) * roots
     phi = np.zeros_like(psi)
     for r, cols in enumerate(present):
-        phi[r][..., cols] = la.uhlmann_partner(psi[r][..., cols], target, eig).reshape(d, d, -1)
+        phi[r][..., cols] = la.uhlmann_partner(psi[r][..., cols], wt, vt).reshape(d, d, -1)
     # the live parts phi does not vanish on
     q = np.sum(np.abs(phi) ** 2, axis=(1, 2))
     kept = live & (q > 1e-300)

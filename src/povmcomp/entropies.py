@@ -417,16 +417,19 @@ def i_hyp_cq(cq: qo.CQState, eps: float, slots=None) -> tuple[float, NPTest]:
 
 
 def d_max(rho, sigma) -> float:
-    """log2 of the least c with rho <= c sigma; +inf outside the support."""
+    """log2 of the least c with rho <= c sigma; +inf outside the support.
+    One checked ``eigh`` of sigma gives its support and its inverse root."""
     rho = la.assert_psd(rho)
-    sigma = la.assert_psd(sigma)
+    sigma = la.assert_hermitian(sigma)
+    w, v = np.linalg.eigh(sigma)
+    la._check_psd(w[0])
     if rho.shape != sigma.shape:
         raise ValueError("dimension mismatch")
-    proj = la.support_projector(sigma)
+    proj = la._support(w, v)
     leak = float(np.trace((np.eye(len(rho)) - proj) @ rho).real)
     if leak > 1e-10:
         return math.inf
-    isq = la.pseudo_inverse_sqrt(sigma)
+    isq = la._pinv_root(w, v)
     pencil = isq @ rho @ isq
     top = float(np.linalg.eigvalsh((pencil + pencil.conj().T) / 2)[-1])
     if top <= 0.0:
@@ -707,9 +710,10 @@ def _water_fill(ball: sdp.Ball) -> sdp.BallSolve:
 
     The point is G_b = [[lambda_b, z_b], [z_b, x_b]], z_b =
     sqrt(lambda_b x_b), w = 1 - sum_b x_b, at t = t_cap >= t*
-    (``_t_star_cap``).  The dual holds the water-filling's multipliers at
-    t_d = t*^2 / t_cap, t* mirrored below t* by t_cap's rise over it:
-    W_b = v_b v_b^T, v_b = (1 / (2 sqrt(kappa_b)), -sqrt(kappa_b)),
+    (``_t_star_cap``), handed back at 2^(log2 t_cap) (``sdp._logged``).
+    The dual holds the water-filling's multipliers at t_d = t*^2 / t_cap,
+    t* mirrored below t* by t_cap's rise over it: W_b = v_b v_b^T,
+    v_b = (1 / (2 sqrt(kappa_b)), -sqrt(kappa_b)),
     kappa_b = max(mu, sqrt(lambda_b / (t_d sigma_b)) / 2), 1 on the
     fidelity row, mu on w >= 0, kappa_b - mu on each cap and 0 on w's cap.
     They are stationary with -mu on the trace row, which is the
@@ -758,7 +762,8 @@ def _water_fill(ball: sdp.Ball) -> sdp.BallSolve:
         v = np.stack((0.5 / np.sqrt(kappa), -np.sqrt(kappa)), axis=1)
         fid, floor, caps, free_cap = 1.0, mu, kappa - mu, 0.0
     w = 1.0 - x.sum() if free_mass > 0.0 else 0.0
-    point = sdp.BallPoint(t_cap, w, [np.sqrt(lam * x)[:, None, None]], [x[:, None, None]])
+    z_b, rho_b = [np.sqrt(lam * x)[:, None, None]], [x[:, None, None]]
+    point = sdp.BallPoint(sdp._logged(t_cap), w, z_b, rho_b)
     dual = sdp.BallDual([v[:, :, None] * v[:, None, :]], [caps[:, None, None]], fid, floor, free_cap)
     return sdp.BallSolve("closedForm", 0, sdp.recheck(ball, point), point, dual)
 
@@ -815,7 +820,9 @@ def _certified_value(ball: sdp.Ball, res: sdp.BallSolve) -> float:
     "lower" = log2 of ``sdp.lower_bound`` of the solve's dual, -inf when
     that bound is not positive.  When 2^v is the solve's t, the recheck is
     the solve's own, which ``sdp.minimize_balls`` and ``_water_fill`` make
-    of every point; else the point is rechecked with t set to 2^v.
+    of every point they hand back at t = 2^(log2 t) (``sdp._logged``); else
+    (a t whose log2 does not round-trip even so) the point is rechecked
+    with t set to 2^v.
     SolverError, naming both ends, the status and the iterations, unless
     ``sdp.within_tolerance`` passes the recheck and [lower, v] is at most
     BISECT_TOL_BITS wide."""

@@ -7,8 +7,9 @@ are the one exception and get clamped to zero before square roots.
 The ``*_many`` functions take a (..., d, d) stack and decompose all of its
 members with one stacked LAPACK call; each member's result is the one its
 single-matrix counterpart gives.  The eigenpair forms ``_root``,
-``_pinv_root``, ``_support`` and ``purify`` take checked eigenpairs (w, v),
-so one ``density_eigh`` serves all of a matrix's functions.
+``_pinv_root``, ``_support``, ``purify`` and ``uhlmann_partner`` take
+checked eigenpairs (w, v), so one checked ``eigh`` (``density_eigh`` for a
+density matrix) serves all of a matrix's functions.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import numpy as np
 
 HERM_TOL = 1e-10
 PSD_TOL = 1e-10
-SQRT_NEG_TOL = 1e-8
 # relative eigenvalue cutoff of the support (pseudo-inverse, projector)
 SUPPORT_TOL = 1e-10
 # a density matrix's trace and a distribution's sum are 1 within this
@@ -184,23 +184,11 @@ def _root(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
-def pseudo_inverse_sqrt(op) -> np.ndarray:
-    """Inverse square root on the support, zero on the kernel."""
-    w, v = np.linalg.eigh(assert_hermitian(op))
-    if w[0] < -SQRT_NEG_TOL:
-        raise ValueError(f"pseudo_inverse_sqrt of non-PSD input (min eig {w[0]:.3e})")
-    return _pinv_root(w, v)
-
-
 def _pinv_root(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     """The inverse square root on the support of a matrix's eigenpairs."""
     cutoff = max(SUPPORT_TOL, SUPPORT_TOL * max(w[-1], 0.0))
     inv = np.where(w > cutoff, 1.0 / np.sqrt(np.clip(w, cutoff, None)), 0.0)
     return (v * inv) @ v.conj().T
-
-
-def support_projector(op) -> np.ndarray:
-    return _support(*np.linalg.eigh(assert_hermitian(op)))
 
 
 def _support(w: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -220,20 +208,16 @@ def purify(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (v[:, keep] * np.sqrt(w[keep])).reshape(-1)
 
 
-def uhlmann_partner(psi, target, eigh=None) -> np.ndarray:
-    """Purification of ``target`` maximizing overlap with ``psi``.
+def uhlmann_partner(psi, wt: np.ndarray, vt: np.ndarray) -> np.ndarray:
+    """Purification of the target whose checked eigenpairs are (wt, vt),
+    maximizing overlap with ``psi``.
 
     ``psi`` purifies some state on the primary system (first factor); the
-    mirror is everything after it.  The returned vector purifies ``target``
+    mirror is everything after it.  The returned vector purifies the target
     in the same space, and its overlap with ``psi`` equals the Uhlmann
-    fidelity of reduced(psi) and ``target``, chosen real nonnegative.
-    ``eigh``: the target's checked eigenpairs, when the caller has them.
+    fidelity of reduced(psi) and the target, chosen real nonnegative.  The
+    eigenpairs give the rank, the root and the support.
     """
-    # one decomposition gives the PSD check, the rank, the root and the support
-    if eigh is None:
-        eigh = np.linalg.eigh(assert_hermitian(target))
-        _check_psd(eigh[0][0])
-    wt, vt = eigh
     vec = np.asarray(psi, dtype=complex).reshape(-1)
     d = len(wt)
     if vec.size % d != 0:

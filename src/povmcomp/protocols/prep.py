@@ -12,9 +12,10 @@ regions.  Every smooth entropy of those is taken on a cq state that
 the stack of the steered E-blocks, each of trace p(x, y), as they are;
 ``side_information`` is the one I_H on B.  Set-up decomposes each matrix
 once: ``prepare`` purifies from the eigenpairs of rho the ``Instance``
-holds, one ``la.density_eigh`` of rho_A gives p(x, y), sqrt(rho_A), its
-inverse on the support and the support projector, and one stacked
-``steer`` maps all the elements (``JointPOVM`` checked them stacked) to E.
+holds, one ``la.density_eigh`` of rho_A, kept as ``spectrum_a`` for the
+GOOD sets of every codebook draw, gives p(x, y), sqrt(rho_A), its inverse
+on the support and the support projector, and one stacked ``steer`` maps
+all the elements (``JointPOVM`` checked them stacked) to E.
 """
 
 from __future__ import annotations
@@ -38,8 +39,20 @@ LINKS = ("X", "Y")
 
 @dataclass
 class PreparedInstance:
+    """An instance made ready for the protocols, its set-up taken once.
+
+    p(x, y) is held twice, on purpose.  ``joint`` is Tr[Lambda_xy rho_A],
+    in ``alphabet_x`` x ``alphabet_y`` order; the codebooks draw from it.
+    ``env_cq().probs`` are the traces of the steered E-blocks, in the same
+    symbol order; the cq states weigh their blocks by them.  The two agree
+    up to round-off, within 2e-16 on the bundled instances, but not to the
+    bit, so reading one in place of the other would move pinned outputs in
+    their last bits.
+    """
+
     instance: Instance
     rho_a: np.ndarray
+    spectrum_a: tuple  # la.density_eigh(rho_a): (checked rho_A, eigenvalues, eigenvectors)
     pinv_sqrt_rho_a: np.ndarray
     supp_proj_a: np.ndarray
     joint: qo.Distribution
@@ -101,7 +114,8 @@ def prepare(inst: Instance) -> PreparedInstance:
     rho_a = la.partial_trace(rho, inst.layout(), ["A"])
     # rank-truncated purification: global pure state on (A B R) (x) M
     psi = la.purify(w, v)
-    checked_a, w_a, v_a = la.density_eigh(rho_a)
+    spectrum_a = la.density_eigh(rho_a)
+    checked_a, w_a, v_a = spectrum_a
     joint = qo.induced_distribution(inst.povm, checked_a)
     sqrt_a = la._root(w_a, v_a)
     mirror_blocks = {
@@ -110,6 +124,7 @@ def prepare(inst: Instance) -> PreparedInstance:
     prep = PreparedInstance(
         instance=inst,
         rho_a=rho_a,
+        spectrum_a=spectrum_a,
         pinv_sqrt_rho_a=la._pinv_root(w_a, v_a),
         supp_proj_a=la._support(w_a, v_a),
         joint=joint,

@@ -25,6 +25,11 @@ ABORT = "⊥"  # the protocol's abort outcome; no POVM alphabet may hold it
 # the outcome of an instrument's deficit element; it sorts after the digits,
 # so that an instrument with digit outcomes keeps it last in sorted keys
 DEFICIT = "deficit"
+# a POVM's elements sum to I within this in Frobenius norm, which bounds the
+# operator norm of the residual D, so |sum_xy Tr[Lambda_xy rho] - Tr rho| =
+# |Tr[D rho]| <= _COMPLETE_TOL Tr rho: a tenth of the slack ``la.TRACE_TOL``
+# that the induced distribution's sum gets
+_COMPLETE_TOL = la.TRACE_TOL / 10
 
 
 def join_symbol(*parts: str) -> str:
@@ -96,7 +101,7 @@ class JointPOVM:
             if x not in self.alphabet_x or y not in self.alphabet_y:
                 raise ValueError(f"element key {(x, y)} outside the alphabets")
         total = la.assert_psd_many(list(self.elements.values()), tol=1e-8).sum(axis=0)
-        if np.max(np.abs(total - np.eye(self.dim))) > 1e-8:
+        if np.sum(np.abs(total - np.eye(self.dim)) ** 2) > _COMPLETE_TOL**2:
             raise ValueError("POVM elements do not sum to the identity")
 
     @property
@@ -135,7 +140,7 @@ class Instrument:
             raise ValueError("Kraus operators have inconsistent input dimension")
         total = self.total_effect()
         w = np.linalg.eigvalsh(total)
-        if w[-1] > 1.0 + 1e-8:
+        if w[-1] > 1.0 + _COMPLETE_TOL:
             raise ValueError("instrument exceeds the identity")
 
     @property
@@ -150,14 +155,15 @@ class Instrument:
 
 
 def instrument_to_povm(inst: Instrument) -> JointPOVM:
-    """POVM {N^dag N}; any deficit from I becomes the element (DEFICIT, DEFICIT)."""
+    """POVM {N^dag N}; a deficit from I becomes the element (DEFICIT,
+    DEFICIT) unless it is within the completeness check's Frobenius norm."""
     elements = {key: m.conj().T @ m for key, m in inst.kraus.items()}
     total = sum(elements.values())
     deficit = np.eye(inst.dim) - total
     w = np.linalg.eigvalsh((deficit + deficit.conj().T) / 2)
-    if w[0] < -1e-8:
+    if w[0] < -_COMPLETE_TOL:
         raise ValueError("instrument effects exceed the identity")
-    if w[-1] > 1e-8:
+    if np.sum(w**2) > _COMPLETE_TOL**2:
         if any(DEFICIT in key for key in elements):
             raise ValueError(f"outcome {DEFICIT!r} is reserved for the deficit element")
         elements[(DEFICIT, DEFICIT)] = (deficit + deficit.conj().T) / 2

@@ -316,6 +316,13 @@ def _reals(r: int, d: int, real: bool) -> int:
 # -- certificates -------------------------------------------------------------
 
 
+def _logged(t: float) -> float:
+    """2^(log2 t) of a finite positive t, the t a value log2 t reads back;
+    a solve hands its point back at this t, so the point's recheck is the
+    one its certificate reads.  Any other t is returned as it is."""
+    return 2.0 ** math.log2(t) if math.isfinite(t) and t > 0.0 else t
+
+
 def recheck(ball: Ball, point: BallPoint) -> dict[str, float]:
     """The residuals of ``point`` on ``ball``, evaluated again from its own
     (Z, rho', t, w): "primal" the largest violation of the PSD blocks G_b
@@ -843,8 +850,9 @@ class _Batch:
         )
 
     def point(self, st: _State, v: int) -> BallPoint:
-        """Value v's point: t, w and per group its sub-blocks' (Z_b, rho'_b),
-        read off the G_b their free reals and Lambda_b make."""
+        """Value v's point: t (at 2^(log2 t), ``_logged``), w and per group
+        its sub-blocks' (Z_b, rho'_b), read off the G_b their free reals and
+        Lambda_b make."""
         lay, ball = self.lay, self.balls[v]
         z, rho = [], []
         for (r, d, real, n), eigs, x_at in zip(_groups(ball), ball.eigs, lay.group_x[v]):
@@ -855,7 +863,7 @@ class _Batch:
             g = rvec_to_herm(full, r + d, real)
             z.append(g[:, :r, r:])
             rho.append(g[:, r:, r:])
-        t = float(st.x[lay.t_at[v]])
+        t = _logged(float(st.x[lay.t_at[v]]))
         w = float(st.x[lay.t_at[v] + 1]) if ball.free_mass > 0.0 else 0.0
         return BallPoint(t, w, z, rho)
 

@@ -3,7 +3,7 @@ import types
 import numpy as np
 import pytest
 
-from povmcomp import covering as cov, qobjects as qo
+from povmcomp import covering as cov, linalg as la, qobjects as qo
 
 import oracles
 
@@ -91,7 +91,7 @@ def good_set(parts, weights, target, eps):
     weight) and op_slack (the least eigenvalue of
     (1 + eps^(1/4)) target - sum_{GOOD} w rho') computed from them."""
     present = np.ones((1, len(parts)), dtype=bool)
-    good, primed = cov.good_sets(parts, [weights], present, target, [eps])
+    good, primed = cov.good_sets(parts, [weights], present, la.density_eigh(target), [eps])
     weights = np.asarray(weights, dtype=float)
     bound = (1.0 + eps**0.25) * np.asarray(target) - np.einsum("n,nij->ij", weights, primed[0])
     return types.SimpleNamespace(

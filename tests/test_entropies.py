@@ -15,6 +15,7 @@ from povmcomp import protocols as P
 import np_sweep
 import oracles
 import sdp_reference as ref
+from test_sdp import linalg_spy
 
 
 def dist(*probs, names=None):
@@ -529,12 +530,21 @@ class TestNPCertificate:
         with pytest.raises(ent.SolverError, match=r"in \[7\.22\d+e-06, 7\.22\d+e-06\]"):
             ent.d_hyp(np.diag([1.0 - 1e-9, 1e-9]), np.eye(2) / 2, 1e-14)
         # at eps 0 the support keeps rho's eigenvalue 2e-12, above NP_TOL / 2,
-        # which la.support_projector's cutoff 1e-10 would drop
+        # which la._support's cutoff 1e-10 would drop
         value, test = ent.d_hyp(np.diag([1.0 - 2e-12, 2e-12]), np.eye(2) / 2, 0.0)
         assert value == 0.0 and test.achieved_alpha == 1.0
 
 
 class TestDMax:
+    def test_sigma_is_decomposed_once(self, monkeypatch):
+        # rho's PSD check, one checked eigh of sigma for its support and its
+        # inverse root, and the pencil's top eigenvalue
+        rng = np.random.default_rng(14)
+        rho, sigma = oracles.random_density(rng, 2), oracles.random_density(rng, 2)
+        calls = linalg_spy(monkeypatch)
+        ent.d_max(rho, sigma)
+        assert collections.Counter(calls) == {"eigvalsh": 2, "eigh": 1}
+
     def test_equal(self):
         rng = np.random.default_rng(10)
         rho = oracles.random_density(rng, 3)
@@ -942,6 +952,33 @@ class TestWaterFill:
         P.one_shot_region(prep, 0.1, theta_grid=(0.5,))
         assert (sizes, len(fills)) == ([2], 1)
         assert len(checked) == len({id(ball) for ball in checked}) == 2 + 1
+
+
+def test_every_certified_value_reads_its_solves_own_recheck(monkeypatch):
+    # the thresholds and the default five-theta region of every bundled
+    # instance at eps 0.1 and 0.01: a solve hands its point back at
+    # t = 2^(log2 t), so each of the 216 certified values takes one recheck,
+    # its solve's, and none at 2^v
+    rechecked, certified = [], []
+    recheck, certified_value = sdp.recheck, ent._certified_value
+
+    def recording_recheck(ball, point):
+        rechecked.append(ball)
+        return recheck(ball, point)
+
+    def recording(ball, res):
+        value = certified_value(ball, res)
+        certified.append(2.0**value == res.point.t)
+        return value
+
+    monkeypatch.setattr(sdp, "recheck", recording_recheck)
+    monkeypatch.setattr(ent, "_certified_value", recording)
+    for name in io.BUNDLED:
+        for eps in (0.1, 0.01):
+            prep = P.prepare(io.load_bundled(name))
+            P.thresholds(prep, eps)
+            P.one_shot_region(prep, eps)
+    assert (len(rechecked), len(certified), sum(certified)) == (216, 216, 216)
 
 
 def test_a_repeated_value_is_solved_and_certified_once(monkeypatch):

@@ -1,3 +1,4 @@
+import collections
 import functools
 import json
 import math
@@ -20,6 +21,7 @@ from povmcomp.protocols.hashing import HashScheme
 
 import oracles
 import sdp_reference as ref
+from test_sdp import linalg_spy
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -533,6 +535,18 @@ def test_env_cq_is_built_once_and_left_alone():
     assert np.array_equal(cq.blocks, blocks)
 
 
+@pytest.mark.parametrize("name", io.BUNDLED)
+def test_both_joint_distributions_agree_up_to_round_off(name):
+    # p(x, y) is held twice: the codebooks draw from Tr[Lambda rho_A], the
+    # cq states weigh their blocks by the steered blocks' traces; one symbol
+    # order, values within 2e-16 but not always to the bit, so reading one
+    # in place of the other moves golden pins in their last bits
+    prep = P.prepare(io.load_bundled(name))
+    cq = prep.env_cq()
+    assert prep.joint.alphabet == cq.symbols
+    assert np.max(np.abs(prep.joint.probs - cq.probs)) <= 2e-16
+
+
 def test_entropies_get_cq_states_of_unit_mass(monkeypatch):
     # on every bundled instance, each cq state that thresholds and the
     # theta 0.5 one-shot region hand to the entropies has block traces
@@ -799,7 +813,8 @@ def test_coin_scaling_matches_per_message_decode(coins, wire):
 
 @pytest.mark.parametrize("coins", [1, 2])
 def test_decode_work_does_not_grow_with_the_coins(coins, monkeypatch):
-    # at every coin count: rho_A decomposed once per codebook draw, link
+    # at every coin count: rho_A not decomposed at all (every codebook
+    # draw's GOOD sets read prepare's ``spectrum_a``), link
     # tests (``i_hyp_cq`` on the link states) that decompose nothing larger
     # than d_B, and one sequential_kraus call per hashed link; np.linalg's
     # eigh, eigvalsh and svd are spied on
@@ -847,8 +862,21 @@ def test_decode_work_does_not_grow_with_the_coins(coins, monkeypatch):
         for mats in seen["build"]
         if mats.shape[-2:] == rho_a.shape
     )
-    assert of_rho_a == run["family"].attempt + 1
+    assert of_rho_a == 0
     assert seen["link"] and max(mats.shape[-1] for mats in seen["link"]) == prep.dim_b
+
+
+def test_a_decode_pass_decomposes_rho_a_in_no_step(monkeypatch):
+    # the decode benchmark's pass after its set-up: the GOOD sets read
+    # prepare's checked rho_A, so no eigh of it is taken again: of the 10,
+    # 8 are the hashed link's test and 2 the GOOD sets' roots
+    prep = P.prepare(io.load_bundled("qubit_entangled_side_info"))
+    P.thresholds(prep, 0.1, 0.0)
+    budget = OneShotBudget(0.1, r_x=14, r_y=13, c_x=1, c_y=1)
+    calls = linalg_spy(monkeypatch)
+    run = P.centralised_protocol(prep, budget, 1, log_const=0.0, wire_override={"X": 12})
+    assert run["family"].attempt == 0
+    assert collections.Counter(calls) == {"eigh": 10, "eigvalsh": 9, "svd": 5, "qr": 4}
 
 
 def _bundled_link_states():

@@ -76,6 +76,14 @@ class TestInstrument:
         with pytest.raises(ValueError, match="reserved"):
             qo.instrument_to_povm(qo.Instrument({(qo.DEFICIT, "a"): k0}))
 
+    def test_a_deficit_is_dropped_only_within_the_completeness_check(self):
+        # a deficit of Frobenius norm up to the POVM's completeness slack
+        # (1e-11) is dropped, and the POVM still loads; a larger one is kept
+        for deficit, kept in ((2e-12, False), (1e-10, True)):
+            kraus = np.sqrt(1.0 - deficit) * np.eye(2, dtype=complex)
+            povm = qo.instrument_to_povm(qo.Instrument({("0", "0"): kraus}))
+            assert ((qo.DEFICIT, qo.DEFICIT) in povm.elements) == kept
+
     def test_exceeding_identity_rejected(self):
         with pytest.raises(ValueError):
             qo.Instrument({("0", "0"): 1.2 * np.eye(2, dtype=complex)})
@@ -347,6 +355,26 @@ class TestInstanceIO:
         payload["povm"]["elements"] = {}
         with pytest.raises(ValueError, match="POVM has no elements"):
             io.instance_from_payload(payload)
+
+    def test_a_povm_that_loads_gives_a_distribution(self):
+        # qubit_cq's elements scaled by 1 + 5e-9 would give probabilities
+        # summing to 1.000000005, which prepare refuses; the completeness
+        # check refuses them first, with the POVM's own message, and
+        # elements within it prepare
+        payload = io.load_bundled("qubit_cq").to_payload()
+        povm = payload["povm"]
+
+        def scaled(scale: float) -> dict:
+            elements = {
+                key: [[re * scale, im * scale] for re, im in entries]
+                for key, entries in povm["elements"].items()
+            }
+            return dict(payload, povm=dict(povm, elements=elements))
+
+        with pytest.raises(ValueError, match="POVM elements do not sum to the identity"):
+            io.instance_from_payload(scaled(1 + 5e-9))
+        prep = P.prepare(io.instance_from_payload(scaled(1 + 5e-12)))
+        assert abs(prep.joint.probs.sum() - 1.0) <= 1e-11
 
     def test_povm_must_act_on_register_a(self):
         inst = io.load_bundled("qubit_cq")

@@ -4,10 +4,18 @@ A public top-level function or class of ``povmcomp``, or a public method of
 one of its classes, is test-only when no module under ``src/povmcomp`` or
 ``bench/`` names it in code: as a name, as an attribute, or as a part of a
 string constant that is a dotted name (the bench probes name their targets
-by string).  Dunder methods are called by the language, so they are exempt.
-Comments and the prose of docstrings are no reference.  A package
-``__init__`` does not count, so a re-export is no reference.  New library code that only tests call goes into
-``TEST_ONLY`` on purpose, and code that gains a caller leaves it.
+by string).  The pin is transitive: a reference inside the body of a
+test-only function or method, or of a private helper that only such code
+names, is no reference either.  Dunder methods are called by the language,
+so they are exempt.  Comments and the prose of docstrings are no reference.
+A package ``__init__`` does not count, so a re-export is no reference.  New
+library code that only tests call goes into ``TEST_ONLY`` on purpose, and
+code that gains a caller leaves it.
+
+Names are matched by name alone, so a name can still hide behind another
+of the same name: ``Instance.to_payload`` has no caller but the test-only
+``save_instance``, yet ``bench/spans.py`` defines and calls its own
+``Recorder.to_payload``.
 """
 
 import ast
@@ -15,20 +23,27 @@ import os
 import re
 import subprocess
 import sys
-from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
+# each with the ROADMAP item that is to give it a caller; a name that only
+# a pinned name's code calls has that name's item
 TEST_ONLY = {
-    "covering_sweep",
-    "save_instance",
-    "compose_with_side_information",
-    "instrument_to_povm",
-    "distribution_power",
-    "cq_tensor_power",
+    "covering_sweep",  # item 9
+    "trace_norm",  # covering_sweep's
+    "save_instance",  # items 8 and 11
+    "dumps_canonical",  # save_instance's
+    "compose_with_side_information",  # item 14
+    "JointPOVM.marginal_x_element",  # compose_with_side_information's, through _marginal_instance
+    "JointPOVM.element",  # marginal_x_element's
+    "instrument_to_povm",  # item 12
+    "Instrument",  # instrument_to_povm's
+    "povm_from_elements",  # instrument_to_povm's
+    "distribution_power",  # items 4 and 6
+    "cq_tensor_power",  # items 4 and 6
     # to be called by the command-line run at its default budget, and by a
-    # pinned default-budget run whose links hash
+    # pinned default-budget run whose links hash (items 7 and 10)
     "budget_from_thresholds",
 }
 
@@ -37,20 +52,40 @@ TEST_ONLY = {
 TEST_ONLY_FIELDS = set()
 
 
-def _code_names(tree: ast.Module) -> Counter:
-    """How often a module's code names each identifier: ``Name`` ids,
-    ``Attribute`` names, and the dot-separated parts of every string
-    constant that is a dotted name, such as ``"Session.solve"``."""
-    words = Counter()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            words[node.id] += 1
-        elif isinstance(node, ast.Attribute):
-            words[node.attr] += 1
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            if re.fullmatch(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*", node.value):
-                words.update(node.value.split("."))
-    return words
+def _words(node: ast.AST):
+    """The identifiers one node names in code: a ``Name`` id, an
+    ``Attribute`` name, or the dot-separated parts of a string constant
+    that is a dotted name, such as ``"Session.solve"``."""
+    if isinstance(node, ast.Name):
+        yield node.id
+    elif isinstance(node, ast.Attribute):
+        yield node.attr
+    elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        if re.fullmatch(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*", node.value):
+            yield from node.value.split(".")
+
+
+def _owned_words(tree: ast.Module, library: bool) -> list:
+    """(word, owner) of every identifier a module names in code (``_words``):
+    the owner is the top-level function or class, or the method of a
+    top-level class, whose code holds it, and None at module level and
+    everywhere in a module outside the library."""
+
+    def walk(node, owner):
+        return [(word, owner) for sub in ast.walk(node) for word in _words(sub)]
+
+    out = []
+    for top in tree.body:
+        if not library or not isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+            out += walk(top, None)
+        elif isinstance(top, ast.FunctionDef):
+            out += walk(top, top.name)
+        else:
+            for part in top.decorator_list + top.bases + top.keywords:
+                out += walk(part, top.name)
+            for item in top.body:
+                out += walk(item, item.name if isinstance(item, ast.FunctionDef) else top.name)
+    return out
 
 
 def test_only_tests_call_the_pinned_names():
@@ -77,9 +112,32 @@ def test_only_tests_call_the_pinned_names():
         if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
     ]
     assert len(public) > 50 and len(methods) > 50
-    words = sum((_code_names(tree) for tree in trees.values()), Counter())
-    # a definition is no ast.Name, so a name the code never uses counts 0
-    test_only = {label for label, name in public + methods if words[name] == 0}
+    # the private helpers (dunders exempt), which can be test-only code too
+    helpers = [
+        item.name
+        for path, tree in trees.items()
+        if path.is_relative_to(ROOT / "src")
+        for node in tree.body
+        for item in [node, *(node.body if isinstance(node, ast.ClassDef) else [])]
+        if isinstance(item, (ast.FunctionDef, ast.ClassDef))
+        and item.name.startswith("_")
+        and not item.name.startswith("__")
+    ]
+    owners = {}
+    for path, tree in trees.items():
+        for word, owner in _owned_words(tree, path.is_relative_to(ROOT / "src")):
+            owners.setdefault(word, []).append(owner)
+    # a definition is no ast.Name, so a name the code never uses has no
+    # owners; grow the dead names from those until every reference to a
+    # name sits in dead code
+    names = {name for _, name in public + methods} | set(helpers)
+    dead = set()
+    while True:
+        grown = {name for name in names if all(o in dead for o in owners.get(name, []))}
+        if grown == dead:
+            break
+        dead = grown
+    test_only = {label for label, name in public + methods if name in dead}
     assert test_only == TEST_ONLY
 
 
