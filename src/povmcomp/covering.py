@@ -18,6 +18,10 @@ import numpy as np
 from . import linalg as la
 from . import qobjects as qo
 
+# a row's hypothesis distance may pass its eps by this much, the round-off
+# of the stacked trace norm; ``transformed_rows`` gives no row a slack
+# below twice it
+DISTANCE_SLACK = 1e-9
 
 # ---------------------------------------------------------------------------
 # measure-transformed covering estimator
@@ -134,7 +138,7 @@ def good_sets(parts, weights, present, spectrum, eps):
     parts, weights = la._as_stack(parts), np.asarray(weights, dtype=float)
     (b, n), d = weights.shape, target.shape[0]
     hyp = la.trace_norm_many(np.einsum("rn,nij->rij", weights, parts) - target)
-    if np.any(hyp > eps + 1e-9):
+    if np.any(hyp > eps + DISTANCE_SLACK):
         r = int(np.argmax(hyp - eps))
         raise ValueError(f"hypothesis distance {hyp[r]:.3e} exceeds eps {eps[r]}")
     quarter = eps**0.25
@@ -149,7 +153,7 @@ def good_sets(parts, weights, present, spectrum, eps):
         phi[r][..., cols] = la.uhlmann_partner(psi[r][..., cols], wt, vt).reshape(d, d, -1)
     # the live parts phi does not vanish on
     q = np.sum(np.abs(phi) ** 2, axis=(1, 2))
-    kept = live & (q > 1e-300)
+    kept = live & (q > la.ZERO_MASS)
     rows, cols = np.nonzero(kept)
     v = phi[rows, :, :, cols]
     rho_p = v @ v.conj().swapaxes(-1, -2) / q[kept][:, None, None]
@@ -163,16 +167,17 @@ def good_sets(parts, weights, present, spectrum, eps):
 
 def transformed_rows(sigmas, weights, eps):
     """``good_sets``' parts, weights and slacks for subnormalized pieces:
-    pieces normalized (I / d of weight 0 at trace <= 1e-14), row r's
+    pieces normalized (I / d of weight 0 at trace <= ``la.ZERO_MASS``), row r's
     weights w_ri Tr[sigma_i] / sum_j w_rj Tr[sigma_j], slacks doubled
-    (normalizing the average at most doubles the hypothesis distance)."""
+    (normalizing the average at most doubles the hypothesis distance),
+    at least 2 ``DISTANCE_SLACK`` and at most 0.999."""
     sigmas, weights = la._as_stack(sigmas), np.asarray(weights, dtype=float)
     traces = np.array([float(np.trace(s).real) for s in sigmas])
-    tiny = traces <= 1e-14
+    tiny = traces <= la.ZERO_MASS
     # each row summed in order, as a sum over its pieces
     z = np.cumsum(weights * traces, axis=1)[:, -1:]
     flat = np.eye(sigmas.shape[-1], dtype=complex) / sigmas.shape[-1]
     parts = np.where(tiny[:, None, None], flat, sigmas / np.where(tiny, 1.0, traces)[:, None, None])
     new_weights = np.where(tiny | (weights <= 0), 0.0, weights * traces / z)
-    return parts, new_weights, np.minimum(2 * np.asarray(eps, dtype=float), 0.999)
+    return parts, new_weights, np.clip(2 * np.asarray(eps, dtype=float), 2 * DISTANCE_SLACK, 0.999)
 

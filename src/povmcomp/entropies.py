@@ -27,6 +27,9 @@ from . import sdp
 # the widest certified interval [lower, value] of an I_max^eps, in bits; the
 # name outlives the bisection it once bounded because the bench reads it
 BISECT_TOL_BITS = 1e-3
+# ``_t_star_cap`` takes its bound on the crossing when the bound's shift is
+# at most this share of the crossing, and the fallback otherwise
+CROSSING_TOL = 1e-6
 
 
 class SolverError(RuntimeError):
@@ -60,7 +63,7 @@ def smooth_max_entropy_atoms(atoms: list[tuple[float, float]], eps: float) -> fl
     eps = _validate_eps(eps)
     order = sorted(range(len(atoms)), key=lambda i: atoms[i][0])
     total_mass = sum(p * m for p, m in atoms)
-    if abs(total_mass - 1.0) > 1e-8:
+    if abs(total_mass - 1.0) > la.SUM_SLACK + 2.0 * sdp._gamma(len(atoms) + 1):
         raise ValueError("atom masses must sum to 1")
     kept = [m for _, m in atoms]
     budget = eps
@@ -72,7 +75,7 @@ def smooth_max_entropy_atoms(atoms: list[tuple[float, float]], eps: float) -> fl
         drop = min(m, budget / p)
         kept[i] = m - drop
         budget -= drop * p
-        if budget <= 1e-15:
+        if budget <= la.ZERO_MASS:
             break
     lam_sum = sum(kept)
     if lam_sum <= 0:
@@ -152,18 +155,18 @@ class _Blocks:
         covers.
         """
         w, v = self.sigma_eigh
-        supp = w > 1e-12
+        supp = w > la.SUPPORT_TOL
         inv_sqrt = np.sqrt(np.divide(1.0, w, out=np.zeros_like(w), where=supp))
         rot = v.conj().swapaxes(-1, -2) @ self.rho @ v
         for b in np.flatnonzero(~supp.all(axis=1)):
             k, s = ~supp[b], supp[b]
             corner = rot[b][np.ix_(k, k)]
-            if np.abs(corner).max() <= 1e-12:
+            if np.abs(corner).max() <= la.SUPPORT_TOL:
                 continue
-            g = np.linalg.pinv(corner, rcond=1e-10, hermitian=True) @ rot[b][np.ix_(k, s)]
+            g = np.linalg.pinv(corner, rcond=la.SUPPORT_TOL, hermitian=True) @ rot[b][np.ix_(k, s)]
             rot[b][np.ix_(s, s)] -= rot[b][np.ix_(s, k)] @ g
         mu = np.linalg.eigvalsh(inv_sqrt[:, :, None] * rot * inv_sqrt[:, None, :])
-        live = (mu > 0) & (mu > 1e-12 * mu.max(initial=0.0))
+        live = (mu > 0) & (mu > la.SUPPORT_TOL * mu.max(initial=0.0))
         points = []
         for t in np.sort(1.0 / mu[live]).tolist():
             if not points or t > points[-1] * (1.0 + STRADDLE):
@@ -182,6 +185,10 @@ STRADDLE = 2.0**-44
 CLOSE = 2.0**-30
 # tolerance of an NP test's primal residuals and interval width in bits (``_certified``)
 NP_TOL = 1e-12
+# the least bracket width the border |d| <= gap of ``_np_threshold`` is
+# taken at, so that a bracket closed to a point still holds the round-off
+# of the eigenvalues d
+BORDER_FLOOR = 1e-15
 
 
 class _Readings:
@@ -316,10 +323,10 @@ def _np_threshold(blocks: _Blocks, eps: float) -> tuple[np.ndarray, float, float
     target = 1.0 - eps
     # beta = 0 reachable: test supported on ker(sigma)
     w, v = blocks.sigma_eigh
-    ker = v * (np.abs(w) <= 1e-12)[:, None, :]
+    ker = v * (np.abs(w) <= la.SUPPORT_TOL)[:, None, :]
     tests = ker @ ker.conj().swapaxes(-1, -2)
     alpha = float(np.einsum("nij,nji->", tests, blocks.rho).real)
-    if alpha >= target - 1e-12:
+    if alpha >= target - NP_TOL:
         return tests, alpha, 0.0, 0.0
 
     if eps == 0.0:
@@ -333,13 +340,13 @@ def _np_threshold(blocks: _Blocks, eps: float) -> tuple[np.ndarray, float, float
 
     t_lo, t_hi = _np_bisect(blocks, target)
     t = (t_lo + t_hi) / 2.0
-    gap = max(t_hi - t_lo, 1e-15) * (2.0 + sum(blocks.sigma_mass.tolist()))
+    gap = max(t_hi - t_lo, BORDER_FLOOR) * (2.0 + sum(blocks.sigma_mass.tolist()))
     d, v = blocks.spectra(t)
     w_r, w_s = _weights(v, blocks.rho), _weights(v, blocks.sigma)
     take, border = d > gap, np.abs(d) <= gap
     kernel_w = float(w_r[border].sum())
     short = target - float(w_r[take].sum())
-    c = min(max(short / kernel_w, 0.0), 1.0) if kernel_w > 1e-15 else 0.0
+    c = min(max(short / kernel_w, 0.0), 1.0) if kernel_w > la.ZERO_MASS else 0.0
     weights = take + c * border
     tests = (v * weights[:, None, :]) @ v.conj().swapaxes(-1, -2)
     alpha, beta = (sum((w * weights).sum(axis=1).tolist()) for w in (w_r, w_s))
@@ -427,7 +434,7 @@ def d_max(rho, sigma) -> float:
         raise ValueError("dimension mismatch")
     proj = la._support(w, v)
     leak = float(np.trace((np.eye(len(rho)) - proj) @ rho).real)
-    if leak > 1e-10:
+    if leak > la.SUM_SLACK:
         return math.inf
     isq = la._pinv_root(w, v)
     pencil = isq @ rho @ isq
@@ -439,7 +446,7 @@ def d_max(rho, sigma) -> float:
 
 def _support_components(mats: list[np.ndarray]) -> np.ndarray:
     """Per member k of the (n, d, d) stacks ``mats``, the connected
-    components of the union support pattern |M[k]_ij| > 1e-12 (made
+    components of the union support pattern |M[k]_ij| > ``la.SUPPORT_TOL`` (made
     symmetric), as (n, d) labels: each index labelled by the least index
     of its component.
 
@@ -447,9 +454,9 @@ def _support_components(mats: list[np.ndarray]) -> np.ndarray:
     index starts with its own label and takes the least label among itself
     and its neighbours until no label moves.
     """
-    mask = np.abs(mats[0]) > 1e-12
+    mask = np.abs(mats[0]) > la.SUPPORT_TOL
     for m in mats[1:]:
-        mask |= np.abs(m) > 1e-12
+        mask |= np.abs(m) > la.SUPPORT_TOL
     mask |= mask.swapaxes(-1, -2)
     labels = np.broadcast_to(np.arange(mask.shape[-1]), mask.shape[:-1])
     while True:
@@ -474,15 +481,14 @@ def _by_size(labels: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarra
 
 def _real_parts(*mats) -> tuple[np.ndarray, ...]:
     """The matrices as real ones when every imaginary part is within
-    ``la.HERM_TOL``, the round-off repair ``la._hermitian_part`` makes for
-    the anti-Hermitian part; else all as complex matrices, unchanged.
+    ``la.REAL_TOL``; else all as complex matrices, unchanged.
 
     A real pair gives real rotations (from a real ``eigh``), and real
     sub-blocks of sigma give real smoothing programs, solved over the real
     symmetric matrices with the value and the certificates of the
     Hermitian programs (the conjugation argument of the ``sdp`` docstring).
     """
-    if all(np.max(np.abs(m.imag), initial=0.0) <= la.HERM_TOL for m in mats if m.dtype.kind == "c"):
+    if all(np.max(np.abs(m.imag), initial=0.0) <= la.REAL_TOL for m in mats if m.dtype.kind == "c"):
         return tuple(np.real(m) for m in mats)
     return tuple(np.asarray(m, dtype=complex) for m in mats)
 
@@ -503,12 +509,12 @@ def _ball_blocks(pairs) -> tuple[list[np.ndarray], list[np.ndarray], float]:
     columns in descending eigenvalue order, and
     sigma'_c = U_c^H sigma_c U_c from one stacked product per size.  Each
     rotated component is split again by its own pattern, with the same
-    1e-12 mask (diag w joins no two indices), whose components lie inside
+    ``la.SUPPORT_TOL`` mask (diag w joins no two indices), whose components lie inside
     the pair's components, and the sub-blocks of each size are cut out as
     one stack.  A sub-block's rank r counts its kept eigenvalues (above
-    1e-12), which come first, in descending order, before its kernel
+    ``la.SUPPORT_TOL``), which come first, in descending order, before its kernel
     directions; its sigma_b is real when its imaginary parts are within
-    ``la.HERM_TOL`` (tested over each stack at once).  Each size's stack is
+    ``la.REAL_TOL`` (tested over each stack at once).  Each size's stack is
     split by (r, field) into the groups, and a sub-block with r = 0 is
     rho-free and adds Tr sigma_b to s0.  Sub-blocks are ranked pair by
     pair, and within a pair by their least original index, so the parts of
@@ -516,7 +522,7 @@ def _ball_blocks(pairs) -> tuple[list[np.ndarray], list[np.ndarray], float]:
     come in the order of their first sub-block (group-major), and s0 adds
     its traces one by one in that order.  The least
     eigenvalue of the components' spectra, which is each rho_k's (up to
-    the entries below 1e-12 the pattern drops), gets ``la.assert_psd``'s
+    the entries below ``la.SUPPORT_TOL`` the pattern drops), gets ``la.assert_psd``'s
     check, so ``_cq_pairs`` takes no spectrum of its own.
 
     The split is exact.  Smooth entropies are invariant under isometries
@@ -552,8 +558,8 @@ def _ball_blocks(pairs) -> tuple[list[np.ndarray], list[np.ndarray], float]:
     groups, free_ids, free_traces = [], [np.zeros(0, dtype=int)], [np.zeros(0)]
     for ids, k, ix in _by_size(_support_components([rotated])):
         eig, sb = eigs[k[:, None], ix], rotated[k[:, None, None], ix[:, :, None], ix[:, None, :]]
-        rank = np.count_nonzero(eig > 1e-12, axis=1)
-        real = np.abs(sb.imag).max(axis=(1, 2)) <= la.HERM_TOL
+        rank = np.count_nonzero(eig > la.SUPPORT_TOL, axis=1)
+        real = np.abs(sb.imag).max(axis=(1, 2)) <= la.REAL_TOL
         free = rank == 0
         free_ids.append(ids[free])
         free_traces.append(np.trace(sb[free], axis1=1, axis2=2).real)
@@ -625,9 +631,8 @@ def d_max_smooth(rho, sigma, eps: float) -> float:
     (``_ball_blocks``), stacked by (r, d, field) in the group-major order
     the ball, its solve's layout and the certificate read.  The pair is
     taken as ``_real_parts`` gives it:
-    real parts when both imaginary parts are within ``la.HERM_TOL``
-    (round-off, which ``la._hermitian_part`` repairs the same way), and so
-    is each rotated sigma_b.  A real sub-block, as on every bundled
+    real parts when both imaginary parts are within ``la.REAL_TOL``
+    (round-off), and so is each rotated sigma_b.  A real sub-block, as on every bundled
     instance and on every component that commutes whatever its phases, is
     solved and certified over real symmetric matrices.
 
@@ -808,7 +813,7 @@ def _t_star_cap(segment: tuple, c: float, sigmas: np.ndarray, free_mass: float) 
         slope = a - s * root * rest / tail if tail > 0.0 else -math.inf
         err += g * rest * s * root * root / (2.0 * tail) if tail > 0.0 else math.inf
     shift = 2.0 * err / slope if slope > 0.0 else math.inf
-    if not shift <= 1e-6 * root:
+    if not shift <= CROSSING_TOL * root:
         return max(t_min, root * root * 2.0 ** (BISECT_TOL_BITS / 4.0))
     return max(t_min, _rounded_up((root + shift) ** 2, u))
 
@@ -885,10 +890,10 @@ def i_max_smooth(rho_ab, dims: tuple[int, int], eps: float) -> float:
 
 
 def spectrum_entropy(values) -> float:
-    """-sum v log2 v over the entries v > 1e-15 of a spectrum or a
-    probability vector (of any shape), in bits."""
+    """-sum v log2 v over the entries v > ``la.ZERO_MASS`` of a spectrum or
+    a probability vector (of any shape), in bits."""
     w = np.asarray(values, dtype=float)
-    w = w[w > 1e-15]
+    w = w[w > la.ZERO_MASS]
     return float(-(w * np.log2(w)).sum())
 
 
@@ -911,9 +916,8 @@ def holevo_cq(cq: qo.CQState) -> float:
     Tr_Q of it is diag(q) and Tr_S of it is sum_s w_s rho_s, so this is
     H(S) + H(Q) - H(SQ) exactly, for subnormalized blocks too (Wilde,
     Hayden, Buscemi and Hsieh, arXiv:1206.4121).  The blocks' least
-    eigenvalue gets ``la.assert_density``'s check of the dense cq matrix
-    (stricter than ``CQState``'s PSD check to 1e-7): at least
-    -``la.PSD_TOL`` * 100.  One stacked ``eigvalsh`` over the blocks and
+    eigenvalue gets ``la.assert_density``'s check of the dense cq matrix:
+    at least -``la.PSD_SLACK``.  One stacked ``eigvalsh`` over the blocks and
     one over their sum (``entropy``), and the dense cq matrix is never built.
     """
     spectra = np.linalg.eigvalsh(cq.blocks)

@@ -1,8 +1,9 @@
-"""Dense complex Hermitian linear algebra used by every other module.
+"""Dense complex Hermitian linear algebra used by every other module, and
+the input contract every other module reads.
 
 All operators are plain ``numpy`` arrays of dtype complex128.  Validation
 helpers raise ``ValueError`` when an input violates the contract instead of
-silently repairing it; tiny negative eigenvalues (below the PSD tolerance)
+silently repairing it; tiny negative eigenvalues (within ``PSD_SLACK``)
 are the one exception and get clamped to zero before square roots.
 The ``*_many`` functions take a (..., d, d) stack and decompose all of its
 members with one stacked LAPACK call; each member's result is the one its
@@ -10,6 +11,37 @@ single-matrix counterpart gives.  The eigenpair forms ``_root``,
 ``_pinv_root``, ``_support``, ``purify`` and ``uhlmann_partner`` take
 checked eigenpairs (w, v), so one checked ``eigh`` (``density_eigh`` for a
 density matrix) serves all of a matrix's functions.
+
+The input contract.  Each slack is one constant, the value its check
+applies:
+
+- a Hermitian matrix: finite, with |M - M^dag| at most ``HERM_SLACK`` in
+  every entry; its Hermitian part (M + M^dag) / 2 is what is kept;
+- a PSD matrix: Hermitian, least eigenvalue at least -``PSD_SLACK``;
+- a state (density matrix): PSD, trace 1 within ``TRACE_SLACK``;
+- a POVM: PSD elements whose sum is I within ``COMPLETE_SLACK`` in
+  Frobenius norm;
+- a distribution: every probability at least -``NEG_PROB_SLACK`` (one in
+  [-``NEG_PROB_SLACK``, 0) is held as 0), summing to 1 within
+  ``SUM_SLACK``;
+- a cq state: Hermitian PSD blocks whose traces sum to 1 within
+  ``SUM_SLACK``.
+
+``TRACE_SLACK`` and ``COMPLETE_SLACK`` are shares of ``SUM_SLACK``: the
+distribution a POVM induces on a state sums to 1 within the state's trace
+slack, plus the POVM's residual times the state's trace norm, plus the
+round-off of the probabilities and of their sums, plus the probabilities
+held as 0.  The shares, 0.6 and 0.1, leave 0.3 of ``SUM_SLACK`` to the
+last two: about (2 D + 2 d_A^2 + 2 d_A + (d_A + 2) n) u for a state of
+dimension D and n outcomes, and ``NEG_PROB_SLACK`` per outcome held as 0.
+So up to D, d_A^2 and n d_A of about 10^4 and 20 outcomes held as 0, an
+instance that loads also gives a distribution.
+
+Two cut-offs are read everywhere a value is taken as 0: an eigenvalue
+(or a matrix entry, or a singular value) at most ``SUPPORT_TOL`` is off
+the support, and a probability or a block's trace at most ``ZERO_MASS``
+is no mass.  ``REAL_TOL`` bounds the imaginary parts of a matrix taken as
+real.
 """
 
 from __future__ import annotations
@@ -18,12 +50,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-HERM_TOL = 1e-10
-PSD_TOL = 1e-10
-# relative eigenvalue cutoff of the support (pseudo-inverse, projector)
-SUPPORT_TOL = 1e-10
-# a density matrix's trace and a distribution's sum are 1 within this
-TRACE_TOL = 1e-10
+HERM_SLACK = 1e-8
+PSD_SLACK = 1e-8
+SUM_SLACK = 1e-10
+TRACE_SLACK = 0.6 * SUM_SLACK
+COMPLETE_SLACK = SUM_SLACK / 10
+NEG_PROB_SLACK = 1e-12
+# the support's absolute eigenvalue cut-off, and the no-mass cut-off: a
+# mass within the negative-probability slack of 0 is 0 on either side
+SUPPORT_TOL = 1e-12
+ZERO_MASS = NEG_PROB_SLACK
+# imaginary parts at most this are round-off of a real matrix
+REAL_TOL = 1e-10
 
 
 def as_matrix(op) -> np.ndarray:
@@ -46,13 +84,13 @@ def _hermitian_part(mats: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(mats)):
         raise ValueError("matrix has non-finite entries")
     adj = mats.conj().swapaxes(-1, -2)
-    if np.max(np.abs(mats - adj), initial=0.0) > HERM_TOL * 100:
+    if np.max(np.abs(mats - adj), initial=0.0) > HERM_SLACK:
         raise ValueError("matrix is not Hermitian within tolerance")
     return (mats + adj) / 2
 
 
-def _check_psd(least_eig: float, tol: float = PSD_TOL * 100) -> None:
-    if least_eig < -tol:
+def _check_psd(least_eig: float) -> None:
+    if least_eig < -PSD_SLACK:
         raise ValueError(f"matrix has negative eigenvalue {least_eig:.3e}")
 
 
@@ -61,18 +99,16 @@ def assert_hermitian(op) -> np.ndarray:
 
 
 def assert_psd(op) -> np.ndarray:
-    mat = assert_hermitian(op)
-    _check_psd(np.linalg.eigvalsh(mat)[0])
-    return mat
+    return assert_psd_many(as_matrix(op))
 
 
-def assert_psd_many(ops, tol: float = PSD_TOL * 100) -> np.ndarray:
+def assert_psd_many(ops) -> np.ndarray:
     """``assert_psd`` of every member of a (..., d, d) stack: one Hermitian
     test of the whole stack and one stacked ``eigvalsh``, whose least
     eigenvalue gets the check; returns the Hermitian parts."""
     mats = _hermitian_part(_as_stack(ops))
     if mats.size:
-        _check_psd(float(np.linalg.eigvalsh(mats)[..., 0].min()), tol)
+        _check_psd(float(np.linalg.eigvalsh(mats)[..., 0].min()))
     return mats
 
 
@@ -86,7 +122,7 @@ def density_eigh(op) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     w, v = np.linalg.eigh(mat)
     _check_psd(w[0])
     tr = float(np.trace(mat).real)
-    if abs(tr - 1.0) > TRACE_TOL:
+    if abs(tr - 1.0) > TRACE_SLACK:
         raise ValueError(f"trace {tr} is not 1 within tolerance")
     return mat, w, v
 
@@ -171,7 +207,7 @@ def trace_norm_many(ops) -> np.ndarray:
 def matrix_sqrt_many(ops) -> np.ndarray:
     """PSD square root of a matrix or of every member of a ``(..., d, d)``
     stack, from one stacked ``eigh``; each member is symmetrised, an
-    eigenvalue below ``-PSD_TOL * 100`` is ``assert_psd``'s ValueError, and
+    eigenvalue below -``PSD_SLACK`` is ``assert_psd``'s ValueError, and
     smaller negative ones are clamped."""
     w, v = np.linalg.eigh(_hermitian_part(_as_stack(ops)))
     if w.size:
@@ -186,23 +222,21 @@ def _root(w: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def _pinv_root(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     """The inverse square root on the support of a matrix's eigenpairs."""
-    cutoff = max(SUPPORT_TOL, SUPPORT_TOL * max(w[-1], 0.0))
-    inv = np.where(w > cutoff, 1.0 / np.sqrt(np.clip(w, cutoff, None)), 0.0)
+    inv = np.where(w > SUPPORT_TOL, 1.0 / np.sqrt(np.clip(w, SUPPORT_TOL, None)), 0.0)
     return (v * inv) @ v.conj().T
 
 
 def _support(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     """The projector onto the support of a matrix's eigenpairs."""
-    cutoff = max(SUPPORT_TOL, SUPPORT_TOL * max(abs(w[0]), abs(w[-1])))
-    cols = v[:, np.abs(w) > cutoff]
+    cols = v[:, np.abs(w) > SUPPORT_TOL]
     return cols @ cols.conj().T
 
 
 def purify(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Purification sum_i sqrt(w_i) |v_i> (x) |i> on system (x) mirror of
     the PSD matrix with checked eigenpairs (w, v), the mirror cut down to
-    its rank (the eigenvalues above 1e-12)."""
-    keep = w > 1e-12
+    its rank (the eigenvalues above ``SUPPORT_TOL``)."""
+    keep = w > SUPPORT_TOL
     if not keep.any():
         raise ValueError("cannot purify the zero operator")
     return (v[:, keep] * np.sqrt(w[keep])).reshape(-1)
@@ -223,27 +257,27 @@ def uhlmann_partner(psi, wt: np.ndarray, vt: np.ndarray) -> np.ndarray:
     if vec.size % d != 0:
         raise ValueError("psi length is not divisible by the target dimension")
     dm = vec.size // d
-    rank = int(np.sum(wt > 1e-12))
+    rank = int(np.sum(wt > SUPPORT_TOL))
     if dm < rank:
         raise ValueError(f"purifying dimension {dm} smaller than target rank {rank}")
     root = _root(wt, vt)
     psi_mat = vec.reshape(d, dm)
     a = root @ psi_mat
     u, s, vh = np.linalg.svd(a, full_matrices=False)
-    keep = s > 1e-13
+    keep = s > SUPPORT_TOL
     u1 = u[:, keep]
     v1 = vh.conj().T[:, keep]
     # complete with support directions of target not yet covered
-    supp = vt[:, wt > 1e-12]
+    supp = vt[:, wt > SUPPORT_TOL]
     rem = supp - u1 @ (u1.conj().T @ supp)
     qrem, rrem = np.linalg.qr(rem)
-    extra_cols = [qrem[:, j] for j in range(qrem.shape[1]) if np.abs(rrem[j, j]) > 1e-9]
+    extra_cols = [qrem[:, j] for j in range(qrem.shape[1]) if np.abs(rrem[j, j]) > SUPPORT_TOL]
     if extra_cols:
         u2 = np.stack(extra_cols, axis=1)
         # orthonormal right-vectors not used by v1
         comp = np.eye(dm, dtype=complex) - v1 @ v1.conj().T
         qc, rc = np.linalg.qr(comp)
-        v2cols = [qc[:, j] for j in range(qc.shape[1]) if np.abs(rc[j, j]) > 1e-9]
+        v2cols = [qc[:, j] for j in range(qc.shape[1]) if np.abs(rc[j, j]) > SUPPORT_TOL]
         if len(v2cols) < u2.shape[1]:
             raise ValueError("purifying dimension too small to complete the partner")
         v2 = np.stack(v2cols[: u2.shape[1]], axis=1)

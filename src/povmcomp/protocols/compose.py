@@ -52,6 +52,7 @@ from ..budget import OneShotBudget
 from ..io import Instance
 from .compress import (
     ABORT,
+    RATE_SLACK,
     SCENARIOS,
     AdversaryScenario,
     CompressedFamily,
@@ -92,7 +93,7 @@ def _link_state(family: CompressedFamily, prep: PreparedInstance, i: int):
     np.add.at(acc, row_coins[:, i] * n_cls + cls[:, i], weight[:, None, None] * env_b)
     counts = codebook.counts.reshape(-1)
     p = np.einsum("sii->s", acc).real * counts / coins
-    live = np.flatnonzero(p > 1e-14)
+    live = np.flatnonzero(p > la.ZERO_MASS)
     symbols = tuple(qo.join_symbol(str(s // n_cls), codebook.alphabet[s % n_cls]) for s in live)
     blocks = acc[live] * (counts[live] / coins / p[live].sum())[:, None, None]
     return qo.CQState.derived(symbols, blocks), live
@@ -427,7 +428,7 @@ def compose_with_side_information(
     realized, check = 0, math.inf
     if not math.isinf(ihyp_kl):
         realized = max(
-            0, min(stage.log_l, math.ceil(hmax_kl - ihyp_kl + math.log2(1.0 / eps0) - 1e-9))
+            0, min(stage.log_l, math.ceil(hmax_kl - ihyp_kl + math.log2(1.0 / eps0) - RATE_SLACK))
         )
         # I_H^(eps0/2)(X : B), which thresholds computed at the same eps0
         check = ihyp_kl - plan.log_k[0] - th["ih_x_b"]

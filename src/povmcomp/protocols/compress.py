@@ -45,6 +45,12 @@ BUDGET_MARGIN_BITS = 2.0
 COIN_MARGIN_BITS = 1.0
 # codebook draws tried before build_compressed_povm gives up on event E
 MAX_CODEBOOK_DRAWS = 20
+# a rate within this of an integer is that integer when it is floored (or
+# ceiled) into a codebook size: the rates are sums of floats
+RATE_SLACK = 1e-9
+# the relative margin on a block's normalisation, which keeps its
+# completion PSD through the round-off of the sum it completes
+NORM_MARGIN = 1e-12
 
 
 class ProtocolError(RuntimeError):
@@ -119,11 +125,11 @@ def plan_codebooks(
     log_k, log_l = [], []
     for i, (r, c) in enumerate(budget.link_rates):
         min_l, min_kl, ih = _link_thresholds(th, i)
-        lk = max(0, math.floor(c + 1e-9))
-        ll = max(0, math.floor(r + max(ih - 1.0, 0.0) + 1e-9))
+        lk = max(0, math.floor(c + RATE_SLACK))
+        ll = max(0, math.floor(r + max(ih - 1.0, 0.0) + RATE_SLACK))
         if len(prep.marginals[i].alphabet) <= 1:
             lk = ll = 0  # a constant register needs no codebook
-        elif ll + 1e-9 < min_l or lk + ll + 1e-9 < min_kl:
+        elif ll + RATE_SLACK < min_l or lk + ll + RATE_SLACK < min_kl:
             raise BudgetError(
                 f"{LINKS[i]} link budget (R={r}, C={c}) below the thresholds "
                 f"(logL > {min_l:.3f}, logK+logL > {min_kl:.3f})"
@@ -246,7 +252,7 @@ def build_compressed_povm(
         counts = [cb.counts[keys[:, i]][:, idx[:, i]] for i, cb in enumerate(codebooks)]
         mult = np.prod(counts, axis=0)  # of every class in every block, (blocks, classes)
         avg = np.einsum("bc,cij->bij", mult / n_total, tilted)
-        deviation = la.trace_norm_many(avg - prep.rho_a)
+        deviation = la.trace_norm_many(avg - prep.spectrum_a[0])
         nice = np.flatnonzero(deviation <= math.sqrt(eps))
         fraction = len(nice) / len(keys)
         if fraction >= 1.0 - eps**0.25:
@@ -264,7 +270,7 @@ def _assemble_rows(prep, table, mult, n_total, deviation) -> tuple:
     (block, class), and one stacked ``PreparedInstance.steer`` of every kept
     and abort element."""
     _, t, tilted = table
-    parts, weights, eps = cov.transformed_rows(tilted, mult / n_total, np.maximum(deviation, 1e-9))
+    parts, weights, eps = cov.transformed_rows(tilted, mult / n_total, deviation)
     good, primed = cov.good_sets(parts, weights, mult > 0, prep.spectrum_a, eps)
     inv_sq = prep.pinv_sqrt_rho_a
     raw = (t / n_total)[:, None, None] * (inv_sq @ primed @ inv_sq)
@@ -273,7 +279,7 @@ def _assemble_rows(prep, table, mult, n_total, deviation) -> tuple:
     acc = np.einsum("bc,bcij->bij", kept, raw)
     # normalization: smallest factor keeping the completion PSD (measured
     # operator-inequality constant, clamped to at least 1)
-    norm = np.maximum(np.linalg.eigvalsh(acc)[:, -1], 1.0) * (1.0 + 1e-12)
+    norm = np.maximum(np.linalg.eigvalsh(acc)[:, -1], 1.0) * (1.0 + NORM_MARGIN)
     gammas = raw / norm[:, None, None, None]
     gamma0 = prep.supp_proj_a.copy()
     for c in range(len(t)):  # class by class, the order of a per-block sum
@@ -349,7 +355,7 @@ def sample_transcript(
     rows = np.flatnonzero(np.all(family.block_coins == coins, axis=1)[family.row_block])
     if len(rows):
         _, symbols, counts = family.row_links()
-        tr = np.trace(family.gammas[rows] @ prep.rho_a, axis1=1, axis2=2).real
+        tr = np.trace(family.gammas[rows] @ prep.spectrum_a[0], axis1=1, axis2=2).real
         probs = np.prod(counts[rows], axis=1) * tr
         p_abort = max(0.0, 1.0 - probs.sum())
         draw = rng.random() * (probs.sum() + p_abort)

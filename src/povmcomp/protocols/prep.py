@@ -12,10 +12,16 @@ regions.  Every smooth entropy of those is taken on a cq state that
 the stack of the steered E-blocks, each of trace p(x, y), as they are;
 ``side_information`` is the one I_H on B.  Set-up decomposes each matrix
 once: ``prepare`` purifies from the eigenpairs of rho the ``Instance``
-holds, one ``la.density_eigh`` of rho_A, kept as ``spectrum_a`` for the
+holds, one ``eigh`` of rho_A, kept with rho_A as ``spectrum_a`` for the
 GOOD sets of every codebook draw, gives p(x, y), sqrt(rho_A), its inverse
 on the support and the support projector, and one stacked ``steer`` maps
 all the elements (``JointPOVM`` checked them stacked) to E.
+
+rho_A is not checked again: the partial trace of the checked rho is
+Hermitian exactly (each entry and its mirror sum the conjugate terms in
+one order), PSD within ``la.PSD_SLACK`` d_B d_R and of rho's trace up to
+its round-off, so a recheck at rho's own slacks would refuse a state at
+their edge for the round-off alone.
 """
 
 from __future__ import annotations
@@ -51,8 +57,7 @@ class PreparedInstance:
     """
 
     instance: Instance
-    rho_a: np.ndarray
-    spectrum_a: tuple  # la.density_eigh(rho_a): (checked rho_A, eigenvalues, eigenvectors)
+    spectrum_a: tuple  # (rho_A, its eigenvalues, its eigenvectors)
     pinv_sqrt_rho_a: np.ndarray
     supp_proj_a: np.ndarray
     joint: qo.Distribution
@@ -65,7 +70,7 @@ class PreparedInstance:
 
     @property
     def dim_a(self) -> int:
-        return self.rho_a.shape[0]
+        return self.spectrum_a[0].shape[0]
 
     @property
     def dim_e(self) -> int:
@@ -106,7 +111,7 @@ class PreparedInstance:
     @cached_property
     def _env_cq(self) -> qo.CQState:
         symbols = tuple(qo.join_symbol(x, y) for x, y in self.env_blocks)
-        return qo.CQState(symbols, np.stack(list(self.env_blocks.values())))
+        return qo.CQState.derived(symbols, np.stack(list(self.env_blocks.values())))
 
 
 def prepare(inst: Instance) -> PreparedInstance:
@@ -114,17 +119,15 @@ def prepare(inst: Instance) -> PreparedInstance:
     rho_a = la.partial_trace(rho, inst.layout(), ["A"])
     # rank-truncated purification: global pure state on (A B R) (x) M
     psi = la.purify(w, v)
-    spectrum_a = la.density_eigh(rho_a)
-    checked_a, w_a, v_a = spectrum_a
-    joint = qo.induced_distribution(inst.povm, checked_a)
+    w_a, v_a = np.linalg.eigh(rho_a)
+    joint = qo.induced_distribution(inst.povm, rho_a)
     sqrt_a = la._root(w_a, v_a)
     mirror_blocks = {
         key: sqrt_a @ el @ sqrt_a for key, el in inst.povm.elements.items()
     }
     prep = PreparedInstance(
         instance=inst,
-        rho_a=rho_a,
-        spectrum_a=spectrum_a,
+        spectrum_a=(rho_a, w_a, v_a),
         pinv_sqrt_rho_a=la._pinv_root(w_a, v_a),
         supp_proj_a=la._support(w_a, v_a),
         joint=joint,

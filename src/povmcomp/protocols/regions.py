@@ -75,7 +75,7 @@ class RateRegion:
 
 
 def _degenerate(cq: qo.CQState) -> bool:
-    return int((cq.probs > 1e-12).sum()) <= 1
+    return int((cq.probs > la.ZERO_MASS).sum()) <= 1
 
 
 def one_shot_region(

@@ -25,11 +25,6 @@ ABORT = "⊥"  # the protocol's abort outcome; no POVM alphabet may hold it
 # the outcome of an instrument's deficit element; it sorts after the digits,
 # so that an instrument with digit outcomes keeps it last in sorted keys
 DEFICIT = "deficit"
-# a POVM's elements sum to I within this in Frobenius norm, which bounds the
-# operator norm of the residual D, so |sum_xy Tr[Lambda_xy rho] - Tr rho| =
-# |Tr[D rho]| <= _COMPLETE_TOL Tr rho: a tenth of the slack ``la.TRACE_TOL``
-# that the induced distribution's sum gets
-_COMPLETE_TOL = la.TRACE_TOL / 10
 
 
 def join_symbol(*parts: str) -> str:
@@ -42,20 +37,22 @@ def split_symbol(sym: str) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class Distribution:
-    """Probabilities over an ordered alphabet; sums to 1 within ``la.TRACE_TOL``."""
+    """Probabilities over an ordered alphabet, on ``la``'s contract: each at
+    least -``la.NEG_PROB_SLACK``, one below 0 held as 0, and the held ones
+    summing to 1 within ``la.SUM_SLACK``."""
 
     alphabet: tuple[str, ...]
     probs: np.ndarray
 
     def __post_init__(self):
         probs = np.asarray(self.probs, dtype=float)
-        object.__setattr__(self, "probs", probs)
         if len(self.alphabet) != probs.size:
             raise ValueError("alphabet and probability sizes differ")
-        if np.any(probs < -1e-12):
+        if np.any(probs < -la.NEG_PROB_SLACK):
             raise ValueError("negative probability")
-        if abs(probs.sum() - 1.0) > la.TRACE_TOL:
-            raise ValueError(f"probabilities sum to {probs.sum()}, not 1")
+        object.__setattr__(self, "probs", np.where(probs < 0.0, 0.0, probs))
+        if abs(self.probs.sum() - 1.0) > la.SUM_SLACK:
+            raise ValueError(f"probabilities sum to {self.probs.sum()}, not 1")
 
     def prob(self, symbol: str) -> float:
         return float(self.probs[self.alphabet.index(symbol)])
@@ -100,8 +97,8 @@ class JointPOVM:
         for x, y in self.elements:
             if x not in self.alphabet_x or y not in self.alphabet_y:
                 raise ValueError(f"element key {(x, y)} outside the alphabets")
-        total = la.assert_psd_many(list(self.elements.values()), tol=1e-8).sum(axis=0)
-        if np.sum(np.abs(total - np.eye(self.dim)) ** 2) > _COMPLETE_TOL**2:
+        total = la.assert_psd_many(list(self.elements.values())).sum(axis=0)
+        if np.sum(np.abs(total - np.eye(self.dim)) ** 2) > la.COMPLETE_SLACK**2:
             raise ValueError("POVM elements do not sum to the identity")
 
     @property
@@ -138,9 +135,7 @@ class Instrument:
         dims = {m.shape[1] for m in self.kraus.values()}
         if len(dims) != 1:
             raise ValueError("Kraus operators have inconsistent input dimension")
-        total = self.total_effect()
-        w = np.linalg.eigvalsh(total)
-        if w[-1] > 1.0 + _COMPLETE_TOL:
+        if np.linalg.eigvalsh(self.total_effect())[-1] > 1.0 + la.COMPLETE_SLACK:
             raise ValueError("instrument exceeds the identity")
 
     @property
@@ -156,23 +151,24 @@ class Instrument:
 
 def instrument_to_povm(inst: Instrument) -> JointPOVM:
     """POVM {N^dag N}; a deficit from I becomes the element (DEFICIT,
-    DEFICIT) unless it is within the completeness check's Frobenius norm."""
+    DEFICIT) unless it is within the completeness check's Frobenius norm.
+    The deficit is PSD within ``la.COMPLETE_SLACK`` by ``Instrument``'s own
+    check, and its Frobenius norm is read off its entries, so nothing here
+    is decomposed."""
     elements = {key: m.conj().T @ m for key, m in inst.kraus.items()}
-    total = sum(elements.values())
-    deficit = np.eye(inst.dim) - total
-    w = np.linalg.eigvalsh((deficit + deficit.conj().T) / 2)
-    if w[0] < -_COMPLETE_TOL:
-        raise ValueError("instrument effects exceed the identity")
-    if np.sum(w**2) > _COMPLETE_TOL**2:
+    deficit = np.eye(inst.dim) - sum(elements.values())
+    deficit = (deficit + deficit.conj().T) / 2
+    if np.sum(np.abs(deficit) ** 2) > la.COMPLETE_SLACK**2:
         if any(DEFICIT in key for key in elements):
             raise ValueError(f"outcome {DEFICIT!r} is reserved for the deficit element")
-        elements[(DEFICIT, DEFICIT)] = (deficit + deficit.conj().T) / 2
+        elements[(DEFICIT, DEFICIT)] = deficit
     return povm_from_elements(elements)
 
 
 def induced_distribution(povm: JointPOVM, rho: np.ndarray) -> Distribution:
     """p(x, y) = Tr[Lambda_{x,y} rho] over the joint alphabet, of a density
-    matrix ``rho`` that the caller has checked (``la.density_eigh``)."""
+    matrix ``rho`` on ``la``'s contract, which the caller has checked
+    (``la.density_eigh``, or the partial trace of a checked state)."""
     if rho.shape != (povm.dim, povm.dim):
         raise ValueError("state and POVM dimensions differ")
     syms, probs = [], []
@@ -192,31 +188,37 @@ class CQState:
     ``blocks`` is an (n, d, d) stack whose member i is the weighted block
     w_s rho_s of symbol ``symbols[i]``, the i-th diagonal block of the dense
     cq matrix: its trace is the symbol's probability (``probs``), and the
-    traces sum to 1 within 1e-8.  A symbol of probability 0 has a zero
-    block.  No weight is held apart from its block, so nothing here
+    traces sum to 1 within ``la.SUM_SLACK``.  A symbol of probability 0 has
+    a zero block.  No weight is held apart from its block, so nothing here
     normalises a block or weights it again.
     """
 
     symbols: tuple[str, ...]
     blocks: np.ndarray = field(repr=False)
 
-    def __post_init__(self, psd: bool = True):
+    def __post_init__(self, checked: bool = False):
         blocks = la._as_stack(self.blocks)
         if blocks.ndim != 3 or not len(blocks) == len(self.symbols) == len(set(self.symbols)):
             raise ValueError("blocks must be an (n, d, d) stack, one member per distinct symbol")
+        if checked:
+            return
         # one stacked PSD check of the whole stack
-        self.blocks = la.assert_psd_many(blocks, tol=1e-7) if psd else blocks
-        mass = float(self.probs.sum())
-        if abs(mass - 1.0) > 1e-8:
-            raise ValueError(f"total mass {mass} is not 1")
+        self.blocks = la.assert_psd_many(blocks)
+        if abs(self.probs.sum() - 1.0) > la.SUM_SLACK:
+            raise ValueError(f"total mass {self.probs.sum()} is not 1")
 
     @classmethod
     def derived(cls, symbols, blocks) -> "CQState":
-        """A state a PSD-preserving map made from checked blocks: all checks
-        but the eigenvalues (a regrouping, a scatter, a partial trace)."""
+        """A state a PSD- and trace-preserving map made from checked input
+        (a steering, a regrouping, a scatter, a partial trace, a
+        renormalisation): the shape checks only.  Its values are checked
+        already: its blocks are PSD and its mass is 1 as far as the input's
+        slacks, the map's round-off and the ``la.ZERO_MASS`` symbols it
+        drops allow, which a recheck at the input's own slack would refuse
+        at the contract's edge."""
         out = cls.__new__(cls)
         out.symbols, out.blocks = symbols, blocks
-        out.__post_init__(psd=False)
+        out.__post_init__(checked=True)
         return out
 
     @property
@@ -263,7 +265,7 @@ class CQState:
         The block of t is sum_s |side(s)><side(s)| (x) B_s over the symbols s
         with component t, one scatter of the stack onto the side slots,
         which take the side values in order of first appearance.  Values t
-        whose block has trace at most 1e-15 are dropped.
+        whose block has trace at most ``la.ZERO_MASS`` are dropped.
         """
         parts = [split_symbol(s) for s in self.symbols]
         kept = [p[keep] for p in parts]
@@ -274,7 +276,7 @@ class CQState:
         out = np.zeros((len(order), n, d, n, d), dtype=complex)
         np.add.at(out, (t, j, slice(None), j), self.blocks)
         out = out.reshape(len(order), n * d, n * d)
-        live = np.einsum("sii->s", out).real > 1e-15
+        live = np.einsum("sii->s", out).real > la.ZERO_MASS
         return CQState.derived(tuple(k for k, on in zip(order, live) if on), out[live])
 
 
@@ -296,10 +298,11 @@ def distribution_power(p: Distribution, n: int) -> Distribution:
 
 def cq_tensor_power(cq: CQState, n: int) -> CQState:
     """n-fold iid tensor power with joined classical symbols: each block
-    the Kronecker product of its letters' weighted blocks."""
+    the Kronecker product of its letters' weighted blocks, derived from
+    ``cq``'s checked ones (its mass is cq's to the n-th power)."""
     symbols, blocks = [""], np.ones((1, 1, 1), dtype=complex)
     for _ in range(n):
         symbols = [join_symbol(*filter(None, (s, t))) for s in symbols for t in cq.symbols]
         (m, d), (k, e) = blocks.shape[:2], cq.blocks.shape[:2]
         blocks = np.einsum("aij,bkl->abikjl", blocks, cq.blocks).reshape(m * k, d * e, d * e)
-    return CQState(tuple(symbols), blocks)
+    return CQState.derived(tuple(symbols), blocks)

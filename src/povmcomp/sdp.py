@@ -95,7 +95,7 @@ The certificates, in block form:
 - ``recheck`` rebuilds G_b and C_b from a point's own (Z, rho', t, w),
   takes one ``eigvalsh`` per block size, and reads the scalar rows and the
   trace row: "primal" is the largest violation, "gap" |trace - 1|; a
-  point is feasible when both are at most ``10 * FEASIBLE_TOL``
+  point is feasible when both are at most ``FEASIBLE_TOL``
   (``within_tolerance``).
 - ``lower_bound`` reads a dual (W_b on G_b, V_b on C_b, the weights of
   the scalar rows) as it is given, by weak duality with t left free: the
@@ -118,7 +118,7 @@ from functools import cache, lru_cache
 
 import numpy as np
 
-FEASIBLE_TOL = 1e-8
+FEASIBLE_TOL = 1e-7
 MAX_VAR_REALS = 6000
 # interior-point solve: stop at this relative gap and dual residual, take
 # this share of the step to the cone's boundary, give up after so many steps
@@ -478,8 +478,8 @@ def _deficit(blocks: np.ndarray) -> np.ndarray:
 
 def within_tolerance(residuals: dict[str, float]) -> bool:
     """Whether the "primal" and "gap" residuals of ``recheck`` are both at
-    most ``10 * FEASIBLE_TOL``."""
-    return residuals["primal"] <= 10 * FEASIBLE_TOL and residuals["gap"] <= 10 * FEASIBLE_TOL
+    most ``FEASIBLE_TOL``."""
+    return residuals["primal"] <= FEASIBLE_TOL and residuals["gap"] <= FEASIBLE_TOL
 
 
 # -- layout of a batch -----------------------------------------------------------

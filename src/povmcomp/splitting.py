@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import linalg as la
 from . import qobjects as qo
 
 
@@ -59,11 +60,11 @@ def split_control_state(cq: qo.CQState, theta: float) -> qo.CQState:
     for u, wu in zip(pair.p_u.alphabet, pair.p_u.probs):
         for v, wv in zip(pair.p_v.alphabet, pair.p_v.probs):
             x = max(u, v, key=rank)
-            if wu <= 1e-15 or wv <= 1e-15 or px.prob(x) <= 1e-15:
+            if min(wu, wv, px.prob(x)) <= la.ZERO_MASS:
                 continue
             scale = wu * wv / px.prob(x)
             for i, (x_s, y) in enumerate(parts):
-                if x_s == x and scale * probs[i] > 1e-15:
+                if x_s == x and scale * probs[i] > la.ZERO_MASS:
                     symbols.append(qo.join_symbol(u, v, y))
                     scales.append(scale)
                     rows.append(i)

@@ -366,7 +366,7 @@ class Program:
 
 
 def recheck(prob: SDProblem, assign: dict[str, np.ndarray]) -> tuple[bool, dict[str, float]]:
-    """Whether ``assign`` satisfies ``prob`` to ``10 * FEASIBLE_TOL``, by
+    """Whether ``assign`` satisfies ``prob`` to ``FEASIBLE_TOL``, by
     ``_recheck``'s independent evaluation, and its residuals."""
     res = _recheck(prob, assign)
     return within_tolerance(res), res

@@ -165,7 +165,7 @@ def _check_certificates(solves) -> None:
     for value, ball, res in solves:
         primal, want = oracles.ball_certificates(ref, ball, res, GOLDEN_EPS)
         lower = _lower_end(ball, res)
-        assert primal["primal"] <= 10 * sdp.FEASIBLE_TOL and primal["gap"] <= 10 * sdp.FEASIBLE_TOL
+        assert primal["primal"] <= sdp.FEASIBLE_TOL and primal["gap"] <= sdp.FEASIBLE_TOL
         assert lower == pytest.approx(want, abs=1e-9)
         assert abs(value - lower) <= ent.BISECT_TOL_BITS
 
@@ -271,7 +271,7 @@ def _check_env_blocks(prep, family) -> None:
         total = sum(blk.counts[c] * env for c, env in blk.env.items()) + blk.env0
         assert np.max(np.abs(total - supp_e)) <= 1e-12
         for c, env in blk.env.items():
-            want = np.trace(blk.gammas[c] @ prep.rho_a).real
+            want = np.trace(blk.gammas[c] @ prep.spectrum_a[0]).real
             assert abs(np.trace(env).real - want) <= 1e-12, c
 
 
@@ -856,7 +856,7 @@ def test_decode_work_does_not_grow_with_the_coins(coins, monkeypatch):
     monkeypatch.undo()
     assert _hashed_axes(run) == {"X", "Y"}
     assert seen["kraus"] == 2
-    rho_a = prep.rho_a
+    rho_a = prep.spectrum_a[0]
     of_rho_a = sum(
         int(np.sum(np.all(np.abs(mats - rho_a) <= 1e-15, axis=(1, 2))))
         for mats in seen["build"]
@@ -972,6 +972,23 @@ def test_hashed_link_decodes_better_with_distinguishable_side_information():
     mixed = np.eye(2, dtype=complex) / 2
     assert x_only_deviation(z0, z1) < x_only_deviation(mixed, mixed)
 
+
+
+@pytest.mark.parametrize("seed", [1, 3, 7])
+def test_an_outcome_the_state_never_yields_runs(seed):
+    # rho = u0 u0^dag measured in the basis {u0, u1}: p("1") is 0, computed
+    # as a float just below 0 and held as 0, which the codebook's
+    # multinomial draw takes; a negative one made numpy refuse the draw
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    projectors = [np.outer(u[:, i], u[:, i].conj()) for i in range(2)]
+    povm = qo.povm_from_elements({("0", "a"): projectors[0], ("1", "a"): projectors[1]})
+    prep = P.prepare(io.Instance({"A": 2, "B": 1, "R": 1}, projectors[0], povm))
+    assert prep.joint.prob("1|a") == 0.0
+    budget = OneShotBudget(0.1, r_x=3, r_y=0, c_x=1, c_y=0)
+    run = P.centralised_protocol(prep, budget, 1, log_const=0.0)
+    assert run["family"].completeness_residual(prep) <= 1e-12
+    assert all(sc["deviation"] <= 1e-11 for sc in run["scenarios"].values())
 
 if __name__ == "__main__":
     _write_golden()

@@ -1,10 +1,12 @@
 import collections
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from povmcomp import io, qobjects as qo
+from povmcomp import io, linalg as la, qobjects as qo
 from povmcomp import protocols as P
 
 import oracles
@@ -87,6 +89,25 @@ class TestInstrument:
     def test_exceeding_identity_rejected(self):
         with pytest.raises(ValueError):
             qo.Instrument({("0", "0"): 1.2 * np.eye(2, dtype=complex)})
+
+    def test_the_povm_takes_one_decomposition(self, monkeypatch):
+        # the deficit's check is the instrument's own, and its Frobenius
+        # norm comes from its entries: the one eigvalsh is JointPOVM's
+        rng = np.random.default_rng(1)
+        kraus = 0.5 * (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        inst = qo.Instrument({("0", "a"): kraus / np.linalg.norm(kraus, 2)})
+        calls = linalg_spy(monkeypatch)
+        povm = qo.instrument_to_povm(inst)
+        assert (qo.DEFICIT, qo.DEFICIT) in povm.elements
+        assert collections.Counter(calls) == {"eigvalsh": 1}
+
+
+class TestDistribution:
+    def test_a_negative_probability_within_its_slack_is_held_as_zero(self):
+        dist = qo.Distribution(("a", "b"), np.array([1.0, -0.5 * la.NEG_PROB_SLACK]))
+        assert dist.probs.tolist() == [1.0, 0.0]
+        with pytest.raises(ValueError, match="negative probability"):
+            qo.Distribution(("a", "b"), np.array([1.0 + 2e-12, -2 * la.NEG_PROB_SLACK]))
 
 
 class TestInducedDistribution:
@@ -201,11 +222,11 @@ class TestCQState:
             assert np.max(np.abs(got - want)) < 1e-15
 
     def test_blocks_checked_as_one_stack(self, monkeypatch):
-        # one stacked eigvalsh of the weighted blocks, with CQState's 1e-7
-        # tolerance
+        # one stacked eigvalsh of the weighted blocks, with the contract's
+        # PSD slack
         calls, eigvalsh = [], np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
-        shifted = np.diag([0.25 + 5e-8, -5e-8]).astype(complex)
+        shifted = np.diag([0.25 + 5e-9, -5e-9]).astype(complex)
         qo.CQState(("a", "b", "c"), np.stack([np.eye(2) / 8, shifted, np.eye(2) / 4]))
         assert calls == [(3, 2, 2)]
 
@@ -376,6 +397,37 @@ class TestInstanceIO:
         prep = P.prepare(io.instance_from_payload(scaled(1 + 5e-12)))
         assert abs(prep.joint.probs.sum() - 1.0) <= 1e-11
 
+    def test_the_contract_edges_load_prepare_and_run(self):
+        # the state's trace at +-0.99 of its share with the completeness
+        # residual at its bound loads, prepares and gives thresholds; just
+        # outside either slack is refused at load with that check's message
+        payload = io.load_bundled("qubit_cq").to_payload()
+        state = io.instance_from_payload(payload).state
+        complete = la.COMPLETE_SLACK / math.sqrt(2)  # elements x (1 + g): |g I|_F = g sqrt(2)
+
+        def scaled(state_scale: float, element_scale: float) -> dict:
+            elements = {
+                key: [[re * element_scale, im * element_scale] for re, im in entries]
+                for key, entries in payload["povm"]["elements"].items()
+            }
+            povm = dict(payload["povm"], elements=elements)
+            return dict(payload, state=io.matrix_to_json(state * state_scale), povm=povm)
+
+        for sign in (1, -1):
+            for element_sign in (1, -1):
+                inst = io.instance_from_payload(
+                    scaled(1 + sign * 0.99 * la.TRACE_SLACK, 1 + element_sign * 0.99 * complete)
+                )
+                P.thresholds(P.prepare(inst), 0.1)
+            for bad, message in (
+                (scaled(1 + sign * 1.01 * la.TRACE_SLACK, 1.0), "is not 1 within tolerance"),
+                (scaled(1.0, 1 + sign * 1.01 * complete), "do not sum to the identity"),
+                # inside the distribution's sum slack, outside the state's share
+                (scaled(1 + sign * 0.99e-10, 1 + 5e-12), "is not 1 within tolerance"),
+            ):
+                with pytest.raises(ValueError, match=message):
+                    io.instance_from_payload(bad)
+
     def test_povm_must_act_on_register_a(self):
         inst = io.load_bundled("qubit_cq")
         with pytest.raises(ValueError, match="POVM acts on dimension 2, register A has 1"):
@@ -435,3 +487,48 @@ def test_validation_is_the_same_on_every_entry_path(state, elements, message):
         )
         P.prepare(io.Instance(payload["dims"], state, povm))
     assert str(direct.value) == str(from_payload.value)
+
+
+# a slack's share: the edges on either side of it, or anywhere within 1.5 of it
+SHARES = st.one_of(st.sampled_from([-1.01, -0.99, 0.99, 1.01]), st.floats(-1.5, 1.5))
+
+
+@settings(max_examples=24, derandomize=True, deadline=None, database=None)
+@given(
+    dims=st.tuples(st.integers(2, 3), st.integers(1, 2), st.integers(1, 2)),
+    seed=st.integers(0, 2**16),
+    state_share=SHARES,
+    complete_share=SHARES,
+)
+def test_an_instance_that_loads_prepares(dims, seed, state_share, complete_share):
+    """A random instance whose state and elements are scaled anywhere
+    within 1.5 times their slacks is refused at load, by the check it
+    fails, or it prepares and gives thresholds at eps 0.1: ``prepare``
+    never refuses what loads."""
+    a, b, r = dims
+    rng = np.random.default_rng(seed)
+    state = oracles.random_density(rng, a * b * r) * (1 + state_share * la.TRACE_SLACK)
+    scale = 1 + complete_share * la.COMPLETE_SLACK / math.sqrt(a)
+    keys = ("0|0", "0|1", "1|0", "1|1")
+    payload = {
+        "dims": {"A": a, "B": b, "R": r},
+        "state": io.matrix_to_json(state),
+        "povm": {
+            "alphabetX": ["0", "1"],
+            "alphabetY": ["0", "1"],
+            "elements": {
+                key: io.matrix_to_json(el * scale)
+                for key, el in zip(keys, oracles.random_povm(rng, a, len(keys)))
+            },
+        },
+    }
+    try:
+        inst = io.instance_from_payload(payload)
+    except ValueError as err:
+        assert "is not 1 within tolerance" in str(err) or "do not sum to the identity" in str(err)
+        return
+    prep = P.prepare(inst)
+    # rho_A, held unchecked, is Hermitian to the bit as the partial trace gives it
+    rho_a = prep.spectrum_a[0]
+    assert np.array_equal(rho_a, rho_a.conj().T)
+    P.thresholds(prep, 0.1)

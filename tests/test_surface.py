@@ -395,3 +395,42 @@ def test_library_never_calls_unique():
             if named or imported:
                 calls.append(f"{path.name}:{node.lineno}")
     assert calls == []
+
+
+# the module-level constants that hold a tolerance at or below 1e-5: the
+# input contract's slacks and cut-offs in ``linalg`` and the few named
+# tolerances of the solvers and protocol steps
+SMALL_TOLERANCE_CONSTANTS = 14
+
+
+def test_small_float_literals_are_named_constants():
+    """Every float literal v with 0 < |v| <= 1e-5 in the library is the
+    value of a module-level UPPER_CASE constant, so a tolerance is declared
+    once and read by name, and the constants that hold one are counted."""
+    bare, named = [], []
+    for path in sorted((ROOT / "src/povmcomp").rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        held = set()
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                if all(isinstance(t, ast.Name) and t.id.isupper() for t in targets):
+                    held |= {id(sub) for sub in ast.walk(node.value)}
+                    small = [
+                        sub
+                        for sub in ast.walk(node.value)
+                        if isinstance(sub, ast.Constant)
+                        and isinstance(sub.value, float)
+                        and 0.0 < abs(sub.value) <= 1e-5
+                    ]
+                    named += [f"{path.name}:{t.id}" for t in targets] if small else []
+        for node in ast.walk(tree):
+            small = (
+                isinstance(node, ast.Constant)
+                and isinstance(node.value, float)
+                and 0.0 < abs(node.value) <= 1e-5
+            )
+            if small and id(node) not in held:
+                bare.append(f"{path.relative_to(ROOT / 'src').as_posix()}:{node.lineno}")
+    assert bare == []
+    assert len(named) == SMALL_TOLERANCE_CONSTANTS, named
