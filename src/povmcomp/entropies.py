@@ -537,6 +537,14 @@ def _ball_blocks(pairs) -> tuple[list[np.ndarray], list[np.ndarray], float]:
     averaged into P; Gatermann and Parrilo, arXiv:math/0211450), and for
     one the fidelity is the sum of the sub-blocks' fidelities.  The same
     argument splits the pairs and each pair into its support components.
+    Within a sub-block the fidelity sees rho'_b on supp(rho_b) alone:
+    rho_b = Lambda_b (+) 0 in its eigenbasis, so
+    sqrt(rho_b) rho'_b sqrt(rho_b) = sqrt(Lambda_b) rho'_b,rr sqrt(Lambda_b) (+) 0,
+    with rho'_b,rr the leading r x r block, and
+    F(rho_b, rho'_b) = F(Lambda_b, rho'_b,rr) (Tomamichel,
+    arXiv:1504.00233); so ``sdp`` may pose a sub-block's Watrous block on
+    2r directions and ask only rho'_b PSD of the rest, which it does
+    where d <= 2r (``sdp._trailing``).
     With a degenerate spectrum of rho_c, ``eigh`` picks one basis of the
     eigenspace among many, and sigma'_c in that basis may join indices
     that another basis would separate: the split can only be missed, never
@@ -589,13 +597,20 @@ def d_max_smooth(rho, sigma, eps: float) -> float:
       feasible point's free reals, and less its blocks' negative parts
       times bounds on their primal blocks' traces).
 
-    So the value lies in [log2 t_low, v].  The program is the
+    So the value lies in [log2 t_low, v], up to the recheck's tolerance at
+    the upper end: v is the t of a point feasible within
+    ``sdp.FEASIBLE_TOL``, not exactly, and can sit below the least t (by
+    up to 2.7e-7 bits against the other pose's lower end, seen on random
+    rank-deficient balls).  The program is the
     split and folded one the ``sdp`` docstring poses: per sub-block that
-    carries rho, G_b = [[Lambda_b, Z_b], [Z_b^H, rho'_b]] PSD with rho_b's
-    spectrum Lambda_b as data, the cap t sigma_b - rho'_b PSD (a scalar row
-    when d_b = 1), sum_b Re Tr' Z_b >= sqrt(1 - eps^2), and the trace of
+    carries rho, the Watrous block
+    G_b = [[Lambda_b, Z_b], [Z_b^H, rho'_b,kk]] PSD with rho_b's spectrum
+    Lambda_b as data and rho'_b,kk the leading k_b x k_b block of rho'_b
+    (k_b = r_b, on supp(rho_b) alone, when d_b <= 2 r_b, else d_b), rho'_b
+    PSD when k_b < d_b, the cap t sigma_b - rho'_b PSD (a scalar row when
+    d_b = 1), sum_b Re Tr' Z_b >= sqrt(1 - eps^2), and the trace of
     rho', sum_b Tr rho'_b + w, equal to 1.  Both ends bound D_max^eps
-    itself, for two exact steps:
+    itself, for three exact steps:
 
     - Split: each support component is posed in the eigenbasis of its
       rho_c and split again by the pattern of its rotated sigma'_c, which
@@ -611,6 +626,10 @@ def d_max_smooth(rho, sigma, eps: float) -> float:
       (w = sum_b Tr rho'_b one way, rho'_b = (w / s0) sigma_b the other).
       When s0 is 0 (every rho-free sub-block has sigma_b = 0, so each
       rho'_b is 0) there is no w.
+    - Support: in rho_b's eigenbasis rho_b = Lambda_b (+) 0, so
+      F(rho_b, rho'_b) = F(Lambda_b, rho'_b,rr) (the argument is in
+      ``_ball_blocks``), and Watrous's block of that fidelity needs rho'_b
+      on supp(rho_b) only, with rho'_b PSD asked of the rest.
 
     Two solves, one certificate: one solve and one certificate per
     distinct value, keyed by bytes (``_d_max_smooth_many``).  A classical
@@ -769,7 +788,8 @@ def _water_fill(ball: sdp.Ball) -> sdp.BallSolve:
     w = 1.0 - x.sum() if free_mass > 0.0 else 0.0
     z_b, rho_b = [np.sqrt(lam * x)[:, None, None]], [x[:, None, None]]
     point = sdp.BallPoint(sdp._logged(t_cap), w, z_b, rho_b)
-    dual = sdp.BallDual([v[:, :, None] * v[:, None, :]], [caps[:, None, None]], fid, floor, free_cap)
+    g = [v[:, :, None] * v[:, None, :]]
+    dual = sdp.BallDual(g, [None], [caps[:, None, None]], fid, floor, free_cap)
     return sdp.BallSolve("closedForm", 0, sdp.recheck(ball, point), point, dual)
 
 

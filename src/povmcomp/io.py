@@ -13,6 +13,12 @@ re-dump round trip is byte identical.  An ``Instance`` validates itself
 once, when it is built: ``JointPOVM`` checks the elements and
 ``la.density_eigh`` the state, whose (Hermitian part, eigenvalues,
 eigenvectors) it holds as ``spectrum``; ``state`` keeps the parsed entries.
+It also holds the state's marginal rho_A and the distribution p(x, y) the
+POVM induces on it, and refuses with ``InstanceError`` a pair whose p is
+not a distribution on ``la``'s contract: the state and the elements may
+each have a negative part within ``la.PSD_SLACK``, which can give a
+probability far below -``la.NEG_PROB_SLACK``.  So an instance that loads
+prepares.
 """
 
 from __future__ import annotations
@@ -45,18 +51,34 @@ def _check_entries(size: int, dim: int) -> None:
         raise ValueError(f"matrix has {size} entries, expected {dim * dim}")
 
 
+class InstanceError(ValueError):
+    """A state and a POVM that each pass their checks but whose induced
+    p(x, y) is not a distribution on ``la``'s contract, refused when the
+    ``Instance`` is built."""
+
+
 @dataclass(frozen=True)
 class Instance:
     dims: dict[str, int]
     state: np.ndarray
     povm: qo.JointPOVM
     spectrum: tuple = field(init=False, repr=False, compare=False)
+    rho_a: np.ndarray = field(init=False, repr=False, compare=False)
+    joint: qo.Distribution = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_entries(np.size(self.state), self.dim_a * self.dim_b * self.dim_r)
         if self.povm.dim != self.dim_a:
             raise ValueError(f"POVM acts on dimension {self.povm.dim}, register A has {self.dim_a}")
         object.__setattr__(self, "spectrum", la.density_eigh(self.state))
+        rho_a = la.partial_trace(self.spectrum[0], self.layout(), ["A"])
+        try:
+            joint = qo.induced_distribution(self.povm, rho_a)
+        except ValueError as err:
+            message = f"the POVM does not induce a distribution on the state: {err}"
+            raise InstanceError(message) from err
+        object.__setattr__(self, "rho_a", rho_a)
+        object.__setattr__(self, "joint", joint)
 
     @property
     def dim_a(self) -> int:

@@ -12,10 +12,11 @@ regions.  Every smooth entropy of those is taken on a cq state that
 the stack of the steered E-blocks, each of trace p(x, y), as they are;
 ``side_information`` is the one I_H on B.  Set-up decomposes each matrix
 once: ``prepare`` purifies from the eigenpairs of rho the ``Instance``
-holds, one ``eigh`` of rho_A, kept with rho_A as ``spectrum_a`` for the
-GOOD sets of every codebook draw, gives p(x, y), sqrt(rho_A), its inverse
-on the support and the support projector, and one stacked ``steer`` maps
-all the elements (``JointPOVM`` checked them stacked) to E.
+holds, and takes rho_A and p(x, y) from it; one ``eigh`` of rho_A, kept
+with rho_A as ``spectrum_a`` for the GOOD sets of every codebook draw,
+gives sqrt(rho_A), its inverse on the support and the support projector,
+and one stacked ``steer`` maps all the elements (``JointPOVM`` checked
+them stacked) to E, held as ``env_stack``, the stack of ``env_cq``.
 
 rho_A is not checked again: the partial trace of the checked rho is
 Hermitian exactly (each entry and its mirror sum the conjugate terms in
@@ -65,7 +66,7 @@ class PreparedInstance:
     global_pure: np.ndarray  # state vector on A (x) E
     env_dims: dict[str, int]  # B, R, M dimensions inside E
     mirror_blocks: dict[tuple[str, str], np.ndarray]  # sqrt(rho) El sqrt(rho), trace p
-    env_blocks: dict[tuple[str, str], np.ndarray]  # steered on E, trace p
+    env_stack: np.ndarray  # the elements steered on E, in element order, trace p
     _cache: dict = field(default_factory=dict)
 
     @property
@@ -110,17 +111,16 @@ class PreparedInstance:
 
     @cached_property
     def _env_cq(self) -> qo.CQState:
-        symbols = tuple(qo.join_symbol(x, y) for x, y in self.env_blocks)
-        return qo.CQState.derived(symbols, np.stack(list(self.env_blocks.values())))
+        symbols = tuple(qo.join_symbol(x, y) for x, y in self.instance.povm.elements)
+        return qo.CQState.derived(symbols, self.env_stack)
 
 
 def prepare(inst: Instance) -> PreparedInstance:
     rho, w, v = inst.spectrum
-    rho_a = la.partial_trace(rho, inst.layout(), ["A"])
+    rho_a, joint = inst.rho_a, inst.joint
     # rank-truncated purification: global pure state on (A B R) (x) M
     psi = la.purify(w, v)
     w_a, v_a = np.linalg.eigh(rho_a)
-    joint = qo.induced_distribution(inst.povm, rho_a)
     sqrt_a = la._root(w_a, v_a)
     mirror_blocks = {
         key: sqrt_a @ el @ sqrt_a for key, el in inst.povm.elements.items()
@@ -135,10 +135,9 @@ def prepare(inst: Instance) -> PreparedInstance:
         global_pure=psi,
         env_dims={"B": inst.dim_b, "R": inst.dim_r, "M": psi.size // rho.shape[0]},
         mirror_blocks=mirror_blocks,
-        env_blocks={},
+        env_stack=np.zeros(0),
     )
-    steered = prep.steer(np.stack(list(inst.povm.elements.values())))
-    prep.env_blocks.update(zip(inst.povm.elements, steered))
+    prep.env_stack = prep.steer(np.stack(list(inst.povm.elements.values())))
     return prep
 
 

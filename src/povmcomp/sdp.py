@@ -8,21 +8,34 @@ rho-free sub-blocks and the fidelity c = sqrt(1 - eps^2).  The sub-blocks
 are held as stacks, one per group of one (r, d, field) in order of first
 appearance, and are ordered group by group (group-major): a point, a
 dual, the layout of a batch and every kernel read them in that order.
-Its variables are Z_b (r_b x d_b), rho'_b (d_b x d_b), t and, when
+Its variables are Z_b (r_b x k_b), rho'_b (d_b x d_b), t and, when
 s0 > 0, w:
 
-    G_b = [[Lambda_b, Z_b], [Z_b^H, rho'_b]] PSD,
+    G_b = [[Lambda_b, Z_b], [Z_b^H, rho'_b,kk]] PSD ((r_b + k_b) square),
+    rho'_b PSD (when k_b < d_b),
     C_b = t sigma_b - rho'_b PSD (a scalar row when d_b = 1),
     sum_b Re Tr' Z_b >= c (Tr' the sum of Z_b[a, a], a < r_b),
     w >= 0,  t s0 - w >= 0,
     sum_b Tr rho'_b + w = 1,
 
-min t.  The fidelity row is the semidefinite form of F(rho, rho') >= c:
+min t, with rho'_b,kk the leading k_b x k_b block of rho'_b.  The
+fidelity row is the semidefinite form of F(rho, rho') >= c:
 [[rho, Z], [Z^H, rho']] PSD with Re Tr Z >= c (Watrous), posed per
-sub-block on supp(rho_b) (+) C^d in rho_b's eigenbasis, which keeps G_b
-strictly feasible when rho_b is rank deficient.  Lambda_b is data in
-G_b's corner, so no equality pins it.  The argument that this program has
-the value of D_max^eps (the split into sub-blocks, the fold of the
+sub-block in rho_b's eigenbasis, where rho_b is Lambda_b (+) 0.  So
+sqrt(rho_b) rho'_b sqrt(rho_b) is sqrt(Lambda_b) rho'_b,rr
+sqrt(Lambda_b) (+) 0 and F(rho_b, rho'_b) = F(Lambda_b, rho'_b,rr): the
+fidelity never sees rho'_b off supp(rho_b) (Tomamichel,
+arXiv:1504.00233).  ``_trailing`` picks k_b from (r_b, d_b).  When
+d_b <= 2 r_b, k_b = r_b (the support pose): G_b is 2r_b square, and
+rho'_b PSD, which G_b implies when r_b = d_b, is asked of the rest as
+its own block.  Otherwise k_b = d_b, Watrous's block on
+supp(rho_b) (+) C^d, which holds rho'_b whole: there most of rho'_b lies
+off supp(rho_b), and the support pose was seen to stall (end
+"maxIterations") on values of complex (1, d) sub-blocks, d from 4 to 20,
+that this block certifies.  Both keep G_b strictly feasible when rho_b
+is rank deficient.  Lambda_b is data in
+G_b's corner, so no equality pins it.  The argument that this program
+has the value of D_max^eps (the split into sub-blocks, the fold of the
 rho-free ones into w) is in ``entropies._ball_blocks`` and
 ``entropies.d_max_smooth``.
 
@@ -40,13 +53,15 @@ sub-block); the program is invariant under conjugating one sub-block's
 every constraint, so a real optimum of that block is an optimum, and a
 real dual has no residual along its imaginary directions.  The free reals
 x of a value are, sub-block by sub-block in group-major order, G_b's rvec
-coordinates off its r x r corner (Z_b's entries times sqrt2, then rho'_b's
-rvec, in G_b's order), then t and w.  So the map x -> (G_b, C_b, scalar
-rows) is a selection with signs, plus t sigma_b in each cap: one sparse
-matrix A in coordinate form, s = A x + h in K, with h holding Lambda_b in
-G_b's corner and -c in the fidelity row.  ``MAX_VAR_REALS`` caps a value's
-free reals, which size its dense Schur matrix; ``minimize_balls`` raises
-``ProblemTooLarge`` before it builds anything.
+coordinates off its r x r corner (Z_b's entries times sqrt2, then
+rho'_b,kk's rvec, in G_b's order), then rho'_b's rvec coordinates off
+rho'_b,kk (none when k = d), then t and w.  So the map
+x -> (G_b, rho'_b, C_b, scalar rows) is a selection with signs, plus
+t sigma_b in each cap: one sparse matrix A in coordinate form,
+s = A x + h in K, with h holding Lambda_b in G_b's corner and -c in the
+fidelity row.  ``MAX_VAR_REALS`` caps a value's free reals, which size
+its dense Schur matrix; ``minimize_balls`` raises ``ProblemTooLarge``
+before it builds anything.
 
 The step.  A primal-dual interior-point method with Nesterov-Todd scaling
 and Mehrotra's predictor-corrector (SIAM J. Optim. 2, 1992), from SDPT3's
@@ -92,15 +107,15 @@ lone solve, bit for bit.  A value leaves the batch when it stops; a
 
 The certificates, in block form:
 
-- ``recheck`` rebuilds G_b and C_b from a point's own (Z, rho', t, w),
-  takes one ``eigvalsh`` per block size, and reads the scalar rows and the
-  trace row: "primal" is the largest violation, "gap" |trace - 1|; a
-  point is feasible when both are at most ``FEASIBLE_TOL``
+- ``recheck`` rebuilds G_b, rho'_b and C_b from a point's own
+  (Z, rho', t, w), takes one ``eigvalsh`` per block size, and reads the
+  scalar rows and the trace row: "primal" is the largest violation, "gap"
+  |trace - 1|; a point is feasible when both are at most ``FEASIBLE_TOL``
   (``within_tolerance``).
-- ``lower_bound`` reads a dual (W_b on G_b, V_b on C_b, the weights of
-  the scalar rows) as it is given, by weak duality with t left free: the
-  least t is at least t_low = (gap - X |r|) / held, X a bound on the norm
-  of every feasible point's free reals.  The scalar weights are clipped
+- ``lower_bound`` reads a dual (W_b on G_b, P_b on rho'_b, V_b on C_b,
+  the weights of the scalar rows) as it is given, by weak duality with t
+  left free: the least t is at least t_low = (gap - X |r|) / held, X a
+  bound on the norm of every feasible point's free reals.  The scalar weights are clipped
   at 0; each block's negative least eigenvalue (one ``eigvalsh`` per
   stack) is charged against a bound on the trace of its primal block.
   A value is certified on [log2 t_low, log2 t], its upper end the
@@ -255,9 +270,12 @@ class Ball:
     Group j holds ``eigs[j]`` (n, r), each sub-block's positive spectrum of
     rho_b (descending, the first r of its d directions), and ``sigma[j]``
     (n, d, d), its sigma_b in rho_b's eigenbasis, real or complex (the
-    group's field); r, d, the field and n are read off the arrays.  The
-    sub-blocks are ordered group by group, and a point's and a dual's
-    stacks follow the same groups."""
+    group's field); r, d, the field and n are read off the arrays.  A
+    sub-block's fidelity block G_b is posed on those first r directions,
+    supp(rho_b), and on the first k = ``_trailing(r, d)`` of rho'_b's, and
+    its cap and trace on all d.  The sub-blocks are
+    ordered group by group, and a point's and a dual's stacks follow the
+    same groups."""
 
     eigs: list[np.ndarray]
     sigma: list[np.ndarray]
@@ -276,7 +294,8 @@ def _groups(ball: Ball) -> tuple[tuple[int, int, bool, int], ...]:
 @dataclass
 class BallPoint:
     """A point of a ``Ball``: t, w (0 without one), and per group of the
-    ball the stacks of its sub-blocks' Z_b (n, r, d) and rho'_b (n, d, d)."""
+    ball the stacks of its sub-blocks' Z_b (n, r, k), k =
+    ``_trailing(r, d)``, and rho'_b (n, d, d)."""
 
     t: float
     w: float
@@ -287,11 +306,14 @@ class BallPoint:
 @dataclass
 class BallDual:
     """A slack-side vector of a ``Ball``: per group of the ball the stacks
-    of W_b on G_b (n, r + d, r + d) and of V_b on C_b (n, d, d; 1 x 1 when
-    d = 1), and the weights of the fidelity row, of w >= 0 and of
+    of W_b on G_b (n, r + k, r + k), k = ``_trailing(r, d)``, of P_b on
+    rho'_b >= 0 (n, d, d; None when k = d, where G_b holds all of rho'_b)
+    and of V_b on C_b (n, d, d; 1 x 1
+    when d = 1), and the weights of the fidelity row, of w >= 0 and of
     t s0 - w >= 0 (0 without w)."""
 
     g: list[np.ndarray]
+    psd: list[np.ndarray | None]
     cap: list[np.ndarray]
     fid: float
     floor: float
@@ -307,10 +329,18 @@ class BallSolve:
     dual: BallDual  # the solve's z, read by ``lower_bound``
 
 
+def _trailing(r: int, d: int) -> int:
+    """The size k of rho'_b's leading block in G_b, for a sub-block of
+    rank r and dimension d: r (the support pose) when d <= 2r, else d."""
+    return r if d <= 2 * r else d
+
+
 def _reals(r: int, d: int, real: bool) -> int:
-    """The free reals of a sub-block of rank r and dimension d: G_b's rvec
-    off its r x r corner."""
-    return rvec_size(r + d, real) - rvec_size(r, real)
+    """The free reals of a sub-block of rank r and dimension d: its G_b's
+    rvec off the r x r corner, and rho'_b's rvec off its leading k x k
+    block, k = ``_trailing(r, d)``."""
+    k = _trailing(r, d)
+    return rvec_size(r + k, real) + rvec_size(d, real) - rvec_size(r, real) - rvec_size(k, real)
 
 
 # -- certificates -------------------------------------------------------------
@@ -325,17 +355,19 @@ def _logged(t: float) -> float:
 
 def recheck(ball: Ball, point: BallPoint) -> dict[str, float]:
     """The residuals of ``point`` on ``ball``, evaluated again from its own
-    (Z, rho', t, w): "primal" the largest violation of the PSD blocks G_b
-    and C_b (one ``eigvalsh`` per block size) and of the scalar rows,
-    "gap" the trace row's |sum_b Tr rho'_b + w - 1|."""
+    (Z, rho', t, w): "primal" the largest violation of the PSD blocks G_b,
+    rho'_b (in the support pose) and C_b (one ``eigvalsh`` per block size) and of
+    the scalar rows, "gap" the trace row's |sum_b Tr rho'_b + w - 1|."""
     mats: dict[int, list[np.ndarray]] = {}
     rows, fid, mass = [np.zeros(1)], 0.0, 0.0
     for eigs, sigma, z, rho in zip(ball.eigs, ball.sigma, point.z, point.rho):
-        r, d = eigs.shape[1], sigma.shape[-1]
-        g = np.zeros((len(z), r + d, r + d), dtype=np.result_type(z, rho))
+        r, d, k = eigs.shape[1], sigma.shape[-1], z.shape[-1]
+        g = np.zeros((len(z), r + k, r + k), dtype=np.result_type(z, rho))
         g[:, np.arange(r), np.arange(r)] = eigs
-        g[:, :r, r:], g[:, r:, :r], g[:, r:, r:] = z, _ct(z), rho
-        mats.setdefault(r + d, []).append(g)
+        g[:, :r, r:], g[:, r:, :r], g[:, r:, r:] = z, _ct(z), rho[:, :k, :k]
+        mats.setdefault(r + k, []).append(g)
+        if k < d:
+            mats.setdefault(d, []).append(rho)
         cap = point.t * sigma - rho
         if d == 1:
             rows.append(cap[:, 0, 0].real)
@@ -362,28 +394,33 @@ def lower_bound(ball: Ball, dual: BallDual) -> float:
     Weak duality with t left free.  For every feasible point (x, t),
     0 <= <dual, A x + h> = <r, x> + t held - gap, x the free reals but t.
     Per sub-block the residual over its free reals is
-    R_b = W_b + (f / 2) F_Z + (nu I - V_b) on the trailing d x d block,
-    F_Z the fidelity row's matrix (1 at (a, r + a) and (r + a, a), a < r),
-    read off the corner: |R_b|^2 counts the trailing block and twice the
-    off-diagonal one, as their rvec coordinates do.  w's residual is
-    floor - free_cap + nu.  nu is the trace row's least-squares
-    multiplier, minus the mean of the residuals on the trace row's reals.
-    t's coefficient is held = sum_b Re Tr[V_b sigma_b] + free_cap s0 and
-    the constant is gap = c f - sum_b sum_a Lambda_a W_b[a, a] + nu.  So
+    R_b = W_b + (f / 2) F_Z, read off G_b's corner, with F_Z the fidelity
+    row's matrix (1 at (a, r + a) and (r + a, a), a < r), and on rho'_b
+    the trailing k x k block of W_b in its leading corner (k =
+    ``_trailing(r, d)``), plus P_b when k < d, plus nu I - V_b:
+    |R_b|^2 counts the rho'_b part and twice Z_b's block, as
+    their rvec coordinates do.  w's residual is floor - free_cap + nu.  nu
+    is the trace row's least-squares multiplier, minus the mean of the
+    residuals on the trace row's reals.  t's coefficient is
+    held = sum_b Re Tr[V_b sigma_b] + free_cap s0 and the constant is
+    gap = c f - sum_b sum_a Lambda_a W_b[a, a] + nu.  So
     t held >= gap - |r| |x|, and X = sqrt(1 + 2 sum_b Tr Lambda_b) bounds
     |x| on every feasible point: |rho'|_F^2 + w^2 <= (Tr rho' + w)^2 = 1,
-    and G_b PSD gives |Z_b|_F^2 <= Tr Lambda_b Tr rho'_b, counted twice by
-    Z_b's rvec coordinates.  The least t of the program is at least t_low
-    (Jansson, Chaykin and Keil, SIAM J. Numer. Anal. 46, 2007).
+    and G_b PSD gives |Z_b|_F^2 <= Tr Lambda_b Tr rho'_b,kk <=
+    Tr Lambda_b Tr rho'_b, counted twice by Z_b's rvec coordinates.  The
+    least t of the program is at least t_low (Jansson, Chaykin and Keil,
+    SIAM J. Numer. Anal. 46, 2007).
 
     The dual is read as it is given.  The three scalar weights f, floor
     and free_cap are clipped at 0, which makes them cone elements exactly.
     The blocks are not projected: with m_b^- at or above the negative part
     of a block's least eigenvalue (``_deficit``), <M_b, S_b> >=
     -m_b^- Tr S_b for every PSD S_b.  For W_b, Tr G_b = Tr Lambda_b +
-    Tr rho'_b with sum_b Tr rho'_b <= 1, so
-    sum_b m_b^- Tr Lambda_b + max_b m_b^- is taken off gap; for V_b,
-    Tr C_b <= t Tr sigma_b, so sum_b m_b^- Tr sigma_b is added to held.
+    Tr rho'_b,kk, and P_b reads Tr rho'_b, with Tr rho'_b,kk <= Tr rho'_b
+    and sum_b Tr rho'_b <= 1, so
+    sum_b m_b^- Tr Lambda_b + max_b (m_b^- + p_b^-) is taken off gap; for
+    V_b, Tr C_b <= t Tr sigma_b, so sum_b m_b^- Tr sigma_b is added to
+    held.
 
     The float arithmetic is bounded too, with u = 2^-53: a float sum of
     m products is within gamma_m = m u / (1 - m u) times the sum of its
@@ -395,34 +432,39 @@ def lower_bound(ball: Ball, dual: BallDual) -> float:
     four more terms in gap's count and two in held's cover the scalar
     steps after them.  Each charge sums nonnegative products, so it is
     scaled by 1 + gamma of their count, and is one more term of gap or
-    held.  Each entry of r takes at most two roundings, so gamma_2 times
-    the norm of its terms' absolute values (``spread``) is added to |r|;
-    |r| and X are sums of nonnegative terms under a sqrt, each scaled by
-    1 + gamma_(count + 8), and so is their product; the quotient is scaled
-    by 1 - 2u.
+    held.  Each entry of r takes at most two roundings, and three on
+    rho'_b of a sub-block with k < d, whose leading k x k block sums four
+    terms (W_b's trailing block, P_b, -V_b and nu); so gamma_2 times the
+    norm of its terms' absolute values (``spread``) is added to |r|, and
+    gamma_3 times it on those sub-blocks; |r| and X are sums of nonnegative
+    terms under a sqrt, each scaled by 1 + gamma_(count + 8), and so is
+    their product; the quotient is scaled by 1 - 2u.
     """
     free = ball.free_mass > 0.0
     fid, floor, free_cap = (max(v, 0.0) for v in (dual.fid, dual.floor, dual.free_cap))
-    parts = list(zip(ball.eigs, ball.sigma, dual.g, dual.cap))
-    tails = [g[:, eigs.shape[1] :, eigs.shape[1] :] - cap for eigs, _, g, cap in parts]
+    parts = list(zip(ball.eigs, ball.sigma, dual.g, dual.psd, dual.cap))
+    tails = [_tail(eigs.shape[1], g, p, cap) for eigs, _, g, p, cap in parts]
     total = sum(float(np.trace(tail, axis1=1, axis2=2).real.sum()) for tail in tails)
     count = sum(sigma.shape[0] * sigma.shape[-1] for sigma in ball.sigma) + free
     trace = -(total + (floor - free_cap) * free) / count
-    resid, spread, held = 0.0, 0.0, free_cap * ball.free_mass * free
+    resid, spread, spread_p, held = 0.0, 0.0, 0.0, free_cap * ball.free_mass * free
     short_g, short_c, most, reads = 0.0, 0.0, 0.0, 0
     gap = ball.fidelity * fid + trace
     # (number of products, sum of their absolute values) of gap and held
     gap_terms, held_terms = [6, abs(ball.fidelity * fid) + abs(trace)], [4, abs(held)]
     count = free + sum(eigs.size for eigs in ball.eigs)
-    for (eigs, sigma, g, cap), tail in zip(parts, tails):
+    for (eigs, sigma, g, p, cap), tail in zip(parts, tails):
         r, d = eigs.shape[1], sigma.shape[-1]
         off = g[:, :r, r:].copy()
         off[:, np.arange(r), np.arange(r)] += fid / 2
         tail[:, np.arange(d), np.arange(d)] += trace
         resid += float(np.sum(np.abs(tail) ** 2)) + 2.0 * float(np.sum(np.abs(off) ** 2))
-        terms = np.abs(g[:, r:, r:]) + np.abs(cap)
+        terms = _tail(r, np.abs(g), None if p is None else np.abs(p), -np.abs(cap))
         terms[:, np.arange(d), np.arange(d)] += abs(trace)
-        spread += float(np.sum(terms**2))
+        if p is None:
+            spread += float(np.sum(terms**2))
+        else:
+            spread_p += float(np.sum(terms**2))
         spread += 2.0 * float(np.sum((np.abs(g[:, :r, r:]) + fid / 2) ** 2))
         count += tail.size + off.size
         held += float(np.sum(np.conj(cap) * sigma).real)
@@ -434,8 +476,10 @@ def lower_bound(ball: Ball, dual: BallDual) -> float:
         gap_terms[1] += float(np.sum(np.abs(products)))
         # the blocks' negative parts, charged against their primal traces
         deficit = _deficit(g)
-        most = max(most, float(deficit.max()))
         short_g += float(deficit @ eigs.sum(axis=1))
+        if p is not None:
+            deficit = deficit + _deficit(p)
+        most = max(most, float(deficit.max()))
         short_c += float(_deficit(cap) @ np.trace(sigma, axis1=1, axis2=2).real)
         reads += eigs.size + sigma.shape[0] * d
     grow = 1.0 + _gamma(reads + 1)
@@ -449,9 +493,23 @@ def lower_bound(ball: Ball, dual: BallDual) -> float:
     held += _gamma(held_terms[0] + 1) * (held_terms[1] + charge_c)
     margin = 1.0 + _gamma(count + 8)
     norm = math.sqrt(1.0 + 2.0 * sum(float(eigs.sum()) for eigs in ball.eigs)) * margin
-    size = (math.sqrt(resid) + _gamma(2) * math.sqrt(spread)) * margin
+    rounding = _gamma(2) * math.sqrt(spread) + _gamma(3) * math.sqrt(spread_p)
+    size = (math.sqrt(resid) + rounding) * margin
     low = gap - norm * size * margin
     return low / held * (1.0 - 2.0**-52) if held > 0.0 and low > 0.0 else 0.0
+
+
+def _tail(r: int, g: np.ndarray, p: np.ndarray | None, cap: np.ndarray) -> np.ndarray:
+    """W_b's trailing k x k block (r + k its size) in the leading corner of
+    rho'_b's d x d, plus P_b (None when k = d), less V_b, per sub-block of
+    a stack: a dual's residual on rho'_b before the trace row's
+    multiplier."""
+    if p is None:
+        return g[:, r:, r:] - cap
+    k = g.shape[-1] - r
+    tail = p - cap
+    tail[:, :k, :k] += g[:, r:, r:]
+    return tail
 
 
 def _gamma(m: int) -> float:
@@ -493,16 +551,36 @@ def _rvec_positions(n: int, real: bool) -> dict[tuple[int, int, int], int]:
 
 @cache
 def _geometry(r: int, d: int, real: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Where a sub-block's free reals sit in the rvec of its G_b: their
-    positions (off the r x r corner, ascending), and among them the index
-    of each rvec coordinate of rho'_b (in its own rvec order) and of
-    Re Z_b[a, a] for a < r."""
-    pos = _rvec_positions(r + d, real)
-    free = np.flatnonzero(_rvec_coords(r + d, real)[1] >= r)
+    """Where a sub-block's free reals sit.  The first are the rvec
+    coordinates of its (r + k) square G_b off the r x r corner (their
+    positions in G_b's rvec, ascending; k = ``_trailing(r, d)``), the rest
+    rho'_b's rvec coordinates off its leading k x k block, in rho'_b's
+    rvec order (none when k = d).  Returns
+    those positions, and among the free reals the index of each rvec
+    coordinate of rho'_b (in its own rvec order) and of Re Z_b[a, a] for
+    a < r."""
+    k = _trailing(r, d)
+    pos = _rvec_positions(r + k, real)
+    free = np.flatnonzero(_rvec_coords(r + k, real)[1] >= r)
     index = {p: k for k, p in enumerate(free.tolist())}
-    rho = [index[pos[r + i, r + j, part]] for i, j, part in zip(*_rvec_coords(d, real).tolist())]
+    rho, rest = [], len(free)
+    for i, j, part in zip(*_rvec_coords(d, real).tolist()):
+        if j < k:  # i <= j: the entry sits in G_b's trailing block
+            rho.append(index[pos[r + i, r + j, part]])
+        else:
+            rho.append(rest)
+            rest += 1
     zdiag = [index[pos[a, r + a, 0]] for a in range(r)]
     return free, np.array(rho), np.array(zdiag, dtype=int)
+
+
+def _blocks(r: int, d: int) -> tuple[tuple[str, int], ...]:
+    """(kind, size) of a sub-block's PSD blocks, in the order a slab holds
+    them: G_b ("g", r + k), rho'_b >= 0 ("p", d) when k < d
+    (k = ``_trailing(r, d)``) and the cap C_b ("c", d) when d > 1 (a
+    scalar row when d = 1)."""
+    k = _trailing(r, d)
+    return (("g", r + k),) + (("p", d),) * (k < d) + (("c", d),) * (d > 1)
 
 
 # built once per shapes: a pass asks for the same few again and again
@@ -512,8 +590,9 @@ class _Layout:
     in the joined vectors of a batch; it depends on the values' shapes
     alone (per group (r, d, real, n), and whether there is a w).
 
-    Slack: one slab per (size, field), sorted, holding the G_b of that
-    size and the C_b (d > 1) of every value, value by value and group by
+    Slack: one slab per (size, field), sorted, holding the blocks of that
+    size of every value (``_blocks``: G_b, rho'_b when k < d, C_b when
+    d > 1), value by value, group by group and in that order within a
     group, each as its rvec; then each value's scalar slots: the fidelity
     row, the caps of its 1 x 1 sub-blocks, w >= 0 and t s0 - w >= 0.  Free
     reals: value by value, each sub-block's in group order, then t, then
@@ -521,9 +600,10 @@ class _Layout:
     slab by slab, then slot by slot, so that ``np.bincount`` adds every
     slot's and every real's terms in the same order in any batch;
     ``sigma_at``, ``cap_at`` and ``mass_at`` are the entries that take
-    sigma_b's rvec, a 1 x 1 sigma_b and s0.  ``group_x``, ``g_slot`` and
-    ``c_slot`` give, per value and group, each sub-block's first free real
-    and the first slot of its G_b and C_b.  The Schur matrices (n_v + 1
+    sigma_b's rvec, a 1 x 1 sigma_b and s0.  ``group_x`` and ``slot_of``
+    give, per value and group, each sub-block's first free real and, per
+    kind "g", "p" and "c", the first slot of its G_b, rho'_b and C_b
+    (None for a block it lacks).  The Schur matrices (n_v + 1
     square, bordered by the trace row) lie end to end, grouped by size.
     Each Schur term joins two A entries of one block or slot (``first``,
     ``second``), weighted by an entry of the joined T^T T or by its slot's
@@ -551,39 +631,50 @@ class _Layout:
         # per run of blocks or slots of one value: (their A entries, one row
         # each; their local slots; their T^T T offsets, or their slots; k; value)
         terms = []
-        self.slabs = []  # (size, real, slots, count, k, runs (value, group, of G_b))
-        self.g_slot = [[None] * len(groups) for groups, _ in shapes]
-        self.c_slot = [[None] * len(groups) for groups, _ in shapes]
+        self.slabs = []  # (size, real, slots, count, k, runs (value, group, kind))
+        self.slot_of = {
+            kind: [[None] * len(groups) for groups, _ in shapes] for kind in ("g", "p", "c")
+        }
         slot = entry = k_lo = 0
-        keys = {(r + d, real) for groups, _ in shapes for r, d, real, _ in groups}
-        keys |= {(d, real) for groups, _ in shapes for _, d, real, _ in groups if d > 1}
+        keys = {
+            (size, real)
+            for groups, _ in shapes
+            for r, d, real, _ in groups
+            for _, size in _blocks(r, d)
+        }
         for size, real in sorted(keys):
             k = rvec_size(size, real)
             runs = [
-                (v, g, r + d == size)
+                (v, g, kind)
                 for v, (groups, _) in enumerate(shapes)
                 for g, (r, d, group_real, _) in enumerate(groups)
-                if group_real == real and size in (r + d, d)
+                if group_real == real
+                for kind, at in _blocks(r, d)
+                if at == size
             ]
             count = 0
-            for v, g, is_g in runs:
+            for v, g, kind in runs:
                 r, d, _, n = shapes[v][0][g]
                 free_pos, rho, _ = _geometry(r, d, real)
                 members = count + np.arange(n)
                 base, x_at = slot + members * k, self.group_x[v][g][:, None]
-                (self.g_slot if is_g else self.c_slot)[v][g] = base
-                if is_g:
+                self.slot_of[kind][v][g] = base
+                kd = len(rho)
+                if kind == "g":
                     local, at = free_pos, base[:, None] + free_pos
                     corner.append((base[:, None] + np.arange(r)).ravel())
                     cols.append((x_at + np.arange(len(free_pos))).ravel())
                     coef.append(np.ones(at.size))
+                elif kind == "p":
+                    local, at = np.arange(kd), base[:, None] + np.arange(kd)
+                    cols.append((x_at + rho).ravel())
+                    coef.append(np.ones(at.size))
                 else:
-                    kd = len(rho)
                     local, at = np.tile(np.arange(kd), 2), np.tile(base[:, None] + np.arange(kd), 2)
                     cols.append(np.hstack([x_at + rho, np.full((n, kd), self.t_at[v])]).ravel())
                     coef.append(np.tile(np.repeat([-1.0, 0.0], kd), n))
                 mine = entry + np.arange(at.size).reshape(at.shape)
-                if not is_g:
+                if kind == "c":
                     sigma_at.append(mine[:, kd:].ravel())
                 rows.append(at.ravel())
                 entry += at.size
@@ -606,7 +697,7 @@ class _Layout:
             for g, ((_, d, _, n), x, (_, rho, _)) in enumerate(zip(groups, x_at, geometry)):
                 trace.append((x + rho[:d]).ravel())
                 if d == 1:
-                    self.c_slot[v][g] = slot + sum(len(c) for c, _ in scalars) + np.arange(n)
+                    self.slot_of["c"][v][g] = slot + sum(len(c) for c, _ in scalars) + np.arange(n)
                     cap_at.append(entry + sum(c.size for c, _ in scalars) + 2 * np.arange(n) + 1)
                     caps = np.hstack([x + rho[0], np.full((n, 1), t)])
                     scalars.append((caps, np.tile([-1.0, 0.0], (n, 1))))
@@ -720,10 +811,10 @@ class _Batch:
         coef = lay.coef.copy()
         sigmas, eigs = [np.zeros(0)], [np.zeros(0)]
         for _, real, *_, runs in lay.slabs:
-            for v, g, is_g in runs:
-                if is_g:
+            for v, g, kind in runs:
+                if kind == "g":
                     eigs.append(balls[v].eigs[g].ravel())
-                else:
+                elif kind == "c":
                     sigmas.append(herm_to_rvec(balls[v].sigma[g], real).ravel())
         caps = [sigma[:, 0, 0].real for ball in balls for sigma in ball.sigma if sigma.shape[-1] == 1]
         coef[lay.sigma_at] = np.concatenate(sigmas)
@@ -851,18 +942,18 @@ class _Batch:
 
     def point(self, st: _State, v: int) -> BallPoint:
         """Value v's point: t (at 2^(log2 t), ``_logged``), w and per group
-        its sub-blocks' (Z_b, rho'_b), read off the G_b their free reals and
-        Lambda_b make."""
+        its sub-blocks' Z_b, read off the G_b their free reals and Lambda_b
+        make, and rho'_b, read off its own rvec."""
         lay, ball = self.lay, self.balls[v]
         z, rho = [], []
         for (r, d, real, n), eigs, x_at in zip(_groups(ball), ball.eigs, lay.group_x[v]):
-            free = _geometry(r, d, real)[0]
-            full = np.zeros((n, rvec_size(r + d, real)))
+            free, rho_at, _ = _geometry(r, d, real)
+            size = r + _trailing(r, d)
+            full = np.zeros((n, rvec_size(size, real)))
             full[:, :r] = eigs
             full[:, free] = st.x[x_at[:, None] + np.arange(len(free))]
-            g = rvec_to_herm(full, r + d, real)
-            z.append(g[:, :r, r:])
-            rho.append(g[:, r:, r:])
+            z.append(rvec_to_herm(full, size, real)[:, :r, r:])
+            rho.append(rvec_to_herm(st.x[x_at[:, None] + rho_at], d, real))
         t = _logged(float(st.x[lay.t_at[v]]))
         w = float(st.x[lay.t_at[v] + 1]) if ball.free_mass > 0.0 else 0.0
         return BallPoint(t, w, z, rho)
@@ -870,14 +961,21 @@ class _Batch:
     def dual(self, st: _State, v: int) -> BallDual:
         """Value v's dual z, per group."""
         lay, ball = self.lay, self.balls[v]
-        g, cap = [], []
-        for (r, d, real, _), g_at, c_at in zip(_groups(ball), lay.g_slot[v], lay.c_slot[v]):
-            g.append(rvec_to_herm(st.z[g_at[:, None] + np.arange(rvec_size(r + d, real))], r + d, real))
-            cap.append(rvec_to_herm(st.z[c_at[:, None] + np.arange(rvec_size(d, real))], d, real))
+
+        def blocks(kind, g, size, real):
+            at = lay.slot_of[kind][v][g]
+            if at is None:
+                return None
+            return rvec_to_herm(st.z[at[:, None] + np.arange(rvec_size(size, real))], size, real)
+
+        found = []
+        for g, (r, d, real, _) in enumerate(_groups(ball)):
+            sizes = dict(_blocks(r, d))  # a 1 x 1 cap is a scalar slot
+            found.append([blocks(kind, g, sizes.get(kind, d), real) for kind in ("g", "p", "c")])
         fid = lay.fid_at[v]
         last = lay.slots_of[v][-2:] if ball.free_mass > 0.0 else None
         floor, free_cap = (float(st.z[i]) for i in last) if last is not None else (0.0, 0.0)
-        return BallDual(g, cap, float(st.z[fid]), floor, free_cap)
+        return BallDual(*map(list, zip(*found)), float(st.z[fid]), floor, free_cap)
 
     def keep(self, st: _State, kept: list[int]) -> tuple[_Batch, _State]:
         """The batch of the values ``kept`` (indices into this one) and their

@@ -420,6 +420,24 @@ def random_density(rng: np.random.Generator, d: int, rank: int | None = None) ->
     return rho / np.trace(rho).real
 
 
+def shared_support_pairs(rng: np.random.Generator, n: int, d: int, k: int) -> list[tuple]:
+    """n complex pairs (w_x psi_x, w_x rho_E) of dimension d, the blocks of
+    a cq state's I_max: pure states psi_x in one random k-dimensional
+    subspace, weights w_x and rho_E = sum_x w_x psi_x, of rank k.  Each
+    rho has rank 1 and each sigma rank k, and a sigma has no pattern to
+    split, so ``entropies._ball_blocks`` makes one (1, d) sub-block of
+    each pair."""
+    basis = np.linalg.qr(rng.normal(size=(d, k)) + 1j * rng.normal(size=(d, k)))[0]
+    weights = rng.dirichlet(np.ones(n))
+    states = []
+    for _ in range(n):
+        psi = basis @ (rng.normal(size=k) + 1j * rng.normal(size=k))
+        psi /= np.linalg.norm(psi)
+        states.append(np.outer(psi, psi.conj()))
+    rho_e = sum(w * state for w, state in zip(weights, states))
+    return [(w * state, w * rho_e) for w, state in zip(weights, states)]
+
+
 def random_hermitian(rng: np.random.Generator, d: int) -> np.ndarray:
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     return (g + g.conj().T) / 2
@@ -544,7 +562,13 @@ def clip_slack_per_block(prob, slack: np.ndarray) -> tuple[list[np.ndarray], np.
 
 def farkas_from_expressions(prob, slack: np.ndarray) -> tuple[float, float]:
     """(gap, |r|) of the Farkas witness an SDP's slack-side vector gives,
-    evaluated from the problem's own expressions.
+    evaluated from the problem's own expressions (``_witness``)."""
+    return _witness(prob, slack)[:2]
+
+
+def _witness(prob, slack: np.ndarray) -> tuple[float, float, float, float]:
+    """(gap, |r|, mass, |nu|_1) of the Farkas witness an SDP's slack-side
+    vector gives, evaluated from the problem's own expressions.
 
     ``slack`` holds one rvec per PSD constraint, then one weight per
     inequality; ``clip_slack_per_block`` makes it the cone element w.  With F(x) = sum_b <W_b, E_b(x)> + sum_i w_i g_i(x) + sum_j nu_j h_j(x)
@@ -553,6 +577,9 @@ def farkas_from_expressions(prob, slack: np.ndarray) -> tuple[float, float]:
     probed one basis matrix at a time, with nu the least-squares
     multiplier.  On a real problem too, so a witness from its real slack is
     tested against every Hermitian point, not only the real symmetric ones.
+    mass = sum_b Tr W_b + sum_i w_i: a point whose E_b are at least -p I
+    and g_i at least -p has its cone part of F at least -p mass, and one
+    whose |h_j| are at most g its equality part at least -g |nu|_1.
     """
     blocks, weights = clip_slack_per_block(prob, slack)
 
@@ -578,7 +605,8 @@ def farkas_from_expressions(prob, slack: np.ndarray) -> tuple[float, float]:
     grad, eq_rows = np.array(grad), np.array(eq_rows).reshape(len(grad), len(prob.equalities))
     nu = -np.linalg.lstsq(eq_rows, grad, rcond=None)[0]
     gap = -(cone_part(assign, False) + sum(n * eq.const for n, eq in zip(nu, prob.equalities)))
-    return gap, float(np.linalg.norm(grad + eq_rows @ nu))
+    mass = sum(float(np.trace(b).real) for b in blocks) + float(weights.sum())
+    return gap, float(np.linalg.norm(grad + eq_rows @ nu)), mass, float(np.abs(nu).sum())
 
 
 def pin_variable(prob, var: str, value: float):
@@ -991,33 +1019,112 @@ def ball_blocks_reference(ent, pairs) -> tuple[list, float]:
     return blocks, free_mass
 
 
-def lower_end_from_expressions(prob, slack: np.ndarray, norm: float) -> float:
+def lower_end_from_expressions(
+    prob, slack: np.ndarray, norm: float, within: dict | None = None
+) -> float:
     """log2 of the least t that a slack-side vector allows on a min t
     program by weak duality, evaluated from the program's own expressions:
     with t pinned at 1 and at 2 (``pin_variable``; at 0 the caps would
-    lose sigma's field), ``farkas_from_expressions`` gives gap(1), gap(2)
-    and |r| (which does not depend on t), so t's coefficient is
-    held = gap(1) - gap(2), and a feasible point whose free reals have norm
-    at most ``norm`` has t >= (gap(1) + held - norm |r|) / held.  -inf
-    when held or that numerator is not positive."""
-    gap1, resid = farkas_from_expressions(pin_variable(prob, "t", 1.0), slack)
-    gap2, _ = farkas_from_expressions(pin_variable(prob, "t", 2.0), slack)
+    lose sigma's field), ``_witness`` gives gap(1), gap(2) and |r| (which
+    does not depend on t), so t's coefficient is held = gap(1) - gap(2),
+    and a feasible point whose free reals have norm at most ``norm`` has
+    t >= (gap(1) + held - norm |r|) / held.  -inf when held or that
+    numerator is not positive.
+
+    With ``within`` (the "primal" p and "gap" g of a recheck), the least t
+    over the points whose recheck residuals are at most those, not only
+    the feasible ones: F is then at least -(p mass + g |nu|_1) on them
+    (``_witness``), which is taken off the numerator; ``norm`` must bound
+    their free reals (``norm_within``)."""
+    gap1, resid, mass, nu_mass = _witness(pin_variable(prob, "t", 1.0), slack)
+    gap2 = _witness(pin_variable(prob, "t", 2.0), slack)[0]
     held = gap1 - gap2
     low = gap1 + held - norm * resid
+    if within is not None:
+        low -= within["primal"] * mass + within["gap"] * nu_mass
     return math.log2(low / held) if low > 0.0 and held > 0.0 else -math.inf
+
+
+def norm_within(ball, within: dict | None = None) -> float:
+    """A bound on the norm of the free reals of every point of ``ball``'s
+    min t program, in either pose of ``sdp_reference.capped_ball``, whose
+    recheck residuals are at most ``within`` ("primal" p and "gap" g; 0
+    without it), t apart: sqrt(2 z + m^2), with L = sum_b Tr Lambda_b,
+    R = sum_b r_b and D = sum_b d_b.  Every PSD block is at least -p I,
+    w >= -p and sum_b Tr rho'_b + w <= 1 + g, so sum_b Tr rho'_b <=
+    1 + g + p, and |rho'_b|_F <= |rho'_b + p I|_F + p sqrt(d_b) <=
+    Tr rho'_b + p (d_b + sqrt(d_b)): the rho' and w reals have norm at most
+    m = 1 + g + p (sum_b (d_b + sqrt(d_b)) + 2).  G_b + p I PSD gives
+    |Z_b|_F^2 <= Tr(Lambda_b + p I) Tr(rho'_b,kk + p I), whose sum over b
+    is at most z = (L + p R)(1 + g + p (D + 1)), counted twice by Z's rvec
+    coordinates.  At p = g = 0 it is sqrt(1 + 2 L)."""
+    p, g = (0.0, 0.0) if within is None else (within["primal"], within["gap"])
+    dims = [(sigma.shape[0], sigma.shape[-1]) for sigma in ball.sigma]
+    big_l = sum(float(eigs.sum()) for eigs in ball.eigs)
+    big_r = sum(eigs.size for eigs in ball.eigs)
+    big_d = sum(n * d for n, d in dims)
+    m = 1.0 + g + p * (sum(n * (d + math.sqrt(d)) for n, d in dims) + 2.0)
+    return math.sqrt(2.0 * (big_l + p * big_r) * (1.0 + g + p * (big_d + 1.0)) + m * m)
 
 
 def ball_certificates(ref, ball, res, eps: float) -> tuple[dict, float]:
     """Both ends of a min t solve (``povmcomp.sdp.BallSolve`` of ``ball``,
     closed-form or interior-point) from the expressions of its program
     (``ref`` the generic layer of ``sdp_reference``): ``ref.capped_ball``
-    rebuilt from the ball at ``eps``.  Returns ``ref._recheck``'s residuals
-    of the point with t pinned at 2^v, v = log2 of its t
-    (``pin_variable``), and ``lower_end_from_expressions`` of its dual laid
-    out in slack order (``ref.slack_of``) with the norm bound
-    sqrt(1 + 2 sum_b Tr Lambda_b)."""
-    prob = ref.capped_ball(ref.plain(ball.eigs, ball.sigma, ball.free_mass), eps)
+    rebuilt from the ball at ``eps``, posed as the library poses it
+    (``on_support``).  Returns ``ref._recheck``'s residuals of the point
+    with t pinned at 2^v, v = log2 of its t (``pin_variable``), and
+    ``lower_end_from_expressions`` of its dual laid out in slack order
+    (``ref.slack_of``) with the norm bound sqrt(1 + 2 sum_b Tr Lambda_b)."""
+    prob = ref.capped_ball(ref.plain(ball.eigs, ball.sigma, ball.free_mass), eps, on_support=True)
     pinned = pin_variable(prob, "t", 2.0 ** math.log2(res.point.t))
     primal = ref._recheck(pinned, ref.assignment_of(ball, res.point))
-    norm = math.sqrt(1.0 + 2.0 * sum(float(eigs.sum()) for eigs in ball.eigs))
-    return primal, lower_end_from_expressions(prob, ref.slack_of(ball, res.dual), norm)
+    lower = lower_end_from_expressions(prob, ref.slack_of(ball, res.dual), norm_within(ball))
+    return primal, lower
+
+
+def lifted_to_full_pose(ref, ball, point) -> dict[str, np.ndarray]:
+    """A block-form point of ``ball`` (``povmcomp.sdp.BallPoint``) as an
+    assignment of ``ref.capped_ball``'s (r + d) pose (``ref`` the generic
+    layer of ``sdp_reference``), at the
+    same t, w and rho'_b: Z_b = Lambda_b^(1/2) K rho'_+^(1/2), rho'_+ the
+    PSD part of rho'_b and K = V U^H from the ``svd``
+    U S V^H of rho'_+^(1/2) E Lambda_b^(1/2) (E the first r columns of
+    I_d), the contraction that makes Re Tr' Z_b = Tr S =
+    F(Lambda_b, rho'_+,rr) the most Watrous's (r + d) block allows.  So
+    [[Lambda_b, Z_b], [Z_b^H, rho'_+]] is PSD, and G_b differs from it by
+    rho'_b - rho'_+ in its trailing block."""
+    assign = {}
+    for i, (eigs, rho) in enumerate(zip(ref._per_block(ball.eigs), ref._per_block(point.rho))):
+        r, d = len(eigs), len(rho)
+        w, v = np.linalg.eigh(rho)
+        root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+        u, _, vh = np.linalg.svd(root[:, :r] * np.sqrt(eigs), full_matrices=False)
+        z = np.sqrt(eigs)[:, None] * (vh.conj().T @ u.conj().T) @ root
+        g = np.zeros((r + d, r + d), dtype=np.result_type(z, rho))
+        g[np.arange(r), np.arange(r)] = eigs
+        g[:r, r:], g[r:, :r], g[r:, r:] = z, z.conj().T, rho
+        assign[f"ball{i}"] = g
+    if ball.free_mass > 0.0:
+        assign["w"] = np.full((1, 1), point.w)
+    assign["t"] = np.full((1, 1), point.t)
+    return assign
+
+
+def truncated_to_support_pose(ref, ball, assign: dict) -> dict[str, np.ndarray]:
+    """An assignment of ``ref.capped_ball``'s (r + d) pose (``ref`` the
+    generic layer of ``sdp_reference``) as one of the library's pose
+    (``on_support``): Z_b's columns past r set
+    to 0 on each sub-block the library poses on its support.  Its PSD
+    blocks there, the leading 2r x 2r block of G_b and rho'_b, are
+    principal blocks of the (r + d) G_b, and every other row is the same,
+    so its recheck residuals are at most the (r + d) point's."""
+    out = dict(assign)
+    for i, (eigs, sigma) in enumerate(zip(ref._per_block(ball.eigs), ref._per_block(ball.sigma))):
+        r, d = len(eigs), len(sigma)
+        if ref._trailing(r, d) < d:
+            g = assign[f"ball{i}"].copy()
+            g[:r, 2 * r :] = 0.0
+            g[2 * r :, :r] = 0.0
+            out[f"ball{i}"] = g
+    return out

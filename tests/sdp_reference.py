@@ -9,10 +9,14 @@ space from the ``svd`` of G_eq, Nesterov-Todd scaling from a full ``svd``
 per block, Mehrotra's predictor-corrector, several programs stepped
 together); ``_recheck`` and ``Program.farkas`` are its two certificates;
 ``capped_ball`` poses ``entropies.d_max_smooth``'s min t program in it, with
-the corner of each G_b pinned entry by entry.  The constants, the rvec
-maps and the tolerance tests are the library's own (``povmcomp.sdp``); its
-Farkas rule (``WITNESS_RATIO``, ``witness_fires``) is its own, an oracle
-independent of the library's weak-duality lower end.
+the corner of each G_b pinned entry by entry: by default in the (r + d)
+pose, Watrous's block on supp(rho_b) (+) C^d, which the library keeps
+only where d > 2r and which stays the oracle of its values, or with
+``on_support`` in the library's pose, the oracle of its certificates.
+The constants, the rvec maps and the tolerance tests are the library's
+own (``povmcomp.sdp``); its Farkas rule (``WITNESS_RATIO``,
+``witness_fires``) is its own, an oracle independent of the library's
+weak-duality lower end.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from povmcomp.sdp import (  # noqa: F401  (re-exported for the tests)
     _congruence,
     _ct,
     _rvec_basis,
+    _trailing,
     herm_to_rvec,
     rvec_size,
     rvec_to_herm,
@@ -60,6 +65,7 @@ class Term:
     coeff: float = 1.0
     left: np.ndarray | None = None  # the kron term's left factor
     start: int = 0  # first row and column of the subblock
+    stop: int | None = None  # its end, None for the variable's own
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """coeff * map(x) for x of shape (..., d, d), broadcast over leading axes."""
@@ -68,8 +74,8 @@ class Term:
         if self.kind == "kron":
             return self.coeff * _kron(self.left, x)
         if self.kind == "subblock":
-            # the trailing principal subblock from row and column ``start``
-            return self.coeff * x[..., self.start :, self.start :]
+            # the principal subblock of rows and columns ``start`` .. ``stop``
+            return self.coeff * x[..., self.start : self.stop, self.start : self.stop]
         raise ValueError(f"unknown term kind {self.kind}")
 
 
@@ -101,8 +107,10 @@ class AffineExpr:
         self.terms.append(Term(var, "kron", 1.0, left=np.asarray(left, dtype=complex)))
         return self
 
-    def plus_subblock(self, var: str, start: int, coeff: float = 1.0) -> "AffineExpr":
-        self.terms.append(Term(var, "subblock", coeff, start=start))
+    def plus_subblock(
+        self, var: str, start: int, coeff: float = 1.0, stop: int | None = None
+    ) -> "AffineExpr":
+        self.terms.append(Term(var, "subblock", coeff, start=start, stop=stop))
         return self
 
     def evaluate(self, assign: dict[str, np.ndarray]) -> np.ndarray:
@@ -816,7 +824,7 @@ def _entry_pin(var: str, dim: int, i: int, j: int, value: float, imag: bool) -> 
     return ScalarExpr(-value, ((var, f),))
 
 
-def capped_ball(ball: tuple, eps: float) -> SDProblem:
+def capped_ball(ball: tuple, eps: float, on_support: bool = False) -> SDProblem:
     """The min t program of D_max^eps(rho || sigma), whose optimum is
     2^(D_max^eps): rho' in the fidelity ball of rho, split into the
     sub-blocks of ``ball`` = (a plain list of (Lambda_b, sigma_b), s0), as
@@ -825,12 +833,19 @@ def capped_ball(ball: tuple, eps: float) -> SDProblem:
     t sigma_b - rho'_b PSD, t a 1x1 variable; ball{i} is the i-th
     sub-block.
 
-    Per sub-block b that carries rho the program holds one PSD variable
-    G_b on supp(rho_b) (+) C^d with the top-left corner pinned to rho_b's
-    spectrum and Z = the off-diagonal corner; sum_b Re Tr Z_b >=
-    sqrt(1 - eps^2) encodes the fidelity constraint.  rho'_b is the
-    trailing subblock of G_b, with no rotation: sigma_b is already in
-    rho_b's basis.  A 1x1 sub-block's cap is a scalar row,
+    Per sub-block b that carries rho the program holds one variable G_b
+    of size r + d with the top-left corner pinned to rho_b's spectrum and
+    Z = the off-diagonal corner; sum_b Re Tr' Z_b >= sqrt(1 - eps^2)
+    encodes the fidelity constraint.  rho'_b is the trailing subblock of
+    G_b, with no rotation: sigma_b is already in rho_b's basis.  By
+    default G_b is PSD, Watrous's block on supp(rho_b) (+) C^d: this pose
+    is the oracle of the library's values.  With ``on_support`` each
+    sub-block is posed as the library poses it (``povmcomp.sdp``): one
+    that the library takes in its support pose (``_trailing(r, d)`` = r,
+    below d) has the leading 2r x 2r principal block of G_b PSD (the
+    fidelity on supp(rho_b) alone), rho'_b PSD and Z's columns past r
+    pinned to 0; the value is the same, since F(rho_b, rho'_b) =
+    F(Lambda_b, rho'_b,rr).  A 1x1 sub-block's cap is a scalar row,
     t sigma_b - G_b[1, 1] >= 0, like w's.  The trace of rho',
     sum_b Tr rho'_b + w, is 1.  The program is real when every sigma_b
     is, and then the corner's imaginary parts get no pin: they vanish on
@@ -858,10 +873,20 @@ def capped_ball(ball: tuple, eps: float) -> SDProblem:
     for i, (eigs, sigma) in enumerate(blocks):
         r, d, var = len(eigs), len(sigma), f"ball{i}"
         prob.add_var(var, r + d)
-        prob.require_psd(AffineExpr.zero(r + d).plus_var(var))
+        split = on_support and _trailing(r, d) < d
+        if split:
+            prob.require_psd(AffineExpr.zero(2 * r).plus_subblock(var, 0, stop=2 * r))
+            prob.require_psd(AffineExpr.zero(d).plus_subblock(var, r))
+        else:
+            prob.require_psd(AffineExpr.zero(r + d).plus_var(var))
         for a in range(r):
             prob.require_eq(_entry_pin(var, r + d, a, a, float(eigs[a]), imag=False))
             for b in range(a + 1, r):
+                prob.require_eq(_entry_pin(var, r + d, a, b, 0.0, imag=False))
+                if not real:
+                    prob.require_eq(_entry_pin(var, r + d, a, b, 0.0, imag=True))
+            # Z's columns past r, on supp(rho_b) alone
+            for b in range(2 * r, r + d if split else 0):
                 prob.require_eq(_entry_pin(var, r + d, a, b, 0.0, imag=False))
                 if not real:
                     prob.require_eq(_entry_pin(var, r + d, a, b, 0.0, imag=True))
@@ -914,7 +939,8 @@ def _per_block(stacks) -> list:
 def assignment_of(ball, point) -> dict[str, np.ndarray]:
     """A block-form point (``povmcomp.sdp.BallPoint``) of ``ball`` as an
     assignment of ``capped_ball``'s variables: ball{i} = G_i =
-    [[Lambda_i, Z_i], [Z_i^H, rho'_i]], t and, with s0 > 0, w."""
+    [[Lambda_i, Z_i], [Z_i^H, rho'_i]], Z_i padded with zero columns to
+    r x d, t and, with s0 > 0, w."""
     assign = {}
     blocks, _ = plain(ball.eigs, ball.sigma, ball.free_mass)
     for i, ((eigs, sigma), z, rho) in enumerate(
@@ -923,7 +949,9 @@ def assignment_of(ball, point) -> dict[str, np.ndarray]:
         r, d = len(eigs), len(sigma)
         g = np.zeros((r + d, r + d), dtype=np.result_type(z, rho))
         g[np.arange(r), np.arange(r)] = eigs
-        g[:r, r:], g[r:, :r], g[r:, r:] = z, z.conj().T, rho
+        g[:r, r : r + z.shape[1]] = z
+        g[r:, :r] = g[:r, r:].conj().T
+        g[r:, r:] = rho
         assign[f"ball{i}"] = g
     if ball.free_mass > 0.0:
         assign["w"] = np.full((1, 1), point.w)
@@ -933,16 +961,19 @@ def assignment_of(ball, point) -> dict[str, np.ndarray]:
 
 def slack_of(ball, dual) -> np.ndarray:
     """A block-form dual (``povmcomp.sdp.BallDual``) of ``ball`` as a
-    slack-side vector of ``capped_ball``'s compile: one rvec per PSD
-    constraint in problem order (each G_i, then the caps C_i with d > 1),
-    over the program's field, then one weight per inequality (the
-    fidelity row, w >= 0, the caps with d = 1, t s0 - w >= 0)."""
+    slack-side vector of ``capped_ball``'s compile with ``on_support``: one
+    rvec per PSD constraint in problem order (each G_i, followed by its
+    rho'_i in the support pose, then the caps C_i with d > 1), over the program's
+    field, then one weight per inequality (the fidelity row, w >= 0, the
+    caps with d = 1, t s0 - w >= 0)."""
     blocks, _ = plain(ball.eigs, ball.sigma, ball.free_mass)
     real = not any(np.iscomplexobj(sigma) for _, sigma in blocks)
     caps = _per_block(dual.cap)
     big = [c for (_, sigma), c in zip(blocks, caps) if len(sigma) > 1]
+    psd_of = _per_block([[None] * len(g) if ps is None else ps for g, ps in zip(dual.g, dual.psd)])
+    fidelity = [m for g, p in zip(_per_block(dual.g), psd_of) for m in [g] + [p] * (p is not None)]
     dtype = float if real else complex
-    psd = [herm_to_rvec(np.asarray(m, dtype=dtype), real) for m in _per_block(dual.g) + big]
+    psd = [herm_to_rvec(np.asarray(m, dtype=dtype), real) for m in fidelity + big]
     free = ball.free_mass > 0.0
     weights = [dual.fid] + [dual.floor] * free
     weights += [float(c[0, 0].real) for (_, sigma), c in zip(blocks, caps) if len(sigma) == 1]

@@ -1,4 +1,5 @@
 import collections
+import copy
 import dataclasses
 import decimal
 import itertools
@@ -1602,7 +1603,8 @@ def stalled_solves(monkeypatch, change) -> None:
 
 def zeroed(dual):
     """A ``sdp.BallDual`` of the same shape with every entry 0."""
-    return sdp.BallDual([0.0 * m for m in dual.g], [0.0 * m for m in dual.cap], 0.0, 0.0, 0.0)
+    psd = [None if p is None else 0.0 * p for p in dual.psd]
+    return sdp.BallDual([0.0 * m for m in dual.g], psd, [0.0 * m for m in dual.cap], 0.0, 0.0, 0.0)
 
 
 def phased(rho, sigma) -> tuple:
@@ -1887,14 +1889,52 @@ def test_every_value_takes_one_certificate_path(monkeypatch):
     assert collections.Counter(status for _, status in certified) == {"closedForm": 18, "optimal": 17}
 
 
+def support_posed(value) -> bool:
+    """Whether the library poses a sub-block of ``value`` on supp(rho_b)
+    alone, apart from Watrous's (r + d) block."""
+    return any(sdp._trailing(r, d) < d for r, d, *_ in sdp._groups(value))
+
+
+def assert_poses_agree(value, res, eps) -> None:
+    """The library's solve ``res`` of ``value`` against the reference's
+    solve of Watrous's (r + d) pose, the oracle of its values: both
+    certified, each interval [lower, v] at most BISECT_TOL_BITS wide, and
+    each v at or above the other pose's lower end taken over the points
+    within v's own point's recheck residuals
+    (``oracles.lower_end_from_expressions`` with ``within``, and
+    ``oracles.norm_within``).  A v is the t of a point that passes its
+    recheck within sdp.FEASIBLE_TOL, not exactly, so it can sit below the
+    other pose's plain lower end: by up to 2.7e-7 bits on
+    ``TestBlockForm.rank_deficient_balls``.  The library's point is lifted
+    to the (r + d) pose at its t (``oracles.lifted_to_full_pose``), the
+    reference's taken to the library's (``truncated_to_support_pose``), and
+    each is rechecked there."""
+    plain = ref.plain(value.eigs, value.sigma, value.free_mass)
+    full, support = ref.capped_ball(plain, eps), ref.capped_ball(plain, eps, on_support=True)
+    (want,) = ref.minimize_many([full])
+    assert want.status == "optimal"
+    top = math.log2(float(want.assignment["t"][0, 0].real))
+    v = ent._certified_value(value, res)
+    lower = math.log2(sdp.lower_bound(value, res.dual))
+    full_lower = oracles.lower_end_from_expressions(full, want.dual, oracles.norm_within(value))
+    assert 0.0 <= v - lower <= ent.BISECT_TOL_BITS and 0.0 <= top - full_lower <= ent.BISECT_TOL_BITS
+    near = ref._recheck(full, oracles.lifted_to_full_pose(ref, value, res.point))
+    norm = oracles.norm_within(value, near)
+    assert oracles.lower_end_from_expressions(full, want.dual, norm, near) <= v
+    near = ref._recheck(support, oracles.truncated_to_support_pose(ref, value, want.assignment))
+    norm = oracles.norm_within(value, near)
+    assert oracles.lower_end_from_expressions(support, ref.slack_of(value, res.dual), norm, near) <= top
+
+
 class TestBlockForm:
     """``sdp.minimize_balls`` and its block-form certificates against the
     reference's generic solve of the same program (``sdp_reference``)."""
 
     @staticmethod
-    def reference_top(ball, eps) -> tuple:
-        """The reference program of ``ball`` and log2 of its solve's t."""
-        prob = ref.capped_ball(ref.plain(ball.eigs, ball.sigma, ball.free_mass), eps)
+    def reference_top(ball, eps, on_support: bool = False) -> tuple:
+        """The reference program of ``ball`` (``on_support``: in the
+        library's pose) and log2 of its solve's t."""
+        prob = ref.capped_ball(ref.plain(ball.eigs, ball.sigma, ball.free_mass), eps, on_support)
         (want,) = ref.minimize_many([prob])
         assert want.status == "optimal"
         return prob, want, math.log2(float(want.assignment["t"][0, 0].real))
@@ -1903,14 +1943,18 @@ class TestBlockForm:
     def check(cls, ball, eps) -> None:
         (res,) = sdp.minimize_balls([ball])
         value = ent._certified_value(ball, res)
-        _, want, top = cls.reference_top(ball, eps)
-        # the certified interval [lower, v] holds the reference's min t; the
-        # two solves take the same iteration, so the values differ by
-        # round-off (at most 8.4e-14 bits on the bundled values), which may
-        # put the block form's just above top
+        _, want, top = cls.reference_top(ball, eps, on_support=True)
+        # the certified interval [lower, v] holds the reference's min t of
+        # the same pose; the two solves take the same iteration, so the
+        # values differ by round-off (at most 8.4e-14 bits on the bundled
+        # values), which may put the block form's just above top
         lower = math.log2(sdp.lower_bound(ball, res.dual))
         assert lower <= top <= value + 1e-12
         assert res.iterations == want.iterations
+        # in the support pose, against the (r + d) pose, the oracle of the
+        # value
+        if support_posed(ball):
+            assert_poses_agree(ball, res, eps)
         # the block-form recheck of the point at 2^v and lower end of the
         # dual are the reference's recheck of the same point and
         # lower end of the same dual, from the expressions of its own compile
@@ -1954,21 +1998,81 @@ class TestBlockForm:
         for value in self.seeded_random_balls():
             self.check(value, 0.1)
 
+    @pytest.mark.parametrize("eps", [0.1, 0.01])
+    def test_bundled_support_poses_agree_with_the_full_pose(self, smoothed_cq_states, eps):
+        # every bundled value with a sub-block posed on its support
+        # (qubit_cq's and qubit_entangled_side_info's Y values), solved in
+        # one batch as the library solves them, against the (r + d) pose
+        subs = [ent._ball_blocks(ent._cq_pairs(cq)) for cq in smoothed_cq_states]
+        balls = [sdp.Ball(*sub, math.sqrt(1 - eps**2)) for sub in subs]
+        split = [b for b in balls if support_posed(b)]
+        assert len(split) == 10
+        for value, res in zip(split, sdp.minimize_balls(split)):
+            assert_poses_agree(value, res, eps)
+
+    @staticmethod
+    def rank_deficient_balls() -> list:
+        """12 balls of random pairs of dimension 2 to 4 whose rho has a rank
+        below d, six real and six complex, at eps 0.1."""
+        rng = np.random.default_rng(97)
+        out = []
+        for real in (True, False) * 6:
+            d = int(rng.integers(2, 5))
+            shape = (d, int(rng.integers(1, d)))
+            g = rng.normal(size=shape) + (0.0 if real else 1j * rng.normal(size=shape))
+            rho = g @ g.conj().T
+            sigma = oracles.random_density(rng, d)
+            if real:
+                sigma = sigma.real
+            out.append(sdp.Ball(*ball(rho / np.trace(rho).real, sigma), math.sqrt(1 - 0.1**2)))
+        return out
+
+    def test_seeded_rank_deficient_balls(self):
+        # each has a sub-block with r < d, posed on its support when
+        # d <= 2r and in the (r + d) block otherwise; it meets both
+        # reference poses (``check``), real and complex
+        fields, poses = set(), set()
+        for value in self.rank_deficient_balls():
+            assert any(r < d for r, d, *_ in sdp._groups(value))
+            fields.update(real for *_, real, _ in sdp._groups(value))
+            poses.add(support_posed(value))
+            self.check(value, 0.1)
+        assert fields == poses == {False, True}
+
+    def test_sub_blocks_much_wider_than_their_rank(self):
+        # complex (1, d) sub-blocks with d > 2r, each sigma_b of rank k
+        # (``oracles.shared_support_pairs``), keep Watrous's (r + d) block:
+        # each solve ends optimal, in the reference's iterations, with its
+        # certificates.  Posed on their supports, the twelve (1, 4)
+        # sub-blocks end "maxIterations" after 19 steps (this block: 17)
+        for seed, n, d, k in ((3, 4, 6, 2), (4, 3, 5, 2), (6, 12, 4, 2)):
+            pairs = oracles.shared_support_pairs(np.random.default_rng(seed), n, d, k)
+            value = sdp.Ball(*ent._ball_blocks(pairs), math.sqrt(1 - 0.1**2))
+            assert [group[:3] for group in sdp._groups(value)] == [(1, d, False)]
+            assert not support_posed(value)
+            self.check(value, 0.1)
+
     def test_a_dual_shifted_off_the_cone_keeps_its_lower_end_below_the_value(self):
-        # the first W_b and V_b of each solve's dual shifted by -delta I: read
-        # as they are, their negative eigenvalues are charged against bounds
-        # on the traces of G_b and C_b, so the lower end stays at or below
-        # the reference's min t and the value; left uncharged, the shift
-        # would raise the dual objective and lower held
+        # the first W_b, P_b (in the support pose) and V_b of each solve's dual
+        # shifted by -delta I: read as they are, their negative eigenvalues
+        # are charged against bounds on the traces of G_b, rho'_b and C_b, so
+        # the lower end stays at or below the reference's min t of the same
+        # pose and the value; left uncharged, the shift would raise the dual
+        # objective and lower held
+        shifted = 0
         for value in self.seeded_random_balls():
             (res,) = sdp.minimize_balls([value])
-            top = min(self.reference_top(value, 0.1)[2], ent._certified_value(value, res))
+            top = self.reference_top(value, 0.1, on_support=True)[2]
+            top = min(top, ent._certified_value(value, res))
             for delta in (1e-9, 1e-3):
-                g, cap = [m.copy() for m in res.dual.g], [m.copy() for m in res.dual.cap]
-                g[0][0] -= delta * np.eye(g[0].shape[-1])
-                cap[0][0] -= delta * np.eye(cap[0].shape[-1])
-                t_low = sdp.lower_bound(value, dataclasses.replace(res.dual, g=g, cap=cap))
+                dual = copy.deepcopy(res.dual)
+                for m in (dual.g[0], dual.psd[0], dual.cap[0]):
+                    if m is not None:
+                        m[0] -= delta * np.eye(m.shape[-1])
+                shifted += dual.psd[0] is not None
+                t_low = sdp.lower_bound(value, dual)
                 assert t_low == 0.0 or math.log2(t_low) <= top, delta
+        assert shifted > 0
 
     def test_a_solve_cut_off_early(self, monkeypatch):
         # after 3 steps the dual is far from optimal: its lower end still

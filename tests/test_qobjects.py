@@ -181,10 +181,11 @@ class TestPostMeasurementCQ:
             )
             assert np.max(np.abs(abr - inst.state)) < 1e-12
             want = oracles.steered_blocks_oracle(inst.povm.elements, prep.global_pure, dims)
-            assert prep.env_blocks.keys() == want.keys()
-            for key, blk in prep.env_blocks.items():
+            cq = prep.env_cq()
+            assert cq.symbols == tuple(qo.join_symbol(x, y) for x, y in want)
+            for key, blk in zip(want, cq.blocks, strict=True):
                 assert np.max(np.abs(blk - want[key])) < 1e-12, key
-            total = sum(prep.env_blocks.values())
+            total = sum(cq.blocks)
             assert np.max(np.abs(total - prep.steer(np.eye(prep.dim_a)))) < 1e-12
 
 
@@ -427,6 +428,38 @@ class TestInstanceIO:
             ):
                 with pytest.raises(ValueError, match=message):
                     io.instance_from_payload(bad)
+
+    def test_a_pair_at_the_psd_edge_prepares_or_is_refused_at_load(self):
+        # the state and an element each pass their own check with an
+        # eigenvalue at -0.99 PSD_SLACK.  Where that negative part meets the
+        # other's mass, p(x, y) falls to -0.99 PSD_SLACK, far below
+        # -NEG_PROB_SLACK, and the pair is refused when the instance is
+        # built, with a typed error; where it meets none, the instance
+        # prepares and gives thresholds
+        edge = 0.99 * la.PSD_SLACK
+        split = {"0|0": np.diag([1.0, 0.0]), "1|0": np.diag([0.0, 1.0])}
+        leaky = {"0|0": np.diag([1.0 + edge, 1.0]), "1|0": np.diag([-edge, 0.0])}
+        whole = {"0|0": np.eye(2), "1|0": np.zeros((2, 2))}
+        for state, elements, prepares in (
+            (np.diag([1.0 + edge, -edge]), split, False),
+            (np.diag([1.0, 0.0]), leaky, False),
+            (np.diag([0.0, 1.0]), leaky, True),
+            (np.diag([1.0 + edge, -edge]), whole, True),
+        ):
+            payload = {
+                "dims": {"A": 2, "B": 1, "R": 1},
+                "state": io.matrix_to_json(state),
+                "povm": {
+                    "alphabetX": ["0", "1"],
+                    "alphabetY": ["0"],
+                    "elements": {k: io.matrix_to_json(m) for k, m in elements.items()},
+                },
+            }
+            if prepares:
+                P.thresholds(P.prepare(io.instance_from_payload(payload)), 0.1)
+            else:
+                with pytest.raises(io.InstanceError, match="negative probability"):
+                    io.instance_from_payload(payload)
 
     def test_povm_must_act_on_register_a(self):
         inst = io.load_bundled("qubit_cq")

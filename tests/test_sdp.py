@@ -527,26 +527,104 @@ def bit_twins(balls, i: int) -> list[int]:
 
 def shapes(ball) -> list:
     """(r, d, real) of each sub-block of a ball."""
-    blocks, _ = ref.plain(ball.eigs, ball.sigma, ball.free_mass)
-    return [(len(eigs), len(sigma), not np.iscomplexobj(sigma)) for eigs, sigma in blocks]
+    return [(r, d, real) for r, d, real, n in sdp._groups(ball) for _ in range(n)]
+
+
+def layout(*balls):
+    """The library's layout of a batch of balls: their pose, read where
+    the solver reads it."""
+    return sdp._Layout(tuple((sdp._groups(ball), ball.free_mass > 0.0) for ball in balls))
 
 
 def block_sizes(ball) -> set:
-    """The sizes of a ball's PSD blocks: each G_b's r + d, each cap's d > 1."""
-    return {r + d for r, d, _ in shapes(ball)} | {d for _, d, _ in shapes(ball) if d > 1}
+    """The sizes of a ball's PSD blocks."""
+    return {size for size, *_ in layout(ball).slabs}
 
 
 def slabs(ball) -> set:
     """(size, field) of a ball's PSD blocks, the stacks of a batch."""
-    out = {(r + d, real) for r, d, real in shapes(ball)}
-    return out | {(d, real) for _, d, real in shapes(ball) if d > 1}
+    return {(size, real) for size, real, *_ in layout(ball).slabs}
 
 
 def schur_size(ball) -> int:
     """A ball's free reals, plus the trace row that borders its Schur matrix."""
-    size = sdp.rvec_size
-    reals = sum(size(r + d, real) - size(r, real) for r, d, real in shapes(ball))
-    return reals + 1 + (ball.free_mass > 0) + 1
+    return layout(ball).n_x + 1
+
+
+@pytest.fixture(scope="module")
+def decode_balls():
+    """The two capped balls of the ``decode`` benchmark's set-up
+    (qubit_entangled_side_info, ``thresholds`` at eps 0.1), as it hands
+    them to ``sdp.minimize_balls``: the X value, two real (2, 2)
+    sub-blocks, and the Y|XE value, four real (1, 2) sub-blocks."""
+    batches, minimize_balls = [], sdp.minimize_balls
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(
+            sdp, "minimize_balls", lambda balls: (batches.append(balls), minimize_balls(balls))[1]
+        )
+        P.thresholds(prep_mod.prepare(io.load_bundled("qubit_entangled_side_info")), 0.1)
+    ((x_value, y_value),) = batches
+    assert shapes(x_value) == [(2, 2, True)] * 2 and shapes(y_value) == [(1, 2, True)] * 4
+    return x_value, y_value
+
+
+@pytest.fixture(scope="module")
+def wide_ball():
+    """A complex ball of four (1, 6) sub-blocks, each sigma_b of rank 2
+    (``oracles.shared_support_pairs``), at eps 0.1: d > 2r, so each keeps
+    Watrous's (r + d) block."""
+    pairs = oracles.shared_support_pairs(np.random.default_rng(3), 4, 6, 2)
+    value = sdp.Ball(*ent._ball_blocks(pairs), math.sqrt(1 - 0.1**2))
+    assert shapes(value) == [(1, 6, False)] * 4
+    return value
+
+
+def test_the_pose_of_a_sub_block_reads_its_rank_and_dimension(wide_ball):
+    # the support pose (k = r) while d <= 2r, Watrous's (r + d) block
+    # (k = d) past it; r = d is both
+    want = {(1, 1): 1, (2, 2): 2, (1, 2): 1, (2, 3): 2, (2, 4): 2, (3, 4): 3,
+            (1, 3): 3, (1, 6): 6, (2, 5): 5, (1, 20): 20}
+    assert {shape: sdp._trailing(*shape) for shape in want} == want
+    assert sdp._blocks(1, 2) == (("g", 2), ("p", 2), ("c", 2))
+    assert sdp._blocks(1, 6) == (("g", 7), ("c", 6))
+    # the wide ball: one 7 x 7 G_b and one 6 x 6 cap per sub-block, Z_b
+    # 1 x 6 and rho'_b whole in G_b, and no rho'_b block
+    assert [(size, count) for size, _, _, count, *_ in layout(wide_ball).slabs] == [(6, 4), (7, 4)]
+    assert schur_size(wide_ball) == 4 * (7 * 7 - 1) + 1 + 1
+    (res,) = sdp.minimize_balls([wide_ball])
+    assert res.status == "optimal"
+    assert [z.shape for z in res.point.z] == [(4, 1, 6)] and res.dual.psd == [None]
+
+
+def test_support_pose_of_the_decode_batch(decode_balls):
+    # each (1, 2) sub-block of the Y|XE value is posed as a 2 x 2 G_b on
+    # supp(rho_b), its 2 x 2 rho'_b and its 2 x 2 cap: 4 free reals each
+    # (Z_b, rho'_b's three), so the batch has two block sizes, not three,
+    # and the Y|XE Schur system is 4 * 4 + t + the trace row
+    x_value, y_value = decode_balls
+    assert block_sizes(x_value) == {2, 4} and block_sizes(y_value) == {2}
+    assert schur_size(x_value) == 16 and schur_size(y_value) == 18
+    assert [(size, count) for size, _, _, count, *_ in layout(*decode_balls).slabs] == [
+        (2, 14),
+        (4, 2),
+    ]
+
+
+def test_linalg_calls_per_iteration_on_the_support_pose(decode_balls, monkeypatch):
+    # the Y|XE value has one block size: per iteration one cholesky and one
+    # eigh (the scaling), one eigvalsh in each of the two step tests and
+    # two Schur solves; around the loop each recheck's one eigvalsh
+    ball = decode_balls[1]
+    rechecks, recheck = [], sdp.recheck
+    monkeypatch.setattr(sdp, "recheck", lambda *args: (rechecks.append(1), recheck(*args))[1])
+    calls = linalg_spy(monkeypatch)
+    (res,) = sdp.minimize_balls([ball])
+    assert res.status == "optimal" and res.iterations == 11
+    count = collections.Counter(calls)
+    assert count["cholesky"] == count["eigh"] == res.iterations
+    assert count["eigvalsh"] == 2 * res.iterations + len(rechecks)
+    assert count["solve"] == 2 * res.iterations
+    assert sum(count.values()) == sum(count[k] for k in ("cholesky", "eigh", "eigvalsh", "solve"))
 
 
 def test_linalg_calls_per_iteration_on_the_region_program(region_balls, monkeypatch):
@@ -569,15 +647,21 @@ def test_linalg_calls_per_iteration_on_the_region_program(region_balls, monkeypa
     assert sum(count.values()) == sum(count[k] for k in ("cholesky", "eigh", "eigvalsh", "solve"))
 
 
+def dual_bits(dual) -> tuple:
+    """A block-form dual as exact values and bytes."""
+    blocks = [m.tobytes() for m in dual.g + [p for p in dual.psd if p is not None] + dual.cap]
+    return blocks, [p is None for p in dual.psd], dual.fid, dual.floor, dual.free_cap
+
+
 def ball_bits(res) -> tuple:
     """Everything a block-form solve returns, as exact values and bytes."""
-    point, dual = res.point, res.dual
+    point = res.point
     return (
         res.status,
         res.iterations,
         {k: float(v).hex() for k, v in res.residuals.items()},
         (point.t.hex(), point.w.hex(), [m.tobytes() for m in point.z + point.rho]),
-        ([m.tobytes() for m in dual.g + dual.cap], dual.fid, dual.floor, dual.free_cap),
+        dual_bits(res.dual),
     )
 
 
@@ -613,6 +697,20 @@ class TestBatch:
         assert [bits[0] for bits in lone] == ["optimal"] * 7 + ["maxIterations"]
         assert lone[-1][1] < sdp.IPM_MAX_ITER
         for order in (list(range(len(batch))), list(range(len(batch)))[::-1]):
+            got = sdp.minimize_balls([batch[i] for i in order])
+            assert [ball_bits(res) for res in got] == [lone[i] for i in order]
+
+    def test_a_batch_of_both_poses_is_each_lone_solve(self, decode_balls, region_balls, wide_ball):
+        # values with r < d sub-blocks in the support pose (the Y|XE value
+        # of decode's set-up, whose G_b, rho'_b and caps all share the 2 x 2
+        # slab) and in the (r + d) block (the wide ball) beside values
+        # whose sub-blocks all have r = d, interleaved, in two orders
+        batch = [decode_balls[1], region_balls[0], wide_ball, decode_balls[0], region_balls[2]]
+        psd = [any(p is not None for p in sdp.minimize_balls([b])[0].dual.psd) for b in batch]
+        assert psd == [True, False, False, False, False]
+        lone = [ball_bits(sdp.minimize_balls([ball])[0]) for ball in batch]
+        assert [bits[0] for bits in lone] == ["optimal"] * 5
+        for order in ([0, 1, 2, 3, 4], [4, 3, 2, 1, 0]):
             got = sdp.minimize_balls([batch[i] for i in order])
             assert [ball_bits(res) for res in got] == [lone[i] for i in order]
 
@@ -814,8 +912,7 @@ class TestBlockSolver:
         assert [ball_bits(res) for res in sdp.minimize_balls(region_balls)] == want
         # the stacked call over all six values' blocks of size 2, then the
         # own calls of the target and its twin
-        blocks = [shape for ball in region_balls for shape in shapes(ball)]
-        size_two = sum((r + d == 2) + (d == 2) for r, d, _ in blocks)
+        (size_two,) = [count for size, _, _, count, *_ in layout(*region_balls).slabs if size == 2]
         assert raised == [(size_two, 2, 2)] + [(18, 2, 2)] * len(twins)
 
 
