@@ -495,74 +495,116 @@ def _real_parts(*mats) -> tuple[np.ndarray, ...]:
 
 def _ball_blocks(pairs) -> tuple[list[np.ndarray], list[np.ndarray], float]:
     """The sub-blocks that carry rho of the direct sum (+)_k (rho_k, sigma_k)
-    of ``pairs``, all of one dimension d (a cq state's blocks), each in the
-    eigenbasis of its component's rho_c, as the stacks of an ``sdp.Ball``
-    (its spectra (n, r) and its sigma_b (n, d, d) per group of one
-    (r, d, field)), and s0 = sum_b Tr sigma_b over the rho-free ones.
+    of ``pairs``, all of one dimension d (a cq state's blocks), cut to
+    supp(sigma) and each in the eigenbasis of its cut rho, as the stacks of
+    an ``sdp.Ball`` (its spectra (n, r) and its sigma_b (n, d, d) per group
+    of one (r, d, field)), and s0 = sum_b Tr sigma_b over the rho-free
+    ones.  Every sigma_b is positive definite.
 
     Array passes over all the pairs at once, with no loop over components.
     The pairs are stacked, and the field is decided once for all of them
-    (``_real_parts``).  Each component c of a pair's joint support pattern
-    of (rho_k, sigma_k) (labels from ``_support_components``, grouped by
-    size by ``_by_size``) is rotated into the eigenbasis of rho_c: U_c from
-    one stacked ``eigh`` per component size across all the pairs, its
-    columns in descending eigenvalue order, and
-    sigma'_c = U_c^H sigma_c U_c from one stacked product per size.  Each
-    rotated component is split again by its own pattern, with the same
-    ``la.SUPPORT_TOL`` mask (diag w joins no two indices), whose components lie inside
-    the pair's components, and the sub-blocks of each size are cut out as
-    one stack.  A sub-block's rank r counts its kept eigenvalues (above
-    ``la.SUPPORT_TOL``), which come first, in descending order, before its kernel
-    directions; its sigma_b is real when its imaginary parts are within
-    ``la.REAL_TOL`` (tested over each stack at once).  Each size's stack is
-    split by (r, field) into the groups, and a sub-block with r = 0 is
-    rho-free and adds Tr sigma_b to s0.  Sub-blocks are ranked pair by
-    pair, and within a pair by their least original index, so the parts of
-    two components may interleave: each group keeps that order, the groups
-    come in the order of their first sub-block (group-major), and s0 adds
-    its traces one by one in that order.  The least
-    eigenvalue of the components' spectra, which is each rho_k's (up to
-    the entries below ``la.SUPPORT_TOL`` the pattern drops), gets ``la.assert_psd``'s
-    check, so ``_cq_pairs`` takes no spectrum of its own.
+    (``_real_parts``).  Three passes:
 
-    The split is exact.  Smooth entropies are invariant under isometries
-    and split over direct sums (Tomamichel, arXiv:1504.00233), so the pairs
-    are one program, and it may be posed in the basis (+)_c U_c: rho is
-    diagonal there, and sigma is (+)_c sigma'_c.  The pinching P onto the
-    sub-blocks fixes both, and it maps a feasible rho' to a feasible one:
-    P(rho') is a density, the cap passes to P(rho') <= t P(sigma') =
-    t sigma', and F(rho, P(rho')) = F(P(rho), P(rho')) >= F(rho, rho') by
-    data processing.  So an optimum can be taken block diagonal (the
-    program's symmetry under the phases e^(i theta_b) on each sub-block,
-    averaged into P; Gatermann and Parrilo, arXiv:math/0211450), and for
-    one the fidelity is the sum of the sub-blocks' fidelities.  The same
-    argument splits the pairs and each pair into its support components.
-    Within a sub-block the fidelity sees rho'_b on supp(rho_b) alone:
+    - The cut.  Each component c of a pair's joint support pattern of
+      (rho_k, sigma_k) (labels from ``_support_components``, grouped by
+      size by ``_by_size``) is taken to the eigenbasis V_c of sigma_c, from
+      one stacked ``eigh`` per component size across all the pairs, its
+      columns in descending eigenvalue order: rho_c becomes
+      V_c^H rho_c V_c and sigma_c its spectrum w.  Eigenvalues at most
+      ``la.SUPPORT_TOL`` are set to 0 and their columns of V_c zeroed, so
+      the cut pair vanishes on the directions of ker(sigma_c).  The pass
+      also takes one stacked ``eigvalsh`` of rho_c per size: its least
+      eigenvalue, which is each rho_k's (up to the entries below
+      ``la.SUPPORT_TOL`` that the pattern drops), and sigma's get
+      ``la.assert_psd``'s check.  It reads rho_k's own spectrum, since the
+      cut drops a negative part on ker(sigma); ``_cq_pairs`` takes no
+      spectrum of its own.
+    - The rotation.  Each component's part on supp(sigma_c), its first
+      indices (as many as w keeps, so its least index and label stay), is
+      rotated into the eigenbasis of its cut rho, and each kernel
+      direction is a component alone, whose cut pair is 0: U_c from one
+      stacked ``eigh`` per part size, its columns in descending eigenvalue
+      order, and sigma'_c = U_c^H diag(w) U_c, positive definite.
+    - The split.  Each rotated component is split again by the pattern of
+      sigma', with the same ``la.SUPPORT_TOL`` mask, whose components lie
+      inside the rotated ones, and the sub-blocks of each size are cut out
+      as one stack.  A sub-block's rank r counts its kept eigenvalues
+      (above ``la.SUPPORT_TOL``), which come first, in descending order,
+      before its kernel directions; its sigma_b is a principal block of a
+      positive definite sigma'_c, and it is real when its imaginary parts
+      are within ``la.REAL_TOL`` (tested over each stack at once).  Each
+      size's stack is split by (r, field) into the groups, and a sub-block
+      with r = 0 is rho-free and adds Tr sigma_b to s0 (0 on a kernel
+      direction).  Sub-blocks are ranked pair by pair, and within a pair
+      by their least index, so the parts of two components may
+      interleave: each group keeps that order, the groups come in the
+      order of their first sub-block (group-major), and s0 adds its traces
+      one by one in that order.
+
+    The three are exact.  Smooth entropies are invariant under isometries
+    and split over direct sums (Tomamichel, arXiv:1504.00233), so the
+    pairs are one program, and it may be posed in any orthonormal basis
+    of each component.  The cap t sigma - rho' PSD forces
+    supp(rho') within supp(sigma), the range of a projector Pi, and for
+    such rho', sqrt(rho') = sqrt(rho') Pi, so
+    F(rho, rho') = Tr sqrt(sqrt(rho') rho sqrt(rho')) = F(Pi rho Pi, rho'):
+    the program is the one of (Pi rho Pi, sigma), posed on supp(sigma),
+    where sigma is positive definite.  rho's mass off supp(sigma) is
+    dropped with it, so sum_b Tr Lambda_b = Tr Pi rho Pi can be below 1
+    (``_short``).  In the basis (+)_c U_c the cut rho is diagonal, and
+    sigma is (+)_c sigma'_c.  The pinching P onto the sub-blocks fixes
+    both, and it maps a feasible rho' to a feasible one: P(rho') is a
+    density, the cap passes to P(rho') <= t P(sigma') = t sigma', and
+    F(rho, P(rho')) = F(P(rho), P(rho')) >= F(rho, rho') by data
+    processing.  So an optimum can be taken block diagonal (the program's
+    symmetry under the phases e^(i theta_b) on each sub-block, averaged
+    into P; Gatermann and Parrilo, arXiv:math/0211450), and for one the
+    fidelity is the sum of the sub-blocks' fidelities.  The same argument
+    splits the pairs and each pair into its support components.  Within a
+    sub-block the fidelity sees rho'_b on supp(rho_b) alone:
     rho_b = Lambda_b (+) 0 in its eigenbasis, so
     sqrt(rho_b) rho'_b sqrt(rho_b) = sqrt(Lambda_b) rho'_b,rr sqrt(Lambda_b) (+) 0,
     with rho'_b,rr the leading r x r block, and
     F(rho_b, rho'_b) = F(Lambda_b, rho'_b,rr) (Tomamichel,
-    arXiv:1504.00233); so ``sdp`` may pose a sub-block's Watrous block on
-    2r directions and ask only rho'_b PSD of the rest, which it does
-    where d <= 2r (``sdp._trailing``).
-    With a degenerate spectrum of rho_c, ``eigh`` picks one basis of the
-    eigenspace among many, and sigma'_c in that basis may join indices
-    that another basis would separate: the split can only be missed, never
-    wrong, since every split it finds is a block structure of both rho and
-    sigma' in a basis that diagonalises rho.
+    arXiv:1504.00233); so ``sdp`` poses a sub-block's Watrous block on 2r
+    directions and asks only rho'_b PSD of the rest.
+    With a degenerate spectrum of sigma_c or of the cut rho_c, ``eigh``
+    picks one basis of the eigenspace among many, and sigma' in that
+    basis may join indices that another basis would separate: the split
+    can only be missed, never wrong, since every split it finds is a block
+    structure of both the cut rho and sigma' in a basis that diagonalises
+    the cut rho.
     """
     rho, sigma = _real_parts(*(np.stack(mats) for mats in zip(*pairs)))
-    # each component's rotated directions sit on its own indices, in
-    # descending eigenvalue order, so a sorted part of a component lists
-    # its kept directions first
-    eigs, rotated = np.zeros(rho.shape[:2]), np.zeros_like(sigma)
-    for _, k, ix in _by_size(_support_components([rho, sigma])):
+    # the cut: each component in its sigma_c's eigenbasis, in descending
+    # eigenvalue order, the kernel's directions zeroed; sigma_c's spectrum
+    # is kept as a diagonal
+    cut, diag, least = np.zeros_like(rho), np.zeros(rho.shape[:2]), []
+    labels = _support_components([rho, sigma])
+    parts = _by_size(labels)
+    for _, k, ix in parts:
         at = k[:, None, None], ix[:, :, None], ix[:, None, :]
-        w, u = np.linalg.eigh(rho[at])
+        w, v = np.linalg.eigh(sigma[at])
+        block = rho[at]
+        least += [np.linalg.eigvalsh(block)[:, 0].min(), w[:, 0].min()]
+        w, v = np.where(w > la.SUPPORT_TOL, w, 0.0)[:, ::-1], v[..., ::-1]
+        v = v * (w > 0.0)[:, None, :]
+        cut[at] = np.swapaxes(v.conj(), -1, -2) @ block @ v
+        diag[k[:, None], ix] = w
+    la._check_psd(float(min(least)))
+    # each component's part on supp(sigma_c), under its label, in its cut
+    # rho's eigenbasis, in descending eigenvalue order on its own indices,
+    # so a sorted part of it lists its kept directions first; each kernel
+    # direction alone (with no kernel, the parts are the components)
+    eigs, rotated = np.zeros(rho.shape[:2]), np.zeros_like(sigma)
+    if not (diag > 0.0).all():
+        parts = _by_size(np.where(diag > 0.0, labels, np.arange(labels.shape[1])))
+    for _, k, ix in parts:
+        at = k[:, None, None], ix[:, :, None], ix[:, None, :]
+        w, u = np.linalg.eigh(cut[at])
         u = u[..., ::-1]
         eigs[k[:, None], ix] = w[:, ::-1]
-        rotated[at] = np.swapaxes(u.conj(), -1, -2) @ sigma[at] @ u
-    la._check_psd(float(eigs.min()))
+        rotated[at] = (np.swapaxes(u.conj(), -1, -2) * diag[k[:, None], ix][:, None, :]) @ u
     groups, free_ids, free_traces = [], [np.zeros(0, dtype=int)], [np.zeros(0)]
     for ids, k, ix in _by_size(_support_components([rotated])):
         eig, sb = eigs[k[:, None], ix], rotated[k[:, None, None], ix[:, :, None], ix[:, None, :]]
@@ -584,7 +626,9 @@ def _ball_blocks(pairs) -> tuple[list[np.ndarray], list[np.ndarray], float]:
 
 
 def d_max_smooth(rho, sigma, eps: float) -> float:
-    """Smoothed max relative entropy over the purified-distance ball.
+    """Smoothed max relative entropy over the purified-distance ball; +inf
+    when too little of rho's mass lies on supp(sigma) (``_short``), as
+    ``d_max`` is outside the support.
 
     The least t of the capped ball (``sdp.Ball``) of the sub-blocks of the
     one pair (rho, sigma) gives v = log2 t, and v is returned only with a
@@ -600,24 +644,33 @@ def d_max_smooth(rho, sigma, eps: float) -> float:
     So the value lies in [log2 t_low, v], up to the recheck's tolerance at
     the upper end: v is the t of a point feasible within
     ``sdp.FEASIBLE_TOL``, not exactly, and can sit below the least t (by
-    up to 2.7e-7 bits against the other pose's lower end, seen on random
-    rank-deficient balls).  The program is the
-    split and folded one the ``sdp`` docstring poses: per sub-block that
-    carries rho, the Watrous block
-    G_b = [[Lambda_b, Z_b], [Z_b^H, rho'_b,kk]] PSD with rho_b's spectrum
-    Lambda_b as data and rho'_b,kk the leading k_b x k_b block of rho'_b
-    (k_b = r_b, on supp(rho_b) alone, when d_b <= 2 r_b, else d_b), rho'_b
-    PSD when k_b < d_b, the cap t sigma_b - rho'_b PSD (a scalar row when
-    d_b = 1), sum_b Re Tr' Z_b >= sqrt(1 - eps^2), and the trace of
-    rho', sum_b Tr rho'_b + w, equal to 1.  Both ends bound D_max^eps
-    itself, for three exact steps:
+    up to 2.7e-7 bits against Watrous's (r + d) pose's lower end, seen on
+    random rank-deficient balls).  The program is the cut, split and
+    folded one the ``sdp`` docstring poses: per sub-block that carries
+    rho, the Watrous block G_b = [[Lambda_b, Z_b], [Z_b^H, rho'_b,rr]] PSD
+    on supp(rho_b) alone, with rho_b's spectrum Lambda_b as data and
+    rho'_b,rr the leading r_b x r_b block of rho'_b, rho'_b PSD when
+    r_b < d_b, the cap t sigma_b - rho'_b PSD (a scalar row when d_b = 1),
+    sigma_b positive definite, sum_b Re Tr Z_b >= sqrt(1 - eps^2), and
+    the trace of rho', sum_b Tr rho'_b + w, equal to 1.  Both ends bound
+    D_max^eps itself, for four exact steps:
 
-    - Split: each support component is posed in the eigenbasis of its
+    - Cut: each support component is posed on supp(sigma_c), in its
+      sigma_c's eigenbasis.  The cap forces supp(rho') within supp(sigma),
+      the range of a projector Pi, and for such rho',
+      F(rho, rho') = F(Pi rho Pi, rho') (sqrt(rho') = sqrt(rho') Pi), so
+      the value is that of (Pi rho Pi, sigma) on supp(sigma), where every
+      sigma_b is positive definite and the cap has an interior (the
+      argument is in ``_ball_blocks``; Tomamichel, arXiv:1504.00233).
+      There F(Pi rho Pi, rho') <= sqrt(Tr Pi rho Pi), so a value whose
+      sum_b Tr Lambda_b, with its round-off bound, is below 1 - eps^2 has
+      no feasible point and is +inf, with no solve.
+    - Split: each component of the cut is posed in the eigenbasis of its
       rho_c and split again by the pattern of its rotated sigma'_c, which
       leaves the value alone (the argument is in ``_ball_blocks``:
       Tomamichel, arXiv:1504.00233; Gatermann and Parrilo,
-      arXiv:math/0211450).  A degenerate spectrum of rho_c can only hide
-      a split, never make a wrong one.
+      arXiv:math/0211450).  A degenerate spectrum can only hide a split,
+      never make a wrong one.
     - Fold: the rho-free sub-blocks are one scalar w, with w >= 0 and
       t s0 - w >= 0, s0 = sum_b Tr sigma_b over them.  On such a sub-block
       rho'_b enters only through Tr rho'_b, and 0 <= rho'_b <= t sigma_b
@@ -633,8 +686,8 @@ def d_max_smooth(rho, sigma, eps: float) -> float:
 
     Two solves, one certificate: one solve and one certificate per
     distinct value, keyed by bytes (``_d_max_smooth_many``).  A classical
-    value, whose ball is one real group of 1x1 sub-blocks with
-    sigma_b > 0 (a commuting pair, split), goes to no solver: it is a
+    value, whose ball is one real group of 1x1 sub-blocks (a commuting
+    pair, split; each sigma_b > 0 by the cut), goes to no solver: it is a
     water-filling over (lambda_b, sigma_b, s0), whose least t
     ``_water_fill`` solves exactly, with the point and the KKT multipliers
     as a ``sdp.BallSolve`` on that group.  Every other value is solved by
@@ -651,9 +704,11 @@ def d_max_smooth(rho, sigma, eps: float) -> float:
     the ball, its solve's layout and the certificate read.  The pair is
     taken as ``_real_parts`` gives it:
     real parts when both imaginary parts are within ``la.REAL_TOL``
-    (round-off), and so is each rotated sigma_b.  A real sub-block, as on every bundled
-    instance and on every component that commutes whatever its phases, is
-    solved and certified over real symmetric matrices.
+    (round-off), and so is each rotated sigma_b.  A real sub-block, as on
+    every bundled instance, on every component that commutes whatever its
+    phases and on every cut component of dimension 2 (whose phases the
+    diagonal sigma ignores), is solved and certified over real symmetric
+    matrices.
 
     This is the one-pair value of ``_d_max_smooth_many``, whose value of
     several pairs, as ``i_max_cq_many`` gives a cq state, is that of their
@@ -667,11 +722,12 @@ def _d_max_smooth_many(values: list[list[tuple]], eps: float) -> list[float]:
     """D_max^eps of the direct sum of each value's pairs (rho_k, sigma_k),
     checked already (every matrix Hermitian as ``la._hermitian_part``
     returns it, the rho_k together a density, which ``_ball_blocks``
-    checks for PSD on its spectra), at a checked eps: a classical value
-    (one real group of 1x1 sub-blocks, with sigma_b > 0) is solved in
-    closed form (``_water_fill``), the others by one ``sdp.minimize_balls``
-    over their capped balls, then each value's solve is certified in order
-    by ``_certified_value``; the first value that fails raises its
+    checks for PSD on its spectra), at a checked eps: a value with too
+    little mass on supp(sigma) (``_short``) is +inf with no solve, a
+    classical value (one real group of 1x1 sub-blocks) is solved in closed
+    form (``_water_fill``), the others by one ``sdp.minimize_balls`` over
+    their capped balls, then each value's solve is certified in order by
+    ``_certified_value``; the first value that fails raises its
     SolverError.  At eps 0 a value is the max of ``d_max`` over its
     pairs.
 
@@ -695,24 +751,42 @@ def _d_max_smooth_many(values: list[list[tuple]], eps: float) -> list[float]:
     else:
         fidelity = math.sqrt(max(0.0, 1.0 - eps * eps))
         balls = [sdp.Ball(*_ball_blocks(pairs), fidelity) for pairs in distinct.values()]
-        classical = [
-            [group[:3] for group in sdp._groups(ball)] == [(1, 1, True)]
-            and (ball.sigma[0] > 0).all()
-            for ball in balls
-        ]
-        solved = iter(sdp.minimize_balls([ball for ball, c in zip(balls, classical) if not c]))
+        short = [_short(ball, pairs) for ball, pairs in zip(balls, distinct.values())]
+        classical = [[group[:3] for group in sdp._groups(ball)] == [(1, 1, True)] for ball in balls]
+        solved = iter(
+            sdp.minimize_balls([b for b, c, s in zip(balls, classical, short) if not (c or s)])
+        )
         found = [
-            _certified_value(ball, _water_fill(ball) if c else next(solved))
-            for ball, c in zip(balls, classical)
+            math.inf if s else _certified_value(ball, _water_fill(ball) if c else next(solved))
+            for ball, c, s in zip(balls, classical, short)
         ]
     by_key = dict(zip(distinct, found))
     return [by_key[key] for key in keys]
 
 
+def _short(ball: sdp.Ball, pairs) -> bool:
+    """Whether no rho' of the ball reaches its fidelity c, as the cut poses
+    it: F(Pi rho Pi, rho') <= sqrt(Tr Pi rho Pi) for a density rho' (Pi
+    the projector onto supp(sigma)), so a value whose sum_b Tr Lambda_b is
+    below c^2 has no feasible point.  The sum is taken with its round-off
+    bound: per direction of the pairs (n of dimension d), ``la.SUPPORT_TOL``
+    for an eigenvalue dropped below the cut-off and gamma_(d^2) for the
+    error of each of the cut's and the rotation's eigensolvers on a block
+    of norm at most 1 (``sdp._deficit``'s bound).  A ball with no sub-block
+    that carries rho has no fidelity row at all."""
+    n, d = len(pairs), len(pairs[0][0])
+    mass = sum(float(eigs.sum()) for eigs in ball.eigs)
+    bound = n * d * (la.SUPPORT_TOL + 2.0 * sdp._gamma(d * d))
+    return not ball.eigs or mass + bound < ball.fidelity * ball.fidelity
+
+
 def _water_fill(ball: sdp.Ball) -> sdp.BallSolve:
     """The capped ball's min t solve in closed form, for a classical
     value: ``ball`` is one real group of 1x1 sub-blocks, rho_b = lambda_b
-    and sigma_b > 0, and s0 its free mass (0 unless positive).  Nothing is
+    and sigma_b > 0 (``_ball_blocks``' cut leaves no other), and s0 its
+    free mass (0 unless positive).  sum_b lambda_b, rho's mass on
+    supp(sigma), may be below 1 but is at least c^2 (``_short``), so F
+    below reaches c.  Nothing is
     solved; the result is a ``sdp.BallSolve`` with status "closedForm",
     0 iterations and ``sdp.recheck``'s residuals of its point.
 
@@ -885,8 +959,9 @@ def _cq_pairs(cq: qo.CQState) -> list[tuple[np.ndarray, np.ndarray]]:
     them (its full check keeps the Hermitian parts, and a derived state is
     made from those by sums, scalings, scatters and partial traces, which
     keep them Hermitian exactly); their PSD check is ``_ball_blocks``' on
-    its component spectra (the least eigenvalue of a block is the least
-    over its components), and the sigma blocks are PSD by construction.
+    each component's own spectrum (the least eigenvalue of a block is the
+    least over its components), and the sigma blocks are PSD by
+    construction.
     """
     rho_s = np.einsum("xij->ij", cq.blocks)
     return [(block, q_s * rho_s) for block, q_s in zip(cq.blocks, cq.probs)]

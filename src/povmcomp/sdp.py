@@ -3,40 +3,39 @@
 The library poses one program family: the min t program of
 ``entropies.d_max_smooth``, whose least t is 2^(D_max^eps).  A value is a
 ``Ball``: sub-blocks b with rho_b's positive spectrum Lambda_b (r_b of
-them) and sigma_b (d_b x d_b) in rho_b's eigenbasis, the mass s0 of the
-rho-free sub-blocks and the fidelity c = sqrt(1 - eps^2).  The sub-blocks
-are held as stacks, one per group of one (r, d, field) in order of first
-appearance, and are ordered group by group (group-major): a point, a
-dual, the layout of a batch and every kernel read them in that order.
-Its variables are Z_b (r_b x k_b), rho'_b (d_b x d_b), t and, when
-s0 > 0, w:
+them) and sigma_b (d_b x d_b, positive definite) in rho_b's eigenbasis,
+the mass s0 of the rho-free sub-blocks and the fidelity
+c = sqrt(1 - eps^2).  The sub-blocks are held as stacks, one per group
+of one (r, d, field) in order of first appearance, and are ordered group
+by group (group-major): a point, a dual, the layout of a batch and every
+kernel read them in that order.  Its variables are Z_b (r_b x r_b),
+rho'_b (d_b x d_b), t and, when s0 > 0, w:
 
-    G_b = [[Lambda_b, Z_b], [Z_b^H, rho'_b,kk]] PSD ((r_b + k_b) square),
-    rho'_b PSD (when k_b < d_b),
+    G_b = [[Lambda_b, Z_b], [Z_b^H, rho'_b,rr]] PSD (2 r_b square),
+    rho'_b PSD (when r_b < d_b),
     C_b = t sigma_b - rho'_b PSD (a scalar row when d_b = 1),
-    sum_b Re Tr' Z_b >= c (Tr' the sum of Z_b[a, a], a < r_b),
+    sum_b Re Tr Z_b >= c,
     w >= 0,  t s0 - w >= 0,
     sum_b Tr rho'_b + w = 1,
 
-min t, with rho'_b,kk the leading k_b x k_b block of rho'_b.  The
+min t, with rho'_b,rr the leading r_b x r_b block of rho'_b.  The
 fidelity row is the semidefinite form of F(rho, rho') >= c:
 [[rho, Z], [Z^H, rho']] PSD with Re Tr Z >= c (Watrous), posed per
 sub-block in rho_b's eigenbasis, where rho_b is Lambda_b (+) 0.  So
 sqrt(rho_b) rho'_b sqrt(rho_b) is sqrt(Lambda_b) rho'_b,rr
 sqrt(Lambda_b) (+) 0 and F(rho_b, rho'_b) = F(Lambda_b, rho'_b,rr): the
 fidelity never sees rho'_b off supp(rho_b) (Tomamichel,
-arXiv:1504.00233).  ``_trailing`` picks k_b from (r_b, d_b).  When
-d_b <= 2 r_b, k_b = r_b (the support pose): G_b is 2r_b square, and
-rho'_b PSD, which G_b implies when r_b = d_b, is asked of the rest as
-its own block.  Otherwise k_b = d_b, Watrous's block on
-supp(rho_b) (+) C^d, which holds rho'_b whole: there most of rho'_b lies
-off supp(rho_b), and the support pose was seen to stall (end
-"maxIterations") on values of complex (1, d) sub-blocks, d from 4 to 20,
-that this block certifies.  Both keep G_b strictly feasible when rho_b
-is rank deficient.  Lambda_b is data in
-G_b's corner, so no equality pins it.  The argument that this program
-has the value of D_max^eps (the split into sub-blocks, the fold of the
-rho-free ones into w) is in ``entropies._ball_blocks`` and
+arXiv:1504.00233).  So Watrous's block is posed on supp(rho_b) alone,
+and rho'_b PSD, which G_b implies when r_b = d_b, is asked of the rest
+as its own block.  One invariant keeps this pose strictly feasible:
+every sigma_b is positive definite (``entropies._ball_blocks`` cuts each
+value to supp(sigma) first), so a positive definite rho'_b lies strictly
+below t sigma_b at a large enough t.  Where sigma_b is singular the cap
+holds rho'_b to supp(sigma_b), on a face of its cone, and the solve was
+seen to stall there.  Lambda_b is data in G_b's corner, so no
+equality pins it.  The argument that this program has the value of
+D_max^eps (the cut, the split into sub-blocks, the fold of the rho-free
+ones into w) is in ``entropies._ball_blocks`` and
 ``entropies.d_max_smooth``.
 
 Coordinates.  Each PSD block is stored by its isometric real vector
@@ -54,8 +53,8 @@ every constraint, so a real optimum of that block is an optimum, and a
 real dual has no residual along its imaginary directions.  The free reals
 x of a value are, sub-block by sub-block in group-major order, G_b's rvec
 coordinates off its r x r corner (Z_b's entries times sqrt2, then
-rho'_b,kk's rvec, in G_b's order), then rho'_b's rvec coordinates off
-rho'_b,kk (none when k = d), then t and w.  So the map
+rho'_b,rr's rvec, in G_b's order), then rho'_b's rvec coordinates off
+rho'_b,rr (none when r = d), then t and w.  So the map
 x -> (G_b, rho'_b, C_b, scalar rows) is a selection with signs, plus
 t sigma_b in each cap: one sparse matrix A in coordinate form,
 s = A x + h in K, with h holding Lambda_b in G_b's corner and -c in the
@@ -270,12 +269,11 @@ class Ball:
     Group j holds ``eigs[j]`` (n, r), each sub-block's positive spectrum of
     rho_b (descending, the first r of its d directions), and ``sigma[j]``
     (n, d, d), its sigma_b in rho_b's eigenbasis, real or complex (the
-    group's field); r, d, the field and n are read off the arrays.  A
-    sub-block's fidelity block G_b is posed on those first r directions,
-    supp(rho_b), and on the first k = ``_trailing(r, d)`` of rho'_b's, and
-    its cap and trace on all d.  The sub-blocks are
-    ordered group by group, and a point's and a dual's stacks follow the
-    same groups."""
+    group's field), positive definite; r, d, the field and n are read off
+    the arrays.  A sub-block's fidelity block G_b is posed on those first
+    r directions, supp(rho_b), and on the first r of rho'_b's, and its cap
+    and trace on all d.  The sub-blocks are ordered group by group, and a
+    point's and a dual's stacks follow the same groups."""
 
     eigs: list[np.ndarray]
     sigma: list[np.ndarray]
@@ -294,8 +292,8 @@ def _groups(ball: Ball) -> tuple[tuple[int, int, bool, int], ...]:
 @dataclass
 class BallPoint:
     """A point of a ``Ball``: t, w (0 without one), and per group of the
-    ball the stacks of its sub-blocks' Z_b (n, r, k), k =
-    ``_trailing(r, d)``, and rho'_b (n, d, d)."""
+    ball the stacks of its sub-blocks' Z_b (n, r, r) and rho'_b
+    (n, d, d)."""
 
     t: float
     w: float
@@ -306,10 +304,9 @@ class BallPoint:
 @dataclass
 class BallDual:
     """A slack-side vector of a ``Ball``: per group of the ball the stacks
-    of W_b on G_b (n, r + k, r + k), k = ``_trailing(r, d)``, of P_b on
-    rho'_b >= 0 (n, d, d; None when k = d, where G_b holds all of rho'_b)
-    and of V_b on C_b (n, d, d; 1 x 1
-    when d = 1), and the weights of the fidelity row, of w >= 0 and of
+    of W_b on G_b (n, 2r, 2r), of P_b on rho'_b >= 0 (n, d, d; None when
+    r = d, where G_b holds all of rho'_b) and of V_b on C_b (n, d, d;
+    1 x 1 when d = 1), and the weights of the fidelity row, of w >= 0 and of
     t s0 - w >= 0 (0 without w)."""
 
     g: list[np.ndarray]
@@ -329,18 +326,11 @@ class BallSolve:
     dual: BallDual  # the solve's z, read by ``lower_bound``
 
 
-def _trailing(r: int, d: int) -> int:
-    """The size k of rho'_b's leading block in G_b, for a sub-block of
-    rank r and dimension d: r (the support pose) when d <= 2r, else d."""
-    return r if d <= 2 * r else d
-
-
 def _reals(r: int, d: int, real: bool) -> int:
     """The free reals of a sub-block of rank r and dimension d: its G_b's
-    rvec off the r x r corner, and rho'_b's rvec off its leading k x k
-    block, k = ``_trailing(r, d)``."""
-    k = _trailing(r, d)
-    return rvec_size(r + k, real) + rvec_size(d, real) - rvec_size(r, real) - rvec_size(k, real)
+    rvec off the r x r corner, and rho'_b's rvec off its leading r x r
+    block."""
+    return rvec_size(2 * r, real) + rvec_size(d, real) - 2 * rvec_size(r, real)
 
 
 # -- certificates -------------------------------------------------------------
@@ -356,17 +346,17 @@ def _logged(t: float) -> float:
 def recheck(ball: Ball, point: BallPoint) -> dict[str, float]:
     """The residuals of ``point`` on ``ball``, evaluated again from its own
     (Z, rho', t, w): "primal" the largest violation of the PSD blocks G_b,
-    rho'_b (in the support pose) and C_b (one ``eigvalsh`` per block size) and of
+    rho'_b (when r < d) and C_b (one ``eigvalsh`` per block size) and of
     the scalar rows, "gap" the trace row's |sum_b Tr rho'_b + w - 1|."""
     mats: dict[int, list[np.ndarray]] = {}
     rows, fid, mass = [np.zeros(1)], 0.0, 0.0
     for eigs, sigma, z, rho in zip(ball.eigs, ball.sigma, point.z, point.rho):
-        r, d, k = eigs.shape[1], sigma.shape[-1], z.shape[-1]
-        g = np.zeros((len(z), r + k, r + k), dtype=np.result_type(z, rho))
+        r, d = eigs.shape[1], sigma.shape[-1]
+        g = np.zeros((len(z), 2 * r, 2 * r), dtype=np.result_type(z, rho))
         g[:, np.arange(r), np.arange(r)] = eigs
-        g[:, :r, r:], g[:, r:, :r], g[:, r:, r:] = z, _ct(z), rho[:, :k, :k]
-        mats.setdefault(r + k, []).append(g)
-        if k < d:
+        g[:, :r, r:], g[:, r:, :r], g[:, r:, r:] = z, _ct(z), rho[:, :r, :r]
+        mats.setdefault(2 * r, []).append(g)
+        if r < d:
             mats.setdefault(d, []).append(rho)
         cap = point.t * sigma - rho
         if d == 1:
@@ -396,8 +386,8 @@ def lower_bound(ball: Ball, dual: BallDual) -> float:
     Per sub-block the residual over its free reals is
     R_b = W_b + (f / 2) F_Z, read off G_b's corner, with F_Z the fidelity
     row's matrix (1 at (a, r + a) and (r + a, a), a < r), and on rho'_b
-    the trailing k x k block of W_b in its leading corner (k =
-    ``_trailing(r, d)``), plus P_b when k < d, plus nu I - V_b:
+    the trailing r x r block of W_b in its leading corner, plus P_b when
+    r < d, plus nu I - V_b:
     |R_b|^2 counts the rho'_b part and twice Z_b's block, as
     their rvec coordinates do.  w's residual is floor - free_cap + nu.  nu
     is the trace row's least-squares multiplier, minus the mean of the
@@ -406,7 +396,7 @@ def lower_bound(ball: Ball, dual: BallDual) -> float:
     gap = c f - sum_b sum_a Lambda_a W_b[a, a] + nu.  So
     t held >= gap - |r| |x|, and X = sqrt(1 + 2 sum_b Tr Lambda_b) bounds
     |x| on every feasible point: |rho'|_F^2 + w^2 <= (Tr rho' + w)^2 = 1,
-    and G_b PSD gives |Z_b|_F^2 <= Tr Lambda_b Tr rho'_b,kk <=
+    and G_b PSD gives |Z_b|_F^2 <= Tr Lambda_b Tr rho'_b,rr <=
     Tr Lambda_b Tr rho'_b, counted twice by Z_b's rvec coordinates.  The
     least t of the program is at least t_low (Jansson, Chaykin and Keil,
     SIAM J. Numer. Anal. 46, 2007).
@@ -416,7 +406,7 @@ def lower_bound(ball: Ball, dual: BallDual) -> float:
     The blocks are not projected: with m_b^- at or above the negative part
     of a block's least eigenvalue (``_deficit``), <M_b, S_b> >=
     -m_b^- Tr S_b for every PSD S_b.  For W_b, Tr G_b = Tr Lambda_b +
-    Tr rho'_b,kk, and P_b reads Tr rho'_b, with Tr rho'_b,kk <= Tr rho'_b
+    Tr rho'_b,rr, and P_b reads Tr rho'_b, with Tr rho'_b,rr <= Tr rho'_b
     and sum_b Tr rho'_b <= 1, so
     sum_b m_b^- Tr Lambda_b + max_b (m_b^- + p_b^-) is taken off gap; for
     V_b, Tr C_b <= t Tr sigma_b, so sum_b m_b^- Tr sigma_b is added to
@@ -433,7 +423,7 @@ def lower_bound(ball: Ball, dual: BallDual) -> float:
     steps after them.  Each charge sums nonnegative products, so it is
     scaled by 1 + gamma of their count, and is one more term of gap or
     held.  Each entry of r takes at most two roundings, and three on
-    rho'_b of a sub-block with k < d, whose leading k x k block sums four
+    rho'_b of a sub-block with r < d, whose leading r x r block sums four
     terms (W_b's trailing block, P_b, -V_b and nu); so gamma_2 times the
     norm of its terms' absolute values (``spread``) is added to |r|, and
     gamma_3 times it on those sub-blocks; |r| and X are sums of nonnegative
@@ -500,15 +490,13 @@ def lower_bound(ball: Ball, dual: BallDual) -> float:
 
 
 def _tail(r: int, g: np.ndarray, p: np.ndarray | None, cap: np.ndarray) -> np.ndarray:
-    """W_b's trailing k x k block (r + k its size) in the leading corner of
-    rho'_b's d x d, plus P_b (None when k = d), less V_b, per sub-block of
-    a stack: a dual's residual on rho'_b before the trace row's
-    multiplier."""
+    """W_b's trailing r x r block in the leading corner of rho'_b's d x d,
+    plus P_b (None when r = d), less V_b, per sub-block of a stack: a
+    dual's residual on rho'_b before the trace row's multiplier."""
     if p is None:
         return g[:, r:, r:] - cap
-    k = g.shape[-1] - r
     tail = p - cap
-    tail[:, :k, :k] += g[:, r:, r:]
+    tail[:, :r, :r] += g[:, r:, r:]
     return tail
 
 
@@ -552,20 +540,19 @@ def _rvec_positions(n: int, real: bool) -> dict[tuple[int, int, int], int]:
 @cache
 def _geometry(r: int, d: int, real: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Where a sub-block's free reals sit.  The first are the rvec
-    coordinates of its (r + k) square G_b off the r x r corner (their
-    positions in G_b's rvec, ascending; k = ``_trailing(r, d)``), the rest
-    rho'_b's rvec coordinates off its leading k x k block, in rho'_b's
-    rvec order (none when k = d).  Returns
+    coordinates of its 2r square G_b off the r x r corner (their
+    positions in G_b's rvec, ascending), the rest rho'_b's rvec
+    coordinates off its leading r x r block, in rho'_b's rvec order (none
+    when r = d).  Returns
     those positions, and among the free reals the index of each rvec
     coordinate of rho'_b (in its own rvec order) and of Re Z_b[a, a] for
     a < r."""
-    k = _trailing(r, d)
-    pos = _rvec_positions(r + k, real)
-    free = np.flatnonzero(_rvec_coords(r + k, real)[1] >= r)
+    pos = _rvec_positions(2 * r, real)
+    free = np.flatnonzero(_rvec_coords(2 * r, real)[1] >= r)
     index = {p: k for k, p in enumerate(free.tolist())}
     rho, rest = [], len(free)
     for i, j, part in zip(*_rvec_coords(d, real).tolist()):
-        if j < k:  # i <= j: the entry sits in G_b's trailing block
+        if j < r:  # i <= j: the entry sits in G_b's trailing block
             rho.append(index[pos[r + i, r + j, part]])
         else:
             rho.append(rest)
@@ -576,11 +563,9 @@ def _geometry(r: int, d: int, real: bool) -> tuple[np.ndarray, np.ndarray, np.nd
 
 def _blocks(r: int, d: int) -> tuple[tuple[str, int], ...]:
     """(kind, size) of a sub-block's PSD blocks, in the order a slab holds
-    them: G_b ("g", r + k), rho'_b >= 0 ("p", d) when k < d
-    (k = ``_trailing(r, d)``) and the cap C_b ("c", d) when d > 1 (a
-    scalar row when d = 1)."""
-    k = _trailing(r, d)
-    return (("g", r + k),) + (("p", d),) * (k < d) + (("c", d),) * (d > 1)
+    them: G_b ("g", 2r), rho'_b >= 0 ("p", d) when r < d and the cap C_b
+    ("c", d) when d > 1 (a scalar row when d = 1)."""
+    return (("g", 2 * r),) + (("p", d),) * (r < d) + (("c", d),) * (d > 1)
 
 
 # built once per shapes: a pass asks for the same few again and again
@@ -591,7 +576,7 @@ class _Layout:
     alone (per group (r, d, real, n), and whether there is a w).
 
     Slack: one slab per (size, field), sorted, holding the blocks of that
-    size of every value (``_blocks``: G_b, rho'_b when k < d, C_b when
+    size of every value (``_blocks``: G_b, rho'_b when r < d, C_b when
     d > 1), value by value, group by group and in that order within a
     group, each as its rvec; then each value's scalar slots: the fidelity
     row, the caps of its 1 x 1 sub-blocks, w >= 0 and t s0 - w >= 0.  Free
@@ -948,11 +933,10 @@ class _Batch:
         z, rho = [], []
         for (r, d, real, n), eigs, x_at in zip(_groups(ball), ball.eigs, lay.group_x[v]):
             free, rho_at, _ = _geometry(r, d, real)
-            size = r + _trailing(r, d)
-            full = np.zeros((n, rvec_size(size, real)))
+            full = np.zeros((n, rvec_size(2 * r, real)))
             full[:, :r] = eigs
             full[:, free] = st.x[x_at[:, None] + np.arange(len(free))]
-            z.append(rvec_to_herm(full, size, real)[:, :r, r:])
+            z.append(rvec_to_herm(full, 2 * r, real)[:, :r, r:])
             rho.append(rvec_to_herm(st.x[x_at[:, None] + rho_at], d, real))
         t = _logged(float(st.x[lay.t_at[v]]))
         w = float(st.x[lay.t_at[v] + 1]) if ball.free_mass > 0.0 else 0.0

@@ -438,6 +438,50 @@ def shared_support_pairs(rng: np.random.Generator, n: int, d: int, k: int) -> li
     return [(w * state, w * rho_e) for w, state in zip(weights, states)]
 
 
+def family_instance_parts(seed: int, family: int) -> tuple:
+    """The seeded random instance ``seed`` of family 1 or 2, as
+    (dims, rho on A (x) B (x) R, alphabet X, alphabet Y, elements by
+    (x, y)), drawn as ROADMAP's Baseline states them:
+
+    Family 1 (full-rank POVM elements).  Seed s gives ``default_rng(s)``,
+    which draws, in this order:
+    - A from {2, 3}, then B and R from {1, 2} (``rng.choice``);
+    - n from ``rng.integers(2, 7)``, then (|X|, |Y|) as
+      ``pairs[rng.integers(len(pairs))]`` over the ordered factor pairs of
+      n (ascending |X|);
+    - the rank, ``rng.integers(1, d + 1)`` with d = d_A d_B d_R;
+    - ``random_density(rng, d, rank)``, then ``random_povm(rng, d_A, n)``,
+      with the elements assigned to (x, y) in row-major order.
+
+    Family 2 (rank-1 POVM elements) draws as family 1, with two changes:
+    - n is drawn from ``rng.integers(d_A, 7)``;
+    - each of the n elements is g g^dag with g =
+      ``rng.normal(size=(d_A, 1))`` + 1j ``rng.normal(size=(d_A, 1))``,
+      drawn in turn.  They are normalised by S^(-1/2) . S^(-1/2) with S
+      their sum, as ``random_povm`` does.
+
+    The outcomes are named "x0", "x1", ... and "y0", "y1", ...."""
+    rng = np.random.default_rng(seed)
+    d_a, d_b, d_r = (int(rng.choice(options)) for options in ([2, 3], [1, 2], [1, 2]))
+    n = int(rng.integers(2, 7) if family == 1 else rng.integers(d_a, 7))
+    pairs = [(a, n // a) for a in range(1, n + 1) if n % a == 0]
+    n_x, n_y = pairs[rng.integers(len(pairs))]
+    d = d_a * d_b * d_r
+    rho = random_density(rng, d, int(rng.integers(1, d + 1)))
+    if family == 1:
+        elements = random_povm(rng, d_a, n)
+    else:
+        parts = []
+        for _ in range(n):
+            g = rng.normal(size=(d_a, 1)) + 1j * rng.normal(size=(d_a, 1))
+            parts.append(g @ g.conj().T)
+        s_inv = np.linalg.inv(scipy.linalg.sqrtm(sum(parts)))
+        elements = [s_inv @ p @ s_inv.conj().T for p in parts]
+    alpha_x, alpha_y = [f"x{i}" for i in range(n_x)], [f"y{j}" for j in range(n_y)]
+    povm = {(alpha_x[i // n_y], alpha_y[i % n_y]): m for i, m in enumerate(elements)}
+    return {"A": d_a, "B": d_b, "R": d_r}, rho, alpha_x, alpha_y, povm
+
+
 def random_hermitian(rng: np.random.Generator, d: int) -> np.ndarray:
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     return (g + g.conj().T) / 2
@@ -985,28 +1029,59 @@ def centralised_output_blocks(family, rho_e, decoders, join, abort: str) -> dict
     return out
 
 
-def ball_blocks_reference(ent, pairs) -> tuple[list, float]:
-    """``entropies._ball_blocks`` one component and one sub-block at a
-    time (``ent`` is the library's entropies module): each pair's
-    components by breadth-first search (``support_components_oracle``),
-    one stacked ``eigh`` per component size across the pairs, then each
-    pair's rotated sigma split again, sub-block by sub-block in order of
-    least index, each one's field from ``ent._real_parts`` on its own.
-    Returns a plain list of (Lambda_b, sigma_b) in that order, and s0; the
-    library holds the same sub-blocks stacked by (r, d, field)."""
-    rho, sigma = ent._real_parts(*(np.stack(mats) for mats in zip(*pairs)))
-    comps = [
-        (k, c) for k in range(len(rho)) for c in support_components_oracle([rho[k], sigma[k]])
-    ]
-    eigs, rotated = np.zeros(rho.shape[:2]), np.zeros_like(sigma)
+def _components_by_size(comps):
+    """The components ``comps``, (pair k, sorted index array) each, one
+    entry per size, ascending: the pairs k, the (m, size) index arrays and
+    the (m, size, size) fancy index of the components of that size."""
     for size in sorted({len(c) for _, c in comps}):
         k = np.array([k for k, c in comps if len(c) == size])
         ix = np.array([c for _, c in comps if len(c) == size])
-        at = k[:, None, None], ix[:, :, None], ix[:, None, :]
-        w, u = np.linalg.eigh(rho[at])
+        yield k, ix, (k[:, None, None], ix[:, :, None], ix[:, None, :])
+
+
+def cut_reference(ent, pairs) -> tuple[np.ndarray, np.ndarray, list]:
+    """The cut of ``entropies._ball_blocks`` (``ent`` the library's
+    entropies module) one component size at a time: each pair's
+    components by breadth-first search (``support_components_oracle``),
+    one stacked ``eigh`` of sigma per size across the pairs, rho taken to
+    its eigenvectors in descending order with those of eigenvalue at most
+    1e-12 zeroed, and sigma to its spectrum, those eigenvalues set to 0.
+    Returns the cut rho (n, d, d), sigma's spectra (n, d), each component
+    on its own indices, and the cut's components as (pair k, sorted index
+    array): each component's first indices, as many as it keeps
+    eigenvalues, then each of its others alone."""
+    rho, sigma = ent._real_parts(*(np.stack(mats) for mats in zip(*pairs)))
+    comps = [(k, c) for k in range(len(rho)) for c in support_components_oracle([rho[k], sigma[k]])]
+    cut, diag = np.zeros_like(rho), np.zeros(rho.shape[:2])
+    for k, ix, at in _components_by_size(comps):
+        w, v = np.linalg.eigh(sigma[at])
+        w, v = np.where(w > 1e-12, w, 0.0)[:, ::-1], v[..., ::-1]
+        v = v * (w > 0.0)[:, None, :]
+        cut[at] = np.swapaxes(v.conj(), -1, -2) @ rho[at] @ v
+        diag[k[:, None], ix] = w
+    parts = []
+    for k, c in comps:
+        kept = int(np.count_nonzero(diag[k, c]))
+        parts += [(k, c[:kept])] * (kept > 0) + [(k, c[i : i + 1]) for i in range(kept, len(c))]
+    return cut, diag, parts
+
+
+def ball_blocks_reference(ent, pairs) -> tuple[list, float]:
+    """``entropies._ball_blocks`` one component and one sub-block at a
+    time (``ent`` is the library's entropies module): the cut and its
+    components (``cut_reference``), one stacked ``eigh`` of the cut rho
+    per component size, then each pair's rotated sigma split again by
+    breadth-first search, sub-block by sub-block in order of least index,
+    each one's field from ``ent._real_parts`` on its own.  Returns a plain
+    list of (Lambda_b, sigma_b) in that order, and s0; the library holds
+    the same sub-blocks stacked by (r, d, field)."""
+    cut, diag, parts = cut_reference(ent, pairs)
+    eigs, rotated = np.zeros(cut.shape[:2]), np.zeros_like(cut)
+    for k, ix, at in _components_by_size(parts):
+        w, u = np.linalg.eigh(cut[at])
         u = u[..., ::-1]
         eigs[k[:, None], ix] = w[:, ::-1]
-        rotated[at] = np.swapaxes(u.conj(), -1, -2) @ sigma[at] @ u
+        rotated[at] = (np.swapaxes(u.conj(), -1, -2) * diag[k[:, None], ix][:, None, :]) @ u
     blocks, free_mass = [], 0.0
     for eig, rot in zip(eigs, rotated):
         for sub in support_components_oracle([rot]):
@@ -1122,7 +1197,7 @@ def truncated_to_support_pose(ref, ball, assign: dict) -> dict[str, np.ndarray]:
     out = dict(assign)
     for i, (eigs, sigma) in enumerate(zip(ref._per_block(ball.eigs), ref._per_block(ball.sigma))):
         r, d = len(eigs), len(sigma)
-        if ref._trailing(r, d) < d:
+        if r < d:
             g = assign[f"ball{i}"].copy()
             g[:r, 2 * r :] = 0.0
             g[2 * r :, :r] = 0.0

@@ -10,9 +10,9 @@ per block, Mehrotra's predictor-corrector, several programs stepped
 together); ``_recheck`` and ``Program.farkas`` are its two certificates;
 ``capped_ball`` poses ``entropies.d_max_smooth``'s min t program in it, with
 the corner of each G_b pinned entry by entry: by default in the (r + d)
-pose, Watrous's block on supp(rho_b) (+) C^d, which the library keeps
-only where d > 2r and which stays the oracle of its values, or with
-``on_support`` in the library's pose, the oracle of its certificates.
+pose, Watrous's block on supp(rho_b) (+) C^d, which the library no longer
+takes and which stays the oracle of its values, or with ``on_support`` in
+the library's pose, the oracle of its certificates.
 The constants, the rvec maps and the tolerance tests are the library's
 own (``povmcomp.sdp``); its Farkas rule (``WITNESS_RATIO``,
 ``witness_fires``) is its own, an oracle independent of the library's
@@ -38,7 +38,6 @@ from povmcomp.sdp import (  # noqa: F401  (re-exported for the tests)
     _congruence,
     _ct,
     _rvec_basis,
-    _trailing,
     herm_to_rvec,
     rvec_size,
     rvec_to_herm,
@@ -841,8 +840,7 @@ def capped_ball(ball: tuple, eps: float, on_support: bool = False) -> SDProblem:
     default G_b is PSD, Watrous's block on supp(rho_b) (+) C^d: this pose
     is the oracle of the library's values.  With ``on_support`` each
     sub-block is posed as the library poses it (``povmcomp.sdp``): one
-    that the library takes in its support pose (``_trailing(r, d)`` = r,
-    below d) has the leading 2r x 2r principal block of G_b PSD (the
+    with r < d has the leading 2r x 2r principal block of G_b PSD (the
     fidelity on supp(rho_b) alone), rho'_b PSD and Z's columns past r
     pinned to 0; the value is the same, since F(rho_b, rho'_b) =
     F(Lambda_b, rho'_b,rr).  A 1x1 sub-block's cap is a scalar row,
@@ -873,7 +871,7 @@ def capped_ball(ball: tuple, eps: float, on_support: bool = False) -> SDProblem:
     for i, (eigs, sigma) in enumerate(blocks):
         r, d, var = len(eigs), len(sigma), f"ball{i}"
         prob.add_var(var, r + d)
-        split = on_support and _trailing(r, d) < d
+        split = on_support and r < d
         if split:
             prob.require_psd(AffineExpr.zero(2 * r).plus_subblock(var, 0, stop=2 * r))
             prob.require_psd(AffineExpr.zero(d).plus_subblock(var, r))

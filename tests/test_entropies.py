@@ -912,20 +912,18 @@ class TestWaterFill:
         oracle = oracles.dmax_smooth_classical_oracle(p, s, 0.4)
         assert value - ent.BISECT_TOL_BITS < oracle <= value
 
-    def test_a_sub_block_without_sigma_stays_on_the_interior_point_method(self, monkeypatch):
-        # sigma_b = 0 under rho's second entry: its cap pins x_b to 0, and
-        # the value goes to the solver, as every value that is not classical
+    def test_a_sub_block_without_sigma_is_cut_to_the_closed_form(self, monkeypatch):
+        # sigma = 0 under rho's second entry: the cut to supp(sigma) drops
+        # that direction with its mass 0.005, which leaves 0.995 >= 1 - eps^2
+        # on the support, so the value is classical and goes to no solver
         p, s = np.array([0.995, 0.005]), np.array([1.0, 0.0])
-        blocks, _ = ref.plain(*ball(np.diag(p), np.diag(s)))
-        assert [sigma[0, 0] for _, sigma in blocks] == [1.0, 0.0]
+        sub_blocks = ball(np.diag(p), np.diag(s))
+        blocks, free = ref.plain(*sub_blocks)
+        assert [(eigs.tolist(), sigma.tolist()) for eigs, sigma in blocks] == [([0.995], [[1.0]])]
+        assert free == 0.0 and is_classical(sub_blocks)
         sizes = solver_batches(monkeypatch)
-
-        def no_water_fill(*args):
-            raise AssertionError("a value with sigma_b = 0 went to the closed form")
-
-        monkeypatch.setattr(ent, "_water_fill", no_water_fill)
         value = ent.d_max_smooth(np.diag(p), np.diag(s), 0.1)
-        assert sizes == [1]
+        assert sizes == [0]
         oracle = oracles.dmax_smooth_classical_oracle(p, s, 0.1)
         assert value - ent.BISECT_TOL_BITS < oracle <= value
 
@@ -1234,28 +1232,37 @@ class TestSupportComponents:
 
     def test_one_eigh_per_component_size(self, monkeypatch):
         # components of sizes 1, 2 and 3 that carry rho, rho-free ones of
-        # sizes 1 and 2; each spectrum is that of the component's own eigh,
-        # and each sigma_b is the component's sigma in that eigenbasis
+        # sizes 1 and 2: per component size one eigh of sigma (the cut) and
+        # one eigvalsh of rho (its PSD check), then one eigh of the cut rho
+        # per component size of the cut, whose components that carry rho
+        # are the pair's (rho_c and sigma_c have full rank there).  Each
+        # spectrum is that of the cut component's own eigh, and each
+        # sigma_b is sigma_c's spectrum in that eigenbasis
         rho, sigma = block_pair(np.random.default_rng(41), [2, 1, 3, 2, 1], [2, 1], zero=1)
         comps = oracles.support_components_oracle([rho, sigma])
-        eigh, calls = np.linalg.eigh, []
+        eigh, eigvalsh, calls = np.linalg.eigh, np.linalg.eigvalsh, []
 
-        def counting(a):
-            calls.append(a.shape)
-            return eigh(a)
+        def counting(name, call):
+            return lambda a: (calls.append((name, a.shape[-1])), call(a))[1]
 
-        monkeypatch.setattr(np.linalg, "eigh", counting)
+        monkeypatch.setattr(np.linalg, "eigh", counting("eigh", eigh))
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", eigvalsh))
         blocks, _ = ref.plain(*ball(rho, sigma))
-        assert len(calls) == len({len(c) for c in comps}) == 3
-        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        monkeypatch.undo()
+        assert sorted({len(c) for c in comps}) == [1, 2, 3]
+        cut = [call for size in (1, 2, 3) for call in (("eigh", size), ("eigvalsh", size))]
+        assert calls == cut + [("eigh", 1), ("eigh", 2), ("eigh", 3)]
         want = []
         for c in comps:
-            w, u = np.linalg.eigh(rho[np.ix_(c, c)])
-            if w[-1] > 1e-12:
+            w, v = np.linalg.eigh(sigma[np.ix_(c, c)])
+            w, v = np.where(w > 1e-12, w, 0.0)[::-1], v[:, ::-1]
+            v = v * (w > 0.0)
+            lam, u = np.linalg.eigh(v.conj().T @ rho[np.ix_(c, c)] @ v)
+            if lam[-1] > 1e-12:
                 u = u[:, ::-1]
-                rotated = u.conj().T @ sigma[np.ix_(c, c)] @ u
+                rotated = (u.conj().T * w) @ u
                 real = np.abs(rotated.imag).max() <= la.REAL_TOL
-                want.append((w[w > 1e-12][::-1], rotated.real if real else rotated))
+                want.append((lam[lam > 1e-12][::-1], rotated.real if real else rotated))
         # the components in order of least index, stacked by (r, d, field)
         want = group_major(want, block_key)
         assert len(blocks) == len(want) == 5
@@ -1268,7 +1275,8 @@ class TestSupportComponents:
         # a classical-copy pair cut into its classes, as a cq state's pairs:
         # the sub-blocks, their order (pair by pair, then by least original
         # index) and s0 are those of the dense direct sum, to the bit, from
-        # one eigh per component size across all the pairs
+        # one eigh per component size across all the pairs for the cut and
+        # one per component size of the cut for the rotation
         eigh, calls = np.linalg.eigh, []
 
         def counting(a):
@@ -1285,7 +1293,8 @@ class TestSupportComponents:
                 patch.setattr(np.linalg, "eigh", counting)
                 blocks, free = ref.plain(*ent._ball_blocks(pairs))
             sizes = {len(c) for r, s in pairs for c in oracles.support_components_oracle([r, s])}
-            assert sorted(calls) == sorted(sizes)
+            cut_sizes = {len(c) for _, c in oracles.cut_reference(ent, pairs)[2]}
+            assert calls == sorted(sizes) + sorted(cut_sizes)
             calls.clear()
             assert free == want_free
             assert len(blocks) == len(want_blocks)
@@ -1372,6 +1381,57 @@ class TestBallBlocksReference:
             fields.update(sigma.dtype.kind for _, sigma in ref.plain(*got)[0])
             fields["free"] += got[2] > 0.0
         assert fields["c"] and fields["f"] and fields["free"]
+
+
+class TestCut:
+    """``_ball_blocks`` cuts each support component to supp(sigma_c) before
+    it rotates it: every sub-block's sigma_b is positive definite, a value
+    with too little of rho's mass on supp(sigma) is +inf, and rho's PSD
+    check reads each rho_k's own spectrum, not its cut."""
+
+    def test_every_sigma_b_is_positive_definite(self, smoothed_cq_states):
+        # the bundled values (classical_commuting's sigma is singular on
+        # its 8-dimensional E), random rank-deficient balls, and pairs whose
+        # sigma has rank 2 in dimension 4 to 6
+        values = [ent._ball_blocks(ent._cq_pairs(cq)) for cq in smoothed_cq_states]
+        values += [(b.eigs, b.sigma, b.free_mass) for b in TestBlockForm.rank_deficient_balls()]
+        for seed, n, d, k in ((3, 4, 6, 2), (4, 3, 5, 2), (6, 12, 4, 2)):
+            pairs = oracles.shared_support_pairs(np.random.default_rng(seed), n, d, k)
+            values.append(ent._ball_blocks(pairs))
+        singular = [
+            cq for cq in smoothed_cq_states
+            if np.linalg.eigvalsh(np.einsum("xij->ij", cq.blocks))[0] <= la.SUPPORT_TOL
+        ]
+        assert len(values) == 39 + 12 + 3 and singular
+        # each sigma_b is a principal block of U^H diag(w) U, w the kept
+        # spectrum (above la.SUPPORT_TOL), so its least eigenvalue is at
+        # least min w (Cauchy interlacing), up to the rotation's round-off
+        for eigs, sigmas, _ in values:
+            for sigma in sigmas:
+                assert np.linalg.eigvalsh(sigma)[:, 0].min() > la.SUPPORT_TOL / 2
+
+    @pytest.mark.parametrize("eps", [0.1, 0.5])
+    def test_too_little_mass_on_the_support_is_infinite(self, eps):
+        # F(Pi rho Pi, rho') <= sqrt(Tr Pi rho Pi): the orthogonal pair (no
+        # mass on supp(sigma)), the 0.9-off pair (0.1) and |+><+| against
+        # |0><0| (0.5) are below 1 - eps^2 at eps 0.1 and 0.5; the 0.001-off
+        # pair (0.999) stays a certified value, 0 up to round-off
+        # (rho' = |0><0| at t = 1)
+        zero = np.diag([1.0, 0.0])
+        for rho in (np.diag([0.0, 1.0]), np.diag([0.1, 0.9]), np.full((2, 2), 0.5)):
+            assert ent.d_max_smooth(rho, zero, eps) == math.inf
+        value = ent.d_max_smooth(np.diag([0.999, 0.001]), zero, eps)
+        assert 0.0 <= value <= 1e-12
+        p = np.array([0.999, 0.001])
+        oracle = oracles.dmax_smooth_classical_oracle(p, zero.diagonal(), eps)
+        assert value - ent.BISECT_TOL_BITS < oracle <= value
+
+    def test_the_psd_check_reads_each_rho_k_whole(self):
+        # rho_a's -1e-3 lies on ker(sigma_a), which the cut drops: the check
+        # must read rho_a's own spectrum
+        cq = qo.CQState.derived(("a", "b"), [np.diag([0.5, 0.0, -1e-3]), np.diag([0.0, 0.5, 0.0])])
+        with pytest.raises(ValueError, match="negative eigenvalue -1.000e-03"):
+            ent.i_max_cq_many([cq], 0.1)
 
 
 class TestFoldedBall:
@@ -1640,31 +1700,38 @@ def real_pairs() -> list:
 
 class TestRealField:
     """Real pairs make real smoothing programs, solved over real symmetric
-    matrices; a complex unitary conjugation of each support component
-    (``phased``) forces the Hermitian path wherever a component does not
-    commute, and must give the same value."""
+    matrices.  A complex unitary conjugation of each support component
+    (``phased``) can force the Hermitian path, and must give the same
+    value.  It need not: the cut poses each component in the eigenbasis
+    of its sigma_c, where the conjugation leaves only phases, which the
+    rotation into the cut rho's eigenbasis may take off again."""
 
     @staticmethod
-    def check_parity(rho, sigma, eps):
-        # in the eigenbasis of rho_c a commuting component is real whatever
-        # its phases, so the phased program is Hermitian exactly when some
-        # component does not commute; then every block's variable has d^2
-        # reals, else d(d+1)/2
+    def check_parity(rho, sigma, eps) -> bool:
+        # each program has d(d+1)/2 reals per block over the real field and
+        # d^2 over the Hermitian one, and a Hermitian program pins the
+        # imaginary parts of every corner too; returns the phased
+        # program's field
         real = ref.Program(capped_ball(rho, sigma, eps))
         herm = ref.Program(capped_ball(*phased(rho, sigma), eps))
-        assert real.real and herm.real == all_components_commute(rho, sigma)
+        assert real.real
         assert herm.n_vars == sum(sdp.rvec_size(d, herm.real) for d in herm.prob.variables.values())
         assert real.n_vars == sum(d * (d + 1) // 2 for d in real.prob.variables.values())
-        # a Hermitian program pins the imaginary parts of every corner too
         assert len(real.prob.equalities) == corner_pins(rho, sigma, True)
         assert len(herm.prob.equalities) == corner_pins(*phased(rho, sigma), herm.real)
         # d_max_smooth raises SolverError unless both certificates pass
         got = ent.d_max_smooth(rho, sigma, eps)
         assert abs(got - ent.d_max_smooth(*phased(rho, sigma), eps)) <= 1e-6
+        return herm.real
 
     def test_real_pairs_match_their_phased_pairs(self):
-        for k, (rho, sigma) in enumerate(real_pairs()):
+        # none of the six commutes; the phased rank-2 ones (a (2, 4) and a
+        # (2, 6) sub-block) stay Hermitian
+        fields = [
             self.check_parity(rho, sigma, (0.05, 0.1, 0.2)[k % 3])
+            for k, (rho, sigma) in enumerate(real_pairs())
+        ]
+        assert fields == [True, False, True] * 2
 
     def test_region_pairs_match_their_phased_pairs(self, monkeypatch):
         prep = P.prepare(io.load_bundled("instrument_derived"))
@@ -1745,18 +1812,27 @@ class TestEigenbasisSplit:
             self.check_oracle_parity(pairs, 0.1)
 
     def test_hermitian_programs_pin_every_corner(self):
-        # the complex classical-copy pairs mix real sub-blocks (commuting
-        # components) with complex ones of rank 2: the program is Hermitian
-        # and every corner's imaginary parts are pinned
-        mixed = 0
-        for rho, sigma, eps in classical_copy_pairs():
+        # a complex sub-block of rank 2 (``complex_balls``' 3 x 3 pair)
+        # beside the real 1 x 1 ones of a commuting component: the program
+        # is Hermitian and every corner's imaginary parts are pinned.  The
+        # complex classical-copy pairs, whose complex components are 2 x 2,
+        # are real once cut, and pin no imaginary part
+        rho, sigma, eps = complex_balls()[1]
+        mixed = (
+            scipy.linalg.block_diag(rho, np.diag([0.3, 0.2])) / 1.5,
+            scipy.linalg.block_diag(sigma, np.diag([0.1, 0.4])) / 1.5,
+            eps,
+        )
+        kinds_seen = []
+        for rho, sigma, eps in [mixed, *classical_copy_pairs()]:
             prog = ref.Program(capped_ball(rho, sigma, eps))
             assert len(prog.prob.equalities) == corner_pins(rho, sigma, prog.real)
             blocks, _ = ref.plain(*ball(rho, sigma))
             kinds = {np.iscomplexobj(sigma) for _, sigma in blocks}
-            mixed += kinds == {True, False} and max(len(eigs) for eigs, _ in blocks) > 1
             assert prog.real == (True not in kinds)
-        assert mixed
+            kinds_seen.append(kinds)
+        assert kinds_seen == [{True, False}] + [{False}] * 8
+        assert max(len(eigs) for eigs, _ in ref.plain(*ball(*mixed[:2]))[0]) == 2
 
 
 class TestIMax:
@@ -1810,8 +1886,8 @@ def smoothed_cq_states() -> list:
 
 
 def complex_balls() -> list:
-    """Seeded (rho, sigma, eps) whose sub-blocks carry complex sigma_b: a
-    random complex state of rank 1 to 3 against a random complex density,
+    """Seeded complex (rho, sigma, eps): a random complex state of rank 1
+    to 3 against a random complex density, of dimension 2 to 4,
     alone (no rho-free component, so no w) or beside a block where only
     sigma lives (s0 > 0, so w)."""
     rng = np.random.default_rng(71)
@@ -1890,9 +1966,9 @@ def test_every_value_takes_one_certificate_path(monkeypatch):
 
 
 def support_posed(value) -> bool:
-    """Whether the library poses a sub-block of ``value`` on supp(rho_b)
-    alone, apart from Watrous's (r + d) block."""
-    return any(sdp._trailing(r, d) < d for r, d, *_ in sdp._groups(value))
+    """Whether a sub-block of ``value`` has r < d, so that the library's
+    pose on supp(rho_b) differs from Watrous's (r + d) block."""
+    return any(r < d for r, d, *_ in sdp._groups(value))
 
 
 def assert_poses_agree(value, res, eps) -> None:
@@ -1924,6 +2000,66 @@ def assert_poses_agree(value, res, eps) -> None:
     near = ref._recheck(support, oracles.truncated_to_support_pose(ref, value, want.assignment))
     norm = oracles.norm_within(value, near)
     assert oracles.lower_end_from_expressions(support, ref.slack_of(value, res.dual), norm, near) <= top
+
+
+def assert_agrees_with_the_uncut_pose(pairs, value, res, eps) -> None:
+    """The library's solve ``res`` of ``value``, the cut of ``pairs``, each
+    one support component whose sigma has a kernel and makes one (r, d')
+    sub-block, against the reference's solve of Watrous's (r + d) pose of
+    the uncut pairs: one (r, d) sub-block per pair, in its rho's
+    eigenbasis U (``oracles.ball_blocks_reference`` before the cut).  As
+    in ``assert_poses_agree``, both are certified and each v is at or
+    above the other program's lower end over the points within the
+    recheck residuals of v's own point.  A point moves between the two by
+    its rho' alone: the library's rho'_b goes to B rho'_b B^H in the
+    pair's basis, B the cut sub-block's orthonormal basis (sigma's kept
+    eigenvectors V times the cut rho's eigenbasis), and to U^H (.) U; the
+    reference's the other way, B^H U rho' U^H B, which drops the part off
+    supp(sigma) that its cap allows within its residuals.  Z is rebuilt
+    from rho' (``oracles.lifted_to_full_pose``), and truncated to the
+    library's pose (``oracles.truncated_to_support_pose``)."""
+    (group,) = sdp._groups(value)
+    bases, uncut = [], []
+    for rho, sigma in pairs:
+        w, v = np.linalg.eigh(sigma)
+        v = v[:, w > 1e-12][:, ::-1]
+        bases.append(v @ np.linalg.eigh(v.conj().T @ rho @ v)[1][:, ::-1])
+        lam, u = np.linalg.eigh(rho)
+        u = u[:, ::-1]
+        uncut.append((lam[::-1][: group[0]], u.conj().T @ sigma @ u, u))
+    assert all(
+        np.allclose(b.conj().T @ s @ b, sb, atol=1e-14)
+        for b, (_, s), sb in zip(bases, pairs, value.sigma[0])
+    )
+    lams, sigmas, us = (np.stack(part) for part in zip(*uncut))
+    full_ball = sdp.Ball([lams], [sigmas], 0.0, value.fidelity)
+    full = ref.capped_ball(ref.plain(full_ball.eigs, full_ball.sigma, 0.0), eps)
+    support = ref.capped_ball(ref.plain(value.eigs, value.sigma, 0.0), eps, on_support=True)
+    (want,) = ref.minimize_many([full])
+    assert want.status == "optimal"
+    t_ref = float(want.assignment["t"][0, 0].real)
+    v = ent._certified_value(value, res)
+    lower = math.log2(sdp.lower_bound(value, res.dual))
+    full_lower = oracles.lower_end_from_expressions(full, want.dual, oracles.norm_within(full_ball))
+    top = math.log2(t_ref)
+    assert 0.0 <= v - lower <= ent.BISECT_TOL_BITS
+    assert 0.0 <= top - full_lower <= ent.BISECT_TOL_BITS
+    r = group[0]
+    mine = [u.conj().T @ b @ m @ b.conj().T @ u for b, u, m in zip(bases, us, res.point.rho[0])]
+    point = sdp.BallPoint(res.point.t, 0.0, [None], [np.stack(mine)])
+    near = ref._recheck(full, oracles.lifted_to_full_pose(ref, full_ball, point))
+    norm = oracles.norm_within(full_ball, near)
+    assert oracles.lower_end_from_expressions(full, want.dual, norm, near) <= v
+    theirs = [
+        b.conj().T @ u @ want.assignment[f"ball{i}"][r:, r:] @ u.conj().T @ b
+        for i, (b, u) in enumerate(zip(bases, us))
+    ]
+    point = sdp.BallPoint(t_ref, 0.0, [None], [np.stack(theirs)])
+    lifted = oracles.lifted_to_full_pose(ref, value, point)
+    near = ref._recheck(support, oracles.truncated_to_support_pose(ref, value, lifted))
+    norm = oracles.norm_within(value, near)
+    slack = ref.slack_of(value, res.dual)
+    assert oracles.lower_end_from_expressions(support, slack, norm, near) <= top
 
 
 class TestBlockForm:
@@ -1973,13 +2109,16 @@ class TestBlockForm:
             self.check(value, 0.1)
 
     def test_seeded_complex_sigma_with_and_without_w(self):
-        kinds = set()
+        # the 2 x 2 pair is real once cut (in sigma's eigenbasis the rank-1
+        # rho's eigenbasis is real up to phases that the diagonal sigma
+        # ignores); the three of dimension 3 and more stay complex
+        kinds, fields = set(), []
         for rho, sigma, eps in complex_balls():
             value = sdp.Ball(*ball(rho, sigma), math.sqrt(1 - eps * eps))
-            assert any(np.iscomplexobj(sigma) for sigma in value.sigma)
+            fields.append(any(np.iscomplexobj(sigma) for sigma in value.sigma))
             kinds.add(value.free_mass > 0.0)
             self.check(value, eps)
-        assert kinds == {False, True}
+        assert kinds == {False, True} and fields == [False, True, True, True]
 
     @staticmethod
     def seeded_random_balls() -> list:
@@ -2028,29 +2167,30 @@ class TestBlockForm:
         return out
 
     def test_seeded_rank_deficient_balls(self):
-        # each has a sub-block with r < d, posed on its support when
-        # d <= 2r and in the (r + d) block otherwise; it meets both
-        # reference poses (``check``), real and complex
-        fields, poses = set(), set()
+        # each has a sub-block with r < d, whose G_b is posed on supp(rho_b)
+        # beside its own rho'_b block; it meets both reference poses
+        # (``check``), real and complex
+        fields = set()
         for value in self.rank_deficient_balls():
             assert any(r < d for r, d, *_ in sdp._groups(value))
             fields.update(real for *_, real, _ in sdp._groups(value))
-            poses.add(support_posed(value))
             self.check(value, 0.1)
-        assert fields == poses == {False, True}
+        assert fields == {False, True}
 
     def test_sub_blocks_much_wider_than_their_rank(self):
-        # complex (1, d) sub-blocks with d > 2r, each sigma_b of rank k
-        # (``oracles.shared_support_pairs``), keep Watrous's (r + d) block:
-        # each solve ends optimal, in the reference's iterations, with its
-        # certificates.  Posed on their supports, the twelve (1, 4)
-        # sub-blocks end "maxIterations" after 19 steps (this block: 17)
+        # pairs of rank-1 rho under a sigma of rank 2 in dimension d
+        # (``oracles.shared_support_pairs``), whose uncut (1, d) sub-blocks
+        # the support pose did not certify on rng 6 (twelve (1, 4), ended
+        # "maxIterations" after 19 steps): the cut makes one (1, 2)
+        # sub-block of each pair, whose solve ends optimal and agrees with
+        # the reference's (r + d) pose of the uncut pairs
         for seed, n, d, k in ((3, 4, 6, 2), (4, 3, 5, 2), (6, 12, 4, 2)):
             pairs = oracles.shared_support_pairs(np.random.default_rng(seed), n, d, k)
             value = sdp.Ball(*ent._ball_blocks(pairs), math.sqrt(1 - 0.1**2))
-            assert [group[:3] for group in sdp._groups(value)] == [(1, d, False)]
-            assert not support_posed(value)
-            self.check(value, 0.1)
+            assert sdp._groups(value) == ((1, 2, True, n),) and value.free_mass == 0.0
+            (res,) = sdp.minimize_balls([value])
+            assert res.status == "optimal"
+            assert_agrees_with_the_uncut_pose(pairs, value, res, 0.1)
 
     def test_a_dual_shifted_off_the_cone_keeps_its_lower_end_below_the_value(self):
         # the first W_b, P_b (in the support pose) and V_b of each solve's dual

@@ -484,6 +484,23 @@ def test_golden_regions(solved):
     _check_certificates(solves)
 
 
+# family 2 seeds (``oracles.family_instance_parts``) whose values once
+# failed: too many free reals (4, 7, 13, 15), no certificate (12) or 26-69 s
+# (9, 14); seed 19 has a rank-1 rho_A
+@pytest.mark.parametrize("seed", [4, 7, 9, 12, 13, 14, 15, 19])
+def test_family_two_values_are_certified(seed):
+    # every I_max^eps of thresholds and of a theta 0.5 region is certified
+    # (a value that is not raises SolverError), once each value is cut to
+    # supp(sigma)
+    dims, rho, alpha_x, alpha_y, elements = oracles.family_instance_parts(seed, 2)
+    inst = io.Instance(dims, rho, qo.JointPOVM(tuple(alpha_x), tuple(alpha_y), elements))
+    prep = P.prepare(inst)
+    th = P.thresholds(prep, 0.1)
+    region = P.one_shot_region(prep, 0.1, theta_grid=(0.5,))
+    assert math.isfinite(th["imax_x"]) and math.isfinite(th["imax_y"])
+    assert region.constraints and all(math.isfinite(h.rhs) for h in region.constraints)
+
+
 def test_one_shot_region_steers_nothing_after_prepare(monkeypatch):
     # prepare steers each POVM element through the purified state once;
     # every (axis, theta) cell of the region reads those E-blocks

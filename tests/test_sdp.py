@@ -288,7 +288,7 @@ class TestIterationKernels:
             sizes.append(size)
             ends = pair.reshape(2, count, k) - size * np.arange(count)[:, None]
             assert (ends == sdp._rvec_coords(size, real)[:2, None]).all(), size
-        assert sizes == [2, 3, 4, 5, 6]
+        assert sizes == [2, 3, 4, 5]
 
     def test_congruence_acts_on_rvecs(self):
         rng = np.random.default_rng(21)
@@ -570,30 +570,36 @@ def decode_balls():
 
 @pytest.fixture(scope="module")
 def wide_ball():
-    """A complex ball of four (1, 6) sub-blocks, each sigma_b of rank 2
-    (``oracles.shared_support_pairs``), at eps 0.1: d > 2r, so each keeps
-    Watrous's (r + d) block."""
-    pairs = oracles.shared_support_pairs(np.random.default_rng(3), 4, 6, 2)
+    """A complex ball of four (1, 4) sub-blocks at eps 0.1: four pairs of
+    dimension 6 whose sigma has rank 4 (``oracles.shared_support_pairs``),
+    each cut to supp(sigma), where its sigma_b is positive definite."""
+    pairs = oracles.shared_support_pairs(np.random.default_rng(3), 4, 6, 6)
     value = sdp.Ball(*ent._ball_blocks(pairs), math.sqrt(1 - 0.1**2))
-    assert shapes(value) == [(1, 6, False)] * 4
+    assert shapes(value) == [(1, 4, False)] * 4
     return value
 
 
 def test_the_pose_of_a_sub_block_reads_its_rank_and_dimension(wide_ball):
-    # the support pose (k = r) while d <= 2r, Watrous's (r + d) block
-    # (k = d) past it; r = d is both
-    want = {(1, 1): 1, (2, 2): 2, (1, 2): 1, (2, 3): 2, (2, 4): 2, (3, 4): 3,
-            (1, 3): 3, (1, 6): 6, (2, 5): 5, (1, 20): 20}
-    assert {shape: sdp._trailing(*shape) for shape in want} == want
+    # G_b is 2r square, on supp(rho_b) alone, at every d; rho'_b gets its
+    # own block when r < d (G_b holds it whole when r = d), and the cap is
+    # a scalar row when d = 1
+    assert sdp._blocks(1, 1) == (("g", 2),)
+    assert sdp._blocks(2, 2) == (("g", 4), ("c", 2))
     assert sdp._blocks(1, 2) == (("g", 2), ("p", 2), ("c", 2))
-    assert sdp._blocks(1, 6) == (("g", 7), ("c", 6))
-    # the wide ball: one 7 x 7 G_b and one 6 x 6 cap per sub-block, Z_b
-    # 1 x 6 and rho'_b whole in G_b, and no rho'_b block
-    assert [(size, count) for size, _, _, count, *_ in layout(wide_ball).slabs] == [(6, 4), (7, 4)]
-    assert schur_size(wide_ball) == 4 * (7 * 7 - 1) + 1 + 1
+    assert sdp._blocks(2, 5) == (("g", 4), ("p", 5), ("c", 5))
+    assert sdp._blocks(1, 20) == (("g", 2), ("p", 20), ("c", 20))
+    # the free reals: G_b's off its r x r corner, rho'_b's off its
+    # leading r x r block
+    assert [sdp._reals(1, d, False) for d in (1, 2, 4)] == [3, 3 + 3, 3 + 15]
+    assert [sdp._reals(2, d, True) for d in (2, 3)] == [7, 7 + 3]
+    # the wide ball: one 2 x 2 G_b, one 4 x 4 rho'_b and one 4 x 4 cap per
+    # sub-block, and Z_b 1 x 1
+    assert [(size, count) for size, _, _, count, *_ in layout(wide_ball).slabs] == [(2, 4), (4, 8)]
+    assert schur_size(wide_ball) == 4 * (3 + 15) + 1 + 1
     (res,) = sdp.minimize_balls([wide_ball])
     assert res.status == "optimal"
-    assert [z.shape for z in res.point.z] == [(4, 1, 6)] and res.dual.psd == [None]
+    assert [z.shape for z in res.point.z] == [(4, 1, 1)]
+    assert [p.shape for p in res.dual.psd] == [(4, 4, 4)]
 
 
 def test_support_pose_of_the_decode_batch(decode_balls):
@@ -701,13 +707,14 @@ class TestBatch:
             assert [ball_bits(res) for res in got] == [lone[i] for i in order]
 
     def test_a_batch_of_both_poses_is_each_lone_solve(self, decode_balls, region_balls, wide_ball):
-        # values with r < d sub-blocks in the support pose (the Y|XE value
-        # of decode's set-up, whose G_b, rho'_b and caps all share the 2 x 2
-        # slab) and in the (r + d) block (the wide ball) beside values
-        # whose sub-blocks all have r = d, interleaved, in two orders
+        # values with r < d sub-blocks, which carry a rho'_b block (the
+        # Y|XE value of decode's set-up, whose G_b, rho'_b and caps all
+        # share the 2 x 2 slab, and the wide ball, complex, whose rho'_b
+        # and caps share the 4 x 4 one) beside values whose sub-blocks all
+        # have r = d, interleaved, in two orders
         batch = [decode_balls[1], region_balls[0], wide_ball, decode_balls[0], region_balls[2]]
         psd = [any(p is not None for p in sdp.minimize_balls([b])[0].dual.psd) for b in batch]
-        assert psd == [True, False, False, False, False]
+        assert psd == [True, False, True, False, False]
         lone = [ball_bits(sdp.minimize_balls([ball])[0]) for ball in batch]
         assert [bits[0] for bits in lone] == ["optimal"] * 5
         for order in ([0, 1, 2, 3, 4], [4, 3, 2, 1, 0]):
@@ -814,20 +821,26 @@ class TestBatch:
 
 
 def mixed_field_pairs() -> list:
-    """Two pairs, one value: each pair the direct sum of three 2 x 2
-    components whose rho is diagonal (its own eigenbasis, up to order): of
-    rank 2 under a complex sigma, of rank 1 under a real sigma that joins
-    its two indices, and of rank 2 under a real sigma.  So the value has
-    sub-blocks of one (r, d) = (2, 2) over both fields, and of (1, 2)
-    beside them, two of each."""
+    """Two pairs, one value: each pair the direct sum of three components
+    whose rho is diagonal (its own eigenbasis, up to order): 3 x 3 of rank
+    3 under a complex sigma whose phases no diagonal unitary takes off
+    (sigma_01 sigma_12 sigma_20 is not real), 2 x 2 of rank 1 under a real
+    sigma that joins its two indices, and 3 x 3 of rank 3 under a real
+    sigma.  So the value has sub-blocks of one (r, d) = (3, 3) over both
+    fields, and of (1, 2) beside them, two of each."""
     out = []
-    for rank_two, rank_one, off in (((0.2, 0.1), 0.08, 0.3), ((0.15, 0.12), 0.05, 0.2)):
-        rho, sigma = np.zeros((6, 6), dtype=complex), np.zeros((6, 6), dtype=complex)
-        rho[[0, 1, 4, 5], [0, 1, 4, 5]] = [*rank_two, *rank_two]
-        rho[2, 2] = rank_one
-        sigma[:2, :2] = [[0.2, off * 0.1j], [-off * 0.1j, 0.1]]
-        sigma[2:4, 2:4] = [[0.1, off * 0.1], [off * 0.1, 0.2]]
-        sigma[4:, 4:] = [[0.3, 0.05], [0.05, 0.1]]
+    draws = (((0.2, 0.1, 0.15), 0.08, 0.3), ((0.15, 0.12, 0.1), 0.05, 0.2))
+    for rank_three, rank_one, off in draws:
+        rho, sigma = np.zeros((8, 8), dtype=complex), np.zeros((8, 8), dtype=complex)
+        rho[[0, 1, 2, 5, 6, 7], [0, 1, 2, 5, 6, 7]] = [*rank_three, *rank_three]
+        rho[3, 3] = rank_one
+        sigma[:3, :3] = [
+            [0.2, off * 0.1j, off * 0.05],
+            [-off * 0.1j, 0.1, off * 0.08],
+            [off * 0.05, off * 0.08, 0.15],
+        ]
+        sigma[3:5, 3:5] = [[0.1, off * 0.1], [off * 0.1, 0.2]]
+        sigma[5:, 5:] = [[0.3, 0.05, 0.02], [0.05, 0.1, 0.03], [0.02, 0.03, 0.2]]
         out.append((rho, sigma / 2))
     total = sum(np.trace(rho).real for rho, _ in out)
     return [(rho / total, sigma) for rho, sigma in out]
@@ -840,7 +853,7 @@ class TestGroups:
     def test_one_stack_per_rank_dimension_and_field(self, region_balls):
         pairs = mixed_field_pairs()
         ball = sdp.Ball(*ent._ball_blocks(pairs), math.sqrt(1 - 0.1**2))
-        assert sdp._groups(ball) == ((2, 2, False, 2), (1, 2, True, 2), (2, 2, True, 2))
+        assert sdp._groups(ball) == ((3, 3, False, 2), (1, 2, True, 2), (3, 3, True, 2))
         # the certified interval (v - BISECT_TOL_BITS, v] holds the
         # reference program's min t
         (res,) = sdp.minimize_balls([ball])
@@ -862,16 +875,18 @@ class TestBlockSolver:
 
     def test_too_large_ball_raises_before_building(self, monkeypatch):
         # the cap counts the free reals of the block form, G_b's rvec off its
-        # corner plus t: a complex sub-block of rank 1 and dimension 77 has
-        # 78^2 - 1 + 1 = 6084 > MAX_VAR_REALS, a real one of dimension 109
-        # 110 * 111 / 2 - 1 + 1 = 6105
+        # corner, rho'_b's off its leading r x r block, plus t: a complex
+        # sub-block of rank 1 and dimension 78 has (4 - 1) + (78^2 - 1) + 1 =
+        # 6087 > MAX_VAR_REALS, a real one of dimension 110
+        # (3 - 1) + (110 * 111 / 2 - 1) + 1 = 6107; one of dimension 77 or
+        # 109 (5932 or 5997) is below the cap
         def guard(balls):
             raise AssertionError("the size check must come before the batch is built")
 
         monkeypatch.setattr(sdp, "_Batch", guard)
-        phase = np.eye(77, dtype=complex)
+        phase = np.eye(78, dtype=complex)
         phase[0, 1], phase[1, 0] = 0.1j, -0.1j
-        for sigma, reals in ((phase, 6084), (np.eye(109), 6105)):
+        for sigma, reals in ((phase, 6087), (np.eye(110), 6107)):
             ball = sdp.Ball([np.ones((1, 1))], [sigma[None]], 0.0, 0.9)
             with pytest.raises(sdp.ProblemTooLarge) as info:
                 sdp.minimize_balls([ball])
