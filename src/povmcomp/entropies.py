@@ -142,9 +142,9 @@ class _Blocks:
         stacked over the blocks, from one ``eigh``."""
         return np.linalg.eigh(t * self.rho - self.sigma)
 
-    def alpha_strict(self, t: float, tol: float) -> float:
+    def alpha_strict(self, t: float) -> float:
         d, v = self.spectra(t)
-        return float(_weights(v, self.rho)[d > tol].sum())
+        return float(_weights(v, self.rho)[d > 0.0].sum())
 
     def jumps(self) -> list[float]:
         """The points t_j where alpha_strict jumps, ascending: 1 / mu for the
@@ -192,7 +192,7 @@ BORDER_FLOOR = 1e-15
 
 
 class _Readings:
-    """The readings alpha_strict(t, 0) of one threshold search.
+    """The readings alpha_strict(t) of one threshold search.
 
     ``read`` keeps every reading, so a point read twice costs one ``eigh``.
     ``below`` and ``above`` are the tightest points read on either side of
@@ -205,7 +205,7 @@ class _Readings:
 
     def read(self, t: float) -> float:
         if t not in self.alpha:
-            self.alpha[t] = self.blocks.alpha_strict(t, 0.0)
+            self.alpha[t] = self.blocks.alpha_strict(t)
         return self.alpha[t]
 
     def below(self) -> float:
@@ -541,12 +541,15 @@ def _ball_blocks(pairs) -> tuple[list[np.ndarray], list[np.ndarray], float]:
       order of their first sub-block (group-major), and s0 adds its traces
       one by one in that order.
 
-    The three are exact.  Smooth entropies are invariant under isometries
-    and split over direct sums (Tomamichel, arXiv:1504.00233), so the
-    pairs are one program, and it may be posed in any orthonormal basis
-    of each component.  The cap t sigma - rho' PSD forces
-    supp(rho') within supp(sigma), the range of a projector Pi, and for
-    such rho', sqrt(rho') = sqrt(rho') Pi, so
+    The three passes, the fold of the rho-free sub-blocks into one scalar
+    and the pose of each fidelity on supp(rho_b) that ``sdp`` makes are
+    exact, so the ball's least t is 2^(D_max^eps) of the pairs; this is
+    the one place the argument is written.  Smooth entropies are invariant
+    under isometries and split over direct sums (Tomamichel,
+    arXiv:1504.00233), so the pairs are one program, and it may be posed
+    in any orthonormal basis of each component.  The cap
+    t sigma - rho' PSD forces supp(rho') within supp(sigma), the range of
+    a projector Pi, and for such rho', sqrt(rho') = sqrt(rho') Pi, so
     F(rho, rho') = Tr sqrt(sqrt(rho') rho sqrt(rho')) = F(Pi rho Pi, rho'):
     the program is the one of (Pi rho Pi, sigma), posed on supp(sigma),
     where sigma is positive definite.  rho's mass off supp(sigma) is
@@ -560,8 +563,15 @@ def _ball_blocks(pairs) -> tuple[list[np.ndarray], list[np.ndarray], float]:
     symmetry under the phases e^(i theta_b) on each sub-block, averaged
     into P; Gatermann and Parrilo, arXiv:math/0211450), and for one the
     fidelity is the sum of the sub-blocks' fidelities.  The same argument
-    splits the pairs and each pair into its support components.  Within a
-    sub-block the fidelity sees rho'_b on supp(rho_b) alone:
+    splits the pairs and each pair into its support components.  The
+    rho-free sub-blocks fold into one scalar w, with w >= 0 and
+    t s0 - w >= 0: on such a sub-block rho'_b enters only through
+    Tr rho'_b, and 0 <= rho'_b <= t sigma_b lets that trace take every
+    value in [0, t Tr sigma_b]; so at every fixed t the program is
+    feasible exactly when its per-block form is (w = sum_b Tr rho'_b one
+    way, rho'_b = (w / s0) sigma_b the other).  When s0 is 0 (every
+    rho-free sub-block has sigma_b = 0, so each rho'_b is 0) there is no
+    w.  Within a sub-block the fidelity sees rho'_b on supp(rho_b) alone:
     rho_b = Lambda_b (+) 0 in its eigenbasis, so
     sqrt(rho_b) rho'_b sqrt(rho_b) = sqrt(Lambda_b) rho'_b,rr sqrt(Lambda_b) (+) 0,
     with rho'_b,rr the leading r x r block, and
@@ -653,36 +663,24 @@ def d_max_smooth(rho, sigma, eps: float) -> float:
     r_b < d_b, the cap t sigma_b - rho'_b PSD (a scalar row when d_b = 1),
     sigma_b positive definite, sum_b Re Tr Z_b >= sqrt(1 - eps^2), and
     the trace of rho', sum_b Tr rho'_b + w, equal to 1.  Both ends bound
-    D_max^eps itself, for four exact steps:
+    D_max^eps itself, since four steps that leave the value alone turn the
+    pair into that program (the argument is in ``_ball_blocks``):
 
     - Cut: each support component is posed on supp(sigma_c), in its
-      sigma_c's eigenbasis.  The cap forces supp(rho') within supp(sigma),
-      the range of a projector Pi, and for such rho',
-      F(rho, rho') = F(Pi rho Pi, rho') (sqrt(rho') = sqrt(rho') Pi), so
-      the value is that of (Pi rho Pi, sigma) on supp(sigma), where every
-      sigma_b is positive definite and the cap has an interior (the
-      argument is in ``_ball_blocks``; Tomamichel, arXiv:1504.00233).
-      There F(Pi rho Pi, rho') <= sqrt(Tr Pi rho Pi), so a value whose
-      sum_b Tr Lambda_b, with its round-off bound, is below 1 - eps^2 has
-      no feasible point and is +inf, with no solve.
+      sigma_c's eigenbasis, where every sigma_b is positive definite and
+      the cap has an interior.  The fidelity there is at most
+      sqrt(Tr Pi rho Pi), Pi the projector onto supp(sigma), so a value
+      whose sum_b Tr Lambda_b, with its round-off bound, is below
+      1 - eps^2 has no feasible point and is +inf, with no solve
+      (``_short``).
     - Split: each component of the cut is posed in the eigenbasis of its
-      rho_c and split again by the pattern of its rotated sigma'_c, which
-      leaves the value alone (the argument is in ``_ball_blocks``:
-      Tomamichel, arXiv:1504.00233; Gatermann and Parrilo,
-      arXiv:math/0211450).  A degenerate spectrum can only hide a split,
-      never make a wrong one.
+      rho_c and split again by the pattern of its rotated sigma'_c.  A
+      degenerate spectrum can only hide a split, never make a wrong one.
     - Fold: the rho-free sub-blocks are one scalar w, with w >= 0 and
-      t s0 - w >= 0, s0 = sum_b Tr sigma_b over them.  On such a sub-block
-      rho'_b enters only through Tr rho'_b, and 0 <= rho'_b <= t sigma_b
-      lets that trace take every value in [0, t Tr sigma_b]; so at every
-      fixed t the program is feasible exactly when its per-block form is
-      (w = sum_b Tr rho'_b one way, rho'_b = (w / s0) sigma_b the other).
-      When s0 is 0 (every rho-free sub-block has sigma_b = 0, so each
-      rho'_b is 0) there is no w.
-    - Support: in rho_b's eigenbasis rho_b = Lambda_b (+) 0, so
-      F(rho_b, rho'_b) = F(Lambda_b, rho'_b,rr) (the argument is in
-      ``_ball_blocks``), and Watrous's block of that fidelity needs rho'_b
-      on supp(rho_b) only, with rho'_b PSD asked of the rest.
+      t s0 - w >= 0, s0 = sum_b Tr sigma_b over them; when s0 is 0 there
+      is no w.
+    - Support: Watrous's block of each sub-block's fidelity is posed on
+      supp(rho_b) only, with rho'_b PSD asked of the rest.
 
     Two solves, one certificate: one solve and one certificate per
     distinct value, keyed by bytes (``_d_max_smooth_many``).  A classical

@@ -125,8 +125,17 @@ def _link_stage(
     seed: int,
     wire_override: int | None,
 ) -> LinkStage:
-    """Link i's stage; ``wire_override``, when not None, replaces its rate R."""
+    """Link i's stage; ``wire_override``, when not None, replaces its rate R.
+
+    With no B register nothing decodes a hashed link, so an override below
+    logL raises ValueError there.
+    """
     log_l = family.plan.log_l[i]
+    if wire_override is not None and wire_override < log_l and not prep.has_side_information():
+        raise ValueError(
+            f"wire_override {{{LINKS[i]!r}: {wire_override}}}: with no B register link "
+            f"{LINKS[i]} sends its whole index, logL={log_l} bits"
+        )
     wire_bits, scheme, tests = log_l, identity_hash(log_l), None
     if prep.has_side_information() and log_l > 0:
         rate = budget.link_rates[i][0] if wire_override is None else wire_override
@@ -154,9 +163,7 @@ def sequential_kraus(tests) -> np.ndarray:
     K_j = U_j^dag S_j with S_j = Pi_j (I - Pi_{j-1}) ... (I - Pi_1) and U_j
     the left polar unitary of S_j = U_j sqrt(S_j^dag S_j): the decoded branch
     undoes the measurement's rotation.  The last operator is the failure
-    branch sqrt(I - sum_j S_j^dag S_j).  A lone candidate needs no
-    measurement, since the hash alone names it: it gets [I, 0], so it
-    decodes with probability 1 and leaves the state as it was.
+    branch sqrt(I - sum_j S_j^dag S_j).
 
     ``tests`` is one test sequence, shape (L, d, d) or a list of L
     matrices, or a stack of sequences of one length, shape (..., L, d, d);
@@ -169,9 +176,6 @@ def sequential_kraus(tests) -> np.ndarray:
     n_cand, d = tests.shape[-3], tests.shape[-1]
     eye = np.eye(d, dtype=complex)
     kraus = np.zeros(tests.shape[:-3] + (n_cand + 1, d, d), dtype=complex)
-    if n_cand == 1:
-        kraus[..., 0, :, :] = eye
-        return kraus
     tail = residual = np.broadcast_to(eye, tests.shape[:-3] + (d, d))
     for j in range(n_cand):
         pi = tests[..., j, :, :]
@@ -218,7 +222,7 @@ class _StageDecoder:
         self.branches, self.counts = None, codebook.counts
         if stage.tests is None:
             return
-        fibers = stage.hash_scheme.fibers(codebook.messages)
+        fibers = stage.hash_scheme.fibers()
         n_fib, size = fibers.shape
         # the class of every index of every coin, in the narrowest integer type
         ids = np.arange(max(coins, n_cls), dtype=np.min_scalar_type(max(coins, n_cls)))

@@ -66,7 +66,6 @@ class Codebook:
     """Per-coin-block multinomial symbol counts for one link."""
 
     coins: int  # K
-    messages: int  # L
     alphabet: tuple[str, ...]
     counts: np.ndarray  # (K, |alphabet|) integer counts summing to L
 
@@ -93,7 +92,7 @@ def draw_codebook(
             np.random.SeedSequence(entropy=seed, spawn_key=(_LINK_SPAWN_KEYS[link], k))
         )
         counts[k] = rng.multinomial(messages, probs)
-    return Codebook(coins, messages, source.alphabet, counts)
+    return Codebook(coins, source.alphabet, counts)
 
 
 @dataclass(frozen=True)

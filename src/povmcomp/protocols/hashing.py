@@ -53,27 +53,21 @@ class HashScheme:
         tables = np.bitwise_xor.reduce(bits * masks.reshape(-1, 1, 8), axis=2)
         return int(weights @ self.offset.astype(np.int64)), tables
 
-    def fibers(self, count: int) -> np.ndarray:
-        """Preimage fibers of the inputs [0, count), one row per hash value.
+    def fibers(self) -> np.ndarray:
+        """Preimage fibers of the whole input space, one row per hash value.
 
         One ``apply_many`` and one stable sort: rows follow ascending hash
-        value and each row lists its inputs in ascending order.  Over the
-        full input space the fibers of an affine map are cosets of its
-        kernel, so they share one size and form a (values, size) array;
-        a ``count`` whose fibers differ in size raises ValueError.  When
-        every realised value has the same count s, the sorted order is s
-        copies of the least value, then s of the next, and so on, so each
-        row of the order reshaped to width s holds exactly one value.
+        value and each row lists its inputs in ascending order.  The fibers
+        of an affine map are cosets of its kernel, so they share one size
+        s, and the sorted order is s copies of the least value, then s of
+        the next, and so on: each row of the order reshaped to one row per
+        realised value holds exactly one value.
         """
-        vals = self.apply_many(np.arange(count, dtype=np.int64))
-        sizes = np.bincount(vals)
-        sizes = sizes[sizes > 0]
-        if np.all(sizes == sizes[0]):
-            # sorted as the narrowest unsigned type that holds every hash
-            # value, so that numpy's stable sort can run as a radix sort
-            keys = vals.astype(np.min_scalar_type(2**self.output_bits - 1))
-            return np.argsort(keys, kind="stable").reshape(len(sizes), -1)
-        raise ValueError(f"hash fibers of [0, {count}) differ in size")
+        vals = self.apply_many(np.arange(2 ** self.matrix.shape[1], dtype=np.int64))
+        # sorted as the narrowest unsigned type that holds every hash value,
+        # so that numpy's stable sort can run as a radix sort
+        keys = vals.astype(np.min_scalar_type(2**self.output_bits - 1))
+        return np.argsort(keys, kind="stable").reshape(np.count_nonzero(np.bincount(vals)), -1)
 
 
 def draw_hash(input_bits: int, output_bits: int, rng: np.random.Generator) -> HashScheme:

@@ -47,17 +47,11 @@ class HalfSpace:
     rhs: float
     provenance: dict
 
-    def to_payload(self) -> dict:
-        return {"coeffs": self.coeffs, "rhs": self.rhs, "provenance": self.provenance}
-
 
 @dataclass
 class RateRegion:
     constraints: list[HalfSpace] = field(default_factory=list)
     kind: str = "one-shot"
-
-    def to_payload(self) -> dict:
-        return {"kind": self.kind, "constraints": [h.to_payload() for h in self.constraints]}
 
     def admits(self, r_x: float, r_y: float, c_x: float, c_y: float) -> bool:
         point = {"R_X": r_x, "R_Y": r_y, "C_X": c_x, "C_Y": c_y}

@@ -21,22 +21,18 @@ rho'_b (d_b x d_b), t and, when s0 > 0, w:
 min t, with rho'_b,rr the leading r_b x r_b block of rho'_b.  The
 fidelity row is the semidefinite form of F(rho, rho') >= c:
 [[rho, Z], [Z^H, rho']] PSD with Re Tr Z >= c (Watrous), posed per
-sub-block in rho_b's eigenbasis, where rho_b is Lambda_b (+) 0.  So
-sqrt(rho_b) rho'_b sqrt(rho_b) is sqrt(Lambda_b) rho'_b,rr
-sqrt(Lambda_b) (+) 0 and F(rho_b, rho'_b) = F(Lambda_b, rho'_b,rr): the
-fidelity never sees rho'_b off supp(rho_b) (Tomamichel,
-arXiv:1504.00233).  So Watrous's block is posed on supp(rho_b) alone,
-and rho'_b PSD, which G_b implies when r_b = d_b, is asked of the rest
-as its own block.  One invariant keeps this pose strictly feasible:
-every sigma_b is positive definite (``entropies._ball_blocks`` cuts each
-value to supp(sigma) first), so a positive definite rho'_b lies strictly
-below t sigma_b at a large enough t.  Where sigma_b is singular the cap
-holds rho'_b to supp(sigma_b), on a face of its cone, and the solve was
-seen to stall there.  Lambda_b is data in G_b's corner, so no
-equality pins it.  The argument that this program has the value of
-D_max^eps (the cut, the split into sub-blocks, the fold of the rho-free
-ones into w) is in ``entropies._ball_blocks`` and
-``entropies.d_max_smooth``.
+sub-block on supp(rho_b) alone, in rho_b's eigenbasis, and rho'_b PSD,
+which G_b implies when r_b = d_b, is asked of the rest as its own block.
+One invariant keeps this pose strictly feasible: every sigma_b is
+positive definite (``entropies._ball_blocks`` cuts each value to
+supp(sigma) first), so a positive definite rho'_b lies strictly below
+t sigma_b at a large enough t.  Where sigma_b is singular the cap holds
+rho'_b to supp(sigma_b), on a face of its cone, and the solve was seen
+to stall there.  Lambda_b is data in G_b's corner, so no equality pins
+it.  This program has the value of D_max^eps by four exact steps: the
+cut to supp(sigma), the split into sub-blocks, the fold of the rho-free
+ones into w and the pose of each fidelity on supp(rho_b).  The argument
+is written once, in ``entropies._ball_blocks``.
 
 Coordinates.  Each PSD block is stored by its isometric real vector
 (``herm_to_rvec``/``rvec_to_herm``, one matrix product with the cached

@@ -55,9 +55,9 @@ def sweep(draws: int = 3000) -> dict:
     reads, failures = [], []
     alpha_strict, bisect = ent._Blocks.alpha_strict, ent._np_bisect
 
-    def counted_alpha(self, t, tol):
+    def counted_alpha(self, t):
         reads[-1] += 1
-        return alpha_strict(self, t, tol)
+        return alpha_strict(self, t)
 
     def counted_bisect(blocks, target):
         reads.append(0)

@@ -262,17 +262,17 @@ def dmax_smooth_classical_oracle(p: np.ndarray, s: np.ndarray, eps: float) -> fl
 
 
 def np_bisect_fixed(alpha_strict, target: float) -> tuple[float, float]:
-    """Bracket of the least t with ``alpha_strict(t, 0) >= target``: the
+    """Bracket of the least t with ``alpha_strict(t) >= target``: the
     Neyman-Pearson threshold bisection with a fixed 120 halvings, even after
     the float64 midpoint has stopped moving."""
     t_lo, t_hi = 0.0, 1.0
     for _ in range(200):
-        if alpha_strict(t_hi, 0.0) >= target:
+        if alpha_strict(t_hi) >= target:
             break
         t_lo, t_hi = t_hi, t_hi * 4.0
     for _ in range(120):
         mid = (t_lo + t_hi) / 2
-        if alpha_strict(mid, 0.0) >= target:
+        if alpha_strict(mid) >= target:
             t_hi = mid
         else:
             t_lo = mid
@@ -302,8 +302,8 @@ class PerBlockNP:
             out.append((d, v, w_r, w_s))
         return out
 
-    def alpha_strict(self, t: float, tol: float) -> float:
-        return sum(float(w_r[d > tol].sum()) for d, _, w_r, _ in self.spectra(t))
+    def alpha_strict(self, t: float) -> float:
+        return sum(float(w_r[d > 0.0].sum()) for d, _, w_r, _ in self.spectra(t))
 
     def threshold(self, eps: float) -> tuple[float, list, float]:
         """(beta, per-block tests, alpha) of the optimal test."""
@@ -340,12 +340,9 @@ def sequential_kraus_oracle(tests: list) -> list:
     """Successive-cancellation Kraus operators of one test sequence, built
     one candidate at a time: K_j = U_j^dag S_j with
     S_j = Pi_j (I - Pi_{j-1}) ... (I - Pi_1) and U_j from the SVD of S_j,
-    then the failure branch sqrt(I - sum_j S_j^dag S_j) from ``eigh``; a
-    lone candidate gets [I, 0].  The per-sequence reference for the
-    library's stacked ``sequential_kraus``."""
+    then the failure branch sqrt(I - sum_j S_j^dag S_j) from ``eigh``.  The
+    per-sequence reference for the library's stacked ``sequential_kraus``."""
     eye = np.eye(tests[0].shape[0], dtype=complex)
-    if len(tests) == 1:
-        return [eye, np.zeros_like(eye)]
     kraus, tail, residual = [], eye, eye
     for pi in tests:
         s = pi @ tail
@@ -868,7 +865,7 @@ class PerMessageStageDecoder:
         self.d_tail = d_tail
         self.build = build
         self.abort = abort
-        self.hashes = stage.hash_scheme.apply_many(np.arange(codebook.messages))
+        self.hashes = stage.hash_scheme.apply_many(np.arange(2**stage.log_l))
         self._cache: dict[tuple[int, int], list] = {}
 
     def branches(self, k: int, message: int) -> list:

@@ -151,6 +151,11 @@ class TestGoodSet:
                 [np.diag([1.0, 0.0])], [1.0], np.diag([0.0, 1.0]).astype(complex), eps=0.1
             )
 
+    @pytest.mark.parametrize("eps", [0.0, 1.0])
+    def test_eps_outside_the_unit_interval_raises(self, eps):
+        with pytest.raises(ValueError, match=r"eps must lie in \(0, 1\)"):
+            good_set([np.eye(2) / 2], [1.0], np.eye(2) / 2, eps=eps)
+
     def test_transformed_normalized_inputs_match_plain(self):
         rng = np.random.default_rng(16)
         parts = [oracles.random_density(rng, 2) for _ in range(3)]

@@ -62,6 +62,25 @@ class TestHmax:
         assert np.isclose(v1, v2, atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: ent.d_hyp(np.eye(2) / 2, np.eye(3), 0.1), "dimension mismatch"),
+        (lambda: ent.d_max(np.eye(2) / 2, np.eye(3)), "dimension mismatch"),
+        (lambda: ent.smooth_max_entropy_atoms([(0.5, 1.0)], 0.1), "atom masses must sum to 1"),
+        # the greedy drops the lone atom whole: (1 - 1e-12) / (1 - 1e-11) > 1
+        (
+            lambda: ent.smooth_max_entropy_atoms([(1.0 - 1e-11, 1.0)], 1.0 - 1e-12),
+            "smoothing removed the whole distribution",
+        ),
+    ],
+    ids=["d_hyp_dims", "d_max_dims", "atom_mass", "all_smoothed"],
+)
+def test_malformed_inputs_are_refused(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 class TestDHyp:
     def test_equal_states(self):
         rho = np.diag([0.6, 0.4]).astype(complex)
@@ -215,7 +234,7 @@ def certified_interval(rho, sigma, eps) -> tuple[float, float]:
 def counted(blocks) -> list:
     """The points at which ``blocks`` is read from now on."""
     calls, alpha_strict = [], blocks.alpha_strict
-    blocks.alpha_strict = lambda t, tol: calls.append(t) or alpha_strict(t, tol)
+    blocks.alpha_strict = lambda t: calls.append(t) or alpha_strict(t)
     return calls
 
 
@@ -256,7 +275,7 @@ class TestStackedNP:
     def assert_matches(rho, sigma, eps):
         blocks, ref = ent._Blocks(rho, sigma), oracles.PerBlockNP(rho, sigma)
         for t in (0.0, 0.3, 1.0, 2.5, 17.0):
-            assert abs(blocks.alpha_strict(t, 0.0) - ref.alpha_strict(t, 0.0)) <= 2.0**-46
+            assert abs(blocks.alpha_strict(t) - ref.alpha_strict(t)) <= 2.0**-46
         certified_interval(rho, sigma, eps)
 
     @pytest.mark.parametrize("n_blocks", [1, 3, 6])
@@ -338,8 +357,8 @@ class TestNPBracket:
         rho, sigma = [oracles.random_density(rng, 2)], [oracles.random_density(rng, 2)]
         blocks = ent._Blocks(rho, sigma)
         low, high = blocks.jumps()
-        assert blocks.alpha_strict(low * (1 + 1e-9), 0.0) < 0.5
-        assert blocks.alpha_strict(high * (1 - 1e-9), 0.0) > 0.99
+        assert blocks.alpha_strict(low * (1 + 1e-9)) < 0.5
+        assert blocks.alpha_strict(high * (1 - 1e-9)) > 0.99
         for eps in (0.5, 0.2, 0.02):
             assert self.branch(rho, sigma, eps, monkeypatch) == "root"
 
@@ -400,7 +419,7 @@ class TestNPBracket:
         # alpha_strict read 0 everywhere: no reading up to 4^200 reaches the
         # target, and the search raises rather than bracket it at t = inf
         blocks = ent._Blocks(*TIED)
-        monkeypatch.setattr(blocks, "alpha_strict", lambda t, tol: 0.0)
+        monkeypatch.setattr(blocks, "alpha_strict", lambda t: 0.0)
         with pytest.raises(ent.SolverError, match="stays below 0.5"):
             ent._np_bisect(blocks, 0.5)
 

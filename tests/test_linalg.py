@@ -257,3 +257,25 @@ class TestUhlmann:
         psi = np.array([1.0, 0.0], dtype=complex)  # system 2, mirror 1
         with pytest.raises(ValueError):
             la.uhlmann_partner(psi, *la.density_eigh(np.eye(2) / 2)[1:])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: la.as_matrix(np.zeros((2, 3))), "expected a square matrix"),
+        (lambda: la.layout(("A", 2), ("A", 3)), "duplicate factor labels"),
+        (lambda: la.layout(("A", 2), ("B", 0)), "dimensions must be >= 1"),
+        (
+            lambda: la.partial_trace(np.eye(3), la.layout(("A", 2), ("B", 2)), ["A"]),
+            "operator dim 3 != layout dim 4",
+        ),
+        (
+            lambda: la.uhlmann_partner(np.ones(5), *la.density_eigh(np.eye(2) / 2)[1:]),
+            "not divisible by the target dimension",
+        ),
+    ],
+    ids=["non_square", "duplicate_label", "zero_dimension", "partial_trace_dim", "psi_length"],
+)
+def test_malformed_inputs_are_refused(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

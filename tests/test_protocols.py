@@ -14,7 +14,7 @@ import pytest
 from povmcomp import entropies as ent
 from povmcomp import io, qobjects as qo, sdp
 from povmcomp import protocols as P
-from povmcomp.budget import OneShotBudget
+from povmcomp.budget import OneShotBudget, default_log_const
 from povmcomp.protocols import compose, compress, prep as prep_mod
 from povmcomp.protocols.compress import ABORT, SCENARIOS
 from povmcomp.protocols.hashing import HashScheme
@@ -234,6 +234,28 @@ def test_budget_rejects_non_finite_fields(field, value):
         OneShotBudget(**fields)
 
 
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: default_log_const(1.0), ValueError, r"eps must lie in \(0, 1\)"),
+        (lambda: OneShotBudget(0.0, r_x=1.0), ValueError, r"eps must lie in \(0, 1\)"),
+        (lambda: OneShotBudget(0.1, r_x=1.0, c_y=-0.5), ValueError, "rate c_y must be nonnegative"),
+        (lambda: compress.AdversaryScenario(False, False), ValueError, "at least one link"),
+        (
+            lambda: compress.plan_codebooks(
+                P.prepare(io.load_bundled("qubit_cq")), OneShotBudget(GOLDEN_EPS, r_x=0.0), GOLDEN_C
+            ),
+            compress.BudgetError,
+            "X link budget",
+        ),
+    ],
+    ids=["log_const_eps", "budget_eps", "negative_rate", "no_link", "rates_below_thresholds"],
+)
+def test_out_of_range_inputs_are_refused(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 def test_golden_thresholds_with_certified_verdicts(solved):
     name, _, th, solves = solved
     want = _golden()[name]
@@ -399,9 +421,9 @@ def test_unhashed_links_tabulate_nothing(solved, monkeypatch):
     calls, rows = [], []
     fibers, build = HashScheme.fibers, compose.sequential_kraus
 
-    def counting_fibers(self, count):
+    def counting_fibers(self):
         calls.append("fibers")
-        return fibers(self, count)
+        return fibers(self)
 
     def counting_build(tests):
         calls.append("kraus")
@@ -453,16 +475,71 @@ def test_transcript_follows_each_link(solved):
             assert tr[key] == stage.hash_scheme.apply(index)
 
 
-@pytest.mark.parametrize("wire", [{"Z": 1}, {"X": -3}], ids=["unknown_link", "negative"])
-def test_bad_wire_override_is_refused(wire):
-    # a key that names no link, or a negative width, is an error, not a
-    # silently unhashed or clamped link
-    name = "qubit_entangled_side_info"
+@pytest.mark.parametrize(
+    "name, wire",
+    [
+        ("qubit_entangled_side_info", {"Z": 1}),
+        ("qubit_entangled_side_info", {"X": -3}),
+        ("qubit_cq", {"X": 1}),
+    ],
+    ids=["unknown_link", "negative", "undecodable"],
+)
+def test_bad_wire_override_is_refused(name, wire):
+    # a key that names no link, a negative width, or a width below logL
+    # with no B register to decode a hash on, is an error, not a silently
+    # unhashed or clamped link
     prep = P.prepare(io.load_bundled(name))
     with pytest.raises(ValueError, match="wire_override"):
         P.centralised_protocol(
             prep, GOLDEN_BUDGETS[name], GOLDEN_SEED, log_const=GOLDEN_C, wire_override=wire
         )
+
+
+def test_unassisted_run_under_one_scenario_keeps_it_alone():
+    # the scenario the unassisted simulator is asked for is the full run's,
+    # to the bit, and the only one it returns
+    name = "qubit_cq"
+    prep = P.prepare(io.load_bundled(name))
+    budget = GOLDEN_BUDGETS[name]
+    full = P.simulate_unassisted(prep, budget, GOLDEN_SEED, log_const=GOLDEN_C)
+    one = P.simulate_unassisted(
+        prep, budget, GOLDEN_SEED, scenario=compress.AdversaryScenario(False, True),
+        log_const=GOLDEN_C,
+    )
+    assert list(one["scenarios"]) == ["y_only"]
+    got, want = one["scenarios"]["y_only"], full["scenarios"]["y_only"]
+    assert got["deviation"] == want["deviation"]
+    assert got["output"].keys() == want["output"].keys()
+    for key, op in want["output"].items():
+        assert np.array_equal(got["output"][key], op), key
+
+
+def test_one_shot_region_is_the_union_of_its_cells():
+    # qubit_cq's theta 0.5 region has one cell per split axis; a point just
+    # above one cell's facets, and below another's, is admitted
+    prep = P.prepare(io.load_bundled("qubit_cq"))
+    region = P.one_shot_region(prep, GOLDEN_EPS, theta_grid=(0.5,))
+    assert not region.admits(0.0, 0.0, 0.0, 0.0)
+    cells = collections.defaultdict(list)
+    for h in region.constraints:
+        cells[h.provenance["axis"]].append(h)
+    assert len(cells) == 2
+
+    def meets(cell, point):
+        return all(sum(h.coeffs.get(k, 0.0) * v for k, v in point.items()) > h.rhs for h in cell)
+
+    for axis, cell in cells.items():
+        point = dict.fromkeys(("R_X", "R_Y", "C_X", "C_Y"), 0.0)
+        for h in cell:
+            if len(h.coeffs) == 1:
+                point[next(iter(h.coeffs))] = h.rhs + 1.0
+        for h in cell:
+            if len(h.coeffs) == 2:
+                rate, coin = sorted(h.coeffs, reverse=True)
+                point[coin] = max(0.0, h.rhs - point[rate]) + 1.0
+        assert meets(cell, point)
+        assert not any(meets(other, point) for a, other in cells.items() if a != axis)
+        assert region.admits(point["R_X"], point["R_Y"], point["C_X"], point["C_Y"]), axis
 
 
 def test_abort_key_is_no_real_outcome(solved):
@@ -736,7 +813,7 @@ def test_centralised_runs_on_sparse_joint_povm(instrument_derived):
 def _signature_pairs(stage, codebook) -> set:
     """Distinct (coin, class sequence in decoder order) of the link's
     multi-candidate fibers, found by brute force."""
-    hashes = stage.hash_scheme.apply_many(np.arange(codebook.messages))
+    hashes = stage.hash_scheme.apply_many(np.arange(2**stage.log_l))
     pairs = set()
     for k in range(codebook.coins):
         offsets = codebook.offsets(k)
@@ -953,9 +1030,9 @@ def test_decode_thresholds_read_few_points(monkeypatch):
     # reads 54, 56 and 55
     counts, alpha_strict, bisect = [], ent._Blocks.alpha_strict, ent._np_bisect
 
-    def counted_alpha(self, t, tol):
+    def counted_alpha(self, t):
         counts[-1] += 1
-        return alpha_strict(self, t, tol)
+        return alpha_strict(self, t)
 
     def counted_bisect(blocks, target):
         counts.append(0)

@@ -565,3 +565,27 @@ def test_an_instance_that_loads_prepares(dims, seed, state_share, complete_share
     rho_a = prep.spectrum_a[0]
     assert np.array_equal(rho_a, rho_a.conj().T)
     P.thresholds(prep, 0.1)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: qo.Distribution(("a", "b"), np.array([1.0])), "sizes differ"),
+        (lambda: qo.Distribution(("a", "b"), np.array([0.5, 0.4])), "sum to 0.9, not 1"),
+        (
+            lambda: qo.JointPOVM(
+                ("0", "1"), ("y",), {("0", "y"): np.eye(2) / 2, ("1", "y"): np.eye(3) / 2}
+            ),
+            "inconsistent dimensions",
+        ),
+        (
+            lambda: qo.Instrument({("0", "y"): np.eye(2) / 2, ("1", "y"): np.zeros((2, 3))}),
+            "inconsistent input dimension",
+        ),
+        (lambda: io.load_bundled("no_such_instance"), "unknown bundled instance"),
+    ],
+    ids=["distribution_size", "distribution_sum", "povm_dims", "instrument_dims", "bundled_name"],
+)
+def test_malformed_inputs_are_refused(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

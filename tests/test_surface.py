@@ -1,26 +1,32 @@
 """The library's test-only surface, pinned.
 
 A public top-level function or class of ``povmcomp``, or a public method of
-one of its classes, is test-only when no module under ``src/povmcomp`` or
-``bench/`` names it in code: as a name, as an attribute, or as a part of a
-string constant that is a dotted name (the bench probes name their targets
-by string).  The pin is transitive: a reference inside the body of a
-test-only function or method, or of a private helper that only such code
-names, is no reference either.  Dunder methods are called by the language,
-so they are exempt.  Comments and the prose of docstrings are no reference.
+one of its classes, is test-only when no code under ``src/povmcomp`` or
+``bench/`` reaches it.  Code names a name as a ``Name`` or as an attribute.
+The reach starts at module-level code, at every line of ``bench/`` and at
+the dunder methods, which the language calls; a reference inside the body
+of a library function or method counts only once that function or method
+is reached.  So a name's references from its own body, or from code that
+only test-only code reaches, are none.  Three kinds of reference do not
+count:
+
+- a string constant: the bench probes name their targets by string, and a
+  probe wraps a function but does not call it;
+- under ``bench/``, an attribute read of a name that ``bench/`` defines
+  itself: ``rec.to_payload()`` calls ``bench/spans.py``'s
+  ``Recorder.to_payload``, not the library's;
+- comments and the prose of docstrings.
+
 A package ``__init__`` does not count, so a re-export is no reference.  New
 library code that only tests call goes into ``TEST_ONLY`` on purpose, and
 code that gains a caller leaves it.
 
-Names are matched by name alone, so a name can still hide behind another
-of the same name: ``Instance.to_payload`` has no caller but the test-only
-``save_instance``, yet ``bench/spans.py`` defines and calls its own
-``Recorder.to_payload``.
+Within the library, names are still matched by name alone, so a name can
+hide behind a reached library name of the same name.
 """
 
 import ast
 import os
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -30,10 +36,12 @@ ROOT = Path(__file__).resolve().parent.parent
 # each with the ROADMAP item that is to give it a caller; a name that only
 # a pinned name's code calls has that name's item
 TEST_ONLY = {
-    "covering_sweep",  # item 9
+    "covering_sweep",  # item 26
     "trace_norm",  # covering_sweep's
     "save_instance",  # items 8 and 11
     "dumps_canonical",  # save_instance's
+    "Instance.to_payload",  # items 8 and 11, save_instance's
+    "matrix_to_json",  # Instance.to_payload's
     "compose_with_side_information",  # item 14
     "JointPOVM.marginal_x_element",  # compose_with_side_information's, through _marginal_instance
     "JointPOVM.element",  # marginal_x_element's
@@ -42,6 +50,8 @@ TEST_ONLY = {
     "povm_from_elements",  # instrument_to_povm's
     "distribution_power",  # items 4 and 6
     "cq_tensor_power",  # items 4 and 6
+    "d_max_smooth",  # item 18
+    "d_hyp",  # item 19
     # to be called by the command-line run at its default budget, and by a
     # pinned default-budget run whose links hash (items 7 and 10)
     "budget_from_thresholds",
@@ -52,27 +62,20 @@ TEST_ONLY = {
 TEST_ONLY_FIELDS = set()
 
 
-def _words(node: ast.AST):
-    """The identifiers one node names in code: a ``Name`` id, an
-    ``Attribute`` name, or the dot-separated parts of a string constant
-    that is a dotted name, such as ``"Session.solve"``."""
-    if isinstance(node, ast.Name):
-        yield node.id
-    elif isinstance(node, ast.Attribute):
-        yield node.attr
-    elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-        if re.fullmatch(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*", node.value):
-            yield from node.value.split(".")
-
-
-def _owned_words(tree: ast.Module, library: bool) -> list:
-    """(word, owner) of every identifier a module names in code (``_words``):
-    the owner is the top-level function or class, or the method of a
-    top-level class, whose code holds it, and None at module level and
-    everywhere in a module outside the library."""
+def _owned_words(tree: ast.Module, library: bool, foreign: set) -> list:
+    """(word, owner) of every identifier a module names in code: a ``Name``
+    id, or an ``Attribute`` name not in ``foreign``.  The owner is the
+    top-level function or class, or the method of a top-level class, whose
+    code holds it, and None at module level and everywhere in a module
+    outside the library."""
 
     def walk(node, owner):
-        return [(word, owner) for sub in ast.walk(node) for word in _words(sub)]
+        return [
+            (sub.id if isinstance(sub, ast.Name) else sub.attr, owner)
+            for sub in ast.walk(node)
+            if isinstance(sub, ast.Name)
+            or (isinstance(sub, ast.Attribute) and sub.attr not in foreign)
+        ]
 
     out = []
     for top in tree.body:
@@ -123,20 +126,34 @@ def test_only_tests_call_the_pinned_names():
         and item.name.startswith("_")
         and not item.name.startswith("__")
     ]
-    owners = {}
-    for path, tree in trees.items():
-        for word, owner in _owned_words(tree, path.is_relative_to(ROOT / "src")):
-            owners.setdefault(word, []).append(owner)
-    # a definition is no ast.Name, so a name the code never uses has no
-    # owners; grow the dead names from those until every reference to a
-    # name sits in dead code
+    # the names bench/ defines, whose attribute reads there are its own
+    bench = {
+        node.name
+        for path, tree in trees.items()
+        if not path.is_relative_to(ROOT / "src")
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    refs = [
+        ref
+        for path, tree in trees.items()
+        for ref in (
+            _owned_words(tree, True, set())
+            if path.is_relative_to(ROOT / "src")
+            else _owned_words(tree, False, bench)
+        )
+    ]
+    # a definition is no ast.Name, so a name is reached only by a reference
+    # whose owner is a root (None, or a dunder) or is reached itself; grow
+    # the reached names until no reached code names another
     names = {name for _, name in public + methods} | set(helpers)
-    dead = set()
+    reached = set()
     while True:
-        grown = {name for name in names if all(o in dead for o in owners.get(name, []))}
-        if grown == dead:
+        grown = {word for word, owner in refs if owner not in names or owner in reached}
+        if grown == reached:
             break
-        dead = grown
+        reached = grown
+    dead = names - reached
     test_only = {label for label, name in public + methods if name in dead}
     assert test_only == TEST_ONLY
 
