@@ -27,9 +27,6 @@ from . import sdp
 # the widest certified interval [lower, value] of an I_max^eps, in bits; the
 # name outlives the bisection it once bounded because the bench reads it
 BISECT_TOL_BITS = 1e-3
-# ``_t_star_cap`` takes its bound on the crossing when the bound's shift is
-# at most this share of the crossing, and the fallback otherwise
-CROSSING_TOL = 1e-6
 
 
 class SolverError(RuntimeError):
@@ -353,21 +350,22 @@ def _np_threshold(blocks: _Blocks, eps: float) -> tuple[np.ndarray, float, float
     return tests, alpha, beta, t * target - float(np.maximum(d, 0.0).sum())
 
 
-def _certified(blocks: _Blocks, tests: np.ndarray, test: NPTest, eps: float) -> float:
+def _certified(blocks: _Blocks, test: NPTest, eps: float) -> float:
     """-log2 of ``test``'s beta once its checks pass; else SolverError
     with both ends and the residuals.
 
-    Primal: the tests T_b, on their own, have eigenvalues in [0, 1], and
-    sum_b Tr T_b rho_b >= 1 - eps and sum_b Tr T_b sigma_b are the test's
-    alpha and beta.  Dual: weak duality gives the optimal
+    Primal: the tests T_b of ``test.tests``, on their own, have
+    eigenvalues in [0, 1], and sum_b Tr T_b rho_b >= 1 - eps and
+    sum_b Tr T_b sigma_b are the test's alpha and beta.  Dual: weak duality gives the optimal
     beta* >= mu (1 - eps) - sum_b Tr(mu rho_b - sigma_b)_+ at every
     mu >= 0 (Wang and Renner, arXiv:1007.5456), as ``dual_beta`` is.  So
     I_H^eps lies in [-log2 beta, -log2 dual_beta].  Each residual, and the
     interval's width in bits either way round, must be at most NP_TOL.
     """
-    stack = np.stack(tests)
-    ends = np.linalg.eigvalsh(stack)
-    alpha, beta = (float(np.einsum("nij,nji->", stack, m).real) for m in (blocks.rho, blocks.sigma))
+    ends = np.linalg.eigvalsh(test.tests)
+    alpha, beta = (
+        float(np.einsum("nij,nji->", test.tests, m).real) for m in (blocks.rho, blocks.sigma)
+    )
     value, upper = (
         -math.log2(b) if b > 0.0 else math.inf for b in (test.achieved_beta, test.dual_beta)
     )
@@ -387,7 +385,7 @@ def _np_test(rho_blocks, sigma_blocks, eps: float, sigma_mass=None) -> tuple[flo
     pair; ``sigma_mass`` is ``_Blocks``'."""
     blocks, eps = _Blocks(rho_blocks, sigma_blocks, sigma_mass), _validate_eps(eps)
     test = NPTest(*_np_threshold(blocks, eps))
-    return _certified(blocks, test.tests, test, eps), test
+    return _certified(blocks, test, eps), test
 
 
 def d_hyp(rho, sigma, eps: float) -> tuple[float, NPTest]:
@@ -503,45 +501,51 @@ def _ball_blocks(pairs) -> tuple[list[np.ndarray], list[np.ndarray], float]:
 
     Array passes over all the pairs at once, with no loop over components.
     The pairs are stacked, and the field is decided once for all of them
-    (``_real_parts``).  Three passes:
+    (``_real_parts``).  Two passes:
 
-    - The cut.  Each component c of a pair's joint support pattern of
-      (rho_k, sigma_k) (labels from ``_support_components``, grouped by
-      size by ``_by_size``) is taken to the eigenbasis V_c of sigma_c, from
-      one stacked ``eigh`` per component size across all the pairs, its
+    - The cut and the rotation, in one loop over component sizes.  Each
+      component c of a pair's joint support pattern of (rho_k, sigma_k)
+      (labels from ``_support_components``, grouped by size by
+      ``_by_size``) is taken to the eigenbasis V_c of sigma_c, from one
+      stacked ``eigh`` per component size across all the pairs, its
       columns in descending eigenvalue order: rho_c becomes
       V_c^H rho_c V_c and sigma_c its spectrum w.  Eigenvalues at most
       ``la.SUPPORT_TOL`` are set to 0 and their columns of V_c zeroed, so
-      the cut pair vanishes on the directions of ker(sigma_c).  The pass
-      also takes one stacked ``eigvalsh`` of rho_c per size: its least
-      eigenvalue, which is each rho_k's (up to the entries below
-      ``la.SUPPORT_TOL`` that the pattern drops), and sigma's get
-      ``la.assert_psd``'s check.  It reads rho_k's own spectrum, since the
-      cut drops a negative part on ker(sigma); ``_cq_pairs`` takes no
-      spectrum of its own.
-    - The rotation.  Each component's part on supp(sigma_c), its first
-      indices (as many as w keeps, so its least index and label stay), is
-      rotated into the eigenbasis of its cut rho, and each kernel
-      direction is a component alone, whose cut pair is 0: U_c from one
-      stacked ``eigh`` per part size, its columns in descending eigenvalue
-      order, and sigma'_c = U_c^H diag(w) U_c, positive definite.
+      the cut rho_c has an exact zero row and column on each direction of
+      ker(sigma_c).  The loop also takes one stacked ``eigvalsh`` of rho_c
+      per size: its least eigenvalue, which is each rho_k's (up to the
+      entries below ``la.SUPPORT_TOL`` that the pattern drops), and
+      sigma's get ``la.assert_psd``'s check.  It reads rho_k's own
+      spectrum, since the cut drops a negative part on ker(sigma);
+      ``_cq_pairs`` takes no spectrum of its own.  Then the cut rho_c is
+      rotated into its eigenbasis: U_c from one stacked ``eigh`` per size,
+      its columns in descending eigenvalue order, and
+      sigma'_c = U_c^H diag(w) U_c.  A kernel direction needs no pass of
+      its own.  LAPACK's tridiagonal reduction leaves a zero row and column
+      alone and its eigensolver splits there, so ``eigh`` returns the
+      direction as a unit vector of eigenvalue 0; sigma'_c vanishes on it,
+      and the split keeps it as a rho-free sub-block alone, of trace 0.
+      On the rest, supp(sigma_c), sigma'_c is positive definite.
+      ``TestBallBlocksReference`` checks this against a reference that
+      rotates each part on supp(sigma_c) alone.
     - The split.  Each rotated component is split again by the pattern of
       sigma', with the same ``la.SUPPORT_TOL`` mask, whose components lie
       inside the rotated ones, and the sub-blocks of each size are cut out
       as one stack.  A sub-block's rank r counts its kept eigenvalues
       (above ``la.SUPPORT_TOL``), which come first, in descending order,
-      before its kernel directions; its sigma_b is a principal block of a
-      positive definite sigma'_c, and it is real when its imaginary parts
-      are within ``la.REAL_TOL`` (tested over each stack at once).  Each
+      before its kernel directions; its sigma_b is a principal block of
+      sigma'_c on supp(sigma_c), so positive definite, and it is real
+      when its imaginary parts are within ``la.REAL_TOL`` (tested over
+      each stack at once).  Each
       size's stack is split by (r, field) into the groups, and a sub-block
       with r = 0 is rho-free and adds Tr sigma_b to s0 (0 on a kernel
       direction).  Sub-blocks are ranked pair by pair, and within a pair
-      by their least index, so the parts of two components may
+      by their least index, so the sub-blocks of two components may
       interleave: each group keeps that order, the groups come in the
       order of their first sub-block (group-major), and s0 adds its traces
       one by one in that order.
 
-    The three passes, the fold of the rho-free sub-blocks into one scalar
+    The two passes, the fold of the rho-free sub-blocks into one scalar
     and the pose of each fidelity on supp(rho_b) that ``sdp`` makes are
     exact, so the ball's least t is 2^(D_max^eps) of the pairs; this is
     the one place the argument is written.  Smooth entropies are invariant
@@ -586,35 +590,22 @@ def _ball_blocks(pairs) -> tuple[list[np.ndarray], list[np.ndarray], float]:
     the cut rho.
     """
     rho, sigma = _real_parts(*(np.stack(mats) for mats in zip(*pairs)))
-    # the cut: each component in its sigma_c's eigenbasis, in descending
-    # eigenvalue order, the kernel's directions zeroed; sigma_c's spectrum
-    # is kept as a diagonal
-    cut, diag, least = np.zeros_like(rho), np.zeros(rho.shape[:2]), []
-    labels = _support_components([rho, sigma])
-    parts = _by_size(labels)
-    for _, k, ix in parts:
+    # each component cut to its sigma_c's eigenbasis, the kernel's columns
+    # zeroed, then rotated into its cut rho's eigenbasis, both in
+    # descending eigenvalue order, with sigma_c's spectrum w taken there
+    eigs, rotated, least = np.zeros(rho.shape[:2]), np.zeros_like(sigma), []
+    for _, k, ix in _by_size(_support_components([rho, sigma])):
         at = k[:, None, None], ix[:, :, None], ix[:, None, :]
         w, v = np.linalg.eigh(sigma[at])
         block = rho[at]
         least += [np.linalg.eigvalsh(block)[:, 0].min(), w[:, 0].min()]
         w, v = np.where(w > la.SUPPORT_TOL, w, 0.0)[:, ::-1], v[..., ::-1]
         v = v * (w > 0.0)[:, None, :]
-        cut[at] = np.swapaxes(v.conj(), -1, -2) @ block @ v
-        diag[k[:, None], ix] = w
-    la._check_psd(float(min(least)))
-    # each component's part on supp(sigma_c), under its label, in its cut
-    # rho's eigenbasis, in descending eigenvalue order on its own indices,
-    # so a sorted part of it lists its kept directions first; each kernel
-    # direction alone (with no kernel, the parts are the components)
-    eigs, rotated = np.zeros(rho.shape[:2]), np.zeros_like(sigma)
-    if not (diag > 0.0).all():
-        parts = _by_size(np.where(diag > 0.0, labels, np.arange(labels.shape[1])))
-    for _, k, ix in parts:
-        at = k[:, None, None], ix[:, :, None], ix[:, None, :]
-        w, u = np.linalg.eigh(cut[at])
+        lam, u = np.linalg.eigh(np.swapaxes(v.conj(), -1, -2) @ block @ v)
         u = u[..., ::-1]
-        eigs[k[:, None], ix] = w[:, ::-1]
-        rotated[at] = (np.swapaxes(u.conj(), -1, -2) * diag[k[:, None], ix][:, None, :]) @ u
+        eigs[k[:, None], ix] = lam[:, ::-1]
+        rotated[at] = (np.swapaxes(u.conj(), -1, -2) * w[:, None, :]) @ u
+    la._check_psd(float(min(least)))
     groups, free_ids, free_traces = [], [np.zeros(0, dtype=int)], [np.zeros(0)]
     for ids, k, ix in _by_size(_support_components([rotated])):
         eig, sb = eigs[k[:, None], ix], rotated[k[:, None, None], ix[:, :, None], ix[:, None, :]]
@@ -673,9 +664,11 @@ def d_max_smooth(rho, sigma, eps: float) -> float:
       whose sum_b Tr Lambda_b, with its round-off bound, is below
       1 - eps^2 has no feasible point and is +inf, with no solve
       (``_short``).
-    - Split: each component of the cut is posed in the eigenbasis of its
-      rho_c and split again by the pattern of its rotated sigma'_c.  A
-      degenerate spectrum can only hide a split, never make a wrong one.
+    - Split: each cut component is posed in the eigenbasis of its cut
+      rho_c, in the cut's own pass, and split again by the pattern of its
+      rotated sigma'_c, in which each direction of ker(sigma_c) is a
+      rho-free sub-block alone, of trace 0.  A degenerate spectrum can
+      only hide a split, never make a wrong one.
     - Fold: the rho-free sub-blocks are one scalar w, with w >= 0 and
       t s0 - w >= 0, s0 = sum_b Tr sigma_b over them; when s0 is 0 there
       is no w.
@@ -886,10 +879,12 @@ def _t_star_cap(segment: tuple, c: float, sigmas: np.ndarray, free_mass: float) 
     exact data is then the computed residual, its own rounding (4u times
     its terms), the data's errors times G's partial derivatives, and c's
     rounding (2u c + u / c); dividing twice that by G'(root), which is
-    positive on the segment since F grows with t, bounds r* - root.  When
-    G' is not positive or the shift is not small (an ill-conditioned
-    crossing), the crossing's t is raised by 2^(BISECT_TOL_BITS / 4)
-    instead, which the certified interval still holds.
+    positive on the segment since F grows with t, bounds r* - root.  The
+    bound (root + shift)^2 is taken whenever it is no higher than the
+    fallback root^2 2^(BISECT_TOL_BITS / 4), that is when
+    shift <= root (2^(BISECT_TOL_BITS / 8) - 1).  Else (G' not positive,
+    or an ill-conditioned crossing) the crossing's t is raised by
+    2^(BISECT_TOL_BITS / 4), which the certified interval still holds.
     """
     root, a, s, rest = segment
     u = 2.0**-53
@@ -905,7 +900,7 @@ def _t_star_cap(segment: tuple, c: float, sigmas: np.ndarray, free_mass: float) 
         slope = a - s * root * rest / tail if tail > 0.0 else -math.inf
         err += g * rest * s * root * root / (2.0 * tail) if tail > 0.0 else math.inf
     shift = 2.0 * err / slope if slope > 0.0 else math.inf
-    if not shift <= CROSSING_TOL * root:
+    if not shift <= root * (2.0 ** (BISECT_TOL_BITS / 8.0) - 1.0):
         return max(t_min, root * root * 2.0 ** (BISECT_TOL_BITS / 4.0))
     return max(t_min, _rounded_up((root + shift) ** 2, u))
 

@@ -84,8 +84,8 @@ sigma the cube of the gap ratio the predictor would reach (X o Y =
 (XY + YX) / 2); the step goes ``STEP_TO_BOUNDARY`` of the way to the
 cone's boundary, at most 1, from one ``eigvalsh`` per block size of the
 paired directions.  A value stops "optimal" once its dual residual and
-gap <s, z> are at most ``GAP_TOL`` max(1, t) and its point passes
-``recheck``; it stops "maxIterations" after ``IPM_MAX_ITER`` steps, once
+gap <s, z> are at most ``GAP_TOL`` t, relative to t at every scale of
+sigma, and its point passes ``recheck``; it stops "maxIterations" after ``IPM_MAX_ITER`` steps, once
 its gap passes the start's gap / ``GAP_TOL`` (the iterates diverge), or
 when its step's linear algebra fails.
 
@@ -1014,7 +1014,7 @@ def minimize_balls(balls: list[Ball]) -> list[BallSolve]:
         stopped = {}
         for j, i in enumerate(active):
             res, point = own[j], None
-            if max(dual[j], gap[j]) <= GAP_TOL * max(1.0, abs(obj[j])):
+            if max(dual[j], gap[j]) <= GAP_TOL * abs(obj[j]):
                 point = batch.point(st, j)
                 res.update(recheck(balls[i], point))
                 if within_tolerance(res):

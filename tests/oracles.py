@@ -1071,7 +1071,11 @@ def ball_blocks_reference(ent, pairs) -> tuple[list, float]:
     breadth-first search, sub-block by sub-block in order of least index,
     each one's field from ``ent._real_parts`` on its own.  Returns a plain
     list of (Lambda_b, sigma_b) in that order, and s0; the library holds
-    the same sub-blocks stacked by (r, d, field)."""
+    the same sub-blocks stacked by (r, d, field).  The library rotates
+    each cut component whole, kernel directions included, where this
+    rotates its part on supp(sigma_c) and each kernel direction alone:
+    the same bits when sigma_c has no kernel, the same sub-blocks up to
+    round-off and a basis of each degenerate eigenspace when it has one."""
     cut, diag, parts = cut_reference(ent, pairs)
     eigs, rotated = np.zeros(cut.shape[:2]), np.zeros_like(cut)
     for k, ix, at in _components_by_size(parts):

@@ -457,14 +457,13 @@ class TestNPCertificate:
     @staticmethod
     def threshold(rho, sigma, eps):
         blocks = ent._Blocks(rho, sigma)
-        tests, alpha, beta, dual = ent._np_threshold(blocks, eps)
-        test = ent.NPTest(tests, alpha, beta, dual)
-        assert ent._certified(blocks, tests, test, eps) < math.inf
-        return blocks, tests, test
+        test = ent.NPTest(*ent._np_threshold(blocks, eps))
+        assert ent._certified(blocks, test, eps) < math.inf
+        return blocks, test
 
-    def failed(self, blocks, tests, test, eps) -> dict:
+    def failed(self, blocks, test, eps) -> dict:
         with pytest.raises(ent.SolverError, match="not certified") as info:
-            ent._certified(blocks, tests, test, eps)
+            ent._certified(blocks, test, eps)
         return info.value.residuals
 
     @pytest.mark.parametrize("seed", [None, 5])
@@ -476,10 +475,12 @@ class TestNPCertificate:
         if seed is not None:
             rng = np.random.default_rng(seed)
             pair = [oracles.random_density(rng, 2)], [oracles.random_density(rng, 2)]
-        blocks, tests, test = self.threshold(*pair, 0.2)
+        blocks, test = self.threshold(*pair, 0.2)
         alpha, beta = scale * test.achieved_alpha, scale * test.achieved_beta
-        scaled = dataclasses.replace(test, achieved_alpha=alpha, achieved_beta=beta)
-        residuals = self.failed(blocks, [scale * t for t in tests], scaled, 0.2)
+        scaled = dataclasses.replace(
+            test, tests=scale * test.tests, achieved_alpha=alpha, achieved_beta=beta
+        )
+        residuals = self.failed(blocks, scaled, 0.2)
         assert residuals[fails] > 1e-10 and residuals["beta"] <= ent.NP_TOL
 
     def test_bracket_off_the_threshold(self, monkeypatch):
@@ -496,7 +497,7 @@ class TestNPCertificate:
         # the dual is the Lagrange bound at the middle t of the bracket; at
         # mu = t (1 + 1e-6) instead, at a jump, the bound falls first order
         # in mu - t below beta
-        blocks, tests, test = self.threshold(*TIED, eps)
+        blocks, test = self.threshold(*TIED, eps)
         t = sum(ent._np_bisect(blocks, 1.0 - eps)) / 2.0
 
         def dual(mu):
@@ -505,7 +506,7 @@ class TestNPCertificate:
 
         assert abs(test.dual_beta - dual(t)) <= ent.NP_TOL
         off = dataclasses.replace(test, dual_beta=dual(t * (1.0 + 1e-6)))
-        residuals = self.failed(blocks, tests, off, eps)
+        residuals = self.failed(blocks, off, eps)
         assert residuals["width"] > 1e-8
         assert max(residuals[k] for k in ("range", "alpha", "beta")) <= ent.NP_TOL
 
@@ -885,9 +886,10 @@ class TestWaterFill:
 
     def test_an_ill_conditioned_crossing_is_raised_by_a_quarter_tolerance(self):
         # at eps 1e-8 the crossing of the second pair is too flat for the
-        # error bound of its root (the shift would pass 1e-6 of the root), so
-        # its t is raised by 2^(BISECT_TOL_BITS / 4), and both certificates
-        # still hold; at eps 1e-7 the bound holds and the value barely moves
+        # error bound of its root (the bound would lie above the fallback),
+        # so its t is raised by 2^(BISECT_TOL_BITS / 4), and both
+        # certificates still hold; at eps 1e-7 the bound is taken and the
+        # value barely moves
         rho, sigma, _, _ = commuting_pairs(False)[1]
         raised = ent.d_max_smooth(rho, sigma, 1e-8) - ent.d_max_smooth(rho, sigma, 1e-7)
         assert 0.9 < raised / (ent.BISECT_TOL_BITS / 4) < 1.1
@@ -1251,12 +1253,11 @@ class TestSupportComponents:
 
     def test_one_eigh_per_component_size(self, monkeypatch):
         # components of sizes 1, 2 and 3 that carry rho, rho-free ones of
-        # sizes 1 and 2: per component size one eigh of sigma (the cut) and
-        # one eigvalsh of rho (its PSD check), then one eigh of the cut rho
-        # per component size of the cut, whose components that carry rho
-        # are the pair's (rho_c and sigma_c have full rank there).  Each
-        # spectrum is that of the cut component's own eigh, and each
-        # sigma_b is sigma_c's spectrum in that eigenbasis
+        # sizes 1 and 2: per component size, in ascending order, one eigh
+        # of sigma (the cut), one eigvalsh of rho (its PSD check) and one
+        # eigh of the cut rho (the rotation).  Each spectrum is that of the
+        # cut component's own eigh, and each sigma_b is sigma_c's spectrum
+        # in that eigenbasis
         rho, sigma = block_pair(np.random.default_rng(41), [2, 1, 3, 2, 1], [2, 1], zero=1)
         comps = oracles.support_components_oracle([rho, sigma])
         eigh, eigvalsh, calls = np.linalg.eigh, np.linalg.eigvalsh, []
@@ -1269,8 +1270,8 @@ class TestSupportComponents:
         blocks, _ = ref.plain(*ball(rho, sigma))
         monkeypatch.undo()
         assert sorted({len(c) for c in comps}) == [1, 2, 3]
-        cut = [call for size in (1, 2, 3) for call in (("eigh", size), ("eigvalsh", size))]
-        assert calls == cut + [("eigh", 1), ("eigh", 2), ("eigh", 3)]
+        per_size = ("eigh", "eigvalsh", "eigh")
+        assert calls == [(name, size) for size in (1, 2, 3) for name in per_size]
         want = []
         for c in comps:
             w, v = np.linalg.eigh(sigma[np.ix_(c, c)])
@@ -1294,8 +1295,8 @@ class TestSupportComponents:
         # a classical-copy pair cut into its classes, as a cq state's pairs:
         # the sub-blocks, their order (pair by pair, then by least original
         # index) and s0 are those of the dense direct sum, to the bit, from
-        # one eigh per component size across all the pairs for the cut and
-        # one per component size of the cut for the rotation
+        # two eighs per component size across all the pairs: the cut's and
+        # the rotation's
         eigh, calls = np.linalg.eigh, []
 
         def counting(a):
@@ -1312,8 +1313,7 @@ class TestSupportComponents:
                 patch.setattr(np.linalg, "eigh", counting)
                 blocks, free = ref.plain(*ent._ball_blocks(pairs))
             sizes = {len(c) for r, s in pairs for c in oracles.support_components_oracle([r, s])}
-            cut_sizes = {len(c) for _, c in oracles.cut_reference(ent, pairs)[2]}
-            assert calls == sorted(sizes) + sorted(cut_sizes)
+            assert calls == [size for size in sorted(sizes) for _ in range(2)]
             calls.clear()
             assert free == want_free
             assert len(blocks) == len(want_blocks)
@@ -1345,12 +1345,14 @@ def assert_same_sub_blocks(got, want) -> None:
         assert eigs.tobytes() == want_eigs.tobytes() and sb.tobytes() == want_sb.tobytes()
 
 
-def degenerate_pairs(rng) -> list:
+def degenerate_pairs(rng, kernel: bool = False) -> list:
     """Seeded pairs (rho_k, sigma_k) of one dimension, the indices of each
     shuffled: per pair, blocks of 1 to 9 indices whose rho has a
     degenerate spectrum (some of it 0) in a random complex basis, under a
     sigma that is a random complex density, or commutes with rho there
-    (so its rotated sigma is real up to round-off), or is the only mass."""
+    (so its rotated sigma is real up to round-off), or is the only mass.
+    With ``kernel``, rho has 0 in its spectrum and sigma a kernel inside
+    every block: rank one less than the block's size (0 on one index)."""
     d, out = int(rng.integers(4, 13)), []
     for _ in range(int(rng.integers(1, 4))):
         rho, sigma = np.zeros((d, d), dtype=complex), np.zeros((d, d), dtype=complex)
@@ -1361,12 +1363,19 @@ def degenerate_pairs(rng) -> list:
             u = np.linalg.qr(rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size)))[0]
             vals = rng.choice([0.0, 0.2, 0.2, 0.5], size=size)
             kind = int(rng.integers(0, 3))
+            if kernel:
+                vals[0] = 0.0
             if kind < 2:
                 rho[sl, sl] = u @ np.diag(vals) @ u.conj().T
             if kind == 1:
-                sigma[sl, sl] = u @ np.diag(rng.choice([0.1, 0.3], size=size)) @ u.conj().T
-            else:
+                spectrum = rng.choice([0.1, 0.3], size=size)
+                if kernel:
+                    spectrum[rng.integers(size)] = 0.0
+                sigma[sl, sl] = u @ np.diag(spectrum) @ u.conj().T
+            elif not kernel:
                 sigma[sl, sl] = oracles.random_density(rng, size)
+            elif size > 1:
+                sigma[sl, sl] = oracles.random_density(rng, size, size - 1)
             pos += size
         perm = rng.permutation(d)
         out.append((rho[np.ix_(perm, perm)], sigma[np.ix_(perm, perm)]))
@@ -1400,6 +1409,37 @@ class TestBallBlocksReference:
             fields.update(sigma.dtype.kind for _, sigma in ref.plain(*got)[0])
             fields["free"] += got[2] > 0.0
         assert fields["c"] and fields["f"] and fields["free"]
+
+    def test_seeded_pairs_whose_sigma_has_a_kernel(self):
+        # the library rotates each cut component whole, the reference its
+        # part on supp(sigma_c), each kernel direction alone.  A kernel
+        # direction is a zero row and column of the cut, last in descending
+        # order, which eigh returns as a unit vector of eigenvalue 0, so the
+        # sub-blocks and their groups and order agree, as do the spectra
+        # and s0 up to round-off.  In a degenerate eigenspace the two eighs
+        # may pick different bases, so sigma_b is compared by its spectrum
+        rng, fields = np.random.default_rng(91), collections.Counter()
+        for _ in range(300):
+            pairs = degenerate_pairs(rng, kernel=True)
+            got = ent._ball_blocks(pairs)
+            (blocks, free), (want_blocks, want_free) = (
+                ref.plain(*got),
+                reference_group_major(oracles.ball_blocks_reference(ent, pairs)),
+            )
+            stacks = {(e.shape[1], s.shape[-1], s.dtype.kind) for e, s in zip(got[0], got[1])}
+            assert len(stacks) == len(got[0])
+            assert list(map(block_key, blocks)) == list(map(block_key, want_blocks))
+            assert abs(free - want_free) <= 1e-15
+            for (eigs, sb), (want_eigs, want_sb) in zip(blocks, want_blocks):
+                assert np.abs(eigs - want_eigs).max() <= 1e-15
+                spectrum = np.linalg.eigvalsh(sb)
+                assert spectrum[0] > 0.0
+                assert np.abs(spectrum - np.linalg.eigvalsh(want_sb)).max() <= 1e-14
+            fields.update(sigma.dtype.kind for _, sigma in blocks)
+            fields["free"] += free > 0.0
+            kept = sum(eigs.sum() for eigs, _ in blocks)
+            fields["cut"] += kept < sum(np.trace(rho).real for rho, _ in pairs) - 1e-9
+        assert fields["c"] and fields["f"] and fields["free"] and fields["cut"]
 
 
 class TestCut:
@@ -1546,14 +1586,27 @@ def region_x_pairs() -> list:
 
 class TestSmoothingSolve:
     @pytest.mark.parametrize("kappa", [1e-2, 1e2])
-    def test_value_is_covariant_under_scaling_sigma(self, region_x_pairs, kappa):
+    def test_value_is_covariant_under_scaling_sigma(self, monkeypatch, region_x_pairs, kappa):
         # D_max^eps(rho || kappa sigma) = D_max^eps(rho || sigma) - log2 kappa;
         # d_max_smooth raises SolverError unless both certificates pass, and
-        # the solve starts from a point scaled to the data, whatever kappa is
+        # the solve starts from a point scaled to the data, whatever kappa is.
+        # The stop rule is relative to t, so each scaled value's certified
+        # interval is as narrow as at kappa 1 (at most 1.4e-6 bits; an
+        # absolute rule stopped at 1.5e-5 and 1.9e-5 bits when kappa is 100)
+        widths, certified_value = [], ent._certified_value
+
+        def recording(ball, res):
+            value = certified_value(ball, res)
+            widths.append(value - math.log2(sdp.lower_bound(ball, res.dual)))
+            return value
+
         for rho, sigma in region_x_pairs:
             want = ent.d_max_smooth(rho, sigma, 0.1)
-            got = ent.d_max_smooth(rho, kappa * sigma, 0.1) + math.log2(kappa)
+            with monkeypatch.context() as patch:
+                patch.setattr(ent, "_certified_value", recording)
+                got = ent.d_max_smooth(rho, kappa * sigma, 0.1) + math.log2(kappa)
             assert abs(got - want) <= ent.BISECT_TOL_BITS
+        assert len(widths) == 3 and all(0.0 <= width <= 2e-6 for width in widths), widths
 
     def test_one_build_of_the_blocks_per_value(self, monkeypatch, region_x_pairs):
         # the solve and both certificates share one classification of the

@@ -417,7 +417,7 @@ def test_library_never_calls_unique():
 # the module-level constants that hold a tolerance at or below 1e-5: the
 # input contract's slacks and cut-offs in ``linalg`` and the few named
 # tolerances of the solvers and protocol steps
-SMALL_TOLERANCE_CONSTANTS = 14
+SMALL_TOLERANCE_CONSTANTS = 13
 
 
 def test_small_float_literals_are_named_constants():

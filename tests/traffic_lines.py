@@ -20,10 +20,10 @@ A statement is one in the body of a library function or method (nested
 ones included), its docstring excepted; a compound statement is its
 header.  It counts as reached when a line of it runs.  Per module the
 table gives the statements, how many the traffic reaches, how many only
-tier-1 reaches and how many neither reaches; the last group follows line
-by line.  Library code that only tier-1 reaches is checked, but it is no
-part of the pipeline; code that neither reaches is dead, or guards an input
-or a numerical case that no run here meets.
+tier-1 reaches and how many neither reaches; the last two groups follow
+line by line, module by module.  Library code that only tier-1 reaches is
+checked, but it is no part of the pipeline; code that neither reaches is
+dead, or guards an input or a numerical case that no run here meets.
 
 Run from the repository root; it takes a few minutes:
 
@@ -148,7 +148,7 @@ def main() -> None:
     ran_traffic = traced(traffic)
     print("tier-1:", flush=True)
     ran_tier1 = traced(tier1)
-    rows, neither = [], []
+    rows, tier1_only, neither = [], [], []
     for path in sorted(Path(LIBRARY).rglob("*.py")):
         counts = Counter()
         for line, own in statements(path):
@@ -156,6 +156,7 @@ def main() -> None:
                 counts["traffic"] += 1
             elif any((str(path), n) in ran_tier1 for n in own):
                 counts["tier-1 only"] += 1
+                tier1_only.append((path, line))
             else:
                 counts["neither"] += 1
                 neither.append((path, line))
@@ -167,10 +168,11 @@ def main() -> None:
         print(
             f"{label:<24}{c.total():>7}{c['traffic']:>9}{c['tier-1 only']:>13}{c['neither']:>9}"
         )
-    print("\nreached by neither:")
-    for path, line in neither:
-        text = path.read_text().splitlines()[line - 1].strip()
-        print(f"  {path.relative_to(LIBRARY).as_posix()}:{line}  {text}")
+    for title, group in (("reached by tier-1 only", tier1_only), ("reached by neither", neither)):
+        print(f"\n{title}:")
+        for path, line in group:
+            text = path.read_text().splitlines()[line - 1].strip()
+            print(f"  {path.relative_to(LIBRARY).as_posix()}:{line}  {text}")
 
 
 if __name__ == "__main__":
