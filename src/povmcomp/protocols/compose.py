@@ -88,7 +88,7 @@ def _link_state(family: CompressedFamily, prep: PreparedInstance, i: int):
     d_t = family.env.shape[-1] // d_b
     env_b = np.einsum("rajbj->rab", family.env.reshape(-1, d_b, d_t, d_b, d_t))
     # the class's index count on the other links, averaged over their coins
-    weight = np.prod(np.delete(tot, i, axis=1), axis=1) / other_coins
+    weight = np.prod(np.delete(tot, i, axis=1), axis=1, dtype=float) / other_coins
     acc = np.zeros((coins * n_cls, d_b, d_b), dtype=complex)
     np.add.at(acc, row_coins[:, i] * n_cls + cls[:, i], weight[:, None, None] * env_b)
     counts = codebook.counts.reshape(-1)
@@ -151,7 +151,8 @@ def _link_stage(
             state, live = _link_state(family, prep, i)
             coins, n_cls = family.codebooks[i].coins, len(family.codebooks[i].alphabet)
             tests = np.zeros((coins * n_cls, prep.dim_b, prep.dim_b), dtype=complex)
-            tests[live] = ent.i_hyp_cq(state, budget.eps, live // n_cls)[1].tests
+            if len(live):  # a draw with no nice block leaves no symbol to test
+                tests[live] = ent.i_hyp_cq(state, budget.eps, live // n_cls)[1].tests
             tests = tests.reshape(coins, n_cls, prep.dim_b, prep.dim_b)
     return LinkStage(wire_bits, log_l, scheme, tests)
 
@@ -334,15 +335,16 @@ def centralised_protocol(
     for i, dec in enumerate(decoders):
         for links, (ops, reach) in list(posts.items()):
             out, hit = dec.apply(coins[:, i], cls[:, i], ops)
-            hit = (reach[:, :, None] & hit[:, None, :]).reshape(n_rows, -1)
-            posts[links + (i,)] = (out.reshape(n_rows, -1, dim, dim), hit)
+            width = reach.shape[1] * hit.shape[1]  # not -1: a draw may have no rows
+            hit = (reach[:, :, None] & hit[:, None, :]).reshape(n_rows, width)
+            posts[links + (i,)] = (out.reshape(n_rows, width, dim, dim), hit)
     names = [cb.alphabet + (ABORT,) for cb in family.codebooks]
     results = {}
     for sc in SCENARIOS:
         links = sc.links
         ops, reach = posts[links]
         dropped = [i for i in range(len(LINKS)) if i not in links]
-        out = np.tensordot(np.prod(tot[:, dropped], axis=1) / n_blk, ops, axes=1)
+        out = np.tensordot(np.prod(tot[:, dropped], axis=1, dtype=float) / n_blk, ops, axes=1)
         # every link's abort symbol comes last, so the aborts' entry is the last
         out[-1] += abort_op
         reach = reach.any(axis=0)
@@ -414,7 +416,8 @@ def compose_with_side_information(
     Reports the composition's net X rate, the realized hash rate of the
     actual decode, the exact protocol deviation on the X link, and the
     composition check I_H^{eps0}(KL:K'B) - log2 K - I_H^{eps0/2}(X:B),
-    which the claim lower-bounds by -1.
+    which the claim lower-bounds by -1.  A draw with no nice block leaves
+    the link state no mass to condition on, and raises ProtocolError.
     """
     marg = _marginal_instance(inst)
     prep = prepare(marg)
@@ -423,6 +426,8 @@ def compose_with_side_information(
     plan, codebook = family.plan, family.codebooks[0]
     th = thresholds(prep, budget.eps, plan.log_const)
     state, live = _link_state(family, prep, 0)
+    if not len(live):
+        raise ProtocolError("no coin block of the draw is nice: the X link state is empty")
     counts = codebook.counts.reshape(-1)[live]
     atoms = [(p / m, float(m)) for p, m in zip(state.probs, counts)]
     hmax_kl = ent.smooth_max_entropy_atoms(atoms, eps0)

@@ -18,10 +18,13 @@ support, sorted).  Rows run over the nice blocks in coin-key order, the
 first link's coin most significant, and within a block over its GOOD
 classes in class-table order.  Per nice block the family holds its coins,
 its abort element gamma0 and gamma0's E-operator.  A coin block that is
-not nice aborts and has no rows.  Every element is steered to E once,
-here, with ``PreparedInstance.steer``; the centralised protocol's output
-and its link states read those E-operators.  The protocol itself,
-unassisted or hashed, runs in ``compose``.
+not nice aborts and has no rows.  Event E holds exactly when
+``CompressedFamily.fraction_nice`` >= 1 - eps^(1/4); a draw where it fails
+is reported, not retried, as the achievability bound averages the error
+over every draw.  Every element is steered to E once, here, with
+``PreparedInstance.steer``; the centralised protocol's output and its link
+states read those E-operators.  The protocol, unassisted or hashed, runs
+in ``compose``.
 """
 
 from __future__ import annotations
@@ -43,8 +46,7 @@ from .prep import LINKS, PreparedInstance, thresholds
 # thresholds and adds COIN_MARGIN_BITS of coins, so the coin machinery runs
 BUDGET_MARGIN_BITS = 2.0
 COIN_MARGIN_BITS = 1.0
-# codebook draws tried before build_compressed_povm gives up on event E
-MAX_CODEBOOK_DRAWS = 20
+MAX_LOG_L = 62  # a link's 2^logL indices and its symbol counts are int64
 # a rate within this of an integer is that integer when it is floored (or
 # ceiled) into a codebook size: the rates are sums of floats
 RATE_SLACK = 1e-9
@@ -116,9 +118,9 @@ def plan_codebooks(
     """Codebook sizes carried by the budget's link rates.
 
     One rule per link: logL = floor(R + max(I_H - 1, 0)), the wire rate
-    plus the real-valued side-information saving, floored once;
-    logK = floor(C).  Raises BudgetError when the implied sizes fall below
-    the instantiated thresholds.
+    plus the real-valued side-information saving, floored once; logK =
+    floor(C).  Raises BudgetError when the implied sizes fall below the
+    instantiated thresholds, ProtocolError when a logL exceeds MAX_LOG_L.
     """
     th = thresholds(prep, budget.eps, log_const)
     log_k, log_l = [], []
@@ -133,6 +135,8 @@ def plan_codebooks(
                 f"{LINKS[i]} link budget (R={r}, C={c}) below the thresholds "
                 f"(logL > {min_l:.3f}, logK+logL > {min_kl:.3f})"
             )
+        elif ll > MAX_LOG_L:
+            raise ProtocolError(f"{LINKS[i]} link's logL={ll} is past int64 (logL <= {MAX_LOG_L})")
         log_k.append(lk)
         log_l.append(ll)
     return CodebookPlan(tuple(log_k), tuple(log_l), th["log_const"])
@@ -175,7 +179,6 @@ class CompressedFamily:
     """
 
     plan: CodebookPlan
-    attempt: int
     codebooks: tuple[Codebook, ...]  # per link, in LINKS order
     fraction_nice: float
     block_coins: np.ndarray  # (blocks, links)
@@ -197,12 +200,12 @@ class CompressedFamily:
 
     def completeness_residual(self, prep: PreparedInstance) -> float:
         """Largest absolute entry of gamma0 plus the count-weighted elements,
-        minus the projector onto supp rho_A, over the nice blocks; each
-        block's sum starts at gamma0 and adds its rows in order."""
+        minus the projector onto supp rho_A, over the nice blocks (0 with
+        none); each block's sum starts at gamma0 and adds its rows in order."""
         total = self.gamma0.copy()
-        weight = np.prod(self.row_links()[2], axis=1)
+        weight = np.prod(self.row_links()[2], axis=1, dtype=float)
         np.add.at(total, self.row_block, weight[:, None, None] * self.gammas)
-        return float(np.max(np.abs(total - prep.supp_proj_a)))
+        return float(np.max(np.abs(total - prep.supp_proj_a), initial=0.0))
 
 
 def _class_table(prep: PreparedInstance):
@@ -229,38 +232,28 @@ def build_compressed_povm(
     seed: int,
     log_const: float | None = None,
 ) -> CompressedFamily:
-    """Draw codebooks, flag nice blocks, extract GOOD sets, assemble POVMs.
+    """Draw the seed's codebooks, flag nice blocks, extract GOOD sets, assemble POVMs.
 
     A block is nice when its measure-transformed mirror-form sample average
-    sits within sqrt(eps) of rho_A in trace norm; non-nice blocks abort.
-    If fewer than a 1 - eps^(1/4) fraction of blocks is nice, the draw is
-    retried with the next derived seed, ``MAX_CODEBOOK_DRAWS`` draws in all.
-    All blocks of a draw are tested with one stacked trace norm.
+    sits within sqrt(eps) of rho_A in trace norm; the others abort, every
+    block when none is nice.  All blocks are tested with one stacked trace
+    norm.
     """
-    eps = budget.eps
     plan = plan_codebooks(prep, budget, log_const)
     n_total = math.prod(1 << log_l for log_l in plan.log_l)
     idx, _, tilted = table = _class_table(prep)
-    for attempt in range(MAX_CODEBOOK_DRAWS):
-        draw_seed = seed + 1_000_003 * attempt
-        codebooks = tuple(
-            draw_codebook(i, 1 << plan.log_k[i], 1 << plan.log_l[i], marginal, draw_seed + i)
-            for i, marginal in enumerate(prep.marginals)
-        )
-        keys = np.array(list(itertools.product(*(range(cb.coins) for cb in codebooks))))
-        counts = [cb.counts[keys[:, i]][:, idx[:, i]] for i, cb in enumerate(codebooks)]
-        mult = np.prod(counts, axis=0)  # of every class in every block, (blocks, classes)
-        avg = np.einsum("bc,cij->bij", mult / n_total, tilted)
-        deviation = la.trace_norm_many(avg - prep.spectrum_a[0])
-        nice = np.flatnonzero(deviation <= math.sqrt(eps))
-        fraction = len(nice) / len(keys)
-        if fraction >= 1.0 - eps**0.25:
-            rows = _assemble_rows(prep, table, mult[nice], n_total, deviation[nice])
-            return CompressedFamily(plan, attempt, codebooks, fraction, keys[nice], idx, *rows)
-    raise ProtocolError(
-        f"event E failed on {MAX_CODEBOOK_DRAWS} codebook draws "
-        "(nice fraction below 1 - eps^0.25)"
+    codebooks = tuple(
+        draw_codebook(i, 1 << plan.log_k[i], 1 << plan.log_l[i], marginal, seed + i)
+        for i, marginal in enumerate(prep.marginals)
     )
+    keys = np.array(list(itertools.product(*(range(cb.coins) for cb in codebooks))))
+    counts = [cb.counts[keys[:, i]][:, idx[:, i]] for i, cb in enumerate(codebooks)]
+    mult = np.prod(counts, axis=0, dtype=float)  # (blocks, classes); int64 would wrap
+    avg = np.einsum("bc,cij->bij", mult / n_total, tilted)
+    deviation = la.trace_norm_many(avg - prep.spectrum_a[0])
+    nice = np.flatnonzero(deviation <= math.sqrt(budget.eps))
+    rows = _assemble_rows(prep, table, mult[nice], n_total, deviation[nice])
+    return CompressedFamily(plan, codebooks, len(nice) / len(keys), keys[nice], idx, *rows)
 
 
 def _assemble_rows(prep, table, mult, n_total, deviation) -> tuple:
@@ -355,7 +348,7 @@ def sample_transcript(
     if len(rows):
         _, symbols, counts = family.row_links()
         tr = np.trace(family.gammas[rows] @ prep.spectrum_a[0], axis1=1, axis2=2).real
-        probs = np.prod(counts[rows], axis=1) * tr
+        probs = np.prod(counts[rows], axis=1, dtype=float) * tr
         p_abort = max(0.0, 1.0 - probs.sum())
         draw = rng.random() * (probs.sum() + p_abort)
         # the first row whose running sum, added in row order, exceeds the draw

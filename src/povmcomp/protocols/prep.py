@@ -184,7 +184,7 @@ def thresholds(
     names = [link.lower() for link in LINKS]
     if ents is None:
         eps0 = composition_eps(eps)
-        ents = prep._cache[("entropies", eps)] = {}
+        ents = {}  # cached once whole: a solve that raises leaves no entry
         # link i's I_max is taken against E and the classical links before
         # it; both come from one batch
         i_maxes = ent.i_max_cq_many([_x_env_cq(prep), _y_xenv_cq(prep)], eps)
@@ -192,6 +192,7 @@ def thresholds(
             ents[f"imax_{s}"] = i_max
             ents[f"hmax_{s}"] = ent.h_max_smooth(prep.marginals[i], eps)
             ents[f"ih_{s}_b"] = side_information(prep, prep.env_cq().group_parts((i,)), eps0 / 2)
+        prep._cache[("entropies", eps)] = ents
     out = {"log_const": c, **ents}
     for n, s in enumerate(names, start=1):
         out[f"logL{n}"] = ents[f"imax_{s}"] + c

@@ -1,8 +1,8 @@
 """The random-instance table of ROADMAP's Baseline, rerun from its two
 seeded families (``oracles.family_instance_parts``).
 
-Three sweeps, each one line per draw (family, seed, shape, outcome, CPU
-seconds of ``time.process_time``) and a summary:
+Four sweeps, each one line per draw (family, seed, shape, outcome, CPU
+seconds of ``time.process_time``) or per run, and a summary:
 
 - ``table``: families 1 and 2 at seeds 1-20, the full pipeline under a
   60 s alarm: ``prepare``, ``thresholds``, the centralised protocol at
@@ -13,7 +13,12 @@ seconds of ``time.process_time``) and a summary:
   and a theta 0.5 ``one_shot_region`` at eps 0.1 under a 20 s alarm;
 - ``values``: every smoothing value of ``thresholds`` and of the five-theta
   ``one_shot_region``, at eps 0.1 and 0.01, on the bundled instances and
-  the ``table``'s 40 draws, with the widest certified interval in bits.
+  the ``table``'s 40 draws, with the widest certified interval in bits;
+- ``ladder``: the bundled instances at each eps of ``LADDER`` and at the
+  default and the zero additive constant, under a 60 s alarm: ``thresholds``,
+  the centralised protocol at ``budget_from_thresholds`` (codebook seed 1)
+  and ``one_shot_region`` at theta 0.5.  A run that finishes reports its
+  nice fraction and whether event E held; one that fails names its stage.
 
 A draw's outcome is "ok" or the exception it raised, named with its
 message; the alarm raises ``Alarm``.  Arguments after the sweep's name,
@@ -23,6 +28,7 @@ repository root:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/family_sweep.py table
     OPENBLAS_NUM_THREADS=2 PYTHONPATH=src python tests/family_sweep.py scan 2:61 2:68
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/family_sweep.py ladder
 """
 
 from __future__ import annotations
@@ -41,6 +47,7 @@ from povmcomp import io, qobjects as qo, sdp
 from povmcomp import protocols as P
 
 EPS = 0.1
+LADDER = (0.1, 0.01, 1e-3, 1e-4, 1e-6)
 
 
 class Alarm(Exception):
@@ -74,27 +81,33 @@ def smoothing(inst: io.Instance) -> None:
     P.one_shot_region(prep, EPS, theta_grid=(0.5,))
 
 
-def run(draws, step, seconds: int) -> Counter:
-    """``step`` on each (family, seed) of ``draws`` under the alarm;
-    prints one line per draw and returns the outcomes' counts."""
+def outcome(step, seconds: int) -> str:
+    """``step()`` under a ``seconds`` alarm: "ok" or its exception, named
+    with its message."""
 
     def ring(signum, frame):
         raise Alarm(f"past {seconds} s")
 
     signal.signal(signal.SIGALRM, ring)
+    signal.alarm(seconds)
+    try:
+        step()
+        return "ok"
+    except Exception as err:  # a sweep records every failure and goes on
+        return f"{type(err).__name__}: {str(err)[:120]}"
+    finally:
+        signal.alarm(0)
+
+
+def run(draws, step, seconds: int) -> Counter:
+    """``step`` on each (family, seed) of ``draws`` under the alarm;
+    prints one line per draw and returns the outcomes' counts."""
     outcomes = Counter()
     for family, seed in draws:
         inst, start = instance(family, seed), time.process_time()
-        signal.alarm(seconds)
-        try:
-            step(inst)
-            outcome = "ok"
-        except Exception as err:  # a sweep records every failure and goes on
-            outcome = f"{type(err).__name__}: {str(err)[:120]}"
-        finally:
-            signal.alarm(0)
-        outcomes[(family, outcome.split(":")[0])] += 1
-        print(f"family {family} seed {seed:3d}  {shape(inst):28s} {outcome}  "
+        result = outcome(lambda: step(inst), seconds)
+        outcomes[(family, result.split(":")[0])] += 1
+        print(f"family {family} seed {seed:3d}  {shape(inst):28s} {result}  "
               f"{time.process_time() - start:.2f} s", flush=True)
     return outcomes
 
@@ -125,7 +138,51 @@ def certified_widths() -> tuple[int, float]:
     return len(widths), max(widths)
 
 
+def ladder() -> Counter:
+    """The ``ladder`` sweep: prints one line per (instance, eps, c) and
+    returns the counts of (c, outcome), a failure named by stage and kind."""
+    outcomes = Counter()
+    for name in io.BUNDLED:
+        prep = P.prepare(io.load_bundled(name))
+        for eps in LADDER:
+            for c in (None, 0.0):
+                seen, start = {}, time.process_time()
+
+                def step(eps=eps, c=c):
+                    seen["stage"] = "thresholds"
+                    P.thresholds(prep, eps, c)
+                    seen["stage"] = "protocol"
+                    budget = P.budget_from_thresholds(prep, eps, log_const=c)
+                    run = P.centralised_protocol(prep, budget, 1, log_const=c)
+                    seen["nice"] = run["fraction_nice"]
+                    seen["stage"] = "region"
+                    P.one_shot_region(prep, eps, theta_grid=(0.5,), log_const=c)
+
+                result = outcome(step, 60)
+                if result != "ok":
+                    result = f"{seen['stage']} {result}"
+                label = "default" if c is None else "0"
+                outcomes[(label, result.split(":")[0])] += 1
+                if result == "ok":
+                    held = seen["nice"] >= 1.0 - eps**0.25
+                    result += f", nice {seen['nice']:.3g}, E {'holds' if held else 'fails'}"
+                print(f"{name:26s} eps {eps:<6g} c {label:7s} {result}  "
+                      f"{time.process_time() - start:.2f} s", flush=True)
+    return outcomes
+
+
+def summarise(outcomes: Counter, groups, title: str) -> None:
+    """One line per group of ``outcomes``' (group, kind) counts."""
+    for group in groups:
+        mine = {kind: n for (g, kind), n in outcomes.items() if g == group}
+        print(f"{title} {group}: {mine.get('ok', 0)} of {sum(mine.values())} finish; "
+              + ", ".join(f"{kind} {n}" for kind, n in sorted(mine.items()) if kind != "ok"))
+
+
 def main(sweep: str, picked: list[str]) -> None:
+    if sweep == "ladder":
+        summarise(ladder(), ("default", "0"), "c")
+        return
     if sweep == "values":
         count, widest = certified_widths()
         print(f"{count} values certified, widest {widest:.3g} bits")
@@ -136,10 +193,7 @@ def main(sweep: str, picked: list[str]) -> None:
     }[sweep]
     draws = [tuple(map(int, p.split(":"))) for p in picked]
     outcomes = run(draws or [(f, s) for f in (1, 2) for s in seeds], step, seconds)
-    for family in (1, 2):
-        mine = {kind: n for (f, kind), n in outcomes.items() if f == family}
-        print(f"family {family}: {mine.get('ok', 0)} of {sum(mine.values())} finish; "
-              + ", ".join(f"{kind} {n}" for kind, n in sorted(mine.items()) if kind != "ok"))
+    summarise(outcomes, (1, 2), "family")
 
 
 if __name__ == "__main__":

@@ -702,6 +702,57 @@ def test_default_budget_is_planned(solved, log_const):
     _check_outputs(prep, P.centralised_protocol(prep, budget, GOLDEN_SEED, log_const=log_const))
 
 
+@pytest.mark.parametrize(
+    "eps, log_const, wire, nice",
+    [
+        (0.1, 0.0, None, 0.0),
+        (0.1, 0.0, {"X": 0}, 0.0),
+        (1e-4, None, None, 1.0),
+        (1e-8, None, None, None),
+    ],
+    ids=["no_nice_block", "no_nice_block_hashed", "eps_1e-4", "eps_1e-8"],
+)
+def test_the_first_codebook_draw_is_reported(eps, log_const, wire, nice):
+    # classical_commuting at budget_from_thresholds, codebook seed 1.  At eps
+    # 0.1 and c = 0 no coin block is nice, so every block aborts and each
+    # scenario outputs rho_E on the abort key, at distance 2 from its target,
+    # and the composition, whose X link state is then empty, is refused.
+    # At eps 1e-4 logL is 36 per link, so a class's product of counts passes
+    # 2^63; at eps 1e-8 logL is 63, past the int64 counts, and is refused
+    prep = P.prepare(io.load_bundled("classical_commuting"))
+    budget = P.budget_from_thresholds(prep, eps, log_const=log_const)
+    if nice is None:
+        with pytest.raises(P.ProtocolError, match="int64"):
+            P.centralised_protocol(prep, budget, GOLDEN_SEED, log_const=log_const)
+        return
+    run = P.centralised_protocol(prep, budget, GOLDEN_SEED, log_const, wire_override=wire)
+    _check_outputs(prep, run)
+    assert run["fraction_nice"] == nice
+    deviations = [sc["deviation"] for sc in run["scenarios"].values()]
+    if nice:
+        assert max(deviations) <= math.sqrt(eps)
+    else:
+        assert all(abs(d - 2.0) <= 1e-12 for d in deviations)
+        with pytest.raises(P.ProtocolError, match="no coin block"):
+            P.compose_with_side_information(prep.instance, budget, GOLDEN_SEED, log_const)
+
+
+def test_a_threshold_solve_that_raises_caches_nothing(monkeypatch):
+    # the entropies are cached per eps; a solve that raises must leave no
+    # half-filled entry for a later call at another additive constant to read
+    prep = P.prepare(io.load_bundled("qubit_cq"))
+
+    def failing(*args):
+        raise ent.SolverError("not certified")
+
+    monkeypatch.setattr(ent, "i_max_cq_many", failing)
+    with pytest.raises(ent.SolverError):
+        P.thresholds(prep, GOLDEN_EPS)
+    monkeypatch.undo()
+    fresh = P.prepare(prep.instance)
+    assert P.thresholds(prep, GOLDEN_EPS, GOLDEN_C) == P.thresholds(fresh, GOLDEN_EPS, GOLDEN_C)
+
+
 def test_hash_cap_applies_only_to_hashed_links():
     # at log_const 15 the default budget gives the X link logL 17, above the
     # cap on tabulated links, but the link sends its index whole and runs;
@@ -969,7 +1020,7 @@ def test_a_decode_pass_decomposes_rho_a_in_no_step(monkeypatch):
     budget = OneShotBudget(0.1, r_x=14, r_y=13, c_x=1, c_y=1)
     calls = linalg_spy(monkeypatch)
     run = P.centralised_protocol(prep, budget, 1, log_const=0.0, wire_override={"X": 12})
-    assert run["family"].attempt == 0
+    assert run["fraction_nice"] == 1.0
     assert collections.Counter(calls) == {"eigh": 10, "eigvalsh": 9, "svd": 5, "qr": 4}
 
 
