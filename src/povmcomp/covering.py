@@ -1,6 +1,7 @@
 """Covering experiments: measure-transformed sample averages over
 independent codebooks, and GOOD-set extraction via the constructive
-operator inequality (purify, Uhlmann partner, reweight).
+operator inequality, in closed form: one Uhlmann map per row, M sigma M
+= tau, maps each part to its primed state and its weight ratio.
 
 Codebook randomness is summarized by symbol counts: grouping the sample
 average by symbol turns a K x L double sum into an |X| x |Y| one, so the
@@ -116,51 +117,56 @@ def covering_sweep(
 # operator inequality: GOOD-set extraction
 
 
+def _uhlmann_maps(sigmas, spectrum) -> np.ndarray:
+    """``good_sets``' M of every member sigma of a (b, d, d) stack, from one
+    stacked ``eigh``."""
+    _, wt, vt = spectrum
+    root = la._root(wt, vt)
+    return root @ la._pinv_root(*np.linalg.eigh(root @ sigmas @ root)) @ root
+
+
 def good_sets(parts, weights, present, spectrum, eps):
     """GOOD sets of every row of ``weights`` over one (n, d, d) stack of states.
 
-    Row r purifies sum_i w_ri parts_i with a slice of C per part that
-    ``present[r]`` offers, at slack ``eps[r]``.  The target comes checked
-    and decomposed, as ``la.density_eigh``'s (target, eigenvalues,
-    eigenvectors) ``spectrum``; the roots, distances and slacks of all rows
-    are stacked, and only the Uhlmann partner runs row by row.  Row r
-    follows the purification proof literally: psi = sum_i sqrt(w_ri)
-    |rho_i>|i>, phi the Uhlmann partner of target's purification in the
-    same space, primed states read off the |i> slices, GOOD = INDEX (weight
-    ratio within eps^(1/4) of 1) intersect CLOSE (primed state within
-    eps^(1/4) of the original).  Returns the GOOD mask (b, n) and the primed states
-    (b, n, d, d), zero off GOOD.
+    Row r offers the parts ``present[r]``; the live ones (offered, of
+    positive weight) make up sigma = sum_i w_ri parts_i, which must lie
+    within ``eps[r]`` of the target tau in trace norm.  tau comes checked
+    and decomposed, as ``la.density_eigh``'s ``spectrum``.  The purification
+    psi = sum_i sqrt(w_ri) |rho_i>|i> of sigma has the Uhlmann partner
+    (M (x) I) psi, with M = tau^(1/2) (tau^(1/2) sigma tau^(1/2))^(-1/2)
+    tau^(1/2), the geometric-mean solution of M sigma M = tau, the inverse
+    root taken on the eigenvalues above ``la.SUPPORT_TOL``.  Its |i> slice
+    gives the primed state M rho_i M / Tr[M rho_i M] and the weight ratio
+    1 / Tr[M rho_i M].  Where tau^(1/2) sigma tau^(1/2) has lower rank than
+    tau, the partner purifies tau^(1/2) P tau^(1/2), P the projector onto
+    its support: no direction off sigma's support is added.  GOOD = INDEX
+    (ratio within eps^(1/4) of 1) intersect CLOSE (primed state within
+    eps^(1/4) of the ratio times the part), over the live parts of partner
+    mass w_ri Tr[M rho_i M] above ``la.ZERO_MASS``.  Returns the GOOD mask
+    (b, n) and the primed states (b, n, d, d), zero off GOOD.
     """
     eps = np.asarray(eps, dtype=float)
     if np.any((eps <= 0) | (eps >= 1)):
         raise ValueError("eps must lie in (0, 1)")
-    target, wt, vt = spectrum
+    target = spectrum[0]
     parts, weights = la._as_stack(parts), np.asarray(weights, dtype=float)
     (b, n), d = weights.shape, target.shape[0]
     hyp = la.trace_norm_many(np.einsum("rn,nij->rij", weights, parts) - target)
     if np.any(hyp > eps + DISTANCE_SLACK):
         r = int(np.argmax(hyp - eps))
         raise ValueError(f"hypothesis distance {hyp[r]:.3e} exceeds eps {eps[r]}")
-    quarter = eps**0.25
     live = present & (weights > 0)
-    used = live.any(axis=0)
-    # psi on A (x) (A' x C), slices along C
-    psi = np.zeros((b, d, d, n), dtype=complex)
-    roots = np.moveaxis(la.matrix_sqrt_many(parts[used]), 0, -1)
-    psi[..., used] = np.sqrt(weights[:, None, None, used]) * roots
-    phi = np.zeros_like(psi)
-    for r, cols in enumerate(present):
-        phi[r][..., cols] = la.uhlmann_partner(psi[r][..., cols], wt, vt).reshape(d, d, -1)
-    # the live parts phi does not vanish on
-    q = np.sum(np.abs(phi) ** 2, axis=(1, 2))
-    kept = live & (q > la.ZERO_MASS)
-    rows, cols = np.nonzero(kept)
-    v = phi[rows, :, :, cols]
-    rho_p = v @ v.conj().swapaxes(-1, -2) / q[kept][:, None, None]
-    ratio = weights[kept] / q[kept]
+    m = _uhlmann_maps(np.einsum("rn,nij->rij", np.where(live, weights, 0.0), parts), spectrum)
+    rows, cols = np.nonzero(live)
+    mapped = m[rows] @ parts[cols] @ m[rows]
+    mass = np.trace(mapped, axis1=1, axis2=2).real
+    keep = weights[rows, cols] * mass > la.ZERO_MASS
+    rows, cols, mapped, mass = rows[keep], cols[keep], mapped[keep], mass[keep]
+    rho_p, ratio = mapped / mass[:, None, None], 1.0 / mass
     dists = la.trace_norm_many(rho_p - ratio[:, None, None] * parts[cols])
-    in_good = (np.abs(1.0 - ratio) <= quarter[rows]) & (dists <= quarter[rows])
-    good, primed = np.zeros_like(kept), np.zeros((b, n, d, d), dtype=complex)
+    quarter = eps[rows] ** 0.25
+    in_good = (np.abs(1.0 - ratio) <= quarter) & (dists <= quarter)
+    good, primed = np.zeros((b, n), dtype=bool), np.zeros((b, n, d, d), dtype=complex)
     good[rows, cols], primed[rows, cols] = in_good, rho_p * in_good[:, None, None]
     return good, primed
 

@@ -8,9 +8,10 @@ are the one exception and get clamped to zero before square roots.
 The ``*_many`` functions take a (..., d, d) stack and decompose all of its
 members with one stacked LAPACK call; each member's result is the one its
 single-matrix counterpart gives.  The eigenpair forms ``_root``,
-``_pinv_root``, ``_support``, ``purify`` and ``uhlmann_partner`` take
-checked eigenpairs (w, v), so one checked ``eigh`` (``density_eigh`` for a
-density matrix) serves all of a matrix's functions.
+``_pinv_root``, ``_support`` and ``purify`` take checked eigenpairs (w, v),
+so one checked ``eigh`` (``density_eigh`` for a density matrix) serves all
+of a matrix's functions; ``_root`` and ``_pinv_root`` also take the
+eigenpairs of a stack.
 
 The input contract.  Each slack is one constant, the value its check
 applies:
@@ -221,9 +222,9 @@ def _root(w: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _pinv_root(w: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """The inverse square root on the support of a matrix's eigenpairs."""
+    """The inverse square root on the support of (stacked) eigenpairs."""
     inv = np.where(w > SUPPORT_TOL, 1.0 / np.sqrt(np.clip(w, SUPPORT_TOL, None)), 0.0)
-    return (v * inv) @ v.conj().T
+    return (v * inv[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def _support(w: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -240,49 +241,3 @@ def purify(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     if not keep.any():
         raise ValueError("cannot purify the zero operator")
     return (v[:, keep] * np.sqrt(w[keep])).reshape(-1)
-
-
-def uhlmann_partner(psi, wt: np.ndarray, vt: np.ndarray) -> np.ndarray:
-    """Purification of the target whose checked eigenpairs are (wt, vt),
-    maximizing overlap with ``psi``.
-
-    ``psi`` purifies some state on the primary system (first factor); the
-    mirror is everything after it.  The returned vector purifies the target
-    in the same space, and its overlap with ``psi`` equals the Uhlmann
-    fidelity of reduced(psi) and the target, chosen real nonnegative.  The
-    eigenpairs give the rank, the root and the support.
-    """
-    vec = np.asarray(psi, dtype=complex).reshape(-1)
-    d = len(wt)
-    if vec.size % d != 0:
-        raise ValueError("psi length is not divisible by the target dimension")
-    dm = vec.size // d
-    rank = int(np.sum(wt > SUPPORT_TOL))
-    if dm < rank:
-        raise ValueError(f"purifying dimension {dm} smaller than target rank {rank}")
-    root = _root(wt, vt)
-    psi_mat = vec.reshape(d, dm)
-    a = root @ psi_mat
-    u, s, vh = np.linalg.svd(a, full_matrices=False)
-    keep = s > SUPPORT_TOL
-    u1 = u[:, keep]
-    v1 = vh.conj().T[:, keep]
-    # complete with support directions of target not yet covered
-    supp = vt[:, wt > SUPPORT_TOL]
-    rem = supp - u1 @ (u1.conj().T @ supp)
-    qrem, rrem = np.linalg.qr(rem)
-    extra_cols = [qrem[:, j] for j in range(qrem.shape[1]) if np.abs(rrem[j, j]) > SUPPORT_TOL]
-    if extra_cols:
-        u2 = np.stack(extra_cols, axis=1)
-        # orthonormal right-vectors not used by v1
-        comp = np.eye(dm, dtype=complex) - v1 @ v1.conj().T
-        qc, rc = np.linalg.qr(comp)
-        v2cols = [qc[:, j] for j in range(qc.shape[1]) if np.abs(rc[j, j]) > SUPPORT_TOL]
-        if len(v2cols) < u2.shape[1]:
-            raise ValueError("purifying dimension too small to complete the partner")
-        v2 = np.stack(v2cols[: u2.shape[1]], axis=1)
-        part_iso = u1 @ v1.conj().T + u2 @ v2.conj().T
-    else:
-        part_iso = u1 @ v1.conj().T
-    phi_mat = root @ part_iso
-    return phi_mat.reshape(-1)

@@ -397,12 +397,13 @@ def simulate_unassisted(
 
 
 def _marginal_instance(inst: Instance) -> Instance:
-    """Point-to-point view: collapse the POVM's Y outcome."""
-    elements = {}
-    for x in inst.povm.alphabet_x:
-        elements[(x, "_")] = inst.povm.marginal_x_element(x)
-    povm = qo.JointPOVM(inst.povm.alphabet_x, ("_",), elements)
-    return Instance(inst.dims, inst.state, povm)
+    """Point-to-point view: collapse the POVM's Y outcome, each x's element
+    the sum over the y present, in ``alphabet_y`` order, from zero."""
+    povm, elements = inst.povm, {}
+    for x in povm.alphabet_x:
+        present = [povm.elements[x, y] for y in povm.alphabet_y if (x, y) in povm.elements]
+        elements[(x, "_")] = sum(present, np.zeros((povm.dim, povm.dim), dtype=complex))
+    return Instance(inst.dims, inst.state, qo.JointPOVM(povm.alphabet_x, ("_",), elements))
 
 
 def compose_with_side_information(

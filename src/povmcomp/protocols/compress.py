@@ -47,6 +47,9 @@ from .prep import LINKS, PreparedInstance, thresholds
 BUDGET_MARGIN_BITS = 2.0
 COIN_MARGIN_BITS = 1.0
 MAX_LOG_L = 62  # a link's 2^logL indices and its symbol counts are int64
+# the family holds per-block arrays over 2^(sum of logK) coin blocks and
+# draws one seed sequence per coin: the memory bound of MAX_HASHED_LOG_L
+MAX_LOG_BLOCKS = 16
 # a rate within this of an integer is that integer when it is floored (or
 # ceiled) into a codebook size: the rates are sums of floats
 RATE_SLACK = 1e-9
@@ -120,7 +123,8 @@ def plan_codebooks(
     One rule per link: logL = floor(R + max(I_H - 1, 0)), the wire rate
     plus the real-valued side-information saving, floored once; logK =
     floor(C).  Raises BudgetError when the implied sizes fall below the
-    instantiated thresholds, ProtocolError when a logL exceeds MAX_LOG_L.
+    instantiated thresholds, ProtocolError when a logL exceeds MAX_LOG_L
+    or the logK sum exceeds MAX_LOG_BLOCKS.
     """
     th = thresholds(prep, budget.eps, log_const)
     log_k, log_l = [], []
@@ -139,6 +143,11 @@ def plan_codebooks(
             raise ProtocolError(f"{LINKS[i]} link's logL={ll} is past int64 (logL <= {MAX_LOG_L})")
         log_k.append(lk)
         log_l.append(ll)
+    if sum(log_k) > MAX_LOG_BLOCKS:
+        raise ProtocolError(
+            f"logK={'+'.join(map(str, log_k))} makes 2^{sum(log_k)} coin blocks "
+            f"(sum of logK <= {MAX_LOG_BLOCKS})"
+        )
     return CodebookPlan(tuple(log_k), tuple(log_l), th["log_const"])
 
 

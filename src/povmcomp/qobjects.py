@@ -105,15 +105,6 @@ class JointPOVM:
     def dim(self) -> int:
         return next(iter(self.elements.values())).shape[0]
 
-    def element(self, x: str, y: str) -> np.ndarray:
-        return self.elements.get((x, y), np.zeros((self.dim, self.dim), dtype=complex))
-
-    def marginal_x_element(self, x: str) -> np.ndarray:
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for y in self.alphabet_y:
-            out += self.element(x, y)
-        return out
-
 
 def povm_from_elements(elements: dict[tuple[str, str], np.ndarray]) -> JointPOVM:
     xs, ys = [], []

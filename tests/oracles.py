@@ -115,6 +115,89 @@ def sqrt_purify(rho: np.ndarray) -> np.ndarray:
     return psd_sqrt_oracle(rho).reshape(-1)
 
 
+# the library's support and no-mass cut-offs, ``linalg.SUPPORT_TOL`` and
+# ``linalg.ZERO_MASS``
+SUPPORT_CUT = ZERO_MASS = 1e-12
+
+
+def uhlmann_partner(psi, target: np.ndarray) -> np.ndarray:
+    """Purification of ``target`` maximizing overlap with ``psi``.
+
+    ``psi`` purifies some state on the primary system (first factor); the
+    mirror is everything after it.  The returned vector purifies the target
+    in the same space, and its overlap with ``psi`` equals the Uhlmann
+    fidelity of reduced(psi) and the target, chosen real nonnegative.  The
+    partial isometry of the SVD of sqrt(target) psi is completed to the
+    target's support by two unpivoted QR factorisations, the first support
+    directions left over taken first.
+    """
+    vec = np.asarray(psi, dtype=complex).reshape(-1)
+    wt, vt = np.linalg.eigh(target)
+    d = len(wt)
+    if vec.size % d != 0:
+        raise ValueError("psi length is not divisible by the target dimension")
+    dm = vec.size // d
+    rank = int(np.sum(wt > SUPPORT_CUT))
+    if dm < rank:
+        raise ValueError(f"purifying dimension {dm} smaller than target rank {rank}")
+    root = (vt * np.sqrt(np.clip(wt, 0.0, None))) @ vt.conj().T
+    u, s, vh = np.linalg.svd(root @ vec.reshape(d, dm), full_matrices=False)
+    keep = s > SUPPORT_CUT
+    u1, v1 = u[:, keep], vh.conj().T[:, keep]
+    part_iso = u1 @ v1.conj().T
+    # complete with support directions of target not yet covered
+    supp = vt[:, wt > SUPPORT_CUT]
+    qrem, rrem = np.linalg.qr(supp - u1 @ (u1.conj().T @ supp))
+    extra = [qrem[:, j] for j in range(qrem.shape[1]) if np.abs(rrem[j, j]) > SUPPORT_CUT]
+    if extra:
+        # orthonormal right-vectors not used by v1
+        qc, rc = np.linalg.qr(np.eye(dm, dtype=complex) - v1 @ v1.conj().T)
+        v2 = [qc[:, j] for j in range(qc.shape[1]) if np.abs(rc[j, j]) > SUPPORT_CUT]
+        if len(v2) < len(extra):
+            raise ValueError("purifying dimension too small to complete the partner")
+        part_iso = part_iso + np.stack(extra, axis=1) @ np.stack(v2[: len(extra)]).conj()
+    return (root @ part_iso).reshape(-1)
+
+
+def mixture_purification(parts, weights) -> np.ndarray:
+    """psi = sum_i sqrt(w_i) |sqrt(rho_i)> |i> of sum_i w_i rho_i on
+    A (x) (A' (x) C), as a (d, d, n) array whose [..., i] slice is
+    sqrt(w_i) sqrt(rho_i) (zero where w_i is not positive)."""
+    slices = [
+        math.sqrt(w) * psd_sqrt_oracle(rho) if w > 0 else np.zeros_like(rho)
+        for rho, w in zip(np.asarray(parts, dtype=complex), weights)
+    ]
+    return np.stack(slices, axis=-1)
+
+
+def purified_good_sets(parts, weights, present, target, eps) -> tuple[np.ndarray, np.ndarray]:
+    """The GOOD sets of ``covering.good_sets`` from its purification proof,
+    row by row: row r's ``mixture_purification`` over the parts
+    ``present[r]`` offers, its ``uhlmann_partner`` phi of ``target``, and
+    per part of positive weight w with slice mass q = ||phi_i||^2 above
+    ``ZERO_MASS`` the primed state phi_i phi_i^dag / q and the weight ratio
+    w / q; GOOD where the ratio is within eps^(1/4) of 1 and the primed
+    state within eps^(1/4) of the ratio times the part in trace norm.
+    Returns the GOOD mask (b, n) and the primed states, zero off GOOD."""
+    parts, weights = np.asarray(parts, dtype=complex), np.asarray(weights, dtype=float)
+    (b, n), d = weights.shape, parts.shape[-1]
+    good, primed = np.zeros((b, n), dtype=bool), np.zeros((b, n, d, d), dtype=complex)
+    for r in range(b):
+        cols = np.flatnonzero(present[r])
+        psi = mixture_purification(parts[cols], weights[r, cols])
+        phi = uhlmann_partner(psi, target).reshape(psi.shape)
+        quarter = eps[r] ** 0.25
+        for k, i in enumerate(cols):
+            q = float(np.sum(np.abs(phi[..., k]) ** 2))
+            if weights[r, i] <= 0 or q <= ZERO_MASS:
+                continue
+            rho_p, ratio = phi[..., k] @ phi[..., k].conj().T / q, weights[r, i] / q
+            dist = trace_norm_oracle(rho_p - ratio * parts[i])
+            if abs(1 - ratio) <= quarter and dist <= quarter:
+                good[r, i], primed[r, i] = True, rho_p
+    return good, primed
+
+
 def verify_certificate(cert, parts: list, weights: list, target: np.ndarray) -> dict[str, bool]:
     """Independent re-check of the three invariants of a GOOD-set
     certificate (``good``, ``primed``, ``prob_good``, ``eps_used``): the GOOD

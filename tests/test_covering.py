@@ -191,3 +191,74 @@ class TestGoodSet:
         for i in atom_cert.good:
             ref = class_cert.primed[atom_classes[i]]
             assert oracles.trace_norm_distance(atom_cert.primed[i], ref) < 1e-8
+
+
+def _rank(mat) -> int:
+    return int(np.sum(np.linalg.eigvalsh(mat) > oracles.SUPPORT_CUT))
+
+
+def check_against_purification(parts, weights, present, spectrum, eps) -> list:
+    """One ``cov.good_sets`` call against ``oracles.purified_good_sets``:
+    equal GOOD masks and primed states within 1e-10 on every row whose
+    tau^(1/2) sigma tau^(1/2) has the target's rank.  Returns the rows of
+    lower rank, where the purification completes its partner and the
+    closed form does not."""
+    good, primed = cov.good_sets(parts, weights, present, spectrum, eps)
+    want_good, want_primed = oracles.purified_good_sets(parts, weights, present, spectrum[0], eps)
+    root = oracles.psd_sqrt_oracle(spectrum[0])
+    low = []
+    for r, row in enumerate(np.asarray(weights)):
+        sigma = np.einsum("n,nij->ij", np.where(present[r] & (row > 0), row, 0.0), parts)
+        if _rank(root @ sigma @ root) < _rank(spectrum[0]):
+            low.append(r)
+            continue
+        assert np.array_equal(good[r], want_good[r]), r
+        assert np.max(np.abs(primed[r] - want_primed[r])) <= 1e-10, r
+    return low
+
+
+def test_good_sets_of_singular_parts_match_the_purification():
+    # rank-1 and rank-2 parts on a qutrit: rows that offer all of them
+    # cover the target's support, rows that offer two rank-1 parts do not
+    rng = np.random.default_rng(19)
+    parts = np.stack([oracles.random_density(rng, 3, rank=1 + i % 2) for i in range(5)])
+    base = rng.dirichlet(np.ones(5))
+    target = np.einsum("n,nij->ij", base, parts)
+    weights = rng.dirichlet(200 * base, size=6)
+    present = np.ones((6, 5), dtype=bool)
+    present[4, [1, 2, 3]] = present[5, [1, 3]] = False
+    # each row's slack just above its hypothesis distance
+    avgs = np.einsum("rn,nij->rij", weights, parts)
+    eps = [oracles.trace_norm_distance(avg, target) + 0.01 for avg in avgs]
+    low = check_against_purification(parts, weights, present, la.density_eigh(target), eps)
+    assert low == [4]
+
+
+def test_a_row_off_the_target_support_purifies_the_cut_target():
+    # sigma lives on two of the target's three eigenvectors: the partner
+    # (M (x) I) psi keeps the fidelity as its overlap with psi, and its
+    # reduced state is tau^(1/2) P tau^(1/2), P the projector onto them
+    rng = np.random.default_rng(20)
+    u = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0]
+    target = (u * [0.5, 0.4, 0.1]) @ u.conj().T
+    plane = u[:, :2]
+    blocks = np.stack([oracles.random_density(rng, 2) for _ in range(2)])
+    parts = plane @ blocks @ plane.conj().T
+    weights = np.array([0.6, 0.4])
+    sigma = np.einsum("n,nij->ij", weights, parts)
+    m = cov._uhlmann_maps(sigma[None], la.density_eigh(target))[0]
+    psi = oracles.mixture_purification(parts, weights).reshape(3, -1)
+    phi = m @ psi
+    overlap = np.vdot(psi, phi)
+    # F(sigma, tau) on the plane, where both are full rank
+    fidelity = oracles.fidelity(np.einsum("n,nij->ij", weights, blocks), np.diag([0.5, 0.4]))
+    assert abs(overlap.imag) < 1e-12
+    assert overlap.real == pytest.approx(fidelity, abs=1e-10)
+    root = oracles.psd_sqrt_oracle(target)
+    assert np.max(np.abs(phi @ phi.conj().T - root @ plane @ plane.conj().T @ root)) < 1e-10
+    # the primed states are read off phi's slices
+    present = np.ones((1, 2), dtype=bool)
+    good, primed = cov.good_sets(parts, weights[None], present, la.density_eigh(target), [0.99])
+    for i in np.flatnonzero(good[0]):
+        mapped = m @ parts[i] @ m
+        assert np.max(np.abs(primed[0, i] - mapped / np.trace(mapped).real)) < 1e-12

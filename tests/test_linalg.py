@@ -226,16 +226,19 @@ class TestPurify:
 
 
 class TestUhlmann:
+    """``oracles.uhlmann_partner``, the reference ``covering.good_sets`` is
+    checked against."""
+
     def test_partner_of_own_state(self):
         rng = np.random.default_rng(12)
         rho = oracles.random_density(rng, 3)
         psi = oracles.sqrt_purify(rho)
-        phi = la.uhlmann_partner(psi, *la.density_eigh(rho)[1:])
+        phi = oracles.uhlmann_partner(psi, rho)
         assert np.isclose(abs(np.vdot(phi, psi)), 1.0, atol=1e-8)
 
     def test_orthogonal_supports(self):
         psi = oracles.sqrt_purify(np.diag([1.0, 0.0]).astype(complex))
-        phi = la.uhlmann_partner(psi, *la.density_eigh(np.diag([0.0, 1.0]))[1:])
+        phi = oracles.uhlmann_partner(psi, np.diag([0.0, 1.0]))
         assert abs(np.vdot(phi, psi)) < 1e-10
         red = oracles.partial_trace_oracle(np.outer(phi, phi.conj()), [2, 2], [0])
         assert np.allclose(red, np.diag([0.0, 1.0]), atol=1e-10)
@@ -246,7 +249,7 @@ class TestUhlmann:
             rho = oracles.random_density(rng, 2)
             tgt = oracles.random_density(rng, 2)
             psi = oracles.sqrt_purify(rho)
-            phi = la.uhlmann_partner(psi, *la.density_eigh(tgt)[1:])
+            phi = oracles.uhlmann_partner(psi, tgt)
             red = oracles.partial_trace_oracle(np.outer(phi, phi.conj()), [2, 2], [0])
             assert np.max(np.abs(red - tgt)) < 1e-8
             ov = np.vdot(phi, psi)
@@ -256,7 +259,7 @@ class TestUhlmann:
     def test_purifying_dim_too_small(self):
         psi = np.array([1.0, 0.0], dtype=complex)  # system 2, mirror 1
         with pytest.raises(ValueError):
-            la.uhlmann_partner(psi, *la.density_eigh(np.eye(2) / 2)[1:])
+            oracles.uhlmann_partner(psi, np.eye(2) / 2)
 
 
 @pytest.mark.parametrize(
@@ -270,7 +273,7 @@ class TestUhlmann:
             "operator dim 3 != layout dim 4",
         ),
         (
-            lambda: la.uhlmann_partner(np.ones(5), *la.density_eigh(np.eye(2) / 2)[1:]),
+            lambda: oracles.uhlmann_partner(np.ones(5), np.eye(2) / 2),
             "not divisible by the target dimension",
         ),
     ],

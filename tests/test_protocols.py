@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from povmcomp import entropies as ent
-from povmcomp import io, qobjects as qo, sdp
+from povmcomp import covering as cov, io, qobjects as qo, sdp
 from povmcomp import protocols as P
 from povmcomp.budget import OneShotBudget, default_log_const
 from povmcomp.protocols import compose, compress, prep as prep_mod
@@ -21,6 +21,7 @@ from povmcomp.protocols.hashing import HashScheme
 
 import oracles
 import sdp_reference as ref
+from test_covering import check_against_purification
 from test_sdp import linalg_spy
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -324,6 +325,26 @@ def test_golden_protocol_runs(solved):
         out = _composition(name, prep)
         assert _hex(out) == _golden()[name]["compose"]
         assert out["composition_check"] >= -1.0
+
+
+def test_golden_good_sets_match_the_purification(solved, monkeypatch):
+    # the golden draw's GOOD sets, against the purification proof row by
+    # row; rate_split_showcase's one row misses rho_A's 0.07 direction
+    # (its nice block has no class of "2"), where the purification adds
+    # it to a primed state and the closed form keeps the parts themselves
+    name, prep, _, _ = solved
+    calls, good_sets = [], cov.good_sets
+    monkeypatch.setattr(cov, "good_sets", lambda *args: calls.append(args) or good_sets(*args))
+    compress.build_compressed_povm(prep, GOLDEN_BUDGETS[name], GOLDEN_SEED, GOLDEN_C)
+    (args,) = calls
+    low = check_against_purification(*args)
+    assert low == ([0] if name == "rate_split_showcase" else [])
+    if name == "rate_split_showcase":
+        parts = args[0]
+        good, primed = good_sets(*args)
+        assert good[0].sum() == 3
+        for i in np.flatnonzero(good[0]):
+            assert np.max(np.abs(primed[0, i] - parts[i])) <= 1e-12
 
 
 def test_centralised_reads_cached_side_corrections(solved, monkeypatch):
@@ -769,6 +790,19 @@ def test_hash_cap_applies_only_to_hashed_links():
         )
 
 
+def test_coin_blocks_stop_at_their_bound():
+    # with c_y = 1, c_x = MAX_LOG_BLOCKS - 1 plans 2^MAX_LOG_BLOCKS coin
+    # blocks, and one coin bit more is refused before any is drawn
+    prep = P.prepare(io.load_bundled("qubit_cq"))
+    at, past = (
+        OneShotBudget(GOLDEN_EPS, r_x=3, r_y=2, c_x=c_x, c_y=1)
+        for c_x in (compress.MAX_LOG_BLOCKS - 1, compress.MAX_LOG_BLOCKS)
+    )
+    assert compress.plan_codebooks(prep, at, GOLDEN_C).log_k == (compress.MAX_LOG_BLOCKS - 1, 1)
+    with pytest.raises(P.ProtocolError, match=r"2\^17 coin blocks \(sum of logK <= 16\)"):
+        compress.plan_codebooks(prep, past, GOLDEN_C)
+
+
 def _write_golden() -> None:
     payload = {}
     for name in io.BUNDLED:
@@ -1014,14 +1048,16 @@ def test_decode_work_does_not_grow_with_the_coins(coins, monkeypatch):
 def test_a_decode_pass_decomposes_rho_a_in_no_step(monkeypatch):
     # the decode benchmark's pass after its set-up: the GOOD sets read
     # prepare's checked rho_A, so no eigh of it is taken again: of the 10,
-    # 8 are the hashed link's test and 2 the GOOD sets' roots
+    # 8 are the hashed link's test, 1 the root of its decoder's failure
+    # branch and 1 the GOOD sets' Uhlmann maps, all rows in one stack; the
+    # one svd is the decoder's, and the GOOD sets take no svd or qr
     prep = P.prepare(io.load_bundled("qubit_entangled_side_info"))
     P.thresholds(prep, 0.1, 0.0)
     budget = OneShotBudget(0.1, r_x=14, r_y=13, c_x=1, c_y=1)
     calls = linalg_spy(monkeypatch)
     run = P.centralised_protocol(prep, budget, 1, log_const=0.0, wire_override={"X": 12})
     assert run["fraction_nice"] == 1.0
-    assert collections.Counter(calls) == {"eigh": 10, "eigvalsh": 9, "svd": 5, "qr": 4}
+    assert collections.Counter(calls) == {"eigh": 10, "eigvalsh": 9, "svd": 1}
 
 
 def _bundled_link_states():

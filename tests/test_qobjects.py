@@ -147,7 +147,8 @@ class TestInducedDistribution:
         joint = qo.induced_distribution(povm, rho)
         mx = qo.marginal(joint, 0)
         for x in ("0", "1"):
-            direct = np.trace(povm.marginal_x_element(x) @ rho).real
+            element = sum(el for (x_el, _), el in elements.items() if x_el == x)
+            direct = np.trace(element @ rho).real
             assert abs(mx.prob(x) - direct) < 1e-12
 
 

@@ -43,8 +43,6 @@ TEST_ONLY = {
     "Instance.to_payload",  # items 8 and 11, save_instance's
     "matrix_to_json",  # Instance.to_payload's
     "compose_with_side_information",  # item 14
-    "JointPOVM.marginal_x_element",  # compose_with_side_information's, through _marginal_instance
-    "JointPOVM.element",  # marginal_x_element's
     "instrument_to_povm",  # item 12
     "Instrument",  # instrument_to_povm's
     "povm_from_elements",  # instrument_to_povm's
